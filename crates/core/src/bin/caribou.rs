@@ -27,7 +27,7 @@ use caribou_carbon::error::CarbonError;
 use caribou_carbon::source::{CarbonDataSource, ForecastingSource, RegionalSource};
 use caribou_carbon::synth::SyntheticCarbonSource;
 use caribou_core::framework::{Caribou, CaribouConfig};
-use caribou_core::loadgen::{run_loadgen, LoadgenConfig, LoadgenMode};
+use caribou_core::loadgen::{run_loadgen, LoadgenConfig};
 use caribou_exec::engine::WorkflowApp;
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_metrics::costmodel::CostModel;
@@ -65,7 +65,7 @@ USAGE:
                      [--providers aws[,gcp]]
     caribou loadgen <benchmark> [--invocations N] [--seed S] [--workers N]
                     [--arrival poisson|diurnal|bursty] [--rate PER_S]
-                    [--shards N] [--chunked] [--no-warm-pool] [--keep-alive-s S]
+                    [--shards N] [--no-warm-pool] [--keep-alive-s S]
                     [--input small|large] [--worst-case] [--telemetry <out.jsonl>]
     caribou chaos [--seed N] [--requests N] [--duration-s S] [--drop P]
                   [--no-breaker] [--seeds K] [--workers N] [--json]
@@ -673,11 +673,6 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
         .map(|v| v.parse().map_err(|e| format!("--keep-alive-s: {e}")))
         .transpose()?
         .unwrap_or(caribou_simcloud::warm::DEFAULT_KEEP_ALIVE_S);
-    let mode = if has_flag(args, "--chunked") {
-        LoadgenMode::Chunked
-    } else {
-        LoadgenMode::Persistent
-    };
     let config = LoadgenConfig {
         invocations,
         seed,
@@ -685,7 +680,6 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
         shards,
         arrivals,
         scenario: scenario(args),
-        mode,
         warm_pool: !has_flag(args, "--no-warm-pool"),
         keep_alive_s,
         capture_latencies: false,
@@ -712,13 +706,10 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
     // count, so CI can diff a 1-worker run against an N-worker run.
     println!("benchmark:    {}", bench.dag.name());
     println!("arrival:      {:?}", config.arrivals);
-    match config.mode {
-        LoadgenMode::Persistent => println!(
-            "mode:         persistent ({} shards, {} chunks)",
-            report.shards, report.chunks
-        ),
-        LoadgenMode::Chunked => println!("mode:         chunked ({} chunks)", report.chunks),
-    }
+    println!(
+        "mode:         persistent ({} shards, {} chunks)",
+        report.shards, report.chunks
+    );
     println!("invocations:  {}", report.invocations());
     println!(
         "completed:    {} ({:.2}%)",

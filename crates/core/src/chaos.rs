@@ -21,24 +21,28 @@
 //! Everything is deterministic under the campaign seed: the same
 //! [`ChaosConfig`] always produces the same [`ChaosReport`].
 
+use std::collections::HashSet;
+
 use caribou_carbon::series::CarbonSeries;
-use caribou_carbon::source::TableSource;
-use caribou_exec::engine::{ExecutionEngine, WorkflowApp};
-use caribou_exec::outcome::InvocationStatus;
+use caribou_carbon::source::{CarbonDataSource, TableSource};
+use caribou_exec::engine::{ExecutionEngine, InvocationScratch, WorkflowApp};
+use caribou_exec::outcome::{ExecutionOutcome, InvocationStatus};
+use caribou_exec::router::RouteDecision;
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_model::builder::Workflow;
 use caribou_model::dag::NodeId;
 use caribou_model::dist::DistSpec;
 use caribou_model::manifest::DeploymentManifest;
 use caribou_model::plan::{DeploymentPlan, HourlyPlans};
-use caribou_model::region::{ProviderSet, RegionId};
+use caribou_model::region::{Provider, ProviderSet, RegionId};
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::faults::FaultPlan;
 use caribou_simcloud::orchestration::Orchestrator;
 
+use crate::driver;
 use crate::migrator::Migrator;
-use crate::utility::DeploymentUtility;
+use crate::utility::{DeployedWorkflow, DeploymentUtility};
 
 /// Parameters of one chaos campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,8 +103,20 @@ pub struct FaultClassCounts {
     pub cold_storms: usize,
 }
 
+impl FaultClassCounts {
+    fn of(faults: &FaultPlan) -> Self {
+        FaultClassCounts {
+            outages: faults.outages.len(),
+            partitions: faults.partitions.len(),
+            gray_failures: faults.gray_failures.len(),
+            kv_throttles: faults.kv_throttles.len(),
+            cold_storms: faults.cold_storms.len(),
+        }
+    }
+}
+
 /// Result of one chaos campaign.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosReport {
     /// Requests replayed.
     pub requests: u32,
@@ -165,28 +181,212 @@ fn chaos_app(home: RegionId) -> WorkflowApp {
     }
 }
 
-/// Runs one seeded chaos campaign and returns its report.
-pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
-    // The AWS-only default takes the legacy constructor so the campaign
-    // replays byte-for-byte; multi-provider sets assemble the cloud from
-    // the trait backends and widen the offload universe.
-    let mut cloud = if config.providers.is_aws_only() {
-        SimCloud::aws(config.seed)
+/// The campaign's cloud, its home region and the regions it offloads
+/// across. The AWS-only default takes the legacy constructor so the
+/// campaign replays byte-for-byte; multi-provider sets assemble the cloud
+/// from the trait backends and widen the offload universe.
+fn world(config: &ChaosConfig) -> (SimCloud, RegionId, Vec<RegionId>) {
+    let (cloud, regions) = if config.providers.is_aws_only() {
+        let cloud = SimCloud::aws(config.seed);
+        let regions = cloud.regions.evaluation_regions();
+        (cloud, regions)
     } else {
-        SimCloud::for_providers(config.providers, config.seed)
-            .expect("chaos providers must have backends")
+        let cloud = SimCloud::for_providers(config.providers, config.seed)
+            .expect("chaos providers must have backends");
+        let regions = SimCloud::evaluation_universe(config.providers)
+            .iter()
+            .map(|n| cloud.regions.resolve(n).expect("backend region present"))
+            .collect();
+        (cloud, regions)
     };
     let home = cloud
         .region("us-east-1")
-        .expect("default AWS catalog includes us-east-1");
-    let regions: Vec<RegionId> = if config.providers.is_aws_only() {
-        cloud.regions.evaluation_regions()
-    } else {
-        SimCloud::evaluation_universe(config.providers)
+        .expect("every chaos catalog includes us-east-1");
+    (cloud, home, regions)
+}
+
+/// What a campaign folds per request, and the owner of the three
+/// invariant checks.
+#[derive(Default)]
+struct Tally {
+    report: ChaosReport,
+    fallback_routed: u32,
+    probe_requests: u32,
+    total_carbon_g: f64,
+    /// End-to-end latency of every completed request, with whether a
+    /// half-open breaker admitted it as a recovery probe: the base report
+    /// counts probes in its percentiles, the correlated report treats
+    /// them as canary traffic and leaves them out.
+    latencies: Vec<(f64, bool)>,
+    sns_billed: u64,
+}
+
+impl Tally {
+    fn new(requests: u32, faults: FaultClassCounts) -> Self {
+        Tally {
+            report: ChaosReport {
+                requests,
+                faults,
+                ..ChaosReport::default()
+            },
+            ..Tally::default()
+        }
+    }
+
+    /// Folds request `i`: how it was routed, how it ended, which regions
+    /// held a deployment when it was routed, and how many messages the
+    /// pub/sub service accepted while it ran.
+    fn observe(
+        &mut self,
+        i: u32,
+        decision: &RouteDecision,
+        outcome: &ExecutionOutcome,
+        active_regions: &HashSet<RegionId>,
+        sns_accepted: u64,
+    ) {
+        let report = &mut self.report;
+        report.breaker_reroutes += u32::from(decision.breaker_rerouted);
+        self.fallback_routed += u32::from(decision.fallback);
+        self.probe_requests += u32::from(decision.probed);
+
+        // Invariant 2: the routed plan references only active regions.
+        for r in decision.plan.regions_used() {
+            if !active_regions.contains(&r) {
+                report.violations.push(format!(
+                    "request {i}: routed plan references region {r:?} with no deployment"
+                ));
+            }
+        }
+
+        // Invariant 1: exactly-one-of classification, consistent with the
+        // raw outcome fields.
+        let status = outcome.status();
+        let consistent = match status {
+            InvocationStatus::Completed => {
+                report.completed_clean += 1;
+                outcome.completed && outcome.failovers == 0
+            }
+            InvocationStatus::FellBackHome => {
+                report.fell_back_home += 1;
+                if outcome.failed_region.is_none() {
+                    report.violations.push(format!(
+                        "request {i}: fell back home without a failed region"
+                    ));
+                }
+                outcome.completed && outcome.failovers > 0
+            }
+            InvocationStatus::Failed => {
+                report.failed += 1;
+                !outcome.completed
+            }
+        };
+        if !consistent {
+            report.violations.push(format!(
+                "request {i}: {status:?} status but inconsistent fields"
+            ));
+        }
+
+        // Invariant 3 (per invocation): SNS publishes billed to the meter
+        // equal the messages pub/sub accepted during this invocation.
+        let billed: u64 = outcome.meter.sns_publishes.values().sum();
+        if billed != sns_accepted {
+            report.violations.push(format!(
+                "request {i}: meter billed {billed} SNS publishes, pub/sub accepted {sns_accepted}"
+            ));
+        }
+        self.sns_billed += billed;
+
+        self.total_carbon_g += outcome.carbon_g();
+        if outcome.completed {
+            self.latencies
+                .push((outcome.e2e_latency_s, decision.probed));
+        }
+    }
+
+    /// Closes the campaign with the campaign-wide halves of invariants 1
+    /// and 3: every request classified, no publish double-billed or lost.
+    fn close(&mut self, sns_accepted_total: u64) {
+        let report = &mut self.report;
+        if self.sns_billed != sns_accepted_total {
+            report.violations.push(format!(
+                "campaign: meters billed {} SNS publishes, pub/sub accepted {sns_accepted_total}",
+                self.sns_billed
+            ));
+        }
+        let classified = report.completed_clean + report.fell_back_home + report.failed;
+        if classified != report.requests {
+            report.violations.push(format!(
+                "campaign: {classified} classified of {} requests",
+                report.requests
+            ));
+        }
+    }
+
+    /// The report, with the latency tail taken over completed requests —
+    /// probe requests included or not, as the caller's report defines.
+    fn report(self, include_probes: bool) -> ChaosReport {
+        let mut report = self.report;
+        let mut latencies: Vec<f64> = self
+            .latencies
             .iter()
-            .map(|n| cloud.regions.resolve(n).expect("backend region present"))
-            .collect()
+            .filter(|(_, probed)| include_probes || !probed)
+            .map(|(latency, _)| *latency)
+            .collect();
+        latencies.sort_by(f64::total_cmp);
+        if !latencies.is_empty() {
+            report.p50_latency_s = caribou_metrics::summary::percentile_sorted(&latencies, 0.50);
+            report.p99_latency_s = caribou_metrics::summary::percentile_sorted(&latencies, 0.99);
+            report.mean_latency_s = latencies.iter().sum::<f64>() / latencies.len() as f64;
+        }
+        report
+    }
+}
+
+/// Replays `config.requests` evenly spaced requests against the deployed
+/// workflow under `faults`, every one through the invocation driver, and
+/// returns the closed tally.
+fn replay<S: CarbonDataSource>(
+    config: &ChaosConfig,
+    cloud: &mut SimCloud,
+    workflow: &mut DeployedWorkflow,
+    carbon: &S,
+    faults: FaultPlan,
+) -> Tally {
+    let mut tally = Tally::new(config.requests, FaultClassCounts::of(&faults));
+    cloud.set_faults(faults);
+    let engine = ExecutionEngine {
+        carbon_source: carbon,
+        carbon_model: CarbonModel::new(TransmissionScenario::BEST),
+        orchestrator: Orchestrator::Caribou,
     };
+    let mut scratch = InvocationScratch::new();
+    let mut master = Pcg32::seed_stream(config.seed, 0xc4a0);
+    let t0 = cloud.clock.now();
+    let step = config.duration_s / config.requests.max(1) as f64;
+    let sns_base = cloud.pubsub.total_published();
+    for i in 0..config.requests {
+        let at_s = t0 + i as f64 * step;
+        let published_before = cloud.pubsub.total_published();
+        let mut rng = master.fork(i as u64 + 1);
+        let (decision, outcome) = driver::drive_routed(
+            &engine,
+            cloud,
+            workflow,
+            &mut scratch,
+            i as u64 + 1,
+            at_s,
+            &mut rng,
+        );
+        let accepted = cloud.pubsub.total_published() - published_before;
+        tally.observe(i, &decision, &outcome, &workflow.active_regions, accepted);
+    }
+    tally.close(cloud.pubsub.total_published() - sns_base);
+    tally
+}
+
+/// Runs one seeded chaos campaign and returns its report.
+pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
+    let (mut cloud, home, regions) = world(config);
 
     // Flat carbon: the campaign studies robustness, not carbon.
     let mut carbon = TableSource::new();
@@ -216,145 +416,10 @@ pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
     .expect("rollout before faults cannot fail");
     wf.router.breaker.enabled = config.breaker_enabled;
 
-    // Arm the randomized campaign.
+    // Arm the randomized campaign; its percentiles count probe requests.
     let mut faults = FaultPlan::randomized(config.seed, &regions, home, config.duration_s);
     faults.message_drop_prob = config.drop_prob;
-    let fault_counts = FaultClassCounts {
-        outages: faults.outages.len(),
-        partitions: faults.partitions.len(),
-        gray_failures: faults.gray_failures.len(),
-        kv_throttles: faults.kv_throttles.len(),
-        cold_storms: faults.cold_storms.len(),
-    };
-    cloud.set_faults(faults.clone());
-
-    let engine = ExecutionEngine {
-        carbon_source: &carbon,
-        carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-        orchestrator: Orchestrator::Caribou,
-    };
-
-    let mut master = Pcg32::seed_stream(config.seed, 0xc4a0);
-    let t0 = cloud.clock.now();
-    let step = config.duration_s / config.requests.max(1) as f64;
-    let mut report = ChaosReport {
-        requests: config.requests,
-        completed_clean: 0,
-        fell_back_home: 0,
-        failed: 0,
-        breaker_reroutes: 0,
-        p50_latency_s: 0.0,
-        p99_latency_s: 0.0,
-        mean_latency_s: 0.0,
-        faults: fault_counts,
-        violations: Vec::new(),
-    };
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut sns_billed_total: u64 = 0;
-    let sns_base = cloud.pubsub.total_published();
-
-    for i in 0..config.requests {
-        let at_s = t0 + i as f64 * step;
-        let decision = wf.router.route(at_s);
-        if decision.breaker_rerouted {
-            report.breaker_reroutes += 1;
-        }
-
-        // Invariant 2: the routed plan references only active regions.
-        for r in decision.plan.regions_used() {
-            if !wf.active_regions.contains(&r) {
-                report.violations.push(format!(
-                    "request {i}: routed plan references region {r:?} with no deployment"
-                ));
-            }
-        }
-
-        let published_before = cloud.pubsub.total_published();
-        let mut rng = master.fork(i as u64 + 1);
-        let outcome = engine.invoke(
-            &mut cloud,
-            &wf.app,
-            &decision.plan,
-            i as u64 + 1,
-            at_s,
-            &mut rng,
-        );
-        wf.router
-            .record_outcome(&decision.plan, outcome.failed_region, at_s);
-
-        // Invariant 1: exactly-one-of classification, consistent with the
-        // raw outcome fields.
-        match outcome.status() {
-            InvocationStatus::Completed => {
-                report.completed_clean += 1;
-                if !outcome.completed || outcome.failovers > 0 {
-                    report.violations.push(format!(
-                        "request {i}: Completed status but inconsistent fields"
-                    ));
-                }
-            }
-            InvocationStatus::FellBackHome => {
-                report.fell_back_home += 1;
-                if !outcome.completed || outcome.failovers == 0 {
-                    report.violations.push(format!(
-                        "request {i}: FellBackHome status but inconsistent fields"
-                    ));
-                }
-                if outcome.failed_region.is_none() {
-                    report.violations.push(format!(
-                        "request {i}: fell back home without a failed region"
-                    ));
-                }
-            }
-            InvocationStatus::Failed => {
-                report.failed += 1;
-                if outcome.completed {
-                    report.violations.push(format!(
-                        "request {i}: Failed status on a completed invocation"
-                    ));
-                }
-            }
-        }
-
-        // Invariant 3 (per invocation): SNS publishes billed to the meter
-        // equal the messages pub/sub accepted during this invocation.
-        let billed: u64 = outcome.meter.sns_publishes.values().sum();
-        let accepted = cloud.pubsub.total_published() - published_before;
-        if billed != accepted {
-            report.violations.push(format!(
-                "request {i}: meter billed {billed} SNS publishes, pub/sub accepted {accepted}"
-            ));
-        }
-        sns_billed_total += billed;
-
-        if outcome.completed {
-            latencies.push(outcome.e2e_latency_s);
-        }
-    }
-
-    // Invariant 3 (campaign-wide): no publish was double-billed or lost
-    // across the whole run.
-    let accepted_total = cloud.pubsub.total_published() - sns_base;
-    if sns_billed_total != accepted_total {
-        report.violations.push(format!(
-            "campaign: meters billed {sns_billed_total} SNS publishes, pub/sub accepted {accepted_total}"
-        ));
-    }
-    let classified = report.completed_clean + report.fell_back_home + report.failed;
-    if classified != config.requests {
-        report.violations.push(format!(
-            "campaign: {classified} classified of {} requests",
-            config.requests
-        ));
-    }
-
-    latencies.sort_by(f64::total_cmp);
-    if !latencies.is_empty() {
-        report.p50_latency_s = caribou_metrics::summary::percentile_sorted(&latencies, 0.50);
-        report.p99_latency_s = caribou_metrics::summary::percentile_sorted(&latencies, 0.99);
-        report.mean_latency_s = latencies.iter().sum::<f64>() / latencies.len() as f64;
-    }
-    report
+    replay(config, &mut cloud, &mut wf, &carbon, faults).report(true)
 }
 
 /// Fault windows of the correlated classes a campaign injected.
@@ -416,7 +481,9 @@ fn grid_intensity(zone: &str) -> f64 {
 /// Everything is deterministic under the seed and bit-identical at any
 /// `config.workers` count.
 pub fn run_correlated_campaign(config: &ChaosConfig) -> CorrelatedChaosReport {
-    correlated_campaign_with(config, None)
+    correlated_campaign_with(config, |topology, home| {
+        FaultPlan::randomized_correlated(config.seed, topology, home, config.duration_s)
+    })
 }
 
 /// Runs the pinned provider-wide outage scenario: every region of the
@@ -428,89 +495,50 @@ pub fn run_correlated_campaign(config: &ChaosConfig) -> CorrelatedChaosReport {
 /// between `contingency > 0` and the re-route-home baseline isolates the
 /// correlated-failure response.
 pub fn run_provider_outage_scenario(config: &ChaosConfig) -> CorrelatedChaosReport {
-    use caribou_model::region::Provider;
     use caribou_simcloud::faults::{CarbonOutage, GrayFailure, ProviderOutage, Window};
 
-    // Rebuild the region topology exactly as the campaign will below.
-    let cloud = if config.providers.is_aws_only() {
-        SimCloud::aws(config.seed)
-    } else {
-        SimCloud::for_providers(config.providers, config.seed)
-            .expect("chaos providers must have backends")
-    };
-    let home = cloud
-        .region("us-east-1")
-        .expect("catalog includes us-east-1");
-    let regions: Vec<RegionId> = if config.providers.is_aws_only() {
-        cloud.regions.evaluation_regions()
-    } else {
-        SimCloud::evaluation_universe(config.providers)
+    correlated_campaign_with(config, |topology, home| {
+        let provider_of = |region| topology.iter().find(|(r, _)| *r == region).map(|(_, p)| *p);
+        let home_provider = provider_of(home).expect("home is an evaluation region");
+        let victim = Provider::ALL
+            .into_iter()
+            .find(|p| *p != home_provider && topology.iter().any(|(_, q)| q == p))
+            .unwrap_or(home_provider);
+        let victims: Vec<RegionId> = topology
             .iter()
-            .map(|n| cloud.regions.resolve(n).expect("backend region present"))
-            .collect()
-    };
-    let home_provider = cloud.regions.spec(home).provider;
-    let victim = Provider::ALL
-        .into_iter()
-        .find(|p| {
-            *p != home_provider
-                && regions
-                    .iter()
-                    .any(|&r| cloud.regions.spec(r).provider == *p)
-        })
-        .unwrap_or(home_provider);
-    let victims: Vec<RegionId> = regions
-        .iter()
-        .copied()
-        .filter(|&r| cloud.regions.spec(r).provider == victim && r != home)
-        .collect();
-    let window = Window::new(0.15 * config.duration_s, 0.85 * config.duration_s);
-    let mut faults = FaultPlan::none();
-    faults.provider_outages.push(ProviderOutage {
-        provider: victim,
-        regions: victims,
-        window,
-    });
-    faults.carbon_outages.push(CarbonOutage {
-        window: Window::new(0.15 * config.duration_s, 0.80 * config.duration_s),
-    });
-    faults.gray_failures.push(GrayFailure {
-        region: home,
-        window,
-        latency_factor: 5.0,
-    });
-    faults.message_drop_prob = config.drop_prob;
-    correlated_campaign_with(config, Some(faults))
+            .filter(|(r, p)| *p == victim && *r != home)
+            .map(|(r, _)| *r)
+            .collect();
+        let window = Window::new(0.15 * config.duration_s, 0.85 * config.duration_s);
+        let mut faults = FaultPlan::none();
+        faults.provider_outages.push(ProviderOutage {
+            provider: victim,
+            regions: victims,
+            window,
+        });
+        faults.carbon_outages.push(CarbonOutage {
+            window: Window::new(0.15 * config.duration_s, 0.80 * config.duration_s),
+        });
+        faults.gray_failures.push(GrayFailure {
+            region: home,
+            window,
+            latency_factor: 5.0,
+        });
+        faults
+    })
 }
 
-/// Shared body of the correlated campaigns: `faults` overrides the
-/// default [`FaultPlan::randomized_correlated`] plan when given.
+/// Shared body of the correlated campaigns; `plan_faults` draws the fault
+/// plan from the campaign's region topology and home region.
 fn correlated_campaign_with(
     config: &ChaosConfig,
-    faults_override: Option<FaultPlan>,
+    plan_faults: impl FnOnce(&[(RegionId, Provider)], RegionId) -> FaultPlan,
 ) -> CorrelatedChaosReport {
     use caribou_metrics::costmodel::CostModel;
     use caribou_metrics::montecarlo::{DefaultModels, MonteCarloConfig};
     use caribou_model::constraints::{Objective, Tolerances};
-    use caribou_model::region::Provider;
 
-    let mut cloud = if config.providers.is_aws_only() {
-        SimCloud::aws(config.seed)
-    } else {
-        SimCloud::for_providers(config.providers, config.seed)
-            .expect("chaos providers must have backends")
-    };
-    let home = cloud
-        .region("us-east-1")
-        .expect("catalog includes us-east-1");
-    let regions: Vec<RegionId> = if config.providers.is_aws_only() {
-        cloud.regions.evaluation_regions()
-    } else {
-        SimCloud::evaluation_universe(config.providers)
-            .iter()
-            .map(|n| cloud.regions.resolve(n).expect("backend region present"))
-            .collect()
-    };
+    let (mut cloud, home, regions) = world(config);
     let topology: Vec<(RegionId, Provider)> = regions
         .iter()
         .map(|&r| (r, cloud.regions.spec(r).provider))
@@ -518,17 +546,8 @@ fn correlated_campaign_with(
 
     // Correlated fault plan first: its carbon-data outage windows feed
     // the stale-aware wrapper below.
-    let mut faults = faults_override.unwrap_or_else(|| {
-        FaultPlan::randomized_correlated(config.seed, &topology, home, config.duration_s)
-    });
+    let mut faults = plan_faults(&topology, home);
     faults.message_drop_prob = config.drop_prob;
-    let fault_counts = FaultClassCounts {
-        outages: faults.outages.len(),
-        partitions: faults.partitions.len(),
-        gray_failures: faults.gray_failures.len(),
-        kv_throttles: faults.kv_throttles.len(),
-        cold_storms: faults.cold_storms.len(),
-    };
     let correlated_counts = CorrelatedFaultCounts {
         provider_outages: faults.provider_outages.len(),
         failure_domains: faults.failure_domains.len(),
@@ -622,140 +641,18 @@ fn correlated_campaign_with(
     if config.contingency > 0 {
         wf.router.set_contingency(table_c, topology.clone());
     }
-    cloud.set_faults(faults.clone());
 
-    let exec = ExecutionEngine {
-        carbon_source: &stale,
-        carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-        orchestrator: Orchestrator::Caribou,
-    };
-
-    let mut master = Pcg32::seed_stream(config.seed, 0xc4a0);
-    let t0 = cloud.clock.now();
-    let step = config.duration_s / config.requests.max(1) as f64;
-    let mut base = ChaosReport {
-        requests: config.requests,
-        completed_clean: 0,
-        fell_back_home: 0,
-        failed: 0,
-        breaker_reroutes: 0,
-        p50_latency_s: 0.0,
-        p99_latency_s: 0.0,
-        mean_latency_s: 0.0,
-        faults: fault_counts,
-        violations: Vec::new(),
-    };
-    let mut fallback_routed: u32 = 0;
-    let mut probe_requests: u32 = 0;
-    let mut total_carbon_g = 0.0;
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut sns_billed_total: u64 = 0;
-    let sns_base = cloud.pubsub.total_published();
-
-    for i in 0..config.requests {
-        let at_s = t0 + i as f64 * step;
-        let decision = wf.router.route(at_s);
-        if decision.breaker_rerouted {
-            base.breaker_reroutes += 1;
-        }
-        if decision.fallback {
-            fallback_routed += 1;
-        }
-        if decision.probed {
-            probe_requests += 1;
-        }
-        for r in decision.plan.regions_used() {
-            if !wf.active_regions.contains(&r) {
-                base.violations.push(format!(
-                    "request {i}: routed plan references region {r:?} with no deployment"
-                ));
-            }
-        }
-        let published_before = cloud.pubsub.total_published();
-        let mut rng = master.fork(i as u64 + 1);
-        let outcome = exec.invoke(
-            &mut cloud,
-            &wf.app,
-            &decision.plan,
-            i as u64 + 1,
-            at_s,
-            &mut rng,
-        );
-        wf.router
-            .record_outcome(&decision.plan, outcome.failed_region, at_s);
-        match outcome.status() {
-            InvocationStatus::Completed => {
-                base.completed_clean += 1;
-                if !outcome.completed || outcome.failovers > 0 {
-                    base.violations.push(format!(
-                        "request {i}: Completed status but inconsistent fields"
-                    ));
-                }
-            }
-            InvocationStatus::FellBackHome => {
-                base.fell_back_home += 1;
-                if !outcome.completed || outcome.failovers == 0 {
-                    base.violations.push(format!(
-                        "request {i}: FellBackHome status but inconsistent fields"
-                    ));
-                }
-                if outcome.failed_region.is_none() {
-                    base.violations.push(format!(
-                        "request {i}: fell back home without a failed region"
-                    ));
-                }
-            }
-            InvocationStatus::Failed => {
-                base.failed += 1;
-                if outcome.completed {
-                    base.violations.push(format!(
-                        "request {i}: Failed status on a completed invocation"
-                    ));
-                }
-            }
-        }
-        let billed: u64 = outcome.meter.sns_publishes.values().sum();
-        let accepted = cloud.pubsub.total_published() - published_before;
-        if billed != accepted {
-            base.violations.push(format!(
-                "request {i}: meter billed {billed} SNS publishes, pub/sub accepted {accepted}"
-            ));
-        }
-        sns_billed_total += billed;
-        total_carbon_g += outcome.carbon_g();
-        if outcome.completed && !decision.probed {
-            latencies.push(outcome.e2e_latency_s);
-        }
-    }
-
-    let accepted_total = cloud.pubsub.total_published() - sns_base;
-    if sns_billed_total != accepted_total {
-        base.violations.push(format!(
-            "campaign: meters billed {sns_billed_total} SNS publishes, pub/sub accepted {accepted_total}"
-        ));
-    }
-    let classified = base.completed_clean + base.fell_back_home + base.failed;
-    if classified != config.requests {
-        base.violations.push(format!(
-            "campaign: {classified} classified of {} requests",
-            config.requests
-        ));
-    }
-    latencies.sort_by(f64::total_cmp);
-    if !latencies.is_empty() {
-        base.p50_latency_s = caribou_metrics::summary::percentile_sorted(&latencies, 0.50);
-        base.p99_latency_s = caribou_metrics::summary::percentile_sorted(&latencies, 0.99);
-        base.mean_latency_s = latencies.iter().sum::<f64>() / latencies.len() as f64;
-    }
+    // Probe requests are canary traffic: counted, kept out of the tail.
+    let tally = replay(config, &mut cloud, &mut wf, &stale, faults);
     stale.flush_telemetry();
     CorrelatedChaosReport {
-        base,
         correlated: correlated_counts,
         contingency_entries,
-        fallback_routed,
-        probe_requests,
-        total_carbon_g,
+        fallback_routed: tally.fallback_routed,
+        probe_requests: tally.probe_requests,
+        total_carbon_g: tally.total_carbon_g,
         stale_queries: stale.query_counts(),
+        base: tally.report(false),
     }
 }
 
@@ -771,6 +668,126 @@ mod tests {
             breaker_enabled: breaker,
             ..ChaosConfig::default()
         }
+    }
+
+    const HOME: RegionId = RegionId(0);
+    const OFFLOAD: RegionId = RegionId(1);
+
+    /// A hand-built outcome with `sns_billed` publishes on its meter.
+    fn outcome(
+        completed: bool,
+        failovers: u32,
+        failed_region: Option<RegionId>,
+        sns_billed: u64,
+    ) -> ExecutionOutcome {
+        let mut meter = caribou_simcloud::meter::UsageMeter::new();
+        for _ in 0..sns_billed {
+            meter.record_sns(HOME);
+        }
+        ExecutionOutcome {
+            log: caribou_metrics::logs::InvocationLog {
+                workflow: "chaos".into(),
+                at_s: 0.0,
+                benchmark_traffic: false,
+                nodes: Vec::new(),
+                edges: Vec::new(),
+                e2e_latency_s: 1.0,
+                cost_usd: 0.0,
+            },
+            e2e_latency_s: 1.0,
+            cost_usd: 0.0,
+            exec_carbon_g: 0.0,
+            trans_carbon_g: 0.0,
+            cross_cloud_egress_bytes: 0.0,
+            cross_cloud_cost_usd: 0.0,
+            cross_cloud_carbon_g: 0.0,
+            meter,
+            completed,
+            failovers,
+            cold_starts: 0,
+            failed_region,
+        }
+    }
+
+    /// One request folded into a one-request tally: routed on a uniform
+    /// plan in `region` (optionally as a probe) while only `HOME` and
+    /// `OFFLOAD` hold deployments.
+    fn tally_of(
+        region: RegionId,
+        probed: bool,
+        outcome: &ExecutionOutcome,
+        sns_accepted: u64,
+    ) -> Tally {
+        let decision = RouteDecision {
+            plan: DeploymentPlan::uniform(4, region),
+            benchmark_traffic: false,
+            plan_expired: false,
+            breaker_rerouted: false,
+            fallback: false,
+            probed,
+        };
+        let mut tally = Tally::new(1, FaultClassCounts::default());
+        let active = HashSet::from([HOME, OFFLOAD]);
+        tally.observe(0, &decision, outcome, &active, sns_accepted);
+        tally
+    }
+
+    #[test]
+    fn tally_flags_each_broken_invariant_exactly_once() {
+        // A healthy request is silent, per request and campaign-wide.
+        let mut clean = tally_of(OFFLOAD, false, &outcome(true, 0, None, 3), 3);
+        clean.close(3);
+        assert!(clean.report.violations.is_empty());
+        assert_eq!(clean.report.completed_clean, 1);
+
+        // Invariant 1: a home fallback that names no failed region.
+        let lost = tally_of(OFFLOAD, false, &outcome(true, 1, None, 3), 3);
+        assert_eq!(lost.report.fell_back_home, 1);
+        assert_eq!(lost.report.violations.len(), 1, "{:?}", lost.report);
+        assert!(lost.report.violations[0].contains("without a failed region"));
+
+        // Invariant 2: a routed plan naming a region with no deployment.
+        let stray = tally_of(RegionId(7), false, &outcome(true, 0, None, 3), 3);
+        assert_eq!(stray.report.violations.len(), 1, "{:?}", stray.report);
+        assert!(stray.report.violations[0].contains("no deployment"));
+
+        // Invariant 3: the meter billed a publish pub/sub never accepted —
+        // once for the request, once more when the campaign closes.
+        let mut leaky = tally_of(OFFLOAD, false, &outcome(true, 0, None, 4), 3);
+        assert_eq!(leaky.report.violations.len(), 1, "{:?}", leaky.report);
+        assert!(leaky.report.violations[0].contains("billed 4"));
+        leaky.close(3);
+        assert_eq!(leaky.report.violations.len(), 2);
+        assert!(leaky.report.violations[1].starts_with("campaign: meters billed 4"));
+
+        // Campaign-wide invariant 1: a request that was never folded.
+        let mut short = Tally::new(1, FaultClassCounts::default());
+        short.close(0);
+        assert_eq!(
+            short.report.violations,
+            ["campaign: 0 classified of 1 requests"]
+        );
+    }
+
+    #[test]
+    fn probe_latencies_enter_the_tail_only_when_the_report_asks() {
+        let fold = || {
+            let mut tally = tally_of(OFFLOAD, false, &outcome(true, 0, None, 0), 0);
+            let mut slow_probe = outcome(true, 1, Some(OFFLOAD), 0);
+            slow_probe.e2e_latency_s = 9.0;
+            let probe = tally_of(OFFLOAD, true, &slow_probe, 0);
+            tally.latencies.extend(probe.latencies);
+            // A failed request never enters the tail.
+            let failed = tally_of(OFFLOAD, false, &outcome(false, 0, Some(OFFLOAD), 0), 0);
+            tally.latencies.extend(failed.latencies);
+            tally
+        };
+        let with_probes = fold().report(true);
+        assert_eq!(with_probes.mean_latency_s, 5.0);
+        assert!(with_probes.p99_latency_s > 8.9);
+        let without = fold().report(false);
+        assert_eq!(without.mean_latency_s, 1.0);
+        assert_eq!(without.p99_latency_s, 1.0);
     }
 
     #[test]

@@ -442,7 +442,6 @@ fn run_cells(
         }
     });
     stats.emit();
-    cache.flush_telemetry();
 
     let grid = apps.len() * cfg.hours;
     let mut out: Vec<Option<FleetCell>> = match base {

@@ -8,7 +8,7 @@
 //! separation the paper's evaluation relies on (§9.5).
 
 use caribou_carbon::source::{CarbonDataSource, ForecastingSource};
-use caribou_exec::engine::{ExecutionEngine, WorkflowApp};
+use caribou_exec::engine::{ExecutionEngine, InvocationScratch, WorkflowApp};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_metrics::costmodel::CostModel;
 use caribou_metrics::energy::expected_energy_kwh;
@@ -27,6 +27,7 @@ use caribou_solver::hbss::{HbssParams, HbssSolver};
 use caribou_solver::hourly::DayAveragedSource;
 use caribou_solver::pool;
 
+use crate::driver;
 use crate::error::CoreError;
 use crate::manager::{CheckMetrics, DeploymentManager, ManagerConfig, SolveDecision};
 use crate::migrator::Migrator;
@@ -240,6 +241,7 @@ pub struct Caribou<S: CarbonDataSource> {
     workflows: Vec<WorkflowState>,
     rng: Pcg32,
     inv_counter: u64,
+    scratch: InvocationScratch,
 }
 
 impl<S: CarbonDataSource + Sync> Caribou<S> {
@@ -253,6 +255,7 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
             workflows: Vec::new(),
             rng,
             inv_counter: 0,
+            scratch: InvocationScratch::new(),
         }
     }
 
@@ -313,7 +316,11 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
             .iter()
             .map(|(idx, _)| (*idx, RunReport::default()))
             .collect();
-        let indices: Vec<usize> = reports.keys().copied().collect();
+        // Ticks fork `self.rng` and the cloud's generator, so the order
+        // workflows tick in is part of the result: ascending index, never
+        // the map's per-process hash order.
+        let mut indices: Vec<usize> = reports.keys().copied().collect();
+        indices.sort_unstable();
 
         for (at_s, idx) in events {
             // Manager pass over every deployed workflow in the run.
@@ -342,15 +349,10 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
         reports
     }
 
-    /// Executes one invocation at `at_s` through the router and engine.
+    /// Drives one invocation at `at_s` and hands its log to the Metrics
+    /// Manager.
     fn invoke_once(&mut self, idx: usize, at_s: f64) -> InvocationSample {
-        if at_s > self.cloud.clock.now() {
-            self.cloud.clock.advance_to(at_s);
-        }
         let state = &mut self.workflows[idx];
-        let decision = state.dep.router.route(at_s);
-        let plan = decision.plan;
-        let majority_region = majority_region(&plan);
         self.inv_counter += 1;
         let inv_id = self.inv_counter;
         let engine = ExecutionEngine {
@@ -359,25 +361,16 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
             orchestrator: Orchestrator::Caribou,
         };
         let mut rng = self.rng.fork(inv_id);
-        let mut outcome = engine.invoke(
+        let (decision, outcome) = driver::drive_routed(
+            &engine,
             &mut self.cloud,
-            &state.dep.app,
-            &plan,
+            &mut state.dep,
+            &mut self.scratch,
             inv_id,
             at_s,
             &mut rng,
         );
-        outcome.log.benchmark_traffic = decision.benchmark_traffic;
-        state.metrics.record(outcome.log.clone());
-        // Feed the outcome back into the router's per-region circuit
-        // breaker: consecutive failures of an offload region open its
-        // breaker and later invocations are pre-routed home instead of
-        // paying the mid-flight failover tax.
-        state
-            .dep
-            .router
-            .record_outcome(&plan, outcome.failed_region, at_s);
-        InvocationSample {
+        let sample = InvocationSample {
             at_s,
             latency_s: outcome.e2e_latency_s,
             cost_usd: outcome.cost_usd,
@@ -386,8 +379,10 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
             completed: outcome.completed,
             fell_back_home: outcome.fell_back_home(),
             benchmark_traffic: decision.benchmark_traffic,
-            majority_region,
-        }
+            majority_region: majority_region(&decision.plan),
+        };
+        state.metrics.record(outcome.log);
+        sample
     }
 
     /// One Deployment Manager tick (Fig. 6): retry pending rollouts,
@@ -543,7 +538,6 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
                             .best
                     });
                     stats.emit();
-                    engine.flush_telemetry();
                     // Index by hour-of-day so the router's lookup finds the
                     // right plan.
                     let mut per_hour: Vec<Option<DeploymentPlan>> = vec![None; 24];
@@ -580,7 +574,6 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
                         self.config.workers,
                     );
                     let outcome = solver.solve_with(&day_engine, &day_ctx, now_h + 12.0, &mut srng);
-                    day_engine.flush_telemetry();
                     HourlyPlans::daily(outcome.best, now_s, expires)
                 }
                 SolveDecision::Skip => unreachable!(),

@@ -35,6 +35,7 @@
 //! root re-exports the types needed for typical use.
 
 pub mod chaos;
+mod driver;
 pub mod error;
 pub mod fleet;
 pub mod framework;
@@ -50,7 +51,7 @@ pub use fleet::{
     replan_incremental, solve_fleet, FleetConfig, FleetEnv, FleetReport, FleetSchedule,
 };
 pub use framework::{Caribou, CaribouConfig, RunReport};
-pub use loadgen::{run_loadgen, LoadReport, LoadgenConfig, LoadgenMode};
+pub use loadgen::{run_loadgen, LoadReport, LoadgenConfig};
 pub use manager::DeploymentManager;
 pub use migrator::{MigrationReport, Migrator};
 pub use tokens::TokenBucket;

@@ -1,22 +1,19 @@
 //! The sustained-load harness behind `caribou loadgen`.
 //!
 //! Drives a benchmark DAG with N open-loop invocations end-to-end through
-//! the simulated cloud and the execution engine. Two modes:
+//! the simulated cloud and the execution engine, on a fixed set of
+//! [`LoadgenConfig::shards`] long-lived simulation shards — each a full
+//! [`SimCloud`] keeping its warm pools, KV/blob contents and meters for
+//! the whole run. Chunks of [`CHUNK_INVOCATIONS`] arrivals are dealt to
+//! shards round-robin; one round of chunks is a *tick*. At every tick
+//! boundary the shards exchange their journaled warm-pool touches in
+//! fixed shard order ([`caribou_simcloud::warm::WarmPool::drain_touches`]
+//! sorts by deployment key) and max-merge them, so container state
+//! converges across shards with at most one tick of visibility lag.
+//! (A fresh cloud per chunk, the pre-shard behaviour, re-paid every cold
+//! start at every chunk boundary; EXPERIMENTS.md keeps the measurement.)
 //!
-//! * **Persistent** (default): a fixed set of [`LoadgenConfig::shards`]
-//!   long-lived simulation shards — each a full [`SimCloud`] keeping its
-//!   warm pools, KV/blob contents, meters, and breaker state for the
-//!   whole run. Chunks of [`CHUNK_INVOCATIONS`] arrivals are dealt to
-//!   shards round-robin; one round of chunks is a *tick*. At every tick
-//!   boundary the shards exchange their journaled warm-pool touches in
-//!   fixed shard order ([`caribou_simcloud::warm::WarmPool::drain_touches`]
-//!   sorts by deployment key) and max-merge them, so container state
-//!   converges across shards with at most one tick of visibility lag.
-//! * **Chunked** (legacy): a fresh cloud per chunk — the pre-shard
-//!   behavior, kept to measure exactly what the chunk-boundary state
-//!   resets cost (every chunk re-pays cold starts it shouldn't).
-//!
-//! Results are bit-identical at any worker count in both modes:
+//! Results are bit-identical at any worker count:
 //!
 //! * arrival times are generated once, up front, from the seeded
 //!   [`ArrivalProcess`] — they are data, not per-worker state;
@@ -35,9 +32,10 @@
 //! vector for tests that validate the sketch against sorted-vector
 //! quantiles.
 //!
-//! Each shard (or chunk) reuses one [`InvocationScratch`] across its
-//! invocations, so the steady-state data plane allocates only the
-//! per-invocation log records (see `engine.alloc_per_invocation`).
+//! Each shard reuses one [`InvocationScratch`] across its invocations
+//! and drives them under the one home plan, so the steady-state data
+//! plane allocates only the per-invocation log records (see
+//! `engine.alloc_per_invocation`).
 
 use std::sync::Mutex;
 
@@ -45,6 +43,7 @@ use caribou_carbon::source::RegionalSource;
 use caribou_carbon::synth::SyntheticCarbonSource;
 use caribou_carbon::CarbonError;
 use caribou_exec::engine::{ExecutionEngine, InvocationScratch, WorkflowApp};
+use caribou_exec::outcome::ExecutionOutcome;
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::rng::SeedSplitter;
@@ -53,8 +52,10 @@ use caribou_simcloud::orchestration::Orchestrator;
 use caribou_simcloud::warm::{WarmPool, WarmTouch, DEFAULT_KEEP_ALIVE_S};
 use caribou_solver::pool::{self, PoolStats};
 use caribou_telemetry::QuantileSketch;
-use caribou_workloads::arrivals::{ArrivalGen, ArrivalProcess};
+use caribou_workloads::arrivals::ArrivalProcess;
 use caribou_workloads::benchmarks::Benchmark;
+
+use crate::driver;
 
 /// Fixed chunk size: chunk boundaries (and therefore results) depend only
 /// on the invocation count, never on the worker count. One round of
@@ -72,18 +73,7 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// never collide the way the old `seed ^ chunk * constant` xor mix could.
 const SALT_ARRIVALS: u64 = 0xA11;
 const SALT_INVOCATION: u64 = 0x117;
-const SALT_CHUNK_CLOUD: u64 = 0xC417;
 const SALT_SHARD_CLOUD: u64 = 0x54A2D;
-
-/// How the harness manages simulation state across chunk boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadgenMode {
-    /// Long-lived shards with tick-boundary warm-state exchange.
-    Persistent,
-    /// A fresh cloud per chunk (legacy): warm pools, KV contents and
-    /// breaker state silently reset every [`CHUNK_INVOCATIONS`].
-    Chunked,
-}
 
 /// Configuration for one sustained-load run.
 #[derive(Debug, Clone)]
@@ -102,8 +92,6 @@ pub struct LoadgenConfig {
     pub arrivals: ArrivalProcess,
     /// Transmission scenario for carbon accounting.
     pub scenario: TransmissionScenario,
-    /// Chunk-boundary state handling.
-    pub mode: LoadgenMode,
     /// Drive cold starts from the stateful warm pool (`true`, default)
     /// or the compute model's probabilistic rate (`false`).
     pub warm_pool: bool,
@@ -123,7 +111,6 @@ impl Default for LoadgenConfig {
             shards: DEFAULT_SHARDS,
             arrivals: ArrivalProcess::Poisson { rate_per_s: 100.0 },
             scenario: TransmissionScenario::BEST,
-            mode: LoadgenMode::Persistent,
             warm_pool: true,
             keep_alive_s: DEFAULT_KEEP_ALIVE_S,
             capture_latencies: false,
@@ -133,7 +120,7 @@ impl Default for LoadgenConfig {
 
 /// Per-run results: streaming latency aggregates (O(buckets) memory)
 /// plus folded totals.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LoadReport {
     /// Mergeable latency sketch: quantiles to one bucket's relative
     /// error (~6%), exact count/mean/variance via running moments.
@@ -162,7 +149,7 @@ pub struct LoadReport {
     pub scratch_allocs: u64,
     /// Chunks executed.
     pub chunks: u64,
-    /// Persistent shards used (1 per chunk in chunked mode).
+    /// Persistent shards used.
     pub shards: u64,
     /// Worker-pool statistics accumulated over all rounds.
     pub pool: PoolStats,
@@ -200,7 +187,7 @@ impl LoadReport {
 }
 
 /// One chunk's fold-ready output, plus the warm touches it journaled
-/// (persistent mode only) for the tick-boundary exchange.
+/// for the tick-boundary exchange.
 #[derive(Debug, Default)]
 struct ChunkOut {
     sketch: QuantileSketch,
@@ -212,8 +199,23 @@ struct ChunkOut {
     exec_carbon_g: f64,
     trans_carbon_g: f64,
     cost_usd: f64,
-    scratch_allocs: u64,
     touches: Vec<WarmTouch>,
+}
+
+impl ChunkOut {
+    fn observe(&mut self, o: &ExecutionOutcome, capture_latency: bool) {
+        self.sketch.observe(o.e2e_latency_s);
+        if capture_latency {
+            self.exact.push(o.e2e_latency_s);
+        }
+        self.completed += u64::from(o.completed);
+        self.failovers += u64::from(o.failovers);
+        self.cold_starts += u64::from(o.cold_starts);
+        self.warm_starts += o.log.nodes.len() as u64 - u64::from(o.cold_starts);
+        self.exec_carbon_g += o.exec_carbon_g;
+        self.trans_carbon_g += o.trans_carbon_g;
+        self.cost_usd += o.cost_usd;
+    }
 }
 
 /// A long-lived simulation shard: one full cloud plus its reusable
@@ -223,52 +225,6 @@ struct ChunkOut {
 struct Shard {
     cloud: SimCloud,
     scratch: InvocationScratch,
-}
-
-/// Immutable per-run context shared by every chunk execution.
-struct RunCtx<'a> {
-    engine: &'a ExecutionEngine<'a, RegionalSource>,
-    app: &'a WorkflowApp,
-    plan: &'a DeploymentPlan,
-    config: &'a LoadgenConfig,
-}
-
-fn run_range(
-    ctx: &RunCtx<'_>,
-    cloud: &mut SimCloud,
-    scratch: &mut InvocationScratch,
-    arrivals: &[f64],
-    g0: usize,
-) -> ChunkOut {
-    let config = ctx.config;
-    let mut out = ChunkOut::default();
-    if config.capture_latencies {
-        out.exact.reserve(arrivals.len());
-    }
-    for (k, &arrival) in arrivals.iter().enumerate() {
-        // The invocation stream is keyed by the *global* invocation
-        // index, independent of chunking and sharding.
-        let g = g0 + k;
-        let mut rng = SeedSplitter::new(config.seed)
-            .absorb(SALT_INVOCATION)
-            .absorb(g as u64)
-            .rng();
-        let o = ctx.engine.invoke_with_scratch(
-            cloud, ctx.app, ctx.plan, g as u64, arrival, &mut rng, scratch,
-        );
-        out.sketch.observe(o.e2e_latency_s);
-        if config.capture_latencies {
-            out.exact.push(o.e2e_latency_s);
-        }
-        out.completed += u64::from(o.completed);
-        out.failovers += u64::from(o.failovers);
-        out.cold_starts += u64::from(o.cold_starts);
-        out.warm_starts += o.log.nodes.len() as u64 - u64::from(o.cold_starts);
-        out.exec_carbon_g += o.exec_carbon_g;
-        out.trans_carbon_g += o.trans_carbon_g;
-        out.cost_usd += o.cost_usd;
-    }
-    out
 }
 
 fn fold(report: &mut LoadReport, c: ChunkOut) {
@@ -283,7 +239,6 @@ fn fold(report: &mut LoadReport, c: ChunkOut) {
     report.exec_carbon_g += c.exec_carbon_g;
     report.trans_carbon_g += c.trans_carbon_g;
     report.cost_usd += c.cost_usd;
-    report.scratch_allocs += c.scratch_allocs;
 }
 
 fn accumulate_pool_stats(total: &mut PoolStats, round: PoolStats) {
@@ -308,7 +263,9 @@ fn accumulate_pool_stats(total: &mut PoolStats, round: PoolStats) {
     }
 }
 
-/// Runs the sustained-load harness and returns the merged report.
+/// Runs the sustained-load harness and returns the merged report: rounds
+/// of chunks over long-lived shards with a deterministic warm-touch
+/// exchange at every round (tick) boundary.
 ///
 /// The report is a pure function of everything in `config` except
 /// `workers` — the worker count changes only wall-clock time, never a
@@ -339,60 +296,13 @@ pub fn run_loadgen(bench: &Benchmark, config: &LoadgenConfig) -> Result<LoadRepo
 
     let n = config.invocations;
     let chunks = n.div_ceil(CHUNK_INVOCATIONS);
-
-    let mut report = LoadReport {
-        latency: QuantileSketch::new(),
-        exact_latencies_s: config.capture_latencies.then(|| Vec::with_capacity(n)),
-        completed: 0,
-        failovers: 0,
-        cold_starts: 0,
-        warm_starts: 0,
-        exec_carbon_g: 0.0,
-        trans_carbon_g: 0.0,
-        cost_usd: 0.0,
-        span_s: 0.0,
-        scratch_allocs: 0,
-        chunks: chunks as u64,
-        shards: 0,
-        pool: PoolStats::default(),
-    };
-
-    // Arrivals stream from one seeded generator: data, not per-worker
-    // state. Persistent mode pulls them one round at a time (O(round)
-    // memory); chunked mode materializes all N up front, which is part
-    // of why it doesn't scale.
-    let gen = config
-        .arrivals
-        .stream(SeedSplitter::new(config.seed).absorb(SALT_ARRIVALS).rng());
-
-    let ctx = RunCtx {
-        engine: &engine,
-        app: &app,
-        plan: &plan,
-        config,
-    };
-    match config.mode {
-        LoadgenMode::Persistent => run_persistent(&ctx, gen, chunks, &mut report),
-        LoadgenMode::Chunked => run_chunked(&ctx, gen, chunks, &mut report),
-    }
-
-    if caribou_telemetry::is_enabled() {
-        caribou_telemetry::count("loadgen.invocations", report.invocations());
-        caribou_telemetry::count("loadgen.chunks", chunks as u64);
-        caribou_telemetry::count("loadgen.shards", report.shards);
-        caribou_telemetry::count("loadgen.cold_starts", report.cold_starts);
-        caribou_telemetry::count("loadgen.warm_starts", report.warm_starts);
-    }
-    Ok(report)
-}
-
-/// Persistent mode: rounds of chunks over long-lived shards with a
-/// deterministic warm-touch exchange at every round (tick) boundary.
-fn run_persistent(ctx: &RunCtx<'_>, mut gen: ArrivalGen, chunks: usize, report: &mut LoadReport) {
-    let config = ctx.config;
-    let n = config.invocations;
     let shard_count = config.shards.max(1).min(chunks.max(1));
-    report.shards = shard_count as u64;
+    let mut report = LoadReport {
+        exact_latencies_s: config.capture_latencies.then(|| Vec::with_capacity(n)),
+        chunks: chunks as u64,
+        shards: shard_count as u64,
+        ..LoadReport::default()
+    };
     let shards: Vec<Mutex<Shard>> = (0..shard_count)
         .map(|s| {
             let seed = SeedSplitter::new(config.seed)
@@ -400,7 +310,7 @@ fn run_persistent(ctx: &RunCtx<'_>, mut gen: ArrivalGen, chunks: usize, report: 
                 .absorb(s as u64)
                 .seed();
             let mut cloud = SimCloud::aws(seed);
-            ctx.engine.provision(&mut cloud, ctx.app, ctx.plan);
+            engine.provision(&mut cloud, &app, &plan);
             if config.warm_pool {
                 cloud.warm = WarmPool::enabled(config.keep_alive_s);
                 cloud.warm.set_journaling(true);
@@ -412,9 +322,14 @@ fn run_persistent(ctx: &RunCtx<'_>, mut gen: ArrivalGen, chunks: usize, report: 
         })
         .collect();
 
+    // Arrivals stream from one seeded generator: data, not per-worker
+    // state. One round's arrivals at a time: the buffer is reused, so
+    // arrival storage is O(shards × CHUNK_INVOCATIONS) no matter how
+    // large N is.
+    let mut gen = config
+        .arrivals
+        .stream(SeedSplitter::new(config.seed).absorb(SALT_ARRIVALS).rng());
     let rounds = chunks.div_ceil(shard_count);
-    // One round's arrivals at a time: the buffer is reused, so arrival
-    // storage is O(shards × CHUNK_INVOCATIONS) no matter how large N is.
     let mut round_arrivals: Vec<f64> = Vec::with_capacity(shard_count * CHUNK_INVOCATIONS);
     for round in 0..rounds {
         let base = round * shard_count;
@@ -432,17 +347,25 @@ fn run_persistent(ctx: &RunCtx<'_>, mut gen: ArrivalGen, chunks: usize, report: 
             // lock is uncontended — it exists to satisfy the pool's
             // shared-reference closure bound.
             let mut shard = shards[i].lock().expect("shard lock");
-            let shard = &mut *shard;
-            let mut out = run_range(
-                ctx,
-                &mut shard.cloud,
-                &mut shard.scratch,
-                &round_arrivals[lo..hi],
-                round_lo + lo,
-            );
+            let Shard { cloud, scratch } = &mut *shard;
+            let mut out = ChunkOut::default();
+            if config.capture_latencies {
+                out.exact.reserve(hi - lo);
+            }
+            for (k, &arrival) in round_arrivals[lo..hi].iter().enumerate() {
+                // The invocation stream is keyed by the *global* invocation
+                // index, independent of chunking and sharding.
+                let g = (round_lo + lo + k) as u64;
+                let mut rng = SeedSplitter::new(config.seed)
+                    .absorb(SALT_INVOCATION)
+                    .absorb(g)
+                    .rng();
+                let o = driver::drive(&engine, cloud, &app, &plan, scratch, g, arrival, &mut rng);
+                out.observe(&o, config.capture_latencies);
+            }
             // Drain this tick's touches while the shard is held so the
             // exchange below needs no second locking pass.
-            out.touches = shard.cloud.warm.drain_touches();
+            out.touches = cloud.warm.drain_touches();
             out
         });
         accumulate_pool_stats(&mut report.pool, stats);
@@ -465,7 +388,7 @@ fn run_persistent(ctx: &RunCtx<'_>, mut gen: ArrivalGen, chunks: usize, report: 
         // Fold in chunk order: f64 summation order is part of the
         // bit-reproducibility contract.
         for out in outs {
-            fold(report, out);
+            fold(&mut report, out);
         }
     }
 
@@ -474,43 +397,14 @@ fn run_persistent(ctx: &RunCtx<'_>, mut gen: ArrivalGen, chunks: usize, report: 
         report.scratch_allocs += shard.scratch.allocs();
     }
     if caribou_telemetry::is_enabled() {
+        caribou_telemetry::count("loadgen.invocations", report.invocations());
+        caribou_telemetry::count("loadgen.chunks", chunks as u64);
+        caribou_telemetry::count("loadgen.shards", report.shards);
         caribou_telemetry::count("loadgen.rounds", rounds as u64);
+        caribou_telemetry::count("loadgen.cold_starts", report.cold_starts);
+        caribou_telemetry::count("loadgen.warm_starts", report.warm_starts);
     }
-}
-
-/// Chunked (legacy) mode: a fresh cloud per chunk. Kept so the cost of
-/// the chunk-boundary state resets stays measurable.
-fn run_chunked(ctx: &RunCtx<'_>, mut gen: ArrivalGen, chunks: usize, report: &mut LoadReport) {
-    let config = ctx.config;
-    let n = config.invocations;
-    report.shards = chunks as u64;
-    let mut arrivals = Vec::with_capacity(n);
-    gen.fill(&mut arrivals, n);
-    report.span_s = arrivals.last().copied().unwrap_or(0.0);
-    let arrivals = &arrivals;
-    let (outs, stats) = pool::map_indexed(config.workers, chunks, |chunk| {
-        let lo = chunk * CHUNK_INVOCATIONS;
-        let hi = (lo + CHUNK_INVOCATIONS).min(n);
-        let seed = SeedSplitter::new(config.seed)
-            .absorb(SALT_CHUNK_CLOUD)
-            .absorb(chunk as u64)
-            .seed();
-        let mut cloud = SimCloud::aws(seed);
-        ctx.engine.provision(&mut cloud, ctx.app, ctx.plan);
-        if config.warm_pool {
-            // The warm pool starts empty every chunk — this is the state
-            // reset the persistent mode exists to remove.
-            cloud.warm = WarmPool::enabled(config.keep_alive_s);
-        }
-        let mut scratch = InvocationScratch::new();
-        let mut out = run_range(ctx, &mut cloud, &mut scratch, &arrivals[lo..hi], lo);
-        out.scratch_allocs = scratch.allocs();
-        out
-    });
-    accumulate_pool_stats(&mut report.pool, stats);
-    for out in outs {
-        fold(report, out);
-    }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -580,19 +474,5 @@ mod tests {
         // The pooled engine path ran: warm steady state allocates only the
         // caller-owned log records.
         assert_eq!(finished.recorder.gauges["engine.alloc_per_invocation"], 2.0);
-    }
-
-    #[test]
-    fn chunked_mode_still_merges_deterministically() {
-        let bench = text2speech_censoring(InputSize::Small);
-        let mk = |workers| LoadgenConfig {
-            mode: LoadgenMode::Chunked,
-            ..config(300, workers)
-        };
-        let a = run_loadgen(&bench, &mk(1)).unwrap();
-        let b = run_loadgen(&bench, &mk(4)).unwrap();
-        assert_eq!(a.cost_usd.to_bits(), b.cost_usd.to_bits());
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.cold_starts, b.cold_starts);
     }
 }

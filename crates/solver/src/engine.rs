@@ -44,10 +44,11 @@
 //! drop exactly the entries a forecast revision touches — the hook the
 //! fleet subsystem's incremental re-solve builds on.
 //!
-//! Hit/miss/eviction tallies accumulate in atomics (worker threads have
-//! no telemetry session of their own) and the coordinating thread
-//! publishes the deltas as `solver.cache.hit` / `solver.cache.miss` /
-//! `solver.cache.evictions` via [`EvalEngine::flush_telemetry`]. Under
+//! Hit/miss/eviction tallies accumulate in atomics behind
+//! [`EstimateCache::hit_count`] and friends, and each probe and eviction
+//! also counts `solver.cache.hit` / `solver.cache.miss` /
+//! `solver.cache.evictions` into the telemetry session of the thread it
+//! ran on (pool tasks have one whenever the coordinator does). Under
 //! parallel misses of the same key the tallies may differ by a few counts
 //! between runs — the cached *values* never do.
 //!
@@ -109,9 +110,6 @@ pub struct EstimateCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    flushed_hits: AtomicU64,
-    flushed_misses: AtomicU64,
-    flushed_evictions: AtomicU64,
 }
 
 impl EstimateCache {
@@ -123,9 +121,6 @@ impl EstimateCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            flushed_hits: AtomicU64::new(0),
-            flushed_misses: AtomicU64::new(0),
-            flushed_evictions: AtomicU64::new(0),
         }
     }
 
@@ -171,10 +166,12 @@ impl EstimateCache {
             .expect("cache lock")
             .get(key)
             .map(|e| e.summary);
-        match hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        let (tally, counter) = match hit {
+            Some(_) => (&self.hits, "solver.cache.hit"),
+            None => (&self.misses, "solver.cache.miss"),
         };
+        tally.fetch_add(1, Ordering::Relaxed);
+        caribou_telemetry::count(counter, 1);
         hit
     }
 
@@ -187,6 +184,7 @@ impl EstimateCache {
         while map.len() > self.capacity {
             map.pop_last();
             self.evictions.fetch_add(1, Ordering::Relaxed);
+            caribou_telemetry::count("solver.cache.evictions", 1);
         }
     }
 
@@ -206,36 +204,6 @@ impl EstimateCache {
             *h != bits || !entry.touched.iter().any(|r| regions.contains(r))
         });
         (before - map.len()) as u64
-    }
-
-    /// Publishes unflushed hit/miss/eviction tallies as
-    /// `solver.cache.{hit,miss,evictions}` counters into the calling
-    /// thread's telemetry session. Call from the coordinating thread —
-    /// workers accumulate, they never record.
-    pub fn flush_telemetry(&self) {
-        if !caribou_telemetry::is_enabled() {
-            return;
-        }
-        let hits = self.hits.load(Ordering::Relaxed);
-        let misses = self.misses.load(Ordering::Relaxed);
-        let evictions = self.evictions.load(Ordering::Relaxed);
-        let dh = hits.saturating_sub(self.flushed_hits.swap(hits, Ordering::Relaxed));
-        let dm = misses.saturating_sub(self.flushed_misses.swap(misses, Ordering::Relaxed));
-        let de =
-            evictions.saturating_sub(self.flushed_evictions.swap(evictions, Ordering::Relaxed));
-        if dh > 0 {
-            caribou_telemetry::count("solver.cache.hit", dh);
-        }
-        if dm > 0 {
-            caribou_telemetry::count("solver.cache.miss", dm);
-        }
-        if de > 0 {
-            caribou_telemetry::count("solver.cache.evictions", de);
-        }
-        let total = hits + misses;
-        if total > 0 {
-            caribou_telemetry::gauge("solver.cache.hit_rate", hits as f64 / total as f64);
-        }
     }
 }
 
@@ -414,8 +382,8 @@ impl EvalEngine {
     }
 
     /// Evaluates a batch of plans at one hour across the worker pool,
-    /// returning summaries in plan order. Emits pool statistics and cache
-    /// counter deltas into the caller's telemetry session.
+    /// returning summaries in plan order. Emits pool statistics into the
+    /// caller's telemetry session.
     pub fn evaluate_many<S: CarbonDataSource + Sync, M: StageModels + Sync>(
         &self,
         ctx: &SolverContext<'_, S, M>,
@@ -426,7 +394,6 @@ impl EvalEngine {
             self.evaluate(ctx, &plans[i], hour)
         });
         stats.emit();
-        self.flush_telemetry();
         out
     }
 
@@ -443,12 +410,6 @@ impl EvalEngine {
     /// Distinct `(fingerprint, plan, hour)` entries cached.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Publishes unflushed cache tallies; see
-    /// [`EstimateCache::flush_telemetry`].
-    pub fn flush_telemetry(&self) {
-        self.cache.flush_telemetry();
     }
 }
 

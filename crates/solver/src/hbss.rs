@@ -216,10 +216,6 @@ impl HbssSolver {
             caribou_telemetry::gauge("solver.gamma", gamma);
             caribou_telemetry::event("solver.solve", format!("h{}", hour as u64), i as f64);
         }
-        if let Some(e) = engine {
-            e.flush_telemetry();
-        }
-
         feasible.sort_by(|a, b| a.1.total_cmp(&b.1));
         SolveOutcome {
             best: best_plan,

@@ -86,7 +86,6 @@ pub fn solve_hourly_with<S: CarbonDataSource + Sync, M: StageModels + Sync>(
             .best
     });
     stats.emit();
-    engine.flush_telemetry();
     HourlyPlans::hourly(plans, generated_at_s, expires_at_s)
 }
 

@@ -8,9 +8,13 @@
 //! with seed-split RNG streams, the output *values* — are independent of
 //! which worker ran what.
 //!
-//! Telemetry sessions are thread-local, so workers never record directly;
-//! the pool measures per-worker busy time and task counts and the
-//! coordinating thread reports them after the join ([`PoolStats::emit`]).
+//! Telemetry sessions are thread-local, so when the caller has one the
+//! pool forks it: every task records into a child session of its own and
+//! the coordinator absorbs the children in item order at the join. What a
+//! traced run records — counters, histograms, journal, sink stream — is
+//! then the same at any worker count; an untraced caller pays nothing.
+//! The pool itself measures per-worker busy time and task counts, which
+//! the coordinating thread reports after the join ([`PoolStats::emit`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -72,8 +76,10 @@ impl PoolStats {
 /// item order plus the run's [`PoolStats`].
 ///
 /// `workers <= 1` (or a single item) runs inline on the caller's thread:
-/// zero spawn overhead and full access to its telemetry session. The
-/// closure must be deterministic per index for the pool to preserve
+/// zero spawn overhead, recording straight into its telemetry session —
+/// with the session's sim time rewound to its pre-call value after every
+/// task, which is what a forked child would have seen. The closure must
+/// be deterministic per index for the pool to preserve
 /// bit-reproducibility — derive any randomness from the index, never from
 /// shared mutable state.
 pub fn map_indexed<T, F>(workers: usize, n: usize, f: F) -> (Vec<T>, PoolStats)
@@ -85,10 +91,12 @@ where
     if workers <= 1 || n <= 1 {
         let mut busy = 0.0;
         let mut out = Vec::with_capacity(n);
+        let sim_now = caribou_telemetry::sim_now();
         for i in 0..n {
             let t0 = Instant::now();
             out.push(f(i));
             busy += t0.elapsed().as_secs_f64();
+            caribou_telemetry::set_sim_now(sim_now);
         }
         let stats = PoolStats {
             workers: 1,
@@ -102,12 +110,13 @@ where
 
     let threads = workers.min(n);
     let cursor = AtomicUsize::new(0);
-    let mut per_worker: Vec<(Vec<(usize, T)>, f64)> = Vec::with_capacity(threads);
+    let fork = caribou_telemetry::fork();
+    let mut per_worker = Vec::with_capacity(threads);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut got: Vec<(usize, T)> = Vec::new();
+                    let mut got = Vec::new();
                     let mut busy = 0.0;
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -115,7 +124,13 @@ where
                             break;
                         }
                         let t0 = Instant::now();
-                        let r = f(i);
+                        let r = match &fork {
+                            Some(fork) => {
+                                let (r, recorded) = fork.record(|| f(i));
+                                (r, Some(recorded))
+                            }
+                            None => (f(i), None),
+                        };
                         busy += t0.elapsed().as_secs_f64();
                         got.push((i, r));
                     }
@@ -130,7 +145,7 @@ where
 
     let mut busy_s = Vec::with_capacity(threads);
     let mut tasks_per_worker = Vec::with_capacity(threads);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let mut slots: Vec<Option<_>> = (0..n).map(|_| None).collect();
     for (got, busy) in per_worker {
         busy_s.push(busy);
         tasks_per_worker.push(got.len());
@@ -140,7 +155,13 @@ where
     }
     let out: Vec<T> = slots
         .into_iter()
-        .map(|s| s.expect("every index produced exactly once"))
+        .map(|s| {
+            let (r, recorded) = s.expect("every index produced exactly once");
+            if let Some(recorded) = recorded {
+                caribou_telemetry::absorb(recorded);
+            }
+            r
+        })
         .collect();
     let stats = PoolStats {
         workers: threads,
@@ -185,6 +206,37 @@ mod tests {
         let (out, stats) = map_indexed(16, 3, |i| i);
         assert_eq!(out, vec![0, 1, 2]);
         assert!(stats.workers <= 3);
+    }
+
+    #[test]
+    fn traced_tasks_record_the_same_at_any_worker_count() {
+        use caribou_telemetry::{self as telemetry, MemorySink};
+        let traced = |workers: usize| {
+            telemetry::enable(Box::new(MemorySink::default()));
+            telemetry::set_sim_now(5.0);
+            map_indexed(workers, 9, |i| {
+                // Stamped with the coordinator's time, not a sibling's.
+                telemetry::event("pool.before", format!("t{i}"), 0.0);
+                telemetry::set_sim_now(10.0 + i as f64);
+                telemetry::count("pool.units", i as u64);
+                telemetry::observe("pool.size", (1 + i) as f64);
+                telemetry::event("pool.after", format!("t{i}"), i as f64);
+                // A nested fan-out forks the task's own session.
+                map_indexed(workers, 3, |j| telemetry::count("pool.nested", j as u64));
+            });
+            assert_eq!(telemetry::sim_now(), 5.0);
+            let done = telemetry::finish().expect("session active");
+            let sink = done.sink.as_any().downcast_ref::<MemorySink>().unwrap();
+            let buckets = done.recorder.histograms["pool.size"].buckets;
+            (done.recorder.counters, buckets, sink.events.clone())
+        };
+        let one = traced(1);
+        assert_eq!(one.0["pool.units"], 36);
+        assert_eq!(one.0["pool.nested"], 27);
+        assert_eq!(one.2.len(), 18);
+        assert_eq!(one.2[2].t_s, 5.0, "task 1 starts from the caller's time");
+        assert_eq!(one, traced(2));
+        assert_eq!(one, traced(8));
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! Instrumented code (simcloud, exec, solver, core, metrics) calls the free
 //! functions in this module — [`count`], [`gauge`], [`observe`], [`event`],
 //! [`span_at`], [`wall_span`] — which are no-ops costing one thread-local
-//! boolean check unless a session is active. Sessions are per-thread: the
-//! simulator is single-threaded, so no locks appear on hot paths and
-//! parallel test threads get independent recorders.
+//! boolean check unless a session is active. Sessions are per-thread, so
+//! no locks appear on hot paths and parallel test threads get independent
+//! recorders. Work fanned across threads keeps recording: the coordinator
+//! takes a [`fork`] of its session, every task runs under
+//! [`Fork::record`] into a child session of its own, and the coordinator
+//! [`absorb`]s the children in task order at the join — so what a run
+//! records does not depend on how many threads ran it.
 //!
 //! ```no_run
 //! use caribou_telemetry as telemetry;
@@ -94,6 +98,121 @@ pub fn finish() -> Option<FinishedSession> {
             sink: session.sink,
         }
     })
+}
+
+/// What a child session starts from: the coordinating session's sim
+/// time, wall-span depth and wall epoch at the moment of the [`fork`].
+#[derive(Debug, Clone, Copy)]
+pub struct Fork {
+    sim_now_s: f64,
+    depth: u32,
+    epoch: std::time::Instant,
+}
+
+/// Forks the calling thread's session for a fan-out; `None` (and no cost
+/// downstream) when no session is active.
+pub fn fork() -> Option<Fork> {
+    with_session(|s| Fork {
+        sim_now_s: s.sim_now_s,
+        depth: s.depth,
+        epoch: s.epoch,
+    })
+}
+
+/// Everything one task recorded under [`Fork::record`].
+#[derive(Debug)]
+pub struct ChildRecording {
+    recorder: Recorder,
+    streamed: Vec<Streamed>,
+}
+
+/// One sink call a child session deferred, in emission order.
+#[derive(Debug)]
+enum Streamed {
+    Event(Event),
+    Span(SpanRecord),
+}
+
+/// The sink of a child session: keeps what a root session would stream.
+#[derive(Default)]
+struct ChildBuffer(Vec<Streamed>);
+
+impl TelemetrySink for ChildBuffer {
+    fn record_event(&mut self, event: &Event) {
+        self.0.push(Streamed::Event(event.clone()));
+    }
+
+    fn record_span(&mut self, span: &SpanRecord) {
+        self.0.push(Streamed::Span(span.clone()));
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+impl Fork {
+    /// Runs `f` on the calling thread (any thread) under a fresh child
+    /// session and returns what it recorded. The child's journal ring is
+    /// empty-capacity: its events wait in the stream buffer and enter the
+    /// coordinator's ring, at the coordinator's capacity, on [`absorb`].
+    pub fn record<R>(&self, f: impl FnOnce() -> R) -> (R, ChildRecording) {
+        let child = Session {
+            recorder: Recorder::new(0),
+            sink: Box::new(ChildBuffer::default()),
+            sim_now_s: self.sim_now_s,
+            depth: self.depth,
+            epoch: self.epoch,
+        };
+        let outer = SESSION.with(|s| s.borrow_mut().replace(child));
+        ENABLED.with(|e| e.set(true));
+        let out = f();
+        ENABLED.with(|e| e.set(outer.is_some()));
+        let child = SESSION
+            .with(|s| std::mem::replace(&mut *s.borrow_mut(), outer))
+            .expect("the child session outlives its task");
+        let sink: Box<dyn std::any::Any> = child.sink;
+        let buffer = sink
+            .downcast::<ChildBuffer>()
+            .expect("child sessions stream into a ChildBuffer");
+        let recording = ChildRecording {
+            recorder: child.recorder,
+            streamed: buffer.0,
+        };
+        (out, recording)
+    }
+}
+
+/// Merges a child's recording into the calling thread's session exactly
+/// as if the task had run here: counters add, gauges overwrite,
+/// histograms merge, events enter the journal ring, and events and spans
+/// reach the sink in the order the task emitted them. Absorbing children
+/// in task-index order therefore reproduces the sequential recording.
+pub fn absorb(child: ChildRecording) {
+    with_session(|s| {
+        for (key, delta) in child.recorder.counters {
+            s.recorder.count(key, delta);
+        }
+        for (key, value) in child.recorder.gauges {
+            s.recorder.gauge(key, value);
+        }
+        for (key, histogram) in child.recorder.histograms {
+            s.recorder
+                .histograms
+                .entry(key)
+                .or_default()
+                .merge(&histogram);
+        }
+        for streamed in child.streamed {
+            match streamed {
+                Streamed::Event(e) => {
+                    s.sink.record_event(&e);
+                    s.recorder.journal.push(e);
+                }
+                Streamed::Span(span) => s.sink.record_span(&span),
+            }
+        }
+    });
 }
 
 #[inline]
@@ -375,6 +494,68 @@ mod tests {
         assert_eq!(finished.recorder.journal.dropped(), 5);
         // The counter still saw all eight.
         assert_eq!(finished.recorder.counter("cap.test"), 8);
+    }
+
+    /// What three tasks record, directly or through child sessions.
+    fn task(i: usize) {
+        event("fork.early", format!("t{i}"), 0.0);
+        set_sim_now(100.0 * (i + 1) as f64);
+        count("fork.count", i as u64 + 1);
+        gauge("fork.gauge", i as f64);
+        observe("fork.hist", 0.5 * (i + 1) as f64);
+        event("fork.late", format!("t{i}"), i as f64);
+        span_at("fork", format!("s{i}"), i as f64, 1.0, i as u64, "lane");
+    }
+
+    #[test]
+    fn children_absorbed_in_task_order_reproduce_the_sequential_recording() {
+        assert!(fork().is_none(), "no session, nothing to fork");
+
+        enable_with_capacity(Box::new(MemorySink::default()), 4);
+        set_sim_now(7.0);
+        for i in 0..3 {
+            task(i);
+            set_sim_now(7.0);
+        }
+        let direct = finish().unwrap();
+
+        enable_with_capacity(Box::new(MemorySink::default()), 4);
+        set_sim_now(7.0);
+        let forked = fork().expect("session active");
+        // Tasks finish in reverse order on their own threads; the absorb
+        // order alone decides what the coordinator ends up with.
+        let mut children: Vec<ChildRecording> = (0..3)
+            .rev()
+            .map(|i| {
+                std::thread::spawn(move || forked.record(|| task(i)).1)
+                    .join()
+                    .unwrap()
+            })
+            .collect();
+        children.reverse();
+        assert_eq!(sim_now(), 7.0, "children never move the parent's clock");
+        children.into_iter().for_each(absorb);
+        let merged = finish().unwrap();
+
+        assert_eq!(direct.recorder.counters, merged.recorder.counters);
+        assert_eq!(direct.recorder.gauges, merged.recorder.gauges);
+        let (d, m) = (
+            &direct.recorder.histograms["fork.hist"],
+            &merged.recorder.histograms["fork.hist"],
+        );
+        assert_eq!((d.buckets, d.count), (m.buckets, m.count));
+        // The ring holds the same last four events and dropped the same two.
+        let ring = |r: &Recorder| r.journal.iter().cloned().collect::<Vec<_>>();
+        assert_eq!(ring(&direct.recorder), ring(&merged.recorder));
+        assert_eq!(merged.recorder.journal.dropped(), 2);
+        let sink = |f: &FinishedSession| {
+            let s = f.sink.as_any().downcast_ref::<MemorySink>().unwrap();
+            (s.events.clone(), s.spans.clone())
+        };
+        assert_eq!(sink(&direct), sink(&merged));
+        // Each child started from the fork's sim time, not its sibling's.
+        let early: Vec<f64> = sink(&merged).0.iter().map(|e| e.t_s).step_by(2).collect();
+        assert_eq!(early, [7.0, 7.0, 7.0]);
     }
 
     #[test]

@@ -14,8 +14,10 @@ echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 if [[ "${1:-}" != "--fast" ]]; then
+    # --no-fail-fast: one red test binary must not hide the packages
+    # after it.
     echo "==> cargo test"
-    cargo test --workspace -q
+    cargo test --workspace -q --no-fail-fast
 
     # Deterministic chaos smoke: a fixed-seed fault campaign (region
     # outages, partitions, gray failures, KV throttling, cold storms)
@@ -53,16 +55,24 @@ if [[ "${1:-}" != "--fast" ]]; then
     # Deterministic loadgen smoke: a 50k-invocation sustained-load run
     # (7 chunks on the persistent sharded path, so warm state crosses
     # chunk boundaries and exchange ticks) must print a bit-identical
-    # summary whether the shards execute on 1 or 2 workers.
-    echo "==> caribou loadgen smoke (50k invocations, 1 vs 2 workers)"
-    cargo run -q --release -p caribou-core --bin caribou -- \
-        loadgen text2speech --invocations 50000 --seed 42 --workers 1 \
-        >/tmp/caribou-loadgen-1w.txt
-    cargo run -q --release -p caribou-core --bin caribou -- \
-        loadgen text2speech --invocations 50000 --seed 42 --workers 2 \
-        >/tmp/caribou-loadgen-2w.txt
+    # summary whether the shards execute on 1 or 2 workers — and record
+    # the same telemetry: the `counters` object of the journal's closing
+    # summary line is diffed too (worker threads record into child
+    # sessions the coordinator absorbs in chunk order).
+    echo "==> caribou loadgen smoke (50k invocations, 1 vs 2 workers, traced)"
+    for w in 1 2; do
+        cargo run -q --release -p caribou-core --bin caribou -- \
+            loadgen text2speech --invocations 50000 --seed 42 --workers "$w" \
+            --telemetry "/tmp/caribou-loadgen-${w}w.jsonl" \
+            >"/tmp/caribou-loadgen-${w}w.txt"
+        tail -n 1 "/tmp/caribou-loadgen-${w}w.jsonl" |
+            grep -o '"counters":{[^}]*}' >"/tmp/caribou-loadgen-${w}w.counters"
+        test -s "/tmp/caribou-loadgen-${w}w.counters"
+    done
     diff /tmp/caribou-loadgen-1w.txt /tmp/caribou-loadgen-2w.txt
-    rm -f /tmp/caribou-loadgen-1w.txt /tmp/caribou-loadgen-2w.txt
+    diff /tmp/caribou-loadgen-1w.counters /tmp/caribou-loadgen-2w.counters
+    rm -f /tmp/caribou-loadgen-[12]w.txt /tmp/caribou-loadgen-[12]w.jsonl \
+        /tmp/caribou-loadgen-[12]w.counters
 
     # Loadgen bench guard: worker-count-invariant merges across chunk
     # boundaries, the pooled engine's allocation telemetry
@@ -178,6 +188,20 @@ echo "==> panic grep gate"
 for f in crates/simcloud/src/cloud.rs crates/carbon/src/source.rs crates/carbon/src/synth.rs; do
     if grep -n 'panic!' "$f"; then
         echo "error: panic! reintroduced in $f" >&2
+        exit 1
+    fi
+done
+
+# One invocation driver: the router feedback and the engine call each
+# have exactly one call site under crates/core/src (driver.rs), so a
+# fifth hand-written route -> invoke -> record loop cannot come back
+# quietly.
+echo "==> single-driver grep gate"
+for call in 'record_outcome(' 'invoke_with_scratch('; do
+    hits=$(grep -rnF "$call" crates/core/src | wc -l)
+    if [[ "$hits" -ne 1 ]]; then
+        echo "error: '$call' has $hits call sites under crates/core/src, want 1:" >&2
+        grep -rnF "$call" crates/core/src >&2 || true
         exit 1
     fi
 done

@@ -5,9 +5,7 @@
 //! one bucket's relative error; and the persistent shards must pay cold
 //! starts exactly once per container, not once per chunk.
 
-use caribou_core::loadgen::{
-    run_loadgen, LoadReport, LoadgenConfig, LoadgenMode, CHUNK_INVOCATIONS,
-};
+use caribou_core::loadgen::{run_loadgen, LoadReport, LoadgenConfig, CHUNK_INVOCATIONS};
 use caribou_telemetry::{Histogram, QuantileSketch, SUB_BUCKETS};
 use caribou_workloads::arrivals::ArrivalProcess;
 use caribou_workloads::benchmarks::{image_processing, text2speech_censoring, InputSize};
@@ -193,9 +191,8 @@ fn report_sketch_matches_captured_latencies() {
 
 /// Hand-computed cold-start schedule: with an effectively infinite
 /// keep-alive every container goes cold exactly once per simulation
-/// state that has to rebuild it. Persistent shards pay `shards × nodes`
-/// cold starts for the whole run; the legacy chunked mode re-pays
-/// `nodes` at every chunk boundary — the exact bug this PR removes.
+/// state that has to rebuild it: `shards × nodes` cold starts for the
+/// whole run, however many chunks it spans.
 #[test]
 fn persistent_shards_pay_cold_starts_once_not_per_chunk() {
     let bench = text2speech_censoring(InputSize::Small);
@@ -221,57 +218,67 @@ fn persistent_shards_pay_cold_starts_once_not_per_chunk() {
 
     // Two persistent shards: each shard's round-0 chunk warms its own
     // pool before the first exchange, so each pays `nodes` once.
-    let two = run_loadgen(
-        &bench,
-        &LoadgenConfig {
-            shards: 2,
-            ..base.clone()
-        },
-    )
-    .unwrap();
+    let two = run_loadgen(&bench, &LoadgenConfig { shards: 2, ..base }).unwrap();
     assert_eq!(two.cold_starts, 2 * nodes);
-
-    // Chunked mode: the warm pool resets at every chunk boundary, so
-    // every chunk re-pays the full cold-start bill.
-    let chunked = run_loadgen(
-        &bench,
-        &LoadgenConfig {
-            mode: LoadgenMode::Chunked,
-            ..base
-        },
-    )
-    .unwrap();
-    assert_eq!(chunked.cold_starts, 2 * nodes);
-    // Totals agree: every node of every invocation executed.
+    // Every node of every invocation executed.
     assert_eq!(one.cold_starts + one.warm_starts, n as u64 * nodes);
-    assert_eq!(chunked.cold_starts + chunked.warm_starts, n as u64 * nodes);
+    assert_eq!(two.cold_starts + two.warm_starts, n as u64 * nodes);
 }
 
-/// With a huge keep-alive and more chunks than shards, chunked mode's
-/// cold-start rate scales with the chunk count while persistent mode's
-/// stays at one bill per shard.
+/// With a huge keep-alive and more chunks than shards, the one shard's
+/// warm pool survives every chunk boundary: one cold-start bill for the
+/// whole run (a fresh cloud per chunk paid three — EXPERIMENTS.md).
 #[test]
-fn chunk_resets_inflate_cold_start_rate() {
+fn one_shard_pays_cold_starts_once_across_three_chunks() {
     let bench = text2speech_censoring(InputSize::Small);
     let nodes = bench.dag.node_count() as u64;
-    let n = CHUNK_INVOCATIONS * 3; // 3 chunks
-    let base = LoadgenConfig {
+    let n = CHUNK_INVOCATIONS * 3;
+    let cfg = LoadgenConfig {
         shards: 1,
         keep_alive_s: 1e9,
         ..config(n, 13, 2, ArrivalProcess::Poisson { rate_per_s: 200.0 })
     };
-    let persistent = run_loadgen(&bench, &base).unwrap();
-    let chunked = run_loadgen(
-        &bench,
-        &LoadgenConfig {
-            mode: LoadgenMode::Chunked,
-            ..base
-        },
-    )
-    .unwrap();
-    assert_eq!(persistent.cold_starts, nodes);
-    assert_eq!(chunked.cold_starts, 3 * nodes);
-    assert!(chunked.cold_start_rate() > persistent.cold_start_rate() * 2.9);
+    let report = run_loadgen(&bench, &cfg).unwrap();
+    assert_eq!(report.chunks, 3);
+    assert_eq!(report.cold_starts, nodes);
+}
+
+/// Loadgen's golden: the bits of a multi-round run (3 chunks dealt over
+/// 2 shards, so one warm-touch exchange and a second round on shard 0),
+/// captured at 44b5dc4 before the invocation driver replaced the loop.
+#[test]
+fn multi_round_report_bits_are_pinned() {
+    let bench = text2speech_censoring(InputSize::Small);
+    let cfg = LoadgenConfig {
+        shards: 2,
+        ..config(
+            CHUNK_INVOCATIONS * 2 + 123,
+            9,
+            2,
+            ArrivalProcess::Diurnal { rate_per_s: 120.0 },
+        )
+    };
+    let r = run_loadgen(&bench, &cfg).unwrap();
+    assert_eq!((r.chunks, r.shards), (3, 2));
+    assert_eq!(r.invocations(), 16_507);
+    assert_eq!(r.completed, 16_507);
+    assert_eq!(r.cold_starts, 10);
+    assert_eq!(r.warm_starts, 82_525);
+    let bits = [
+        ("mean_latency_s", r.mean_latency_s(), 0x4029aa238685ae02u64),
+        (
+            "p99_latency_s",
+            r.latency_quantile(0.99),
+            0x402e9a0535852e3a,
+        ),
+        ("exec_carbon_g", r.exec_carbon_g, 0x4055a377ef55589e),
+        ("trans_carbon_g", r.trans_carbon_g, 0x40402f753f680f30),
+        ("cost_usd", r.cost_usd, 0x401862771d162ea1),
+        ("span_s", r.span_s, 0x406c565392fae82a),
+    ];
+    for (name, value, pinned) in bits {
+        assert_eq!(value.to_bits(), pinned, "{name} moved: {value}");
+    }
 }
 
 /// Arrival times are part of the contract: a different seed must change

@@ -6,6 +6,7 @@
 use caribou_carbon::source::RegionalSource;
 use caribou_carbon::synth::SyntheticCarbonSource;
 use caribou_core::framework::{Caribou, CaribouConfig};
+use caribou_core::loadgen::{run_loadgen, LoadgenConfig};
 use caribou_exec::engine::WorkflowApp;
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_metrics::montecarlo::MonteCarloConfig;
@@ -13,6 +14,7 @@ use caribou_model::manifest::DeploymentManifest;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_solver::hbss::HbssParams;
 use caribou_telemetry::{MemorySink, NullSink};
+use caribou_workloads::arrivals::ArrivalProcess;
 use caribou_workloads::benchmarks::{text2speech_censoring, Benchmark, InputSize};
 use caribou_workloads::traces::uniform_trace;
 
@@ -31,12 +33,26 @@ fn fast_config(regions: Vec<caribou_model::region::RegionId>) -> CaribouConfig {
 }
 
 fn quickstart_run(seed: u64, horizon_s: f64) -> caribou_core::framework::RunReport {
+    quickstart_run_at(seed, horizon_s, None)
+}
+
+/// The quickstart run with the solver fan-out pinned to `workers`
+/// threads, or left at the `available_parallelism()` default.
+fn quickstart_run_at(
+    seed: u64,
+    horizon_s: f64,
+    workers: Option<usize>,
+) -> caribou_core::framework::RunReport {
     let bench: Benchmark = text2speech_censoring(InputSize::Small);
     let cloud = SimCloud::aws(seed);
     let carbon =
         RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(seed)).unwrap();
     let regions = cloud.regions.evaluation_regions();
-    let mut caribou = Caribou::new(cloud, carbon, fast_config(regions));
+    let mut config = fast_config(regions);
+    if let Some(workers) = workers {
+        config.workers = workers;
+    }
+    let mut caribou = Caribou::new(cloud, carbon, config);
     let mut constraints = bench.constraints.clone();
     constraints.tolerances.latency = 0.15;
     constraints.tolerances.cost = 1.0;
@@ -74,6 +90,88 @@ fn quickstart_run_emits_pubsub_kv_and_solver_events() {
         times.windows(2).all(|w| w[0] <= w[1] + 1e6),
         "journal roughly time-ordered"
     );
+}
+
+/// What the solver's pool tasks and the data plane record must not depend
+/// on how many threads the 24 hourly solves fanned across: every task
+/// records into a child of the coordinator's session, absorbed in task
+/// order at the join.
+#[test]
+fn quickstart_counters_are_equal_at_1_2_and_8_workers() {
+    let traced = |workers: usize| {
+        caribou_telemetry::enable(Box::new(NullSink));
+        quickstart_run_at(200, 86_400.0, Some(workers));
+        caribou_telemetry::finish()
+            .expect("session active")
+            .recorder
+    };
+    let one = traced(1);
+    assert!(one.counter("solver.iterations") > 0, "a solve ran");
+    for workers in [2, 8] {
+        let many = traced(workers);
+        for key in [
+            "solver.iterations",
+            "solver.accepted",
+            "solver.rejected",
+            "solver.evaluated",
+            "solver.accept",
+            "solver.solve",
+            "exec.invocation",
+        ] {
+            assert_eq!(one.counter(key), many.counter(key), "{key} at {workers}");
+        }
+        let substrate = |r: &caribou_telemetry::Recorder| -> Vec<(&'static str, u64)> {
+            r.counters
+                .iter()
+                .filter(|(k, _)| k.starts_with("pubsub.") || k.starts_with("kv."))
+                .map(|(k, v)| (*k, *v))
+                .collect()
+        };
+        assert!(!substrate(&one).is_empty());
+        assert_eq!(substrate(&one), substrate(&many), "at {workers} workers");
+        // Sim-valued histograms agree bucket by bucket; wall-clock ones
+        // (`hbss.solve`) in how many observations they took.
+        for key in ["exec.node_duration_s", "pubsub.delivery_latency_s"] {
+            assert_eq!(
+                one.histograms[key].buckets, many.histograms[key].buckets,
+                "{key} at {workers} workers"
+            );
+        }
+        assert_eq!(
+            one.histograms["hbss.solve"].count,
+            many.histograms["hbss.solve"].count
+        );
+    }
+}
+
+/// The invocation driver advances each shard's clock to the arrival, so
+/// substrate events are stamped in sim time, not `t_s: 0`.
+#[test]
+fn loadgen_journal_events_carry_sim_time() {
+    let bench = text2speech_censoring(InputSize::Small);
+    for workers in [1, 2] {
+        caribou_telemetry::enable(Box::new(MemorySink::default()));
+        let config = LoadgenConfig {
+            invocations: 300,
+            seed: 42,
+            workers,
+            arrivals: ArrivalProcess::Poisson { rate_per_s: 5.0 },
+            ..LoadgenConfig::default()
+        };
+        run_loadgen(&bench, &config).expect("calibrated catalog");
+        let finished = caribou_telemetry::finish().expect("session active");
+        let sink = finished
+            .sink
+            .as_any()
+            .downcast_ref::<MemorySink>()
+            .expect("MemorySink");
+        assert!(
+            sink.events
+                .iter()
+                .any(|e| e.kind != "exec.invocation" && e.t_s > 0.0),
+            "no substrate event past t_s 0 at {workers} worker(s)"
+        );
+    }
 }
 
 #[test]
