@@ -482,12 +482,10 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
                     home,
                 )
                 .expect("constraints validated at deploy time");
-            let runtime = self.cloud.compute.clone();
-            let latency = self.cloud.latency.clone();
             let models = state.metrics.learned_models(
                 &profile,
-                &runtime,
-                &latency,
+                &self.cloud.compute,
+                &self.cloud.latency,
                 Orchestrator::Caribou,
                 home,
             );

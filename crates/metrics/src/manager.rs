@@ -19,7 +19,7 @@ use caribou_simcloud::latency::LatencyModel;
 use caribou_simcloud::orchestration::Orchestrator;
 
 use crate::logs::{InvocationLog, LogStore};
-use crate::montecarlo::StageModels;
+use crate::montecarlo::{DefaultModels, StageModels};
 
 /// Minimum observations before a learned distribution replaces the model.
 const MIN_SAMPLES: usize = 5;
@@ -67,7 +67,6 @@ impl MetricsManager {
         let total: f64 = self
             .store
             .logs()
-            .iter()
             .map(|l| l.nodes.iter().map(|n| n.duration_s).sum::<f64>())
             .sum();
         Some(total / self.store.len() as f64)
@@ -183,17 +182,8 @@ impl LearnedModels<'_> {
 
 impl StageModels for LearnedModels<'_> {
     fn sample_exec(&self, node: usize, region: RegionId, rng: &mut Pcg32) -> f64 {
-        // Learned distribution for the exact region first.
-        if let Some(samples) = self.exec.get(&(node, region)) {
-            return *rng.choose(samples).expect("non-empty retained samples");
-        }
-        // Fall back to the home region's learned distribution, scaled by
-        // the relative performance factor (§7.1: "MM defaults to using the
-        // home region's execution time distribution").
-        if let Some(samples) = self.exec.get(&(node, self.home)) {
-            let base = *rng.choose(samples).expect("non-empty retained samples");
-            let scale = self.runtime.perf_factor(region) / self.runtime.perf_factor(self.home);
-            return base * scale;
+        if let Some((samples, scale)) = self.learned_exec(node, region) {
+            return *rng.choose(samples).expect("non-empty retained samples") * scale;
         }
         // Finally the profile model.
         let p = &self.profile.nodes[node];
@@ -203,10 +193,38 @@ impl StageModels for LearnedModels<'_> {
     }
 
     fn sample_transfer(&self, from: RegionId, to: RegionId, bytes: f64, rng: &mut Pcg32) -> f64 {
-        if let Some(samples) = self.transfer.get(&(from, to)) {
+        if let Some(samples) = self.learned_transfer(from, to) {
             return *rng.choose(samples).expect("non-empty retained samples");
         }
         self.latency.sample_transfer_seconds(from, to, bytes, rng)
+    }
+
+    /// The priority rule of §7.1, read by both `sample_exec` and the
+    /// batched estimator's per-(plan, hour) preparation.
+    fn learned_exec(&self, node: usize, region: RegionId) -> Option<(&[f64], f64)> {
+        // Learned distribution for the exact region first.
+        if let Some(samples) = self.exec.get(&(node, region)) {
+            return Some((samples, 1.0));
+        }
+        // Fall back to the home region's learned distribution, scaled by
+        // the relative performance factor (§7.1: "MM defaults to using the
+        // home region's execution time distribution").
+        let samples = self.exec.get(&(node, self.home))?;
+        let scale = self.runtime.perf_factor(region) / self.runtime.perf_factor(self.home);
+        Some((samples, scale))
+    }
+
+    fn learned_transfer(&self, from: RegionId, to: RegionId) -> Option<&[f64]> {
+        self.transfer.get(&(from, to)).map(Vec::as_slice)
+    }
+
+    fn batchable(&self) -> Option<DefaultModels<'_>> {
+        Some(DefaultModels {
+            profile: self.profile,
+            runtime: self.runtime,
+            latency: self.latency,
+            orchestrator: self.orchestrator,
+        })
     }
 
     fn sample_transition(&self, rng: &mut Pcg32) -> f64 {

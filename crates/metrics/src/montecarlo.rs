@@ -30,7 +30,12 @@
 //!
 //! [`MonteCarloEstimator::estimate`] dispatches to the batched path when
 //! the stage models expose concrete model handles (see
-//! [`StageModels::batchable`]) and falls back to the scalar path otherwise.
+//! [`StageModels::batchable`]). That covers the Metrics Manager's learned
+//! models too: per (plan, hour) every execution and transfer site is
+//! resolved once to either its model draw or an empirical draw from logged
+//! history ([`StageModels::learned_exec`], [`StageModels::learned_transfer`]).
+//! Only stage models with opaque sampling — none outside tests — fall back
+//! to the scalar path, which otherwise serves as the tests' reference.
 
 use caribou_model::dag::WorkflowDag;
 use caribou_model::dist::PreparedDist;
@@ -71,12 +76,26 @@ pub trait StageModels {
     fn sample_transition(&self, rng: &mut Pcg32) -> f64;
     /// Samples the per-invocation setup overhead (seconds).
     fn sample_setup(&self, rng: &mut Pcg32) -> f64;
-    /// Concrete model handles for the batched fast path, when this
-    /// implementation is exactly the profile-plus-simulator combination the
-    /// prepared sampler can reproduce draw-for-draw. Models with opaque
-    /// sampling (e.g. learned empirical mixtures) keep the default `None`
-    /// and estimate through the scalar path.
+    /// Concrete model handles for the batched fast path, when every draw of
+    /// this implementation is either the profile-plus-simulator draw of the
+    /// returned handles or a uniform pick from the history
+    /// [`StageModels::learned_exec`] / [`StageModels::learned_transfer`]
+    /// report, which the prepared sampler reproduces draw-for-draw. Models
+    /// with opaque sampling keep the default `None` and estimate through
+    /// the scalar path.
     fn batchable(&self) -> Option<DefaultModels<'_>> {
+        None
+    }
+    /// Logged execution durations that replace the model for `node` in
+    /// `region`: `sample_exec` is one uniform pick from the (non-empty)
+    /// slice times the factor. `None` draws from the model.
+    fn learned_exec(&self, _node: usize, _region: RegionId) -> Option<(&[f64], f64)> {
+        None
+    }
+    /// Logged one-way latencies that replace the model for the region
+    /// pair: `sample_transfer` is one uniform pick from the (non-empty)
+    /// slice, whatever the byte count. `None` draws from the model.
+    fn learned_transfer(&self, _from: RegionId, _to: RegionId) -> Option<&[f64]> {
         None
     }
 }
@@ -260,14 +279,34 @@ impl EstimateScratch {
     }
 }
 
+/// One transfer site of a (plan, hour), resolved to what its draw reads.
+enum TransferPrep<'a> {
+    /// `LatencyModel::sample_transfer_seconds` with the pair's one-way
+    /// latency and bandwidth looked up once.
+    Model { ow: f64, bw: f64 },
+    /// A uniform pick from the pair's logged latencies.
+    Learned(&'a [f64]),
+}
+
+impl TransferPrep<'_> {
+    #[inline]
+    fn sample(&self, bytes: f64, jitter: f64, rng: &mut Pcg32) -> f64 {
+        match *self {
+            TransferPrep::Model { ow, bw } => {
+                (ow + bytes.max(0.0) / bw) * rng.lognormal(0.0, jitter)
+            }
+            TransferPrep::Learned(samples) => *rng.choose(samples).expect("non-empty history"),
+        }
+    }
+}
+
 /// Entry (client → start node) invariants of one (plan, hour).
 struct EntryPrep<'a> {
     input: PreparedDist<'a>,
     /// `(mu, sigma)` of the setup overhead; `None` draws nothing, exactly
     /// like [`Orchestrator::sample_setup_s`] with a zero median.
     setup: Option<(f64, f64)>,
-    ow: f64,
-    bw: f64,
+    transfer: TransferPrep<'a>,
     /// Route intensity × scenario factor; multiplied by GB per sample.
     trans_k: f64,
     same: bool,
@@ -280,8 +319,7 @@ struct EdgePrep<'a> {
     from: usize,
     prob: f64,
     payload: PreparedDist<'a>,
-    ow: f64,
-    bw: f64,
+    transfer: TransferPrep<'a>,
     trans_k: f64,
     sns: f64,
     same: bool,
@@ -291,23 +329,26 @@ struct EdgePrep<'a> {
     kv_sync: f64,
 }
 
-/// Execution-model invariants of one node.
-struct ExecPrep<'a> {
-    cold_prob: f64,
-    pf: f64,
-    sigma: f64,
-    base: PreparedDist<'a>,
-    cold: PreparedDist<'a>,
+/// One node's execution site, resolved to what its draw reads.
+enum ExecPrep<'a> {
+    /// `LambdaRuntime::execute` on the profile's reference distribution.
+    Model {
+        cold_prob: f64,
+        pf: f64,
+        sigma: f64,
+        base: PreparedDist<'a>,
+        cold: PreparedDist<'a>,
+    },
+    /// A uniform pick from logged durations, times `scale`.
+    Learned { samples: &'a [f64], scale: f64 },
 }
 
 /// External-data round-trip invariants (only present when the node runs
 /// away from home with a positive external byte count).
-struct ExtPrep {
+struct ExtPrep<'a> {
     half: f64,
-    ow_out: f64,
-    bw_out: f64,
-    ow_in: f64,
-    bw_in: f64,
+    out: TransferPrep<'a>,
+    back: TransferPrep<'a>,
     trans_c: f64,
     cost: f64,
 }
@@ -315,7 +356,7 @@ struct ExtPrep {
 /// Per-node invariants of one (plan, hour).
 struct NodePrep<'a> {
     exec: ExecPrep<'a>,
-    ext: Option<ExtPrep>,
+    ext: Option<ExtPrep<'a>>,
     /// `memory_mb / 1024`, the GB factor of Lambda billing.
     mem_gb: f64,
     gb_second: f64,
@@ -330,7 +371,8 @@ struct NodePrep<'a> {
 
 /// All per-(plan, hour) invariant tables of the batched path. Built once
 /// per estimate call; every entry is produced by the same model functions
-/// the scalar path calls per sample, so reusing them changes no bits.
+/// and learned-history lookups the scalar path calls per sample, so
+/// reusing them changes no bits.
 struct PlanPrep<'a> {
     entry: EntryPrep<'a>,
     edges: Vec<EdgePrep<'a>>,
@@ -427,6 +469,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
             if converged || scratch.lat.len() >= self.config.max_samples {
                 let n = scratch.lat.len();
                 if caribou_telemetry::is_enabled() {
+                    caribou_telemetry::count("montecarlo.estimates.scalar", 1);
                     caribou_telemetry::count("montecarlo.batches", (n / self.config.batch) as u64);
                     caribou_telemetry::count("montecarlo.samples", n as u64);
                     let cv_at_stop = latency
@@ -604,6 +647,16 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
         let pricing = self.cost_model.pricing();
         let scenario = self.carbon_model.scenario;
 
+        // The model-or-history choice is the stage models' own
+        // (`learned_*`); this only records it per site.
+        let transfer = |from: RegionId, to: RegionId| match self.models.learned_transfer(from, to) {
+            Some(samples) => TransferPrep::Learned(samples),
+            None => TransferPrep::Model {
+                ow: m.latency.one_way(from, to),
+                bw: m.latency.bandwidth_bps(from, to),
+            },
+        };
+
         let start_node = dag.start();
         let start_region = plan.region_of(start_node);
         let setup_median = m.orchestrator.invocation_setup_median_s();
@@ -614,8 +667,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
             } else {
                 Some((setup_median.ln(), OVERHEAD_SIGMA))
             },
-            ow: m.latency.one_way(self.home, start_region),
-            bw: m.latency.bandwidth_bps(self.home, start_region),
+            transfer: transfer(self.home, start_region),
             trans_k: endpoint_average(self.carbon_source, self.home, start_region, hour)
                 * scenario.factor(self.home == start_region),
             same: self.home == start_region,
@@ -634,8 +686,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                     from: e.from.index(),
                     prob: pe.probability,
                     payload: pe.payload_bytes.prepare(),
-                    ow: m.latency.one_way(from_r, to_r),
-                    bw: m.latency.bandwidth_bps(from_r, to_r),
+                    transfer: transfer(from_r, to_r),
                     trans_k: endpoint_average(self.carbon_source, from_r, to_r, hour)
                         * scenario.factor(from_r == to_r),
                     sns: pricing.sns_cost(from_r, 1),
@@ -659,10 +710,8 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                     let half = p.external_data_bytes / 2.0;
                     Some(ExtPrep {
                         half,
-                        ow_out: m.latency.one_way(region, self.home),
-                        bw_out: m.latency.bandwidth_bps(region, self.home),
-                        ow_in: m.latency.one_way(self.home, region),
-                        bw_in: m.latency.bandwidth_bps(self.home, region),
+                        out: transfer(region, self.home),
+                        back: transfer(self.home, region),
                         trans_c: self.carbon_model.transmission_carbon(
                             p.external_data_bytes,
                             endpoint_average(self.carbon_source, region, self.home, hour),
@@ -679,12 +728,15 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                 };
                 let rp = pricing.region(region);
                 NodePrep {
-                    exec: ExecPrep {
-                        cold_prob: m.runtime.cold_start_prob,
-                        pf: m.runtime.perf_factor(region),
-                        sigma: m.runtime.exec_sigma,
-                        base: mp.exec_time.prepare(),
-                        cold: m.runtime.cold_start_for(region).prepare(),
+                    exec: match self.models.learned_exec(ni, region) {
+                        Some((samples, scale)) => ExecPrep::Learned { samples, scale },
+                        None => ExecPrep::Model {
+                            cold_prob: m.runtime.cold_start_prob,
+                            pf: m.runtime.perf_factor(region),
+                            sigma: m.runtime.exec_sigma,
+                            base: mp.exec_time.prepare(),
+                            cold: m.runtime.cold_start_for(region).prepare(),
+                        },
                     },
                     ext,
                     mem_gb: p.memory_mb as f64 / 1024.0,
@@ -799,6 +851,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                 && carb_rse < self.config.cv_threshold;
             if converged || n >= self.config.max_samples {
                 if caribou_telemetry::is_enabled() {
+                    caribou_telemetry::count("montecarlo.estimates.batched", 1);
                     caribou_telemetry::count("montecarlo.batches", (n / self.config.batch) as u64);
                     caribou_telemetry::count("montecarlo.samples", n as u64);
                     caribou_telemetry::observe(
@@ -877,7 +930,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
             None => 0.0,
             Some((mu, sigma)) => rng.lognormal(mu, sigma),
         };
-        t0 += (e.ow + input_bytes.max(0.0) / e.bw) * rng.lognormal(0.0, prep.jitter);
+        t0 += e.transfer.sample(input_bytes, prep.jitter, rng);
         trans_carbon += e.trans_k * (input_bytes.max(0.0) / 1.0e9);
         cost += if e.same {
             0.0
@@ -911,7 +964,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                     let payload = ep.payload.sample(rng);
                     let arrive = finish[ep.from * lanes + lane]
                         + rng.lognormal(prep.transition_mu, OVERHEAD_SIGMA)
-                        + (ep.ow + payload.max(0.0) / ep.bw) * rng.lognormal(0.0, prep.jitter);
+                        + ep.transfer.sample(payload, prep.jitter, rng);
                     ready_at = ready_at.max(arrive);
                     cost += ep.sns
                         + if ep.same {
@@ -933,22 +986,34 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                 executed[ni * lanes + lane] = true;
             }
 
-            // Execute the node: same draw order as LambdaRuntime::execute.
-            let x = &np.exec;
-            let cold = rng.chance(x.cold_prob);
-            let base = x.base.sample(rng).max(0.0);
-            let noise = rng.lognormal(0.0, x.sigma);
-            let compute_s = base * x.pf * noise;
-            let cold_s = if cold {
-                x.cold.sample(rng).max(0.0)
-            } else {
-                0.0
+            // Execute the node: same draw order as LambdaRuntime::execute,
+            // or the one pick a learned distribution takes.
+            let mut duration = match &np.exec {
+                ExecPrep::Model {
+                    cold_prob,
+                    pf,
+                    sigma,
+                    base,
+                    cold,
+                } => {
+                    let is_cold = rng.chance(*cold_prob);
+                    let base = base.sample(rng).max(0.0);
+                    let noise = rng.lognormal(0.0, *sigma);
+                    let compute_s = base * pf * noise;
+                    let cold_s = if is_cold {
+                        cold.sample(rng).max(0.0)
+                    } else {
+                        0.0
+                    };
+                    compute_s + cold_s
+                }
+                ExecPrep::Learned { samples, scale } => {
+                    *rng.choose(samples).expect("non-empty history") * scale
+                }
             };
-            let mut duration = compute_s + cold_s;
             if let Some(ext) = &np.ext {
-                duration += (ext.ow_out + ext.half.max(0.0) / ext.bw_out)
-                    * rng.lognormal(0.0, prep.jitter)
-                    + (ext.ow_in + ext.half.max(0.0) / ext.bw_in) * rng.lognormal(0.0, prep.jitter);
+                duration += ext.out.sample(ext.half, prep.jitter, rng)
+                    + ext.back.sample(ext.half, prep.jitter, rng);
                 trans_carbon += ext.trans_c;
                 cost += ext.cost;
             }

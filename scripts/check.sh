@@ -38,6 +38,19 @@ if [[ "${1:-}" != "--fast" ]]; then
     diff /tmp/caribou-solve-1w.txt /tmp/caribou-solve-4w.txt
     rm -f /tmp/caribou-solve-1w.txt /tmp/caribou-solve-4w.txt
 
+    # Deterministic adaptive-week smoke: a 5,460-invocation week (four
+    # plan generations solved on learned models, Metrics Manager past its
+    # 5,000-log cap) must print a bit-identical report whether the 24
+    # hourly solves of a tick fan across 1 or 2 workers.
+    echo "==> caribou adaptive-week smoke (7 days x 780/day, 1 vs 2 workers)"
+    for w in 1 2; do
+        cargo run -q --release -p caribou-core --bin caribou -- \
+            simulate text2speech --days 7 --per-day 780 --workers "$w" \
+            >"/tmp/caribou-week-${w}w.txt" 2>/dev/null
+    done
+    diff /tmp/caribou-week-1w.txt /tmp/caribou-week-2w.txt
+    rm -f /tmp/caribou-week-[12]w.txt
+
     # Solver bench guard in --test mode: asserts worker-count-invariant
     # schedules, a warm estimate cache (solver.cache.hit > 0), and — on
     # machines with >=4 cores — a >=2x 4-worker speedup.

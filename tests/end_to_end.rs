@@ -30,8 +30,16 @@ fn fast_config(regions: Vec<caribou_model::region::RegionId>) -> CaribouConfig {
 }
 
 fn deploy_benchmark(caribou: &mut Caribou<RegionalSource>, bench: &Benchmark) -> usize {
+    deploy_with_latency_tolerance(caribou, bench, 0.15)
+}
+
+fn deploy_with_latency_tolerance(
+    caribou: &mut Caribou<RegionalSource>,
+    bench: &Benchmark,
+    latency_tolerance: f64,
+) -> usize {
     let mut constraints = bench.constraints.clone();
-    constraints.tolerances.latency = 0.15;
+    constraints.tolerances.latency = latency_tolerance;
     constraints.tolerances.cost = 1.0;
     let app = WorkflowApp {
         name: bench.dag.name().into(),
@@ -207,4 +215,73 @@ fn manager_cadence_relaxes_when_plans_stabilize() {
             "solves closer than the plan horizon: {gens:?}"
         );
     }
+}
+
+/// The whole loop across the Metrics Manager's 5,000-log cap, pinned to the
+/// bit: `caribou simulate text2speech --days 7 --per-day 780` (5,460
+/// invocations, four plan generations solved on learned models, retention
+/// pruning from invocation 5,001 on). The constants were captured at
+/// a6e650c, before the batched estimator covered learned models and before
+/// `LogStore` kept a retention index; both must replay them exactly.
+#[test]
+fn adaptive_week_across_the_log_cap_is_pinned() {
+    let bench = caribou_workloads::benchmarks::text2speech_censoring(InputSize::Small);
+    let cloud = SimCloud::aws(7);
+    let carbon = RegionalSource::new(
+        &cloud.regions,
+        SyntheticCarbonSource::aws_calibrated(20231015),
+    )
+    .unwrap();
+    let regions = cloud.regions.evaluation_regions();
+    let config = CaribouConfig::new(regions, TransmissionScenario::BEST);
+    let mut caribou = Caribou::new(cloud, carbon, config);
+    let idx = deploy_with_latency_tolerance(&mut caribou, &bench, 0.10);
+    let trace = uniform_trace(30.0, 7.0 * 86_400.0, 780.0);
+    assert_eq!(trace.len(), 5_460);
+    let report = caribou.run_trace(idx, &trace);
+
+    let pinned = [
+        (
+            "mean latency",
+            report.mean_latency_s(),
+            0x402a5607bb7ae3bc_u64,
+        ),
+        ("p95 latency", report.p95_latency_s(), 0x402df217f459c04f),
+        (
+            "workflow carbon",
+            report.workflow_carbon_g(),
+            0x402abbccbe701b4e,
+        ),
+        (
+            "framework carbon",
+            report.framework_carbon_g,
+            0x3fdd46f53540826d,
+        ),
+        ("cost", report.total_cost_usd(), 0x40029d32d5cc9e30),
+        (
+            "migration egress",
+            report.migration_egress_bytes,
+            0x41c0b07600000000,
+        ),
+    ];
+    for (what, got, bits) in pinned {
+        assert_eq!(
+            got.to_bits(),
+            bits,
+            "{what}: {got:?} = {:#018x}",
+            got.to_bits()
+        );
+    }
+    let generations: Vec<u64> = report.dp_generations.iter().map(|t| t.to_bits()).collect();
+    assert_eq!(
+        generations,
+        [
+            0x40f4b0ec30e473ff,
+            0x4104e47618723a00,
+            0x4113693b0c391d00,
+            0x4121535d861c8e80
+        ],
+        "plan generations {:?}",
+        report.dp_generations
+    );
 }

@@ -9,18 +9,26 @@
 //! `DistSpec` kind, external data, sync join nodes) and random
 //! multi-region plans, so the batched path's invariant hoisting and
 //! lane-ordered folds are exercised across workflow shapes no hand-written
-//! case covers.
+//! case covers. Every case is checked twice: on the profile-plus-simulator
+//! models, and on the Metrics Manager's learned models over a seeded log
+//! history (exact-region, home-only and absent execution history; logged
+//! and unlogged region pairs), where the batched path must resolve each
+//! site to the same draw the scalar path's `LearnedModels` makes.
 
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::TableSource;
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_metrics::costmodel::CostModel;
+use caribou_metrics::logs::{EdgeRecord, InvocationLog, NodeRecord};
+use caribou_metrics::manager::MetricsManager;
 use caribou_metrics::montecarlo::{
-    DefaultModels, EstimateSummary, MonteCarloConfig, MonteCarloEstimator, MAX_LANES,
+    DefaultModels, EstimateSummary, MonteCarloConfig, MonteCarloEstimator, StageModels, MAX_LANES,
 };
 use caribou_model::builder::Workflow;
+use caribou_model::dag::{EdgeId, NodeId, WorkflowDag};
 use caribou_model::dist::DistSpec;
 use caribou_model::plan::DeploymentPlan;
+use caribou_model::profile::WorkflowProfile;
 use caribou_model::region::{RegionCatalog, RegionId};
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::compute::LambdaRuntime;
@@ -243,6 +251,158 @@ fn build_case(
     (dag, profile, DeploymentPlan::new(assignment))
 }
 
+/// One estimation problem; the stage models vary per check.
+struct Case<'a> {
+    w: &'a World,
+    dag: &'a WorkflowDag,
+    profile: &'a WorkflowProfile,
+    plan: &'a DeploymentPlan,
+    scenario: TransmissionScenario,
+    hour: f64,
+    seed: u64,
+    config: MonteCarloConfig,
+}
+
+impl Case<'_> {
+    /// `estimate_batched` at every width, and the dispatching `estimate`,
+    /// against `estimate_scalar` on `models`. Returns the scalar summary.
+    fn assert_paths_agree<M: StageModels>(&self, models: &M, what: &str) -> EstimateSummary {
+        let est = MonteCarloEstimator {
+            dag: self.dag,
+            profile: self.profile,
+            carbon_source: &self.w.carbon,
+            carbon_model: CarbonModel::new(self.scenario),
+            cost_model: CostModel::new(&self.w.pricing),
+            models,
+            home: self.w.regions[0],
+            config: self.config,
+        };
+        let seed = self.seed;
+        let scalar = est.estimate_scalar(self.plan, self.hour, &mut Pcg32::seed(seed));
+        for lanes in WIDTHS {
+            let batched = est.estimate_batched(self.plan, self.hour, &mut Pcg32::seed(seed), lanes);
+            assert_bits_eq(
+                &scalar,
+                &batched,
+                &format!("{what} lanes={lanes} seed={seed}"),
+            );
+        }
+        let dispatched = est.estimate(self.plan, self.hour, &mut Pcg32::seed(seed));
+        assert_bits_eq(
+            &scalar,
+            &dispatched,
+            &format!("{what} dispatching estimate()"),
+        );
+        scalar
+    }
+
+    fn default_models(&self) -> DefaultModels<'_> {
+        DefaultModels {
+            profile: self.profile,
+            runtime: &self.w.runtime,
+            latency: &self.w.latency,
+            orchestrator: Orchestrator::Caribou,
+        }
+    }
+
+    /// The learned-models check over [`seeded_history`], after asserting
+    /// the history has the shape the learned arms need.
+    fn assert_paths_agree_on_learned_models(&self) {
+        let home = self.w.regions[0];
+        let (history, unlogged) = seeded_history(self.w, self.dag, self.plan, self.seed);
+        let learned = history.learned_models(
+            self.profile,
+            &self.w.runtime,
+            &self.w.latency,
+            Orchestrator::Caribou,
+            home,
+        );
+        for node in self.dag.all_nodes() {
+            let region = self.plan.region_of(node);
+            let logged = learned.has_exec_data(node.index(), region)
+                || learned.has_exec_data(node.index(), home);
+            assert_eq!(logged, node != unlogged, "history of {node:?}");
+        }
+        if let Some(away) = self.plan.assignment().iter().find(|r| **r != home) {
+            assert!(learned.has_transfer_data(*away, home));
+            assert!(learned.has_transfer_data(home, *away));
+        }
+        self.assert_paths_agree(&learned, "learned");
+    }
+}
+
+/// Six logs (past the manager's five-observation floor) in which every
+/// node but one has execution history — in the region the plan runs it in,
+/// or only at home, so the estimate scales it — and some region pairs have
+/// transfer history: every other edge's pair, the entry pair on every
+/// third seed, and both directions between home and the first offloaded
+/// region, which the external-data round trip of a node there reads.
+fn seeded_history(
+    w: &World,
+    dag: &WorkflowDag,
+    plan: &DeploymentPlan,
+    seed: u64,
+) -> (MetricsManager, NodeId) {
+    let home = w.regions[0];
+    let n = dag.node_count();
+    let unlogged = NodeId((seed % n as u64) as u32);
+    let mut pairs: Vec<(RegionId, RegionId)> = (0..dag.edge_count())
+        .filter(|ei| (*ei as u64 + seed).is_multiple_of(2))
+        .map(|ei| {
+            let e = dag.edge(EdgeId(ei as u32));
+            (plan.region_of(e.from), plan.region_of(e.to))
+        })
+        .collect();
+    if seed.is_multiple_of(3) {
+        pairs.push((home, plan.region_of(dag.start())));
+    }
+    if let Some(away) = plan.assignment().iter().find(|r| **r != home) {
+        pairs.push((*away, home));
+        pairs.push((home, *away));
+    }
+    let mut history = MetricsManager::new();
+    for k in 0..6 {
+        let nodes = dag
+            .all_nodes()
+            .filter(|node| *node != unlogged)
+            .map(|node| {
+                let exact = (node.index() as u64 + seed / 7).is_multiple_of(2);
+                let duration_s = 0.25 + 0.11 * k as f64 + 0.07 * node.index() as f64;
+                NodeRecord {
+                    node: node.index() as u32,
+                    region: if exact { plan.region_of(node) } else { home },
+                    duration_s,
+                    cpu_total_time_s: duration_s * 0.6,
+                    memory_mb: 1024,
+                    start_s: 0.0,
+                }
+            })
+            .collect();
+        let edges = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(from_region, to_region))| EdgeRecord {
+                edge: 0,
+                taken: true,
+                from_region,
+                to_region,
+                bytes: 1_000.0,
+                latency_s: 0.004 + 0.003 * k as f64 + 0.002 * i as f64,
+            })
+            .collect();
+        history.record(InvocationLog {
+            workflow: "diff".into(),
+            at_s: k as f64,
+            benchmark_traffic: false,
+            nodes,
+            edges,
+            e2e_latency_s: 1.0,
+            cost_usd: 1e-5,
+        });
+    }
+    (history, unlogged)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -259,33 +419,22 @@ proptest! {
         let (hour, seed, batch) = rest;
         let w = world();
         let (dag, profile, plan) = build_case(&w, &nodes, &extra_edges, &plan_picks);
-        let models = DefaultModels {
-            profile: &profile,
-            runtime: &w.runtime,
-            latency: &w.latency,
-            orchestrator: Orchestrator::Caribou,
-        };
-        let est = MonteCarloEstimator {
+        let case = Case {
+            w: &w,
             dag: &dag,
             profile: &profile,
-            carbon_source: &w.carbon,
-            carbon_model: CarbonModel::new(TransmissionScenario::WORST),
-            cost_model: CostModel::new(&w.pricing),
-            models: &models,
-            home: w.regions[0],
+            plan: &plan,
+            scenario: TransmissionScenario::WORST,
+            hour,
+            seed,
             config: MonteCarloConfig {
                 batch,
                 max_samples: batch * 4,
                 cv_threshold: 0.05,
             },
         };
-        let scalar = est.estimate_scalar(&plan, hour, &mut Pcg32::seed(seed));
-        for lanes in WIDTHS {
-            let batched = est.estimate_batched(&plan, hour, &mut Pcg32::seed(seed), lanes);
-            assert_bits_eq(&scalar, &batched, &format!("lanes={lanes} seed={seed}"));
-        }
-        let dispatched = est.estimate(&plan, hour, &mut Pcg32::seed(seed));
-        assert_bits_eq(&scalar, &dispatched, "dispatching estimate()");
+        case.assert_paths_agree(&case.default_models(), "model");
+        case.assert_paths_agree_on_learned_models();
     }
 }
 
@@ -306,20 +455,14 @@ fn ragged_tail_batches_stay_bit_identical() {
     let extra: Vec<EdgeGene> = vec![(7, 1, 0.4), (9_000_077, 0, 0.9)];
     let picks = vec![0u64, 2, 3, 1, 2];
     let (dag, profile, plan) = build_case(&w, &nodes, &extra, &picks);
-    let models = DefaultModels {
-        profile: &profile,
-        runtime: &w.runtime,
-        latency: &w.latency,
-        orchestrator: Orchestrator::Caribou,
-    };
-    let est = MonteCarloEstimator {
+    let case = Case {
+        w: &w,
         dag: &dag,
         profile: &profile,
-        carbon_source: &w.carbon,
-        carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-        cost_model: CostModel::new(&w.pricing),
-        models: &models,
-        home: w.regions[0],
+        plan: &plan,
+        scenario: TransmissionScenario::BEST,
+        hour: 17.25,
+        seed: 4242,
         // 53 % {4, 8, 16} != 0 and 200 % 53 != 0: ragged everywhere.
         config: MonteCarloConfig {
             batch: 53,
@@ -327,11 +470,11 @@ fn ragged_tail_batches_stay_bit_identical() {
             cv_threshold: 0.0,
         },
     };
-    let scalar = est.estimate_scalar(&plan, 17.25, &mut Pcg32::seed(4242));
+    let scalar = case.assert_paths_agree(&case.default_models(), "ragged");
     // Whole batches are drawn until the cap is met: 4 × 53 = 212.
     assert_eq!(scalar.samples, 212);
-    for lanes in WIDTHS {
-        let batched = est.estimate_batched(&plan, 17.25, &mut Pcg32::seed(4242), lanes);
-        assert_bits_eq(&scalar, &batched, &format!("ragged lanes={lanes}"));
-    }
+    // Seed 4242 leaves node 2 unlogged, gives nodes 0 and 4 history where
+    // they run, nodes 1 and 3 home-only history, and node 1 (external
+    // data, offloaded) both legs of its round trip from the log.
+    case.assert_paths_agree_on_learned_models();
 }

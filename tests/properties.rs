@@ -256,10 +256,9 @@ proptest! {
             });
             prop_assert!(store.len() <= cap.max(1));
         }
-        if let (Some(first), Some(last)) = (
-            store.logs().first().map(|l| l.at_s),
-            store.logs().last().map(|l| l.at_s),
-        ) {
+        let first = store.logs().next().map(|l| l.at_s);
+        let last = store.logs().last().map(|l| l.at_s);
+        if let (Some(first), Some(last)) = (first, last) {
             prop_assert!(last - first <= 30.0 * 86_400.0 + 1e-6);
         }
     }

@@ -81,6 +81,13 @@ fn quickstart_run_emits_pubsub_kv_and_solver_events() {
     assert!(rec.counter("kv.read") > 0, "KV reads");
     assert!(rec.counter("kv.write") > 0, "KV writes");
     assert!(rec.counter("solver.iterations") > 0, "solver iterated");
+    // The tick solves on learned models; they must take the batched
+    // estimator, never the scalar reference path.
+    assert!(
+        rec.counter("montecarlo.estimates.batched") > 0,
+        "estimates ran"
+    );
+    assert_eq!(rec.counter("montecarlo.estimates.scalar"), 0);
     assert!(rec.counter("exec.invocation") > 0, "invocations recorded");
     assert!(rec.counter("clock.advance") > 0, "clock advances recorded");
     assert!(!rec.journal.is_empty(), "journal has events");
