@@ -6,10 +6,10 @@
 //! exponential, coarse is fast but globally suboptimal.
 //!
 //! The `solver24` group benches the full 24-hour schedule solve through
-//! the deterministic evaluation engine at 1 and 4 workers against the
-//! sequential baseline, and a hand-rolled guard at the end verifies the
-//! engine's contract: bit-identical schedules at any worker count, a warm
-//! estimate cache, and (on machines with ≥4 cores) a ≥2× speedup.
+//! the deterministic evaluation engine at 1 and 4 workers, and a
+//! hand-rolled guard at the end verifies the engine's contract:
+//! bit-identical schedules at any worker count, a warm estimate cache,
+//! and (on machines with ≥4 cores) a ≥2× speedup.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -24,7 +24,7 @@ use caribou_simcloud::orchestration::Orchestrator;
 use caribou_solver::context::SolverContext;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
-use caribou_solver::hourly::{solve_hourly, solve_hourly_with};
+use caribou_solver::hourly::solve_hourly_with;
 use caribou_solver::{coarse, exhaustive};
 use caribou_workloads::benchmarks::{
     dna_visualization, text2speech_censoring, video_analytics, Benchmark, InputSize,
@@ -75,14 +75,14 @@ fn bench_solvers(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                solver.solve(ctx, 12.5, &mut Pcg32::seed(seed))
+                solver.solve_with(&EvalEngine::new(seed, 1), ctx, 12.5, &mut Pcg32::seed(seed))
             });
         });
         group.bench_with_input(BenchmarkId::new("coarse", bench.name), &ctx, |b, ctx| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                coarse::solve(ctx, 12.5, &mut Pcg32::seed(seed))
+                coarse::solve_with(&EvalEngine::new(seed, 1), ctx, 12.5)
             });
         });
         // Exhaustive only where the space is enumerable in reasonable time.
@@ -94,7 +94,7 @@ fn bench_solvers(c: &mut Criterion) {
                     let mut seed = 0u64;
                     b.iter(|| {
                         seed += 1;
-                        exhaustive::solve(ctx, 12.5, &mut Pcg32::seed(seed))
+                        exhaustive::solve_with(&EvalEngine::new(seed, 1), ctx, 12.5)
                     });
                 },
             );
@@ -142,13 +142,6 @@ fn bench_solve_24h(c: &mut Criterion) {
         let solver = HbssSolver::new();
         let mut group = c.benchmark_group("solver24");
         group.sample_size(10);
-        group.bench_function("sequential", |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                solve_hourly(&solver, ctx, 12.0, 0.0, 1e9, &mut Pcg32::seed(seed))
-            });
-        });
         for workers in [1usize, 4] {
             group.bench_function(BenchmarkId::new("engine", format!("{workers}w")), |b| {
                 let mut seed = 0u64;
@@ -191,8 +184,8 @@ fn time_solve(runs: usize, mut solve: impl FnMut(u64) -> caribou_model::plan::Ho
 /// * the 24-hour schedule is bit-identical at 1 and 4 workers;
 /// * `solver.cache.hit` is positive on a default HBSS schedule solve;
 /// * with ≥4 cores available, the 4-worker solve is ≥2× faster than the
-///   sequential baseline (on smaller machines the speedup is printed but
-///   not asserted — determinism makes the result identical either way).
+///   1-worker one (on smaller machines the speedup is printed but not
+///   asserted — determinism makes the result identical either way).
 fn guard_parallel_solve() {
     caribou_telemetry::enable(Box::new(caribou_telemetry::MemorySink::default()));
     let (speedup_4w, hits, misses) = with_t2s_ctx(|ctx| {
@@ -207,9 +200,6 @@ fn guard_parallel_solve() {
         assert!(e1.hit_count() > 0, "estimate cache never hit");
         assert_eq!(e1.hit_count(), e4.hit_count(), "cache traffic must match");
 
-        let seq_s = time_solve(3, |seed| {
-            solve_hourly(&solver, ctx, 12.0, 0.0, 1e9, &mut Pcg32::seed(seed))
-        });
         let w1_s = time_solve(3, |seed| {
             let engine = EvalEngine::new(seed, 1);
             solve_hourly_with(
@@ -234,10 +224,8 @@ fn guard_parallel_solve() {
                 &mut Pcg32::seed(seed),
             )
         });
-        println!(
-            "solver24/guard: sequential {seq_s:.3} s · engine 1w {w1_s:.3} s · engine 4w {w4_s:.3} s"
-        );
-        (seq_s / w4_s, e1.hit_count(), e1.miss_count())
+        println!("solver24/guard: engine 1w {w1_s:.3} s · engine 4w {w4_s:.3} s");
+        (w1_s / w4_s, e1.hit_count(), e1.miss_count())
     });
     let counted_hits = caribou_telemetry::finish()
         .map(|f| f.recorder.counter("solver.cache.hit"))
@@ -253,7 +241,7 @@ fn guard_parallel_solve() {
     if cores >= 4 {
         assert!(
             speedup_4w >= 2.0,
-            "4-worker 24-hour solve only {speedup_4w:.2}x faster than sequential (budget: 2x, cores: {cores})"
+            "4-worker 24-hour solve only {speedup_4w:.2}x faster than 1-worker (budget: 2x, cores: {cores})"
         );
     } else {
         println!("solver24/guard: speedup assertion skipped ({cores} core(s) available; needs 4)");
@@ -262,23 +250,14 @@ fn guard_parallel_solve() {
 }
 
 /// Records the measured numbers so CI diffs have a committed baseline.
-/// `BENCH_solver.json` is shared with the estimator bench's guard, so the
-/// existing file is merged into rather than overwritten.
 fn write_baseline(speedup_4w: f64, hits: u64, misses: u64, cores: usize) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
-    let mut root = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<serde_json::Value>(&text).ok())
-        .unwrap_or_else(|| serde_json::Value::Object(serde_json::Map::new()));
-    if let serde_json::Value::Object(map) = &mut root {
-        map.insert(
-            "speedup_4w".to_string(),
-            serde_json::Value::from((speedup_4w * 1000.0).round() / 1000.0),
-        );
-        map.insert("cache_hits".to_string(), serde_json::Value::from(hits));
-        map.insert("cache_misses".to_string(), serde_json::Value::from(misses));
-        map.insert("cores".to_string(), serde_json::Value::from(cores as u64));
-    }
+    let root = serde_json::json!({
+        "cache_hits": hits,
+        "cache_misses": misses,
+        "cores": cores,
+        "speedup_4w": (speedup_4w * 1000.0).round() / 1000.0,
+    });
     match serde_json::to_string_pretty(&root) {
         Ok(json) => {
             if let Err(e) = std::fs::write(path, json + "\n") {

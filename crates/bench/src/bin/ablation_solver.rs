@@ -14,6 +14,7 @@ use caribou_model::constraints::{Constraints, Objective};
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::orchestration::Orchestrator;
 use caribou_solver::context::SolverContext;
+use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use caribou_solver::{coarse, exhaustive};
 use caribou_workloads::benchmarks::{
@@ -58,9 +59,11 @@ fn main() {
             models: &models,
             mc_config: mc_config(),
         };
-        let hbss = HbssSolver::new().solve(&ctx, 12.5, &mut Pcg32::seed(1));
-        let exact = exhaustive::solve(&ctx, 12.5, &mut Pcg32::seed(2));
-        let single = coarse::solve(&ctx, 12.5, &mut Pcg32::seed(3));
+        // One engine: the three solvers price every plan on the same draws.
+        let engine = EvalEngine::new(1, 1);
+        let hbss = HbssSolver::new().solve_with(&engine, &ctx, 12.5, &mut Pcg32::seed(1));
+        let exact = exhaustive::solve_with(&engine, &ctx, 12.5);
+        let single = coarse::solve_with(&engine, &ctx, 12.5);
         let h = ctx.metric_of(&hbss.best_estimate);
         let s = ctx.metric_of(&single.best_estimate);
         match exact {

@@ -23,6 +23,7 @@ use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::orchestration::Orchestrator;
 use caribou_solver::context::SolverContext;
+use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use caribou_workloads::benchmarks::{all_benchmarks, Benchmark, InputSize};
 
@@ -97,8 +98,9 @@ fn eval_strategy(
             models: &models,
             mc_config: mc,
         };
+        let engine = EvalEngine::new(seed ^ h as u64, 1);
         let plan = HbssSolver::new()
-            .solve(&ctx, h, &mut rng.fork(h as u64))
+            .solve_with(&engine, &ctx, h, &mut rng.fork(h as u64))
             .best;
         let est = MonteCarloEstimator {
             dag: &bench.dag,

@@ -23,6 +23,7 @@ use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::orchestration::Orchestrator;
 use caribou_solver::context::SolverContext;
+use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::{HbssParams, HbssSolver};
 use caribou_workloads::benchmarks::Benchmark;
 
@@ -278,8 +279,10 @@ impl<'e> FineSolver<'e> {
         let solver = HbssSolver {
             params: hbss_params(),
         };
+        // The forecast is refitted per day: one engine per solve.
+        let engine = EvalEngine::new(self.seed ^ key as u64, 1);
         let mut rng = Pcg32::seed_stream(self.seed ^ key as u64, 0x501e);
-        let plan = solver.solve(&ctx, hour, &mut rng).best;
+        let plan = solver.solve_with(&engine, &ctx, hour, &mut rng).best;
         self.cache.insert(key, plan.clone());
         plan
     }

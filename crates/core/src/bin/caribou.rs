@@ -418,6 +418,7 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         models: &models,
         mc_config: MonteCarloConfig::default(),
     };
+    let engine = EvalEngine::new(7, workers(args)?);
     if has_flag(args, "--hourly") {
         // Full 24-hour schedule through the deterministic evaluation
         // engine: stdout is bit-identical at any --workers value (pool and
@@ -429,7 +430,6 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
             .map(|v| v.parse().map_err(|e| format!("--contingency: {e}")))
             .transpose()?
             .unwrap_or(0);
-        let engine = EvalEngine::new(7, workers(args)?);
         let solver = HbssSolver::new();
         let mut rng = Pcg32::seed(7);
         let (plans, table) = if k > 0 {
@@ -495,7 +495,7 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    let outcome = HbssSolver::new().solve(&ctx, hour, &mut Pcg32::seed(7));
+    let outcome = HbssSolver::new().solve_with(&engine, &ctx, hour, &mut Pcg32::seed(7));
     println!(
         "deployment plan for `{}` ({} input) at hour {hour}:",
         bench.name,

@@ -885,7 +885,7 @@ mod tests {
     /// with the home region absorbing gray congestion (transfer ×5) for
     /// the duration. Same faults in both runs — the only difference is
     /// the precomputed contingency table. Pinned at seed 42:
-    /// p99 2.349 s vs 2.457 s, total carbon 0.219 g vs 0.623 g.
+    /// p99 2.737 s vs 2.776 s, total carbon 0.213 g vs 0.526 g.
     #[test]
     fn contingency_failover_beats_reroute_home_on_p99_and_carbon() {
         caribou_telemetry::enable(Box::new(caribou_telemetry::MemorySink::default()));

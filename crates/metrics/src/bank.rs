@@ -1,0 +1,423 @@
+//! The draw bank: every random primitive of a Monte Carlo estimate, drawn
+//! once per frozen context and shared by all candidates and hours.
+//!
+//! Regions and hours enter a sampled execution only through constants
+//! (performance factors, one-way latencies, grid intensities, prices,
+//! which logged history a site reads). What is random — the base × noise
+//! execution factor, the cold start, the conditional-edge uniform, payload
+//! bytes, orchestration overheads, transfer jitter, the pick into a
+//! learned history — does not depend on the plan. The bank keeps one
+//! lazily extended column per (site, primitive), each on its own stream
+//! split off the bank's root seed, and an estimate *folds* the columns
+//! over the sample index with its plan's constants.
+//!
+//! Element `i` of a column is a pure function of (root, site, primitive,
+//! `i`): a column owns its generator and only ever appends, so neither the
+//! order estimates arrive in, nor the chunks they extend by, nor a
+//! re-created bank can change a value. Two plans that agree on a site read
+//! the same draws there (common random numbers), which is what makes the
+//! difference of two estimates far less noisy than either.
+
+use std::sync::{Arc, RwLock, RwLockReadGuard};
+
+use caribou_model::dist::{DistSpec, PreparedDist};
+use caribou_model::rng::{Pcg32, SeedSplitter};
+
+/// Where in a workflow execution a draw is taken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Site {
+    /// Client → start node.
+    Entry,
+    /// A node's execution.
+    Node(usize),
+    /// A node's external-data fetch, node → home leg.
+    ExtOut(usize),
+    /// A node's external-data fetch, home → node leg.
+    ExtBack(usize),
+    /// An edge's invocation.
+    Edge(usize),
+}
+
+impl Site {
+    /// Dense index over the sites of a DAG with `nodes` nodes; also the
+    /// label the site's streams are split by.
+    fn index(self, nodes: usize) -> usize {
+        match self {
+            Site::Entry => 0,
+            Site::Node(k) => 1 + k,
+            Site::ExtOut(k) => 1 + nodes + k,
+            Site::ExtBack(k) => 1 + 2 * nodes + k,
+            Site::Edge(e) => 1 + 3 * nodes + e,
+        }
+    }
+}
+
+/// Which primitive of a site a column holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Prim {
+    /// Input bytes (entry), base × noise execution factor (node), payload
+    /// bytes (edge).
+    Value,
+    /// Invocation setup (entry) or transition overhead (edge), seconds.
+    Overhead,
+    /// Multiplicative transfer jitter.
+    Jitter,
+    /// Uniform `[0, 1)` locating the pick in a learned history.
+    Pick,
+    /// Uniform `[0, 1)` deciding a conditional edge.
+    Taken,
+    /// Cold-start penalty, seconds; sparse, one column per curve.
+    Cold,
+}
+
+const PRIMS: usize = 6;
+
+/// How a column's values are drawn.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Draw<'a> {
+    /// One sample of a profile distribution.
+    Dist(PreparedDist<'a>),
+    /// `base.max(0) × lognormal(0, sigma)`: the region-free part of
+    /// `LambdaRuntime::execute_forced`.
+    ExecFactor { base: PreparedDist<'a>, sigma: f64 },
+    /// `lognormal(mu, sigma)`.
+    LogNormal { mu: f64, sigma: f64 },
+    /// Uniform on `[0, 1)`.
+    Uniform,
+    /// With probability `prob`, one `.max(0)` sample of `curve`.
+    Cold { prob: f64, curve: &'a DistSpec },
+}
+
+/// One column an estimate reads, and how to fill it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Need<'a> {
+    pub site: Site,
+    pub prim: Prim,
+    pub draw: Draw<'a>,
+}
+
+impl<'a> Need<'a> {
+    pub(crate) fn new(site: Site, prim: Prim, draw: Draw<'a>) -> Self {
+        Need { site, prim, draw }
+    }
+}
+
+/// What a bank's columns were drawn for: the generator state the estimate
+/// was entered with and the DAG's shape. A bank asked for another identity
+/// starts over.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BankId {
+    pub stream: Pcg32,
+    pub nodes: usize,
+    pub edges: usize,
+}
+
+#[derive(Debug)]
+struct Column {
+    rng: Pcg32,
+    vals: Vec<f64>,
+}
+
+/// Cold starts are rare (2% by default), so the column keeps only the
+/// samples that had one, ascending by sample index. Regions sharing a
+/// cold-start curve share the column; different curves of one node share
+/// its stream, so they agree on *which* samples are cold for as long as
+/// they consume equally many draws per penalty.
+#[derive(Debug)]
+struct ColdColumn {
+    node: usize,
+    curve: DistSpec,
+    rng: Pcg32,
+    drawn: usize,
+    hits: Vec<(usize, f64)>,
+}
+
+/// The draw bank of one frozen estimation context. See the module docs.
+#[derive(Debug, Default)]
+pub struct DrawBank {
+    id: Option<BankId>,
+    /// `(site, prim)` → position in `columns`; `usize::MAX` until drawn.
+    slots: Vec<usize>,
+    columns: Vec<Column>,
+    cold: Vec<ColdColumn>,
+}
+
+impl DrawBank {
+    pub(crate) fn is(&self, id: &BankId) -> bool {
+        self.id.as_ref() == Some(id)
+    }
+
+    /// Makes this the bank of `id`, dropping every column drawn for
+    /// another identity.
+    pub(crate) fn bind(&mut self, id: &BankId) {
+        if self.is(id) {
+            return;
+        }
+        self.slots.clear();
+        self.slots
+            .resize((1 + 3 * id.nodes + id.edges) * PRIMS, usize::MAX);
+        self.columns.clear();
+        self.cold.clear();
+        self.id = Some(id.clone());
+    }
+
+    fn nodes(&self) -> usize {
+        self.id.as_ref().map_or(0, |id| id.nodes)
+    }
+
+    fn slot(&self, site: Site, prim: Prim) -> usize {
+        site.index(self.nodes()) * PRIMS + prim as usize
+    }
+
+    /// The generator of a new column: split off the first draw of the
+    /// bank's stream by site and primitive.
+    fn stream(&self, site: Site, prim: Prim) -> Pcg32 {
+        let id = self.id.as_ref().expect("bound before drawing");
+        SeedSplitter::new(id.stream.clone().next_u64())
+            .absorb(site.index(id.nodes) as u64)
+            .absorb(prim as u64)
+            .rng()
+    }
+
+    fn cold_position(&self, node: usize, curve: &DistSpec) -> Option<usize> {
+        self.cold
+            .iter()
+            .position(|c| c.node == node && c.curve == *curve)
+    }
+
+    /// Whether `need`'s column already holds `n` samples.
+    pub(crate) fn has(&self, need: &Need<'_>, n: usize) -> bool {
+        match (need.site, need.draw) {
+            (Site::Node(node), Draw::Cold { curve, .. }) => self
+                .cold_position(node, curve)
+                .is_some_and(|c| self.cold[c].drawn >= n),
+            _ => self
+                .columns
+                .get(self.slots[self.slot(need.site, need.prim)])
+                .is_some_and(|c| c.vals.len() >= n),
+        }
+    }
+
+    /// Extends `need`'s column to `n` samples, creating it on first use.
+    pub(crate) fn ensure(&mut self, need: &Need<'_>, n: usize) {
+        if self.has(need, n) {
+            return;
+        }
+        let before;
+        match (need.site, need.draw) {
+            (Site::Node(node), Draw::Cold { prob, curve }) => {
+                let at = self.cold_position(node, curve).unwrap_or_else(|| {
+                    caribou_telemetry::count("montecarlo.bank.columns", 1);
+                    let rng = self.stream(need.site, need.prim);
+                    self.cold.push(ColdColumn {
+                        node,
+                        curve: curve.clone(),
+                        rng,
+                        drawn: 0,
+                        hits: Vec::new(),
+                    });
+                    self.cold.len() - 1
+                });
+                let col = &mut self.cold[at];
+                before = col.drawn;
+                for i in col.drawn..n {
+                    if col.rng.chance(prob) {
+                        col.hits.push((i, curve.sample(&mut col.rng).max(0.0)));
+                    }
+                }
+                col.drawn = n;
+            }
+            (_, draw) => {
+                let slot = self.slot(need.site, need.prim);
+                if self.slots[slot] == usize::MAX {
+                    caribou_telemetry::count("montecarlo.bank.columns", 1);
+                    self.slots[slot] = self.columns.len();
+                    let rng = self.stream(need.site, need.prim);
+                    self.columns.push(Column {
+                        rng,
+                        vals: Vec::new(),
+                    });
+                }
+                let Column { rng, vals } = &mut self.columns[self.slots[slot]];
+                before = vals.len();
+                vals.reserve_exact(n - before);
+                vals.extend((before..n).map(|_| match draw {
+                    Draw::Dist(dist) => dist.sample(rng),
+                    Draw::ExecFactor { base, sigma } => {
+                        base.sample(rng).max(0.0) * rng.lognormal(0.0, sigma)
+                    }
+                    Draw::LogNormal { mu, sigma } => rng.lognormal(mu, sigma),
+                    Draw::Uniform => rng.next_f64(),
+                    Draw::Cold { .. } => unreachable!("cold starts are node draws"),
+                }));
+            }
+        }
+        caribou_telemetry::count("montecarlo.bank.extensions", 1);
+        caribou_telemetry::count("montecarlo.bank.draws", (n - before) as u64);
+    }
+
+    /// The drawn values of a column. Panics if it was never ensured.
+    pub(crate) fn column(&self, site: Site, prim: Prim) -> &[f64] {
+        &self.columns[self.slots[self.slot(site, prim)]].vals
+    }
+
+    /// The `(sample, penalty)` cold starts of a node under `curve` among
+    /// samples `lo..hi`.
+    pub(crate) fn cold_starts(
+        &self,
+        node: usize,
+        curve: &DistSpec,
+        lo: usize,
+        hi: usize,
+    ) -> &[(usize, f64)] {
+        let at = self.cold_position(node, curve).expect("ensured column");
+        let hits = &self.cold[at].hits;
+        let from = hits.partition_point(|(i, _)| *i < lo);
+        let to = hits.partition_point(|(i, _)| *i < hi);
+        &hits[from..to]
+    }
+}
+
+/// A bank several estimator scratches (one per worker thread) fold at
+/// once: reads share the lock, extension takes it exclusively.
+#[derive(Debug, Clone, Default)]
+pub struct SharedBank(Arc<RwLock<DrawBank>>);
+
+impl SharedBank {
+    /// A read guard on the bank, bound to `id`, with every column in
+    /// `needs` holding `n` samples: taken directly when that is already
+    /// so, after extending under the write lock otherwise.
+    pub(crate) fn covering(
+        &self,
+        id: &BankId,
+        needs: &[Need<'_>],
+        n: usize,
+    ) -> RwLockReadGuard<'_, DrawBank> {
+        loop {
+            let read = self.0.read().expect("bank lock");
+            if read.is(id) && needs.iter().all(|need| read.has(need, n)) {
+                return read;
+            }
+            drop(read);
+            let mut write = self.0.write().expect("bank lock");
+            write.bind(id);
+            for need in needs {
+                write.ensure(need, n);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn id(seed: u64) -> BankId {
+        BankId {
+            stream: Pcg32::seed(seed),
+            nodes: 3,
+            edges: 2,
+        }
+    }
+
+    const JITTER: Draw<'static> = Draw::LogNormal {
+        mu: 0.0,
+        sigma: 0.3,
+    };
+
+    #[test]
+    fn values_do_not_depend_on_how_a_column_was_extended() {
+        let at = Need::new(Site::Edge(1), Prim::Jitter, JITTER);
+        let mut whole = DrawBank::default();
+        whole.bind(&id(9));
+        whole.ensure(&at, 500);
+        let mut chunked = DrawBank::default();
+        chunked.bind(&id(9));
+        for n in [1, 7, 200, 201, 500] {
+            // A neighbouring column growing in between changes nothing.
+            chunked.ensure(&Need::new(Site::Edge(0), Prim::Jitter, JITTER), n * 2);
+            chunked.ensure(&at, n);
+        }
+        assert_eq!(
+            whole.column(Site::Edge(1), Prim::Jitter),
+            chunked.column(Site::Edge(1), Prim::Jitter)
+        );
+        // Asking for fewer samples than are there draws nothing.
+        chunked.ensure(&at, 10);
+        assert_eq!(chunked.column(Site::Edge(1), Prim::Jitter).len(), 500);
+    }
+
+    #[test]
+    fn every_site_and_primitive_has_its_own_stream() {
+        let mut bank = DrawBank::default();
+        bank.bind(&id(4));
+        let sites = [
+            Site::Entry,
+            Site::Node(0),
+            Site::Node(2),
+            Site::ExtOut(0),
+            Site::ExtBack(0),
+            Site::Edge(0),
+            Site::Edge(1),
+        ];
+        let mut firsts = Vec::new();
+        for site in sites {
+            for prim in [Prim::Jitter, Prim::Pick] {
+                bank.ensure(&Need::new(site, prim, Draw::Uniform), 4);
+                firsts.push(bank.column(site, prim)[0].to_bits());
+            }
+        }
+        firsts.sort_unstable();
+        firsts.dedup();
+        assert_eq!(firsts.len(), sites.len() * 2);
+    }
+
+    #[test]
+    fn rebinding_to_another_stream_or_shape_starts_over() {
+        let at = Need::new(Site::Entry, Prim::Value, Draw::Uniform);
+        let mut bank = DrawBank::default();
+        bank.bind(&id(1));
+        bank.ensure(&at, 8);
+        let first = bank.column(Site::Entry, Prim::Value).to_vec();
+        bank.bind(&id(1));
+        assert!(bank.has(&at, 8), "same identity keeps the columns");
+        bank.bind(&id(2));
+        assert!(!bank.has(&at, 1));
+        bank.ensure(&at, 8);
+        assert_ne!(first, bank.column(Site::Entry, Prim::Value));
+        let wider = BankId { nodes: 4, ..id(2) };
+        bank.bind(&wider);
+        assert!(!bank.has(&at, 1));
+    }
+
+    #[test]
+    fn cold_columns_are_sparse_and_shared_per_curve() {
+        let curve = DistSpec::LogNormal {
+            median: 0.35,
+            sigma: 0.35,
+        };
+        let steeper = DistSpec::LogNormal {
+            median: 0.9,
+            sigma: 0.5,
+        };
+        let cold = |curve| Draw::Cold { prob: 0.1, curve };
+        let mut bank = DrawBank::default();
+        bank.bind(&id(5));
+        bank.ensure(&Need::new(Site::Node(1), Prim::Cold, cold(&curve)), 400);
+        bank.ensure(&Need::new(Site::Node(1), Prim::Cold, cold(&steeper)), 1_000);
+        bank.ensure(&Need::new(Site::Node(1), Prim::Cold, cold(&curve)), 1_000);
+        let a = bank.cold_starts(1, &curve, 0, 1_000);
+        let b = bank.cold_starts(1, &steeper, 0, 1_000);
+        assert!((60..150).contains(&a.len()), "{} cold of 1000", a.len());
+        // Same stream, same draws per penalty: the same samples are cold.
+        let samples = |hits: &[(usize, f64)]| hits.iter().map(|h| h.0).collect::<Vec<_>>();
+        assert_eq!(samples(a), samples(b));
+        assert!(a.iter().zip(b).all(|(x, y)| x.1 < y.1));
+        let window = bank.cold_starts(1, &curve, 400, 600);
+        assert!(window.iter().all(|(i, _)| (400..600).contains(i)));
+        assert_eq!(
+            window.len(),
+            a.iter().filter(|(i, _)| (400..600).contains(i)).count()
+        );
+    }
+}

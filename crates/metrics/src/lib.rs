@@ -14,18 +14,23 @@
 //!   End-To-End Metric Estimation): batches of 200 samples until the
 //!   relative standard error of every metric drops below 0.05 or 2,000
 //!   samples are reached;
+//! * [`bank`] — the draw bank the estimator folds: every random
+//!   primitive of a sample, drawn once per frozen context and shared by
+//!   all candidate plans and hours (common random numbers);
 //! * [`logs`] — invocation-log records and the 30-day / 5,000-entry
 //!   retention with selective forgetting (§7.2);
 //! * [`manager`] — the Metrics Manager assembling learned distributions
 //!   with model fallbacks (§7.1 Latency: home-region execution fallback,
 //!   CloudPing transmission fallback).
 
+pub mod bank;
 pub mod carbonmodel;
 pub mod costmodel;
 pub mod energy;
 pub mod logs;
 pub mod manager;
 pub mod montecarlo;
+mod prep;
 pub mod summary;
 
 pub use carbonmodel::{CarbonModel, TransmissionScenario};

@@ -13,7 +13,6 @@ use std::collections::HashMap;
 use caribou_model::dag::WorkflowDag;
 use caribou_model::profile::WorkflowProfile;
 use caribou_model::region::RegionId;
-use caribou_model::rng::Pcg32;
 use caribou_simcloud::compute::LambdaRuntime;
 use caribou_simcloud::latency::LatencyModel;
 use caribou_simcloud::orchestration::Orchestrator;
@@ -181,26 +180,16 @@ impl LearnedModels<'_> {
 }
 
 impl StageModels for LearnedModels<'_> {
-    fn sample_exec(&self, node: usize, region: RegionId, rng: &mut Pcg32) -> f64 {
-        if let Some((samples, scale)) = self.learned_exec(node, region) {
-            return *rng.choose(samples).expect("non-empty retained samples") * scale;
+    fn base(&self) -> DefaultModels<'_> {
+        DefaultModels {
+            profile: self.profile,
+            runtime: self.runtime,
+            latency: self.latency,
+            orchestrator: self.orchestrator,
         }
-        // Finally the profile model.
-        let p = &self.profile.nodes[node];
-        self.runtime
-            .execute(region, &p.exec_time, p.memory_mb, p.cpu_utilization, rng)
-            .duration_s
     }
 
-    fn sample_transfer(&self, from: RegionId, to: RegionId, bytes: f64, rng: &mut Pcg32) -> f64 {
-        if let Some(samples) = self.learned_transfer(from, to) {
-            return *rng.choose(samples).expect("non-empty retained samples");
-        }
-        self.latency.sample_transfer_seconds(from, to, bytes, rng)
-    }
-
-    /// The priority rule of §7.1, read by both `sample_exec` and the
-    /// batched estimator's per-(plan, hour) preparation.
+    /// The priority rule of §7.1.
     fn learned_exec(&self, node: usize, region: RegionId) -> Option<(&[f64], f64)> {
         // Learned distribution for the exact region first.
         if let Some(samples) = self.exec.get(&(node, region)) {
@@ -208,7 +197,8 @@ impl StageModels for LearnedModels<'_> {
         }
         // Fall back to the home region's learned distribution, scaled by
         // the relative performance factor (§7.1: "MM defaults to using the
-        // home region's execution time distribution").
+        // home region's execution time distribution"). Finally the
+        // profile model.
         let samples = self.exec.get(&(node, self.home))?;
         let scale = self.runtime.perf_factor(region) / self.runtime.perf_factor(self.home);
         Some((samples, scale))
@@ -216,23 +206,6 @@ impl StageModels for LearnedModels<'_> {
 
     fn learned_transfer(&self, from: RegionId, to: RegionId) -> Option<&[f64]> {
         self.transfer.get(&(from, to)).map(Vec::as_slice)
-    }
-
-    fn batchable(&self) -> Option<DefaultModels<'_>> {
-        Some(DefaultModels {
-            profile: self.profile,
-            runtime: self.runtime,
-            latency: self.latency,
-            orchestrator: self.orchestrator,
-        })
-    }
-
-    fn sample_transition(&self, rng: &mut Pcg32) -> f64 {
-        self.orchestrator.sample_transition_s(rng)
-    }
-
-    fn sample_setup(&self, rng: &mut Pcg32) -> f64 {
-        self.orchestrator.sample_setup_s(rng)
     }
 }
 
@@ -330,9 +303,9 @@ mod tests {
         }
         let lm = mm.learned_models(&profile, &runtime, &latency, Orchestrator::Caribou, home);
         assert!(lm.has_exec_data(0, home));
-        let mut rng = Pcg32::seed(1);
-        let s = lm.sample_exec(0, home, &mut rng);
-        assert!((s - 9.0).abs() < 1e-9);
+        let (samples, scale) = lm.learned_exec(0, home).expect("home history");
+        assert_eq!(scale, 1.0);
+        assert!(samples.iter().all(|s| (s - 9.0).abs() < 1e-9));
     }
 
     #[test]
@@ -351,9 +324,8 @@ mod tests {
         }
         let lm = mm.learned_models(&profile, &runtime, &latency, Orchestrator::Caribou, home);
         assert!(!lm.has_exec_data(0, west));
-        let mut rng = Pcg32::seed(2);
-        let s = lm.sample_exec(0, west, &mut rng);
-        assert!((s - 8.0).abs() < 1e-9, "sample {s}");
+        let (samples, scale) = lm.learned_exec(0, west).expect("home history, scaled");
+        assert!(samples.iter().all(|s| (s * scale - 8.0).abs() < 1e-9));
     }
 
     #[test]
@@ -367,9 +339,8 @@ mod tests {
         let mm = MetricsManager::new();
         let lm = mm.learned_models(&profile, &runtime, &latency, Orchestrator::Caribou, home);
         assert!(!lm.has_transfer_data(home, west));
-        let mut rng = Pcg32::seed(3);
-        let s = lm.sample_transfer(home, west, 1e6, &mut rng);
-        assert!(s > 0.0);
+        assert!(lm.learned_transfer(home, west).is_none());
+        assert!(lm.base().latency.one_way(home, west) > 0.0);
     }
 
     #[test]
@@ -387,10 +358,8 @@ mod tests {
         }
         let lm = mm.learned_models(&profile, &runtime, &latency, Orchestrator::Caribou, home);
         assert!(lm.has_transfer_data(home, home));
-        let mut rng = Pcg32::seed(7);
-        for _ in 0..20 {
-            assert!((lm.sample_transfer(home, home, 1e6, &mut rng) - 0.125).abs() < 1e-12);
-        }
+        let samples = lm.learned_transfer(home, home).expect("pair history");
+        assert!(samples.iter().all(|s| (s - 0.125).abs() < 1e-12));
     }
 
     #[test]

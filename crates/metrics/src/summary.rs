@@ -65,9 +65,56 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
+/// [`percentile_sorted`] of `samples` without sorting them: selects the
+/// two order statistics it interpolates between, leaving the slice
+/// partitioned around them. Bit-identical to sorting by `total_cmp` first.
+pub fn percentile_select(samples: &mut [f64], q: f64) -> f64 {
+    assert!(!samples.is_empty(), "no samples");
+    let q = q.clamp(0.0, 1.0);
+    let pos = q * (samples.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let (_, at_lo, above) = samples.select_nth_unstable_by(lo, f64::total_cmp);
+    if pos.ceil() as usize == lo {
+        *at_lo
+    } else {
+        // The next order statistic is the least of what sorts after `lo`.
+        let at_hi = above.iter().copied().min_by(f64::total_cmp);
+        let frac = pos - lo as f64;
+        *at_lo * (1.0 - frac) + at_hi.expect("ceil(pos) is in range") * frac
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_select_is_bit_identical_to_sorting() {
+        use caribou_model::rng::Pcg32;
+        let mut rng = Pcg32::seed(5);
+        let mut cases: Vec<Vec<f64>> = [1usize, 2, 20, 21, 200, 2_000]
+            .iter()
+            .map(|&n| (0..n).map(|_| rng.lognormal(0.0, 0.8)).collect())
+            .collect();
+        // Ties at, below and above the selected ranks, and signed zeros.
+        cases.push(vec![2.0; 200]);
+        cases.push((0..200).map(|i| (i / 10) as f64).collect());
+        cases.push((0..200).map(|i| (i % 3) as f64).collect());
+        cases.push(vec![0.0, -0.0, 0.0, -0.0, 1.0]);
+        for samples in cases {
+            let mut sorted = samples.clone();
+            sorted.sort_by(f64::total_cmp);
+            for q in [0.0, 0.5, 0.95, 0.999, 1.0] {
+                let selected = percentile_select(&mut samples.clone(), q);
+                assert_eq!(
+                    selected.to_bits(),
+                    percentile_sorted(&sorted, q).to_bits(),
+                    "n = {}, q = {q}",
+                    samples.len()
+                );
+            }
+        }
+    }
 
     #[test]
     fn summary_of_constant_samples() {

@@ -9,15 +9,14 @@
 use caribou_carbon::source::CarbonDataSource;
 use caribou_metrics::montecarlo::StageModels;
 use caribou_model::plan::DeploymentPlan;
-use caribou_model::region::RegionId;
-use caribou_model::rng::Pcg32;
 
 use crate::context::{SolveOutcome, SolverContext};
 use crate::engine::EvalEngine;
 
-/// Coarse search through an [`EvalEngine`]: the per-region single-region
-/// candidates are independent, so they fan across the engine's worker
-/// pool on seed-derived streams — bit-identical at any worker count.
+/// Evaluates the single-region plan for every region permitted for *all*
+/// nodes and returns the best feasible one (home when nothing qualifies).
+/// The candidates are independent, so they fan across the engine's worker
+/// pool — bit-identical at any worker count.
 pub fn solve_with<S: CarbonDataSource + Sync, M: StageModels + Sync>(
     engine: &EvalEngine,
     ctx: &SolverContext<'_, S, M>,
@@ -41,58 +40,6 @@ pub fn solve_with<S: CarbonDataSource + Sync, M: StageModels + Sync>(
     let mut feasible = vec![(home_plan, home_metric)];
     let evaluated = 1 + candidates.len();
     for (plan, estimate) in candidates.into_iter().zip(estimates) {
-        if ctx.violates_tolerance(&estimate, &home_estimate) {
-            continue;
-        }
-        let metric = ctx.metric_of(&estimate);
-        feasible.push((plan.clone(), metric));
-        if metric < best_metric {
-            best_metric = metric;
-            best_plan = plan;
-            best_estimate = estimate;
-        }
-    }
-    feasible.sort_by(|a, b| a.1.total_cmp(&b.1));
-    SolveOutcome {
-        best: best_plan,
-        best_estimate,
-        home_estimate,
-        evaluated,
-        feasible,
-    }
-}
-
-/// Evaluates the single-region plan for every region permitted for *all*
-/// nodes and returns the best feasible one (home when nothing qualifies).
-pub fn solve<S: CarbonDataSource, M: StageModels>(
-    ctx: &SolverContext<'_, S, M>,
-    hour: f64,
-    rng: &mut Pcg32,
-) -> SolveOutcome {
-    let home_plan = ctx.home_plan();
-    let home_estimate = ctx.evaluate(&home_plan, hour, rng);
-    let home_metric = ctx.metric_of(&home_estimate);
-
-    // A region is a candidate only if every node permits it.
-    let candidates: Vec<RegionId> = ctx.permitted[0]
-        .iter()
-        .copied()
-        .filter(|r| ctx.permitted.iter().all(|set| set.contains(r)))
-        .collect();
-
-    let mut best_plan = home_plan.clone();
-    let mut best_metric = home_metric;
-    let mut best_estimate = home_estimate;
-    let mut feasible = vec![(home_plan.clone(), home_metric)];
-    let mut evaluated = 1usize;
-
-    for region in candidates {
-        if region == ctx.home {
-            continue;
-        }
-        let plan = DeploymentPlan::uniform(ctx.dag.node_count(), region);
-        let estimate = ctx.evaluate(&plan, hour, rng);
-        evaluated += 1;
         if ctx.violates_tolerance(&estimate, &home_estimate) {
             continue;
         }
@@ -188,22 +135,14 @@ mod tests {
                 cv_threshold: 0.05,
             },
         };
-        let outcome = solve(&ctx, 0.5, &mut Pcg32::seed(1));
-        assert_eq!(outcome.evaluated, 4); // |R| single-region plans
-        assert!(outcome.best.is_single_region());
-        // The clean region wins under a generous tolerance.
-        assert_eq!(
-            outcome.best.region_of(caribou_model::dag::NodeId(0)),
-            cat.id_of("ca-central-1").unwrap()
-        );
-
-        // Engine-backed coarse solve: same candidate count and winner,
-        // bit-identical at any worker count.
+        // Bit-identical at any worker count.
         let c1 = solve_with(&EvalEngine::new(3, 1), &ctx, 0.5);
         let c8 = solve_with(&EvalEngine::new(3, 8), &ctx, 0.5);
-        assert_eq!(c1.evaluated, 4);
+        assert_eq!(c1.evaluated, 4); // |R| single-region plans
+        assert!(c1.best.is_single_region());
         assert_eq!(c1.best.assignment(), c8.best.assignment());
         assert_eq!(c1.best_estimate, c8.best_estimate);
+        // The clean region wins under a generous tolerance.
         assert_eq!(
             c1.best.region_of(caribou_model::dag::NodeId(0)),
             cat.id_of("ca-central-1").unwrap()
@@ -257,7 +196,7 @@ mod tests {
                 cv_threshold: 0.05,
             },
         };
-        let outcome = solve(&ctx, 0.5, &mut Pcg32::seed(1));
+        let outcome = solve_with(&EvalEngine::new(1, 1), &ctx, 0.5);
         // Candidates: home (skipped as baseline duplicate) + us-west-2.
         assert_eq!(outcome.evaluated, 2);
         assert_ne!(

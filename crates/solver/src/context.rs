@@ -55,16 +55,18 @@ pub struct SolveOutcome {
 }
 
 impl<S: CarbonDataSource, M: StageModels> SolverContext<'_, S, M> {
-    /// Evaluates a plan at an hour.
+    /// Evaluates a plan at an hour on a draw bank of its own, named by
+    /// `rng`.
     pub fn evaluate(&self, plan: &DeploymentPlan, hour: f64, rng: &mut Pcg32) -> EstimateSummary {
-        let mut scratch = EstimateScratch::new();
-        self.evaluate_with_scratch(plan, hour, rng, &mut scratch)
+        self.evaluate_with_scratch(plan, hour, rng, &mut EstimateScratch::default())
     }
 
     /// Evaluates a plan at an hour, reusing caller-owned estimator
-    /// scratch. Bit-identical to [`SolverContext::evaluate`]; the
-    /// [`EvalEngine`](crate::engine::EvalEngine) pools scratch per worker
-    /// so cache misses stop re-allocating node-state columns.
+    /// scratch: entered with the generator state a previous call on this
+    /// scratch was entered with, it folds the draws already banked.
+    /// Bit-identical to [`SolverContext::evaluate`]; the
+    /// [`EvalEngine`](crate::engine::EvalEngine) pools scratch per worker,
+    /// all on the engine's one bank.
     pub fn evaluate_with_scratch(
         &self,
         plan: &DeploymentPlan,

@@ -2,11 +2,15 @@
 //! caching.
 //!
 //! Every candidate evaluation is a *pure function* of the engine's solve
-//! seed, the app fingerprint, the plan assignment, and the solve hour:
-//! the Monte Carlo RNG is derived by splitting the solve seed through a
-//! [`SeedSplitter`] (SplitMix-style) over those labels, never by
-//! threading a walk generator through the estimate. Purity buys four
-//! properties at once:
+//! seed, the app fingerprint, the provider bits, the plan assignment, and
+//! the solve hour. The randomness is the engine's *draw bank*: one stream
+//! split off (solve seed, fingerprint, provider bits) through a
+//! [`SeedSplitter`] names it, every DAG site draws its own columns from
+//! it once, and an estimate folds those columns with its plan's and
+//! hour's constants — so two candidates of one solve differ only where
+//! their plans differ (common random numbers), and no walk generator is
+//! ever threaded through an estimate. One engine = one frozen context =
+//! one bank. Purity buys four properties at once:
 //!
 //! 1. **Worker-count independence** — no evaluation consumes state
 //!    another evaluation produced, so fanning candidates across a
@@ -17,17 +21,18 @@
 //!    [`MonteCarloConfig::batch`]-sized sampling without shifting any
 //!    solve result — and bounded eviction can drop any entry without
 //!    shifting one either.
-//! 3. **Cross-solve sharing** — one engine (and its cache) is safely
-//!    shared across HBSS iterations and across the 24 hourly solves,
-//!    because the hour is part of both the key and the derived seed.
+//! 3. **Cross-solve sharing** — one engine (its cache and its bank) is
+//!    safely shared across HBSS iterations and across the 24 hourly
+//!    solves: the hour is part of the key, and a bank column's values do
+//!    not depend on which estimate extended it, or how far.
 //! 4. **Cross-app sharing** — a fleet of structurally identical apps can
 //!    share one [`EstimateCache`] through per-app engines created with
 //!    [`EvalEngine::with_cache`]: the app's structural *fingerprint* is
-//!    part of both the key and the derived seed, so two apps only share
+//!    part of both the key and the bank stream, so two apps only share
 //!    an entry when their estimates are provably bit-equal.
 //!
-//! The cache key is `(fingerprint, assignment, hour-bits)` — the bit
-//! pattern of the solve hour. Bucketing is exact rather than floored
+//! The cache key is `(fingerprint, provider bits, assignment, hour-bits)`
+//! — the bit pattern of the solve hour. Bucketing is exact rather than floored
 //! because carbon sources may be continuous in the hour; two solves only
 //! share an entry when their estimates are provably identical.
 //!
@@ -59,6 +64,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use caribou_carbon::source::CarbonDataSource;
+use caribou_metrics::bank::SharedBank;
 use caribou_metrics::montecarlo::{EstimateScratch, EstimateSummary, StageModels};
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::region::RegionId;
@@ -71,9 +77,9 @@ use crate::pool;
 /// never collides with other subsystems splitting the same master seed.
 const EVAL_DOMAIN: u64 = 0xca1b_0e5e_e7a1_0001;
 
-/// Domain-separation label mixed with non-zero provider bits, so a
-/// cross-provider evaluation stream never collides with a fingerprint
-/// absorb of the same numeric value.
+/// Domain-separation label mixed with the provider bits, so a provider
+/// absorb never collides with a fingerprint absorb of the same numeric
+/// value.
 const PROVIDER_DOMAIN: u64 = 0xca1b_0e5e_e7a1_0002;
 
 /// Default [`EstimateCache`] capacity: large enough that single-app
@@ -82,10 +88,10 @@ const PROVIDER_DOMAIN: u64 = 0xca1b_0e5e_e7a1_0002;
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 
 /// Cache key: `(app fingerprint, provider bits, plan assignment,
-/// solve-hour bits)`. Provider bits are 0 for AWS-only plan spaces (the
-/// legacy key shape, zero-extended), non-zero when the universe spans
-/// providers — so cross-provider estimates can never be served to a
-/// single-provider solve or vice versa.
+/// solve-hour bits)`. Provider bits are 0 for AWS-only plan spaces,
+/// non-zero when the universe spans providers — so cross-provider
+/// estimates can never be served to a single-provider solve or vice
+/// versa.
 type CacheKey = (u64, u64, Vec<RegionId>, u64);
 
 /// A cached summary plus the regions its estimate read from the carbon
@@ -212,21 +218,25 @@ impl EstimateCache {
 /// One engine instance corresponds to one logical solve (or one solve
 /// batch, like a 24-hour plan generation) of one app against one frozen
 /// [`SolverContext`] data set. Do **not** reuse an engine after the
-/// forecast or profile behind the context changed — unless the stale
-/// entries were dropped through [`EstimateCache::invalidate_hour`], the
-/// cache would serve estimates of the stale data.
+/// profile, models or stopping rule behind the context changed: the bank
+/// holds draws of the old ones. A revised forecast alone is fine once the
+/// stale entries were dropped through [`EstimateCache::invalidate_hour`]
+/// — carbon enters an estimate as a constant, not as a draw.
 pub struct EvalEngine {
     solve_seed: u64,
     fingerprint: u64,
     provider_bits: u64,
     workers: usize,
     cache: Arc<EstimateCache>,
-    /// Pool of estimator scratch buffers (node-state columns, metric
-    /// columns, sort buffer). A cache miss checks one out for the
-    /// duration of the Monte Carlo estimate and returns it afterwards, so
-    /// a solve's misses re-allocate node state only until the pool has
-    /// one scratch per concurrently-evaluating worker. Scratch holds no
-    /// sample state across estimates, so reuse cannot affect results.
+    /// The draws every estimate of this engine folds. Engine-scoped: it
+    /// grows to the samples this context actually needed and goes with
+    /// the engine, never into the (possibly shared) cache.
+    bank: SharedBank,
+    /// Pool of estimator scratch buffers (fold columns), all on `bank`. A
+    /// cache miss checks one out for the duration of the estimate and
+    /// returns it afterwards, so a solve's misses re-allocate fold state
+    /// only until the pool has one scratch per concurrently-evaluating
+    /// worker.
     scratch: Mutex<Vec<EstimateScratch>>,
 }
 
@@ -253,8 +263,7 @@ impl EvalEngine {
     /// when their contexts produce bit-identical estimates for every
     /// `(plan, hour)` — i.e. the fingerprint must commit to the DAG
     /// structure, profile, home region, models, and Monte Carlo config.
-    /// Fingerprint 0 is reserved for single-app engines ([`Self::new`]):
-    /// it keeps the legacy evaluation streams bit-for-bit.
+    /// Single-app engines ([`Self::new`]) use fingerprint 0.
     pub fn with_cache(
         solve_seed: u64,
         fingerprint: u64,
@@ -267,11 +276,8 @@ impl EvalEngine {
     /// Creates an engine whose plan space spans a specific provider set.
     ///
     /// `provider_bits` is the non-AWS provider mask of the evaluation
-    /// universe (see `RegionCatalog::provider_bits`): it is part of both
-    /// the cache key and the derived evaluation streams. Bits 0 — the
-    /// AWS-only case — reproduces the legacy key shape and streams
-    /// bit-for-bit, the same reservation fingerprint 0 makes for
-    /// single-app engines.
+    /// universe (see `RegionCatalog::provider_bits`, 0 for AWS-only): it
+    /// is part of both the cache key and the bank stream.
     pub fn with_cache_providers(
         solve_seed: u64,
         fingerprint: u64,
@@ -285,6 +291,7 @@ impl EvalEngine {
             provider_bits,
             workers: workers.max(1),
             cache,
+            bank: SharedBank::default(),
             scratch: Mutex::new(Vec::new()),
         }
     }
@@ -314,35 +321,26 @@ impl EvalEngine {
         &self.cache
     }
 
-    /// The derived generator for one `(plan, hour)` evaluation — a pure
-    /// function of the solve seed, the fingerprint, and those labels.
-    /// Public so tests can verify cached results against fresh uncached
-    /// runs.
-    pub fn eval_rng(&self, plan: &DeploymentPlan, hour: f64) -> Pcg32 {
-        let mut sp = SeedSplitter::new(self.solve_seed).absorb(EVAL_DOMAIN);
-        // Fingerprint 0 (single-app engines) skips the absorb so the
-        // pre-fleet evaluation streams — and every seeded golden output
-        // derived from them — are preserved bit-for-bit.
-        if self.fingerprint != 0 {
-            sp = sp.absorb(self.fingerprint);
-        }
-        // Same reservation for providers: AWS-only plan spaces (bits 0)
-        // skip the absorb, keeping pre-multi-provider streams intact.
-        if self.provider_bits != 0 {
-            sp = sp.absorb(PROVIDER_DOMAIN ^ self.provider_bits);
-        }
-        sp = sp.absorb(hour.to_bits());
-        for r in plan.assignment() {
-            sp = sp.absorb(r.index() as u64);
-        }
-        sp.rng()
+    /// The generator that names this engine's draw bank — a pure function
+    /// of the solve seed, the fingerprint and the provider bits. Every
+    /// `(plan, hour)` gets the same one: an estimate entered with it reads
+    /// the bank's columns instead of drawing, which is what lets
+    /// candidates share their draws. The arguments remain because callers
+    /// name the evaluation they want a fresh run of. Public so tests can
+    /// verify cached results against fresh uncached runs.
+    pub fn eval_rng(&self, _plan: &DeploymentPlan, _hour: f64) -> Pcg32 {
+        SeedSplitter::new(self.solve_seed)
+            .absorb(EVAL_DOMAIN)
+            .absorb(self.fingerprint)
+            .absorb(PROVIDER_DOMAIN ^ self.provider_bits)
+            .rng()
     }
 
     /// Evaluates a plan at an hour through the cache.
     ///
     /// A hit returns the stored summary (bit-equal to recomputing); a
-    /// miss runs the Monte Carlo estimate on the derived stream and
-    /// stores it. Computation happens outside the lock so concurrent
+    /// miss folds the engine's bank with the plan's constants and stores
+    /// the estimate. Computation happens outside the lock so concurrent
     /// misses don't serialize; racing workers recompute the same value
     /// and the last insert wins harmlessly.
     pub fn evaluate<S: CarbonDataSource, M: StageModels>(
@@ -361,12 +359,8 @@ impl EvalEngine {
             return hit;
         }
         let mut rng = self.eval_rng(plan, hour);
-        let mut scratch = self
-            .scratch
-            .lock()
-            .expect("scratch pool")
-            .pop()
-            .unwrap_or_default();
+        let pooled = self.scratch.lock().expect("scratch pool").pop();
+        let mut scratch = pooled.unwrap_or_else(|| EstimateScratch::on_bank(self.bank.clone()));
         let estimate = ctx.evaluate_with_scratch(plan, hour, &mut rng, &mut scratch);
         self.scratch.lock().expect("scratch pool").push(scratch);
         // The estimator queries the carbon source only for the plan's
@@ -509,11 +503,14 @@ mod tests {
         let rl = legacy.eval_rng(&plan, 0.5).next_u64();
         let ra = aws_only.eval_rng(&plan, 0.5).next_u64();
         let rc = cross.eval_rng(&plan, 0.5).next_u64();
-        // Bits 0 reproduces the legacy stream exactly; non-zero bits fork
-        // a distinct stream.
+        // The pre-provider constructor is the bits-0 engine; non-zero
+        // bits fork a distinct stream.
         assert_eq!(rl, ra);
         assert_ne!(rl, rc);
         assert_eq!(cross.provider_bits(), 2);
+        // The stream names the bank, not the evaluation.
+        let other = DeploymentPlan::new(vec![RegionId(1), RegionId(1)]);
+        assert_eq!(rl, legacy.eval_rng(&other, 7.5).next_u64());
         // And the cache keys diverge too: the same (plan, hour) evaluated
         // under different provider bits occupies different entries.
         cache.insert(

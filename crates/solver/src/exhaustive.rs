@@ -10,7 +10,6 @@ use caribou_carbon::source::CarbonDataSource;
 use caribou_metrics::montecarlo::StageModels;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::region::RegionId;
-use caribou_model::rng::Pcg32;
 
 use crate::context::{SolveOutcome, SolverContext};
 use crate::engine::EvalEngine;
@@ -47,9 +46,9 @@ fn enumerate_plans<S: CarbonDataSource, M: StageModels>(
     }
 }
 
-/// Exhaustive search through an [`EvalEngine`]: the full space is
-/// enumerated up front and fanned across the engine's worker pool, each
-/// plan on its own seed-derived stream. Bit-identical at any worker
+/// Exhaustively evaluates all `|R|^|N|` deployments: the full space is
+/// enumerated up front and fanned across the engine's worker pool, every
+/// plan folding the engine's draw bank. Bit-identical at any worker
 /// count. Returns `None` when the space exceeds [`MAX_SPACE`].
 pub fn solve_with<S: CarbonDataSource + Sync, M: StageModels + Sync>(
     engine: &EvalEngine,
@@ -91,75 +90,6 @@ pub fn solve_with<S: CarbonDataSource + Sync, M: StageModels + Sync>(
     })
 }
 
-/// Exhaustively enumerates `|R|^|N|` deployments.
-///
-/// Returns `None` when the space exceeds [`MAX_SPACE`].
-pub fn solve<S: CarbonDataSource, M: StageModels>(
-    ctx: &SolverContext<'_, S, M>,
-    hour: f64,
-    rng: &mut Pcg32,
-) -> Option<SolveOutcome> {
-    let space = ctx.search_space_size();
-    if space > MAX_SPACE {
-        return None;
-    }
-    let home_plan = ctx.home_plan();
-    let home_estimate = ctx.evaluate(&home_plan, hour, rng);
-    let home_metric = ctx.metric_of(&home_estimate);
-
-    let mut best_plan = home_plan.clone();
-    let mut best_metric = home_metric;
-    let mut best_estimate = home_estimate;
-    let mut feasible: Vec<(DeploymentPlan, f64)> = Vec::new();
-    let mut evaluated = 0usize;
-
-    let n = ctx.dag.node_count();
-    let mut idx = vec![0usize; n];
-    loop {
-        let assignment: Vec<RegionId> = (0..n).map(|i| ctx.permitted[i][idx[i]]).collect();
-        let plan = DeploymentPlan::new(assignment);
-        let estimate = if plan == home_plan {
-            home_estimate
-        } else {
-            ctx.evaluate(&plan, hour, rng)
-        };
-        evaluated += 1;
-        if !ctx.violates_tolerance(&estimate, &home_estimate) {
-            let metric = ctx.metric_of(&estimate);
-            feasible.push((plan.clone(), metric));
-            if metric < best_metric {
-                best_metric = metric;
-                best_plan = plan;
-                best_estimate = estimate;
-            }
-        }
-        // Odometer increment over the permitted sets.
-        let mut carry = true;
-        for (i, slot) in idx.iter_mut().enumerate() {
-            if !carry {
-                break;
-            }
-            *slot += 1;
-            if *slot < ctx.permitted[i].len() {
-                carry = false;
-            } else {
-                *slot = 0;
-            }
-        }
-        if carry {
-            break;
-        }
-    }
-    feasible.sort_by(|a, b| a.1.total_cmp(&b.1));
-    Some(SolveOutcome {
-        best: best_plan,
-        best_estimate,
-        home_estimate,
-        evaluated,
-        feasible,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,6 +102,7 @@ mod tests {
     use caribou_model::constraints::{Objective, Tolerances};
     use caribou_model::dist::DistSpec;
     use caribou_model::region::RegionCatalog;
+    use caribou_model::rng::Pcg32;
     use caribou_simcloud::compute::LambdaRuntime;
     use caribou_simcloud::latency::LatencyModel;
     use caribou_simcloud::orchestration::Orchestrator;
@@ -241,19 +172,16 @@ mod tests {
             },
         };
 
-        let ex = solve(&ctx, 0.5, &mut Pcg32::seed(1)).unwrap();
-        assert_eq!(ex.evaluated, 16); // 4^2 assignments
-
-        // Engine-backed enumeration: same space, same optimum, and the
-        // outcome is bit-identical regardless of worker count.
-        let ex1 = solve_with(&EvalEngine::new(7, 1), &ctx, 0.5).unwrap();
+        // The whole space, and an outcome that is bit-identical
+        // regardless of worker count.
+        let ex = solve_with(&EvalEngine::new(7, 1), &ctx, 0.5).unwrap();
         let ex8 = solve_with(&EvalEngine::new(7, 8), &ctx, 0.5).unwrap();
-        assert_eq!(ex1.evaluated, 16);
-        assert_eq!(ex1.best.assignment(), ex8.best.assignment());
-        assert_eq!(ex1.best_estimate, ex8.best_estimate);
-        assert_eq!(ex1.best.assignment(), ex.best.assignment());
+        assert_eq!(ex.evaluated, 16); // 4^2 assignments
+        assert_eq!(ex.best.assignment(), ex8.best.assignment());
+        assert_eq!(ex.best_estimate, ex8.best_estimate);
 
-        let hb = HbssSolver::new().solve(&ctx, 0.5, &mut Pcg32::seed(2));
+        let engine = EvalEngine::new(2, 1);
+        let hb = HbssSolver::new().solve_with(&engine, &ctx, 0.5, &mut Pcg32::seed(2));
         // With a small space HBSS explores it fully; it must find a plan
         // within a small factor of the true optimum.
         let gap = ctx.metric_of(&hb.best_estimate) / ctx.metric_of(&ex.best_estimate);
@@ -300,6 +228,6 @@ mod tests {
             models: &models,
             mc_config: MonteCarloConfig::default(),
         };
-        assert!(solve(&ctx, 0.5, &mut Pcg32::seed(1)).is_none());
+        assert!(solve_with(&EvalEngine::new(1, 1), &ctx, 0.5).is_none());
     }
 }

@@ -71,42 +71,21 @@ impl HbssSolver {
         Self::default()
     }
 
-    /// Runs HBSS for the deployment at a given hour.
-    pub fn solve<S: CarbonDataSource, M: StageModels>(
-        &self,
-        ctx: &SolverContext<'_, S, M>,
-        hour: f64,
-        rng: &mut Pcg32,
-    ) -> SolveOutcome {
-        self.solve_impl(ctx, hour, rng, None)
-    }
-
-    /// Runs HBSS with evaluations routed through an [`EvalEngine`]: each
-    /// candidate's Monte Carlo stream derives from the engine's solve
-    /// seed instead of consuming the walk generator, and repeated
-    /// candidates are cache lookups.
+    /// Runs HBSS for the deployment at a given hour, every candidate
+    /// evaluated through `engine`: estimates fold the engine's draw bank
+    /// instead of consuming the walk generator, and repeated candidates
+    /// are cache lookups.
     ///
-    /// Two behavioural differences from [`solve`](Self::solve): duplicate
-    /// candidates re-enter the acceptance step (closer to the paper's
-    /// Alg. 1, which has no dedup — affordable now that re-evaluation is
-    /// a lookup), and the result depends only on `(params, ctx, hour,
-    /// rng seed, engine seed)` — never on the engine's worker count.
+    /// Duplicate candidates re-enter the acceptance step (the paper's
+    /// Alg. 1 has no dedup — affordable since re-evaluation is a
+    /// lookup), and the result depends only on `(params, ctx, hour, rng
+    /// seed, engine seed)` — never on the engine's worker count.
     pub fn solve_with<S: CarbonDataSource, M: StageModels>(
         &self,
         engine: &EvalEngine,
         ctx: &SolverContext<'_, S, M>,
         hour: f64,
         rng: &mut Pcg32,
-    ) -> SolveOutcome {
-        self.solve_impl(ctx, hour, rng, Some(engine))
-    }
-
-    fn solve_impl<S: CarbonDataSource, M: StageModels>(
-        &self,
-        ctx: &SolverContext<'_, S, M>,
-        hour: f64,
-        rng: &mut Pcg32,
-        engine: Option<&EvalEngine>,
     ) -> SolveOutcome {
         let telemetry = caribou_telemetry::is_enabled();
         let _solve_span = telemetry.then(|| caribou_telemetry::wall_span("solver", "hbss.solve"));
@@ -139,10 +118,7 @@ impl HbssSolver {
             .collect();
 
         let home_plan = ctx.home_plan();
-        let home_estimate = match engine {
-            Some(e) => e.evaluate(ctx, &home_plan, hour),
-            None => ctx.evaluate(&home_plan, hour, rng),
-        };
+        let home_estimate = engine.evaluate(ctx, &home_plan, hour);
         let mut current_plan = home_plan.clone();
         let mut current_metric = ctx.metric_of(&home_estimate);
         let mut gamma = p.gamma;
@@ -162,16 +138,7 @@ impl HbssSolver {
             let nd = self.gen_new_deployment(&current_plan, &ranked, p.beta, rng);
             i += 1;
             let first_visit = seen.insert(nd.assignment().to_vec());
-            // Without an engine, re-evaluating a duplicate would burn a
-            // full Monte Carlo run; with one it's a cache hit, so the
-            // duplicate re-enters acceptance like in the paper's Alg. 1.
-            if !first_visit && engine.is_none() {
-                continue;
-            }
-            let estimate = match engine {
-                Some(e) => e.evaluate(ctx, &nd, hour),
-                None => ctx.evaluate(&nd, hour, rng),
-            };
+            let estimate = engine.evaluate(ctx, &nd, hour);
             if first_visit {
                 evaluated += 1;
             }
@@ -376,7 +343,8 @@ mod tests {
                 cv_threshold: 0.05,
             },
         };
-        let outcome = HbssSolver::new().solve(&ctx, 0.5, &mut Pcg32::seed(1));
+        let outcome =
+            HbssSolver::new().solve_with(&EvalEngine::new(1, 1), &ctx, 0.5, &mut Pcg32::seed(1));
         // ca-central-1 is ~12x cleaner; a 15 s compute-heavy workflow with
         // tiny payloads must end up there.
         assert_eq!(outcome.best.region_of(NodeId(0)), ca);
@@ -423,7 +391,8 @@ mod tests {
                 cv_threshold: 0.05,
             },
         };
-        let outcome = HbssSolver::new().solve(&ctx, 0.5, &mut Pcg32::seed(2));
+        let outcome =
+            HbssSolver::new().solve_with(&EvalEngine::new(2, 1), &ctx, 0.5, &mut Pcg32::seed(2));
         // Zero tolerance on latency and cost: nothing beats home (offload
         // adds cross-region latency and cost premium); the solver must
         // fall back to the home deployment.
@@ -461,8 +430,11 @@ mod tests {
                 cv_threshold: 0.05,
             },
         };
-        let a = HbssSolver::new().solve(&make_ctx(), 0.5, &mut Pcg32::seed(9));
-        let b = HbssSolver::new().solve(&make_ctx(), 0.5, &mut Pcg32::seed(9));
+        let solve = |ctx: &SolverContext<'_, TableSource, DefaultModels<'_>>| {
+            HbssSolver::new().solve_with(&EvalEngine::new(9, 1), ctx, 0.5, &mut Pcg32::seed(9))
+        };
+        let a = solve(&make_ctx());
+        let b = solve(&make_ctx());
         assert_eq!(a.best.assignment(), b.best.assignment());
         assert_eq!(a.evaluated, b.evaluated);
     }
@@ -502,7 +474,8 @@ mod tests {
                 cv_threshold: 0.05,
             },
         };
-        let outcome = HbssSolver::new().solve(&ctx, 0.5, &mut Pcg32::seed(3));
+        let outcome =
+            HbssSolver::new().solve_with(&EvalEngine::new(3, 1), &ctx, 0.5, &mut Pcg32::seed(3));
         assert_eq!(outcome.best.region_of(NodeId(0)), home);
         let r1 = outcome.best.region_of(NodeId(1));
         assert!(r1 == home || r1 == usw2);
@@ -544,7 +517,8 @@ mod tests {
                 cv_threshold: 0.05,
             },
         };
-        let outcome = HbssSolver::new().solve(&ctx, 0.5, &mut Pcg32::seed(4));
+        let outcome =
+            HbssSolver::new().solve_with(&EvalEngine::new(4, 1), &ctx, 0.5, &mut Pcg32::seed(4));
         assert!(outcome.feasible.len() >= 2);
         for w in outcome.feasible.windows(2) {
             assert!(w[0].1 <= w[1].1);

@@ -41,34 +41,13 @@ impl<S: CarbonDataSource> CarbonDataSource for DayAveragedSource<'_, S> {
 }
 
 /// Solves 24 hourly plans starting at `day_start_hour` (hours since the
-/// epoch) with HBSS.
-pub fn solve_hourly<S: CarbonDataSource, M: StageModels>(
-    solver: &HbssSolver,
-    ctx: &SolverContext<'_, S, M>,
-    day_start_hour: f64,
-    generated_at_s: f64,
-    expires_at_s: f64,
-    rng: &mut Pcg32,
-) -> HourlyPlans {
-    let plans = (0..24)
-        .map(|h| {
-            let mut hrng = rng.fork(h as u64);
-            solver
-                .solve(ctx, day_start_hour + h as f64 + 0.5, &mut hrng)
-                .best
-        })
-        .collect();
-    HourlyPlans::hourly(plans, generated_at_s, expires_at_s)
-}
-
-/// Solves 24 hourly plans through an [`EvalEngine`], fanning the hours
-/// across the engine's worker pool.
+/// epoch) with HBSS, fanning the hours across the engine's worker pool.
 ///
 /// The per-hour walk generators are pre-forked from `rng` in hour order —
-/// exactly the forks the sequential loop would draw — and every candidate
-/// evaluation derives its stream from the engine seed, so the returned
-/// schedule is bit-identical at any worker count. The engine's estimate
-/// cache is shared across all 24 solves.
+/// exactly the forks a sequential loop would draw — and every candidate
+/// evaluation folds the engine's draw bank, so the returned schedule is
+/// bit-identical at any worker count. The engine's estimate cache and
+/// bank are shared across all 24 solves.
 pub fn solve_hourly_with<S: CarbonDataSource + Sync, M: StageModels + Sync>(
     engine: &EvalEngine,
     solver: &HbssSolver,
@@ -90,7 +69,11 @@ pub fn solve_hourly_with<S: CarbonDataSource + Sync, M: StageModels + Sync>(
 }
 
 /// Solves one daily plan against day-averaged carbon and replicates it.
+///
+/// The averaged source answers the same hour keys differently from `ctx`'s
+/// own, so `engine` must not also serve an hourly solve of `ctx`.
 pub fn solve_daily<S: CarbonDataSource, M: StageModels>(
+    engine: &EvalEngine,
     solver: &HbssSolver,
     ctx: &SolverContext<'_, S, M>,
     day_start_hour: f64,
@@ -112,7 +95,9 @@ pub fn solve_daily<S: CarbonDataSource, M: StageModels>(
         models: ctx.models,
         mc_config: ctx.mc_config,
     };
-    let best = solver.solve(&day_ctx, day_start_hour + 12.0, rng).best;
+    let best = solver
+        .solve_with(engine, &day_ctx, day_start_hour + 12.0, rng)
+        .best;
     let mut plans = HourlyPlans::daily(best, generated_at_s, expires_at_s);
     plans.granularity = PlanGranularity::Daily;
     plans
@@ -206,14 +191,9 @@ mod tests {
             },
         };
         let solver = HbssSolver::new();
-        let plans = solve_hourly(&solver, &ctx, 0.0, 0.0, 86_400.0, &mut Pcg32::seed(1));
-        // Night hours offload to the clean west; day hours stay east.
-        assert_eq!(plans.plan_for_hour(3).region_of(NodeId(0)), west);
-        assert_eq!(plans.plan_for_hour(15).region_of(NodeId(0)), east);
-        assert_eq!(plans.granularity, PlanGranularity::Hourly);
-
-        // Engine-backed solve: same diurnal structure, and the schedule
-        // must be bit-identical no matter how many workers fan it out.
+        // Night hours offload to the clean west, day hours stay east, and
+        // the schedule is bit-identical no matter how many workers fan it
+        // out.
         let schedule_at = |workers: usize| {
             let engine = EvalEngine::new(99, workers);
             let plans = solve_hourly_with(
@@ -231,6 +211,7 @@ mod tests {
         let w1 = schedule_at(1);
         let w4 = schedule_at(4);
         assert_eq!(w1, w4);
+        assert_eq!(w1.granularity, PlanGranularity::Hourly);
         assert_eq!(w1.plan_for_hour(3).region_of(NodeId(0)), west);
         assert_eq!(w1.plan_for_hour(15).region_of(NodeId(0)), east);
     }
@@ -275,7 +256,8 @@ mod tests {
             },
         };
         let solver = HbssSolver::new();
-        let plans = solve_daily(&solver, &ctx, 0.0, 5.0, 10.0, &mut Pcg32::seed(1));
+        let engine = EvalEngine::new(1, 1);
+        let plans = solve_daily(&engine, &solver, &ctx, 0.0, 5.0, 10.0, &mut Pcg32::seed(1));
         assert_eq!(plans.granularity, PlanGranularity::Daily);
         let first = plans.plan_for_hour(0).clone();
         for h in 1..24 {

@@ -17,10 +17,11 @@
 //! plans are generated per solve — one for each hour, given sufficient
 //! carbon budget").
 //!
-//! [`engine`] provides the deterministic parallel evaluation layer all
-//! three solvers can route through: seed-split per-candidate RNG streams,
-//! a plan-keyed estimate cache, and a scoped [`pool`] of worker threads —
-//! with solve results bit-identical at any worker count.
+//! [`engine`] is the deterministic parallel evaluation layer all three
+//! solvers evaluate through: one draw bank per solve shared by every
+//! candidate (common random numbers), a plan-keyed estimate cache, and a
+//! scoped [`pool`] of worker threads — with solve results bit-identical
+//! at any worker count.
 
 pub mod coarse;
 pub mod context;

@@ -17,6 +17,7 @@ use caribou_simcloud::latency::LatencyModel;
 use caribou_simcloud::orchestration::Orchestrator;
 use caribou_simcloud::pricing::PricingCatalog;
 use caribou_solver::context::SolverContext;
+use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 
 struct Fx {
@@ -113,7 +114,7 @@ fn solve_with(objective: Objective, seed: u64) -> caribou_model::plan::Deploymen
         },
     };
     HbssSolver::new()
-        .solve(&ctx, 0.5, &mut Pcg32::seed(seed))
+        .solve_with(&EvalEngine::new(seed, 1), &ctx, 0.5, &mut Pcg32::seed(seed))
         .best
 }
 

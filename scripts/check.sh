@@ -57,14 +57,6 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "==> solver bench guard"
     cargo bench -q -p caribou-bench --bench solver -- --test
 
-    # Estimator bench guard: batched path bit-identical to the scalar
-    # reference at 1/4/8/16 lanes, >=1.7x single-thread at the solver's
-    # default stopping rule, >=4x at the high-precision stopping rule,
-    # and within 2x of the committed BENCH_solver.json estimator
-    # baseline.
-    echo "==> estimator bench guard"
-    cargo bench -q -p caribou-bench --bench estimator -- --test
-
     # Deterministic loadgen smoke: a 50k-invocation sustained-load run
     # (7 chunks on the persistent sharded path, so warm state crosses
     # chunk boundaries and exchange ticks) must print a bit-identical
@@ -218,5 +210,18 @@ for call in 'record_outcome(' 'invoke_with_scratch('; do
         exit 1
     fi
 done
+
+# One estimator, one HBSS entry: the scalar/lane-width paths and the
+# engine-less solver entries must not come back.
+echo "==> single-estimator grep gate"
+if grep -rnE 'estimate_scalar|estimate_batched|sample_once|MAX_LANES|fn batchable' \
+    crates tests examples; then
+    echo "error: a second estimator path is back (see matches above)" >&2
+    exit 1
+fi
+if grep -rnE 'pub fn solve(_hourly)?[<(]' crates/solver/src; then
+    echo "error: an engine-less solver entry is back (see matches above)" >&2
+    exit 1
+fi
 
 echo "OK"

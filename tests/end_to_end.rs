@@ -220,9 +220,10 @@ fn manager_cadence_relaxes_when_plans_stabilize() {
 /// The whole loop across the Metrics Manager's 5,000-log cap, pinned to the
 /// bit: `caribou simulate text2speech --days 7 --per-day 780` (5,460
 /// invocations, four plan generations solved on learned models, retention
-/// pruning from invocation 5,001 on). The constants were captured at
-/// a6e650c, before the batched estimator covered learned models and before
-/// `LogStore` kept a retention index; both must replay them exactly.
+/// pruning from invocation 5,001 on). The constants were re-captured when
+/// the estimator moved to the draw bank (the one re-golden of that round):
+/// plan generations, framework carbon and migration egress kept their
+/// bits; latency, workflow carbon and cost moved with the schedules.
 #[test]
 fn adaptive_week_across_the_log_cap_is_pinned() {
     let bench = caribou_workloads::benchmarks::text2speech_censoring(InputSize::Small);
@@ -244,20 +245,20 @@ fn adaptive_week_across_the_log_cap_is_pinned() {
         (
             "mean latency",
             report.mean_latency_s(),
-            0x402a5607bb7ae3bc_u64,
+            0x402a578fccc60d30_u64,
         ),
-        ("p95 latency", report.p95_latency_s(), 0x402df217f459c04f),
+        ("p95 latency", report.p95_latency_s(), 0x402df92001ec7cc4),
         (
             "workflow carbon",
             report.workflow_carbon_g(),
-            0x402abbccbe701b4e,
+            0x402abc81af267519,
         ),
         (
             "framework carbon",
             report.framework_carbon_g,
             0x3fdd46f53540826d,
         ),
-        ("cost", report.total_cost_usd(), 0x40029d32d5cc9e30),
+        ("cost", report.total_cost_usd(), 0x40029ce897a0f3c1),
         (
             "migration egress",
             report.migration_egress_bytes,

@@ -1,30 +1,47 @@
-//! Differential harness pinning the batched structure-of-arrays Monte
-//! Carlo estimator to the scalar reference path: for *arbitrary*
-//! (workload, plan, hour, seed, stopping rule), `estimate_batched` must
-//! be the same function as `estimate_scalar` — every `f64` in the
-//! returned [`EstimateSummary`] equal bit for bit, at every lane width.
+//! Statistical-equivalence harness for the Monte Carlo estimator.
 //!
-//! The generator grows random layered DAGs (2–7 nodes, random extra
-//! edges, conditional probabilities, payload/exec distributions of every
-//! `DistSpec` kind, external data, sync join nodes) and random
-//! multi-region plans, so the batched path's invariant hoisting and
-//! lane-ordered folds are exercised across workflow shapes no hand-written
-//! case covers. Every case is checked twice: on the profile-plus-simulator
-//! models, and on the Metrics Manager's learned models over a seeded log
-//! history (exact-region, home-only and absent execution history; logged
-//! and unlogged region pairs), where the batched path must resolve each
-//! site to the same draw the scalar path's `LearnedModels` makes.
+//! The estimator folds a bank of shared draws; nothing in `crates/` still
+//! samples one execution at a time. This file keeps that sampler as a
+//! test-only reference — straight-line, every draw taken from one
+//! generator when the execution reaches it, no draw shared with anything —
+//! and asserts, over random DAGs × plans × hours × stage models, that the
+//! two agree in distribution on latency, cost and carbon:
+//!
+//! * **means** within [`Z_BOUND`] standard errors of their difference;
+//! * **p95** inside the reference's own 92.5–97.5% quantile band, widened
+//!   by [`P95_REL_TOL`] (a rank band, because learned histories make the
+//!   distributions atomic and a relative tolerance alone would straddle
+//!   gaps between atoms);
+//! * **standard deviations** within [`STD_REL_TOL`] of each other — what
+//!   catches two sites reading one column, which moves no mean.
+//!
+//! Each random case also runs as a *quiet twin* — noise, cold starts,
+//! jitter and conditional skips off — where cost and carbon are the same
+//! number in every sample and the two paths must agree to rounding.
+//!
+//! The DAGs come from `workflows::random_workflow` (conditional edges,
+//! sync joins, external data) with every `DistSpec` kind dealt over the
+//! nodes and edges; the stage models are the profile-plus-simulator
+//! `DefaultModels` and the Metrics Manager's `LearnedModels` over a seeded
+//! log history (exact-region, home-only and absent execution history;
+//! logged and unlogged region pairs).
+//!
+//! Mutation-checked when written: a fold that takes the *last* in-edge's
+//! arrival instead of the latest, one that skips the `ceil` in Lambda
+//! billing, and a bank whose node sites collide on one column each fail
+//! this file.
 
+use caribou_carbon::route::endpoint_average;
 use caribou_carbon::series::CarbonSeries;
-use caribou_carbon::source::TableSource;
+use caribou_carbon::source::{CarbonDataSource, TableSource};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_metrics::costmodel::CostModel;
 use caribou_metrics::logs::{EdgeRecord, InvocationLog, NodeRecord};
 use caribou_metrics::manager::MetricsManager;
 use caribou_metrics::montecarlo::{
-    DefaultModels, EstimateSummary, MonteCarloConfig, MonteCarloEstimator, StageModels, MAX_LANES,
+    DefaultModels, EstimateSummary, MonteCarloConfig, MonteCarloEstimator, StageModels,
 };
-use caribou_model::builder::Workflow;
+use caribou_metrics::summary::{percentile_sorted, DistSummary};
 use caribou_model::dag::{EdgeId, NodeId, WorkflowDag};
 use caribou_model::dist::DistSpec;
 use caribou_model::plan::DeploymentPlan;
@@ -37,53 +54,20 @@ use caribou_simcloud::orchestration::Orchestrator;
 use caribou_simcloud::pricing::PricingCatalog;
 use proptest::prelude::*;
 
-/// Lane widths every case is checked at (1 = degenerate batch, 4/8 =
-/// partial, 16 = [`MAX_LANES`]).
-const WIDTHS: [usize; 4] = [1, 4, 8, MAX_LANES];
+mod workflows;
+use workflows::{random_plan, random_workflow};
 
-/// Exact bit-for-bit comparison of every field of two summaries.
-fn assert_bits_eq(scalar: &EstimateSummary, batched: &EstimateSummary, what: &str) {
-    let pairs = [
-        ("latency.mean", scalar.latency.mean, batched.latency.mean),
-        ("latency.p95", scalar.latency.p95, batched.latency.p95),
-        (
-            "latency.std_dev",
-            scalar.latency.std_dev,
-            batched.latency.std_dev,
-        ),
-        ("cost.mean", scalar.cost.mean, batched.cost.mean),
-        ("cost.p95", scalar.cost.p95, batched.cost.p95),
-        ("cost.std_dev", scalar.cost.std_dev, batched.cost.std_dev),
-        ("carbon.mean", scalar.carbon.mean, batched.carbon.mean),
-        ("carbon.p95", scalar.carbon.p95, batched.carbon.p95),
-        (
-            "carbon.std_dev",
-            scalar.carbon.std_dev,
-            batched.carbon.std_dev,
-        ),
-        (
-            "exec_carbon_mean",
-            scalar.exec_carbon_mean,
-            batched.exec_carbon_mean,
-        ),
-        (
-            "trans_carbon_mean",
-            scalar.trans_carbon_mean,
-            batched.trans_carbon_mean,
-        ),
-    ];
-    for (name, s, b) in pairs {
-        assert_eq!(
-            s.to_bits(),
-            b.to_bits(),
-            "{what}: {name} diverged (scalar {s:?} vs batched {b:?})"
-        );
-    }
-    assert_eq!(scalar.latency.n, batched.latency.n, "{what}: latency.n");
-    assert_eq!(scalar.cost.n, batched.cost.n, "{what}: cost.n");
-    assert_eq!(scalar.carbon.n, batched.carbon.n, "{what}: carbon.n");
-    assert_eq!(scalar.samples, batched.samples, "{what}: samples");
-}
+/// Samples the fold takes per estimate, and the reference per comparison.
+const FOLD_SAMPLES: usize = 3_000;
+const REFERENCE_SAMPLES: usize = 6_000;
+/// Bound on `|mean difference| / standard error of the difference`.
+const Z_BOUND: f64 = 4.5;
+/// Relative slack around the reference's 92.5%–97.5% quantile band.
+const P95_REL_TOL: f64 = 0.01;
+/// Relative tolerance between the two standard deviations.
+const STD_REL_TOL: f64 = 0.2;
+/// What two computations of one deterministic number may differ by.
+const ROUNDING: f64 = 1e-9;
 
 struct World {
     pricing: PricingCatalog,
@@ -93,15 +77,19 @@ struct World {
     regions: Vec<RegionId>,
 }
 
-/// A world with the stochastic knobs ON (cold starts, execution noise):
-/// the batched sampler must reproduce every draw, not just the easy ones.
-fn world() -> World {
+/// A world with the stochastic knobs ON (cold starts, execution noise,
+/// transfer jitter), or — `quiet` — with all of them off.
+fn world(quiet: bool) -> World {
     let cat = RegionCatalog::aws_default();
-    let pricing = PricingCatalog::aws_default(&cat);
-    let runtime = LambdaRuntime::aws_default(&cat);
-    let latency = LatencyModel::from_catalog(&cat);
+    let mut runtime = LambdaRuntime::aws_default(&cat);
+    let mut latency = LatencyModel::from_catalog(&cat);
+    if quiet {
+        runtime.cold_start_prob = 0.0;
+        runtime.exec_sigma = 0.0;
+        latency.jitter_sigma = 0.0;
+    }
     let mut carbon = TableSource::new();
-    for (id, spec) in cat.iter() {
+    for (id, _) in cat.iter() {
         // Distinct diurnal shapes per region so carbon depends on both the
         // placement and the hour.
         let base = 40.0 + 37.0 * (id.0 % 11) as f64;
@@ -109,14 +97,13 @@ fn world() -> World {
             .map(|h| base + 25.0 * ((h + id.0 as usize) % 7) as f64)
             .collect();
         carbon.insert(id, CarbonSeries::new(0, values));
-        let _ = spec;
     }
     let regions = ["us-east-1", "us-east-2", "us-west-2", "ca-central-1"]
         .iter()
         .map(|n| cat.id_of(n).unwrap())
         .collect();
     World {
-        pricing,
+        pricing: PricingCatalog::aws_default(&cat),
         runtime,
         latency,
         carbon,
@@ -124,131 +111,40 @@ fn world() -> World {
     }
 }
 
-/// One node's genome: (dist kind, shape parameter, memory selector,
-/// external-data selector).
-type NodeGene = (u8, f64, u8, u8);
-/// One potential extra edge's genome: (endpoint word, conditional
-/// selector, probability).
-type EdgeGene = (u64, u8, f64);
-
-fn exec_dist(kind: u8, p: f64) -> DistSpec {
-    match kind % 5 {
-        0 => DistSpec::Constant { value: 0.2 + p },
-        1 => DistSpec::Uniform {
-            lo: 0.1,
-            hi: 0.3 + p,
-        },
-        2 => DistSpec::Normal {
-            mean: 0.4 + p,
-            std_dev: 0.1 + p / 4.0,
-        },
-        3 => DistSpec::LogNormal {
-            median: 0.3 + p,
-            sigma: 0.2 + p / 2.0,
-        },
-        _ => DistSpec::Empirical {
-            samples: vec![0.2, 0.3 + p, 0.6, 0.9 + p],
-        },
-    }
-}
-
-fn payload_dist(kind: u8, p: f64) -> DistSpec {
-    match kind % 4 {
-        0 => DistSpec::Constant {
-            value: 2_000.0 + 60_000.0 * p,
-        },
-        1 => DistSpec::Uniform {
-            lo: 1_000.0,
-            hi: 20_000.0 + 80_000.0 * p,
-        },
-        2 => DistSpec::LogNormal {
-            median: 30_000.0 * (0.2 + p),
-            sigma: 0.4,
-        },
-        _ => DistSpec::Empirical {
-            samples: vec![500.0, 8_000.0, 45_000.0 * (0.5 + p)],
-        },
-    }
-}
-
-/// Builds the workflow and plan a genome describes. Node 0 is the root;
-/// every later node is invoked by an earlier one, so the DAG is connected
-/// and acyclic by construction. Nodes that end up with several in-edges
-/// become sync joins.
-fn build_case(
-    w: &World,
-    nodes: &[NodeGene],
-    extra_edges: &[EdgeGene],
-    plan_picks: &[u64],
-) -> (
-    caribou_model::WorkflowDag,
-    caribou_model::profile::WorkflowProfile,
-    DeploymentPlan,
-) {
-    let n = nodes.len();
-    let mut wf = Workflow::new("diff", "0.1");
-    let mut handles = Vec::with_capacity(n);
-    for (i, &(kind, p, mem, ext)) in nodes.iter().enumerate() {
-        let mut f = wf
-            .serverless_function(format!("F{i}"))
-            .exec_time(exec_dist(kind, p))
-            .memory_mb(512 * (1 + (mem % 4) as u32))
-            .cpu_utilization(0.3 + 0.15 * (mem % 4) as f64);
-        if ext % 3 == 0 {
-            f = f.external_data_bytes(1.0e6 + 2.0e6 * p);
-        }
-        handles.push(f.register());
-    }
-    // Spanning edges: parent of node i drawn from its genome word.
-    let mut in_degree = vec![0usize; n];
-    let mut present = std::collections::HashSet::new();
-    for i in 1..n {
-        let parent = (nodes[i].0 as usize * 31 + i * 17) % i;
-        let (kind, _, _, ext) = nodes[i];
-        let cond = if ext % 2 == 0 {
-            None
-        } else {
-            Some(0.3 + 0.6 * nodes[i].1)
+/// Deals every `DistSpec` kind over the profile's nodes, edges and input,
+/// keeping each distribution's scale (the constant `random_workflow` put
+/// there).
+fn vary_distributions(profile: &mut WorkflowProfile, seed: u64) {
+    let vary = |spec: &mut DistSpec, kind: u64| {
+        let DistSpec::Constant { value } = *spec else {
+            return;
         };
-        wf.invoke(handles[parent], handles[i], cond)
-            .payload(payload_dist(kind, nodes[i].1));
-        in_degree[i] += 1;
-        present.insert((parent, i));
-    }
-    // Extra edges from the edge genomes, duplicates and self-loops skipped.
-    for &(word, kind, p) in extra_edges {
-        if n < 3 {
-            break;
-        }
-        let to = 2 + (word as usize) % (n - 2);
-        let from = (word as usize >> 16) % to;
-        if present.contains(&(from, to)) {
-            continue;
-        }
-        let cond = if kind % 2 == 0 {
-            None
-        } else {
-            Some(0.2 + 0.7 * p)
+        *spec = match kind % 5 {
+            0 => return,
+            1 => DistSpec::Uniform {
+                lo: 0.5 * value,
+                hi: 1.5 * value,
+            },
+            2 => DistSpec::Normal {
+                mean: value,
+                std_dev: 0.3 * value,
+            },
+            3 => DistSpec::LogNormal {
+                median: value,
+                sigma: 0.4,
+            },
+            _ => DistSpec::Empirical {
+                samples: vec![0.4 * value, 0.8 * value, value, 1.9 * value],
+            },
         };
-        wf.invoke(handles[from], handles[to], cond)
-            .payload(payload_dist(kind, p));
-        in_degree[to] += 1;
-        present.insert((from, to));
+    };
+    for (i, node) in profile.nodes.iter_mut().enumerate() {
+        vary(&mut node.exec_time, seed / 3 + i as u64);
     }
-    for (i, &d) in in_degree.iter().enumerate() {
-        if d > 1 {
-            wf.get_predecessor_data(handles[i]);
-        }
+    for (i, edge) in profile.edges.iter_mut().enumerate() {
+        vary(&mut edge.payload_bytes, seed / 5 + 2 * i as u64);
     }
-    wf.set_input(DistSpec::Uniform {
-        lo: 400.0,
-        hi: 6_000.0,
-    });
-    let (dag, profile, _) = wf.extract().unwrap();
-    let assignment: Vec<RegionId> = (0..n)
-        .map(|i| w.regions[plan_picks[i % plan_picks.len()] as usize % w.regions.len()])
-        .collect();
-    (dag, profile, DeploymentPlan::new(assignment))
+    vary(&mut profile.input_bytes, seed / 7);
 }
 
 /// One estimation problem; the stage models vary per check.
@@ -260,40 +156,11 @@ struct Case<'a> {
     scenario: TransmissionScenario,
     hour: f64,
     seed: u64,
-    config: MonteCarloConfig,
 }
 
 impl Case<'_> {
-    /// `estimate_batched` at every width, and the dispatching `estimate`,
-    /// against `estimate_scalar` on `models`. Returns the scalar summary.
-    fn assert_paths_agree<M: StageModels>(&self, models: &M, what: &str) -> EstimateSummary {
-        let est = MonteCarloEstimator {
-            dag: self.dag,
-            profile: self.profile,
-            carbon_source: &self.w.carbon,
-            carbon_model: CarbonModel::new(self.scenario),
-            cost_model: CostModel::new(&self.w.pricing),
-            models,
-            home: self.w.regions[0],
-            config: self.config,
-        };
-        let seed = self.seed;
-        let scalar = est.estimate_scalar(self.plan, self.hour, &mut Pcg32::seed(seed));
-        for lanes in WIDTHS {
-            let batched = est.estimate_batched(self.plan, self.hour, &mut Pcg32::seed(seed), lanes);
-            assert_bits_eq(
-                &scalar,
-                &batched,
-                &format!("{what} lanes={lanes} seed={seed}"),
-            );
-        }
-        let dispatched = est.estimate(self.plan, self.hour, &mut Pcg32::seed(seed));
-        assert_bits_eq(
-            &scalar,
-            &dispatched,
-            &format!("{what} dispatching estimate()"),
-        );
-        scalar
+    fn home(&self) -> RegionId {
+        self.w.regions[0]
     }
 
     fn default_models(&self) -> DefaultModels<'_> {
@@ -305,10 +172,64 @@ impl Case<'_> {
         }
     }
 
+    /// The estimator's fold against the reference sampler on `models`.
+    fn assert_equivalent<M: StageModels>(&self, models: &M, what: &str) {
+        let est = MonteCarloEstimator {
+            dag: self.dag,
+            profile: self.profile,
+            carbon_source: &self.w.carbon,
+            carbon_model: CarbonModel::new(self.scenario),
+            cost_model: CostModel::new(&self.w.pricing),
+            models,
+            home: self.home(),
+            config: MonteCarloConfig {
+                batch: FOLD_SAMPLES,
+                max_samples: FOLD_SAMPLES,
+                cv_threshold: 0.0,
+            },
+        };
+        let fold = est.estimate(self.plan, self.hour, &mut Pcg32::seed(self.seed));
+        assert_eq!(fold.samples, FOLD_SAMPLES);
+
+        let mut rng = Pcg32::seed(self.seed ^ 0x5eed_7e57);
+        let mut columns = [Vec::new(), Vec::new(), Vec::new()];
+        let (mut exec_sum, mut trans_sum) = (0.0, 0.0);
+        for _ in 0..REFERENCE_SAMPLES {
+            let s = reference_sample(&est, self.plan, self.hour, &mut rng);
+            columns[0].push(s.latency);
+            columns[1].push(s.cost);
+            columns[2].push(s.exec_carbon + s.trans_carbon);
+            exec_sum += s.exec_carbon;
+            trans_sum += s.trans_carbon;
+        }
+        let metrics = [
+            ("latency", fold.latency),
+            ("cost", fold.cost),
+            ("carbon", fold.carbon),
+        ];
+        for ((metric, folded), column) in metrics.into_iter().zip(&mut columns) {
+            let what = format!("{what}, seed {}: {metric}", self.seed);
+            assert_same_distribution(&folded, column, &what);
+        }
+        // The two carbon components are means of their own.
+        let n = REFERENCE_SAMPLES as f64;
+        let carbon_se = fold.carbon.std_dev * (1.0 / FOLD_SAMPLES as f64 + 1.0 / n).sqrt();
+        for (part, folded, reference) in [
+            ("exec", fold.exec_carbon_mean, exec_sum / n),
+            ("trans", fold.trans_carbon_mean, trans_sum / n),
+        ] {
+            assert!(
+                (folded - reference).abs() <= Z_BOUND * carbon_se + ROUNDING * reference.abs(),
+                "{what}, seed {}: {part} carbon {folded:e} vs reference {reference:e}",
+                self.seed
+            );
+        }
+    }
+
     /// The learned-models check over [`seeded_history`], after asserting
     /// the history has the shape the learned arms need.
-    fn assert_paths_agree_on_learned_models(&self) {
-        let home = self.w.regions[0];
+    fn assert_equivalent_on_learned_models(&self) {
+        let home = self.home();
         let (history, unlogged) = seeded_history(self.w, self.dag, self.plan, self.seed);
         let learned = history.learned_models(
             self.profile,
@@ -327,7 +248,194 @@ impl Case<'_> {
             assert!(learned.has_transfer_data(*away, home));
             assert!(learned.has_transfer_data(home, *away));
         }
-        self.assert_paths_agree(&learned, "learned");
+        self.assert_equivalent(&learned, "learned");
+    }
+}
+
+/// `folded` (the estimator's summary of one metric) against the
+/// reference's raw samples of it.
+fn assert_same_distribution(folded: &DistSummary, reference: &mut [f64], what: &str) {
+    let r = DistSummary::from_samples(reference);
+    let se = (folded.std_dev.powi(2) / folded.n as f64 + r.std_dev.powi(2) / r.n as f64).sqrt();
+    let slack = ROUNDING * r.mean.abs();
+    assert!(
+        (folded.mean - r.mean).abs() <= Z_BOUND * se + slack,
+        "{what}: mean {:e} vs reference {:e} is {:.1} standard errors",
+        folded.mean,
+        r.mean,
+        (folded.mean - r.mean).abs() / se
+    );
+    reference.sort_by(f64::total_cmp);
+    let lo = percentile_sorted(reference, 0.925) * (1.0 - P95_REL_TOL) - slack;
+    let hi = percentile_sorted(reference, 0.975) * (1.0 + P95_REL_TOL) + slack;
+    assert!(
+        (lo..=hi).contains(&folded.p95),
+        "{what}: p95 {:e} outside the reference's band {lo:e}..{hi:e}",
+        folded.p95
+    );
+    assert!(
+        (folded.std_dev - r.std_dev).abs() <= STD_REL_TOL * r.std_dev + slack,
+        "{what}: std dev {:e} vs reference {:e}",
+        folded.std_dev,
+        r.std_dev
+    );
+}
+
+/// One sampled end-to-end execution.
+struct SamplePoint {
+    latency: f64,
+    cost: f64,
+    exec_carbon: f64,
+    trans_carbon: f64,
+}
+
+/// The independent-draws reference: simulates one complete workflow
+/// execution, drawing from `rng` as the execution reaches each site. This
+/// is the sampler `crates/metrics` had before the draw bank, on the public
+/// model functions.
+fn reference_sample<S: CarbonDataSource, M: StageModels>(
+    est: &MonteCarloEstimator<'_, S, M>,
+    plan: &DeploymentPlan,
+    hour: f64,
+    rng: &mut Pcg32,
+) -> SamplePoint {
+    let (dag, home) = (est.dag, est.home);
+    let m = est.models.base();
+    let exec = |node: usize, region: RegionId, rng: &mut Pcg32| match est
+        .models
+        .learned_exec(node, region)
+    {
+        Some((samples, scale)) => *rng.choose(samples).unwrap() * scale,
+        None => {
+            let p = &m.profile.nodes[node];
+            m.runtime
+                .execute(region, &p.exec_time, p.memory_mb, p.cpu_utilization, rng)
+                .duration_s
+        }
+    };
+    let transfer = |from: RegionId, to: RegionId, bytes: f64, rng: &mut Pcg32| match est
+        .models
+        .learned_transfer(from, to)
+    {
+        Some(samples) => *rng.choose(samples).unwrap(),
+        None => m.latency.sample_transfer_seconds(from, to, bytes, rng),
+    };
+    let route = |from, to| endpoint_average(est.carbon_source, from, to, hour);
+
+    let n = dag.node_count();
+    let mut executed = vec![false; n];
+    let mut finish = vec![0.0f64; n];
+    let mut start_time = vec![f64::NEG_INFINITY; n];
+    let (mut cost, mut exec_carbon, mut trans_carbon) = (0.0, 0.0, 0.0);
+
+    // Client delivers the input to the start node from the home region.
+    let start_node = dag.start();
+    let start_region = plan.region_of(start_node);
+    let input_bytes = est.profile.input_bytes.sample(rng);
+    let mut t0 = m.orchestrator.sample_setup_s(rng);
+    t0 += transfer(home, start_region, input_bytes, rng);
+    trans_carbon += est.carbon_model.transmission_carbon(
+        input_bytes,
+        route(home, start_region),
+        home == start_region,
+    );
+    cost += est
+        .cost_model
+        .pricing()
+        .egress_cost(home, start_region, input_bytes);
+    // Entry wrapper fetches the deployment plan once.
+    cost += est.cost_model.kv_cost(start_region, 1, 0);
+    start_time[start_node.index()] = t0;
+    executed[start_node.index()] = true;
+
+    for &node in dag.topo_order() {
+        let ni = node.index();
+        if node != start_node {
+            // Determine whether and when this node starts.
+            let mut any_taken = false;
+            let mut ready_at: f64 = 0.0;
+            for &eid in dag.in_edges(node) {
+                let e = dag.edge(eid);
+                if !executed[e.from.index()] {
+                    continue;
+                }
+                let from_r = plan.region_of(e.from);
+                let to_r = plan.region_of(node);
+                if !rng.chance(est.profile.edges[eid.index()].probability) {
+                    // Skip propagation: the predecessor writes the C=0
+                    // annotation; for sync nodes this is one atomic KV
+                    // update.
+                    if dag.is_sync_node(node) {
+                        cost += est.cost_model.kv_cost(from_r, 1, 1);
+                    }
+                    continue;
+                }
+                any_taken = true;
+                let payload = est.profile.edges[eid.index()].payload_bytes.sample(rng);
+                let arrive = finish[e.from.index()]
+                    + m.orchestrator.sample_transition_s(rng)
+                    + transfer(from_r, to_r, payload, rng);
+                ready_at = ready_at.max(arrive);
+                // Invocation cost: SNS publish + payload egress.
+                cost += est.cost_model.invocation_cost(from_r, to_r, payload);
+                // Intermediate data passes through the KV store: one write
+                // by the predecessor, one read by the successor; sync nodes
+                // add the atomic annotation update.
+                cost += est.cost_model.kv_cost(from_r, 0, 1);
+                cost += est.cost_model.kv_cost(to_r, 1, 0);
+                if dag.is_sync_node(node) {
+                    cost += est.cost_model.kv_cost(from_r, 1, 1);
+                }
+                trans_carbon += est.carbon_model.transmission_carbon(
+                    payload,
+                    route(from_r, to_r),
+                    from_r == to_r,
+                );
+            }
+            if !any_taken {
+                continue;
+            }
+            start_time[ni] = ready_at;
+            executed[ni] = true;
+        }
+
+        let region = plan.region_of(node);
+        let p = &est.profile.nodes[ni];
+        let mut duration = exec(ni, region, rng);
+        // External data stays at the home region; offloaded stages pay the
+        // round trip (§9.1).
+        if region != home && p.external_data_bytes > 0.0 {
+            let half = p.external_data_bytes / 2.0;
+            duration += transfer(region, home, half, rng) + transfer(home, region, half, rng);
+            trans_carbon += est.carbon_model.transmission_carbon(
+                p.external_data_bytes,
+                route(region, home),
+                false,
+            );
+            cost += est
+                .cost_model
+                .external_data_cost(region, home, p.external_data_bytes);
+        }
+        finish[ni] = start_time[ni] + duration;
+        cost += est.cost_model.execution_cost(region, duration, p.memory_mb);
+        exec_carbon += est.carbon_model.execution_carbon_params(
+            p.memory_mb,
+            duration,
+            p.cpu_utilization,
+            est.carbon_source.intensity(region, hour),
+        );
+    }
+
+    let latency = dag
+        .all_nodes()
+        .filter(|nd| executed[nd.index()])
+        .map(|nd| finish[nd.index()])
+        .fold(0.0f64, f64::max);
+    SamplePoint {
+        latency,
+        cost,
+        exec_carbon,
+        trans_carbon,
     }
 }
 
@@ -406,75 +514,87 @@ fn seeded_history(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Arbitrary (workload, plan, hour, seed) → the batched path is
-    /// bit-identical to the scalar path at widths 1/4/8/16, and the
-    /// dispatching `estimate` entry point agrees too.
+    /// Arbitrary (workload, plan, hour, seed) → the fold over shared draws
+    /// has the distribution of the independent-draws reference, on model
+    /// and on learned stage models, and matches it to rounding where
+    /// nothing is random.
     #[test]
-    fn batched_estimator_is_the_same_function_as_scalar(
-        nodes in collection::vec((any::<u8>(), 0f64..1.0, any::<u8>(), any::<u8>()), 2..8),
-        extra_edges in collection::vec((any::<u64>(), any::<u8>(), 0f64..1.0), 0..4),
-        plan_picks in collection::vec(any::<u64>(), 1..8),
-        rest in (0f64..24.0, any::<u64>(), 10usize..80),
+    fn bank_fold_is_statistically_equivalent_to_independent_draws(
+        wf in random_workflow(),
+        hour in 0f64..24.0,
+        seed in any::<u64>(),
     ) {
-        let (hour, seed, batch) = rest;
-        let w = world();
-        let (dag, profile, plan) = build_case(&w, &nodes, &extra_edges, &plan_picks);
+        let mut profile = wf.profile.clone();
+        vary_distributions(&mut profile, seed);
+        let w = world(false);
+        let plan = random_plan(&wf.dag, &w.regions, seed);
         let case = Case {
             w: &w,
-            dag: &dag,
+            dag: &wf.dag,
             profile: &profile,
             plan: &plan,
             scenario: TransmissionScenario::WORST,
             hour,
             seed,
-            config: MonteCarloConfig {
-                batch,
-                max_samples: batch * 4,
-                cv_threshold: 0.05,
-            },
         };
-        case.assert_paths_agree(&case.default_models(), "model");
-        case.assert_paths_agree_on_learned_models();
+        case.assert_equivalent(&case.default_models(), "model");
+        case.assert_equivalent_on_learned_models();
+
+        // The quiet twin: constant distributions, every edge taken.
+        let mut quiet_profile = wf.profile.clone();
+        for edge in &mut quiet_profile.edges {
+            edge.probability = 1.0;
+        }
+        let quiet = Case { w: &world(true), profile: &quiet_profile, ..case };
+        quiet.assert_equivalent(&quiet.default_models(), "quiet");
     }
 }
 
-/// The ragged tail, pinned deterministically: a batch size that is a
-/// multiple of no lane width (and caps mid-batch at `max_samples`), so the
-/// final lane group of every batch — and the final batch itself — is
-/// partial at every width.
+/// The ragged tail, pinned deterministically: an estimate is the same
+/// function of its samples however the stopping rule batches them — 212
+/// samples as four batches of 53 or one of 212, on a fresh bank or on one
+/// another rule left mid-batch at 100.
 #[test]
 fn ragged_tail_batches_stay_bit_identical() {
-    let w = world();
-    let nodes: Vec<NodeGene> = vec![
-        (3, 0.6, 1, 3),
-        (4, 0.3, 2, 0),
-        (1, 0.8, 0, 1),
-        (2, 0.2, 3, 0),
-        (0, 0.5, 1, 2),
-    ];
-    let extra: Vec<EdgeGene> = vec![(7, 1, 0.4), (9_000_077, 0, 0.9)];
-    let picks = vec![0u64, 2, 3, 1, 2];
-    let (dag, profile, plan) = build_case(&w, &nodes, &extra, &picks);
-    let case = Case {
-        w: &w,
-        dag: &dag,
-        profile: &profile,
-        plan: &plan,
-        scenario: TransmissionScenario::BEST,
-        hour: 17.25,
-        seed: 4242,
-        // 53 % {4, 8, 16} != 0 and 200 % 53 != 0: ragged everywhere.
-        config: MonteCarloConfig {
-            batch: 53,
-            max_samples: 200,
-            cv_threshold: 0.0,
-        },
+    let w = world(false);
+    let wf = random_workflow().generate(&mut TestRng::new(4242));
+    let mut profile = wf.profile.clone();
+    vary_distributions(&mut profile, 4242);
+    let plan = random_plan(&wf.dag, &w.regions, 4242);
+    let (history, _) = seeded_history(&w, &wf.dag, &plan, 4242);
+    let learned = history.learned_models(
+        &profile,
+        &w.runtime,
+        &w.latency,
+        Orchestrator::Caribou,
+        w.regions[0],
+    );
+    let estimate = |batch: usize, scratch: Option<&mut _>| -> EstimateSummary {
+        let est = MonteCarloEstimator {
+            dag: &wf.dag,
+            profile: &profile,
+            carbon_source: &w.carbon,
+            carbon_model: CarbonModel::new(TransmissionScenario::BEST),
+            cost_model: CostModel::new(&w.pricing),
+            models: &learned,
+            home: w.regions[0],
+            config: MonteCarloConfig {
+                batch,
+                max_samples: 200,
+                cv_threshold: 0.0,
+            },
+        };
+        let mut rng = Pcg32::seed(4242);
+        match scratch {
+            Some(scratch) => est.estimate_with(&plan, 17.25, &mut rng, scratch),
+            None => est.estimate(&plan, 17.25, &mut rng),
+        }
     };
-    let scalar = case.assert_paths_agree(&case.default_models(), "ragged");
     // Whole batches are drawn until the cap is met: 4 × 53 = 212.
-    assert_eq!(scalar.samples, 212);
-    // Seed 4242 leaves node 2 unlogged, gives nodes 0 and 4 history where
-    // they run, nodes 1 and 3 home-only history, and node 1 (external
-    // data, offloaded) both legs of its round trip from the log.
-    case.assert_paths_agree_on_learned_models();
+    let ragged = estimate(53, None);
+    assert_eq!(ragged.samples, 212);
+    assert_eq!(ragged, estimate(212, None));
+    let mut scratch = Default::default();
+    assert_eq!(estimate(100, Some(&mut scratch)).samples, 200);
+    assert_eq!(ragged, estimate(53, Some(&mut scratch)));
 }

@@ -112,9 +112,9 @@ fn chaos_campaign_numbers_are_pinned() {
 }
 
 // Pinned values, measured once at fixed seeds (see EXPERIMENTS.md).
-const GOLDEN_BASE_CARBON_G: f64 = 0.006960313957589775;
-const GOLDEN_FINE_CARBON_G: f64 = 0.0011328248594264254;
-const GOLDEN_FINE_P95_S: f64 = 14.761530969436963;
-const GOLDEN_FINE_COST_USD: f64 = 0.0004302545515993516;
+const GOLDEN_BASE_CARBON_G: f64 = 0.00697010839900313;
+const GOLDEN_FINE_CARBON_G: f64 = 0.0011341754358226742;
+const GOLDEN_FINE_P95_S: f64 = 14.62624021077024;
+const GOLDEN_FINE_COST_USD: f64 = 0.0004300695044550798;
 const GOLDEN_CHAOS_P50_S: f64 = 2.1977746314841937;
 const GOLDEN_CHAOS_P99_S: f64 = 17.40237316594512;

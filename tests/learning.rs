@@ -123,11 +123,8 @@ fn execution_distributions_are_learned_from_executions() {
         app.home,
     );
     assert!(lm.has_exec_data(0, app.home));
-    let mut srng = Pcg32::seed(1);
-    let mean: f64 = (0..100)
-        .map(|_| lm.sample_exec(0, app.home, &mut srng))
-        .sum::<f64>()
-        / 100.0;
+    let (learned, scale) = lm.learned_exec(0, app.home).expect("home history");
+    let mean = learned.iter().sum::<f64>() * scale / learned.len() as f64;
     assert!((4.0..6.5).contains(&mean), "learned mean {mean}");
     assert!(
         lm.has_transfer_data(app.home, app.home),

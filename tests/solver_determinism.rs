@@ -7,14 +7,12 @@ use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::TableSource;
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_metrics::costmodel::CostModel;
-use caribou_metrics::montecarlo::{
-    DefaultModels, MonteCarloConfig, MonteCarloEstimator, MAX_LANES,
-};
+use caribou_metrics::montecarlo::{DefaultModels, EstimateSummary, MonteCarloConfig};
 use caribou_model::builder::Workflow;
 use caribou_model::constraints::{Objective, Tolerances};
 use caribou_model::dist::DistSpec;
 use caribou_model::plan::DeploymentPlan;
-use caribou_model::region::RegionCatalog;
+use caribou_model::region::{RegionCatalog, RegionId};
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::compute::LambdaRuntime;
 use caribou_simcloud::latency::LatencyModel;
@@ -186,47 +184,143 @@ proptest! {
         });
     }
 
-    /// Lane-width invariance at the solver layer: the estimate the engine
-    /// caches (batched at the default width) is bit-equal to the scalar
-    /// reference path and to the batched path at widths 1/4/8/16 on the
-    /// same derived stream — so every solve result (HBSS walks, 24-hour
-    /// schedules) is independent of the batch width, at any worker count.
+    /// An estimate is a pure function of (engine seed, context, plan,
+    /// hour): not of the order evaluations arrive in, the worker count,
+    /// or how far earlier estimates already extended the engine's bank.
     #[test]
-    fn solver_estimates_are_lane_width_invariant(
+    fn estimates_are_pure_under_order_workers_and_bank_extension(
         engine_seed in any::<u64>(),
-        region_picks in (0usize..3, 0usize..3),
+        hour_idx in 0u8..23,
+    ) {
+        with_ctx(|ctx| {
+            let hours = [hour_idx as f64 + 0.5, hour_idx as f64 + 1.5];
+            let plans = all_plans(ctx.permitted);
+            // Each on an engine of its own: the bank holds the one batch
+            // that one estimate asked for.
+            let alone: Vec<_> = hours
+                .iter()
+                .flat_map(|&h| plans.iter().map(move |p| (p, h)))
+                .map(|(p, h)| EvalEngine::new(engine_seed, 1).evaluate(ctx, p, h))
+                .collect();
+            assert!(alone.iter().all(|e| e.samples == 60));
+            for workers in WORKER_COUNTS {
+                let engine = EvalEngine::new(engine_seed, workers);
+                let fanned: Vec<_> = hours
+                    .iter()
+                    .flat_map(|&h| engine.evaluate_many(ctx, &plans, h))
+                    .collect();
+                assert_eq!(alone, fanned, "{workers} workers");
+            }
+            // Last plan of the last hour first, on a bank a stricter rule
+            // (at an hour of its own: the cache keys by hour, the bank does
+            // not) already took to 300 samples.
+            let engine = EvalEngine::new(engine_seed, 1);
+            let strict = SolverContext {
+                cost_model: ctx.cost_model.clone(),
+                mc_config: MonteCarloConfig { max_samples: 300, cv_threshold: 0.0, ..ctx.mc_config },
+                ..*ctx
+            };
+            assert_eq!(engine.evaluate(&strict, &plans[5], 99.5).samples, 300);
+            let mut backwards: Vec<_> = hours
+                .iter()
+                .rev()
+                .flat_map(|&h| plans.iter().rev().map(move |p| (p, h)))
+                .map(|(p, h)| engine.evaluate(ctx, p, h))
+                .collect();
+            backwards.reverse();
+            assert_eq!(alone, backwards);
+        });
+    }
+
+    /// Common random numbers, observed: two plans that agree on a node's
+    /// region read the same draws there. With every other region on a
+    /// zero-carbon grid, the execution carbon of a plan is the shared
+    /// node's per-sample durations alone — and it is bit-equal.
+    #[test]
+    fn plans_agreeing_on_a_node_share_its_durations(
+        engine_seed in any::<u64>(),
+        shared in 1usize..3,
         hour_idx in 0u8..24,
     ) {
         with_ctx(|ctx| {
             let hour = hour_idx as f64 + 0.5;
-            let assignment = vec![
-                ctx.permitted[0][region_picks.0],
-                ctx.permitted[1][region_picks.1],
-            ];
-            let plan = DeploymentPlan::new(assignment);
-            let engine = EvalEngine::new(engine_seed, 1);
-            let cached = engine.evaluate(ctx, &plan, hour);
-            let est = MonteCarloEstimator {
-                dag: ctx.dag,
-                profile: ctx.profile,
-                carbon_source: ctx.carbon_source,
-                carbon_model: ctx.carbon_model,
-                cost_model: ctx.cost_model.clone(),
-                models: ctx.models,
-                home: ctx.home,
-                config: ctx.mc_config,
-            };
-            let scalar =
-                est.estimate_scalar(&plan, hour, &mut engine.eval_rng(&plan, hour));
-            assert_eq!(cached, scalar);
-            for lanes in [1usize, 4, 8, MAX_LANES] {
-                let batched = est.estimate_batched(
-                    &plan, hour, &mut engine.eval_rng(&plan, hour), lanes,
-                );
-                assert_eq!(cached, batched, "lane width {lanes} diverged");
+            let node_b = ctx.permitted[1][shared];
+            let mut carbon = TableSource::new();
+            for &r in &ctx.permitted[0] {
+                let v = if r == node_b { 300.0 } else { 0.0 };
+                carbon.insert(r, CarbonSeries::new(0, vec![v; 24]));
             }
+            let ctx = SolverContext {
+                carbon_source: &carbon,
+                cost_model: ctx.cost_model.clone(),
+                // A fixed sample count: the stopping rule must not cut the
+                // two plans' columns at different lengths.
+                mc_config: MonteCarloConfig { cv_threshold: 0.0, ..ctx.mc_config },
+                ..*ctx
+            };
+            let engine = EvalEngine::new(engine_seed, 1);
+            let [a, b] = [0usize, 3 - shared].map(|elsewhere| {
+                let plan = DeploymentPlan::new(vec![ctx.permitted[0][elsewhere], node_b]);
+                engine.evaluate(&ctx, &plan, hour)
+            });
+            assert!(a.exec_carbon_mean > 0.0);
+            assert_eq!(a.exec_carbon_mean.to_bits(), b.exec_carbon_mean.to_bits());
+            // The plans do differ: where node A runs moves the latency.
+            assert_ne!(a.latency.mean, b.latency.mean);
         });
     }
+}
+
+/// Every assignment of the (small) permitted sets.
+fn all_plans(permitted: &[Vec<RegionId>]) -> Vec<DeploymentPlan> {
+    let mut plans = vec![Vec::new()];
+    for set in permitted {
+        plans = plans
+            .iter()
+            .flat_map(|p| set.iter().map(move |r| [p.as_slice(), &[*r]].concat()))
+            .collect();
+    }
+    plans.into_iter().map(DeploymentPlan::new).collect()
+}
+
+/// What the bank is for: HBSS compares neighbours that differ in one
+/// node's region, and on one bank they differ *only* there, so the
+/// difference of their estimates is far less noisy than the difference of
+/// two estimates on independent draws.
+#[test]
+fn neighbour_differences_have_less_variance_on_one_bank() {
+    with_ctx(|ctx| {
+        let [east, west, _] = ctx.permitted[0][..] else {
+            panic!("three permitted regions")
+        };
+        let here = DeploymentPlan::new(vec![east, east]);
+        let neighbour = DeploymentPlan::new(vec![east, west]);
+        let variance = |xs: &[f64]| {
+            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+            xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64
+        };
+        // Carbon gains least: the neighbour scales the same execution
+        // noise by a six times cleaner grid, and only the common part of
+        // the two scaled noises cancels.
+        type Metric = fn(&EstimateSummary) -> f64;
+        let metrics: [(Metric, f64); 3] = [
+            (|e| e.carbon.mean, 1.0),
+            (|e| e.latency.mean, 1_000.0),
+            (|e| e.cost.mean, 1_000.0),
+        ];
+        for (metric, gain) in metrics {
+            let (mut shared, mut independent) = (Vec::new(), Vec::new());
+            for seed in 0..40 {
+                let engine = EvalEngine::new(seed, 1);
+                let other = EvalEngine::new(seed + 1_000, 1);
+                let base = metric(&engine.evaluate(ctx, &here, 6.5));
+                shared.push(metric(&engine.evaluate(ctx, &neighbour, 6.5)) - base);
+                independent.push(metric(&other.evaluate(ctx, &neighbour, 6.5)) - base);
+            }
+            let (crn, ind) = (variance(&shared), variance(&independent));
+            assert!(crn * gain < ind, "shared bank {crn:e}, independent {ind:e}");
+        }
+    });
 }
 
 /// Cache misses check estimator scratch out of the engine's pool instead
@@ -250,5 +344,10 @@ fn engine_scratch_pool_reuses_node_state_across_misses() {
         let allocs = session.recorder.counter("montecarlo.node_state_allocs");
         // 3 counts = one column set, from the first miss only.
         assert_eq!(allocs, 3, "allocs {allocs} across {misses} misses");
+        // And one bank: each column drawn once, to the 120 samples the
+        // stopping rule can ask for at most.
+        let columns = session.recorder.counter("montecarlo.bank.columns");
+        let draws = session.recorder.counter("montecarlo.bank.draws");
+        assert!(columns > 0 && draws <= columns * 120, "{draws} draws");
     });
 }

@@ -81,13 +81,20 @@ fn quickstart_run_emits_pubsub_kv_and_solver_events() {
     assert!(rec.counter("kv.read") > 0, "KV reads");
     assert!(rec.counter("kv.write") > 0, "KV writes");
     assert!(rec.counter("solver.iterations") > 0, "solver iterated");
-    // The tick solves on learned models; they must take the batched
-    // estimator, never the scalar reference path.
+    // Every estimate of a tick's 24-hour solve folds the tick's one draw
+    // bank: what was drawn is a small fraction (under a twentieth) of the
+    // samples × sites the estimates read — every sample reads at least
+    // one column for each of the DAG's five nodes and five edges.
+    const SITES: u64 = 10;
+    let estimates = rec.counter("montecarlo.estimates");
+    let samples = rec.counter("montecarlo.samples");
+    let draws = rec.counter("montecarlo.bank.draws");
+    assert!(estimates > 100, "estimates ran: {estimates}");
+    assert!(draws > 0 && rec.counter("montecarlo.bank.extensions") > 0);
     assert!(
-        rec.counter("montecarlo.estimates.batched") > 0,
-        "estimates ran"
+        draws * 20 < samples * SITES,
+        "{draws} draws for {samples} samples over {estimates} estimates"
     );
-    assert_eq!(rec.counter("montecarlo.estimates.scalar"), 0);
     assert!(rec.counter("exec.invocation") > 0, "invocations recorded");
     assert!(rec.counter("clock.advance") > 0, "clock advances recorded");
     assert!(!rec.journal.is_empty(), "journal has events");
@@ -124,6 +131,11 @@ fn quickstart_counters_are_equal_at_1_2_and_8_workers() {
             "solver.accept",
             "solver.solve",
             "exec.invocation",
+            // One bank per engine whatever the fan-out: each column is
+            // drawn once, in whole batches.
+            "montecarlo.bank.columns",
+            "montecarlo.bank.draws",
+            "montecarlo.bank.extensions",
         ] {
             assert_eq!(one.counter(key), many.counter(key), "{key} at {workers}");
         }
