@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
-# Lint gate: formatting + clippy with warnings denied + the full test
-# suite. Run before sending a PR; CI runs the same three commands.
+# The pre-PR gate: formatting, clippy with warnings denied, the test
+# suite, the release-only timing test, seeded CLI smoke runs diffed
+# across worker counts and against goldens/, and the grep gates; a run
+# must leave the working tree as it found it. Run before sending a PR.
+# Performance is not measured here: see benchmark/README.md.
 #
-#   scripts/check.sh          # fmt + clippy + tests
-#   scripts/check.sh --fast   # fmt + clippy only
+#   scripts/check.sh          # everything
+#   scripts/check.sh --fast   # fmt + clippy + grep and clean-tree gates
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+tree_before=$(git status --porcelain)
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -18,6 +23,11 @@ if [[ "${1:-}" != "--fast" ]]; then
     # after it.
     echo "==> cargo test"
     cargo test --workspace -q --no-fail-fast
+
+    # The one perf contract no benchmark workload can see: the router's
+    # healthy-path breaker + fallback check inside its 10 ns budget.
+    echo "==> router happy-path budget (release, --ignored)"
+    cargo test -q --release -p caribou-exec -- --ignored
 
     # Deterministic chaos smoke: a fixed-seed fault campaign (region
     # outages, partitions, gray failures, KV throttling, cold storms)
@@ -51,12 +61,6 @@ if [[ "${1:-}" != "--fast" ]]; then
     diff /tmp/caribou-week-1w.txt /tmp/caribou-week-2w.txt
     rm -f /tmp/caribou-week-[12]w.txt
 
-    # Solver bench guard in --test mode: asserts worker-count-invariant
-    # schedules, a warm estimate cache (solver.cache.hit > 0), and — on
-    # machines with >=4 cores — a >=2x 4-worker speedup.
-    echo "==> solver bench guard"
-    cargo bench -q -p caribou-bench --bench solver -- --test
-
     # Deterministic loadgen smoke: a 50k-invocation sustained-load run
     # (7 chunks on the persistent sharded path, so warm state crosses
     # chunk boundaries and exchange ticks) must print a bit-identical
@@ -79,15 +83,6 @@ if [[ "${1:-}" != "--fast" ]]; then
     rm -f /tmp/caribou-loadgen-[12]w.txt /tmp/caribou-loadgen-[12]w.jsonl \
         /tmp/caribou-loadgen-[12]w.counters
 
-    # Loadgen bench guard: worker-count-invariant merges across chunk
-    # boundaries, the pooled engine's allocation telemetry
-    # (engine.alloc_per_invocation == 2 at steady state), throughput at
-    # or above the committed BENCH_loadgen.json baseline (with 2x slack
-    # for slower hosts), and a flat-RSS ceiling (quadrupling the run
-    # length must not move the peak-RSS high-water mark).
-    echo "==> loadgen bench guard"
-    cargo bench -q -p caribou-bench --bench loadgen -- --test
-
     # Deterministic fleet smoke: a multi-tenant re-plan (full solve, then
     # incremental re-solve after a single-hour forecast revision, with
     # --verify diffing incremental against from-scratch) must print a
@@ -101,13 +96,6 @@ if [[ "${1:-}" != "--fast" ]]; then
         --verify --workers 4 >/tmp/caribou-fleet-4w.txt
     diff /tmp/caribou-fleet-1w.txt /tmp/caribou-fleet-4w.txt
     rm -f /tmp/caribou-fleet-1w.txt /tmp/caribou-fleet-4w.txt
-
-    # Fleet bench guard: worker-count-invariant schedules, cross-app
-    # cache hit-rate floor, warm re-solves adding zero misses,
-    # incremental-equivalence, and app-hours/s at or above the committed
-    # BENCH_fleet.json baseline (with 2x slack for slower hosts).
-    echo "==> fleet bench guard"
-    cargo bench -q -p caribou-bench --bench fleet -- --test
 
     # Cross-provider plan smoke: widening the provider set must change
     # the schedule (at least one hour offloads to a gcp: region), and the
@@ -170,21 +158,6 @@ if [[ "${1:-}" != "--fast" ]]; then
     diff /tmp/caribou-corr-1w.txt /tmp/caribou-corr-2w.txt
     diff goldens/chaos_correlated_seed42_awsgcp.txt /tmp/caribou-corr-1w.txt
     rm -f /tmp/caribou-corr-1w.txt /tmp/caribou-corr-2w.txt
-
-    # Contingency bench guard: with a fallback table installed and every
-    # region healthy, the combined breaker+fallback happy-path check must
-    # stay inside the breaker's 10 ns routing budget (and within 4x the
-    # committed BENCH_contingency.json baseline).
-    echo "==> contingency bench guard"
-    cargo bench -q -p caribou-bench --bench contingency -- --test
-
-    # Providers bench guard: worker-count-invariant cross-provider
-    # schedules, a hit-rate floor through the provider-qualified cache
-    # key, aws-only engines blind to cross-provider entries, and
-    # hour-cells/s at or above the committed BENCH_providers.json
-    # baseline (with 2x slack for slower hosts).
-    echo "==> providers bench guard"
-    cargo bench -q -p caribou-bench --bench providers -- --test
 fi
 
 # Panic-free user-input surface: the formerly panicking resolution paths
@@ -221,6 +194,16 @@ if grep -rnE 'estimate_scalar|estimate_batched|sample_once|MAX_LANES|fn batchabl
 fi
 if grep -rnE 'pub fn solve(_hourly)?[<(]' crates/solver/src; then
     echo "error: an engine-less solver entry is back (see matches above)" >&2
+    exit 1
+fi
+
+# A check that rewrites what it checks hides the next regression: a run
+# leaves `git status` exactly as it found it (empty on a clean checkout).
+echo "==> clean-tree gate"
+tree_after=$(git status --porcelain)
+if [[ "$tree_after" != "$tree_before" ]]; then
+    echo "error: the check changed the working tree:" >&2
+    comm -13 <(sort <<<"$tree_before") <(sort <<<"$tree_after") >&2
     exit 1
 fi
 

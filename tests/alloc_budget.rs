@@ -1,40 +1,59 @@
-//! Measures the engine's real per-invocation allocation count with a
-//! counting global allocator and asserts the buffer-pooling win: the
-//! pooled `invoke_with_scratch` path must allocate measurably less than
-//! the fresh-buffer `invoke` path.
+//! Measures the data plane's real heap behaviour with a counting global
+//! allocator: the pooled `invoke_with_scratch` path must allocate
+//! measurably less per invocation than the fresh-buffer `invoke` path,
+//! and a sustained-load run's peak live heap must not grow with its
+//! length.
 //!
-//! This file holds exactly one test: the counter is process-global, so
-//! any sibling test running concurrently would pollute the deltas.
+//! The counters are process-global, so the tests of this file take
+//! [`SERIAL`] first: a sibling running concurrently would pollute the
+//! deltas.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::TableSource;
+use caribou_core::loadgen::{run_loadgen, LoadgenConfig, CHUNK_INVOCATIONS};
 use caribou_exec::engine::{ExecutionEngine, InvocationScratch, WorkflowApp};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::orchestration::Orchestrator;
+use caribou_workloads::arrivals::ArrivalProcess;
 use caribou_workloads::benchmarks::{text2speech_censoring, InputSize};
 
 struct CountingAllocator;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        if new_size >= layout.size() {
+            grew(new_size - layout.size());
+        } else {
+            LIVE_BYTES.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,12 +61,29 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// One test of this file at a time. The lock guards no data, so a
+/// sibling's failed assertion must not fail this one too.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn allocs() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
+/// Most bytes live at once while `f` ran, above what was live before it.
+fn peak_live_bytes(f: impl FnOnce()) -> usize {
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(before, Ordering::Relaxed);
+    f();
+    PEAK_BYTES.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn pooled_scratch_reduces_allocations_per_invocation() {
+    let _serial = serial();
     let mut cloud = SimCloud::aws(5);
     let bench = text2speech_censoring(InputSize::Small);
     let app = WorkflowApp {
@@ -162,5 +198,51 @@ fn pooled_scratch_reduces_allocations_per_invocation() {
     assert_eq!(
         total, 2.0,
         "telemetry budget gauge drifted from the measured budget"
+    );
+}
+
+/// Streaming aggregates and per-round arrival buffers: a sustained-load
+/// run holds O(shards x chunk) bytes however long it is. Quadrupling the
+/// run must not raise the peak live heap (measured: by 0 B); the same
+/// long run with the exact latency vector switched on is the control that
+/// this allocator does see an O(N) buffer when there is one.
+#[test]
+fn loadgen_peak_heap_is_flat_in_run_length() {
+    let _serial = serial();
+    let bench = text2speech_censoring(InputSize::Small);
+    let peak = |chunks: usize, capture_latencies: bool| {
+        let config = LoadgenConfig {
+            invocations: chunks * CHUNK_INVOCATIONS,
+            seed: 42,
+            workers: 1,
+            shards: 1,
+            arrivals: ArrivalProcess::Diurnal { rate_per_s: 200.0 },
+            capture_latencies,
+            ..LoadgenConfig::default()
+        };
+        peak_live_bytes(|| {
+            let report = run_loadgen(&bench, &config).expect("calibrated catalog");
+            assert_eq!(report.invocations(), config.invocations as u64);
+        })
+    };
+    let short = peak(2, false);
+    let long = peak(8, false);
+    let captured = peak(8, true);
+    eprintln!(
+        "alloc_budget: peak live heap {short} B at 2 chunks, {long} B at 8, \
+         {captured} B at 8 with captured latencies"
+    );
+    // The harness's own threads may allocate a message while a run is at
+    // its peak; one byte per invocation would add six chunks, 49,152 B.
+    const STRAY_BYTES: usize = 4096;
+    assert!(
+        long <= short + STRAY_BYTES,
+        "peak live heap grew {} B from 2 to 8 chunks: an O(N) buffer is back",
+        long.saturating_sub(short)
+    );
+    let latency_vector = 8 * CHUNK_INVOCATIONS * std::mem::size_of::<f64>();
+    assert!(
+        captured >= long + latency_vector,
+        "the allocator missed the {latency_vector} B latency vector: {captured} B vs {long} B"
     );
 }

@@ -140,6 +140,39 @@ fn full_solve_worker_invariance_and_cross_app_sharing() {
     assert_eq!(digests[0], digests[2]);
 }
 
+/// Species sharing is load-bearing, not incidental: on a 32-app x 8-hour
+/// fleet at least 30% of a cold solve's estimate lookups are served from
+/// the shared cache, and a second solve over that cache recomputes
+/// nothing — same schedule, not one new miss.
+#[test]
+fn cold_solve_shares_estimates_and_warm_resolve_adds_no_misses() {
+    let cfg = FleetConfig {
+        apps: 32,
+        hours: 8,
+        workers: 1,
+        seed: 42,
+        ..FleetConfig::default()
+    };
+    let env = FleetEnv::new(cfg.seed, cfg.hours);
+    let apps = generate_fleet(cfg.seed, cfg.apps, &env.universe);
+    // What one solve over `cache` returns and how many lookups it missed.
+    let solve = |cache: &Arc<EstimateCache>| {
+        let before = cache.miss_count();
+        let report = solve_fleet(&apps, &env, &cfg, cache);
+        (report.schedule, cache.miss_count() - before)
+    };
+    let cache = EstimateCache::shared(cfg.cache_capacity);
+    let (cold, cold_misses) = solve(&cache);
+    let hits = cache.hit_count();
+    assert!(
+        hits * 10 >= (hits + cold_misses) * 3,
+        "cold hit rate below 0.30: {hits} hits, {cold_misses} misses"
+    );
+    let (warm, warm_misses) = solve(&cache);
+    assert_eq!(warm, cold, "warm re-solve diverged");
+    assert_eq!(warm_misses, 0, "warm re-solve recomputed cached estimates");
+}
+
 /// The dependency index is conservative and precise: a region-targeted
 /// revision dirties exactly the apps whose permitted sets read that
 /// region, and those apps re-solve only at the revised hour.

@@ -3,6 +3,8 @@
 //! constraints hold, provider-asymmetric faults never alias colocated
 //! regions, and cross-provider solves are worker-count invariant.
 
+use std::sync::Arc;
+
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::{CarbonDataSource, ForecastingSource, RegionalSource, TableSource};
 use caribou_carbon::synth::SyntheticCarbonSource;
@@ -23,6 +25,7 @@ use caribou_simcloud::orchestration::Orchestrator;
 use caribou_solver::context::SolverContext;
 use caribou_solver::engine::{EstimateCache, EvalEngine};
 use caribou_solver::hbss::HbssSolver;
+use caribou_solver::hourly::solve_hourly_with;
 use caribou_workloads::benchmarks::{all_benchmarks, InputSize};
 use proptest::prelude::*;
 
@@ -193,6 +196,70 @@ fn provider_asymmetric_outage_reroutes_without_aliasing_colocated_region() {
     assert_eq!(rec.region, aws_west);
 }
 
+/// Builds the `caribou plan text2speech [--providers ...]` solver world
+/// and hands `f` the context, the universe's provider bits and the region
+/// catalog. The context borrows a pile of locals, hence the closure shape.
+fn with_plan_ctx<R>(
+    set: ProviderSet,
+    f: impl FnOnce(
+        &SolverContext<'_, ForecastingSource<'_, RegionalSource>, DefaultModels<'_>>,
+        u64,
+        &RegionCatalog,
+    ) -> R,
+) -> R {
+    let aws_only = set == ProviderSet::aws_only();
+    let cloud = if aws_only {
+        SimCloud::aws(7)
+    } else {
+        SimCloud::for_providers(set, 7).unwrap()
+    };
+    let regions: Vec<RegionId> = if aws_only {
+        cloud.regions.evaluation_regions()
+    } else {
+        SimCloud::evaluation_universe(set)
+            .iter()
+            .map(|n| cloud.regions.resolve(n).unwrap())
+            .collect()
+    };
+    let bench = all_benchmarks(InputSize::Small)
+        .into_iter()
+        .find(|b| b.dag.name().contains("text2speech"))
+        .unwrap();
+    let carbon = RegionalSource::new(
+        &cloud.regions,
+        SyntheticCarbonSource::aws_calibrated(20231015),
+    )
+    .unwrap();
+    let home = cloud.region("us-east-1").unwrap();
+    let mut constraints = bench.constraints.clone();
+    constraints.tolerances.latency = 0.10;
+    constraints.tolerances.cost = 1.0;
+    let permitted = constraints
+        .permitted_regions(&bench.dag, &regions, &cloud.regions, home)
+        .unwrap();
+    let forecast = ForecastingSource::fit(&carbon, &regions, 0.0, 48);
+    let models = DefaultModels {
+        profile: &bench.profile,
+        runtime: &cloud.compute,
+        latency: &cloud.latency,
+        orchestrator: Orchestrator::Caribou,
+    };
+    let ctx = SolverContext {
+        dag: &bench.dag,
+        profile: &bench.profile,
+        permitted: &permitted,
+        home,
+        objective: Objective::Carbon,
+        tolerances: constraints.tolerances,
+        carbon_source: &forecast,
+        carbon_model: CarbonModel::new(TransmissionScenario::BEST),
+        cost_model: CostModel::new(&cloud.pricing),
+        models: &models,
+        mc_config: MonteCarloConfig::default(),
+    };
+    f(&ctx, cloud.regions.provider_bits(&regions), &cloud.regions)
+}
+
 /// Seeded cross-provider win (the acceptance scenario): with `aws,gcp`
 /// the solver splits the Text2Speech DAG across both providers and beats
 /// the best aws-only plan on carbon, deterministically at any worker
@@ -201,75 +268,31 @@ fn provider_asymmetric_outage_reroutes_without_aliasing_colocated_region() {
 fn cross_provider_plan_splits_dag_and_beats_single_provider_carbon() {
     // Mirrors `caribou plan text2speech [--providers ...]` at hour 12.5.
     let solve = |set: ProviderSet| -> (Vec<Provider>, f64) {
-        let aws_only = set == ProviderSet::aws_only();
-        let cloud = if aws_only {
-            SimCloud::aws(7)
-        } else {
-            SimCloud::for_providers(set, 7).unwrap()
-        };
-        let regions: Vec<RegionId> = if aws_only {
-            cloud.regions.evaluation_regions()
-        } else {
-            SimCloud::evaluation_universe(set)
+        with_plan_ctx(set, |ctx, bits, catalog| {
+            let solver = HbssSolver::new();
+            let solve_at = |workers: usize| {
+                let engine = EvalEngine::with_cache_providers(
+                    7,
+                    0,
+                    bits,
+                    workers,
+                    EstimateCache::shared(4096),
+                );
+                solver.solve_with(&engine, ctx, 12.5, &mut Pcg32::seed(7))
+            };
+            let base = solve_at(1);
+            // Worker-count invariance of the cross-provider solve.
+            let wide = solve_at(4);
+            assert_eq!(base.best.assignment(), wide.best.assignment());
+            assert_eq!(base.best_estimate, wide.best_estimate);
+            let providers = base
+                .best
+                .assignment()
                 .iter()
-                .map(|n| cloud.regions.resolve(n).unwrap())
-                .collect()
-        };
-        let bench = all_benchmarks(InputSize::Small)
-            .into_iter()
-            .find(|b| b.dag.name().contains("text2speech"))
-            .unwrap();
-        let carbon = RegionalSource::new(
-            &cloud.regions,
-            SyntheticCarbonSource::aws_calibrated(20231015),
-        )
-        .unwrap();
-        let home = cloud.region("us-east-1").unwrap();
-        let mut constraints = bench.constraints.clone();
-        constraints.tolerances.latency = 0.10;
-        constraints.tolerances.cost = 1.0;
-        let permitted = constraints
-            .permitted_regions(&bench.dag, &regions, &cloud.regions, home)
-            .unwrap();
-        let forecast = ForecastingSource::fit(&carbon, &regions, 0.0, 48);
-        let models = DefaultModels {
-            profile: &bench.profile,
-            runtime: &cloud.compute,
-            latency: &cloud.latency,
-            orchestrator: Orchestrator::Caribou,
-        };
-        let ctx = SolverContext {
-            dag: &bench.dag,
-            profile: &bench.profile,
-            permitted: &permitted,
-            home,
-            objective: Objective::Carbon,
-            tolerances: constraints.tolerances,
-            carbon_source: &forecast,
-            carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-            cost_model: CostModel::new(&cloud.pricing),
-            models: &models,
-            mc_config: MonteCarloConfig::default(),
-        };
-        let bits = cloud.regions.provider_bits(&regions);
-        let solver = HbssSolver::new();
-        let solve_at = |workers: usize| {
-            let engine =
-                EvalEngine::with_cache_providers(7, 0, bits, workers, EstimateCache::shared(4096));
-            solver.solve_with(&engine, &ctx, 12.5, &mut Pcg32::seed(7))
-        };
-        let base = solve_at(1);
-        // Worker-count invariance of the cross-provider solve.
-        let wide = solve_at(4);
-        assert_eq!(base.best.assignment(), wide.best.assignment());
-        assert_eq!(base.best_estimate, wide.best_estimate);
-        let providers = base
-            .best
-            .assignment()
-            .iter()
-            .map(|r| cloud.regions.spec(*r).provider)
-            .collect();
-        (providers, ctx.metric_of(&base.best_estimate))
+                .map(|r| catalog.spec(*r).provider)
+                .collect();
+            (providers, ctx.metric_of(&base.best_estimate))
+        })
     };
 
     let (aws_providers, aws_best) = solve(ProviderSet::aws_only());
@@ -282,6 +305,75 @@ fn cross_provider_plan_splits_dag_and_beats_single_provider_carbon() {
     assert!(
         multi_best < aws_best,
         "cross-provider plan must beat the single-provider best: {multi_best} vs {aws_best}"
+    );
+}
+
+/// The 24-hour `plan --hourly --providers aws,gcp` schedule: identical
+/// (cache traffic included) at 1 and 4 workers, offloading to the second
+/// provider, with hour-to-hour estimate reuse surviving the
+/// provider-qualified cache key — and that key really is qualified: an
+/// aws-only engine on the same cache misses on a plan the cross-provider
+/// engine hits.
+#[test]
+fn cross_provider_hourly_solve_reuses_estimates_under_a_provider_keyed_cache() {
+    with_plan_ctx(
+        ProviderSet::parse("aws,gcp").unwrap(),
+        |ctx, bits, catalog| {
+            assert_ne!(bits, 0, "aws,gcp universe must carry non-AWS bits");
+            let solve_at = |workers: usize| {
+                let engine = EvalEngine::with_cache_providers(
+                    7,
+                    0,
+                    bits,
+                    workers,
+                    EstimateCache::shared(1 << 16),
+                );
+                let plans = solve_hourly_with(
+                    &engine,
+                    &HbssSolver::new(),
+                    ctx,
+                    0.0,
+                    0.0,
+                    86_400.0,
+                    &mut Pcg32::seed(7),
+                );
+                (plans, engine)
+            };
+            let (plans, cross) = solve_at(1);
+            let (wide, wide_engine) = solve_at(4);
+            assert_eq!(plans, wide, "worker count changed the schedule");
+            let (hits, misses) = (cross.hit_count(), cross.miss_count());
+            assert_eq!(
+                (hits, misses),
+                (wide_engine.hit_count(), wide_engine.miss_count())
+            );
+            assert!(
+                (0..24).any(|h| plans
+                    .plan_for_hour(h)
+                    .assignment()
+                    .iter()
+                    .any(|r| catalog.spec(*r).provider != Provider::Aws)),
+                "no hour offloaded to the second provider"
+            );
+            assert!(
+                hits * 5 >= hits + misses,
+                "cold hit rate below 0.20: {hits} hits, {misses} misses"
+            );
+
+            // Hour 0's winner was evaluated at hour 0.5, so it is cached
+            // under the cross-provider bits: that engine hits, a bits-0
+            // engine sharing the cache must compute its own.
+            let probe = plans.plan_for_hour(0);
+            cross.evaluate(ctx, probe, 0.5);
+            assert_eq!((cross.hit_count(), cross.miss_count()), (hits + 1, misses));
+            let aws_only = EvalEngine::with_cache_providers(7, 0, 0, 1, Arc::clone(cross.cache()));
+            aws_only.evaluate(ctx, probe, 0.5);
+            assert_eq!(
+                (aws_only.hit_count(), aws_only.miss_count()),
+                (hits + 1, misses + 1),
+                "aws-only engine read a provider-qualified cache entry"
+            );
+        },
     );
 }
 

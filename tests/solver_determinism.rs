@@ -151,8 +151,9 @@ proptest! {
             let (base, base_hits) = solve_at(WORKER_COUNTS[0]);
             assert!(base_hits > 0, "estimate cache never hit");
             for &w in &WORKER_COUNTS[1..] {
-                let (other, _) = solve_at(w);
+                let (other, other_hits) = solve_at(w);
                 assert_eq!(&base, &other);
+                assert_eq!(base_hits, other_hits, "cache traffic at {w} workers");
             }
         });
     }
