@@ -17,8 +17,7 @@ use caribou_metrics::costmodel::CostModel;
 use caribou_metrics::montecarlo::{DefaultModels, MonteCarloConfig, MonteCarloEstimator};
 use caribou_model::constraints::{Constraints, Objective, Tolerances};
 use caribou_model::plan::DeploymentPlan;
-use caribou_model::region::Provider;
-use caribou_model::region::{RegionCatalog, RegionId};
+use caribou_model::region::{Provider, ProviderSet, RegionId};
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::orchestration::Orchestrator;
@@ -43,7 +42,8 @@ struct Env {
 }
 
 fn env() -> Env {
-    let cloud = SimCloud::with_catalog(RegionCatalog::multi_cloud(), 77);
+    let cloud = SimCloud::for_providers(ProviderSet::of(&[Provider::Aws, Provider::Gcp]), 77)
+        .expect("aws and gcp have backends");
     let carbon = RegionalSource::new(
         &cloud.regions,
         SyntheticCarbonSource::aws_calibrated(20231015),
@@ -124,22 +124,7 @@ fn eval_strategy(
 fn main() {
     let env = env();
     let aws_na = env.cloud.regions.evaluation_regions();
-    let multi: Vec<RegionId> = [
-        "us-east-1",
-        "us-west-1",
-        "us-west-2",
-        "ca-central-1",
-        "us-central1",
-        "us-west1",
-        "northamerica-northeast1",
-    ]
-    .iter()
-    .map(|n| {
-        env.cloud
-            .region(n)
-            .expect("multicloud catalog includes every listed region")
-    })
-    .collect();
+    let multi = env.cloud.evaluation_regions();
 
     let tolerances = Tolerances {
         latency: 0.10,

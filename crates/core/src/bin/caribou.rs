@@ -216,7 +216,7 @@ fn workers(args: &[String]) -> Result<usize, String> {
     }
 }
 
-/// Parses `--providers aws[,gcp]` (default AWS-only, the legacy substrate).
+/// Parses `--providers aws[,gcp]` (default AWS-only).
 fn providers(args: &[String]) -> Result<ProviderSet, String> {
     match flag(args, "--providers") {
         None => Ok(ProviderSet::aws_only()),
@@ -225,28 +225,18 @@ fn providers(args: &[String]) -> Result<ProviderSet, String> {
 }
 
 /// Builds the simulated cloud and candidate-region universe for a
-/// provider set. The AWS-only default goes through the legacy
-/// constructor (byte-identical output); wider sets assemble the cloud
-/// from the trait backends and union their evaluation regions.
+/// provider set.
 fn cloud_for(
     set: ProviderSet,
     seed: u64,
 ) -> Result<(SimCloud, Vec<caribou_model::region::RegionId>), String> {
-    if set.is_aws_only() {
-        let cloud = SimCloud::aws(seed);
-        let regions = cloud.regions.evaluation_regions();
-        return Ok((cloud, regions));
-    }
     let cloud = SimCloud::for_providers(set, seed).map_err(|e| e.to_string())?;
-    let regions = SimCloud::evaluation_universe(set)
-        .iter()
-        .map(|n| cloud.regions.resolve(n).map_err(|e| e.to_string()))
-        .collect::<Result<Vec<_>, _>>()?;
+    let regions = cloud.evaluation_regions();
     Ok((cloud, regions))
 }
 
 /// Renders a region for output: bare name on single-provider runs (the
-/// legacy format the goldens pin), `provider:name` on cross-provider runs.
+/// format the goldens pin), `provider:name` on cross-provider runs.
 fn region_label(cloud: &SimCloud, set: ProviderSet, id: caribou_model::region::RegionId) -> String {
     if set.is_aws_only() {
         cloud.regions.name(id).to_string()

@@ -58,10 +58,9 @@ pub struct ChaosConfig {
     pub breaker_enabled: bool,
     /// Per-attempt stochastic message-drop probability.
     pub drop_prob: f64,
-    /// Providers whose regions participate in the campaign. The default
-    /// AWS-only set replays the exact legacy campaign byte-for-byte;
-    /// `aws,gcp` offloads across both substrates so faults can force
-    /// cross-provider re-routes.
+    /// Providers whose regions participate in the campaign: `aws,gcp`
+    /// offloads across both substrates so faults can force cross-provider
+    /// re-routes.
     pub providers: ProviderSet,
     /// Fallback plan sets precomputed alongside the primary in the
     /// correlated campaign (`0` = no contingency table: the baseline
@@ -182,23 +181,11 @@ fn chaos_app(home: RegionId) -> WorkflowApp {
 }
 
 /// The campaign's cloud, its home region and the regions it offloads
-/// across. The AWS-only default takes the legacy constructor so the
-/// campaign replays byte-for-byte; multi-provider sets assemble the cloud
-/// from the trait backends and widen the offload universe.
+/// across.
 fn world(config: &ChaosConfig) -> (SimCloud, RegionId, Vec<RegionId>) {
-    let (cloud, regions) = if config.providers.is_aws_only() {
-        let cloud = SimCloud::aws(config.seed);
-        let regions = cloud.regions.evaluation_regions();
-        (cloud, regions)
-    } else {
-        let cloud = SimCloud::for_providers(config.providers, config.seed)
-            .expect("chaos providers must have backends");
-        let regions = SimCloud::evaluation_universe(config.providers)
-            .iter()
-            .map(|n| cloud.regions.resolve(n).expect("backend region present"))
-            .collect();
-        (cloud, regions)
-    };
+    let cloud = SimCloud::for_providers(config.providers, config.seed)
+        .expect("chaos providers must have backends");
+    let regions = cloud.evaluation_regions();
     let home = cloud
         .region("us-east-1")
         .expect("every chaos catalog includes us-east-1");
@@ -437,7 +424,7 @@ pub struct CorrelatedFaultCounts {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorrelatedChaosReport {
     /// The base robustness report (invariants, latency percentiles,
-    /// legacy fault class counts).
+    /// base fault class counts).
     pub base: ChaosReport,
     /// Correlated fault windows injected on top of the base classes.
     pub correlated: CorrelatedFaultCounts,

@@ -121,7 +121,7 @@ pub struct FleetEnv {
 }
 
 impl FleetEnv {
-    /// Builds the environment: an `aws_default` cloud and a synthetic
+    /// Builds the environment: an AWS-only cloud and a synthetic
     /// Electricity-Maps-calibrated forecast materialized at hourly
     /// resolution. Pure function of `(seed, hours)`.
     pub fn new(seed: u64, hours: usize) -> Self {
@@ -132,26 +132,14 @@ impl FleetEnv {
     /// [`FleetEnv::new`] over an explicit provider set: the candidate
     /// universe unions every member backend's evaluation regions, and the
     /// env carries the universe's provider bits so fleet evaluation
-    /// streams and cache keys separate from the AWS-only ones
-    /// (aws-only ⇒ bits 0 ⇒ byte-identical legacy env).
+    /// streams and cache keys separate from the AWS-only ones.
     pub fn for_providers(
         seed: u64,
         hours: usize,
         providers: ProviderSet,
     ) -> Result<Self, caribou_model::error::ModelError> {
-        let cloud = if providers.is_aws_only() {
-            SimCloud::aws(seed)
-        } else {
-            SimCloud::for_providers(providers, seed)?
-        };
-        let universe: Vec<RegionId> = if providers.is_aws_only() {
-            cloud.regions.evaluation_regions()
-        } else {
-            SimCloud::evaluation_universe(providers)
-                .iter()
-                .map(|n| cloud.regions.resolve(n))
-                .collect::<Result<_, _>>()?
-        };
+        let cloud = SimCloud::for_providers(providers, seed)?;
+        let universe = cloud.evaluation_regions();
         let provider_bits = cloud.regions.provider_bits(&universe);
         let synth =
             RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(seed))

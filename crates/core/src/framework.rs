@@ -7,6 +7,8 @@
 //! migration, and emission accounting on *actual* carbon data — the same
 //! separation the paper's evaluation relies on (§9.5).
 
+use std::collections::BTreeMap;
+
 use caribou_carbon::source::{CarbonDataSource, ForecastingSource};
 use caribou_exec::engine::{ExecutionEngine, InvocationScratch, WorkflowApp};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
@@ -24,8 +26,7 @@ use caribou_simcloud::orchestration::Orchestrator;
 use caribou_solver::context::SolverContext;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::{HbssParams, HbssSolver};
-use caribou_solver::hourly::DayAveragedSource;
-use caribou_solver::pool;
+use caribou_solver::hourly::{solve_daily, solve_hourly_with};
 
 use crate::driver;
 use crate::error::CoreError;
@@ -301,10 +302,7 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
     /// workflows" (§5.2): before each invocation is dispatched, every
     /// workflow whose token check is due gets its tick. Returns one report
     /// per workflow index.
-    pub fn run_multi(
-        &mut self,
-        traces: &[(usize, Vec<f64>)],
-    ) -> std::collections::HashMap<usize, RunReport> {
+    pub fn run_multi(&mut self, traces: &[(usize, Vec<f64>)]) -> BTreeMap<usize, RunReport> {
         // Merge all arrivals into one ascending timeline.
         let mut events: Vec<(f64, usize)> = traces
             .iter()
@@ -312,25 +310,19 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
             .collect();
         events.sort_by(|a, b| a.0.total_cmp(&b.0));
 
-        let mut reports: std::collections::HashMap<usize, RunReport> = traces
+        let mut reports: BTreeMap<usize, RunReport> = traces
             .iter()
             .map(|(idx, _)| (*idx, RunReport::default()))
             .collect();
-        // Ticks fork `self.rng` and the cloud's generator, so the order
-        // workflows tick in is part of the result: ascending index, never
-        // the map's per-process hash order.
-        let mut indices: Vec<usize> = reports.keys().copied().collect();
-        indices.sort_unstable();
 
         for (at_s, idx) in events {
             // Manager pass over every deployed workflow in the run.
-            for &w in &indices {
+            for (&w, report) in reports.iter_mut() {
                 while self.workflows[w].manager.next_check_s() <= at_s {
                     let check_at = self.workflows[w]
                         .manager
                         .next_check_s()
                         .max(self.workflows[w].last_check_s);
-                    let report = reports.get_mut(&w).expect("report exists");
                     self.manager_tick(w, check_at, report);
                 }
             }
@@ -521,49 +513,19 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
                 .seed();
             match decision {
                 SolveDecision::Hourly => {
-                    // One plan per hour-of-day for the next 24 hours,
-                    // fanned across the engine's worker pool. The per-step
-                    // walk rngs are pre-forked in order — exactly what the
-                    // sequential loop drew — so the schedule is
-                    // bit-identical at any worker count.
                     let engine = EvalEngine::new(engine_seed, self.config.workers);
-                    let srngs: Vec<Pcg32> = (0..24).map(|step| srng.fork(step as u64)).collect();
-                    let (solved, stats) = pool::map_indexed(engine.workers(), 24, |step| {
-                        let abs_h = now_h + step as f64;
-                        let mut hrng = srngs[step].clone();
-                        solver
-                            .solve_with(&engine, &ctx, abs_h + 0.5, &mut hrng)
-                            .best
-                    });
-                    stats.emit();
-                    // Index by hour-of-day so the router's lookup finds the
-                    // right plan.
-                    let mut per_hour: Vec<Option<DeploymentPlan>> = vec![None; 24];
-                    for (step, best) in solved.into_iter().enumerate() {
-                        let hod = ((now_h + step as f64) as usize) % 24;
-                        per_hour[hod] = Some(best);
+                    let by_step =
+                        solve_hourly_with(&engine, &solver, &ctx, now_h, now_s, expires, &mut srng);
+                    // The solve starts at `now_h`, not midnight: index by
+                    // hour-of-day so the router's lookup finds the right
+                    // plan.
+                    let mut plans: Vec<DeploymentPlan> = by_step.iter().cloned().collect();
+                    for (step, best) in by_step.iter().enumerate() {
+                        plans[((now_h + step as f64) as usize) % 24] = best.clone();
                     }
-                    let plans: Vec<DeploymentPlan> = per_hour
-                        .into_iter()
-                        .map(|p| p.expect("all 24 hours solved"))
-                        .collect();
                     HourlyPlans::hourly(plans, now_s, expires)
                 }
                 SolveDecision::Daily => {
-                    let averaged = DayAveragedSource::new(&forecast, now_h);
-                    let day_ctx = SolverContext {
-                        dag,
-                        profile: &profile,
-                        permitted: &permitted,
-                        home,
-                        objective: state.constraints.objective,
-                        tolerances: state.constraints.tolerances,
-                        carbon_source: &averaged,
-                        carbon_model: CarbonModel::new(self.config.scenario),
-                        cost_model: CostModel::new(&self.cloud.pricing),
-                        models: &models,
-                        mc_config: self.config.mc,
-                    };
                     // The day-averaged source answers the same hour keys
                     // differently from the forecast, so the daily solve
                     // gets its own engine rather than sharing a cache.
@@ -571,8 +533,7 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
                         SeedSplitter::new(engine_seed).absorb(0xda11).seed(),
                         self.config.workers,
                     );
-                    let outcome = solver.solve_with(&day_engine, &day_ctx, now_h + 12.0, &mut srng);
-                    HourlyPlans::daily(outcome.best, now_s, expires)
+                    solve_daily(&day_engine, &solver, &ctx, now_h, now_s, expires, &mut srng)
                 }
                 SolveDecision::Skip => unreachable!(),
             }

@@ -929,7 +929,7 @@ mod tests {
         assert_eq!(finished.recorder.counter("failover.rerouted"), 2);
         assert_eq!(finished.recorder.counter("failover.recovered"), 1);
         let ttr = &finished.recorder.histograms["failover.time_to_recover_s"];
-        assert_eq!(ttr.count, 1);
+        assert_eq!(ttr.count(), 1);
         let sink = finished
             .sink
             .as_any()

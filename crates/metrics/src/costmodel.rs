@@ -60,11 +60,11 @@ impl<'a> CostModel<'a> {
 mod tests {
     use super::*;
     use caribou_model::region::RegionCatalog;
+    use caribou_simcloud::cloud::SimCloud;
 
     fn setup() -> (RegionCatalog, PricingCatalog) {
-        let cat = RegionCatalog::aws_default();
-        let pc = PricingCatalog::aws_default(&cat);
-        (cat, pc)
+        let cloud = SimCloud::aws(0);
+        (cloud.regions, cloud.pricing)
     }
 
     #[test]

@@ -215,7 +215,7 @@ mod tests {
     use crate::logs::{EdgeRecord, NodeRecord};
     use caribou_model::builder::Workflow;
     use caribou_model::dist::DistSpec;
-    use caribou_model::region::RegionCatalog;
+    use caribou_simcloud::cloud::SimCloud;
 
     fn dag_and_profile() -> (WorkflowDag, WorkflowProfile) {
         let mut wf = Workflow::new("wf", "0.1");
@@ -290,10 +290,9 @@ mod tests {
 
     #[test]
     fn learned_exec_distribution_overrides_model() {
-        let cat = RegionCatalog::aws_default();
+        let cloud = SimCloud::aws(0);
+        let (cat, runtime, latency) = (cloud.regions, cloud.compute, cloud.latency);
         let (_, profile) = dag_and_profile();
-        let runtime = LambdaRuntime::aws_default(&cat);
-        let latency = LatencyModel::from_catalog(&cat);
         let home = cat.id_of("us-east-1").unwrap();
         let mut mm = MetricsManager::new();
         // Log node 0 running 9 s in the home region, far from the 1 s
@@ -310,10 +309,9 @@ mod tests {
 
     #[test]
     fn home_fallback_scales_by_perf_factor() {
-        let cat = RegionCatalog::aws_default();
+        let cloud = SimCloud::aws(0);
+        let (cat, mut runtime, latency) = (cloud.regions, cloud.compute, cloud.latency);
         let (_, profile) = dag_and_profile();
-        let mut runtime = LambdaRuntime::aws_default(&cat);
-        let latency = LatencyModel::from_catalog(&cat);
         let home = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-1").unwrap();
         runtime.set_perf_factor(west, 2.0);
@@ -330,10 +328,9 @@ mod tests {
 
     #[test]
     fn transfer_fallback_uses_latency_model() {
-        let cat = RegionCatalog::aws_default();
+        let cloud = SimCloud::aws(0);
+        let (cat, runtime, latency) = (cloud.regions, cloud.compute, cloud.latency);
         let (_, profile) = dag_and_profile();
-        let runtime = LambdaRuntime::aws_default(&cat);
-        let latency = LatencyModel::from_catalog(&cat);
         let home = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-2").unwrap();
         let mm = MetricsManager::new();
@@ -345,10 +342,9 @@ mod tests {
 
     #[test]
     fn learned_transfer_distribution_is_sampled() {
-        let cat = RegionCatalog::aws_default();
+        let cloud = SimCloud::aws(0);
+        let (cat, runtime, latency) = (cloud.regions, cloud.compute, cloud.latency);
         let (_, profile) = dag_and_profile();
-        let runtime = LambdaRuntime::aws_default(&cat);
-        let latency = LatencyModel::from_catalog(&cat);
         let home = cat.id_of("us-east-1").unwrap();
         let mut mm = MetricsManager::new();
         for i in 0..10 {

@@ -425,6 +425,7 @@ mod tests {
     use caribou_model::dag::NodeId;
     use caribou_model::dist::DistSpec;
     use caribou_model::region::RegionCatalog;
+    use caribou_simcloud::cloud::SimCloud;
     use caribou_simcloud::pricing::PricingCatalog;
 
     type Flow = (WorkflowDag, WorkflowProfile);
@@ -439,8 +440,9 @@ mod tests {
 
     /// A world with cold starts and execution noise off unless `noisy`.
     fn fixture(noisy: bool) -> Fixture {
-        let cat = RegionCatalog::aws_default();
-        let mut runtime = LambdaRuntime::aws_default(&cat);
+        let cloud = SimCloud::aws(0);
+        let (cat, pricing, mut runtime, latency) =
+            (cloud.regions, cloud.pricing, cloud.compute, cloud.latency);
         if !noisy {
             runtime.cold_start_prob = 0.0;
             runtime.exec_sigma = 0.0;
@@ -455,8 +457,8 @@ mod tests {
             carbon.insert(id, CarbonSeries::new(0, vec![v; 24]));
         }
         Fixture {
-            pricing: PricingCatalog::aws_default(&cat),
-            latency: LatencyModel::from_catalog(&cat),
+            pricing,
+            latency,
             cat,
             runtime,
             carbon,

@@ -59,9 +59,8 @@ impl fmt::Display for Provider {
 /// A compact, copyable set of providers (one bit per [`Provider`]).
 ///
 /// Used to parameterize clouds, campaigns, and CLI runs: the default
-/// [`ProviderSet::aws_only`] keeps every legacy code path byte-identical,
-/// while `ProviderSet::parse("aws,gcp")` opens the cross-provider plan
-/// space.
+/// [`ProviderSet::aws_only`] is the paper's evaluation substrate, and
+/// `ProviderSet::parse("aws,gcp")` opens the cross-provider plan space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ProviderSet(u8);
 
@@ -203,6 +202,10 @@ pub struct RegionSpec {
     pub longitude: f64,
 }
 
+/// The four AWS regions used in the paper's evaluation (§9.1).
+pub const AWS_EVALUATION_REGIONS: [&str; 4] =
+    ["us-east-1", "us-west-1", "us-west-2", "ca-central-1"];
+
 /// An ordered collection of regions addressable by [`RegionId`].
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RegionCatalog {
@@ -285,7 +288,7 @@ impl RegionCatalog {
     /// Panics if the catalog does not contain all four regions; use on
     /// [`RegionCatalog::aws_default`].
     pub fn evaluation_regions(&self) -> Vec<RegionId> {
-        ["us-east-1", "us-west-1", "us-west-2", "ca-central-1"]
+        AWS_EVALUATION_REGIONS
             .iter()
             .map(|n| self.id_of(n).expect("evaluation region present"))
             .collect()
@@ -408,9 +411,8 @@ impl RegionCatalog {
     }
 
     /// Cache/stream discriminator bits for the non-AWS providers among
-    /// `ids`: 0 for any AWS-only set, so legacy AWS-shaped evaluation
-    /// streams and cache keys stay bit-identical (the solver's
-    /// fingerprint-0 reservation).
+    /// `ids`: the bits name the providers a universe adds to AWS, so an
+    /// AWS-only universe has bits 0.
     pub fn provider_bits(&self, ids: &[RegionId]) -> u64 {
         (self.providers_of(ids).mask() & !Provider::Aws.bit()) as u64
     }
@@ -435,6 +437,16 @@ impl RegionCatalog {
         let sa = self.spec(a);
         let sb = self.spec(b);
         haversine_km(sa.latitude, sa.longitude, sb.latitude, sb.longitude)
+    }
+}
+
+impl IntoIterator for RegionCatalog {
+    type Item = RegionSpec;
+    type IntoIter = std::vec::IntoIter<RegionSpec>;
+
+    /// The specs in id order, consuming the catalog.
+    fn into_iter(self) -> Self::IntoIter {
+        self.regions.into_iter()
     }
 }
 

@@ -199,12 +199,12 @@ impl BlobStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cloud::SimCloud;
     use caribou_model::region::RegionCatalog;
 
     fn setup() -> (RegionCatalog, LatencyModel, BlobStore, Pcg32) {
-        let cat = RegionCatalog::aws_default();
-        let lm = LatencyModel::from_catalog(&cat);
-        (cat, lm, BlobStore::new(), Pcg32::seed(1))
+        let cloud = SimCloud::aws(0);
+        (cloud.regions, cloud.latency, cloud.blob, Pcg32::seed(1))
     }
 
     #[test]

@@ -56,113 +56,59 @@ pub struct SimCloud {
 }
 
 impl SimCloud {
-    /// Creates a cloud over the default AWS catalog with the given master
-    /// seed.
+    /// Creates a cloud over the AWS backend's regions with the given
+    /// master seed.
     pub fn aws(seed: u64) -> Self {
-        let regions = RegionCatalog::aws_default();
-        Self::with_catalog(regions, seed)
+        Self::for_providers(ProviderSet::aws_only(), seed).expect("the AWS backend exists")
     }
 
-    /// Creates a cloud over a custom catalog.
-    pub fn with_catalog(regions: RegionCatalog, seed: u64) -> Self {
-        let latency = LatencyModel::from_catalog(&regions);
-        let pricing = PricingCatalog::aws_default(&regions);
-        let compute = LambdaRuntime::aws_default(&regions);
-        SimCloud {
-            latency,
-            pricing,
-            compute,
-            pubsub: PubSub::new(),
-            kv: KvStore::new(),
-            registry: ContainerRegistry::new(),
-            blob: BlobStore::new(),
-            warm: WarmPool::new(),
-            iam: Iam::new(),
-            faults: FaultPlan::none(),
-            meter: UsageMeter::new(),
-            clock: SimClock::new(),
-            rng: Pcg32::seed_stream(seed, 0x5eed),
-            regions,
-        }
-    }
-
-    /// Assembles a cloud from provider backends: the catalog is the union
-    /// of each member provider's regions (AWS first, so AWS ids match the
-    /// legacy catalog), and every service is parameterized through the
-    /// [`crate::providers::ProviderBackend`] trait objects.
+    /// Assembles a cloud over `regions`, the one place service constants
+    /// enter a [`SimCloud`]: every region takes its price sheet, KV rates,
+    /// compute / cold-start / keep-alive / registry profile and messaging
+    /// profile from its provider's [`crate::providers::ProviderBackend`],
+    /// and cross-provider pairs pay the inter-provider latency penalty.
     ///
-    /// `for_providers(ProviderSet::aws_only(), seed)` is behaviorally
-    /// identical to [`SimCloud::aws`] — same catalog, same constants, same
-    /// RNG draw order — so all single-provider goldens are preserved.
-    ///
-    /// Errors with [`ModelError::UnknownProvider`] for providers without a
-    /// backend (e.g. `azure`), and with
+    /// Errors with [`ModelError::UnknownProvider`] for a region whose
+    /// provider has no backend (e.g. `azure`), and with
     /// [`ModelError::MissingInterProviderLatency`] when the inter-provider
     /// penalty table lacks a pair the catalog requires.
-    pub fn for_providers(set: ProviderSet, seed: u64) -> Result<Self, ModelError> {
-        let mut regions = RegionCatalog::new();
-        let mut backends = Vec::new();
-        for p in set.iter() {
-            let b = backend_for(p).ok_or_else(|| ModelError::UnknownProvider {
-                name: p.to_string(),
-            })?;
-            for spec in b.regions() {
-                regions.push(spec);
-            }
-            backends.push(b);
-        }
-        if regions.is_empty() {
-            return Err(ModelError::UnknownProvider {
-                name: set.to_string(),
-            });
-        }
-        let backend_of = |spec: &caribou_model::region::RegionSpec| {
-            backend_for(spec.provider).expect("member providers have backends")
-        };
-
-        let latency =
-            LatencyModel::from_catalog_with_providers(&regions, &InterProviderLatency::defaults())?;
-
-        let mut per_region = Vec::with_capacity(regions.len());
-        let mut provider_of = Vec::with_capacity(regions.len());
-        let mut cross_rates = Vec::with_capacity(regions.len());
+    pub fn with_catalog(regions: RegionCatalog, seed: u64) -> Result<Self, ModelError> {
+        let n = regions.len();
+        let mut prices = Vec::with_capacity(n);
+        let mut provider_of = Vec::with_capacity(n);
+        let mut cross_rates = Vec::with_capacity(n);
+        let mut perf_factor = Vec::with_capacity(n);
+        let mut cold_start = Vec::with_capacity(n);
+        let mut keep_alive_s = Vec::with_capacity(n);
+        let mut registry_overhead_s = Vec::with_capacity(n);
+        let mut messaging = Vec::with_capacity(n);
         for (_, spec) in regions.iter() {
-            let b = backend_of(spec);
+            let b = backend_for(spec.provider).ok_or_else(|| ModelError::UnknownProvider {
+                name: spec.provider.to_string(),
+            })?;
             let mut row = b.pricing(spec);
             let kv = b.kv(spec);
             row.dynamodb_per_write = kv.per_write_usd;
             row.dynamodb_per_read = kv.per_read_usd;
-            per_region.push(row);
+            prices.push(row);
             provider_of.push(spec.provider);
             cross_rates.push(b.cross_provider_egress_per_gb(spec));
+            let compute = b.compute(spec);
+            perf_factor.push(compute.perf_factor);
+            cold_start.push(compute.cold_start);
+            keep_alive_s.push(compute.keep_alive_s);
+            registry_overhead_s.push(compute.registry_overhead_s);
+            messaging.push(b.messaging(spec));
         }
-        let pricing = PricingCatalog::with_providers(per_region, provider_of, cross_rates);
-
-        let mut compute = LambdaRuntime::aws_default(&regions);
-        let mut warm = WarmPool::new();
-        let mut registry = ContainerRegistry::new();
-        let mut pubsub = PubSub::new();
-        let mut profiles = Vec::with_capacity(regions.len());
-        for (id, spec) in regions.iter() {
-            let b = backend_of(spec);
-            let prof = b.compute(spec);
-            compute.set_perf_factor(id, prof.perf_factor);
-            compute.set_cold_start(id, prof.cold_start);
-            warm.set_keep_alive(id, prof.keep_alive_s);
-            registry.set_overhead(id, prof.registry_overhead_s);
-            profiles.push(b.messaging(spec));
-        }
-        pubsub.set_profiles(profiles);
-
         Ok(SimCloud {
-            latency,
-            pricing,
-            compute,
-            pubsub,
+            latency: LatencyModel::from_catalog(&regions, &InterProviderLatency::defaults())?,
+            pricing: PricingCatalog::new(prices, provider_of, cross_rates),
+            compute: LambdaRuntime::new(perf_factor, cold_start),
+            pubsub: PubSub::new(messaging),
             kv: KvStore::new(),
-            registry,
+            registry: ContainerRegistry::new(registry_overhead_s),
             blob: BlobStore::new(),
-            warm,
+            warm: WarmPool::per_region(keep_alive_s),
             iam: Iam::new(),
             faults: FaultPlan::none(),
             meter: UsageMeter::new(),
@@ -172,9 +118,32 @@ impl SimCloud {
         })
     }
 
-    /// The region-name universe this cloud's provider set contributes to
-    /// evaluation campaigns: the AWS evaluation regions (§9.1) plus each
-    /// additional provider's evaluation regions, in catalog order.
+    /// A cloud over the union of each member provider's regions, in
+    /// provider order (AWS first).
+    ///
+    /// Errors like [`SimCloud::with_catalog`]; a set whose members have no
+    /// backend at all is [`ModelError::UnknownProvider`].
+    pub fn for_providers(set: ProviderSet, seed: u64) -> Result<Self, ModelError> {
+        let mut regions = RegionCatalog::new();
+        for p in set.iter() {
+            let b = backend_for(p).ok_or_else(|| ModelError::UnknownProvider {
+                name: p.to_string(),
+            })?;
+            for spec in b.regions() {
+                regions.push(spec);
+            }
+        }
+        if regions.is_empty() {
+            return Err(ModelError::UnknownProvider {
+                name: set.to_string(),
+            });
+        }
+        Self::with_catalog(regions, seed)
+    }
+
+    /// The region-name universe a provider set contributes to evaluation
+    /// campaigns: the AWS evaluation regions (§9.1) plus each additional
+    /// provider's evaluation regions, in provider order.
     pub fn evaluation_universe(set: ProviderSet) -> Vec<&'static str> {
         let mut names = Vec::new();
         for p in set.iter() {
@@ -183,6 +152,24 @@ impl SimCloud {
             }
         }
         names
+    }
+
+    /// This cloud's candidate regions for evaluation campaigns: the
+    /// [`SimCloud::evaluation_universe`] of the providers in its catalog.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a custom catalog that lacks one of those regions.
+    pub fn evaluation_regions(&self) -> Vec<RegionId> {
+        let members = self.regions.providers_of(&self.regions.all_ids());
+        Self::evaluation_universe(members)
+            .iter()
+            .map(|n| {
+                self.regions
+                    .resolve(n)
+                    .expect("evaluation region in catalog")
+            })
+            .collect()
     }
 
     /// Installs a fault plan, propagating the message-drop probability and
@@ -218,6 +205,13 @@ impl SimCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caribou_model::region::{Provider, RegionSpec};
+
+    /// The latency model of a catalog with the AWS–GCP penalty at zero.
+    fn distance_only(regions: &RegionCatalog) -> LatencyModel {
+        let free = InterProviderLatency::empty().with_pair(Provider::Aws, Provider::Gcp, 0.0);
+        LatencyModel::from_catalog(regions, &free).unwrap()
+    }
 
     #[test]
     fn aws_cloud_constructs_consistently() {
@@ -251,53 +245,77 @@ mod tests {
         assert!(!cloud.pubsub.faults.region_down(ca, cloud.pubsub.now_s));
     }
 
-    #[test]
-    fn aws_only_backend_cloud_matches_legacy_cloud() {
-        use caribou_model::rng::Pcg32;
-
-        let legacy = SimCloud::aws(42);
-        let mut built = SimCloud::for_providers(ProviderSet::aws_only(), 42).unwrap();
-        assert_eq!(built.regions.len(), legacy.regions.len());
-        for (id, spec) in legacy.regions.iter() {
-            assert_eq!(built.regions.spec(id), spec);
-            assert_eq!(built.pricing.region(id), legacy.pricing.region(id));
-            assert_eq!(
-                built.compute.perf_factor(id),
-                legacy.compute.perf_factor(id)
-            );
-            assert_eq!(
-                built.warm.keep_alive_for(id),
-                crate::warm::DEFAULT_KEEP_ALIVE_S
-            );
-            for (other, _) in legacy.regions.iter() {
-                assert_eq!(
-                    built.latency.one_way(id, other),
-                    legacy.latency.one_way(id, other)
-                );
+    /// Every per-region constant of an assembled cloud is its provider
+    /// backend's answer for that region.
+    fn assert_regions_come_from_backends(cloud: &SimCloud) {
+        for (id, spec) in cloud.regions.iter() {
+            let b = backend_for(spec.provider).unwrap();
+            let (kv, compute) = (b.kv(spec), b.compute(spec));
+            let mut sheet = b.pricing(spec);
+            sheet.dynamodb_per_write = kv.per_write_usd;
+            sheet.dynamodb_per_read = kv.per_read_usd;
+            assert_eq!(cloud.pricing.region(id), &sheet, "{}", spec.name);
+            assert_eq!(cloud.compute.perf_factor(id), compute.perf_factor);
+            assert_eq!(cloud.compute.cold_start_for(id), &compute.cold_start);
+            assert_eq!(cloud.warm.keep_alive_for(id), compute.keep_alive_s);
+            assert_eq!(cloud.registry.overhead_for(id), compute.registry_overhead_s);
+            assert_eq!(cloud.pubsub.profile_for(id), b.messaging(spec));
+            for (other, ospec) in cloud.regions.iter() {
+                let cross = spec.provider != ospec.provider;
+                assert_eq!(cloud.pricing.is_cross_provider(id, other), cross);
+                let rate = if cross {
+                    b.cross_provider_egress_per_gb(spec)
+                } else {
+                    sheet.egress_inter_region_per_gb
+                };
+                assert_eq!(cloud.pricing.egress_rate_per_gb(id, other), rate);
             }
         }
-        // Identical RNG draw order through the messaging path.
-        let mut legacy = SimCloud::aws(42);
-        let east = legacy.region("us-east-1").unwrap();
-        let ca = legacy.region("ca-central-1").unwrap();
-        let key = crate::pubsub::TopicKey {
-            workflow: "wf".into(),
-            stage: "a".into(),
-            region: ca,
-        };
-        legacy.pubsub.create_topic(key.clone());
-        built.pubsub.create_topic(key.clone());
-        let mut ra = Pcg32::seed(9);
-        let mut rb = Pcg32::seed(9);
-        for _ in 0..100 {
-            let a = legacy
-                .pubsub
-                .publish(&key, east, 4096.0, &legacy.latency, &mut ra);
-            let b = built
-                .pubsub
-                .publish(&key, east, 4096.0, &built.latency, &mut rb);
-            assert_eq!(a, b);
+    }
+
+    #[test]
+    fn every_region_is_parameterised_by_its_provider_backend() {
+        let aws = SimCloud::aws(42);
+        assert_regions_come_from_backends(&aws);
+        let both_set = ProviderSet::parse("aws,gcp").unwrap();
+        let both = SimCloud::for_providers(both_set, 42).unwrap();
+        assert_regions_come_from_backends(&both);
+
+        // A catalog handed in whole assembles exactly like the provider
+        // set that unions to it.
+        let whole = SimCloud::with_catalog(RegionCatalog::multi_cloud(), 42).unwrap();
+        assert_regions_come_from_backends(&whole);
+        assert_eq!(whole.regions.len(), both.regions.len());
+        assert_eq!(whole.evaluation_regions(), both.evaluation_regions());
+        // Cross-provider pairs pay the penalty on top of what the same
+        // coordinates cost inside one provider.
+        let penalty = InterProviderLatency::defaults();
+        let plain = distance_only(&both.regions);
+        for (a, sa) in both.regions.iter() {
+            assert_eq!(whole.regions.spec(a), sa);
+            for (b, sb) in both.regions.iter() {
+                assert_eq!(whole.latency.one_way(a, b), both.latency.one_way(a, b));
+                let extra = penalty.penalty_s(sa.provider, sb.provider).unwrap();
+                assert_eq!(both.latency.one_way(a, b), plain.one_way(a, b) + extra);
+            }
         }
+
+        // A custom region of a known provider takes that backend's
+        // fallback constants.
+        let mut catalog = RegionCatalog::aws_default();
+        let custom = catalog.push(RegionSpec {
+            name: "eu-north-1".into(),
+            provider: Provider::Aws,
+            country: "SE".into(),
+            grid_zone: "SE".into(),
+            latitude: 59.3,
+            longitude: 18.1,
+        });
+        let extended = SimCloud::with_catalog(catalog, 42).unwrap();
+        assert_regions_come_from_backends(&extended);
+        assert_eq!(extended.regions.len(), aws.regions.len() + 1);
+        assert!(extended.compute.perf_factor(custom) > 1.0);
+        assert_eq!(extended.evaluation_regions(), aws.evaluation_regions());
     }
 
     #[test]
@@ -309,7 +327,7 @@ mod tests {
         let gcp_west = cloud.region("gcp:us-west1").unwrap();
         // Cross-provider latency carries the explicit peering penalty on
         // top of distance (the regions are geographically close).
-        let plain = LatencyModel::from_catalog(&cloud.regions);
+        let plain = distance_only(&cloud.regions);
         assert!(cloud.latency.rtt(aws_west, gcp_west) > plain.rtt(aws_west, gcp_west) + 0.007);
         // Cross-provider egress bills the internet tier.
         assert!(cloud.pricing.is_cross_provider(aws_west, gcp_west));
@@ -329,6 +347,11 @@ mod tests {
         assert_eq!(aws_universe.len(), 4);
         assert!(both.len() > aws_universe.len());
         assert!(both.contains(&"us-west1"));
+        // The cloud resolves its own universe; on AWS it is the catalog's
+        // four evaluation regions (§9.1).
+        assert_eq!(cloud.evaluation_regions().len(), both.len());
+        let aws = SimCloud::aws(7);
+        assert_eq!(aws.evaluation_regions(), aws.regions.evaluation_regions());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! cold starts.
 
 use caribou_model::dist::DistSpec;
-use caribou_model::region::{RegionCatalog, RegionId};
+use caribou_model::region::RegionId;
 use caribou_model::rng::Pcg32;
 
 /// Memory (MB) granting one full vCPU on AWS Lambda.
@@ -56,49 +56,32 @@ pub fn vcpus(memory_mb: u32) -> f64 {
 #[derive(Debug, Clone)]
 pub struct LambdaRuntime {
     /// Multiplier on reference execution time per region; >1 is slower.
-    perf_factor: Vec<f64>,
-    /// Run-to-run multiplicative execution noise (log-space sigma).
-    pub exec_sigma: f64,
-    /// Cold-start duration distribution, seconds.
-    pub cold_start: DistSpec,
-    /// Probability an invocation is a cold start (the simulator does not
-    /// track per-container warm pools; the paper's workloads are frequent
-    /// enough that cold starts are rare).
-    pub cold_start_prob: f64,
-    /// Per-region cold-start curves overriding [`LambdaRuntime::cold_start`]
-    /// (providers differ: GCP's curve is steeper than Lambda's). Empty in
-    /// legacy single-provider runtimes.
-    cold_start_override: Vec<Option<DistSpec>>,
-}
-
-impl LambdaRuntime {
-    /// Builds the runtime with the default per-region performance factors.
     ///
     /// Factors reflect the observation (§7.1, and the "Night Shift" study
     /// the paper cites) that the same function runs a few percent faster or
     /// slower in different regions.
-    pub fn aws_default(catalog: &RegionCatalog) -> Self {
-        let perf_factor = catalog
-            .iter()
-            .map(|(_, spec)| match spec.name.as_str() {
-                "us-east-1" => 1.00,
-                "us-east-2" => 0.99,
-                "us-west-1" => 1.03,
-                "us-west-2" => 1.01,
-                "ca-central-1" => 1.02,
-                "ca-west-1" => 1.04,
-                _ => 1.05,
-            })
-            .collect();
+    perf_factor: Vec<f64>,
+    /// Cold-start duration distribution per region, seconds (providers
+    /// differ: GCP's curve is steeper than Lambda's).
+    cold_start: Vec<DistSpec>,
+    /// Run-to-run multiplicative execution noise (log-space sigma).
+    pub exec_sigma: f64,
+    /// Probability an invocation is a cold start (the simulator does not
+    /// track per-container warm pools; the paper's workloads are frequent
+    /// enough that cold starts are rare).
+    pub cold_start_prob: f64,
+}
+
+impl LambdaRuntime {
+    /// Builds the runtime from one performance factor and one cold-start
+    /// curve per catalog region.
+    pub fn new(perf_factor: Vec<f64>, cold_start: Vec<DistSpec>) -> Self {
+        assert_eq!(perf_factor.len(), cold_start.len());
         LambdaRuntime {
             perf_factor,
+            cold_start,
             exec_sigma: 0.06,
-            cold_start: DistSpec::LogNormal {
-                median: 0.35,
-                sigma: 0.35,
-            },
             cold_start_prob: 0.02,
-            cold_start_override: Vec::new(),
         }
     }
 
@@ -112,21 +95,9 @@ impl LambdaRuntime {
         self.perf_factor[region.index()] = factor;
     }
 
-    /// Overrides a region's cold-start curve (provider-specific curves).
-    pub fn set_cold_start(&mut self, region: RegionId, dist: DistSpec) {
-        if self.cold_start_override.len() < self.perf_factor.len() {
-            self.cold_start_override
-                .resize(self.perf_factor.len(), None);
-        }
-        self.cold_start_override[region.index()] = Some(dist);
-    }
-
     /// The cold-start curve governing a region.
     pub fn cold_start_for(&self, region: RegionId) -> &DistSpec {
-        self.cold_start_override
-            .get(region.index())
-            .and_then(|o| o.as_ref())
-            .unwrap_or(&self.cold_start)
+        &self.cold_start[region.index()]
     }
 
     /// Simulates one execution of a function stage.
@@ -182,11 +153,12 @@ impl LambdaRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cloud::SimCloud;
+    use caribou_model::region::RegionCatalog;
 
     fn runtime() -> (RegionCatalog, LambdaRuntime) {
-        let cat = RegionCatalog::aws_default();
-        let rt = LambdaRuntime::aws_default(&cat);
-        (cat, rt)
+        let cloud = SimCloud::aws(0);
+        (cloud.regions, cloud.compute)
     }
 
     #[test]
@@ -252,16 +224,21 @@ mod tests {
 
     #[test]
     fn per_region_cold_start_override_applies() {
-        let (cat, mut rt) = runtime();
+        let shared = DistSpec::LogNormal {
+            median: 0.35,
+            sigma: 0.35,
+        };
+        let (east, west) = (RegionId(0), RegionId(1));
+        let mut rt = LambdaRuntime::new(
+            vec![1.0, 1.0],
+            vec![shared, DistSpec::Constant { value: 2.5 }],
+        );
         rt.exec_sigma = 0.0;
-        let east = cat.id_of("us-east-1").unwrap();
-        let west = cat.id_of("us-west-2").unwrap();
-        rt.set_cold_start(west, DistSpec::Constant { value: 2.5 });
         let spec = DistSpec::Constant { value: 1.0 };
         let mut rng = Pcg32::seed(5);
         let a = rt.execute_forced(east, &spec, 1024, 0.7, true, &mut rng);
         let b = rt.execute_forced(west, &spec, 1024, 0.7, true, &mut rng);
-        // East keeps the shared curve; west pays the overridden constant.
+        // East pays its log-normal curve; west its own constant.
         assert!(a.cold_start_s < 2.5);
         assert!((b.cold_start_s - 2.5).abs() < 1e-12);
         assert!(matches!(

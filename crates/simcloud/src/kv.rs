@@ -328,12 +328,12 @@ impl KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cloud::SimCloud;
     use caribou_model::region::RegionCatalog;
 
     fn setup() -> (RegionCatalog, LatencyModel, KvStore, Pcg32) {
-        let cat = RegionCatalog::aws_default();
-        let lm = LatencyModel::from_catalog(&cat);
-        (cat, lm, KvStore::new(), Pcg32::seed(1))
+        let cloud = SimCloud::aws(0);
+        (cloud.regions, cloud.latency, cloud.kv, Pcg32::seed(1))
     }
 
     #[test]

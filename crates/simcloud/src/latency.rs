@@ -70,10 +70,10 @@ impl InterProviderLatency {
 ///
 /// ```
 /// use caribou_model::region::RegionCatalog;
-/// use caribou_simcloud::latency::LatencyModel;
+/// use caribou_simcloud::latency::{InterProviderLatency, LatencyModel};
 ///
 /// let catalog = RegionCatalog::aws_default();
-/// let model = LatencyModel::from_catalog(&catalog);
+/// let model = LatencyModel::from_catalog(&catalog, &InterProviderLatency::defaults()).unwrap();
 /// let east = catalog.id_of("us-east-1").unwrap();
 /// let west = catalog.id_of("us-west-1").unwrap();
 /// // Coast-to-coast RTT lands in the CloudPing ballpark.
@@ -93,56 +93,39 @@ pub struct LatencyModel {
 }
 
 impl LatencyModel {
-    /// Builds the model from a region catalog using the distance-based
-    /// calibration.
-    pub fn from_catalog(catalog: &RegionCatalog) -> Self {
-        let n = catalog.len();
-        let mut one_way = vec![0.0; n * n];
-        for (a, _) in catalog.iter() {
-            for (b, _) in catalog.iter() {
-                let d = catalog.distance_km(a, b);
-                let base = if a == b {
-                    // Intra-region (cross-AZ) latency.
-                    0.0005
-                } else {
-                    d / FIBER_KM_PER_S * ROUTE_FACTOR + HOP_OVERHEAD_S
-                };
-                one_way[a.index() * n + b.index()] = base;
-            }
-        }
-        LatencyModel {
-            one_way,
-            n,
-            intra_bandwidth_bps: 100.0e6,
-            inter_bandwidth_bps: 30.0e6,
-            jitter_sigma: 0.08,
-        }
-    }
-
-    /// Builds the model from a multi-provider catalog: the distance-based
+    /// Builds the model from a region catalog: the distance-based
     /// calibration plus an explicit one-way penalty for every
     /// cross-provider pair. Fails with the typed
     /// [`ModelError::MissingInterProviderLatency`] when the table lacks a
     /// provider pair present in the catalog — cross-provider delivery must
     /// never silently reuse the intra-provider matrix.
-    ///
-    /// On a single-provider catalog no pair crosses providers, so the
-    /// result is identical to [`LatencyModel::from_catalog`].
-    pub fn from_catalog_with_providers(
+    pub fn from_catalog(
         catalog: &RegionCatalog,
         penalties: &InterProviderLatency,
     ) -> Result<Self, ModelError> {
-        let mut model = Self::from_catalog(catalog);
-        let n = model.n;
+        let n = catalog.len();
+        let mut one_way = vec![0.0; n * n];
         for (a, sa) in catalog.iter() {
             for (b, sb) in catalog.iter() {
+                let mut base = if a == b {
+                    // Intra-region (cross-AZ) latency.
+                    0.0005
+                } else {
+                    catalog.distance_km(a, b) / FIBER_KM_PER_S * ROUTE_FACTOR + HOP_OVERHEAD_S
+                };
                 if sa.provider != sb.provider {
-                    let penalty = penalties.penalty_s(sa.provider, sb.provider)?;
-                    model.one_way[a.index() * n + b.index()] += penalty;
+                    base += penalties.penalty_s(sa.provider, sb.provider)?;
                 }
+                one_way[a.index() * n + b.index()] = base;
             }
         }
-        Ok(model)
+        Ok(LatencyModel {
+            one_way,
+            n,
+            intra_bandwidth_bps: 100.0e6,
+            inter_bandwidth_bps: 30.0e6,
+            jitter_sigma: 0.08,
+        })
     }
 
     /// Overrides the one-way base latency between a pair (both directions),
@@ -195,7 +178,7 @@ mod tests {
 
     fn model() -> (RegionCatalog, LatencyModel) {
         let cat = RegionCatalog::aws_default();
-        let lm = LatencyModel::from_catalog(&cat);
+        let lm = LatencyModel::from_catalog(&cat, &InterProviderLatency::defaults()).unwrap();
         (cat, lm)
     }
 
@@ -259,9 +242,9 @@ mod tests {
     #[test]
     fn cross_provider_pairs_pay_explicit_penalty() {
         let cat = RegionCatalog::multi_cloud();
-        let plain = LatencyModel::from_catalog(&cat);
-        let lm = LatencyModel::from_catalog_with_providers(&cat, &InterProviderLatency::defaults())
-            .unwrap();
+        let free = InterProviderLatency::empty().with_pair(Provider::Aws, Provider::Gcp, 0.0);
+        let plain = LatencyModel::from_catalog(&cat, &free).unwrap();
+        let lm = LatencyModel::from_catalog(&cat, &InterProviderLatency::defaults()).unwrap();
         let aws_east = cat.resolve("aws:us-east-1").unwrap();
         let aws_west = cat.resolve("aws:us-west-2").unwrap();
         let gcp_west = cat.resolve("gcp:us-west1").unwrap();
@@ -281,8 +264,7 @@ mod tests {
     #[test]
     fn missing_inter_provider_pair_is_a_typed_error() {
         let cat = RegionCatalog::multi_cloud();
-        let err = LatencyModel::from_catalog_with_providers(&cat, &InterProviderLatency::empty())
-            .unwrap_err();
+        let err = LatencyModel::from_catalog(&cat, &InterProviderLatency::empty()).unwrap_err();
         assert!(matches!(
             err,
             ModelError::MissingInterProviderLatency { .. }
@@ -295,20 +277,6 @@ mod tests {
             table.penalty_s(Provider::Gcp, Provider::Aws).unwrap(),
             table.penalty_s(Provider::Aws, Provider::Gcp).unwrap()
         );
-    }
-
-    #[test]
-    fn single_provider_catalog_identical_with_penalty_table() {
-        let cat = RegionCatalog::aws_default();
-        let plain = LatencyModel::from_catalog(&cat);
-        let with =
-            LatencyModel::from_catalog_with_providers(&cat, &InterProviderLatency::defaults())
-                .unwrap();
-        for (a, _) in cat.iter() {
-            for (b, _) in cat.iter() {
-                assert_eq!(plain.one_way(a, b), with.one_way(a, b));
-            }
-        }
     }
 
     #[test]

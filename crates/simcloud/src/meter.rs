@@ -120,7 +120,7 @@ impl UsageMeter {
     }
 
     /// Bytes moved between regions of *different providers* (its own
-    /// cost/carbon line in cross-provider runs; always 0 on legacy
+    /// cost/carbon line in cross-provider runs; always 0 on
     /// single-provider catalogs).
     pub fn cross_provider_egress_bytes(&self, pricing: &PricingCatalog) -> f64 {
         self.egress_bytes
@@ -174,12 +174,12 @@ impl UsageMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cloud::SimCloud;
     use caribou_model::region::RegionCatalog;
 
     fn setup() -> (RegionCatalog, PricingCatalog) {
-        let cat = RegionCatalog::aws_default();
-        let pc = PricingCatalog::aws_default(&cat);
-        (cat, pc)
+        let cloud = SimCloud::aws(0);
+        (cloud.regions, cloud.pricing)
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! AWS-price-list-calibrated pricing catalog (§7.1 Cost).
 //!
-//! Prices are the published on-demand numbers for AWS Lambda, SNS,
+//! The baseline is the published on-demand numbers for AWS Lambda, SNS,
 //! DynamoDB, and inter-region data transfer as of the paper's evaluation
-//! window; per-region multipliers capture the small premium of some
-//! regions. The free tier is deliberately not modeled, matching §7.1.
+//! window; each provider backend ([`crate::providers`]) scales it by its
+//! per-region premium. The free tier is deliberately not modeled,
+//! matching §7.1.
 
-use caribou_model::region::{Provider, RegionCatalog, RegionId};
+use caribou_model::region::{Provider, RegionId};
 use serde::{Deserialize, Serialize};
 
 /// Prices for one region, in USD.
@@ -67,59 +68,18 @@ impl RegionPricing {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PricingCatalog {
     per_region: Vec<RegionPricing>,
-    /// Provider of each region. Empty in legacy single-provider catalogs:
-    /// every pair then bills at the inter-region tier, exactly as before.
-    #[serde(default)]
+    /// Provider of each region.
     provider_of: Vec<Provider>,
     /// Egress price per GB from each region toward another provider
-    /// (typically the internet tier). Empty when `provider_of` is empty.
-    #[serde(default)]
+    /// (typically the internet tier).
     cross_provider_egress_per_gb: Vec<f64>,
 }
 
 impl PricingCatalog {
-    /// Builds the default catalog from region names, applying the published
-    /// per-region premiums (us-west-1 and ca-* carry a small premium over
-    /// us-east-1; this is the cost-differential dimension of §2.3).
-    pub fn aws_default(catalog: &RegionCatalog) -> Self {
-        let base = RegionPricing::us_east_1_baseline();
-        let per_region = catalog
-            .iter()
-            .map(|(_, spec)| {
-                let premium = match spec.name.as_str() {
-                    "us-east-1" | "us-east-2" => 1.0,
-                    "us-west-1" => 1.08,
-                    "us-west-2" => 1.0,
-                    "ca-central-1" => 1.03,
-                    "ca-west-1" => 1.07,
-                    "eu-west-1" => 1.02,
-                    "eu-central-1" => 1.10,
-                    "ap-southeast-2" => 1.15,
-                    "sa-east-1" => 1.35,
-                    // GCP regions (Cloud Functions pricing is broadly
-                    // comparable; small deltas).
-                    "us-central1" => 0.98,
-                    "us-west1" => 0.98,
-                    "northamerica-northeast1" => 1.02,
-                    "europe-west1" => 1.04,
-                    "europe-north1" => 1.04,
-                    _ => 1.05,
-                };
-                base.scaled(premium)
-            })
-            .collect();
-        PricingCatalog {
-            per_region,
-            provider_of: Vec::new(),
-            cross_provider_egress_per_gb: Vec::new(),
-        }
-    }
-
-    /// Builds a provider-aware catalog from explicit rows: per-region
-    /// prices, the provider of each region, and the per-region
-    /// cross-provider egress rate. All three must have one entry per
-    /// catalog region.
-    pub fn with_providers(
+    /// Builds the catalog from explicit rows: per-region prices, the
+    /// provider of each region, and the per-region cross-provider egress
+    /// rate. All three must have one entry per catalog region.
+    pub fn new(
         per_region: Vec<RegionPricing>,
         provider_of: Vec<Provider>,
         cross_provider_egress_per_gb: Vec<f64>,
@@ -133,16 +93,9 @@ impl PricingCatalog {
         }
     }
 
-    /// Whether a pair of regions belongs to different providers (always
-    /// `false` on legacy catalogs built without provider rows).
+    /// Whether a pair of regions belongs to different providers.
     pub fn is_cross_provider(&self, from: RegionId, to: RegionId) -> bool {
-        match (
-            self.provider_of.get(from.index()),
-            self.provider_of.get(to.index()),
-        ) {
-            (Some(a), Some(b)) => a != b,
-            _ => false,
-        }
+        self.provider_of[from.index()] != self.provider_of[to.index()]
     }
 
     /// Prices for one region.
@@ -222,11 +175,12 @@ impl PricingCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cloud::SimCloud;
+    use caribou_model::region::RegionCatalog;
 
     fn catalogs() -> (RegionCatalog, PricingCatalog) {
-        let cat = RegionCatalog::aws_default();
-        let pc = PricingCatalog::aws_default(&cat);
-        (cat, pc)
+        let cloud = SimCloud::aws(0);
+        (cloud.regions, cloud.pricing)
     }
 
     #[test]
@@ -280,7 +234,7 @@ mod tests {
     #[test]
     fn cross_provider_egress_bills_cross_rate() {
         let base = RegionPricing::us_east_1_baseline();
-        let pc = PricingCatalog::with_providers(
+        let pc = PricingCatalog::new(
             vec![base.clone(), base.clone(), base.clone()],
             vec![Provider::Aws, Provider::Aws, Provider::Gcp],
             vec![0.09, 0.09, 0.12],
@@ -292,11 +246,6 @@ mod tests {
         assert!((pc.egress_cost(a, b, 1e9) - 0.02).abs() < 1e-12);
         assert!((pc.egress_cost(a, g, 1e9) - 0.09).abs() < 1e-12);
         assert!((pc.egress_cost(g, a, 1e9) - 0.12).abs() < 1e-12);
-        // Legacy catalogs never see a cross-provider pair.
-        let (cat, legacy) = catalogs();
-        let e = cat.id_of("us-east-1").unwrap();
-        let w = cat.id_of("us-west-2").unwrap();
-        assert!(!legacy.is_cross_provider(e, w));
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! The AWS-shaped provider backend.
 //!
-//! This module is the legacy substrate, verbatim, behind the
-//! [`ProviderBackend`] traits: SNS-style pull fan-out pub/sub with
-//! decorrelated-jitter retries, DynamoDB's asymmetric read/write units,
-//! the published Lambda cold-start curve with the ~10-minute keep-alive,
-//! and the AWS price list with tiered inter-region egress. Every constant
-//! here must stay equal to its historical hard-coded value so that
-//! AWS-only runs remain bit-identical to the pre-refactor substrate.
+//! SNS-style pull fan-out pub/sub with decorrelated-jitter retries,
+//! DynamoDB's asymmetric read/write units, the published Lambda
+//! cold-start curve with the ~10-minute keep-alive, and the AWS price list
+//! with tiered inter-region egress — the substrate the paper evaluates on
+//! (§9). Every golden and pinned figure of an AWS-only run depends on the
+//! constants below.
 
 use caribou_model::dist::DistSpec;
-use caribou_model::region::{Provider, RegionCatalog, RegionSpec};
+use caribou_model::region::{Provider, RegionCatalog, RegionSpec, AWS_EVALUATION_REGIONS};
 
 use crate::pricing::RegionPricing;
 use crate::warm::DEFAULT_KEEP_ALIVE_S;
@@ -19,16 +18,16 @@ use super::{
     PricingBackend, ProviderBackend,
 };
 
-/// Service-side overhead of a registry push or copy, seconds (matches the
-/// historical `registry::REGISTRY_OVERHEAD_S`).
+/// Service-side overhead of a registry push or copy, seconds.
 const AWS_REGISTRY_OVERHEAD_S: f64 = 1.5;
 
 /// The AWS backend (a unit struct; all state lives in the profiles).
 #[derive(Debug)]
 pub struct AwsBackend;
 
-/// The published per-region price premium over us-east-1 (must match the
-/// historical `PricingCatalog::aws_default` table).
+/// The published per-region price premium over us-east-1 (us-west-1 and
+/// ca-* carry a small one; this is the cost-differential dimension of
+/// §2.3).
 fn premium(name: &str) -> f64 {
     match name {
         "us-east-1" | "us-east-2" => 1.0,
@@ -52,12 +51,11 @@ impl MessagingBackend for AwsBackend {
 
 impl KvBackend for AwsBackend {
     fn kv(&self, region: &RegionSpec) -> KvProfile {
-        // DynamoDB's asymmetric request units, with the region premium
-        // applied exactly as the legacy pricing catalog does.
-        let f = premium(&region.name);
+        // DynamoDB's asymmetric request units, at the price sheet's rates.
+        let sheet = self.pricing(region);
         KvProfile {
-            per_write_usd: 1.25 / 1.0e6 * f,
-            per_read_usd: 0.25 / 1.0e6 * f,
+            per_write_usd: sheet.dynamodb_per_write,
+            per_read_usd: sheet.dynamodb_per_read,
             flat_rate: false,
         }
     }
@@ -65,7 +63,6 @@ impl KvBackend for AwsBackend {
 
 impl ComputeBackend for AwsBackend {
     fn compute(&self, region: &RegionSpec) -> ComputeProfile {
-        // Must match the historical `LambdaRuntime::aws_default` table.
         let perf_factor = match region.name.as_str() {
             "us-east-1" => 1.00,
             "us-east-2" => 0.99,
@@ -105,13 +102,10 @@ impl ProviderBackend for AwsBackend {
     }
 
     fn regions(&self) -> Vec<RegionSpec> {
-        RegionCatalog::aws_default()
-            .iter()
-            .map(|(_, spec)| spec.clone())
-            .collect()
+        RegionCatalog::aws_default().into_iter().collect()
     }
 
     fn evaluation_regions(&self) -> &'static [&'static str] {
-        &["us-east-1", "us-west-1", "us-west-2", "ca-central-1"]
+        &AWS_EVALUATION_REGIONS
     }
 }

@@ -88,7 +88,7 @@ impl ComputeBackend for GcpBackend {
         };
         ComputeProfile {
             perf_factor,
-            // Steeper than AWS's {0.35, 0.35}: higher median, fatter tail.
+            // Steeper than Lambda's: higher median, fatter tail.
             cold_start: DistSpec::LogNormal {
                 median: 0.85,
                 sigma: 0.50,
@@ -124,8 +124,7 @@ impl ProviderBackend for GcpBackend {
         // The GCP rows of the multi-cloud catalog (everything after the
         // AWS prefix).
         RegionCatalog::multi_cloud()
-            .iter()
-            .map(|(_, spec)| spec.clone())
+            .into_iter()
             .filter(|spec| spec.provider == Provider::Gcp)
             .collect()
     }

@@ -3,14 +3,13 @@
 //! The simulated substrate is not one AWS-shaped cloud: each provider
 //! family plugs in behind [`ProviderBackend`], a bundle of sub-traits
 //! describing its messaging, key-value, registry/compute, and pricing
-//! semantics. [`crate::cloud::SimCloud::for_providers`] assembles a cloud
-//! from any [`ProviderSet`](caribou_model::region::ProviderSet) by
-//! dispatching through these trait objects; the default AWS-only set
-//! reproduces the legacy substrate bit-for-bit, while adding `gcp` opens a
-//! plan space with genuinely different semantics (push-based ordered
-//! pub/sub with ack-deadline redelivery, flat-rate KV pricing, a different
-//! egress tier table, and a steeper cold-start curve with faster warm
-//! decay).
+//! semantics. [`crate::cloud::SimCloud::with_catalog`] assembles every
+//! cloud by asking each region's backend for its constants, so a constant
+//! lives in exactly one backend; adding `gcp` to the default AWS-only
+//! [`ProviderSet`](caribou_model::region::ProviderSet) opens a plan space
+//! with genuinely different semantics (push-based ordered pub/sub with
+//! ack-deadline redelivery, flat-rate KV pricing, a different egress tier
+//! table, and a steeper cold-start curve with faster warm decay).
 
 pub mod aws;
 pub mod gcp;
@@ -58,9 +57,7 @@ pub struct MessagingProfile {
 }
 
 impl MessagingProfile {
-    /// The SNS-shaped profile the legacy substrate hard-coded; the
-    /// constants here must stay equal to the historical
-    /// [`crate::pubsub`] values so AWS-only runs remain bit-identical.
+    /// The SNS-shaped profile, from the [`crate::pubsub`] constants.
     pub fn aws_sns() -> Self {
         MessagingProfile {
             publish_overhead_median_s: crate::pubsub::PUBLISH_OVERHEAD_MEDIAN_S,
@@ -156,7 +153,6 @@ pub fn backend_for(provider: Provider) -> Option<&'static dyn ProviderBackend> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caribou_model::region::RegionCatalog;
 
     #[test]
     fn registry_resolves_implemented_providers() {
@@ -169,34 +165,6 @@ mod tests {
             Provider::Gcp
         );
         assert!(backend_for(Provider::Azure).is_none());
-    }
-
-    #[test]
-    fn aws_backend_matches_legacy_substrate() {
-        let b = backend_for(Provider::Aws).unwrap();
-        let cat = RegionCatalog::aws_default();
-        // The backend's region rows are exactly the legacy catalog.
-        let rows = b.regions();
-        assert_eq!(rows.len(), cat.len());
-        for ((_, legacy), row) in cat.iter().zip(rows.iter()) {
-            assert_eq!(legacy, row);
-        }
-        // Messaging reproduces the historical SNS constants.
-        let east = rows.iter().find(|r| r.name == "us-east-1").unwrap();
-        assert_eq!(b.messaging(east), MessagingProfile::aws_sns());
-        // Compute reproduces the historical perf factors and curves.
-        let prof = b.compute(east);
-        assert_eq!(prof.perf_factor, 1.00);
-        assert_eq!(prof.keep_alive_s, crate::warm::DEFAULT_KEEP_ALIVE_S);
-        // Pricing reproduces the legacy catalog bit-for-bit.
-        let pc = crate::pricing::PricingCatalog::aws_default(&cat);
-        for (id, spec) in cat.iter() {
-            let mut row = b.pricing(spec);
-            let kv = b.kv(spec);
-            row.dynamodb_per_write = kv.per_write_usd;
-            row.dynamodb_per_read = kv.per_read_usd;
-            assert_eq!(&row, pc.region(id), "pricing mismatch in {}", spec.name);
-        }
     }
 
     #[test]

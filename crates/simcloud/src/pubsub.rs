@@ -89,30 +89,22 @@ pub struct PubSub {
     /// `SimCloud::set_fault_now`.
     pub now_s: f64,
     /// Per-region messaging profiles (indexed by the subscriber region).
-    /// Empty in legacy clouds: every region then behaves like
-    /// [`MessagingProfile::aws_sns`], reproducing the historical SNS
-    /// constants and RNG draw order exactly.
     profiles: Vec<MessagingProfile>,
 }
 
 impl PubSub {
-    /// Creates the service with no topics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Installs per-region messaging profiles (one entry per catalog
-    /// region, indexed by the subscriber region).
-    pub fn set_profiles(&mut self, profiles: Vec<MessagingProfile>) {
-        self.profiles = profiles;
+    /// Creates the service with no topics and one messaging profile per
+    /// catalog region (indexed by the subscriber region).
+    pub fn new(profiles: Vec<MessagingProfile>) -> Self {
+        PubSub {
+            profiles,
+            ..Default::default()
+        }
     }
 
     /// The messaging profile governing delivery to a subscriber region.
     pub fn profile_for(&self, region: RegionId) -> MessagingProfile {
-        self.profiles
-            .get(region.index())
-            .copied()
-            .unwrap_or_else(MessagingProfile::aws_sns)
+        self.profiles[region.index()]
     }
 
     /// Creates a topic; idempotent.
@@ -259,12 +251,12 @@ impl PubSub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cloud::SimCloud;
     use caribou_model::region::RegionCatalog;
 
     fn setup() -> (RegionCatalog, LatencyModel, PubSub, Pcg32) {
-        let cat = RegionCatalog::aws_default();
-        let lm = LatencyModel::from_catalog(&cat);
-        (cat, lm, PubSub::new(), Pcg32::seed(1))
+        let cloud = SimCloud::aws(0);
+        (cloud.regions, cloud.latency, cloud.pubsub, Pcg32::seed(1))
     }
 
     fn key(region: RegionId) -> TopicKey {
@@ -362,35 +354,10 @@ mod tests {
     }
 
     #[test]
-    fn default_profile_is_bit_identical_to_legacy_constants() {
-        // Two services, one with the AWS profile installed explicitly and
-        // one without any profiles, must draw identical delivery outcomes
-        // from identical RNG streams.
-        let cat = RegionCatalog::aws_default();
-        let lm = LatencyModel::from_catalog(&cat);
-        let east = cat.id_of("us-east-1").unwrap();
-        let west = cat.id_of("us-west-2").unwrap();
-        let mut legacy = PubSub::new();
-        let mut profiled = PubSub::new();
-        profiled.set_profiles(vec![MessagingProfile::aws_sns(); cat.len()]);
-        for ps in [&mut legacy, &mut profiled] {
-            ps.create_topic(key(west));
-            ps.drop_probability = 0.3;
-        }
-        let mut rng_a = Pcg32::seed(77);
-        let mut rng_b = Pcg32::seed(77);
-        for _ in 0..200 {
-            let a = legacy.publish(&key(west), east, 2048.0, &lm, &mut rng_a);
-            let b = profiled.publish(&key(west), east, 2048.0, &lm, &mut rng_b);
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn push_ordered_profile_redelivers_on_ack_deadline() {
-        let (cat, lm, mut ps, mut rng) = setup();
+        let (cat, lm, _, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
-        ps.set_profiles(vec![
+        let mut ps = PubSub::new(vec![
             MessagingProfile {
                 publish_overhead_median_s: 0.020,
                 publish_overhead_sigma: 0.30,

@@ -13,9 +13,6 @@ use caribou_model::rng::Pcg32;
 
 use crate::latency::LatencyModel;
 
-/// Service-side overhead of a push or copy, seconds.
-const REGISTRY_OVERHEAD_S: f64 = 1.5;
-
 /// Outcome of a registry transfer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegistryTransfer {
@@ -39,27 +36,24 @@ pub struct ContainerRegistry {
     images: HashMap<String, ImageInfo>,
     /// `(image, region)` presence set.
     replicas: HashSet<(String, RegionId)>,
-    /// Per-region service overhead overrides (providers differ).
-    overhead_override: HashMap<RegionId, f64>,
+    /// Service-side overhead of a push or copy into each region, seconds
+    /// (providers differ).
+    overhead_s: Vec<f64>,
 }
 
 impl ContainerRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides the service-side overhead of pushes/copies into a region.
-    pub fn set_overhead(&mut self, region: RegionId, overhead_s: f64) {
-        self.overhead_override.insert(region, overhead_s);
+    /// Creates an empty registry with one service overhead per catalog
+    /// region.
+    pub fn new(overhead_s: Vec<f64>) -> Self {
+        ContainerRegistry {
+            overhead_s,
+            ..Default::default()
+        }
     }
 
     /// The service overhead charged for transfers into a region.
     pub fn overhead_for(&self, region: RegionId) -> f64 {
-        self.overhead_override
-            .get(&region)
-            .copied()
-            .unwrap_or(REGISTRY_OVERHEAD_S)
+        self.overhead_s[region.index()]
     }
 
     /// Pushes a freshly built image into `region` (initial deployment,
@@ -136,12 +130,12 @@ impl ContainerRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cloud::SimCloud;
     use caribou_model::region::RegionCatalog;
 
     fn setup() -> (RegionCatalog, LatencyModel, ContainerRegistry, Pcg32) {
-        let cat = RegionCatalog::aws_default();
-        let lm = LatencyModel::from_catalog(&cat);
-        (cat, lm, ContainerRegistry::new(), Pcg32::seed(1))
+        let cloud = SimCloud::aws(0);
+        (cloud.regions, cloud.latency, cloud.registry, Pcg32::seed(1))
     }
 
     #[test]
@@ -149,7 +143,7 @@ mod tests {
         let (cat, _lm, mut reg, _rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
         let t = reg.push("wf:1", 250e6, r);
-        assert!(t.duration_s > REGISTRY_OVERHEAD_S);
+        assert!(t.duration_s > reg.overhead_for(r));
         assert_eq!(t.egress_bytes, 0.0);
         assert!(reg.has_replica("wf:1", r));
         assert_eq!(reg.image_size("wf:1"), Some(250e6));

@@ -56,11 +56,14 @@ pub struct WarmPool {
     /// Whether the pool drives cold starts (when `false`, the compute
     /// model's probabilistic cold starts apply instead).
     pub enabled: bool,
-    /// Idle window after which a container is reclaimed, seconds.
+    /// Idle window after which a container is reclaimed, seconds, in
+    /// every region without a window of its own.
     pub keep_alive_s: f64,
-    /// Per-region keep-alive overrides: providers reclaim idle containers
-    /// at different rates (GCP's decay is faster than Lambda's).
-    keep_alive_override: HashMap<RegionId, f64>,
+    /// Per-region keep-alive windows, filled when a cloud is assembled:
+    /// providers reclaim idle containers at different rates (GCP's decay
+    /// is faster than Lambda's). Empty on [`WarmPool::enabled`], which
+    /// means its one window everywhere.
+    keep_alive_per_region: Vec<f64>,
     last_seen: HashMap<(IStr, u32, RegionId), SimTime>,
     /// When journaling, local touches since the last drain, keyed for a
     /// deterministic drain order.
@@ -72,7 +75,7 @@ impl Default for WarmPool {
         WarmPool {
             enabled: false,
             keep_alive_s: DEFAULT_KEEP_ALIVE_S,
-            keep_alive_override: HashMap::new(),
+            keep_alive_per_region: Vec::new(),
             last_seen: HashMap::new(),
             journal: None,
         }
@@ -80,12 +83,7 @@ impl Default for WarmPool {
 }
 
 impl WarmPool {
-    /// Creates a disabled pool (probabilistic cold starts apply).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an enabled pool with the given keep-alive.
+    /// Creates an enabled pool with the given keep-alive in every region.
     pub fn enabled(keep_alive_s: f64) -> Self {
         WarmPool {
             enabled: true,
@@ -94,18 +92,19 @@ impl WarmPool {
         }
     }
 
-    /// Overrides the keep-alive window of one region.
-    pub fn set_keep_alive(&mut self, region: RegionId, keep_alive_s: f64) {
-        self.keep_alive_override.insert(region, keep_alive_s);
+    /// Creates a disabled pool with one keep-alive window per catalog
+    /// region.
+    pub fn per_region(keep_alive_s: Vec<f64>) -> Self {
+        WarmPool {
+            keep_alive_per_region: keep_alive_s,
+            ..Default::default()
+        }
     }
 
     /// The keep-alive window governing a region.
     pub fn keep_alive_for(&self, region: RegionId) -> f64 {
-        if self.keep_alive_override.is_empty() {
-            return self.keep_alive_s;
-        }
-        self.keep_alive_override
-            .get(&region)
+        self.keep_alive_per_region
+            .get(region.index())
             .copied()
             .unwrap_or(self.keep_alive_s)
     }
@@ -252,8 +251,8 @@ mod tests {
 
     #[test]
     fn per_region_keep_alive_decays_faster() {
-        let mut p = WarmPool::enabled(600.0);
-        p.set_keep_alive(RegionId(1), 240.0);
+        let mut p = WarmPool::per_region(vec![600.0, 240.0]);
+        p.enabled = true;
         p.check_and_touch(&wf(), 0, RegionId(0), 0.0);
         p.check_and_touch(&wf(), 0, RegionId(1), 0.0);
         // At t=300 the default region is still warm; the fast-decay
@@ -262,6 +261,24 @@ mod tests {
         assert!(p.is_cold(&wf(), 0, RegionId(1), 300.0));
         assert_eq!(p.keep_alive_for(RegionId(0)), 600.0);
         assert_eq!(p.keep_alive_for(RegionId(1)), 240.0);
+    }
+
+    #[test]
+    fn enabled_pool_means_one_window_everywhere() {
+        // Callers replace an assembled cloud's pool wholesale
+        // (`cloud.warm = WarmPool::enabled(k)`): `k` then governs every
+        // region, whatever the provider's own window is.
+        let mut cloud = crate::cloud::SimCloud::for_providers(
+            caribou_model::region::ProviderSet::parse("aws,gcp").unwrap(),
+            1,
+        )
+        .unwrap();
+        let gcp = cloud.region("gcp:us-west1").unwrap();
+        assert!(cloud.warm.keep_alive_for(gcp) < DEFAULT_KEEP_ALIVE_S);
+        cloud.warm = WarmPool::enabled(90.0);
+        for id in cloud.regions.all_ids() {
+            assert_eq!(cloud.warm.keep_alive_for(id), 90.0);
+        }
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! Property-based tests for the simulated cloud substrate.
 
-use caribou_model::region::RegionCatalog;
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::clock::EventQueue;
-use caribou_simcloud::kv::KvStore;
-use caribou_simcloud::latency::LatencyModel;
+use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::meter::UsageMeter;
-use caribou_simcloud::pricing::PricingCatalog;
 use proptest::prelude::*;
 
 proptest! {
@@ -36,8 +33,7 @@ proptest! {
     /// same bytes.
     #[test]
     fn latency_monotonicity(bytes in 0.0f64..1e9, seed in any::<u64>()) {
-        let cat = RegionCatalog::aws_default();
-        let lm = LatencyModel::from_catalog(&cat);
+        let SimCloud { regions: cat, latency: lm, .. } = SimCloud::aws(0);
         let a = cat.id_of("us-east-1").unwrap();
         let b = cat.id_of("us-west-2").unwrap();
         let small = lm.expected_transfer_seconds(a, b, bytes);
@@ -53,9 +49,7 @@ proptest! {
     /// observe the latest value, op counters never decrease.
     #[test]
     fn kv_map_semantics(ops in proptest::collection::vec((0u8..3, 0u8..8, 0u32..1000), 1..100)) {
-        let cat = RegionCatalog::aws_default();
-        let lm = LatencyModel::from_catalog(&cat);
-        let mut kv = KvStore::new();
+        let SimCloud { regions: cat, latency: lm, mut kv, .. } = SimCloud::aws(0);
         let region = cat.id_of("us-east-1").unwrap();
         kv.create_table("t", region);
         let mut rng = Pcg32::seed(1);
@@ -97,8 +91,7 @@ proptest! {
         lambdas in proptest::collection::vec((0.001f64..100.0, 128u32..4000), 0..20),
         transfers in proptest::collection::vec(0.0f64..1e9, 0..20),
     ) {
-        let cat = RegionCatalog::aws_default();
-        let pricing = PricingCatalog::aws_default(&cat);
+        let SimCloud { regions: cat, pricing, .. } = SimCloud::aws(0);
         let a = cat.id_of("us-east-1").unwrap();
         let b = cat.id_of("ca-central-1").unwrap();
         let mut one = UsageMeter::new();
@@ -122,8 +115,7 @@ proptest! {
     /// billed value never undercuts the exact product.
     #[test]
     fn lambda_pricing_monotone(d in 0.001f64..900.0, mem in 128u32..10_000) {
-        let cat = RegionCatalog::aws_default();
-        let pricing = PricingCatalog::aws_default(&cat);
+        let SimCloud { regions: cat, pricing, .. } = SimCloud::aws(0);
         let r = cat.id_of("us-east-1").unwrap();
         let base = pricing.lambda_cost(r, d, mem);
         prop_assert!(pricing.lambda_cost(r, d * 2.0, mem) > base);

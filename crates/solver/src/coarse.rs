@@ -72,19 +72,15 @@ mod tests {
     use caribou_model::builder::Workflow;
     use caribou_model::constraints::{Objective, Tolerances};
     use caribou_model::dist::DistSpec;
-    use caribou_model::region::RegionCatalog;
-    use caribou_simcloud::compute::LambdaRuntime;
-    use caribou_simcloud::latency::LatencyModel;
+    use caribou_simcloud::cloud::SimCloud;
     use caribou_simcloud::orchestration::Orchestrator;
-    use caribou_simcloud::pricing::PricingCatalog;
 
     #[test]
     fn coarse_evaluates_one_plan_per_region() {
-        let cat = RegionCatalog::aws_default();
-        let pricing = PricingCatalog::aws_default(&cat);
-        let mut runtime = LambdaRuntime::aws_default(&cat);
+        let cloud = SimCloud::aws(0);
+        let (cat, pricing, mut runtime, latency) =
+            (cloud.regions, cloud.pricing, cloud.compute, cloud.latency);
         runtime.cold_start_prob = 0.0;
-        let latency = LatencyModel::from_catalog(&cat);
         let mut carbon = TableSource::new();
         for (id, spec) in cat.iter() {
             let v = if spec.name == "ca-central-1" {
@@ -151,10 +147,9 @@ mod tests {
 
     #[test]
     fn per_node_constraint_shrinks_candidate_set() {
-        let cat = RegionCatalog::aws_default();
-        let pricing = PricingCatalog::aws_default(&cat);
-        let runtime = LambdaRuntime::aws_default(&cat);
-        let latency = LatencyModel::from_catalog(&cat);
+        let cloud = SimCloud::aws(0);
+        let (cat, pricing, runtime, latency) =
+            (cloud.regions, cloud.pricing, cloud.compute, cloud.latency);
         let mut carbon = TableSource::new();
         for (id, _) in cat.iter() {
             carbon.insert(id, CarbonSeries::new(0, vec![100.0; 24]));

@@ -233,6 +233,7 @@ mod tests {
     use caribou_model::dag::WorkflowDag;
     use caribou_model::profile::WorkflowProfile;
     use caribou_model::region::RegionCatalog;
+    use caribou_simcloud::cloud::SimCloud;
     use caribou_simcloud::compute::LambdaRuntime;
     use caribou_simcloud::latency::LatencyModel;
     use caribou_simcloud::orchestration::Orchestrator;
@@ -252,12 +253,11 @@ mod tests {
     /// us-west-2 second, and home (us-east-1) dirtiest — so the primary
     /// piles into gcp and fallbacks are forced elsewhere.
     fn world() -> World {
-        let cat = RegionCatalog::multi_cloud();
-        let pricing = PricingCatalog::aws_default(&cat);
-        let mut runtime = LambdaRuntime::aws_default(&cat);
+        let cloud = SimCloud::with_catalog(RegionCatalog::multi_cloud(), 0).unwrap();
+        let (cat, pricing, mut runtime, latency) =
+            (cloud.regions, cloud.pricing, cloud.compute, cloud.latency);
         runtime.cold_start_prob = 0.0;
         runtime.exec_sigma = 0.0;
-        let latency = LatencyModel::from_catalog(&cat);
         let gcp_west = cat.id_of_qualified(Provider::Gcp, "us-west1").unwrap();
         let west = cat.id_of("us-west-2").unwrap();
         let mut carbon = TableSource::new();

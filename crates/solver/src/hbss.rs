@@ -252,6 +252,7 @@ mod tests {
     use caribou_model::constraints::{Objective, Tolerances};
     use caribou_model::dist::DistSpec;
     use caribou_model::region::RegionCatalog;
+    use caribou_simcloud::cloud::SimCloud;
     use caribou_simcloud::compute::LambdaRuntime;
     use caribou_simcloud::latency::LatencyModel;
     use caribou_simcloud::orchestration::Orchestrator;
@@ -266,11 +267,10 @@ mod tests {
     }
 
     fn fx() -> Fx {
-        let cat = RegionCatalog::aws_default();
-        let pricing = PricingCatalog::aws_default(&cat);
-        let mut runtime = LambdaRuntime::aws_default(&cat);
+        let cloud = SimCloud::aws(0);
+        let (cat, pricing, mut runtime, latency) =
+            (cloud.regions, cloud.pricing, cloud.compute, cloud.latency);
         runtime.cold_start_prob = 0.0;
-        let latency = LatencyModel::from_catalog(&cat);
         let mut carbon = TableSource::new();
         for (id, spec) in cat.iter() {
             let v = match spec.name.as_str() {

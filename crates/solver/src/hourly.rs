@@ -115,20 +115,16 @@ mod tests {
     use caribou_model::constraints::{Objective, Tolerances};
     use caribou_model::dag::NodeId;
     use caribou_model::dist::DistSpec;
-    use caribou_model::region::RegionCatalog;
-    use caribou_simcloud::compute::LambdaRuntime;
-    use caribou_simcloud::latency::LatencyModel;
+    use caribou_simcloud::cloud::SimCloud;
     use caribou_simcloud::orchestration::Orchestrator;
-    use caribou_simcloud::pricing::PricingCatalog;
 
     #[test]
     fn hourly_plans_follow_diurnal_carbon() {
-        let cat = RegionCatalog::aws_default();
-        let pricing = PricingCatalog::aws_default(&cat);
-        let mut runtime = LambdaRuntime::aws_default(&cat);
+        let cloud = SimCloud::aws(0);
+        let (cat, pricing, mut runtime, latency) =
+            (cloud.regions, cloud.pricing, cloud.compute, cloud.latency);
         runtime.cold_start_prob = 0.0;
         runtime.exec_sigma = 0.0;
-        let latency = LatencyModel::from_catalog(&cat);
         // Two-region world: us-east-1 flat at 380; us-west-2 is cleaner at
         // night (hours 0-11) and dirtier during the day (hours 12-23).
         let mut carbon = TableSource::new();
@@ -218,11 +214,10 @@ mod tests {
 
     #[test]
     fn daily_plan_replicates_single_solution() {
-        let cat = RegionCatalog::aws_default();
-        let pricing = PricingCatalog::aws_default(&cat);
-        let mut runtime = LambdaRuntime::aws_default(&cat);
+        let cloud = SimCloud::aws(0);
+        let (cat, pricing, mut runtime, latency) =
+            (cloud.regions, cloud.pricing, cloud.compute, cloud.latency);
         runtime.cold_start_prob = 0.0;
-        let latency = LatencyModel::from_catalog(&cat);
         let mut carbon = TableSource::new();
         for (id, _) in cat.iter() {
             carbon.insert(id, CarbonSeries::new(0, vec![200.0; 24]));

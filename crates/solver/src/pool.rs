@@ -227,7 +227,7 @@ mod tests {
             assert_eq!(telemetry::sim_now(), 5.0);
             let done = telemetry::finish().expect("session active");
             let sink = done.sink.as_any().downcast_ref::<MemorySink>().unwrap();
-            let buckets = done.recorder.histograms["pool.size"].buckets;
+            let buckets = done.recorder.histograms["pool.size"].buckets().to_vec();
             (done.recorder.counters, buckets, sink.events.clone())
         };
         let one = traced(1);

@@ -12,6 +12,7 @@ use caribou_model::dag::NodeId;
 use caribou_model::dist::DistSpec;
 use caribou_model::region::RegionCatalog;
 use caribou_model::rng::Pcg32;
+use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::compute::LambdaRuntime;
 use caribou_simcloud::latency::LatencyModel;
 use caribou_simcloud::orchestration::Orchestrator;
@@ -32,12 +33,11 @@ struct Fx {
 /// points somewhere different: carbon → ca-central-1 (clean, pricey,
 /// far), cost → us-east-1 (cheap), latency → us-east-1 (home, no hops).
 fn fx() -> Fx {
-    let cat = RegionCatalog::aws_default();
-    let mut pricing = PricingCatalog::aws_default(&cat);
-    let mut runtime = LambdaRuntime::aws_default(&cat);
+    let cloud = SimCloud::aws(0);
+    let (cat, mut pricing, mut runtime, latency) =
+        (cloud.regions, cloud.pricing, cloud.compute, cloud.latency);
     runtime.cold_start_prob = 0.0;
     runtime.exec_sigma = 0.0;
-    let latency = LatencyModel::from_catalog(&cat);
     let mut carbon = TableSource::new();
     for (id, spec) in cat.iter() {
         let v = match spec.name.as_str() {

@@ -10,6 +10,7 @@ use caribou_model::constraints::{Objective, Tolerances};
 use caribou_model::dist::DistSpec;
 use caribou_model::region::{RegionCatalog, RegionId};
 use caribou_model::rng::Pcg32;
+use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::compute::LambdaRuntime;
 use caribou_simcloud::latency::LatencyModel;
 use caribou_simcloud::orchestration::Orchestrator;
@@ -29,11 +30,10 @@ struct Fx {
 }
 
 fn fixture(seed: u64) -> Fx {
-    let cat = RegionCatalog::aws_default();
-    let pricing = PricingCatalog::aws_default(&cat);
-    let mut runtime = LambdaRuntime::aws_default(&cat);
+    let cloud = SimCloud::aws(0);
+    let (cat, pricing, mut runtime, latency) =
+        (cloud.regions, cloud.pricing, cloud.compute, cloud.latency);
     runtime.cold_start_prob = 0.0;
-    let latency = LatencyModel::from_catalog(&cat);
     let mut rng = Pcg32::seed(seed);
     let mut carbon = TableSource::new();
     for (id, _) in cat.iter() {

@@ -30,9 +30,9 @@ pub mod span;
 
 use std::cell::{Cell, RefCell};
 
-pub use recorder::{Event, Histogram, Journal, Recorder, HISTOGRAM_BUCKETS, MIN_BUCKET};
+pub use recorder::{Event, Journal, Recorder};
 pub use sink::{JsonlSink, MemorySink, NullSink, TelemetrySink};
-pub use sketch::{Moments, QuantileSketch, SKETCH_BUCKETS, SUB_BUCKETS};
+pub use sketch::{Moments, QuantileSketch, MIN_BUCKET, SKETCH_BUCKETS, SUB_BUCKETS};
 pub use span::{chrome_trace, flame_summary, SpanRecord, WallSpanGuard};
 
 /// Default ring-buffer capacity of the event journal.
@@ -467,8 +467,8 @@ mod tests {
         assert_eq!(sink.spans[0].depth, 1);
         assert_eq!(sink.spans[1].name, "outer");
         assert_eq!(sink.spans[1].depth, 0);
-        assert_eq!(finished.recorder.histograms["outer"].count, 1);
-        assert_eq!(finished.recorder.histograms["inner"].count, 1);
+        assert_eq!(finished.recorder.histograms["outer"].count(), 1);
+        assert_eq!(finished.recorder.histograms["inner"].count(), 1);
     }
 
     #[test]
@@ -543,7 +543,7 @@ mod tests {
             &direct.recorder.histograms["fork.hist"],
             &merged.recorder.histograms["fork.hist"],
         );
-        assert_eq!((d.buckets, d.count), (m.buckets, m.count));
+        assert_eq!((d.buckets(), d.count()), (m.buckets(), m.count()));
         // The ring holds the same last four events and dropped the same two.
         let ring = |r: &Recorder| r.journal.iter().cloned().collect::<Vec<_>>();
         assert_eq!(ring(&direct.recorder), ring(&merged.recorder));

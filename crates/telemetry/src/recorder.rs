@@ -1,5 +1,5 @@
-//! The [`Recorder`]: counters, gauges, log-scale histograms and the bounded
-//! ring-buffer event journal.
+//! The [`Recorder`]: counters, gauges, log-linear histograms
+//! ([`QuantileSketch`]) and the bounded ring-buffer event journal.
 //!
 //! All aggregate state lives in `BTreeMap`s keyed by `&'static str` so that
 //! every exported view iterates in a deterministic order.
@@ -7,116 +7,7 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-/// Number of log-scale histogram buckets. Bucket `i` covers
-/// `[MIN_BUCKET * 2^i, MIN_BUCKET * 2^(i+1))`; the first and last buckets
-/// absorb underflow and overflow.
-pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// Lower bound of bucket 0 — 1 nanosecond when observations are seconds.
-pub const MIN_BUCKET: f64 = 1e-9;
-
-/// Fixed-bucket log-scale histogram (powers of two above [`MIN_BUCKET`]).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
-    pub count: u64,
-    pub sum: f64,
-    pub min: f64,
-    pub max: f64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl Histogram {
-    /// Bucket index for a value: `floor(log2(v / MIN_BUCKET))`, clamped.
-    pub fn bucket_index(value: f64) -> usize {
-        // NaN and anything at or below the floor land in bucket 0.
-        if value.is_nan() || value <= MIN_BUCKET {
-            return 0;
-        }
-        let idx = (value / MIN_BUCKET).log2().floor() as i64;
-        idx.clamp(0, HISTOGRAM_BUCKETS as i64 - 1) as usize
-    }
-
-    /// Lower bound of bucket `i`.
-    pub fn bucket_lo(i: usize) -> f64 {
-        MIN_BUCKET * (2f64).powi(i as i32)
-    }
-
-    pub fn observe(&mut self, value: f64) {
-        self.buckets[Self::bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-        if value < self.min {
-            self.min = value;
-        }
-        if value > self.max {
-            self.max = value;
-        }
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Merges another histogram into this one. Bucket counts, `count`,
-    /// `min` and `max` merge exactly and order-insensitively; `sum` is a
-    /// floating-point fold, deterministic for a fixed merge order.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.min < self.min {
-            self.min = other.min;
-        }
-        if other.max > self.max {
-            self.max = other.max;
-        }
-    }
-
-    /// Quantile estimate: walks buckets and returns the geometric midpoint
-    /// of the bucket containing the q-th observation (clamped to the
-    /// observed min/max so degenerate histograms stay sensible).
-    ///
-    /// A non-finite `q` returns NaN (it does not order against the rank
-    /// ladder); finite `q` outside `[0, 1]` is clamped.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if !q.is_finite() {
-            return f64::NAN;
-        }
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let lo = Self::bucket_lo(i);
-                let hi = lo * 2.0;
-                let mid = (lo * hi).sqrt();
-                return mid.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-}
+use crate::sketch::QuantileSketch;
 
 /// A journal entry keyed on virtual sim time.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,7 +78,7 @@ impl Journal {
 pub struct Recorder {
     pub counters: BTreeMap<&'static str, u64>,
     pub gauges: BTreeMap<&'static str, f64>,
-    pub histograms: BTreeMap<&'static str, Histogram>,
+    pub histograms: BTreeMap<&'static str, QuantileSketch>,
     pub journal: Journal,
 }
 
@@ -219,110 +110,58 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sketch::SKETCH_BUCKETS;
 
-    #[test]
-    fn bucket_boundaries_are_powers_of_two() {
-        // Each bucket's lower bound maps into that bucket; a value just
-        // below it lands one bucket down.
-        for i in 1..HISTOGRAM_BUCKETS {
-            let lo = Histogram::bucket_lo(i);
-            assert_eq!(Histogram::bucket_index(lo), i, "lo of bucket {i}");
-            assert_eq!(
-                Histogram::bucket_index(lo * 0.999),
-                i - 1,
-                "just below bucket {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn degenerate_values_land_in_bucket_zero() {
-        assert_eq!(Histogram::bucket_index(0.0), 0);
-        assert_eq!(Histogram::bucket_index(-1.0), 0);
-        assert_eq!(Histogram::bucket_index(f64::NAN), 0);
-        assert_eq!(Histogram::bucket_index(MIN_BUCKET), 0);
-        assert_eq!(Histogram::bucket_index(MIN_BUCKET / 2.0), 0);
-    }
+    // The recorder's histograms are sketches; what the summary and the
+    // fork/absorb merge rely on is pinned here, next to the recorder.
 
     #[test]
     fn overflow_clamps_to_last_bucket() {
-        assert_eq!(Histogram::bucket_index(1e30), HISTOGRAM_BUCKETS - 1);
+        assert_eq!(QuantileSketch::bucket_index(1e30), SKETCH_BUCKETS - 1);
         assert_eq!(
-            Histogram::bucket_index(f64::INFINITY),
-            HISTOGRAM_BUCKETS - 1
+            QuantileSketch::bucket_index(f64::INFINITY),
+            SKETCH_BUCKETS - 1
         );
     }
 
     #[test]
     fn histogram_aggregates() {
-        let mut h = Histogram::default();
+        let mut h = QuantileSketch::new();
         for v in [0.5, 1.5, 2.0, 4.0] {
             h.observe(v);
         }
-        assert_eq!(h.count, 4);
-        assert!((h.sum - 8.0).abs() < 1e-12);
+        assert_eq!(h.count(), 4);
+        assert!((h.moments.sum - 8.0).abs() < 1e-12);
         assert!((h.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(h.min, 0.5);
-        assert_eq!(h.max, 4.0);
+        assert_eq!(h.min(), 0.5);
+        assert_eq!(h.max(), 4.0);
     }
 
     #[test]
     fn quantile_estimates_bracket_the_distribution() {
-        let mut h = Histogram::default();
+        let mut h = QuantileSketch::new();
         for _ in 0..50 {
             h.observe(1.0);
         }
         for _ in 0..50 {
             h.observe(1000.0);
         }
-        // The log-scale buckets separate 1 s and 1000 s by ~10 buckets; the
-        // geometric-midpoint estimate stays within a bucket width (2x).
+        // The two modes sit ~10 octaves apart; each estimate stays within
+        // one sub-bucket (6.25%) of its mode.
         let p25 = h.quantile(0.25);
-        assert!((0.5..=2.0).contains(&p25), "p25 {p25}");
+        assert!((1.0..=1.0625).contains(&p25), "p25 {p25}");
         let p90 = h.quantile(0.9);
-        assert!((500.0..=1000.0).contains(&p90), "p90 {p90}");
+        assert!((940.0..=1000.0).contains(&p90), "p90 {p90}");
         // Clamped to observed extremes.
-        assert!(h.quantile(0.0) >= h.min);
-        assert!(h.quantile(1.0) <= h.max);
-    }
-
-    #[test]
-    fn quantile_of_constant_observations_is_exact() {
-        let mut h = Histogram::default();
-        for _ in 0..100 {
-            h.observe(3.25);
-        }
-        // min == max == 3.25, so the clamp pins every quantile.
-        assert_eq!(h.quantile(0.5), 3.25);
-        assert_eq!(h.quantile(0.99), 3.25);
-    }
-
-    #[test]
-    fn empty_histogram_quantile_is_zero() {
-        let h = Histogram::default();
-        assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn quantile_rejects_non_finite_q() {
-        let mut h = Histogram::default();
-        for v in [1.0, 2.0, 3.0] {
-            h.observe(v);
-        }
-        assert!(h.quantile(f64::NAN).is_nan());
-        assert!(h.quantile(f64::INFINITY).is_nan());
-        assert!(h.quantile(f64::NEG_INFINITY).is_nan());
-        // Out-of-range finite q clamps to the extremes.
-        assert_eq!(h.quantile(-1.0).to_bits(), h.quantile(0.0).to_bits());
-        assert_eq!(h.quantile(2.0).to_bits(), h.quantile(1.0).to_bits());
+        assert!(h.quantile(0.0) >= h.min());
+        assert!(h.quantile(1.0) <= h.max());
     }
 
     #[test]
     fn merge_matches_single_stream_and_ignores_order_for_counts() {
-        let mut whole = Histogram::default();
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
+        let mut whole = QuantileSketch::new();
+        let mut a = QuantileSketch::new();
+        let mut b = QuantileSketch::new();
         for i in 0..200 {
             let v = 0.001 * (i as f64 + 1.0) * 1.7;
             whole.observe(v);
@@ -336,33 +175,32 @@ mod tests {
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
-        assert_eq!(ab.buckets, whole.buckets);
-        assert_eq!(ab.count, whole.count);
-        assert_eq!(ab.min, whole.min);
-        assert_eq!(ab.max, whole.max);
-        assert!((ab.sum - whole.sum).abs() < 1e-9);
+        assert_eq!(ab.buckets(), whole.buckets());
+        assert_eq!(ab.count(), whole.count());
+        assert_eq!(ab.min(), whole.min());
+        assert_eq!(ab.max(), whole.max());
+        assert!((ab.moments.sum - whole.moments.sum).abs() < 1e-9);
         // Integer/min/max state is order-insensitive.
-        assert_eq!(ab.buckets, ba.buckets);
-        assert_eq!(ab.count, ba.count);
-        assert_eq!(ab.min.to_bits(), ba.min.to_bits());
-        assert_eq!(ab.max.to_bits(), ba.max.to_bits());
+        assert_eq!(ab.buckets(), ba.buckets());
+        assert_eq!(ab.count(), ba.count());
+        assert_eq!(ab.min().to_bits(), ba.min().to_bits());
+        assert_eq!(ab.max().to_bits(), ba.max().to_bits());
     }
 
     #[test]
     fn merge_with_empty_histogram_is_identity() {
-        let mut h = Histogram::default();
+        let mut h = QuantileSketch::new();
         h.observe(2.0);
         let before = h.clone();
-        h.merge(&Histogram::default());
-        assert_eq!(h.buckets, before.buckets);
-        assert_eq!(h.count, before.count);
-        assert_eq!(h.min, before.min);
-        assert_eq!(h.max, before.max);
-        let mut e = Histogram::default();
+        h.merge(&QuantileSketch::new());
+        assert_eq!(h.buckets(), before.buckets());
+        assert_eq!(h.moments, before.moments);
+        assert_eq!((h.min(), h.max()), (before.min(), before.max()));
+        let mut e = QuantileSketch::new();
         e.merge(&before);
-        assert_eq!(e.count, before.count);
-        assert_eq!(e.min, before.min);
-        assert_eq!(e.max, before.max);
+        assert_eq!(e.buckets(), before.buckets());
+        assert_eq!(e.moments, before.moments);
+        assert_eq!((e.min(), e.max()), (before.min(), before.max()));
     }
 
     fn ev(i: usize) -> Event {
@@ -417,6 +255,6 @@ mod tests {
         assert_eq!(r.counter("a"), 5);
         assert_eq!(r.counter("missing"), 0);
         assert_eq!(r.gauges["g"], 7.5);
-        assert_eq!(r.histograms["h"].count, 1);
+        assert_eq!(r.histograms["h"].count(), 1);
     }
 }

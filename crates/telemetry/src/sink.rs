@@ -143,10 +143,10 @@ pub(crate) fn summary_to_json(recorder: &Recorder) -> Value {
     let mut histograms = Map::new();
     for (k, h) in &recorder.histograms {
         let mut hm = Map::new();
-        hm.insert("count".to_string(), Value::Number(h.count as f64));
+        hm.insert("count".to_string(), Value::Number(h.count() as f64));
         hm.insert("mean".to_string(), Value::Number(h.mean()));
-        hm.insert("min".to_string(), Value::Number(h.min.min(h.max)));
-        hm.insert("max".to_string(), Value::Number(h.max.max(h.min)));
+        hm.insert("min".to_string(), Value::Number(h.min()));
+        hm.insert("max".to_string(), Value::Number(h.max()));
         hm.insert("p50".to_string(), Value::Number(h.quantile(0.5)));
         hm.insert("p99".to_string(), Value::Number(h.quantile(0.99)));
         histograms.insert(k.to_string(), Value::Object(hm));

@@ -7,9 +7,9 @@
 //!
 //! * [`Moments`] — exact running count/sum/mean/M2 (Welford update,
 //!   Chan's parallel merge), so means and variances are not sketched;
-//! * [`QuantileSketch`] — a log-linear histogram (the [`Histogram`]
-//!   family of [`crate::recorder`] refined to [`SUB_BUCKETS`] linear
-//!   sub-buckets per power-of-two octave) with a deterministic merge.
+//! * [`QuantileSketch`] — a log-linear histogram ([`SUB_BUCKETS`] linear
+//!   sub-buckets per power-of-two octave) with a deterministic merge; also
+//!   the histogram type of the telemetry [`crate::recorder::Recorder`].
 //!
 //! Both types merge deterministically: merging the same operands in the
 //! same order is bit-reproducible, and the bucket counts, `count`,
@@ -17,19 +17,17 @@
 //! min/max folds). Only the floating-point moment fields depend on the
 //! merge order, which is why callers fold shard outputs in a fixed
 //! order (see `caribou_core::loadgen`).
-//!
-//! [`Histogram`]: crate::recorder::Histogram
 
-use crate::recorder::MIN_BUCKET;
+/// Lower bound of bucket 0 — 1 nanosecond when observations are seconds.
+pub const MIN_BUCKET: f64 = 1e-9;
 
 /// Linear sub-buckets per power-of-two octave. The relative width of one
 /// bucket — and therefore the worst-case relative quantile error — is
 /// `1 / SUB_BUCKETS` (6.25%).
 pub const SUB_BUCKETS: usize = 16;
 
-/// Octaves covered, matching [`crate::recorder::HISTOGRAM_BUCKETS`]:
-/// `[MIN_BUCKET, MIN_BUCKET * 2^64)`, i.e. 1 ns to ~584 years when
-/// observations are seconds.
+/// Octaves covered: `[MIN_BUCKET, MIN_BUCKET * 2^64)`, i.e. 1 ns to ~584
+/// years when observations are seconds.
 pub const OCTAVES: usize = 64;
 
 /// Total bucket count of a [`QuantileSketch`].
@@ -202,6 +200,11 @@ impl QuantileSketch {
         self.moments.count
     }
 
+    /// Observation count per bucket.
+    pub fn buckets(&self) -> &[u64] {
+        &self.buckets[..]
+    }
+
     /// Smallest observation (0.0 when empty).
     pub fn min(&self) -> f64 {
         if self.count() == 0 {
@@ -278,6 +281,8 @@ mod tests {
         assert_eq!(QuantileSketch::bucket_index(0.0), 0);
         assert_eq!(QuantileSketch::bucket_index(-1.0), 0);
         assert_eq!(QuantileSketch::bucket_index(f64::NAN), 0);
+        assert_eq!(QuantileSketch::bucket_index(MIN_BUCKET), 0);
+        assert_eq!(QuantileSketch::bucket_index(MIN_BUCKET / 2.0), 0);
         assert_eq!(
             QuantileSketch::bucket_index(f64::INFINITY),
             SKETCH_BUCKETS - 1
@@ -393,6 +398,7 @@ mod tests {
         }
         assert!(s.quantile(f64::NAN).is_nan());
         assert!(s.quantile(f64::INFINITY).is_nan());
+        assert!(s.quantile(f64::NEG_INFINITY).is_nan());
         // Out-of-range finite q clamps instead of under/overflowing ranks.
         assert_eq!(s.quantile(-3.0).to_bits(), s.quantile(0.0).to_bits());
         assert_eq!(s.quantile(7.0).to_bits(), s.quantile(1.0).to_bits());

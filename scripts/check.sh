@@ -123,8 +123,8 @@ if [[ "${1:-}" != "--fast" ]]; then
         /tmp/caribou-prov-multi-4w.txt
 
     # Golden regression: the default aws-only provider set must replay
-    # the committed pre-refactor stdout byte-for-byte for every seeded
-    # command in goldens/.
+    # the committed stdout byte-for-byte for every seeded command in
+    # goldens/ (`--providers aws` and the default are the same call).
     echo "==> aws-only golden regression (goldens/*.txt)"
     run_golden() {
         cargo run -q --release -p caribou-core --bin caribou -- "$@" \
@@ -134,6 +134,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     }
     GOLDEN=plan_dna_hourly_aws.txt run_golden plan dna --hourly
     GOLDEN=plan_dna_aws.txt run_golden plan dna
+    GOLDEN=plan_dna_aws.txt run_golden plan dna --providers aws
     GOLDEN=simulate_text2speech_aws.txt run_golden \
         simulate text2speech --days 2 --per-day 20
     GOLDEN=chaos_seed42_aws.txt run_golden \
@@ -194,6 +195,34 @@ if grep -rnE 'estimate_scalar|estimate_batched|sample_once|MAX_LANES|fn batchabl
 fi
 if grep -rnE 'pub fn solve(_hourly)?[<(]' crates/solver/src; then
     echo "error: an engine-less solver entry is back (see matches above)" >&2
+    exit 1
+fi
+
+# One substrate: service constants enter a SimCloud only through the
+# provider backends in SimCloud::with_catalog, so the table-built
+# constructors, the per-service override maps and the aws-only
+# constructor forks must not come back (RegionCatalog::aws_default(),
+# the region rows themselves, stays).
+echo "==> single-substrate grep gate"
+if grep -rnE 'PricingCatalog::aws_default|LambdaRuntime::aws_default|from_catalog_with_providers|\b(cold_start|keep_alive|overhead)_override\b' \
+    crates; then
+    echo "error: a second way to build the substrate is back (see matches above)" >&2
+    exit 1
+fi
+# is_aws_only() decides an output format, never a constructor: outside
+# region.rs its one use is the first line of the CLI's region_label.
+forks=$(grep -rn 'is_aws_only()' crates | grep -vc '^crates/model/src/region.rs:' || true)
+labels=$(grep -A 1 '^fn region_label' crates/core/src/bin/caribou.rs | grep -c 'is_aws_only()' || true)
+if [[ "$forks" -ne "$labels" ]]; then
+    echo "error: is_aws_only() outside region.rs and the CLI's region_label:" >&2
+    grep -rn 'is_aws_only()' crates | grep -v '^crates/model/src/region.rs:' >&2
+    exit 1
+fi
+
+# One histogram type: the recorder holds QuantileSketch.
+echo "==> single-histogram grep gate"
+if grep -rn 'Histogram' crates/telemetry; then
+    echo "error: a second histogram type is back in crates/telemetry" >&2
     exit 1
 fi
 

@@ -46,8 +46,9 @@ use caribou_model::dag::{EdgeId, NodeId, WorkflowDag};
 use caribou_model::dist::DistSpec;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::profile::WorkflowProfile;
-use caribou_model::region::{RegionCatalog, RegionId};
+use caribou_model::region::RegionId;
 use caribou_model::rng::Pcg32;
+use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::compute::LambdaRuntime;
 use caribou_simcloud::latency::LatencyModel;
 use caribou_simcloud::orchestration::Orchestrator;
@@ -80,9 +81,9 @@ struct World {
 /// A world with the stochastic knobs ON (cold starts, execution noise,
 /// transfer jitter), or — `quiet` — with all of them off.
 fn world(quiet: bool) -> World {
-    let cat = RegionCatalog::aws_default();
-    let mut runtime = LambdaRuntime::aws_default(&cat);
-    let mut latency = LatencyModel::from_catalog(&cat);
+    let cloud = SimCloud::aws(0);
+    let (cat, pricing, mut runtime, mut latency) =
+        (cloud.regions, cloud.pricing, cloud.compute, cloud.latency);
     if quiet {
         runtime.cold_start_prob = 0.0;
         runtime.exec_sigma = 0.0;
@@ -103,7 +104,7 @@ fn world(quiet: bool) -> World {
         .map(|n| cat.id_of(n).unwrap())
         .collect();
     World {
-        pricing: PricingCatalog::aws_default(&cat),
+        pricing,
         runtime,
         latency,
         carbon,

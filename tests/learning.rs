@@ -165,7 +165,7 @@ fn custom_region_is_first_class() {
     let synth = SyntheticCarbonSource::new(profiles, 1);
     assert!(synth.zone_intensity("SE", 12.0).unwrap() > 0.0);
 
-    let cloud = SimCloud::with_catalog(catalog, 502);
+    let cloud = SimCloud::with_catalog(catalog, 502).unwrap();
     // Latency and pricing cover the new region out of the box.
     let east = cloud.region("us-east-1").unwrap();
     assert!(

@@ -6,7 +6,7 @@
 //! starts exactly once per container, not once per chunk.
 
 use caribou_core::loadgen::{run_loadgen, LoadReport, LoadgenConfig, CHUNK_INVOCATIONS};
-use caribou_telemetry::{Histogram, QuantileSketch, SUB_BUCKETS};
+use caribou_telemetry::{QuantileSketch, SUB_BUCKETS};
 use caribou_workloads::arrivals::ArrivalProcess;
 use caribou_workloads::benchmarks::{image_processing, text2speech_censoring, InputSize};
 use proptest::prelude::*;
@@ -47,6 +47,13 @@ fn assert_identical(a: &LoadReport, b: &LoadReport) {
     assert_eq!(a.cost_usd.to_bits(), b.cost_usd.to_bits());
 }
 
+/// The sketches merged into an empty one, in iteration order.
+fn merged<'a>(parts: impl Iterator<Item = &'a QuantileSketch>) -> QuantileSketch {
+    let mut acc = QuantileSketch::new();
+    parts.for_each(|p| acc.merge(p));
+    acc
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -76,33 +83,24 @@ proptest! {
         values in collection::vec(1e-6f64..1e4, 1..300),
         split in 1usize..10,
     ) {
-        let mut parts: Vec<Histogram> = (0..split).map(|_| Histogram::default()).collect();
-        let mut whole = Histogram::default();
+        let mut parts: Vec<QuantileSketch> = (0..split).map(|_| QuantileSketch::new()).collect();
+        let mut whole = QuantileSketch::new();
         for (i, v) in values.iter().enumerate() {
             parts[i % split].observe(*v);
             whole.observe(*v);
         }
-        let mut fwd = Histogram::default();
-        for p in &parts {
-            fwd.merge(p);
-        }
-        let mut rev = Histogram::default();
-        for p in parts.iter().rev() {
-            rev.merge(p);
-        }
-        prop_assert_eq!(fwd.buckets, whole.buckets);
-        prop_assert_eq!(fwd.count, whole.count);
-        prop_assert_eq!(fwd.min.to_bits(), whole.min.to_bits());
-        prop_assert_eq!(fwd.max.to_bits(), whole.max.to_bits());
-        prop_assert_eq!(fwd.buckets, rev.buckets);
-        prop_assert_eq!(fwd.min.to_bits(), rev.min.to_bits());
-        prop_assert_eq!(fwd.max.to_bits(), rev.max.to_bits());
-        // Same fold order twice is bit-identical including the f64 sum.
-        let mut again = Histogram::default();
-        for p in &parts {
-            again.merge(p);
-        }
-        prop_assert_eq!(fwd.sum.to_bits(), again.sum.to_bits());
+        let fwd = merged(parts.iter());
+        let rev = merged(parts.iter().rev());
+        prop_assert_eq!(fwd.buckets(), whole.buckets());
+        prop_assert_eq!(fwd.count(), whole.count());
+        prop_assert_eq!(fwd.min().to_bits(), whole.min().to_bits());
+        prop_assert_eq!(fwd.max().to_bits(), whole.max().to_bits());
+        prop_assert_eq!(fwd.buckets(), rev.buckets());
+        prop_assert_eq!(fwd.min().to_bits(), rev.min().to_bits());
+        prop_assert_eq!(fwd.max().to_bits(), rev.max().to_bits());
+        // Same fold order twice is bit-identical including the f64 moments.
+        let again = merged(parts.iter());
+        prop_assert_eq!(fwd.moments, again.moments);
     }
 
     /// Sketch quantiles stay within one bucket's relative width of the

@@ -17,7 +17,7 @@ use caribou_model::constraints::{Constraints, Objective, RegionFilter};
 use caribou_model::dag::NodeId;
 use caribou_model::dist::DistSpec;
 use caribou_model::plan::DeploymentPlan;
-use caribou_model::region::{Provider, ProviderSet, RegionCatalog, RegionId};
+use caribou_model::region::{Provider, ProviderSet, RegionCatalog};
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::faults::FaultPlan;
@@ -48,7 +48,7 @@ fn multi_cloud_catalog_is_complete() {
         );
     }
     // Latency, pricing, and compute cover the new regions.
-    let cloud = SimCloud::with_catalog(cat, 1);
+    let cloud = SimCloud::with_catalog(cat, 1).unwrap();
     let gcp_qc = cloud.region("northamerica-northeast1").unwrap();
     let aws_east = cloud.region("us-east-1").unwrap();
     assert!(cloud.latency.rtt(aws_east, gcp_qc) > 0.005);
@@ -207,20 +207,8 @@ fn with_plan_ctx<R>(
         &RegionCatalog,
     ) -> R,
 ) -> R {
-    let aws_only = set == ProviderSet::aws_only();
-    let cloud = if aws_only {
-        SimCloud::aws(7)
-    } else {
-        SimCloud::for_providers(set, 7).unwrap()
-    };
-    let regions: Vec<RegionId> = if aws_only {
-        cloud.regions.evaluation_regions()
-    } else {
-        SimCloud::evaluation_universe(set)
-            .iter()
-            .map(|n| cloud.regions.resolve(n).unwrap())
-            .collect()
-    };
+    let cloud = SimCloud::for_providers(set, 7).unwrap();
+    let regions = cloud.evaluation_regions();
     let bench = all_benchmarks(InputSize::Small)
         .into_iter()
         .find(|b| b.dag.name().contains("text2speech"))

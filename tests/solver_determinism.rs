@@ -12,12 +12,10 @@ use caribou_model::builder::Workflow;
 use caribou_model::constraints::{Objective, Tolerances};
 use caribou_model::dist::DistSpec;
 use caribou_model::plan::DeploymentPlan;
-use caribou_model::region::{RegionCatalog, RegionId};
+use caribou_model::region::RegionId;
 use caribou_model::rng::Pcg32;
-use caribou_simcloud::compute::LambdaRuntime;
-use caribou_simcloud::latency::LatencyModel;
+use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::orchestration::Orchestrator;
-use caribou_simcloud::pricing::PricingCatalog;
 use caribou_solver::context::SolverContext;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
@@ -30,11 +28,10 @@ const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 /// Builds a small diurnal two-node world and hands the solver context to
 /// `f`. The context borrows a pile of locals, hence the closure shape.
 fn with_ctx<R>(f: impl FnOnce(&SolverContext<'_, TableSource, DefaultModels<'_>>) -> R) -> R {
-    let cat = RegionCatalog::aws_default();
-    let pricing = PricingCatalog::aws_default(&cat);
-    let mut runtime = LambdaRuntime::aws_default(&cat);
+    let cloud = SimCloud::aws(0);
+    let (cat, pricing, mut runtime, latency) =
+        (cloud.regions, cloud.pricing, cloud.compute, cloud.latency);
     runtime.cold_start_prob = 0.0;
-    let latency = LatencyModel::from_catalog(&cat);
     let east = cat.id_of("us-east-1").unwrap();
     let west = cat.id_of("us-west-2").unwrap();
     let ca = cat.id_of("ca-central-1").unwrap();

@@ -160,13 +160,14 @@ fn quickstart_counters_are_equal_at_1_2_and_8_workers() {
         // (`hbss.solve`) in how many observations they took.
         for key in ["exec.node_duration_s", "pubsub.delivery_latency_s"] {
             assert_eq!(
-                one.histograms[key].buckets, many.histograms[key].buckets,
+                one.histograms[key].buckets(),
+                many.histograms[key].buckets(),
                 "{key} at {workers} workers"
             );
         }
         assert_eq!(
-            one.histograms["hbss.solve"].count,
-            many.histograms["hbss.solve"].count
+            one.histograms["hbss.solve"].count(),
+            many.histograms["hbss.solve"].count()
         );
     }
 }
