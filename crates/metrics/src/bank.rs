@@ -17,10 +17,18 @@
 //! re-created bank can change a value. Two plans that agree on a site read
 //! the same draws there (common random numbers), which is what makes the
 //! difference of two estimates far less noisy than either.
+//!
+//! Beside the primitives the bank keeps the [`Derived`] columns the fold
+//! computes from them on its way: what each sample moved over the entry
+//! and every edge, and the energy each node drew in each region a plan
+//! has run it in. They are pure functions of (bank, site, region) too —
+//! no plan or hour enters them — so the pass that prices a folded plan
+//! at an hour reads them instead of folding again.
 
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use caribou_model::dist::{DistSpec, PreparedDist};
+use caribou_model::region::RegionId;
 use caribou_model::rng::{Pcg32, SeedSplitter};
 
 /// Where in a workflow execution a draw is taken.
@@ -102,6 +110,21 @@ impl<'a> Need<'a> {
     }
 }
 
+/// A column the fold derives from the primitives: per sample, what the
+/// carbon terms of Eq. 7.1 and 7.5 multiply an intensity by. `NaN` where
+/// the sample never got there (a conditional edge not taken, a node not
+/// reached).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Derived {
+    /// GB the client sends the start node.
+    EntryGb,
+    /// GB an edge carries.
+    EdgeGb(usize),
+    /// kWh (facility overhead included) a node's execution in a region
+    /// draws, external-data legs and cold start included.
+    Energy(usize, RegionId),
+}
+
 /// What a bank's columns were drawn for: the generator state the estimate
 /// was entered with and the DAG's shape. A bank asked for another identity
 /// starts over.
@@ -140,6 +163,11 @@ pub struct DrawBank {
     slots: Vec<usize>,
     columns: Vec<Column>,
     cold: Vec<ColdColumn>,
+    /// Derived columns: the entry's, one per edge, then each (node,
+    /// region) energy column in order of first publication.
+    derived: Vec<Vec<f64>>,
+    /// Per node, the regions with an energy column and its position.
+    energy: Vec<Vec<(RegionId, usize)>>,
 }
 
 impl DrawBank {
@@ -158,6 +186,10 @@ impl DrawBank {
             .resize((1 + 3 * id.nodes + id.edges) * PRIMS, usize::MAX);
         self.columns.clear();
         self.cold.clear();
+        self.derived.clear();
+        self.derived.resize(1 + id.edges, Vec::new());
+        self.energy.clear();
+        self.energy.resize(id.nodes, Vec::new());
         self.id = Some(id.clone());
     }
 
@@ -276,6 +308,43 @@ impl DrawBank {
         let to = hits.partition_point(|(i, _)| *i < hi);
         &hits[from..to]
     }
+
+    fn derived_position(&self, col: Derived) -> Option<usize> {
+        match col {
+            Derived::EntryGb => Some(0),
+            Derived::EdgeGb(e) => Some(1 + e),
+            Derived::Energy(node, region) => self.energy[node]
+                .iter()
+                .find(|(r, _)| *r == region)
+                .map(|(_, at)| *at),
+        }
+    }
+
+    /// The first `n` samples of a derived column, if it holds that many.
+    pub(crate) fn derived(&self, col: Derived, n: usize) -> Option<&[f64]> {
+        self.derived[self.derived_position(col)?].get(..n)
+    }
+
+    /// Appends what the column lacks of its samples `lo..`: nothing when
+    /// they are there already (two plans sharing a site both fold it; one
+    /// publishes), a tail when another stopping rule left it mid-batch.
+    pub(crate) fn publish(&mut self, col: Derived, lo: usize, vals: &[f64]) {
+        let at = self.derived_position(col).unwrap_or_else(|| {
+            let Derived::Energy(node, region) = col else {
+                unreachable!("transfer columns exist from binding")
+            };
+            self.energy[node].push((region, self.derived.len()));
+            self.derived.push(Vec::new());
+            self.derived.len() - 1
+        });
+        let column = &mut self.derived[at];
+        if let Some(tail) = column.len().checked_sub(lo).and_then(|had| vals.get(had..)) {
+            if column.is_empty() {
+                caribou_telemetry::count("montecarlo.bank.derived", 1);
+            }
+            column.extend_from_slice(tail);
+        }
+    }
 }
 
 /// A bank several estimator scratches (one per worker thread) fold at
@@ -303,6 +372,28 @@ impl SharedBank {
             write.bind(id);
             for need in needs {
                 write.ensure(need, n);
+            }
+        }
+    }
+
+    /// A read guard on the bank if it is bound to `id`.
+    pub(crate) fn bound(&self, id: &BankId) -> Option<RwLockReadGuard<'_, DrawBank>> {
+        Some(self.0.read().expect("bank lock")).filter(|bank| bank.is(id))
+    }
+
+    /// Publishes samples `lo..` of the derived columns a fold of `id`'s
+    /// bank produced. A bank rebound since is another context's: nothing
+    /// is published, and the caller finds the columns missing.
+    pub(crate) fn publish<'c>(
+        &self,
+        id: &BankId,
+        lo: usize,
+        columns: impl Iterator<Item = (Derived, &'c [f64])>,
+    ) {
+        let mut write = self.0.write().expect("bank lock");
+        if write.is(id) {
+            for (col, vals) in columns {
+                write.publish(col, lo, vals);
             }
         }
     }

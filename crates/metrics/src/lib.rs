@@ -17,6 +17,9 @@
 //! * [`bank`] — the draw bank the estimator folds: every random
 //!   primitive of a sample, drawn once per frozen context and shared by
 //!   all candidate plans and hours (common random numbers);
+//! * [`fold`] — the hour-free half of an estimate: a plan's latency and
+//!   cost, folded once and kept as its [`fold::PlanRecord`] (the other
+//!   half, pricing its carbon at an hour, is private);
 //! * [`logs`] — invocation-log records and the 30-day / 5,000-entry
 //!   retention with selective forgetting (§7.2);
 //! * [`manager`] — the Metrics Manager assembling learned distributions
@@ -27,10 +30,12 @@ pub mod bank;
 pub mod carbonmodel;
 pub mod costmodel;
 pub mod energy;
+pub mod fold;
 pub mod logs;
 pub mod manager;
 pub mod montecarlo;
 mod prep;
+mod price;
 pub mod summary;
 
 pub use carbonmodel::{CarbonModel, TransmissionScenario};

@@ -13,13 +13,18 @@
 //!
 //! An estimate does not draw: the random primitives of a sample live in a
 //! [`DrawBank`](crate::bank::DrawBank) shared by every plan and hour of one
-//! frozen context. [`MonteCarloEstimator::estimate_with`] resolves the
-//! constants of its (plan, hour) once (`crate::prep`) and then *folds* the
-//! bank's columns node by node over the sample index — critical path by
-//! max/plus, billing, Eq. 7.1–7.4 execution carbon, transmission carbon —
-//! with no generator call and no transcendental on that path. The stage
-//! models say, per site, whether the draw is the profile-plus-simulator
-//! model or a pick from logged history ([`StageModels::learned_exec`],
+//! frozen context. And it has two halves. The *fold* ([`crate::fold`])
+//! resolves a plan's constants once (`crate::prep`) and runs the bank's
+//! columns through the DAG node by node over the sample index — critical
+//! path by max/plus, billing, cost, the energy and bytes the carbon terms
+//! multiply — with no generator call and no transcendental on that path,
+//! and never sees an hour. The *pricing pass* (`crate::price`) multiplies
+//! that energy and those bytes by the grid at one hour: Eq. 7.1–7.4
+//! execution carbon, Eq. 7.5 transmission carbon. Every estimate prices;
+//! [`MonteCarloEstimator::estimate_on`] folds only what the plan's
+//! [`PlanRecord`] does not already hold. The stage models say, per site,
+//! whether the draw is the profile-plus-simulator model or a pick from
+//! logged history ([`StageModels::learned_exec`],
 //! [`StageModels::learned_transfer`]).
 
 use caribou_model::dag::WorkflowDag;
@@ -34,11 +39,12 @@ use serde::{Deserialize, Serialize};
 
 use caribou_carbon::source::CarbonDataSource;
 
-use crate::bank::{BankId, DrawBank, Prim, SharedBank, Site};
+use crate::bank::{BankId, SharedBank};
 use crate::carbonmodel::CarbonModel;
 use crate::costmodel::CostModel;
-use crate::energy;
-use crate::prep::{pick, ExecPrep, PlanPrep, TransferPrep};
+use crate::fold::{self, FoldState, PlanRecord};
+use crate::prep::PlanPrep;
+use crate::price::PriceState;
 use crate::summary::{percentile_select, DistSummary};
 
 /// What the estimator's draws are taken from.
@@ -121,7 +127,42 @@ pub struct EstimateSummary {
     pub samples: usize,
 }
 
+/// The half of an estimate that moves with the hour: what a cache keeps
+/// per (plan, hour), beside the plan's one [`PlanRecord`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CarbonSummary {
+    /// Operational carbon per invocation, gCO₂eq; its `n` is the samples
+    /// the estimate stopped at.
+    pub carbon: DistSummary,
+    /// Execution-only component (mean), gCO₂eq.
+    pub exec_mean: f64,
+    /// Transmission-only component (mean), gCO₂eq.
+    pub trans_mean: f64,
+}
+
 impl EstimateSummary {
+    /// An estimate from its hour-free half (latency, cost:
+    /// [`PlanRecord::at`] the carbon's `n`) and its carbon half.
+    pub fn from_halves((latency, cost): (DistSummary, DistSummary), c: CarbonSummary) -> Self {
+        EstimateSummary {
+            latency,
+            cost,
+            carbon: c.carbon,
+            exec_carbon_mean: c.exec_mean,
+            trans_carbon_mean: c.trans_mean,
+            samples: c.carbon.n,
+        }
+    }
+
+    /// The half of this estimate that moves with the hour.
+    pub fn carbon_half(&self) -> CarbonSummary {
+        CarbonSummary {
+            carbon: self.carbon,
+            exec_mean: self.exec_carbon_mean,
+            trans_mean: self.trans_carbon_mean,
+        }
+    }
+
     /// Metric mean by objective, for deployment ordering.
     pub fn mean_of(&self, objective: caribou_model::constraints::Objective) -> f64 {
         use caribou_model::constraints::Objective;
@@ -153,8 +194,8 @@ pub struct MonteCarloEstimator<'a, S: CarbonDataSource, M: StageModels> {
     pub config: MonteCarloConfig,
 }
 
-/// Reusable estimator state: the draw bank an estimate folds and the
-/// columns it folds into.
+/// Reusable estimator state: the draw bank an estimate reads and the
+/// columns its two halves work in.
 ///
 /// An estimate entered with the generator state of the one before it, on
 /// the same scratch, finds its draws already banked (another state, or
@@ -167,48 +208,17 @@ pub struct MonteCarloEstimator<'a, S: CarbonDataSource, M: StageModels> {
 pub struct EstimateScratch {
     bank: SharedBank,
     fold: FoldState,
+    price: PriceState,
 }
 
 impl EstimateScratch {
-    /// An empty scratch folding `bank`, which others may share; the
-    /// default scratch has a bank of its own.
+    /// An empty scratch on `bank`, which others may share; the default
+    /// scratch has a bank of its own.
     pub fn on_bank(bank: SharedBank) -> Self {
         EstimateScratch {
             bank,
-            fold: FoldState::default(),
+            ..Default::default()
         }
-    }
-}
-
-#[derive(Debug, Default)]
-struct FoldState {
-    /// Finish times, `node_count × batch`, node-major; `NEG_INFINITY`
-    /// where the sample skipped the node.
-    finish: Vec<f64>,
-    /// Per sample of the batch: start time and duration of the node being
-    /// folded, execution and transmission carbon so far.
-    batch: [Vec<f64>; 4],
-    // Per-sample metric columns of the whole estimate, in sample order.
-    lat: Vec<f64>,
-    cost: Vec<f64>,
-    carb: Vec<f64>,
-}
-
-impl FoldState {
-    /// Sizes the node-state columns for `nodes × batch`, counting a
-    /// (re)allocation as 3 in `montecarlo.node_state_allocs` (one per
-    /// kind of column) so reuse is observable.
-    fn reset(&mut self, nodes: usize, batch: usize) {
-        if self.finish.len() < nodes * batch || self.batch[0].len() < batch {
-            caribou_telemetry::count("montecarlo.node_state_allocs", 3);
-            self.finish.resize(nodes * batch, f64::NEG_INFINITY);
-            for col in &mut self.batch {
-                col.resize(batch, 0.0);
-            }
-        }
-        self.lat.clear();
-        self.cost.clear();
-        self.carb.clear();
     }
 }
 
@@ -222,8 +232,8 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
 
     /// Like [`MonteCarloEstimator::estimate`] on caller-owned scratch:
     /// `rng`'s state on entry names the bank, so entering again with the
-    /// same state on the same scratch folds the columns already drawn and
-    /// allocates nothing.
+    /// same state on the same scratch reads the columns already drawn and
+    /// allocates nothing. With no record of the plan to go by, it folds.
     pub fn estimate_with(
         &self,
         plan: &DeploymentPlan,
@@ -231,6 +241,27 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
         rng: &mut Pcg32,
         scratch: &mut EstimateScratch,
     ) -> EstimateSummary {
+        self.estimate_on(plan, hour, rng, scratch, &PlanRecord::default())
+            .0
+    }
+
+    /// The estimate of `plan` at `hour`, given the `record` an earlier
+    /// estimate of this plan on this bank returned (empty: none did).
+    ///
+    /// At each stopping-rule boundary the latency and cost come from the
+    /// record and the carbon from pricing the bank's derived columns at
+    /// this hour. From the first boundary the record does not reach — or
+    /// whose columns the bank does not hold — the plan is folded, from its
+    /// first sample, and the longer record is returned beside the
+    /// estimate for the caller to keep in place of the one it passed.
+    pub fn estimate_on(
+        &self,
+        plan: &DeploymentPlan,
+        hour: f64,
+        rng: &mut Pcg32,
+        scratch: &mut EstimateScratch,
+        record: &PlanRecord,
+    ) -> (EstimateSummary, Option<PlanRecord>) {
         let id = BankId {
             stream: rng.clone(),
             nodes: self.dag.node_count(),
@@ -238,47 +269,34 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
         };
         rng.next_u64();
         let m = self.models.base();
-        let prep = self.build_prep(&m, plan, hour);
-        let EstimateScratch { bank, fold } = scratch;
+        let EstimateScratch { bank, fold, price } = scratch;
         let batch = self.config.batch;
-        fold.reset(id.nodes, batch);
-
-        // Left-fold sums in sample order: the same additions whatever the
-        // batch size.
-        let (mut lat_sum, mut cost_sum, mut carb_sum) = (0.0, 0.0, 0.0);
-        let (mut exec_sum, mut trans_sum) = (0.0, 0.0);
+        price.rates(self, plan, hour);
+        // Set once the plan has to be folded: its constants, and the
+        // record the fold writes.
+        let mut folded: Option<(PlanPrep<'_>, PlanRecord)> = None;
+        let priced = |price: &mut PriceState, n| {
+            let bank = bank.bound(&id);
+            bank.is_some_and(|bank| price.extend(self.dag, plan, &bank, n))
+        };
         loop {
-            let lo = fold.lat.len();
-            let n = lo + batch;
-            self.fold(&prep, &bank.covering(&id, &prep.needs, n), fold, lo, n);
-            let [_, _, exec_c, trans_c] = &fold.batch;
-            for i in 0..batch {
-                let (exec_c, trans_c) = (exec_c[i], trans_c[i]);
-                fold.carb.push(exec_c + trans_c);
-                lat_sum += fold.lat[lo + i];
-                cost_sum += fold.cost[lo + i];
-                carb_sum += exec_c + trans_c;
-                exec_sum += exec_c;
-                trans_sum += trans_c;
+            let n = price.carb.len() + batch;
+            let covered = folded.is_none() && record.boundary(n).is_some();
+            if !(covered && priced(price, n)) {
+                let (prep, grown) = folded.get_or_insert_with(|| {
+                    fold.reset(self.dag, batch);
+                    (self.build_prep(&m, plan), PlanRecord::default())
+                });
+                fold::extend(self.dag, prep, (bank, &id), fold, grown, batch, n);
+                assert!(
+                    priced(price, n),
+                    "a bank serves one frozen context at a time"
+                );
             }
-
-            let nf = n as f64;
-            // Mean, variance and relative standard error as
-            // `DistSummary::from_samples` defines them.
-            let stat = |col: &[f64], sum: f64| -> (f64, f64, f64) {
-                let mean = sum / nf;
-                let var = col.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / nf;
-                let rse = if mean.abs() < 1e-30 {
-                    0.0
-                } else {
-                    var.sqrt() / (mean.abs() * nf.sqrt())
-                };
-                (mean, var, rse)
-            };
-            let lat = stat(&fold.lat, lat_sum);
-            let cost = stat(&fold.cost, cost_sum);
-            let carb = stat(&fold.carb, carb_sum);
-            let cv = lat.2.max(cost.2).max(carb.2);
+            let grown = folded.as_ref().map(|(_, grown)| grown);
+            let at = grown.unwrap_or(record).boundary(n).expect("covered");
+            let carb = price.moments();
+            let cv = at.lat.rse.max(at.cost.rse).max(carb.rse);
             let converged = cv < self.config.cv_threshold;
             if !converged && n < self.config.max_samples {
                 continue;
@@ -287,130 +305,26 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                 caribou_telemetry::count("montecarlo.estimates", 1);
                 caribou_telemetry::count("montecarlo.batches", (n / batch) as u64);
                 caribou_telemetry::count("montecarlo.samples", n as u64);
+                let served = match folded {
+                    Some(_) => "montecarlo.folds",
+                    None => "montecarlo.repriced",
+                };
+                caribou_telemetry::count(served, 1);
                 caribou_telemetry::observe("montecarlo.cv_at_stop", cv);
                 if !converged {
                     caribou_telemetry::count("montecarlo.sample_cap_hit", 1);
                 }
             }
-            // The columns are dead after this; selecting in place is free.
-            let summarize = |col: &mut [f64], (mean, var, _): (f64, f64, f64)| DistSummary {
-                mean,
-                p95: percentile_select(col, 0.95),
-                std_dev: var.sqrt(),
-                n,
+            // The carbon column is dead after this; selecting in place is
+            // free.
+            let (exec_mean, trans_mean) = price.component_means();
+            let carbon = CarbonSummary {
+                carbon: carb.summary(percentile_select(&mut price.carb, 0.95), n),
+                exec_mean,
+                trans_mean,
             };
-            return EstimateSummary {
-                latency: summarize(&mut fold.lat, lat),
-                cost: summarize(&mut fold.cost, cost),
-                carbon: summarize(&mut fold.carb, carb),
-                exec_carbon_mean: exec_sum / nf,
-                trans_carbon_mean: trans_sum / nf,
-                samples: n,
-            };
-        }
-    }
-
-    /// Folds samples `lo..hi` of the bank's columns through the DAG, node
-    /// by node: a pass per in-edge accumulates each sample's start time,
-    /// cost and transmission carbon; a pass per node bills, emits, finishes.
-    fn fold(&self, prep: &PlanPrep<'_>, bank: &DrawBank, s: &mut FoldState, lo: usize, hi: usize) {
-        let (dag, m) = (self.dag, hi - lo);
-        let column = |site, prim| &bank.column(site, prim)[lo..hi];
-        let draws = |t: &TransferPrep<'_>, site| column(site, t.prim());
-        s.lat.resize(hi, 0.0);
-        s.cost.resize(hi, 0.0);
-        let (lat, cost) = (&mut s.lat[lo..], &mut s.cost[lo..]);
-        let [ready, dur, exec_c, trans_c] = s.batch.each_mut().map(|col| &mut col[..m]);
-
-        // The client delivers the input to the start node from home.
-        let e = &prep.entry;
-        let input = column(Site::Entry, Prim::Value);
-        let setup = e.setup.then(|| column(Site::Entry, Prim::Overhead));
-        let xfer = draws(&e.transfer, Site::Entry);
-        for i in 0..m {
-            let gb = input[i].max(0.0) / 1.0e9;
-            ready[i] = setup.map_or(0.0, |s| s[i]) + e.transfer.seconds(input[i], xfer[i]);
-            trans_c[i] = e.trans_k * gb;
-            cost[i] = gb * e.egress_rate + e.kv;
-            exec_c[i] = 0.0;
-        }
-
-        for &node in dag.topo_order() {
-            let ni = node.index();
-            let np = &prep.nodes[ni];
-            if node != dag.start() {
-                // Whether and when each sample starts this node: when the
-                // last taken in-edge delivers.
-                ready.fill(f64::NEG_INFINITY);
-                for &eid in dag.in_edges(node) {
-                    let ep = &prep.edges[eid.index()];
-                    let site = Site::Edge(eid.index());
-                    let from = &s.finish[ep.from * m..][..m];
-                    let gate = ep.gated().then(|| column(site, Prim::Taken));
-                    let payload = column(site, Prim::Value);
-                    let overhead = column(site, Prim::Overhead);
-                    let xfer = draws(&ep.transfer, site);
-                    for i in 0..m {
-                        if from[i] == f64::NEG_INFINITY {
-                            continue;
-                        }
-                        if !gate.map_or(ep.prob >= 1.0, |u| u[i] < ep.prob) {
-                            cost[i] += ep.skipped_cost;
-                            continue;
-                        }
-                        let gb = payload[i].max(0.0) / 1.0e9;
-                        let arrive =
-                            from[i] + overhead[i] + ep.transfer.seconds(payload[i], xfer[i]);
-                        ready[i] = ready[i].max(arrive);
-                        cost[i] += ep.taken_cost + gb * ep.egress_rate;
-                        trans_c[i] += ep.trans_k * gb;
-                    }
-                }
-            }
-
-            match np.exec {
-                ExecPrep::Model { pf, cold } => {
-                    let factor = column(Site::Node(ni), Prim::Value);
-                    for i in 0..m {
-                        dur[i] = factor[i] * pf;
-                    }
-                    if let Some(curve) = cold {
-                        for &(i, penalty) in bank.cold_starts(ni, curve, lo, hi) {
-                            dur[i - lo] += penalty;
-                        }
-                    }
-                }
-                ExecPrep::Learned { samples, scale } => {
-                    let picks = column(Site::Node(ni), Prim::Pick);
-                    for i in 0..m {
-                        dur[i] = samples[pick(picks[i], samples.len())] * scale;
-                    }
-                }
-            }
-            let finish = &mut s.finish[ni * m..][..m];
-            let ext = np.ext.as_ref().map(|ext| {
-                let out = draws(&ext.out, Site::ExtOut(ni));
-                let back = draws(&ext.back, Site::ExtBack(ni));
-                (ext, out, back)
-            });
-            for i in 0..m {
-                if ready[i] == f64::NEG_INFINITY {
-                    finish[i] = f64::NEG_INFINITY;
-                    continue;
-                }
-                let mut d = dur[i];
-                if let Some((ext, out, back)) = ext {
-                    d += ext.out.seconds(ext.half, out[i]) + ext.back.seconds(ext.half, back[i]);
-                    trans_c[i] += ext.trans_c;
-                    cost[i] += ext.cost;
-                }
-                finish[i] = ready[i] + d;
-                lat[i] = lat[i].max(finish[i]);
-                // Lambda bills whole milliseconds (`lambda_cost`).
-                cost[i] += (d * 1000.0).ceil() / 1000.0 * np.per_second + np.per_request;
-                // Eq. 7.1: energy (kWh) × PUE × grid intensity.
-                exec_c[i] += np.intensity * (np.kw * d / 3600.0 * energy::PUE);
-            }
+            let summary = EstimateSummary::from_halves(at.summaries(), carbon);
+            return (summary, folded.map(|(_, grown)| grown));
         }
     }
 }

@@ -1,15 +1,15 @@
-//! Per-(plan, hour) preparation: everything an estimate reads besides
-//! the draw bank.
+//! Per-plan preparation: everything the fold of a plan reads besides the
+//! draw bank.
 //!
-//! Regions and hours enter a sampled execution only as constants. This
-//! module resolves them once per estimate — grid intensities, route
-//! averages, KV and SNS prices, one-way latencies and bandwidths, billing
-//! and energy coefficients, and, per site, whether the draw is the model's
-//! or a pick from logged history — and lists the bank columns the fold
-//! will read. Every entry comes from the same pure model functions and
-//! learned-history lookups a straight-line sampler would call per sample.
+//! Regions enter a sampled execution only as constants. This module
+//! resolves them once per fold — KV and SNS prices, egress rates, one-way
+//! latencies and bandwidths, billing and energy coefficients, and, per
+//! site, whether the draw is the model's or a pick from logged history —
+//! and lists the bank columns the fold will read. Every entry comes from
+//! the same pure model functions and learned-history lookups a
+//! straight-line sampler would call per sample. Nothing here depends on
+//! the time of day: the grid enters an estimate in `crate::price` alone.
 
-use caribou_carbon::route::endpoint_average;
 use caribou_carbon::source::CarbonDataSource;
 use caribou_model::dag::EdgeId;
 use caribou_model::dist::DistSpec;
@@ -28,7 +28,7 @@ pub(crate) fn pick(u: f64, len: usize) -> usize {
     ((u * len as f64) as usize).min(len - 1)
 }
 
-/// One transfer site of a (plan, hour), resolved to what its draw reads.
+/// One transfer site of a plan, resolved to what its draw reads.
 pub(crate) enum TransferPrep<'a> {
     /// `LatencyModel::sample_transfer_seconds` with the pair's one-way
     /// latency and bandwidth looked up once.
@@ -68,23 +68,20 @@ impl TransferPrep<'_> {
     }
 }
 
-/// Entry (client → start node) invariants of one (plan, hour).
+/// Entry (client → start node) invariants of one plan.
 pub(crate) struct EntryPrep<'a> {
     pub(crate) setup: bool,
     pub(crate) transfer: TransferPrep<'a>,
-    /// Route intensity × scenario factor; multiplied by GB per sample.
-    pub(crate) trans_k: f64,
     /// USD per GB; zero inside one region.
     pub(crate) egress_rate: f64,
     pub(crate) kv: f64,
 }
 
-/// Per-edge invariants of one (plan, hour).
+/// Per-edge invariants of one plan.
 pub(crate) struct EdgePrep<'a> {
     pub(crate) from: usize,
     pub(crate) prob: f64,
     pub(crate) transfer: TransferPrep<'a>,
-    pub(crate) trans_k: f64,
     pub(crate) egress_rate: f64,
     /// SNS publish, KV write and read, and the sync annotation if any.
     pub(crate) taken_cost: f64,
@@ -114,12 +111,12 @@ pub(crate) struct ExtPrep<'a> {
     pub(crate) half: f64,
     pub(crate) out: TransferPrep<'a>,
     pub(crate) back: TransferPrep<'a>,
-    pub(crate) trans_c: f64,
     pub(crate) cost: f64,
 }
 
-/// Per-node invariants of one (plan, hour).
+/// Per-node invariants of one plan.
 pub(crate) struct NodePrep<'a> {
+    pub(crate) region: RegionId,
     pub(crate) exec: ExecPrep<'a>,
     pub(crate) ext: Option<ExtPrep<'a>>,
     /// USD per billed second: `memory_mb / 1024 × lambda_gb_second`.
@@ -127,11 +124,10 @@ pub(crate) struct NodePrep<'a> {
     pub(crate) per_request: f64,
     /// Energy per second, kW: Eq. 7.2 memory plus Eq. 7.3 × 7.4 vCPU.
     pub(crate) kw: f64,
-    pub(crate) intensity: f64,
 }
 
-/// Everything an estimate of one (plan, hour) reads besides the bank: the
-/// invariant tables, and the bank columns they refer to.
+/// Everything the fold of one plan reads besides the bank: the invariant
+/// tables, and the bank columns they refer to.
 pub(crate) struct PlanPrep<'a> {
     pub(crate) entry: EntryPrep<'a>,
     pub(crate) edges: Vec<EdgePrep<'a>>,
@@ -140,17 +136,23 @@ pub(crate) struct PlanPrep<'a> {
 }
 
 impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
-    /// Builds the invariant tables of one (plan, hour) on the model
-    /// handles `m`, and lists the bank columns the fold reads.
+    /// The bytes `node` fetches from the home region's external data
+    /// when it runs in `region`: external data stays home, so offloaded
+    /// stages pay the round trip (§9.1) and stages at home fetch nothing.
+    pub(crate) fn external_bytes(&self, node: usize, region: RegionId) -> Option<f64> {
+        let bytes = self.profile.nodes[node].external_data_bytes;
+        (region != self.home && bytes > 0.0).then_some(bytes)
+    }
+
+    /// Builds the invariant tables of one plan on the model handles `m`,
+    /// and lists the bank columns the fold reads.
     pub(crate) fn build_prep<'p>(
         &'p self,
         m: &DefaultModels<'p>,
         plan: &DeploymentPlan,
-        hour: f64,
     ) -> PlanPrep<'p> {
         let dag = self.dag;
         let pricing = self.cost_model.pricing();
-        let scenario = self.carbon_model.scenario;
         let jitter = m.latency.jitter_sigma;
         let mut needs = Vec::new();
 
@@ -163,27 +165,21 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                 bw: m.latency.bandwidth_bps(from, to),
             },
         };
-        // Route intensity × scenario factor, and the egress price per GB.
-        let route = |from: RegionId, to: RegionId| {
-            let same = from == to;
-            (
-                endpoint_average(self.carbon_source, from, to, hour) * scenario.factor(same),
-                if same {
-                    0.0
-                } else {
-                    pricing.egress_rate_per_gb(from, to)
-                },
-            )
+        // The egress price per GB.
+        let egress = |from: RegionId, to: RegionId| {
+            if from == to {
+                0.0
+            } else {
+                pricing.egress_rate_per_gb(from, to)
+            }
         };
 
         let start_region = plan.region_of(dag.start());
         let setup_median = m.orchestrator.invocation_setup_median_s();
-        let (trans_k, egress_rate) = route(self.home, start_region);
         let entry = EntryPrep {
             setup: setup_median != 0.0,
             transfer: transfer(self.home, start_region),
-            trans_k,
-            egress_rate,
+            egress_rate: egress(self.home, start_region),
             // The entry wrapper fetches the deployment plan once.
             kv: self.cost_model.kv_cost(start_region, 1, 0),
         };
@@ -214,7 +210,6 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                 let from_r = plan.region_of(e.from);
                 let to_r = plan.region_of(e.to);
                 let pe = &self.profile.edges[ei];
-                let (trans_k, egress_rate) = route(from_r, to_r);
                 // Sync nodes add the atomic annotation update, taken or not.
                 let annotate = if dag.is_sync_node(e.to) {
                     self.cost_model.kv_cost(from_r, 1, 1)
@@ -225,8 +220,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                     from: e.from.index(),
                     prob: pe.probability,
                     transfer: transfer(from_r, to_r),
-                    trans_k,
-                    egress_rate,
+                    egress_rate: egress(from_r, to_r),
                     // Intermediate data passes through the KV store: one
                     // write by the predecessor, one read by the successor.
                     taken_cost: pricing.sns_cost(from_r, 1)
@@ -254,22 +248,11 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                 let site = Site::Node(ni);
                 let region = plan.region_of(node);
                 let p = &self.profile.nodes[ni];
-                // External data stays at the home region; offloaded stages
-                // pay the round trip (§9.1).
-                let ext = (region != self.home && p.external_data_bytes > 0.0).then(|| ExtPrep {
-                    half: p.external_data_bytes / 2.0,
+                let ext = self.external_bytes(ni, region).map(|bytes| ExtPrep {
+                    half: bytes / 2.0,
                     out: transfer(region, self.home),
                     back: transfer(self.home, region),
-                    trans_c: self.carbon_model.transmission_carbon(
-                        p.external_data_bytes,
-                        endpoint_average(self.carbon_source, region, self.home, hour),
-                        false,
-                    ),
-                    cost: self.cost_model.external_data_cost(
-                        region,
-                        self.home,
-                        p.external_data_bytes,
-                    ),
+                    cost: self.cost_model.external_data_cost(region, self.home, bytes),
                 });
                 if let Some(ext) = &ext {
                     needs.push(ext.out.need(Site::ExtOut(ni), jitter));
@@ -303,13 +286,13 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                 let mem_gb = p.memory_mb as f64 / 1024.0;
                 let rp = pricing.region(region);
                 NodePrep {
+                    region,
                     exec,
                     ext,
                     per_second: mem_gb * rp.lambda_gb_second,
                     per_request: rp.lambda_per_request,
                     kw: energy::vcpu_power_kw(p.cpu_utilization) * vcpus(p.memory_mb)
                         + energy::P_MEM_KW_PER_GB * mem_gb,
-                    intensity: self.carbon_source.intensity(region, hour),
                 }
             })
             .collect();

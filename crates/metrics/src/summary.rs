@@ -27,26 +27,61 @@ impl DistSummary {
     /// Panics on an empty sample set.
     pub fn from_samples(samples: &[f64]) -> Self {
         assert!(!samples.is_empty(), "no samples");
-        let n = samples.len();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+        let moments = Moments::of(samples, samples.iter().sum());
         let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
-        DistSummary {
-            mean,
-            p95: percentile_sorted(&sorted, 0.95),
-            std_dev: var.sqrt(),
-            n,
-        }
+        moments.summary(percentile_sorted(&sorted, 0.95), samples.len())
     }
 
     /// Relative standard error of the sample mean; the Monte Carlo loop
     /// stops when this drops below its threshold for every metric.
     pub fn rel_std_error(&self) -> f64 {
-        if self.mean.abs() < 1e-30 {
-            return 0.0;
+        rel_std_error(self.mean, self.std_dev, self.n as f64)
+    }
+}
+
+fn rel_std_error(mean: f64, std_dev: f64, n: f64) -> f64 {
+    if mean.abs() < 1e-30 {
+        return 0.0;
+    }
+    std_dev / (mean.abs() * n.sqrt())
+}
+
+/// Running mean, variance and relative standard error of a metric column
+/// at one stopping-rule boundary — what both halves of an estimate (the
+/// fold's latency and cost, the pricing pass's carbon) test and report.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Moments {
+    /// Sample mean.
+    pub mean: f64,
+    /// Population variance about that mean.
+    pub var: f64,
+    /// Relative standard error of the mean.
+    pub rse: f64,
+}
+
+impl Moments {
+    /// The moments of `col`, whose left-fold sum in sample order is `sum`
+    /// (kept running by the caller, so a boundary costs one pass).
+    pub fn of(col: &[f64], sum: f64) -> Self {
+        let n = col.len() as f64;
+        let mean = sum / n;
+        let var = col.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+        Moments {
+            mean,
+            var,
+            rse: rel_std_error(mean, var.sqrt(), n),
         }
-        self.std_dev / (self.mean.abs() * (self.n as f64).sqrt())
+    }
+
+    /// The reported summary of the `n` samples these moments are of.
+    pub fn summary(&self, p95: f64, n: usize) -> DistSummary {
+        DistSummary {
+            mean: self.mean,
+            p95,
+            std_dev: self.var.sqrt(),
+            n,
+        }
     }
 }
 

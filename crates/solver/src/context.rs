@@ -3,6 +3,7 @@
 use caribou_carbon::source::CarbonDataSource;
 use caribou_metrics::carbonmodel::CarbonModel;
 use caribou_metrics::costmodel::CostModel;
+use caribou_metrics::fold::PlanRecord;
 use caribou_metrics::montecarlo::{
     EstimateScratch, EstimateSummary, MonteCarloConfig, MonteCarloEstimator, StageModels,
 };
@@ -74,6 +75,22 @@ impl<S: CarbonDataSource, M: StageModels> SolverContext<'_, S, M> {
         rng: &mut Pcg32,
         scratch: &mut EstimateScratch,
     ) -> EstimateSummary {
+        self.evaluate_on(plan, hour, rng, scratch, &PlanRecord::default())
+            .0
+    }
+
+    /// Evaluates a plan at an hour given the `record` an earlier
+    /// evaluation of this plan on this scratch's bank returned: only what
+    /// the record does not hold is folded, and the longer record comes
+    /// back beside the estimate (see `MonteCarloEstimator::estimate_on`).
+    pub fn evaluate_on(
+        &self,
+        plan: &DeploymentPlan,
+        hour: f64,
+        rng: &mut Pcg32,
+        scratch: &mut EstimateScratch,
+        record: &PlanRecord,
+    ) -> (EstimateSummary, Option<PlanRecord>) {
         let est = MonteCarloEstimator {
             dag: self.dag,
             profile: self.profile,
@@ -84,7 +101,7 @@ impl<S: CarbonDataSource, M: StageModels> SolverContext<'_, S, M> {
             home: self.home,
             config: self.mc_config,
         };
-        est.estimate_with(plan, hour, rng, scratch)
+        est.estimate_on(plan, hour, rng, scratch, record)
     }
 
     /// The home-region uniform plan.

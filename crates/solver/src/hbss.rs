@@ -91,30 +91,39 @@ impl HbssSolver {
         let _solve_span = telemetry.then(|| caribou_telemetry::wall_span("solver", "hbss.solve"));
         let p = &self.params;
         let n_nodes = ctx.dag.node_count();
-        let n_regions = ctx
-            .permitted
-            .iter()
-            .flat_map(|s| s.iter())
-            .collect::<HashSet<_>>()
-            .len();
+        // The forecast carbon intensity at this hour of every permitted
+        // region, read once per solve.
+        let mut intensity: Vec<(RegionId, f64)> =
+            ctx.permitted.iter().flatten().map(|r| (*r, 0.0)).collect();
+        intensity.sort_unstable_by_key(|(r, _)| *r);
+        intensity.dedup_by_key(|(r, _)| *r);
+        for (region, value) in &mut intensity {
+            *value = ctx.carbon_source.intensity(*region, hour);
+        }
+        let n_regions = intensity.len();
         let alpha = (n_nodes * n_regions * p.alpha_factor).min(p.max_iterations);
         let space = ctx.search_space_size();
 
-        // Region bias: rank permitted regions per node ascending by the
-        // forecast carbon intensity at this hour; HBSS samples ranks with
-        // geometric weights (the "heuristic bias").
+        // Region bias: rank permitted regions per node ascending by that
+        // intensity; HBSS samples ranks with geometric weights w_r =
+        // β(1-β)^r (the "heuristic bias", Bresina's bias-rank sampling).
+        // A node with fewer choices reads a prefix of the one table.
         let ranked: Vec<Vec<RegionId>> = ctx
             .permitted
             .iter()
             .map(|set| {
+                let at = |r: &RegionId| {
+                    let found = intensity.binary_search_by_key(r, |(region, _)| *region);
+                    intensity[found.expect("a permitted region")].1
+                };
                 let mut v = set.clone();
-                v.sort_by(|a, b| {
-                    ctx.carbon_source
-                        .intensity(*a, hour)
-                        .total_cmp(&ctx.carbon_source.intensity(*b, hour))
-                });
+                v.sort_by(|a, b| at(a).total_cmp(&at(b)));
                 v
             })
+            .collect();
+        let most_choices = ranked.iter().map(Vec::len).max().unwrap_or(0);
+        let weights: Vec<f64> = (0..most_choices)
+            .map(|r| p.beta * (1.0 - p.beta).powi(r as i32))
             .collect();
 
         let home_plan = ctx.home_plan();
@@ -135,7 +144,7 @@ impl HbssSolver {
         let mut rejected = 0u64;
         let mut i = 0usize;
         while i < alpha {
-            let nd = self.gen_new_deployment(&current_plan, &ranked, p.beta, rng);
+            let nd = self.gen_new_deployment(&current_plan, &ranked, &weights, rng);
             i += 1;
             let first_visit = seen.insert(nd.assignment().to_vec());
             let estimate = engine.evaluate(ctx, &nd, hour);
@@ -199,7 +208,7 @@ impl HbssSolver {
         &self,
         current: &DeploymentPlan,
         ranked: &[Vec<RegionId>],
-        beta: f64,
+        weights: &[f64],
         rng: &mut Pcg32,
     ) -> DeploymentPlan {
         let mut nd = current.clone();
@@ -211,13 +220,8 @@ impl HbssSolver {
             if choices.len() <= 1 {
                 continue;
             }
-            // Geometric rank weights w_r = β(1-β)^r — Bresina's
-            // bias-rank sampling.
-            let weights: Vec<f64> = (0..choices.len())
-                .map(|r| beta * (1.0 - beta).powi(r as i32))
-                .collect();
             let pick = rng
-                .choose_weighted(&weights)
+                .choose_weighted(&weights[..choices.len()])
                 .expect("non-empty positive weights");
             nd.set(NodeId(node as u32), choices[pick]);
         }

@@ -198,6 +198,25 @@ if grep -rnE 'pub fn solve(_hourly)?[<(]' crates/solver/src; then
     exit 1
 fi
 
+# One estimate path in two halves: the fold (and the constants it reads)
+# never sees an hour or a carbon source, so a plan's record is valid at
+# every hour; and the fold and the energy term of Eq. 7.1 are each written
+# once, so the pricing pass cannot grow a fold of its own.
+echo "==> hour-free fold grep gate"
+if grep -nE 'hour|carbon_source|intensity' \
+    crates/metrics/src/fold.rs crates/metrics/src/prep.rs; then
+    echo "error: the hour-free fold names the hour or the grid (see matches above)" >&2
+    exit 1
+fi
+for once in 'fn fold' 'energy::PUE'; do
+    hits=$(grep -rnF "$once" crates/metrics/src | wc -l)
+    if [[ "$hits" -ne 1 ]]; then
+        echo "error: '$once' occurs $hits times under crates/metrics/src, want 1:" >&2
+        grep -rnF "$once" crates/metrics/src >&2 || true
+        exit 1
+    fi
+done
+
 # One substrate: service constants enter a SimCloud only through the
 # provider backends in SimCloud::with_catalog, so the table-built
 # constructors, the per-service override maps and the aws-only

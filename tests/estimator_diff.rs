@@ -26,20 +26,34 @@
 //! log history (exact-region, home-only and absent execution history;
 //! logged and unlogged region pairs).
 //!
+//! An estimate has two halves — the hour-free fold, whose latency and cost
+//! a plan's `PlanRecord` keeps, and the pricing pass that turns the bank's
+//! derived energy and byte columns into carbon at one hour. The second
+//! part of this file pins that an estimate served from a record plus
+//! pricing is **bit for bit** the estimate a fresh scratch folds in full:
+//! over the same random DAGs, several plans on one bank, six hours, both
+//! kinds of stage models; with conditional skips into sync nodes and
+//! external-data legs; where one hour's carbon needs more batches than
+//! the hour that wrote the record; and across a ragged batch.
+//!
 //! Mutation-checked when written: a fold that takes the *last* in-edge's
 //! arrival instead of the latest, one that skips the `ceil` in Lambda
 //! billing, and a bank whose node sites collide on one column each fail
-//! this file.
+//! this file — and so do a fold that meters energy for a node the sample
+//! skipped, a bank that answers one region's energy column with
+//! another's, and a pricing pass without the external-data term.
 
 use caribou_carbon::route::endpoint_average;
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::{CarbonDataSource, TableSource};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_metrics::costmodel::CostModel;
+use caribou_metrics::fold::PlanRecord;
 use caribou_metrics::logs::{EdgeRecord, InvocationLog, NodeRecord};
 use caribou_metrics::manager::MetricsManager;
 use caribou_metrics::montecarlo::{
-    DefaultModels, EstimateSummary, MonteCarloConfig, MonteCarloEstimator, StageModels,
+    DefaultModels, EstimateScratch, EstimateSummary, MonteCarloConfig, MonteCarloEstimator,
+    StageModels,
 };
 use caribou_metrics::summary::{percentile_sorted, DistSummary};
 use caribou_model::dag::{EdgeId, NodeId, WorkflowDag};
@@ -598,4 +612,254 @@ fn ragged_tail_batches_stay_bit_identical() {
     let mut scratch = Default::default();
     assert_eq!(estimate(100, Some(&mut scratch)).samples, 200);
     assert_eq!(ragged, estimate(53, Some(&mut scratch)));
+}
+
+/// Every field of an estimate as its bit pattern: `==` on floats would
+/// let `-0.0` pass for `0.0`.
+fn bits(e: &EstimateSummary) -> [u64; 12] {
+    let [l, c, g] = [e.latency, e.cost, e.carbon].map(|d| [d.mean, d.p95, d.std_dev]);
+    let floats = [l, c, g].concat();
+    let mut out = [e.samples as u64; 12];
+    for (slot, x) in out.iter_mut().zip(floats) {
+        *slot = x.to_bits();
+    }
+    out[9] = e.exec_carbon_mean.to_bits();
+    out[10] = e.trans_carbon_mean.to_bits();
+    out
+}
+
+/// One bank and the records of the plans estimated on it — what the
+/// solver's engine and cache keep between estimates.
+#[derive(Default)]
+struct Kept {
+    scratch: EstimateScratch,
+    records: Vec<(DeploymentPlan, PlanRecord)>,
+    folded: usize,
+    repriced: usize,
+}
+
+impl Kept {
+    /// Estimates through the plan's kept record, keeps the longer one if
+    /// the estimate folded, and checks the result against a fresh scratch
+    /// folding in full.
+    fn estimate<M: StageModels>(
+        &mut self,
+        est: &MonteCarloEstimator<'_, TableSource, M>,
+        plan: &DeploymentPlan,
+        hour: f64,
+        seed: u64,
+        what: &str,
+    ) -> EstimateSummary {
+        let at = self.records.iter().position(|(p, _)| p == plan);
+        let at = at.unwrap_or_else(|| {
+            self.records.push((plan.clone(), PlanRecord::default()));
+            self.records.len() - 1
+        });
+        let record = &mut self.records[at].1;
+        let mut rng = Pcg32::seed(seed);
+        let (served, grown) = est.estimate_on(plan, hour, &mut rng, &mut self.scratch, record);
+        match grown {
+            Some(grown) => {
+                *record = grown;
+                self.folded += 1;
+            }
+            None => self.repriced += 1,
+        }
+        let fresh = est.estimate(plan, hour, &mut Pcg32::seed(seed));
+        assert_eq!(bits(&served), bits(&fresh), "{what}, hour {hour}");
+        served
+    }
+}
+
+impl Case<'_> {
+    /// Serves every (hour, plan) off one bank and the records it leaves,
+    /// then two more hours under a ragged rule; `stops` collects where
+    /// the first rule's estimates stopped.
+    fn serve_every_hour<M: StageModels>(
+        &self,
+        models: &M,
+        plans: &[DeploymentPlan],
+        what: &str,
+        stops: &mut Vec<usize>,
+    ) -> Kept {
+        const HOURS: [f64; 6] = [0.5, 3.25, 7.5, 12.0, 17.75, 23.5];
+        let rule = |batch, max_samples, cv_threshold| MonteCarloEstimator {
+            dag: self.dag,
+            profile: self.profile,
+            carbon_source: &self.w.carbon,
+            carbon_model: CarbonModel::new(self.scenario),
+            cost_model: CostModel::new(&self.w.pricing),
+            models,
+            home: self.home(),
+            config: MonteCarloConfig {
+                batch,
+                max_samples,
+                cv_threshold,
+            },
+        };
+        let what = format!("{what}, seed {}", self.seed);
+        let mut kept = Kept::default();
+        let est = rule(40, 160, 0.03);
+        for hour in HOURS {
+            for plan in plans {
+                stops.push(kept.estimate(&est, plan, hour, self.seed, &what).samples);
+            }
+        }
+        // A ragged batch: the same bank and records under a rule whose
+        // boundaries fall between the ones recorded.
+        let ragged = rule(53, 106, 0.0);
+        for plan in plans {
+            for hour in [3.25, 17.75] {
+                let e = kept.estimate(&ragged, plan, hour, self.seed, &what);
+                assert_eq!(e.samples, 106);
+            }
+        }
+        kept
+    }
+}
+
+/// Record + pricing against a full fold, over random DAGs × plans × hours
+/// × stage models, every plan of a case on one bank.
+#[test]
+fn estimates_served_from_a_record_equal_full_folds_bit_for_bit() {
+    let w = world(false);
+    let home = w.regions[0];
+    let (mut skips_into_sync, mut external_legs, mut stops) = (0, 0, Vec::new());
+    let (mut folded, mut repriced) = (0, 0);
+    for seed in 0..24u64 {
+        let wf = random_workflow().generate(&mut TestRng::new(seed));
+        let mut profile = wf.profile.clone();
+        vary_distributions(&mut profile, seed);
+        // Plans that share sites with each other, so the bank answers a
+        // plan with columns another published.
+        let plans: Vec<DeploymentPlan> = (0..3)
+            .map(|k| random_plan(&wf.dag, &w.regions, seed * 3 + k))
+            .chain([DeploymentPlan::uniform(wf.dag.node_count(), home)])
+            .collect();
+        skips_into_sync += usize::from(wf.dag.all_edges().any(|e| {
+            profile.edges[e.index()].probability < 1.0 && wf.dag.is_sync_node(wf.dag.edge(e).to)
+        }));
+        external_legs += usize::from(wf.dag.all_nodes().any(|n| {
+            profile.nodes[n.index()].external_data_bytes > 0.0 && plans[0].region_of(n) != home
+        }));
+        let (history, _) = seeded_history(&w, &wf.dag, &plans[0], seed);
+        let learned = history.learned_models(
+            &profile,
+            &w.runtime,
+            &w.latency,
+            Orchestrator::Caribou,
+            home,
+        );
+        let default = DefaultModels {
+            profile: &profile,
+            runtime: &w.runtime,
+            latency: &w.latency,
+            orchestrator: Orchestrator::Caribou,
+        };
+        let case = Case {
+            w: &w,
+            dag: &wf.dag,
+            profile: &profile,
+            plan: &plans[0],
+            scenario: TransmissionScenario::WORST,
+            hour: 0.0,
+            seed,
+        };
+        for kept in [
+            case.serve_every_hour(&default, &plans, "model", &mut stops),
+            case.serve_every_hour(&learned, &plans, "learned", &mut stops),
+        ] {
+            folded += kept.folded;
+            repriced += kept.repriced;
+        }
+    }
+    // The cases covered what they are here to cover.
+    assert!(
+        skips_into_sync >= 3,
+        "{skips_into_sync} cases skip into a sync node"
+    );
+    assert!(
+        external_legs >= 3,
+        "{external_legs} cases fetch external data from afar"
+    );
+    stops.sort_unstable();
+    assert!(
+        stops[0] < stops[stops.len() - 1],
+        "every estimate stopped at {}",
+        stops[0]
+    );
+    assert!(
+        repriced > 2 * folded,
+        "{folded} folds, {repriced} repricings"
+    );
+}
+
+/// One hour's carbon needs more batches than the hour that wrote the
+/// record: the fold runs again, further, and every hour — the earlier one
+/// included — is served from the longer record with unchanged bits.
+#[test]
+fn an_hour_that_needs_more_batches_extends_the_record() {
+    let w = world(false);
+    let [home, away] = [w.regions[0], w.regions[2]];
+    // A steady stage at home and a noisy one away.
+    let wf = random_workflow().generate(&mut TestRng::new(1));
+    let mut profile = wf.profile.clone();
+    for (i, node) in profile.nodes.iter_mut().enumerate() {
+        node.external_data_bytes = 0.0;
+        node.exec_time = match i {
+            1 => DistSpec::LogNormal {
+                median: 2.0,
+                sigma: 0.6,
+            },
+            _ => DistSpec::Constant { value: 4.0 },
+        };
+    }
+    let mut plan = DeploymentPlan::uniform(wf.dag.node_count(), home);
+    plan.set(NodeId(1), away);
+    // At hour 0 the grid is dirty at home and clean away — carbon is the
+    // steady stages' — and at hour 1 the other way round.
+    let mut carbon = TableSource::new();
+    for (region, values) in [(home, [900.0, 1.0]), (away, [1.0, 900.0])] {
+        carbon.insert(region, CarbonSeries::new(0, values.to_vec()));
+    }
+    let models = DefaultModels {
+        profile: &profile,
+        runtime: &w.runtime,
+        latency: &w.latency,
+        orchestrator: Orchestrator::Caribou,
+    };
+    let est = MonteCarloEstimator {
+        dag: &wf.dag,
+        profile: &profile,
+        carbon_source: &carbon,
+        carbon_model: CarbonModel::new(TransmissionScenario::BEST),
+        cost_model: CostModel::new(&w.pricing),
+        models: &models,
+        home,
+        config: MonteCarloConfig {
+            batch: 50,
+            max_samples: 400,
+            cv_threshold: 0.04,
+        },
+    };
+    let mut kept = Kept::default();
+    let steady = kept.estimate(&est, &plan, 0.5, 7, "steady hour");
+    assert_eq!((kept.folded, kept.repriced), (1, 0));
+    let noisy = kept.estimate(&est, &plan, 1.5, 7, "noisy hour");
+    assert!(
+        noisy.samples > steady.samples,
+        "{} then {}",
+        steady.samples,
+        noisy.samples
+    );
+    assert_eq!(
+        (kept.folded, kept.repriced),
+        (2, 0),
+        "the record fell short"
+    );
+    for (hour, first) in [(0.5, steady), (1.5, noisy)] {
+        let again = kept.estimate(&est, &plan, hour, 7, "on the longer record");
+        assert_eq!(bits(&again), bits(&first));
+    }
+    assert_eq!((kept.folded, kept.repriced), (2, 2));
 }

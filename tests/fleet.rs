@@ -216,3 +216,43 @@ fn tiny_cache_capacity_preserves_schedules() {
     assert!(tiny_cache.eviction_count() > 0, "capacity 8 must evict");
     assert_eq!(unbounded.schedule, tiny.schedule);
 }
+
+/// A forecast revision re-prices; it does not re-fold. Doubling every
+/// region at one hour scales every candidate's carbon by an exact power
+/// of two, so the re-solve walks the plans the first solve walked — and
+/// every one of them still has its hour-free record in the cache: the
+/// invalidated estimates are recomputed without a single fold, and the
+/// schedule still equals a from-scratch solve of the revised forecast.
+#[test]
+fn replan_after_a_revision_reprices_kept_records() {
+    let (cfg, env, apps) = fixture(1);
+    let cache = EstimateCache::shared(cfg.cache_capacity);
+    let before = solve_fleet(&apps, &env, &cfg, &cache);
+    let perturbs = vec![Perturbation {
+        hour: 1,
+        region: None,
+        op: PerturbOp::Scale(2.0),
+    }];
+    let mut revised = FleetEnv::new(cfg.seed, cfg.hours);
+    revised.apply_perturbations(&perturbs);
+
+    caribou_telemetry::enable(Box::new(caribou_telemetry::NullSink));
+    let misses = cache.miss_count();
+    let inc = replan_incremental(&apps, &revised, &cfg, &cache, &before.schedule, &perturbs);
+    let recorder = caribou_telemetry::finish().unwrap().recorder;
+    assert!(inc.cache_entries_invalidated > 0);
+    assert_eq!(recorder.counter("montecarlo.folds"), 0);
+    assert_eq!(
+        recorder.counter("montecarlo.repriced"),
+        cache.miss_count() - misses
+    );
+    assert!(recorder.counter("montecarlo.repriced") > 0);
+
+    let scratch = solve_fleet(
+        &apps,
+        &revised,
+        &cfg,
+        &EstimateCache::shared(cfg.cache_capacity),
+    );
+    assert_eq!(inc.schedule, scratch.schedule);
+}

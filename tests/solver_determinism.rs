@@ -349,3 +349,72 @@ fn engine_scratch_pool_reuses_node_state_across_misses() {
         assert!(columns > 0 && draws <= columns * 120, "{draws} draws");
     });
 }
+
+/// A 24-hour solve with plan records in play — each plan folded at the
+/// first hour that visits it and re-priced at every other — leaves the
+/// same schedule, the same cache and the same bank at 1, 2 and 8 workers;
+/// and on one worker, where no two misses race, the estimator folded
+/// exactly the distinct plans the solve visited.
+#[test]
+fn hourly_solve_with_records_in_play_is_worker_count_invariant() {
+    with_ctx(|ctx| {
+        let plans = all_plans(ctx.permitted);
+        let hours = (0..24).map(|h| h as f64 + 0.5);
+        let keys: Vec<_> = plans
+            .iter()
+            .flat_map(|p| hours.clone().map(move |h| (p, h)))
+            .collect();
+        let solve_at = |workers: usize| {
+            caribou_telemetry::enable(Box::new(caribou_telemetry::NullSink));
+            let engine = EvalEngine::new(11, workers);
+            let schedule = solve_hourly_with(
+                &engine,
+                &HbssSolver::new(),
+                ctx,
+                0.0,
+                0.0,
+                86_400.0,
+                &mut Pcg32::seed(11),
+            );
+            let recorder = caribou_telemetry::finish().unwrap().recorder;
+            // The cache's contents: which (plan, hour) it holds, and what.
+            let len = engine.cache_len();
+            let contents: Vec<_> = keys
+                .iter()
+                .map(|(plan, hour)| {
+                    let misses = engine.miss_count();
+                    let estimate = engine.evaluate(ctx, plan, *hour);
+                    (engine.miss_count() == misses).then_some(estimate)
+                })
+                .collect();
+            assert_eq!(contents.iter().flatten().count(), len);
+            (schedule, contents, recorder)
+        };
+        let (schedule, contents, one) = solve_at(1);
+        let visited = contents
+            .chunks(24)
+            .filter(|hours| hours.iter().any(Option::is_some));
+        let (folds, repriced) = (
+            one.counter("montecarlo.folds"),
+            one.counter("montecarlo.repriced"),
+        );
+        assert_eq!(folds, visited.count() as u64, "one fold per plan visited");
+        assert!(repriced > folds, "{folds} folds, {repriced} repricings");
+        assert_eq!(folds + repriced, one.counter("solver.cache.miss"));
+        assert_eq!(folds + repriced, one.counter("montecarlo.estimates"));
+        assert!(one.counter("montecarlo.bank.derived") > 0);
+        for workers in &WORKER_COUNTS[1..] {
+            let (other_schedule, other_contents, many) = solve_at(*workers);
+            assert_eq!(schedule, other_schedule, "{workers} workers");
+            assert_eq!(contents, other_contents, "cache at {workers} workers");
+            for key in [
+                "montecarlo.bank.columns",
+                "montecarlo.bank.draws",
+                "montecarlo.bank.extensions",
+                "montecarlo.bank.derived",
+            ] {
+                assert_eq!(one.counter(key), many.counter(key), "{key} at {workers}");
+            }
+        }
+    });
+}
