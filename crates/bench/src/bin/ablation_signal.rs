@@ -11,23 +11,20 @@
 //! under the signal that produced it — "it can lead to different
 //! decisions".
 
-use caribou_bench::harness::{default_tolerances, mc_config, write_json, ExpEnv};
+use caribou_bench::harness::{mc_config, write_json};
 use caribou_carbon::marginal::MarginalSource;
 use caribou_carbon::source::CarbonDataSource;
-use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::costmodel::CostModel;
-use caribou_metrics::montecarlo::{DefaultModels, MonteCarloEstimator};
-use caribou_model::constraints::{Constraints, Objective};
+use caribou_core::scenario::{default_tolerances, World};
+use caribou_metrics::carbonmodel::TransmissionScenario;
+use caribou_model::constraints::Constraints;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::rng::Pcg32;
-use caribou_simcloud::orchestration::Orchestrator;
-use caribou_solver::context::SolverContext;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use caribou_workloads::benchmarks::{all_benchmarks, InputSize};
 
 fn main() {
-    let env = ExpEnv::new(33);
+    let env = World::evaluation(33);
     let mci = MarginalSource::new(env.carbon.clone());
     let hour = 12.5;
 
@@ -40,33 +37,14 @@ fn main() {
     let mut disagreements = 0usize;
     let mut total = 0usize;
     for bench in all_benchmarks(InputSize::Small) {
-        let mut constraints = Constraints::unconstrained(bench.dag.node_count());
-        constraints.tolerances = default_tolerances();
-        let permitted = constraints
+        let permitted = Constraints::unconstrained(bench.dag.node_count())
             .permitted_regions(&bench.dag, &env.regions, &env.cloud.regions, env.home)
             .unwrap();
-        let models = DefaultModels {
-            profile: &bench.profile,
-            runtime: &env.cloud.compute,
-            latency: &env.cloud.latency,
-            orchestrator: Orchestrator::Caribou,
-        };
+        let case = env.case(&bench, TransmissionScenario::BEST, mc_config());
 
         // Solve once per signal.
         let solve_with = |source: &dyn CarbonDataSource, seed: u64| -> DeploymentPlan {
-            let ctx = SolverContext {
-                dag: &bench.dag,
-                profile: &bench.profile,
-                permitted: &permitted,
-                home: env.home,
-                objective: Objective::Carbon,
-                tolerances: default_tolerances(),
-                carbon_source: &source,
-                carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-                cost_model: CostModel::new(&env.cloud.pricing),
-                models: &models,
-                mc_config: mc_config(),
-            };
+            let ctx = case.context(&permitted, default_tolerances(), &source);
             HbssSolver::new()
                 .solve_with(
                     &EvalEngine::new(seed, 1),
@@ -81,16 +59,7 @@ fn main() {
 
         // Account each plan under each signal.
         let account = |plan: &DeploymentPlan, source: &dyn CarbonDataSource, seed: u64| -> f64 {
-            let est = MonteCarloEstimator {
-                dag: &bench.dag,
-                profile: &bench.profile,
-                carbon_source: &source,
-                carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-                cost_model: CostModel::new(&env.cloud.pricing),
-                models: &models,
-                home: env.home,
-                config: mc_config(),
-            };
+            let est = case.estimator(&source);
             est.estimate(plan, hour, &mut Pcg32::seed(seed)).carbon.mean
         };
         let home_plan = DeploymentPlan::uniform(bench.dag.node_count(), env.home);

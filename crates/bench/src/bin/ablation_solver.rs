@@ -6,14 +6,11 @@
 //! of candidate evaluations — the quality/effort trade-off that justifies
 //! HBSS.
 
-use caribou_bench::harness::{default_tolerances, mc_config, write_json, ExpEnv};
-use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::costmodel::CostModel;
-use caribou_metrics::montecarlo::DefaultModels;
-use caribou_model::constraints::{Constraints, Objective};
+use caribou_bench::harness::{mc_config, write_json};
+use caribou_core::scenario::{default_tolerances, World};
+use caribou_metrics::carbonmodel::TransmissionScenario;
+use caribou_model::constraints::Constraints;
 use caribou_model::rng::Pcg32;
-use caribou_simcloud::orchestration::Orchestrator;
-use caribou_solver::context::SolverContext;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use caribou_solver::{coarse, exhaustive};
@@ -22,7 +19,7 @@ use caribou_workloads::benchmarks::{
 };
 
 fn main() {
-    let env = ExpEnv::new(55);
+    let env = World::evaluation(55);
     println!("Solver ablation — carbon per invocation and evaluations per solve");
     println!(
         "{:<24}{:>7}{:>14}{:>8}{:>14}{:>8}{:>14}{:>8}",
@@ -35,30 +32,11 @@ fn main() {
         image_processing(InputSize::Small),
         text2speech_censoring(InputSize::Small),
     ] {
-        let mut constraints = Constraints::unconstrained(bench.dag.node_count());
-        constraints.tolerances = default_tolerances();
-        let permitted = constraints
+        let permitted = Constraints::unconstrained(bench.dag.node_count())
             .permitted_regions(&bench.dag, &env.regions, &env.cloud.regions, env.home)
             .unwrap();
-        let models = DefaultModels {
-            profile: &bench.profile,
-            runtime: &env.cloud.compute,
-            latency: &env.cloud.latency,
-            orchestrator: Orchestrator::Caribou,
-        };
-        let ctx = SolverContext {
-            dag: &bench.dag,
-            profile: &bench.profile,
-            permitted: &permitted,
-            home: env.home,
-            objective: Objective::Carbon,
-            tolerances: default_tolerances(),
-            carbon_source: &env.carbon,
-            carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-            cost_model: CostModel::new(&env.cloud.pricing),
-            models: &models,
-            mc_config: mc_config(),
-        };
+        let case = env.case(&bench, TransmissionScenario::BEST, mc_config());
+        let ctx = case.context(&permitted, default_tolerances(), &env.carbon);
         // One engine: the three solvers price every plan on the same draws.
         let engine = EvalEngine::new(1, 1);
         let hbss = HbssSolver::new().solve_with(&engine, &ctx, 12.5, &mut Pcg32::seed(1));

@@ -8,8 +8,9 @@
 //! same migration moment with the probabilistic and the stateful models
 //! and reports the latency around the switch.
 
-use caribou_bench::harness::{write_json, ExpEnv};
-use caribou_exec::engine::{ExecutionEngine, WorkflowApp};
+use caribou_bench::harness::write_json;
+use caribou_core::scenario::{workflow_app, World};
+use caribou_exec::engine::ExecutionEngine;
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::rng::Pcg32;
@@ -21,7 +22,7 @@ const BEFORE: usize = 60;
 const AFTER: usize = 60;
 
 fn run(warm_pool: bool) -> (f64, f64, f64) {
-    let mut env = ExpEnv::new(66);
+    let mut env = World::evaluation(66);
     // Deterministic execution times isolate the cold-start transient from
     // workload noise.
     env.cloud.compute.exec_sigma = 0.0;
@@ -37,12 +38,7 @@ fn run(warm_pool: bool) -> (f64, f64, f64) {
             value: n.exec_time.mean(),
         };
     }
-    let app = WorkflowApp {
-        name: bench.dag.name().into(),
-        dag: bench.dag.clone(),
-        profile: bench.profile.clone(),
-        home: env.home,
-    };
+    let app = workflow_app(&bench, env.home);
     let home_plan = DeploymentPlan::uniform(bench.dag.node_count(), env.home);
     let ca = env.region("ca-central-1");
     let ca_plan = DeploymentPlan::uniform(bench.dag.node_count(), ca);

@@ -8,15 +8,14 @@
 //! freedom → lower carbon, with QoS respected; under the worst case the
 //! solver mostly stays home and incurs no runtime overhead.
 
-use caribou_bench::harness::{eval_over_week, write_json, ExpEnv, FineSolver};
+use caribou_bench::harness::{coarse_over_week, eval_over_week, write_json, FineSolver, STEP_H};
+use caribou_core::scenario::World;
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_model::constraints::Tolerances;
-use caribou_model::plan::DeploymentPlan;
 use caribou_workloads::benchmarks::{dna_visualization, image_processing, InputSize};
 
 fn main() {
-    let env = ExpEnv::new(10);
-    let use1 = env.region("us-east-1");
+    let env = World::evaluation(10);
     let tolerances = [0.0, 0.025, 0.05, 0.075, 0.10];
     let scenarios = [
         ("best", TransmissionScenario::BEST),
@@ -25,7 +24,7 @@ fn main() {
 
     println!("Fig. 10 — relative carbon / relative tail time vs runtime tolerance");
     println!(
-        "{:<24}{:<7}{:<7}{:>7}{:>12}{:>12}{:>8}",
+        "{:<24}{:<7}{:<7}{:>7}{:>12}{:>12}{:>10}",
         "benchmark", "input", "txn", "tol%", "rel carbon", "rel time", "QoS"
     );
     let mut rows = Vec::new();
@@ -34,29 +33,22 @@ fn main() {
         image_processing(InputSize::Small),
     ] {
         for (scen_name, scenario) in scenarios {
-            let base = eval_over_week(
-                &env,
-                &bench,
-                scenario,
-                |_| DeploymentPlan::uniform(bench.dag.node_count(), use1),
-                1,
-            );
+            let base = coarse_over_week(&env, &bench, scenario, STEP_H, env.home, 1);
             for tol in tolerances {
                 let t = Tolerances {
                     latency: tol,
                     cost: 1.0,
                     carbon: f64::INFINITY,
                 };
-                let regions = env.regions.clone();
-                let mut solver = FineSolver::new(&env, &bench, &regions, scenario, t, 10);
-                let fine = eval_over_week(&env, &bench, scenario, |h| solver.plan_at(h), 2);
+                let mut solver = FineSolver::new(&env, &bench, &env.regions, scenario, t, 10);
+                let fine = eval_over_week(&env, &bench, scenario, STEP_H, |h| solver.plan_at(h), 2);
                 let rel_carbon = fine.carbon_g / base.carbon_g;
                 // Relative time: chosen deployment's p95 over the QoS
                 // bound (home p95 augmented by the tolerance).
                 let qos_bound = base.latency_p95_s * (1.0 + tol);
                 let rel_time = fine.latency_p95_s / qos_bound;
                 println!(
-                    "{:<24}{:<7}{:<7}{:>7.1}{:>12.3}{:>12.3}{:>8}",
+                    "{:<24}{:<7}{:<7}{:>7.1}{:>12.3}{:>12.3}{:>10}",
                     bench.name,
                     bench.input.label(),
                     scen_name,

@@ -9,16 +9,13 @@
 //! baselines; plus the deployment-plan generation times (the learning
 //! phase solves often, then the cadence relaxes).
 
-use caribou_bench::harness::{mc_config, write_json, ExpEnv};
+use caribou_bench::harness::{hbss_params, mc_config, write_json};
 use caribou_core::framework::{Caribou, CaribouConfig};
-use caribou_exec::engine::WorkflowApp;
-use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::costmodel::CostModel;
-use caribou_metrics::montecarlo::{DefaultModels, MonteCarloEstimator};
+use caribou_core::scenario::{cli_constraints, workflow_app, World, HOME};
+use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_model::manifest::DeploymentManifest;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::rng::Pcg32;
-use caribou_simcloud::orchestration::Orchestrator;
 use caribou_workloads::benchmarks::{text2speech_censoring, InputSize};
 use caribou_workloads::traces::azure_trace;
 
@@ -30,42 +27,20 @@ fn main() {
     let mut out = serde_json::Map::new();
 
     for (scen_name, scenario) in scenarios {
-        let env = ExpEnv::new(11);
+        let env = World::evaluation(11);
         let bench = text2speech_censoring(InputSize::Large);
-        let app = WorkflowApp {
-            name: bench.dag.name().into(),
-            dag: bench.dag.clone(),
-            profile: bench.profile.clone(),
-            home: env.home,
-        };
-        let mut constraints = bench.constraints.clone();
-        constraints.tolerances = caribou_bench::harness::default_tolerances();
+        let app = workflow_app(&bench, env.home);
 
         // Coarse baselines evaluated per hour with the actual carbon.
-        let coarse_names = ["us-east-1", "us-west-1", "us-west-2"];
+        let coarse_names = [HOME, "us-west-1", "us-west-2"];
         let mut coarse_hourly: Vec<Vec<f64>> = vec![Vec::new(); coarse_names.len()];
         {
-            let models = DefaultModels {
-                profile: &bench.profile,
-                runtime: &env.cloud.compute,
-                latency: &env.cloud.latency,
-                orchestrator: Orchestrator::Caribou,
-            };
+            let case = env.case(&bench, scenario, mc_config());
+            let est = case.estimator(&env.carbon);
             let mut rng = Pcg32::seed(1);
             for hour in 0..168 {
                 for (i, name) in coarse_names.iter().enumerate() {
-                    let r = env.region(name);
-                    let est = MonteCarloEstimator {
-                        dag: &bench.dag,
-                        profile: &bench.profile,
-                        carbon_source: &env.carbon,
-                        carbon_model: CarbonModel::new(scenario),
-                        cost_model: CostModel::new(&env.cloud.pricing),
-                        models: &models,
-                        home: env.home,
-                        config: mc_config(),
-                    };
-                    let plan = DeploymentPlan::uniform(bench.dag.node_count(), r);
+                    let plan = DeploymentPlan::uniform(bench.dag.node_count(), env.region(name));
                     let s = est.estimate(&plan, hour as f64 + 0.5, &mut rng);
                     coarse_hourly[i].push(s.carbon.mean);
                 }
@@ -73,15 +48,13 @@ fn main() {
         }
 
         // Full framework run.
-        let mut config = CaribouConfig::new(env.regions.clone(), scenario);
+        let mut config = CaribouConfig::new(env.regions, scenario);
         config.mc = mc_config();
-        config.hbss = caribou_bench::harness::hbss_params();
+        config.hbss = hbss_params();
         config.seed = 11;
-        let regions = env.regions.clone();
         let mut fw = Caribou::new(env.cloud, env.carbon, config);
-        let _ = &regions;
-        let manifest = DeploymentManifest::new(app.name.clone(), "1.0", "us-east-1");
-        let idx = fw.deploy(app, &manifest, constraints).unwrap();
+        let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
+        let idx = fw.deploy(app, &manifest, cli_constraints(&bench)).unwrap();
         let trace = azure_trace(
             10.0,
             7.0 * 86_400.0,

@@ -8,8 +8,9 @@
 //! 5.72% (small) / 2.71% (large) over Step Functions; overhead shrinks as
 //! execution duration grows and grows with DAG complexity.
 
-use caribou_bench::harness::{geomean, write_json, ExpEnv};
-use caribou_exec::engine::{ExecutionEngine, WorkflowApp};
+use caribou_bench::harness::{geomean, write_json};
+use caribou_core::scenario::{workflow_app, World};
+use caribou_exec::engine::ExecutionEngine;
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::rng::Pcg32;
@@ -34,14 +35,9 @@ fn main() {
                 Orchestrator::Sns,
                 Orchestrator::Caribou,
             ] {
-                let mut env = ExpEnv::new(12);
+                let mut env = World::evaluation(12);
                 env.cloud.compute.cold_start_prob = 0.0;
-                let app = WorkflowApp {
-                    name: bench.dag.name().into(),
-                    dag: bench.dag.clone(),
-                    profile: bench.profile.clone(),
-                    home: env.home,
-                };
+                let app = workflow_app(&bench, env.home);
                 let plan = DeploymentPlan::uniform(bench.dag.node_count(), env.home);
                 let engine = ExecutionEngine {
                     carbon_source: &env.carbon,

@@ -13,12 +13,12 @@
 //! 1..7 days (the forecast a once-per-`k`-days solver relies on). Paper
 //! shape: quality does not degrade linearly with the window.
 
-use caribou_bench::harness::{mc_config, write_json, ExpEnv};
+use caribou_bench::harness::{hbss_params, mc_config, write_json};
 use caribou_carbon::source::{CarbonDataSource, ForecastingSource};
 use caribou_core::framework::{Caribou, CaribouConfig};
 use caribou_core::manager::ManagerConfig;
+use caribou_core::scenario::{cli_constraints, workflow_app, World, HOME};
 use caribou_core::tokens::solve_carbon_g;
-use caribou_exec::engine::WorkflowApp;
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_model::manifest::DeploymentManifest;
 use caribou_model::rng::Pcg32;
@@ -40,19 +40,12 @@ fn main() {
         ("worst", TransmissionScenario::WORST),
     ] {
         for solves_per_week in 1..=7usize {
-            let env = ExpEnv::new(13);
+            let env = World::evaluation(13);
             let bench = text2speech_censoring(InputSize::Small);
-            let app = WorkflowApp {
-                name: bench.dag.name().into(),
-                dag: bench.dag.clone(),
-                profile: bench.profile.clone(),
-                home: env.home,
-            };
-            let mut constraints = bench.constraints.clone();
-            constraints.tolerances = caribou_bench::harness::default_tolerances();
-            let mut config = CaribouConfig::new(env.regions.clone(), scenario);
+            let app = workflow_app(&bench, env.home);
+            let mut config = CaribouConfig::new(env.regions, scenario);
             config.mc = mc_config();
-            config.hbss = caribou_bench::harness::hbss_params();
+            config.hbss = hbss_params();
             config.seed = 13;
             config.manager = ManagerConfig {
                 go_runtime: false,
@@ -61,8 +54,8 @@ fn main() {
             };
             config.plan_expiry_s = 7.0 * 86_400.0 / solves_per_week as f64 + 3600.0;
             let mut fw = Caribou::new(env.cloud, env.carbon, config);
-            let manifest = DeploymentManifest::new(app.name.clone(), "1.0", "us-east-1");
-            let idx = fw.deploy(app, &manifest, constraints).unwrap();
+            let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
+            let idx = fw.deploy(app, &manifest, cli_constraints(&bench)).unwrap();
             let trace = azure_trace(
                 10.0,
                 7.0 * 86_400.0,
@@ -90,7 +83,7 @@ fn main() {
     // Break-even: one 24-hour-granularity solve (complexity 10) in
     // ca-central-1 versus the worst-case per-invocation saving.
     {
-        let env = ExpEnv::new(13);
+        let env = World::evaluation(13);
         let ca = env.region("ca-central-1");
         let solve_g = solve_carbon_g(10, 24, false, env.carbon.average(ca, 0.0, 24.0));
         // Per-invocation worst-case saving measured above (scenario worst,
@@ -108,7 +101,7 @@ fn main() {
         "region",
         (1..=7).map(|d| format!("{d:>8}d")).collect::<String>()
     );
-    let env = ExpEnv::new(13);
+    let env = World::evaluation(13);
     let mut part_b = Vec::new();
     for name in ["us-east-1", "us-west-1", "us-west-2", "ca-central-1"] {
         let r = env.region(name);

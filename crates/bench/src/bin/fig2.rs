@@ -5,11 +5,12 @@
 //! Prints summary statistics per region (matching the paper's §9.2 I1
 //! relations) and emits the full hourly series to `results/fig2.json`.
 
-use caribou_bench::harness::{write_json, ExpEnv};
+use caribou_bench::harness::write_json;
 use caribou_carbon::source::CarbonDataSource;
+use caribou_core::scenario::World;
 
 fn main() {
-    let env = ExpEnv::new(2);
+    let env = World::evaluation(2);
     // Sim epoch (hour 0) is 2023-10-15; Fig. 2 spans July 2023..Jan 2024,
     // i.e. hours -2544..2616 relative to the epoch.
     let from_h: i64 = -106 * 24;

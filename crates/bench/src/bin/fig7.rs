@@ -12,10 +12,10 @@
 //! Configurations are independent, so they run on all available cores.
 
 use caribou_bench::harness::{
-    default_tolerances, eval_over_week, geomean, write_json, ExpEnv, FineSolver, StrategyResult,
+    coarse_over_week, eval_over_week, geomean, write_json, FineSolver, StrategyResult, STEP_H,
 };
+use caribou_core::scenario::{default_tolerances, World};
 use caribou_metrics::carbonmodel::TransmissionScenario;
-use caribou_model::plan::DeploymentPlan;
 use caribou_workloads::benchmarks::{all_benchmarks, Benchmark, InputSize};
 
 struct ConfigResult {
@@ -27,12 +27,12 @@ struct ConfigResult {
 }
 
 fn run_config(
-    env: &ExpEnv,
+    env: &World,
     bench: &Benchmark,
     scen_name: &'static str,
     scenario: TransmissionScenario,
 ) -> ConfigResult {
-    let use1 = env.region("us-east-1");
+    let use1 = env.home;
     let usw1 = env.region("us-west-1");
     let usw2 = env.region("us-west-2");
     let ca = env.region("ca-central-1");
@@ -50,29 +50,17 @@ fn run_config(
         ("Fine(all)", vec![use1, usw1, usw2, ca]),
     ];
 
-    let base = eval_over_week(
-        env,
-        bench,
-        scenario,
-        |_| DeploymentPlan::uniform(bench.dag.node_count(), use1),
-        1,
-    );
+    let base = coarse_over_week(env, bench, scenario, STEP_H, use1, 1);
     let mut rows = Vec::new();
     rows.push(("Coarse(us-east-1)".to_string(), base, 1.0));
     for (name, region) in coarse.iter().skip(1) {
-        let r = eval_over_week(
-            env,
-            bench,
-            scenario,
-            |_| DeploymentPlan::uniform(bench.dag.node_count(), *region),
-            2,
-        );
+        let r = coarse_over_week(env, bench, scenario, STEP_H, *region, 2);
         rows.push((name.to_string(), r, r.carbon_g / base.carbon_g));
     }
     let mut fine_all_norm = 1.0;
     for (name, set) in &fine_sets {
         let mut solver = FineSolver::new(env, bench, set, scenario, default_tolerances(), 11);
-        let r = eval_over_week(env, bench, scenario, |h| solver.plan_at(h), 3);
+        let r = eval_over_week(env, bench, scenario, STEP_H, |h| solver.plan_at(h), 3);
         let norm = r.carbon_g / base.carbon_g;
         rows.push((name.to_string(), r, norm));
         if *name == "Fine(all)" {
@@ -89,7 +77,7 @@ fn run_config(
 }
 
 fn main() {
-    let env = ExpEnv::new(7);
+    let env = World::evaluation(7);
     let scenarios = [
         ("best", TransmissionScenario::BEST),
         ("worst", TransmissionScenario::WORST),

@@ -7,14 +7,13 @@
 //! transmission-heavy Image Processing sits at the top-left, Text2Speech/
 //! DNA at the bottom-right.
 
-use caribou_bench::harness::{default_tolerances, eval_over_week, write_json, ExpEnv, FineSolver};
+use caribou_bench::harness::{coarse_over_week, eval_over_week, write_json, FineSolver, STEP_H};
+use caribou_core::scenario::{default_tolerances, World};
 use caribou_metrics::carbonmodel::TransmissionScenario;
-use caribou_model::plan::DeploymentPlan;
 use caribou_workloads::benchmarks::{all_benchmarks, InputSize};
 
 fn main() {
-    let env = ExpEnv::new(8);
-    let use1 = env.region("us-east-1");
+    let env = World::evaluation(8);
     let scenarios = [
         ("best", TransmissionScenario::BEST),
         ("worst", TransmissionScenario::WORST),
@@ -30,17 +29,16 @@ fn main() {
     for input in InputSize::ALL {
         for bench in all_benchmarks(input) {
             for (scen_name, scenario) in scenarios {
-                let base = eval_over_week(
+                let base = coarse_over_week(&env, &bench, scenario, STEP_H, env.home, 1);
+                let mut solver = FineSolver::new(
                     &env,
                     &bench,
+                    &env.regions,
                     scenario,
-                    |_| DeploymentPlan::uniform(bench.dag.node_count(), use1),
-                    1,
+                    default_tolerances(),
+                    8,
                 );
-                let regions = env.regions.clone();
-                let mut solver =
-                    FineSolver::new(&env, &bench, &regions, scenario, default_tolerances(), 8);
-                let fine = eval_over_week(&env, &bench, scenario, |h| solver.plan_at(h), 2);
+                let fine = eval_over_week(&env, &bench, scenario, STEP_H, |h| solver.plan_at(h), 2);
                 // The ratio is computed from modeled energy data ("We
                 // calculate the ratio using our modeled energy usage
                 // data"): the execution vs transmission carbon an
@@ -49,13 +47,7 @@ fn main() {
                 // reference — under the worst case its inter-region
                 // transfers are exactly the data that offloading moves.
                 let ca = env.region("ca-central-1");
-                let offloaded = eval_over_week(
-                    &env,
-                    &bench,
-                    scenario,
-                    |_| DeploymentPlan::uniform(bench.dag.node_count(), ca),
-                    3,
-                );
+                let offloaded = coarse_over_week(&env, &bench, scenario, STEP_H, ca, 3);
                 let ratio = base.exec_carbon_g / offloaded.trans_carbon_g.max(1e-12);
                 let norm = fine.carbon_g / base.carbon_g;
                 println!(

@@ -10,15 +10,14 @@
 //! execution-time differences between regions.
 
 use caribou_bench::harness::{
-    default_tolerances, eval_over_week, geomean, write_json, ExpEnv, FineSolver,
+    coarse_over_week, eval_over_week, geomean, write_json, FineSolver, STEP_H,
 };
+use caribou_core::scenario::{default_tolerances, World};
 use caribou_metrics::carbonmodel::TransmissionScenario;
-use caribou_model::plan::DeploymentPlan;
 use caribou_workloads::benchmarks::{all_benchmarks, InputSize};
 
 fn main() {
-    let env = ExpEnv::new(9);
-    let use1 = env.region("us-east-1");
+    let env = World::evaluation(9);
     let factors = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1];
 
     println!("Fig. 9 — geomean normalized carbon vs transmission energy factor");
@@ -39,17 +38,12 @@ fn main() {
             let mut norms: Vec<(InputSize, f64)> = Vec::new();
             for input in InputSize::ALL {
                 for bench in all_benchmarks(input) {
-                    let base = eval_over_week(
-                        &env,
-                        &bench,
-                        scenario,
-                        |_| DeploymentPlan::uniform(bench.dag.node_count(), use1),
-                        1,
-                    );
-                    let regions = env.regions.clone();
+                    let base = coarse_over_week(&env, &bench, scenario, STEP_H, env.home, 1);
+                    let tolerances = default_tolerances();
                     let mut solver =
-                        FineSolver::new(&env, &bench, &regions, scenario, default_tolerances(), 9);
-                    let fine = eval_over_week(&env, &bench, scenario, |h| solver.plan_at(h), 2);
+                        FineSolver::new(&env, &bench, &env.regions, scenario, tolerances, 9);
+                    let fine =
+                        eval_over_week(&env, &bench, scenario, STEP_H, |h| solver.plan_at(h), 2);
                     norms.push((input, fine.carbon_g / base.carbon_g));
                 }
             }

@@ -7,16 +7,17 @@
 //! and South American regions and compares the achievable savings (and the
 //! latency price of chasing them) against the NA-only set.
 
-use caribou_bench::harness::{eval_over_week, geomean, write_json, ExpEnv, FineSolver};
+use caribou_bench::harness::{
+    coarse_over_week, eval_over_week, geomean, write_json, FineSolver, STEP_H,
+};
+use caribou_core::scenario::World;
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_model::constraints::Tolerances;
-use caribou_model::plan::DeploymentPlan;
 use caribou_workloads::benchmarks::{all_benchmarks, InputSize};
 
 fn main() {
-    let env = ExpEnv::new(44);
-    let use1 = env.region("us-east-1");
-    let na: Vec<_> = env.regions.clone();
+    let env = World::evaluation(44);
+    let na = &env.regions;
     let global: Vec<_> = [
         "us-east-1",
         "us-west-1",
@@ -49,17 +50,13 @@ fn main() {
     for input in InputSize::ALL {
         for bench in all_benchmarks(input) {
             let scenario = TransmissionScenario::BEST;
-            let base = eval_over_week(
-                &env,
-                &bench,
-                scenario,
-                |_| DeploymentPlan::uniform(bench.dag.node_count(), use1),
-                1,
-            );
-            let mut na_solver = FineSolver::new(&env, &bench, &na, scenario, tolerances, 2);
-            let na_res = eval_over_week(&env, &bench, scenario, |h| na_solver.plan_at(h), 3);
+            let base = coarse_over_week(&env, &bench, scenario, STEP_H, env.home, 1);
+            let mut na_solver = FineSolver::new(&env, &bench, na, scenario, tolerances, 2);
+            let na_res =
+                eval_over_week(&env, &bench, scenario, STEP_H, |h| na_solver.plan_at(h), 3);
             let mut gl_solver = FineSolver::new(&env, &bench, &global, scenario, tolerances, 4);
-            let gl_res = eval_over_week(&env, &bench, scenario, |h| gl_solver.plan_at(h), 5);
+            let gl_res =
+                eval_over_week(&env, &bench, scenario, STEP_H, |h| gl_solver.plan_at(h), 5);
             let na_norm = na_res.carbon_g / base.carbon_g;
             let gl_norm = gl_res.carbon_g / base.carbon_g;
             println!(

@@ -9,179 +9,56 @@
 //! demonstrates that the carbon differential is a property of the grid,
 //! not the provider.
 
-use caribou_bench::harness::{geomean, write_json, StrategyResult};
-use caribou_carbon::source::{ForecastingSource, RegionalSource};
-use caribou_carbon::synth::SyntheticCarbonSource;
-use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::costmodel::CostModel;
-use caribou_metrics::montecarlo::{DefaultModels, MonteCarloConfig, MonteCarloEstimator};
-use caribou_model::constraints::{Constraints, Objective, Tolerances};
-use caribou_model::plan::DeploymentPlan;
-use caribou_model::region::{Provider, ProviderSet, RegionId};
-use caribou_model::rng::Pcg32;
-use caribou_simcloud::cloud::SimCloud;
-use caribou_simcloud::orchestration::Orchestrator;
-use caribou_solver::context::SolverContext;
-use caribou_solver::engine::EvalEngine;
-use caribou_solver::hbss::HbssSolver;
+use caribou_bench::harness::{coarse_over_week, eval_over_week, geomean, write_json, FineSolver};
+use caribou_core::scenario::{default_tolerances, World, CARBON_EPOCH};
+use caribou_metrics::carbonmodel::TransmissionScenario;
+use caribou_model::constraints::Constraints;
+use caribou_model::region::{Provider, ProviderSet};
 use caribou_workloads::benchmarks::{all_benchmarks, Benchmark, InputSize};
 
-fn hour_points() -> Vec<f64> {
-    let step = if std::env::var("CARIBOU_FAST").is_ok_and(|v| v == "1") {
-        12
-    } else {
-        6
-    };
-    (0..168).step_by(step).map(|h| h as f64 + 0.5).collect()
-}
+/// Hours between evaluation points.
+const STEP: usize = 6;
 
-struct Env {
-    cloud: SimCloud,
-    carbon: RegionalSource,
-    home: RegionId,
-}
-
-fn env() -> Env {
-    let cloud = SimCloud::for_providers(ProviderSet::of(&[Provider::Aws, Provider::Gcp]), 77)
-        .expect("aws and gcp have backends");
-    let carbon = RegionalSource::new(
-        &cloud.regions,
-        SyntheticCarbonSource::aws_calibrated(20231015),
-    )
-    .expect("the multi-cloud catalog's grid zones are all calibrated");
-    let home = cloud.region("us-east-1").unwrap();
-    Env {
-        cloud,
-        carbon,
-        home,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_strategy(
-    env: &Env,
-    bench: &Benchmark,
-    region_set: &[RegionId],
-    constraints: &Constraints,
-    seed: u64,
-) -> StrategyResult {
-    let permitted = constraints
-        .permitted_regions(&bench.dag, region_set, &env.cloud.regions, env.home)
-        .expect("valid constraints");
-    let models = DefaultModels {
-        profile: &bench.profile,
-        runtime: &env.cloud.compute,
-        latency: &env.cloud.latency,
-        orchestrator: Orchestrator::Caribou,
-    };
-    let mc = MonteCarloConfig {
-        batch: 100,
-        max_samples: 400,
-        cv_threshold: 0.08,
-    };
-    let mut total = StrategyResult::default();
-    let points = hour_points();
-    let mut rng = Pcg32::seed_stream(seed, 0x3c1d);
-    for &h in &points {
-        let day_start = (h / 24.0).floor() * 24.0;
-        let forecast = ForecastingSource::fit(&env.carbon, region_set, day_start, 48);
-        let ctx = SolverContext {
-            dag: &bench.dag,
-            profile: &bench.profile,
-            permitted: &permitted,
-            home: env.home,
-            objective: Objective::Carbon,
-            tolerances: constraints.tolerances,
-            carbon_source: &forecast,
-            carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-            cost_model: CostModel::new(&env.cloud.pricing),
-            models: &models,
-            mc_config: mc,
-        };
-        let engine = EvalEngine::new(seed ^ h as u64, 1);
-        let plan = HbssSolver::new()
-            .solve_with(&engine, &ctx, h, &mut rng.fork(h as u64))
-            .best;
-        let est = MonteCarloEstimator {
-            dag: &bench.dag,
-            profile: &bench.profile,
-            carbon_source: &env.carbon,
-            carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-            cost_model: CostModel::new(&env.cloud.pricing),
-            models: &models,
-            home: env.home,
-            config: mc,
-        };
-        let s = est.estimate(&plan, h, &mut rng.fork(h as u64 ^ 0xe));
-        total.carbon_g += s.carbon.mean;
-        total.latency_p95_s += s.latency.p95;
-    }
-    total.carbon_g /= points.len() as f64;
-    total.latency_p95_s /= points.len() as f64;
-    total
+/// The three strategies for one benchmark: the
+/// catalog's AWS evaluation set, the world's whole (cross-provider)
+/// evaluation set, and that set again under an AWS-only compliance
+/// constraint.
+fn solvers<'e>(env: &'e World, bench: &'e Benchmark) -> [FineSolver<'e>; 3] {
+    let aws_na = env.cloud.regions.evaluation_regions();
+    let mut free = Constraints::unconstrained(bench.dag.node_count());
+    free.tolerances = default_tolerances();
+    let mut aws_pinned = free.clone();
+    aws_pinned.workflow.allowed_providers = vec![Provider::Aws];
+    let scenario = TransmissionScenario::BEST;
+    [
+        (&aws_na, &free, 1),
+        (&env.regions, &free, 2),
+        (&env.regions, &aws_pinned, 3),
+    ]
+    .map(|(set, constraints, seed)| {
+        FineSolver::with_constraints(env, bench, set, constraints, scenario, seed)
+    })
 }
 
 fn main() {
-    let env = env();
-    let aws_na = env.cloud.regions.evaluation_regions();
-    let multi = env.cloud.evaluation_regions();
+    let providers = ProviderSet::of(&[Provider::Aws, Provider::Gcp]);
+    let env = World::new(providers, 77, CARBON_EPOCH).expect("aws and gcp have backends");
+    let scenario = TransmissionScenario::BEST;
 
-    let tolerances = Tolerances {
-        latency: 0.10,
-        cost: 1.0,
-        carbon: f64::INFINITY,
-    };
     println!("Multi-cloud extension — best-case scenario, NA region sets");
     println!(
         "{:<24}{:<7}{:>12}{:>14}{:>16}",
         "benchmark", "input", "AWS-only", "AWS+GCP", "AWS+GCP (aws!)"
     );
     let mut rows = Vec::new();
-    let mut norms = (Vec::new(), Vec::new(), Vec::new());
+    let mut norms = [Vec::new(), Vec::new(), Vec::new()];
     for input in InputSize::ALL {
         for bench in all_benchmarks(input) {
-            let mut c = Constraints::unconstrained(bench.dag.node_count());
-            c.tolerances = tolerances;
-            // Baseline for normalization.
-            let baseline = {
-                let models = DefaultModels {
-                    profile: &bench.profile,
-                    runtime: &env.cloud.compute,
-                    latency: &env.cloud.latency,
-                    orchestrator: Orchestrator::Caribou,
-                };
-                let est = MonteCarloEstimator {
-                    dag: &bench.dag,
-                    profile: &bench.profile,
-                    carbon_source: &env.carbon,
-                    carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-                    cost_model: CostModel::new(&env.cloud.pricing),
-                    models: &models,
-                    home: env.home,
-                    config: MonteCarloConfig {
-                        batch: 100,
-                        max_samples: 400,
-                        cv_threshold: 0.08,
-                    },
-                };
-                let plan = DeploymentPlan::uniform(bench.dag.node_count(), env.home);
-                let mut rng = Pcg32::seed(9);
-                hour_points()
-                    .iter()
-                    .map(|h| est.estimate(&plan, *h, &mut rng).carbon.mean)
-                    .sum::<f64>()
-                    / hour_points().len() as f64
-            };
-            let aws_only = eval_strategy(&env, &bench, &aws_na, &c, 1);
-            let multi_free = eval_strategy(&env, &bench, &multi, &c, 2);
-            // Same set but compliance pins the workflow to AWS.
-            let mut aws_pinned = c.clone();
-            aws_pinned.workflow.allowed_providers = vec![Provider::Aws];
-            let multi_pinned = eval_strategy(&env, &bench, &multi, &aws_pinned, 3);
-
-            let n1 = aws_only.carbon_g / baseline;
-            let n2 = multi_free.carbon_g / baseline;
-            let n3 = multi_pinned.carbon_g / baseline;
+            let base = coarse_over_week(&env, &bench, scenario, STEP, env.home, 9);
+            let [n1, n2, n3] = solvers(&env, &bench).map(|mut solver| {
+                let r = eval_over_week(&env, &bench, scenario, STEP, |h| solver.plan_at(h), 2);
+                r.carbon_g / base.carbon_g
+            });
             println!(
                 "{:<24}{:<7}{:>12.3}{:>14.3}{:>16.3}",
                 bench.name,
@@ -197,18 +74,61 @@ fn main() {
                 "multicloud_norm": n2,
                 "multicloud_aws_pinned_norm": n3,
             }));
-            norms.0.push(n1);
-            norms.1.push(n2);
-            norms.2.push(n3);
+            for (all, n) in norms.iter_mut().zip([n1, n2, n3]) {
+                all.push(n);
+            }
         }
     }
     println!(
         "\nGeomeans: AWS-only {:.3}; AWS+GCP {:.3}; AWS+GCP with aws-only compliance {:.3}",
-        geomean(&norms.0),
-        geomean(&norms.1),
-        geomean(&norms.2)
+        geomean(&norms[0]),
+        geomean(&norms[1]),
+        geomean(&norms[2])
     );
     println!("(provider compliance must recover the AWS-only result; the free multi-cloud");
     println!(" set may gain from GCP's Québec/Pacific-Northwest presence)");
     write_json("multicloud", &serde_json::Value::Array(rows));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use caribou_model::region::RegionId;
+    use caribou_workloads::benchmarks::dna_visualization;
+
+    #[test]
+    fn multicloud_strategies_run_on_the_shared_harness() {
+        let providers = ProviderSet::of(&[Provider::Aws, Provider::Gcp]);
+        let env = World::new(providers, 77, CARBON_EPOCH).unwrap();
+        let bench = dna_visualization(InputSize::Small);
+        let provider_of = |r: RegionId| env.cloud.regions.spec(r).provider;
+        assert!(env.regions.iter().any(|&r| provider_of(r) == Provider::Gcp));
+
+        let base = coarse_over_week(&env, &bench, TransmissionScenario::BEST, 24, env.home, 9);
+        let [aws_only, free, pinned] = solvers(&env, &bench).map(|mut solver| {
+            let mut used = Vec::new();
+            let r = eval_over_week(
+                &env,
+                &bench,
+                TransmissionScenario::BEST,
+                24,
+                |h| {
+                    let plan = solver.plan_at(h);
+                    used.extend(plan.regions_used());
+                    plan
+                },
+                2,
+            );
+            (r.carbon_g / base.carbon_g, used)
+        });
+        for (norm, used) in [&aws_only, &free, &pinned] {
+            assert!(*norm > 0.0 && *norm < 1.05, "norm {norm}");
+            assert!(!used.is_empty());
+        }
+        // Compliance pins the workflow to AWS whatever the universe
+        // offers; the AWS-only set cannot leave AWS to begin with.
+        for (_, used) in [&aws_only, &pinned] {
+            assert!(used.iter().all(|&r| provider_of(r) == Provider::Aws));
+        }
+    }
 }

@@ -9,20 +9,14 @@
 
 use std::collections::HashMap;
 
-use caribou_carbon::source::{ForecastingSource, RegionalSource};
-use caribou_carbon::synth::SyntheticCarbonSource;
-use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::costmodel::CostModel;
-use caribou_metrics::montecarlo::{
-    DefaultModels, EstimateSummary, MonteCarloConfig, MonteCarloEstimator,
-};
-use caribou_model::constraints::{Constraints, Objective, Tolerances};
+use caribou_carbon::source::ForecastingSource;
+use caribou_core::scenario::World;
+use caribou_metrics::carbonmodel::TransmissionScenario;
+use caribou_metrics::montecarlo::{EstimateSummary, MonteCarloConfig};
+use caribou_model::constraints::{Constraints, Tolerances};
 use caribou_model::plan::DeploymentPlan;
-use caribou_model::region::{RegionCatalog, RegionId};
+use caribou_model::region::RegionId;
 use caribou_model::rng::Pcg32;
-use caribou_simcloud::cloud::SimCloud;
-use caribou_simcloud::orchestration::Orchestrator;
-use caribou_solver::context::SolverContext;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::{HbssParams, HbssSolver};
 use caribou_workloads::benchmarks::Benchmark;
@@ -30,59 +24,8 @@ use caribou_workloads::benchmarks::Benchmark;
 /// Hours in the evaluation week.
 pub const WEEK_HOURS: usize = 168;
 
-/// The experiment environment: cloud, calibrated carbon, region universe.
-pub struct ExpEnv {
-    /// Simulated cloud (latency, pricing, compute models).
-    pub cloud: SimCloud,
-    /// Actual carbon data (Electricity-Maps-calibrated synthetic).
-    pub carbon: RegionalSource,
-    /// The four §9.1 evaluation regions.
-    pub regions: Vec<RegionId>,
-    /// Home region (`us-east-1`).
-    pub home: RegionId,
-}
-
-impl ExpEnv {
-    /// Builds the standard environment.
-    pub fn new(seed: u64) -> Self {
-        let cloud = SimCloud::aws(seed);
-        let carbon = RegionalSource::new(
-            &cloud.regions,
-            SyntheticCarbonSource::aws_calibrated(20231015),
-        )
-        .expect("the default catalog's grid zones are all calibrated");
-        let regions = cloud.regions.evaluation_regions();
-        let home = cloud.region("us-east-1").unwrap();
-        ExpEnv {
-            cloud,
-            carbon,
-            regions,
-            home,
-        }
-    }
-
-    /// Region id by name; experiment setup uses fixed catalog names.
-    pub fn region(&self, name: &str) -> RegionId {
-        self.cloud
-            .region(name)
-            .expect("experiment regions come from the default catalog")
-    }
-
-    /// Region catalog.
-    pub fn catalog(&self) -> &RegionCatalog {
-        &self.cloud.regions
-    }
-}
-
-/// Step (hours) between evaluation points; set `CARIBOU_FAST=1` to
-/// coarsen experiments for smoke runs.
-pub fn hour_step() -> usize {
-    if std::env::var("CARIBOU_FAST").is_ok_and(|v| v == "1") {
-        12
-    } else {
-        3
-    }
-}
+/// Hours between evaluation points in the figure binaries.
+pub const STEP_H: usize = 3;
 
 /// Monte Carlo budget for experiment evaluation.
 pub fn mc_config() -> MonteCarloConfig {
@@ -99,17 +42,6 @@ pub fn hbss_params() -> HbssParams {
     HbssParams {
         max_iterations: 150,
         ..HbssParams::default()
-    }
-}
-
-/// Default experiment tolerances: 10% on tail latency, generous on cost
-/// (the paper's QoS studies vary only the runtime tolerance, §9.4),
-/// unbounded carbon (the solver minimizes it).
-pub fn default_tolerances() -> Tolerances {
-    Tolerances {
-        latency: 0.10,
-        cost: 1.0,
-        carbon: f64::INFINITY,
     }
 }
 
@@ -150,53 +82,49 @@ impl StrategyResult {
     }
 }
 
-/// Evaluates `plan_at(hour)` with the *actual* carbon source at each
-/// sampled hour of the evaluation week and averages.
+/// Evaluates `plan_at(hour)` with the *actual* carbon source every
+/// `step` hours of the evaluation week and averages.
 pub fn eval_over_week(
-    env: &ExpEnv,
+    env: &World,
     bench: &Benchmark,
     scenario: TransmissionScenario,
+    step: usize,
     mut plan_at: impl FnMut(f64) -> DeploymentPlan,
     seed: u64,
 ) -> StrategyResult {
-    let models = DefaultModels {
-        profile: &bench.profile,
-        runtime: &env.cloud.compute,
-        latency: &env.cloud.latency,
-        orchestrator: Orchestrator::Caribou,
-    };
+    let case = env.case(bench, scenario, mc_config());
+    let est = case.estimator(&env.carbon);
     let mut total = StrategyResult::default();
     let mut rng = Pcg32::seed_stream(seed, 0xe7a1);
-    let step = hour_step();
     let mut n = 0usize;
-    let mut hour = 0usize;
-    while hour < WEEK_HOURS {
+    for hour in (0..WEEK_HOURS).step_by(step) {
         let h = hour as f64 + 0.5;
-        let plan = plan_at(h);
-        let est = MonteCarloEstimator {
-            dag: &bench.dag,
-            profile: &bench.profile,
-            carbon_source: &env.carbon,
-            carbon_model: CarbonModel::new(scenario),
-            cost_model: CostModel::new(&env.cloud.pricing),
-            models: &models,
-            home: env.home,
-            config: mc_config(),
-        };
-        let summary = est.estimate(&plan, h, &mut rng);
-        total.accumulate(&summary);
+        total.accumulate(&est.estimate(&plan_at(h), h, &mut rng));
         n += 1;
-        hour += step;
     }
     total.scale(1.0 / n.max(1) as f64);
     total
+}
+
+/// The coarse single-region deployment to `region` over the week; at
+/// `env.home` it is every figure's baseline.
+pub fn coarse_over_week(
+    env: &World,
+    bench: &Benchmark,
+    scenario: TransmissionScenario,
+    step: usize,
+    region: RegionId,
+    seed: u64,
+) -> StrategyResult {
+    let plan = DeploymentPlan::uniform(bench.dag.node_count(), region);
+    eval_over_week(env, bench, scenario, step, |_| plan.clone(), seed)
 }
 
 /// Caches one solved plan per sampled hour so the solver runs once per
 /// point, on forecast data fitted at that day's start — the paper's
 /// solve-on-forecast / evaluate-on-actual split.
 pub struct FineSolver<'e> {
-    env: &'e ExpEnv,
+    env: &'e World,
     bench: &'e Benchmark,
     region_set: Vec<RegionId>,
     permitted: Vec<Vec<RegionId>>,
@@ -209,7 +137,7 @@ pub struct FineSolver<'e> {
 impl<'e> FineSolver<'e> {
     /// Creates a solver over an explicit region set.
     pub fn new(
-        env: &'e ExpEnv,
+        env: &'e World,
         bench: &'e Benchmark,
         region_set: &[RegionId],
         scenario: TransmissionScenario,
@@ -223,7 +151,7 @@ impl<'e> FineSolver<'e> {
 
     /// Creates a solver honoring explicit per-node constraints.
     pub fn with_constraints(
-        env: &'e ExpEnv,
+        env: &'e World,
         bench: &'e Benchmark,
         region_set: &[RegionId],
         constraints: &Constraints,
@@ -257,25 +185,8 @@ impl<'e> FineSolver<'e> {
         }
         let day_start = (hour / 24.0).floor() * 24.0;
         let forecast = ForecastingSource::fit(&self.env.carbon, &self.region_set, day_start, 48);
-        let models = DefaultModels {
-            profile: &self.bench.profile,
-            runtime: &self.env.cloud.compute,
-            latency: &self.env.cloud.latency,
-            orchestrator: Orchestrator::Caribou,
-        };
-        let ctx = SolverContext {
-            dag: &self.bench.dag,
-            profile: &self.bench.profile,
-            permitted: &self.permitted,
-            home: self.env.home,
-            objective: Objective::Carbon,
-            tolerances: self.tolerances,
-            carbon_source: &forecast,
-            carbon_model: CarbonModel::new(self.scenario),
-            cost_model: CostModel::new(&self.env.cloud.pricing),
-            models: &models,
-            mc_config: mc_config(),
-        };
+        let case = self.env.case(self.bench, self.scenario, mc_config());
+        let ctx = case.context(&self.permitted, self.tolerances, &forecast);
         let solver = HbssSolver {
             params: hbss_params(),
         };
@@ -310,6 +221,7 @@ pub fn write_json(name: &str, value: &serde_json::Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caribou_core::scenario::default_tolerances;
     use caribou_workloads::benchmarks::{dna_visualization, InputSize};
 
     #[test]
@@ -320,17 +232,9 @@ mod tests {
 
     #[test]
     fn eval_over_week_produces_positive_metrics() {
-        std::env::set_var("CARIBOU_FAST", "1");
-        let env = ExpEnv::new(1);
+        let env = World::evaluation(1);
         let bench = dna_visualization(InputSize::Small);
-        let home = env.home;
-        let r = eval_over_week(
-            &env,
-            &bench,
-            TransmissionScenario::BEST,
-            |_| DeploymentPlan::uniform(1, home),
-            1,
-        );
+        let r = coarse_over_week(&env, &bench, TransmissionScenario::BEST, 12, env.home, 1);
         assert!(r.carbon_g > 0.0);
         assert!(r.latency_mean_s > 0.0);
         assert!(r.latency_p95_s >= r.latency_mean_s);
@@ -339,14 +243,12 @@ mod tests {
 
     #[test]
     fn fine_solver_caches_plans() {
-        std::env::set_var("CARIBOU_FAST", "1");
-        let env = ExpEnv::new(2);
+        let env = World::evaluation(2);
         let bench = dna_visualization(InputSize::Small);
-        let regions = env.regions.clone();
         let mut solver = FineSolver::new(
             &env,
             &bench,
-            &regions,
+            &env.regions,
             TransmissionScenario::BEST,
             default_tolerances(),
             1,

@@ -25,20 +25,17 @@ use std::process::ExitCode;
 
 use caribou_carbon::error::CarbonError;
 use caribou_carbon::source::{CarbonDataSource, ForecastingSource, RegionalSource};
-use caribou_carbon::synth::SyntheticCarbonSource;
 use caribou_core::framework::{Caribou, CaribouConfig};
 use caribou_core::loadgen::{run_loadgen, LoadgenConfig};
-use caribou_exec::engine::WorkflowApp;
-use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::costmodel::CostModel;
-use caribou_metrics::montecarlo::{DefaultModels, MonteCarloConfig};
-use caribou_model::constraints::Objective;
+use caribou_core::scenario::{
+    cli_constraints, grid, workflow_app, World, WorldError, CARBON_EPOCH, HOME,
+};
+use caribou_metrics::carbonmodel::TransmissionScenario;
+use caribou_metrics::montecarlo::MonteCarloConfig;
 use caribou_model::manifest::DeploymentManifest;
 use caribou_model::region::ProviderSet;
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
-use caribou_simcloud::orchestration::Orchestrator;
-use caribou_solver::context::SolverContext;
 use caribou_solver::contingency::solve_hourly_with_contingency;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
@@ -224,15 +221,13 @@ fn providers(args: &[String]) -> Result<ProviderSet, String> {
     }
 }
 
-/// Builds the simulated cloud and candidate-region universe for a
-/// provider set.
-fn cloud_for(
-    set: ProviderSet,
-    seed: u64,
-) -> Result<(SimCloud, Vec<caribou_model::region::RegionId>), String> {
-    let cloud = SimCloud::for_providers(set, seed).map_err(|e| e.to_string())?;
-    let regions = cloud.evaluation_regions();
-    Ok((cloud, regions))
+/// Builds the evaluation world of a provider set the way every command
+/// does: cloud seed 7 under the evaluation week's carbon data.
+fn world_for(set: ProviderSet) -> Result<World, CliError> {
+    World::new(set, 7, CARBON_EPOCH).map_err(|e| match e {
+        WorldError::Cloud(e) => e.to_string().into(),
+        WorldError::Carbon(e) => e.into(),
+    })
 }
 
 /// Renders a region for output: bare name on single-provider runs (the
@@ -330,7 +325,7 @@ fn cmd_carbon(args: &[String]) -> Result<(), CliError> {
         .map(|v| v.parse().map_err(|e| format!("--hours: {e}")))
         .transpose()?
         .unwrap_or(48);
-    let synth = SyntheticCarbonSource::aws_calibrated(20231015);
+    let synth = grid(CARBON_EPOCH);
     if let Some(zone) = flag(args, "--zone") {
         println!("hour  gCO2eq/kWh   (grid zone {zone})");
         for h in 0..hours {
@@ -375,39 +370,16 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
     let bench = find_benchmark(name, input)?;
 
     let pset = providers(args)?;
-    let (cloud, regions) = cloud_for(pset, 7)?;
-    let carbon = RegionalSource::new(
-        &cloud.regions,
-        SyntheticCarbonSource::aws_calibrated(20231015),
-    )?;
-    let home = cloud.region("us-east-1").map_err(|e| e.to_string())?;
-    let mut constraints = bench.constraints.clone();
-    constraints.tolerances.latency = 0.10;
-    constraints.tolerances.cost = 1.0;
+    let world = world_for(pset)?;
+    let (cloud, regions) = (&world.cloud, &world.regions);
+    let constraints = cli_constraints(&bench);
     let permitted = constraints
-        .permitted_regions(&bench.dag, &regions, &cloud.regions, home)
+        .permitted_regions(&bench.dag, regions, &cloud.regions, world.home)
         .map_err(|e| e.to_string())?;
     let day_start = (hour / 24.0).floor() * 24.0;
-    let forecast = ForecastingSource::fit(&carbon, &regions, day_start, 48);
-    let models = DefaultModels {
-        profile: &bench.profile,
-        runtime: &cloud.compute,
-        latency: &cloud.latency,
-        orchestrator: Orchestrator::Caribou,
-    };
-    let ctx = SolverContext {
-        dag: &bench.dag,
-        profile: &bench.profile,
-        permitted: &permitted,
-        home,
-        objective: Objective::Carbon,
-        tolerances: constraints.tolerances,
-        carbon_source: &forecast,
-        carbon_model: CarbonModel::new(scenario(args)),
-        cost_model: CostModel::new(&cloud.pricing),
-        models: &models,
-        mc_config: MonteCarloConfig::default(),
-    };
+    let forecast = ForecastingSource::fit(&world.carbon, regions, day_start, 48);
+    let case = world.case(&bench, scenario(args), MonteCarloConfig::default());
+    let ctx = case.context(&permitted, constraints.tolerances, &forecast);
     let engine = EvalEngine::new(7, workers(args)?);
     if has_flag(args, "--hourly") {
         // Full 24-hour schedule through the deterministic evaluation
@@ -446,7 +418,7 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
             let assignment: Vec<String> = bench
                 .dag
                 .all_nodes()
-                .map(|n| region_label(&cloud, pset, plan.region_of(n)))
+                .map(|n| region_label(cloud, pset, plan.region_of(n)))
                 .collect();
             println!("  hour {h:>2}: {}", assignment.join(", "));
         }
@@ -460,11 +432,11 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
                     .plans
                     .regions_used()
                     .into_iter()
-                    .map(|r| region_label(&cloud, pset, r))
+                    .map(|r| region_label(cloud, pset, r))
                     .collect();
                 let excluded = match e.exclusion {
                     caribou_model::plan::Exclusion::Region(r) => {
-                        format!("region:{}", region_label(&cloud, pset, r))
+                        format!("region:{}", region_label(cloud, pset, r))
                     }
                     caribou_model::plan::Exclusion::Provider(p) => format!("provider:{p}"),
                 };
@@ -495,7 +467,7 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         println!(
             "  {:<20} -> {}",
             bench.dag.node(node).name,
-            region_label(&cloud, pset, outcome.best.region_of(node))
+            region_label(cloud, pset, outcome.best.region_of(node))
         );
     }
     let best = ctx.metric_of(&outcome.best_estimate);
@@ -531,31 +503,21 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
     let bench = find_benchmark(name, input)?;
 
     let pset = providers(args)?;
-    let (cloud, regions) = cloud_for(pset, 7)?;
-    let carbon = RegionalSource::new(
-        &cloud.regions,
-        SyntheticCarbonSource::aws_calibrated(20231015),
-    )?;
+    let World {
+        cloud,
+        regions,
+        carbon,
+        home,
+    } = world_for(pset)?;
     let mut config = CaribouConfig::new(regions, scenario(args));
     if flag(args, "--workers").is_some() {
         config.workers = workers(args)?;
     }
     let mut caribou = Caribou::new(cloud, carbon, config);
-    let mut constraints = bench.constraints.clone();
-    constraints.tolerances.latency = 0.10;
-    constraints.tolerances.cost = 1.0;
-    let app = WorkflowApp {
-        name: bench.dag.name().into(),
-        home: caribou
-            .cloud
-            .region("us-east-1")
-            .map_err(|e| e.to_string())?,
-        dag: bench.dag.clone(),
-        profile: bench.profile.clone(),
-    };
-    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", "us-east-1");
+    let app = workflow_app(&bench, home);
+    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
     let idx = caribou
-        .deploy(app, &manifest, constraints)
+        .deploy(app, &manifest, cli_constraints(&bench))
         .map_err(|e| e.to_string())?;
     let telemetry_path = flag(args, "--telemetry");
     if let Some(path) = telemetry_path {

@@ -42,6 +42,7 @@ use caribou_simcloud::orchestration::Orchestrator;
 
 use crate::driver;
 use crate::migrator::Migrator;
+use crate::scenario::{Case, HOME};
 use crate::utility::{DeployedWorkflow, DeploymentUtility};
 
 /// Parameters of one chaos campaign.
@@ -181,14 +182,15 @@ fn chaos_app(home: RegionId) -> WorkflowApp {
 }
 
 /// The campaign's cloud, its home region and the regions it offloads
-/// across.
+/// across. Not a `scenario::World`: campaigns meter carbon on a flat
+/// per-zone table, so no calibrated source is built.
 fn world(config: &ChaosConfig) -> (SimCloud, RegionId, Vec<RegionId>) {
     let cloud = SimCloud::for_providers(config.providers, config.seed)
         .expect("chaos providers must have backends");
     let regions = cloud.evaluation_regions();
     let home = cloud
-        .region("us-east-1")
-        .expect("every chaos catalog includes us-east-1");
+        .region(HOME)
+        .expect("every chaos catalog includes the home region");
     (cloud, home, regions)
 }
 
@@ -384,7 +386,7 @@ pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
     // Deploy home, then offload across the evaluation regions BEFORE any
     // fault is armed — the campaign studies the runtime, not the rollout.
     let app = chaos_app(home);
-    let manifest = DeploymentManifest::new("chaos", "0.1", "us-east-1");
+    let manifest = DeploymentManifest::new("chaos", "0.1", HOME);
     let mut wf =
         DeploymentUtility::deploy_initial(&mut cloud, app, &manifest).expect("initial deploy");
     let offload: Vec<RegionId> = regions.iter().copied().filter(|r| *r != home).collect();
@@ -521,9 +523,8 @@ fn correlated_campaign_with(
     config: &ChaosConfig,
     plan_faults: impl FnOnce(&[(RegionId, Provider)], RegionId) -> FaultPlan,
 ) -> CorrelatedChaosReport {
-    use caribou_metrics::costmodel::CostModel;
-    use caribou_metrics::montecarlo::{DefaultModels, MonteCarloConfig};
-    use caribou_model::constraints::{Objective, Tolerances};
+    use caribou_metrics::montecarlo::MonteCarloConfig;
+    use caribou_model::constraints::Tolerances;
 
     let (mut cloud, home, regions) = world(config);
     let topology: Vec<(RegionId, Provider)> = regions
@@ -563,57 +564,47 @@ fn correlated_campaign_with(
     // Solve the primary 24-hour schedule plus the contingency table over
     // the fresh table (the solve happens before the feed goes dark).
     let app = chaos_app(home);
-    let runtime = cloud.compute.clone();
-    let latency = cloud.latency.clone();
-    let cost_model = CostModel::new(&cloud.pricing);
-    let models = DefaultModels {
-        profile: &app.profile,
-        runtime: &runtime,
-        latency: &latency,
-        orchestrator: Orchestrator::Caribou,
-    };
     let permitted = vec![regions.clone(); app.dag.node_count()];
-    let ctx = caribou_solver::SolverContext {
-        dag: &app.dag,
-        profile: &app.profile,
-        permitted: &permitted,
-        home,
-        objective: Objective::Carbon,
-        tolerances: Tolerances {
+    let (primary, table_c) = {
+        let case = Case::on_default_models(
+            &cloud,
+            home,
+            &app.dag,
+            &app.profile,
+            TransmissionScenario::BEST,
+            MonteCarloConfig {
+                batch: 60,
+                max_samples: 120,
+                cv_threshold: 0.1,
+            },
+        );
+        let tolerances = Tolerances {
             latency: 2.0,
             cost: 2.0,
             carbon: f64::INFINITY,
-        },
-        carbon_source: &table,
-        carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-        cost_model,
-        models: &models,
-        mc_config: MonteCarloConfig {
-            batch: 60,
-            max_samples: 120,
-            cv_threshold: 0.1,
-        },
+        };
+        let ctx = case.context(&permitted, tolerances, &table);
+        let engine = caribou_solver::EvalEngine::new(config.seed, config.workers.max(1));
+        let solver = caribou_solver::HbssSolver::new();
+        let expires = config.duration_s * 10.0 + 1e6;
+        let mut solve_rng = Pcg32::seed_stream(config.seed, 0x501e);
+        caribou_solver::contingency::solve_hourly_with_contingency(
+            &engine,
+            &solver,
+            &ctx,
+            &topology,
+            0.0,
+            0.0,
+            expires,
+            &mut solve_rng,
+            config.seed,
+            config.contingency,
+        )
     };
-    let engine = caribou_solver::EvalEngine::new(config.seed, config.workers.max(1));
-    let solver = caribou_solver::HbssSolver::new();
-    let expires = config.duration_s * 10.0 + 1e6;
-    let mut solve_rng = Pcg32::seed_stream(config.seed, 0x501e);
-    let (primary, table_c) = caribou_solver::contingency::solve_hourly_with_contingency(
-        &engine,
-        &solver,
-        &ctx,
-        &topology,
-        0.0,
-        0.0,
-        expires,
-        &mut solve_rng,
-        config.seed,
-        config.contingency,
-    );
 
     // Deploy home, every fallback's regions, then the primary — all
     // before a single fault is armed.
-    let manifest = DeploymentManifest::new("chaos", "0.1", "us-east-1");
+    let manifest = DeploymentManifest::new("chaos", "0.1", HOME);
     let mut wf =
         DeploymentUtility::deploy_initial(&mut cloud, app, &manifest).expect("initial deploy");
     let deployed_at = cloud.clock.now();

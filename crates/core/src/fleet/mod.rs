@@ -37,21 +37,19 @@ use std::sync::Arc;
 
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::{CarbonDataSource, RegionalSource, TableSource};
-use caribou_carbon::synth::SyntheticCarbonSource;
-use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::costmodel::CostModel;
+use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_metrics::montecarlo::{DefaultModels, MonteCarloConfig};
-use caribou_model::constraints::Objective;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::region::{ProviderSet, RegionId};
 use caribou_model::rng::{mix64, SeedSplitter};
 use caribou_simcloud::cloud::SimCloud;
-use caribou_simcloud::orchestration::Orchestrator;
 use caribou_solver::context::SolverContext;
 use caribou_solver::engine::{EstimateCache, EvalEngine, DEFAULT_CACHE_CAPACITY};
 use caribou_solver::hbss::{HbssParams, HbssSolver};
 use caribou_solver::pool;
 use caribou_workloads::fleet::FleetApp;
+
+use crate::scenario::{grid, Case};
 
 pub use index::{DependencyIndex, DirtySet};
 pub use perturb::{parse_perturb, PerturbOp, Perturbation};
@@ -138,17 +136,19 @@ impl FleetEnv {
         hours: usize,
         providers: ProviderSet,
     ) -> Result<Self, caribou_model::error::ModelError> {
+        // `scenario::World::new`'s three calls without its home: fleet
+        // apps draw their homes from the universe, so a provider set
+        // whose catalog lacks `us-east-1` (`gcp` alone) is a valid fleet.
         let cloud = SimCloud::for_providers(providers, seed)?;
         let universe = cloud.evaluation_regions();
+        let carbon = RegionalSource::new(&cloud.regions, grid(seed))
+            .expect("the catalog's grid zones are all calibrated");
         let provider_bits = cloud.regions.provider_bits(&universe);
-        let synth =
-            RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(seed))
-                .expect("the catalog's grid zones are all calibrated");
         let forecast = universe
             .iter()
             .map(|&r| {
                 let values: Vec<f64> = (0..hours)
-                    .map(|h| synth.intensity(r, h as f64 + 0.5))
+                    .map(|h| carbon.intensity(r, h as f64 + 0.5))
                     .collect();
                 (r, values)
             })
@@ -368,31 +368,23 @@ fn run_cells(
     cache_entries_invalidated: u64,
 ) -> FleetReport {
     let table = env.table();
-    let models: Vec<DefaultModels<'_>> = apps
+    let cases: Vec<Case<'_, DefaultModels<'_>>> = apps
         .iter()
-        .map(|a| DefaultModels {
-            profile: &a.profile,
-            runtime: &env.cloud.compute,
-            latency: &env.cloud.latency,
-            orchestrator: Orchestrator::Caribou,
+        .map(|a| {
+            Case::on_default_models(
+                &env.cloud,
+                a.home,
+                &a.dag,
+                &a.profile,
+                TransmissionScenario::BEST,
+                cfg.mc,
+            )
         })
         .collect();
     let ctxs: Vec<SolverContext<'_, TableSource, DefaultModels<'_>>> = apps
         .iter()
-        .zip(&models)
-        .map(|(a, m)| SolverContext {
-            dag: &a.dag,
-            profile: &a.profile,
-            permitted: &a.permitted,
-            home: a.home,
-            objective: Objective::Carbon,
-            tolerances: a.tolerances,
-            carbon_source: &table,
-            carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-            cost_model: CostModel::new(&env.cloud.pricing),
-            models: m,
-            mc_config: cfg.mc,
-        })
+        .zip(&cases)
+        .map(|(a, case)| case.context(&a.permitted, a.tolerances, &table))
         .collect();
     // One engine per app: same solve seed, per-app fingerprint, the
     // env's provider bits, shared cache — the cross-app sharing contract

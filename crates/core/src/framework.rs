@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 use caribou_carbon::source::{CarbonDataSource, ForecastingSource};
 use caribou_exec::engine::{ExecutionEngine, InvocationScratch, WorkflowApp};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::costmodel::CostModel;
 use caribou_metrics::energy::expected_energy_kwh;
 use caribou_metrics::manager::MetricsManager;
 use caribou_metrics::montecarlo::MonteCarloConfig;
@@ -23,7 +22,6 @@ use caribou_model::region::RegionId;
 use caribou_model::rng::{Pcg32, SeedSplitter};
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::orchestration::Orchestrator;
-use caribou_solver::context::SolverContext;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::{HbssParams, HbssSolver};
 use caribou_solver::hourly::{solve_daily, solve_hourly_with};
@@ -32,6 +30,7 @@ use crate::driver;
 use crate::error::CoreError;
 use crate::manager::{CheckMetrics, DeploymentManager, ManagerConfig, SolveDecision};
 use crate::migrator::Migrator;
+use crate::scenario::Case;
 use crate::utility::{DeployedWorkflow, DeploymentUtility};
 
 /// Framework configuration.
@@ -483,20 +482,17 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
             );
             let forecast =
                 ForecastingSource::fit(&self.carbon, &self.config.candidate_regions, now_h, 48);
-            let cost_model = CostModel::new(&self.cloud.pricing);
-            let ctx = SolverContext {
-                dag,
-                profile: &profile,
-                permitted: &permitted,
+            let case = Case::new(
+                &self.cloud,
                 home,
-                objective: state.constraints.objective,
-                tolerances: state.constraints.tolerances,
-                carbon_source: &forecast,
-                carbon_model: CarbonModel::new(self.config.scenario),
-                cost_model,
-                models: &models,
-                mc_config: self.config.mc,
-            };
+                dag,
+                &profile,
+                models,
+                self.config.scenario,
+                self.config.mc,
+            )
+            .minimizing(state.constraints.objective);
+            let ctx = case.context(&permitted, state.constraints.tolerances, &forecast);
             let solver = HbssSolver {
                 params: self.config.hbss,
             };

@@ -27,7 +27,11 @@
 //! * [`fleet`] — multi-tenant solving: a seeded fleet of heterogeneous
 //!   DAG apps re-planned every simulated hour through one shared,
 //!   cross-app estimate cache, with dependency-indexed incremental
-//!   re-solve after forecast revisions.
+//!   re-solve after forecast revisions;
+//! * [`scenario`] — the one assembly of an evaluation world (cloud,
+//!   evaluation regions, calibrated carbon data, home) and of the
+//!   planning case a workflow in it denotes, under the CLI, the figure
+//!   harness, the fleet, the framework's tick, the examples and the tests.
 //!
 //! # Quickstart
 //!
@@ -42,6 +46,7 @@ pub mod framework;
 pub mod loadgen;
 pub mod manager;
 pub mod migrator;
+pub mod scenario;
 pub mod tokens;
 pub mod utility;
 

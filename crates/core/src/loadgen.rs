@@ -40,9 +40,8 @@
 use std::sync::Mutex;
 
 use caribou_carbon::source::RegionalSource;
-use caribou_carbon::synth::SyntheticCarbonSource;
 use caribou_carbon::CarbonError;
-use caribou_exec::engine::{ExecutionEngine, InvocationScratch, WorkflowApp};
+use caribou_exec::engine::{ExecutionEngine, InvocationScratch};
 use caribou_exec::outcome::ExecutionOutcome;
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_model::plan::DeploymentPlan;
@@ -56,6 +55,7 @@ use caribou_workloads::arrivals::ArrivalProcess;
 use caribou_workloads::benchmarks::Benchmark;
 
 use crate::driver;
+use crate::scenario::{grid, workflow_app, CARBON_EPOCH, HOME};
 
 /// Fixed chunk size: chunk boundaries (and therefore results) depend only
 /// on the invocation count, never on the worker count. One round of
@@ -273,20 +273,14 @@ fn accumulate_pool_stats(total: &mut PoolStats, round: PoolStats) {
 pub fn run_loadgen(bench: &Benchmark, config: &LoadgenConfig) -> Result<LoadReport, CarbonError> {
     // One template cloud resolves the home region and validates the
     // carbon calibration once; shard clouds share its catalog shape.
+    // `scenario::World::evaluation` minus the evaluation-region pass this
+    // path never reads.
     let template = SimCloud::aws(config.seed);
     let home = template
-        .region("us-east-1")
-        .expect("the default catalog includes us-east-1");
-    let carbon = RegionalSource::new(
-        &template.regions,
-        SyntheticCarbonSource::aws_calibrated(20231015),
-    )?;
-    let app = WorkflowApp {
-        name: bench.dag.name().into(),
-        dag: bench.dag.clone(),
-        profile: bench.profile.clone(),
-        home,
-    };
+        .region(HOME)
+        .expect("the default catalog includes the home region");
+    let carbon = RegionalSource::new(&template.regions, grid(CARBON_EPOCH))?;
+    let app = workflow_app(bench, home);
     let plan = DeploymentPlan::uniform(app.dag.node_count(), home);
     let engine = ExecutionEngine {
         carbon_source: &carbon,

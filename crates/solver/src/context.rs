@@ -56,6 +56,34 @@ pub struct SolveOutcome {
 }
 
 impl<S: CarbonDataSource, M: StageModels> SolverContext<'_, S, M> {
+    /// This context over another per-node permitted set.
+    pub fn with_permitted<'b>(&'b self, permitted: &'b [Vec<RegionId>]) -> SolverContext<'b, S, M> {
+        SolverContext {
+            permitted,
+            ..self.with_source(self.carbon_source)
+        }
+    }
+
+    /// This context reading another carbon source.
+    pub fn with_source<'b, T: CarbonDataSource>(
+        &'b self,
+        source: &'b T,
+    ) -> SolverContext<'b, T, M> {
+        SolverContext {
+            dag: self.dag,
+            profile: self.profile,
+            permitted: self.permitted,
+            home: self.home,
+            objective: self.objective,
+            tolerances: self.tolerances,
+            carbon_source: source,
+            carbon_model: self.carbon_model,
+            cost_model: self.cost_model.clone(),
+            models: self.models,
+            mc_config: self.mc_config,
+        }
+    }
+
     /// Evaluates a plan at an hour on a draw bank of its own, named by
     /// `rng`.
     pub fn evaluate(&self, plan: &DeploymentPlan, hour: f64, rng: &mut Pcg32) -> EstimateSummary {

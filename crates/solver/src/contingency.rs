@@ -152,19 +152,7 @@ pub fn solve_hourly_with_contingency<S: CarbonDataSource + Sync, M: StageModels 
             // fallback cannot exist.
             continue;
         }
-        let fctx = SolverContext {
-            dag: ctx.dag,
-            profile: ctx.profile,
-            permitted: &permitted,
-            home: ctx.home,
-            objective: ctx.objective,
-            tolerances: ctx.tolerances,
-            carbon_source: ctx.carbon_source,
-            carbon_model: ctx.carbon_model,
-            cost_model: ctx.cost_model.clone(),
-            models: ctx.models,
-            mc_config: ctx.mc_config,
-        };
+        let fctx = ctx.with_permitted(&permitted);
         let mut frng = SeedSplitter::new(contingency_seed)
             .absorb(CONTINGENCY_DOMAIN)
             .absorb(exclusion_salt(&exclusion))

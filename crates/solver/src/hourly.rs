@@ -82,19 +82,7 @@ pub fn solve_daily<S: CarbonDataSource, M: StageModels>(
     rng: &mut Pcg32,
 ) -> HourlyPlans {
     let averaged = DayAveragedSource::new(ctx.carbon_source, day_start_hour);
-    let day_ctx = SolverContext {
-        dag: ctx.dag,
-        profile: ctx.profile,
-        permitted: ctx.permitted,
-        home: ctx.home,
-        objective: ctx.objective,
-        tolerances: ctx.tolerances,
-        carbon_source: &averaged,
-        carbon_model: ctx.carbon_model,
-        cost_model: ctx.cost_model.clone(),
-        models: ctx.models,
-        mc_config: ctx.mc_config,
-    };
+    let day_ctx = ctx.with_source(&averaged);
     let best = solver
         .solve_with(engine, &day_ctx, day_start_hour + 12.0, rng)
         .best;

@@ -9,37 +9,27 @@
 //!
 //! Run with: `cargo run --release -p caribou-core --example adaptive_week`
 
-use caribou_carbon::source::RegionalSource;
-use caribou_carbon::synth::SyntheticCarbonSource;
 use caribou_core::framework::{Caribou, CaribouConfig};
-use caribou_exec::engine::WorkflowApp;
+use caribou_core::scenario::{workflow_app, World, HOME};
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_model::manifest::DeploymentManifest;
+use caribou_model::region::ProviderSet;
 use caribou_model::rng::Pcg32;
-use caribou_simcloud::cloud::SimCloud;
 use caribou_workloads::benchmarks::{video_analytics, InputSize};
 use caribou_workloads::traces::azure_trace;
 
 fn main() {
-    let cloud = SimCloud::aws(21);
-    let carbon =
-        RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(21)).unwrap();
-    let regions = cloud.regions.evaluation_regions();
-    let mut config = CaribouConfig::new(regions, TransmissionScenario::BEST);
+    let world = World::new(ProviderSet::aws_only(), 21, 21).expect("the AWS backend exists");
+    let mut config = CaribouConfig::new(world.regions, TransmissionScenario::BEST);
     config.seed = 21;
-    let mut caribou = Caribou::new(cloud, carbon, config);
+    let mut caribou = Caribou::new(world.cloud, world.carbon, config);
 
     let bench = video_analytics(InputSize::Small);
     let mut constraints = bench.constraints.clone();
     constraints.tolerances.latency = 0.15;
     constraints.tolerances.cost = 1.0;
-    let app = WorkflowApp {
-        name: bench.dag.name().into(),
-        home: caribou.cloud.region("us-east-1").unwrap(),
-        dag: bench.dag.clone(),
-        profile: bench.profile.clone(),
-    };
-    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", "us-east-1");
+    let app = workflow_app(&bench, world.home);
+    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
     let idx = caribou.deploy(app, &manifest, constraints).unwrap();
 
     let trace = azure_trace(

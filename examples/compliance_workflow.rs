@@ -11,26 +11,20 @@
 //!
 //! Run with: `cargo run --release -p caribou-core --example compliance_workflow`
 
-use caribou_carbon::source::{ForecastingSource, RegionalSource};
-use caribou_carbon::synth::SyntheticCarbonSource;
-use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::costmodel::CostModel;
-use caribou_metrics::montecarlo::{DefaultModels, MonteCarloConfig};
-use caribou_model::constraints::{Constraints, Objective, RegionFilter, Tolerances};
+use caribou_carbon::source::ForecastingSource;
+use caribou_core::scenario::{default_tolerances, World};
+use caribou_metrics::carbonmodel::TransmissionScenario;
+use caribou_metrics::montecarlo::MonteCarloConfig;
+use caribou_model::constraints::{Constraints, Objective, RegionFilter};
+use caribou_model::region::ProviderSet;
 use caribou_model::rng::Pcg32;
-use caribou_simcloud::cloud::SimCloud;
-use caribou_simcloud::orchestration::Orchestrator;
-use caribou_solver::context::SolverContext;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use caribou_workloads::benchmarks::{text2speech_censoring, InputSize};
 
 fn main() {
-    let cloud = SimCloud::aws(7);
-    let carbon =
-        RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(7)).unwrap();
-    let home = cloud.region("us-east-1").unwrap();
-    let regions = cloud.regions.evaluation_regions();
+    let world = World::new(ProviderSet::aws_only(), 7, 7).expect("the AWS backend exists");
+    let cloud = &world.cloud;
 
     let bench = text2speech_censoring(InputSize::Small);
     let upload_node = bench.dag.node_by_name("Upload").expect("stage exists");
@@ -39,38 +33,21 @@ fn main() {
     // the US (HIPAA-style residency); the workflow level stays open.
     let mut constraints = Constraints::unconstrained(bench.dag.node_count());
     constraints.per_node[upload_node.index()] = Some(RegionFilter::countries(["US"]));
-    constraints.tolerances = Tolerances {
-        latency: 0.10,
-        cost: 1.0,
-        carbon: f64::INFINITY,
-    };
+    constraints.tolerances = default_tolerances();
     constraints.objective = Objective::Carbon;
 
     let permitted = constraints
-        .permitted_regions(&bench.dag, &regions, &cloud.regions, home)
+        .permitted_regions(&bench.dag, &world.regions, &cloud.regions, world.home)
         .expect("valid constraints");
 
     // Solve at hour 12 of the evaluation week on forecast data.
-    let forecast = ForecastingSource::fit(&carbon, &regions, 0.0, 48);
-    let models = DefaultModels {
-        profile: &bench.profile,
-        runtime: &cloud.compute,
-        latency: &cloud.latency,
-        orchestrator: Orchestrator::Caribou,
-    };
-    let ctx = SolverContext {
-        dag: &bench.dag,
-        profile: &bench.profile,
-        permitted: &permitted,
-        home,
-        objective: Objective::Carbon,
-        tolerances: constraints.tolerances,
-        carbon_source: &forecast,
-        carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-        cost_model: CostModel::new(&cloud.pricing),
-        models: &models,
-        mc_config: MonteCarloConfig::default(),
-    };
+    let forecast = ForecastingSource::fit(&world.carbon, &world.regions, 0.0, 48);
+    let case = world.case(
+        &bench,
+        TransmissionScenario::BEST,
+        MonteCarloConfig::default(),
+    );
+    let ctx = case.context(&permitted, constraints.tolerances, &forecast);
     let engine = EvalEngine::new(7, 1);
     let outcome = HbssSolver::new().solve_with(&engine, &ctx, 12.5, &mut Pcg32::seed(7));
 

@@ -8,20 +8,17 @@
 //!
 //! Run with: `cargo run --release -p caribou-core --example custom_workload`
 
-use caribou_carbon::source::RegionalSource;
-use caribou_carbon::synth::SyntheticCarbonSource;
+use caribou_core::scenario::{Case, World};
 use caribou_exec::engine::{ExecutionEngine, WorkflowApp};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::costmodel::CostModel;
-use caribou_metrics::montecarlo::{DefaultModels, MonteCarloConfig, MonteCarloEstimator};
+use caribou_metrics::montecarlo::MonteCarloConfig;
 use caribou_model::builder::Workflow;
-use caribou_model::constraints::{Objective, Tolerances};
+use caribou_model::constraints::Tolerances;
 use caribou_model::dist::DistSpec;
 use caribou_model::plan::DeploymentPlan;
+use caribou_model::region::ProviderSet;
 use caribou_model::rng::Pcg32;
-use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::orchestration::Orchestrator;
-use caribou_solver::context::SolverContext;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use caribou_solver::{coarse, exhaustive};
@@ -84,50 +81,35 @@ fn main() {
         dag.has_conditional_edges()
     );
 
-    let mut cloud = SimCloud::aws(5);
-    let carbon =
-        RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(5)).unwrap();
-    let home = cloud.region("us-east-1").unwrap();
-    let regions = cloud.regions.evaluation_regions();
+    let World {
+        mut cloud,
+        regions,
+        carbon,
+        home,
+    } = World::new(ProviderSet::aws_only(), 5, 5).expect("the AWS backend exists");
     let permitted = constraints
         .permitted_regions(&dag, &regions, &cloud.regions, home)
         .expect("valid constraints");
 
-    let models = DefaultModels {
-        profile: &profile,
-        runtime: &cloud.compute,
-        latency: &cloud.latency,
-        orchestrator: Orchestrator::Caribou,
-    };
-    let ctx = SolverContext {
-        dag: &dag,
-        profile: &profile,
-        permitted: &permitted,
+    // A custom workflow is a planning case of its own: its DAG and
+    // profile priced on the world's cloud.
+    let case = Case::on_default_models(
+        &cloud,
         home,
-        objective: Objective::Carbon,
-        tolerances: Tolerances {
-            latency: 0.15,
-            cost: 1.0,
-            carbon: f64::INFINITY,
-        },
-        carbon_source: &carbon,
-        carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-        cost_model: CostModel::new(&cloud.pricing),
-        models: &models,
-        mc_config: MonteCarloConfig::default(),
+        &dag,
+        &profile,
+        TransmissionScenario::BEST,
+        MonteCarloConfig::default(),
+    );
+    let tolerances = Tolerances {
+        latency: 0.15,
+        cost: 1.0,
+        carbon: f64::INFINITY,
     };
+    let ctx = case.context(&permitted, tolerances, &carbon);
 
     // Estimate the home deployment directly.
-    let estimator = MonteCarloEstimator {
-        dag: &dag,
-        profile: &profile,
-        carbon_source: &carbon,
-        carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-        cost_model: CostModel::new(&cloud.pricing),
-        models: &models,
-        home,
-        config: MonteCarloConfig::default(),
-    };
+    let estimator = case.estimator(&carbon);
     let home_plan = DeploymentPlan::uniform(dag.node_count(), home);
     let home_est = estimator.estimate(&home_plan, 12.5, &mut Pcg32::seed(1));
     println!(

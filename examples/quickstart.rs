@@ -9,15 +9,14 @@
 //!
 //! Run with: `cargo run --release -p caribou-core --example quickstart`
 
-use caribou_carbon::source::RegionalSource;
-use caribou_carbon::synth::SyntheticCarbonSource;
 use caribou_core::framework::{Caribou, CaribouConfig};
+use caribou_core::scenario::{World, HOME};
 use caribou_exec::engine::WorkflowApp;
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_model::builder::Workflow;
 use caribou_model::dist::DistSpec;
 use caribou_model::manifest::DeploymentManifest;
-use caribou_simcloud::cloud::SimCloud;
+use caribou_model::region::ProviderSet;
 use caribou_workloads::traces::uniform_trace;
 
 fn main() {
@@ -44,23 +43,20 @@ fn main() {
     wf.set_input(DistSpec::Constant { value: 500e3 });
 
     // 2. Stand up the simulated cloud and calibrated carbon data.
-    let cloud = SimCloud::aws(42);
-    let carbon =
-        RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(42)).unwrap();
-    let regions = cloud.regions.evaluation_regions();
-    let config = CaribouConfig::new(regions, TransmissionScenario::BEST);
-    let mut caribou = Caribou::new(cloud, carbon, config);
+    let world = World::new(ProviderSet::aws_only(), 42, 42).expect("the AWS backend exists");
+    let config = CaribouConfig::new(world.regions, TransmissionScenario::BEST);
+    let mut caribou = Caribou::new(world.cloud, world.carbon, config);
 
     // 3. Initial deployment to the home region (§6.1).
     let (dag, profile, mut constraints) = wf.extract().expect("valid workflow");
     constraints.tolerances.latency = 0.25;
     let app = WorkflowApp {
         name: dag.name().into(),
-        home: caribou.cloud.region("us-east-1").unwrap(),
+        home: world.home,
         dag,
         profile,
     };
-    let manifest = DeploymentManifest::new("thumbnailer", "1.0", "us-east-1");
+    let manifest = DeploymentManifest::new("thumbnailer", "1.0", HOME);
     let idx = caribou
         .deploy(app, &manifest, constraints)
         .expect("deployment succeeds");

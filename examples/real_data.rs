@@ -12,7 +12,7 @@
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::TableSource;
 use caribou_core::framework::{Caribou, CaribouConfig};
-use caribou_exec::engine::WorkflowApp;
+use caribou_core::scenario::{workflow_app, HOME};
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_model::manifest::DeploymentManifest;
 use caribou_simcloud::cloud::SimCloud;
@@ -83,13 +83,8 @@ fn main() {
     let mut constraints = bench.constraints.clone();
     constraints.tolerances.latency = 0.15;
     constraints.tolerances.cost = 1.0;
-    let app = WorkflowApp {
-        name: bench.dag.name().into(),
-        home: caribou.cloud.region("us-east-1").unwrap(),
-        dag: bench.dag.clone(),
-        profile: bench.profile.clone(),
-    };
-    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", "us-east-1");
+    let app = workflow_app(&bench, caribou.cloud.region(HOME).unwrap());
+    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
     let idx = caribou.deploy(app, &manifest, constraints).unwrap();
     let report = caribou.run_trace(idx, &trace);
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The pre-PR gate: formatting, clippy with warnings denied, the test
 # suite, the release-only timing test, seeded CLI smoke runs diffed
-# across worker counts and against goldens/, and the grep gates; a run
-# must leave the working tree as it found it. Run before sending a PR.
+# across worker counts and against goldens/, the figure binaries
+# (scripts/figures.sh), and the grep gates; a run must leave the working
+# tree as it found it. Run before sending a PR.
 # Performance is not measured here: see benchmark/README.md.
 #
 #   scripts/check.sh          # everything
@@ -159,6 +160,13 @@ if [[ "${1:-}" != "--fast" ]]; then
     diff /tmp/caribou-corr-1w.txt /tmp/caribou-corr-2w.txt
     diff goldens/chaos_correlated_seed42_awsgcp.txt /tmp/caribou-corr-1w.txt
     rm -f /tmp/caribou-corr-1w.txt /tmp/caribou-corr-2w.txt
+
+    # The reproduction itself: every figure/table binary at full
+    # resolution rewrites results/*.json and full_results.txt, and the
+    # clean-tree gate below fails if a published number moved without
+    # being committed.
+    echo "==> scripts/figures.sh (results/ and full_results.txt)"
+    scripts/figures.sh
 fi
 
 # Panic-free user-input surface: the formerly panicking resolution paths
@@ -235,6 +243,23 @@ labels=$(grep -A 1 '^fn region_label' crates/core/src/bin/caribou.rs | grep -c '
 if [[ "$forks" -ne "$labels" ]]; then
     echo "error: is_aws_only() outside region.rs and the CLI's region_label:" >&2
     grep -rn 'is_aws_only()' crates | grep -v '^crates/model/src/region.rs:' >&2
+    exit 1
+fi
+
+# One experiment assembly: the calibrated grid enters through
+# scenario::grid alone, and the harness env, the CLI's cloud builder and
+# the environment knob that coarsened the figures stay deleted (this
+# gate's own lines are the only place the names survive).
+echo "==> single-assembly grep gate"
+hits=$(grep -rnF 'aws_calibrated(' crates/core/src crates/bench/src examples | wc -l)
+if [[ "$hits" -ne 1 ]]; then
+    echo "error: 'aws_calibrated(' has $hits call sites under crates/core/src, crates/bench/src, examples; want 1:" >&2
+    grep -rnF 'aws_calibrated(' crates/core/src crates/bench/src examples >&2 || true
+    exit 1
+fi
+if grep -rnE 'CARIBOU_FAST|ExpEnv|fn cloud_for|fn hour_step' \
+    crates tests examples README.md EXPERIMENTS.md; then
+    echo "error: a second experiment assembly is back (see matches above)" >&2
     exit 1
 fi
 

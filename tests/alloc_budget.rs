@@ -15,7 +15,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::TableSource;
 use caribou_core::loadgen::{run_loadgen, LoadgenConfig, CHUNK_INVOCATIONS};
-use caribou_exec::engine::{ExecutionEngine, InvocationScratch, WorkflowApp};
+use caribou_core::scenario::{workflow_app, HOME};
+use caribou_exec::engine::{ExecutionEngine, InvocationScratch};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::rng::Pcg32;
@@ -86,12 +87,7 @@ fn pooled_scratch_reduces_allocations_per_invocation() {
     let _serial = serial();
     let mut cloud = SimCloud::aws(5);
     let bench = text2speech_censoring(InputSize::Small);
-    let app = WorkflowApp {
-        name: bench.dag.name().into(),
-        home: cloud.region("us-east-1").unwrap(),
-        dag: bench.dag.clone(),
-        profile: bench.profile.clone(),
-    };
+    let app = workflow_app(&bench, cloud.region(HOME).unwrap());
     let plan = DeploymentPlan::uniform(app.dag.node_count(), app.home);
     let mut carbon = TableSource::new();
     for (id, _) in cloud.regions.iter() {

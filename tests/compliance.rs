@@ -2,23 +2,19 @@
 //! the solver, migrator, and executor (§2.3, §8).
 
 use caribou_carbon::source::RegionalSource;
-use caribou_carbon::synth::SyntheticCarbonSource;
 use caribou_core::framework::{Caribou, CaribouConfig};
-use caribou_exec::engine::WorkflowApp;
+use caribou_core::scenario::{workflow_app, World, HOME};
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_metrics::montecarlo::MonteCarloConfig;
 use caribou_model::constraints::{Constraints, RegionFilter, Tolerances};
 use caribou_model::manifest::DeploymentManifest;
-use caribou_simcloud::cloud::SimCloud;
+use caribou_model::region::ProviderSet;
 use caribou_workloads::benchmarks::{text2speech_censoring, InputSize};
 use caribou_workloads::traces::uniform_trace;
 
 fn run_with_constraints(constraints: Constraints, seed: u64) -> (Caribou<RegionalSource>, usize) {
-    let cloud = SimCloud::aws(seed);
-    let carbon =
-        RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(seed)).unwrap();
-    let regions = cloud.regions.evaluation_regions();
-    let mut config = CaribouConfig::new(regions, TransmissionScenario::BEST);
+    let world = World::new(ProviderSet::aws_only(), seed, seed).unwrap();
+    let mut config = CaribouConfig::new(world.regions, TransmissionScenario::BEST);
     config.mc = MonteCarloConfig {
         batch: 60,
         max_samples: 120,
@@ -26,15 +22,10 @@ fn run_with_constraints(constraints: Constraints, seed: u64) -> (Caribou<Regiona
     };
     config.hbss.max_iterations = 80;
     config.seed = seed;
-    let mut caribou = Caribou::new(cloud, carbon, config);
+    let mut caribou = Caribou::new(world.cloud, world.carbon, config);
     let bench = text2speech_censoring(InputSize::Small);
-    let app = WorkflowApp {
-        name: bench.dag.name().into(),
-        home: caribou.cloud.region("us-east-1").unwrap(),
-        dag: bench.dag.clone(),
-        profile: bench.profile.clone(),
-    };
-    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", "us-east-1");
+    let app = workflow_app(&bench, world.home);
+    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
     let idx = caribou.deploy(app, &manifest, constraints).unwrap();
     let trace = uniform_trace(30.0, 2.5 * 86_400.0, 1500.0);
     let report = caribou.run_trace(idx, &trace);

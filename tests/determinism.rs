@@ -2,30 +2,25 @@
 //! function of its seeds, so published numbers are reproducible bit for
 //! bit.
 
-use caribou_bench::harness::{default_tolerances, eval_over_week, ExpEnv, FineSolver};
+use caribou_bench::harness::{coarse_over_week, eval_over_week, FineSolver};
+use caribou_core::scenario::{default_tolerances, World};
 use caribou_metrics::carbonmodel::TransmissionScenario;
-use caribou_model::plan::DeploymentPlan;
 use caribou_workloads::benchmarks::{text2speech_censoring, InputSize};
+
+/// Hours between evaluation points: the figures' pipelines at coarse
+/// resolution.
+const STEP: usize = 12;
 
 #[test]
 fn full_experiment_pipeline_is_bit_reproducible() {
-    std::env::set_var("CARIBOU_FAST", "1");
     let run = || {
-        let env = ExpEnv::new(600);
+        let env = World::evaluation(600);
         let bench = text2speech_censoring(InputSize::Small);
-        let home = env.home;
-        let base = eval_over_week(
-            &env,
-            &bench,
-            TransmissionScenario::BEST,
-            |_| DeploymentPlan::uniform(bench.dag.node_count(), home),
-            1,
-        );
-        let regions = env.regions.clone();
+        let base = coarse_over_week(&env, &bench, TransmissionScenario::BEST, STEP, env.home, 1);
         let mut solver = FineSolver::new(
             &env,
             &bench,
-            &regions,
+            &env.regions,
             TransmissionScenario::BEST,
             default_tolerances(),
             2,
@@ -34,6 +29,7 @@ fn full_experiment_pipeline_is_bit_reproducible() {
             &env,
             &bench,
             TransmissionScenario::BEST,
+            STEP,
             |h| solver.plan_at(h),
             3,
         );
@@ -51,23 +47,21 @@ fn full_experiment_pipeline_is_bit_reproducible() {
 
 #[test]
 fn different_seeds_change_noise_not_conclusions() {
-    std::env::set_var("CARIBOU_FAST", "1");
     let norm_for = |seed: u64| -> f64 {
-        let env = ExpEnv::new(seed);
+        let env = World::evaluation(seed);
         let bench = text2speech_censoring(InputSize::Small);
-        let home = env.home;
-        let base = eval_over_week(
+        let base = coarse_over_week(
             &env,
             &bench,
             TransmissionScenario::BEST,
-            |_| DeploymentPlan::uniform(bench.dag.node_count(), home),
+            STEP,
+            env.home,
             seed,
         );
-        let regions = env.regions.clone();
         let mut solver = FineSolver::new(
             &env,
             &bench,
-            &regions,
+            &env.regions,
             TransmissionScenario::BEST,
             default_tolerances(),
             seed,
@@ -76,6 +70,7 @@ fn different_seeds_change_noise_not_conclusions() {
             &env,
             &bench,
             TransmissionScenario::BEST,
+            STEP,
             |h| solver.plan_at(h),
             seed + 1,
         );

@@ -2,15 +2,14 @@
 //! through the full framework on the simulated cloud.
 
 use caribou_carbon::source::RegionalSource;
-use caribou_carbon::synth::SyntheticCarbonSource;
 use caribou_core::framework::{Caribou, CaribouConfig};
 use caribou_core::manager::ManagerConfig;
-use caribou_exec::engine::WorkflowApp;
+use caribou_core::scenario::{workflow_app, World, CARBON_EPOCH, HOME};
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_metrics::montecarlo::MonteCarloConfig;
 use caribou_model::manifest::DeploymentManifest;
+use caribou_model::region::ProviderSet;
 use caribou_model::rng::Pcg32;
-use caribou_simcloud::cloud::SimCloud;
 use caribou_solver::hbss::HbssParams;
 use caribou_workloads::benchmarks::{all_benchmarks, Benchmark, InputSize};
 use caribou_workloads::traces::{azure_trace, uniform_trace};
@@ -29,6 +28,14 @@ fn fast_config(regions: Vec<caribou_model::region::RegionId>) -> CaribouConfig {
     config
 }
 
+/// The framework at the fast configuration over the AWS world whose
+/// cloud and carbon data are both seeded `seed`.
+fn framework(seed: u64) -> Caribou<RegionalSource> {
+    let world = World::new(ProviderSet::aws_only(), seed, seed).unwrap();
+    let config = fast_config(world.regions);
+    Caribou::new(world.cloud, world.carbon, config)
+}
+
 fn deploy_benchmark(caribou: &mut Caribou<RegionalSource>, bench: &Benchmark) -> usize {
     deploy_with_latency_tolerance(caribou, bench, 0.15)
 }
@@ -41,13 +48,8 @@ fn deploy_with_latency_tolerance(
     let mut constraints = bench.constraints.clone();
     constraints.tolerances.latency = latency_tolerance;
     constraints.tolerances.cost = 1.0;
-    let app = WorkflowApp {
-        name: bench.dag.name().into(),
-        home: caribou.cloud.region("us-east-1").unwrap(),
-        dag: bench.dag.clone(),
-        profile: bench.profile.clone(),
-    };
-    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", "us-east-1");
+    let app = workflow_app(bench, caribou.cloud.region(HOME).unwrap());
+    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
     caribou
         .deploy(app, &manifest, constraints)
         .expect("deploys")
@@ -56,12 +58,7 @@ fn deploy_with_latency_tolerance(
 #[test]
 fn every_benchmark_runs_through_the_framework() {
     for bench in all_benchmarks(InputSize::Small) {
-        let cloud = SimCloud::aws(100);
-        let carbon =
-            RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(100))
-                .unwrap();
-        let regions = cloud.regions.evaluation_regions();
-        let mut caribou = Caribou::new(cloud, carbon, fast_config(regions));
+        let mut caribou = framework(100);
         let idx = deploy_benchmark(&mut caribou, &bench);
         let trace = uniform_trace(30.0, 6.0 * 3600.0, 800.0);
         let report = caribou.run_trace(idx, &trace);
@@ -81,17 +78,13 @@ fn every_benchmark_runs_through_the_framework() {
 #[test]
 fn compute_heavy_benchmark_shifts_and_saves_carbon() {
     let bench = caribou_workloads::benchmarks::video_analytics(InputSize::Small);
-    let cloud = SimCloud::aws(101);
-    let carbon =
-        RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(101)).unwrap();
-    let regions = cloud.regions.evaluation_regions();
-    let mut caribou = Caribou::new(cloud, carbon, fast_config(regions));
+    let mut caribou = framework(101);
     let idx = deploy_benchmark(&mut caribou, &bench);
     let trace = uniform_trace(30.0, 3.0 * 86_400.0, 1500.0);
     let report = caribou.run_trace(idx, &trace);
     assert!(!report.dp_generations.is_empty(), "plans were solved");
 
-    let home = caribou.cloud.region("us-east-1").unwrap();
+    let home = caribou.cloud.region(HOME).unwrap();
     let offloaded = report
         .samples
         .iter()
@@ -124,11 +117,7 @@ fn compute_heavy_benchmark_shifts_and_saves_carbon() {
 #[test]
 fn migrations_copy_images_and_create_topics() {
     let bench = caribou_workloads::benchmarks::text2speech_censoring(InputSize::Small);
-    let cloud = SimCloud::aws(102);
-    let carbon =
-        RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(102)).unwrap();
-    let regions = cloud.regions.evaluation_regions();
-    let mut caribou = Caribou::new(cloud, carbon, fast_config(regions));
+    let mut caribou = framework(102);
     let idx = deploy_benchmark(&mut caribou, &bench);
     let trace = uniform_trace(30.0, 2.0 * 86_400.0, 2000.0);
     let report = caribou.run_trace(idx, &trace);
@@ -154,11 +143,7 @@ fn migrations_copy_images_and_create_topics() {
 #[test]
 fn azure_trace_week_is_stable_for_large_inputs() {
     let bench = caribou_workloads::benchmarks::rag_data_ingestion(InputSize::Large);
-    let cloud = SimCloud::aws(103);
-    let carbon =
-        RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(103)).unwrap();
-    let regions = cloud.regions.evaluation_regions();
-    let mut caribou = Caribou::new(cloud, carbon, fast_config(regions));
+    let mut caribou = framework(103);
     let idx = deploy_benchmark(&mut caribou, &bench);
     let trace = azure_trace(30.0, 2.5 * 86_400.0, 600.0, &mut Pcg32::seed(103));
     let report = caribou.run_trace(idx, &trace);
@@ -172,12 +157,7 @@ fn azure_trace_week_is_stable_for_large_inputs() {
 fn run_is_deterministic_per_seed() {
     let run = || {
         let bench = caribou_workloads::benchmarks::dna_visualization(InputSize::Small);
-        let cloud = SimCloud::aws(104);
-        let carbon =
-            RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(104))
-                .unwrap();
-        let regions = cloud.regions.evaluation_regions();
-        let mut caribou = Caribou::new(cloud, carbon, fast_config(regions));
+        let mut caribou = framework(104);
         let idx = deploy_benchmark(&mut caribou, &bench);
         let trace = uniform_trace(30.0, 86_400.0, 500.0);
         caribou.run_trace(idx, &trace)
@@ -192,13 +172,8 @@ fn run_is_deterministic_per_seed() {
 #[test]
 fn manager_cadence_relaxes_when_plans_stabilize() {
     let bench = caribou_workloads::benchmarks::text2speech_censoring(InputSize::Small);
-    let cloud = SimCloud::aws(105);
-    let carbon =
-        RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(105)).unwrap();
-    let regions = cloud.regions.evaluation_regions();
-    let mut config = fast_config(regions);
-    config.manager = ManagerConfig::default();
-    let mut caribou = Caribou::new(cloud, carbon, config);
+    let mut caribou = framework(105);
+    caribou.config.manager = ManagerConfig::default();
     let idx = deploy_benchmark(&mut caribou, &bench);
     let trace = uniform_trace(30.0, 7.0 * 86_400.0, 2000.0);
     let report = caribou.run_trace(idx, &trace);
@@ -227,15 +202,9 @@ fn manager_cadence_relaxes_when_plans_stabilize() {
 #[test]
 fn adaptive_week_across_the_log_cap_is_pinned() {
     let bench = caribou_workloads::benchmarks::text2speech_censoring(InputSize::Small);
-    let cloud = SimCloud::aws(7);
-    let carbon = RegionalSource::new(
-        &cloud.regions,
-        SyntheticCarbonSource::aws_calibrated(20231015),
-    )
-    .unwrap();
-    let regions = cloud.regions.evaluation_regions();
-    let config = CaribouConfig::new(regions, TransmissionScenario::BEST);
-    let mut caribou = Caribou::new(cloud, carbon, config);
+    let world = World::new(ProviderSet::aws_only(), 7, CARBON_EPOCH).unwrap();
+    let config = CaribouConfig::new(world.regions, TransmissionScenario::BEST);
+    let mut caribou = Caribou::new(world.cloud, world.carbon, config);
     let idx = deploy_with_latency_tolerance(&mut caribou, &bench, 0.10);
     let trace = uniform_trace(30.0, 7.0 * 86_400.0, 780.0);
     assert_eq!(trace.len(), 5_460);

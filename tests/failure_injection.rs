@@ -2,10 +2,9 @@
 //! message loss exercised through the full stack (§6.1's fallback and
 //! retry behaviour).
 
-use caribou_carbon::source::RegionalSource;
-use caribou_carbon::synth::SyntheticCarbonSource;
 use caribou_core::framework::{Caribou, CaribouConfig};
 use caribou_core::migrator::Migrator;
+use caribou_core::scenario::{World, HOME};
 use caribou_core::utility::DeploymentUtility;
 use caribou_exec::engine::{ExecutionEngine, WorkflowApp};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
@@ -14,6 +13,7 @@ use caribou_model::builder::Workflow;
 use caribou_model::dist::DistSpec;
 use caribou_model::manifest::DeploymentManifest;
 use caribou_model::plan::{DeploymentPlan, HourlyPlans};
+use caribou_model::region::ProviderSet;
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::faults::FaultPlan;
@@ -37,7 +37,7 @@ fn two_stage_app(cloud: &SimCloud) -> WorkflowApp {
         name: "wf".into(),
         dag,
         profile,
-        home: cloud.region("us-east-1").unwrap(),
+        home: cloud.region(HOME).unwrap(),
     }
 }
 
@@ -45,7 +45,7 @@ fn two_stage_app(cloud: &SimCloud) -> WorkflowApp {
 fn outage_during_migration_falls_back_home_then_retries() {
     let mut cloud = SimCloud::aws(200);
     let app = two_stage_app(&cloud);
-    let manifest = DeploymentManifest::new("wf", "0.1", "us-east-1");
+    let manifest = DeploymentManifest::new("wf", "0.1", HOME);
     let mut dep = DeploymentUtility::deploy_initial(&mut cloud, app, &manifest).unwrap();
     let ca = cloud.region("ca-central-1").unwrap();
     cloud.set_faults(FaultPlan::none().with_outage(ca, 0.0, 5_000.0));
@@ -76,15 +76,15 @@ fn outage_during_migration_falls_back_home_then_retries() {
 
 #[test]
 fn message_loss_is_absorbed_by_retries() {
-    let mut cloud = SimCloud::aws(201);
+    let World {
+        mut cloud, carbon, ..
+    } = World::new(ProviderSet::aws_only(), 201, 201).unwrap();
     cloud.set_faults(FaultPlan {
         message_drop_prob: 0.10,
         ..FaultPlan::none()
     });
     let app = two_stage_app(&cloud);
     let plan = DeploymentPlan::uniform(2, app.home);
-    let carbon =
-        RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(201)).unwrap();
     let engine = ExecutionEngine {
         carbon_source: &carbon,
         carbon_model: CarbonModel::new(TransmissionScenario::BEST),
@@ -116,18 +116,15 @@ fn message_loss_is_absorbed_by_retries() {
 
 #[test]
 fn framework_run_survives_transient_outage_of_offload_region() {
-    let cloud = SimCloud::aws(202);
-    let carbon =
-        RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(202)).unwrap();
-    let regions = cloud.regions.evaluation_regions();
-    let mut config = CaribouConfig::new(regions, TransmissionScenario::BEST);
+    let world = World::new(ProviderSet::aws_only(), 202, 202).unwrap();
+    let mut config = CaribouConfig::new(world.regions, TransmissionScenario::BEST);
     config.mc = MonteCarloConfig {
         batch: 60,
         max_samples: 120,
         cv_threshold: 0.1,
     };
     config.hbss.max_iterations = 60;
-    let mut caribou = Caribou::new(cloud, carbon, config);
+    let mut caribou = Caribou::new(world.cloud, world.carbon, config);
     // The clean region is down for the first day and a half: the first
     // solve's rollout fails, traffic stays home, and the retry succeeds
     // once the region recovers.
@@ -137,7 +134,7 @@ fn framework_run_survives_transient_outage_of_offload_region() {
         .set_faults(FaultPlan::none().with_outage(ca, 0.0, 1.3 * 86_400.0));
 
     let app = two_stage_app(&caribou.cloud);
-    let manifest = DeploymentManifest::new("wf", "0.1", "us-east-1");
+    let manifest = DeploymentManifest::new("wf", "0.1", HOME);
     let mut constraints = caribou_model::constraints::Constraints::unconstrained(2);
     constraints.tolerances.latency = 0.5;
     constraints.tolerances.cost = 1.0;
@@ -174,7 +171,6 @@ fn framework_run_survives_transient_outage_of_offload_region() {
 // ---------------------------------------------------------------------------
 
 use caribou_core::chaos::{run_correlated_campaign, ChaosConfig};
-use caribou_model::region::ProviderSet;
 use proptest::prelude::*;
 
 proptest! {

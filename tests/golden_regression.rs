@@ -6,12 +6,16 @@
 //! the published results. EXPERIMENTS.md quotes the same figures; update
 //! both together, and only deliberately.
 
-use caribou_bench::harness::{default_tolerances, eval_over_week, ExpEnv, FineSolver};
+use caribou_bench::harness::{coarse_over_week, eval_over_week, FineSolver};
 use caribou_core::chaos::run_campaign;
+use caribou_core::scenario::{default_tolerances, World};
 use caribou_core::ChaosConfig;
 use caribou_metrics::carbonmodel::TransmissionScenario;
-use caribou_model::plan::DeploymentPlan;
 use caribou_workloads::benchmarks::{text2speech_censoring, InputSize};
+
+/// Hours between evaluation points: the figures' pipelines at coarse
+/// resolution.
+const STEP: usize = 12;
 
 /// Relative tolerance for the floating-point pins: tight enough that any
 /// semantic drift trips it, loose enough to survive benign float
@@ -31,22 +35,13 @@ fn assert_close(actual: f64, pinned: f64, what: &str) {
 /// fast experiment profile) — pinned carbon, tail latency, and cost.
 #[test]
 fn text2speech_weekly_numbers_are_pinned() {
-    std::env::set_var("CARIBOU_FAST", "1");
-    let env = ExpEnv::new(600);
+    let env = World::evaluation(600);
     let bench = text2speech_censoring(InputSize::Small);
-    let home = env.home;
-    let base = eval_over_week(
-        &env,
-        &bench,
-        TransmissionScenario::BEST,
-        |_| DeploymentPlan::uniform(bench.dag.node_count(), home),
-        1,
-    );
-    let regions = env.regions.clone();
+    let base = coarse_over_week(&env, &bench, TransmissionScenario::BEST, STEP, env.home, 1);
     let mut solver = FineSolver::new(
         &env,
         &bench,
-        &regions,
+        &env.regions,
         TransmissionScenario::BEST,
         default_tolerances(),
         2,
@@ -55,6 +50,7 @@ fn text2speech_weekly_numbers_are_pinned() {
         &env,
         &bench,
         TransmissionScenario::BEST,
+        STEP,
         |h| solver.plan_at(h),
         3,
     );

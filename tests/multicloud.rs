@@ -8,12 +8,12 @@ use std::sync::Arc;
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::{CarbonDataSource, ForecastingSource, RegionalSource, TableSource};
 use caribou_carbon::synth::SyntheticCarbonSource;
+use caribou_core::scenario::{cli_constraints, Case, World, CARBON_EPOCH};
 use caribou_exec::engine::{ExecutionEngine, WorkflowApp};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::costmodel::CostModel;
 use caribou_metrics::montecarlo::{DefaultModels, MonteCarloConfig};
 use caribou_model::builder::Workflow;
-use caribou_model::constraints::{Constraints, Objective, RegionFilter};
+use caribou_model::constraints::{Constraints, RegionFilter};
 use caribou_model::dag::NodeId;
 use caribou_model::dist::DistSpec;
 use caribou_model::plan::DeploymentPlan;
@@ -149,7 +149,9 @@ fn two_stage_app(cloud: &SimCloud) -> WorkflowApp {
 #[test]
 fn provider_asymmetric_outage_reroutes_without_aliasing_colocated_region() {
     let set = ProviderSet::parse("aws,gcp").unwrap();
-    let mut cloud = SimCloud::for_providers(set, 61).unwrap();
+    let World {
+        mut cloud, carbon, ..
+    } = World::new(set, 61, 61).unwrap();
     let app = two_stage_app(&cloud);
     let gcp_west = cloud.region("gcp:us-west1").unwrap();
     let aws_west = cloud.region("aws:us-west-2").unwrap();
@@ -160,8 +162,6 @@ fn provider_asymmetric_outage_reroutes_without_aliasing_colocated_region() {
         "test premise: the two regions share a grid"
     );
     cloud.set_faults(FaultPlan::none().with_outage(gcp_west, 0.0, 1e9));
-    let carbon =
-        RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(61)).unwrap();
     let engine = ExecutionEngine {
         carbon_source: &carbon,
         carbon_model: CarbonModel::new(TransmissionScenario::BEST),
@@ -207,45 +207,24 @@ fn with_plan_ctx<R>(
         &RegionCatalog,
     ) -> R,
 ) -> R {
-    let cloud = SimCloud::for_providers(set, 7).unwrap();
-    let regions = cloud.evaluation_regions();
+    let world = World::new(set, 7, CARBON_EPOCH).unwrap();
+    let (cloud, regions) = (&world.cloud, &world.regions);
     let bench = all_benchmarks(InputSize::Small)
         .into_iter()
         .find(|b| b.dag.name().contains("text2speech"))
         .unwrap();
-    let carbon = RegionalSource::new(
-        &cloud.regions,
-        SyntheticCarbonSource::aws_calibrated(20231015),
-    )
-    .unwrap();
-    let home = cloud.region("us-east-1").unwrap();
-    let mut constraints = bench.constraints.clone();
-    constraints.tolerances.latency = 0.10;
-    constraints.tolerances.cost = 1.0;
+    let constraints = cli_constraints(&bench);
     let permitted = constraints
-        .permitted_regions(&bench.dag, &regions, &cloud.regions, home)
+        .permitted_regions(&bench.dag, regions, &cloud.regions, world.home)
         .unwrap();
-    let forecast = ForecastingSource::fit(&carbon, &regions, 0.0, 48);
-    let models = DefaultModels {
-        profile: &bench.profile,
-        runtime: &cloud.compute,
-        latency: &cloud.latency,
-        orchestrator: Orchestrator::Caribou,
-    };
-    let ctx = SolverContext {
-        dag: &bench.dag,
-        profile: &bench.profile,
-        permitted: &permitted,
-        home,
-        objective: Objective::Carbon,
-        tolerances: constraints.tolerances,
-        carbon_source: &forecast,
-        carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-        cost_model: CostModel::new(&cloud.pricing),
-        models: &models,
-        mc_config: MonteCarloConfig::default(),
-    };
-    f(&ctx, cloud.regions.provider_bits(&regions), &cloud.regions)
+    let forecast = ForecastingSource::fit(&world.carbon, regions, 0.0, 48);
+    let case = world.case(
+        &bench,
+        TransmissionScenario::BEST,
+        MonteCarloConfig::default(),
+    );
+    let ctx = case.context(&permitted, constraints.tolerances, &forecast);
+    f(&ctx, cloud.regions.provider_bits(regions), &cloud.regions)
 }
 
 /// Seeded cross-provider win (the acceptance scenario): with `aws,gcp`
@@ -416,33 +395,24 @@ fn with_cross_ctx<R>(
     let mut span = vec![east, aws_ca, gcp_west, gcp_qc];
     span.sort_unstable();
     let permitted = vec![span.clone(), span.clone()];
-    let models = DefaultModels {
-        profile: &profile,
-        runtime: &cloud.compute,
-        latency: &cloud.latency,
-        orchestrator: Orchestrator::Caribou,
-    };
-    let ctx = SolverContext {
-        dag: &dag,
-        profile: &profile,
-        permitted: &permitted,
-        home: east,
-        objective: Objective::Carbon,
-        tolerances: caribou_model::constraints::Tolerances {
-            latency: 0.5,
-            cost: 0.5,
-            carbon: f64::INFINITY,
-        },
-        carbon_source: &carbon,
-        carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-        cost_model: CostModel::new(&cloud.pricing),
-        models: &models,
-        mc_config: MonteCarloConfig {
+    let case = Case::on_default_models(
+        &cloud,
+        east,
+        &dag,
+        &profile,
+        TransmissionScenario::BEST,
+        MonteCarloConfig {
             batch: 60,
             max_samples: 120,
             cv_threshold: 0.1,
         },
+    );
+    let tolerances = caribou_model::constraints::Tolerances {
+        latency: 0.5,
+        cost: 0.5,
+        carbon: f64::INFINITY,
     };
+    let ctx = case.context(&permitted, tolerances, &carbon);
     let bits = cat.provider_bits(&span);
     f(&ctx, bits)
 }

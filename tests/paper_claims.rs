@@ -4,41 +4,27 @@
 //! continuously verified by `cargo test`; the full-resolution numbers come
 //! from the `caribou-bench` binaries.
 
-use caribou_bench::harness::{default_tolerances, eval_over_week, ExpEnv, FineSolver};
+use caribou_bench::harness::{coarse_over_week, eval_over_week, FineSolver};
+use caribou_core::scenario::{default_tolerances, World};
 use caribou_metrics::carbonmodel::TransmissionScenario;
-use caribou_model::plan::DeploymentPlan;
 use caribou_workloads::benchmarks::{
     image_processing, text2speech_censoring, video_analytics, InputSize,
 };
 
-fn fast() {
-    std::env::set_var("CARIBOU_FAST", "1");
-}
+/// Hours between evaluation points: the figures' pipelines at coarse
+/// resolution.
+const STEP: usize = 12;
 
 /// I1: static deployment to a lower-carbon region does not necessarily
 /// reduce emissions — coarse offloading of the transmission-heavy Image
 /// Processing workload under the worst-case scenario *increases* carbon.
 #[test]
 fn i1_static_low_carbon_deployment_can_worsen_emissions() {
-    fast();
-    let env = ExpEnv::new(400);
+    let env = World::evaluation(400);
     let bench = image_processing(InputSize::Large);
-    let home = env.region("us-east-1");
     let ca = env.region("ca-central-1");
-    let base = eval_over_week(
-        &env,
-        &bench,
-        TransmissionScenario::WORST,
-        |_| DeploymentPlan::uniform(bench.dag.node_count(), home),
-        1,
-    );
-    let coarse_ca = eval_over_week(
-        &env,
-        &bench,
-        TransmissionScenario::WORST,
-        |_| DeploymentPlan::uniform(bench.dag.node_count(), ca),
-        2,
-    );
+    let base = coarse_over_week(&env, &bench, TransmissionScenario::WORST, STEP, env.home, 1);
+    let coarse_ca = coarse_over_week(&env, &bench, TransmissionScenario::WORST, STEP, ca, 2);
     assert!(
         coarse_ca.carbon_g > base.carbon_g * 2.0,
         "coarse offload must backfire: home {} vs ca {}",
@@ -52,25 +38,16 @@ fn i1_static_low_carbon_deployment_can_worsen_emissions() {
 /// offloading backfires badly.
 #[test]
 fn i2_adaptive_framework_never_backfires() {
-    fast();
-    let env = ExpEnv::new(401);
-    let home = env.region("us-east-1");
+    let env = World::evaluation(401);
     for bench in [
         image_processing(InputSize::Large),
         image_processing(InputSize::Small),
     ] {
-        let base = eval_over_week(
-            &env,
-            &bench,
-            TransmissionScenario::WORST,
-            |_| DeploymentPlan::uniform(bench.dag.node_count(), home),
-            1,
-        );
-        let regions = env.regions.clone();
+        let base = coarse_over_week(&env, &bench, TransmissionScenario::WORST, STEP, env.home, 1);
         let mut solver = FineSolver::new(
             &env,
             &bench,
-            &regions,
+            &env.regions,
             TransmissionScenario::WORST,
             default_tolerances(),
             3,
@@ -79,6 +56,7 @@ fn i2_adaptive_framework_never_backfires() {
             &env,
             &bench,
             TransmissionScenario::WORST,
+            STEP,
             |h| solver.plan_at(h),
             4,
         );
@@ -98,22 +76,13 @@ fn i2_adaptive_framework_never_backfires() {
 /// heavy Image Processing.
 #[test]
 fn i4_savings_grow_with_compute_to_transmission_ratio() {
-    fast();
-    let env = ExpEnv::new(402);
-    let home = env.region("us-east-1");
+    let env = World::evaluation(402);
     let norm = |bench: &caribou_workloads::benchmarks::Benchmark| -> f64 {
-        let base = eval_over_week(
-            &env,
-            bench,
-            TransmissionScenario::BEST,
-            |_| DeploymentPlan::uniform(bench.dag.node_count(), home),
-            1,
-        );
-        let regions = env.regions.clone();
+        let base = coarse_over_week(&env, bench, TransmissionScenario::BEST, STEP, env.home, 1);
         let mut solver = FineSolver::new(
             &env,
             bench,
-            &regions,
+            &env.regions,
             TransmissionScenario::BEST,
             default_tolerances(),
             5,
@@ -122,6 +91,7 @@ fn i4_savings_grow_with_compute_to_transmission_ratio() {
             &env,
             bench,
             TransmissionScenario::BEST,
+            STEP,
             |h| solver.plan_at(h),
             6,
         );
@@ -139,7 +109,7 @@ fn i4_savings_grow_with_compute_to_transmission_ratio() {
 #[test]
 fn carbon_calibration_matches_reported_relations() {
     use caribou_carbon::source::CarbonDataSource;
-    let env = ExpEnv::new(403);
+    let env = World::evaluation(403);
     let avg = |name: &str| env.carbon.average(env.region(name), 0.0, 168.0);
     let pjm = avg("us-east-1");
     assert!((1.0 - avg("ca-central-1") / pjm - 0.915).abs() < 0.03);
@@ -158,17 +128,9 @@ fn carbon_calibration_matches_reported_relations() {
 /// the chosen deployments meet the QoS bound.
 #[test]
 fn latency_tolerance_trades_into_carbon() {
-    fast();
-    let env = ExpEnv::new(404);
+    let env = World::evaluation(404);
     let bench = text2speech_censoring(InputSize::Small);
-    let home = env.region("us-east-1");
-    let base = eval_over_week(
-        &env,
-        &bench,
-        TransmissionScenario::BEST,
-        |_| DeploymentPlan::uniform(bench.dag.node_count(), home),
-        1,
-    );
+    let base = coarse_over_week(&env, &bench, TransmissionScenario::BEST, STEP, env.home, 1);
     let mut norms = Vec::new();
     for tol in [0.0, 0.10] {
         let t = caribou_model::constraints::Tolerances {
@@ -176,12 +138,13 @@ fn latency_tolerance_trades_into_carbon() {
             cost: 1.0,
             carbon: f64::INFINITY,
         };
-        let regions = env.regions.clone();
-        let mut solver = FineSolver::new(&env, &bench, &regions, TransmissionScenario::BEST, t, 7);
+        let mut solver =
+            FineSolver::new(&env, &bench, &env.regions, TransmissionScenario::BEST, t, 7);
         let fine = eval_over_week(
             &env,
             &bench,
             TransmissionScenario::BEST,
+            STEP,
             |h| solver.plan_at(h),
             8,
         );

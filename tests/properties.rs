@@ -3,11 +3,11 @@
 
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::TableSource;
+use caribou_core::scenario::Case;
 use caribou_exec::engine::{ExecutionEngine, WorkflowApp};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::costmodel::CostModel;
 use caribou_metrics::logs::{InvocationLog, LogStore, NodeRecord};
-use caribou_metrics::montecarlo::{DefaultModels, MonteCarloConfig, MonteCarloEstimator};
+use caribou_metrics::montecarlo::MonteCarloConfig;
 use caribou_model::dag::NodeId;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::region::RegionId;
@@ -109,26 +109,19 @@ proptest! {
         let regions = cloud.regions.evaluation_regions();
         let home = cloud.region("us-east-1").unwrap();
         let plan = random_plan(&wf.dag, &regions, seed.wrapping_add(1));
-        let models = DefaultModels {
-            profile: &wf.profile,
-            runtime: &cloud.compute,
-            latency: &cloud.latency,
-            orchestrator: Orchestrator::Caribou,
-        };
-        let est = MonteCarloEstimator {
-            dag: &wf.dag,
-            profile: &wf.profile,
-            carbon_source: &carbon,
-            carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-            cost_model: CostModel::new(&cloud.pricing),
-            models: &models,
+        let case = Case::on_default_models(
+            &cloud,
             home,
-            config: MonteCarloConfig {
+            &wf.dag,
+            &wf.profile,
+            TransmissionScenario::BEST,
+            MonteCarloConfig {
                 batch: 50,
                 max_samples: 100,
                 cv_threshold: 0.1,
             },
-        };
+        );
+        let est = case.estimator(&carbon);
         let s = est.estimate(&plan, 0.5, &mut Pcg32::seed(seed));
         prop_assert!(s.latency.mean.is_finite() && s.latency.mean > 0.0);
         prop_assert!(s.cost.mean > 0.0);

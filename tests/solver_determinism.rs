@@ -5,17 +5,16 @@
 
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::TableSource;
-use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::costmodel::CostModel;
+use caribou_core::scenario::Case;
+use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_metrics::montecarlo::{DefaultModels, EstimateSummary, MonteCarloConfig};
 use caribou_model::builder::Workflow;
-use caribou_model::constraints::{Objective, Tolerances};
+use caribou_model::constraints::Tolerances;
 use caribou_model::dist::DistSpec;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::region::RegionId;
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
-use caribou_simcloud::orchestration::Orchestrator;
 use caribou_solver::context::SolverContext;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
@@ -28,10 +27,9 @@ const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 /// Builds a small diurnal two-node world and hands the solver context to
 /// `f`. The context borrows a pile of locals, hence the closure shape.
 fn with_ctx<R>(f: impl FnOnce(&SolverContext<'_, TableSource, DefaultModels<'_>>) -> R) -> R {
-    let cloud = SimCloud::aws(0);
-    let (cat, pricing, mut runtime, latency) =
-        (cloud.regions, cloud.pricing, cloud.compute, cloud.latency);
-    runtime.cold_start_prob = 0.0;
+    let mut cloud = SimCloud::aws(0);
+    cloud.compute.cold_start_prob = 0.0;
+    let cat = &cloud.regions;
     let east = cat.id_of("us-east-1").unwrap();
     let west = cat.id_of("us-west-2").unwrap();
     let ca = cat.id_of("ca-central-1").unwrap();
@@ -69,33 +67,24 @@ fn with_ctx<R>(f: impl FnOnce(&SolverContext<'_, TableSource, DefaultModels<'_>>
         .payload(DistSpec::Constant { value: 8_000.0 });
     let (dag, profile, _) = wf.extract().unwrap();
     let permitted = vec![vec![east, west, ca], vec![east, west, ca]];
-    let models = DefaultModels {
-        profile: &profile,
-        runtime: &runtime,
-        latency: &latency,
-        orchestrator: Orchestrator::Caribou,
-    };
-    let ctx = SolverContext {
-        dag: &dag,
-        profile: &profile,
-        permitted: &permitted,
-        home: east,
-        objective: Objective::Carbon,
-        tolerances: Tolerances {
-            latency: 0.5,
-            cost: 0.5,
-            carbon: f64::INFINITY,
-        },
-        carbon_source: &carbon,
-        carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-        cost_model: CostModel::new(&pricing),
-        models: &models,
-        mc_config: MonteCarloConfig {
+    let case = Case::on_default_models(
+        &cloud,
+        east,
+        &dag,
+        &profile,
+        TransmissionScenario::BEST,
+        MonteCarloConfig {
             batch: 60,
             max_samples: 120,
             cv_threshold: 0.1,
         },
+    );
+    let tolerances = Tolerances {
+        latency: 0.5,
+        cost: 0.5,
+        carbon: f64::INFINITY,
     };
+    let ctx = case.context(&permitted, tolerances, &carbon);
     f(&ctx)
 }
 

@@ -3,21 +3,16 @@
 //! events, spans must export as parseable Chrome trace JSON, and the
 //! NullSink must keep instrumentation overhead negligible.
 
-use caribou_bench::harness::{default_tolerances, mc_config, ExpEnv};
-use caribou_carbon::source::RegionalSource;
-use caribou_carbon::synth::SyntheticCarbonSource;
+use caribou_bench::harness::mc_config;
 use caribou_core::framework::{Caribou, CaribouConfig};
 use caribou_core::loadgen::{run_loadgen, LoadgenConfig};
-use caribou_exec::engine::WorkflowApp;
-use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::costmodel::CostModel;
-use caribou_metrics::montecarlo::{DefaultModels, MonteCarloConfig};
-use caribou_model::constraints::{Constraints, Objective};
+use caribou_core::scenario::{default_tolerances, workflow_app, World, HOME};
+use caribou_metrics::carbonmodel::TransmissionScenario;
+use caribou_metrics::montecarlo::MonteCarloConfig;
+use caribou_model::constraints::Constraints;
 use caribou_model::manifest::DeploymentManifest;
+use caribou_model::region::ProviderSet;
 use caribou_model::rng::Pcg32;
-use caribou_simcloud::cloud::SimCloud;
-use caribou_simcloud::orchestration::Orchestrator;
-use caribou_solver::context::SolverContext;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::{HbssParams, HbssSolver};
 use caribou_solver::hourly::solve_hourly_with;
@@ -52,25 +47,17 @@ fn quickstart_run_at(
     workers: Option<usize>,
 ) -> caribou_core::framework::RunReport {
     let bench: Benchmark = text2speech_censoring(InputSize::Small);
-    let cloud = SimCloud::aws(seed);
-    let carbon =
-        RegionalSource::new(&cloud.regions, SyntheticCarbonSource::aws_calibrated(seed)).unwrap();
-    let regions = cloud.regions.evaluation_regions();
-    let mut config = fast_config(regions);
+    let world = World::new(ProviderSet::aws_only(), seed, seed).unwrap();
+    let mut config = fast_config(world.regions);
     if let Some(workers) = workers {
         config.workers = workers;
     }
-    let mut caribou = Caribou::new(cloud, carbon, config);
+    let mut caribou = Caribou::new(world.cloud, world.carbon, config);
     let mut constraints = bench.constraints.clone();
     constraints.tolerances.latency = 0.15;
     constraints.tolerances.cost = 1.0;
-    let app = WorkflowApp {
-        name: bench.dag.name().into(),
-        home: caribou.cloud.region("us-east-1").unwrap(),
-        dag: bench.dag.clone(),
-        profile: bench.profile.clone(),
-    };
-    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", "us-east-1");
+    let app = workflow_app(&bench, world.home);
+    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
     let idx = caribou
         .deploy(app, &manifest, constraints)
         .expect("deploys");
@@ -178,32 +165,15 @@ fn quickstart_counters_are_equal_at_1_2_and_8_workers() {
 /// fanned across, and the cache did hit.
 #[test]
 fn hourly_solve_counts_its_cache_traffic() {
-    let env = ExpEnv::new(77);
+    let env = World::evaluation(77);
     let bench = text2speech_censoring(InputSize::Small);
     let mut constraints = Constraints::unconstrained(bench.dag.node_count());
     constraints.tolerances = default_tolerances();
     let permitted = constraints
         .permitted_regions(&bench.dag, &env.regions, &env.cloud.regions, env.home)
         .unwrap();
-    let models = DefaultModels {
-        profile: &bench.profile,
-        runtime: &env.cloud.compute,
-        latency: &env.cloud.latency,
-        orchestrator: Orchestrator::Caribou,
-    };
-    let ctx = SolverContext {
-        dag: &bench.dag,
-        profile: &bench.profile,
-        permitted: &permitted,
-        home: env.home,
-        objective: Objective::Carbon,
-        tolerances: constraints.tolerances,
-        carbon_source: &env.carbon,
-        carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-        cost_model: CostModel::new(&env.cloud.pricing),
-        models: &models,
-        mc_config: mc_config(),
-    };
+    let case = env.case(&bench, TransmissionScenario::BEST, mc_config());
+    let ctx = case.context(&permitted, constraints.tolerances, &env.carbon);
     for workers in [1, 2] {
         caribou_telemetry::enable(Box::new(MemorySink::default()));
         let engine = EvalEngine::new(7, workers);
