@@ -235,11 +235,6 @@ impl<'a, S: CarbonDataSource> ForecastingSource<'a, S> {
         }
     }
 
-    /// The hour the forecast was trained at.
-    pub fn trained_at(&self) -> f64 {
-        self.trained_at_hour
-    }
-
     /// Regions covered by the forecast.
     pub fn regions(&self) -> &[RegionId] {
         &self.regions

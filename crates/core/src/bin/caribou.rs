@@ -1,25 +1,14 @@
 //! The `caribou` command-line utility — the Rust analogue of the paper's
 //! Deployment Utility CLI (§6.1, §8).
 //!
-//! ```text
-//! caribou manifest validate <file.json>     # validate a deployment manifest
-//! caribou manifest example                  # print a starter manifest
-//! caribou carbon <region> [--hours N]       # dump grid carbon intensity
-//! caribou plan <benchmark> [--input small|large] [--hour H]
-//!                                           # solve a deployment plan
-//! caribou simulate <benchmark> [--days D] [--per-day N] [--worst-case]
-//!                  [--telemetry out.jsonl]  # run the full framework loop
-//! caribou chaos [--seed N] [--requests N]   # seeded fault campaign with
-//!               [--correlated]              # invariant checking; correlated
-//!                                           # fault classes + failover
-//! caribou fleet [--apps N] [--hours H]      # multi-tenant fleet re-plan
-//!               [--perturb SPEC]            # with incremental re-solve
-//! caribou trace <journal.jsonl> [--limit N] # replay a telemetry journal
-//! caribou benchmarks                        # list available benchmarks
-//! ```
-//!
-//! Argument parsing is hand-rolled to keep the dependency surface at the
-//! workspace's approved set.
+//! Every subcommand is one row of [`COMMANDS`]: its operands, its flag
+//! table (name, value type, default, one-line help) and the function that
+//! runs it. The `flags` module checks the argument list against that row
+//! once — an unknown flag, a missing or unparsable value or a stray
+//! operand is exit 1, naming the flag — and renders `caribou --help` and
+//! `caribou <command> --help` from it; README.md's CLI reference is that
+//! output. Argument parsing is hand-rolled to keep the dependency surface
+//! at the workspace's approved set.
 
 use std::process::ExitCode;
 
@@ -40,81 +29,104 @@ use caribou_solver::contingency::solve_hourly_with_contingency;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use caribou_solver::hourly::solve_hourly_with;
-use caribou_solver::pool;
 use caribou_workloads::arrivals::ArrivalProcess;
 use caribou_workloads::benchmarks::{all_benchmarks, Benchmark, InputSize};
 use caribou_workloads::traces::uniform_trace;
 
-const USAGE: &str = "\
-caribou — carbon-aware geospatial shifting of serverless workflows
+#[path = "caribou/flags.rs"]
+mod flags;
+use flags::Kind::{Count, Int, Real, Switch, Text};
+use flags::{Command, Flag, Parsed};
 
-USAGE:
-    caribou benchmarks
-    caribou manifest validate <file.json>
-    caribou manifest example
-    caribou carbon <region> [--hours N]
-    caribou carbon --zone <grid-zone> [--hours N]
-    caribou plan <benchmark> [--input small|large] [--hour H] [--worst-case]
-                 [--hourly [--contingency K]] [--workers N]
-                 [--providers aws[,gcp]]
-    caribou simulate <benchmark> [--input small|large] [--days D] [--per-day N] [--worst-case]
-                     [--telemetry <out.jsonl>] [--workers N] [--json]
-                     [--providers aws[,gcp]]
-    caribou loadgen <benchmark> [--invocations N] [--seed S] [--workers N]
-                    [--arrival poisson|diurnal|bursty] [--rate PER_S]
-                    [--shards N] [--no-warm-pool] [--keep-alive-s S]
-                    [--input small|large] [--worst-case] [--telemetry <out.jsonl>]
-    caribou chaos [--seed N] [--requests N] [--duration-s S] [--drop P]
-                  [--no-breaker] [--seeds K] [--workers N] [--json]
-                  [--correlated [--contingency K] [--scenario provider-outage]]
-                  [--providers aws[,gcp]]
-    caribou fleet [--apps N] [--hours H] [--workers K] [--seed S]
-                  [--capacity C] [--perturb <spec>] [--verify]
-                  [--telemetry <out.jsonl>] [--providers aws[,gcp]]
-    caribou trace <journal.jsonl> [--limit N]
+/// The flag and command tables, kept one row a line.
+#[rustfmt::skip]
+mod table {
+    use super::*;
 
+    const fn row(name: &'static str, kind: flags::Kind, default: &'static str, help: &'static str) -> Flag {
+        Flag { name, kind, default, help }
+    }
+
+    pub const INPUT: Flag = row("--input", Text("small|large"), "small", "benchmark input size");
+    pub const WORST_CASE: Flag = row("--worst-case", Switch, "", "worst-case transmission carbon (default: best-case)");
+    pub const WORKERS: Flag = row("--workers", Count, "1", "worker threads; results are bit-identical at any value");
+    pub const SIM_WORKERS: Flag = row("--workers", Count, "", "solver threads (default: all cores); results do not change");
+    pub const PROVIDERS: Flag = row("--providers", Text("aws[,gcp]"), "aws", "provider backends whose regions are candidates");
+    pub const TELEMETRY: Flag = row("--telemetry", Text("<out.jsonl>"), "", "record the run's telemetry to a JSONL journal");
+    pub const JSON: Flag = row("--json", Switch, "", "also print the report's machine-readable summary");
+    pub const ZONE: Flag = row("--zone", Text("<grid-zone>"), "", "print a grid zone instead of a region");
+    pub const CARBON_HOURS: Flag = row("--hours", Int, "48", "hours to print");
+    pub const HOUR: Flag = row("--hour", Real, "12.5", "hour of the carbon week to plan for");
+    pub const HOURLY: Flag = row("--hourly", Switch, "", "solve the 24-hour schedule of that hour's day");
+    pub const PLAN_CONTINGENCY: Flag = row("--contingency", Int, "0", "with --hourly: ranked fallback plan sets to append");
+    pub const DAYS: Flag = row("--days", Real, "2", "simulated days");
+    pub const PER_DAY: Flag = row("--per-day", Real, "1500", "invocations per simulated day");
+    pub const INVOCATIONS: Flag = row("--invocations", Count, "100000", "invocations to drive");
+    pub const LOAD_SEED: Flag = row("--seed", Int, "42", "master seed");
+    pub const ARRIVAL: Flag = row("--arrival", Text("poisson|diurnal|bursty"), "poisson", "arrival process");
+    pub const RATE: Flag = row("--rate", Real, "100", "mean arrivals per second");
+    pub const SHARDS: Flag = row("--shards", Count, "8", "persistent shard clouds (part of the result contract)");
+    pub const NO_WARM_POOL: Flag = row("--no-warm-pool", Switch, "", "probabilistic cold starts instead of the warm pool");
+    pub const KEEP_ALIVE_S: Flag = row("--keep-alive-s", Real, "600", "warm-container keep-alive, seconds");
+    pub const CHAOS_SEED: Flag = row("--seed", Int, "42", "master seed of the cloud, the fault plan and every request");
+    pub const REQUESTS: Flag = row("--requests", Int, "500", "requests replayed, evenly spaced over the campaign");
+    pub const DURATION_S: Flag = row("--duration-s", Real, "21600", "campaign length, simulated seconds");
+    pub const DROP: Flag = row("--drop", Real, "0.02", "per-attempt message-drop probability in [0, 1]");
+    pub const NO_BREAKER: Flag = row("--no-breaker", Switch, "", "run without the per-region circuit breaker");
+    pub const CORRELATED: Flag = row("--correlated", Switch, "", "correlated fault classes and contingency failover");
+    pub const CHAOS_CONTINGENCY: Flag = row("--contingency", Int, "0", "with --correlated: precomputed fallback plan sets");
+    pub const SCENARIO: Flag = row("--scenario", Text("provider-outage"), "", "with --correlated: the pinned scenario, no random plan");
+    pub const APPS: Flag = row("--apps", Count, "24", "fleet size: seeded heterogeneous DAG apps");
+    pub const FLEET_HOURS: Flag = row("--hours", Count, "24", "simulated hours to re-plan each app for");
+    pub const FLEET_SEED: Flag = row("--seed", Int, "7", "master seed for generation, evaluation and walks");
+    pub const CAPACITY: Flag = row("--capacity", Int, "1048576", "shared cross-app estimate-cache capacity, entries");
+    pub const PERTURB: Flag = row("--perturb", Text("<spec>"), "", "forecast revisions to re-solve incrementally");
+    pub const VERIFY: Flag = row("--verify", Switch, "", "with --perturb: fail unless a from-scratch re-solve agrees");
+    pub const LIMIT: Flag = row("--limit", Int, "60", "timeline events to print");
+
+    pub const COMMANDS: &[Command] = &[
+        Command { name: "benchmarks", operands: &[], about: "list the paper's benchmark workflows",
+            flags: &[], notes: "", run: cmd_benchmarks },
+        Command { name: "manifest", operands: &["example|validate", "[<file.json>]"],
+            about: "print a starter deployment manifest, or validate one",
+            flags: &[], notes: "", run: cmd_manifest },
+        Command { name: "carbon", operands: &["[<region>]"],
+            about: "print a region's or a grid zone's hourly carbon intensity",
+            flags: &[ZONE, CARBON_HOURS], notes: "", run: cmd_carbon },
+        Command { name: "plan", operands: &["<benchmark>"], about: "solve a benchmark's deployment plan",
+            flags: &[INPUT, HOUR, WORST_CASE, HOURLY, PLAN_CONTINGENCY, WORKERS, PROVIDERS],
+            notes: PROVIDERS_NOTE, run: cmd_plan },
+        Command { name: "simulate", operands: &["<benchmark>"],
+            about: "run the full framework loop over a uniform trace",
+            flags: &[INPUT, DAYS, PER_DAY, WORST_CASE, TELEMETRY, SIM_WORKERS, JSON, PROVIDERS],
+            notes: PROVIDERS_NOTE, run: cmd_simulate },
+        Command { name: "loadgen", operands: &["<benchmark>"], about: "sustained open-loop load on the home plan",
+            flags: &[INVOCATIONS, LOAD_SEED, WORKERS, ARRIVAL, RATE, SHARDS, NO_WARM_POOL, KEEP_ALIVE_S, INPUT,
+                WORST_CASE, TELEMETRY],
+            notes: "", run: cmd_loadgen },
+        Command { name: "chaos", operands: &[], about: "seeded fault campaign with invariant checking",
+            flags: &[CHAOS_SEED, REQUESTS, DURATION_S, DROP, NO_BREAKER, CORRELATED, CHAOS_CONTINGENCY, SCENARIO,
+                WORKERS, PROVIDERS],
+            notes: PROVIDERS_NOTE, run: cmd_chaos },
+        Command { name: "fleet", operands: &[], about: "multi-tenant fleet re-plan with incremental re-solve",
+            flags: &[APPS, FLEET_HOURS, WORKERS, FLEET_SEED, CAPACITY, PERTURB, VERIFY, TELEMETRY, PROVIDERS],
+            notes: FLEET_NOTE, run: cmd_fleet },
+        Command { name: "trace", operands: &["<journal.jsonl>"], about: "replay a telemetry journal",
+            flags: &[LIMIT], notes: "", run: cmd_trace },
+    ];
+}
+use table::COMMANDS;
+
+const PROVIDERS_NOTE: &str = "
 PROVIDERS:
-    --providers takes a comma-separated provider list (aws, gcp). The
-    default `aws` replays the single-provider substrate byte-for-byte;
-    `aws,gcp` widens the candidate universe with the GCP backend's
-    regions so plans may split one DAG across providers. Regions can be
+    The default `aws` replays the single-provider substrate byte-for-byte;
+    `aws,gcp` widens the candidate universe with the GCP backend's regions
+    so plans may split one DAG across providers. Regions can be
     provider-qualified anywhere a region name is accepted
     (`aws:us-east-1`, `gcp:us-west1`).
-
-FLEET PERTURBATION SPEC:
-    Comma-separated forecast revisions: h<HOUR>[:<region>](*FACTOR|+DELTA|-DELTA)
-    e.g. `h7*1.5` (hour 7, all regions, intensity x1.5),
-         `h7:us-west-2+120,h3:ca-central-1-40` (per-region shifts in gCO2eq/kWh).
-    With --perturb, the fleet is first solved on the base forecast, then
-    incrementally re-solved against the revision: only apps whose permitted
-    regions read the revised inputs re-enter the solver. --verify diffs the
-    incremental result against a from-scratch solve (exit 1 on mismatch).
 ";
 
-const FLEET_USAGE: &str = "\
-caribou fleet — multi-tenant fleet re-plan with incremental re-solve
-
-USAGE:
-    caribou fleet [--apps N] [--hours H] [--workers K] [--seed S]
-                  [--capacity C] [--perturb <spec>] [--verify]
-                  [--telemetry <out.jsonl>] [--providers aws[,gcp]]
-
-OPTIONS:
-    --apps N             fleet size (default 24): seeded heterogeneous DAG
-                         apps drawn from the species palette
-    --hours H            simulated hours to re-plan each app for (default 24)
-    --workers K          worker threads; results are bit-identical at any K
-    --seed S             master seed for generation, evaluation and walks
-    --capacity C         shared cross-app estimate-cache capacity (entries)
-    --perturb <spec>     after the full solve, apply forecast revisions and
-                         incrementally re-solve only the invalidated apps
-    --verify             also re-solve the revised fleet from scratch and
-                         fail (exit 1) unless the incremental schedule is
-                         bit-identical
-    --telemetry <path>   record fleet.* / solver.cache.* telemetry to JSONL
-    --providers LIST     provider backends whose regions join the candidate
-                         universe (default `aws`; `aws,gcp` for cross-cloud)
-
+const FLEET_NOTE: &str = "
 PERTURBATION SPEC (comma-separated terms):
     h<HOUR>[:<region>](*FACTOR|+DELTA|-DELTA)
     h7*1.5               hour 7, all regions, carbon intensity x1.5
@@ -123,10 +135,25 @@ PERTURBATION SPEC (comma-separated terms):
                          several revisions at once; a trailing -DELTA is
                          parsed after the hyphenated region name
 
+With --perturb, the fleet is first solved on the base forecast, then only
+the apps whose permitted regions read a revised input re-enter the solver.
 Deterministic results (schedule digest, cell counts, carbon totals,
 per-hour invalidation counts) print to stdout; wall-clock throughput
 (app-hours/s) and cache statistics print to stderr.
 ";
+
+/// The text of `caribou --help`.
+fn usage() -> String {
+    let mut out = String::from(
+        "caribou — carbon-aware geospatial shifting of serverless workflows\n\n\
+         USAGE:\n    caribou <command> [operands] [flags]\n    caribou <command> --help\n\n\
+         COMMANDS:\n",
+    );
+    for c in COMMANDS {
+        out.push_str(&format!("    {:<42}{}\n", &c.synopsis()[8..], c.about));
+    }
+    out
+}
 
 /// A CLI failure: a one-line message plus the process exit code.
 ///
@@ -146,10 +173,7 @@ impl From<String> for CliError {
 
 impl From<&str> for CliError {
     fn from(message: &str) -> Self {
-        CliError {
-            message: message.to_string(),
-            exit: 1,
-        }
+        message.to_string().into()
     }
 }
 
@@ -165,20 +189,21 @@ impl From<CarbonError> for CliError {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("benchmarks") => cmd_benchmarks(),
-        Some("manifest") => cmd_manifest(&args[1..]),
-        Some("carbon") => cmd_carbon(&args[1..]),
-        Some("plan") => cmd_plan(&args[1..]),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("fleet") => cmd_fleet(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
+        None | Some("--help" | "-h") => {
+            print!("{}", usage());
             Ok(())
         }
-        Some(other) => Err(format!("unknown command `{other}`\n\n{USAGE}").into()),
+        Some(name) => match COMMANDS.iter().find(|c| c.name == name) {
+            None => Err(format!("unknown command `{name}`\n\n{}", usage()).into()),
+            Some(command) => match command.parse(&args[1..]) {
+                Ok(Some(parsed)) => (command.run)(&parsed),
+                Ok(None) => {
+                    print!("{}", command.help());
+                    Ok(())
+                }
+                Err(message) => Err(message.into()),
+            },
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -189,36 +214,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses `--key value` style flags from the tail of an argument list.
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-/// Parses `--workers N` (default 1); results never depend on the value.
-fn workers(args: &[String]) -> Result<usize, String> {
-    match flag(args, "--workers") {
-        None => Ok(1),
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => Ok(n),
-            Ok(_) => Err("--workers: must be at least 1".into()),
-            Err(e) => Err(format!("--workers: {e}")),
-        },
-    }
-}
-
-/// Parses `--providers aws[,gcp]` (default AWS-only).
-fn providers(args: &[String]) -> Result<ProviderSet, String> {
-    match flag(args, "--providers") {
-        None => Ok(ProviderSet::aws_only()),
-        Some(spec) => ProviderSet::parse(spec).map_err(|e| format!("--providers: {e}")),
-    }
+/// Parses `--providers aws[,gcp]`.
+fn providers(p: &Parsed) -> Result<ProviderSet, String> {
+    let spec = p.text("--providers").expect("has a default");
+    ProviderSet::parse(spec).map_err(|e| format!("--providers: {e}"))
 }
 
 /// Builds the evaluation world of a provider set the way every command
@@ -240,20 +239,63 @@ fn region_label(cloud: &SimCloud, set: ProviderSet, id: caribou_model::region::R
     }
 }
 
-fn input_size(args: &[String]) -> Result<InputSize, String> {
-    match flag(args, "--input") {
-        None | Some("small") => Ok(InputSize::Small),
-        Some("large") => Ok(InputSize::Large),
-        Some(other) => Err(format!("unknown input size `{other}` (small|large)")),
+fn input_size(p: &Parsed) -> Result<InputSize, String> {
+    match p.text("--input").expect("has a default") {
+        "small" => Ok(InputSize::Small),
+        "large" => Ok(InputSize::Large),
+        other => Err(format!(
+            "--input: unknown input size `{other}` (small|large)"
+        )),
     }
 }
 
-fn scenario(args: &[String]) -> TransmissionScenario {
-    if has_flag(args, "--worst-case") {
+fn scenario(p: &Parsed) -> TransmissionScenario {
+    if p.has("--worst-case") {
         TransmissionScenario::WORST
     } else {
         TransmissionScenario::BEST
     }
+}
+
+/// The benchmark a command's first operand names, at its `--input` size.
+fn benchmark(p: &Parsed) -> Result<Benchmark, String> {
+    find_benchmark(&p.operands[0], input_size(p)?)
+}
+
+/// Runs `run` inside the `--telemetry` session when the flag is given:
+/// the JSONL journal is opened before and finished (flushed, summarized on
+/// stderr) after, whatever `run` returns.
+fn traced<T>(p: &Parsed, run: impl FnOnce() -> T) -> Result<T, String> {
+    let Some(path) = p.text("--telemetry") else {
+        return Ok(run());
+    };
+    let sink = caribou_telemetry::JsonlSink::create(path)
+        .map_err(|e| format!("--telemetry {path}: {e}"))?;
+    caribou_telemetry::enable(Box::new(sink));
+    let out = run();
+    if let Some(finished) = caribou_telemetry::finish() {
+        let r = &finished.recorder;
+        eprintln!(
+            "telemetry: {} event kinds, {} journal entries ({} dropped) -> {path}",
+            r.counters.len(),
+            r.journal.len(),
+            r.journal.dropped()
+        );
+    }
+    Ok(out)
+}
+
+/// The closing line of a chaos campaign: every invariant upheld, or each
+/// violation on stderr and exit 1.
+fn verdict(violations: &[String]) -> Result<(), CliError> {
+    if violations.is_empty() {
+        println!("invariants:        all upheld");
+        return Ok(());
+    }
+    for v in violations {
+        eprintln!("VIOLATION: {v}");
+    }
+    Err(format!("{} invariant violation(s) detected", violations.len()).into())
 }
 
 fn find_benchmark(name: &str, input: InputSize) -> Result<Benchmark, String> {
@@ -270,7 +312,7 @@ fn find_benchmark(name: &str, input: InputSize) -> Result<Benchmark, String> {
         .ok_or_else(|| format!("unknown benchmark `{name}` (try `caribou benchmarks`)"))
 }
 
-fn cmd_benchmarks() -> Result<(), CliError> {
+fn cmd_benchmarks(_: &Parsed) -> Result<(), CliError> {
     println!(
         "{:<24}{:<24}{:>7}{:>7}{:>6}{:>6}",
         "name", "id", "nodes", "edges", "sync", "cond"
@@ -293,19 +335,16 @@ fn cmd_benchmarks() -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_manifest(args: &[String]) -> Result<(), CliError> {
-    match args.first().map(String::as_str) {
-        Some("example") => {
+fn cmd_manifest(p: &Parsed) -> Result<(), CliError> {
+    match (p.operands[0].as_str(), p.operands.get(1)) {
+        ("example", None) => {
             println!(
                 "{}",
                 DeploymentManifest::new("my_workflow", "1.0", "us-east-1").to_json()
             );
             Ok(())
         }
-        Some("validate") => {
-            let path = args
-                .get(1)
-                .ok_or("usage: caribou manifest validate <file.json>")?;
+        ("validate", Some(path)) => {
             let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let manifest = DeploymentManifest::from_json(&json).map_err(|e| e.to_string())?;
             let catalog = caribou_model::region::RegionCatalog::aws_default();
@@ -316,28 +355,29 @@ fn cmd_manifest(args: &[String]) -> Result<(), CliError> {
             );
             Ok(())
         }
-        _ => Err("usage: caribou manifest <validate|example>".into()),
+        _ => Err("usage: caribou manifest example | caribou manifest validate <file.json>".into()),
     }
 }
 
-fn cmd_carbon(args: &[String]) -> Result<(), CliError> {
-    let hours: usize = flag(args, "--hours")
-        .map(|v| v.parse().map_err(|e| format!("--hours: {e}")))
-        .transpose()?
-        .unwrap_or(48);
+fn cmd_carbon(p: &Parsed) -> Result<(), CliError> {
     let synth = grid(CARBON_EPOCH);
-    if let Some(zone) = flag(args, "--zone") {
-        println!("hour  gCO2eq/kWh   (grid zone {zone})");
-        for h in 0..hours {
-            let v = synth.zone_intensity(zone, h as f64 + 0.5)?;
+    let print = |title: String, at: &dyn Fn(f64) -> Result<f64, CarbonError>| {
+        println!("hour  gCO2eq/kWh   ({title})");
+        for h in 0..p.count("--hours") {
+            let v = at(h as f64 + 0.5)?;
             let bar = "#".repeat((v / 12.0) as usize);
             println!("{h:>4}  {v:>10.1}   {bar}");
         }
-        return Ok(());
+        Ok(())
+    };
+    if let Some(zone) = p.text("--zone") {
+        return print(format!("grid zone {zone}"), &|h| {
+            synth.zone_intensity(zone, h)
+        });
     }
-    let region_name = args
+    let region_name = p
+        .operands
         .first()
-        .filter(|a| !a.starts_with("--"))
         .ok_or("usage: caribou carbon <region> [--hours N], or --zone <grid-zone>")?;
     let catalog = caribou_model::region::RegionCatalog::multi_cloud();
     let region = catalog.resolve(region_name).map_err(|e| CliError {
@@ -345,31 +385,16 @@ fn cmd_carbon(args: &[String]) -> Result<(), CliError> {
         exit: 2,
     })?;
     let source = RegionalSource::new(&catalog, synth)?;
-    println!(
-        "hour  gCO2eq/kWh   ({}: grid {})",
-        region_name,
-        catalog.spec(region).grid_zone
-    );
-    for h in 0..hours {
-        let v = source.intensity(region, h as f64 + 0.5);
-        let bar = "#".repeat((v / 12.0) as usize);
-        println!("{h:>4}  {v:>10.1}   {bar}");
-    }
-    Ok(())
+    let title = format!("{region_name}: grid {}", catalog.spec(region).grid_zone);
+    print(title, &|h| Ok(source.intensity(region, h)))
 }
 
-fn cmd_plan(args: &[String]) -> Result<(), CliError> {
-    let name = args
-        .first()
-        .ok_or("usage: caribou plan <benchmark> [...]")?;
-    let input = input_size(args)?;
-    let hour: f64 = flag(args, "--hour")
-        .map(|v| v.parse().map_err(|e| format!("--hour: {e}")))
-        .transpose()?
-        .unwrap_or(12.5);
-    let bench = find_benchmark(name, input)?;
+fn cmd_plan(p: &Parsed) -> Result<(), CliError> {
+    let hour = p.real("--hour");
+    let bench = benchmark(p)?;
+    let input = input_size(p)?;
 
-    let pset = providers(args)?;
+    let pset = providers(p)?;
     let world = world_for(pset)?;
     let (cloud, regions) = (&world.cloud, &world.regions);
     let constraints = cli_constraints(&bench);
@@ -378,20 +403,17 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| e.to_string())?;
     let day_start = (hour / 24.0).floor() * 24.0;
     let forecast = ForecastingSource::fit(&world.carbon, regions, day_start, 48);
-    let case = world.case(&bench, scenario(args), MonteCarloConfig::default());
+    let case = world.case(&bench, scenario(p), MonteCarloConfig::default());
     let ctx = case.context(&permitted, constraints.tolerances, &forecast);
-    let engine = EvalEngine::new(7, workers(args)?);
-    if has_flag(args, "--hourly") {
+    let engine = EvalEngine::new(7, p.count("--workers"));
+    if p.has("--hourly") {
         // Full 24-hour schedule through the deterministic evaluation
         // engine: stdout is bit-identical at any --workers value (pool and
         // cache statistics go to stderr), which scripts/check.sh exploits
         // to smoke-test solver determinism. With --contingency K the
         // schedule prefix stays byte-identical (the primary solve consumes
         // the same RNG prefix) and K ranked fallback entries are appended.
-        let k: usize = flag(args, "--contingency")
-            .map(|v| v.parse().map_err(|e| format!("--contingency: {e}")))
-            .transpose()?
-            .unwrap_or(0);
+        let k = p.count("--contingency");
         let solver = HbssSolver::new();
         let mut rng = Pcg32::seed(7);
         let (plans, table) = if k > 0 {
@@ -487,31 +509,20 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
-    let name = args
-        .first()
-        .ok_or("usage: caribou simulate <benchmark> [...]")?;
-    let input = input_size(args)?;
-    let days: f64 = flag(args, "--days")
-        .map(|v| v.parse().map_err(|e| format!("--days: {e}")))
-        .transpose()?
-        .unwrap_or(2.0);
-    let per_day: f64 = flag(args, "--per-day")
-        .map(|v| v.parse().map_err(|e| format!("--per-day: {e}")))
-        .transpose()?
-        .unwrap_or(1500.0);
-    let bench = find_benchmark(name, input)?;
+fn cmd_simulate(p: &Parsed) -> Result<(), CliError> {
+    let (days, per_day) = (p.real("--days"), p.real("--per-day"));
+    let bench = benchmark(p)?;
 
-    let pset = providers(args)?;
+    let pset = providers(p)?;
     let World {
         cloud,
         regions,
         carbon,
         home,
     } = world_for(pset)?;
-    let mut config = CaribouConfig::new(regions, scenario(args));
-    if flag(args, "--workers").is_some() {
-        config.workers = workers(args)?;
+    let mut config = CaribouConfig::new(regions, scenario(p));
+    if p.has("--workers") {
+        config.workers = p.count("--workers");
     }
     let mut caribou = Caribou::new(cloud, carbon, config);
     let app = workflow_app(&bench, home);
@@ -519,29 +530,12 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
     let idx = caribou
         .deploy(app, &manifest, cli_constraints(&bench))
         .map_err(|e| e.to_string())?;
-    let telemetry_path = flag(args, "--telemetry");
-    if let Some(path) = telemetry_path {
-        let sink = caribou_telemetry::JsonlSink::create(path)
-            .map_err(|e| format!("--telemetry {path}: {e}"))?;
-        caribou_telemetry::enable(Box::new(sink));
-    }
     let trace = uniform_trace(30.0, days * 86_400.0, per_day);
     eprintln!(
         "simulating {} invocations over {days} day(s)...",
         trace.len()
     );
-    let report = caribou.run_trace(idx, &trace);
-    if let Some(path) = telemetry_path {
-        if let Some(finished) = caribou_telemetry::finish() {
-            let r = &finished.recorder;
-            eprintln!(
-                "telemetry: {} event kinds, {} journal entries ({} dropped) -> {path}",
-                r.counters.len(),
-                r.journal.len(),
-                r.journal.dropped()
-            );
-        }
-    }
+    let report = traced(p, || caribou.run_trace(idx, &trace))?;
 
     println!("invocations:       {}", report.samples.len());
     println!(
@@ -583,7 +577,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
         counts
     };
     println!("majority regions:  {by_region:?}");
-    if has_flag(args, "--json") {
+    if p.has("--json") {
         println!(
             "{}",
             serde_json::to_string_pretty(&report.summary_json()).expect("summary serializes")
@@ -592,67 +586,29 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
-    let name = args
-        .first()
-        .ok_or("usage: caribou loadgen <benchmark> [...]")?;
-    let input = input_size(args)?;
-    let bench = find_benchmark(name, input)?;
-    let invocations: usize = flag(args, "--invocations")
-        .map(|v| v.parse().map_err(|e| format!("--invocations: {e}")))
-        .transpose()?
-        .unwrap_or(100_000);
-    if invocations == 0 {
-        return Err("--invocations: must be at least 1".into());
-    }
-    let seed: u64 = flag(args, "--seed")
-        .map(|v| v.parse().map_err(|e| format!("--seed: {e}")))
-        .transpose()?
-        .unwrap_or(42);
-    let rate: f64 = flag(args, "--rate")
-        .map(|v| v.parse().map_err(|e| format!("--rate: {e}")))
-        .transpose()?
-        .unwrap_or(100.0);
-    let arrivals = ArrivalProcess::parse(flag(args, "--arrival").unwrap_or("poisson"), rate)?;
-    let shards: usize = flag(args, "--shards")
-        .map(|v| v.parse().map_err(|e| format!("--shards: {e}")))
-        .transpose()?
-        .unwrap_or(caribou_core::loadgen::DEFAULT_SHARDS);
-    if shards == 0 {
-        return Err("--shards: must be at least 1".into());
-    }
-    let keep_alive_s: f64 = flag(args, "--keep-alive-s")
-        .map(|v| v.parse().map_err(|e| format!("--keep-alive-s: {e}")))
-        .transpose()?
-        .unwrap_or(caribou_simcloud::warm::DEFAULT_KEEP_ALIVE_S);
+fn cmd_loadgen(p: &Parsed) -> Result<(), CliError> {
+    let bench = benchmark(p)?;
+    let (invocations, seed) = (p.count("--invocations"), p.int("--seed"));
+    let arrival = p.text("--arrival").expect("has a default");
     let config = LoadgenConfig {
         invocations,
         seed,
-        workers: workers(args)?,
-        shards,
-        arrivals,
-        scenario: scenario(args),
-        warm_pool: !has_flag(args, "--no-warm-pool"),
-        keep_alive_s,
+        workers: p.count("--workers"),
+        shards: p.count("--shards"),
+        arrivals: ArrivalProcess::parse(arrival, p.real("--rate"))?,
+        scenario: scenario(p),
+        warm_pool: !p.has("--no-warm-pool"),
+        keep_alive_s: p.real("--keep-alive-s"),
         capture_latencies: false,
     };
-    let telemetry_path = flag(args, "--telemetry");
-    if let Some(path) = telemetry_path {
-        let sink = caribou_telemetry::JsonlSink::create(path)
-            .map_err(|e| format!("--telemetry {path}: {e}"))?;
-        caribou_telemetry::enable(Box::new(sink));
-    }
     eprintln!(
         "loadgen: {} x {invocations} invocations, seed {seed}, {} worker(s)...",
         bench.dag.name(),
         config.workers
     );
     let wall = std::time::Instant::now();
-    let report = run_loadgen(&bench, &config)?;
+    let report = traced(p, || run_loadgen(&bench, &config))??;
     let wall_s = wall.elapsed().as_secs_f64();
-    if telemetry_path.is_some() {
-        caribou_telemetry::finish();
-    }
 
     // The deterministic summary goes to stdout: identical at any worker
     // count, so CI can diff a 1-worker run against an N-worker run.
@@ -710,37 +666,22 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
-    let mut config = caribou_core::ChaosConfig::default();
-    if let Some(v) = flag(args, "--seed") {
-        config.seed = v.parse().map_err(|e| format!("--seed: {e}"))?;
+fn cmd_chaos(p: &Parsed) -> Result<(), CliError> {
+    let config = caribou_core::ChaosConfig {
+        seed: p.int("--seed"),
+        requests: u32::try_from(p.int("--requests")).map_err(|e| format!("--requests: {e}"))?,
+        duration_s: p.real("--duration-s"),
+        breaker_enabled: !p.has("--no-breaker"),
+        drop_prob: p.real("--drop"),
+        providers: providers(p)?,
+        contingency: p.count("--contingency"),
+        workers: p.count("--workers"),
+    };
+    if !(0.0..=1.0).contains(&config.drop_prob) {
+        return Err("--drop: probability must be in [0, 1]".into());
     }
-    if let Some(v) = flag(args, "--requests") {
-        config.requests = v.parse().map_err(|e| format!("--requests: {e}"))?;
-    }
-    if let Some(v) = flag(args, "--duration-s") {
-        config.duration_s = v.parse().map_err(|e| format!("--duration-s: {e}"))?;
-    }
-    if let Some(v) = flag(args, "--drop") {
-        config.drop_prob = v.parse().map_err(|e| format!("--drop: {e}"))?;
-        if !(0.0..=1.0).contains(&config.drop_prob) {
-            return Err("--drop: probability must be in [0, 1]".into());
-        }
-    }
-    config.breaker_enabled = !has_flag(args, "--no-breaker");
-    config.providers = providers(args)?;
-    if has_flag(args, "--correlated") {
-        return cmd_chaos_correlated(args, config);
-    }
-    let sweep: usize = flag(args, "--seeds")
-        .map(|v| v.parse().map_err(|e| format!("--seeds: {e}")))
-        .transpose()?
-        .unwrap_or(1);
-    if sweep == 0 {
-        return Err("--seeds: must be at least 1".into());
-    }
-    if sweep > 1 {
-        return cmd_chaos_sweep(args, config, sweep);
+    if p.has("--correlated") {
+        return cmd_chaos_correlated(p, config);
     }
 
     eprintln!(
@@ -771,55 +712,15 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
         "latency:           {:.2} s p50 / {:.2} s p99 / {:.2} s mean",
         report.p50_latency_s, report.p99_latency_s, report.mean_latency_s
     );
-    if has_flag(args, "--json") {
-        println!(
-            "{}",
-            serde_json::json!({
-                "seed": config.seed,
-                "requests": report.requests,
-                "completed_clean": report.completed_clean,
-                "fell_back_home": report.fell_back_home,
-                "failed": report.failed,
-                "breaker_reroutes": report.breaker_reroutes,
-                "p50_latency_s": report.p50_latency_s,
-                "p99_latency_s": report.p99_latency_s,
-                "mean_latency_s": report.mean_latency_s,
-                "violations": report.violations,
-            })
-        );
-    }
-    if report.ok() {
-        println!("invariants:        all upheld");
-        Ok(())
-    } else {
-        for v in &report.violations {
-            eprintln!("VIOLATION: {v}");
-        }
-        Err(format!(
-            "{} invariant violation(s) detected",
-            report.violations.len()
-        )
-        .into())
-    }
+    verdict(&report.violations)
 }
 
-/// `caribou chaos --correlated`: campaign under correlated fault classes
-/// (provider-wide outages, shared failure domains, carbon-data outages)
-/// with optional precomputed-contingency failover. `--contingency K`
-/// arms a K-entry fallback table and appends a paired comparison against
-/// the re-route-home baseline (same seed, same faults, no table).
-/// `--scenario provider-outage` swaps the randomized fault plan for the
-/// pinned seeded provider-wide outage (EXPERIMENTS.md "Contingency").
-fn cmd_chaos_correlated(
-    args: &[String],
-    mut config: caribou_core::ChaosConfig,
-) -> Result<(), CliError> {
-    config.contingency = flag(args, "--contingency")
-        .map(|v| v.parse().map_err(|e| format!("--contingency: {e}")))
-        .transpose()?
-        .unwrap_or(0);
-    config.workers = workers(args)?;
-    let scenario = match flag(args, "--scenario") {
+/// `caribou chaos --correlated`. With `--contingency K` the report ends in
+/// a paired comparison against the re-route-home baseline (same seed, same
+/// faults, no table); `--scenario provider-outage` is the pinned outage of
+/// EXPERIMENTS.md "Contingency".
+fn cmd_chaos_correlated(p: &Parsed, config: caribou_core::ChaosConfig) -> Result<(), CliError> {
+    let scenario = match p.text("--scenario") {
         None => false,
         Some("provider-outage") => true,
         Some(s) => {
@@ -883,158 +784,47 @@ fn cmd_chaos_correlated(
         );
     }
 
-    if report.base.ok() {
-        println!("invariants:        all upheld");
-        Ok(())
-    } else {
-        for v in &report.base.violations {
-            eprintln!("VIOLATION: {v}");
-        }
-        Err(format!(
-            "{} invariant violation(s) detected",
-            report.base.violations.len()
-        )
-        .into())
-    }
+    verdict(&report.base.violations)
 }
 
-/// `caribou chaos --seeds K`: K independent campaigns on consecutive
-/// seeds, fanned across the worker pool. Each campaign is a pure function
-/// of its config, so the sweep's output is identical at any `--workers`.
-fn cmd_chaos_sweep(
-    args: &[String],
-    base: caribou_core::ChaosConfig,
-    sweep: usize,
-) -> Result<(), CliError> {
-    let w = workers(args)?;
-    eprintln!(
-        "chaos sweep: seeds {}..{} · {} requests over {:.0} s each · {} worker(s)",
-        base.seed,
-        base.seed + sweep as u64 - 1,
-        base.requests,
-        base.duration_s,
-        w,
-    );
-    let (reports, _stats) = pool::map_indexed(w, sweep, |i| {
-        let mut config = base;
-        config.seed = base.seed + i as u64;
-        caribou_core::chaos::run_campaign(&config)
-    });
+/// `caribou fleet`: deterministic results go to stdout — identical at any
+/// `--workers` value, so CI diffs a 1-worker run against a K-worker run;
+/// wall-clock throughput and (slightly racy under parallel misses) cache
+/// tallies go to stderr.
+fn cmd_fleet(p: &Parsed) -> Result<(), CliError> {
+    use caribou_core::fleet::FleetConfig;
 
-    println!(
-        "{:<8}{:>10}{:>8}{:>10}{:>8}{:>10}{:>10}{:>12}",
-        "seed", "requests", "clean", "fallback", "failed", "reroutes", "p50 (s)", "p99 (s)"
-    );
-    let mut violations: Vec<String> = Vec::new();
-    for (i, r) in reports.iter().enumerate() {
-        let seed = base.seed + i as u64;
-        println!(
-            "{:<8}{:>10}{:>8}{:>10}{:>8}{:>10}{:>10.2}{:>12.2}",
-            seed,
-            r.requests,
-            r.completed_clean,
-            r.fell_back_home,
-            r.failed,
-            r.breaker_reroutes,
-            r.p50_latency_s,
-            r.p99_latency_s,
-        );
-        violations.extend(r.violations.iter().map(|v| format!("seed {seed}: {v}")));
-    }
-    let total_requests: u64 = reports.iter().map(|r| u64::from(r.requests)).sum();
-    let total_failed: u64 = reports.iter().map(|r| u64::from(r.failed)).sum();
-    println!(
-        "total:             {} requests, {} reported failed across {} campaigns",
-        total_requests, total_failed, sweep
-    );
-    if has_flag(args, "--json") {
-        let per_seed: Vec<serde_json::Value> = reports
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                serde_json::json!({
-                    "seed": base.seed + i as u64,
-                    "requests": r.requests,
-                    "completed_clean": r.completed_clean,
-                    "fell_back_home": r.fell_back_home,
-                    "failed": r.failed,
-                    "breaker_reroutes": r.breaker_reroutes,
-                    "p50_latency_s": r.p50_latency_s,
-                    "p99_latency_s": r.p99_latency_s,
-                    "violations": r.violations,
-                })
-            })
-            .collect();
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&serde_json::json!({ "campaigns": per_seed }))
-                .expect("sweep serializes")
-        );
-    }
-    if violations.is_empty() {
-        println!("invariants:        all upheld in every campaign");
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("VIOLATION: {v}");
-        }
-        Err(format!(
-            "{} invariant violation(s) detected across the sweep",
-            violations.len()
-        )
-        .into())
-    }
-}
-
-/// `caribou fleet`: the multi-tenant fleet re-plan campaign.
-///
-/// Solves `--apps` heterogeneous DAG apps for `--hours` simulated hours
-/// through one shared cross-app estimate cache. Deterministic results
-/// (schedule digest, cell counts, carbon totals) go to stdout — identical
-/// at any `--workers` value, so CI diffs a 1-worker run against a
-/// K-worker run. Wall-clock throughput and (slightly racy under parallel
-/// misses) cache tallies go to stderr.
-fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
-    use caribou_core::fleet::{
-        parse_perturb, replan_incremental, solve_fleet, FleetConfig, FleetEnv,
+    let cfg = FleetConfig {
+        apps: p.count("--apps"),
+        hours: p.count("--hours"),
+        workers: p.count("--workers"),
+        seed: p.int("--seed"),
+        cache_capacity: p.count("--capacity"),
+        ..FleetConfig::default()
     };
+    let pset = providers(p)?;
+    if p.has("--verify") && !p.has("--perturb") {
+        return Err("--verify: needs --perturb, the revision whose re-solve it checks".into());
+    }
+    traced(p, || {
+        run_fleet(&cfg, pset, p.text("--perturb"), p.has("--verify"))
+    })?
+}
+
+/// The body of `caribou fleet`, inside the telemetry session.
+fn run_fleet(
+    cfg: &caribou_core::fleet::FleetConfig,
+    pset: ProviderSet,
+    perturb: Option<&str>,
+    verify: bool,
+) -> Result<(), CliError> {
+    use caribou_core::fleet::{parse_perturb, replan_incremental, solve_fleet, FleetEnv};
     use caribou_solver::engine::EstimateCache;
     use caribou_workloads::fleet::generate_fleet;
 
-    if has_flag(args, "--help") || has_flag(args, "-h") {
-        print!("{FLEET_USAGE}");
-        return Ok(());
-    }
-    let mut cfg = FleetConfig {
-        workers: workers(args)?,
-        ..FleetConfig::default()
-    };
-    if let Some(v) = flag(args, "--apps") {
-        cfg.apps = v.parse().map_err(|e| format!("--apps: {e}"))?;
-    }
-    if let Some(v) = flag(args, "--hours") {
-        cfg.hours = v.parse().map_err(|e| format!("--hours: {e}"))?;
-    }
-    if let Some(v) = flag(args, "--seed") {
-        cfg.seed = v.parse().map_err(|e| format!("--seed: {e}"))?;
-    }
-    if let Some(v) = flag(args, "--capacity") {
-        cfg.cache_capacity = v.parse().map_err(|e| format!("--capacity: {e}"))?;
-    }
-    if cfg.apps == 0 || cfg.hours == 0 {
-        return Err("--apps and --hours must be at least 1".into());
-    }
-    let telemetry_path = flag(args, "--telemetry");
-    if let Some(path) = telemetry_path {
-        let sink = caribou_telemetry::JsonlSink::create(path)
-            .map_err(|e| format!("--telemetry {path}: {e}"))?;
-        caribou_telemetry::enable(Box::new(sink));
-    }
-
-    let pset = providers(args)?;
     let env = FleetEnv::for_providers(cfg.seed, cfg.hours, pset).map_err(|e| e.to_string())?;
     let apps = generate_fleet(cfg.seed, cfg.apps, &env.universe);
-    let perturbs = flag(args, "--perturb")
+    let perturbs = perturb
         .map(|spec| parse_perturb(spec, &env.cloud.regions, &env.universe, cfg.hours))
         .transpose()?;
 
@@ -1044,7 +834,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
     );
     let cache = EstimateCache::shared(cfg.cache_capacity);
     let wall = std::time::Instant::now();
-    let full = solve_fleet(&apps, &env, &cfg, &cache);
+    let full = solve_fleet(&apps, &env, cfg, &cache);
     let wall_s = wall.elapsed().as_secs_f64();
 
     println!("fleet:             {} apps x {} hours", cfg.apps, cfg.hours);
@@ -1076,7 +866,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
             FleetEnv::for_providers(cfg.seed, cfg.hours, pset).map_err(|e| e.to_string())?;
         revised.apply_perturbations(&perturbs);
         let wall = std::time::Instant::now();
-        let inc = replan_incremental(&apps, &revised, &cfg, &cache, &full.schedule, &perturbs);
+        let inc = replan_incremental(&apps, &revised, cfg, &cache, &full.schedule, &perturbs);
         let inc_wall_s = wall.elapsed().as_secs_f64();
 
         println!("-- incremental re-solve after forecast revision --");
@@ -1104,15 +894,10 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
             inc.solved_cells.max(1) as f64 / inc_wall_s
         );
 
-        if has_flag(args, "--verify") {
+        if verify {
             let scratch_cache = EstimateCache::shared(cfg.cache_capacity);
-            let scratch = solve_fleet(&apps, &revised, &cfg, &scratch_cache);
-            if scratch.schedule == inc.schedule {
-                println!("verify:            incremental == from-scratch (bit-identical)");
-            } else {
-                if telemetry_path.is_some() {
-                    caribou_telemetry::finish();
-                }
+            let scratch = solve_fleet(&apps, &revised, cfg, &scratch_cache);
+            if scratch.schedule != inc.schedule {
                 return Err(format!(
                     "verify FAILED: incremental digest {:016x} != from-scratch {:016x}",
                     inc.schedule.digest(),
@@ -1120,22 +905,14 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
                 )
                 .into());
             }
+            println!("verify:            incremental == from-scratch (bit-identical)");
         }
-    }
-    if telemetry_path.is_some() {
-        caribou_telemetry::finish();
     }
     Ok(())
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), CliError> {
-    let path = args
-        .first()
-        .ok_or("usage: caribou trace <journal.jsonl> [--limit N]")?;
-    let limit: usize = flag(args, "--limit")
-        .map(|v| v.parse().map_err(|e| format!("--limit: {e}")))
-        .transpose()?
-        .unwrap_or(60);
+fn cmd_trace(p: &Parsed) -> Result<(), CliError> {
+    let (path, limit) = (&p.operands[0], p.count("--limit"));
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let lines = caribou_telemetry::replay::parse_journal(&text);
     if lines.is_empty() {
@@ -1154,59 +931,111 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
 mod tests {
     use super::*;
 
-    fn args(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
+    fn parse(command: &str, v: &[&str]) -> Result<Option<Parsed>, String> {
+        let args: Vec<String> = v.iter().map(|s| s.to_string()).collect();
+        let command = COMMANDS.iter().find(|c| c.name == command).unwrap();
+        command.parse(&args)
+    }
+
+    fn parsed(command: &str, v: &[&str]) -> Parsed {
+        parse(command, v).unwrap().expect("not a help request")
     }
 
     #[test]
     fn flag_parsing() {
-        let a = args(&["plan", "dna", "--hour", "12", "--worst-case"]);
-        assert_eq!(flag(&a, "--hour"), Some("12"));
-        assert_eq!(flag(&a, "--days"), None);
-        assert!(has_flag(&a, "--worst-case"));
-        assert!(!has_flag(&a, "--json"));
-        // A flag at the end without a value yields None.
-        let b = args(&["plan", "--hour"]);
-        assert_eq!(flag(&b, "--hour"), None);
+        let p = parsed("plan", &["dna", "--hour", "-3", "--worst-case"]);
+        assert_eq!((p.operands[0].as_str(), p.real("--hour")), ("dna", -3.0));
+        assert!(p.has("--worst-case") && !p.has("--hourly"));
+        assert_eq!(p.count("--workers"), 1, "absent: the table's default");
+        assert!(!parsed("simulate", &["dna"]).has("--workers"), "no default");
+        assert!(parse("plan", &["dna", "-h", "--bogus"]).unwrap().is_none());
+
+        let err = |c: &str, v: &[&str]| parse(c, v).unwrap_err();
+        // A value-less flag is an error wherever it stands, not the default.
+        assert_eq!(err("chaos", &["--seed"]), "--seed: missing value");
+        assert_eq!(
+            err("plan", &["x", "--hour", "--hourly"]),
+            "--hour: missing value"
+        );
+        assert!(err("chaos", &["--seed", "-1"]).starts_with("--seed: invalid digit"));
+        assert_eq!(
+            err("plan", &["x", "--workers", "0"]),
+            "--workers: must be at least 1"
+        );
+        assert_eq!(
+            err("plan", &["x", "--hour", "nan"]),
+            "--hour: must be finite"
+        );
+        assert_eq!(
+            err("plan", &["x", "--hourly", "--hourly"]),
+            "--hourly: given more than once"
+        );
+        assert!(err("plan", &[]).starts_with("missing <benchmark>"));
+        assert!(err("plan", &["a", "b"]).starts_with("unexpected argument `b`"));
+        // A flag of another command is unknown to this one.
+        assert!(err("plan", &["x", "--days", "2"]).starts_with("--days: unknown flag"));
+    }
+
+    #[test]
+    fn table_defaults_are_the_library_defaults() {
+        let (p, d) = (parsed("chaos", &[]), caribou_core::ChaosConfig::default());
+        assert_eq!(
+            (p.int("--seed"), p.int("--requests")),
+            (d.seed, d.requests.into())
+        );
+        assert_eq!(
+            (p.real("--duration-s"), p.real("--drop")),
+            (d.duration_s, d.drop_prob)
+        );
+        assert_eq!(
+            (p.count("--contingency"), p.count("--workers")),
+            (d.contingency, d.workers)
+        );
+        let (p, d) = (
+            parsed("fleet", &[]),
+            caribou_core::fleet::FleetConfig::default(),
+        );
+        assert_eq!((p.count("--apps"), p.count("--hours")), (d.apps, d.hours));
+        assert_eq!((p.int("--seed"), p.count("--workers")), (d.seed, d.workers));
+        assert_eq!(p.count("--capacity"), d.cache_capacity);
+        let (p, d) = (parsed("loadgen", &["dna"]), LoadgenConfig::default());
+        assert_eq!(
+            (p.count("--shards"), p.count("--workers")),
+            (d.shards, d.workers)
+        );
+        assert_eq!(p.real("--keep-alive-s"), d.keep_alive_s);
     }
 
     #[test]
     fn input_size_parsing() {
-        assert_eq!(input_size(&args(&[])).unwrap(), InputSize::Small);
+        let size = |v: &[&str]| input_size(&parsed("plan", v));
+        assert_eq!(size(&["dna"]).unwrap(), InputSize::Small);
         assert_eq!(
-            input_size(&args(&["--input", "large"])).unwrap(),
+            size(&["dna", "--input", "large"]).unwrap(),
             InputSize::Large
         );
-        assert!(input_size(&args(&["--input", "huge"])).is_err());
+        assert!(size(&["dna", "--input", "huge"]).is_err());
     }
 
     #[test]
     fn benchmark_lookup_is_fuzzy() {
+        let name = |key: &str, size| find_benchmark(key, size).map(|b| b.name);
+        assert_eq!(name("dna", InputSize::Small).unwrap(), "DNA Visualization");
         assert_eq!(
-            find_benchmark("dna", InputSize::Small).unwrap().name,
-            "DNA Visualization"
-        );
-        assert_eq!(
-            find_benchmark("text2speech", InputSize::Small)
-                .unwrap()
-                .name,
+            name("text2speech", InputSize::Small).unwrap(),
             "Text2Speech Censoring"
         );
         assert_eq!(
-            find_benchmark("video-analytics", InputSize::Large)
-                .unwrap()
-                .name,
+            name("video-analytics", InputSize::Large).unwrap(),
             "Video Analytics"
         );
-        assert!(find_benchmark("pacman", InputSize::Small).is_err());
+        assert!(name("pacman", InputSize::Small).is_err());
     }
 
     #[test]
     fn scenario_parsing() {
-        assert_eq!(
-            scenario(&args(&["--worst-case"])),
-            TransmissionScenario::WORST
-        );
-        assert_eq!(scenario(&args(&[])), TransmissionScenario::BEST);
+        let of = |v: &[&str]| scenario(&parsed("plan", v));
+        assert_eq!(of(&["dna", "--worst-case"]), TransmissionScenario::WORST);
+        assert_eq!(of(&["dna"]), TransmissionScenario::BEST);
     }
 }

@@ -403,7 +403,7 @@ pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
         deployed_at,
     )
     .expect("rollout before faults cannot fail");
-    wf.router.breaker.enabled = config.breaker_enabled;
+    wf.router.breaker_enabled = config.breaker_enabled;
 
     // Arm the randomized campaign; its percentiles count probe requests.
     let mut faults = FaultPlan::randomized(config.seed, &regions, home, config.duration_s);
@@ -614,7 +614,7 @@ fn correlated_campaign_with(
     }
     Migrator::rollout(&mut cloud, &mut wf, primary, deployed_at)
         .expect("primary rollout before faults cannot fail");
-    wf.router.breaker.enabled = config.breaker_enabled;
+    wf.router.breaker_enabled = config.breaker_enabled;
     let contingency_entries = table_c.len();
     if config.contingency > 0 {
         wf.router.set_contingency(table_c, topology.clone());

@@ -97,7 +97,7 @@ impl Default for FleetConfig {
 /// HBSS parameters for fleet solves: a tighter iteration budget than the
 /// single-app default — fleets amortize exploration across thousands of
 /// solves sharing one estimate cache.
-pub fn fleet_hbss_params() -> HbssParams {
+fn fleet_hbss_params() -> HbssParams {
     HbssParams {
         alpha_factor: 3,
         ..HbssParams::default()

@@ -49,9 +49,6 @@ pub struct CaribouConfig {
     /// Lifetime of a generated plan set before it expires and traffic
     /// falls back home (§5.2), seconds.
     pub plan_expiry_s: f64,
-    /// Region the framework's own components run in (solve overhead is
-    /// charged at this region's intensity); defaults to the workflow home.
-    pub framework_region: Option<RegionId>,
     /// Master seed for all framework randomness.
     pub seed: u64,
     /// Worker threads the solver's evaluation engine fans candidates
@@ -74,7 +71,6 @@ impl CaribouConfig {
             hbss: HbssParams::default(),
             manager: ManagerConfig::default(),
             plan_expiry_s: 2.0 * 86_400.0,
-            framework_region: None,
             seed: 7,
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -177,29 +173,6 @@ impl RunReport {
             return 0.0;
         }
         self.samples.iter().filter(|s| s.fell_back_home).count() as f64 / self.samples.len() as f64
-    }
-
-    /// Serializes the per-invocation samples as CSV for external plotting
-    /// (one row per invocation).
-    pub fn samples_to_csv(&self, catalog: &caribou_model::region::RegionCatalog) -> String {
-        let mut out = String::from(
-            "at_s,latency_s,cost_usd,exec_carbon_g,trans_carbon_g,completed,benchmark_traffic,majority_region,fell_back_home\n",
-        );
-        for s in &self.samples {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{}\n",
-                s.at_s,
-                s.latency_s,
-                s.cost_usd,
-                s.exec_carbon_g,
-                s.trans_carbon_g,
-                s.completed,
-                s.benchmark_traffic,
-                catalog.name(s.majority_region),
-                s.fell_back_home
-            ));
-        }
-        out
     }
 
     /// Machine-readable summary of the run (the per-sample detail stays in
@@ -437,8 +410,9 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
             .map(|r| self.carbon.average(*r, now_h - 24.0, now_h))
             .fold(f64::INFINITY, f64::min);
         let differential = (home_avg - cleanest).max(0.0);
-        let framework_region = self.config.framework_region.unwrap_or(home);
-        let framework_intensity = self.carbon.intensity(framework_region, now_h);
+        // The framework's own components run in the workflow's home
+        // region, so solve overhead is charged at home's intensity.
+        let framework_intensity = self.carbon.intensity(home, now_h);
 
         let decision = self.workflows[idx].manager.check(
             now_s,
@@ -754,12 +728,6 @@ mod tests {
         assert_eq!(json["invocations"], report.samples.len());
         assert!(json["workflow_carbon_g"].as_f64().unwrap() > 0.0);
         assert!(json["completion_rate"].as_f64().unwrap() > 0.99);
-
-        let csv = report.samples_to_csv(&fw.cloud.regions);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), report.samples.len() + 1);
-        assert!(lines[0].starts_with("at_s,latency_s"));
-        assert!(lines[1].contains("us-east-1"));
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! the framework defaults to the home region deployment"; the failed plan
 //! is retained and retried on later ticks until replaced.
 
+use caribou_exec::layout;
 use caribou_model::manifest::IamPolicy;
 use caribou_model::plan::HourlyPlans;
 use caribou_model::region::RegionId;
 use caribou_simcloud::cloud::SimCloud;
-use caribou_simcloud::pubsub::TopicKey;
 
 use crate::error::CoreError;
 use crate::utility::DeployedWorkflow;
@@ -126,29 +126,23 @@ impl Migrator {
             report.egress_bytes += copy.egress_bytes;
             report.duration_s += copy.duration_s;
             cloud.meter.record_transfer(home, region, copy.egress_bytes);
-            for node in workflow.app.dag.all_nodes() {
-                cloud.pubsub.create_topic(TopicKey {
-                    workflow: workflow.app.name.to_string(),
-                    stage: workflow.app.dag.node(node).name.clone(),
-                    region,
-                });
-            }
-            cloud
-                .kv
-                .create_table(format!("caribou-data@{}", region.0), region);
-            cloud
-                .kv
-                .create_table(format!("caribou-sync@{}", region.0), region);
+            layout::deploy_region(cloud, &workflow.app, region);
             workflow.active_regions.insert(region);
             report.newly_deployed.push(region);
         }
 
         // Activate: update the KV metadata and the router atomically (the
-        // paper flips the value in the distributed KV store).
+        // paper flips the value in the distributed KV store). The
+        // superseded plan set is collected first — unbilled, like every
+        // other garbage collection — so the one billed conditional write
+        // always lands and the table holds one plan set per workflow
+        // however many rollouts there were.
         let plan_json = serde_json::to_vec(&plans).expect("plan serialization is infallible");
+        let key = layout::plans_key(&workflow.app.name);
+        cloud.kv.reclaim(layout::META_TABLE, &key);
         cloud.kv.put_if_absent(
-            "caribou-meta",
-            &format!("plans:{}:{}", workflow.app.name, now_s as u64),
+            layout::META_TABLE,
+            &key,
             bytes::Bytes::from(plan_json),
             home,
         );
@@ -244,6 +238,29 @@ mod tests {
         assert!(cloud.registry.has_replica("wf:0.1", ca));
         assert!(wf.router.has_active_plan(10.0));
         assert!(wf.active_regions.contains(&ca));
+    }
+
+    #[test]
+    fn repeated_rollouts_keep_one_plan_set_in_the_metadata_table() {
+        let mut cloud = SimCloud::aws(2);
+        let mut wf = deployed(&mut cloud);
+        let ca = cloud.region("ca-central-1").unwrap();
+        let items = cloud.kv.len();
+        // Two rollouts share a timestamp, as a contingency table's
+        // fallbacks and its primary do: the last activated set is kept.
+        for (expires, now_s) in [(1e9, 10.0), (2e9, 20.0), (3e9, 20.0), (4e9, 3600.0)] {
+            Migrator::rollout(&mut cloud, &mut wf, plans_using(ca, expires), now_s).unwrap();
+            assert_eq!(
+                cloud.kv.len(),
+                items + 1,
+                "one plan set, not one per rollout"
+            );
+            let stored = cloud.kv.peek(layout::META_TABLE, "plans:wf").unwrap();
+            assert_eq!(
+                stored.as_ref(),
+                serde_json::to_vec(wf.router.active_plans().unwrap()).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -13,12 +13,12 @@
 use std::collections::HashSet;
 
 use caribou_exec::engine::WorkflowApp;
+use caribou_exec::layout;
 use caribou_exec::router::InvocationRouter;
 use caribou_model::manifest::DeploymentManifest;
 use caribou_model::plan::HourlyPlans;
 use caribou_model::region::RegionId;
 use caribou_simcloud::cloud::SimCloud;
-use caribou_simcloud::pubsub::TopicKey;
 
 use crate::error::CoreError;
 
@@ -71,28 +71,18 @@ impl DeploymentUtility {
             .registry
             .push(image.clone(), DEFAULT_IMAGE_BYTES, home);
         cloud.clock.advance_by(push.duration_s);
-        for node in app.dag.all_nodes() {
-            cloud.pubsub.create_topic(TopicKey {
-                workflow: app.name.to_string(),
-                stage: app.dag.node(node).name.clone(),
-                region: home,
-            });
-        }
-        cloud
-            .kv
-            .create_table(format!("caribou-data@{}", home.0), home);
-        cloud
-            .kv
-            .create_table(format!("caribou-sync@{}", home.0), home);
-        cloud.kv.create_table("caribou-meta", home);
+        layout::deploy_region(cloud, &app, home);
+        cloud.kv.create_table(layout::META_TABLE, home);
 
         // Step 3: upload metadata — the initial (home) plan.
         let router = InvocationRouter::new(home, app.dag.node_count());
         let plan_json =
             serde_json::to_vec(&router.home_plan()).expect("plan serialization is infallible");
+        let mut plan_key = String::new();
+        layout::set_plan_key(&mut plan_key, &app.name);
         cloud.kv.put_if_absent(
-            "caribou-meta",
-            &format!("plan:{}", app.name),
+            layout::META_TABLE,
+            &plan_key,
             bytes::Bytes::from(plan_json),
             home,
         );
@@ -107,36 +97,13 @@ impl DeploymentUtility {
             pending: None,
         })
     }
-
-    /// Tears a workflow down completely: topics, IAM roles, and image
-    /// replicas in every active region, the KV metadata, and any warm
-    /// containers. Consumes the control-plane state so the workflow can
-    /// no longer be routed to.
-    pub fn undeploy(cloud: &mut SimCloud, workflow: DeployedWorkflow) {
-        for region in &workflow.active_regions {
-            for node in workflow.app.dag.all_nodes() {
-                cloud.pubsub.delete_topic(&TopicKey {
-                    workflow: workflow.app.name.to_string(),
-                    stage: workflow.app.dag.node(node).name.clone(),
-                    region: *region,
-                });
-            }
-            cloud.iam.delete_role(&workflow.app.name, *region);
-            cloud.registry.remove_replica(&workflow.image, *region);
-        }
-        cloud.kv.delete(
-            "caribou-meta",
-            &format!("plan:{}", workflow.app.name),
-            workflow.app.home,
-        );
-        cloud.warm.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use caribou_model::builder::Workflow;
+    use caribou_simcloud::pubsub::TopicKey;
 
     fn app(cloud: &SimCloud) -> WorkflowApp {
         let mut wf = Workflow::new("wf", "0.1");
@@ -169,7 +136,7 @@ mod tests {
                 region: home,
             }));
         }
-        assert!(cloud.kv.peek("caribou-meta", "plan:wf").is_some());
+        assert!(cloud.kv.peek(layout::META_TABLE, "plan:wf").is_some());
         assert!(dep.active_regions.contains(&home));
         assert!(dep.pending.is_none());
         assert!(cloud.clock.now() > 0.0, "image push takes time");
@@ -181,26 +148,6 @@ mod tests {
         let app = app(&cloud);
         let manifest = DeploymentManifest::new("wf", "0.1", "narnia-1");
         assert!(DeploymentUtility::deploy_initial(&mut cloud, app, &manifest).is_err());
-    }
-
-    #[test]
-    fn undeploy_removes_all_resources() {
-        let mut cloud = SimCloud::aws(4);
-        let app = app(&cloud);
-        let home = app.home;
-        let manifest = DeploymentManifest::new("wf", "0.1", "us-east-1");
-        let dep = DeploymentUtility::deploy_initial(&mut cloud, app, &manifest).unwrap();
-        DeploymentUtility::undeploy(&mut cloud, dep);
-        assert!(!cloud.iam.role_exists("wf", home));
-        assert!(!cloud.registry.has_replica("wf:0.1", home));
-        for stage in ["A", "B"] {
-            assert!(!cloud.pubsub.topic_exists(&TopicKey {
-                workflow: "wf".into(),
-                stage: stage.into(),
-                region: home,
-            }));
-        }
-        assert!(cloud.kv.peek("caribou-meta", "plan:wf").is_none());
     }
 
     #[test]

@@ -1,0 +1,184 @@
+//! The `caribou` binary at its surface: every subcommand checks its
+//! command line against its flag table, the help is that table, and the
+//! seeded commands replay `goldens/` byte for byte.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn caribou(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_caribou"))
+        .args(args)
+        .output()
+        .expect("the caribou binary runs")
+}
+
+fn repo_file(path: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(path);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// A subcommand as its `--help` declares it.
+struct Declared {
+    name: String,
+    help: String,
+    /// One stand-in per required operand.
+    operands: Vec<&'static str>,
+    /// `(flag, takes a value)`, in table order.
+    flags: Vec<(String, bool)>,
+}
+
+fn declared() -> Vec<Declared> {
+    let top = caribou(&["--help"]);
+    assert!(top.status.success());
+    let top = String::from_utf8(top.stdout).unwrap();
+    let (_, commands) = top.split_once("COMMANDS:\n").expect("a command list");
+    commands
+        .lines()
+        .map(|line| {
+            let name = line.split_whitespace().next().unwrap().to_string();
+            let out = caribou(&[&name, "--help"]);
+            assert!(out.status.success(), "{name} --help");
+            let help = String::from_utf8(out.stdout).unwrap();
+            let synopsis = help.lines().next().unwrap();
+            let operands = synopsis
+                .split_whitespace()
+                .skip(2)
+                .take_while(|t| *t != "—")
+                .filter(|t| !t.starts_with('['))
+                .map(|_| "x")
+                .collect();
+            let flags = help
+                .lines()
+                .filter(|l| l.starts_with("    --"))
+                .map(|l| {
+                    let shown: Vec<&str> = l[4..34].split_whitespace().collect();
+                    (shown[0].to_string(), shown.len() > 1)
+                })
+                .collect();
+            Declared {
+                name,
+                help,
+                operands,
+                flags,
+            }
+        })
+        .collect()
+}
+
+fn with<'a>(command: &'a Declared, tail: &[&'a str]) -> Vec<&'a str> {
+    let mut args = vec![command.name.as_str()];
+    args.extend(&command.operands);
+    args.extend(tail);
+    args
+}
+
+fn assert_rejected(args: &[&str], names: &str) {
+    let out = caribou(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: {names}")),
+        "{args:?}: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+}
+
+#[test]
+fn every_subcommand_rejects_unknown_and_valueless_flags() {
+    let commands = declared();
+    let names: Vec<&str> = commands.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "benchmarks",
+            "manifest",
+            "carbon",
+            "plan",
+            "simulate",
+            "loadgen",
+            "chaos",
+            "fleet",
+            "trace"
+        ]
+    );
+    for command in &commands {
+        // A typo of a real flag, or of none: never silently ignored.
+        let typo = match command.flags.first() {
+            Some((flag, _)) => format!("{flag}z"),
+            None => "--bogus".to_string(),
+        };
+        assert_rejected(
+            &with(command, &[&typo, "3"]),
+            &format!("{typo}: unknown flag"),
+        );
+        for (flag, valued) in &command.flags {
+            // Every flag the help lists is one the parser knows...
+            let known = caribou(&with(command, &[flag, "1", "--help"]));
+            assert!(known.status.success(), "{} {flag}", command.name);
+            // ...and a trailing flag without its value is not a default.
+            if *valued {
+                assert_rejected(&with(command, &[flag]), &format!("{flag}: missing value"));
+            }
+        }
+    }
+    assert_rejected(&["plan", "dna", "--hourz", "--workrs", "3"], "--hourz:");
+    assert_rejected(&["plan", "dna", "--hour", "noon"], "--hour: invalid float");
+    assert_rejected(&["nonesuch"], "unknown command `nonesuch`");
+}
+
+#[test]
+fn verify_without_a_perturbation_is_an_error_not_a_no_op() {
+    assert_rejected(
+        &["fleet", "--apps", "2", "--hours", "1", "--verify"],
+        "--verify:",
+    );
+    assert_rejected(&["fleet", "--perturb", "h7*1.5", "--verfy"], "--verfy:");
+}
+
+#[test]
+fn the_readme_cli_reference_is_the_rendered_help() {
+    let readme = repo_file("README.md");
+    let top = String::from_utf8(caribou(&[]).stdout).unwrap();
+    assert!(readme.contains(&top), "README.md lacks `caribou --help`");
+    for command in declared() {
+        assert!(
+            readme.contains(&command.help),
+            "README.md lacks `caribou {} --help` as rendered",
+            command.name
+        );
+    }
+}
+
+#[test]
+fn seeded_commands_replay_the_goldens_byte_for_byte() {
+    let fleet = "fleet --apps 32 --hours 6 --seed 42 --perturb h3:us-west-2*2 --verify";
+    let correlated = "chaos --correlated --contingency 3 --seed 42 --requests 200 \
+                      --duration-s 14400 --providers aws,gcp --workers 1";
+    for (golden, line) in [
+        ("plan_dna_hourly_aws", "plan dna --hourly"),
+        ("plan_dna_aws", "plan dna"),
+        ("plan_dna_aws", "plan dna --providers aws"),
+        (
+            "simulate_text2speech_aws",
+            "simulate text2speech --days 2 --per-day 20",
+        ),
+        (
+            "chaos_seed42_aws",
+            "chaos --seed 42 --requests 200 --duration-s 7200",
+        ),
+        ("fleet_32x6_aws", fleet),
+        ("chaos_correlated_seed42_awsgcp", correlated),
+    ] {
+        let args: Vec<&str> = line.split_whitespace().collect();
+        let out = caribou(&args);
+        assert!(out.status.success(), "caribou {line}");
+        let expected = repo_file(&format!("goldens/{golden}.txt"));
+        assert!(
+            out.stdout == expected.as_bytes(),
+            "caribou {line} differs from goldens/{golden}.txt:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}

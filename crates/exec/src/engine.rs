@@ -24,8 +24,7 @@ use caribou_simcloud::meter::UsageMeter;
 use caribou_simcloud::orchestration::Orchestrator;
 use caribou_simcloud::pubsub::{Delivery, DeliveryStatus, TopicKey};
 
-use std::fmt::Write as _;
-
+use crate::layout;
 use crate::outcome::ExecutionOutcome;
 
 /// A deployable workflow application: DAG, profile, and home region.
@@ -256,22 +255,16 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
     /// Deployment Utility/Migrator normally guarantees this (§6.1); tests
     /// and single-shot runs call it directly.
     pub fn provision(&self, cloud: &mut SimCloud, app: &WorkflowApp, plan: &DeploymentPlan) {
-        for node in app.dag.all_nodes() {
-            let region = plan.region_of(node);
-            for r in [region, app.home] {
-                // The home deployment always exists (§6.1): mid-flight
-                // failover publishes to the home topic, so it is created
-                // alongside the plan's even when the plan never uses home.
-                cloud.pubsub.create_topic(TopicKey {
-                    workflow: app.name.to_string(),
-                    stage: app.dag.node(node).name.clone(),
-                    region: r,
-                });
-                cloud.kv.create_table(format!("caribou-data@{}", r.0), r);
-                cloud.kv.create_table(format!("caribou-sync@{}", r.0), r);
+        // The home deployment always exists (§6.1): mid-flight failover
+        // publishes to the home topic, so it is deployed alongside the
+        // plan's regions even when the plan never uses home.
+        layout::deploy_region(cloud, app, app.home);
+        for region in plan.regions_used() {
+            if region != app.home {
+                layout::deploy_region(cloud, app, region);
             }
         }
-        cloud.kv.create_table("caribou-meta", app.home);
+        cloud.kv.create_table(layout::META_TABLE, app.home);
     }
 
     /// Executes one invocation under `plan` starting at simulation time
@@ -402,12 +395,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
     /// fresh `TopicKey` would have, no workflow/stage string allocations.
     fn set_topic(&mut self, node: NodeId) {
         let region = self.region_of(node);
-        let topic = &mut self.scratch.topic;
-        topic.workflow.clear();
-        topic.workflow.push_str(&self.app.name);
-        topic.stage.clear();
-        topic.stage.push_str(&self.app.dag.node(node).name);
-        topic.region = region;
+        layout::set_topic(&mut self.scratch.topic, self.app, node, region);
     }
 
     /// Publishes the invocation message for `node` from `from`, metering
@@ -516,10 +504,9 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
             // home-region metadata table (§6.2: "the initial node ...
             // fetches the current DP from the distributed key-value
             // store"); downstream nodes receive it piggybacked.
-            self.scratch.key.clear();
-            let _ = write!(self.scratch.key, "plan:{}", self.app.name);
+            layout::set_plan_key(&mut self.scratch.key, &self.app.name);
             let access = self.cloud.kv.get(
-                "caribou-meta",
+                layout::META_TABLE,
                 &self.scratch.key,
                 start_region,
                 &self.cloud.latency,
@@ -830,10 +817,8 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         from: RegionId,
         succ_region: RegionId,
     ) -> f64 {
-        self.scratch.key.clear();
-        let _ = write!(self.scratch.key, "inv{}:e{}", self.inv_id, eid.0);
-        self.scratch.table.clear();
-        let _ = write!(self.scratch.table, "caribou-data@{}", succ_region.0);
+        layout::set_edge_key(&mut self.scratch.key, self.inv_id, eid);
+        layout::set_data_table(&mut self.scratch.table, succ_region);
         if payload > caribou_simcloud::blob::BLOB_THRESHOLD_BYTES {
             let blob = self.cloud.blob.put(
                 succ_region,
@@ -874,10 +859,8 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
     /// successor actually runs — they differ after a failover, which then
     /// pays the cross-region read. Returns the read latency.
     fn load_intermediate(&mut self, eid: EdgeId, storage: RegionId, reader: RegionId) -> f64 {
-        self.scratch.key.clear();
-        let _ = write!(self.scratch.key, "inv{}:e{}", self.inv_id, eid.0);
-        self.scratch.table.clear();
-        let _ = write!(self.scratch.table, "caribou-data@{}", storage.0);
+        layout::set_edge_key(&mut self.scratch.key, self.inv_id, eid);
+        layout::set_data_table(&mut self.scratch.table, storage);
         if let Some(blob) = self.cloud.blob.get(
             storage,
             &self.scratch.key,
@@ -916,10 +899,8 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
     /// completed.
     fn sync_annotate(&mut self, succ: NodeId, taken: bool, t: f64, writer_region: RegionId) -> f64 {
         let succ_region = self.region_of(succ);
-        self.scratch.table.clear();
-        let _ = write!(self.scratch.table, "caribou-sync@{}", succ_region.0);
-        self.scratch.key.clear();
-        let _ = write!(self.scratch.key, "inv{}:n{}", self.inv_id, succ.0);
+        layout::set_sync_table(&mut self.scratch.table, succ_region);
+        layout::set_sync_key(&mut self.scratch.key, self.inv_id, succ);
         let update = self.cloud.kv.atomic_update(
             &self.scratch.table,
             &self.scratch.key,
@@ -983,10 +964,8 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         // in steady state.
         {
             let succ_region = self.region_of(succ);
-            self.scratch.table.clear();
-            let _ = write!(self.scratch.table, "caribou-sync@{}", succ_region.0);
-            self.scratch.key.clear();
-            let _ = write!(self.scratch.key, "inv{}:n{}", self.inv_id, succ.0);
+            layout::set_sync_table(&mut self.scratch.table, succ_region);
+            layout::set_sync_key(&mut self.scratch.key, self.inv_id, succ);
             self.cloud
                 .kv
                 .reclaim(&self.scratch.table, &self.scratch.key);

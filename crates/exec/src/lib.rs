@@ -19,6 +19,7 @@
 //! * the 10% home-region benchmarking traffic of §6.2.
 
 pub mod engine;
+pub mod layout;
 pub mod outcome;
 pub mod router;
 

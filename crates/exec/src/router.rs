@@ -10,9 +10,9 @@
 //!
 //! The circuit breaker stops repeated failures from paying the
 //! dead-letter retry tax on every request: after
-//! [`BreakerConfig::failure_threshold`] consecutive failures of a region,
+//! `FAILURE_THRESHOLD` consecutive failures of a region,
 //! its breaker opens and the router substitutes the home region for that
-//! region's assignments. After [`BreakerConfig::cooldown_s`] the breaker
+//! region's assignments. After `COOLDOWN_S` seconds the breaker
 //! half-opens and lets a single probe through; a success closes it, a
 //! failure re-opens it. The happy path (no breaker tripped) is a single
 //! branch on a counter, so routing cost is unchanged when regions are
@@ -33,26 +33,13 @@ use std::collections::HashMap;
 use caribou_model::plan::{ContingencyEntry, ContingencyTable, DeploymentPlan, HourlyPlans};
 use caribou_model::region::{Provider, RegionId};
 
-/// Circuit-breaker tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakerConfig {
-    /// Whether the breaker participates in routing at all.
-    pub enabled: bool,
-    /// Consecutive failures of a region before its breaker opens.
-    pub failure_threshold: u32,
-    /// Seconds an open breaker blocks traffic before half-opening.
-    pub cooldown_s: f64,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            enabled: true,
-            failure_threshold: 3,
-            cooldown_s: 300.0,
-        }
-    }
-}
+/// Every `BENCHMARK_EVERY`-th invocation is pinned home: the 10% share
+/// §6.2 fixes for performance benchmarking and metric collection.
+const BENCHMARK_EVERY: u64 = 10;
+/// Consecutive failures of a region before its breaker opens.
+const FAILURE_THRESHOLD: u32 = 3;
+/// Seconds an open breaker blocks traffic before half-opening.
+const COOLDOWN_S: f64 = 300.0;
 
 /// Observable state of one region's breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,11 +90,8 @@ pub struct InvocationRouter {
     node_count: usize,
     active: Option<HourlyPlans>,
     counter: u64,
-    /// Every `benchmark_every`-th invocation is pinned home (10 in the
-    /// paper).
-    pub benchmark_every: u64,
-    /// Circuit-breaker configuration.
-    pub breaker: BreakerConfig,
+    /// Whether the circuit breaker participates in routing at all.
+    pub breaker_enabled: bool,
     breakers: HashMap<RegionId, RegionBreaker>,
     /// Number of breakers currently Open or HalfOpen. The routing happy
     /// path checks only this counter.
@@ -132,8 +116,7 @@ impl InvocationRouter {
             node_count,
             active: None,
             counter: 0,
-            benchmark_every: 10,
-            breaker: BreakerConfig::default(),
+            breaker_enabled: true,
             breakers: HashMap::new(),
             tripped: 0,
             contingency: None,
@@ -183,11 +166,6 @@ impl InvocationRouter {
         self.active = Some(plans);
     }
 
-    /// Clears the active plan set (rollback to home, §6.1).
-    pub fn deactivate(&mut self) {
-        self.active = None;
-    }
-
     /// Whether a plan set is currently active (and unexpired) at `now`.
     pub fn has_active_plan(&self, now_s: f64) -> bool {
         self.active.as_ref().is_some_and(|p| !p.expired(now_s))
@@ -209,7 +187,7 @@ impl InvocationRouter {
     /// 10 ns.
     #[inline]
     pub fn breaker_engaged(&self) -> bool {
-        self.breaker.enabled && self.tripped > 0
+        self.breaker_enabled && self.tripped > 0
     }
 
     /// Current breaker state for a region.
@@ -220,16 +198,10 @@ impl InvocationRouter {
             .unwrap_or(BreakerState::Closed)
     }
 
-    /// Number of regions with a tripped (open or half-open) breaker.
-    pub fn tripped_regions(&self) -> u32 {
-        self.tripped
-    }
-
     /// Routes the next invocation at simulation time `now_s`.
     pub fn route(&mut self, now_s: f64) -> RouteDecision {
         self.counter += 1;
-        let benchmark =
-            self.benchmark_every > 0 && self.counter.is_multiple_of(self.benchmark_every);
+        let benchmark = self.counter.is_multiple_of(BENCHMARK_EVERY);
         if benchmark {
             // Benchmark traffic is pinned home by definition; no breaker
             // can reroute it further.
@@ -449,7 +421,7 @@ impl InvocationRouter {
         match b.state {
             BreakerState::Closed => false,
             BreakerState::Open => {
-                if now_s >= b.opened_at_s + self.breaker.cooldown_s {
+                if now_s >= b.opened_at_s + COOLDOWN_S {
                     b.state = BreakerState::HalfOpen;
                     b.probe_inflight = true;
                     if caribou_telemetry::is_enabled() {
@@ -477,10 +449,10 @@ impl InvocationRouter {
     }
 
     /// Records a failed request against `region`, opening its breaker
-    /// after [`BreakerConfig::failure_threshold`] consecutive failures
+    /// after `FAILURE_THRESHOLD` consecutive failures
     /// (or immediately when the half-open probe fails).
     pub fn record_failure(&mut self, region: RegionId, now_s: f64) {
-        if !self.breaker.enabled {
+        if !self.breaker_enabled {
             return;
         }
         let b = self.breakers.entry(region).or_insert(RegionBreaker {
@@ -504,7 +476,7 @@ impl InvocationRouter {
                     );
                 }
             }
-            BreakerState::Closed if b.consecutive_failures >= self.breaker.failure_threshold => {
+            BreakerState::Closed if b.consecutive_failures >= FAILURE_THRESHOLD => {
                 b.state = BreakerState::Open;
                 b.opened_at_s = now_s;
                 self.tripped += 1;
@@ -524,7 +496,7 @@ impl InvocationRouter {
     /// Records a successful request served by `region`, closing its
     /// breaker (a half-open probe that succeeds, or background recovery).
     pub fn record_success(&mut self, region: RegionId) {
-        if !self.breaker.enabled {
+        if !self.breaker_enabled {
             return;
         }
         if let Some(b) = self.breakers.remove(&region) {
@@ -546,7 +518,7 @@ impl InvocationRouter {
         failed_region: Option<RegionId>,
         now_s: f64,
     ) {
-        if !self.breaker.enabled {
+        if !self.breaker_enabled {
             return;
         }
         if failed_region.is_none() && self.breakers.is_empty() {
@@ -643,15 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn deactivate_reverts_to_home() {
-        let mut r = InvocationRouter::new(RegionId(0), 2);
-        r.activate(hourly(RegionId(3), 1e9));
-        r.deactivate();
-        assert!(!r.has_active_plan(0.0));
-        assert_eq!(r.route(0.0).plan, r.home_plan());
-    }
-
-    #[test]
     fn breaker_opens_after_threshold_and_reroutes_home() {
         let mut r = InvocationRouter::new(RegionId(0), 2);
         r.activate(hourly(RegionId(3), 1e9));
@@ -723,7 +686,7 @@ mod tests {
     #[test]
     fn disabled_breaker_never_reroutes() {
         let mut r = InvocationRouter::new(RegionId(0), 2);
-        r.breaker.enabled = false;
+        r.breaker_enabled = false;
         r.activate(hourly(RegionId(3), 1e9));
         for _ in 0..10 {
             r.record_failure(RegionId(3), 10.0);

@@ -47,11 +47,6 @@ impl MetricsManager {
         &self.store
     }
 
-    /// Mutable access (tests, retention tuning).
-    pub fn store_mut(&mut self) -> &mut LogStore {
-        &mut self.store
-    }
-
     /// Invocation count over the window `[from_s, to_s)` — the signal the
     /// token-bucket controller budgets from (§5.2).
     pub fn invocations_between(&self, from_s: f64, to_s: f64) -> usize {

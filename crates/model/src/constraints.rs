@@ -143,11 +143,6 @@ impl RegionFilter {
         }
         true
     }
-
-    /// Whether the filter imposes any restriction at all.
-    pub fn is_unrestricted(&self) -> bool {
-        self == &Self::default()
-    }
 }
 
 /// Full constraint set for one workflow.
@@ -255,7 +250,6 @@ mod tests {
     fn unrestricted_filter_permits_all() {
         let cat = catalog();
         let f = RegionFilter::any();
-        assert!(f.is_unrestricted());
         for (id, _) in cat.iter() {
             assert!(f.permits(id, &cat));
         }

@@ -341,24 +341,6 @@ impl WorkflowDag {
         result
     }
 
-    /// All nodes reachable from `n`, excluding `n` itself.
-    pub fn descendants(&self, n: NodeId) -> Vec<NodeId> {
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack: Vec<NodeId> = self.successors(n).collect();
-        let mut result = Vec::new();
-        while let Some(cur) = stack.pop() {
-            if std::mem::replace(&mut visited[cur.index()], true) {
-                continue;
-            }
-            result.push(cur);
-            for s in self.successors(cur) {
-                stack.push(s);
-            }
-        }
-        result.sort_unstable();
-        result
-    }
-
     /// A complexity score used by the Deployment Manager to estimate the
     /// cost of a deployment solve (§5.2): `|N| · (1 + |E|/|N|)` rounded up.
     pub fn complexity(&self) -> usize {
@@ -534,15 +516,6 @@ mod tests {
         assert_eq!(d.reachable_sync_nodes(NodeId(1)), vec![NodeId(3)]);
         assert_eq!(d.reachable_sync_nodes(NodeId(0)), vec![NodeId(3)]);
         assert!(d.reachable_sync_nodes(NodeId(3)).is_empty());
-    }
-
-    #[test]
-    fn descendants_of_start_cover_all() {
-        let d = diamond();
-        assert_eq!(
-            d.descendants(NodeId(0)),
-            vec![NodeId(1), NodeId(2), NodeId(3)]
-        );
     }
 
     #[test]

@@ -144,24 +144,6 @@ impl DeploymentManifest {
         })
     }
 
-    /// Builds the workflow [`Constraints`] the manifest describes: the
-    /// workflow-level region filter, tolerances, and objective, with no
-    /// per-node overrides (those come from the builder API, which
-    /// supersedes workflow-level settings, §8).
-    pub fn to_constraints(
-        &self,
-        catalog: &RegionCatalog,
-        node_count: usize,
-    ) -> Result<crate::constraints::Constraints, ModelError> {
-        self.tolerances.validate()?;
-        Ok(crate::constraints::Constraints {
-            workflow: self.region_filter(catalog)?,
-            per_node: vec![None; node_count],
-            tolerances: self.tolerances,
-            objective: self.objective,
-        })
-    }
-
     /// Validates the manifest against a catalog.
     pub fn validate(&self, catalog: &RegionCatalog) -> Result<(), ModelError> {
         if self.workflow_name.is_empty() {
@@ -226,22 +208,6 @@ mod tests {
         assert_eq!(m.workflow_name, "dna");
         assert!(m.regions_and_providers.allowed_regions.is_empty());
         assert!((m.tolerances.latency - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn manifest_to_constraints_carries_settings() {
-        use crate::constraints::Objective;
-        let cat = RegionCatalog::aws_default();
-        let mut m = DeploymentManifest::new("wf", "0.1", "us-east-1");
-        m.objective = Objective::Cost;
-        m.tolerances.latency = 0.2;
-        m.regions_and_providers.allowed_countries = vec!["US".into()];
-        let c = m.to_constraints(&cat, 3).unwrap();
-        assert_eq!(c.objective, Objective::Cost);
-        assert!((c.tolerances.latency - 0.2).abs() < 1e-12);
-        assert_eq!(c.per_node.len(), 3);
-        assert!(!c.workflow.permits(cat.id_of("ca-central-1").unwrap(), &cat));
-        assert!(c.workflow.permits(cat.id_of("us-west-2").unwrap(), &cat));
     }
 
     #[test]

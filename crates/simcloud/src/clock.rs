@@ -25,16 +25,6 @@ pub fn hour_of_day(t: SimTime) -> usize {
     ((t % DAY) / HOUR) as usize % 24
 }
 
-/// Derives the whole hours elapsed since the epoch.
-pub fn hours_since_epoch(t: SimTime) -> usize {
-    (t.max(0.0) / HOUR) as usize
-}
-
-/// Derives the day index since the epoch.
-pub fn day_of_sim(t: SimTime) -> usize {
-    (t.max(0.0) / DAY) as usize
-}
-
 /// A monotone virtual clock.
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
@@ -325,7 +315,5 @@ mod tests {
         assert_eq!(hour_of_day(0.0), 0);
         assert_eq!(hour_of_day(3600.0 * 5.5), 5);
         assert_eq!(hour_of_day(DAY + 3600.0 * 23.0), 23);
-        assert_eq!(day_of_sim(DAY * 3.0 + 100.0), 3);
-        assert_eq!(hours_since_epoch(DAY + HOUR * 2.0), 26);
     }
 }

@@ -58,16 +58,6 @@ impl Iam {
         })
     }
 
-    /// Deletes the role, returning whether it existed.
-    pub fn delete_role(&mut self, workflow: &str, region: RegionId) -> bool {
-        self.roles
-            .remove(&RoleKey {
-                workflow: workflow.to_string(),
-                region,
-            })
-            .is_some()
-    }
-
     /// Checks that a role permits an action (prefix match on the action
     /// pattern, e.g. `sns:Publish` matches `sns:*`).
     pub fn allows(&self, workflow: &str, region: RegionId, action: &str) -> bool {
@@ -82,11 +72,6 @@ impl Iam {
             })
             .unwrap_or(false)
     }
-
-    /// Number of roles.
-    pub fn role_count(&self) -> usize {
-        self.roles.len()
-    }
 }
 
 #[cfg(test)]
@@ -100,9 +85,6 @@ mod tests {
         assert!(!iam.role_exists("wf", r));
         iam.put_role("wf", r, IamPolicy::caribou_default());
         assert!(iam.role_exists("wf", r));
-        assert_eq!(iam.role_count(), 1);
-        assert!(iam.delete_role("wf", r));
-        assert!(!iam.role_exists("wf", r));
     }
 
     #[test]

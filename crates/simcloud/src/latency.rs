@@ -128,13 +128,6 @@ impl LatencyModel {
         })
     }
 
-    /// Overrides the one-way base latency between a pair (both directions),
-    /// e.g. to pin values to fresh CloudPing measurements.
-    pub fn set_one_way(&mut self, a: RegionId, b: RegionId, seconds: f64) {
-        self.one_way[a.index() * self.n + b.index()] = seconds;
-        self.one_way[b.index() * self.n + a.index()] = seconds;
-    }
-
     /// Base one-way latency in seconds.
     pub fn one_way(&self, from: RegionId, to: RegionId) -> f64 {
         self.one_way[from.index() * self.n + to.index()]
@@ -226,17 +219,6 @@ mod tests {
             (mean / expected - 1.0).abs() < 0.05,
             "mean {mean} expected {expected}"
         );
-    }
-
-    #[test]
-    fn override_applies_symmetrically() {
-        let (cat, mut lm) = model();
-        let a = cat.id_of("us-east-1").unwrap();
-        let b = cat.id_of("us-west-2").unwrap();
-        lm.set_one_way(a, b, 0.1);
-        assert_eq!(lm.one_way(a, b), 0.1);
-        assert_eq!(lm.one_way(b, a), 0.1);
-        assert_eq!(lm.rtt(a, b), 0.2);
     }
 
     #[test]

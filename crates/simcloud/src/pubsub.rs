@@ -112,19 +112,9 @@ impl PubSub {
         self.topics.insert(key, ());
     }
 
-    /// Deletes a topic, returning whether it existed.
-    pub fn delete_topic(&mut self, key: &TopicKey) -> bool {
-        self.topics.remove(key).is_some()
-    }
-
     /// Whether a topic exists.
     pub fn topic_exists(&self, key: &TopicKey) -> bool {
         self.topics.contains_key(key)
-    }
-
-    /// Number of topics.
-    pub fn topic_count(&self) -> usize {
-        self.topics.len()
     }
 
     /// Publishes a message of `payload_bytes` from `from` to the topic,
@@ -474,8 +464,5 @@ mod tests {
         assert!(!ps.topic_exists(&key(r)));
         ps.create_topic(key(r));
         assert!(ps.topic_exists(&key(r)));
-        assert_eq!(ps.topic_count(), 1);
-        assert!(ps.delete_topic(&key(r)));
-        assert!(!ps.delete_topic(&key(r)));
     }
 }

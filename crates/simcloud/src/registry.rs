@@ -111,19 +111,9 @@ impl ContainerRegistry {
         self.replicas.contains(&(image.to_string(), region))
     }
 
-    /// Size of an image, if known.
-    pub fn image_size(&self, image: &str) -> Option<f64> {
-        self.images.get(image).map(|i| i.size_bytes)
-    }
-
     /// Removes a replica (used when tearing down an abandoned deployment).
     pub fn remove_replica(&mut self, image: &str, region: RegionId) -> bool {
         self.replicas.remove(&(image.to_string(), region))
-    }
-
-    /// Number of `(image, region)` replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
     }
 }
 
@@ -146,7 +136,6 @@ mod tests {
         assert!(t.duration_s > reg.overhead_for(r));
         assert_eq!(t.egress_bytes, 0.0);
         assert!(reg.has_replica("wf:1", r));
-        assert_eq!(reg.image_size("wf:1"), Some(250e6));
     }
 
     #[test]

@@ -408,7 +408,7 @@ impl EvalEngine {
     /// structure, profile, home region, models, and Monte Carlo config.
     /// Such engines read one draw bank, the cache's for that fingerprint.
     /// Single-app engines ([`Self::new`]) use fingerprint 0.
-    pub fn with_cache(
+    fn with_cache(
         solve_seed: u64,
         fingerprint: u64,
         workers: usize,

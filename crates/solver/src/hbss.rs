@@ -9,7 +9,7 @@
 //!
 //! One adaptation versus the paper's pseudo-code: the acceptance gap
 //! `Δ = γ · |CD.metric − ND.metric|` is computed on the *relative* metric
-//! difference scaled by [`HbssParams::mutation_scale`]. The paper's
+//! difference scaled by `MUTATION_SCALE`. The paper's
 //! absolute form is unit-dependent (carbon per invocation is milligrams,
 //! so `e^{-Δ} ≈ 1` and the walk would accept everything); the relative
 //! form preserves the intended behaviour across metrics.
@@ -26,20 +26,24 @@ use caribou_model::rng::Pcg32;
 use crate::context::{SolveOutcome, SolverContext};
 use crate::engine::EvalEngine;
 
-/// HBSS hyper-parameters (Alg. 1; "determined empirically").
+/// Rank-bias β of the region-selection heuristic (Alg. 1): rank `r` is
+/// drawn with weight `β(1-β)^r`. §5.1 fixes β, γ and its decay
+/// ("determined empirically"); no caller ever set another value.
+const BETA: f64 = 0.2;
+/// Initial temperature γ of the acceptance step (§5.1).
+const GAMMA_INITIAL: f64 = 1.0;
+/// Temperature decay per acceptance (§5.1: γ × 0.99).
+const GAMMA_DECAY: f64 = 0.99;
+/// Scale applied to the relative metric gap in the stochastic mutation
+/// acceptance (the module docs' adaptation of Alg. 1's `MUT`).
+const MUTATION_SCALE: f64 = 20.0;
+
+/// The HBSS iteration budget (Alg. 1), the part of the search callers
+/// size to their workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HbssParams {
     /// Iteration budget multiplier: `α = |N| · |R| · alpha_factor`.
     pub alpha_factor: usize,
-    /// Rank-bias β of the region-selection heuristic.
-    pub beta: f64,
-    /// Initial temperature γ.
-    pub gamma: f64,
-    /// Temperature decay per acceptance.
-    pub gamma_decay: f64,
-    /// Scale applied to the relative metric gap in the stochastic
-    /// mutation acceptance.
-    pub mutation_scale: f64,
     /// Hard cap on iterations regardless of DAG/region count, mirroring
     /// the dynamic adjustment to AWS Lambda's 900 s limit (§5.1).
     pub max_iterations: usize,
@@ -49,10 +53,6 @@ impl Default for HbssParams {
     fn default() -> Self {
         HbssParams {
             alpha_factor: 6,
-            beta: 0.2,
-            gamma: 1.0,
-            gamma_decay: 0.99,
-            mutation_scale: 20.0,
             max_iterations: 5_000,
         }
     }
@@ -123,14 +123,14 @@ impl HbssSolver {
             .collect();
         let most_choices = ranked.iter().map(Vec::len).max().unwrap_or(0);
         let weights: Vec<f64> = (0..most_choices)
-            .map(|r| p.beta * (1.0 - p.beta).powi(r as i32))
+            .map(|r| BETA * (1.0 - BETA).powi(r as i32))
             .collect();
 
         let home_plan = ctx.home_plan();
         let home_estimate = engine.evaluate(ctx, &home_plan, hour);
         let mut current_plan = home_plan.clone();
         let mut current_metric = ctx.metric_of(&home_estimate);
-        let mut gamma = p.gamma;
+        let mut gamma = GAMMA_INITIAL;
 
         let mut seen: HashSet<Vec<RegionId>> = HashSet::new();
         seen.insert(home_plan.assignment().to_vec());
@@ -167,12 +167,12 @@ impl HbssSolver {
                 }
             }
             let accept = metric < current_metric
-                || self.stochastic_mutation(gamma, current_metric, metric, p.mutation_scale, rng);
+                || self.stochastic_mutation(gamma, current_metric, metric, rng);
             if accept {
                 accepted += 1;
                 current_plan = nd;
                 current_metric = metric;
-                gamma *= p.gamma_decay;
+                gamma *= GAMMA_DECAY;
                 if telemetry {
                     // The temperature trajectory: one point per acceptance.
                     caribou_telemetry::event("solver.accept", format!("h{}", hour as u64), gamma);
@@ -229,17 +229,16 @@ impl HbssSolver {
     }
 
     /// `MUT`: accepts a worse candidate with probability `e^{-Δ}` where
-    /// `Δ = γ · |rel gap| · mutation_scale`.
+    /// `Δ = γ · |rel gap| · MUTATION_SCALE`.
     fn stochastic_mutation(
         &self,
         gamma: f64,
         current: f64,
         candidate: f64,
-        scale: f64,
         rng: &mut Pcg32,
     ) -> bool {
         let denom = current.abs().max(1e-30);
-        let delta = gamma * ((current - candidate).abs() / denom) * scale;
+        let delta = gamma * ((current - candidate).abs() / denom) * MUTATION_SCALE;
         rng.next_f64() < (-delta).exp()
     }
 }

@@ -33,7 +33,7 @@ use std::cell::{Cell, RefCell};
 pub use recorder::{Event, Journal, Recorder};
 pub use sink::{JsonlSink, MemorySink, NullSink, TelemetrySink};
 pub use sketch::{Moments, QuantileSketch, MIN_BUCKET, SKETCH_BUCKETS, SUB_BUCKETS};
-pub use span::{chrome_trace, flame_summary, SpanRecord, WallSpanGuard};
+pub use span::{chrome_trace, SpanRecord, WallSpanGuard};
 
 /// Default ring-buffer capacity of the event journal.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
@@ -74,7 +74,7 @@ pub fn enable(sink: Box<dyn TelemetrySink>) {
 }
 
 /// Start a session with an explicit journal ring-buffer capacity.
-pub fn enable_with_capacity(sink: Box<dyn TelemetrySink>, journal_capacity: usize) {
+fn enable_with_capacity(sink: Box<dyn TelemetrySink>, journal_capacity: usize) {
     SESSION.with(|s| {
         *s.borrow_mut() = Some(Session {
             recorder: Recorder::new(journal_capacity),
@@ -389,11 +389,6 @@ impl LeakOrStatic for String {
     }
 }
 
-/// Run `f` against the active recorder (e.g. to snapshot counters mid-run).
-pub fn with_recorder<R>(f: impl FnOnce(&Recorder) -> R) -> Option<R> {
-    with_session(|s| f(&s.recorder))
-}
-
 #[cfg(test)]
 mod tests {
     // Sessions are thread-local and the test harness gives each test its
@@ -556,6 +551,11 @@ mod tests {
         // Each child started from the fork's sim time, not its sibling's.
         let early: Vec<f64> = sink(&merged).0.iter().map(|e| e.t_s).step_by(2).collect();
         assert_eq!(early, [7.0, 7.0, 7.0]);
+    }
+
+    /// Runs `f` against the active recorder, to snapshot counters mid-run.
+    fn with_recorder<R>(f: impl FnOnce(&Recorder) -> R) -> Option<R> {
+        with_session(|s| f(&s.recorder))
     }
 
     #[test]

@@ -67,10 +67,6 @@ impl Journal {
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
         self.entries.iter()
     }
-
-    pub fn into_vec(self) -> Vec<Event> {
-        self.entries.into()
-    }
 }
 
 /// Aggregating recorder: counters, gauges, histograms and the journal.
@@ -232,7 +228,7 @@ mod tests {
         }
         assert_eq!(j.len(), 10);
         assert_eq!(j.dropped(), 0);
-        assert_eq!(j.into_vec().len(), 10);
+        assert_eq!(j.iter().count(), 10);
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl Moments {
             (self.m2 / self.count as f64).max(0.0)
         }
     }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 /// A mergeable log-linear quantile sketch with exact running moments.

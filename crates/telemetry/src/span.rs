@@ -11,8 +11,7 @@
 //!   run; the guard records on drop.
 //!
 //! Both produce [`SpanRecord`]s that export as Chrome trace-event JSON
-//! (`chrome://tracing` / `ui.perfetto.dev` loadable) via [`chrome_trace`],
-//! or as a plain-text flame summary via [`flame_summary`].
+//! (`chrome://tracing` / `ui.perfetto.dev` loadable) via [`chrome_trace`].
 
 use serde_json::{Map, Value};
 
@@ -59,37 +58,6 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> Value {
         Value::String("ms".to_string()),
     );
     Value::Object(root)
-}
-
-/// Aggregate spans by name into a plain-text flame summary, widest first.
-pub fn flame_summary(spans: &[SpanRecord]) -> String {
-    use std::collections::BTreeMap;
-    let mut agg: BTreeMap<(u32, &str), (u64, u64)> = BTreeMap::new();
-    for s in spans {
-        let e = agg.entry((s.depth, s.name.as_str())).or_insert((0, 0));
-        e.0 += s.dur_us;
-        e.1 += 1;
-    }
-    let mut rows: Vec<_> = agg.into_iter().collect();
-    rows.sort_by(|a, b| {
-        (a.0 .0, std::cmp::Reverse(a.1 .0)).cmp(&(b.0 .0, std::cmp::Reverse(b.1 .0)))
-    });
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<40} {:>12} {:>8} {:>12}\n",
-        "span", "total_us", "count", "mean_us"
-    ));
-    for ((depth, name), (total, count)) in rows {
-        let indent = "  ".repeat(depth as usize);
-        out.push_str(&format!(
-            "{:<40} {:>12} {:>8} {:>12.1}\n",
-            format!("{indent}{name}"),
-            total,
-            count,
-            total as f64 / count as f64
-        ));
-    }
-    out
 }
 
 /// Wall-clock span guard: measures from construction to drop, then records
@@ -161,23 +129,5 @@ mod tests {
         let text = serde_json::to_string(&doc).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(parsed["traceEvents"].as_array().unwrap().len(), 0);
-    }
-
-    #[test]
-    fn flame_summary_aggregates_and_indents_by_depth() {
-        let spans = vec![
-            rec("solve", "solver", 0, 300, 0),
-            rec("solve", "solver", 400, 100, 0),
-            rec("eval", "solver", 10, 50, 1),
-        ];
-        let out = flame_summary(&spans);
-        let lines: Vec<&str> = out.lines().collect();
-        assert!(lines[0].starts_with("span"));
-        // Depth 0 rows come first; "solve" aggregated to 400 us over 2.
-        assert!(lines[1].starts_with("solve"), "{out}");
-        assert!(lines[1].contains("400"));
-        assert!(lines[1].contains("200.0"), "mean over two spans");
-        // Depth 1 rows are indented two spaces.
-        assert!(lines[2].starts_with("  eval"), "{out}");
     }
 }

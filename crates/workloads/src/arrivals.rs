@@ -69,7 +69,7 @@ impl ArrivalProcess {
     }
 
     /// Instantaneous arrival rate at simulation time `t` seconds.
-    pub fn rate_at(&self, t: f64) -> f64 {
+    fn rate_at(&self, t: f64) -> f64 {
         match *self {
             ArrivalProcess::Poisson { rate_per_s } => rate_per_s,
             ArrivalProcess::Diurnal { rate_per_s } => {

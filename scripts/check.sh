@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The pre-PR gate: formatting, clippy with warnings denied, the test
-# suite, the release-only timing test, seeded CLI smoke runs diffed
-# across worker counts and against goldens/, the figure binaries
+# suite (which replays goldens/ through the built CLI:
+# crates/core/tests/cli.rs), the release-only timing test, seeded CLI
+# smoke runs diffed across worker counts, the figure binaries
 # (scripts/figures.sh), and the grep gates; a run must leave the working
 # tree as it found it. Run before sending a PR.
 # Performance is not measured here: see benchmark/README.md.
@@ -29,14 +30,6 @@ if [[ "${1:-}" != "--fast" ]]; then
     # healthy-path breaker + fallback check inside its 10 ns budget.
     echo "==> router happy-path budget (release, --ignored)"
     cargo test -q --release -p caribou-exec -- --ignored
-
-    # Deterministic chaos smoke: a fixed-seed fault campaign (region
-    # outages, partitions, gray failures, KV throttling, cold storms)
-    # must report zero invariant violations. Exit code is non-zero on
-    # any violation.
-    echo "==> caribou chaos smoke (seed 42)"
-    cargo run -q --release -p caribou-core --bin caribou -- \
-        chaos --seed 42 --requests 200 --duration-s 7200
 
     # Deterministic solver smoke: the 24-hour schedule printed by
     # `caribou plan --hourly` must be bit-identical whether the solver
@@ -123,31 +116,11 @@ if [[ "${1:-}" != "--fast" ]]; then
     rm -f /tmp/caribou-prov-aws.txt /tmp/caribou-prov-multi-1w.txt \
         /tmp/caribou-prov-multi-4w.txt
 
-    # Golden regression: the default aws-only provider set must replay
-    # the committed stdout byte-for-byte for every seeded command in
-    # goldens/ (`--providers aws` and the default are the same call).
-    echo "==> aws-only golden regression (goldens/*.txt)"
-    run_golden() {
-        cargo run -q --release -p caribou-core --bin caribou -- "$@" \
-            >/tmp/caribou-golden.txt 2>/dev/null
-        diff "goldens/$GOLDEN" /tmp/caribou-golden.txt
-        rm -f /tmp/caribou-golden.txt
-    }
-    GOLDEN=plan_dna_hourly_aws.txt run_golden plan dna --hourly
-    GOLDEN=plan_dna_aws.txt run_golden plan dna
-    GOLDEN=plan_dna_aws.txt run_golden plan dna --providers aws
-    GOLDEN=simulate_text2speech_aws.txt run_golden \
-        simulate text2speech --days 2 --per-day 20
-    GOLDEN=chaos_seed42_aws.txt run_golden \
-        chaos --seed 42 --requests 200 --duration-s 7200
-    GOLDEN=fleet_32x6_aws.txt run_golden \
-        fleet --apps 32 --hours 6 --seed 42 --perturb 'h3:us-west-2*2' --verify
-
     # Correlated chaos smoke: a fixed-seed campaign under correlated
     # fault classes (provider-wide outage, shared failure domains,
     # carbon-data outage) with a 3-entry contingency table must uphold
-    # every invariant, print a bit-identical report at 1 and 2 workers,
-    # and replay the committed golden byte-for-byte.
+    # every invariant and print a bit-identical report at 1 and 2 workers
+    # (tier-1 diffs the 1-worker report against its golden).
     echo "==> caribou correlated chaos smoke (seed 42, contingency 3, 1 vs 2 workers)"
     cargo run -q --release -p caribou-core --bin caribou -- \
         chaos --correlated --contingency 3 --seed 42 --requests 200 \
@@ -158,7 +131,6 @@ if [[ "${1:-}" != "--fast" ]]; then
         --duration-s 14400 --providers aws,gcp --workers 2 \
         >/tmp/caribou-corr-2w.txt 2>/dev/null
     diff /tmp/caribou-corr-1w.txt /tmp/caribou-corr-2w.txt
-    diff goldens/chaos_correlated_seed42_awsgcp.txt /tmp/caribou-corr-1w.txt
     rm -f /tmp/caribou-corr-1w.txt /tmp/caribou-corr-2w.txt
 
     # The reproduction itself: every figure/table binary at full
@@ -262,6 +234,31 @@ if grep -rnE 'CARIBOU_FAST|ExpEnv|fn cloud_for|fn hour_step' \
     echo "error: a second experiment assembly is back (see matches above)" >&2
     exit 1
 fi
+
+# Everything has a user: the argument list is read in one place
+# (Command::parse in caribou/flags.rs; main hands it over), the seed sweep
+# and the second usage text stay deleted, and the eight never-assigned
+# knobs (HBSS beta/gamma schedule, breaker thresholds, benchmarking share,
+# framework region) stay constants, not struct fields.
+echo "==> single-parser and no-unused-option grep gates"
+if grep -rnE 'fn flag\(|fn has_flag\(|\.position\(\|a\| a ==|cmd_chaos_sweep|FLEET_USAGE' crates ||
+    grep -rnE 'pub (beta|gamma|gamma_decay|mutation_scale|failure_threshold|cooldown_s|benchmark_every|framework_region):' \
+        crates/solver crates/exec crates/core ||
+    [[ "$(grep -rn 'env::args' crates/core/src | wc -l)" -ne 1 ]]; then
+    echo "error: a deleted CLI path or option is back, or args are read outside main (see above)" >&2
+    exit 1
+fi
+
+# One storage layout: the regional table names are spelled in
+# caribou-exec's layout module and nowhere else.
+echo "==> single-layout grep gate"
+for table in 'caribou-data@' 'caribou-sync@'; do
+    files=$(grep -rlF "$table" crates tests examples | tr '\n' ' ')
+    if [[ "$files" != "crates/exec/src/layout.rs " ]]; then
+        echo "error: '$table' is spelled in: $files(want crates/exec/src/layout.rs only)" >&2
+        exit 1
+    fi
+done
 
 # One histogram type: the recorder holds QuantileSketch.
 echo "==> single-histogram grep gate"
