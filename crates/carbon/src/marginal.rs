@@ -73,6 +73,10 @@ impl<S: CarbonDataSource> CarbonDataSource for MarginalSource<S> {
         ((1.0 - self.coupling) * GAS_PEAKER_INTENSITY + self.coupling * aci + self.spread * z)
             .max(1.0)
     }
+
+    fn counts_queries(&self) -> bool {
+        self.aci.counts_queries()
+    }
 }
 
 #[cfg(test)]

@@ -12,15 +12,20 @@ use caribou_model::region::{RegionCatalog, RegionId};
 
 use crate::source::CarbonDataSource;
 
-/// Route intensity as the average of the two endpoint grids (the paper's
-/// simplification).
+/// Route intensity from the two endpoint grids' intensities: their average
+/// (the paper's simplification).
+pub fn endpoint_mean(from: f64, to: f64) -> f64 {
+    0.5 * (from + to)
+}
+
+/// [`endpoint_mean`] of the two endpoint grids at `hour`.
 pub fn endpoint_average<S: CarbonDataSource>(
     source: &S,
     from: RegionId,
     to: RegionId,
     hour: f64,
 ) -> f64 {
-    0.5 * (source.intensity(from, hour) + source.intensity(to, hour))
+    endpoint_mean(source.intensity(from, hour), source.intensity(to, hour))
 }
 
 /// Hop-weighted route intensity: splits the route into `segments` virtual

@@ -31,11 +31,23 @@ pub trait CarbonDataSource {
             .sum();
         sum / n as f64
     }
+
+    /// Whether how often this source is asked is itself an output (it
+    /// reports its query counts). A caller may answer a repeated
+    /// `(region, hour)` query from a copy of the first answer only where
+    /// this is `false`; a wrapper answers for the source it wraps.
+    fn counts_queries(&self) -> bool {
+        false
+    }
 }
 
 impl<S: CarbonDataSource + ?Sized> CarbonDataSource for &S {
     fn intensity(&self, region: RegionId, hour: f64) -> f64 {
         (**self).intensity(region, hour)
+    }
+
+    fn counts_queries(&self) -> bool {
+        (**self).counts_queries()
     }
 }
 
@@ -279,6 +291,10 @@ impl<S: CarbonDataSource> CarbonDataSource for ForecastingSource<'_, S> {
                 self.actual.intensity(region, hour)
             }
         }
+    }
+
+    fn counts_queries(&self) -> bool {
+        self.actual.counts_queries()
     }
 }
 

@@ -153,6 +153,12 @@ impl<S: CarbonDataSource> CarbonDataSource for StaleAwareSource<S> {
             }
         }
     }
+
+    /// [`StaleAwareSource::query_counts`] is reported by the campaigns
+    /// that wrap their grid in this source.
+    fn counts_queries(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

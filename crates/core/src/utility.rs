@@ -78,11 +78,9 @@ impl DeploymentUtility {
         let router = InvocationRouter::new(home, app.dag.node_count());
         let plan_json =
             serde_json::to_vec(&router.home_plan()).expect("plan serialization is infallible");
-        let mut plan_key = String::new();
-        layout::set_plan_key(&mut plan_key, &app.name);
         cloud.kv.put_if_absent(
             layout::META_TABLE,
-            &plan_key,
+            &layout::plan_key(&app.name),
             bytes::Bytes::from(plan_json),
             home,
         );

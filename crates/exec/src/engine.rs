@@ -8,7 +8,7 @@
 //! of §9.6 (Step Functions and raw SNS), which differ only in transition
 //! mechanics.
 
-use caribou_carbon::route::endpoint_average;
+use caribou_carbon::route::endpoint_mean;
 use caribou_carbon::source::CarbonDataSource;
 use caribou_metrics::carbonmodel::CarbonModel;
 use caribou_metrics::logs::{EdgeRecord, InvocationLog, NodeRecord};
@@ -18,13 +18,15 @@ use caribou_model::plan::DeploymentPlan;
 use caribou_model::profile::WorkflowProfile;
 use caribou_model::region::RegionId;
 use caribou_model::rng::Pcg32;
+use caribou_simcloud::blob::ObjectKey;
 use caribou_simcloud::clock::EventQueue;
 use caribou_simcloud::cloud::SimCloud;
+use caribou_simcloud::kv::ItemAddr;
 use caribou_simcloud::meter::UsageMeter;
 use caribou_simcloud::orchestration::Orchestrator;
-use caribou_simcloud::pubsub::{Delivery, DeliveryStatus, TopicKey};
+use caribou_simcloud::pubsub::{Delivery, DeliveryStatus};
 
-use crate::layout;
+use crate::layout::{self, AddressBook, SyncLabel};
 use crate::outcome::ExecutionOutcome;
 
 /// A deployable workflow application: DAG, profile, and home region.
@@ -131,14 +133,17 @@ fn ann_static(len: usize, bits: usize) -> &'static [u8] {
 /// Reusable per-invocation buffers.
 ///
 /// One invocation needs a handful of DAG-sized vectors, an event queue,
-/// and scratch strings for topic names and KV keys. Allocating them fresh
-/// for every invocation dominates the allocation profile under sustained
-/// load (`caribou loadgen`), so callers that execute many invocations
-/// hold one `InvocationScratch` and pass it to
+/// the addresses of the topics and tables it touches, and each region's
+/// carbon intensity at its hour. Allocating and resolving them fresh for
+/// every invocation dominates the profile under sustained load (`caribou
+/// loadgen`), so callers that execute many invocations hold one
+/// `InvocationScratch` and pass it to
 /// [`ExecutionEngine::invoke_with_scratch`]; buffers are cleared, not
-/// dropped, between invocations. [`ExecutionEngine::invoke`] builds a
-/// throwaway scratch to keep the one-shot API unchanged.
-#[derive(Debug)]
+/// dropped, between invocations, and the address book outlives them (it
+/// rebinds itself when the cloud or the workflow changes).
+/// [`ExecutionEngine::invoke`] builds a throwaway scratch to keep the
+/// one-shot API unchanged.
+#[derive(Debug, Default)]
 pub struct InvocationScratch {
     overrides: Vec<Option<RegionId>>,
     edge_state: Vec<EdgeState>,
@@ -147,34 +152,12 @@ pub struct InvocationScratch {
     finish: Vec<f64>,
     queue: EventQueue<NodeId>,
     batch: Vec<NodeId>,
-    topic: TopicKey,
-    key: String,
-    table: String,
+    book: AddressBook,
+    /// Per region, the grid's intensity at this invocation's hour; NaN
+    /// until first asked for.
+    intensity: Vec<f64>,
     allocs: u64,
     invocations: u64,
-}
-
-impl Default for InvocationScratch {
-    fn default() -> Self {
-        InvocationScratch {
-            overrides: Vec::new(),
-            edge_state: Vec::new(),
-            node_started: Vec::new(),
-            node_dead: Vec::new(),
-            finish: Vec::new(),
-            queue: EventQueue::new(),
-            batch: Vec::new(),
-            topic: TopicKey {
-                workflow: String::new(),
-                stage: String::new(),
-                region: RegionId(0),
-            },
-            key: String::new(),
-            table: String::new(),
-            allocs: 0,
-            invocations: 0,
-        }
-    }
 }
 
 impl InvocationScratch {
@@ -183,10 +166,11 @@ impl InvocationScratch {
         Self::default()
     }
 
-    /// Resets the buffers for a workflow of `nodes`/`edges` size and
-    /// returns how many of the pooled vectors had to (re)allocate — zero
-    /// once the scratch is warm for a workflow shape.
-    fn prepare(&mut self, nodes: usize, edges: usize) -> u64 {
+    /// Resets the buffers for a workflow of `nodes`/`edges` size on a
+    /// catalog of `regions` regions and returns how many of the pooled
+    /// vectors had to (re)allocate — zero once the scratch is warm for a
+    /// workflow shape.
+    fn prepare(&mut self, nodes: usize, edges: usize, regions: usize) -> u64 {
         fn refill<T: Clone>(v: &mut Vec<T>, len: usize, val: T, grew: &mut u64) {
             let cap = v.capacity();
             v.clear();
@@ -201,6 +185,7 @@ impl InvocationScratch {
         refill(&mut self.node_started, nodes, false, &mut grew);
         refill(&mut self.node_dead, nodes, false, &mut grew);
         refill(&mut self.finish, nodes, 0.0, &mut grew);
+        refill(&mut self.intensity, regions, f64::NAN, &mut grew);
         self.queue.clear();
         self.batch.clear();
         self.invocations += 1;
@@ -244,7 +229,7 @@ struct InvocationCtx<'c, 'a, S: CarbonDataSource> {
     /// target); feeds the router's per-region circuit breaker.
     failed_region: Option<RegionId>,
     /// Pooled buffers (region overrides, edge/node state, event queue,
-    /// topic/key strings), prepared by the caller.
+    /// address book, intensity memo), prepared by the caller.
     scratch: &'c mut InvocationScratch,
     node_records: Vec<NodeRecord>,
     edge_records: Vec<EdgeRecord>,
@@ -287,8 +272,9 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
     }
 
     /// [`ExecutionEngine::invoke`] with caller-pooled buffers: identical
-    /// results, but the per-invocation vectors, event queue, and
-    /// topic/key strings are reused across calls instead of reallocated.
+    /// results, but the per-invocation vectors and event queue are reused
+    /// across calls instead of reallocated, and topics and tables are
+    /// resolved once instead of named per operation.
     #[allow(clippy::too_many_arguments)]
     pub fn invoke_with_scratch(
         &self,
@@ -307,7 +293,8 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
         );
         let hour = at_s / 3600.0;
         let n = app.dag.node_count();
-        let grew = scratch.prepare(n, app.dag.edge_count());
+        let grew = scratch.prepare(n, app.dag.edge_count(), cloud.regions.len());
+        scratch.book.bind(cloud, app);
         // Windowed faults (partitions, gray failures, throttles) are
         // evaluated at the invocation's start time.
         cloud.set_fault_now(at_s);
@@ -391,24 +378,16 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         self.scratch.overrides[node.index()].unwrap_or_else(|| self.plan.region_of(node))
     }
 
-    /// Rebuilds the pooled topic key for `node` in place: same value a
-    /// fresh `TopicKey` would have, no workflow/stage string allocations.
-    fn set_topic(&mut self, node: NodeId) {
-        let region = self.region_of(node);
-        layout::set_topic(&mut self.scratch.topic, self.app, node, region);
-    }
-
     /// Publishes the invocation message for `node` from `from`, metering
     /// the publish (rejected topic-missing calls are not billed).
     fn publish_to(&mut self, node: NodeId, from: RegionId, payload_bytes: f64) -> Delivery {
-        self.set_topic(node);
-        let delivery = self.cloud.pubsub.publish(
-            &self.scratch.topic,
-            from,
-            payload_bytes,
-            &self.cloud.latency,
-            self.rng,
-        );
+        let region = self.region_of(node);
+        let (pubsub, lm) = (&mut self.cloud.pubsub, &self.cloud.latency);
+        let delivery = match self.scratch.book.topic(pubsub, self.app, node, region) {
+            Ok(topic) => pubsub.publish_to(topic, from, payload_bytes, lm, self.rng),
+            // Never deployed there: the by-name call rejects it.
+            Err(name) => pubsub.publish(&name, from, payload_bytes, lm, self.rng),
+        };
         if delivery.status != DeliveryStatus::TopicMissing {
             self.meter.record_sns(from);
         }
@@ -453,8 +432,22 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         }
     }
 
-    fn route_intensity(&self, a: RegionId, b: RegionId) -> f64 {
-        endpoint_average(self.engine.carbon_source, a, b, self.hour)
+    /// The grid's intensity in `region` at this invocation's hour, asked
+    /// of the source once per region unless the source counts its queries.
+    fn intensity(&mut self, region: RegionId) -> f64 {
+        let source = self.engine.carbon_source;
+        if source.counts_queries() {
+            return source.intensity(region, self.hour);
+        }
+        let memo = &mut self.scratch.intensity[region.index()];
+        if memo.is_nan() {
+            *memo = source.intensity(region, self.hour);
+        }
+        *memo
+    }
+
+    fn route_intensity(&mut self, a: RegionId, b: RegionId) -> f64 {
+        endpoint_mean(self.intensity(a), self.intensity(b))
     }
 
     fn account_transfer(&mut self, from: RegionId, to: RegionId, bytes: f64) {
@@ -504,14 +497,11 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
             // home-region metadata table (§6.2: "the initial node ...
             // fetches the current DP from the distributed key-value
             // store"); downstream nodes receive it piggybacked.
-            layout::set_plan_key(&mut self.scratch.key, &self.app.name);
-            let access = self.cloud.kv.get(
-                layout::META_TABLE,
-                &self.scratch.key,
-                start_region,
-                &self.cloud.latency,
-                self.rng,
-            );
+            let plan = self.scratch.book.plan_item(&mut self.cloud.kv, self.app);
+            let access = self
+                .cloud
+                .kv
+                .get_at(plan, start_region, &self.cloud.latency, self.rng);
             self.meter.record_kv(start_region, 1, 0);
             t0 += access.latency_s;
         }
@@ -605,7 +595,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         }
 
         self.meter.record_lambda(region, duration, p.memory_mb);
-        let intensity = self.engine.carbon_source.intensity(region, self.hour);
+        let intensity = self.intensity(region);
         self.exec_carbon += self.engine.carbon_model.execution_carbon_params(
             p.memory_mb,
             duration,
@@ -817,40 +807,47 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         from: RegionId,
         succ_region: RegionId,
     ) -> f64 {
-        layout::set_edge_key(&mut self.scratch.key, self.inv_id, eid);
-        layout::set_data_table(&mut self.scratch.table, succ_region);
+        let item = self.edge_item(eid, succ_region);
+        let object = self.edge_object(eid);
+        let (kv, lm) = (&mut self.cloud.kv, &self.cloud.latency);
         if payload > caribou_simcloud::blob::BLOB_THRESHOLD_BYTES {
-            let blob = self.cloud.blob.put(
-                succ_region,
-                &self.scratch.key,
-                payload,
-                from,
-                &self.cloud.latency,
-                self.rng,
-            );
+            let blob = self
+                .cloud
+                .blob
+                .put(succ_region, object, payload, from, lm, self.rng);
             self.meter.record_blob(succ_region, 0, 1);
-            let reference = self.cloud.kv.put(
-                &self.scratch.table,
-                &self.scratch.key,
-                bytes::Bytes::from_static(b"blobref"),
-                from,
-                &self.cloud.latency,
-                self.rng,
-            );
+            let reference = bytes::Bytes::from_static(b"blobref");
+            let reference = kv.put_at(item, reference, from, lm, self.rng);
             self.meter.record_kv(succ_region, 0, 1);
             blob.latency_s.max(reference.latency_s)
         } else {
-            let write = self.cloud.kv.put(
-                &self.scratch.table,
-                &self.scratch.key,
-                bytes::Bytes::from_static(&ZERO_PAYLOAD[..payload.min(4096.0) as usize]),
-                from,
-                &self.cloud.latency,
-                self.rng,
-            );
+            let value = bytes::Bytes::from_static(&ZERO_PAYLOAD[..payload.min(4096.0) as usize]);
+            let write = kv.put_at(item, value, from, lm, self.rng);
             self.meter.record_kv(succ_region, 0, 1);
             write.latency_s
         }
+    }
+
+    /// The data-table item of this invocation's payload on `eid`, in
+    /// `storage`'s table.
+    fn edge_item(&mut self, eid: EdgeId, storage: RegionId) -> ItemAddr {
+        let tables = self.scratch.book.tables(&mut self.cloud.kv, storage);
+        ItemAddr::new(tables.data, self.inv_id, eid.0)
+    }
+
+    /// The blob key of this invocation's payload on `eid`.
+    fn edge_object(&self, eid: EdgeId) -> ObjectKey {
+        ObjectKey {
+            invocation: self.inv_id,
+            slot: eid.0,
+        }
+    }
+
+    /// The sync-table item of this invocation's annotations on `node`.
+    fn sync_item(&mut self, node: NodeId) -> ItemAddr {
+        let region = self.region_of(node);
+        let tables = self.scratch.book.tables(&mut self.cloud.kv, region);
+        ItemAddr::new(tables.sync, self.inv_id, node.0)
     }
 
     /// Loads one edge's intermediate payload, following the blob reference
@@ -859,39 +856,25 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
     /// successor actually runs — they differ after a failover, which then
     /// pays the cross-region read. Returns the read latency.
     fn load_intermediate(&mut self, eid: EdgeId, storage: RegionId, reader: RegionId) -> f64 {
-        layout::set_edge_key(&mut self.scratch.key, self.inv_id, eid);
-        layout::set_data_table(&mut self.scratch.table, storage);
-        if let Some(blob) = self.cloud.blob.get(
-            storage,
-            &self.scratch.key,
-            reader,
-            &self.cloud.latency,
-            self.rng,
-        ) {
-            self.meter.record_blob(storage, 1, 0);
-            // The wrapper first read the KV reference.
-            self.meter.record_kv(storage, 1, 0);
-            // Each intermediate is read exactly once; garbage-collect the
-            // object and its reference (TTL-style, unbilled) so the
-            // stores stay bounded under sustained load.
-            self.cloud.blob.reclaim(storage, &self.scratch.key);
-            self.cloud
-                .kv
-                .reclaim(&self.scratch.table, &self.scratch.key);
-            return blob.latency_s;
-        }
-        let read = self.cloud.kv.get(
-            &self.scratch.table,
-            &self.scratch.key,
-            reader,
-            &self.cloud.latency,
-            self.rng,
-        );
+        let item = self.edge_item(eid, storage);
+        let object = self.edge_object(eid);
+        let lm = &self.cloud.latency;
+        // Each intermediate is read exactly once; garbage-collect it
+        // (TTL-style, unbilled) so the stores stay bounded under
+        // sustained load.
+        let latency_s = match self.cloud.blob.get(storage, object, reader, lm, self.rng) {
+            Some(blob) => {
+                self.meter.record_blob(storage, 1, 0);
+                self.cloud.blob.delete(storage, object);
+                blob.latency_s
+            }
+            None => self.cloud.kv.get_at(item, reader, lm, self.rng).latency_s,
+        };
+        // Either way the wrapper read the KV item: the payload itself or
+        // the reference to the blob.
         self.meter.record_kv(storage, 1, 0);
-        self.cloud
-            .kv
-            .reclaim(&self.scratch.table, &self.scratch.key);
-        read.latency_s
+        self.cloud.kv.reclaim_at(item);
+        latency_s
     }
 
     /// Performs the atomic annotation update of §4 against the sync
@@ -899,11 +882,14 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
     /// completed.
     fn sync_annotate(&mut self, succ: NodeId, taken: bool, t: f64, writer_region: RegionId) -> f64 {
         let succ_region = self.region_of(succ);
-        layout::set_sync_table(&mut self.scratch.table, succ_region);
-        layout::set_sync_key(&mut self.scratch.key, self.inv_id, succ);
-        let update = self.cloud.kv.atomic_update(
-            &self.scratch.table,
-            &self.scratch.key,
+        let item = self.sync_item(succ);
+        let label = SyncLabel {
+            inv_id: self.inv_id,
+            node: succ,
+        };
+        let update = self.cloud.kv.atomic_update_at(
+            item,
+            &label,
             writer_region,
             &self.cloud.latency,
             self.rng,
@@ -959,17 +945,9 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         }
         // Every annotation is in. The decision below reads only the
         // engine-side `edge_state` (the KV record is write-only past this
-        // point), so the annotation item can be garbage-collected now —
-        // recycling its key strings keeps the sync table allocation-free
-        // in steady state.
-        {
-            let succ_region = self.region_of(succ);
-            layout::set_sync_table(&mut self.scratch.table, succ_region);
-            layout::set_sync_key(&mut self.scratch.key, self.inv_id, succ);
-            self.cloud
-                .kv
-                .reclaim(&self.scratch.table, &self.scratch.key);
-        }
+        // point), so the annotation item can be garbage-collected now.
+        let item = self.sync_item(succ);
+        self.cloud.kv.reclaim_at(item);
         let mut any_taken = false;
         let mut last_at = 0.0f64;
         let mut last_writer = self.region_of(succ);
@@ -1091,23 +1069,20 @@ mod tests {
     }
 
     fn sync_app(cloud: &SimCloud, cond_prob: Option<f64>) -> WorkflowApp {
+        sync_app_with_stages(cloud, cond_prob, ["A", "B", "C", "D"])
+    }
+
+    fn sync_app_with_stages(
+        cloud: &SimCloud,
+        cond_prob: Option<f64>,
+        stages: [&str; 4],
+    ) -> WorkflowApp {
         let mut wf = Workflow::new("join", "0.1");
-        let a = wf
-            .serverless_function("A")
-            .exec_time(DistSpec::Constant { value: 0.5 })
-            .register();
-        let b = wf
-            .serverless_function("B")
-            .exec_time(DistSpec::Constant { value: 0.5 })
-            .register();
-        let c = wf
-            .serverless_function("C")
-            .exec_time(DistSpec::Constant { value: 3.0 })
-            .register();
-        let d = wf
-            .serverless_function("D")
-            .exec_time(DistSpec::Constant { value: 0.5 })
-            .register();
+        let [a, b, c, d] = [0.5, 0.5, 3.0, 0.5].map(|value| DistSpec::Constant { value });
+        let a = wf.serverless_function(stages[0]).exec_time(a).register();
+        let b = wf.serverless_function(stages[1]).exec_time(b).register();
+        let c = wf.serverless_function(stages[2]).exec_time(c).register();
+        let d = wf.serverless_function(stages[3]).exec_time(d).register();
         wf.invoke(a, b, cond_prob);
         wf.invoke(a, c, None);
         wf.invoke(b, d, None);
@@ -1592,6 +1567,243 @@ mod tests {
             assert_eq!(a.log.edges, b.log.edges);
         }
         assert_eq!(scratch.invocations(), 20);
+    }
+
+    /// The one-shot entry point resolves every address afresh, so it is
+    /// the reference a pooled address book is held to, bit for bit.
+    fn assert_bit_equal(fresh: &ExecutionOutcome, pooled: &ExecutionOutcome) {
+        assert_eq!(format!("{fresh:?}"), format!("{pooled:?}"));
+    }
+
+    fn engine_over(carbon: &TableSource) -> ExecutionEngine<'_, TableSource> {
+        ExecutionEngine {
+            carbon_source: carbon,
+            carbon_model: CarbonModel::new(TransmissionScenario::BEST),
+            orchestrator: Orchestrator::Caribou,
+        }
+    }
+
+    #[test]
+    fn one_scratch_across_clouds_and_apps_never_serves_a_stale_address() {
+        // Two clouds and three same-shaped apps whose deployments differ:
+        // "join" is offloaded to ca-central-1 on cloud 0 only; "twin" and
+        // a second "join" with other stage names are deployed nowhere but
+        // home. An address carried over from the other cloud or another
+        // app would publish where the one-shot path finds no topic (or
+        // the reverse) and the outcomes would part.
+        let mut fresh = [SimCloud::aws(40), SimCloud::aws(41)];
+        let mut pooled = [SimCloud::aws(40), SimCloud::aws(41)];
+        let join = sync_app(&fresh[0], Some(0.5));
+        let twin = WorkflowApp {
+            name: "twin".into(),
+            ..join.clone()
+        };
+        let restaged = sync_app_with_stages(&fresh[0], Some(0.5), ["A2", "B2", "C2", "D2"]);
+        assert_eq!(restaged.name, join.name);
+        let ca = fresh[0].region("ca-central-1").unwrap();
+        let home_plan = DeploymentPlan::uniform(4, join.home);
+        let mut offloaded = home_plan.clone();
+        offloaded.set(NodeId(1), ca);
+        offloaded.set(NodeId(3), ca);
+        let carbon = carbon_table(&fresh[0]);
+        let engine = engine_over(&carbon);
+        for clouds in [&mut fresh, &mut pooled] {
+            engine.provision(&mut clouds[0], &join, &offloaded);
+            engine.provision(&mut clouds[1], &join, &home_plan);
+            for cloud in clouds.iter_mut() {
+                engine.provision(cloud, &twin, &home_plan);
+                engine.provision(cloud, &restaged, &home_plan);
+            }
+        }
+        // Consecutive steps differ in the stage names only, the workflow
+        // name only, or the cloud only.
+        let steps = [
+            (0, &join),
+            (0, &restaged),
+            (0, &join),
+            (0, &twin),
+            (0, &join),
+            (1, &join),
+        ];
+        let mut scratch = InvocationScratch::new();
+        for inv in 0..60u64 {
+            let (which, app) = steps[inv as usize % steps.len()];
+            let at = 10.0 + inv as f64 * 25.0;
+            let a = engine.invoke(
+                &mut fresh[which],
+                app,
+                &offloaded,
+                inv,
+                at,
+                &mut Pcg32::seed(inv),
+            );
+            let b = engine.invoke_with_scratch(
+                &mut pooled[which],
+                app,
+                &offloaded,
+                inv,
+                at,
+                &mut Pcg32::seed(inv),
+                &mut scratch,
+            );
+            assert_bit_equal(&a, &b);
+            // Only "join" on cloud 0 has topics in ca-central-1.
+            let deployed = which == 0 && std::ptr::eq(app, &join);
+            assert_eq!(b.failed_region, (!deployed).then_some(ca), "inv {inv}");
+            assert_eq!(b.failovers == 0, deployed, "inv {inv}");
+        }
+    }
+
+    #[test]
+    fn a_region_deployed_mid_run_is_found_and_an_undeployed_one_fails_over_home() {
+        let mut fresh = SimCloud::aws(42);
+        let mut pooled = SimCloud::aws(42);
+        let app = chain_app(&fresh);
+        let ca = fresh.region("ca-central-1").unwrap();
+        let home_plan = DeploymentPlan::uniform(2, app.home);
+        let mut offloaded = home_plan.clone();
+        offloaded.set(NodeId(1), ca);
+        let carbon = carbon_table(&fresh);
+        let engine = engine_over(&carbon);
+        engine.provision(&mut fresh, &app, &home_plan);
+        engine.provision(&mut pooled, &app, &home_plan);
+        let mut scratch = InvocationScratch::new();
+        for inv in 0..20u64 {
+            if inv == 10 {
+                // The Migrator's rollout reaches ca-central-1.
+                layout::deploy_region(&mut fresh, &app, ca);
+                layout::deploy_region(&mut pooled, &app, ca);
+            }
+            let at = 10.0 + inv as f64 * 25.0;
+            let a = engine.invoke(&mut fresh, &app, &offloaded, inv, at, &mut Pcg32::seed(inv));
+            let b = engine.invoke_with_scratch(
+                &mut pooled,
+                &app,
+                &offloaded,
+                inv,
+                at,
+                &mut Pcg32::seed(inv),
+                &mut scratch,
+            );
+            assert_bit_equal(&a, &b);
+            assert!(b.completed);
+            let ran_in = b.log.nodes.iter().find(|r| r.node == 1).unwrap().region;
+            if inv < 10 {
+                // The plan names a region nothing was deployed to: the
+                // publish is rejected and the stage falls back home.
+                assert_eq!((b.failed_region, b.failovers), (Some(ca), 1), "inv {inv}");
+                assert_eq!(ran_in, app.home);
+            } else {
+                assert_eq!((b.failed_region, b.failovers), (None, 0), "inv {inv}");
+                assert_eq!(ran_in, ca);
+            }
+        }
+    }
+
+    #[test]
+    fn stores_hold_nothing_of_an_invocation_once_it_is_over() {
+        // A blob-sized edge and a KV-sized one into a sync node, so every
+        // kind of per-invocation item is written: payload, blob reference,
+        // blob, annotation.
+        let mut cloud = SimCloud::aws(43);
+        let mut wf = Workflow::new("mixed", "0.1");
+        let a = wf.serverless_function("A").register();
+        let b = wf.serverless_function("B").register();
+        let c = wf.serverless_function("C").register();
+        let d = wf.serverless_function("D").register();
+        wf.invoke(a, b, None)
+            .payload(DistSpec::Constant { value: 5e6 });
+        wf.invoke(a, c, None)
+            .payload(DistSpec::Constant { value: 2e3 });
+        wf.invoke(b, d, None)
+            .payload(DistSpec::Constant { value: 1e6 });
+        wf.invoke(c, d, None);
+        wf.get_predecessor_data(d);
+        let (dag, profile, _) = wf.extract().unwrap();
+        let app = WorkflowApp {
+            name: "mixed".into(),
+            dag,
+            profile,
+            home: cloud.region("us-east-1").unwrap(),
+        };
+        let ca = cloud.region("ca-central-1").unwrap();
+        let home_plan = DeploymentPlan::uniform(4, app.home);
+        let mut offloaded = home_plan.clone();
+        offloaded.set(NodeId(1), ca);
+        offloaded.set(NodeId(3), ca);
+        let carbon = carbon_table(&cloud);
+        let engine = engine_over(&carbon);
+        engine.provision(&mut cloud, &app, &offloaded);
+        let (kv_items, blobs) = (cloud.kv.len(), cloud.blob.len());
+        let mut scratch = InvocationScratch::new();
+        let mut rng = Pcg32::seed(43);
+        for plan in [&home_plan, &offloaded] {
+            let puts = cloud.blob.ops(app.home).puts + cloud.blob.ops(ca).puts;
+            for inv in 0..10_000u64 {
+                let at = inv as f64 * 5.0;
+                let out = engine.invoke_with_scratch(
+                    &mut cloud,
+                    &app,
+                    plan,
+                    inv,
+                    at,
+                    &mut rng,
+                    &mut scratch,
+                );
+                assert!(out.completed);
+            }
+            let put_now = cloud.blob.ops(app.home).puts + cloud.blob.ops(ca).puts;
+            assert_eq!(put_now - puts, 20_000, "two blob-sized edges a run");
+            assert_eq!(cloud.kv.len(), kv_items);
+            assert_eq!(cloud.blob.len(), blobs);
+        }
+    }
+
+    /// A flat grid that counts how often it is asked.
+    struct AskedSource {
+        asked: std::sync::atomic::AtomicU64,
+        counts_queries: bool,
+    }
+
+    impl CarbonDataSource for AskedSource {
+        fn intensity(&self, _region: RegionId, _hour: f64) -> f64 {
+            self.asked
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            300.0
+        }
+
+        fn counts_queries(&self) -> bool {
+            self.counts_queries
+        }
+    }
+
+    #[test]
+    fn the_grid_is_asked_once_per_region_unless_it_counts_its_queries() {
+        let asked = |counts_queries: bool| {
+            let mut cloud = SimCloud::aws(44);
+            let app = chain_app(&cloud);
+            let ca = cloud.region("ca-central-1").unwrap();
+            let mut plan = DeploymentPlan::uniform(2, app.home);
+            plan.set(NodeId(1), ca);
+            let carbon = AskedSource {
+                asked: 0.into(),
+                counts_queries,
+            };
+            let engine = ExecutionEngine {
+                carbon_source: &carbon,
+                carbon_model: CarbonModel::new(TransmissionScenario::BEST),
+                orchestrator: Orchestrator::Caribou,
+            };
+            engine.provision(&mut cloud, &app, &plan);
+            let out = engine.invoke(&mut cloud, &app, &plan, 1, 100.0, &mut Pcg32::seed(44));
+            (carbon.asked.into_inner(), out.carbon_g().to_bits())
+        };
+        let (memoized, carbon_memoized) = asked(false);
+        let (every_time, carbon_every_time) = asked(true);
+        // Two regions; two executions plus two transfers' endpoints.
+        assert_eq!(memoized, 2);
+        assert_eq!(every_time, 6);
+        assert_eq!(carbon_memoized, carbon_every_time);
     }
 
     #[test]

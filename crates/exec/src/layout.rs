@@ -1,5 +1,6 @@
 //! The framework's storage layout: the topics, tables and keys a deployed
-//! workflow owns, and the one function that gives a region its share.
+//! workflow owns, the one function that gives a region its share, and the
+//! address book through which the engine reaches them.
 //!
 //! A region's deployment (§6.1 step 2) is one pub/sub topic per workflow
 //! node plus two regional KV tables: `caribou-data@{r}` for intermediate
@@ -7,15 +8,22 @@
 //! The home region additionally holds [`META_TABLE`], where the active
 //! plan is published (§6.2). The Deployment Utility, the Migrator and
 //! [`crate::engine::ExecutionEngine::provision`] all deploy a region
-//! through [`deploy_region`]; the engine names tables and keys through
-//! the `set_*` functions, which rewrite a pooled buffer in place.
+//! through [`deploy_region`].
+//!
+//! Names are for deploying and for inspection. An invocation addresses
+//! the substrate by handle: its per-invocation items are numeric
+//! ([`ItemAddr::new`]: slot = edge id in a data table, node id in a sync
+//! table), and the topics, tables and the plan item it needs are resolved
+//! from their names once, into an [`AddressBook`].
 
-use std::fmt::Write;
+use std::fmt;
 
-use caribou_model::dag::{EdgeId, NodeId};
+use caribou_model::dag::NodeId;
+use caribou_model::intern::IStr;
 use caribou_model::region::RegionId;
 use caribou_simcloud::cloud::SimCloud;
-use caribou_simcloud::pubsub::TopicKey;
+use caribou_simcloud::kv::{ItemAddr, KvStore, TableId};
+use caribou_simcloud::pubsub::{PubSub, TopicId, TopicKey};
 
 use crate::engine::WorkflowApp;
 
@@ -26,49 +34,35 @@ pub const META_TABLE: &str = "caribou-meta";
 /// data table and its sync table. Idempotent.
 pub fn deploy_region(cloud: &mut SimCloud, app: &WorkflowApp, region: RegionId) {
     for node in app.dag.all_nodes() {
-        cloud.pubsub.create_topic(TopicKey {
-            workflow: app.name.to_string(),
-            stage: app.dag.node(node).name.clone(),
-            region,
-        });
+        cloud.pubsub.create_topic(topic_key(app, node, region));
     }
-    let mut table = String::new();
-    set_data_table(&mut table, region);
-    cloud.kv.create_table(table.as_str(), region);
-    set_sync_table(&mut table, region);
-    cloud.kv.create_table(table, region);
+    cloud.kv.create_table(data_table(region), region);
+    cloud.kv.create_table(sync_table(region), region);
 }
 
-/// Rewrites `topic` to `node`'s topic in `region`.
-#[inline]
-pub fn set_topic(topic: &mut TopicKey, app: &WorkflowApp, node: NodeId, region: RegionId) {
-    topic.workflow.clear();
-    topic.workflow.push_str(&app.name);
-    topic.stage.clear();
-    topic.stage.push_str(&app.dag.node(node).name);
-    topic.region = region;
+/// `node`'s topic in `region`.
+fn topic_key(app: &WorkflowApp, node: NodeId, region: RegionId) -> TopicKey {
+    TopicKey {
+        workflow: app.name.to_string(),
+        stage: app.dag.node(node).name.clone(),
+        region,
+    }
 }
 
-/// Rewrites `table` to the name of `region`'s intermediate-data table.
-#[inline]
-pub fn set_data_table(table: &mut String, region: RegionId) {
-    table.clear();
-    let _ = write!(table, "caribou-data@{}", region.0);
+/// The name of `region`'s intermediate-data table.
+fn data_table(region: RegionId) -> String {
+    format!("caribou-data@{}", region.0)
 }
 
-/// Rewrites `table` to the name of `region`'s sync-annotation table.
-#[inline]
-pub fn set_sync_table(table: &mut String, region: RegionId) {
-    table.clear();
-    let _ = write!(table, "caribou-sync@{}", region.0);
+/// The name of `region`'s sync-annotation table.
+fn sync_table(region: RegionId) -> String {
+    format!("caribou-sync@{}", region.0)
 }
 
-/// Rewrites `key` to the [`META_TABLE`] key of a workflow's initial
-/// (home) plan, the item the entry wrapper fetches.
-#[inline]
-pub fn set_plan_key(key: &mut String, workflow: &str) {
-    key.clear();
-    let _ = write!(key, "plan:{workflow}");
+/// The [`META_TABLE`] key of a workflow's initial (home) plan, the item
+/// the entry wrapper fetches.
+pub fn plan_key(workflow: &str) -> String {
+    format!("plan:{workflow}")
 }
 
 /// The [`META_TABLE`] key of a workflow's activated plan set.
@@ -76,18 +70,101 @@ pub fn plans_key(workflow: &str) -> String {
     format!("plans:{workflow}")
 }
 
-/// Rewrites `key` to the data-table key of one invocation's payload on
-/// `edge`.
-#[inline]
-pub fn set_edge_key(key: &mut String, inv_id: u64, edge: EdgeId) {
-    key.clear();
-    let _ = write!(key, "inv{inv_id}:e{}", edge.0);
+/// What the telemetry journal calls one invocation's annotation item on
+/// synchronization node `node`; rendered only while a session records.
+pub(crate) struct SyncLabel {
+    pub inv_id: u64,
+    pub node: NodeId,
 }
 
-/// Rewrites `key` to the sync-table key of one invocation's annotations
-/// on synchronization node `node`.
-#[inline]
-pub fn set_sync_key(key: &mut String, inv_id: u64, node: NodeId) {
-    key.clear();
-    let _ = write!(key, "inv{inv_id}:n{}", node.0);
+impl fmt::Display for SyncLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "inv{}:n{}", self.inv_id, self.node.0)
+    }
+}
+
+/// A region's two tables.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RegionTables {
+    pub data: TableId,
+    pub sync: TableId,
+}
+
+/// The engine's resolved addresses, dense over `(region × node)` so that
+/// any plan, failover override or benchmarking detour indexes it without
+/// a lookup. It is filled by name on first use and bound to the services
+/// and the workflow it was resolved for: [`AddressBook::bind`] starts it
+/// over when either differs, so a pooled book never serves a stale
+/// address.
+#[derive(Debug, Default)]
+pub(crate) struct AddressBook {
+    /// `(pubsub, kv)` namespaces the entries were issued under.
+    services: Option<(u64, u64)>,
+    /// The workflow the topic entries name: its name and stage names.
+    workflow: IStr,
+    stages: Vec<String>,
+    /// Region-major `regions × stages.len()`. A topic that does not exist
+    /// stays `None` and is looked up again next time: deploying the
+    /// region later (the Migrator's rollout) needs no invalidation.
+    topics: Vec<Option<TopicId>>,
+    /// Per region. Tables are never dropped and a re-homed table keeps
+    /// its handle, so an entry holds for the store's lifetime.
+    tables: Vec<Option<RegionTables>>,
+    plan: Option<ItemAddr>,
+}
+
+impl AddressBook {
+    /// Binds the book to `cloud`'s services and to `app`, forgetting
+    /// every address when it was bound to others.
+    pub fn bind(&mut self, cloud: &SimCloud, app: &WorkflowApp) {
+        let services = Some((cloud.pubsub.namespace(), cloud.kv.namespace()));
+        let stages = || app.dag.all_nodes().map(|n| &app.dag.node(n).name);
+        if self.services == services && self.workflow == app.name && self.stages.iter().eq(stages())
+        {
+            return;
+        }
+        self.services = services;
+        self.workflow = app.name.clone();
+        self.stages = stages().cloned().collect();
+        let regions = cloud.regions.len();
+        self.topics.clear();
+        self.topics.resize(regions * self.stages.len(), None);
+        self.tables.clear();
+        self.tables.resize(regions, None);
+        self.plan = None;
+    }
+
+    /// `node`'s topic in `region`, or the name that resolves to no topic.
+    pub fn topic(
+        &mut self,
+        pubsub: &PubSub,
+        app: &WorkflowApp,
+        node: NodeId,
+        region: RegionId,
+    ) -> Result<TopicId, TopicKey> {
+        let entry = &mut self.topics[region.index() * self.stages.len() + node.index()];
+        if let Some(topic) = *entry {
+            return Ok(topic);
+        }
+        let key = topic_key(app, node, region);
+        *entry = pubsub.topic_id(&key);
+        entry.ok_or(key)
+    }
+
+    /// `region`'s data and sync tables. A region that was never deployed
+    /// has them unhomed, as naming them would.
+    pub fn tables(&mut self, kv: &mut KvStore, region: RegionId) -> RegionTables {
+        *self.tables[region.index()].get_or_insert_with(|| RegionTables {
+            data: kv.table(&data_table(region)),
+            sync: kv.table(&sync_table(region)),
+        })
+    }
+
+    /// The item holding `app`'s initial plan.
+    pub fn plan_item(&mut self, kv: &mut KvStore, app: &WorkflowApp) -> ItemAddr {
+        *self.plan.get_or_insert_with(|| {
+            let meta = kv.table(META_TABLE);
+            kv.named_item(meta, &plan_key(&app.name))
+        })
+    }
 }

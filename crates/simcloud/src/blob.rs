@@ -57,35 +57,38 @@ pub struct BlobOpCounts {
 /// Base service-side latency of a blob request, seconds.
 const BLOB_OP_BASE_S: f64 = 0.012;
 
-/// Cap on recycled key strings retained; beyond this they are dropped.
-const BLOB_FREE_LIST_CAP: usize = 256;
+/// The key of an object within a region's bucket: the per-invocation
+/// payload in `slot` (the engine's slots are edge ids). Numeric like a
+/// [`crate::kv::ItemAddr`], so storing and fetching a payload names
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ObjectKey {
+    /// The invocation the payload belongs to.
+    pub invocation: u64,
+    /// Which of the invocation's payloads this is.
+    pub slot: u32,
+}
 
 /// The object-storage service: one logical bucket per region.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BlobStore {
     /// `(region, key) → size`; contents are irrelevant to the simulation.
-    objects: HashMap<(RegionId, String), f64>,
-    ops: HashMap<RegionId, BlobOpCounts>,
+    objects: HashMap<(RegionId, ObjectKey), f64>,
+    /// Request counts per bucket region (indexed by [`RegionId::index`]).
+    ops: Vec<BlobOpCounts>,
     /// Request pricing.
     pub pricing: BlobPricing,
-    /// Reusable `(region, key)` lookup buffer so reads allocate nothing.
-    lookup: (RegionId, String),
-    /// Recycled key strings from [`BlobStore::reclaim`] /
-    /// [`BlobStore::delete`], reused by first-time PUTs.
-    free: Vec<String>,
 }
 
 impl BlobStore {
-    /// Creates an empty store with default pricing.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rewrites the reusable lookup buffer to `(region, key)`.
-    fn set_lookup(&mut self, bucket_region: RegionId, key: &str) {
-        self.lookup.0 = bucket_region;
-        self.lookup.1.clear();
-        self.lookup.1.push_str(key);
+    /// Creates an empty store with default pricing for a catalog of
+    /// `regions` regions.
+    pub fn new(regions: usize) -> Self {
+        BlobStore {
+            objects: HashMap::new(),
+            ops: vec![BlobOpCounts::default(); regions],
+            pricing: BlobPricing::default(),
+        }
     }
 
     /// Uploads an object of `bytes` into `bucket_region`'s bucket from
@@ -93,28 +96,14 @@ impl BlobStore {
     pub fn put(
         &mut self,
         bucket_region: RegionId,
-        key: &str,
+        key: ObjectKey,
         bytes: f64,
         from: RegionId,
         latency: &LatencyModel,
         rng: &mut Pcg32,
     ) -> BlobAccess {
-        self.set_lookup(bucket_region, key);
-        if let Some(slot) = self.objects.get_mut(&self.lookup) {
-            *slot = bytes;
-        } else {
-            let owned = match self.free.pop() {
-                Some(mut s) => {
-                    s.clear();
-                    s.push_str(key);
-                    s
-                }
-                None => key.to_string(),
-            };
-            self.objects.insert((bucket_region, owned), bytes);
-        }
-        let c = self.ops.entry(bucket_region).or_default();
-        c.puts += 1;
+        self.objects.insert((bucket_region, key), bytes);
+        self.ops[bucket_region.index()].puts += 1;
         BlobAccess {
             latency_s: BLOB_OP_BASE_S
                 + latency.sample_transfer_seconds(from, bucket_region, bytes, rng),
@@ -128,15 +117,13 @@ impl BlobStore {
     pub fn get(
         &mut self,
         bucket_region: RegionId,
-        key: &str,
+        key: ObjectKey,
         to: RegionId,
         latency: &LatencyModel,
         rng: &mut Pcg32,
     ) -> Option<BlobAccess> {
-        self.set_lookup(bucket_region, key);
-        let bytes = *self.objects.get(&self.lookup)?;
-        let c = self.ops.entry(bucket_region).or_default();
-        c.gets += 1;
+        let bytes = self.size_of(bucket_region, key)?;
+        self.ops[bucket_region.index()].gets += 1;
         Some(BlobAccess {
             latency_s: BLOB_OP_BASE_S
                 + latency.sample_transfer_seconds(bucket_region, to, bytes, rng),
@@ -145,44 +132,20 @@ impl BlobStore {
     }
 
     /// Size of a stored object, if present.
-    pub fn size_of(&self, bucket_region: RegionId, key: &str) -> Option<f64> {
-        self.objects.get(&(bucket_region, key.to_string())).copied()
+    pub fn size_of(&self, bucket_region: RegionId, key: ObjectKey) -> Option<f64> {
+        self.objects.get(&(bucket_region, key)).copied()
     }
 
-    /// Deletes an object, returning whether it existed.
-    pub fn delete(&mut self, bucket_region: RegionId, key: &str) -> bool {
-        self.set_lookup(bucket_region, key);
-        match self.objects.remove_entry(&self.lookup) {
-            Some(((_, owned), _)) => {
-                self.recycle(owned);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Removes an object without billing (lifecycle-expiry style garbage
-    /// collection of consumed intermediates), recycling the key string.
-    pub fn reclaim(&mut self, bucket_region: RegionId, key: &str) -> bool {
-        self.set_lookup(bucket_region, key);
-        match self.objects.remove_entry(&self.lookup) {
-            Some(((_, owned), _)) => {
-                self.recycle(owned);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn recycle(&mut self, owned: String) {
-        if self.free.len() < BLOB_FREE_LIST_CAP {
-            self.free.push(owned);
-        }
+    /// Removes an object, returning whether it existed. Unbilled: this is
+    /// also the lifecycle-expiry style garbage collection of consumed
+    /// intermediates.
+    pub fn delete(&mut self, bucket_region: RegionId, key: ObjectKey) -> bool {
+        self.objects.remove(&(bucket_region, key)).is_some()
     }
 
     /// Operation counters for a region.
     pub fn ops(&self, region: RegionId) -> BlobOpCounts {
-        self.ops.get(&region).copied().unwrap_or_default()
+        self.ops[region.index()]
     }
 
     /// Number of stored objects.
@@ -202,6 +165,11 @@ mod tests {
     use crate::cloud::SimCloud;
     use caribou_model::region::RegionCatalog;
 
+    const K: ObjectKey = ObjectKey {
+        invocation: 7,
+        slot: 0,
+    };
+
     fn setup() -> (RegionCatalog, LatencyModel, BlobStore, Pcg32) {
         let cloud = SimCloud::aws(0);
         (cloud.regions, cloud.latency, cloud.blob, Pcg32::seed(1))
@@ -211,12 +179,12 @@ mod tests {
     fn put_then_get_round_trips() {
         let (cat, lm, mut s, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
-        let put = s.put(r, "k", 5e6, r, &lm, &mut rng);
+        let put = s.put(r, K, 5e6, r, &lm, &mut rng);
         assert!(put.latency_s > 0.0);
         assert!(put.cost_usd > 0.0);
-        let get = s.get(r, "k", r, &lm, &mut rng).unwrap();
+        let get = s.get(r, K, r, &lm, &mut rng).unwrap();
         assert!(get.latency_s > 0.0);
-        assert_eq!(s.size_of(r, "k"), Some(5e6));
+        assert_eq!(s.size_of(r, K), Some(5e6));
         assert_eq!(s.ops(r), BlobOpCounts { puts: 1, gets: 1 });
     }
 
@@ -224,7 +192,7 @@ mod tests {
     fn missing_object_returns_none() {
         let (cat, lm, mut s, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
-        assert!(s.get(r, "nope", r, &lm, &mut rng).is_none());
+        assert!(s.get(r, K, r, &lm, &mut rng).is_none());
     }
 
     #[test]
@@ -232,8 +200,8 @@ mod tests {
         let (cat, lm, mut s, mut rng) = setup();
         let east = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-2").unwrap();
-        s.put(west, "big", 100e6, east, &lm, &mut rng);
-        let get = s.get(west, "big", east, &lm, &mut rng).unwrap();
+        s.put(west, K, 100e6, east, &lm, &mut rng);
+        let get = s.get(west, K, east, &lm, &mut rng).unwrap();
         // 100 MB at 30 MB/s inter-region ≈ 3+ seconds.
         assert!(get.latency_s > 2.0, "latency {}", get.latency_s);
     }
@@ -242,10 +210,10 @@ mod tests {
     fn delete_removes_object() {
         let (cat, lm, mut s, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
-        s.put(r, "k", 1e3, r, &lm, &mut rng);
-        assert!(s.delete(r, "k"));
-        assert!(!s.delete(r, "k"));
-        assert!(s.get(r, "k", r, &lm, &mut rng).is_none());
+        s.put(r, K, 1e3, r, &lm, &mut rng);
+        assert!(s.delete(r, K));
+        assert!(!s.delete(r, K));
+        assert!(s.get(r, K, r, &lm, &mut rng).is_none());
     }
 
     #[test]
@@ -253,8 +221,8 @@ mod tests {
         let (cat, lm, mut s, mut rng) = setup();
         let east = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-2").unwrap();
-        s.put(east, "k", 1e3, east, &lm, &mut rng);
-        assert!(s.get(west, "k", west, &lm, &mut rng).is_none());
-        assert!(s.get(east, "k", east, &lm, &mut rng).is_some());
+        s.put(east, K, 1e3, east, &lm, &mut rng);
+        assert!(s.get(west, K, west, &lm, &mut rng).is_none());
+        assert!(s.get(east, K, east, &lm, &mut rng).is_some());
     }
 }

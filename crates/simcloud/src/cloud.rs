@@ -105,9 +105,9 @@ impl SimCloud {
             pricing: PricingCatalog::new(prices, provider_of, cross_rates),
             compute: LambdaRuntime::new(perf_factor, cold_start),
             pubsub: PubSub::new(messaging),
-            kv: KvStore::new(),
+            kv: KvStore::new(n),
             registry: ContainerRegistry::new(registry_overhead_s),
-            blob: BlobStore::new(),
+            blob: BlobStore::new(n),
             warm: WarmPool::per_region(keep_alive_s),
             iam: Iam::new(),
             faults: FaultPlan::none(),

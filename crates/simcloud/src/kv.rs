@@ -12,7 +12,9 @@
 //! billing (the paper explicitly accounts for "additional DynamoDB
 //! accesses introduced by Caribou", §7.1).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::fmt::Display;
 
 use bytes::Bytes;
 use caribou_model::region::RegionId;
@@ -48,15 +50,67 @@ pub struct KvOpCounts {
     pub writes: u64,
 }
 
-/// The distributed key-value store.
+/// Handle of a table, issued by [`KvStore::create_table`] /
+/// [`KvStore::table`] and valid for the store that issued it (compare
+/// [`KvStore::namespace`] before reusing one held across stores). Tables
+/// are never dropped, and re-homing one keeps its handle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TableId(u32);
+
+/// Which item of its table an [`ItemAddr`] names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Row {
+    /// The `n`-th key name the table has seen (see [`KvStore::named_item`]).
+    Named(u32),
+    /// The per-invocation item in `slot`.
+    Slot { invocation: u64, slot: u32 },
+}
+
+/// The address of one item: what every operation is carried out on. A
+/// by-name call resolves its `(table, key)` strings to one first; a
+/// caller that knows its item numerically — the engine's per-invocation
+/// intermediates and annotations — builds it with [`ItemAddr::new`] and
+/// never names it. The two kinds never alias.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ItemAddr {
+    table: TableId,
+    row: Row,
+}
+
+impl ItemAddr {
+    /// The item of `invocation` in `slot` of `table` (what a slot means is
+    /// the caller's layout: an edge id in a data table, a node id in a
+    /// sync table).
+    pub fn new(table: TableId, invocation: u64, slot: u32) -> Self {
+        ItemAddr {
+            table,
+            row: Row::Slot { invocation, slot },
+        }
+    }
+}
+
 #[derive(Debug, Default)]
+struct Table {
+    /// Home region; `None` until the table is created, and such a table
+    /// is served from the accessing region.
+    home: Option<RegionId>,
+    /// Key name → its [`Row::Named`] number. A name keeps its number for
+    /// good (deleting the item leaves it), so its address can be held.
+    names: HashMap<String, u32>,
+}
+
+/// The distributed key-value store.
+#[derive(Debug)]
 pub struct KvStore {
-    /// `(table, key) → value`; tables are homed per [`KvStore::create_table`].
-    data: HashMap<(String, String), Bytes>,
-    /// Table → home region.
-    table_home: HashMap<String, RegionId>,
-    /// Per-region operation counts.
-    ops: HashMap<RegionId, KvOpCounts>,
+    /// Distinguishes this store's handles from every other instance's.
+    namespace: u64,
+    /// Table name → handle; `tables[id]` is the table.
+    table_ids: HashMap<String, TableId>,
+    tables: Vec<Table>,
+    data: HashMap<ItemAddr, Bytes>,
+    /// Operation counts per table-home region (indexed by
+    /// [`RegionId::index`]).
+    ops: Vec<KvOpCounts>,
     /// Windowed faults (gray latency, throttling) evaluated at the current
     /// fault clock [`KvStore::now_s`]. Throttling slows operations via SDK
     /// retries but never loses data, matching DynamoDB semantics.
@@ -64,77 +118,105 @@ pub struct KvStore {
     /// Simulation time used to evaluate windowed faults; positioned via
     /// `SimCloud::set_fault_now`.
     pub now_s: f64,
-    /// Reusable `(table, key)` lookup buffer: point reads and overwrites
-    /// of existing keys allocate nothing (the map only ever owns a key
-    /// string for first-time inserts).
-    lookup: (String, String),
-    /// Recycled `(table, key)` string pairs from [`KvStore::reclaim`] /
-    /// [`KvStore::delete`]: first-time inserts reuse these buffers, so a
-    /// steady-state write/reclaim cycle (one intermediate per DAG edge per
-    /// invocation) allocates nothing and the store stays bounded.
-    free: Vec<(String, String)>,
 }
 
-/// Cap on recycled key pairs retained; beyond this they are dropped.
-const KV_FREE_LIST_CAP: usize = 256;
-
 impl KvStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rewrites the reusable lookup buffer to `(table, key)`.
-    fn set_lookup(&mut self, table: &str, key: &str) {
-        self.lookup.0.clear();
-        self.lookup.0.push_str(table);
-        self.lookup.1.clear();
-        self.lookup.1.push_str(key);
-    }
-
-    /// An owned `(table, key)` pair for a first-time insert, reusing a
-    /// recycled buffer when one is available.
-    fn owned_pair(&mut self, table: &str, key: &str) -> (String, String) {
-        match self.free.pop() {
-            Some(mut pair) => {
-                pair.0.clear();
-                pair.0.push_str(table);
-                pair.1.clear();
-                pair.1.push_str(key);
-                pair
-            }
-            None => (table.to_string(), key.to_string()),
+    /// Creates an empty store for a catalog of `regions` regions.
+    pub fn new(regions: usize) -> Self {
+        KvStore {
+            namespace: crate::fresh_namespace(),
+            table_ids: HashMap::new(),
+            tables: Vec::new(),
+            data: HashMap::new(),
+            ops: vec![KvOpCounts::default(); regions],
+            faults: FaultPlan::none(),
+            now_s: 0.0,
         }
     }
 
-    /// Recycles an owned key pair for later reuse.
-    fn recycle(&mut self, pair: (String, String)) {
-        if self.free.len() < KV_FREE_LIST_CAP {
-            self.free.push(pair);
+    /// Identity of this store instance: a [`TableId`] or [`ItemAddr`] may
+    /// be used only with the store whose namespace it was issued under.
+    pub fn namespace(&self) -> u64 {
+        self.namespace
+    }
+
+    /// The handle of a table, registering it unhomed (served from the
+    /// accessing region, DynamoDB global-table style local replica) when
+    /// it was never created.
+    pub fn table(&mut self, table: &str) -> TableId {
+        if let Some(&id) = self.table_ids.get(table) {
+            return id;
         }
+        let id = TableId(u32::try_from(self.tables.len()).expect("fewer than 2^32 tables"));
+        self.tables.push(Table::default());
+        self.table_ids.insert(table.to_string(), id);
+        id
     }
 
     /// Creates (or re-homes) a table in `home` region.
-    pub fn create_table(&mut self, table: impl Into<String>, home: RegionId) {
-        self.table_home.insert(table.into(), home);
+    pub fn create_table(&mut self, table: impl AsRef<str>, home: RegionId) -> TableId {
+        let id = self.table(table.as_ref());
+        self.tables[id.0 as usize].home = Some(home);
+        id
+    }
+
+    /// The address of the item called `key` in `table`. A name is
+    /// numbered when first seen and keeps that address for good.
+    pub fn named_item(&mut self, table: TableId, key: &str) -> ItemAddr {
+        let names = &mut self.tables[table.0 as usize].names;
+        let n = match names.get(key) {
+            Some(&n) => n,
+            None => {
+                let n = u32::try_from(names.len()).expect("fewer than 2^32 key names");
+                names.insert(key.to_string(), n);
+                n
+            }
+        };
+        ItemAddr {
+            table,
+            row: Row::Named(n),
+        }
+    }
+
+    /// Resolves a by-name access to the address it operates on.
+    fn resolve(&mut self, table: &str, key: &str) -> ItemAddr {
+        let table = self.table(table);
+        self.named_item(table, key)
+    }
+
+    /// [`KvStore::resolve`] without registering anything: `None` when the
+    /// table or the key name was never seen (so no such item exists).
+    fn find(&self, table: &str, key: &str) -> Option<ItemAddr> {
+        let table = *self.table_ids.get(table)?;
+        let n = *self.tables[table.0 as usize].names.get(key)?;
+        Some(ItemAddr {
+            table,
+            row: Row::Named(n),
+        })
     }
 
     /// Home region of a table; defaults to the accessing region when the
-    /// table was never explicitly created (DynamoDB global-table style
-    /// local replica).
+    /// table was never explicitly created.
     pub fn table_home(&self, table: &str, fallback: RegionId) -> RegionId {
-        self.table_home.get(table).copied().unwrap_or(fallback)
+        match self.table_ids.get(table) {
+            Some(&id) => self.home_of(id, fallback),
+            None => fallback,
+        }
+    }
+
+    fn home_of(&self, table: TableId, fallback: RegionId) -> RegionId {
+        self.tables[table.0 as usize].home.unwrap_or(fallback)
     }
 
     fn op_latency(
         &self,
-        table: &str,
+        table: TableId,
         from: RegionId,
         latency: &LatencyModel,
         bytes: f64,
         rng: &mut Pcg32,
     ) -> f64 {
-        let home = self.table_home(table, from);
+        let home = self.home_of(table, from);
         let net = if home == from {
             latency.sample_transfer_seconds(from, home, bytes, rng)
         } else {
@@ -159,9 +241,9 @@ impl KvStore {
         total
     }
 
-    fn count(&mut self, table: &str, from: RegionId, reads: u64, writes: u64) {
-        let home = self.table_home(table, from);
-        let c = self.ops.entry(home).or_default();
+    fn count(&mut self, table: TableId, from: RegionId, reads: u64, writes: u64) {
+        let home = self.home_of(table, from);
+        let c = &mut self.ops[home.index()];
         c.reads += reads;
         c.writes += writes;
         if caribou_telemetry::is_enabled() {
@@ -170,7 +252,22 @@ impl KvStore {
         }
     }
 
-    /// Reads a key.
+    /// Reads an item.
+    pub fn get_at(
+        &mut self,
+        item: ItemAddr,
+        from: RegionId,
+        latency: &LatencyModel,
+        rng: &mut Pcg32,
+    ) -> KvAccess {
+        let value = self.data.get(&item).cloned();
+        let size = value.as_ref().map(|v| v.len() as f64).unwrap_or(128.0);
+        let latency_s = self.op_latency(item.table, from, latency, size, rng);
+        self.count(item.table, from, 1, 0);
+        KvAccess { value, latency_s }
+    }
+
+    /// [`KvStore::get_at`] by name.
     pub fn get(
         &mut self,
         table: &str,
@@ -179,15 +276,29 @@ impl KvStore {
         latency: &LatencyModel,
         rng: &mut Pcg32,
     ) -> KvAccess {
-        self.set_lookup(table, key);
-        let value = self.data.get(&self.lookup).cloned();
-        let size = value.as_ref().map(|v| v.len() as f64).unwrap_or(128.0);
-        let latency_s = self.op_latency(table, from, latency, size, rng);
-        self.count(table, from, 1, 0);
-        KvAccess { value, latency_s }
+        let item = self.resolve(table, key);
+        self.get_at(item, from, latency, rng)
     }
 
-    /// Writes a key.
+    /// Writes an item.
+    pub fn put_at(
+        &mut self,
+        item: ItemAddr,
+        value: Bytes,
+        from: RegionId,
+        latency: &LatencyModel,
+        rng: &mut Pcg32,
+    ) -> KvAccess {
+        let latency_s = self.op_latency(item.table, from, latency, value.len() as f64, rng);
+        self.data.insert(item, value);
+        self.count(item.table, from, 0, 1);
+        KvAccess {
+            value: None,
+            latency_s,
+        }
+    }
+
+    /// [`KvStore::put_at`] by name.
     pub fn put(
         &mut self,
         table: &str,
@@ -197,55 +308,76 @@ impl KvStore {
         latency: &LatencyModel,
         rng: &mut Pcg32,
     ) -> KvAccess {
-        let latency_s = self.op_latency(table, from, latency, value.len() as f64, rng);
-        self.set_lookup(table, key);
-        if let Some(slot) = self.data.get_mut(&self.lookup) {
-            *slot = value;
-        } else {
-            let pair = self.owned_pair(table, key);
-            self.data.insert(pair, value);
-        }
-        self.count(table, from, 0, 1);
-        KvAccess {
-            value: None,
-            latency_s,
-        }
+        let item = self.resolve(table, key);
+        self.put_at(item, value, from, latency, rng)
     }
 
     /// Deletes a key, returning whether it existed.
     pub fn delete(&mut self, table: &str, key: &str, from: RegionId) -> bool {
-        self.count(table, from, 0, 1);
-        self.set_lookup(table, key);
-        match self.data.remove_entry(&self.lookup) {
-            Some((pair, _)) => {
-                self.recycle(pair);
-                true
-            }
-            None => false,
-        }
+        let item = self.resolve(table, key);
+        self.count(item.table, from, 0, 1);
+        self.data.remove(&item).is_some()
     }
 
-    /// Removes a key without billing or latency simulation: garbage
+    /// Removes an item without billing or latency simulation: garbage
     /// collection of consumed intermediates and annotations, which real
     /// deployments handle with DynamoDB TTL expiry (not billed as a
-    /// write). Recycles the key strings so the paired first-time insert
-    /// of the next invocation allocates nothing.
+    /// write). Returns whether it existed.
+    pub fn reclaim_at(&mut self, item: ItemAddr) -> bool {
+        self.data.remove(&item).is_some()
+    }
+
+    /// [`KvStore::reclaim_at`] by name.
     pub fn reclaim(&mut self, table: &str, key: &str) -> bool {
-        self.set_lookup(table, key);
-        match self.data.remove_entry(&self.lookup) {
-            Some((pair, _)) => {
-                self.recycle(pair);
-                true
-            }
+        match self.find(table, key) {
+            Some(item) => self.reclaim_at(item),
             None => false,
         }
     }
 
-    /// Atomically transforms the value under a key, returning the
+    /// Atomically transforms the value of an item, returning the
     /// transformed value. This is the primitive behind the
     /// synchronization-node annotation update of §4: the transform is
     /// applied under the store's (simulated) single-writer serialization,
-    /// so concurrent predecessors observe a linearizable history.
+    /// so concurrent predecessors observe a linearizable history. `label`
+    /// names the item in the telemetry journal and is rendered only when
+    /// a session is recording.
+    pub fn atomic_update_at(
+        &mut self,
+        item: ItemAddr,
+        label: &dyn Display,
+        from: RegionId,
+        latency: &LatencyModel,
+        rng: &mut Pcg32,
+        f: impl FnOnce(Option<&Bytes>) -> Bytes,
+    ) -> KvAccess {
+        let telemetry = caribou_telemetry::is_enabled();
+        let new = match self.data.entry(item) {
+            Entry::Occupied(mut slot) => {
+                if telemetry {
+                    // A read-modify-write over an existing annotation means
+                    // another writer got there first — the contended case
+                    // of §4.
+                    caribou_telemetry::event("kv.rmw_conflict", label.to_string(), 0.0);
+                }
+                let new = f(Some(slot.get()));
+                slot.insert(new.clone());
+                new
+            }
+            Entry::Vacant(slot) => slot.insert(f(None)).clone(),
+        };
+        if telemetry {
+            caribou_telemetry::count("kv.rmw", 1);
+        }
+        let latency_s = self.op_latency(item.table, from, latency, new.len() as f64, rng);
+        self.count(item.table, from, 1, 1);
+        KvAccess {
+            value: Some(new),
+            latency_s,
+        }
+    }
+
+    /// [`KvStore::atomic_update_at`] by name, labelled with the key.
     pub fn atomic_update(
         &mut self,
         table: &str,
@@ -255,71 +387,50 @@ impl KvStore {
         rng: &mut Pcg32,
         f: impl FnOnce(Option<&Bytes>) -> Bytes,
     ) -> KvAccess {
-        self.set_lookup(table, key);
-        let prev = self.data.get(&self.lookup);
-        if caribou_telemetry::is_enabled() {
-            // A read-modify-write over an existing annotation means another
-            // writer got there first — the contended case of §4.
-            if prev.is_some() {
-                caribou_telemetry::event("kv.rmw_conflict", key, 0.0);
-            }
-            caribou_telemetry::count("kv.rmw", 1);
-        }
-        let new = f(prev);
-        let size = new.len() as f64;
-        if let Some(slot) = self.data.get_mut(&self.lookup) {
-            *slot = new.clone();
-        } else {
-            let pair = self.owned_pair(table, key);
-            self.data.insert(pair, new.clone());
-        }
-        let latency_s = self.op_latency(table, from, latency, size, rng);
-        self.count(table, from, 1, 1);
-        KvAccess {
-            value: Some(new),
-            latency_s,
-        }
+        let item = self.resolve(table, key);
+        self.atomic_update_at(item, &key, from, latency, rng, f)
     }
 
     /// Conditional put: writes only when the key is absent, returning
     /// whether the write happened (DynamoDB `attribute_not_exists`).
     pub fn put_if_absent(&mut self, table: &str, key: &str, value: Bytes, from: RegionId) -> bool {
-        self.count(table, from, 1, 1);
-        self.set_lookup(table, key);
-        if self.data.contains_key(&self.lookup) {
-            return false;
+        let item = self.resolve(table, key);
+        self.count(item.table, from, 1, 1);
+        match self.data.entry(item) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(value);
+                true
+            }
         }
-        let pair = self.owned_pair(table, key);
-        self.data.insert(pair, value);
-        true
     }
 
     /// Read without latency/billing simulation (framework-internal
     /// bookkeeping reads that the paper does not charge to workflows).
     pub fn peek(&self, table: &str, key: &str) -> Option<&Bytes> {
-        self.data.get(&(table.to_string(), key.to_string()))
+        self.data.get(&self.find(table, key)?)
     }
 
     /// Operation counters for a region's tables.
     pub fn ops(&self, region: RegionId) -> KvOpCounts {
-        self.ops.get(&region).copied().unwrap_or_default()
+        self.ops[region.index()]
     }
 
     /// Total operation counters across regions.
     pub fn total_ops(&self) -> KvOpCounts {
-        self.ops.values().fold(KvOpCounts::default(), |mut acc, c| {
+        self.ops.iter().fold(KvOpCounts::default(), |mut acc, c| {
             acc.reads += c.reads;
             acc.writes += c.writes;
             acc
         })
     }
 
-    /// Number of keys stored.
+    /// Number of items stored, however they are addressed.
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
-    /// Whether the store holds no keys.
+    /// Whether the store holds no items.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
@@ -424,11 +535,98 @@ mod tests {
         // No billing for the reclaim itself.
         assert_eq!(kv.ops(r).writes, writes_before);
         assert!(kv.is_empty());
-        // The recycled pair is reused by the next first-time insert.
-        assert_eq!(kv.free.len(), 1);
-        kv.put("t", "k2", Bytes::from_static(b"w"), r, &lm, &mut rng);
-        assert!(kv.free.is_empty());
-        assert_eq!(kv.peek("t", "k2").unwrap().as_ref(), b"w");
+        // The name keeps its address: a held one reaches the next value.
+        let t = kv.table("t");
+        let k1 = kv.named_item(t, "k1");
+        kv.put("t", "k1", Bytes::from_static(b"w"), r, &lm, &mut rng);
+        assert_eq!(kv.named_item(t, "k1"), k1);
+        assert_eq!(
+            kv.get_at(k1, r, &lm, &mut rng).value.unwrap().as_ref(),
+            b"w"
+        );
+        assert_eq!(kv.len(), 1);
+    }
+
+    #[test]
+    fn a_by_name_call_is_its_address_call() {
+        // Same seed, same operations, one store by name and one by
+        // address: same values, same latency bits, same counts.
+        let (cat, lm, mut named, mut rng_n) = setup();
+        let (_, _, mut addressed, mut rng_a) = setup();
+        let east = cat.id_of("us-east-1").unwrap();
+        let west = cat.id_of("us-west-1").unwrap();
+        named.create_table("t", east);
+        let t = addressed.create_table("t", east);
+        let k = addressed.named_item(t, "k");
+        let bump = |prev: Option<&Bytes>| Bytes::from(vec![0u8; prev.map_or(1, |b| b.len() + 1)]);
+        let pairs = [
+            (
+                named.put("t", "k", Bytes::from_static(b"v"), west, &lm, &mut rng_n),
+                addressed.put_at(k, Bytes::from_static(b"v"), west, &lm, &mut rng_a),
+            ),
+            (
+                named.atomic_update("t", "k", east, &lm, &mut rng_n, bump),
+                addressed.atomic_update_at(k, &"k", east, &lm, &mut rng_a, bump),
+            ),
+            (
+                named.get("t", "k", west, &lm, &mut rng_n),
+                addressed.get_at(k, west, &lm, &mut rng_a),
+            ),
+        ];
+        for (by_name, by_address) in pairs {
+            assert_eq!(by_name.value, by_address.value);
+            assert_eq!(by_name.latency_s.to_bits(), by_address.latency_s.to_bits());
+        }
+        assert_eq!(named.ops(east), addressed.ops(east));
+        assert!(named.reclaim("t", "k") && addressed.reclaim_at(k));
+        assert!(named.is_empty() && addressed.is_empty());
+    }
+
+    #[test]
+    fn len_counts_every_item_and_the_two_kinds_of_address_never_alias() {
+        let (cat, lm, mut kv, mut rng) = setup();
+        let r = cat.id_of("us-east-1").unwrap();
+        let t = kv.create_table("t", r);
+        let other = kv.create_table("other", r);
+        // The first name a table sees and the (invocation 0, slot 0) item.
+        let items = [
+            kv.named_item(t, "k"),
+            ItemAddr::new(t, 0, 0),
+            ItemAddr::new(t, 0, 1),
+            ItemAddr::new(t, 1, 0),
+            ItemAddr::new(other, 0, 0),
+        ];
+        for (i, &item) in items.iter().enumerate() {
+            kv.put_at(item, Bytes::from(vec![i as u8]), r, &lm, &mut rng);
+        }
+        assert_eq!(kv.len(), items.len());
+        for (i, &item) in items.iter().enumerate() {
+            let got = kv.get_at(item, r, &lm, &mut rng).value.unwrap();
+            assert_eq!(got.as_ref(), [i as u8]);
+        }
+        assert_eq!(kv.peek("t", "k").unwrap().as_ref(), [0]);
+        for &item in &items {
+            assert!(kv.reclaim_at(item));
+        }
+        assert!(kv.is_empty());
+    }
+
+    #[test]
+    fn a_table_named_before_it_is_created_keeps_its_handle() {
+        let (cat, lm, mut kv, mut rng) = setup();
+        let east = cat.id_of("us-east-1").unwrap();
+        let west = cat.id_of("us-west-1").unwrap();
+        let t = kv.table("late");
+        let item = ItemAddr::new(t, 9, 0);
+        kv.put_at(item, Bytes::from_static(b"v"), west, &lm, &mut rng);
+        assert_eq!(kv.ops(west).writes, 1, "unhomed: served where it is asked");
+        assert_eq!(kv.create_table("late", east), t);
+        assert_eq!(kv.table("late"), t);
+        // The held address now reaches the homed table, and its item.
+        let got = kv.get_at(item, west, &lm, &mut rng);
+        assert_eq!(got.value.as_deref(), Some(b"v".as_slice()));
+        assert_eq!(kv.ops(east).reads, 1);
+        assert_ne!(kv.namespace(), KvStore::new(cat.len()).namespace());
     }
 
     #[test]

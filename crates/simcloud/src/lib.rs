@@ -60,3 +60,12 @@ pub use latency::{InterProviderLatency, LatencyModel};
 pub use meter::UsageMeter;
 pub use pricing::PricingCatalog;
 pub use providers::{backend_for, ProviderBackend};
+
+/// A process-unique identity for a service instance that issues handles
+/// ([`pubsub::TopicId`], [`kv::TableId`]): a holder of handles compares
+/// it to know they came from this instance. It never reaches an output.
+fn fresh_namespace() -> u64 {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}

@@ -11,6 +11,7 @@
 //! [`FaultPlan`]: a down target region or an active pairwise partition
 //! loses the attempt, and gray failures inflate the transfer latency.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use caribou_model::region::RegionId;
@@ -44,6 +45,13 @@ pub struct TopicKey {
     pub region: RegionId,
 }
 
+/// Handle of a created topic, issued by [`PubSub::create_topic`] and valid
+/// for the service that issued it (compare [`PubSub::namespace`] before
+/// reusing one held across services). Topics are never deleted, so a
+/// handle stays good for the service's lifetime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TopicId(u32);
+
 /// How a publish attempt ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryStatus {
@@ -74,11 +82,16 @@ impl Delivery {
 }
 
 /// The pub/sub service.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PubSub {
-    topics: HashMap<TopicKey, ()>,
-    /// Published message counts per publishing region, for billing.
-    publishes: HashMap<RegionId, u64>,
+    /// Distinguishes this service's handles from every other instance's.
+    namespace: u64,
+    /// Topic name → handle; `names[id]` is the reverse.
+    topics: HashMap<TopicKey, TopicId>,
+    names: Vec<TopicKey>,
+    /// Published message counts per publishing region (indexed by
+    /// [`RegionId::index`]), for billing.
+    publishes: Vec<u64>,
     /// Probability any single delivery attempt is lost (fault injection).
     pub drop_probability: f64,
     /// Windowed faults consulted on every attempt (outages, partitions,
@@ -97,9 +110,21 @@ impl PubSub {
     /// catalog region (indexed by the subscriber region).
     pub fn new(profiles: Vec<MessagingProfile>) -> Self {
         PubSub {
+            namespace: crate::fresh_namespace(),
+            topics: HashMap::new(),
+            names: Vec::new(),
+            publishes: vec![0; profiles.len()],
+            drop_probability: 0.0,
+            faults: FaultPlan::none(),
+            now_s: 0.0,
             profiles,
-            ..Default::default()
         }
+    }
+
+    /// Identity of this service instance: a [`TopicId`] may be used only
+    /// with the service whose namespace it was issued under.
+    pub fn namespace(&self) -> u64 {
+        self.namespace
     }
 
     /// The messaging profile governing delivery to a subscriber region.
@@ -107,24 +132,33 @@ impl PubSub {
         self.profiles[region.index()]
     }
 
-    /// Creates a topic; idempotent.
-    pub fn create_topic(&mut self, key: TopicKey) {
-        self.topics.insert(key, ());
+    /// Creates a topic and returns its handle; idempotent (a topic that
+    /// exists keeps the handle it was first given).
+    pub fn create_topic(&mut self, key: TopicKey) -> TopicId {
+        let next = TopicId(u32::try_from(self.names.len()).expect("fewer than 2^32 topics"));
+        match self.topics.entry(key) {
+            Entry::Occupied(topic) => *topic.get(),
+            Entry::Vacant(slot) => {
+                self.names.push(slot.key().clone());
+                *slot.insert(next)
+            }
+        }
+    }
+
+    /// The handle of a topic, if it exists.
+    pub fn topic_id(&self, key: &TopicKey) -> Option<TopicId> {
+        self.topics.get(key).copied()
     }
 
     /// Whether a topic exists.
     pub fn topic_exists(&self, key: &TopicKey) -> bool {
-        self.topics.contains_key(key)
+        self.topic_id(key).is_some()
     }
 
-    /// Publishes a message of `payload_bytes` from `from` to the topic,
-    /// simulating delivery to the topic's regional subscriber.
-    ///
-    /// Returns the delivery outcome; latency includes publish overhead,
-    /// cross-region payload transfer, and any retry backoffs. Publishing
-    /// to a topic that does not exist returns a
-    /// [`DeliveryStatus::TopicMissing`] outcome (the API call is rejected;
-    /// nothing is billed) instead of aborting the process.
+    /// [`PubSub::publish_to`] by name. Publishing to a topic that does
+    /// not exist returns a [`DeliveryStatus::TopicMissing`] outcome (the
+    /// API call is rejected; nothing is billed) instead of aborting the
+    /// process.
     pub fn publish(
         &mut self,
         key: &TopicKey,
@@ -133,25 +167,47 @@ impl PubSub {
         latency: &LatencyModel,
         rng: &mut Pcg32,
     ) -> Delivery {
-        let telemetry = caribou_telemetry::is_enabled();
-        if !self.topic_exists(key) {
-            if telemetry {
-                caribou_telemetry::event("pubsub.topic_missing", &key.stage, key.region.0 as f64);
+        match self.topic_id(key) {
+            Some(topic) => self.publish_to(topic, from, payload_bytes, latency, rng),
+            None => {
+                if caribou_telemetry::is_enabled() {
+                    caribou_telemetry::event(
+                        "pubsub.topic_missing",
+                        &key.stage,
+                        key.region.0 as f64,
+                    );
+                }
+                Delivery {
+                    latency_s: 0.0,
+                    attempts: 0,
+                    status: DeliveryStatus::TopicMissing,
+                }
             }
-            return Delivery {
-                latency_s: 0.0,
-                attempts: 0,
-                status: DeliveryStatus::TopicMissing,
-            };
         }
-        *self.publishes.entry(from).or_insert(0) += 1;
+    }
+
+    /// Publishes a message of `payload_bytes` from `from` to `topic`,
+    /// simulating delivery to the topic's regional subscriber.
+    ///
+    /// Returns the delivery outcome; latency includes publish overhead,
+    /// cross-region payload transfer, and any retry backoffs.
+    pub fn publish_to(
+        &mut self,
+        topic: TopicId,
+        from: RegionId,
+        payload_bytes: f64,
+        latency: &LatencyModel,
+        rng: &mut Pcg32,
+    ) -> Delivery {
+        let telemetry = caribou_telemetry::is_enabled();
+        let name = &self.names[topic.0 as usize];
+        let (stage, region) = (&name.stage, name.region);
+        self.publishes[from.index()] += 1;
         if telemetry {
-            caribou_telemetry::event("pubsub.publish", &key.stage, payload_bytes);
+            caribou_telemetry::event("pubsub.publish", stage, payload_bytes);
         }
-        let profile = self.profile_for(key.region);
-        let gray = self
-            .faults
-            .pair_latency_factor(from, key.region, self.now_s);
+        let profile = self.profiles[region.index()];
+        let gray = self.faults.pair_latency_factor(from, region, self.now_s);
         let mut total = rng.lognormal(
             profile.publish_overhead_median_s.ln(),
             profile.publish_overhead_sigma,
@@ -170,15 +226,15 @@ impl PubSub {
         };
         while attempts < profile.max_attempts {
             attempts += 1;
-            total += latency.sample_transfer_seconds(from, key.region, payload_bytes, rng) * gray;
-            let target_down = self.faults.region_down(key.region, self.now_s);
-            let partitioned = self.faults.partitioned(from, key.region, self.now_s);
+            total += latency.sample_transfer_seconds(from, region, payload_bytes, rng) * gray;
+            let target_down = self.faults.region_down(region, self.now_s);
+            let partitioned = self.faults.partitioned(from, region, self.now_s);
             let lost = target_down || partitioned || rng.chance(self.drop_probability);
             if !lost {
                 if telemetry {
                     caribou_telemetry::count("pubsub.ack", 1);
                     if attempts > 1 {
-                        caribou_telemetry::event("pubsub.retry", &key.stage, (attempts - 1) as f64);
+                        caribou_telemetry::event("pubsub.retry", stage, (attempts - 1) as f64);
                     }
                     caribou_telemetry::observe("pubsub.delivery_latency_s", total);
                 }
@@ -218,7 +274,7 @@ impl PubSub {
             }
         }
         if telemetry {
-            caribou_telemetry::event("pubsub.dead_letter", &key.stage, attempts as f64);
+            caribou_telemetry::event("pubsub.dead_letter", stage, attempts as f64);
         }
         Delivery {
             latency_s: total,
@@ -229,12 +285,12 @@ impl PubSub {
 
     /// Messages published from a region so far.
     pub fn published_from(&self, region: RegionId) -> u64 {
-        self.publishes.get(&region).copied().unwrap_or(0)
+        self.publishes[region.index()]
     }
 
     /// Total messages published.
     pub fn total_published(&self) -> u64 {
-        self.publishes.values().sum()
+        self.publishes.iter().sum()
     }
 }
 
@@ -455,6 +511,28 @@ mod tests {
         assert_eq!(ps.published_from(east), 1);
         assert_eq!(ps.published_from(west), 2);
         assert_eq!(ps.total_published(), 3);
+    }
+
+    #[test]
+    fn publish_by_name_is_publish_to_its_handle() {
+        let (cat, lm, mut named, mut rng_n) = setup();
+        let (_, _, mut handled, mut rng_h) = setup();
+        let east = cat.id_of("us-east-1").unwrap();
+        let west = cat.id_of("us-west-1").unwrap();
+        named.create_topic(key(west));
+        let topic = handled.create_topic(key(west));
+        assert_eq!(handled.create_topic(key(west)), topic, "idempotent");
+        assert_eq!(handled.topic_id(&key(west)), Some(topic));
+        assert_ne!(handled.create_topic(key(east)), topic);
+        named.drop_probability = 0.3;
+        handled.drop_probability = 0.3;
+        for _ in 0..50 {
+            let by_name = named.publish(&key(west), east, 2048.0, &lm, &mut rng_n);
+            let by_handle = handled.publish_to(topic, east, 2048.0, &lm, &mut rng_h);
+            assert_eq!(by_name, by_handle);
+        }
+        assert_eq!(named.published_from(east), handled.published_from(east));
+        assert_ne!(named.namespace(), handled.namespace());
     }
 
     #[test]

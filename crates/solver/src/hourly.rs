@@ -38,6 +38,10 @@ impl<S: CarbonDataSource> CarbonDataSource for DayAveragedSource<'_, S> {
         self.inner
             .average(region, self.day_start_hour, self.day_start_hour + 24.0)
     }
+
+    fn counts_queries(&self) -> bool {
+        self.inner.counts_queries()
+    }
 }
 
 /// Solves 24 hourly plans starting at `day_start_hour` (hours since the

@@ -260,6 +260,34 @@ for table in 'caribou-data@' 'caribou-sync@'; do
     fi
 done
 
+# Addresses, not names, on the data plane: the engine reaches topics,
+# tables and items through handles resolved once (layout::AddressBook),
+# so the per-operation name writers and the stores' name buffers stay
+# deleted, and the engine formats a string only to label telemetry.
+echo "==> no-names-on-the-hot-path grep gate"
+if grep -rnE 'fn set_(topic|data_table|sync_table|edge_key|sync_key)\b' crates ||
+    grep -nE '^ +(lookup|free): ' crates/simcloud/src/kv.rs crates/simcloud/src/blob.rs; then
+    echo "error: a per-operation name writer or a store's name buffer is back (see matches above)" >&2
+    exit 1
+fi
+if ! awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    {
+        line = $0
+        if (!guarded && line ~ /if (.*&& )?(caribou_telemetry::is_enabled\(\)|telemetry) \{/) guarded = 1
+        if (guarded) {
+            depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+            if (depth <= 0) { guarded = 0; depth = 0 }
+        } else if (line ~ /(format|write|writeln)!\(/) {
+            print FILENAME ":" NR ": " $0
+            bad = 1
+        }
+    }
+    END { exit bad }' crates/exec/src/engine.rs; then
+    echo "error: crates/exec/src/engine.rs formats a string outside an is_enabled() block (see above)" >&2
+    exit 1
+fi
+
 # One histogram type: the recorder holds QuantileSketch.
 echo "==> single-histogram grep gate"
 if grep -rn 'Histogram' crates/telemetry; then
