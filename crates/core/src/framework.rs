@@ -200,6 +200,9 @@ struct WorkflowState {
     metrics: MetricsManager,
     manager: DeploymentManager,
     last_check_s: f64,
+    /// Per workflow, so the addresses its invocations resolved stay bound
+    /// while `run_multi` alternates workflows.
+    scratch: InvocationScratch,
 }
 
 /// The Caribou framework over a simulated cloud and a carbon data source.
@@ -214,7 +217,6 @@ pub struct Caribou<S: CarbonDataSource> {
     workflows: Vec<WorkflowState>,
     rng: Pcg32,
     inv_counter: u64,
-    scratch: InvocationScratch,
 }
 
 impl<S: CarbonDataSource + Sync> Caribou<S> {
@@ -228,7 +230,6 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
             workflows: Vec::new(),
             rng,
             inv_counter: 0,
-            scratch: InvocationScratch::new(),
         }
     }
 
@@ -248,6 +249,7 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
             metrics: MetricsManager::new(),
             manager: DeploymentManager::new(first_check, self.config.manager),
             last_check_s: first_check,
+            scratch: InvocationScratch::new(),
         });
         Ok(self.workflows.len() - 1)
     }
@@ -329,7 +331,7 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
             &engine,
             &mut self.cloud,
             &mut state.dep,
-            &mut self.scratch,
+            &mut state.scratch,
             inv_id,
             at_s,
             &mut rng,

@@ -167,11 +167,6 @@ impl Workflow {
         self.objective = objective;
     }
 
-    /// Sets the workflow-level region filter.
-    pub fn set_workflow_filter(&mut self, filter: RegionFilter) {
-        self.workflow_filter = filter;
-    }
-
     /// Extracts and validates the workflow DAG ("static code analysis",
     /// §6.1).
     ///

@@ -10,10 +10,10 @@ use crate::compute::LambdaRuntime;
 use crate::faults::FaultPlan;
 use crate::iam::Iam;
 use crate::kv::KvStore;
-use crate::latency::{InterProviderLatency, LatencyModel};
+use crate::latency::LatencyModel;
 use crate::meter::UsageMeter;
 use crate::pricing::PricingCatalog;
-use crate::providers::backend_for;
+use crate::providers;
 use crate::pubsub::PubSub;
 use crate::registry::ContainerRegistry;
 use crate::warm::WarmPool;
@@ -56,22 +56,21 @@ pub struct SimCloud {
 }
 
 impl SimCloud {
-    /// Creates a cloud over the AWS backend's regions with the given
-    /// master seed.
+    /// Creates a cloud over the AWS regions with the given master seed.
     pub fn aws(seed: u64) -> Self {
-        Self::for_providers(ProviderSet::aws_only(), seed).expect("the AWS backend exists")
+        Self::for_providers(ProviderSet::aws_only(), seed).expect("the AWS block exists")
     }
 
     /// Assembles a cloud over `regions`, the one place service constants
-    /// enter a [`SimCloud`]: every region takes its price sheet, KV rates,
-    /// compute / cold-start / keep-alive / registry profile and messaging
-    /// profile from its provider's [`crate::providers::ProviderBackend`],
-    /// and cross-provider pairs pay the inter-provider latency penalty.
+    /// enter a [`SimCloud`]: every region takes its price sheet, compute /
+    /// cold-start / keep-alive / registry numbers and messaging profile
+    /// from its [`providers::profile`], and cross-provider pairs pay the
+    /// inter-provider latency penalty.
     ///
     /// Errors with [`ModelError::UnknownProvider`] for a region whose
-    /// provider has no backend (e.g. `azure`), and with
-    /// [`ModelError::MissingInterProviderLatency`] when the inter-provider
-    /// penalty table lacks a pair the catalog requires.
+    /// provider the table has no block for (e.g. `azure`), and with
+    /// [`ModelError::MissingInterProviderLatency`] when it lacks the
+    /// penalty of a provider pair the catalog requires.
     pub fn with_catalog(regions: RegionCatalog, seed: u64) -> Result<Self, ModelError> {
         let n = regions.len();
         let mut prices = Vec::with_capacity(n);
@@ -83,25 +82,20 @@ impl SimCloud {
         let mut registry_overhead_s = Vec::with_capacity(n);
         let mut messaging = Vec::with_capacity(n);
         for (_, spec) in regions.iter() {
-            let b = backend_for(spec.provider).ok_or_else(|| ModelError::UnknownProvider {
+            let p = providers::profile(spec).ok_or_else(|| ModelError::UnknownProvider {
                 name: spec.provider.to_string(),
             })?;
-            let mut row = b.pricing(spec);
-            let kv = b.kv(spec);
-            row.dynamodb_per_write = kv.per_write_usd;
-            row.dynamodb_per_read = kv.per_read_usd;
-            prices.push(row);
+            prices.push(p.prices);
             provider_of.push(spec.provider);
-            cross_rates.push(b.cross_provider_egress_per_gb(spec));
-            let compute = b.compute(spec);
-            perf_factor.push(compute.perf_factor);
-            cold_start.push(compute.cold_start);
-            keep_alive_s.push(compute.keep_alive_s);
-            registry_overhead_s.push(compute.registry_overhead_s);
-            messaging.push(b.messaging(spec));
+            cross_rates.push(p.cross_provider_egress_per_gb);
+            perf_factor.push(p.perf_factor);
+            cold_start.push(p.cold_start);
+            keep_alive_s.push(p.keep_alive_s);
+            registry_overhead_s.push(p.registry_overhead_s);
+            messaging.push(p.messaging);
         }
         Ok(SimCloud {
-            latency: LatencyModel::from_catalog(&regions, &InterProviderLatency::defaults())?,
+            latency: LatencyModel::from_catalog(&regions)?,
             pricing: PricingCatalog::new(prices, provider_of, cross_rates),
             compute: LambdaRuntime::new(perf_factor, cold_start),
             pubsub: PubSub::new(messaging),
@@ -121,15 +115,19 @@ impl SimCloud {
     /// A cloud over the union of each member provider's regions, in
     /// provider order (AWS first).
     ///
-    /// Errors like [`SimCloud::with_catalog`]; a set whose members have no
-    /// backend at all is [`ModelError::UnknownProvider`].
+    /// Errors like [`SimCloud::with_catalog`]; a member without regions
+    /// (e.g. `azure`), or a set without members, is
+    /// [`ModelError::UnknownProvider`].
     pub fn for_providers(set: ProviderSet, seed: u64) -> Result<Self, ModelError> {
         let mut regions = RegionCatalog::new();
         for p in set.iter() {
-            let b = backend_for(p).ok_or_else(|| ModelError::UnknownProvider {
-                name: p.to_string(),
-            })?;
-            for spec in b.regions() {
+            let specs = providers::regions(p);
+            if specs.is_empty() {
+                return Err(ModelError::UnknownProvider {
+                    name: p.to_string(),
+                });
+            }
+            for spec in specs {
                 regions.push(spec);
             }
         }
@@ -147,9 +145,7 @@ impl SimCloud {
     pub fn evaluation_universe(set: ProviderSet) -> Vec<&'static str> {
         let mut names = Vec::new();
         for p in set.iter() {
-            if let Some(b) = backend_for(p) {
-                names.extend_from_slice(b.evaluation_regions());
-            }
+            names.extend_from_slice(providers::evaluation_regions(p));
         }
         names
     }
@@ -205,13 +201,8 @@ impl SimCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latency::distance_only;
     use caribou_model::region::{Provider, RegionSpec};
-
-    /// The latency model of a catalog with the AWS–GCP penalty at zero.
-    fn distance_only(regions: &RegionCatalog) -> LatencyModel {
-        let free = InterProviderLatency::empty().with_pair(Provider::Aws, Provider::Gcp, 0.0);
-        LatencyModel::from_catalog(regions, &free).unwrap()
-    }
 
     #[test]
     fn aws_cloud_constructs_consistently() {
@@ -245,28 +236,24 @@ mod tests {
         assert!(!cloud.pubsub.faults.region_down(ca, cloud.pubsub.now_s));
     }
 
-    /// Every per-region constant of an assembled cloud is its provider
-    /// backend's answer for that region.
-    fn assert_regions_come_from_backends(cloud: &SimCloud) {
+    /// Every per-region constant of an assembled cloud is the provider
+    /// table's answer for that region.
+    fn assert_regions_come_from_the_table(cloud: &SimCloud) {
         for (id, spec) in cloud.regions.iter() {
-            let b = backend_for(spec.provider).unwrap();
-            let (kv, compute) = (b.kv(spec), b.compute(spec));
-            let mut sheet = b.pricing(spec);
-            sheet.dynamodb_per_write = kv.per_write_usd;
-            sheet.dynamodb_per_read = kv.per_read_usd;
-            assert_eq!(cloud.pricing.region(id), &sheet, "{}", spec.name);
-            assert_eq!(cloud.compute.perf_factor(id), compute.perf_factor);
-            assert_eq!(cloud.compute.cold_start_for(id), &compute.cold_start);
-            assert_eq!(cloud.warm.keep_alive_for(id), compute.keep_alive_s);
-            assert_eq!(cloud.registry.overhead_for(id), compute.registry_overhead_s);
-            assert_eq!(cloud.pubsub.profile_for(id), b.messaging(spec));
+            let p = providers::profile(spec).unwrap();
+            assert_eq!(cloud.pricing.region(id), &p.prices, "{}", spec.name);
+            assert_eq!(cloud.compute.perf_factor(id), p.perf_factor);
+            assert_eq!(cloud.compute.cold_start_for(id), &p.cold_start);
+            assert_eq!(cloud.warm.keep_alive_for(id), p.keep_alive_s);
+            assert_eq!(cloud.registry.overhead_for(id), p.registry_overhead_s);
+            assert_eq!(cloud.pubsub.profile_for(id), p.messaging);
             for (other, ospec) in cloud.regions.iter() {
                 let cross = spec.provider != ospec.provider;
                 assert_eq!(cloud.pricing.is_cross_provider(id, other), cross);
                 let rate = if cross {
-                    b.cross_provider_egress_per_gb(spec)
+                    p.cross_provider_egress_per_gb
                 } else {
-                    sheet.egress_inter_region_per_gb
+                    p.prices.egress_inter_region_per_gb
                 };
                 assert_eq!(cloud.pricing.egress_rate_per_gb(id, other), rate);
             }
@@ -276,32 +263,26 @@ mod tests {
     #[test]
     fn every_region_is_parameterised_by_its_provider_backend() {
         let aws = SimCloud::aws(42);
-        assert_regions_come_from_backends(&aws);
+        assert_regions_come_from_the_table(&aws);
         let both_set = ProviderSet::parse("aws,gcp").unwrap();
         let both = SimCloud::for_providers(both_set, 42).unwrap();
-        assert_regions_come_from_backends(&both);
+        assert_regions_come_from_the_table(&both);
 
-        // A catalog handed in whole assembles exactly like the provider
-        // set that unions to it.
-        let whole = SimCloud::with_catalog(RegionCatalog::multi_cloud(), 42).unwrap();
-        assert_regions_come_from_backends(&whole);
-        assert_eq!(whole.regions.len(), both.regions.len());
-        assert_eq!(whole.evaluation_regions(), both.evaluation_regions());
         // Cross-provider pairs pay the penalty on top of what the same
         // coordinates cost inside one provider.
-        let penalty = InterProviderLatency::defaults();
         let plain = distance_only(&both.regions);
         for (a, sa) in both.regions.iter() {
-            assert_eq!(whole.regions.spec(a), sa);
             for (b, sb) in both.regions.iter() {
-                assert_eq!(whole.latency.one_way(a, b), both.latency.one_way(a, b));
-                let extra = penalty.penalty_s(sa.provider, sb.provider).unwrap();
-                assert_eq!(both.latency.one_way(a, b), plain.one_way(a, b) + extra);
+                let extra = providers::inter_provider_penalty_s(sa.provider, sb.provider);
+                assert_eq!(
+                    both.latency.one_way(a, b),
+                    plain.one_way(a, b) + extra.unwrap()
+                );
             }
         }
 
-        // A custom region of a known provider takes that backend's
-        // fallback constants.
+        // A custom region of a known provider takes that provider's
+        // default row.
         let mut catalog = RegionCatalog::aws_default();
         let custom = catalog.push(RegionSpec {
             name: "eu-north-1".into(),
@@ -312,7 +293,7 @@ mod tests {
             longitude: 18.1,
         });
         let extended = SimCloud::with_catalog(catalog, 42).unwrap();
-        assert_regions_come_from_backends(&extended);
+        assert_regions_come_from_the_table(&extended);
         assert_eq!(extended.regions.len(), aws.regions.len() + 1);
         assert!(extended.compute.perf_factor(custom) > 1.0);
         assert_eq!(extended.evaluation_regions(), aws.evaluation_regions());

@@ -318,13 +318,6 @@ impl FaultPlan {
                 .any(|d| d.window.contains(t) && d.regions.contains(&region))
     }
 
-    /// Whether a provider-wide outage for `provider` is active at `t`.
-    pub fn provider_down(&self, provider: Provider, t: SimTime) -> bool {
-        self.provider_outages
-            .iter()
-            .any(|o| o.provider == provider && o.window.contains(t))
-    }
-
     /// Whether the carbon forecast source is dark at time `t`.
     pub fn carbon_data_down(&self, t: SimTime) -> bool {
         self.carbon_outages.iter().any(|o| o.window.contains(t))
@@ -807,10 +800,10 @@ mod tests {
             assert!(plan.region_down(r, 100.0));
             assert!(!plan.region_down(r, 150.0));
         }
+        // Another provider's regions stay up, and nothing is down before
+        // the window opens.
         assert!(!plan.region_down(RegionId(0), 100.0));
-        assert!(plan.provider_down(Provider::Gcp, 100.0));
-        assert!(!plan.provider_down(Provider::Aws, 100.0));
-        assert!(!plan.provider_down(Provider::Gcp, 150.0));
+        assert!(!plan.region_down(RegionId(10), 49.0));
     }
 
     #[test]

@@ -195,15 +195,8 @@ impl KvStore {
         })
     }
 
-    /// Home region of a table; defaults to the accessing region when the
-    /// table was never explicitly created.
-    pub fn table_home(&self, table: &str, fallback: RegionId) -> RegionId {
-        match self.table_ids.get(table) {
-            Some(&id) => self.home_of(id, fallback),
-            None => fallback,
-        }
-    }
-
+    /// Home region of a table: the accessing region when the table was
+    /// never explicitly created.
     fn home_of(&self, table: TableId, fallback: RegionId) -> RegionId {
         self.tables[table.0 as usize].home.unwrap_or(fallback)
     }
@@ -267,19 +260,6 @@ impl KvStore {
         KvAccess { value, latency_s }
     }
 
-    /// [`KvStore::get_at`] by name.
-    pub fn get(
-        &mut self,
-        table: &str,
-        key: &str,
-        from: RegionId,
-        latency: &LatencyModel,
-        rng: &mut Pcg32,
-    ) -> KvAccess {
-        let item = self.resolve(table, key);
-        self.get_at(item, from, latency, rng)
-    }
-
     /// Writes an item.
     pub fn put_at(
         &mut self,
@@ -296,27 +276,6 @@ impl KvStore {
             value: None,
             latency_s,
         }
-    }
-
-    /// [`KvStore::put_at`] by name.
-    pub fn put(
-        &mut self,
-        table: &str,
-        key: &str,
-        value: Bytes,
-        from: RegionId,
-        latency: &LatencyModel,
-        rng: &mut Pcg32,
-    ) -> KvAccess {
-        let item = self.resolve(table, key);
-        self.put_at(item, value, from, latency, rng)
-    }
-
-    /// Deletes a key, returning whether it existed.
-    pub fn delete(&mut self, table: &str, key: &str, from: RegionId) -> bool {
-        let item = self.resolve(table, key);
-        self.count(item.table, from, 0, 1);
-        self.data.remove(&item).is_some()
     }
 
     /// Removes an item without billing or latency simulation: garbage
@@ -451,9 +410,10 @@ mod tests {
     fn put_then_get_round_trips() {
         let (cat, lm, mut kv, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
-        kv.create_table("meta", r);
-        kv.put("meta", "k", Bytes::from_static(b"v"), r, &lm, &mut rng);
-        let got = kv.get("meta", "k", r, &lm, &mut rng);
+        let meta = kv.create_table("meta", r);
+        let k = kv.named_item(meta, "k");
+        kv.put_at(k, Bytes::from_static(b"v"), r, &lm, &mut rng);
+        let got = kv.get_at(k, r, &lm, &mut rng);
         assert_eq!(got.value.as_deref(), Some(b"v".as_slice()));
         assert!(got.latency_s > 0.0);
     }
@@ -463,13 +423,14 @@ mod tests {
         let (cat, lm, mut kv, mut rng) = setup();
         let east = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-1").unwrap();
-        kv.create_table("meta", east);
-        kv.put("meta", "k", Bytes::from_static(b"v"), east, &lm, &mut rng);
+        let meta = kv.create_table("meta", east);
+        let k = kv.named_item(meta, "k");
+        kv.put_at(k, Bytes::from_static(b"v"), east, &lm, &mut rng);
         let mut local = 0.0;
         let mut remote = 0.0;
         for _ in 0..200 {
-            local += kv.get("meta", "k", east, &lm, &mut rng).latency_s;
-            remote += kv.get("meta", "k", west, &lm, &mut rng).latency_s;
+            local += kv.get_at(k, east, &lm, &mut rng).latency_s;
+            remote += kv.get_at(k, west, &lm, &mut rng).latency_s;
         }
         assert!(remote > local * 2.0, "local {local} remote {remote}");
     }
@@ -505,9 +466,10 @@ mod tests {
         let (cat, lm, mut kv, mut rng) = setup();
         let east = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-1").unwrap();
-        kv.create_table("meta", east);
-        kv.put("meta", "k", Bytes::from_static(b"v"), west, &lm, &mut rng);
-        kv.get("meta", "k", west, &lm, &mut rng);
+        let meta = kv.create_table("meta", east);
+        let k = kv.named_item(meta, "k");
+        kv.put_at(k, Bytes::from_static(b"v"), west, &lm, &mut rng);
+        kv.get_at(k, west, &lm, &mut rng);
         let ops = kv.ops(east);
         assert_eq!(ops.reads, 1);
         assert_eq!(ops.writes, 1);
@@ -515,20 +477,12 @@ mod tests {
     }
 
     #[test]
-    fn delete_removes_key() {
-        let (cat, lm, mut kv, mut rng) = setup();
-        let r = cat.id_of("us-east-1").unwrap();
-        kv.put("t", "k", Bytes::from_static(b"v"), r, &lm, &mut rng);
-        assert!(kv.delete("t", "k", r));
-        assert!(!kv.delete("t", "k", r));
-        assert!(kv.get("t", "k", r, &lm, &mut rng).value.is_none());
-    }
-
-    #[test]
     fn reclaim_is_unbilled_and_recycles_keys() {
         let (cat, lm, mut kv, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
-        kv.put("t", "k1", Bytes::from_static(b"v"), r, &lm, &mut rng);
+        let t = kv.table("t");
+        let k1 = kv.named_item(t, "k1");
+        kv.put_at(k1, Bytes::from_static(b"v"), r, &lm, &mut rng);
         let writes_before = kv.ops(r).writes;
         assert!(kv.reclaim("t", "k1"));
         assert!(!kv.reclaim("t", "k1"));
@@ -536,10 +490,8 @@ mod tests {
         assert_eq!(kv.ops(r).writes, writes_before);
         assert!(kv.is_empty());
         // The name keeps its address: a held one reaches the next value.
-        let t = kv.table("t");
-        let k1 = kv.named_item(t, "k1");
-        kv.put("t", "k1", Bytes::from_static(b"w"), r, &lm, &mut rng);
         assert_eq!(kv.named_item(t, "k1"), k1);
+        kv.put_at(k1, Bytes::from_static(b"w"), r, &lm, &mut rng);
         assert_eq!(
             kv.get_at(k1, r, &lm, &mut rng).value.unwrap().as_ref(),
             b"w"
@@ -555,28 +507,17 @@ mod tests {
         let (_, _, mut addressed, mut rng_a) = setup();
         let east = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-1").unwrap();
-        named.create_table("t", east);
-        let t = addressed.create_table("t", east);
+        let t = named.create_table("t", east);
+        assert_eq!(addressed.create_table("t", east), t);
         let k = addressed.named_item(t, "k");
         let bump = |prev: Option<&Bytes>| Bytes::from(vec![0u8; prev.map_or(1, |b| b.len() + 1)]);
-        let pairs = [
-            (
-                named.put("t", "k", Bytes::from_static(b"v"), west, &lm, &mut rng_n),
-                addressed.put_at(k, Bytes::from_static(b"v"), west, &lm, &mut rng_a),
-            ),
-            (
-                named.atomic_update("t", "k", east, &lm, &mut rng_n, bump),
-                addressed.atomic_update_at(k, &"k", east, &lm, &mut rng_a, bump),
-            ),
-            (
-                named.get("t", "k", west, &lm, &mut rng_n),
-                addressed.get_at(k, west, &lm, &mut rng_a),
-            ),
-        ];
-        for (by_name, by_address) in pairs {
+        for from in [west, east, west] {
+            let by_name = named.atomic_update("t", "k", from, &lm, &mut rng_n, bump);
+            let by_address = addressed.atomic_update_at(k, &"k", from, &lm, &mut rng_a, bump);
             assert_eq!(by_name.value, by_address.value);
             assert_eq!(by_name.latency_s.to_bits(), by_address.latency_s.to_bits());
         }
+        assert_eq!(named.peek("t", "k"), addressed.data.get(&k));
         assert_eq!(named.ops(east), addressed.ops(east));
         assert!(named.reclaim("t", "k") && addressed.reclaim_at(k));
         assert!(named.is_empty() && addressed.is_empty());
@@ -633,9 +574,11 @@ mod tests {
     fn uncreated_table_homes_at_accessor() {
         let (cat, lm, mut kv, mut rng) = setup();
         let west = cat.id_of("us-west-1").unwrap();
-        assert_eq!(kv.table_home("ghost", west), west);
+        let ghost = kv.table("ghost");
+        assert_eq!(kv.home_of(ghost, west), west);
         // Accesses bill at the accessor's region when no home was set.
-        kv.put("ghost", "k", Bytes::from_static(b"v"), west, &lm, &mut rng);
+        let k = kv.named_item(ghost, "k");
+        kv.put_at(k, Bytes::from_static(b"v"), west, &lm, &mut rng);
         assert_eq!(kv.ops(west).writes, 1);
     }
 
@@ -643,33 +586,20 @@ mod tests {
     fn throttle_window_slows_ops_but_loses_nothing() {
         let (cat, lm, mut kv, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
-        kv.create_table("t", r);
+        let t = kv.create_table("t", r);
         let n = 200;
+        let items: Vec<ItemAddr> = (0..n).map(|i| ItemAddr::new(t, i, 0)).collect();
         let mut clean = 0.0;
-        for i in 0..n {
+        for &item in &items {
             clean += kv
-                .put(
-                    "t",
-                    &format!("k{i}"),
-                    Bytes::from_static(b"v"),
-                    r,
-                    &lm,
-                    &mut rng,
-                )
+                .put_at(item, Bytes::from_static(b"v"), r, &lm, &mut rng)
                 .latency_s;
         }
         kv.faults = FaultPlan::none().with_kv_throttle(r, 0.0, 1e9, 1.0);
         let mut throttled = 0.0;
-        for i in 0..n {
+        for &item in &items {
             throttled += kv
-                .put(
-                    "t",
-                    &format!("k{i}"),
-                    Bytes::from_static(b"w"),
-                    r,
-                    &lm,
-                    &mut rng,
-                )
+                .put_at(item, Bytes::from_static(b"w"), r, &lm, &mut rng)
                 .latency_s;
         }
         assert!(
@@ -677,8 +607,8 @@ mod tests {
             "clean {clean} throttled {throttled}"
         );
         // Every write landed despite the throttling.
-        for i in 0..n {
-            assert_eq!(kv.peek("t", &format!("k{i}")).unwrap().as_ref(), b"w");
+        for item in &items {
+            assert_eq!(kv.data[item].as_ref(), b"w");
         }
     }
 
@@ -687,17 +617,18 @@ mod tests {
         let (cat, lm, mut kv, mut rng) = setup();
         let east = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-1").unwrap();
-        kv.create_table("t", east);
-        kv.put("t", "k", Bytes::from_static(b"v"), east, &lm, &mut rng);
+        let t = kv.create_table("t", east);
+        let k = kv.named_item(t, "k");
+        kv.put_at(k, Bytes::from_static(b"v"), east, &lm, &mut rng);
         let n = 200;
         let mut clean = 0.0;
         for _ in 0..n {
-            clean += kv.get("t", "k", west, &lm, &mut rng).latency_s;
+            clean += kv.get_at(k, west, &lm, &mut rng).latency_s;
         }
         kv.faults = FaultPlan::none().with_gray_failure(east, 0.0, 1e9, 6.0);
         let mut gray = 0.0;
         for _ in 0..n {
-            gray += kv.get("t", "k", west, &lm, &mut rng).latency_s;
+            gray += kv.get_at(k, west, &lm, &mut rng).latency_s;
         }
         assert!(gray > clean * 2.0, "clean {clean} gray {gray}");
     }
@@ -706,7 +637,8 @@ mod tests {
     fn missing_key_read_returns_none_with_latency() {
         let (cat, lm, mut kv, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
-        let got = kv.get("t", "nope", r, &lm, &mut rng);
+        let nope = kv.resolve("t", "nope");
+        let got = kv.get_at(nope, r, &lm, &mut rng);
         assert!(got.value.is_none());
         assert!(got.latency_s > 0.0);
     }

@@ -10,8 +10,10 @@
 //! this model when no history exists.
 
 use caribou_model::error::ModelError;
-use caribou_model::region::{Provider, RegionCatalog, RegionId};
+use caribou_model::region::{RegionCatalog, RegionId};
 use caribou_model::rng::Pcg32;
+
+use crate::providers::inter_provider_penalty_s;
 
 /// Effective propagation speed of light in fiber, km/s.
 const FIBER_KM_PER_S: f64 = 200_000.0;
@@ -20,60 +22,16 @@ const ROUTE_FACTOR: f64 = 1.6;
 /// Fixed per-hop processing overhead, seconds (one way).
 const HOP_OVERHEAD_S: f64 = 0.0008;
 
-/// One-way latency penalties for traffic crossing provider boundaries.
-///
-/// Cross-provider traffic exits one backbone and re-enters another through
-/// public peering, which costs extra hops no intra-provider matrix
-/// captures. The table is explicit: a missing pair is the typed
-/// [`ModelError::MissingInterProviderLatency`], never a silent 0 or a
-/// silent reuse of the intra-provider matrix.
-#[derive(Debug, Clone, Default)]
-pub struct InterProviderLatency {
-    entries: Vec<(Provider, Provider, f64)>,
-}
-
-impl InterProviderLatency {
-    /// An empty table (every cross-provider lookup errors).
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// The default calibration: AWS ↔ GCP peer through public exchanges at
-    /// roughly +4 ms one way.
-    pub fn defaults() -> Self {
-        Self::empty().with_pair(Provider::Aws, Provider::Gcp, 0.004)
-    }
-
-    /// Adds a symmetric penalty for a provider pair.
-    pub fn with_pair(mut self, a: Provider, b: Provider, penalty_s: f64) -> Self {
-        self.entries.push((a, b, penalty_s));
-        self
-    }
-
-    /// The one-way penalty between two providers: 0 within one provider, a
-    /// typed error for a pair the table does not cover.
-    pub fn penalty_s(&self, from: Provider, to: Provider) -> Result<f64, ModelError> {
-        if from == to {
-            return Ok(0.0);
-        }
-        self.entries
-            .iter()
-            .find(|(a, b, _)| (*a == from && *b == to) || (*a == to && *b == from))
-            .map(|(_, _, p)| *p)
-            .ok_or(ModelError::MissingInterProviderLatency { from, to })
-    }
-}
-
 /// Latency/bandwidth model between regions.
 ///
 /// # Examples
 ///
 /// ```
 /// use caribou_model::region::RegionCatalog;
-/// use caribou_simcloud::latency::{InterProviderLatency, LatencyModel};
+/// use caribou_simcloud::latency::LatencyModel;
 ///
 /// let catalog = RegionCatalog::aws_default();
-/// let model = LatencyModel::from_catalog(&catalog, &InterProviderLatency::defaults()).unwrap();
+/// let model = LatencyModel::from_catalog(&catalog).unwrap();
 /// let east = catalog.id_of("us-east-1").unwrap();
 /// let west = catalog.id_of("us-west-1").unwrap();
 /// // Coast-to-coast RTT lands in the CloudPing ballpark.
@@ -94,15 +52,12 @@ pub struct LatencyModel {
 
 impl LatencyModel {
     /// Builds the model from a region catalog: the distance-based
-    /// calibration plus an explicit one-way penalty for every
+    /// calibration plus the [`inter_provider_penalty_s`] of every
     /// cross-provider pair. Fails with the typed
-    /// [`ModelError::MissingInterProviderLatency`] when the table lacks a
-    /// provider pair present in the catalog — cross-provider delivery must
+    /// [`ModelError::MissingInterProviderLatency`] when the provider table
+    /// lacks a pair present in the catalog — cross-provider delivery must
     /// never silently reuse the intra-provider matrix.
-    pub fn from_catalog(
-        catalog: &RegionCatalog,
-        penalties: &InterProviderLatency,
-    ) -> Result<Self, ModelError> {
+    pub fn from_catalog(catalog: &RegionCatalog) -> Result<Self, ModelError> {
         let n = catalog.len();
         let mut one_way = vec![0.0; n * n];
         for (a, sa) in catalog.iter() {
@@ -113,9 +68,12 @@ impl LatencyModel {
                 } else {
                     catalog.distance_km(a, b) / FIBER_KM_PER_S * ROUTE_FACTOR + HOP_OVERHEAD_S
                 };
-                if sa.provider != sb.provider {
-                    base += penalties.penalty_s(sa.provider, sb.provider)?;
-                }
+                base += inter_provider_penalty_s(sa.provider, sb.provider).ok_or(
+                    ModelError::MissingInterProviderLatency {
+                        from: sa.provider,
+                        to: sb.provider,
+                    },
+                )?;
                 one_way[a.index() * n + b.index()] = base;
             }
         }
@@ -165,13 +123,29 @@ impl LatencyModel {
     }
 }
 
+/// What the same coordinates cost inside one provider: the model of
+/// `catalog` with every region relabelled AWS, so no pair pays a penalty.
+#[cfg(test)]
+pub(crate) fn distance_only(catalog: &RegionCatalog) -> LatencyModel {
+    use caribou_model::region::{Provider, RegionSpec};
+    let mut one_provider = RegionCatalog::new();
+    for (_, spec) in catalog.iter() {
+        one_provider.push(RegionSpec {
+            provider: Provider::Aws,
+            ..spec.clone()
+        });
+    }
+    LatencyModel::from_catalog(&one_provider).expect("one provider needs no pair")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caribou_model::region::{Provider, RegionSpec};
 
     fn model() -> (RegionCatalog, LatencyModel) {
         let cat = RegionCatalog::aws_default();
-        let lm = LatencyModel::from_catalog(&cat, &InterProviderLatency::defaults()).unwrap();
+        let lm = LatencyModel::from_catalog(&cat).unwrap();
         (cat, lm)
     }
 
@@ -224,9 +198,8 @@ mod tests {
     #[test]
     fn cross_provider_pairs_pay_explicit_penalty() {
         let cat = RegionCatalog::multi_cloud();
-        let free = InterProviderLatency::empty().with_pair(Provider::Aws, Provider::Gcp, 0.0);
-        let plain = LatencyModel::from_catalog(&cat, &free).unwrap();
-        let lm = LatencyModel::from_catalog(&cat, &InterProviderLatency::defaults()).unwrap();
+        let plain = distance_only(&cat);
+        let lm = LatencyModel::from_catalog(&cat).unwrap();
         let aws_east = cat.resolve("aws:us-east-1").unwrap();
         let aws_west = cat.resolve("aws:us-west-2").unwrap();
         let gcp_west = cat.resolve("gcp:us-west1").unwrap();
@@ -245,20 +218,31 @@ mod tests {
 
     #[test]
     fn missing_inter_provider_pair_is_a_typed_error() {
-        let cat = RegionCatalog::multi_cloud();
-        let err = LatencyModel::from_catalog(&cat, &InterProviderLatency::empty()).unwrap_err();
-        assert!(matches!(
-            err,
-            ModelError::MissingInterProviderLatency { .. }
-        ));
-        let table = InterProviderLatency::defaults();
-        assert!(table.penalty_s(Provider::Aws, Provider::Azure).is_err());
-        assert_eq!(table.penalty_s(Provider::Gcp, Provider::Gcp).unwrap(), 0.0);
-        // Symmetric lookup.
-        assert_eq!(
-            table.penalty_s(Provider::Gcp, Provider::Aws).unwrap(),
-            table.penalty_s(Provider::Aws, Provider::Gcp).unwrap()
+        // No penalty is tabulated between AWS and Azure.
+        let mut cat = RegionCatalog::aws_default();
+        cat.push(RegionSpec {
+            name: "westeurope".into(),
+            provider: Provider::Azure,
+            country: "NL".into(),
+            grid_zone: "NL".into(),
+            latitude: 52.4,
+            longitude: 4.9,
+        });
+        let err = LatencyModel::from_catalog(&cat).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ModelError::MissingInterProviderLatency {
+                    from: Provider::Aws,
+                    to: Provider::Azure
+                }
+            ),
+            "{err}"
         );
+        // One provider alone needs no pair, tabulated or not.
+        let mut azure_only = RegionCatalog::new();
+        azure_only.push(cat.spec(cat.id_of("westeurope").unwrap()).clone());
+        assert!(LatencyModel::from_catalog(&azure_only).is_ok());
     }
 
     #[test]

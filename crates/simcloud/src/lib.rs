@@ -27,9 +27,9 @@
 //!   network partitions, gray failures, KV throttling, cold-start storms,
 //!   deployment failures, message drops), deterministic under a seed;
 //! * [`meter`] — usage metering and billing;
-//! * [`providers`] — trait-based provider backends (`aws`, `gcp`-like)
-//!   with per-provider messaging, KV, registry/compute, and pricing
-//!   semantics;
+//! * [`providers`] — the table of provider constants (`aws`, `gcp`-like):
+//!   per-provider messaging, KV, registry/compute and pricing numbers,
+//!   per-region premiums and perf factors, inter-provider penalties;
 //! * [`orchestration`] — transition-overhead models for Step-Functions-,
 //!   SNS-, and Caribou-style orchestration (§9.6);
 //! * [`cloud`] — the [`cloud::SimCloud`] façade bundling everything.
@@ -56,10 +56,9 @@ pub mod warm;
 
 pub use cloud::SimCloud;
 pub use compute::{ExecutionRecord, LambdaRuntime};
-pub use latency::{InterProviderLatency, LatencyModel};
+pub use latency::LatencyModel;
 pub use meter::UsageMeter;
 pub use pricing::PricingCatalog;
-pub use providers::{backend_for, ProviderBackend};
 
 /// A process-unique identity for a service instance that issues handles
 /// ([`pubsub::TopicId`], [`kv::TableId`]): a holder of handles compares

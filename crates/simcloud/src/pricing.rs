@@ -1,10 +1,7 @@
 //! AWS-price-list-calibrated pricing catalog (§7.1 Cost).
 //!
-//! The baseline is the published on-demand numbers for AWS Lambda, SNS,
-//! DynamoDB, and inter-region data transfer as of the paper's evaluation
-//! window; each provider backend ([`crate::providers`]) scales it by its
-//! per-region premium. The free tier is deliberately not modeled,
-//! matching §7.1.
+//! The numbers are rows of the [`crate::providers`] table: each provider's
+//! price sheet scaled by its per-region premium.
 
 use caribou_model::region::{Provider, RegionId};
 use serde::{Deserialize, Serialize};
@@ -33,21 +30,6 @@ pub struct RegionPricing {
 }
 
 impl RegionPricing {
-    /// Published us-east-1 baseline prices.
-    pub fn us_east_1_baseline() -> Self {
-        RegionPricing {
-            lambda_gb_second: 0.0000166667,
-            lambda_per_request: 0.20 / 1.0e6,
-            sns_per_publish: 0.50 / 1.0e6,
-            dynamodb_per_write: 1.25 / 1.0e6,
-            dynamodb_per_read: 0.25 / 1.0e6,
-            egress_inter_region_per_gb: 0.02,
-            egress_internet_per_gb: 0.09,
-            blob_per_put: 5.0e-6,
-            blob_per_get: 4.0e-7,
-        }
-    }
-
     /// Scales all prices by a region premium factor.
     pub fn scaled(&self, f: f64) -> Self {
         RegionPricing {
@@ -233,7 +215,8 @@ mod tests {
 
     #[test]
     fn cross_provider_egress_bills_cross_rate() {
-        let base = RegionPricing::us_east_1_baseline();
+        let (cat, priced) = catalogs();
+        let base = priced.region(cat.id_of("us-east-1").unwrap()).clone();
         let pc = PricingCatalog::new(
             vec![base.clone(), base.clone(), base.clone()],
             vec![Provider::Aws, Provider::Aws, Provider::Gcp],

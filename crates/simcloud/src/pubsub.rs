@@ -21,18 +21,6 @@ use crate::faults::FaultPlan;
 use crate::latency::LatencyModel;
 use crate::providers::{DeliveryKind, MessagingProfile};
 
-/// Median service-side publish overhead, seconds (SNS publish + fan-out to
-/// the Lambda trigger).
-pub const PUBLISH_OVERHEAD_MEDIAN_S: f64 = 0.030;
-/// Log-space sigma of the publish overhead.
-pub const PUBLISH_OVERHEAD_SIGMA: f64 = 0.35;
-/// Minimum delay before an unacknowledged delivery is retried, seconds.
-pub const RETRY_BACKOFF_BASE_S: f64 = 0.5;
-/// Cap on any single retry backoff, seconds.
-pub const RETRY_BACKOFF_CAP_S: f64 = 8.0;
-/// Maximum delivery attempts before the message is dead-lettered.
-pub const MAX_ATTEMPTS: u32 = 5;
-
 /// A pub/sub topic identifier: one topic per (workflow, stage, region), as
 /// in §6.1 step 2.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -55,7 +43,7 @@ pub struct TopicId(u32);
 /// How a publish attempt ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryStatus {
-    /// Acknowledged by the subscriber within [`MAX_ATTEMPTS`].
+    /// Acknowledged by the subscriber within the profile's `max_attempts`.
     Delivered,
     /// All attempts lost; the message landed in the dead-letter queue.
     DeadLettered,
@@ -381,16 +369,23 @@ mod tests {
         ps.create_topic(key(r));
         ps.drop_probability = 1.0;
         let mut latencies = Vec::new();
+        let DeliveryKind::PullFanOut {
+            backoff_base_s,
+            backoff_cap_s,
+        } = ps.profile_for(r).delivery
+        else {
+            panic!("aws retries by pull fan-out");
+        };
         for _ in 0..50 {
             let d = ps.publish(&key(r), r, 128.0, &lm, &mut rng);
             // Four backoffs of at least the base delay each.
             assert!(
-                d.latency_s >= 4.0 * RETRY_BACKOFF_BASE_S,
+                d.latency_s >= 4.0 * backoff_base_s,
                 "latency {}",
                 d.latency_s
             );
             // Four backoffs capped, plus generous overhead slack.
-            assert!(d.latency_s < 4.0 * RETRY_BACKOFF_CAP_S + 2.0);
+            assert!(d.latency_s < 4.0 * backoff_cap_s + 2.0);
             latencies.push(d.latency_s);
         }
         // Jitter: dead-letter latencies must not all collapse to one value.
@@ -454,7 +449,7 @@ mod tests {
         ps.now_s = 150.0;
         let d = ps.publish(&key(ca), east, 128.0, &lm, &mut rng);
         assert_eq!(d.status, DeliveryStatus::DeadLettered);
-        assert_eq!(d.attempts, MAX_ATTEMPTS);
+        assert_eq!(d.attempts, ps.profile_for(ca).max_attempts);
         ps.now_s = 250.0;
         let d = ps.publish(&key(ca), east, 128.0, &lm, &mut rng);
         assert!(d.delivered());

@@ -110,11 +110,6 @@ impl ContainerRegistry {
     pub fn has_replica(&self, image: &str, region: RegionId) -> bool {
         self.replicas.contains(&(image.to_string(), region))
     }
-
-    /// Removes a replica (used when tearing down an abandoned deployment).
-    pub fn remove_replica(&mut self, image: &str, region: RegionId) -> bool {
-        self.replicas.remove(&(image.to_string(), region))
-    }
 }
 
 #[cfg(test)]
@@ -168,17 +163,5 @@ mod tests {
         let again = reg.crane_copy("wf:1", east, west, &lm, &mut rng).unwrap();
         assert_eq!(again.egress_bytes, 0.0);
         assert!(again.duration_s < 1.0);
-    }
-
-    #[test]
-    fn remove_replica_forgets_region_only() {
-        let (cat, lm, mut reg, mut rng) = setup();
-        let east = cat.id_of("us-east-1").unwrap();
-        let west = cat.id_of("us-west-2").unwrap();
-        reg.push("wf:1", 100e6, east);
-        reg.crane_copy("wf:1", east, west, &lm, &mut rng).unwrap();
-        assert!(reg.remove_replica("wf:1", west));
-        assert!(!reg.has_replica("wf:1", west));
-        assert!(reg.has_replica("wf:1", east));
     }
 }

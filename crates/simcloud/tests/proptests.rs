@@ -51,20 +51,21 @@ proptest! {
     fn kv_map_semantics(ops in proptest::collection::vec((0u8..3, 0u8..8, 0u32..1000), 1..100)) {
         let SimCloud { regions: cat, latency: lm, mut kv, .. } = SimCloud::aws(0);
         let region = cat.id_of("us-east-1").unwrap();
-        kv.create_table("t", region);
+        let t = kv.create_table("t", region);
         let mut rng = Pcg32::seed(1);
         let mut shadow: std::collections::HashMap<String, Vec<u8>> = Default::default();
         let mut prev_ops = kv.total_ops();
         for (op, key, value) in ops {
             let key = format!("k{key}");
+            let item = kv.named_item(t, &key);
             match op {
                 0 => {
                     let v = value.to_le_bytes().to_vec();
-                    kv.put("t", &key, bytes::Bytes::from(v.clone()), region, &lm, &mut rng);
+                    kv.put_at(item, bytes::Bytes::from(v.clone()), region, &lm, &mut rng);
                     shadow.insert(key, v);
                 }
                 1 => {
-                    let got = kv.get("t", &key, region, &lm, &mut rng);
+                    let got = kv.get_at(item, region, &lm, &mut rng);
                     prop_assert_eq!(
                         got.value.as_ref().map(|b| b.to_vec()),
                         shadow.get(&key).cloned()

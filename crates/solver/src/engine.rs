@@ -30,7 +30,7 @@
 //!    not depend on which estimate extended it, or how far.
 //! 4. **Cross-app sharing** — a fleet of structurally identical apps can
 //!    share one [`EstimateCache`] through per-app engines created with
-//!    [`EvalEngine::with_cache`]: the app's structural *fingerprint* is
+//!    [`EvalEngine::with_cache_providers`]: the app's structural *fingerprint* is
 //!    part of both the key and the bank stream, so two apps only share
 //!    an entry when their estimates are provably bit-equal.
 //!
@@ -390,8 +390,9 @@ impl EvalEngine {
     /// the fan-out of [`evaluate_many`](Self::evaluate_many) (1 = fully
     /// sequential, same results).
     pub fn new(solve_seed: u64, workers: usize) -> Self {
-        Self::with_cache(
+        Self::with_cache_providers(
             solve_seed,
+            0,
             0,
             workers,
             EstimateCache::shared(DEFAULT_CACHE_CAPACITY),
@@ -399,7 +400,7 @@ impl EvalEngine {
     }
 
     /// Creates an engine whose evaluations are keyed and seeded by an app
-    /// `fingerprint` and stored in a shared `cache`.
+    /// `fingerprint` and a provider set, and stored in a shared `cache`.
     ///
     /// Sharing contract: every engine on one cache must use the same
     /// `solve_seed`, and two engines may use the same `fingerprint` only
@@ -408,16 +409,6 @@ impl EvalEngine {
     /// structure, profile, home region, models, and Monte Carlo config.
     /// Such engines read one draw bank, the cache's for that fingerprint.
     /// Single-app engines ([`Self::new`]) use fingerprint 0.
-    fn with_cache(
-        solve_seed: u64,
-        fingerprint: u64,
-        workers: usize,
-        cache: Arc<EstimateCache>,
-    ) -> Self {
-        Self::with_cache_providers(solve_seed, fingerprint, 0, workers, cache)
-    }
-
-    /// Creates an engine whose plan space spans a specific provider set.
     ///
     /// `provider_bits` is the non-AWS provider mask of the evaluation
     /// universe (see `RegionCatalog::provider_bits`, 0 for AWS-only): it
@@ -640,7 +631,7 @@ mod tests {
             let fill = |order: &[(u64, u16, f64)]| {
                 let cache = EstimateCache::shared(5);
                 for &(fp, region, hour) in order {
-                    let engine = EvalEngine::with_cache(7, fp, 1, Arc::clone(&cache));
+                    let engine = EvalEngine::with_cache_providers(7, fp, 0, 1, Arc::clone(&cache));
                     engine.evaluate(ctx, &plan(region), hour);
                 }
                 cache
@@ -696,9 +687,9 @@ mod tests {
     #[test]
     fn fingerprints_separate_streams_and_keys() {
         let cache = EstimateCache::shared(100);
-        let a = EvalEngine::with_cache(7, 0xaaaa, 1, Arc::clone(&cache));
-        let b = EvalEngine::with_cache(7, 0xbbbb, 1, Arc::clone(&cache));
-        let same = EvalEngine::with_cache(7, 0xaaaa, 1, Arc::clone(&cache));
+        let a = EvalEngine::with_cache_providers(7, 0xaaaa, 0, 1, Arc::clone(&cache));
+        let b = EvalEngine::with_cache_providers(7, 0xbbbb, 0, 1, Arc::clone(&cache));
+        let same = EvalEngine::with_cache_providers(7, 0xaaaa, 0, 1, Arc::clone(&cache));
         let plan = DeploymentPlan::new(vec![RegionId(0), RegionId(1)]);
         let ra = a.eval_rng(&plan, 0.5).next_u64();
         let rb = b.eval_rng(&plan, 0.5).next_u64();
@@ -713,15 +704,15 @@ mod tests {
     #[test]
     fn provider_bits_separate_streams_and_preserve_legacy() {
         let cache = EstimateCache::shared(100);
-        let legacy = EvalEngine::with_cache(7, 0, 1, Arc::clone(&cache));
+        let legacy = EvalEngine::new(7, 1);
         let aws_only = EvalEngine::with_cache_providers(7, 0, 0, 1, Arc::clone(&cache));
         let cross = EvalEngine::with_cache_providers(7, 0, 2, 1, Arc::clone(&cache));
         let plan = DeploymentPlan::new(vec![RegionId(0), RegionId(1)]);
         let rl = legacy.eval_rng(&plan, 0.5).next_u64();
         let ra = aws_only.eval_rng(&plan, 0.5).next_u64();
         let rc = cross.eval_rng(&plan, 0.5).next_u64();
-        // The pre-provider constructor is the bits-0 engine; non-zero
-        // bits fork a distinct stream.
+        // The single-app constructor is the bits-0 engine; non-zero bits
+        // fork a distinct stream.
         assert_eq!(rl, ra);
         assert_ne!(rl, rc);
         assert_eq!(cross.provider_bits(), 2);
@@ -733,7 +724,7 @@ mod tests {
         with_ctx(|ctx| {
             let plan = self::plan(0);
             let cached = |bits| cache.probe((0, bits), plan.assignment(), 0.5f64.to_bits());
-            legacy.evaluate(ctx, &plan, 0.5);
+            aws_only.evaluate(ctx, &plan, 0.5);
             assert!(cached(2).is_err_and(|record| record.is_none()));
             assert!(cached(0).is_ok());
         });
@@ -743,8 +734,8 @@ mod tests {
     fn engines_of_one_species_on_one_cache_share_its_bank() {
         with_ctx(|ctx| {
             let cache = EstimateCache::shared(100);
-            let a = EvalEngine::with_cache(7, 0xaaaa, 1, Arc::clone(&cache));
-            let b = EvalEngine::with_cache(7, 0xaaaa, 1, Arc::clone(&cache));
+            let a = EvalEngine::with_cache_providers(7, 0xaaaa, 0, 1, Arc::clone(&cache));
+            let b = EvalEngine::with_cache_providers(7, 0xaaaa, 0, 1, Arc::clone(&cache));
             // The second engine prices what the first folded: it reads
             // the same bank, derived columns included.
             let shared = served(|| {

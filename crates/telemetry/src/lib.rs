@@ -335,13 +335,13 @@ pub fn span_at(
 
 /// Start a wall-clock span guard; records on drop. Use the [`span!`] macro
 /// for brevity. Nesting depth is tracked per thread.
-pub fn wall_span(cat: &'static str, name: impl AsRef<str>) -> WallSpanGuard {
+pub fn wall_span(cat: &'static str, name: &'static str) -> WallSpanGuard {
     let active = is_enabled();
     if active {
         with_session(|s| s.depth += 1);
     }
     WallSpanGuard {
-        name: name.as_ref().to_string(),
+        name,
         cat,
         start: std::time::Instant::now(),
         active,
@@ -353,7 +353,7 @@ pub(crate) fn finish_wall_span(guard: &mut span::WallSpanGuard) {
         let dur = guard.start.elapsed();
         s.depth = s.depth.saturating_sub(1);
         let rec = SpanRecord {
-            name: guard.name.clone(),
+            name: guard.name.to_string(),
             cat: guard.cat,
             ts_us: guard.start.saturating_duration_since(s.epoch).as_micros() as u64,
             dur_us: dur.as_micros() as u64,
@@ -362,31 +362,8 @@ pub(crate) fn finish_wall_span(guard: &mut span::WallSpanGuard) {
             depth: s.depth,
         };
         s.sink.record_span(&rec);
-        s.recorder
-            .observe(guard.name.leak_or_static(), dur.as_secs_f64());
+        s.recorder.observe(guard.name, dur.as_secs_f64());
     });
-}
-
-trait LeakOrStatic {
-    fn leak_or_static(&self) -> &'static str;
-}
-
-impl LeakOrStatic for String {
-    /// Wall spans observe into a histogram keyed by `&'static str`; span
-    /// names come from a small fixed set of call sites, so interning by
-    /// leaking is bounded.
-    fn leak_or_static(&self) -> &'static str {
-        use std::collections::BTreeSet;
-        use std::sync::Mutex;
-        static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-        let mut set = INTERNED.lock().unwrap();
-        if let Some(s) = set.get(self.as_str()) {
-            return s;
-        }
-        let leaked: &'static str = Box::leak(self.clone().into_boxed_str());
-        set.insert(leaked);
-        leaked
-    }
 }
 
 #[cfg(test)]

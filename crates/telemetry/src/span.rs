@@ -63,7 +63,7 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> Value {
 /// Wall-clock span guard: measures from construction to drop, then records
 /// a span plus an `observe` into the histogram named after the span.
 pub struct WallSpanGuard {
-    pub(crate) name: String,
+    pub(crate) name: &'static str,
     pub(crate) cat: &'static str,
     pub(crate) start: std::time::Instant,
     pub(crate) active: bool,

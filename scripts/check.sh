@@ -198,13 +198,17 @@ for once in 'fn fold' 'energy::PUE'; do
 done
 
 # One substrate: service constants enter a SimCloud only through the
-# provider backends in SimCloud::with_catalog, so the table-built
-# constructors, the per-service override maps and the aws-only
-# constructor forks must not come back (RegionCatalog::aws_default(),
-# the region rows themselves, stays).
+# provider table (simcloud/src/providers.rs) in SimCloud::with_catalog,
+# so the table-built constructors, the per-service override maps, the
+# aws-only constructor forks, the constant-getter backend traits and the
+# inter-provider latency builder must not come back
+# (RegionCatalog::aws_default(), the region rows themselves, stays; so
+# does the typed error MissingInterProviderLatency, hence the \b).
 echo "==> single-substrate grep gate"
 if grep -rnE 'PricingCatalog::aws_default|LambdaRuntime::aws_default|from_catalog_with_providers|\b(cold_start|keep_alive|overhead)_override\b' \
-    crates; then
+    crates ||
+    grep -rnE 'trait \w+Backend|dyn ProviderBackend|backend_for|\bInterProviderLatency' crates ||
+    [[ -e crates/simcloud/src/providers ]]; then
     echo "error: a second way to build the substrate is back (see matches above)" >&2
     exit 1
 fi

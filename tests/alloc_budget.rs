@@ -1,8 +1,9 @@
 //! Measures the data plane's real heap behaviour with a counting global
 //! allocator: the pooled `invoke_with_scratch` path must allocate
 //! measurably less per invocation than the fresh-buffer `invoke` path,
-//! and a sustained-load run's peak live heap must not grow with its
-//! length.
+//! a sustained-load run's peak live heap must not grow with its length,
+//! and a framework alternating between two workflows must allocate no
+//! more than one running them in turn.
 //!
 //! The counters are process-global, so the tests of this file take
 //! [`SERIAL`] first: a sibling running concurrently would pollute the
@@ -14,10 +15,13 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::TableSource;
+use caribou_core::framework::{Caribou, CaribouConfig};
 use caribou_core::loadgen::{run_loadgen, LoadgenConfig, CHUNK_INVOCATIONS};
 use caribou_core::scenario::{workflow_app, HOME};
 use caribou_exec::engine::{ExecutionEngine, InvocationScratch};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
+use caribou_model::constraints::Constraints;
+use caribou_model::manifest::DeploymentManifest;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
@@ -82,6 +86,15 @@ fn peak_live_bytes(f: impl FnOnce()) -> usize {
     PEAK_BYTES.load(Ordering::Relaxed) - before
 }
 
+/// 300 gCO₂eq/kWh in every region of `cloud`, for eight days.
+fn flat_carbon(cloud: &SimCloud) -> TableSource {
+    let mut carbon = TableSource::new();
+    for (id, _) in cloud.regions.iter() {
+        carbon.insert(id, CarbonSeries::new(0, vec![300.0; 24 * 8]));
+    }
+    carbon
+}
+
 #[test]
 fn pooled_scratch_reduces_allocations_per_invocation() {
     let _serial = serial();
@@ -89,10 +102,7 @@ fn pooled_scratch_reduces_allocations_per_invocation() {
     let bench = text2speech_censoring(InputSize::Small);
     let app = workflow_app(&bench, cloud.region(HOME).unwrap());
     let plan = DeploymentPlan::uniform(app.dag.node_count(), app.home);
-    let mut carbon = TableSource::new();
-    for (id, _) in cloud.regions.iter() {
-        carbon.insert(id, CarbonSeries::new(0, vec![300.0; 24 * 8]));
-    }
+    let carbon = flat_carbon(&cloud);
     let engine = ExecutionEngine {
         carbon_source: &carbon,
         carbon_model: CarbonModel::new(TransmissionScenario::BEST),
@@ -241,5 +251,76 @@ fn loadgen_peak_heap_is_flat_in_run_length() {
     assert!(
         captured >= long + latency_vector,
         "the allocator missed the {latency_vector} B latency vector: {captured} B vs {long} B"
+    );
+}
+
+/// Each deployed workflow keeps its own invocation scratch, so the
+/// addresses it resolved (topics, tables, the plan item) stay bound while
+/// `run_multi` alternates workflows: two interleaved traces allocate what
+/// the same two traces allocate run one after the other. With one scratch
+/// for the whole framework every switch forgot the book and re-resolved
+/// it by name, ~20 allocations per invocation.
+#[test]
+fn interleaved_workflows_allocate_no_more_than_sequential_ones() {
+    let _serial = serial();
+    const PER_WORKFLOW: usize = 200;
+    /// Both runs cover the same simulated half hour after the warm-up.
+    const START_S: f64 = 600.0;
+    const GAP_S: f64 = 4.0;
+
+    let measure = |interleaved: bool| {
+        let cloud = SimCloud::aws(5);
+        let carbon = flat_carbon(&cloud);
+        let mut config = CaribouConfig::new(
+            cloud.regions.evaluation_regions(),
+            TransmissionScenario::BEST,
+        );
+        config.workers = 1;
+        let home = cloud.region(HOME).unwrap();
+        let mut fw = Caribou::new(cloud, carbon, config);
+        let bench = text2speech_censoring(InputSize::Small);
+        let mut deploy = |name: &str| {
+            let mut app = workflow_app(&bench, home);
+            app.name = name.into();
+            let n = app.dag.node_count();
+            let manifest = DeploymentManifest::new(name, "0.1", HOME);
+            fw.deploy(app, &manifest, Constraints::unconstrained(n))
+                .unwrap()
+        };
+        let (a, b) = (deploy("first"), deploy("second"));
+        // Past each manager's first (empty) token check and with every
+        // table, topic, warm container and scratch buffer in place.
+        let warm_up: Vec<f64> = (0..20).map(|i| i as f64 * GAP_S).collect();
+        fw.run_multi(&[(a, warm_up.clone()), (b, warm_up)]);
+
+        let slot = |i: usize| START_S + i as f64 * GAP_S;
+        let before = allocs();
+        if interleaved {
+            let trace = |offset: usize| (0..PER_WORKFLOW).map(|k| slot(2 * k + offset)).collect();
+            let reports = fw.run_multi(&[(a, trace(0)), (b, trace(1))]);
+            assert_eq!(
+                reports[&a].samples.len() + reports[&b].samples.len(),
+                2 * PER_WORKFLOW
+            );
+        } else {
+            for (idx, first) in [(a, 0), (b, PER_WORKFLOW)] {
+                let trace: Vec<f64> = (first..first + PER_WORKFLOW).map(slot).collect();
+                assert_eq!(fw.run_trace(idx, &trace).samples.len(), PER_WORKFLOW);
+            }
+        }
+        (allocs() - before) as f64 / (2 * PER_WORKFLOW) as f64
+    };
+    let sequential = measure(false);
+    let interleaved = measure(true);
+    eprintln!(
+        "alloc_budget: {sequential:.2} allocs/invocation run in turn, \
+         {interleaved:.2} interleaved"
+    );
+    // The merged timeline and the second report are the harness's, a
+    // handful of allocations per run, not per invocation.
+    assert!(
+        interleaved <= sequential + 0.1,
+        "alternating workflows re-resolves addresses: {interleaved:.2} allocs/invocation \
+         interleaved vs {sequential:.2} in turn"
     );
 }
