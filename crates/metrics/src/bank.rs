@@ -20,10 +20,13 @@
 //!
 //! Beside the primitives the bank keeps the [`Derived`] columns the fold
 //! computes from them on its way: what each sample moved over the entry
-//! and every edge, and the energy each node drew in each region a plan
-//! has run it in. They are pure functions of (bank, site, region) too —
-//! no plan or hour enters them — so the pass that prices a folded plan
-//! at an hour reads them instead of folding again.
+//! and every edge, and — for each region a plan has run a node in — the
+//! seconds the node took, what Lambda billed for them and the energy it
+//! drew. They are pure functions of (bank, site, region) too — no plan or
+//! hour enters them — so a second plan that agrees on a node's region
+//! reads its columns instead of computing them, and the pass that prices
+//! a folded plan at an hour reads the energy and bytes instead of folding
+//! again.
 
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
@@ -110,19 +113,47 @@ impl<'a> Need<'a> {
     }
 }
 
-/// A column the fold derives from the primitives: per sample, what the
-/// carbon terms of Eq. 7.1 and 7.5 multiply an intensity by. `NaN` where
-/// the sample never got there (a conditional edge not taken, a node not
-/// reached).
+/// A column the fold derives from the primitives, per sample. The GB and
+/// kWh columns are what the carbon terms of Eq. 7.1 and 7.5 multiply an
+/// intensity by, `NaN` where the sample never got there (a conditional
+/// edge not taken, a node not reached). A (node, region)'s three columns
+/// are published together, so they always hold equally many samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Derived {
     /// GB the client sends the start node.
     EntryGb,
     /// GB an edge carries.
     EdgeGb(usize),
-    /// kWh (facility overhead included) a node's execution in a region
-    /// draws, external-data legs and cold start included.
+    /// Seconds a node's execution in a region takes, external-data legs
+    /// and cold start included; held for every sample, reached or not.
+    Seconds(usize, RegionId),
+    /// USD Lambda bills for those seconds, rounded up to the millisecond,
+    /// plus the request; held for every sample too.
+    Bill(usize, RegionId),
+    /// kWh (facility overhead included) those seconds draw.
     Energy(usize, RegionId),
+}
+
+impl Derived {
+    /// The three columns of a node run in a region, in the order the bank
+    /// keeps them.
+    pub(crate) fn site(node: usize, region: RegionId) -> [Derived; 3] {
+        [
+            Derived::Seconds(node, region),
+            Derived::Bill(node, region),
+            Derived::Energy(node, region),
+        ]
+    }
+
+    /// A node column's node, region and place in [`Self::site`].
+    fn of_site(self) -> Option<(usize, RegionId, usize)> {
+        match self {
+            Derived::EntryGb | Derived::EdgeGb(_) => None,
+            Derived::Seconds(node, region) => Some((node, region, 0)),
+            Derived::Bill(node, region) => Some((node, region, 1)),
+            Derived::Energy(node, region) => Some((node, region, 2)),
+        }
+    }
 }
 
 /// What a bank's columns were drawn for: the generator state the estimate
@@ -163,11 +194,12 @@ pub struct DrawBank {
     slots: Vec<usize>,
     columns: Vec<Column>,
     cold: Vec<ColdColumn>,
-    /// Derived columns: the entry's, one per edge, then each (node,
-    /// region) energy column in order of first publication.
+    /// Derived columns: the entry's, one per edge, then the three of each
+    /// (node, region) in order of first publication.
     derived: Vec<Vec<f64>>,
-    /// Per node, the regions with an energy column and its position.
-    energy: Vec<Vec<(RegionId, usize)>>,
+    /// Per node, the regions it has columns for and where the first of
+    /// the three ([`Derived::site`]) is.
+    sites: Vec<Vec<(RegionId, usize)>>,
 }
 
 impl DrawBank {
@@ -188,8 +220,8 @@ impl DrawBank {
         self.cold.clear();
         self.derived.clear();
         self.derived.resize(1 + id.edges, Vec::new());
-        self.energy.clear();
-        self.energy.resize(id.nodes, Vec::new());
+        self.sites.clear();
+        self.sites.resize(id.nodes, Vec::new());
         self.id = Some(id.clone());
     }
 
@@ -313,10 +345,11 @@ impl DrawBank {
         match col {
             Derived::EntryGb => Some(0),
             Derived::EdgeGb(e) => Some(1 + e),
-            Derived::Energy(node, region) => self.energy[node]
-                .iter()
-                .find(|(r, _)| *r == region)
-                .map(|(_, at)| *at),
+            _ => {
+                let (node, region, nth) = col.of_site()?;
+                let site = self.sites[node].iter().find(|(r, _)| *r == region);
+                site.map(|(_, first)| first + nth)
+            }
         }
     }
 
@@ -326,16 +359,16 @@ impl DrawBank {
     }
 
     /// Appends what the column lacks of its samples `lo..`: nothing when
-    /// they are there already (two plans sharing a site both fold it; one
-    /// publishes), a tail when another stopping rule left it mid-batch.
+    /// they are there already (two workers folding a new site at once both
+    /// compute it; one publishes), a tail when another stopping rule left
+    /// it mid-batch.
     pub(crate) fn publish(&mut self, col: Derived, lo: usize, vals: &[f64]) {
         let at = self.derived_position(col).unwrap_or_else(|| {
-            let Derived::Energy(node, region) = col else {
-                unreachable!("transfer columns exist from binding")
-            };
-            self.energy[node].push((region, self.derived.len()));
-            self.derived.push(Vec::new());
-            self.derived.len() - 1
+            let (node, region, nth) = col.of_site().expect("transfer columns exist from binding");
+            let first = self.derived.len();
+            self.sites[node].push((region, first));
+            self.derived.resize(first + 3, Vec::new());
+            first + nth
         });
         let column = &mut self.derived[at];
         if let Some(tail) = column.len().checked_sub(lo).and_then(|had| vals.get(had..)) {

@@ -306,7 +306,11 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                 caribou_telemetry::count("montecarlo.batches", (n / batch) as u64);
                 caribou_telemetry::count("montecarlo.samples", n as u64);
                 let served = match folded {
-                    Some(_) => "montecarlo.folds",
+                    Some(_) => {
+                        caribou_telemetry::count("montecarlo.sites.read", fold.sites_read);
+                        caribou_telemetry::count("montecarlo.sites.folded", fold.sites_folded);
+                        "montecarlo.folds"
+                    }
                     None => "montecarlo.repriced",
                 };
                 caribou_telemetry::count(served, 1);

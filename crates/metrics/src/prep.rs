@@ -62,10 +62,23 @@ impl TransferPrep<'_> {
     #[inline]
     pub(crate) fn seconds(&self, bytes: f64, draw: f64) -> f64 {
         match *self {
-            TransferPrep::Model { ow, bw } => (ow + bytes.max(0.0) / bw) * draw,
-            TransferPrep::Learned(samples) => samples[pick(draw, samples.len())],
+            TransferPrep::Model { ow, bw } => model_seconds(ow, bw, bytes, draw),
+            TransferPrep::Learned(samples) => learned_seconds(samples, draw),
         }
     }
+}
+
+/// [`TransferPrep::Model`]'s seconds for `bytes` under `jitter`; apart so a
+/// sample loop can match the arm once, outside.
+#[inline]
+pub(crate) fn model_seconds(ow: f64, bw: f64, bytes: f64, jitter: f64) -> f64 {
+    (ow + bytes.max(0.0) / bw) * jitter
+}
+
+/// [`TransferPrep::Learned`]'s seconds for the uniform `u`.
+#[inline]
+pub(crate) fn learned_seconds(samples: &[f64], u: f64) -> f64 {
+    samples[pick(u, samples.len())]
 }
 
 /// Entry (client → start node) invariants of one plan.

@@ -25,6 +25,7 @@ use caribou_model::rng::Pcg32;
 
 use crate::context::{SolveOutcome, SolverContext};
 use crate::engine::EvalEngine;
+use crate::hourly::HourRow;
 
 /// Rank-bias β of the region-selection heuristic (Alg. 1): rank `r` is
 /// drawn with weight `β(1-β)^r`. §5.1 fixes β, γ and its decay
@@ -91,8 +92,14 @@ impl HbssSolver {
         let _solve_span = telemetry.then(|| caribou_telemetry::wall_span("solver", "hbss.solve"));
         let p = &self.params;
         let n_nodes = ctx.dag.node_count();
+        // Every estimate of this solve reads the grid at this one hour:
+        // the source is asked once per region, by the ranking below or by
+        // the first estimate that gets there.
+        let regions = ctx.permitted.iter().flatten().copied();
+        let row = HourRow::new(ctx.carbon_source, hour, regions.chain([ctx.home]));
+        let ctx = &ctx.with_source(&row);
         // The forecast carbon intensity at this hour of every permitted
-        // region, read once per solve.
+        // region.
         let mut intensity: Vec<(RegionId, f64)> =
             ctx.permitted.iter().flatten().map(|r| (*r, 0.0)).collect();
         intensity.sort_unstable_by_key(|(r, _)| *r);

@@ -5,6 +5,8 @@
 //! carbon budget only affords a daily granularity, a single plan is solved
 //! against the day's average intensity and replicated.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use caribou_carbon::source::CarbonDataSource;
 use caribou_metrics::montecarlo::StageModels;
 use caribou_model::plan::{HourlyPlans, PlanGranularity};
@@ -37,6 +39,61 @@ impl<S: CarbonDataSource> CarbonDataSource for DayAveragedSource<'_, S> {
     fn intensity(&self, region: RegionId, _hour: f64) -> f64 {
         self.inner
             .average(region, self.day_start_hour, self.day_start_hour + 24.0)
+    }
+
+    fn counts_queries(&self) -> bool {
+        self.inner.counts_queries()
+    }
+}
+
+/// A carbon source that keeps, for one solve, what the grid reads at the
+/// solve's hour: the underlying source is asked at most once per region
+/// there, and every other query passes through.
+///
+/// It lives for one [`HbssSolver::solve_with`] and no longer: an engine
+/// reused after a forecast revision then sees the revised forecast,
+/// which a memo kept beside the engine's scratch would not. A source that
+/// counts its queries is never answered for.
+pub(crate) struct HourRow<'a, S: CarbonDataSource> {
+    inner: &'a S,
+    hour: f64,
+    /// By region index, the bits of the intensity read; [`UNREAD`] until
+    /// asked. A slot publishes nothing but its own value, and workers
+    /// racing on one store equal bits, so `Relaxed` is enough.
+    row: Vec<AtomicU64>,
+}
+
+/// A `NaN` no source computes; one that did would only be asked again.
+const UNREAD: u64 = u64::MAX;
+
+impl<'a, S: CarbonDataSource> HourRow<'a, S> {
+    /// The row of `inner` at `hour` over `regions`.
+    pub(crate) fn new(inner: &'a S, hour: f64, regions: impl Iterator<Item = RegionId>) -> Self {
+        let slots = if inner.counts_queries() {
+            0
+        } else {
+            regions.map(|r| r.index() + 1).max().unwrap_or(0)
+        };
+        HourRow {
+            inner,
+            hour,
+            row: (0..slots).map(|_| AtomicU64::new(UNREAD)).collect(),
+        }
+    }
+}
+
+impl<S: CarbonDataSource> CarbonDataSource for HourRow<'_, S> {
+    fn intensity(&self, region: RegionId, hour: f64) -> f64 {
+        let Some(slot) = self.row.get(region.index()).filter(|_| hour == self.hour) else {
+            return self.inner.intensity(region, hour);
+        };
+        let read = slot.load(Ordering::Relaxed);
+        if read != UNREAD {
+            return f64::from_bits(read);
+        }
+        let value = self.inner.intensity(region, hour);
+        slot.store(value.to_bits(), Ordering::Relaxed);
+        value
     }
 
     fn counts_queries(&self) -> bool {
@@ -98,6 +155,7 @@ pub fn solve_daily<S: CarbonDataSource, M: StageModels>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::SolveOutcome;
     use caribou_carbon::series::CarbonSeries;
     use caribou_carbon::source::TableSource;
     use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
@@ -107,8 +165,10 @@ mod tests {
     use caribou_model::constraints::{Objective, Tolerances};
     use caribou_model::dag::NodeId;
     use caribou_model::dist::DistSpec;
+    use caribou_model::plan::DeploymentPlan;
     use caribou_simcloud::cloud::SimCloud;
     use caribou_simcloud::orchestration::Orchestrator;
+    use std::sync::Mutex;
 
     #[test]
     fn hourly_plans_follow_diurnal_carbon() {
@@ -252,5 +312,219 @@ mod tests {
         }
         assert_eq!(plans.generated_at, 5.0);
         assert_eq!(plans.expires_at, 10.0);
+    }
+
+    /// A table that tallies how often each region is asked, and says
+    /// whether that tally is an output.
+    struct Asked {
+        table: TableSource,
+        counts_queries: bool,
+        asked: Mutex<Vec<u64>>,
+    }
+
+    impl Asked {
+        fn of(table: TableSource, counts_queries: bool) -> Self {
+            Asked {
+                table,
+                counts_queries,
+                asked: Mutex::new(vec![0; 64]),
+            }
+        }
+
+        fn tally(&self) -> Vec<u64> {
+            self.asked.lock().unwrap().clone()
+        }
+    }
+
+    impl CarbonDataSource for Asked {
+        fn intensity(&self, region: RegionId, hour: f64) -> f64 {
+            self.asked.lock().unwrap()[region.index()] += 1;
+            self.table.intensity(region, hour)
+        }
+
+        fn counts_queries(&self) -> bool {
+            self.counts_queries
+        }
+    }
+
+    /// Two days of a grid where every region has its own level and its
+    /// own hours; `revised` swaps the levels end for end.
+    fn grid(cloud: &SimCloud, revised: bool) -> TableSource {
+        let n = cloud.regions.iter().count();
+        let mut carbon = TableSource::new();
+        for (k, (id, _)) in cloud.regions.iter().enumerate() {
+            let level = if revised { n - 1 - k } else { k };
+            let values = (0..48).map(|h| 60.0 + 45.0 * level as f64 + 9.0 * ((h + k) % 5) as f64);
+            carbon.insert(id, CarbonSeries::new(0, values.collect()));
+        }
+        carbon
+    }
+
+    /// Runs `f` on a two-stage workflow (the second stage fetches external
+    /// data) homed in us-east-1, free to go anywhere at any price, reading
+    /// `carbon`.
+    fn with_ctx<S: CarbonDataSource, R>(
+        cloud: &SimCloud,
+        carbon: &S,
+        f: impl FnOnce(&SolverContext<'_, S, DefaultModels<'_>>) -> R,
+    ) -> R {
+        let mut wf = Workflow::new("w", "0.1");
+        let stage = DistSpec::Uniform { lo: 3.0, hi: 6.0 };
+        let a = wf
+            .serverless_function("A")
+            .exec_time(stage.clone())
+            .register();
+        let b = wf
+            .serverless_function("B")
+            .exec_time(stage)
+            .external_data_bytes(2.0e5)
+            .register();
+        wf.invoke(a, b, None)
+            .payload(DistSpec::Constant { value: 20_000.0 });
+        let (dag, profile, _) = wf.extract().unwrap();
+        let permitted = vec![cloud.regions.iter().map(|(id, _)| id).collect(); 2];
+        let models = DefaultModels {
+            profile: &profile,
+            runtime: &cloud.compute,
+            latency: &cloud.latency,
+            orchestrator: Orchestrator::Caribou,
+        };
+        f(&SolverContext {
+            dag: &dag,
+            profile: &profile,
+            permitted: &permitted,
+            home: cloud.regions.id_of("us-east-1").unwrap(),
+            objective: Objective::Carbon,
+            tolerances: Tolerances {
+                latency: f64::INFINITY,
+                cost: f64::INFINITY,
+                carbon: f64::INFINITY,
+            },
+            carbon_source: carbon,
+            carbon_model: CarbonModel::new(TransmissionScenario::BEST),
+            cost_model: CostModel::new(&cloud.pricing),
+            models: &models,
+            mc_config: MonteCarloConfig {
+                batch: 50,
+                max_samples: 100,
+                cv_threshold: 0.05,
+            },
+        })
+    }
+
+    /// What a solve returns, with the floats comparable.
+    fn told(outcome: &SolveOutcome) -> impl PartialEq + std::fmt::Debug {
+        (
+            outcome.best.clone(),
+            outcome.best_estimate,
+            outcome.home_estimate,
+            outcome.evaluated,
+            outcome.feasible.clone(),
+        )
+    }
+
+    const HOUR: f64 = 7.5;
+
+    fn solve<S: CarbonDataSource>(
+        engine: &EvalEngine,
+        ctx: &SolverContext<'_, S, DefaultModels<'_>>,
+    ) -> SolveOutcome {
+        HbssSolver::new().solve_with(engine, ctx, HOUR, &mut Pcg32::seed(5))
+    }
+
+    #[test]
+    fn a_solve_asks_a_plain_source_once_per_region() {
+        let cloud = SimCloud::aws(0);
+        let plain = with_ctx(&cloud, &grid(&cloud, false), |ctx| {
+            told(&solve(&EvalEngine::new(3, 1), ctx))
+        });
+        let asked = Asked::of(grid(&cloud, false), false);
+        with_ctx(&cloud, &asked, |ctx| {
+            let engine = EvalEngine::new(3, 1);
+            assert_eq!(told(&solve(&engine, ctx)), plain);
+            assert!(engine.miss_count() > 20, "{} misses", engine.miss_count());
+        });
+        let tally = asked.tally();
+        let regions = cloud.regions.iter().count();
+        assert!(tally[..regions].iter().all(|n| *n == 1), "{tally:?}");
+        assert_eq!(tally.iter().sum::<u64>(), regions as u64);
+    }
+
+    #[test]
+    fn a_source_that_counts_its_queries_is_asked_every_time() {
+        let cloud = SimCloud::aws(0);
+        let plain = with_ctx(&cloud, &grid(&cloud, false), |ctx| {
+            told(&solve(&EvalEngine::new(3, 1), ctx))
+        });
+        let asked = Asked::of(grid(&cloud, false), true);
+        let (misses, away) = with_ctx(&cloud, &asked, |ctx| {
+            let engine = EvalEngine::new(3, 1);
+            let outcome = solve(&engine, ctx);
+            assert_eq!(told(&outcome), plain);
+            // No tolerance binds, so every plan visited is listed, and
+            // each was a miss once.
+            assert_eq!(engine.miss_count(), outcome.evaluated as u64);
+            assert_eq!(outcome.feasible.len(), outcome.evaluated);
+            let away = |(plan, _): &(DeploymentPlan, f64)| plan.region_of(NodeId(1)) != ctx.home;
+            (
+                engine.miss_count(),
+                outcome.feasible.iter().filter(|p| away(p)).count() as u64,
+            )
+        });
+        // What a solve with no row asks: the ranking's read per permitted
+        // region, then per estimate both ends of the entry and of the edge,
+        // both nodes, and both ends of an offloaded stage's fetch.
+        let regions = cloud.regions.iter().count() as u64;
+        let total: u64 = asked.tally().iter().sum();
+        assert_eq!(total, regions + 6 * misses + 2 * away);
+    }
+
+    #[test]
+    fn a_forecast_revised_between_two_solves_on_one_engine_is_seen() {
+        let cloud = SimCloud::aws(0);
+        let (before, after) = (grid(&cloud, false), grid(&cloud, true));
+        let engine = EvalEngine::new(3, 1);
+        let first = with_ctx(&cloud, &before, |ctx| told(&solve(&engine, ctx)));
+        let all: Vec<RegionId> = cloud.regions.iter().map(|(id, _)| id).collect();
+        assert!(engine.cache().invalidate_hour(HOUR, &all) > 0);
+        with_ctx(&cloud, &after, |ctx| {
+            let again = told(&solve(&engine, ctx));
+            assert_eq!(again, told(&solve(&EvalEngine::new(3, 1), ctx)));
+            assert_ne!(again, first, "the revision moved nothing");
+        });
+    }
+
+    #[test]
+    fn a_daily_solve_averages_each_region_once_and_moves_no_bit() {
+        let cloud = SimCloud::aws(0);
+        let asked = Asked::of(grid(&cloud, false), false);
+        with_ctx(&cloud, &asked, |ctx| {
+            let solver = HbssSolver::new();
+            let plans = solve_daily(
+                &EvalEngine::new(3, 1),
+                &solver,
+                ctx,
+                0.0,
+                0.0,
+                86_400.0,
+                &mut Pcg32::seed(5),
+            );
+            let tally = asked.tally();
+            assert!(tally.iter().all(|n| *n == 0 || *n == 24), "{tally:?}");
+            // The same solve, its estimates recomputed with no row in
+            // between: every average taken anew, the same bits.
+            let averaged = DayAveragedSource::new(ctx.carbon_source, 0.0);
+            let day_ctx = ctx.with_source(&averaged);
+            let outcome =
+                solver.solve_with(&EvalEngine::new(3, 1), &day_ctx, 12.0, &mut Pcg32::seed(5));
+            assert_eq!(*plans.plan_for_hour(0), outcome.best);
+            let direct = EvalEngine::new(3, 1);
+            let anew = |plan: &DeploymentPlan| direct.evaluate(&day_ctx, plan, 12.0);
+            assert_eq!(outcome.best_estimate, anew(&outcome.best));
+            assert_eq!(outcome.home_estimate, anew(&day_ctx.home_plan()));
+            for (plan, metric) in &outcome.feasible {
+                assert_eq!(*metric, day_ctx.metric_of(&anew(plan)));
+            }
+        });
     }
 }

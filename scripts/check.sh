@@ -2,9 +2,9 @@
 # The pre-PR gate: formatting, clippy with warnings denied, the test
 # suite (which replays goldens/ through the built CLI:
 # crates/core/tests/cli.rs), the release-only timing test, seeded CLI
-# smoke runs diffed across worker counts, the figure binaries
-# (scripts/figures.sh), and the grep gates; a run must leave the working
-# tree as it found it. Run before sending a PR.
+# smoke runs diffed across worker counts, the benchmark package's lint,
+# the figure binaries (scripts/figures.sh), and the grep gates; a run must
+# leave the working tree as it found it. Run before sending a PR.
 # Performance is not measured here: see benchmark/README.md.
 #
 #   scripts/check.sh          # everything
@@ -133,6 +133,11 @@ if [[ "${1:-}" != "--fast" ]]; then
     diff /tmp/caribou-corr-1w.txt /tmp/caribou-corr-2w.txt
     rm -f /tmp/caribou-corr-1w.txt /tmp/caribou-corr-2w.txt
 
+    # The benchmark is a package outside the workspace: nothing above
+    # notices when a crate API it compiles against drifts.
+    echo "==> benchmark/run.sh --lint (fmt + clippy of the benchmark package)"
+    bash benchmark/run.sh --lint
+
     # The reproduction itself: every figure/table binary at full
     # resolution rewrites results/*.json and full_results.txt, and the
     # clean-tree gate below fails if a published number moved without
@@ -180,15 +185,17 @@ fi
 
 # One estimate path in two halves: the fold (and the constants it reads)
 # never sees an hour or a carbon source, so a plan's record is valid at
-# every hour; and the fold and the energy term of Eq. 7.1 are each written
-# once, so the pricing pass cannot grow a fold of its own.
+# every hour; and the fold, the energy term of Eq. 7.1 and Lambda's
+# millisecond billing are each written once, so the pricing pass cannot
+# grow a fold of its own and a node's banked columns have one author
+# (summary.rs keeps its two percentile-position ceils).
 echo "==> hour-free fold grep gate"
 if grep -nE 'hour|carbon_source|intensity' \
     crates/metrics/src/fold.rs crates/metrics/src/prep.rs; then
     echo "error: the hour-free fold names the hour or the grid (see matches above)" >&2
     exit 1
 fi
-for once in 'fn fold' 'energy::PUE'; do
+for once in 'fn fold' 'energy::PUE' '1000.0).ceil()'; do
     hits=$(grep -rnF "$once" crates/metrics/src | wc -l)
     if [[ "$hits" -ne 1 ]]; then
         echo "error: '$once' occurs $hits times under crates/metrics/src, want 1:" >&2

@@ -5,12 +5,17 @@
 //! and a framework alternating between two workflows must allocate no
 //! more than one running them in turn.
 //!
-//! The counters are process-global, so the tests of this file take
-//! [`SERIAL`] first: a sibling running concurrently would pollute the
-//! deltas.
+//! Allocator calls are counted per thread — the libtest harness thread
+//! prints result lines and spawns the next test inside a sibling's
+//! measuring window — and every counted path runs on the test's own
+//! thread (`workers: 1` runs inline). The live and peak byte counters are
+//! process-global, because the loadgen test measures worker threads, so
+//! the tests of this file take [`SERIAL`] first: a sibling running
+//! concurrently would pollute those deltas.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use caribou_carbon::series::CarbonSeries;
@@ -31,7 +36,12 @@ use caribou_workloads::benchmarks::{text2speech_censoring, InputSize};
 
 struct CountingAllocator;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `alloc` + `realloc` calls of this thread. Const-initialised and
+    /// without a destructor, so reading it allocates nothing and it is
+    /// there for as long as the thread can allocate.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
@@ -42,7 +52,7 @@ fn grew(bytes: usize) {
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_CALLS.with(|calls| calls.set(calls.get() + 1));
         grew(layout.size());
         unsafe { System.alloc(layout) }
     }
@@ -53,7 +63,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_CALLS.with(|calls| calls.set(calls.get() + 1));
         if new_size >= layout.size() {
             grew(new_size - layout.size());
         } else {
@@ -74,8 +84,9 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Allocator calls the calling thread has made.
 fn allocs() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+    ALLOC_CALLS.with(Cell::get)
 }
 
 /// Most bytes live at once while `f` ran, above what was live before it.

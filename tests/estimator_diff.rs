@@ -36,12 +36,22 @@
 //! external-data legs; where one hour's carbon needs more batches than
 //! the hour that wrote the record; and across a ragged batch.
 //!
+//! The third part pins the bank's node columns. A (node, region)'s
+//! seconds, bill and energy are computed by the first plan that runs the
+//! node there and read back by every later one, so along a walk of
+//! neighbouring plans — in either direction — each plan's estimate and
+//! `PlanRecord` on the bank its predecessors filled must be, bit for bit,
+//! what a bank of its own gives.
+//!
 //! Mutation-checked when written: a fold that takes the *last* in-edge's
 //! arrival instead of the latest, one that skips the `ceil` in Lambda
 //! billing, and a bank whose node sites collide on one column each fail
 //! this file — and so do a fold that meters energy for a node the sample
 //! skipped, a bank that answers one region's energy column with
-//! another's, and a pricing pass without the external-data term.
+//! another's, and a pricing pass without the external-data term. The
+//! third part fails on a bank that keys a node's columns by the node
+//! without its region, and on a fold that reads a banked bill from the
+//! column's first sample instead of the batch's.
 
 use caribou_carbon::route::endpoint_average;
 use caribou_carbon::series::CarbonSeries;
@@ -718,6 +728,26 @@ impl Case<'_> {
     }
 }
 
+/// Whether some conditional edge of the workflow enters a sync node.
+fn skips_into_sync_node(dag: &WorkflowDag, profile: &WorkflowProfile) -> bool {
+    dag.all_edges()
+        .any(|e| profile.edges[e.index()].probability < 1.0 && dag.is_sync_node(dag.edge(e).to))
+}
+
+/// Whether one of `plans` runs a node with external data away from `home`.
+fn fetches_from_afar(
+    dag: &WorkflowDag,
+    profile: &WorkflowProfile,
+    plans: &[DeploymentPlan],
+    home: RegionId,
+) -> bool {
+    plans.iter().any(|plan| {
+        dag.all_nodes().any(|n| {
+            profile.nodes[n.index()].external_data_bytes > 0.0 && plan.region_of(n) != home
+        })
+    })
+}
+
 /// Record + pricing against a full fold, over random DAGs × plans × hours
 /// × stage models, every plan of a case on one bank.
 #[test]
@@ -736,12 +766,8 @@ fn estimates_served_from_a_record_equal_full_folds_bit_for_bit() {
             .map(|k| random_plan(&wf.dag, &w.regions, seed * 3 + k))
             .chain([DeploymentPlan::uniform(wf.dag.node_count(), home)])
             .collect();
-        skips_into_sync += usize::from(wf.dag.all_edges().any(|e| {
-            profile.edges[e.index()].probability < 1.0 && wf.dag.is_sync_node(wf.dag.edge(e).to)
-        }));
-        external_legs += usize::from(wf.dag.all_nodes().any(|n| {
-            profile.nodes[n.index()].external_data_bytes > 0.0 && plans[0].region_of(n) != home
-        }));
+        skips_into_sync += usize::from(skips_into_sync_node(&wf.dag, &profile));
+        external_legs += usize::from(fetches_from_afar(&wf.dag, &profile, &plans[..1], home));
         let (history, _) = seeded_history(&w, &wf.dag, &plans[0], seed);
         let learned = history.learned_models(
             &profile,
@@ -862,4 +888,144 @@ fn an_hour_that_needs_more_batches_extends_the_record() {
         assert_eq!(bits(&again), bits(&first));
     }
     assert_eq!((kept.folded, kept.repriced), (2, 2));
+}
+
+/// Every boundary of a record as bit patterns, at a rule's `batch`.
+fn record_bits(record: &PlanRecord, batch: usize) -> Vec<[u64; 6]> {
+    (1..=record.boundaries())
+        .map(|k| {
+            let (lat, cost) = record.at(k * batch).expect("a boundary per batch");
+            [lat, cost]
+                .map(|d| [d.mean, d.p95, d.std_dev].map(f64::to_bits))
+                .concat()
+                .try_into()
+                .unwrap()
+        })
+        .collect()
+}
+
+/// `steps` plans, each the one before with one or two nodes moved: what an
+/// HBSS walk visits, so a plan finds most of its node sites banked.
+fn neighbouring_plans(
+    dag: &WorkflowDag,
+    regions: &[RegionId],
+    seed: u64,
+    steps: usize,
+) -> Vec<DeploymentPlan> {
+    let mut rng = Pcg32::seed(seed ^ 0x51de);
+    let mut plans = vec![random_plan(dag, regions, seed)];
+    for _ in 1..steps {
+        let mut next = plans[plans.len() - 1].clone();
+        for _ in 0..1 + rng.next_index(2) {
+            let node = NodeId(rng.next_index(dag.node_count()) as u32);
+            next.set(node, regions[rng.next_index(regions.len())]);
+        }
+        plans.push(next);
+    }
+    plans
+}
+
+/// Samples per batch along the walks below.
+const WALK_BATCH: usize = 40;
+
+/// Estimates `plans` each on a bank of its own, then forwards and
+/// backwards on one bank; returns how many needed a second batch.
+fn walk_both_ways<M: StageModels>(
+    w: &World,
+    dag: &WorkflowDag,
+    profile: &WorkflowProfile,
+    models: &M,
+    plans: &[DeploymentPlan],
+    hour: f64,
+    seed: u64,
+) -> usize {
+    let est = MonteCarloEstimator {
+        dag,
+        profile,
+        carbon_source: &w.carbon,
+        carbon_model: CarbonModel::new(TransmissionScenario::WORST),
+        cost_model: CostModel::new(&w.pricing),
+        models,
+        home: w.regions[0],
+        config: MonteCarloConfig {
+            batch: WALK_BATCH,
+            max_samples: 4 * WALK_BATCH,
+            cv_threshold: 0.03,
+        },
+    };
+    let on = |scratch: &mut EstimateScratch, plan| {
+        let unfolded = PlanRecord::default();
+        let (estimate, record) =
+            est.estimate_on(plan, hour, &mut Pcg32::seed(seed), scratch, &unfolded);
+        let record = record.expect("no record to go by: folded");
+        (bits(&estimate), record_bits(&record, WALK_BATCH))
+    };
+    let fresh: Vec<_> = plans
+        .iter()
+        .map(|plan| on(&mut EstimateScratch::default(), plan))
+        .collect();
+    let forwards: Vec<usize> = (0..plans.len()).collect();
+    let backwards: Vec<usize> = forwards.iter().rev().copied().collect();
+    for order in [forwards, backwards] {
+        let mut shared = EstimateScratch::default();
+        for &k in &order {
+            let banked = on(&mut shared, &plans[k]);
+            assert_eq!(banked, fresh[k], "seed {seed}, plan {k} of {order:?}");
+        }
+    }
+    fresh.iter().filter(|(_, record)| record.len() > 1).count()
+}
+
+/// Node columns read from the bank against a fresh fold: random DAGs ×
+/// walks of neighbouring plans × both visiting orders × stage models, cold
+/// starts and noise on, under a rule some plans need a second batch of.
+#[test]
+fn plans_on_a_bank_their_predecessors_filled_equal_fresh_banks_bit_for_bit() {
+    let w = world(false);
+    let home = w.regions[0];
+    let (mut skips_into_sync, mut external_legs, mut second_batches) = (0, 0, 0);
+    caribou_telemetry::enable(Box::new(caribou_telemetry::NullSink));
+    for seed in 0..24u64 {
+        let wf = random_workflow().generate(&mut TestRng::new(seed));
+        let mut profile = wf.profile.clone();
+        vary_distributions(&mut profile, seed);
+        let plans = neighbouring_plans(&wf.dag, &w.regions, seed, 6);
+        skips_into_sync += usize::from(skips_into_sync_node(&wf.dag, &profile));
+        external_legs += usize::from(fetches_from_afar(&wf.dag, &profile, &plans, home));
+        let (history, _) = seeded_history(&w, &wf.dag, &plans[0], seed);
+        let learned = history.learned_models(
+            &profile,
+            &w.runtime,
+            &w.latency,
+            Orchestrator::Caribou,
+            home,
+        );
+        let default = DefaultModels {
+            profile: &profile,
+            runtime: &w.runtime,
+            latency: &w.latency,
+            orchestrator: Orchestrator::Caribou,
+        };
+        let hour = (seed % 24) as f64 + 0.5;
+        second_batches += walk_both_ways(&w, &wf.dag, &profile, &default, &plans, hour, seed);
+        second_batches += walk_both_ways(&w, &wf.dag, &profile, &learned, &plans, hour, seed);
+    }
+    let recorder = caribou_telemetry::finish().unwrap().recorder;
+    let read = recorder.counter("montecarlo.sites.read");
+    let folded = recorder.counter("montecarlo.sites.folded");
+    // The cases covered what they are here to cover: half the sites are
+    // folded by the fresh banks alone, so the shared ones mostly read.
+    assert!(
+        2 * read > folded,
+        "{read} node sites read from a bank, {folded} folded"
+    );
+    assert!(second_batches >= 24, "{second_batches} second batches");
+    assert!(
+        skips_into_sync >= 3,
+        "{skips_into_sync} cases skip into a sync node"
+    );
+    assert!(
+        external_legs >= 3,
+        "{external_legs} cases fetch external data from afar"
+    );
 }
