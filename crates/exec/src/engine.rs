@@ -133,14 +133,15 @@ fn ann_static(len: usize, bits: usize) -> &'static [u8] {
 /// Reusable per-invocation buffers.
 ///
 /// One invocation needs a handful of DAG-sized vectors, an event queue,
-/// the addresses of the topics and tables it touches, and each region's
-/// carbon intensity at its hour. Allocating and resolving them fresh for
+/// the addresses of the topics, tables and warm containers it touches, the
+/// app's distributions prepared for drawing, and each region's carbon
+/// intensity at its hour. Allocating and resolving them fresh for
 /// every invocation dominates the profile under sustained load (`caribou
 /// loadgen`), so callers that execute many invocations hold one
 /// `InvocationScratch` and pass it to
 /// [`ExecutionEngine::invoke_with_scratch`]; buffers are cleared, not
 /// dropped, between invocations, and the address book outlives them (it
-/// rebinds itself when the cloud or the workflow changes).
+/// rebinds itself when the cloud, the workflow or its profile changes).
 /// [`ExecutionEngine::invoke`] builds a throwaway scratch to keep the
 /// one-shot API unchanged.
 #[derive(Debug, Default)]
@@ -273,8 +274,9 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
 
     /// [`ExecutionEngine::invoke`] with caller-pooled buffers: identical
     /// results, but the per-invocation vectors and event queue are reused
-    /// across calls instead of reallocated, and topics and tables are
-    /// resolved once instead of named per operation.
+    /// across calls instead of reallocated, topics, tables and warm slots
+    /// are resolved once instead of named per operation, and the app's
+    /// distributions are prepared once instead of per draw.
     #[allow(clippy::too_many_arguments)]
     pub fn invoke_with_scratch(
         &self,
@@ -471,7 +473,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         // (anchored at the home region, §9.1).
         let start = self.app.dag.start();
         let start_region = self.plan.region_of(start);
-        let input_bytes = self.app.profile.input_bytes.sample(self.rng);
+        let input_bytes = self.scratch.book.input().sample(self.rng);
         let mut t0 = self.engine.orchestrator.sample_setup_s(self.rng);
 
         let delivery = self.publish_to(start, self.app.home, input_bytes);
@@ -549,10 +551,9 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         // probabilistic rate applies.
         let storm = self.cloud.faults.cold_storm(region, self.at_s + t);
         let cold = if self.cloud.warm.enabled {
-            self.cloud
-                .warm
-                .check_and_touch(&self.app.name, node.0, region, self.at_s + t)
-                || storm
+            let warm = &mut self.cloud.warm;
+            let slot = self.scratch.book.warm_slot(warm, self.app, node, region);
+            warm.check_and_touch_at(slot, self.at_s + t) || storm
         } else {
             let cold = storm || self.rng.chance(self.cloud.compute.cold_start_prob);
             if caribou_telemetry::is_enabled() {
@@ -575,7 +576,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         }
         let record = self.cloud.compute.execute_forced(
             region,
-            &p.exec_time,
+            self.scratch.book.exec(node),
             p.memory_mb,
             p.cpu_utilization,
             cold,
@@ -650,9 +651,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         let is_sync = self.app.dag.is_sync_node(succ);
 
         if taken {
-            let payload = self.app.profile.edges[eid.index()]
-                .payload_bytes
-                .sample(self.rng);
+            let payload = self.scratch.book.payload(eid).sample(self.rng);
             let from_region = self.region_of(edge.from);
 
             // Intermediate data goes to the successor region's storage:
@@ -1651,6 +1650,66 @@ mod tests {
             let deployed = which == 0 && std::ptr::eq(app, &join);
             assert_eq!(b.failed_region, (!deployed).then_some(ca), "inv {inv}");
             assert_eq!(b.failovers == 0, deployed, "inv {inv}");
+        }
+    }
+
+    #[test]
+    fn one_scratch_across_medians_and_warm_pools_never_draws_a_stale_binding() {
+        // Apps alike in name, stages and deployment that differ in one
+        // median each — a node's execution time, an edge's payload, the
+        // input — and a warm pool replaced mid-run, as `cloud.warm =
+        // WarmPool::enabled(k)` callers do. None of it changes an address
+        // name, so a book that kept its prepared distributions or its warm
+        // slots across them would draw other durations and sizes, or ask
+        // the new pool for the old one's containers.
+        let lognormal = |median: f64| DistSpec::LogNormal { median, sigma: 0.3 };
+        let mut fresh = SimCloud::aws(45);
+        let mut pooled = SimCloud::aws(45);
+        let mut base = sync_app(&fresh, Some(0.5));
+        for (i, node) in base.profile.nodes.iter_mut().enumerate() {
+            node.exec_time = lognormal(0.5 + i as f64);
+        }
+        for edge in &mut base.profile.edges {
+            edge.payload_bytes = lognormal(20_000.0);
+        }
+        base.profile.input_bytes = lognormal(5_000.0);
+        let mut exec = base.clone();
+        exec.profile.nodes[2].exec_time = lognormal(7.0);
+        let mut payload = base.clone();
+        payload.profile.edges[1].payload_bytes = lognormal(90_000.0);
+        let mut input = base.clone();
+        input.profile.input_bytes = lognormal(60_000.0);
+        let steps = [&base, &exec, &base, &payload, &input, &base];
+
+        let ca = fresh.region("ca-central-1").unwrap();
+        let mut plan = DeploymentPlan::uniform(4, base.home);
+        plan.set(NodeId(2), ca);
+        let carbon = carbon_table(&fresh);
+        let engine = engine_over(&carbon);
+        for cloud in [&mut fresh, &mut pooled] {
+            engine.provision(cloud, &base, &plan);
+            cloud.warm = caribou_simcloud::warm::WarmPool::enabled(600.0);
+        }
+        let mut scratch = InvocationScratch::new();
+        for inv in 0..60u64 {
+            if inv == 30 {
+                for cloud in [&mut fresh, &mut pooled] {
+                    cloud.warm = caribou_simcloud::warm::WarmPool::enabled(120.0);
+                }
+            }
+            let app = steps[inv as usize % steps.len()];
+            let at = 10.0 + inv as f64 * 45.0;
+            let a = engine.invoke(&mut fresh, app, &plan, inv, at, &mut Pcg32::seed(inv));
+            let b = engine.invoke_with_scratch(
+                &mut pooled,
+                app,
+                &plan,
+                inv,
+                at,
+                &mut Pcg32::seed(inv),
+                &mut scratch,
+            );
+            assert_bit_equal(&a, &b);
         }
     }
 

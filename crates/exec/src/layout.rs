@@ -13,17 +13,19 @@
 //! Names are for deploying and for inspection. An invocation addresses
 //! the substrate by handle: its per-invocation items are numeric
 //! ([`ItemAddr::new`]: slot = edge id in a data table, node id in a sync
-//! table), and the topics, tables and the plan item it needs are resolved
-//! from their names once, into an [`AddressBook`].
+//! table), and the topics, tables, warm-pool slots and the plan item it
+//! needs are resolved from their names once, into an [`AddressBook`].
 
 use std::fmt;
 
-use caribou_model::dag::NodeId;
+use caribou_model::dag::{EdgeId, NodeId};
+use caribou_model::dist::{DistSpec, PreparedDist, PreparedSpec};
 use caribou_model::intern::IStr;
 use caribou_model::region::RegionId;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::kv::{ItemAddr, KvStore, TableId};
 use caribou_simcloud::pubsub::{PubSub, TopicId, TopicKey};
+use caribou_simcloud::warm::{WarmPool, WarmSlot};
 
 use crate::engine::WorkflowApp;
 
@@ -92,32 +94,56 @@ pub(crate) struct RegionTables {
 
 /// The engine's resolved addresses, dense over `(region × node)` so that
 /// any plan, failover override or benchmarking detour indexes it without
-/// a lookup. It is filled by name on first use and bound to the services
-/// and the workflow it was resolved for: [`AddressBook::bind`] starts it
-/// over when either differs, so a pooled book never serves a stale
-/// address.
+/// a lookup, and the app's drawn distributions with their log-normal
+/// locations taken once. Addresses are filled by name on first use and
+/// bound to the services and the workflow they were resolved for; the
+/// distributions are bound to the profile. [`AddressBook::bind`] starts
+/// either over when what it was bound to differs, so a pooled book never
+/// serves a stale address or a stale median.
 #[derive(Debug, Default)]
 pub(crate) struct AddressBook {
-    /// `(pubsub, kv)` namespaces the entries were issued under.
-    services: Option<(u64, u64)>,
-    /// The workflow the topic entries name: its name and stage names.
+    /// `(pubsub, kv, warm pool)` namespaces the entries were issued under.
+    services: Option<(u64, u64, u64)>,
+    /// The workflow the topic and warm entries name: its name and stage
+    /// names.
     workflow: IStr,
     stages: Vec<String>,
     /// Region-major `regions × stages.len()`. A topic that does not exist
     /// stays `None` and is looked up again next time: deploying the
     /// region later (the Migrator's rollout) needs no invalidation.
     topics: Vec<Option<TopicId>>,
+    /// Region-major `regions × stages.len()`, issued on first use.
+    warm: Vec<Option<WarmSlot>>,
     /// Per region. Tables are never dropped and a re-homed table keeps
     /// its handle, so an entry holds for the store's lifetime.
     tables: Vec<Option<RegionTables>>,
     plan: Option<ItemAddr>,
+    /// The input size, then each node's execution time, then each edge's
+    /// payload size.
+    draws: Vec<PreparedSpec>,
+}
+
+/// The profile's distributions in [`AddressBook::draws`] order.
+fn drawn(app: &WorkflowApp) -> impl Iterator<Item = &DistSpec> {
+    let p = &app.profile;
+    let exec = p.nodes.iter().map(|n| &n.exec_time);
+    let payload = p.edges.iter().map(|e| &e.payload_bytes);
+    std::iter::once(&p.input_bytes).chain(exec).chain(payload)
 }
 
 impl AddressBook {
     /// Binds the book to `cloud`'s services and to `app`, forgetting
-    /// every address when it was bound to others.
+    /// every address when it was bound to others, and every prepared
+    /// distribution when the profile's differ.
     pub fn bind(&mut self, cloud: &SimCloud, app: &WorkflowApp) {
-        let services = Some((cloud.pubsub.namespace(), cloud.kv.namespace()));
+        if !self.draws.iter().map(PreparedSpec::spec).eq(drawn(app)) {
+            self.draws = drawn(app).cloned().map(PreparedSpec::new).collect();
+        }
+        let services = Some((
+            cloud.pubsub.namespace(),
+            cloud.kv.namespace(),
+            cloud.warm.namespace(),
+        ));
         let stages = || app.dag.all_nodes().map(|n| &app.dag.node(n).name);
         if self.services == services && self.workflow == app.name && self.stages.iter().eq(stages())
         {
@@ -126,12 +152,29 @@ impl AddressBook {
         self.services = services;
         self.workflow = app.name.clone();
         self.stages = stages().cloned().collect();
-        let regions = cloud.regions.len();
+        let cells = cloud.regions.len() * self.stages.len();
         self.topics.clear();
-        self.topics.resize(regions * self.stages.len(), None);
+        self.topics.resize(cells, None);
+        self.warm.clear();
+        self.warm.resize(cells, None);
         self.tables.clear();
-        self.tables.resize(regions, None);
+        self.tables.resize(cloud.regions.len(), None);
         self.plan = None;
+    }
+
+    /// The input size distribution.
+    pub fn input(&self) -> PreparedDist<'_> {
+        self.draws[0].get()
+    }
+
+    /// `node`'s execution time distribution.
+    pub fn exec(&self, node: NodeId) -> PreparedDist<'_> {
+        self.draws[1 + node.index()].get()
+    }
+
+    /// `edge`'s payload size distribution.
+    pub fn payload(&self, edge: EdgeId) -> PreparedDist<'_> {
+        self.draws[1 + self.stages.len() + edge.index()].get()
     }
 
     /// `node`'s topic in `region`, or the name that resolves to no topic.
@@ -149,6 +192,18 @@ impl AddressBook {
         let key = topic_key(app, node, region);
         *entry = pubsub.topic_id(&key);
         entry.ok_or(key)
+    }
+
+    /// `node`'s warm-pool slot in `region`.
+    pub fn warm_slot(
+        &mut self,
+        warm: &mut WarmPool,
+        app: &WorkflowApp,
+        node: NodeId,
+        region: RegionId,
+    ) -> WarmSlot {
+        *self.warm[region.index() * self.stages.len() + node.index()]
+            .get_or_insert_with(|| warm.slot(&app.name, node.0, region))
     }
 
     /// `region`'s data and sync tables. A region that was never deployed

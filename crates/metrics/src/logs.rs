@@ -12,8 +12,9 @@
 //! (its keys live on in something newer), so `record` maintains the index
 //! and no prune rebuilds it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use caribou_model::hash::FixedMap;
 use caribou_model::intern::IStr;
 use caribou_model::region::RegionId;
 use serde::{Deserialize, Serialize};
@@ -123,7 +124,7 @@ pub struct LogStore {
     /// sequence number.
     logs: VecDeque<(u64, InvocationLog)>,
     /// Newest arrival sequence carrying each information key.
-    newest: HashMap<InfoKey, u64>,
+    newest: FixedMap<InfoKey, u64>,
     /// Sequence number the next recorded log gets.
     next_seq: u64,
     /// Lower bound on every retained `at_s` (times need not arrive in

@@ -188,9 +188,8 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
         };
 
         let start_region = plan.region_of(dag.start());
-        let setup_median = m.orchestrator.invocation_setup_median_s();
         let entry = EntryPrep {
-            setup: setup_median != 0.0,
+            setup: m.orchestrator.invocation_setup_median_s() != 0.0,
             transfer: transfer(self.home, start_region),
             egress_rate: egress(self.home, start_region),
             // The entry wrapper fetches the deployment plan once.
@@ -206,7 +205,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                 Site::Entry,
                 Prim::Overhead,
                 Draw::LogNormal {
-                    mu: setup_median.ln(),
+                    mu: m.orchestrator.setup_mu(),
                     sigma: OVERHEAD_SIGMA,
                 },
             ));
@@ -214,7 +213,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
         needs.push(entry.transfer.need(Site::Entry, jitter));
 
         let transition = Draw::LogNormal {
-            mu: m.orchestrator.transition_overhead_median_s().ln(),
+            mu: m.orchestrator.transition_mu(),
             sigma: OVERHEAD_SIGMA,
         };
         let edges = (0..dag.edge_count())

@@ -220,6 +220,52 @@ impl PreparedDist<'_> {
     }
 }
 
+/// The owned counterpart of [`PreparedDist`], for a holder that outlives
+/// the spec it was prepared from: the spec itself, so the holder can tell
+/// whether it still describes a profile's distribution, and its log-normal
+/// location taken once, here.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PreparedSpec {
+    spec: DistSpec,
+    /// The location a [`PreparedDist::LogNormal`] of `spec` carries; 0 for
+    /// every other family.
+    mu: f64,
+}
+
+impl PreparedSpec {
+    /// Prepares `spec`.
+    pub fn new(spec: DistSpec) -> Self {
+        let mu = match spec.prepare() {
+            PreparedDist::LogNormal { mu, .. } => mu,
+            _ => 0.0,
+        };
+        PreparedSpec { spec, mu }
+    }
+
+    /// The spec this was prepared from.
+    pub fn spec(&self) -> &DistSpec {
+        &self.spec
+    }
+
+    /// The borrowing form, with no logarithm taken.
+    #[inline]
+    pub fn get(&self) -> PreparedDist<'_> {
+        match &self.spec {
+            DistSpec::LogNormal { sigma, .. } => PreparedDist::LogNormal {
+                mu: self.mu,
+                sigma: *sigma,
+            },
+            spec => spec.prepare(),
+        }
+    }
+
+    /// Draws one sample; bit-identical to [`DistSpec::sample`] of the spec.
+    #[inline]
+    pub fn sample(&self, rng: &mut Pcg32) -> f64 {
+        self.get().sample(rng)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,16 +373,22 @@ mod tests {
         ];
         for (i, spec) in specs.iter().enumerate() {
             let prepared = spec.prepare();
+            let owned = PreparedSpec::new(spec.clone());
+            assert_eq!(owned.spec(), spec);
             for seed in 0..4u64 {
                 let mut a = Pcg32::seed(seed * 31 + i as u64);
                 let mut b = a.clone();
+                let mut c = a.clone();
                 for _ in 0..500 {
                     let x = spec.sample(&mut a);
                     let y = prepared.sample(&mut b);
+                    let z = owned.sample(&mut c);
                     assert_eq!(x.to_bits(), y.to_bits(), "spec {spec:?}");
+                    assert_eq!(x.to_bits(), z.to_bits(), "owned {spec:?}");
                 }
                 // Streams consumed the same number of draws.
-                assert_eq!(a.next_u64(), b.next_u64());
+                assert_eq!(a, b);
+                assert_eq!(a, c);
             }
         }
     }

@@ -17,6 +17,7 @@
 //! * [`manifest`] — the deployment manifest (the paper's `config.yml` and
 //!   `iam_policy.json`);
 //! * [`dist`] — distribution specifications used throughout the models;
+//! * [`hash`] — a fixed, keyless hasher for the simulator's own maps;
 //! * [`intern`] — interned, cheaply cloneable strings ([`intern::IStr`])
 //!   for the data-plane hot paths;
 //! * [`rng`] — a small, in-repo, seed-deterministic PCG32 generator so that
@@ -41,6 +42,7 @@ pub mod constraints;
 pub mod dag;
 pub mod dist;
 pub mod error;
+pub mod hash;
 pub mod intern;
 pub mod manifest;
 pub mod plan;

@@ -6,8 +6,7 @@
 //! service for payloads above [`BLOB_THRESHOLD_BYTES`], charging S3-style
 //! request fees plus transfer time; small payloads stay on the KV path.
 
-use std::collections::HashMap;
-
+use caribou_model::hash::FixedMap;
 use caribou_model::region::RegionId;
 use caribou_model::rng::Pcg32;
 use serde::{Deserialize, Serialize};
@@ -73,7 +72,7 @@ pub struct ObjectKey {
 #[derive(Debug)]
 pub struct BlobStore {
     /// `(region, key) → size`; contents are irrelevant to the simulation.
-    objects: HashMap<(RegionId, ObjectKey), f64>,
+    objects: FixedMap<(RegionId, ObjectKey), f64>,
     /// Request counts per bucket region (indexed by [`RegionId::index`]).
     ops: Vec<BlobOpCounts>,
     /// Request pricing.
@@ -85,7 +84,7 @@ impl BlobStore {
     /// `regions` regions.
     pub fn new(regions: usize) -> Self {
         BlobStore {
-            objects: HashMap::new(),
+            objects: FixedMap::default(),
             ops: vec![BlobOpCounts::default(); regions],
             pricing: BlobPricing::default(),
         }

@@ -7,7 +7,7 @@
 //! factors (§7.1: execution time distributions differ per region), and
 //! cold starts.
 
-use caribou_model::dist::DistSpec;
+use caribou_model::dist::{DistSpec, PreparedDist, PreparedSpec};
 use caribou_model::region::RegionId;
 use caribou_model::rng::Pcg32;
 
@@ -62,8 +62,8 @@ pub struct LambdaRuntime {
     /// slower in different regions.
     perf_factor: Vec<f64>,
     /// Cold-start duration distribution per region, seconds (providers
-    /// differ: GCP's curve is steeper than Lambda's).
-    cold_start: Vec<DistSpec>,
+    /// differ: GCP's curve is steeper than Lambda's), prepared once.
+    cold_start: Vec<PreparedSpec>,
     /// Run-to-run multiplicative execution noise (log-space sigma).
     pub exec_sigma: f64,
     /// Probability an invocation is a cold start (the simulator does not
@@ -79,7 +79,7 @@ impl LambdaRuntime {
         assert_eq!(perf_factor.len(), cold_start.len());
         LambdaRuntime {
             perf_factor,
-            cold_start,
+            cold_start: cold_start.into_iter().map(PreparedSpec::new).collect(),
             exec_sigma: 0.06,
             cold_start_prob: 0.02,
         }
@@ -97,7 +97,7 @@ impl LambdaRuntime {
 
     /// The cold-start curve governing a region.
     pub fn cold_start_for(&self, region: RegionId) -> &DistSpec {
-        &self.cold_start[region.index()]
+        self.cold_start[region.index()].spec()
     }
 
     /// Simulates one execution of a function stage.
@@ -116,15 +116,18 @@ impl LambdaRuntime {
         rng: &mut Pcg32,
     ) -> ExecutionRecord {
         let cold = rng.chance(self.cold_start_prob);
+        let ref_exec = ref_exec.prepare();
         self.execute_forced(region, ref_exec, memory_mb, cpu_utilization, cold, rng)
     }
 
     /// Simulates one execution with an externally decided cold-start flag
-    /// (driven by the stateful [`crate::warm::WarmPool`]).
+    /// (driven by the stateful [`crate::warm::WarmPool`]), on a reference
+    /// distribution prepared beforehand: a caller drawing from it on every
+    /// invocation takes its logarithm once.
     pub fn execute_forced(
         &self,
         region: RegionId,
-        ref_exec: &DistSpec,
+        ref_exec: PreparedDist<'_>,
         memory_mb: u32,
         cpu_utilization: f64,
         cold: bool,
@@ -134,7 +137,7 @@ impl LambdaRuntime {
         let noise = rng.lognormal(0.0, self.exec_sigma);
         let compute_s = base * self.perf_factor(region) * noise;
         let cold_s = if cold {
-            self.cold_start_for(region).sample(rng).max(0.0)
+            self.cold_start[region.index()].sample(rng).max(0.0)
         } else {
             0.0
         };
@@ -236,8 +239,8 @@ mod tests {
         rt.exec_sigma = 0.0;
         let spec = DistSpec::Constant { value: 1.0 };
         let mut rng = Pcg32::seed(5);
-        let a = rt.execute_forced(east, &spec, 1024, 0.7, true, &mut rng);
-        let b = rt.execute_forced(west, &spec, 1024, 0.7, true, &mut rng);
+        let a = rt.execute_forced(east, spec.prepare(), 1024, 0.7, true, &mut rng);
+        let b = rt.execute_forced(west, spec.prepare(), 1024, 0.7, true, &mut rng);
         // East pays its log-normal curve; west its own constant.
         assert!(a.cold_start_s < 2.5);
         assert!((b.cold_start_s - 2.5).abs() < 1e-12);

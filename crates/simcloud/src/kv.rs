@@ -13,10 +13,10 @@
 //! accesses introduced by Caribou", §7.1).
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt::Display;
 
 use bytes::Bytes;
+use caribou_model::hash::FixedMap;
 use caribou_model::region::RegionId;
 use caribou_model::rng::Pcg32;
 
@@ -96,7 +96,7 @@ struct Table {
     home: Option<RegionId>,
     /// Key name → its [`Row::Named`] number. A name keeps its number for
     /// good (deleting the item leaves it), so its address can be held.
-    names: HashMap<String, u32>,
+    names: FixedMap<String, u32>,
 }
 
 /// The distributed key-value store.
@@ -105,9 +105,9 @@ pub struct KvStore {
     /// Distinguishes this store's handles from every other instance's.
     namespace: u64,
     /// Table name → handle; `tables[id]` is the table.
-    table_ids: HashMap<String, TableId>,
+    table_ids: FixedMap<String, TableId>,
     tables: Vec<Table>,
-    data: HashMap<ItemAddr, Bytes>,
+    data: FixedMap<ItemAddr, Bytes>,
     /// Operation counts per table-home region (indexed by
     /// [`RegionId::index`]).
     ops: Vec<KvOpCounts>,
@@ -125,9 +125,9 @@ impl KvStore {
     pub fn new(regions: usize) -> Self {
         KvStore {
             namespace: crate::fresh_namespace(),
-            table_ids: HashMap::new(),
+            table_ids: FixedMap::default(),
             tables: Vec::new(),
-            data: HashMap::new(),
+            data: FixedMap::default(),
             ops: vec![KvOpCounts::default(); regions],
             faults: FaultPlan::none(),
             now_s: 0.0,

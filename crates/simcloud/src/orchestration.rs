@@ -8,6 +8,8 @@
 //! overhead; Caribou's extra work is the DP fetch at workflow entry and
 //! the location/plan piggybacking at each hop.
 
+use std::sync::OnceLock;
+
 use caribou_model::rng::Pcg32;
 use serde::{Deserialize, Serialize};
 
@@ -53,19 +55,50 @@ impl Orchestrator {
         }
     }
 
+    /// Log-space locations of the (transition, setup) overhead medians,
+    /// taken once per orchestrator: the engine draws from them on every
+    /// hop and the estimator's plan preparation reads the same bits.
+    fn overhead_mu(self) -> [f64; 2] {
+        static MU: OnceLock<[[f64; 2]; 3]> = OnceLock::new();
+        let all = MU.get_or_init(|| {
+            [
+                Orchestrator::StepFunctions,
+                Orchestrator::Sns,
+                Orchestrator::Caribou,
+            ]
+            .map(|o| {
+                [
+                    o.transition_overhead_median_s(),
+                    o.invocation_setup_median_s(),
+                ]
+                .map(f64::ln)
+            })
+        });
+        all[self as usize]
+    }
+
+    /// `ln` of [`Orchestrator::transition_overhead_median_s`].
+    pub fn transition_mu(self) -> f64 {
+        self.overhead_mu()[0]
+    }
+
+    /// `ln` of [`Orchestrator::invocation_setup_median_s`]; `-inf` where
+    /// there is no setup overhead.
+    pub fn setup_mu(self) -> f64 {
+        self.overhead_mu()[1]
+    }
+
     /// Samples one transition overhead.
     pub fn sample_transition_s(self, rng: &mut Pcg32) -> f64 {
-        let median = self.transition_overhead_median_s();
-        rng.lognormal(median.ln(), OVERHEAD_SIGMA)
+        rng.lognormal(self.transition_mu(), OVERHEAD_SIGMA)
     }
 
     /// Samples the invocation setup overhead.
     pub fn sample_setup_s(self, rng: &mut Pcg32) -> f64 {
-        let median = self.invocation_setup_median_s();
-        if median == 0.0 {
+        if self.invocation_setup_median_s() == 0.0 {
             0.0
         } else {
-            rng.lognormal(median.ln(), OVERHEAD_SIGMA)
+            rng.lognormal(self.setup_mu(), OVERHEAD_SIGMA)
         }
     }
 
@@ -113,6 +146,34 @@ mod tests {
             / n as f64;
         let median = Orchestrator::Sns.transition_overhead_median_s();
         assert!((mean / median - 1.0).abs() < 0.10, "mean {mean}");
+    }
+
+    #[test]
+    fn overhead_draws_are_the_per_draw_logarithm_bit_for_bit() {
+        for o in [
+            Orchestrator::StepFunctions,
+            Orchestrator::Sns,
+            Orchestrator::Caribou,
+        ] {
+            let (transition, setup) = (
+                o.transition_overhead_median_s(),
+                o.invocation_setup_median_s(),
+            );
+            assert_eq!(o.transition_mu().to_bits(), transition.ln().to_bits());
+            assert_eq!(o.setup_mu().to_bits(), setup.ln().to_bits());
+            let (mut a, mut b) = (Pcg32::seed(5), Pcg32::seed(5));
+            for _ in 0..100 {
+                let want = b.lognormal(transition.ln(), OVERHEAD_SIGMA);
+                assert_eq!(o.sample_transition_s(&mut a).to_bits(), want.to_bits());
+                let want = if setup == 0.0 {
+                    0.0
+                } else {
+                    b.lognormal(setup.ln(), OVERHEAD_SIGMA)
+                };
+                assert_eq!(o.sample_setup_s(&mut a).to_bits(), want.to_bits());
+            }
+            assert_eq!(a, b);
+        }
     }
 
     #[test]

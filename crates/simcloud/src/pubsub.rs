@@ -91,6 +91,9 @@ pub struct PubSub {
     pub now_s: f64,
     /// Per-region messaging profiles (indexed by the subscriber region).
     profiles: Vec<MessagingProfile>,
+    /// Per region, the log-space location of its publish overhead, taken
+    /// once here rather than on every publish.
+    publish_mu: Vec<f64>,
 }
 
 impl PubSub {
@@ -105,6 +108,10 @@ impl PubSub {
             drop_probability: 0.0,
             faults: FaultPlan::none(),
             now_s: 0.0,
+            publish_mu: profiles
+                .iter()
+                .map(|p| p.publish_overhead_median_s.ln())
+                .collect(),
             profiles,
         }
     }
@@ -197,7 +204,7 @@ impl PubSub {
         let profile = self.profiles[region.index()];
         let gray = self.faults.pair_latency_factor(from, region, self.now_s);
         let mut total = rng.lognormal(
-            profile.publish_overhead_median_s.ln(),
+            self.publish_mu[region.index()],
             profile.publish_overhead_sigma,
         );
         if let DeliveryKind::PushOrdered {

@@ -299,6 +299,41 @@ if ! awk '
     exit 1
 fi
 
+# Nor SipHash nor a logarithm of a constant per operation: the maps an
+# invocation hashes are declared through the fixed-hasher alias
+# (caribou_model::hash::FixedMap), the warm pool's journal is a list of
+# slots, not a tree, and a log-normal's location is taken where its median
+# is fixed — one `ln` site at most per file (pubsub's per-region table, the
+# orchestrator's), the engine drawing the profile's distributions through
+# the address book's prepared sites. Test modules are exempt (oracles).
+echo "==> fixed-hasher and logarithm-once grep gates"
+before_tests() { awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$1"; }
+for f in crates/simcloud/src/kv.rs crates/simcloud/src/blob.rs crates/simcloud/src/warm.rs \
+    crates/metrics/src/logs.rs; do
+    if before_tests "$f" | grep -E '\bHash(Map|Set)\b'; then
+        echo "error: $f declares a std (SipHash) map; use caribou_model::hash::FixedMap" >&2
+        exit 1
+    fi
+done
+if before_tests crates/simcloud/src/warm.rs | grep -E '\bBTree(Map|Set)\b'; then
+    echo "error: the warm pool journals into a tree again (see above)" >&2
+    exit 1
+fi
+for f in crates/simcloud/src/pubsub.rs crates/simcloud/src/orchestration.rs \
+    crates/simcloud/src/compute.rs crates/exec/src/engine.rs; do
+    hits=$(before_tests "$f" | grep -cE '\.ln\(\)|f64::ln\b' || true)
+    if [[ "$hits" -gt 1 ]]; then
+        echo "error: $f takes a logarithm at $hits sites, want at most 1:" >&2
+        before_tests "$f" | grep -E '\.ln\(\)|f64::ln\b' >&2
+        exit 1
+    fi
+done
+if before_tests crates/exec/src/engine.rs |
+    grep -E '\.(exec_time|payload_bytes|input_bytes)\b|\.execute\('; then
+    echo "error: the engine draws a profile distribution by its spec, a logarithm per draw" >&2
+    exit 1
+fi
+
 # One histogram type: the recorder holds QuantileSketch.
 echo "==> single-histogram grep gate"
 if grep -rn 'Histogram' crates/telemetry; then

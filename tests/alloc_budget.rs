@@ -219,6 +219,45 @@ fn pooled_scratch_reduces_allocations_per_invocation() {
     );
 }
 
+/// The sharded path `caribou loadgen` runs: two shards journaling their
+/// warm touches and exchanging them at every tick. One more round — 16,384
+/// invocations and one exchange — allocates the two log-record vectors per
+/// invocation and a handful of harness buffers per round: a warm touch
+/// allocates only on a deployment's first use (its slot), and each shard's
+/// journal is a slot list kept across rounds. (A journal kept as a tree
+/// keyed by name allocates a leaf per shard per round: 11 a round.)
+#[test]
+fn sharded_loadgen_allocates_the_log_records_and_nothing_per_touch() {
+    let _serial = serial();
+    const SHARDS: usize = 2;
+    const PER_ROUND: usize = SHARDS * CHUNK_INVOCATIONS;
+    let bench = text2speech_censoring(InputSize::Small);
+    let run = |rounds: usize| {
+        let config = LoadgenConfig {
+            invocations: rounds * PER_ROUND,
+            seed: 42,
+            workers: 1,
+            shards: SHARDS,
+            ..LoadgenConfig::default()
+        };
+        let before = allocs();
+        let report = run_loadgen(&bench, &config).expect("calibrated catalog");
+        assert_eq!(report.invocations(), config.invocations as u64);
+        assert!(report.cold_starts > 0 && report.warm_starts > report.cold_starts);
+        allocs() - before
+    };
+    let round = run(3) - run(2);
+    let harness = round - 2 * PER_ROUND as u64;
+    eprintln!(
+        "alloc_budget: one more sharded round allocates {round} times: 2 per invocation + {harness}"
+    );
+    assert!(
+        round >= 2 * PER_ROUND as u64 && harness <= 9,
+        "a round of {PER_ROUND} invocations allocated {round} times: 2 per invocation + {harness} \
+         (budget 9 a round)"
+    );
+}
+
 /// Streaming aggregates and per-round arrival buffers: a sustained-load
 /// run holds O(shards x chunk) bytes however long it is. Quadrupling the
 /// run must not raise the peak live heap (measured: by 0 B); the same
