@@ -23,9 +23,13 @@ use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use caribou_workloads::benchmarks::{all_benchmarks, InputSize};
 
+/// The cloud's seed, both engines' and both walks'.
+const SEED: u64 = 33;
+
 fn main() {
-    let env = World::evaluation(33);
+    let env = World::evaluation(SEED);
     let mci = MarginalSource::new(env.carbon.clone());
+    let signals: [&dyn CarbonDataSource; 2] = [&env.carbon, &mci];
     let hour = 12.5;
 
     println!("Signal ablation — plans solved under ACI vs MCI, accounted under both");
@@ -41,33 +45,26 @@ fn main() {
             .permitted_regions(&bench.dag, &env.regions, &env.cloud.regions, env.home)
             .unwrap();
         let case = env.case(&bench, TransmissionScenario::BEST, mc_config());
+        let contexts = [0, 1].map(|i| case.context(&permitted, default_tolerances(), &signals[i]));
+        // One engine per signal, both on one seed: a plan is solved and
+        // accounted under either signal on the same draws.
+        let engines = signals.map(|_| EvalEngine::new(SEED, 1));
 
         // Solve once per signal.
-        let solve_with = |source: &dyn CarbonDataSource, seed: u64| -> DeploymentPlan {
-            let ctx = case.context(&permitted, default_tolerances(), &source);
+        let [plan_aci, plan_mci] = [0, 1].map(|i| {
             HbssSolver::new()
-                .solve_with(
-                    &EvalEngine::new(seed, 1),
-                    &ctx,
-                    hour,
-                    &mut Pcg32::seed(seed),
-                )
+                .solve_with(&engines[i], &contexts[i], hour, &mut Pcg32::seed(SEED))
                 .best
-        };
-        let plan_aci = solve_with(&env.carbon, 1);
-        let plan_mci = solve_with(&mci, 2);
+        });
 
         // Account each plan under each signal.
-        let account = |plan: &DeploymentPlan, source: &dyn CarbonDataSource, seed: u64| -> f64 {
-            let est = case.estimator(&source);
-            est.estimate(plan, hour, &mut Pcg32::seed(seed)).carbon.mean
+        let account = |plan: &DeploymentPlan| -> [f64; 2] {
+            [0, 1].map(|i| engines[i].evaluate(&contexts[i], plan, hour).carbon.mean)
         };
         let home_plan = DeploymentPlan::uniform(bench.dag.node_count(), env.home);
-        let home_aci = account(&home_plan, &env.carbon, 3);
-        let home_mci = account(&home_plan, &mci, 4);
+        let [home_aci, home_mci] = account(&home_plan);
         for (label, plan) in [("ACI", &plan_aci), ("MCI", &plan_mci)] {
-            let g_aci = account(plan, &env.carbon, 5);
-            let g_mci = account(plan, &mci, 6);
+            let [g_aci, g_mci] = account(plan);
             let regions: Vec<String> = plan
                 .regions_used()
                 .iter()

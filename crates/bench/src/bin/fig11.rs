@@ -9,7 +9,7 @@
 //! baselines; plus the deployment-plan generation times (the learning
 //! phase solves often, then the cadence relaxes).
 
-use caribou_bench::harness::{hbss_params, mc_config, write_json};
+use caribou_bench::harness::{hbss_params, mc_config, write_json, Week};
 use caribou_core::framework::{Caribou, CaribouConfig};
 use caribou_core::scenario::{cli_constraints, workflow_app, World, HOME};
 use caribou_metrics::carbonmodel::TransmissionScenario;
@@ -31,21 +31,18 @@ fn main() {
         let bench = text2speech_censoring(InputSize::Large);
         let app = workflow_app(&bench, env.home);
 
-        // Coarse baselines evaluated per hour with the actual carbon.
-        let coarse_names = [HOME, "us-west-1", "us-west-2"];
-        let mut coarse_hourly: Vec<Vec<f64>> = vec![Vec::new(); coarse_names.len()];
-        {
-            let case = env.case(&bench, scenario, mc_config());
-            let est = case.estimator(&env.carbon);
-            let mut rng = Pcg32::seed(1);
-            for hour in 0..168 {
-                for (i, name) in coarse_names.iter().enumerate() {
+        // Coarse baselines scored every hour on the actual carbon.
+        let coarse_hourly: Vec<Vec<f64>> = {
+            let week = Week::new(&env, &bench, scenario, 1, 11);
+            [HOME, "us-west-1", "us-west-2"]
+                .map(|name| {
                     let plan = DeploymentPlan::uniform(bench.dag.node_count(), env.region(name));
-                    let s = est.estimate(&plan, hour as f64 + 0.5, &mut rng);
-                    coarse_hourly[i].push(s.carbon.mean);
-                }
-            }
-        }
+                    (0..168)
+                        .map(|hour| week.score(&plan, hour as f64 + 0.5).carbon.mean)
+                        .collect()
+                })
+                .into()
+        };
 
         // Full framework run.
         let mut config = CaribouConfig::new(env.regions, scenario);

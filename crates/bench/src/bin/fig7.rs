@@ -11,12 +11,13 @@
 //!
 //! Configurations are independent, so they run on all available cores.
 
-use caribou_bench::harness::{
-    coarse_over_week, eval_over_week, geomean, write_json, FineSolver, StrategyResult, STEP_H,
-};
+use caribou_bench::harness::{geomean, write_json, StrategyResult, Week, STEP_H};
 use caribou_core::scenario::{default_tolerances, World};
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_workloads::benchmarks::{all_benchmarks, Benchmark, InputSize};
+
+/// The cloud's seed and every week's.
+const SEED: u64 = 7;
 
 struct ConfigResult {
     benchmark: &'static str,
@@ -50,34 +51,29 @@ fn run_config(
         ("Fine(all)", vec![use1, usw1, usw2, ca]),
     ];
 
-    let base = coarse_over_week(env, bench, scenario, STEP_H, use1, 1);
-    let mut rows = Vec::new();
-    rows.push(("Coarse(us-east-1)".to_string(), base, 1.0));
-    for (name, region) in coarse.iter().skip(1) {
-        let r = coarse_over_week(env, bench, scenario, STEP_H, *region, 2);
-        rows.push((name.to_string(), r, r.carbon_g / base.carbon_g));
-    }
-    let mut fine_all_norm = 1.0;
-    for (name, set) in &fine_sets {
-        let mut solver = FineSolver::new(env, bench, set, scenario, default_tolerances(), 11);
-        let r = eval_over_week(env, bench, scenario, STEP_H, |h| solver.plan_at(h), 3);
-        let norm = r.carbon_g / base.carbon_g;
-        rows.push((name.to_string(), r, norm));
-        if *name == "Fine(all)" {
-            fine_all_norm = norm;
-        }
-    }
+    let week = Week::new(env, bench, scenario, STEP_H, SEED);
+    let base = week.coarse(use1);
+    let within = week.tolerating(default_tolerances());
+    let fine = fine_sets
+        .iter()
+        .map(|(name, set)| (*name, week.fine(set, &within)));
+    let rows: Vec<_> = coarse
+        .map(|(name, region)| (name, week.coarse(region)))
+        .into_iter()
+        .chain(fine)
+        .map(|(name, r)| (name.to_string(), r, r.carbon_g / base.carbon_g))
+        .collect();
     ConfigResult {
         benchmark: bench.name,
         input: bench.input,
         scenario: scen_name,
+        fine_all_norm: rows.last().expect("Fine(all) comes last").2,
         rows,
-        fine_all_norm,
     }
 }
 
 fn main() {
-    let env = World::evaluation(7);
+    let env = World::evaluation(SEED);
     let scenarios = [
         ("best", TransmissionScenario::BEST),
         ("worst", TransmissionScenario::WORST),

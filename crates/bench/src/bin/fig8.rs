@@ -7,13 +7,16 @@
 //! transmission-heavy Image Processing sits at the top-left, Text2Speech/
 //! DNA at the bottom-right.
 
-use caribou_bench::harness::{coarse_over_week, eval_over_week, write_json, FineSolver, STEP_H};
+use caribou_bench::harness::{write_json, Week, STEP_H};
 use caribou_core::scenario::{default_tolerances, World};
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_workloads::benchmarks::{all_benchmarks, InputSize};
 
+/// The cloud's seed and every week's.
+const SEED: u64 = 8;
+
 fn main() {
-    let env = World::evaluation(8);
+    let env = World::evaluation(SEED);
     let scenarios = [
         ("best", TransmissionScenario::BEST),
         ("worst", TransmissionScenario::WORST),
@@ -29,16 +32,9 @@ fn main() {
     for input in InputSize::ALL {
         for bench in all_benchmarks(input) {
             for (scen_name, scenario) in scenarios {
-                let base = coarse_over_week(&env, &bench, scenario, STEP_H, env.home, 1);
-                let mut solver = FineSolver::new(
-                    &env,
-                    &bench,
-                    &env.regions,
-                    scenario,
-                    default_tolerances(),
-                    8,
-                );
-                let fine = eval_over_week(&env, &bench, scenario, STEP_H, |h| solver.plan_at(h), 2);
+                let week = Week::new(&env, &bench, scenario, STEP_H, SEED);
+                let base = week.coarse(env.home);
+                let fine = week.fine(&env.regions, &week.tolerating(default_tolerances()));
                 // The ratio is computed from modeled energy data ("We
                 // calculate the ratio using our modeled energy usage
                 // data"): the execution vs transmission carbon an
@@ -47,7 +43,7 @@ fn main() {
                 // reference — under the worst case its inter-region
                 // transfers are exactly the data that offloading moves.
                 let ca = env.region("ca-central-1");
-                let offloaded = coarse_over_week(&env, &bench, scenario, STEP_H, ca, 3);
+                let offloaded = week.coarse(ca);
                 let ratio = base.exec_carbon_g / offloaded.trans_carbon_g.max(1e-12);
                 let norm = fine.carbon_g / base.carbon_g;
                 println!(

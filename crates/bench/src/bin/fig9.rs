@@ -9,15 +9,16 @@
 //! approaches zero the saving approaches 91.2%, limited by the residual
 //! execution-time differences between regions.
 
-use caribou_bench::harness::{
-    coarse_over_week, eval_over_week, geomean, write_json, FineSolver, STEP_H,
-};
+use caribou_bench::harness::{geomean, write_json, Week, STEP_H};
 use caribou_core::scenario::{default_tolerances, World};
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_workloads::benchmarks::{all_benchmarks, InputSize};
 
+/// The cloud's seed and every week's.
+const SEED: u64 = 9;
+
 fn main() {
-    let env = World::evaluation(9);
+    let env = World::evaluation(SEED);
     let factors = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1];
 
     println!("Fig. 9 — geomean normalized carbon vs transmission energy factor");
@@ -38,12 +39,9 @@ fn main() {
             let mut norms: Vec<(InputSize, f64)> = Vec::new();
             for input in InputSize::ALL {
                 for bench in all_benchmarks(input) {
-                    let base = coarse_over_week(&env, &bench, scenario, STEP_H, env.home, 1);
-                    let tolerances = default_tolerances();
-                    let mut solver =
-                        FineSolver::new(&env, &bench, &env.regions, scenario, tolerances, 9);
-                    let fine =
-                        eval_over_week(&env, &bench, scenario, STEP_H, |h| solver.plan_at(h), 2);
+                    let week = Week::new(&env, &bench, scenario, STEP_H, SEED);
+                    let base = week.coarse(env.home);
+                    let fine = week.fine(&env.regions, &week.tolerating(default_tolerances()));
                     norms.push((input, fine.carbon_g / base.carbon_g));
                 }
             }

@@ -7,16 +7,17 @@
 //! and South American regions and compares the achievable savings (and the
 //! latency price of chasing them) against the NA-only set.
 
-use caribou_bench::harness::{
-    coarse_over_week, eval_over_week, geomean, write_json, FineSolver, STEP_H,
-};
+use caribou_bench::harness::{geomean, write_json, Week, STEP_H};
 use caribou_core::scenario::World;
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_model::constraints::Tolerances;
 use caribou_workloads::benchmarks::{all_benchmarks, InputSize};
 
+/// The cloud's seed and every week's.
+const SEED: u64 = 44;
+
 fn main() {
-    let env = World::evaluation(44);
+    let env = World::evaluation(SEED);
     let na = &env.regions;
     let global: Vec<_> = [
         "us-east-1",
@@ -50,13 +51,11 @@ fn main() {
     for input in InputSize::ALL {
         for bench in all_benchmarks(input) {
             let scenario = TransmissionScenario::BEST;
-            let base = coarse_over_week(&env, &bench, scenario, STEP_H, env.home, 1);
-            let mut na_solver = FineSolver::new(&env, &bench, na, scenario, tolerances, 2);
-            let na_res =
-                eval_over_week(&env, &bench, scenario, STEP_H, |h| na_solver.plan_at(h), 3);
-            let mut gl_solver = FineSolver::new(&env, &bench, &global, scenario, tolerances, 4);
-            let gl_res =
-                eval_over_week(&env, &bench, scenario, STEP_H, |h| gl_solver.plan_at(h), 5);
+            let week = Week::new(&env, &bench, scenario, STEP_H, SEED);
+            let base = week.coarse(env.home);
+            let within = week.tolerating(tolerances);
+            let na_res = week.fine(na, &within);
+            let gl_res = week.fine(&global, &within);
             let na_norm = na_res.carbon_g / base.carbon_g;
             let gl_norm = gl_res.carbon_g / base.carbon_g;
             println!(

@@ -9,40 +9,38 @@
 //! demonstrates that the carbon differential is a property of the grid,
 //! not the provider.
 
-use caribou_bench::harness::{coarse_over_week, eval_over_week, geomean, write_json, FineSolver};
+use caribou_bench::harness::{geomean, write_json, Week};
 use caribou_core::scenario::{default_tolerances, World, CARBON_EPOCH};
 use caribou_metrics::carbonmodel::TransmissionScenario;
-use caribou_model::constraints::Constraints;
+use caribou_model::plan::DeploymentPlan;
 use caribou_model::region::{Provider, ProviderSet};
-use caribou_workloads::benchmarks::{all_benchmarks, Benchmark, InputSize};
+use caribou_workloads::benchmarks::{all_benchmarks, InputSize};
 
 /// Hours between evaluation points.
 const STEP: usize = 6;
 
-/// The three strategies for one benchmark: the
-/// catalog's AWS evaluation set, the world's whole (cross-provider)
-/// evaluation set, and that set again under an AWS-only compliance
-/// constraint.
-fn solvers<'e>(env: &'e World, bench: &'e Benchmark) -> [FineSolver<'e>; 3] {
+/// The cloud's seed and every week's.
+const SEED: u64 = 77;
+
+/// The three strategies of a week: the catalog's AWS evaluation set, the
+/// world's whole (cross-provider) evaluation set, and that set again
+/// under an AWS-only compliance constraint.
+fn planners<'w>(week: &'w Week<'_>, env: &World) -> [impl Fn(f64) -> DeploymentPlan + 'w; 3] {
     let aws_na = env.cloud.regions.evaluation_regions();
-    let mut free = Constraints::unconstrained(bench.dag.node_count());
-    free.tolerances = default_tolerances();
+    let free = week.tolerating(default_tolerances());
     let mut aws_pinned = free.clone();
     aws_pinned.workflow.allowed_providers = vec![Provider::Aws];
-    let scenario = TransmissionScenario::BEST;
     [
-        (&aws_na, &free, 1),
-        (&env.regions, &free, 2),
-        (&env.regions, &aws_pinned, 3),
+        (&aws_na, &free),
+        (&env.regions, &free),
+        (&env.regions, &aws_pinned),
     ]
-    .map(|(set, constraints, seed)| {
-        FineSolver::with_constraints(env, bench, set, constraints, scenario, seed)
-    })
+    .map(|(set, constraints)| week.planner(set, constraints))
 }
 
 fn main() {
     let providers = ProviderSet::of(&[Provider::Aws, Provider::Gcp]);
-    let env = World::new(providers, 77, CARBON_EPOCH).expect("aws and gcp have backends");
+    let env = World::new(providers, SEED, CARBON_EPOCH).expect("aws and gcp have backends");
     let scenario = TransmissionScenario::BEST;
 
     println!("Multi-cloud extension — best-case scenario, NA region sets");
@@ -54,11 +52,10 @@ fn main() {
     let mut norms = [Vec::new(), Vec::new(), Vec::new()];
     for input in InputSize::ALL {
         for bench in all_benchmarks(input) {
-            let base = coarse_over_week(&env, &bench, scenario, STEP, env.home, 9);
-            let [n1, n2, n3] = solvers(&env, &bench).map(|mut solver| {
-                let r = eval_over_week(&env, &bench, scenario, STEP, |h| solver.plan_at(h), 2);
-                r.carbon_g / base.carbon_g
-            });
+            let week = Week::new(&env, &bench, scenario, STEP, SEED);
+            let base = week.coarse(env.home);
+            let [n1, n2, n3] =
+                planners(&week, &env).map(|plan_at| week.eval(plan_at).carbon_g / base.carbon_g);
             println!(
                 "{:<24}{:<7}{:>12.3}{:>14.3}{:>16.3}",
                 bench.name,
@@ -94,41 +91,39 @@ fn main() {
 mod tests {
     use super::*;
     use caribou_model::region::RegionId;
-    use caribou_workloads::benchmarks::dna_visualization;
 
     #[test]
     fn multicloud_strategies_run_on_the_shared_harness() {
         let providers = ProviderSet::of(&[Provider::Aws, Provider::Gcp]);
-        let env = World::new(providers, 77, CARBON_EPOCH).unwrap();
-        let bench = dna_visualization(InputSize::Small);
+        let env = World::new(providers, SEED, CARBON_EPOCH).unwrap();
         let provider_of = |r: RegionId| env.cloud.regions.spec(r).provider;
         assert!(env.regions.iter().any(|&r| provider_of(r) == Provider::Gcp));
 
-        let base = coarse_over_week(&env, &bench, TransmissionScenario::BEST, 24, env.home, 9);
-        let [aws_only, free, pinned] = solvers(&env, &bench).map(|mut solver| {
-            let mut used = Vec::new();
-            let r = eval_over_week(
-                &env,
-                &bench,
-                TransmissionScenario::BEST,
-                24,
-                |h| {
-                    let plan = solver.plan_at(h);
+        for bench in InputSize::ALL.into_iter().flat_map(all_benchmarks) {
+            let week = Week::new(&env, &bench, TransmissionScenario::BEST, 24, SEED);
+            let base = week.coarse(env.home);
+            let [aws_only, free, pinned] = planners(&week, &env).map(|plan_at| {
+                let mut used = Vec::new();
+                let r = week.eval(|h| {
+                    let plan = plan_at(h);
                     used.extend(plan.regions_used());
                     plan
-                },
-                2,
-            );
-            (r.carbon_g / base.carbon_g, used)
-        });
-        for (norm, used) in [&aws_only, &free, &pinned] {
-            assert!(*norm > 0.0 && *norm < 1.05, "norm {norm}");
-            assert!(!used.is_empty());
-        }
-        // Compliance pins the workflow to AWS whatever the universe
-        // offers; the AWS-only set cannot leave AWS to begin with.
-        for (_, used) in [&aws_only, &pinned] {
-            assert!(used.iter().all(|&r| provider_of(r) == Provider::Aws));
+                });
+                (r, used)
+            });
+            for (r, used) in [&aws_only, &free, &pinned] {
+                let norm = r.carbon_g / base.carbon_g;
+                assert!(norm > 0.0 && norm < 1.05, "norm {norm}");
+                assert!(!used.is_empty());
+            }
+            // Compliance pins the workflow to AWS whatever the universe
+            // offers; the AWS-only set cannot leave AWS to begin with.
+            for (_, used) in [&aws_only, &pinned] {
+                assert!(used.iter().all(|&r| provider_of(r) == Provider::Aws));
+            }
+            // Same permitted regions in the same order, one bank, one walk
+            // per hour, forecasts fitted per region: the same result.
+            assert_eq!(pinned, aws_only, "{}", bench.name);
         }
     }
 }

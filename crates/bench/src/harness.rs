@@ -6,17 +6,16 @@
 //! week (2023-10-15 .. 2023-10-21 — simulation hours 0..168); carbon is
 //! reported normalized to the coarse `us-east-1` deployment; both the
 //! best-case and worst-case transmission-carbon scenarios are reported.
-
-use std::collections::HashMap;
+//! Every strategy of a figure row is solved and scored in one [`Week`].
 
 use caribou_carbon::source::ForecastingSource;
-use caribou_core::scenario::World;
+use caribou_core::scenario::{Case, World};
 use caribou_metrics::carbonmodel::TransmissionScenario;
-use caribou_metrics::montecarlo::{EstimateSummary, MonteCarloConfig};
+use caribou_metrics::montecarlo::{DefaultModels, EstimateSummary, MonteCarloConfig};
 use caribou_model::constraints::{Constraints, Tolerances};
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::region::RegionId;
-use caribou_model::rng::Pcg32;
+use caribou_model::rng::SeedSplitter;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::{HbssParams, HbssSolver};
 use caribou_workloads::benchmarks::Benchmark;
@@ -46,7 +45,7 @@ pub fn hbss_params() -> HbssParams {
 }
 
 /// Aggregated metrics of one deployment strategy over the week.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StrategyResult {
     /// Mean carbon per invocation, gCO₂eq.
     pub carbon_g: f64,
@@ -82,120 +81,115 @@ impl StrategyResult {
     }
 }
 
-/// Evaluates `plan_at(hour)` with the *actual* carbon source every
-/// `step` hours of the evaluation week and averages.
-pub fn eval_over_week(
-    env: &World,
-    bench: &Benchmark,
-    scenario: TransmissionScenario,
+/// One benchmark under one transmission scenario over the evaluation
+/// week, sampled every `step` hours, on one seed. Its two engines hold the
+/// same bank values, so a plan is solved and scored on the same draws, two
+/// strategies that pick one plan at an hour read one cache entry, and a
+/// strategy that stays home scores exactly what home does (DESIGN.md
+/// "Scenario assembly": why two engines, and why one forecast side serves
+/// every fine strategy).
+pub struct Week<'w> {
+    world: &'w World,
+    bench: &'w Benchmark,
+    case: Case<'w, DefaultModels<'w>>,
     step: usize,
-    mut plan_at: impl FnMut(f64) -> DeploymentPlan,
     seed: u64,
-) -> StrategyResult {
-    let case = env.case(bench, scenario, mc_config());
-    let est = case.estimator(&env.carbon);
-    let mut total = StrategyResult::default();
-    let mut rng = Pcg32::seed_stream(seed, 0xe7a1);
-    let mut n = 0usize;
-    for hour in (0..WEEK_HOURS).step_by(step) {
-        let h = hour as f64 + 0.5;
-        total.accumulate(&est.estimate(&plan_at(h), h, &mut rng));
-        n += 1;
-    }
-    total.scale(1.0 / n.max(1) as f64);
-    total
+    /// Solves on each day's forecast.
+    forecast: EvalEngine,
+    /// Scores on the actual carbon.
+    actual: EvalEngine,
 }
 
-/// The coarse single-region deployment to `region` over the week; at
-/// `env.home` it is every figure's baseline.
-pub fn coarse_over_week(
-    env: &World,
-    bench: &Benchmark,
-    scenario: TransmissionScenario,
-    step: usize,
-    region: RegionId,
-    seed: u64,
-) -> StrategyResult {
-    let plan = DeploymentPlan::uniform(bench.dag.node_count(), region);
-    eval_over_week(env, bench, scenario, step, |_| plan.clone(), seed)
-}
-
-/// Caches one solved plan per sampled hour so the solver runs once per
-/// point, on forecast data fitted at that day's start — the paper's
-/// solve-on-forecast / evaluate-on-actual split.
-pub struct FineSolver<'e> {
-    env: &'e World,
-    bench: &'e Benchmark,
-    region_set: Vec<RegionId>,
-    permitted: Vec<Vec<RegionId>>,
-    scenario: TransmissionScenario,
-    tolerances: Tolerances,
-    cache: HashMap<usize, DeploymentPlan>,
-    seed: u64,
-}
-
-impl<'e> FineSolver<'e> {
-    /// Creates a solver over an explicit region set.
+impl<'w> Week<'w> {
+    /// The week of `bench` in `world` under `scenario`, on `seed`.
     pub fn new(
-        env: &'e World,
-        bench: &'e Benchmark,
-        region_set: &[RegionId],
+        world: &'w World,
+        bench: &'w Benchmark,
         scenario: TransmissionScenario,
-        tolerances: Tolerances,
+        step: usize,
         seed: u64,
     ) -> Self {
-        let mut constraints = Constraints::unconstrained(bench.dag.node_count());
-        constraints.tolerances = tolerances;
-        Self::with_constraints(env, bench, region_set, &constraints, scenario, seed)
-    }
-
-    /// Creates a solver honoring explicit per-node constraints.
-    pub fn with_constraints(
-        env: &'e World,
-        bench: &'e Benchmark,
-        region_set: &[RegionId],
-        constraints: &Constraints,
-        scenario: TransmissionScenario,
-        seed: u64,
-    ) -> Self {
-        let permitted = constraints
-            .permitted_regions(&bench.dag, region_set, &env.cloud.regions, env.home)
-            .expect("valid constraints");
-        let mut region_set: Vec<RegionId> = region_set.to_vec();
-        if !region_set.contains(&env.home) {
-            region_set.push(env.home);
-        }
-        FineSolver {
-            env,
+        Week {
+            world,
             bench,
-            region_set,
-            permitted,
-            scenario,
-            tolerances: constraints.tolerances,
-            cache: HashMap::new(),
+            case: world.case(bench, scenario, mc_config()),
+            step,
             seed,
+            forecast: EvalEngine::new(seed, 1),
+            actual: EvalEngine::new(seed, 1),
         }
     }
 
-    /// The solved plan for the given absolute hour (forecast-based).
-    pub fn plan_at(&mut self, hour: f64) -> DeploymentPlan {
-        let key = hour as usize;
-        if let Some(p) = self.cache.get(&key) {
-            return p.clone();
+    /// `plan` at `hour` on the actual carbon.
+    pub fn score(&self, plan: &DeploymentPlan, hour: f64) -> EstimateSummary {
+        let ctx = self
+            .case
+            .context(&[], Tolerances::default(), &self.world.carbon);
+        self.actual.evaluate(&ctx, plan, hour)
+    }
+
+    /// Scores `plan_at(hour)` every `step` hours of the week and averages.
+    pub fn eval(&self, mut plan_at: impl FnMut(f64) -> DeploymentPlan) -> StrategyResult {
+        let mut total = StrategyResult::default();
+        let mut n = 0usize;
+        for hour in (0..WEEK_HOURS).step_by(self.step) {
+            let h = hour as f64 + 0.5;
+            total.accumulate(&self.score(&plan_at(h), h));
+            n += 1;
         }
-        let day_start = (hour / 24.0).floor() * 24.0;
-        let forecast = ForecastingSource::fit(&self.env.carbon, &self.region_set, day_start, 48);
-        let case = self.env.case(self.bench, self.scenario, mc_config());
-        let ctx = case.context(&self.permitted, self.tolerances, &forecast);
+        total.scale(1.0 / n.max(1) as f64);
+        total
+    }
+
+    /// The coarse single-region deployment to `region`; at the world's
+    /// home it is every figure's baseline.
+    pub fn coarse(&self, region: RegionId) -> StrategyResult {
+        let plan = DeploymentPlan::uniform(self.bench.dag.node_count(), region);
+        self.eval(|_| plan.clone())
+    }
+
+    /// Caribou's fine-grained deployment over `regions` under
+    /// `constraints`, solved at every sampled hour.
+    pub fn fine(&self, regions: &[RegionId], constraints: &Constraints) -> StrategyResult {
+        self.eval(self.planner(regions, constraints))
+    }
+
+    /// No placement constraint on any node, and `tolerances` of home.
+    pub fn tolerating(&self, tolerances: Tolerances) -> Constraints {
+        let mut constraints = Constraints::unconstrained(self.bench.dag.node_count());
+        constraints.tolerances = tolerances;
+        constraints
+    }
+
+    /// The plan [`Week::fine`] deploys at an hour: HBSS on the forecast
+    /// fitted at that day's start — the paper's solve-on-forecast /
+    /// evaluate-on-actual split — walking a stream split from (seed, hour).
+    pub fn planner(
+        &self,
+        regions: &[RegionId],
+        constraints: &Constraints,
+    ) -> impl Fn(f64) -> DeploymentPlan + '_ {
+        let home = self.world.home;
+        let permitted = constraints
+            .permitted_regions(&self.bench.dag, regions, &self.world.cloud.regions, home)
+            .expect("valid constraints");
+        let mut fitted = regions.to_vec();
+        if !fitted.contains(&home) {
+            fitted.push(home);
+        }
+        let tolerances = constraints.tolerances;
         let solver = HbssSolver {
             params: hbss_params(),
         };
-        // The forecast is refitted per day: one engine per solve.
-        let engine = EvalEngine::new(self.seed ^ key as u64, 1);
-        let mut rng = Pcg32::seed_stream(self.seed ^ key as u64, 0x501e);
-        let plan = solver.solve_with(&engine, &ctx, hour, &mut rng).best;
-        self.cache.insert(key, plan.clone());
-        plan
+        move |hour| {
+            let day_start = (hour / 24.0).floor() * 24.0;
+            let forecast = ForecastingSource::fit(&self.world.carbon, &fitted, day_start, 48);
+            let ctx = self.case.context(&permitted, tolerances, &forecast);
+            let mut walk = SeedSplitter::new(self.seed).absorb(hour.to_bits()).rng();
+            solver
+                .solve_with(&self.forecast, &ctx, hour, &mut walk)
+                .best
+        }
     }
 }
 
@@ -231,10 +225,10 @@ mod tests {
     }
 
     #[test]
-    fn eval_over_week_produces_positive_metrics() {
+    fn week_produces_positive_metrics() {
         let env = World::evaluation(1);
         let bench = dna_visualization(InputSize::Small);
-        let r = coarse_over_week(&env, &bench, TransmissionScenario::BEST, 12, env.home, 1);
+        let r = Week::new(&env, &bench, TransmissionScenario::BEST, 24, 1).coarse(env.home);
         assert!(r.carbon_g > 0.0);
         assert!(r.latency_mean_s > 0.0);
         assert!(r.latency_p95_s >= r.latency_mean_s);
@@ -242,19 +236,34 @@ mod tests {
     }
 
     #[test]
-    fn fine_solver_caches_plans() {
+    fn strategies_of_a_week_share_its_estimates() {
         let env = World::evaluation(2);
         let bench = dna_visualization(InputSize::Small);
-        let mut solver = FineSolver::new(
-            &env,
-            &bench,
-            &env.regions,
-            TransmissionScenario::BEST,
-            default_tolerances(),
-            1,
-        );
-        let a = solver.plan_at(10.5);
-        let b = solver.plan_at(10.9);
-        assert_eq!(a, b, "same hour bucket returns the cached plan");
+        let week = Week::new(&env, &bench, TransmissionScenario::BEST, 24, 1);
+        let within = week.tolerating(default_tolerances());
+        assert_eq!(week.fine(&[env.home], &within), week.coarse(env.home));
+        // Both strategies move the one node to ca-central-1 at every
+        // sampled hour: the second reads the first's seven entries.
+        let all = week.fine(&env.regions, &within);
+        let (hits, misses) = (week.actual.hit_count(), week.actual.miss_count());
+        let pair = [env.home, env.region("ca-central-1")];
+        assert_eq!(week.fine(&pair, &within), all);
+        assert_eq!(week.actual.hit_count() - hits, 7);
+        assert_eq!(week.actual.miss_count(), misses);
+    }
+
+    #[test]
+    fn solve_and_score_engines_hold_one_bank() {
+        let env = World::evaluation(2);
+        let bench = dna_visualization(InputSize::Small);
+        let week = Week::new(&env, &bench, TransmissionScenario::BEST, 24, 1);
+        let ctx = week.case.context(&[], Tolerances::default(), &env.carbon);
+        for region in [env.home, env.region("ca-central-1")] {
+            let plan = DeploymentPlan::uniform(1, region);
+            assert_eq!(
+                week.forecast.evaluate(&ctx, &plan, 0.5),
+                week.score(&plan, 0.5)
+            );
+        }
     }
 }

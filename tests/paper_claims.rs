@@ -4,7 +4,7 @@
 //! continuously verified by `cargo test`; the full-resolution numbers come
 //! from the `caribou-bench` binaries.
 
-use caribou_bench::harness::{coarse_over_week, eval_over_week, FineSolver};
+use caribou_bench::harness::Week;
 use caribou_core::scenario::{default_tolerances, World};
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_workloads::benchmarks::{
@@ -22,9 +22,9 @@ const STEP: usize = 12;
 fn i1_static_low_carbon_deployment_can_worsen_emissions() {
     let env = World::evaluation(400);
     let bench = image_processing(InputSize::Large);
-    let ca = env.region("ca-central-1");
-    let base = coarse_over_week(&env, &bench, TransmissionScenario::WORST, STEP, env.home, 1);
-    let coarse_ca = coarse_over_week(&env, &bench, TransmissionScenario::WORST, STEP, ca, 2);
+    let week = Week::new(&env, &bench, TransmissionScenario::WORST, STEP, 400);
+    let base = week.coarse(env.home);
+    let coarse_ca = week.coarse(env.region("ca-central-1"));
     assert!(
         coarse_ca.carbon_g > base.carbon_g * 2.0,
         "coarse offload must backfire: home {} vs ca {}",
@@ -43,23 +43,9 @@ fn i2_adaptive_framework_never_backfires() {
         image_processing(InputSize::Large),
         image_processing(InputSize::Small),
     ] {
-        let base = coarse_over_week(&env, &bench, TransmissionScenario::WORST, STEP, env.home, 1);
-        let mut solver = FineSolver::new(
-            &env,
-            &bench,
-            &env.regions,
-            TransmissionScenario::WORST,
-            default_tolerances(),
-            3,
-        );
-        let fine = eval_over_week(
-            &env,
-            &bench,
-            TransmissionScenario::WORST,
-            STEP,
-            |h| solver.plan_at(h),
-            4,
-        );
+        let week = Week::new(&env, &bench, TransmissionScenario::WORST, STEP, 401);
+        let base = week.coarse(env.home);
+        let fine = week.fine(&env.regions, &week.tolerating(default_tolerances()));
         assert!(
             fine.carbon_g <= base.carbon_g * 1.05,
             "{} {}: fine {} vs home {}",
@@ -78,23 +64,9 @@ fn i2_adaptive_framework_never_backfires() {
 fn i4_savings_grow_with_compute_to_transmission_ratio() {
     let env = World::evaluation(402);
     let norm = |bench: &caribou_workloads::benchmarks::Benchmark| -> f64 {
-        let base = coarse_over_week(&env, bench, TransmissionScenario::BEST, STEP, env.home, 1);
-        let mut solver = FineSolver::new(
-            &env,
-            bench,
-            &env.regions,
-            TransmissionScenario::BEST,
-            default_tolerances(),
-            5,
-        );
-        let fine = eval_over_week(
-            &env,
-            bench,
-            TransmissionScenario::BEST,
-            STEP,
-            |h| solver.plan_at(h),
-            6,
-        );
+        let week = Week::new(&env, bench, TransmissionScenario::BEST, STEP, 402);
+        let base = week.coarse(env.home);
+        let fine = week.fine(&env.regions, &week.tolerating(default_tolerances()));
         fine.carbon_g / base.carbon_g
     };
     let compute_heavy = norm(&video_analytics(InputSize::Small));
@@ -130,7 +102,8 @@ fn carbon_calibration_matches_reported_relations() {
 fn latency_tolerance_trades_into_carbon() {
     let env = World::evaluation(404);
     let bench = text2speech_censoring(InputSize::Small);
-    let base = coarse_over_week(&env, &bench, TransmissionScenario::BEST, STEP, env.home, 1);
+    let week = Week::new(&env, &bench, TransmissionScenario::BEST, STEP, 404);
+    let base = week.coarse(env.home);
     let mut norms = Vec::new();
     for tol in [0.0, 0.10] {
         let t = caribou_model::constraints::Tolerances {
@@ -138,16 +111,7 @@ fn latency_tolerance_trades_into_carbon() {
             cost: 1.0,
             carbon: f64::INFINITY,
         };
-        let mut solver =
-            FineSolver::new(&env, &bench, &env.regions, TransmissionScenario::BEST, t, 7);
-        let fine = eval_over_week(
-            &env,
-            &bench,
-            TransmissionScenario::BEST,
-            STEP,
-            |h| solver.plan_at(h),
-            8,
-        );
+        let fine = week.fine(&env.regions, &week.tolerating(t));
         let qos = base.latency_p95_s * (1.0 + tol);
         assert!(
             fine.latency_p95_s <= qos * 1.03,
