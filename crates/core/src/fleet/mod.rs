@@ -424,31 +424,37 @@ fn run_cells(
     stats.emit();
 
     let grid = apps.len() * cfg.hours;
-    let mut out: Vec<Option<FleetCell>> = match base {
+    let cells_out = match base {
         Some(prior) => {
             assert_eq!(prior.apps, apps.len());
             assert_eq!(prior.hours, cfg.hours);
-            prior.cells.iter().cloned().map(Some).collect()
+            let mut out = prior.cells.clone();
+            for (cell, &(a, h)) in solved.into_iter().zip(cells) {
+                out[a * cfg.hours + h] = cell;
+            }
+            out
         }
-        None => vec![None; grid],
+        None => {
+            // A from-scratch run solves the whole grid, app-major.
+            assert_eq!(cells.len(), grid, "solve cells cover the grid");
+            solved
+        }
     };
-    for (i, &(a, h)) in cells.iter().enumerate() {
-        out[a * cfg.hours + h] = Some(solved[i].clone());
-    }
     let schedule = FleetSchedule {
         apps: apps.len(),
         hours: cfg.hours,
-        cells: out
-            .into_iter()
-            .map(|c| c.expect("solve cells cover the grid"))
-            .collect(),
+        cells: cells_out,
     };
 
     // Modeled solve footprint (§9.7): one solve runs a vCPU for a
-    // complexity-proportional time in the app's home region.
+    // complexity-proportional time in the app's home region. The
+    // complexity is the app's, so it is taken once per app.
+    let complexity: Vec<usize> = apps
+        .iter()
+        .map(|app| app.dag.node_count() * app.forecast_reads().len())
+        .collect();
     let cell_cost = |a: usize, h: usize| {
-        let complexity = apps[a].dag.node_count() * apps[a].forecast_reads().len();
-        crate::tokens::solve_carbon_g(complexity, 1, true, env.intensity(apps[a].home, h))
+        crate::tokens::solve_carbon_g(complexity[a], 1, true, env.intensity(apps[a].home, h))
     };
     let solve_carbon_g: f64 = cells.iter().map(|&(a, h)| cell_cost(a, h)).sum();
     let full_carbon_g: f64 = (0..apps.len())

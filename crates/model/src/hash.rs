@@ -4,12 +4,13 @@
 //! a defence against keys chosen by an adversary. No map of the simulator
 //! holds such a key: the ones an invocation hashes are keyed by item
 //! addresses, object keys, warm-pool deployments and log information keys
-//! the simulator builds itself. [`FixedHasher`] folds each word in with one
+//! the simulator builds itself, and so are the solver's plan keys.
+//! [`FixedHasher`] folds each word in with one
 //! rotate and one multiply and avalanches the result once, with
 //! [`crate::rng::mix64`], when the map asks for the hash. Being keyless it
 //! also makes a map's iteration order a function of its insertions alone.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::rng::mix64;
@@ -93,6 +94,9 @@ pub type FixedState = BuildHasherDefault<FixedHasher>;
 
 /// A `HashMap` under [`FixedHasher`]; build one with `FixedMap::default()`.
 pub type FixedMap<K, V> = HashMap<K, V, FixedState>;
+
+/// A `HashSet` under [`FixedHasher`]; build one with `FixedSet::default()`.
+pub type FixedSet<K> = HashSet<K, FixedState>;
 
 #[cfg(test)]
 mod tests {

@@ -20,9 +20,25 @@ use crate::region::{Provider, RegionId};
 /// assert!(!plan.is_single_region());
 /// assert_eq!(plan.regions_used(), vec![RegionId(0), RegionId(4)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DeploymentPlan {
     assignment: Vec<RegionId>,
+}
+
+impl Clone for DeploymentPlan {
+    #[inline]
+    fn clone(&self) -> Self {
+        DeploymentPlan {
+            assignment: self.assignment.clone(),
+        }
+    }
+
+    /// Copies into this plan's own buffer, so a candidate rewritten from
+    /// the current plan every solver iteration allocates nothing.
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.assignment.clone_from(&source.assignment);
+    }
 }
 
 impl DeploymentPlan {

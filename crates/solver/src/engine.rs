@@ -34,10 +34,14 @@
 //!    part of both the key and the bank stream, so two apps only share
 //!    an entry when their estimates are provably bit-equal.
 //!
-//! The cache is **plan-major**: `(fingerprint, provider bits) →
-//! assignment → { regions touched, the plan's hour-free record, hour-bits
-//! → carbon }`. An hour only ever moves an estimate's carbon, so a plan's
-//! latency and cost — at every stopping-rule boundary its fold reached,
+//! The cache is **per-species tables the engines hold**: one table per
+//! (fingerprint, provider bits) keeps that species' bank and its plans,
+//! `assignment → { regions touched, the plan's hour-free record,
+//! hour-bits → carbon }` in a fixed-hasher map
+//! ([`caribou_model::hash::FixedMap`]). An engine takes its table once, at
+//! construction; a probe or an insert locks that table alone and hashes
+//! the assignment once. An hour only ever moves an estimate's carbon, so a
+//! plan's latency and cost — at every stopping-rule boundary its fold reached,
 //! the [`PlanRecord`] — are kept once per plan, and what is kept per
 //! (plan, hour) is the carbon summary and the sample count it stopped at.
 //! A hit reassembles the two halves. A miss hands the estimator the
@@ -51,12 +55,28 @@
 //!
 //! The cache is **bounded**: past [`EstimateCache::capacity`] hour
 //! entries the largest `(fingerprint, bits, assignment, hour-bits)` keys
-//! are evicted (a plan leaves with its last hour). Because the maps are
-//! ordered and eviction keeps the smallest `capacity` keys, the retained
-//! *set* depends only on which keys were ever inserted — never on
-//! insertion order — so a run's cache contents stay worker-count
+//! are evicted (a plan leaves with its last hour). The hashed map has no
+//! order, so each table also keeps its assignments in key order — the
+//! *ordered keys*, touched only when a plan is first stored or dropped —
+//! and eviction reads the largest key off the last table's last
+//! assignment. Because eviction keeps the smallest `capacity` keys, the
+//! retained *set* depends only on which keys were ever inserted — never
+//! on insertion order — so a run's cache contents stay worker-count
 //! independent, and soundness (property 2) means eviction can only cost
 //! recomputation, never correctness.
+//!
+//! Two kinds of lock, never nested the other way round. A table's
+//! [`Mutex`] covers its bank handle, plans and ordered keys: probes and
+//! inserts take it and nothing else. The species map's [`Mutex`] covers
+//! which tables exist: engine construction takes it to find its table,
+//! and invalidation and eviction take it to walk the tables in species
+//! order, one table lock at a time. The hour-entry count is an atomic an
+//! insert bumps after releasing its table; the insert that takes it past
+//! the bound evicts, under the species map, until it is back within. An
+//! eviction walk that misses a key inserted behind it pops a key with at
+//! least `capacity` smaller keys still cached, and the missed key's own
+//! count bump brings the walk back for it, so concurrent inserts leave the
+//! retained set what one lock around everything left.
 //!
 //! Plans remember which regions their estimates read (the plan's regions
 //! plus home, the only regions the pricing pass queries the carbon source
@@ -66,8 +86,10 @@
 //! a forecast cannot move latency or cost, so the re-solve re-prices and
 //! does not re-fold.
 //!
-//! Hit/miss/eviction tallies accumulate in atomics behind
-//! [`EstimateCache::hit_count`] and friends, and each probe and eviction
+//! A probe tallies its hit or miss in its table, under the lock it already
+//! holds, so species share no counter either; [`EstimateCache::hit_count`]
+//! and [`EstimateCache::miss_count`] sum the tables, and evictions count in
+//! an atomic. Each probe and eviction
 //! also counts `solver.cache.hit` / `solver.cache.miss` /
 //! `solver.cache.evictions` into the telemetry session of the thread it
 //! ran on (pool tasks have one whenever the coordinator does). Under
@@ -78,14 +100,15 @@
 //!
 //! [`MonteCarloConfig::batch`]: caribou_metrics::montecarlo::MonteCarloConfig
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use caribou_carbon::source::CarbonDataSource;
 use caribou_metrics::bank::SharedBank;
 use caribou_metrics::fold::PlanRecord;
 use caribou_metrics::montecarlo::{CarbonSummary, EstimateScratch, EstimateSummary, StageModels};
+use caribou_model::hash::FixedMap;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::region::RegionId;
 use caribou_model::rng::{Pcg32, SeedSplitter};
@@ -138,17 +161,63 @@ impl PlanEntry {
     }
 }
 
+/// One species' share of the cache: the draws its engines read and the
+/// plans they estimated.
 #[derive(Debug, Default)]
-struct SpeciesEntry {
+struct Table {
     bank: SharedBank,
-    plans: BTreeMap<Vec<RegionId>, PlanEntry>,
+    plans: FixedMap<Box<[RegionId]>, PlanEntry>,
+    /// The assignments of `plans` in key order: where eviction finds the
+    /// largest key. Written only when a plan is first stored or dropped.
+    order: BTreeSet<Box<[RegionId]>>,
+    /// Probes of this table that hit and that missed.
+    hits: u64,
+    misses: u64,
 }
 
-#[derive(Debug, Default)]
-struct Store {
-    species: BTreeMap<Species, SpeciesEntry>,
-    /// Hour entries over all plans: what the capacity bounds.
-    len: usize,
+impl Table {
+    /// The cached estimate of `(plan, hour)`, or else the plan's record for
+    /// the estimator to go by (`None`: the plan was never folded); tallied
+    /// as a hit or a miss.
+    fn probe(
+        &mut self,
+        assignment: &[RegionId],
+        hour_bits: u64,
+    ) -> Result<EstimateSummary, Option<Arc<PlanRecord>>> {
+        let probed = match self.plans.get(assignment) {
+            None => Err(None),
+            Some(plan) => plan
+                .estimate_at(hour_bits)
+                .ok_or_else(|| Some(Arc::clone(&plan.record))),
+        };
+        if probed.is_ok() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        probed
+    }
+
+    /// Pops the hour entry with the largest key, dropping its plan when no
+    /// hour is left: `Some(true)` when an hour entry went, `Some(false)`
+    /// when only an hour-less plan did, `None` when the table is empty.
+    fn pop_last(&mut self) -> Option<bool> {
+        let last = self.order.last()?;
+        let plan = self.plans.get_mut(last).expect("ordered keys are plans");
+        let popped = plan.hours.pop().is_some();
+        if plan.hours.is_empty() {
+            let last = self.order.pop_last().expect("a last key");
+            self.plans.remove(&last);
+        }
+        Some(popped)
+    }
+}
+
+/// A table as engines and the species map share it.
+type SharedTable = Arc<Mutex<Table>>;
+
+fn lock(table: &Mutex<Table>) -> MutexGuard<'_, Table> {
+    table.lock().expect("cache table lock")
 }
 
 /// A bounded, shareable estimate cache.
@@ -156,14 +225,16 @@ struct Store {
 /// One cache may back many [`EvalEngine`]s at once (the fleet case); the
 /// per-engine fingerprint keeps streams and keys of different app
 /// structures apart while letting identical structures share. All
-/// operations take `&self`; the maps sit behind a [`Mutex`] and the
-/// tallies in atomics so worker threads can use it directly.
+/// operations take `&self`; each species' table sits behind its own
+/// [`Mutex`] with its hit and miss tallies, the species map behind another,
+/// and the entry and eviction counts in atomics, so worker threads can use
+/// it directly.
 #[derive(Debug)]
 pub struct EstimateCache {
     capacity: usize,
-    store: Mutex<Store>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    species: Mutex<BTreeMap<Species, SharedTable>>,
+    /// Hour entries over all tables: what the capacity bounds.
+    len: AtomicUsize,
     evictions: AtomicU64,
 }
 
@@ -172,9 +243,8 @@ impl EstimateCache {
     pub fn new(capacity: usize) -> Self {
         EstimateCache {
             capacity: capacity.max(1),
-            store: Mutex::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            species: Mutex::default(),
+            len: AtomicUsize::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -184,8 +254,8 @@ impl EstimateCache {
         Arc::new(Self::new(capacity))
     }
 
-    fn store(&self) -> MutexGuard<'_, Store> {
-        self.store.lock().expect("cache lock")
+    fn species(&self) -> MutexGuard<'_, BTreeMap<Species, SharedTable>> {
+        self.species.lock().expect("cache species lock")
     }
 
     /// The entry bound.
@@ -195,7 +265,7 @@ impl EstimateCache {
 
     /// `(plan, hour)` entries currently cached.
     pub fn len(&self) -> usize {
-        self.store().len
+        self.len.load(Ordering::SeqCst)
     }
 
     /// Whether the cache is empty.
@@ -205,12 +275,15 @@ impl EstimateCache {
 
     /// Cache hits so far (across every engine sharing this cache).
     pub fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.species().values().map(|table| lock(table).hits).sum()
     }
 
     /// Cache misses (= distinct evaluations computed, absent races).
     pub fn miss_count(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.species()
+            .values()
+            .map(|table| lock(table).misses)
+            .sum()
     }
 
     /// Entries evicted by the capacity bound so far.
@@ -218,106 +291,82 @@ impl EstimateCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// The draw bank every engine of `species` on this cache reads.
-    fn bank(&self, species: Species) -> SharedBank {
-        self.store()
-            .species
-            .entry(species)
-            .or_default()
-            .bank
-            .clone()
+    /// The table every engine of `species` on this cache reads and writes.
+    fn table(&self, species: Species) -> SharedTable {
+        Arc::clone(self.species().entry(species).or_default())
     }
 
-    /// The cached estimate of `(plan, hour)`, or else the plan's record
-    /// for the estimator to go by (`None`: the plan was never folded).
-    fn probe(
-        &self,
-        species: Species,
-        assignment: &[RegionId],
-        hour_bits: u64,
-    ) -> Result<EstimateSummary, Option<Arc<PlanRecord>>> {
-        let probed = {
-            let store = self.store();
-            let species = store.species.get(&species);
-            match species.and_then(|s| s.plans.get(assignment)) {
-                None => Err(None),
-                Some(plan) => plan
-                    .estimate_at(hour_bits)
-                    .ok_or_else(|| Some(Arc::clone(&plan.record))),
-            }
-        };
-        let (tally, counter) = match probed {
-            Ok(_) => (&self.hits, "solver.cache.hit"),
-            Err(_) => (&self.misses, "solver.cache.miss"),
-        };
-        tally.fetch_add(1, Ordering::Relaxed);
-        caribou_telemetry::count(counter, 1);
-        probed
-    }
-
-    /// Stores the carbon half of an estimate of `(plan, hour)` and the
-    /// `record` its other half came from, which replaces the plan's when
-    /// it reaches further.
+    /// Stores in `table` the carbon half of an estimate of `(plan, hour)`
+    /// and the `record` its other half came from, which replaces the
+    /// plan's when it reaches further.
     fn insert(
         &self,
-        species: Species,
+        table: &Mutex<Table>,
         assignment: &[RegionId],
         hour_bits: u64,
         home: RegionId,
         record: Arc<PlanRecord>,
         carbon: CarbonSummary,
     ) {
-        let mut guard = self.store();
-        let store = &mut *guard;
-        let plans = &mut store.species.entry(species).or_default().plans;
-        match plans.get_mut(assignment) {
-            Some(plan) => {
-                if record.boundaries() > plan.record.boundaries() {
-                    plan.record = record;
-                }
-                match plan.hour(hour_bits) {
-                    Ok(at) => plan.hours[at].1 = carbon,
-                    Err(at) => {
-                        plan.hours.insert(at, (hour_bits, carbon));
-                        store.len += 1;
+        let added = {
+            let mut guard = lock(table);
+            let table = &mut *guard;
+            match table.plans.get_mut(assignment) {
+                Some(plan) => {
+                    if record.boundaries() > plan.record.boundaries() {
+                        plan.record = record;
+                    }
+                    match plan.hour(hour_bits) {
+                        Ok(at) => {
+                            plan.hours[at].1 = carbon;
+                            false
+                        }
+                        Err(at) => {
+                            plan.hours.insert(at, (hour_bits, carbon));
+                            true
+                        }
                     }
                 }
+                None => {
+                    // The estimator queries the carbon source only for the
+                    // plan's regions and home (transmission endpoints and
+                    // execution sites) — record them so forecast revisions
+                    // can invalidate precisely.
+                    let mut touched = assignment.to_vec();
+                    touched.push(home);
+                    touched.sort_unstable();
+                    touched.dedup();
+                    let plan = PlanEntry {
+                        touched,
+                        record,
+                        hours: vec![(hour_bits, carbon)],
+                    };
+                    let key: Box<[RegionId]> = assignment.into();
+                    table.order.insert(key.clone());
+                    table.plans.insert(key, plan);
+                    true
+                }
             }
-            None => {
-                // The estimator queries the carbon source only for the
-                // plan's regions and home (transmission endpoints and
-                // execution sites) — record them so forecast revisions
-                // can invalidate precisely.
-                let mut touched = assignment.to_vec();
-                touched.push(home);
-                touched.sort_unstable();
-                touched.dedup();
-                let plan = PlanEntry {
-                    touched,
-                    record,
-                    hours: vec![(hour_bits, carbon)],
-                };
-                plans.insert(assignment.to_vec(), plan);
-                store.len += 1;
-            }
+        };
+        if added && self.len.fetch_add(1, Ordering::SeqCst) >= self.capacity {
+            self.evict();
         }
-        // Deterministic eviction: keep the `capacity` smallest keys. The
-        // retained set is a pure function of the inserted key set, so it
-        // cannot depend on worker count or scheduling.
-        while store.len > self.capacity {
-            let last = store
-                .species
-                .values_mut()
+    }
+
+    /// Deterministic eviction: drops the largest keys until the bound
+    /// holds. The retained set is a pure function of the inserted key
+    /// set, so it cannot depend on worker count or scheduling.
+    fn evict(&self) {
+        let species = self.species();
+        while self.len.load(Ordering::SeqCst) > self.capacity {
+            let popped = species
+                .values()
                 .rev()
-                .find_map(|s| s.plans.last_entry());
-            let mut last = last.expect("hour entries belong to plans");
-            if last.get_mut().hours.pop().is_some() {
-                store.len -= 1;
+                .find_map(|table| lock(table).pop_last());
+            if popped.expect("hour entries belong to plans") {
+                self.len.fetch_sub(1, Ordering::SeqCst);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 caribou_telemetry::count("solver.cache.evictions", 1);
-            }
-            if last.get().hours.is_empty() {
-                last.remove();
             }
         }
     }
@@ -334,21 +383,19 @@ impl EstimateCache {
     /// recomputation is a re-pricing.
     pub fn invalidate_hour(&self, hour: f64, regions: &[RegionId]) -> u64 {
         let bits = hour.to_bits();
-        let mut store = self.store();
+        let species = self.species();
         let mut dropped = 0;
-        let plans = store
-            .species
-            .values_mut()
-            .flat_map(|s| s.plans.values_mut());
-        for plan in plans {
-            if let Ok(at) = plan.hour(bits) {
-                if plan.touched.iter().any(|r| regions.contains(r)) {
-                    plan.hours.remove(at);
-                    dropped += 1;
+        for table in species.values() {
+            for plan in lock(table).plans.values_mut() {
+                if let Ok(at) = plan.hour(bits) {
+                    if plan.touched.iter().any(|r| regions.contains(r)) {
+                        plan.hours.remove(at);
+                        dropped += 1;
+                    }
                 }
             }
         }
-        store.len -= dropped;
+        self.len.fetch_sub(dropped, Ordering::SeqCst);
         dropped as u64
     }
 }
@@ -369,10 +416,12 @@ pub struct EvalEngine {
     provider_bits: u64,
     workers: usize,
     cache: Arc<EstimateCache>,
-    /// The draws every estimate of this engine reads: the cache's bank
-    /// for this engine's (fingerprint, provider bits), so engines that
-    /// share estimates share the draws behind them. It grows to the
-    /// samples the context actually needed.
+    /// The cache's table for this engine's (fingerprint, provider bits),
+    /// taken once: every probe and insert goes straight to it.
+    table: SharedTable,
+    /// The draws every estimate of this engine reads: the table's bank,
+    /// so engines that share estimates share the draws behind them. It
+    /// grows to the samples the context actually needed.
     bank: SharedBank,
     /// Pool of estimator scratch buffers (fold columns), all on `bank`. A
     /// cache miss checks one out for the duration of the estimate and
@@ -420,13 +469,16 @@ impl EvalEngine {
         workers: usize,
         cache: Arc<EstimateCache>,
     ) -> Self {
+        let table = cache.table((fingerprint, provider_bits));
+        let bank = lock(&table).bank.clone();
         EvalEngine {
             solve_seed,
             fingerprint,
             provider_bits,
             workers: workers.max(1),
-            bank: cache.bank((fingerprint, provider_bits)),
             cache,
+            table,
+            bank,
             scratch: Mutex::new(Vec::new()),
         }
     }
@@ -485,10 +537,16 @@ impl EvalEngine {
         plan: &DeploymentPlan,
         hour: f64,
     ) -> EstimateSummary {
-        let species = (self.fingerprint, self.provider_bits);
-        let known = match self.cache.probe(species, plan.assignment(), hour.to_bits()) {
-            Ok(hit) => return hit,
-            Err(record) => record,
+        let probed = lock(&self.table).probe(plan.assignment(), hour.to_bits());
+        let known = match probed {
+            Ok(hit) => {
+                caribou_telemetry::count("solver.cache.hit", 1);
+                return hit;
+            }
+            Err(record) => {
+                caribou_telemetry::count("solver.cache.miss", 1);
+                record
+            }
         };
         let mut rng = self.eval_rng(plan, hour);
         let pooled = self.scratch.lock().expect("scratch pool").pop();
@@ -502,7 +560,7 @@ impl EvalEngine {
             .or(known)
             .expect("an estimate with no record to go by folds one");
         self.cache.insert(
-            species,
+            &self.table,
             plan.assignment(),
             hour.to_bits(),
             ctx.home,
@@ -541,6 +599,16 @@ impl EvalEngine {
     /// Distinct `(fingerprint, plan, hour)` entries cached.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
+    }
+
+    /// Whether `(plan, hour)` is cached for this engine's species: a
+    /// lookup that, unlike [`evaluate`](Self::evaluate), counts no hit or
+    /// miss and stores nothing.
+    pub fn is_cached(&self, plan: &DeploymentPlan, hour: f64) -> bool {
+        lock(&self.table)
+            .plans
+            .get(plan.assignment())
+            .is_some_and(|entry| entry.hour(hour.to_bits()).is_ok())
     }
 }
 
@@ -603,10 +671,9 @@ mod tests {
         DeploymentPlan::new(vec![RegionId(region)])
     }
 
-    fn cached(cache: &EstimateCache, fp: u64, region: u16, hour: f64) -> bool {
-        cache
-            .probe((fp, 0), plan(region).assignment(), hour.to_bits())
-            .is_ok()
+    fn cached(cache: &Arc<EstimateCache>, fp: u64, region: u16, hour: f64) -> bool {
+        EvalEngine::with_cache_providers(7, fp, 0, 1, Arc::clone(cache))
+            .is_cached(&plan(region), hour)
     }
 
     /// Runs `f` in a telemetry session and returns its (folds, repriced).
@@ -723,7 +790,8 @@ mod tests {
         // under different provider bits occupies different entries.
         with_ctx(|ctx| {
             let plan = self::plan(0);
-            let cached = |bits| cache.probe((0, bits), plan.assignment(), 0.5f64.to_bits());
+            let cached =
+                |bits| lock(&cache.table((0, bits))).probe(plan.assignment(), 0.5f64.to_bits());
             aws_only.evaluate(ctx, &plan, 0.5);
             assert!(cached(2).is_err_and(|record| record.is_none()));
             assert!(cached(0).is_ok());
@@ -750,5 +818,209 @@ mod tests {
             });
             assert_eq!(private, (2, 0));
         });
+    }
+
+    /// What a probe answered: the stored carbon mean's bits, the plan's
+    /// record alone, or nothing.
+    #[derive(Debug, PartialEq)]
+    enum Answer {
+        Hit(u64),
+        Record,
+        Absent,
+    }
+
+    /// A cached key: species, assignment, hour bits.
+    type Key = (Species, Vec<RegionId>, u64);
+
+    /// The store as it was before the tables were split by species, reduced
+    /// to its keys: two ordered maps behind one owner, so eviction simply
+    /// takes the largest key. The oracle the per-species tables answer to.
+    #[derive(Default)]
+    struct Reference {
+        species: BTreeMap<Species, BTreeMap<Vec<RegionId>, ReferencePlan>>,
+        len: usize,
+        evictions: u64,
+    }
+
+    struct ReferencePlan {
+        touched: Vec<RegionId>,
+        /// Ascending hour bits → the stored carbon mean's bits.
+        hours: Vec<(u64, u64)>,
+    }
+
+    impl Reference {
+        fn probe(&self, species: Species, assignment: &[RegionId], hour_bits: u64) -> Answer {
+            match self.species.get(&species).and_then(|s| s.get(assignment)) {
+                None => Answer::Absent,
+                Some(plan) => match plan.hours.binary_search_by_key(&hour_bits, |h| h.0) {
+                    Ok(at) => Answer::Hit(plan.hours[at].1),
+                    Err(_) => Answer::Record,
+                },
+            }
+        }
+
+        fn insert(
+            &mut self,
+            capacity: usize,
+            species: Species,
+            assignment: &[RegionId],
+            hour_bits: u64,
+            home: RegionId,
+            value: u64,
+        ) {
+            let plans = self.species.entry(species).or_default();
+            match plans.get_mut(assignment) {
+                Some(plan) => match plan.hours.binary_search_by_key(&hour_bits, |h| h.0) {
+                    Ok(at) => plan.hours[at].1 = value,
+                    Err(at) => {
+                        plan.hours.insert(at, (hour_bits, value));
+                        self.len += 1;
+                    }
+                },
+                None => {
+                    let mut touched = assignment.to_vec();
+                    touched.push(home);
+                    touched.sort_unstable();
+                    touched.dedup();
+                    let hours = vec![(hour_bits, value)];
+                    plans.insert(assignment.to_vec(), ReferencePlan { touched, hours });
+                    self.len += 1;
+                }
+            }
+            while self.len > capacity {
+                let last = self.species.values_mut().rev().find_map(|s| s.last_entry());
+                let mut last = last.expect("hour entries belong to plans");
+                if last.get_mut().hours.pop().is_some() {
+                    self.len -= 1;
+                    self.evictions += 1;
+                }
+                if last.get().hours.is_empty() {
+                    last.remove();
+                }
+            }
+        }
+
+        fn invalidate_hour(&mut self, hour_bits: u64, regions: &[RegionId]) -> u64 {
+            let mut dropped = 0;
+            for plan in self.species.values_mut().flat_map(|s| s.values_mut()) {
+                if let Ok(at) = plan.hours.binary_search_by_key(&hour_bits, |h| h.0) {
+                    if plan.touched.iter().any(|r| regions.contains(r)) {
+                        plan.hours.remove(at);
+                        dropped += 1;
+                    }
+                }
+            }
+            self.len -= dropped;
+            dropped as u64
+        }
+
+        fn keys(&self) -> Vec<Key> {
+            let mut keys = Vec::new();
+            for (&species, plans) in &self.species {
+                for (assignment, plan) in plans {
+                    for &(hour, _) in &plan.hours {
+                        keys.push((species, assignment.clone(), hour));
+                    }
+                }
+            }
+            keys
+        }
+    }
+
+    /// Every key the per-species tables hold, sorted.
+    fn keys(cache: &EstimateCache) -> Vec<Key> {
+        let mut keys = Vec::new();
+        for (&species, table) in cache.species().iter() {
+            for (assignment, plan) in &lock(table).plans {
+                for &(hour, _) in &plan.hours {
+                    keys.push((species, assignment.to_vec(), hour));
+                }
+            }
+        }
+        keys.sort_unstable();
+        keys
+    }
+
+    /// The cache oracle: seeded scripts of probes, inserts and
+    /// invalidations over 1–3 species, 1–4-node assignments and three
+    /// hours, at capacities 1–12, run against the per-species tables and
+    /// the reference store. Every probe answers alike, the entry and
+    /// eviction counts agree after every step, and the retained keys are
+    /// the same at the end.
+    #[test]
+    fn per_species_tables_answer_like_the_reference_store() {
+        // A real record and carbon half, so that a stored hour is a hit.
+        let (record, carbon) = with_ctx(|ctx| {
+            let engine = EvalEngine::new(7, 1);
+            let estimate = engine.evaluate(ctx, &plan(1), 0.5);
+            let record = Arc::clone(&lock(&engine.table).plans[plan(1).assignment()].record);
+            (record, estimate.carbon_half())
+        });
+        const FINGERPRINTS: [u64; 3] = [0, 0xaaaa, 0xbbbb];
+        const HOURS: [f64; 3] = [0.5, 1.5, 2.5];
+        for script in 0..300u64 {
+            let mut rng = Pcg32::seed(script);
+            let capacity = 1 + rng.next_index(12);
+            let cache = EstimateCache::new(capacity);
+            let mut reference = Reference::default();
+            // (species, its table, its node count, its home)
+            let species: Vec<(Species, SharedTable, usize, RegionId)> = (0..1 + rng.next_index(3))
+                .map(|i| {
+                    let species = (FINGERPRINTS[i], 2 * rng.next_index(2) as u64);
+                    let nodes = 1 + rng.next_index(4);
+                    (species, cache.table(species), nodes, RegionId(i as u16))
+                })
+                .collect();
+            for step in 0..120u64 {
+                let (id, table, nodes, home) = &species[rng.next_index(species.len())];
+                let assignment: Vec<RegionId> = (0..*nodes)
+                    .map(|_| RegionId(rng.next_index(3) as u16))
+                    .collect();
+                let hour_bits = HOURS[rng.next_index(HOURS.len())].to_bits();
+                let at = format!("script {script} step {step}");
+                match rng.next_index(10) {
+                    0..=3 => {
+                        let answer = match lock(table).probe(&assignment, hour_bits) {
+                            Ok(hit) => Answer::Hit(hit.carbon.mean.to_bits()),
+                            Err(Some(_)) => Answer::Record,
+                            Err(None) => Answer::Absent,
+                        };
+                        let expected = reference.probe(*id, &assignment, hour_bits);
+                        assert_eq!(answer, expected, "{at}: probe");
+                    }
+                    4..=7 => {
+                        let mut stored = carbon;
+                        stored.carbon.mean = step as f64;
+                        let value = stored.carbon.mean.to_bits();
+                        let record = Arc::clone(&record);
+                        cache.insert(table, &assignment, hour_bits, *home, record, stored);
+                        reference.insert(capacity, *id, &assignment, hour_bits, *home, value);
+                    }
+                    _ => {
+                        let regions: Vec<RegionId> = (0..3u16)
+                            .filter(|_| rng.chance(0.5))
+                            .map(RegionId)
+                            .collect();
+                        let hour = f64::from_bits(hour_bits);
+                        assert_eq!(
+                            cache.invalidate_hour(hour, &regions),
+                            reference.invalidate_hour(hour_bits, &regions),
+                            "{at}: dropped"
+                        );
+                    }
+                }
+                assert_eq!(cache.len(), reference.len, "{at}: len");
+                assert_eq!(
+                    cache.eviction_count(),
+                    reference.evictions,
+                    "{at}: evictions"
+                );
+            }
+            assert_eq!(
+                keys(&cache),
+                reference.keys(),
+                "script {script}: retained keys"
+            );
+        }
     }
 }

@@ -14,11 +14,10 @@
 //! so `e^{-Δ} ≈ 1` and the walk would accept everything); the relative
 //! form preserves the intended behaviour across metrics.
 
-use std::collections::HashSet;
-
 use caribou_carbon::source::CarbonDataSource;
 use caribou_metrics::montecarlo::StageModels;
 use caribou_model::dag::NodeId;
+use caribou_model::hash::FixedSet;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::region::RegionId;
 use caribou_model::rng::Pcg32;
@@ -138,9 +137,14 @@ impl HbssSolver {
         let mut current_plan = home_plan.clone();
         let mut current_metric = ctx.metric_of(&home_estimate);
         let mut gamma = GAMMA_INITIAL;
+        // The one candidate buffer of the solve: each iteration rewrites
+        // it from the current plan, and an acceptance swaps the two.
+        let mut nd = home_plan.clone();
 
-        let mut seen: HashSet<Vec<RegionId>> = HashSet::new();
-        seen.insert(home_plan.assignment().to_vec());
+        // Allocates only on a first visit: a revisit is found by `contains`
+        // before any key is boxed.
+        let mut seen: FixedSet<Box<[RegionId]>> = FixedSet::default();
+        seen.insert(home_plan.assignment().into());
         let mut evaluated = 1usize;
         let mut feasible: Vec<(DeploymentPlan, f64)> = vec![(home_plan.clone(), current_metric)];
         let mut best_plan = home_plan.clone();
@@ -151,13 +155,14 @@ impl HbssSolver {
         let mut rejected = 0u64;
         let mut i = 0usize;
         while i < alpha {
-            let nd = self.gen_new_deployment(&current_plan, &ranked, &weights, rng);
+            self.gen_new_deployment(&current_plan, &mut nd, &ranked, &weights, rng);
             i += 1;
-            let first_visit = seen.insert(nd.assignment().to_vec());
-            let estimate = engine.evaluate(ctx, &nd, hour);
+            let first_visit = !seen.contains(nd.assignment());
             if first_visit {
+                seen.insert(nd.assignment().into());
                 evaluated += 1;
             }
+            let estimate = engine.evaluate(ctx, &nd, hour);
             if ctx.violates_tolerance(&estimate, &home_estimate) {
                 if telemetry && first_visit {
                     caribou_telemetry::count("solver.infeasible", 1);
@@ -177,7 +182,7 @@ impl HbssSolver {
                 || self.stochastic_mutation(gamma, current_metric, metric, rng);
             if accept {
                 accepted += 1;
-                current_plan = nd;
+                std::mem::swap(&mut current_plan, &mut nd);
                 current_metric = metric;
                 gamma *= GAMMA_DECAY;
                 if telemetry {
@@ -209,16 +214,18 @@ impl HbssSolver {
         }
     }
 
-    /// `GenNewDeplWBias`: mutates one or two nodes of the current plan,
-    /// choosing replacement regions rank-biased toward low carbon.
+    /// `GenNewDeplWBias`: writes into `nd` the current plan with one or two
+    /// nodes mutated, choosing replacement regions rank-biased toward low
+    /// carbon.
     fn gen_new_deployment(
         &self,
         current: &DeploymentPlan,
+        nd: &mut DeploymentPlan,
         ranked: &[Vec<RegionId>],
         weights: &[f64],
         rng: &mut Pcg32,
-    ) -> DeploymentPlan {
-        let mut nd = current.clone();
+    ) {
+        nd.clone_from(current);
         let n = current.len();
         let mutations = if n > 1 && rng.chance(0.3) { 2 } else { 1 };
         for _ in 0..mutations {
@@ -232,7 +239,6 @@ impl HbssSolver {
                 .expect("non-empty positive weights");
             nd.set(NodeId(node as u32), choices[pick]);
         }
-        nd
     }
 
     /// `MUT`: accepts a worse candidate with probability `e^{-Δ}` where

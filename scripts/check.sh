@@ -343,6 +343,24 @@ if before_tests crates/exec/src/engine.rs |
     exit 1
 fi
 
+# The solver's cache and walk off trees and SipHash: a species' plans sit in
+# a fixed-hasher map (the ordered keys beside it are a set, for eviction),
+# the walk's seen set is a FixedSet, and a fleet call takes each app's solve
+# complexity once, not inside the per-cell cost closure. Test modules are
+# exempt (engine.rs keeps the two-tree store there as the cache's oracle).
+echo "==> solver plan-key and fleet per-app grep gates"
+for f in crates/solver/src/*.rs; do
+    if before_tests "$f" | grep -E 'BTreeMap<Vec<RegionId>|\bHash(Map|Set)\b'; then
+        echo "error: $f keys plans by a tree or hashes with SipHash; use caribou_model::hash" >&2
+        exit 1
+    fi
+done
+cell_cost=$(awk '/let cell_cost = /,/^    };/' crates/core/src/fleet/mod.rs)
+if [[ -z "$cell_cost" ]] || grep -F 'forecast_reads()' <<<"$cell_cost"; then
+    echo "error: run_cells' per-cell cost closure is gone or calls forecast_reads() (take it per app)" >&2
+    exit 1
+fi
+
 # One histogram type: the recorder holds QuantileSketch.
 echo "==> single-histogram grep gate"
 if grep -rn 'Histogram' crates/telemetry; then

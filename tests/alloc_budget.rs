@@ -2,8 +2,9 @@
 //! allocator: the pooled `invoke_with_scratch` path must allocate
 //! measurably less per invocation than the fresh-buffer `invoke` path,
 //! a sustained-load run's peak live heap must not grow with its length,
-//! and a framework alternating between two workflows must allocate no
-//! more than one running them in turn.
+//! a framework alternating between two workflows must allocate no more
+//! than one running them in turn, and an HBSS walk over a warm cache must
+//! allocate per distinct plan, not per iteration.
 //!
 //! Allocator calls are counted per thread — the libtest harness thread
 //! prints result lines and spawns the next test inside a sibling's
@@ -22,15 +23,18 @@ use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::TableSource;
 use caribou_core::framework::{Caribou, CaribouConfig};
 use caribou_core::loadgen::{run_loadgen, LoadgenConfig, CHUNK_INVOCATIONS};
-use caribou_core::scenario::{workflow_app, HOME};
+use caribou_core::scenario::{default_tolerances, workflow_app, World, HOME};
 use caribou_exec::engine::{ExecutionEngine, InvocationScratch};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
+use caribou_metrics::montecarlo::MonteCarloConfig;
 use caribou_model::constraints::Constraints;
 use caribou_model::manifest::DeploymentManifest;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::orchestration::Orchestrator;
+use caribou_solver::engine::EvalEngine;
+use caribou_solver::hbss::{HbssParams, HbssSolver};
 use caribou_workloads::arrivals::ArrivalProcess;
 use caribou_workloads::benchmarks::{text2speech_censoring, InputSize};
 
@@ -301,6 +305,70 @@ fn loadgen_peak_heap_is_flat_in_run_length() {
     assert!(
         captured >= long + latency_vector,
         "the allocator missed the {latency_vector} B latency vector: {captured} B vs {long} B"
+    );
+}
+
+/// The HBSS walk allocates per plan it visits for the first time, not per
+/// iteration. Re-solving an hour on a warm engine serves every candidate
+/// from the cache, so what is left is the walk's own bookkeeping: a first
+/// visit boxes its key for the `seen` set and clones the plan into the
+/// feasible list (and into `best` when it improves on it), and a solve
+/// builds its ranking tables once. The candidate is rewritten in one
+/// buffer and an acceptance swaps it with the current plan. The walk is
+/// five times the default length, so it revisits most of what it draws:
+/// a clone of the current plan per iteration would not fit the budget.
+#[test]
+fn warm_resolve_allocates_per_distinct_plan_not_per_iteration() {
+    let _serial = serial();
+    let world = World::evaluation(5);
+    let bench = text2speech_censoring(InputSize::Small);
+    let mc = MonteCarloConfig {
+        batch: 40,
+        max_samples: 80,
+        cv_threshold: 0.2,
+    };
+    let case = world.case(&bench, TransmissionScenario::BEST, mc);
+    let nodes = bench.dag.node_count();
+    let permitted = vec![world.regions.clone(); nodes];
+    let ctx = case.context(&permitted, default_tolerances(), &world.carbon);
+    let engine = EvalEngine::new(42, 1);
+    let solver = HbssSolver {
+        params: HbssParams {
+            alpha_factor: 30,
+            ..HbssParams::default()
+        },
+    };
+    let solve = || solver.solve_with(&engine, &ctx, 7.5, &mut Pcg32::seed(3));
+
+    let cold = solve();
+    let (hits, misses) = (engine.hit_count(), engine.miss_count());
+    let before = allocs();
+    let warm = solve();
+    let allocated = allocs() - before;
+    assert_eq!(engine.miss_count(), misses, "the warm re-solve missed");
+    assert_eq!(warm.best, cold.best);
+    // The home plan's estimate, then one per iteration.
+    let iterations = engine.hit_count() - hits - 1;
+    let distinct = warm.evaluated as u64;
+    // Per solve: the grid row, the intensity and weight tables, a ranking
+    // per node, the home, current, candidate and best plans, the seen set
+    // and feasible list as they grow, and the sort's buffer.
+    let per_solve = 32 + nodes as u64;
+    let budget = 3 * distinct + per_solve;
+    eprintln!(
+        "alloc_budget: warm re-solve of {iterations} iterations over {distinct} distinct plans \
+         allocated {allocated} times (budget {budget})"
+    );
+    // Even the keys alone plus one allocation per iteration overrun it.
+    assert!(
+        distinct + iterations > budget,
+        "{iterations} iterations over {distinct} plans cannot tell a per-iteration allocation \
+         from the budget's slack"
+    );
+    assert!(
+        allocated <= budget,
+        "a warm re-solve allocated {allocated} times over {distinct} distinct plans and \
+         {iterations} iterations (budget {budget}: 3 per distinct plan + {per_solve})"
     );
 }
 

@@ -15,7 +15,7 @@ use caribou_core::fleet::{
     replan_incremental, solve_fleet, DependencyIndex, FleetConfig, FleetEnv, FleetSchedule,
     PerturbOp, Perturbation,
 };
-use caribou_solver::engine::EstimateCache;
+use caribou_solver::engine::{EstimateCache, EvalEngine};
 use caribou_workloads::fleet::{generate_fleet, FleetApp};
 use proptest::prelude::*;
 
@@ -197,24 +197,53 @@ fn dirty_set_matches_forecast_read_sets() {
 
 /// Cache capacity does not change results: a severely bounded cache
 /// (forcing constant eviction) still yields the identical schedule,
-/// because cached estimates are bit-equal to fresh computation.
+/// because cached estimates are bit-equal to fresh computation. And what
+/// the bounded cache keeps does not depend on the worker count: eviction
+/// retains the smallest keys, so the schedule cells still cached at the
+/// end are the same at 1, 2 and 8 workers.
 #[test]
 fn tiny_cache_capacity_preserves_schedules() {
-    let (cfg, env, apps) = fixture(2);
+    let (cfg, env, apps) = fixture(1);
     let unbounded = solve_fleet(
         &apps,
         &env,
         &cfg,
         &EstimateCache::shared(cfg.cache_capacity),
     );
-    let tiny_cache = EstimateCache::shared(8);
-    let tiny_cfg = FleetConfig {
-        cache_capacity: 8,
-        ..cfg
-    };
-    let tiny = solve_fleet(&apps, &env, &tiny_cfg, &tiny_cache);
-    assert!(tiny_cache.eviction_count() > 0, "capacity 8 must evict");
-    assert_eq!(unbounded.schedule, tiny.schedule);
+    let mut still_cached = Vec::new();
+    for &workers in &WORKER_COUNTS {
+        let tiny_cache = EstimateCache::shared(8);
+        let tiny_cfg = FleetConfig {
+            cache_capacity: 8,
+            workers,
+            ..cfg
+        };
+        let tiny = solve_fleet(&apps, &env, &tiny_cfg, &tiny_cache);
+        assert!(tiny_cache.eviction_count() > 0, "capacity 8 must evict");
+        assert_eq!(unbounded.schedule, tiny.schedule, "at {workers} workers");
+        assert_eq!(tiny_cache.len(), 8);
+        let cached: Vec<(usize, usize)> = apps
+            .iter()
+            .enumerate()
+            .flat_map(|(a, app)| {
+                let engine = EvalEngine::with_cache_providers(
+                    cfg.seed,
+                    app.fingerprint,
+                    env.provider_bits(),
+                    1,
+                    Arc::clone(&tiny_cache),
+                );
+                let plans = &tiny.schedule;
+                (0..cfg.hours)
+                    .filter(move |&h| engine.is_cached(&plans.cell(a, h).plan, h as f64 + 0.5))
+                    .map(move |h| (a, h))
+            })
+            .collect();
+        still_cached.push(cached);
+    }
+    assert!(!still_cached[0].is_empty(), "no schedule cell survived");
+    assert_eq!(still_cached[0], still_cached[1]);
+    assert_eq!(still_cached[0], still_cached[2]);
 }
 
 /// A forecast revision re-prices; it does not re-fold. Doubling every
