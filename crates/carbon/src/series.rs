@@ -1,7 +1,5 @@
 //! Hourly carbon-intensity time series.
 
-use serde::{Deserialize, Serialize};
-
 /// An hourly carbon-intensity series in gCO₂eq/kWh.
 ///
 /// # Examples
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.at(1.25), Some(32.5));
 /// assert_eq!(s.at(5.0), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CarbonSeries {
     /// Hour index (since the simulation epoch) of the first sample.
     pub start_hour: i64,

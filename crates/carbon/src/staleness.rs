@@ -242,6 +242,22 @@ mod tests {
     }
 
     #[test]
+    fn an_ended_window_no_longer_ages_the_feed() {
+        // [10, 20) overlaps [18, 40): from hour 20 on (half-open end) only
+        // the second window is active, so the feed is 2 h stale, not 10 h.
+        let s = StaleAwareSource::new(
+            ramp_source(),
+            &[RegionId(0)],
+            vec![(10.0, 20.0), (18.0, 40.0)],
+            5.0,
+        );
+        assert_eq!(s.degradation_level(19.0), DegradationLevel::YearlyAverage);
+        assert_eq!(s.degradation_level(20.0), DegradationLevel::LastKnownGood);
+        assert_eq!(s.intensity(RegionId(0), 21.0), 18.0);
+        assert_eq!(s.degradation_level(40.0), DegradationLevel::Fresh);
+    }
+
+    #[test]
     fn uncovered_region_still_answers_yearly() {
         let s = StaleAwareSource::new(ramp_source(), &[], vec![(0.0, 100.0)], 1.0);
         assert_eq!(s.intensity(RegionId(0), 50.0), 4379.5);

@@ -12,13 +12,12 @@
 use std::collections::HashMap;
 
 use caribou_model::rng::Pcg32;
-use serde::{Deserialize, Serialize};
 
 use crate::error::CarbonError;
 use crate::series::CarbonSeries;
 
 /// Shape and level parameters for one electrical grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridProfile {
     /// Long-run average intensity, gCO₂eq/kWh.
     pub mean: f64,

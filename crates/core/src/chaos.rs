@@ -676,9 +676,6 @@ mod tests {
             cost_usd: 0.0,
             exec_carbon_g: 0.0,
             trans_carbon_g: 0.0,
-            cross_cloud_egress_bytes: 0.0,
-            cross_cloud_cost_usd: 0.0,
-            cross_cloud_carbon_g: 0.0,
             meter,
             completed,
             failovers,

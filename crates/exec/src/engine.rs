@@ -150,7 +150,6 @@ pub struct InvocationScratch {
     edge_state: Vec<EdgeState>,
     node_started: Vec<bool>,
     node_dead: Vec<bool>,
-    finish: Vec<f64>,
     queue: EventQueue<NodeId>,
     batch: Vec<NodeId>,
     book: AddressBook,
@@ -185,7 +184,6 @@ impl InvocationScratch {
         refill(&mut self.edge_state, edges, EdgeState::Undecided, &mut grew);
         refill(&mut self.node_started, nodes, false, &mut grew);
         refill(&mut self.node_dead, nodes, false, &mut grew);
-        refill(&mut self.finish, nodes, 0.0, &mut grew);
         refill(&mut self.intensity, regions, f64::NAN, &mut grew);
         self.queue.clear();
         self.batch.clear();
@@ -218,9 +216,6 @@ struct InvocationCtx<'c, 'a, S: CarbonDataSource> {
     meter: UsageMeter,
     exec_carbon: f64,
     trans_carbon: f64,
-    /// Transmission carbon of the bytes that crossed a provider boundary
-    /// (subset of `trans_carbon`; 0 on single-provider clouds).
-    cross_cloud_carbon: f64,
     completed: bool,
     /// Number of nodes re-routed to the home deployment this invocation.
     failovers: u32,
@@ -312,7 +307,6 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
             meter: UsageMeter::new(),
             exec_carbon: 0.0,
             trans_carbon: 0.0,
-            cross_cloud_carbon: 0.0,
             completed: true,
             failovers: 0,
             cold_starts: 0,
@@ -361,9 +355,6 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
             cost_usd: cost,
             exec_carbon_g: ctx.exec_carbon,
             trans_carbon_g: ctx.trans_carbon,
-            cross_cloud_egress_bytes: ctx.meter.cross_provider_egress_bytes(&ctx.cloud.pricing),
-            cross_cloud_cost_usd: ctx.meter.cross_provider_egress_cost(&ctx.cloud.pricing),
-            cross_cloud_carbon_g: ctx.cross_cloud_carbon,
             meter: ctx.meter,
             completed: ctx.completed,
             failovers: ctx.failovers,
@@ -397,41 +388,56 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
     }
 
     /// §6.1 graceful degradation: re-routes `node` to the home deployment
-    /// (which always exists) after its planned region failed, and
+    /// (which always exists) after the region it was to run in failed, and
     /// re-publishes the invocation message to the home topic. Returns the
-    /// failover delivery on success; `None` when the node already runs at
-    /// home or the failover publish itself is lost — the caller then
-    /// reports the invocation failed. Always records the failed region so
+    /// failover publish's latency; `None` when the node already runs at
+    /// home, home is down, or the failover publish itself is lost — the
+    /// invocation has then failed. Always records the failed region so
     /// the router's circuit breaker hears about it either way.
-    fn fail_over_home(
-        &mut self,
-        node: NodeId,
-        from: RegionId,
-        failed: RegionId,
-        payload_bytes: f64,
-        t: f64,
-    ) -> Option<Delivery> {
+    fn fail_over_home(&mut self, node: NodeId, from: RegionId, bytes: f64, t: f64) -> Option<f64> {
+        let failed = self.region_of(node);
         self.failed_region.get_or_insert(failed);
         let home = self.app.home;
-        if self.region_of(node) == home || self.cloud.faults.region_down(home, self.at_s + t) {
-            return None;
-        }
-        self.scratch.overrides[node.index()] = Some(home);
-        let delivery = self.publish_to(node, from, payload_bytes);
-        if delivery.delivered() {
-            self.failovers += 1;
-            if caribou_telemetry::is_enabled() {
-                caribou_telemetry::event_at(
-                    self.at_s + t,
-                    "failover.reroute",
-                    format!("n{} r{}->r{}", node.0, failed.0, home.0),
-                    delivery.latency_s,
-                );
+        if failed != home && !self.cloud.faults.region_down(home, self.at_s + t) {
+            self.scratch.overrides[node.index()] = Some(home);
+            let delivery = self.publish_to(node, from, bytes);
+            if delivery.delivered() {
+                self.failovers += 1;
+                if caribou_telemetry::is_enabled() {
+                    caribou_telemetry::event_at(
+                        self.at_s + t,
+                        "failover.reroute",
+                        format!("n{} r{}->r{}", node.0, failed.0, home.0),
+                        delivery.latency_s,
+                    );
+                }
+                return Some(delivery.latency_s);
             }
-            Some(delivery)
-        } else {
-            None
         }
+        self.completed = false;
+        None
+    }
+
+    /// Publishes `node`'s invocation message from `from` at `t` and, when
+    /// it is lost (outage, partition, dead letter), fails over home.
+    /// Returns the first publish's latency (delivered, or spent retrying)
+    /// and the failover publish's (0 when the first was delivered); `None`
+    /// when the failover is refused or lost too; the intermediate data
+    /// stored for `node` is then discarded, since nothing will read it.
+    fn dispatch(&mut self, node: NodeId, from: RegionId, bytes: f64, t: f64) -> Option<(f64, f64)> {
+        let first = self.publish_to(node, from, bytes);
+        if first.delivered() {
+            return Some((first.latency_s, 0.0));
+        }
+        if let Some(failover) = self.fail_over_home(node, from, bytes, t) {
+            return Some((first.latency_s, failover));
+        }
+        // The payloads sit in the node's planned region (§4, Fig. 5).
+        let (app, planned) = (self.app, self.plan.region_of(node));
+        for &e in app.dag.in_edges(node) {
+            self.discard_intermediate(e, planned);
+        }
+        None
     }
 
     /// The grid's intensity in `region` at this invocation's hour, asked
@@ -448,23 +454,13 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         *memo
     }
 
-    fn route_intensity(&mut self, a: RegionId, b: RegionId) -> f64 {
-        endpoint_mean(self.intensity(a), self.intensity(b))
-    }
-
     fn account_transfer(&mut self, from: RegionId, to: RegionId, bytes: f64) {
         self.meter.record_transfer(from, to, bytes);
-        let intensity = self.route_intensity(from, to);
-        let carbon = self
-            .engine
-            .carbon_model
-            .transmission_carbon(bytes, intensity, from == to);
-        self.trans_carbon += carbon;
-        if from != to
-            && self.cloud.regions.spec(from).provider != self.cloud.regions.spec(to).provider
-        {
-            self.cross_cloud_carbon += carbon;
-        }
+        let intensity = endpoint_mean(self.intensity(from), self.intensity(to));
+        self.trans_carbon +=
+            self.engine
+                .carbon_model
+                .transmission_carbon(bytes, intensity, from == to);
     }
 
     fn run(&mut self) {
@@ -472,25 +468,15 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         // (Caribou only), and the input payload's journey from the client
         // (anchored at the home region, §9.1).
         let start = self.app.dag.start();
-        let start_region = self.plan.region_of(start);
         let input_bytes = self.scratch.book.input().sample(self.rng);
         let mut t0 = self.engine.orchestrator.sample_setup_s(self.rng);
 
-        let delivery = self.publish_to(start, self.app.home, input_bytes);
-        self.account_transfer(self.app.home, start_region, input_bytes);
-        if !delivery.delivered() {
-            // The entry region is unreachable (outage, partition, or the
-            // message dead-lettered): re-route the entry to the home
-            // deployment — the client's payload is already at home.
-            match self.fail_over_home(start, self.app.home, start_region, input_bytes, t0) {
-                Some(fo) => t0 += delivery.latency_s + fo.latency_s,
-                None => {
-                    self.completed = false;
-                    return;
-                }
-            }
-        } else {
-            t0 += delivery.latency_s;
+        // An unreachable entry region re-routes the entry to the home
+        // deployment — the client's payload is already at home.
+        self.account_transfer(self.app.home, self.plan.region_of(start), input_bytes);
+        match self.dispatch(start, self.app.home, input_bytes, t0) {
+            Some((first, failover)) => t0 += first + failover,
+            None => return,
         }
         let start_region = self.region_of(start);
 
@@ -532,13 +518,12 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
             // message up. The dead-letter redrive re-routes the node to
             // the home deployment (§6.1) — published from home, where the
             // framework's control plane lives.
-            match self.fail_over_home(node, self.app.home, region, 2048.0, t) {
-                Some(fo) => {
-                    t += fo.latency_s;
+            match self.fail_over_home(node, self.app.home, 2048.0, t) {
+                Some(failover) => {
+                    t += failover;
                     region = self.region_of(node);
                 }
                 None => {
-                    self.completed = false;
                     self.mark_node_dead_downstream(node, t);
                     return;
                 }
@@ -603,7 +588,6 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
             p.cpu_utilization,
             intensity,
         );
-        self.scratch.finish[node.index()] = t + duration;
         self.node_records.push(NodeRecord {
             node: node.0,
             region,
@@ -625,204 +609,161 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         }
 
         // Decide and dispatch every outgoing edge.
-        let finish = self.scratch.finish[node.index()];
-        for i in 0..self.app.dag.out_edges(node).len() {
-            let eid = self.app.dag.out_edges(node)[i];
-            let conditional = self.app.dag.edge(eid).conditional;
-            let prob = self.app.profile.edges[eid.index()].probability;
-            let taken = if conditional {
-                self.rng.chance(prob)
-            } else {
-                true
-            };
-            self.decide_edge(eid, taken, finish, region);
+        let app = self.app;
+        for &eid in app.dag.out_edges(node) {
+            let taken = !app.dag.edge(eid).conditional
+                || self.rng.chance(app.profile.edges[eid.index()].probability);
+            self.decide_edge(eid, taken, t + duration);
         }
     }
 
-    /// Records an edge decision, dispatching the successor invocation or
-    /// the skip propagation of §4.
-    fn decide_edge(&mut self, eid: EdgeId, taken: bool, t: f64, decider_region: RegionId) {
+    /// Decides an edge, dispatching the successor invocation or the skip
+    /// propagation of §4.
+    fn decide_edge(&mut self, eid: EdgeId, taken: bool, t: f64) {
         if self.scratch.edge_state[eid.index()].is_decided() {
             return;
         }
         let edge = *self.app.dag.edge(eid);
         let succ = edge.to;
         let succ_region = self.region_of(succ);
+        let from_region = self.region_of(edge.from);
         let is_sync = self.app.dag.is_sync_node(succ);
 
-        if taken {
-            let payload = self.scratch.book.payload(eid).sample(self.rng);
-            let from_region = self.region_of(edge.from);
-
-            // Intermediate data goes to the successor region's storage:
-            // the KV table for small payloads, the blob store (with a KV
-            // reference) above the DynamoDB item limit (§4, Fig. 5).
-            let write_latency = self.store_intermediate(eid, payload, from_region, succ_region);
-            self.account_transfer(from_region, succ_region, payload);
-            let transition = self.engine.orchestrator.sample_transition_s(self.rng);
-            let after_write = t + transition + write_latency;
-
-            if is_sync {
-                // The annotation is the atomic read-modify-write of §4;
-                // the invocation message is sent by whichever writer's
-                // annotation lands last (handled in `check_sync`).
-                let decision_t = self.sync_annotate(succ, true, after_write, from_region);
-                self.scratch.edge_state[eid.index()] = EdgeState::Decided {
-                    taken: true,
-                    at: decision_t,
-                    writer: from_region,
-                };
-                self.edge_records.push(EdgeRecord {
-                    edge: eid.0,
-                    taken: true,
-                    from_region,
-                    to_region: succ_region,
-                    bytes: payload,
-                    latency_s: decision_t - t,
-                });
-                if caribou_telemetry::is_enabled() {
-                    caribou_telemetry::span_at(
-                        "sync",
-                        format!("annotate n{}", succ.0),
-                        self.at_s + t,
-                        decision_t - t,
-                        self.inv_id,
-                        format!("edge:{}", eid.0),
-                    );
-                }
-                self.check_sync(succ);
-                return;
-            }
-
-            let arrival = if self.engine.orchestrator == Orchestrator::StepFunctions {
-                // First-party orchestration: direct state transition, no
-                // SNS hop.
-                after_write
-                    + self.cloud.latency.sample_transfer_seconds(
-                        from_region,
-                        succ_region,
-                        payload,
-                        self.rng,
-                    )
-            } else {
-                // The invocation message itself is small: the data went
-                // through the KV store; the message carries the DP and
-                // location header (§6.2 Traffic Routing).
-                let delivery = self.publish_to(succ, from_region, 2048.0);
-                if !delivery.delivered() {
-                    // Dead-lettered: re-route the successor to the home
-                    // deployment; it reads the intermediate data from the
-                    // originally planned region's table.
-                    match self.fail_over_home(succ, from_region, succ_region, 2048.0, after_write) {
-                        Some(fo) => after_write + delivery.latency_s + fo.latency_s,
-                        None => {
-                            self.completed = false;
-                            self.scratch.edge_state[eid.index()] = EdgeState::Decided {
-                                taken: false,
-                                at: t,
-                                writer: from_region,
-                            };
-                            self.edge_records.push(EdgeRecord {
-                                edge: eid.0,
-                                taken: false,
-                                from_region,
-                                to_region: succ_region,
-                                bytes: payload,
-                                latency_s: 0.0,
-                            });
-                            self.mark_node_dead_downstream(succ, t);
-                            return;
-                        }
-                    }
-                } else {
-                    after_write + delivery.latency_s
-                }
-            };
-
-            let to_region = self.region_of(succ);
-            self.scratch.edge_state[eid.index()] = EdgeState::Decided {
-                taken: true,
-                at: arrival,
-                writer: from_region,
-            };
-            self.edge_records.push(EdgeRecord {
-                edge: eid.0,
-                taken: true,
-                from_region,
-                to_region,
-                bytes: payload,
-                latency_s: arrival - t,
-            });
-            if caribou_telemetry::is_enabled() {
-                caribou_telemetry::span_at(
-                    "hop",
-                    format!("e{} r{}->r{}", eid.0, from_region.0, to_region.0),
-                    self.at_s + t,
-                    arrival - t,
-                    self.inv_id,
-                    format!("edge:{}", eid.0),
-                );
-            }
-            // The successor's wrapper reads the intermediate data (stored
-            // at the originally planned region even after a failover).
-            let read_latency = self.load_intermediate(eid, succ_region, to_region);
-            self.scratch.queue.push(arrival + read_latency, succ);
-        } else {
-            let from_region = self.region_of(edge.from);
+        if !taken {
             let decision_t = if is_sync {
-                self.sync_annotate(succ, false, t, decider_region)
+                self.sync_annotate(succ, false, t, from_region)
             } else {
                 t
             };
-            self.scratch.edge_state[eid.index()] = EdgeState::Decided {
-                taken: false,
-                at: decision_t,
-                writer: decider_region,
-            };
-            self.edge_records.push(EdgeRecord {
-                edge: eid.0,
-                taken: false,
-                from_region,
-                to_region: succ_region,
-                bytes: 0.0,
-                latency_s: 0.0,
-            });
+            self.decide(eid, false, decision_t, 0.0, 0.0);
             if is_sync {
                 self.check_sync(succ);
             } else {
                 // The successor has a single predecessor; it is dead.
                 self.mark_node_dead_downstream(succ, t);
             }
+            return;
         }
+
+        let payload = self.scratch.book.payload(eid).sample(self.rng);
+        // Intermediate data goes to the successor region's storage: the
+        // KV table for small payloads, the blob store (with a KV
+        // reference) above the DynamoDB item limit (§4, Fig. 5).
+        let write_latency = self.store_intermediate(eid, payload, from_region, succ_region);
+        self.account_transfer(from_region, succ_region, payload);
+        let transition = self.engine.orchestrator.sample_transition_s(self.rng);
+        let after_write = t + transition + write_latency;
+
+        if is_sync {
+            // The annotation is the atomic read-modify-write of §4; the
+            // invocation message is sent by whichever writer's annotation
+            // lands last (handled in `check_sync`).
+            let decision_t = self.sync_annotate(succ, true, after_write, from_region);
+            self.decide(eid, true, decision_t, payload, decision_t - t);
+            if caribou_telemetry::is_enabled() {
+                caribou_telemetry::span_at(
+                    "sync",
+                    format!("annotate n{}", succ.0),
+                    self.at_s + t,
+                    decision_t - t,
+                    self.inv_id,
+                    format!("edge:{}", eid.0),
+                );
+            }
+            self.check_sync(succ);
+            return;
+        }
+
+        let arrival = if self.engine.orchestrator == Orchestrator::StepFunctions {
+            // First-party orchestration: direct state transition, no SNS
+            // hop.
+            after_write
+                + self.cloud.latency.sample_transfer_seconds(
+                    from_region,
+                    succ_region,
+                    payload,
+                    self.rng,
+                )
+        } else {
+            // The invocation message itself is small: the data went
+            // through the KV store; the message carries the DP and
+            // location header (§6.2 Traffic Routing).
+            match self.dispatch(succ, from_region, 2048.0, after_write) {
+                Some((first, failover)) => after_write + first + failover,
+                None => {
+                    self.decide(eid, false, t, payload, 0.0);
+                    self.mark_node_dead_downstream(succ, t);
+                    return;
+                }
+            }
+        };
+
+        self.decide(eid, true, arrival, payload, arrival - t);
+        let to_region = self.region_of(succ);
+        if caribou_telemetry::is_enabled() {
+            caribou_telemetry::span_at(
+                "hop",
+                format!("e{} r{}->r{}", eid.0, from_region.0, to_region.0),
+                self.at_s + t,
+                arrival - t,
+                self.inv_id,
+                format!("edge:{}", eid.0),
+            );
+        }
+        // The successor's wrapper reads the intermediate data (stored at
+        // the originally planned region even after a failover).
+        let read_latency = self.load_intermediate(eid, succ_region, to_region);
+        self.scratch.queue.push(arrival + read_latency, succ);
     }
 
-    /// Stores one edge's intermediate payload in the successor region:
-    /// small payloads as a KV item, large ones in the blob store with a
-    /// KV reference (DynamoDB's item cap). Returns the write latency.
-    fn store_intermediate(
-        &mut self,
-        eid: EdgeId,
-        payload: f64,
-        from: RegionId,
-        succ_region: RegionId,
-    ) -> f64 {
-        let item = self.edge_item(eid, succ_region);
+    /// Writes an edge's decision: its state — whether it fired, when the
+    /// decision landed and the region that wrote it (the edge source's,
+    /// a dead source's included), which a sync successor's condition
+    /// reads — and its log record, whose destination is where the
+    /// successor runs when the edge fired (home after a failover) and
+    /// where it was planned when it did not.
+    fn decide(&mut self, eid: EdgeId, taken: bool, at: f64, bytes: f64, latency_s: f64) {
+        let edge = *self.app.dag.edge(eid);
+        let from_region = self.region_of(edge.from);
+        let to_region = if taken {
+            self.region_of(edge.to)
+        } else {
+            self.plan.region_of(edge.to)
+        };
+        self.scratch.edge_state[eid.index()] = EdgeState::Decided {
+            taken,
+            at,
+            writer: from_region,
+        };
+        self.edge_records.push(EdgeRecord {
+            edge: eid.0,
+            taken,
+            from_region,
+            to_region,
+            bytes,
+            latency_s,
+        });
+    }
+
+    /// Stores one edge's intermediate payload of `size` bytes in the
+    /// successor region `to`: small payloads as a KV item, large ones in
+    /// the blob store with a KV reference (DynamoDB's item cap). Returns
+    /// the write latency.
+    fn store_intermediate(&mut self, eid: EdgeId, size: f64, from: RegionId, to: RegionId) -> f64 {
+        let item = self.edge_item(eid, to);
         let object = self.edge_object(eid);
         let (kv, lm) = (&mut self.cloud.kv, &self.cloud.latency);
-        if payload > caribou_simcloud::blob::BLOB_THRESHOLD_BYTES {
-            let blob = self
-                .cloud
-                .blob
-                .put(succ_region, object, payload, from, lm, self.rng);
-            self.meter.record_blob(succ_region, 0, 1);
+        if size > caribou_simcloud::blob::BLOB_THRESHOLD_BYTES {
+            let blob = self.cloud.blob.put(to, object, size, from, lm, self.rng);
+            self.meter.record_blob(to, 0, 1);
             let reference = bytes::Bytes::from_static(b"blobref");
             let reference = kv.put_at(item, reference, from, lm, self.rng);
-            self.meter.record_kv(succ_region, 0, 1);
+            self.meter.record_kv(to, 0, 1);
             blob.latency_s.max(reference.latency_s)
         } else {
-            let value = bytes::Bytes::from_static(&ZERO_PAYLOAD[..payload.min(4096.0) as usize]);
+            let value = bytes::Bytes::from_static(&ZERO_PAYLOAD[..size.min(4096.0) as usize]);
             let write = kv.put_at(item, value, from, lm, self.rng);
-            self.meter.record_kv(succ_region, 0, 1);
+            self.meter.record_kv(to, 0, 1);
             write.latency_s
         }
     }
@@ -874,6 +815,15 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         self.meter.record_kv(storage, 1, 0);
         self.cloud.kv.reclaim_at(item);
         latency_s
+    }
+
+    /// Garbage-collects an edge's intermediate payload that will never be
+    /// read (its successor's dispatch failed): the KV item and, when there
+    /// is one, the blob, unbilled like every collection.
+    fn discard_intermediate(&mut self, eid: EdgeId, storage: RegionId) {
+        let item = self.edge_item(eid, storage);
+        self.cloud.kv.reclaim_at(item);
+        self.cloud.blob.delete(storage, self.edge_object(eid));
     }
 
     /// Performs the atomic annotation update of §4 against the sync
@@ -976,19 +926,12 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         let start_t = if self.engine.orchestrator == Orchestrator::StepFunctions {
             last_at + self.engine.orchestrator.sample_transition_s(self.rng)
         } else {
-            let delivery = self.publish_to(succ, last_writer, 1024.0);
-            if !delivery.delivered() {
-                // The sync node's region is unreachable: fail over home.
-                match self.fail_over_home(succ, last_writer, succ_region, 1024.0, last_at) {
-                    Some(fo) => last_at + delivery.latency_s + fo.latency_s,
-                    None => {
-                        self.completed = false;
-                        self.mark_node_dead_downstream(succ, last_at);
-                        return;
-                    }
+            match self.dispatch(succ, last_writer, 1024.0, last_at) {
+                Some((first, failover)) => last_at + first + failover,
+                None => {
+                    self.mark_node_dead_downstream(succ, last_at);
+                    return;
                 }
-            } else {
-                last_at + delivery.latency_s
             }
         };
         // Parallel reads of predecessors' intermediate data: latency is
@@ -996,8 +939,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         // storage; after a failover the reads cross regions.
         let reader = self.region_of(succ);
         let mut read_latency: f64 = 0.0;
-        for i in 0..self.app.dag.in_edges(succ).len() {
-            let e = self.app.dag.in_edges(succ)[i];
+        for &e in in_edges {
             if self.scratch.edge_state[e.index()].is_taken() {
                 read_latency = read_latency.max(self.load_intermediate(e, succ_region, reader));
             }
@@ -1015,10 +957,9 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         if caribou_telemetry::is_enabled() {
             caribou_telemetry::count("exec.skip_propagation", 1);
         }
-        let region = self.region_of(node);
-        for i in 0..self.app.dag.out_edges(node).len() {
-            let eid = self.app.dag.out_edges(node)[i];
-            self.decide_edge(eid, false, t, region);
+        let app = self.app;
+        for &eid in app.dag.out_edges(node) {
+            self.decide_edge(eid, false, t);
         }
     }
 }
@@ -1465,7 +1406,7 @@ mod tests {
     }
 
     #[test]
-    fn single_provider_runs_meter_zero_cross_cloud_egress() {
+    fn single_provider_runs_never_cross_a_provider_boundary() {
         let mut cloud = SimCloud::aws(30);
         let app = chain_app(&cloud);
         let ca = cloud.region("ca-central-1").unwrap();
@@ -1474,9 +1415,11 @@ mod tests {
         let out = run(&mut cloud, &app, &plan, 30);
         assert!(out.completed);
         assert!(out.meter.total_egress_bytes() > 0.0);
-        assert_eq!(out.cross_cloud_egress_bytes, 0.0);
-        assert_eq!(out.cross_cloud_cost_usd, 0.0);
-        assert_eq!(out.cross_cloud_carbon_g, 0.0);
+        assert!(out
+            .meter
+            .egress_bytes
+            .iter()
+            .all(|((from, to), _)| !cloud.pricing.is_cross_provider(*from, *to)));
     }
 
     #[test]
@@ -1490,18 +1433,16 @@ mod tests {
         plan.set(NodeId(1), gcp_west);
         let out = run(&mut cloud, &app, &plan, 31);
         assert!(out.completed);
-        // The A→B payload crossed the provider boundary: the cross-cloud
-        // line is non-zero and strictly a subset of the totals.
-        assert!(out.cross_cloud_egress_bytes > 0.0);
-        assert!(out.cross_cloud_egress_bytes <= out.meter.total_egress_bytes());
-        assert!(out.cross_cloud_cost_usd > 0.0);
-        assert!(out.cross_cloud_cost_usd < out.cost_usd);
-        assert!(out.cross_cloud_carbon_g > 0.0);
-        assert!(out.cross_cloud_carbon_g <= out.trans_carbon_g);
-        // Cross-provider egress bills the internet-tier rate, which is
-        // strictly pricier than the intra-provider inter-region rate.
+        assert!(out.trans_carbon_g > 0.0);
+        // The A→B payload crossed the provider boundary on its own route,
+        // billed at the internet-tier rate, which is strictly pricier than
+        // the intra-provider inter-region rate.
+        let crossed = out.meter.egress_bytes[&(app.home, gcp_west)];
+        assert!(crossed >= 10_000.0, "{crossed}");
+        let cost = cloud.pricing.egress_cost(app.home, gcp_west, crossed);
+        assert!(cost > 0.0 && cost < out.cost_usd);
         let intra = cloud.pricing.region(app.home).egress_inter_region_per_gb;
-        let cross_rate = out.cross_cloud_cost_usd / (out.cross_cloud_egress_bytes / 1e9);
+        let cross_rate = cost / (crossed / 1e9);
         assert!(cross_rate > intra, "cross {cross_rate} intra {intra}");
     }
 
@@ -1816,6 +1757,231 @@ mod tests {
             assert_eq!(cloud.kv.len(), kv_items);
             assert_eq!(cloud.blob.len(), blobs);
         }
+
+        // Nor once it has failed: with most deliveries dropped on the home
+        // plan, hops and sync fires dead-letter and their failover is
+        // refused (the node already runs at home), so nothing ever reads
+        // what was stored for them.
+        cloud.set_faults(caribou_simcloud::faults::FaultPlan {
+            message_drop_prob: 0.6,
+            ..Default::default()
+        });
+        let into_d = app.dag.in_edges(NodeId(3));
+        let (mut lost_hops, mut lost_fires) = (0, 0);
+        for inv in 20_000..22_000u64 {
+            let at = inv as f64 * 5.0;
+            let out = engine.invoke_with_scratch(
+                &mut cloud,
+                &app,
+                &home_plan,
+                inv,
+                at,
+                &mut rng,
+                &mut scratch,
+            );
+            let edges = &out.log.edges;
+            lost_hops += edges.iter().filter(|e| !e.taken && e.bytes > 0.0).count();
+            let fed_d = edges
+                .iter()
+                .any(|e| e.taken && into_d.iter().any(|d| d.0 == e.edge));
+            lost_fires += usize::from(fed_d && !out.log.nodes.iter().any(|n| n.node == 3));
+        }
+        assert!(lost_hops > 0 && lost_fires > 0, "{lost_hops} {lost_fires}");
+        assert_eq!(cloud.kv.len(), kv_items);
+        assert_eq!(cloud.blob.len(), blobs);
+    }
+
+    /// Folds every bit one invocation hands back into `h` (FNV-1a over
+    /// words): the four scalars, failovers, failed region, completion and
+    /// every node and edge record, in log order.
+    fn fold_outcome(h: &mut u64, out: &ExecutionOutcome) {
+        let mut words = vec![
+            out.e2e_latency_s.to_bits(),
+            out.cost_usd.to_bits(),
+            out.exec_carbon_g.to_bits(),
+            out.trans_carbon_g.to_bits(),
+            u64::from(out.failovers),
+            out.failed_region.map_or(u64::MAX, |r| u64::from(r.0)),
+            u64::from(out.completed),
+        ];
+        for n in &out.log.nodes {
+            words.extend([
+                u64::from(n.node),
+                u64::from(n.region.0),
+                n.duration_s.to_bits(),
+                n.cpu_total_time_s.to_bits(),
+                u64::from(n.memory_mb),
+                n.start_s.to_bits(),
+            ]);
+        }
+        for e in &out.log.edges {
+            words.extend([
+                u64::from(e.edge),
+                u64::from(e.taken),
+                u64::from(e.from_region.0),
+                u64::from(e.to_region.0),
+                e.bytes.to_bits(),
+                e.latency_s.to_bits(),
+            ]);
+        }
+        for w in words {
+            *h = (*h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// A–B blob-sized, A–C conditional, B and C joined at sync node D,
+    /// D–E a plain hop after the join.
+    fn pin_app(cloud: &SimCloud) -> WorkflowApp {
+        let mut wf = Workflow::new("pin", "0.1");
+        let [a, b, c, d, e] =
+            ["A", "B", "C", "D", "E"].map(|name| wf.serverless_function(name).register());
+        wf.invoke(a, b, None)
+            .payload(DistSpec::Constant { value: 5e6 });
+        wf.invoke(a, c, Some(0.5))
+            .payload(DistSpec::Constant { value: 2e3 });
+        wf.invoke(b, d, None)
+            .payload(DistSpec::Constant { value: 1e6 });
+        wf.invoke(c, d, None);
+        wf.invoke(d, e, None)
+            .payload(DistSpec::Constant { value: 2e3 });
+        wf.get_predecessor_data(d);
+        let (dag, profile, _) = wf.extract().unwrap();
+        WorkflowApp {
+            name: "pin".into(),
+            dag,
+            profile,
+            home: cloud.region("us-east-1").unwrap(),
+        }
+    }
+
+    /// The engine's bits on every dispatch and edge-decision path,
+    /// captured at 57d3d36 before dispatch and edge decisions were each
+    /// written once: entry dead-letters (failover refused under drops,
+    /// accepted under an entry-region outage), pick-up outages, hop and
+    /// sync-fire dead-letters with the failover accepted and refused,
+    /// skipped edges into the sync node, the Step Functions and raw-SNS
+    /// paths and the blob path. Each row: scenario, completed and
+    /// failed-over invocations of 200, digest of every outcome.
+    #[test]
+    fn every_dispatch_and_edge_decision_path_is_pinned() {
+        const SPACING_S: f64 = 60.0;
+        let mut cloud = SimCloud::aws(50);
+        let app = pin_app(&cloud);
+        let (home, ca) = (app.home, cloud.region("ca-central-1").unwrap());
+        let at_home = DeploymentPlan::uniform(5, home);
+        let mut offloaded = at_home.clone();
+        for n in [1, 3, 4] {
+            offloaded.set(NodeId(n), ca);
+        }
+        let mut entry_away = at_home.clone();
+        entry_away.set(NodeId(0), ca);
+        let drops = FaultPlan {
+            message_drop_prob: 0.6,
+            ..FaultPlan::none()
+        };
+        // ca goes down 0.2 s into every invocation: each publish towards
+        // it (evaluated at the invocation's start) is delivered, and the
+        // function is down when the message is to be picked up.
+        let mut pick_up = FaultPlan::none();
+        for i in 0..200 {
+            let at = i as f64 * SPACING_S;
+            pick_up = pick_up.with_outage(ca, at + 0.2, at + SPACING_S / 2.0);
+        }
+        let entry_down = FaultPlan::none().with_outage(ca, 0.0, 1e9);
+        use caribou_simcloud::faults::FaultPlan;
+        use Orchestrator::{Caribou, Sns, StepFunctions};
+        let rows = [
+            (
+                "drops at home",
+                Caribou,
+                &at_home,
+                &drops,
+                140,
+                0,
+                0x57b9b9d4bf7940e3u64,
+            ),
+            (
+                "drops offloaded",
+                Caribou,
+                &offloaded,
+                &drops,
+                167,
+                26,
+                0xa2e9d915abc84176,
+            ),
+            (
+                "entry outage",
+                Caribou,
+                &entry_away,
+                &entry_down,
+                200,
+                200,
+                0x8e7537c9721afe1,
+            ),
+            (
+                "pick-up outage",
+                Caribou,
+                &offloaded,
+                &pick_up,
+                200,
+                200,
+                0x1314f5d8ae5c524f,
+            ),
+            (
+                "sns drops",
+                Sns,
+                &offloaded,
+                &drops,
+                177,
+                39,
+                0x2a6bfe5ef3b8411b,
+            ),
+            (
+                "step functions",
+                StepFunctions,
+                &offloaded,
+                &pick_up,
+                200,
+                200,
+                0x32578dd275f37653,
+            ),
+        ];
+        let carbon = carbon_table(&cloud);
+        let mut moved = Vec::new();
+        for (seed, (label, orchestrator, plan, faults, completed, failed_over, digest)) in
+            rows.into_iter().enumerate()
+        {
+            let engine = ExecutionEngine {
+                carbon_source: &carbon,
+                carbon_model: CarbonModel::new(TransmissionScenario::BEST),
+                orchestrator,
+            };
+            cloud = SimCloud::aws(50);
+            cloud.set_faults(faults.clone());
+            engine.provision(&mut cloud, &app, plan);
+            let mut rng = Pcg32::seed(seed as u64);
+            let mut scratch = InvocationScratch::new();
+            let (mut ok, mut fell_back, mut h) = (0, 0, 0xcbf2_9ce4_8422_2325u64);
+            for inv in 0..200u64 {
+                let at = inv as f64 * SPACING_S;
+                let out = engine.invoke_with_scratch(
+                    &mut cloud,
+                    &app,
+                    plan,
+                    inv,
+                    at,
+                    &mut rng,
+                    &mut scratch,
+                );
+                ok += u32::from(out.completed);
+                fell_back += u32::from(out.failovers > 0);
+                fold_outcome(&mut h, &out);
+            }
+            if (ok, fell_back, h) != (completed, failed_over, digest) {
+                moved.push(format!("{label}: ({ok}, {fell_back}, {h:#x})"));
+            }
+        }
+        assert!(moved.is_empty(), "moved: {moved:#?}");
     }
 
     /// A flat grid that counts how often it is asked.

@@ -33,15 +33,6 @@ pub struct ExecutionOutcome {
     pub exec_carbon_g: f64,
     /// Transmission carbon, gCO₂eq.
     pub trans_carbon_g: f64,
-    /// Bytes that crossed a provider boundary (its own billing line in
-    /// cross-provider plans; always 0 on single-provider clouds).
-    pub cross_cloud_egress_bytes: f64,
-    /// Egress cost of the cross-provider bytes, USD (a subset of
-    /// [`ExecutionOutcome::cost_usd`]).
-    pub cross_cloud_cost_usd: f64,
-    /// Transmission carbon of the cross-provider bytes, gCO₂eq (a subset
-    /// of [`ExecutionOutcome::trans_carbon_g`]).
-    pub cross_cloud_carbon_g: f64,
     /// Billable usage of this invocation.
     pub meter: UsageMeter,
     /// Whether every required message was delivered (false when a pub/sub

@@ -83,6 +83,25 @@ pub struct RouteDecision {
     pub probed: bool,
 }
 
+impl RouteDecision {
+    /// Substitutes home for every non-home node whose region `blocked`
+    /// says is down, visiting nodes in plan order: the per-node §6.1
+    /// fallback, before or without a contingency table.
+    fn substitute_home(&mut self, home: RegionId, mut blocked: impl FnMut(RegionId) -> bool) {
+        for i in 0..self.plan.len() {
+            let node = caribou_model::dag::NodeId(i as u32);
+            let region = self.plan.region_of(node);
+            if region != home && blocked(region) {
+                self.plan.set(node, home);
+                self.breaker_rerouted = true;
+                if caribou_telemetry::is_enabled() {
+                    caribou_telemetry::count("breaker.reroute", 1);
+                }
+            }
+        }
+    }
+}
+
 /// Routes invocations of one workflow.
 #[derive(Debug, Clone)]
 pub struct InvocationRouter {
@@ -138,11 +157,6 @@ impl InvocationRouter {
         self.contingency = Some(table);
         self.topology = topology;
         self.active_fallback = None;
-    }
-
-    /// The installed contingency table, if any.
-    pub fn contingency(&self) -> Option<&ContingencyTable> {
-        self.contingency.as_ref()
     }
 
     /// The currently engaged fallback entry, if failover is active.
@@ -201,55 +215,35 @@ impl InvocationRouter {
     /// Routes the next invocation at simulation time `now_s`.
     pub fn route(&mut self, now_s: f64) -> RouteDecision {
         self.counter += 1;
-        let benchmark = self.counter.is_multiple_of(BENCHMARK_EVERY);
-        if benchmark {
-            // Benchmark traffic is pinned home by definition; no breaker
-            // can reroute it further.
-            return RouteDecision {
-                plan: self.home_plan(),
-                benchmark_traffic: true,
-                plan_expired: false,
-                breaker_rerouted: false,
-                fallback: false,
-                probed: false,
-            };
-        }
-        let mut decision = match &self.active {
-            Some(plans) if !plans.expired(now_s) => {
-                let hour = ((now_s / 3600.0) as usize) % 24;
-                RouteDecision {
-                    plan: plans.plan_for_hour(hour).clone(),
-                    benchmark_traffic: false,
-                    plan_expired: false,
-                    breaker_rerouted: false,
-                    fallback: false,
-                    probed: false,
-                }
-            }
-            Some(_) => RouteDecision {
-                plan: self.home_plan(),
-                benchmark_traffic: false,
-                plan_expired: true,
-                breaker_rerouted: false,
-                fallback: false,
-                probed: false,
-            },
-            None => RouteDecision {
-                plan: self.home_plan(),
-                benchmark_traffic: false,
-                plan_expired: false,
-                breaker_rerouted: false,
-                fallback: false,
-                probed: false,
-            },
+        // Benchmark traffic is pinned home by definition; no breaker can
+        // reroute it further.
+        let benchmark_traffic = self.counter.is_multiple_of(BENCHMARK_EVERY);
+        let plan_expired =
+            !benchmark_traffic && self.active.as_ref().is_some_and(|p| p.expired(now_s));
+        let plan = match &self.active {
+            Some(plans) if !benchmark_traffic && !plan_expired => plans
+                .plan_for_hour(((now_s / 3600.0) as usize) % 24)
+                .clone(),
+            _ => self.home_plan(),
         };
+        let mut decision = RouteDecision {
+            plan,
+            benchmark_traffic,
+            plan_expired,
+            breaker_rerouted: false,
+            fallback: false,
+            probed: false,
+        };
+        if benchmark_traffic {
+            return decision;
+        }
         if self.breaker_engaged() {
             if self.contingency.is_some() {
                 self.apply_failover(&mut decision, now_s);
             } else {
                 self.apply_breakers(&mut decision, now_s);
             }
-        } else if self.active_fallback.is_some() {
+        } else if self.fallback_engaged() {
             self.finish_recovery(now_s);
         }
         decision
@@ -262,33 +256,19 @@ impl InvocationRouter {
     /// rather than being consumed by its first node.
     fn apply_breakers(&mut self, decision: &mut RouteDecision, now_s: f64) {
         let mut verdicts: Vec<(RegionId, bool)> = Vec::new();
-        for i in 0..decision.plan.len() {
-            let node = caribou_model::dag::NodeId(i as u32);
-            let region = decision.plan.region_of(node);
-            if region == self.home {
-                continue;
+        let mut probed = false;
+        decision.substitute_home(self.home, |region| {
+            if let Some(&(_, blocked)) = verdicts.iter().find(|(r, _)| *r == region) {
+                return blocked;
             }
-            let blocked = match verdicts.iter().find(|(r, _)| *r == region) {
-                Some((_, b)) => *b,
-                None => {
-                    let b = self.blocks(region, now_s);
-                    if !b && self.breaker_state(region) != BreakerState::Closed {
-                        // The region's half-open breaker admitted this
-                        // request as its recovery probe.
-                        decision.probed = true;
-                    }
-                    verdicts.push((region, b));
-                    b
-                }
-            };
-            if blocked {
-                decision.plan.set(node, self.home);
-                decision.breaker_rerouted = true;
-                if caribou_telemetry::is_enabled() {
-                    caribou_telemetry::count("breaker.reroute", 1);
-                }
-            }
-        }
+            let blocked = self.blocks(region, now_s);
+            // A tripped breaker that lets the request through admitted it
+            // as its half-open recovery probe.
+            probed |= !blocked && self.breaker_state(region) != BreakerState::Closed;
+            verdicts.push((region, blocked));
+            blocked
+        });
+        decision.probed |= probed;
     }
 
     /// Contingency failover (cold path; at least one breaker tripped and
@@ -386,16 +366,7 @@ impl InvocationRouter {
         // No precomputed fallback avoids the whole down set (e.g. home's
         // own provider degraded): substitute home per blocked node, the
         // pre-contingency behaviour.
-        for i in 0..decision.plan.len() {
-            let node = caribou_model::dag::NodeId(i as u32);
-            if down.contains(&decision.plan.region_of(node)) {
-                decision.plan.set(node, self.home);
-                decision.breaker_rerouted = true;
-                if caribou_telemetry::is_enabled() {
-                    caribou_telemetry::count("breaker.reroute", 1);
-                }
-            }
-        }
+        decision.substitute_home(self.home, |region| down.contains(&region));
     }
 
     /// Ends an engaged failover: every breaker closed (or admitted its
@@ -532,11 +503,6 @@ impl InvocationRouter {
                 self.record_success(region);
             }
         }
-    }
-
-    /// Invocations routed so far.
-    pub fn invocations(&self) -> u64 {
-        self.counter
     }
 }
 

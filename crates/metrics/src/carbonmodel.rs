@@ -10,12 +10,11 @@
 //! (0.005 kWh/GB inter-region, free intra-region).
 
 use caribou_simcloud::compute::ExecutionRecord;
-use serde::{Deserialize, Serialize};
 
 use crate::energy;
 
 /// Transmission energy factor scenario (kWh/GB).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransmissionScenario {
     /// Factor applied to data crossing region boundaries.
     pub inter_region_kwh_per_gb: f64,
@@ -67,7 +66,7 @@ impl TransmissionScenario {
 }
 
 /// The operational carbon model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CarbonModel {
     /// Transmission energy scenario.
     pub scenario: TransmissionScenario,

@@ -17,10 +17,9 @@ use std::collections::VecDeque;
 use caribou_model::hash::FixedMap;
 use caribou_model::intern::IStr;
 use caribou_model::region::RegionId;
-use serde::{Deserialize, Serialize};
 
 /// Per-stage execution record inside one invocation log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeRecord {
     /// Node index in the workflow DAG.
     pub node: u32,
@@ -37,7 +36,7 @@ pub struct NodeRecord {
 }
 
 /// Per-edge transmission record inside one invocation log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeRecord {
     /// Edge index in the workflow DAG.
     pub edge: u32,
@@ -54,7 +53,7 @@ pub struct EdgeRecord {
 }
 
 /// One complete workflow invocation record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvocationLog {
     /// Workflow name (interned: cloning a log does not copy the name).
     pub workflow: IStr,

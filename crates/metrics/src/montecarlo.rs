@@ -35,7 +35,6 @@ use caribou_model::rng::Pcg32;
 use caribou_simcloud::compute::LambdaRuntime;
 use caribou_simcloud::latency::LatencyModel;
 use caribou_simcloud::orchestration::Orchestrator;
-use serde::{Deserialize, Serialize};
 
 use caribou_carbon::source::CarbonDataSource;
 
@@ -89,7 +88,7 @@ impl StageModels for DefaultModels<'_> {
 }
 
 /// Stopping-rule configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarloConfig {
     /// Samples per batch (paper: 200).
     pub batch: usize,
@@ -110,7 +109,7 @@ impl Default for MonteCarloConfig {
 }
 
 /// Estimation result: one summary per metric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimateSummary {
     /// End-to-end service time, seconds.
     pub latency: DistSummary,

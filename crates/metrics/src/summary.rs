@@ -4,10 +4,8 @@
 //! mean is the "average case" used for ordering deployment plans and whose
 //! 95th percentile is the "tail case" used for tolerance checks (§7.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a sampled metric distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistSummary {
     /// Sample mean ("average case").
     pub mean: f64,

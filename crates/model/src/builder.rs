@@ -29,8 +29,6 @@
 //! assert_eq!(dag.node_count(), 2);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::constraints::{Constraints, Objective, RegionFilter, Tolerances};
 use crate::dag::{Edge, NodeId, NodeMeta, WorkflowDag};
 use crate::dist::DistSpec;
@@ -38,7 +36,7 @@ use crate::error::ModelError;
 use crate::profile::{EdgeProfile, NodeProfile, WorkflowProfile};
 
 /// Handle to a registered serverless function within a [`Workflow`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FunctionHandle(usize);
 
 #[derive(Debug, Clone)]

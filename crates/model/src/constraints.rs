@@ -83,7 +83,7 @@ impl Tolerances {
 }
 
 /// A region filter: allow-list and/or deny-list over regions and providers.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegionFilter {
     /// If non-empty, only these regions are eligible.
     pub allowed_regions: Vec<RegionId>,
@@ -146,7 +146,7 @@ impl RegionFilter {
 }
 
 /// Full constraint set for one workflow.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Constraints {
     /// Workflow-level region filter (from the deployment manifest).
     pub workflow: RegionFilter,

@@ -6,16 +6,13 @@
 //! *synchronization node*; executing it requires the atomic-annotation
 //! protocol implemented in `caribou-exec`.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 use crate::error::ModelError;
 
 /// Index of a node within a [`WorkflowDag`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -32,9 +29,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Index of an edge within a [`WorkflowDag`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -51,7 +46,7 @@ impl fmt::Display for EdgeId {
 }
 
 /// Metadata for one execution stage (DAG node).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeMeta {
     /// Stage name; unique within the workflow.
     pub name: String,
@@ -61,7 +56,7 @@ pub struct NodeMeta {
 }
 
 /// One directed execution dependency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Source node.
     pub from: NodeId,
@@ -73,7 +68,7 @@ pub struct Edge {
 }
 
 /// An immutable, validated workflow DAG.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowDag {
     name: String,
     version: String,

@@ -2,17 +2,15 @@
 //!
 //! The paper's Metrics Manager captures execution times and transmission
 //! latencies as *distributions* rather than averages (§7.1). [`DistSpec`]
-//! is the serializable description of such a distribution; sampling and
+//! is the declarative description of such a distribution; sampling and
 //! summary statistics are provided here so every crate agrees on the
 //! semantics.
-
-use serde::{Deserialize, Serialize};
 
 use crate::error::ModelError;
 use crate::rng::Pcg32;
 
-/// A serializable distribution specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A declarative distribution specification.
+#[derive(Debug, Clone, PartialEq)]
 pub enum DistSpec {
     /// A degenerate distribution always returning `value`.
     Constant {

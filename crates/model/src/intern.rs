@@ -7,22 +7,11 @@
 //! an immutable reference-counted string: cloning it bumps a counter
 //! instead of copying bytes, so a name allocated once at deployment time
 //! is free to stamp onto millions of logs.
-//!
-//! [`StrInterner`] deduplicates on top of that: fleets registering many
-//! workflows (or re-registering the same one) get one shared allocation
-//! per distinct name.
-//!
-//! `IStr` serializes as a plain string (hand-written impls, not serde's
-//! `rc` feature), so swapping a `String` field for `IStr` changes no
-//! serialized byte.
 
 use std::borrow::Borrow;
-use std::collections::HashSet;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
-
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 /// An immutable, reference-counted string. `Clone` is a refcount bump.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -120,53 +109,6 @@ impl PartialEq<IStr> for str {
     }
 }
 
-impl Serialize for IStr {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.as_str().serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for IStr {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        String::deserialize(deserializer).map(IStr::from)
-    }
-}
-
-/// Deduplicating [`IStr`] factory: interning the same text twice returns
-/// two handles to one allocation.
-#[derive(Debug, Clone, Default)]
-pub struct StrInterner {
-    set: HashSet<IStr>,
-}
-
-impl StrInterner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the interned handle for `s`, allocating only on first
-    /// sight of the text.
-    pub fn intern(&mut self, s: &str) -> IStr {
-        if let Some(found) = self.set.get(s) {
-            return found.clone();
-        }
-        let v = IStr::from(s);
-        self.set.insert(v.clone());
-        v
-    }
-
-    /// Number of distinct strings interned.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// Whether nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,28 +121,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a, "workflow");
         assert_eq!(a.as_str(), "workflow");
-    }
-
-    #[test]
-    fn interner_deduplicates() {
-        let mut i = StrInterner::new();
-        let a = i.intern("t2s");
-        let b = i.intern("t2s");
-        let c = i.intern("dna");
-        assert!(Arc::ptr_eq(&a.0, &b.0));
-        assert!(!Arc::ptr_eq(&a.0, &c.0));
-        assert_eq!(i.len(), 2);
-    }
-
-    #[test]
-    fn serializes_as_a_plain_string() {
-        let v = IStr::from("wf-1");
-        let json = serde_json::to_string(&v).unwrap();
-        assert_eq!(json, "\"wf-1\"");
-        let back: IStr = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, v);
-        // Byte-identical to what a String field would have produced.
-        assert_eq!(json, serde_json::to_string("wf-1").unwrap());
     }
 
     #[test]

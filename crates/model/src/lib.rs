@@ -54,7 +54,7 @@ pub use builder::Workflow;
 pub use constraints::{Constraints, Tolerances};
 pub use dag::{EdgeId, NodeId, WorkflowDag};
 pub use error::ModelError;
-pub use intern::{IStr, StrInterner};
+pub use intern::IStr;
 pub use manifest::DeploymentManifest;
 pub use plan::{DeploymentPlan, HourlyPlans};
 pub use profile::WorkflowProfile;

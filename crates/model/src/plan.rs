@@ -219,7 +219,7 @@ impl HourlyPlans {
 
 /// What a contingency fallback plan was solved without: a single region
 /// or an entire provider.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exclusion {
     /// The fallback excludes one region.
     Region(RegionId),
@@ -240,7 +240,7 @@ impl Exclusion {
 /// One ranked fallback: an exclusion, the concrete regions it removes
 /// from the plan space, the plan set solved without them, and the
 /// objective metric the solver estimated for it (used for ranking).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContingencyEntry {
     /// What was excluded from the plan space.
     pub exclusion: Exclusion,
@@ -257,7 +257,7 @@ pub struct ContingencyEntry {
 /// Precomputed fallback plans ranked best-first, emitted by the solver
 /// alongside the primary schedule so the runtime can fail over without
 /// re-solving (and without ad-hoc re-route-home).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ContingencyTable {
     /// Fallback entries, ranked by ascending `metric`.
     pub entries: Vec<ContingencyEntry>,

@@ -2,20 +2,18 @@
 //!
 //! The framework never inspects application logic; it learns each stage's
 //! execution-time distribution, memory configuration, CPU utilization, and
-//! per-edge payload sizes (§7.1). A [`WorkflowProfile`] is the serializable
+//! per-edge payload sizes (§7.1). A [`WorkflowProfile`] is the plain-data
 //! form of that knowledge. For the benchmark replicas in
 //! `caribou-workloads` the profiles are calibrated to the paper's
 //! workloads; for user workflows they are estimated from invocation logs by
 //! the Metrics Manager.
-
-use serde::{Deserialize, Serialize};
 
 use crate::dag::WorkflowDag;
 use crate::dist::DistSpec;
 use crate::error::ModelError;
 
 /// Resource profile for one workflow stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeProfile {
     /// Configured memory size in MB; determines the vCPU allocation
     /// (`mem / 1769`, §7.1) and the memory energy term.
@@ -59,7 +57,7 @@ impl NodeProfile {
 }
 
 /// Resource profile for one DAG edge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeProfile {
     /// Intermediate-data payload (bytes) passed along the edge via the
     /// distributed key-value store.
@@ -83,7 +81,7 @@ impl EdgeProfile {
 }
 
 /// Full resource profile of a workflow, parallel to a [`WorkflowDag`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowProfile {
     /// Per-node profiles, indexed like the DAG's nodes.
     pub nodes: Vec<NodeProfile>,

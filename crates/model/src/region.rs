@@ -61,7 +61,7 @@ impl fmt::Display for Provider {
 /// Used to parameterize clouds, campaigns, and CLI runs: the default
 /// [`ProviderSet::aws_only`] is the paper's evaluation substrate, and
 /// `ProviderSet::parse("aws,gcp")` opens the cross-provider plan space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProviderSet(u8);
 
 impl ProviderSet {
@@ -150,7 +150,7 @@ impl fmt::Display for ProviderSet {
 /// A provider-qualified region name: the canonical cross-provider way to
 /// refer to a region, rendered `provider:name` (e.g. `aws:us-east-1`,
 /// `gcp:us-east1`). Bare names stay valid only while unambiguous.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProviderRegion {
     /// The provider operating the region.
     pub provider: Provider,
@@ -184,7 +184,7 @@ impl fmt::Display for RegionId {
 }
 
 /// Full metadata for one cloud region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionSpec {
     /// Provider-scoped region name, e.g. `us-east-1`.
     pub name: String,
@@ -207,7 +207,7 @@ pub const AWS_EVALUATION_REGIONS: [&str; 4] =
     ["us-east-1", "us-west-1", "us-west-2", "ca-central-1"];
 
 /// An ordered collection of regions addressable by [`RegionId`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RegionCatalog {
     regions: Vec<RegionSpec>,
 }

@@ -9,7 +9,6 @@
 use caribou_model::hash::FixedMap;
 use caribou_model::region::RegionId;
 use caribou_model::rng::Pcg32;
-use serde::{Deserialize, Serialize};
 
 use crate::latency::LatencyModel;
 
@@ -18,7 +17,7 @@ use crate::latency::LatencyModel;
 pub const BLOB_THRESHOLD_BYTES: f64 = 256.0 * 1024.0;
 
 /// Published S3-style request prices, USD.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlobPricing {
     /// Per PUT request.
     pub per_put: f64,

@@ -318,22 +318,6 @@ impl FaultPlan {
                 .any(|d| d.window.contains(t) && d.regions.contains(&region))
     }
 
-    /// Whether the carbon forecast source is dark at time `t`.
-    pub fn carbon_data_down(&self, t: SimTime) -> bool {
-        self.carbon_outages.iter().any(|o| o.window.contains(t))
-    }
-
-    /// Start of the carbon-data outage active at `t`, if any (the
-    /// earliest start among overlapping windows — how long the forecast
-    /// has been stale).
-    pub fn carbon_down_since(&self, t: SimTime) -> Option<SimTime> {
-        self.carbon_outages
-            .iter()
-            .filter(|o| o.window.contains(t))
-            .map(|o| o.window.start)
-            .fold(None, |acc, s| Some(acc.map_or(s, |a: SimTime| a.min(s))))
-    }
-
     /// Latest end among the down-windows covering `region` at `t`, if the
     /// region is down at all — when the Migrator can expect the region
     /// back.
@@ -407,20 +391,6 @@ impl FaultPlan {
         self.cold_storms
             .iter()
             .any(|s| s.region == region && s.window.contains(t))
-    }
-
-    /// Whether the plan injects no faults at all.
-    pub fn is_quiet(&self) -> bool {
-        self.outages.is_empty()
-            && self.partitions.is_empty()
-            && self.gray_failures.is_empty()
-            && self.kv_throttles.is_empty()
-            && self.cold_storms.is_empty()
-            && self.provider_outages.is_empty()
-            && self.failure_domains.is_empty()
-            && self.carbon_outages.is_empty()
-            && self.deploy_failure_prob == 0.0
-            && self.message_drop_prob == 0.0
     }
 
     /// Samples whether a deployment attempt fails.
@@ -699,7 +669,11 @@ mod tests {
                 active,
                 "failure domain at {t}"
             );
-            assert_eq!(plan.carbon_data_down(t), active, "carbon outage at {t}");
+            assert_eq!(
+                plan.carbon_outages[0].window.contains(t),
+                active,
+                "carbon outage at {t}"
+            );
         }
     }
 
@@ -822,20 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn carbon_outage_reports_staleness_origin() {
-        let plan = FaultPlan::none()
-            .with_carbon_outage(100.0, 200.0)
-            .with_carbon_outage(150.0, 300.0);
-        assert!(!plan.carbon_data_down(50.0));
-        assert_eq!(plan.carbon_down_since(50.0), None);
-        assert_eq!(plan.carbon_down_since(120.0), Some(100.0));
-        // Overlap: staleness is measured from the earliest active start.
-        assert_eq!(plan.carbon_down_since(180.0), Some(100.0));
-        assert_eq!(plan.carbon_down_since(250.0), Some(150.0));
-        assert_eq!(plan.carbon_down_since(300.0), None);
-    }
-
-    #[test]
     fn down_until_spans_overlapping_windows() {
         let plan = FaultPlan::none()
             .with_outage(RegionId(1), 0.0, 100.0)
@@ -955,22 +915,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn quiet_plan_detected() {
-        assert!(FaultPlan::none().is_quiet());
-        assert!(!FaultPlan::none()
-            .with_gray_failure(RegionId(0), 0.0, 1.0, 2.0)
-            .is_quiet());
-        assert!(!FaultPlan::none().with_carbon_outage(0.0, 1.0).is_quiet());
-        assert!(!FaultPlan::none()
-            .with_provider_outage(Provider::Aws, &[RegionId(1)], 0.0, 1.0)
-            .is_quiet());
-        assert!(!FaultPlan {
-            message_drop_prob: 0.1,
-            ..FaultPlan::none()
-        }
-        .is_quiet());
     }
 }

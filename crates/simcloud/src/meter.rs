@@ -7,7 +7,6 @@
 //! logic's overhead must stay below the savings).
 
 use caribou_model::region::RegionId;
-use serde::{Deserialize, Serialize};
 
 use crate::pricing::PricingCatalog;
 use crate::tinymap::TinyMap;
@@ -25,11 +24,11 @@ pub type RouteMap<V> = TinyMap<(RegionId, RegionId), V, METER_INLINE>;
 
 /// Accumulated usage, decomposable by region.
 ///
-/// Keyed by sorted [`TinyMap`]s so that iteration (summing costs,
-/// serializing to JSON/CSV) is deterministic — byte-stable output for
-/// identical runs — while a fresh per-invocation meter allocates nothing
-/// for the handful of regions it touches.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Keyed by sorted [`TinyMap`]s so that iteration (summing costs) is
+/// deterministic — bit-stable output for identical runs — while a fresh
+/// per-invocation meter allocates nothing for the handful of regions it
+/// touches.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UsageMeter {
     /// Lambda GB-seconds per region.
     pub lambda_gb_s: RegionMap<f64>,
@@ -117,27 +116,6 @@ impl UsageMeter {
     /// Total inter-region bytes moved.
     pub fn total_egress_bytes(&self) -> f64 {
         self.egress_bytes.values().sum()
-    }
-
-    /// Bytes moved between regions of *different providers* (its own
-    /// cost/carbon line in cross-provider runs; always 0 on
-    /// single-provider catalogs).
-    pub fn cross_provider_egress_bytes(&self, pricing: &PricingCatalog) -> f64 {
-        self.egress_bytes
-            .iter()
-            .filter(|((from, to), _)| pricing.is_cross_provider(*from, *to))
-            .map(|(_, bytes)| bytes)
-            .sum()
-    }
-
-    /// Egress cost of the bytes that crossed a provider boundary, USD — a
-    /// subset of [`UsageMeter::cost`]'s egress component.
-    pub fn cross_provider_egress_cost(&self, pricing: &PricingCatalog) -> f64 {
-        self.egress_bytes
-            .iter()
-            .filter(|((from, to), _)| pricing.is_cross_provider(*from, *to))
-            .map(|((from, to), bytes)| pricing.egress_cost(*from, *to, *bytes))
-            .sum()
     }
 
     /// Prices the accumulated usage in USD.

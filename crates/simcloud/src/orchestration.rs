@@ -11,14 +11,13 @@
 use std::sync::OnceLock;
 
 use caribou_model::rng::Pcg32;
-use serde::{Deserialize, Serialize};
 
 /// Log-space sigma of the orchestration overhead distributions (both
 /// transition and setup); shared with the estimator's prepared fast path.
 pub const OVERHEAD_SIGMA: f64 = 0.25;
 
 /// The orchestration mechanism chaining workflow stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Orchestrator {
     /// AWS Step Functions: fastest transitions, single-region only.
     StepFunctions,

@@ -4,10 +4,9 @@
 //! price sheet scaled by its per-region premium.
 
 use caribou_model::region::{Provider, RegionId};
-use serde::{Deserialize, Serialize};
 
 /// Prices for one region, in USD.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionPricing {
     /// Lambda compute price per GB-second.
     pub lambda_gb_second: f64,
@@ -47,7 +46,7 @@ impl RegionPricing {
 }
 
 /// Pricing catalog covering every region.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PricingCatalog {
     per_region: Vec<RegionPricing>,
     /// Provider of each region.

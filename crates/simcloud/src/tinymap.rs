@@ -10,14 +10,11 @@
 //!
 //! Iteration is always in ascending key order — inline and spilled alike
 //! — so everything downstream that relied on `BTreeMap`'s deterministic
-//! iteration (cost folds, serialization) is byte-identical. The serde
-//! impls emit the same map encoding `BTreeMap` would.
+//! iteration (cost folds) is bit-identical.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Index;
-
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 /// A map over `Copy` keys and values: first `N` entries inline and
 /// sorted, unbounded via a boxed `BTreeMap` spill.
@@ -146,35 +143,6 @@ where
     }
 }
 
-impl<K, V, const N: usize> Serialize for TinyMap<K, V, N>
-where
-    K: Copy + Ord + Default + Serialize,
-    V: Copy + Default + Serialize,
-{
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        // Delegating to `BTreeMap`'s impl makes the encoding identical to
-        // the pre-TinyMap one by construction. Serialization is a cold
-        // path, so the temporary tree is fine.
-        let tree: BTreeMap<K, V> = self.iter().map(|(k, v)| (*k, *v)).collect();
-        tree.serialize(serializer)
-    }
-}
-
-impl<'de, K, V, const N: usize> Deserialize<'de> for TinyMap<K, V, N>
-where
-    K: Copy + Ord + Default + Deserialize<'de>,
-    V: Copy + Default + Deserialize<'de>,
-{
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let tree = BTreeMap::<K, V>::deserialize(deserializer)?;
-        let mut out = TinyMap::new();
-        for (k, v) in tree {
-            *out.entry_or(k, v) = v;
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,23 +174,6 @@ mod tests {
         assert_eq!(m[&0], 2);
         let keys: Vec<u32> = m.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn serializes_exactly_like_btreemap() {
-        let mut a: TinyMap<u32, f64, 2> = TinyMap::new();
-        let mut b: BTreeMap<u32, f64> = BTreeMap::new();
-        for (k, v) in [(5u32, 1.5f64), (1, 2.5), (3, 3.5), (2, 4.5)] {
-            *a.entry_or(k, 0.0) += v;
-            *b.entry(k).or_insert(0.0) += v;
-        }
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-        let back: TinyMap<u32, f64, 2> =
-            serde_json::from_str(&serde_json::to_string(&a).unwrap()).expect("round trip");
-        assert_eq!(back, a);
     }
 
     #[test]

@@ -343,6 +343,31 @@ if before_tests crates/exec/src/engine.rs |
     exit 1
 fi
 
+# Each runtime rule of the invocation path written once: one dispatch
+# (publish, fail over home if the message is lost) whose only other
+# fail_over_home caller is the pick-up outage, one edge decision (state and
+# log record), one route literal; and no outcome line nothing reads (the
+# cross-provider subsets) or interner nothing calls. Test modules are exempt
+# from the counts; the \b spares engine tests running "across clouds".
+echo "==> each-rule-once grep gates"
+for gate in \
+    'crates/exec/src/engine.rs;EdgeRecord \{;^use ;1;1' \
+    'crates/exec/src/engine.rs;EdgeState::Decided \{;if let |matches!\(;1;1' \
+    'crates/exec/src/engine.rs;fail_over_home\(;fn fail_over_home\(;1;2' \
+    'crates/exec/src/router.rs;RouteDecision \{;(struct |impl |-> )RouteDecision \{;1;1'; do
+    IFS=';' read -r file pattern except least most <<<"$gate"
+    hits=$(before_tests "$file" | grep -E "$pattern" | grep -cvE "$except" || true)
+    if [[ "$hits" -lt "$least" || "$hits" -gt "$most" ]]; then
+        echo "error: '$pattern' occurs $hits times in $file outside tests, want $least..$most:" >&2
+        before_tests "$file" | grep -E "$pattern" | grep -vE "$except" >&2 || true
+        exit 1
+    fi
+done
+if grep -rnE '\bcross_cloud|cross_provider_egress_(bytes|cost)\b|StrInterner' crates; then
+    echo "error: a deleted outcome line or the interner is back (see matches above)" >&2
+    exit 1
+fi
+
 # The solver's cache and walk off trees and SipHash: a species' plans sit in
 # a fixed-hasher map (the ordered keys beside it are a set, for eviction),
 # the walk's seen set is a FixedSet, and a fleet call takes each app's solve
