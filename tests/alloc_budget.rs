@@ -3,8 +3,9 @@
 //! measurably less per invocation than the fresh-buffer `invoke` path,
 //! a sustained-load run's peak live heap must not grow with its length,
 //! a framework alternating between two workflows must allocate no more
-//! than one running them in turn, and an HBSS walk over a warm cache must
-//! allocate per distinct plan, not per iteration.
+//! than one running them in turn, an HBSS walk over a warm cache must
+//! allocate per distinct plan, not per iteration, and a re-pricing must
+//! allocate nothing but the cache's new hour entry.
 //!
 //! Allocator calls are counted per thread — the libtest harness thread
 //! prints result lines and spawns the next test inside a sibling's
@@ -369,6 +370,64 @@ fn warm_resolve_allocates_per_distinct_plan_not_per_iteration() {
         allocated <= budget,
         "a warm re-solve allocated {allocated} times over {distinct} distinct plans and \
          {iterations} iterations (budget {budget}: 3 per distinct plan + {per_solve})"
+    );
+}
+
+/// A miss whose plan the cache has folded is a re-pricing: the carbon of a
+/// kept record at a new hour. It reads the bank and writes the estimator
+/// scratch's columns (the carbon column, the tail's key buffer), which an
+/// earlier estimate sized, so it allocates nothing; only the cache's new
+/// hour entry may grow that plan's list of hours. On a flat grid the next
+/// hour's walk is the same walk as this hour's, so a warm engine re-solving
+/// it re-prices every plan it visits and folds none, and the re-solve
+/// allocates what the same walk allocates on hits, plus that growth.
+#[test]
+fn a_repricing_allocates_nothing_in_the_estimator() {
+    let _serial = serial();
+    let world = World::evaluation(5);
+    let bench = text2speech_censoring(InputSize::Small);
+    let case = world.case(&bench, TransmissionScenario::BEST, MonteCarloConfig::default());
+    let permitted = vec![world.regions.clone(); bench.dag.node_count()];
+    let carbon = flat_carbon(&world.cloud);
+    let ctx = case.context(&permitted, default_tolerances(), &carbon);
+    let engine = EvalEngine::new(42, 1);
+    let solver = HbssSolver {
+        params: HbssParams {
+            alpha_factor: 30,
+            ..HbssParams::default()
+        },
+    };
+    let solve = |hour| solver.solve_with(&engine, &ctx, hour, &mut Pcg32::seed(3));
+
+    let cold = solve(7.5);
+    let before = allocs();
+    let hit = solve(7.5);
+    let on_hits = allocs() - before;
+    let (misses, entries) = (engine.miss_count(), engine.cache_len());
+    let before = allocs();
+    let next = solve(8.5);
+    let on_repricings = allocs() - before;
+    let repriced = engine.miss_count() - misses;
+    // Each re-pricing adds its plan's entry for the new hour.
+    let growth = (engine.cache_len() - entries) as u64;
+    assert_eq!(growth, repriced);
+    for walk in [&hit, &next] {
+        assert_eq!((&walk.best, walk.evaluated), (&cold.best, cold.evaluated));
+    }
+    // The hour after that, counted: every miss a re-pricing, no fold.
+    caribou_telemetry::enable(Box::new(caribou_telemetry::NullSink));
+    solve(9.5);
+    let recorder = caribou_telemetry::finish().unwrap().recorder;
+    assert_eq!(recorder.counter("montecarlo.folds"), 0, "a next hour folded");
+    assert_eq!(recorder.counter("montecarlo.repriced"), repriced);
+    eprintln!(
+        "alloc_budget: a walk allocated {on_hits} times on hits and {on_repricings} on \
+         {repriced} re-pricings (hour-entry growth {growth})"
+    );
+    assert!(
+        on_repricings <= on_hits + growth,
+        "{repriced} re-pricings allocated {on_repricings} times, the same walk on hits \
+         {on_hits} (budget: that plus {growth} new hour entries)"
     );
 }
 

@@ -43,6 +43,10 @@
 //! `PlanRecord` on the bank its predecessors filled must be, bit for bit,
 //! what a bank of its own gives.
 //!
+//! The fourth part pins the estimator's bits: a digest of every estimate
+//! over a seeded sweep of paths (models, setup, rules, hours), captured
+//! before its sample loops were rewritten.
+//!
 //! Mutation-checked when written: a fold that takes the *last* in-edge's
 //! arrival instead of the latest, one that skips the `ceil` in Lambda
 //! billing, and a bank whose node sites collide on one column each fail
@@ -1028,4 +1032,139 @@ fn plans_on_a_bank_their_predecessors_filled_equal_fresh_banks_bit_for_bit() {
         external_legs >= 3,
         "{external_legs} cases fetch external data from afar"
     );
+}
+
+/// Folds an estimate's bits into `h` (FNV-1a over words).
+fn fold_bits(h: &mut u64, e: &EstimateSummary) {
+    for w in bits(e) {
+        *h = (*h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// The estimator's bits on every fold and pricing path, captured at
+/// 14ac3f2 before its per-sample loops became free functions over their
+/// columns and its p95 a selection above mean + σ: random DAGs (gated and
+/// certain edges, sync joins, skips into them, offloaded external-data
+/// nodes) × three plans × model and learned stage models (exec picks at
+/// the plan's region and scaled from home, logged and unlogged transfer
+/// pairs) × setup on (Caribou) and off (raw SNS) × the paper's 200/2000
+/// rule at its 5% threshold and at 1% (which stops between its bounds), a
+/// 40/80 rule and ragged 50-sample batches to 250 × four hours per plan,
+/// the later hours priced off the kept record. The digest folds every
+/// `EstimateSummary` in that order.
+#[test]
+fn every_estimator_path_is_pinned() {
+    const DIGEST: u64 = 0x181c_ff49_39c2_f585;
+    const HOURS: [f64; 4] = [0.5, 7.25, 13.0, 19.75];
+    let rules = [
+        (200, 2000, 0.05),
+        (200, 2000, 0.01),
+        (40, 80, 0.2),
+        (50, 250, 0.0),
+    ];
+    let w = world(false);
+    let home = w.regions[0];
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let (mut gated, mut certain, mut skips_into_sync, mut external_legs) = (0, 0, 0, 0);
+    let (mut folded, mut repriced, mut capped, mut extended) = (0, 0, 0, 0);
+    for seed in 0..10u64 {
+        let wf = random_workflow().generate(&mut TestRng::new(7_000 + seed));
+        let mut profile = wf.profile.clone();
+        vary_distributions(&mut profile, seed);
+        let plans = [
+            random_plan(&wf.dag, &w.regions, seed),
+            random_plan(&wf.dag, &w.regions, seed + 100),
+            DeploymentPlan::uniform(wf.dag.node_count(), home),
+        ];
+        let probs = profile.edges.iter().map(|e| e.probability);
+        gated += probs.clone().filter(|p| *p > 0.0 && *p < 1.0).count();
+        certain += probs.filter(|p| *p >= 1.0).count();
+        skips_into_sync += usize::from(skips_into_sync_node(&wf.dag, &profile));
+        external_legs += usize::from(fetches_from_afar(&wf.dag, &profile, &plans, home));
+        let (history, _) = seeded_history(&w, &wf.dag, &plans[0], seed);
+        for orchestrator in [Orchestrator::Caribou, Orchestrator::Sns] {
+            let default = DefaultModels {
+                profile: &profile,
+                runtime: &w.runtime,
+                latency: &w.latency,
+                orchestrator,
+            };
+            let learned =
+                history.learned_models(&profile, &w.runtime, &w.latency, orchestrator, home);
+            for (batch, max_samples, cv_threshold) in rules {
+                let config = MonteCarloConfig {
+                    batch,
+                    max_samples,
+                    cv_threshold,
+                };
+                let kept = [
+                    pin_hours(&mut h, &w, &wf.dag, &profile, &default, config, &plans),
+                    pin_hours(&mut h, &w, &wf.dag, &profile, &learned, config, &plans),
+                ];
+                for (kept, stops) in kept {
+                    folded += kept.folded;
+                    repriced += kept.repriced;
+                    capped += stops.iter().filter(|n| **n == max_samples).count();
+                    extended += stops
+                        .iter()
+                        .filter(|n| **n > batch && **n < max_samples)
+                        .count();
+                }
+            }
+        }
+    }
+    // The sweep covered what it is here to cover.
+    assert!(
+        gated >= 5 && certain >= 5,
+        "{gated} gated, {certain} certain edges"
+    );
+    assert!(
+        skips_into_sync >= 2,
+        "{skips_into_sync} skip into a sync node"
+    );
+    assert!(
+        external_legs >= 2,
+        "{external_legs} fetch external data from afar"
+    );
+    assert!(
+        repriced >= 2 * folded,
+        "{folded} folds, {repriced} repricings"
+    );
+    assert!(
+        capped > 0 && extended > 0,
+        "{capped} capped, {extended} stopped between"
+    );
+    assert_eq!(h, DIGEST, "the estimator's bits moved: {h:#x}");
+
+    /// Every plan at every hour of [`HOURS`] on one bank, under `config`,
+    /// folded into `h`; the bank's bookkeeping and where each one stopped.
+    fn pin_hours<M: StageModels>(
+        h: &mut u64,
+        w: &World,
+        dag: &WorkflowDag,
+        profile: &WorkflowProfile,
+        models: &M,
+        config: MonteCarloConfig,
+        plans: &[DeploymentPlan],
+    ) -> (Kept, Vec<usize>) {
+        let est = MonteCarloEstimator {
+            dag,
+            profile,
+            carbon_source: &w.carbon,
+            carbon_model: CarbonModel::new(TransmissionScenario::WORST),
+            cost_model: CostModel::new(&w.pricing),
+            models,
+            home: w.regions[0],
+            config,
+        };
+        let (mut kept, mut stops) = (Kept::default(), Vec::new());
+        for plan in plans {
+            for hour in HOURS {
+                let e = kept.estimate(&est, plan, hour, 31, "pin");
+                fold_bits(h, &e);
+                stops.push(e.samples);
+            }
+        }
+        (kept, stops)
+    }
 }
