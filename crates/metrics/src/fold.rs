@@ -22,7 +22,7 @@ use caribou_model::dag::WorkflowDag;
 use crate::bank::{BankId, Derived, DrawBank, Prim, SharedBank, Site};
 use crate::energy;
 use crate::prep::{self, pick, EdgePrep, ExecPrep, NodePrep, PlanPrep, TransferPrep};
-use crate::summary::{percentile_select, DistSummary, Moments};
+use crate::summary::{p95, DistSummary, Moments};
 
 /// Latency and cost of a plan's first `n` samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,9 +94,9 @@ pub(crate) struct FoldState {
     cost: Vec<f64>,
     lat_sum: f64,
     cost_sum: f64,
-    /// Where a boundary's percentile is selected; `lat` and `cost` keep
-    /// their order for the next boundary's variance.
-    select: Vec<f64>,
+    /// Where a boundary's percentile is selected (`summary::p95`); `lat`
+    /// and `cost` keep their order for the next boundary's variance.
+    keys: Vec<i64>,
 }
 
 impl FoldState {
@@ -155,21 +155,27 @@ pub(crate) fn extend(
             let batches = s.derived.chunks_exact(batch);
             bank.publish(id, lo, derived_columns(prep).zip(batches));
         }
-        s.lat_sum = s.lat[lo..].iter().fold(s.lat_sum, |sum, x| sum + x);
-        s.cost_sum = s.cost[lo..].iter().fold(s.cost_sum, |sum, x| sum + x);
-        let mut p95 = |col: &[f64]| {
-            s.select.clear();
-            s.select.extend_from_slice(col);
-            percentile_select(&mut s.select, 0.95)
-        };
+        (s.lat_sum, s.cost_sum) = sums(&s.lat[lo..], &s.cost[lo..], (s.lat_sum, s.cost_sum));
+        let (lat, cost) = Moments::of_pair((&s.lat, s.lat_sum), (&s.cost, s.cost_sum));
         record.bounds.push(Boundary {
             n: hi,
-            lat: Moments::of(&s.lat, s.lat_sum),
-            cost: Moments::of(&s.cost, s.cost_sum),
-            lat_p95: p95(&s.lat),
-            cost_p95: p95(&s.cost),
+            lat,
+            cost,
+            lat_p95: p95(&s.lat, &lat, &mut s.keys),
+            cost_p95: p95(&s.cost, &cost, &mut s.keys),
         });
     }
+}
+
+/// The left-fold sums of two columns of one length, carried on from
+/// `(a, b)`, in one loop.
+fn sums(xs: &[f64], ys: &[f64], (mut a, mut b): (f64, f64)) -> (f64, f64) {
+    let ys = &ys[..xs.len()];
+    for i in 0..xs.len() {
+        a += xs[i];
+        b += ys[i];
+    }
+    (a, b)
 }
 
 /// Folds samples `lo..hi` of the bank's columns through the DAG, node by
@@ -178,7 +184,9 @@ pub(crate) fn extend(
 /// column the bank holds to `hi` is read, any other computed first into
 /// `s.derived` — `true` if any was, for the caller to publish. The passes
 /// are straight lines over the batch: a sample that never gets somewhere
-/// carries `NEG_INFINITY` there and selects its old cost.
+/// carries `NEG_INFINITY` there and selects its old cost. Each is a free
+/// function of its columns (see "Sample loops" in DESIGN.md), its arms
+/// matched here, outside the loop.
 fn fold(
     dag: &WorkflowDag,
     prep: &PlanPrep<'_>,
@@ -205,15 +213,18 @@ fn fold(
     let xfer = column(Site::Entry, e.transfer.prim());
     let gb = banked(Derived::EntryGb).unwrap_or_else(|| {
         computed = true;
-        for i in 0..m {
-            entry_gb[i] = input[i].max(0.0) / 1.0e9;
-        }
+        to_gb(entry_gb, input);
         entry_gb
     });
-    for i in 0..m {
-        ready[i] = setup.map_or(0.0, |s| s[i]) + e.transfer.seconds(input[i], xfer[i]);
-        cost[i] = gb[i] * e.egress_rate + e.kv;
+    match e.transfer {
+        TransferPrep::Model { ow, bw } => entry(ready, setup, input, xfer, |bytes, jitter| {
+            prep::model_seconds(ow, bw, bytes, jitter)
+        }),
+        TransferPrep::Learned(samples) => entry(ready, setup, input, xfer, |_, u| {
+            prep::learned_seconds(samples, u)
+        }),
     }
+    entry_cost(cost, gb, e.egress_rate, e.kv);
 
     for &node in dag.topo_order() {
         let ni = node.index();
@@ -225,30 +236,37 @@ fn fold(
             for &eid in dag.in_edges(node) {
                 let ep = &prep.edges[eid.index()];
                 let site = Site::Edge(eid.index());
-                let pass = EdgePass {
-                    ep,
-                    gate: ep.gated().then(|| column(site, Prim::Taken)),
-                    from: &s.finish[ep.from * m..][..m],
-                    payload: column(site, Prim::Value),
-                    overhead: column(site, Prim::Overhead),
-                    xfer: column(site, ep.transfer.prim()),
-                    ready: &mut *ready,
-                    cost: &mut *cost,
-                };
+                let from = &s.finish[ep.from * m..][..m];
+                let payload = column(site, Prim::Value);
                 let gb = &mut edge_gb[eid.index() * m..][..m];
                 let gb = banked(Derived::EdgeGb(eid.index())).unwrap_or_else(|| {
                     computed = true;
-                    pass.carried(gb);
+                    let prob = ep.prob;
+                    if ep.gated() {
+                        let uniform = column(site, Prim::Taken);
+                        carried_if(gb, from, uniform, payload, |u| u < prob);
+                    } else {
+                        // Certain either way; any column stands in for the
+                        // uniform.
+                        carried_if(gb, from, from, payload, |_| prob >= 1.0);
+                    }
                     gb
                 });
+                let overhead = column(site, Prim::Overhead);
+                let xfer = column(site, ep.transfer.prim());
                 match ep.transfer {
-                    TransferPrep::Model { ow, bw } => pass.deliver(gb, |bytes, jitter| {
-                        prep::model_seconds(ow, bw, bytes, jitter)
-                    }),
+                    TransferPrep::Model { ow, bw } => {
+                        arrive(ready, gb, from, overhead, payload, xfer, |bytes, jitter| {
+                            prep::model_seconds(ow, bw, bytes, jitter)
+                        })
+                    }
                     TransferPrep::Learned(samples) => {
-                        pass.deliver(gb, |_, u| prep::learned_seconds(samples, u))
+                        arrive(ready, gb, from, overhead, payload, xfer, |_, u| {
+                            prep::learned_seconds(samples, u)
+                        })
                     }
                 }
+                fees(cost, gb, from, ep);
             }
         }
 
@@ -271,95 +289,143 @@ fn fold(
         // No fetch adds `0.0`, which moves no bit: `cost` is never `-0.0`
         // (the entry wrote `x + kv`).
         let ext_cost = np.ext.as_ref().map_or(0.0, |ext| ext.cost);
-        for i in 0..m {
-            finish[i] = ready[i] + seconds[i];
-            lat[i] = lat[i].max(finish[i]);
-            let billed = cost[i] + ext_cost + bill[i];
-            cost[i] = if ready[i] == f64::NEG_INFINITY {
-                cost[i]
-            } else {
-                billed
-            };
-        }
+        node_finish(finish, lat, cost, ready, seconds, bill, ext_cost);
     }
     computed
 }
 
-/// One in-edge's columns over a batch.
-struct EdgePass<'a> {
-    ep: &'a EdgePrep<'a>,
-    /// The conditional uniform, where the edge reads one.
-    gate: Option<&'a [f64]>,
-    /// When the edge's source finished.
-    from: &'a [f64],
-    payload: &'a [f64],
-    overhead: &'a [f64],
-    /// The transfer's jitter or pick.
-    xfer: &'a [f64],
-    ready: &'a mut [f64],
-    cost: &'a mut [f64],
+/// The GB each sample's `bytes` are.
+fn to_gb(gb: &mut [f64], bytes: &[f64]) {
+    let bytes = &bytes[..gb.len()];
+    for i in 0..gb.len() {
+        gb[i] = bytes[i].max(0.0) / 1.0e9;
+    }
 }
 
-impl EdgePass<'_> {
-    /// The GB the edge carries, into `gb`: `NaN` where its source never
-    /// ran or it was not taken. The gate is matched outside the loop.
-    fn carried(&self, gb: &mut [f64]) {
-        let prob = self.ep.prob;
-        match self.gate {
-            Some(uniform) => self.carried_if(gb, uniform, |u| u < prob),
-            // Certain either way; any column stands in for the uniform.
-            None => self.carried_if(gb, self.from, |_| prob >= 1.0),
+/// When each sample starts the start node: the setup draw, where the
+/// orchestrator has one, plus the input's `seconds(bytes, draw)`. Without
+/// a setup the sum keeps its `0.0 +`, which turns a `-0.0` into `0.0` as
+/// a sampler adding the seconds to a zero setup does.
+fn entry(
+    ready: &mut [f64],
+    setup: Option<&[f64]>,
+    input: &[f64],
+    xfer: &[f64],
+    seconds: impl Fn(f64, f64) -> f64,
+) {
+    let m = ready.len();
+    let (input, xfer) = (&input[..m], &xfer[..m]);
+    match setup {
+        Some(setup) => {
+            let setup = &setup[..m];
+            for i in 0..m {
+                ready[i] = setup[i] + seconds(input[i], xfer[i]);
+            }
+        }
+        None => {
+            for i in 0..m {
+                ready[i] = 0.0 + seconds(input[i], xfer[i]);
+            }
         }
     }
+}
 
-    fn carried_if(&self, gb: &mut [f64], uniform: &[f64], taken: impl Fn(f64) -> bool) {
-        // One length for every column: no bounds check in the loop.
-        let m = gb.len();
-        let (from, uniform, payload) = (&self.from[..m], &uniform[..m], &self.payload[..m]);
-        for i in 0..m {
-            let go = (from[i] != f64::NEG_INFINITY) & taken(uniform[i]);
-            gb[i] = if go {
-                payload[i].max(0.0) / 1.0e9
-            } else {
-                f64::NAN
-            };
-        }
+/// What each sample pays on entry: the input's egress and the plan fetch.
+fn entry_cost(cost: &mut [f64], gb: &[f64], egress_rate: f64, kv: f64) {
+    let gb = &gb[..cost.len()];
+    for i in 0..cost.len() {
+        cost[i] = gb[i] * egress_rate + kv;
     }
+}
 
-    /// Delivers the edge wherever it carried something (`gb`):
-    /// `seconds(bytes, draw)` is the transfer's, its arm matched by the
-    /// caller, outside the loops — two short ones, a store each, which
-    /// vectorise where one long one does not.
-    fn deliver(self, gb: &[f64], seconds: impl Fn(f64, f64) -> f64) {
-        let ep = self.ep;
-        let m = gb.len();
-        let (from, xfer) = (&self.from[..m], &self.xfer[..m]);
-        let (payload, overhead) = (&self.payload[..m], &self.overhead[..m]);
-        let (ready, cost) = (&mut self.ready[..m], &mut self.cost[..m]);
-        // When it arrives: a source that never ran would keep the sum at
-        // −∞ by itself, a skipped edge is put there.
-        for i in 0..m {
-            let arrive = from[i] + overhead[i] + seconds(payload[i], xfer[i]);
-            let arrive = if gb[i].is_nan() {
-                f64::NEG_INFINITY
-            } else {
-                arrive
-            };
-            ready[i] = ready[i].max(arrive);
-        }
-        // What it costs, taken or skipped.
-        for i in 0..m {
-            let fee = if gb[i].is_nan() {
-                ep.skipped_cost
-            } else {
-                ep.taken_cost + gb[i] * ep.egress_rate
-            };
-            cost[i] = if from[i] == f64::NEG_INFINITY {
-                cost[i]
-            } else {
-                cost[i] + fee
-            };
-        }
+/// The GB an edge carries, into `gb`: `NaN` where its source never ran
+/// (`from` at −∞) or it was not taken (`taken(uniform)` false).
+fn carried_if(
+    gb: &mut [f64],
+    from: &[f64],
+    uniform: &[f64],
+    payload: &[f64],
+    taken: impl Fn(f64) -> bool,
+) {
+    let m = gb.len();
+    let (from, uniform, payload) = (&from[..m], &uniform[..m], &payload[..m]);
+    for i in 0..m {
+        let carried = payload[i].max(0.0) / 1.0e9;
+        let go = (from[i] != f64::NEG_INFINITY) & taken(uniform[i]);
+        gb[i] = if go { carried } else { f64::NAN };
+    }
+}
+
+/// Moves each sample's start to the edge's arrival where that is later:
+/// `seconds(bytes, draw)` after the source finished and the transition
+/// overhead. A source that never ran keeps the sum at −∞ by itself; a
+/// skipped edge (`gb` NaN) is put there.
+fn arrive(
+    ready: &mut [f64],
+    gb: &[f64],
+    from: &[f64],
+    overhead: &[f64],
+    payload: &[f64],
+    xfer: &[f64],
+    seconds: impl Fn(f64, f64) -> f64,
+) {
+    let m = ready.len();
+    let (gb, from, overhead) = (&gb[..m], &from[..m], &overhead[..m]);
+    let (payload, xfer) = (&payload[..m], &xfer[..m]);
+    for i in 0..m {
+        let arrive = from[i] + overhead[i] + seconds(payload[i], xfer[i]);
+        let arrive = if gb[i].is_nan() {
+            f64::NEG_INFINITY
+        } else {
+            arrive
+        };
+        ready[i] = ready[i].max(arrive);
+    }
+}
+
+/// Adds what edge `ep` costs each sample whose source ran, taken (`gb`
+/// holds what it carried) or skipped (`gb` NaN). The fee and the sum are
+/// taken for every sample and selected after: with the addition inside
+/// the select's arm the loop compiles to a branch per sample.
+fn fees(cost: &mut [f64], gb: &[f64], from: &[f64], ep: &EdgePrep<'_>) {
+    let (taken, rate, skipped) = (ep.taken_cost, ep.egress_rate, ep.skipped_cost);
+    let m = cost.len();
+    let (gb, from) = (&gb[..m], &from[..m]);
+    for i in 0..m {
+        let carried = taken + gb[i] * rate;
+        let fee = if gb[i].is_nan() { skipped } else { carried };
+        let paid = cost[i] + fee;
+        cost[i] = if from[i] == f64::NEG_INFINITY {
+            cost[i]
+        } else {
+            paid
+        };
+    }
+}
+
+/// A node's finish times, the latency running max and the cost with the
+/// node's bill and fetch, for the samples that reached it.
+fn node_finish(
+    finish: &mut [f64],
+    lat: &mut [f64],
+    cost: &mut [f64],
+    ready: &[f64],
+    seconds: &[f64],
+    bill: &[f64],
+    ext_cost: f64,
+) {
+    let m = finish.len();
+    let (lat, cost) = (&mut lat[..m], &mut cost[..m]);
+    let (ready, seconds, bill) = (&ready[..m], &seconds[..m], &bill[..m]);
+    for i in 0..m {
+        finish[i] = ready[i] + seconds[i];
+        lat[i] = lat[i].max(finish[i]);
+        let billed = cost[i] + ext_cost + bill[i];
+        cost[i] = if ready[i] == f64::NEG_INFINITY {
+            cost[i]
+        } else {
+            billed
+        };
     }
 }
 
@@ -383,10 +449,7 @@ fn node_site(
     let (bill, kwh) = rest.split_at_mut(m);
     match np.exec {
         ExecPrep::Model { pf, cold } => {
-            let factor = column(Site::Node(ni), Prim::Value);
-            for i in 0..m {
-                seconds[i] = factor[i] * pf;
-            }
+            scaled(seconds, column(Site::Node(ni), Prim::Value), pf);
             if let Some(curve) = cold {
                 for &(i, penalty) in bank.cold_starts(ni, curve, lo, hi) {
                     seconds[i - lo] += penalty;
@@ -394,25 +457,76 @@ fn node_site(
             }
         }
         ExecPrep::Learned { samples, scale } => {
-            let picks = column(Site::Node(ni), Prim::Pick);
-            for i in 0..m {
-                seconds[i] = samples[pick(picks[i], samples.len())] * scale;
-            }
+            picked(seconds, column(Site::Node(ni), Prim::Pick), samples, scale);
         }
     }
     if let Some(ext) = &np.ext {
         let out = column(Site::ExtOut(ni), ext.out.prim());
         let back = column(Site::ExtBack(ni), ext.back.prim());
-        for i in 0..m {
-            seconds[i] += ext.out.seconds(ext.half, out[i]) + ext.back.seconds(ext.half, back[i]);
+        let half = ext.half;
+        let model = |ow, bw| move |jitter| prep::model_seconds(ow, bw, half, jitter);
+        let learned = |samples| move |u| prep::learned_seconds(samples, u);
+        use TransferPrep::{Learned, Model};
+        match (&ext.out, &ext.back) {
+            (&Model { ow, bw }, &Model { ow: ow2, bw: bw2 }) => {
+                fetch(seconds, out, back, model(ow, bw), model(ow2, bw2))
+            }
+            (&Model { ow, bw }, &Learned(b)) => {
+                fetch(seconds, out, back, model(ow, bw), learned(b))
+            }
+            (&Learned(o), &Model { ow, bw }) => {
+                fetch(seconds, out, back, learned(o), model(ow, bw))
+            }
+            (&Learned(o), &Learned(b)) => fetch(seconds, out, back, learned(o), learned(b)),
         }
     }
+    bill_energy(bill, kwh, seconds, ready, np);
+}
+
+/// Each sample's draw times a constant.
+fn scaled(out: &mut [f64], xs: &[f64], k: f64) {
+    let xs = &xs[..out.len()];
+    for i in 0..out.len() {
+        out[i] = xs[i] * k;
+    }
+}
+
+/// Each sample's pick from a learned history, times `scale`.
+fn picked(out: &mut [f64], picks: &[f64], samples: &[f64], scale: f64) {
+    let picks = &picks[..out.len()];
+    for i in 0..out.len() {
+        out[i] = samples[pick(picks[i], samples.len())] * scale;
+    }
+}
+
+/// Adds the external-data round trip, `out(draw) + back(draw)`, to each
+/// sample's seconds.
+fn fetch(
+    seconds: &mut [f64],
+    out: &[f64],
+    back: &[f64],
+    out_s: impl Fn(f64) -> f64,
+    back_s: impl Fn(f64) -> f64,
+) {
+    let m = seconds.len();
+    let (out, back) = (&out[..m], &back[..m]);
+    for i in 0..m {
+        seconds[i] += out_s(out[i]) + back_s(back[i]);
+    }
+}
+
+/// What Lambda bills for each sample's seconds, and the energy they drew
+/// where the sample ran the node.
+fn bill_energy(bill: &mut [f64], kwh: &mut [f64], seconds: &[f64], ready: &[f64], np: &NodePrep) {
+    let (per_second, per_request, kw) = (np.per_second, np.per_request, np.kw);
+    let m = bill.len();
+    let (kwh, seconds, ready) = (&mut kwh[..m], &seconds[..m], &ready[..m]);
     for i in 0..m {
         let d = seconds[i];
         // Lambda bills whole milliseconds (`lambda_cost`).
-        bill[i] = (d * 1000.0).ceil() / 1000.0 * np.per_second + np.per_request;
+        bill[i] = (d * 1000.0).ceil() / 1000.0 * per_second + per_request;
         // The energy of Eq. 7.1 (kWh × PUE); the grid multiplies it.
-        let drawn = np.kw * d / 3600.0 * energy::PUE;
+        let drawn = kw * d / 3600.0 * energy::PUE;
         kwh[i] = if ready[i] == f64::NEG_INFINITY {
             f64::NAN
         } else {

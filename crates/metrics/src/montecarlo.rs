@@ -44,7 +44,7 @@ use crate::costmodel::CostModel;
 use crate::fold::{self, FoldState, PlanRecord};
 use crate::prep::PlanPrep;
 use crate::price::PriceState;
-use crate::summary::{percentile_select, DistSummary};
+use crate::summary::DistSummary;
 
 /// What the estimator's draws are taken from.
 ///
@@ -318,11 +318,9 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                     caribou_telemetry::count("montecarlo.sample_cap_hit", 1);
                 }
             }
-            // The carbon column is dead after this; selecting in place is
-            // free.
             let (exec_mean, trans_mean) = price.component_means();
             let carbon = CarbonSummary {
-                carbon: carb.summary(percentile_select(&mut price.carb, 0.95), n),
+                carbon: carb.summary(price.p95(&carb), n),
                 exec_mean,
                 trans_mean,
             };

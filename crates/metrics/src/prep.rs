@@ -57,19 +57,11 @@ impl TransferPrep<'_> {
         };
         Need::new(site, self.prim(), draw)
     }
-
-    /// Transfer seconds for `bytes`, given the site's draw.
-    #[inline]
-    pub(crate) fn seconds(&self, bytes: f64, draw: f64) -> f64 {
-        match *self {
-            TransferPrep::Model { ow, bw } => model_seconds(ow, bw, bytes, draw),
-            TransferPrep::Learned(samples) => learned_seconds(samples, draw),
-        }
-    }
 }
 
-/// [`TransferPrep::Model`]'s seconds for `bytes` under `jitter`; apart so a
-/// sample loop can match the arm once, outside.
+/// [`TransferPrep::Model`]'s seconds for `bytes` under `jitter`: a sample
+/// loop matches the arm once, outside, and calls this or
+/// [`learned_seconds`] inside.
 #[inline]
 pub(crate) fn model_seconds(ow: f64, bw: f64, bytes: f64, jitter: f64) -> f64 {
     (ow + bytes.max(0.0) / bw) * jitter

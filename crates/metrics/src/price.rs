@@ -18,7 +18,7 @@ use caribou_model::plan::DeploymentPlan;
 
 use crate::bank::{Derived, DrawBank};
 use crate::montecarlo::{MonteCarloEstimator, StageModels};
-use crate::summary::Moments;
+use crate::summary::{self, Moments};
 
 /// The grid constants of one (plan, hour) and the carbon columns priced
 /// with them, reused from one estimate to the next.
@@ -37,6 +37,8 @@ pub(crate) struct PriceState {
     /// Carbon per sample of the whole estimate, in sample order, and the
     /// left-fold sums of it and of its two components.
     pub(crate) carb: Vec<f64>,
+    /// Where the carbon's percentile is selected (`summary::p95`).
+    keys: Vec<i64>,
     carb_sum: f64,
     exec_sum: f64,
     trans_sum: f64,
@@ -61,16 +63,18 @@ impl PriceState {
             route(plan.region_of(e.from), plan.region_of(e.to))
         }));
         self.node_k.clear();
+        self.node_k.extend(
+            dag.all_nodes()
+                .map(|node| source.intensity(plan.region_of(node), hour)),
+        );
         self.ext_c.clear();
-        for node in dag.all_nodes() {
+        self.ext_c.extend(dag.all_nodes().map(|node| {
             let region = plan.region_of(node);
-            self.node_k.push(source.intensity(region, hour));
-            self.ext_c
-                .push(est.external_bytes(node.index(), region).map(|bytes| {
-                    let via = endpoint_average(source, region, est.home, hour);
-                    est.carbon_model.transmission_carbon(bytes, via, false)
-                }));
-        }
+            est.external_bytes(node.index(), region).map(|bytes| {
+                let via = endpoint_average(source, region, est.home, hour);
+                est.carbon_model.transmission_carbon(bytes, via, false)
+            })
+        }));
         self.carb.clear();
         (self.carb_sum, self.exec_sum, self.trans_sum) = (0.0, 0.0, 0.0);
     }
@@ -92,21 +96,11 @@ impl PriceState {
         }
         let [exec_c, trans_c] = &mut self.batch;
         let column = |col| bank.derived(col, hi).map(|vals| &vals[lo..]);
-        // `acc += k × x` wherever the sample got there (`x` is not NaN):
-        // a select, not a branch, so the loop stays a straight line.
-        let add = |acc: &mut [f64], k: f64, xs: &[f64]| {
-            for (acc, x) in acc.iter_mut().zip(xs) {
-                let priced = *acc + k * x;
-                *acc = if x.is_nan() { *acc } else { priced };
-            }
-        };
 
         let Some(gb) = column(Derived::EntryGb) else {
             return false;
         };
-        for (trans_c, gb) in trans_c.iter_mut().zip(gb) {
-            *trans_c = self.entry_k * gb;
-        }
+        scaled(trans_c, self.entry_k, gb);
         exec_c.fill(0.0);
         for &node in dag.topo_order() {
             let ni = node.index();
@@ -122,20 +116,15 @@ impl PriceState {
                 return false;
             };
             if let Some(ext_c) = self.ext_c[ni] {
-                for (trans_c, kwh) in trans_c.iter_mut().zip(kwh) {
-                    let fetched = *trans_c + ext_c;
-                    *trans_c = if kwh.is_nan() { *trans_c } else { fetched };
-                }
+                fetched(trans_c, ext_c, kwh);
             }
             // Eq. 7.1: energy (kWh) × PUE × grid intensity.
             add(exec_c, self.node_k[ni], kwh);
         }
-        for (exec_c, trans_c) in exec_c.iter().zip(&*trans_c) {
-            self.carb.push(exec_c + trans_c);
-            self.carb_sum += exec_c + trans_c;
-            self.exec_sum += exec_c;
-            self.trans_sum += trans_c;
-        }
+        self.carb.resize(hi, 0.0);
+        let sums = (self.carb_sum, self.exec_sum, self.trans_sum);
+        (self.carb_sum, self.exec_sum, self.trans_sum) =
+            total(&mut self.carb[lo..], exec_c, trans_c, sums);
         true
     }
 
@@ -144,9 +133,62 @@ impl PriceState {
         Moments::of(&self.carb, self.carb_sum)
     }
 
+    /// The 95th percentile of the carbon priced so far, whose moments are
+    /// `m`.
+    pub(crate) fn p95(&mut self, m: &Moments) -> f64 {
+        summary::p95(&self.carb, m, &mut self.keys)
+    }
+
     /// Mean execution and transmission carbon of the samples priced.
     pub(crate) fn component_means(&self) -> (f64, f64) {
         let n = self.carb.len() as f64;
         (self.exec_sum / n, self.trans_sum / n)
     }
+}
+
+/// `k × x` of each sample.
+fn scaled(out: &mut [f64], k: f64, xs: &[f64]) {
+    let xs = &xs[..out.len()];
+    for i in 0..out.len() {
+        out[i] = k * xs[i];
+    }
+}
+
+/// `acc += k × x` wherever the sample got there (`x` is not NaN): a
+/// select, not a branch, so the loop stays a straight line.
+fn add(acc: &mut [f64], k: f64, xs: &[f64]) {
+    let xs = &xs[..acc.len()];
+    for i in 0..acc.len() {
+        let priced = acc[i] + k * xs[i];
+        acc[i] = if xs[i].is_nan() { acc[i] } else { priced };
+    }
+}
+
+/// Adds the external-data round trip's carbon where the sample ran the
+/// node (its energy is not NaN).
+fn fetched(trans_c: &mut [f64], ext_c: f64, kwh: &[f64]) {
+    let kwh = &kwh[..trans_c.len()];
+    for i in 0..trans_c.len() {
+        let fetched = trans_c[i] + ext_c;
+        trans_c[i] = if kwh[i].is_nan() { trans_c[i] } else { fetched };
+    }
+}
+
+/// Writes each sample's carbon, execution plus transmission, and carries
+/// on the left-fold sums of it and of its two components.
+fn total(
+    carb: &mut [f64],
+    exec_c: &[f64],
+    trans_c: &[f64],
+    (mut carb_sum, mut exec_sum, mut trans_sum): (f64, f64, f64),
+) -> (f64, f64, f64) {
+    let m = carb.len();
+    let (exec_c, trans_c) = (&exec_c[..m], &trans_c[..m]);
+    for i in 0..m {
+        carb[i] = exec_c[i] + trans_c[i];
+        carb_sum += exec_c[i] + trans_c[i];
+        exec_sum += exec_c[i];
+        trans_sum += trans_c[i];
+    }
+    (carb_sum, exec_sum, trans_sum)
 }

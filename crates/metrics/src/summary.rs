@@ -65,6 +65,29 @@ impl Moments {
         let n = col.len() as f64;
         let mean = sum / n;
         let var = col.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+        Moments::new(mean, var, n)
+    }
+
+    /// [`Moments::of`] two columns of one length, their variances summed
+    /// in one loop, each in sample order.
+    pub(crate) fn of_pair((xs, x_sum): (&[f64], f64), (ys, y_sum): (&[f64], f64)) -> (Self, Self) {
+        let n = xs.len() as f64;
+        let ys = &ys[..xs.len()];
+        let (x_mean, y_mean) = (x_sum / n, y_sum / n);
+        // A square is never `-0.0`: starting at `0.0` adds what `Sum`
+        // adds, whichever zero it starts at.
+        let (mut x_sq, mut y_sq) = (0.0, 0.0);
+        for i in 0..xs.len() {
+            x_sq += (xs[i] - x_mean).powi(2);
+            y_sq += (ys[i] - y_mean).powi(2);
+        }
+        (
+            Moments::new(x_mean, x_sq / n, n),
+            Moments::new(y_mean, y_sq / n, n),
+        )
+    }
+
+    fn new(mean: f64, var: f64, n: f64) -> Self {
         Moments {
             mean,
             var,
@@ -98,55 +121,131 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// [`percentile_sorted`] of `samples` without sorting them: selects the
-/// two order statistics it interpolates between, leaving the slice
-/// partitioned around them. Bit-identical to sorting by `total_cmp` first.
-pub fn percentile_select(samples: &mut [f64], q: f64) -> f64 {
-    assert!(!samples.is_empty(), "no samples");
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (samples.len() - 1) as f64;
+/// [`percentile_sorted`]`(·, 0.95)` of `col` — whose moments are `m` —
+/// without sorting, copying or reordering it, bit for bit: selected among
+/// the samples at or above `m.mean + σ`, in `keys` (scratch, grown to the
+/// column's length once).
+///
+/// The samples at or above a floor in `f64::total_cmp` order are the top
+/// `k` of the column, so when `k ≥ n − ⌊0.95(n−1)⌋` they hold both order
+/// statistics the percentile interpolates between, at their ranks less
+/// `n − k`. A column with fewer there (few do: more than a twentieth of a
+/// skewed column lies a σ above its mean) is selected in full.
+pub(crate) fn p95(col: &[f64], m: &Moments, keys: &mut Vec<i64>) -> f64 {
+    tail(col, m.mean + m.var.sqrt(), keys).0
+}
+
+/// Which samples [`tail`] selected among.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Among {
+    AtOrAbove,
+    All,
+}
+
+/// [`p95`] with an explicit floor, and the keys it selected among.
+fn tail(col: &[f64], floor: f64, keys: &mut Vec<i64>) -> (f64, Among) {
+    let n = col.len();
+    assert!(n > 0, "no samples");
+    let pos = 0.95 * (n - 1) as f64;
     let lo = pos.floor() as usize;
-    let (_, at_lo, above) = samples.select_nth_unstable_by(lo, f64::total_cmp);
-    if pos.ceil() as usize == lo {
-        *at_lo
-    } else {
-        // The next order statistic is the least of what sorts after `lo`.
-        let at_hi = above.iter().copied().min_by(f64::total_cmp);
-        let frac = pos - lo as f64;
-        *at_lo * (1.0 - frac) + at_hi.expect("ceil(pos) is in range") * frac
+    if keys.len() < n {
+        keys.resize(n, 0);
     }
+    let keys = &mut keys[..n];
+    // Every key is written; the count moves past those at or above.
+    let floor = key(floor);
+    let mut above = 0;
+    for &x in col {
+        let k = key(x);
+        keys[above] = k;
+        above += usize::from(k >= floor);
+    }
+    let (keys, rank, among) = if above >= n - lo {
+        (&mut keys[..above], lo - (n - above), Among::AtOrAbove)
+    } else {
+        for (k, &x) in keys.iter_mut().zip(col) {
+            *k = key(x);
+        }
+        (keys, lo, Among::All)
+    };
+    let (_, at_lo, rest) = keys.select_nth_unstable(rank);
+    let at_lo = from_key(*at_lo);
+    if pos.ceil() as usize == lo {
+        return (at_lo, among);
+    }
+    // The next order statistic is the least of what sorts after `lo`.
+    let at_hi = from_key(*rest.iter().min().expect("ceil(pos) is in range"));
+    let frac = pos - lo as f64;
+    (at_lo * (1.0 - frac) + at_hi * frac, among)
+}
+
+/// `x`'s bits as an integer that orders as `f64::total_cmp` does.
+#[inline]
+fn key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The `f64` whose [`key`] is `k` (the map is its own inverse).
+#[inline]
+fn from_key(k: i64) -> f64 {
+    f64::from_bits((k ^ (((k >> 63) as u64) >> 1) as i64) as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every n to 300 and 2,000, over skewed, tied, signed-zero, NaN,
+    /// infinite, constant, negative and outlier columns, on one key buffer.
     #[test]
-    fn percentile_select_is_bit_identical_to_sorting() {
+    fn tail_p95_is_bit_identical_to_sorting() {
         use caribou_model::rng::Pcg32;
         let mut rng = Pcg32::seed(5);
-        let mut cases: Vec<Vec<f64>> = [1usize, 2, 20, 21, 200, 2_000]
-            .iter()
-            .map(|&n| (0..n).map(|_| rng.lognormal(0.0, 0.8)).collect())
-            .collect();
-        // Ties at, below and above the selected ranks, and signed zeros.
-        cases.push(vec![2.0; 200]);
-        cases.push((0..200).map(|i| (i / 10) as f64).collect());
-        cases.push((0..200).map(|i| (i % 3) as f64).collect());
-        cases.push(vec![0.0, -0.0, 0.0, -0.0, 1.0]);
-        for samples in cases {
-            let mut sorted = samples.clone();
-            sorted.sort_by(f64::total_cmp);
-            for q in [0.0, 0.5, 0.95, 0.999, 1.0] {
-                let selected = percentile_select(&mut samples.clone(), q);
+        let mut keys = Vec::new();
+        let (mut filtered, mut full) = (0, 0);
+        for n in (1..=300).chain([2_000]) {
+            let skewed: Vec<f64> = (0..n).map(|_| rng.lognormal(0.0, 0.8)).collect();
+            let with = |at: usize, x: f64| {
+                let mut col = skewed.clone();
+                col[at % n] = x;
+                col
+            };
+            let cases = [
+                with(0, skewed[0]),
+                skewed.iter().map(|x| (x * 4.0).round() / 4.0).collect(),
+                (0..n).map(|i| [0.0, -0.0, skewed[i]][i % 3]).collect(),
+                with(n / 2, f64::NAN),
+                with(n / 3, -f64::NAN),
+                with(n / 4, f64::INFINITY),
+                with(n / 5, f64::NEG_INFINITY),
+                vec![2.5; n],
+                skewed.iter().map(|x| -x).collect(),
+                with(7, 1e300),
+            ];
+            for (case, col) in cases.iter().enumerate() {
+                let m = Moments::of(col, col.iter().sum());
+                let mut sorted = col.clone();
+                sorted.sort_by(f64::total_cmp);
+                let want = percentile_sorted(&sorted, 0.95).to_bits();
                 assert_eq!(
-                    selected.to_bits(),
-                    percentile_sorted(&sorted, q).to_bits(),
-                    "n = {}, q = {q}",
-                    samples.len()
+                    p95(col, &m, &mut keys).to_bits(),
+                    want,
+                    "n = {n}, case {case}"
                 );
+                match tail(col, m.mean + m.var.sqrt(), &mut keys).1 {
+                    Among::AtOrAbove => filtered += 1,
+                    Among::All => full += 1,
+                }
             }
+            // A constant column lies at its mean + σ, all of it.
+            let constant = tail(&cases[7], 2.5, &mut keys);
+            assert_eq!(constant, (2.5, Among::AtOrAbove), "n = {n}");
         }
+        assert!(
+            filtered > 0 && full > 0,
+            "{filtered} filtered, {full} in full"
+        );
     }
 
     #[test]

@@ -204,6 +204,36 @@ for once in 'fn fold' 'energy::PUE' '1000.0).ceil()'; do
     fi
 done
 
+# The estimator's sample loops are free functions over their columns: a
+# `&mut [f64]` parameter is `noalias` to LLVM and vectorises, a struct field
+# is not and stays scalar, so no struct of the fold or the pricing pass
+# holds one; the carbon column is written by index; and the p95 has one
+# author (summary::p95, selecting above mean + σ), so the copying
+# percentile_select stays deleted and nothing else selects.
+echo "==> sample-loop grep gates"
+hits=$(grep -rlF 'select_nth_unstable' crates tests examples | tr '\n' ' ')
+if [[ "$hits" != "crates/metrics/src/summary.rs " ]]; then
+    echo "error: select_nth_unstable is called in: $hits(want crates/metrics/src/summary.rs only)" >&2
+    exit 1
+fi
+if grep -rnw 'percentile_select' crates tests examples; then
+    echo "error: percentile_select is back (see matches above)" >&2
+    exit 1
+fi
+if ! awk '
+    /^(pub(\([a-z]+\))? )?struct / { inside = 1 }
+    inside && /&(\x27[a-z_]+ )?mut \[/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    inside && /^}/ { inside = 0 }
+    END { exit bad }' crates/metrics/src/fold.rs crates/metrics/src/price.rs; then
+    echo "error: a struct of the fold or the pricing pass holds a &mut slice (see above)" >&2
+    exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+    crates/metrics/src/price.rs | grep -F '.push('; then
+    echo "error: the pricing pass pushes (see above); write its columns by index" >&2
+    exit 1
+fi
+
 # One substrate: service constants enter a SimCloud only through the
 # provider table (simcloud/src/providers.rs) in SimCloud::with_catalog,
 # so the table-built constructors, the per-service override maps, the

@@ -386,7 +386,11 @@ fn a_repricing_allocates_nothing_in_the_estimator() {
     let _serial = serial();
     let world = World::evaluation(5);
     let bench = text2speech_censoring(InputSize::Small);
-    let case = world.case(&bench, TransmissionScenario::BEST, MonteCarloConfig::default());
+    let case = world.case(
+        &bench,
+        TransmissionScenario::BEST,
+        MonteCarloConfig::default(),
+    );
     let permitted = vec![world.regions.clone(); bench.dag.node_count()];
     let carbon = flat_carbon(&world.cloud);
     let ctx = case.context(&permitted, default_tolerances(), &carbon);
@@ -418,7 +422,11 @@ fn a_repricing_allocates_nothing_in_the_estimator() {
     caribou_telemetry::enable(Box::new(caribou_telemetry::NullSink));
     solve(9.5);
     let recorder = caribou_telemetry::finish().unwrap().recorder;
-    assert_eq!(recorder.counter("montecarlo.folds"), 0, "a next hour folded");
+    assert_eq!(
+        recorder.counter("montecarlo.folds"),
+        0,
+        "a next hour folded"
+    );
     assert_eq!(recorder.counter("montecarlo.repriced"), repriced);
     eprintln!(
         "alloc_budget: a walk allocated {on_hits} times on hits and {on_repricings} on \
