@@ -4,14 +4,17 @@
 
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::TableSource;
-use caribou_core::chaos::{run_campaign, ChaosConfig};
+use caribou_core::chaos::{
+    run_campaign, run_correlated_campaign, run_provider_outage_scenario, ChaosConfig, ChaosReport,
+    CorrelatedChaosReport,
+};
 use caribou_exec::engine::{ExecutionEngine, WorkflowApp};
 use caribou_exec::outcome::InvocationStatus;
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_model::builder::Workflow;
 use caribou_model::dist::DistSpec;
 use caribou_model::plan::DeploymentPlan;
-use caribou_model::region::RegionId;
+use caribou_model::region::{ProviderSet, RegionId};
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::faults::FaultPlan;
@@ -233,5 +236,153 @@ proptest! {
             let accepted = cloud.pubsub.total_published() - before;
             prop_assert_eq!(billed, accepted, "invocation {} meter drift", i);
         }
+    }
+}
+
+/// Every count and every `f64` bit pattern of a base report, in field
+/// order, with the number of violations.
+fn report_bits(r: &ChaosReport) -> Vec<u64> {
+    vec![
+        u64::from(r.requests),
+        u64::from(r.completed_clean),
+        u64::from(r.fell_back_home),
+        u64::from(r.failed),
+        u64::from(r.breaker_reroutes),
+        r.p50_latency_s.to_bits(),
+        r.p99_latency_s.to_bits(),
+        r.mean_latency_s.to_bits(),
+        r.faults.outages as u64,
+        r.faults.partitions as u64,
+        r.faults.gray_failures as u64,
+        r.faults.kv_throttles as u64,
+        r.faults.cold_storms as u64,
+        r.violations.len() as u64,
+    ]
+}
+
+/// [`report_bits`] followed by the correlated campaign's own counts and
+/// bits.
+fn correlated_bits(r: &CorrelatedChaosReport) -> Vec<u64> {
+    let mut bits = report_bits(&r.base);
+    bits.extend([
+        r.correlated.provider_outages as u64,
+        r.correlated.failure_domains as u64,
+        r.correlated.carbon_outages as u64,
+        r.contingency_entries as u64,
+        u64::from(r.fallback_routed),
+        u64::from(r.probe_requests),
+        r.total_carbon_g.to_bits(),
+        r.stale_queries.0,
+        r.stale_queries.1,
+        r.stale_queries.2,
+    ]);
+    bits
+}
+
+/// The campaigns' golden: the bits of every report the harness builds —
+/// the base campaign on `aws` with the breaker on and off and on
+/// `aws,gcp`, the correlated campaign and the provider-outage scenario
+/// each with and without a contingency table — captured before the two
+/// campaigns shared their report, fault count and deployment.
+#[test]
+fn campaign_report_bits_are_pinned() {
+    let aws_gcp = ProviderSet::parse("aws,gcp").unwrap();
+    let base = |breaker_enabled, providers| ChaosConfig {
+        seed: 42,
+        requests: 120,
+        duration_s: 2.0 * 3600.0,
+        breaker_enabled,
+        providers,
+        ..ChaosConfig::default()
+    };
+    let correlated = |contingency, drop_prob| ChaosConfig {
+        seed: 42,
+        requests: 160,
+        duration_s: 4.0 * 3600.0,
+        drop_prob,
+        providers: aws_gcp,
+        contingency,
+        ..ChaosConfig::default()
+    };
+    #[rustfmt::skip]
+    let runs: [(&str, Vec<u64>, &[u64]); 7] = [
+        (
+            "aws, breaker on",
+            report_bits(&run_campaign(&base(true, ProviderSet::aws_only()))),
+            &[
+                120, 108, 12, 0, 15,
+                0x40020c494861d1c9, 0x403271690310a2b0, 0x400abb285ba13fb1,
+                2, 1, 2, 2, 1, 0,
+            ],
+        ),
+        (
+            "aws, breaker off",
+            report_bits(&run_campaign(&base(false, ProviderSet::aws_only()))),
+            &[
+                120, 102, 18, 0, 0,
+                0x4002f3620dedc2fe, 0x404238d9961ebc33, 0x401471ecd30b179f,
+                2, 1, 2, 2, 1, 0,
+            ],
+        ),
+        (
+            "aws,gcp",
+            report_bits(&run_campaign(&base(true, aws_gcp))),
+            &[
+                120, 111, 9, 0, 13,
+                0x4001a025f1aaf85f, 0x40312cbc0dd85e3a, 0x400abc87549432f5,
+                3, 1, 4, 2, 2, 0,
+            ],
+        ),
+        (
+            "correlated, contingency 0",
+            correlated_bits(&run_correlated_campaign(&correlated(0, 0.02))),
+            &[
+                160, 129, 31, 0, 70,
+                0x4000b6367d75dc43, 0x402f3c16c1735bcb, 0x4005e90e077e619f,
+                3, 1, 5, 2, 2, 0,
+                1, 2, 1, 0, 0, 27,
+                0x3fac434e780d7fcb,
+                1391, 609, 0,
+            ],
+        ),
+        (
+            "correlated, contingency 3",
+            correlated_bits(&run_correlated_campaign(&correlated(3, 0.02))),
+            &[
+                160, 129, 31, 0, 0,
+                0x3fff5a010db46b85, 0x4033b253e7cc820f, 0x4005ff73c8d46486,
+                3, 1, 5, 2, 2, 0,
+                1, 2, 1, 3, 70, 27,
+                0x3fa0b5d078f70569,
+                1381, 614, 0,
+            ],
+        ),
+        (
+            "provider outage, contingency 0",
+            correlated_bits(&run_provider_outage_scenario(&correlated(0, 0.0))),
+            &[
+                160, 130, 30, 0, 73,
+                0x3fff6d51e5fd86f4, 0x40187680a48b7cbc, 0x40009613968f0ebc,
+                0, 0, 1, 0, 0, 0,
+                1, 0, 1, 0, 0, 28,
+                0x3fab6d78880be529,
+                689, 1000, 306,
+            ],
+        ),
+        (
+            "provider outage, contingency 3",
+            correlated_bits(&run_provider_outage_scenario(&correlated(3, 0.0))),
+            &[
+                160, 130, 30, 0, 0,
+                0x3ffd3c6fbacc324c, 0x40187680a48b7cbc, 0x3fffbb64f7269046,
+                0, 0, 1, 0, 0, 0,
+                1, 0, 1, 3, 73, 28,
+                0x3f9e00c7ea677e67,
+                689, 970, 306,
+            ],
+        ),
+    ];
+    for (name, bits, pinned) in runs {
+        assert_eq!(bits, pinned, "{name} moved");
     }
 }
