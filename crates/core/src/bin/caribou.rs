@@ -35,7 +35,7 @@ use caribou_workloads::traces::uniform_trace;
 
 #[path = "caribou/flags.rs"]
 mod flags;
-use flags::Kind::{Count, Int, Real, Switch, Text};
+use flags::Kind::{Count, Int, Positive, Real, Switch, Text};
 use flags::{Command, Flag, Parsed};
 
 /// The flag and command tables, kept one row a line.
@@ -59,18 +59,18 @@ mod table {
     pub const HOUR: Flag = row("--hour", Real, "12.5", "hour of the carbon week to plan for");
     pub const HOURLY: Flag = row("--hourly", Switch, "", "solve the 24-hour schedule of that hour's day");
     pub const PLAN_CONTINGENCY: Flag = row("--contingency", Int, "0", "with --hourly: ranked fallback plan sets to append");
-    pub const DAYS: Flag = row("--days", Real, "2", "simulated days");
-    pub const PER_DAY: Flag = row("--per-day", Real, "1500", "invocations per simulated day");
+    pub const DAYS: Flag = row("--days", Positive, "2", "simulated days");
+    pub const PER_DAY: Flag = row("--per-day", Positive, "1500", "invocations per simulated day");
     pub const INVOCATIONS: Flag = row("--invocations", Count, "100000", "invocations to drive");
     pub const LOAD_SEED: Flag = row("--seed", Int, "42", "master seed");
     pub const ARRIVAL: Flag = row("--arrival", Text("poisson|diurnal|bursty"), "poisson", "arrival process");
     pub const RATE: Flag = row("--rate", Real, "100", "mean arrivals per second");
     pub const SHARDS: Flag = row("--shards", Count, "8", "persistent shard clouds (part of the result contract)");
     pub const NO_WARM_POOL: Flag = row("--no-warm-pool", Switch, "", "probabilistic cold starts instead of the warm pool");
-    pub const KEEP_ALIVE_S: Flag = row("--keep-alive-s", Real, "600", "warm-container keep-alive, seconds");
+    pub const KEEP_ALIVE_S: Flag = row("--keep-alive-s", Positive, "600", "warm-container keep-alive, seconds");
     pub const CHAOS_SEED: Flag = row("--seed", Int, "42", "master seed of the cloud, the fault plan and every request");
     pub const REQUESTS: Flag = row("--requests", Int, "500", "requests replayed, evenly spaced over the campaign");
-    pub const DURATION_S: Flag = row("--duration-s", Real, "21600", "campaign length, simulated seconds");
+    pub const DURATION_S: Flag = row("--duration-s", Positive, "21600", "campaign length, simulated seconds");
     pub const DROP: Flag = row("--drop", Real, "0.02", "per-attempt message-drop probability in [0, 1]");
     pub const NO_BREAKER: Flag = row("--no-breaker", Switch, "", "run without the per-region circuit breaker");
     pub const CORRELATED: Flag = row("--correlated", Switch, "", "correlated fault classes and contingency failover");
@@ -511,6 +511,10 @@ fn cmd_plan(p: &Parsed) -> Result<(), CliError> {
 
 fn cmd_simulate(p: &Parsed) -> Result<(), CliError> {
     let (days, per_day) = (p.real("--days"), p.real("--per-day"));
+    // The trace's first arrival slot opens 30 s in.
+    if days * 86_400.0 <= 30.0 {
+        return Err("--days: the window must outlast the trace's 30 s lead-in".into());
+    }
     let bench = benchmark(p)?;
 
     let pset = providers(p)?;
@@ -703,16 +707,26 @@ fn cmd_chaos(p: &Parsed) -> Result<(), CliError> {
         report.faults.kv_throttles,
         report.faults.cold_storms,
     );
+    print_outcomes(&report, false);
+    verdict(&report.violations)
+}
+
+/// The requests and how they ended, as both campaigns print them; with
+/// `failover`, the correlated campaign's routing counts join the block.
+fn print_outcomes(report: &caribou_core::ChaosReport, failover: bool) {
     println!("requests:          {}", report.requests);
     println!("completed clean:   {}", report.completed_clean);
     println!("fell back home:    {}", report.fell_back_home);
     println!("reported failed:   {}", report.failed);
     println!("breaker reroutes:  {}", report.breaker_reroutes);
+    if failover {
+        println!("fallback routed:   {}", report.fallback_routed);
+        println!("recovery probes:   {}", report.probe_requests);
+    }
     println!(
         "latency:           {:.2} s p50 / {:.2} s p99 / {:.2} s mean",
         report.p50_latency_s, report.p99_latency_s, report.mean_latency_s
     );
-    verdict(&report.violations)
 }
 
 /// `caribou chaos --correlated`. With `--contingency K` the report ends in
@@ -748,25 +762,13 @@ fn cmd_chaos_correlated(p: &Parsed, config: caribou_core::ChaosConfig) -> Result
 
     println!(
         "correlated faults: {} provider outage(s), {} failure domain(s), {} carbon-data outage(s)",
-        report.correlated.provider_outages,
-        report.correlated.failure_domains,
-        report.correlated.carbon_outages,
+        report.faults.provider_outages, report.faults.failure_domains, report.faults.carbon_outages,
     );
     println!(
         "contingency table: {} fallback entries",
         report.contingency_entries
     );
-    println!("requests:          {}", report.base.requests);
-    println!("completed clean:   {}", report.base.completed_clean);
-    println!("fell back home:    {}", report.base.fell_back_home);
-    println!("reported failed:   {}", report.base.failed);
-    println!("breaker reroutes:  {}", report.base.breaker_reroutes);
-    println!("fallback routed:   {}", report.fallback_routed);
-    println!("recovery probes:   {}", report.probe_requests);
-    println!(
-        "latency:           {:.2} s p50 / {:.2} s p99 / {:.2} s mean",
-        report.base.p50_latency_s, report.base.p99_latency_s, report.base.mean_latency_s
-    );
+    print_outcomes(&report, true);
     println!("carbon:            {:.3} g total", report.total_carbon_g);
     let (fresh, lkg, yearly) = report.stale_queries;
     println!("carbon queries:    {fresh} fresh / {lkg} last-known-good / {yearly} yearly-average");
@@ -777,14 +779,14 @@ fn cmd_chaos_correlated(p: &Parsed, config: caribou_core::ChaosConfig) -> Result
         let baseline = run(&base_cfg);
         println!(
             "vs re-route-home:  p99 {:.2} s -> {:.2} s · carbon {:.3} g -> {:.3} g",
-            baseline.base.p99_latency_s,
-            report.base.p99_latency_s,
+            baseline.p99_latency_s,
+            report.p99_latency_s,
             baseline.total_carbon_g,
             report.total_carbon_g,
         );
     }
 
-    verdict(&report.base.violations)
+    verdict(&report.violations)
 }
 
 /// `caribou fleet`: deterministic results go to stdout — identical at any

@@ -20,6 +20,8 @@ pub enum Kind {
     Count,
     /// A finite real number.
     Real,
+    /// A finite real number above 0: a length, a count or a rate.
+    Positive,
     /// Free text, shown in the help under this placeholder.
     Text(&'static str),
 }
@@ -68,7 +70,7 @@ impl Kind {
         match self {
             Kind::Switch => "",
             Kind::Int | Kind::Count => "N",
-            Kind::Real => "X",
+            Kind::Real | Kind::Positive => "X",
             Kind::Text(placeholder) => placeholder,
         }
     }
@@ -86,6 +88,10 @@ impl Kind {
                 Ok(x) if x.is_finite() => Ok(Value::Real(x)),
                 Ok(_) => Err("must be finite".into()),
                 Err(e) => Err(format!("{e}")),
+            },
+            Kind::Positive => match Kind::Real.parse(raw)? {
+                Value::Real(x) if x > 0.0 => Ok(Value::Real(x)),
+                _ => Err("must be positive".into()),
             },
             Kind::Text(_) => Ok(Value::Text(raw.to_string())),
         }

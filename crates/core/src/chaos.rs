@@ -34,7 +34,7 @@ use caribou_model::dag::NodeId;
 use caribou_model::dist::DistSpec;
 use caribou_model::manifest::DeploymentManifest;
 use caribou_model::plan::{DeploymentPlan, HourlyPlans};
-use caribou_model::region::{Provider, ProviderSet, RegionId};
+use caribou_model::region::{Provider, ProviderSet, RegionId, RegionSpec};
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::faults::FaultPlan;
@@ -88,9 +88,9 @@ impl Default for ChaosConfig {
     }
 }
 
-/// Summary of the fault classes a campaign injected.
+/// Fault windows a campaign injected, by class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultClassCounts {
+pub struct FaultCounts {
     /// Full region outage windows.
     pub outages: usize,
     /// Pairwise network partition windows.
@@ -101,21 +101,30 @@ pub struct FaultClassCounts {
     pub kv_throttles: usize,
     /// Cold-start storm windows.
     pub cold_storms: usize,
+    /// Provider-wide outage windows.
+    pub provider_outages: usize,
+    /// Shared failure-domain windows.
+    pub failure_domains: usize,
+    /// Carbon-data (forecast feed) outage windows.
+    pub carbon_outages: usize,
 }
 
-impl FaultClassCounts {
+impl FaultCounts {
     fn of(faults: &FaultPlan) -> Self {
-        FaultClassCounts {
+        FaultCounts {
             outages: faults.outages.len(),
             partitions: faults.partitions.len(),
             gray_failures: faults.gray_failures.len(),
             kv_throttles: faults.kv_throttles.len(),
             cold_storms: faults.cold_storms.len(),
+            provider_outages: faults.provider_outages.len(),
+            failure_domains: faults.failure_domains.len(),
+            carbon_outages: faults.carbon_outages.len(),
         }
     }
 }
 
-/// Result of one chaos campaign.
+/// Result of one chaos campaign, base or correlated.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosReport {
     /// Requests replayed.
@@ -128,14 +137,28 @@ pub struct ChaosReport {
     pub failed: u32,
     /// Requests whose route was rewritten by an open circuit breaker.
     pub breaker_reroutes: u32,
-    /// Median end-to-end latency over non-failed requests, seconds.
+    /// Requests served from a precomputed fallback plan.
+    pub fallback_routed: u32,
+    /// Requests a half-open breaker admitted as recovery probes: canary
+    /// traffic, which the correlated campaign leaves out of its latency
+    /// figures and the base campaign keeps in.
+    pub probe_requests: u32,
+    /// Median end-to-end latency over completed requests, seconds.
     pub p50_latency_s: f64,
-    /// 99th-percentile end-to-end latency over non-failed requests.
+    /// 99th-percentile end-to-end latency over completed requests.
     pub p99_latency_s: f64,
-    /// Mean end-to-end latency over non-failed requests.
+    /// Mean end-to-end latency over completed requests.
     pub mean_latency_s: f64,
+    /// Total operational carbon across every invocation, grams.
+    pub total_carbon_g: f64,
     /// Fault windows the campaign injected.
-    pub faults: FaultClassCounts,
+    pub faults: FaultCounts,
+    /// Contingency entries the solver precomputed (0 on the base campaign
+    /// and the re-route-home baseline).
+    pub contingency_entries: usize,
+    /// Carbon queries answered fresh / last-known-good / yearly-average
+    /// (0 on the base campaign, whose flat table never goes stale).
+    pub stale_queries: (u64, u64, u64),
     /// Invariant violations (empty on a healthy run).
     pub violations: Vec<String>,
 }
@@ -151,22 +174,12 @@ impl ChaosReport {
 /// join at synchronization node D.
 fn chaos_app(home: RegionId) -> WorkflowApp {
     let mut wf = Workflow::new("chaos", "0.1");
-    let a = wf
-        .serverless_function("A")
-        .exec_time(DistSpec::Constant { value: 0.4 })
-        .register();
-    let b = wf
-        .serverless_function("B")
-        .exec_time(DistSpec::Constant { value: 0.6 })
-        .register();
-    let c = wf
-        .serverless_function("C")
-        .exec_time(DistSpec::Constant { value: 0.8 })
-        .register();
-    let d = wf
-        .serverless_function("D")
-        .exec_time(DistSpec::Constant { value: 0.3 })
-        .register();
+    let mut stage = |name: &str, exec_s: f64| {
+        wf.serverless_function(name)
+            .exec_time(DistSpec::Constant { value: exec_s })
+            .register()
+    };
+    let [a, b, c, d] = [("A", 0.4), ("B", 0.6), ("C", 0.8), ("D", 0.3)].map(|(n, s)| stage(n, s));
     wf.invoke(a, b, Some(0.7));
     wf.invoke(a, c, None);
     wf.invoke(b, d, None);
@@ -182,8 +195,8 @@ fn chaos_app(home: RegionId) -> WorkflowApp {
 }
 
 /// The campaign's cloud, its home region and the regions it offloads
-/// across. Not a `scenario::World`: campaigns meter carbon on a flat
-/// per-zone table, so no calibrated source is built.
+/// across. Not a `scenario::World`: campaigns meter carbon on a constant
+/// per-zone table ([`constant_carbon`]), so no calibrated source is built.
 fn world(config: &ChaosConfig) -> (SimCloud, RegionId, Vec<RegionId>) {
     let cloud = SimCloud::for_providers(config.providers, config.seed)
         .expect("chaos providers must have backends");
@@ -194,14 +207,47 @@ fn world(config: &ChaosConfig) -> (SimCloud, RegionId, Vec<RegionId>) {
     (cloud, home, regions)
 }
 
+/// A carbon table holding each region's `intensity` (gCO2e/kWh) at every
+/// hour: the campaigns study the runtime, not the carbon signal.
+fn constant_carbon(cloud: &SimCloud, intensity: impl Fn(&RegionSpec) -> f64) -> TableSource {
+    let mut table = TableSource::new();
+    for (id, spec) in cloud.regions.iter() {
+        table.insert(id, CarbonSeries::new(-400, vec![intensity(spec); 24 * 100]));
+    }
+    table
+}
+
+/// When a campaign's plans expire: long after it ends, so no request
+/// falls back home for an expired plan.
+fn plans_expire_at(config: &ChaosConfig) -> f64 {
+    config.duration_s * 10.0 + 1e6
+}
+
+/// Deploys `app` home, then rolls out `rollouts` in order — all before
+/// any fault is armed: the campaigns study the runtime, not the rollout —
+/// and sets the router's breaker as configured.
+fn deploy_before_faults(
+    config: &ChaosConfig,
+    cloud: &mut SimCloud,
+    app: WorkflowApp,
+    rollouts: impl IntoIterator<Item = HourlyPlans>,
+) -> DeployedWorkflow {
+    let manifest = DeploymentManifest::new("chaos", "0.1", HOME);
+    let mut wf = DeploymentUtility::deploy_initial(cloud, app, &manifest).expect("initial deploy");
+    let deployed_at = cloud.clock.now();
+    for plans in rollouts {
+        Migrator::rollout(cloud, &mut wf, plans, deployed_at)
+            .expect("rollout before faults cannot fail");
+    }
+    wf.router.breaker_enabled = config.breaker_enabled;
+    wf
+}
+
 /// What a campaign folds per request, and the owner of the three
 /// invariant checks.
 #[derive(Default)]
 struct Tally {
     report: ChaosReport,
-    fallback_routed: u32,
-    probe_requests: u32,
-    total_carbon_g: f64,
     /// End-to-end latency of every completed request, with whether a
     /// half-open breaker admitted it as a recovery probe: the base report
     /// counts probes in its percentiles, the correlated report treats
@@ -211,7 +257,7 @@ struct Tally {
 }
 
 impl Tally {
-    fn new(requests: u32, faults: FaultClassCounts) -> Self {
+    fn new(requests: u32, faults: FaultCounts) -> Self {
         Tally {
             report: ChaosReport {
                 requests,
@@ -235,8 +281,8 @@ impl Tally {
     ) {
         let report = &mut self.report;
         report.breaker_reroutes += u32::from(decision.breaker_rerouted);
-        self.fallback_routed += u32::from(decision.fallback);
-        self.probe_requests += u32::from(decision.probed);
+        report.fallback_routed += u32::from(decision.fallback);
+        report.probe_requests += u32::from(decision.probed);
 
         // Invariant 2: the routed plan references only active regions.
         for r in decision.plan.regions_used() {
@@ -285,7 +331,7 @@ impl Tally {
         }
         self.sns_billed += billed;
 
-        self.total_carbon_g += outcome.carbon_g();
+        report.total_carbon_g += outcome.carbon_g();
         if outcome.completed {
             self.latencies
                 .push((outcome.e2e_latency_s, decision.probed));
@@ -341,7 +387,7 @@ fn replay<S: CarbonDataSource>(
     carbon: &S,
     faults: FaultPlan,
 ) -> Tally {
-    let mut tally = Tally::new(config.requests, FaultClassCounts::of(&faults));
+    let mut tally = Tally::new(config.requests, FaultCounts::of(&faults));
     cloud.set_faults(faults);
     let engine = ExecutionEngine {
         carbon_source: carbon,
@@ -376,72 +422,21 @@ fn replay<S: CarbonDataSource>(
 /// Runs one seeded chaos campaign and returns its report.
 pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
     let (mut cloud, home, regions) = world(config);
+    let carbon = constant_carbon(&cloud, |_| 300.0);
 
-    // Flat carbon: the campaign studies robustness, not carbon.
-    let mut carbon = TableSource::new();
-    for (id, _) in cloud.regions.iter() {
-        carbon.insert(id, CarbonSeries::new(-400, vec![300.0; 24 * 100]));
-    }
-
-    // Deploy home, then offload across the evaluation regions BEFORE any
-    // fault is armed — the campaign studies the runtime, not the rollout.
-    let app = chaos_app(home);
-    let manifest = DeploymentManifest::new("chaos", "0.1", HOME);
-    let mut wf =
-        DeploymentUtility::deploy_initial(&mut cloud, app, &manifest).expect("initial deploy");
+    // Offload across the evaluation regions.
     let offload: Vec<RegionId> = regions.iter().copied().filter(|r| *r != home).collect();
     let mut plan = DeploymentPlan::uniform(4, offload[0]);
     plan.set(NodeId(1), offload[1 % offload.len()]);
     plan.set(NodeId(2), offload[2 % offload.len()]);
     plan.set(NodeId(3), offload[0]);
-    let expires = config.duration_s * 10.0 + 1e6;
-    let deployed_at = cloud.clock.now();
-    Migrator::rollout(
-        &mut cloud,
-        &mut wf,
-        HourlyPlans::daily(plan, 0.0, expires),
-        deployed_at,
-    )
-    .expect("rollout before faults cannot fail");
-    wf.router.breaker_enabled = config.breaker_enabled;
+    let plans = HourlyPlans::daily(plan, 0.0, plans_expire_at(config));
+    let mut wf = deploy_before_faults(config, &mut cloud, chaos_app(home), [plans]);
 
     // Arm the randomized campaign; its percentiles count probe requests.
     let mut faults = FaultPlan::randomized(config.seed, &regions, home, config.duration_s);
     faults.message_drop_prob = config.drop_prob;
     replay(config, &mut cloud, &mut wf, &carbon, faults).report(true)
-}
-
-/// Fault windows of the correlated classes a campaign injected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CorrelatedFaultCounts {
-    /// Provider-wide outage windows.
-    pub provider_outages: usize,
-    /// Shared failure-domain windows.
-    pub failure_domains: usize,
-    /// Carbon-data (forecast feed) outage windows.
-    pub carbon_outages: usize,
-}
-
-/// Result of one correlated chaos campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CorrelatedChaosReport {
-    /// The base robustness report (invariants, latency percentiles,
-    /// base fault class counts).
-    pub base: ChaosReport,
-    /// Correlated fault windows injected on top of the base classes.
-    pub correlated: CorrelatedFaultCounts,
-    /// Contingency entries the solver precomputed (0 in the baseline).
-    pub contingency_entries: usize,
-    /// Requests served from a precomputed fallback plan.
-    pub fallback_routed: u32,
-    /// Requests a half-open breaker admitted as recovery probes. Probe
-    /// (canary) traffic deliberately samples a suspected-down path and
-    /// is excluded from the user latency percentiles.
-    pub probe_requests: u32,
-    /// Total operational carbon across every invocation, grams.
-    pub total_carbon_g: f64,
-    /// Carbon queries answered fresh / last-known-good / yearly-average.
-    pub stale_queries: (u64, u64, u64),
 }
 
 /// Per-grid-zone carbon intensity for the correlated campaign, gCO2e/kWh.
@@ -469,7 +464,7 @@ fn grid_intensity(zone: &str) -> f64 {
 ///
 /// Everything is deterministic under the seed and bit-identical at any
 /// `config.workers` count.
-pub fn run_correlated_campaign(config: &ChaosConfig) -> CorrelatedChaosReport {
+pub fn run_correlated_campaign(config: &ChaosConfig) -> ChaosReport {
     correlated_campaign_with(config, |topology, home| {
         FaultPlan::randomized_correlated(config.seed, topology, home, config.duration_s)
     })
@@ -483,7 +478,7 @@ pub fn run_correlated_campaign(config: &ChaosConfig) -> CorrelatedChaosReport {
 /// for the outage window. No other fault class fires, so the comparison
 /// between `contingency > 0` and the re-route-home baseline isolates the
 /// correlated-failure response.
-pub fn run_provider_outage_scenario(config: &ChaosConfig) -> CorrelatedChaosReport {
+pub fn run_provider_outage_scenario(config: &ChaosConfig) -> ChaosReport {
     use caribou_simcloud::faults::{CarbonOutage, GrayFailure, ProviderOutage, Window};
 
     correlated_campaign_with(config, |topology, home| {
@@ -522,7 +517,7 @@ pub fn run_provider_outage_scenario(config: &ChaosConfig) -> CorrelatedChaosRepo
 fn correlated_campaign_with(
     config: &ChaosConfig,
     plan_faults: impl FnOnce(&[(RegionId, Provider)], RegionId) -> FaultPlan,
-) -> CorrelatedChaosReport {
+) -> ChaosReport {
     use caribou_metrics::montecarlo::MonteCarloConfig;
     use caribou_model::constraints::Tolerances;
 
@@ -536,19 +531,10 @@ fn correlated_campaign_with(
     // the stale-aware wrapper below.
     let mut faults = plan_faults(&topology, home);
     faults.message_drop_prob = config.drop_prob;
-    let correlated_counts = CorrelatedFaultCounts {
-        provider_outages: faults.provider_outages.len(),
-        failure_domains: faults.failure_domains.len(),
-        carbon_outages: faults.carbon_outages.len(),
-    };
 
     // Per-grid-zone carbon with stale-forecast degradation over the
     // campaign's carbon-data outage windows (seconds → hours).
-    let mut table = caribou_carbon::source::TableSource::new();
-    for (id, spec) in cloud.regions.iter() {
-        let v = grid_intensity(&spec.grid_zone);
-        table.insert(id, CarbonSeries::new(-400, vec![v; 24 * 100]));
-    }
+    let table = constant_carbon(&cloud, |spec| grid_intensity(&spec.grid_zone));
     let carbon_windows: Vec<(f64, f64)> = faults
         .carbon_outages
         .iter()
@@ -586,7 +572,6 @@ fn correlated_campaign_with(
         let ctx = case.context(&permitted, tolerances, &table);
         let engine = caribou_solver::EvalEngine::new(config.seed, config.workers.max(1));
         let solver = caribou_solver::HbssSolver::new();
-        let expires = config.duration_s * 10.0 + 1e6;
         let mut solve_rng = Pcg32::seed_stream(config.seed, 0x501e);
         caribou_solver::contingency::solve_hourly_with_contingency(
             &engine,
@@ -595,42 +580,28 @@ fn correlated_campaign_with(
             &topology,
             0.0,
             0.0,
-            expires,
+            plans_expire_at(config),
             &mut solve_rng,
             config.seed,
             config.contingency,
         )
     };
 
-    // Deploy home, every fallback's regions, then the primary — all
-    // before a single fault is armed.
-    let manifest = DeploymentManifest::new("chaos", "0.1", HOME);
-    let mut wf =
-        DeploymentUtility::deploy_initial(&mut cloud, app, &manifest).expect("initial deploy");
-    let deployed_at = cloud.clock.now();
-    for entry in &table_c.entries {
-        Migrator::rollout(&mut cloud, &mut wf, entry.plans.clone(), deployed_at)
-            .expect("fallback rollout before faults cannot fail");
-    }
-    Migrator::rollout(&mut cloud, &mut wf, primary, deployed_at)
-        .expect("primary rollout before faults cannot fail");
-    wf.router.breaker_enabled = config.breaker_enabled;
+    // Every fallback's regions, then the primary.
+    let fallbacks = table_c.entries.iter().map(|entry| entry.plans.clone());
+    let mut wf = deploy_before_faults(config, &mut cloud, app, fallbacks.chain([primary]));
     let contingency_entries = table_c.len();
     if config.contingency > 0 {
-        wf.router.set_contingency(table_c, topology.clone());
+        wf.router.set_contingency(table_c, topology);
     }
 
     // Probe requests are canary traffic: counted, kept out of the tail.
     let tally = replay(config, &mut cloud, &mut wf, &stale, faults);
     stale.flush_telemetry();
-    CorrelatedChaosReport {
-        correlated: correlated_counts,
+    ChaosReport {
         contingency_entries,
-        fallback_routed: tally.fallback_routed,
-        probe_requests: tally.probe_requests,
-        total_carbon_g: tally.total_carbon_g,
         stale_queries: stale.query_counts(),
-        base: tally.report(false),
+        ..tally.report(false)
     }
 }
 
@@ -701,7 +672,7 @@ mod tests {
             fallback: false,
             probed,
         };
-        let mut tally = Tally::new(1, FaultClassCounts::default());
+        let mut tally = Tally::new(1, FaultCounts::default());
         let active = HashSet::from([HOME, OFFLOAD]);
         tally.observe(0, &decision, outcome, &active, sns_accepted);
         tally
@@ -736,7 +707,7 @@ mod tests {
         assert!(leaky.report.violations[1].starts_with("campaign: meters billed 4"));
 
         // Campaign-wide invariant 1: a request that was never folded.
-        let mut short = Tally::new(1, FaultClassCounts::default());
+        let mut short = Tally::new(1, FaultCounts::default());
         short.close(0);
         assert_eq!(
             short.report.violations,
@@ -818,10 +789,10 @@ mod tests {
     #[test]
     fn correlated_campaign_upholds_invariants_and_injects_every_class() {
         let report = run_correlated_campaign(&correlated(42, 3, 1));
-        assert!(report.base.ok(), "violations: {:?}", report.base.violations);
-        assert!(report.correlated.provider_outages > 0);
-        assert!(report.correlated.failure_domains > 0);
-        assert!(report.correlated.carbon_outages > 0);
+        assert!(report.ok(), "violations: {:?}", report.violations);
+        assert!(report.faults.provider_outages > 0);
+        assert!(report.faults.failure_domains > 0);
+        assert!(report.faults.carbon_outages > 0);
         assert!(report.contingency_entries > 0);
         let (fresh, lkg, yearly) = report.stale_queries;
         assert!(fresh > 0, "healthy hours answer fresh");
@@ -868,28 +839,24 @@ mod tests {
         let finished = caribou_telemetry::finish().expect("session active");
         let without = run_provider_outage_scenario(&headline(0, 1));
 
-        assert!(with.base.ok(), "violations: {:?}", with.base.violations);
-        assert!(
-            without.base.ok(),
-            "violations: {:?}",
-            without.base.violations
-        );
+        assert!(with.ok(), "violations: {:?}", with.violations);
+        assert!(without.ok(), "violations: {:?}", without.violations);
         assert_eq!(without.fallback_routed, 0);
         assert!(
             with.fallback_routed > 0,
             "failover engaged under the outage"
         );
         assert!(
-            with.base.p99_latency_s < without.base.p99_latency_s,
+            with.p99_latency_s < without.p99_latency_s,
             "contingency p99 {} !< baseline p99 {}",
-            with.base.p99_latency_s,
-            without.base.p99_latency_s
+            with.p99_latency_s,
+            without.p99_latency_s
         );
         assert!(
-            with.base.p50_latency_s < without.base.p50_latency_s,
+            with.p50_latency_s < without.p50_latency_s,
             "contingency p50 {} !< baseline p50 {}",
-            with.base.p50_latency_s,
-            without.base.p50_latency_s
+            with.p50_latency_s,
+            without.p50_latency_s
         );
         assert!(
             with.total_carbon_g < without.total_carbon_g,

@@ -29,7 +29,7 @@ use caribou_solver::hourly::{solve_daily, solve_hourly_with};
 use crate::driver;
 use crate::error::CoreError;
 use crate::manager::{CheckMetrics, DeploymentManager, ManagerConfig, SolveDecision};
-use crate::migrator::Migrator;
+use crate::migrator::{MigrationReport, Migrator};
 use crate::scenario::Case;
 use crate::utility::{DeployedWorkflow, DeploymentUtility};
 
@@ -175,6 +175,17 @@ impl RunReport {
         self.samples.iter().filter(|s| s.fell_back_home).count() as f64 / self.samples.len() as f64
     }
 
+    /// Books a rollout attempt's crane-copy egress. A failed attempt may
+    /// have copied images to some regions before it stopped; its partial
+    /// report keeps the account complete.
+    fn book_rollout(&mut self, attempt: Result<MigrationReport, CoreError>) {
+        self.migration_egress_bytes += match attempt {
+            Ok(r) => r.egress_bytes,
+            Err(CoreError::DeploymentFailed { partial, .. }) => partial.egress_bytes,
+            Err(_) => 0.0,
+        };
+    }
+
     /// Machine-readable summary of the run (the per-sample detail stays in
     /// memory; this is the aggregate a dashboard or CI would record).
     pub fn summary_json(&self) -> serde_json::Value {
@@ -267,7 +278,7 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
     /// Runs an invocation trace (ascending times, simulation seconds)
     /// against workflow `idx`, interleaving Deployment Manager ticks.
     pub fn run_trace(&mut self, idx: usize, trace: &[f64]) -> RunReport {
-        let mut reports = self.run_multi(&[(idx, trace.to_vec())]);
+        let mut reports = self.run_multi(&[(idx, trace)]);
         reports.remove(&idx).unwrap_or_default()
     }
 
@@ -276,7 +287,7 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
     /// workflows" (§5.2): before each invocation is dispatched, every
     /// workflow whose token check is due gets its tick. Returns one report
     /// per workflow index.
-    pub fn run_multi(&mut self, traces: &[(usize, Vec<f64>)]) -> BTreeMap<usize, RunReport> {
+    pub fn run_multi(&mut self, traces: &[(usize, &[f64])]) -> BTreeMap<usize, RunReport> {
         // Merge all arrivals into one ascending timeline.
         let mut events: Vec<(f64, usize)> = traces
             .iter()
@@ -354,18 +365,11 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
     /// One Deployment Manager tick (Fig. 6): retry pending rollouts,
     /// collect metrics, earn/spend tokens, solve, and migrate.
     fn manager_tick(&mut self, idx: usize, now_s: f64, report: &mut RunReport) {
-        // Retry a previously failed rollout first (§6.1). Even a failed
-        // attempt may have copied images to some regions; its partial
-        // report keeps the egress accounting complete.
+        // Retry a previously failed rollout first (§6.1).
+        if let Some(attempt) =
+            Migrator::retry_pending(&mut self.cloud, &mut self.workflows[idx].dep, now_s)
         {
-            let state = &mut self.workflows[idx];
-            match Migrator::retry_pending(&mut self.cloud, &mut state.dep, now_s) {
-                Some(Ok(r)) => report.migration_egress_bytes += r.egress_bytes,
-                Some(Err(CoreError::DeploymentFailed { partial, .. })) => {
-                    report.migration_egress_bytes += partial.egress_bytes;
-                }
-                _ => {}
-            }
+            report.book_rollout(attempt);
         }
 
         let now_h = now_s / 3600.0;
@@ -535,14 +539,9 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
             .min(now_s + self.config.plan_expiry_s.max(interval + 7200.0));
 
         // Roll out: on failure the plan stays pending and traffic remains
-        // home-routed, but any partial progress is still billed.
-        match Migrator::rollout(&mut self.cloud, &mut state.dep, plans, now_s) {
-            Ok(r) => report.migration_egress_bytes += r.egress_bytes,
-            Err(CoreError::DeploymentFailed { partial, .. }) => {
-                report.migration_egress_bytes += partial.egress_bytes;
-            }
-            Err(_) => {}
-        }
+        // home-routed.
+        let attempt = Migrator::rollout(&mut self.cloud, &mut state.dep, plans, now_s);
+        report.book_rollout(attempt);
     }
 }
 
@@ -748,7 +747,7 @@ mod tests {
             .unwrap();
         let trace_a = caribou_workloads::traces::uniform_trace(10.0, 86_400.0, 600.0);
         let trace_b = caribou_workloads::traces::uniform_trace(40.0, 86_400.0, 300.0);
-        let reports = fw.run_multi(&[(a, trace_a.clone()), (b, trace_b.clone())]);
+        let reports = fw.run_multi(&[(a, &trace_a), (b, &trace_b)]);
         assert_eq!(reports[&a].samples.len(), trace_a.len());
         assert_eq!(reports[&b].samples.len(), trace_b.len());
         assert!(reports[&a].completion_rate() > 0.999);

@@ -184,29 +184,12 @@ impl LoadReport {
             self.cold_starts as f64 / total as f64
         }
     }
-}
 
-/// One chunk's fold-ready output, plus the warm touches it journaled
-/// for the tick-boundary exchange.
-#[derive(Debug, Default)]
-struct ChunkOut {
-    sketch: QuantileSketch,
-    exact: Vec<f64>,
-    completed: u64,
-    failovers: u64,
-    cold_starts: u64,
-    warm_starts: u64,
-    exec_carbon_g: f64,
-    trans_carbon_g: f64,
-    cost_usd: f64,
-    touches: Vec<WarmTouch>,
-}
-
-impl ChunkOut {
-    fn observe(&mut self, o: &ExecutionOutcome, capture_latency: bool) {
-        self.sketch.observe(o.e2e_latency_s);
-        if capture_latency {
-            self.exact.push(o.e2e_latency_s);
+    /// Folds one invocation's outcome.
+    fn observe(&mut self, o: &ExecutionOutcome) {
+        self.latency.observe(o.e2e_latency_s);
+        if let Some(exact) = self.exact_latencies_s.as_mut() {
+            exact.push(o.e2e_latency_s);
         }
         self.completed += u64::from(o.completed);
         self.failovers += u64::from(o.failovers);
@@ -215,6 +198,26 @@ impl ChunkOut {
         self.exec_carbon_g += o.exec_carbon_g;
         self.trans_carbon_g += o.trans_carbon_g;
         self.cost_usd += o.cost_usd;
+    }
+
+    /// Folds the invocations `other` observed after this report's own.
+    /// The run-level fields (span, allocations, chunk, shard and pool
+    /// counts) are the run's to set, not a fold's.
+    fn merge(&mut self, other: &LoadReport) {
+        self.latency.merge(&other.latency);
+        if let (Some(exact), Some(more)) = (
+            self.exact_latencies_s.as_mut(),
+            other.exact_latencies_s.as_ref(),
+        ) {
+            exact.extend_from_slice(more);
+        }
+        self.completed += other.completed;
+        self.failovers += other.failovers;
+        self.cold_starts += other.cold_starts;
+        self.warm_starts += other.warm_starts;
+        self.exec_carbon_g += other.exec_carbon_g;
+        self.trans_carbon_g += other.trans_carbon_g;
+        self.cost_usd += other.cost_usd;
     }
 }
 
@@ -225,42 +228,6 @@ impl ChunkOut {
 struct Shard {
     cloud: SimCloud,
     scratch: InvocationScratch,
-}
-
-fn fold(report: &mut LoadReport, c: ChunkOut) {
-    report.latency.merge(&c.sketch);
-    if let Some(exact) = report.exact_latencies_s.as_mut() {
-        exact.extend_from_slice(&c.exact);
-    }
-    report.completed += c.completed;
-    report.failovers += c.failovers;
-    report.cold_starts += c.cold_starts;
-    report.warm_starts += c.warm_starts;
-    report.exec_carbon_g += c.exec_carbon_g;
-    report.trans_carbon_g += c.trans_carbon_g;
-    report.cost_usd += c.cost_usd;
-}
-
-fn accumulate_pool_stats(total: &mut PoolStats, round: PoolStats) {
-    total.workers = total.workers.max(round.workers);
-    total.tasks += round.tasks;
-    total.wall_s += round.wall_s;
-    if total.busy_s.len() < round.busy_s.len() {
-        total.busy_s.resize(round.busy_s.len(), 0.0);
-        total
-            .tasks_per_worker
-            .resize(round.tasks_per_worker.len(), 0);
-    }
-    for (a, b) in total.busy_s.iter_mut().zip(round.busy_s.iter()) {
-        *a += b;
-    }
-    for (a, b) in total
-        .tasks_per_worker
-        .iter_mut()
-        .zip(round.tasks_per_worker.iter())
-    {
-        *a += b;
-    }
 }
 
 /// Runs the sustained-load harness and returns the merged report: rounds
@@ -342,10 +309,12 @@ pub fn run_loadgen(bench: &Benchmark, config: &LoadgenConfig) -> Result<LoadRepo
             // shared-reference closure bound.
             let mut shard = shards[i].lock().expect("shard lock");
             let Shard { cloud, scratch } = &mut *shard;
-            let mut out = ChunkOut::default();
-            if config.capture_latencies {
-                out.exact.reserve(hi - lo);
-            }
+            let mut chunk = LoadReport {
+                exact_latencies_s: config
+                    .capture_latencies
+                    .then(|| Vec::with_capacity(hi - lo)),
+                ..LoadReport::default()
+            };
             for (k, &arrival) in round_arrivals[lo..hi].iter().enumerate() {
                 // The invocation stream is keyed by the *global* invocation
                 // index, independent of chunking and sharding.
@@ -355,14 +324,13 @@ pub fn run_loadgen(bench: &Benchmark, config: &LoadgenConfig) -> Result<LoadRepo
                     .absorb(g)
                     .rng();
                 let o = driver::drive(&engine, cloud, &app, &plan, scratch, g, arrival, &mut rng);
-                out.observe(&o, config.capture_latencies);
+                chunk.observe(&o);
             }
             // Drain this tick's touches while the shard is held so the
             // exchange below needs no second locking pass.
-            out.touches = cloud.warm.drain_touches();
-            out
+            (chunk, cloud.warm.drain_touches())
         });
-        accumulate_pool_stats(&mut report.pool, stats);
+        report.pool.merge(&stats);
 
         // Tick boundary: broadcast every shard's touches to every shard,
         // in fixed (shard, key) order. absorb_touch max-merges, so
@@ -370,7 +338,7 @@ pub fn run_loadgen(bench: &Benchmark, config: &LoadgenConfig) -> Result<LoadRepo
         // order only matters for determinism, which the fixed iteration
         // order provides.
         if config.warm_pool && round + 1 < rounds {
-            let all_touches: Vec<&WarmTouch> = outs.iter().flat_map(|o| o.touches.iter()).collect();
+            let all_touches: Vec<&WarmTouch> = outs.iter().flat_map(|(_, t)| t.iter()).collect();
             for shard in &shards {
                 let mut shard = shard.lock().expect("shard lock");
                 for touch in &all_touches {
@@ -381,8 +349,8 @@ pub fn run_loadgen(bench: &Benchmark, config: &LoadgenConfig) -> Result<LoadRepo
 
         // Fold in chunk order: f64 summation order is part of the
         // bit-reproducibility contract.
-        for out in outs {
-            fold(&mut report, out);
+        for (chunk, _) in &outs {
+            report.merge(chunk);
         }
     }
 

@@ -125,11 +125,6 @@ impl DeploymentManager {
         self.stable_interval_s
     }
 
-    /// Whether a token check is due at `now_s`.
-    pub fn check_due(&self, now_s: f64) -> bool {
-        now_s + 1e-9 >= self.bucket.next_check_s
-    }
-
     /// Time of the next scheduled check.
     pub fn next_check_s(&self) -> f64 {
         self.bucket.next_check_s
@@ -348,10 +343,8 @@ mod tests {
     #[test]
     fn check_due_respects_schedule() {
         let mut dm = DeploymentManager::new(100.0, ManagerConfig::default());
-        assert!(!dm.check_due(50.0));
-        assert!(dm.check_due(100.0));
+        assert_eq!(dm.next_check_s(), 100.0);
         dm.check(100.0, metrics(10, 100.0));
-        assert!(dm.next_check_s() > 100.0);
-        assert!(!dm.check_due(100.0 + 1.0));
+        assert!(dm.next_check_s() > 100.0 + 1.0);
     }
 }

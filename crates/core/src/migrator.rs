@@ -116,10 +116,9 @@ impl Migrator {
             cloud
                 .iam
                 .put_role(workflow.app.name.clone(), region, policy);
-            let lm = cloud.latency.clone();
             let copy = cloud
                 .registry
-                .crane_copy(&workflow.image, home, region, &lm, &mut rng)
+                .crane_copy(&workflow.image, home, region, &cloud.latency, &mut rng)
                 .ok_or_else(|| CoreError::ImageMissing {
                     image: workflow.image.clone(),
                 })?;

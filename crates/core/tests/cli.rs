@@ -129,6 +129,35 @@ fn every_subcommand_rejects_unknown_and_valueless_flags() {
 }
 
 #[test]
+fn out_of_range_numbers_are_usage_errors_not_panics() {
+    for (args, flag) in [
+        (&["chaos", "--duration-s", "0"][..], "--duration-s"),
+        (&["chaos", "--duration-s", "-5"], "--duration-s"),
+        (
+            &["chaos", "--correlated", "--duration-s", "0"],
+            "--duration-s",
+        ),
+        (
+            &["chaos", "--correlated", "--duration-s", "-5"],
+            "--duration-s",
+        ),
+        (&["simulate", "dna", "--days", "0"], "--days"),
+        (&["simulate", "dna", "--days", "-1"], "--days"),
+        (&["simulate", "dna", "--per-day", "-5"], "--per-day"),
+        (
+            &["loadgen", "dna", "--keep-alive-s", "-1"],
+            "--keep-alive-s",
+        ),
+    ] {
+        assert_rejected(args, &format!("{flag}: must be positive"));
+    }
+    assert_rejected(
+        &["simulate", "dna", "--days", "0.0001"],
+        "--days: the window",
+    );
+}
+
+#[test]
 fn verify_without_a_perturbation_is_an_error_not_a_no_op() {
     assert_rejected(
         &["fleet", "--apps", "2", "--hours", "1", "--verify"],

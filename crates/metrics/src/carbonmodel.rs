@@ -9,8 +9,6 @@
 //! best-case scenario (0.001 kWh/GB everywhere) and a worst-case one
 //! (0.005 kWh/GB inter-region, free intra-region).
 
-use caribou_simcloud::compute::ExecutionRecord;
-
 use crate::energy;
 
 /// Transmission energy factor scenario (kWh/GB).
@@ -78,13 +76,8 @@ impl CarbonModel {
         CarbonModel { scenario }
     }
 
-    /// Execution carbon of a recorded execution, gCO₂eq (Eq. 7.1; the PUE
+    /// Execution carbon from profile parameters, gCO₂eq (Eq. 7.1; the PUE
     /// is applied inside the energy model).
-    pub fn execution_carbon(&self, record: &ExecutionRecord, grid_intensity: f64) -> f64 {
-        grid_intensity * energy::execution_energy_kwh(record)
-    }
-
-    /// Execution carbon from profile parameters, gCO₂eq.
     pub fn execution_carbon_params(
         &self,
         memory_mb: u32,
@@ -107,22 +100,11 @@ impl CarbonModel {
 mod tests {
     use super::*;
 
-    fn record(duration_s: f64, memory_mb: u32, util: f64) -> ExecutionRecord {
-        ExecutionRecord {
-            duration_s,
-            cpu_total_time_s: duration_s * util * (memory_mb as f64 / 1769.0),
-            memory_mb,
-            cold_start: false,
-            cold_start_s: 0.0,
-        }
-    }
-
     #[test]
     fn execution_carbon_scales_with_intensity() {
         let m = CarbonModel::new(TransmissionScenario::BEST);
-        let r = record(10.0, 1769, 0.7);
-        let low = m.execution_carbon(&r, 30.0);
-        let high = m.execution_carbon(&r, 380.0);
+        let low = m.execution_carbon_params(1769, 10.0, 0.7, 30.0);
+        let high = m.execution_carbon_params(1769, 10.0, 0.7, 380.0);
         assert!((high / low - 380.0 / 30.0).abs() < 1e-9);
     }
 
@@ -150,15 +132,6 @@ mod tests {
         let fi = TransmissionScenario::free_intra(0.004);
         assert_eq!(fi.factor(true), 0.0);
         assert_eq!(fi.factor(false), 0.004);
-    }
-
-    #[test]
-    fn params_matches_record_based() {
-        let m = CarbonModel::new(TransmissionScenario::BEST);
-        let r = record(8.0, 1024, 0.6);
-        let a = m.execution_carbon(&r, 200.0);
-        let b = m.execution_carbon_params(1024, 8.0, r.avg_utilization(), 200.0);
-        assert!((a - b).abs() < 1e-12);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! All energies are in kWh.
 
-use caribou_simcloud::compute::{vcpus, ExecutionRecord};
+use caribou_simcloud::compute::vcpus;
 
 /// Memory power per GB, kW (§7.1).
 pub const P_MEM_KW_PER_GB: f64 = 3.725e-4;
@@ -35,17 +35,8 @@ pub fn processor_energy_kwh(memory_mb: u32, duration_s: f64, utilization: f64) -
     vcpu_power_kw(utilization) * vcpus(memory_mb) * duration_s / 3600.0
 }
 
-/// Total facility-level energy of an execution (processor + memory, PUE
-/// applied), kWh.
-pub fn execution_energy_kwh(record: &ExecutionRecord) -> f64 {
-    let util = record.avg_utilization();
-    (processor_energy_kwh(record.memory_mb, record.duration_s, util)
-        + memory_energy_kwh(record.memory_mb, record.duration_s))
-        * PUE
-}
-
-/// Expected execution energy from profile parameters (used by the Monte
-/// Carlo estimator without materializing an [`ExecutionRecord`]), kWh.
+/// Total facility-level energy of an execution from profile parameters
+/// (processor + memory, PUE applied), kWh.
 pub fn expected_energy_kwh(memory_mb: u32, duration_s: f64, utilization: f64) -> f64 {
     (processor_energy_kwh(memory_mb, duration_s, utilization)
         + memory_energy_kwh(memory_mb, duration_s))
@@ -82,30 +73,10 @@ mod tests {
 
     #[test]
     fn execution_energy_applies_pue() {
-        let record = ExecutionRecord {
-            duration_s: 3600.0,
-            cpu_total_time_s: 3600.0, // utilization 1.0 at 1 vCPU
-            memory_mb: 1769,
-            cold_start: false,
-            cold_start_s: 0.0,
-        };
+        // One fully utilized vCPU (1769 MB) for an hour.
         let raw = P_MAX_KW + P_MEM_KW_PER_GB * (1769.0 / 1024.0);
-        let e = execution_energy_kwh(&record);
+        let e = expected_energy_kwh(1769, 3600.0, 1.0);
         assert!((e - raw * PUE).abs() < 1e-12, "e {e}");
-    }
-
-    #[test]
-    fn expected_matches_record_based() {
-        let record = ExecutionRecord {
-            duration_s: 10.0,
-            cpu_total_time_s: 10.0 * 0.7 * vcpus(1024),
-            memory_mb: 1024,
-            cold_start: false,
-            cold_start_s: 0.0,
-        };
-        let a = execution_energy_kwh(&record);
-        let b = expected_energy_kwh(1024, 10.0, 0.7);
-        assert!((a - b).abs() < 1e-15);
     }
 
     #[test]

@@ -246,14 +246,6 @@ impl WorkflowDag {
             .map(|i| NodeId(i as u32))
     }
 
-    /// Looks up the edge id between two nodes.
-    pub fn edge_between(&self, from: NodeId, to: NodeId) -> Option<EdgeId> {
-        self.out_edges[from.index()]
-            .iter()
-            .copied()
-            .find(|e| self.edges[e.index()].to == to)
-    }
-
     /// Outgoing edges of a node (`E_out(n)`).
     pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
         &self.out_edges[n.index()]
@@ -315,59 +307,12 @@ impl WorkflowDag {
             .collect()
     }
 
-    /// All synchronization nodes reachable from `n` (inclusive of direct
-    /// successors), used by the conditional skip-propagation rule of §4.
-    pub fn reachable_sync_nodes(&self, n: NodeId) -> Vec<NodeId> {
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack = vec![n];
-        let mut result = Vec::new();
-        while let Some(cur) = stack.pop() {
-            if std::mem::replace(&mut visited[cur.index()], true) {
-                continue;
-            }
-            if cur != n && self.is_sync_node(cur) {
-                result.push(cur);
-            }
-            for s in self.successors(cur) {
-                stack.push(s);
-            }
-        }
-        result.sort_unstable();
-        result
-    }
-
     /// A complexity score used by the Deployment Manager to estimate the
     /// cost of a deployment solve (§5.2): `|N| · (1 + |E|/|N|)` rounded up.
     pub fn complexity(&self) -> usize {
         let n = self.nodes.len();
         let e = self.edges.len();
         n + e
-    }
-
-    /// Renders the DAG in Graphviz DOT format. Conditional edges are
-    /// dashed; synchronization nodes are double-circled. Pipe through
-    /// `dot -Tsvg` to visualize a workflow.
-    pub fn to_dot(&self) -> String {
-        let mut out = format!("digraph \"{}\" {{\n  rankdir=LR;\n", self.name);
-        for n in self.all_nodes() {
-            let meta = self.node(n);
-            let shape = if self.is_sync_node(n) {
-                "doublecircle"
-            } else {
-                "ellipse"
-            };
-            out.push_str(&format!(
-                "  n{} [label=\"{}\", shape={shape}];\n",
-                n.0, meta.name
-            ));
-        }
-        for e in self.all_edges() {
-            let e = self.edge(e);
-            let style = if e.conditional { " [style=dashed]" } else { "" };
-            out.push_str(&format!("  n{} -> n{}{style};\n", e.from.0, e.to.0));
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -503,43 +448,6 @@ mod tests {
         assert_eq!(d.start(), NodeId(0));
         assert_eq!(d.sinks(), vec![NodeId(0)]);
         assert!(!d.has_sync_nodes());
-    }
-
-    #[test]
-    fn reachable_sync_nodes_from_branch() {
-        let d = diamond();
-        assert_eq!(d.reachable_sync_nodes(NodeId(1)), vec![NodeId(3)]);
-        assert_eq!(d.reachable_sync_nodes(NodeId(0)), vec![NodeId(3)]);
-        assert!(d.reachable_sync_nodes(NodeId(3)).is_empty());
-    }
-
-    #[test]
-    fn edge_between_lookup() {
-        let d = diamond();
-        assert!(d.edge_between(NodeId(0), NodeId(1)).is_some());
-        assert!(d.edge_between(NodeId(1), NodeId(2)).is_none());
-    }
-
-    #[test]
-    fn dot_export_marks_structure() {
-        let d = diamond();
-        let dot = d.to_dot();
-        assert!(dot.starts_with("digraph \"diamond\""));
-        assert!(dot.contains("doublecircle"), "sync node marked");
-        assert_eq!(dot.matches("->").count(), 4, "all edges rendered");
-        // Conditional edges render dashed.
-        let c = WorkflowDag::new(
-            "c",
-            "0.1",
-            vec![meta("a"), meta("b")],
-            vec![Edge {
-                from: NodeId(0),
-                to: NodeId(1),
-                conditional: true,
-            }],
-        )
-        .unwrap();
-        assert!(c.to_dot().contains("style=dashed"));
     }
 
     #[test]

@@ -100,16 +100,6 @@ impl Orchestrator {
             rng.lognormal(self.setup_mu(), OVERHEAD_SIGMA)
         }
     }
-
-    /// Whether this orchestrator supports routing stages across regions.
-    pub fn supports_cross_region(self) -> bool {
-        matches!(self, Orchestrator::Caribou)
-    }
-
-    /// Whether this orchestrator supports synchronization nodes natively.
-    pub fn supports_sync_nodes(self) -> bool {
-        matches!(self, Orchestrator::StepFunctions | Orchestrator::Caribou)
-    }
 }
 
 #[cfg(test)]
@@ -173,13 +163,5 @@ mod tests {
             }
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn capability_matrix() {
-        assert!(Orchestrator::Caribou.supports_cross_region());
-        assert!(!Orchestrator::Sns.supports_cross_region());
-        assert!(!Orchestrator::Sns.supports_sync_nodes());
-        assert!(Orchestrator::StepFunctions.supports_sync_nodes());
     }
 }

@@ -44,6 +44,29 @@ impl PoolStats {
         (busy / (self.wall_s * self.workers as f64)).min(1.0)
     }
 
+    /// Adds a later run's statistics: tasks, wall and busy time add up,
+    /// worker by worker; the worker count is the larger of the two.
+    pub fn merge(&mut self, later: &PoolStats) {
+        self.workers = self.workers.max(later.workers);
+        self.tasks += later.tasks;
+        self.wall_s += later.wall_s;
+        if self.busy_s.len() < later.busy_s.len() {
+            self.busy_s.resize(later.busy_s.len(), 0.0);
+            self.tasks_per_worker
+                .resize(later.tasks_per_worker.len(), 0);
+        }
+        for (a, b) in self.busy_s.iter_mut().zip(&later.busy_s) {
+            *a += b;
+        }
+        for (a, b) in self
+            .tasks_per_worker
+            .iter_mut()
+            .zip(&later.tasks_per_worker)
+        {
+            *a += b;
+        }
+    }
+
     /// Records the run into the caller's telemetry session: the
     /// utilization gauge, a task counter, and one span per worker.
     pub fn emit(&self) {
@@ -185,6 +208,19 @@ mod tests {
             assert_eq!(stats.tasks, 37);
             assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 37);
         }
+    }
+
+    #[test]
+    fn merged_runs_add_up_worker_by_worker() {
+        let (_, narrow) = map_indexed(1, 3, |i| i);
+        let (_, wide) = map_indexed(2, 5, |i| i);
+        let mut total = PoolStats::default();
+        total.merge(&narrow);
+        total.merge(&wide);
+        assert_eq!((total.workers, total.tasks), (wide.workers, 8));
+        assert_eq!(total.tasks_per_worker.len(), wide.tasks_per_worker.len());
+        assert_eq!(total.tasks_per_worker.iter().sum::<usize>(), 8);
+        assert_eq!(total.tasks_per_worker[0], 3 + wide.tasks_per_worker[0]);
     }
 
     #[test]

@@ -96,26 +96,16 @@ impl ArrivalProcess {
         }
     }
 
-    /// Generates the first `n` arrival times (seconds from 0, sorted) by
-    /// Lewis thinning. Deterministic in `rng`.
-    pub fn generate(&self, n: usize, rng: &mut Pcg32) -> Vec<f64> {
-        let mut gen = ArrivalGen::new(*self, rng.clone());
-        let mut out = Vec::with_capacity(n);
-        gen.fill(&mut out, n);
-        *rng = gen.rng;
-        out
-    }
-
-    /// A streaming generator over this process: yields the same sequence
-    /// as [`ArrivalProcess::generate`] without materializing it, so a
-    /// consumer's memory stays independent of the invocation count.
+    /// A streaming generator over this process: arrival times (seconds
+    /// from 0, sorted) by Lewis thinning, deterministic in `rng` and never
+    /// materialized, so a consumer's memory stays independent of the
+    /// invocation count.
     pub fn stream(&self, rng: Pcg32) -> ArrivalGen {
         ArrivalGen::new(*self, rng)
     }
 }
 
-/// Streaming Lewis-thinning arrival generator. Produces exactly the
-/// sequence [`ArrivalProcess::generate`] would, one arrival at a time:
+/// Streaming Lewis-thinning arrival generator, one arrival at a time:
 /// the thinning state is one running timestamp plus the RNG, so callers
 /// can pull arrivals round by round with O(round) memory.
 #[derive(Debug, Clone)]
@@ -180,6 +170,13 @@ mod tests {
         assert!(ArrivalProcess::parse("poisson", f64::NAN).is_err());
     }
 
+    /// The first `n` arrivals of `p` under `seed`, pulled in one fill.
+    fn first(p: ArrivalProcess, n: usize, seed: u64) -> Vec<f64> {
+        let mut out = Vec::new();
+        p.stream(Pcg32::seed(seed)).fill(&mut out, n);
+        out
+    }
+
     #[test]
     fn arrivals_are_sorted_and_deterministic() {
         for p in [
@@ -187,8 +184,8 @@ mod tests {
             ArrivalProcess::Diurnal { rate_per_s: 5.0 },
             ArrivalProcess::Bursty { rate_per_s: 5.0 },
         ] {
-            let a = p.generate(2000, &mut Pcg32::seed(42));
-            let b = p.generate(2000, &mut Pcg32::seed(42));
+            let a = first(p, 2000, 42);
+            let b = first(p, 2000, 42);
             assert_eq!(a, b);
             assert_eq!(a.len(), 2000);
             assert!(a.windows(2).all(|w| w[0] <= w[1]), "{p:?} unsorted");
@@ -203,7 +200,7 @@ mod tests {
             ArrivalProcess::Diurnal { rate_per_s: 5.0 },
             ArrivalProcess::Bursty { rate_per_s: 5.0 },
         ] {
-            let batch = p.generate(1000, &mut Pcg32::seed(42));
+            let batch = first(p, 1000, 42);
             let mut gen = p.stream(Pcg32::seed(42));
             // Pull in uneven pieces: the stream state carries across fills.
             let mut streamed = Vec::new();
@@ -219,7 +216,7 @@ mod tests {
     #[test]
     fn poisson_hits_the_configured_rate() {
         let p = ArrivalProcess::Poisson { rate_per_s: 10.0 };
-        let a = p.generate(20_000, &mut Pcg32::seed(7));
+        let a = first(p, 20_000, 7);
         let measured = a.len() as f64 / a.last().unwrap();
         assert!((measured / 10.0 - 1.0).abs() < 0.05, "rate {measured}");
     }
@@ -229,7 +226,7 @@ mod tests {
         // High volume over several days; peak hours must outdraw trough
         // hours by well over the homogeneous ratio.
         let p = ArrivalProcess::Diurnal { rate_per_s: 2.0 };
-        let a = p.generate(300_000, &mut Pcg32::seed(11));
+        let a = first(p, 300_000, 11);
         let count_in = |from_h: f64, to_h: f64| {
             a.iter()
                 .filter(|t| {
@@ -249,7 +246,7 @@ mod tests {
     #[test]
     fn bursty_spike_windows_are_denser() {
         let p = ArrivalProcess::Bursty { rate_per_s: 2.0 };
-        let a = p.generate(100_000, &mut Pcg32::seed(13));
+        let a = first(p, 100_000, 13);
         let in_spike = a
             .iter()
             .filter(|t| (**t / BURST_PERIOD_S).fract() < BURST_DUTY)

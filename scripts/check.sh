@@ -398,6 +398,30 @@ if grep -rnE '\bcross_cloud|cross_provider_egress_(bytes|cost)\b|StrInterner' cr
     exit 1
 fi
 
+# The run harnesses fold once: one chaos report and one fault count for
+# both campaigns, one pre-fault deployment and one constant carbon table in
+# chaos.rs, loadgen chunks folded as LoadReports with PoolStats merging
+# itself, run_trace borrowing its trace. And the public functions whose
+# only caller was their own unit test stay deleted.
+echo "==> fold-once harness and dead-surface grep gates"
+if grep -rnE 'CorrelatedChaosReport|CorrelatedFaultCounts|FaultClassCounts|struct ChunkOut|fn accumulate_pool_stats' crates ||
+    grep -nF 'trace.to_vec()' crates/core/src/framework.rs; then
+    echo "error: a second campaign report, fault count or chunk fold is back (see matches above)" >&2
+    exit 1
+fi
+for pattern in 'deploy_initial\(' 'CarbonSeries::new\('; do
+    hits=$(before_tests crates/core/src/chaos.rs | grep -cE "$pattern" || true)
+    if [[ "$hits" -ne 1 ]]; then
+        echo "error: '$pattern' occurs $hits times in crates/core/src/chaos.rs outside tests, want 1:" >&2
+        before_tests crates/core/src/chaos.rs | grep -E "$pattern" >&2 || true
+        exit 1
+    fi
+done
+if grep -rnE 'fn (generate|execution_carbon|execution_energy_kwh|supports_cross_region|supports_sync_nodes|check_due|edge_between|reachable_sync_nodes|to_dot)\b' crates; then
+    echo "error: a deleted test-only public function is back (see matches above)" >&2
+    exit 1
+fi
+
 # The solver's cache and walk off trees and SipHash: a species' plans sit in
 # a fixed-hasher map (the ordered keys beside it are a set, for eviction),
 # the walk's seen set is a FixedSet, and a fleet call takes each app's solve

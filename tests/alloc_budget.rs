@@ -476,13 +476,15 @@ fn interleaved_workflows_allocate_no_more_than_sequential_ones() {
         // Past each manager's first (empty) token check and with every
         // table, topic, warm container and scratch buffer in place.
         let warm_up: Vec<f64> = (0..20).map(|i| i as f64 * GAP_S).collect();
-        fw.run_multi(&[(a, warm_up.clone()), (b, warm_up)]);
+        fw.run_multi(&[(a, &warm_up), (b, &warm_up)]);
 
         let slot = |i: usize| START_S + i as f64 * GAP_S;
         let before = allocs();
         if interleaved {
-            let trace = |offset: usize| (0..PER_WORKFLOW).map(|k| slot(2 * k + offset)).collect();
-            let reports = fw.run_multi(&[(a, trace(0)), (b, trace(1))]);
+            let trace = |offset: usize| -> Vec<f64> {
+                (0..PER_WORKFLOW).map(|k| slot(2 * k + offset)).collect()
+            };
+            let reports = fw.run_multi(&[(a, &trace(0)), (b, &trace(1))]);
             assert_eq!(
                 reports[&a].samples.len() + reports[&b].samples.len(),
                 2 * PER_WORKFLOW

@@ -6,7 +6,6 @@ use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::TableSource;
 use caribou_core::chaos::{
     run_campaign, run_correlated_campaign, run_provider_outage_scenario, ChaosConfig, ChaosReport,
-    CorrelatedChaosReport,
 };
 use caribou_exec::engine::{ExecutionEngine, WorkflowApp};
 use caribou_exec::outcome::InvocationStatus;
@@ -262,12 +261,12 @@ fn report_bits(r: &ChaosReport) -> Vec<u64> {
 
 /// [`report_bits`] followed by the correlated campaign's own counts and
 /// bits.
-fn correlated_bits(r: &CorrelatedChaosReport) -> Vec<u64> {
-    let mut bits = report_bits(&r.base);
+fn correlated_bits(r: &ChaosReport) -> Vec<u64> {
+    let mut bits = report_bits(r);
     bits.extend([
-        r.correlated.provider_outages as u64,
-        r.correlated.failure_domains as u64,
-        r.correlated.carbon_outages as u64,
+        r.faults.provider_outages as u64,
+        r.faults.failure_domains as u64,
+        r.faults.carbon_outages as u64,
         r.contingency_entries as u64,
         u64::from(r.fallback_routed),
         u64::from(r.probe_requests),

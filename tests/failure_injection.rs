@@ -198,10 +198,10 @@ proptest! {
             ..ChaosConfig::default()
         };
         let r1 = run_correlated_campaign(&cfg(1));
-        prop_assert!(r1.base.ok(), "violations: {:?}", r1.base.violations);
+        prop_assert!(r1.ok(), "violations: {:?}", r1.violations);
         prop_assert_eq!(
-            r1.base.completed_clean + r1.base.fell_back_home + r1.base.failed,
-            r1.base.requests,
+            r1.completed_clean + r1.fell_back_home + r1.failed,
+            r1.requests,
             "every invocation classified exactly once"
         );
         let r2 = run_correlated_campaign(&cfg(2));
