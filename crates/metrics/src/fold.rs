@@ -23,6 +23,7 @@ use crate::bank::{BankId, Derived, DrawBank, Prim, SharedBank, Site};
 use crate::energy;
 use crate::prep::{self, pick, EdgePrep, ExecPrep, NodePrep, PlanPrep, TransferPrep};
 use crate::summary::{p95, DistSummary, Moments};
+use crate::wide;
 
 /// Latency and cost of a plan's first `n` samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,6 +101,12 @@ pub(crate) struct FoldState {
 }
 
 impl FoldState {
+    /// The latency and cost of every sample folded since the last reset.
+    #[cfg(test)]
+    pub(crate) fn columns(&self) -> (&[f64], &[f64]) {
+        (&self.lat, &self.cost)
+    }
+
     /// Sizes the working columns for a DAG and `batch`, counting a
     /// (re)allocation as 3 in `montecarlo.node_state_allocs` (one per
     /// kind of column) so reuse is observable, and forgets the samples of
@@ -148,7 +155,14 @@ pub(crate) fn extend(
     while s.lat.len() < n {
         let lo = s.lat.len();
         let hi = lo + batch;
-        let unpublished = fold(dag, prep, &bank.covering(id, &prep.needs, hi), s, lo, hi);
+        let unpublished = wide::run(Batch {
+            dag,
+            prep,
+            bank: &bank.covering(id, &prep.needs, hi),
+            s,
+            lo,
+            hi,
+        });
         if unpublished {
             // A stale stretch is a column the bank holds to `hi`:
             // publishing appends nothing of it.
@@ -178,6 +192,26 @@ fn sums(xs: &[f64], ys: &[f64], (mut a, mut b): (f64, f64)) -> (f64, f64) {
     (a, b)
 }
 
+/// One batch of a fold's operands; [`fold`] is its body, inlined with
+/// every loop it calls into each vector level's wrapper (`crate::wide`).
+struct Batch<'a, 'p> {
+    dag: &'a WorkflowDag,
+    prep: &'a PlanPrep<'p>,
+    bank: &'a DrawBank,
+    s: &'a mut FoldState,
+    lo: usize,
+    hi: usize,
+}
+
+impl wide::Kernel for Batch<'_, '_> {
+    type Out = bool;
+
+    #[inline(always)]
+    fn call(self) -> bool {
+        fold(self.dag, self.prep, self.bank, self.s, self.lo, self.hi)
+    }
+}
+
 /// Folds samples `lo..hi` of the bank's columns through the DAG, node by
 /// node: a pass per in-edge accumulates each sample's start time and
 /// cost; a pass per node adds the node's seconds and bill. A derived
@@ -187,6 +221,7 @@ fn sums(xs: &[f64], ys: &[f64], (mut a, mut b): (f64, f64)) -> (f64, f64) {
 /// carries `NEG_INFINITY` there and selects its old cost. Each is a free
 /// function of its columns (see "Sample loops" in DESIGN.md), its arms
 /// matched here, outside the loop.
+#[inline(always)]
 fn fold(
     dag: &WorkflowDag,
     prep: &PlanPrep<'_>,
@@ -211,11 +246,16 @@ fn fold(
     let input = column(Site::Entry, Prim::Value);
     let setup = e.setup.then(|| column(Site::Entry, Prim::Overhead));
     let xfer = column(Site::Entry, e.transfer.prim());
-    let gb = banked(Derived::EntryGb).unwrap_or_else(|| {
-        computed = true;
-        to_gb(entry_gb, input);
-        entry_gb
-    });
+    // A loop stays out of closures, which are not inlined into a level's
+    // wrapper at every size (see `crate::wide`).
+    let gb = match banked(Derived::EntryGb) {
+        Some(gb) => gb,
+        None => {
+            computed = true;
+            to_gb(entry_gb, input);
+            entry_gb
+        }
+    };
     match e.transfer {
         TransferPrep::Model { ow, bw } => entry(ready, setup, input, xfer, |bytes, jitter| {
             prep::model_seconds(ow, bw, bytes, jitter)
@@ -239,19 +279,22 @@ fn fold(
                 let from = &s.finish[ep.from * m..][..m];
                 let payload = column(site, Prim::Value);
                 let gb = &mut edge_gb[eid.index() * m..][..m];
-                let gb = banked(Derived::EdgeGb(eid.index())).unwrap_or_else(|| {
-                    computed = true;
-                    let prob = ep.prob;
-                    if ep.gated() {
-                        let uniform = column(site, Prim::Taken);
-                        carried_if(gb, from, uniform, payload, |u| u < prob);
-                    } else {
-                        // Certain either way; any column stands in for the
-                        // uniform.
-                        carried_if(gb, from, from, payload, |_| prob >= 1.0);
+                let gb = match banked(Derived::EdgeGb(eid.index())) {
+                    Some(gb) => gb,
+                    None => {
+                        computed = true;
+                        let prob = ep.prob;
+                        if ep.gated() {
+                            let uniform = column(site, Prim::Taken);
+                            carried_if(gb, from, uniform, payload, |u| u < prob);
+                        } else {
+                            // Certain either way; any column stands in for
+                            // the uniform.
+                            carried_if(gb, from, from, payload, |_| prob >= 1.0);
+                        }
+                        gb
                     }
-                    gb
-                });
+                };
                 let overhead = column(site, Prim::Overhead);
                 let xfer = column(site, ep.transfer.prim());
                 match ep.transfer {
@@ -295,6 +338,7 @@ fn fold(
 }
 
 /// The GB each sample's `bytes` are.
+#[inline(always)]
 fn to_gb(gb: &mut [f64], bytes: &[f64]) {
     let bytes = &bytes[..gb.len()];
     for i in 0..gb.len() {
@@ -306,6 +350,7 @@ fn to_gb(gb: &mut [f64], bytes: &[f64]) {
 /// orchestrator has one, plus the input's `seconds(bytes, draw)`. Without
 /// a setup the sum keeps its `0.0 +`, which turns a `-0.0` into `0.0` as
 /// a sampler adding the seconds to a zero setup does.
+#[inline(always)]
 fn entry(
     ready: &mut [f64],
     setup: Option<&[f64]>,
@@ -331,6 +376,7 @@ fn entry(
 }
 
 /// What each sample pays on entry: the input's egress and the plan fetch.
+#[inline(always)]
 fn entry_cost(cost: &mut [f64], gb: &[f64], egress_rate: f64, kv: f64) {
     let gb = &gb[..cost.len()];
     for i in 0..cost.len() {
@@ -340,6 +386,7 @@ fn entry_cost(cost: &mut [f64], gb: &[f64], egress_rate: f64, kv: f64) {
 
 /// The GB an edge carries, into `gb`: `NaN` where its source never ran
 /// (`from` at −∞) or it was not taken (`taken(uniform)` false).
+#[inline(always)]
 fn carried_if(
     gb: &mut [f64],
     from: &[f64],
@@ -360,6 +407,7 @@ fn carried_if(
 /// `seconds(bytes, draw)` after the source finished and the transition
 /// overhead. A source that never ran keeps the sum at −∞ by itself; a
 /// skipped edge (`gb` NaN) is put there.
+#[inline(always)]
 fn arrive(
     ready: &mut [f64],
     gb: &[f64],
@@ -387,6 +435,7 @@ fn arrive(
 /// holds what it carried) or skipped (`gb` NaN). The fee and the sum are
 /// taken for every sample and selected after: with the addition inside
 /// the select's arm the loop compiles to a branch per sample.
+#[inline(always)]
 fn fees(cost: &mut [f64], gb: &[f64], from: &[f64], ep: &EdgePrep<'_>) {
     let (taken, rate, skipped) = (ep.taken_cost, ep.egress_rate, ep.skipped_cost);
     let m = cost.len();
@@ -405,6 +454,7 @@ fn fees(cost: &mut [f64], gb: &[f64], from: &[f64], ep: &EdgePrep<'_>) {
 
 /// A node's finish times, the latency running max and the cost with the
 /// node's bill and fetch, for the samples that reached it.
+#[inline(always)]
 fn node_finish(
     finish: &mut [f64],
     lat: &mut [f64],
@@ -434,6 +484,7 @@ fn node_finish(
 /// `site`. Seconds and bill are held for every sample; the energy is `NaN`
 /// where the sample skipped the node (`ready` at −∞), which the bank's
 /// uniforms and the profile decide alone, not the plan.
+#[inline(always)]
 fn node_site(
     np: &NodePrep<'_>,
     ni: usize,
@@ -484,6 +535,7 @@ fn node_site(
 }
 
 /// Each sample's draw times a constant.
+#[inline(always)]
 fn scaled(out: &mut [f64], xs: &[f64], k: f64) {
     let xs = &xs[..out.len()];
     for i in 0..out.len() {
@@ -492,6 +544,7 @@ fn scaled(out: &mut [f64], xs: &[f64], k: f64) {
 }
 
 /// Each sample's pick from a learned history, times `scale`.
+#[inline(always)]
 fn picked(out: &mut [f64], picks: &[f64], samples: &[f64], scale: f64) {
     let picks = &picks[..out.len()];
     for i in 0..out.len() {
@@ -501,6 +554,7 @@ fn picked(out: &mut [f64], picks: &[f64], samples: &[f64], scale: f64) {
 
 /// Adds the external-data round trip, `out(draw) + back(draw)`, to each
 /// sample's seconds.
+#[inline(always)]
 fn fetch(
     seconds: &mut [f64],
     out: &[f64],
@@ -517,6 +571,7 @@ fn fetch(
 
 /// What Lambda bills for each sample's seconds, and the energy they drew
 /// where the sample ran the node.
+#[inline(always)]
 fn bill_energy(bill: &mut [f64], kwh: &mut [f64], seconds: &[f64], ready: &[f64], np: &NodePrep) {
     let (per_second, per_request, kw) = (np.per_second, np.per_request, np.kw);
     let m = bill.len();

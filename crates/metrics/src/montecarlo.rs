@@ -343,6 +343,9 @@ mod tests {
     use caribou_simcloud::cloud::SimCloud;
     use caribou_simcloud::pricing::PricingCatalog;
 
+    use crate::bank::Derived;
+    use crate::wide::Level;
+
     type Flow = (WorkflowDag, WorkflowProfile);
 
     struct Fixture {
@@ -390,29 +393,44 @@ mod tests {
             plan
         }
 
-        /// Runs `f` on the estimator of `flow` homed in us-east-1.
-        fn with_estimator<R>(
-            &self,
-            (dag, profile): &Flow,
-            config: MonteCarloConfig,
-            f: impl FnOnce(&MonteCarloEstimator<'_, TableSource, DefaultModels<'_>>) -> R,
-        ) -> R {
-            let models = DefaultModels {
+        /// The profile-plus-simulator models of `profile` in this world.
+        fn models<'a>(&'a self, profile: &'a WorkflowProfile) -> DefaultModels<'a> {
+            DefaultModels {
                 profile,
                 runtime: &self.runtime,
                 latency: &self.latency,
                 orchestrator: Orchestrator::Caribou,
-            };
-            f(&MonteCarloEstimator {
+            }
+        }
+
+        /// The estimator of `flow` on `models`, homed in us-east-1.
+        fn estimator<'a, M: StageModels>(
+            &'a self,
+            (dag, profile): &'a Flow,
+            models: &'a M,
+            config: MonteCarloConfig,
+        ) -> MonteCarloEstimator<'a, TableSource, M> {
+            MonteCarloEstimator {
                 dag,
                 profile,
                 carbon_source: &self.carbon,
                 carbon_model: CarbonModel::new(TransmissionScenario::BEST),
                 cost_model: CostModel::new(&self.pricing),
-                models: &models,
+                models,
                 home: self.cat.id_of("us-east-1").unwrap(),
                 config,
-            })
+            }
+        }
+
+        /// Runs `f` on the estimator of `flow` homed in us-east-1.
+        fn with_estimator<R>(
+            &self,
+            flow: &Flow,
+            config: MonteCarloConfig,
+            f: impl FnOnce(&MonteCarloEstimator<'_, TableSource, DefaultModels<'_>>) -> R,
+        ) -> R {
+            let models = self.models(&flow.1);
+            f(&self.estimator(flow, &models, config))
         }
 
         fn estimate(&self, flow: &Flow, plan: &DeploymentPlan, seed: u64) -> EstimateSummary {
@@ -612,5 +630,158 @@ mod tests {
             let columns = recorder.counter("montecarlo.bank.columns");
             assert_eq!(draws, columns * fresh.samples as u64);
         });
+    }
+    /// Default models but for logged history: `Slow`'s execution
+    /// (node 2) wherever it runs, and the us-east-1 → us-west-2 transfer.
+    struct Logged<'a> {
+        base: DefaultModels<'a>,
+        exec: Vec<f64>,
+        transfer: Vec<f64>,
+        route: (RegionId, RegionId),
+    }
+
+    impl StageModels for Logged<'_> {
+        fn base(&self) -> DefaultModels<'_> {
+            self.base.clone()
+        }
+        fn learned_exec(&self, node: usize, _region: RegionId) -> Option<(&[f64], f64)> {
+            (node == 2).then_some((&self.exec, 1.25))
+        }
+        fn learned_transfer(&self, from: RegionId, to: RegionId) -> Option<&[f64]> {
+            ((from, to) == self.route).then_some(&self.transfer)
+        }
+    }
+
+    /// Every bit an estimate leaves behind on `scratch`: its summary, its
+    /// record at each boundary, the fold's latency and cost columns, the
+    /// carbon column and every derived column of `plan` the bank holds.
+    fn trace<M: StageModels>(
+        est: &MonteCarloEstimator<'_, TableSource, M>,
+        plan: &DeploymentPlan,
+        (hour, seed): (f64, u64),
+        scratch: &mut EstimateScratch,
+        record: &PlanRecord,
+    ) -> (Vec<u64>, PlanRecord) {
+        let rng = Pcg32::seed(seed);
+        let (summary, grown) = est.estimate_on(plan, hour, &mut rng.clone(), scratch, record);
+        let record = grown.unwrap_or_else(|| record.clone());
+        let mut bits = Vec::new();
+        let mut put = |xs: &[f64]| bits.extend(xs.iter().map(|x| x.to_bits()));
+        let dists = |d: DistSummary| [d.mean, d.p95, d.std_dev, d.n as f64];
+        put(&dists(summary.latency));
+        put(&dists(summary.cost));
+        put(&dists(summary.carbon));
+        put(&[summary.exec_carbon_mean, summary.trans_carbon_mean]);
+        let batch = est.config.batch;
+        for n in (1..=record.boundaries()).map(|b| b * batch) {
+            let (lat, cost) = record.at(n).expect("a boundary");
+            put(&dists(lat));
+            put(&dists(cost));
+        }
+        let (lat, cost) = scratch.fold.columns();
+        put(lat);
+        put(cost);
+        put(&scratch.price.carb);
+        let id = BankId {
+            stream: rng,
+            nodes: est.dag.node_count(),
+            edges: est.dag.edge_count(),
+        };
+        let bank = scratch.bank.bound(&id).expect("the estimate's bank");
+        let n = summary.samples;
+        let nodes = (0..est.dag.node_count())
+            .flat_map(|ni| Derived::site(ni, plan.region_of(NodeId(ni as u32))));
+        let edges = (0..est.dag.edge_count()).map(Derived::EdgeGb);
+        for col in std::iter::once(Derived::EntryGb).chain(edges).chain(nodes) {
+            put(bank.derived(col, n).expect("a folded column"));
+        }
+        (bits, record)
+    }
+
+    /// The [`trace`]s of `plan` folded at one hour and re-priced from its
+    /// record at another, on one scratch.
+    fn estimated_twice<M: StageModels>(
+        est: &MonteCarloEstimator<'_, TableSource, M>,
+        plan: &DeploymentPlan,
+        seed: u64,
+    ) -> Vec<u64> {
+        let mut scratch = EstimateScratch::default();
+        let (mut bits, record) =
+            trace(est, plan, (0.5, seed), &mut scratch, &PlanRecord::default());
+        bits.extend(trace(est, plan, (13.25, seed), &mut scratch, &record).0);
+        bits
+    }
+
+    /// A sweep through every kernel the estimator dispatches by vector
+    /// level: certain and gated edges, a sync join, external data, learned
+    /// picks, skipped nodes, batches no lane width divides, a ragged tail
+    /// batch and a re-pricing from a record at another hour.
+    fn sweep(fx: &Fixture) -> Vec<u64> {
+        let flows = [diamond(None), diamond(Some(0.45)), chain(1.5, Some(0.3))];
+        let configs = [
+            MonteCarloConfig::default(),
+            capped(37, 111),
+            capped(250, 250),
+        ];
+        let mut bits = Vec::new();
+        for (f, flow) in flows.iter().enumerate() {
+            let nodes = flow.0.node_count();
+            let moved = [(1, "us-west-2"), (2, "us-west-2"), (3, "ca-central-1")];
+            let moved = &moved[..nodes - 1];
+            let plans = [fx.plan(nodes, &[]), fx.plan(nodes, moved)];
+            let base = fx.models(&flow.1);
+            let (east, west) = (fx.cat.id_of("us-east-1"), fx.cat.id_of("us-west-2"));
+            let logged = Logged {
+                base: base.clone(),
+                exec: vec![0.7, 1.9, 4.4, 5.1, 6.0],
+                transfer: vec![0.021, 0.034, 0.09],
+                route: (east.unwrap(), west.unwrap()),
+            };
+            for (c, &config) in configs.iter().enumerate() {
+                for (p, plan) in plans.iter().enumerate() {
+                    let seed = (100 * f + 10 * c + p) as u64;
+                    bits.extend(estimated_twice(
+                        &fx.estimator(flow, &base, config),
+                        plan,
+                        seed,
+                    ));
+                    bits.extend(estimated_twice(
+                        &fx.estimator(flow, &logged, config),
+                        plan,
+                        seed,
+                    ));
+                }
+            }
+            // A bank another rule left at 200 samples, extended 50 at a
+            // time: the fold publishes a ragged tail of each column.
+            let mut scratch = EstimateScratch::default();
+            let (hour, seed) = (3.25, 9 + f as u64);
+            let est = fx.estimator(flow, &base, capped(200, 200));
+            est.estimate_with(&plans[1], hour, &mut Pcg32::seed(seed), &mut scratch);
+            let est = fx.estimator(flow, &base, capped(50, 250));
+            let empty = PlanRecord::default();
+            bits.extend(trace(&est, &plans[1], (hour, seed), &mut scratch, &empty).0);
+        }
+        bits
+    }
+
+    #[test]
+    fn every_vector_level_folds_and_prices_the_same_bits() {
+        let fx = fixture(true);
+        let base = crate::wide::at(Level::Base, || sweep(&fx));
+        let skipped = base.iter().filter(|&&b| f64::from_bits(b).is_nan()).count();
+        assert!(
+            skipped > 0,
+            "no sample of the sweep skipped a node or an edge"
+        );
+        for level in crate::wide::levels() {
+            let wide = crate::wide::at(level, || sweep(&fx));
+            assert_eq!(wide.len(), base.len(), "{level:?}");
+            let first = wide.iter().zip(&base).position(|(a, b)| a != b);
+            assert_eq!(
+                first, None,
+                "{level:?} differs from the baseline at bit pattern"
+            );
+        }
     }
 }

@@ -23,7 +23,7 @@ use crate::energy;
 use crate::montecarlo::{DefaultModels, MonteCarloEstimator, StageModels};
 
 /// Index into a learned history of `len` entries for a uniform `u`.
-#[inline]
+#[inline(always)]
 pub(crate) fn pick(u: f64, len: usize) -> usize {
     ((u * len as f64) as usize).min(len - 1)
 }
@@ -62,13 +62,13 @@ impl TransferPrep<'_> {
 /// [`TransferPrep::Model`]'s seconds for `bytes` under `jitter`: a sample
 /// loop matches the arm once, outside, and calls this or
 /// [`learned_seconds`] inside.
-#[inline]
+#[inline(always)]
 pub(crate) fn model_seconds(ow: f64, bw: f64, bytes: f64, jitter: f64) -> f64 {
     (ow + bytes.max(0.0) / bw) * jitter
 }
 
 /// [`TransferPrep::Learned`]'s seconds for the uniform `u`.
-#[inline]
+#[inline(always)]
 pub(crate) fn learned_seconds(samples: &[f64], u: f64) -> f64 {
     samples[pick(u, samples.len())]
 }

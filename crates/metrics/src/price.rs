@@ -19,6 +19,7 @@ use caribou_model::plan::DeploymentPlan;
 use crate::bank::{Derived, DrawBank};
 use crate::montecarlo::{MonteCarloEstimator, StageModels};
 use crate::summary::{self, Moments};
+use crate::wide;
 
 /// The grid constants of one (plan, hour) and the carbon columns priced
 /// with them, reused from one estimate to the next.
@@ -90,42 +91,13 @@ impl PriceState {
         bank: &DrawBank,
         hi: usize,
     ) -> bool {
-        let lo = self.carb.len();
-        for col in &mut self.batch {
-            col.resize(hi - lo, 0.0);
-        }
-        let [exec_c, trans_c] = &mut self.batch;
-        let column = |col| bank.derived(col, hi).map(|vals| &vals[lo..]);
-
-        let Some(gb) = column(Derived::EntryGb) else {
-            return false;
-        };
-        scaled(trans_c, self.entry_k, gb);
-        exec_c.fill(0.0);
-        for &node in dag.topo_order() {
-            let ni = node.index();
-            if node != dag.start() {
-                for &eid in dag.in_edges(node) {
-                    let Some(gb) = column(Derived::EdgeGb(eid.index())) else {
-                        return false;
-                    };
-                    add(trans_c, self.edge_k[eid.index()], gb);
-                }
-            }
-            let Some(kwh) = column(Derived::Energy(ni, plan.region_of(node))) else {
-                return false;
-            };
-            if let Some(ext_c) = self.ext_c[ni] {
-                fetched(trans_c, ext_c, kwh);
-            }
-            // Eq. 7.1: energy (kWh) × PUE × grid intensity.
-            add(exec_c, self.node_k[ni], kwh);
-        }
-        self.carb.resize(hi, 0.0);
-        let sums = (self.carb_sum, self.exec_sum, self.trans_sum);
-        (self.carb_sum, self.exec_sum, self.trans_sum) =
-            total(&mut self.carb[lo..], exec_c, trans_c, sums);
-        true
+        wide::run(Pricing {
+            s: self,
+            dag,
+            plan,
+            bank,
+            hi,
+        })
     }
 
     /// The moments of the carbon priced so far.
@@ -146,7 +118,69 @@ impl PriceState {
     }
 }
 
+/// [`PriceState::extend`]'s operands; [`Pricing::call`] is its body,
+/// inlined with every loop it calls into each vector level's wrapper
+/// (`crate::wide`).
+struct Pricing<'a> {
+    s: &'a mut PriceState,
+    dag: &'a WorkflowDag,
+    plan: &'a DeploymentPlan,
+    bank: &'a DrawBank,
+    hi: usize,
+}
+
+impl wide::Kernel for Pricing<'_> {
+    type Out = bool;
+
+    #[inline(always)]
+    fn call(self) -> bool {
+        let Pricing {
+            s,
+            dag,
+            plan,
+            bank,
+            hi,
+        } = self;
+        let lo = s.carb.len();
+        for col in &mut s.batch {
+            col.resize(hi - lo, 0.0);
+        }
+        let [exec_c, trans_c] = &mut s.batch;
+        let column = |col| bank.derived(col, hi).map(|vals| &vals[lo..]);
+
+        let Some(gb) = column(Derived::EntryGb) else {
+            return false;
+        };
+        scaled(trans_c, s.entry_k, gb);
+        exec_c.fill(0.0);
+        for &node in dag.topo_order() {
+            let ni = node.index();
+            if node != dag.start() {
+                for &eid in dag.in_edges(node) {
+                    let Some(gb) = column(Derived::EdgeGb(eid.index())) else {
+                        return false;
+                    };
+                    add(trans_c, s.edge_k[eid.index()], gb);
+                }
+            }
+            let Some(kwh) = column(Derived::Energy(ni, plan.region_of(node))) else {
+                return false;
+            };
+            if let Some(ext_c) = s.ext_c[ni] {
+                fetched(trans_c, ext_c, kwh);
+            }
+            // Eq. 7.1: energy (kWh) × PUE × grid intensity.
+            add(exec_c, s.node_k[ni], kwh);
+        }
+        s.carb.resize(hi, 0.0);
+        let sums = (s.carb_sum, s.exec_sum, s.trans_sum);
+        (s.carb_sum, s.exec_sum, s.trans_sum) = total(&mut s.carb[lo..], exec_c, trans_c, sums);
+        true
+    }
+}
+
 /// `k × x` of each sample.
+#[inline(always)]
 fn scaled(out: &mut [f64], k: f64, xs: &[f64]) {
     let xs = &xs[..out.len()];
     for i in 0..out.len() {
@@ -156,6 +190,7 @@ fn scaled(out: &mut [f64], k: f64, xs: &[f64]) {
 
 /// `acc += k × x` wherever the sample got there (`x` is not NaN): a
 /// select, not a branch, so the loop stays a straight line.
+#[inline(always)]
 fn add(acc: &mut [f64], k: f64, xs: &[f64]) {
     let xs = &xs[..acc.len()];
     for i in 0..acc.len() {
@@ -166,6 +201,7 @@ fn add(acc: &mut [f64], k: f64, xs: &[f64]) {
 
 /// Adds the external-data round trip's carbon where the sample ran the
 /// node (its energy is not NaN).
+#[inline(always)]
 fn fetched(trans_c: &mut [f64], ext_c: f64, kwh: &[f64]) {
     let kwh = &kwh[..trans_c.len()];
     for i in 0..trans_c.len() {
@@ -176,6 +212,7 @@ fn fetched(trans_c: &mut [f64], ext_c: f64, kwh: &[f64]) {
 
 /// Writes each sample's carbon, execution plus transmission, and carries
 /// on the left-fold sums of it and of its two components.
+#[inline(always)]
 fn total(
     carb: &mut [f64],
     exec_c: &[f64],

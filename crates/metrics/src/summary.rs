@@ -4,6 +4,8 @@
 //! mean is the "average case" used for ordering deployment plans and whose
 //! 95th percentile is the "tail case" used for tolerance checks (§7.1).
 
+use crate::wide;
+
 /// Summary statistics of a sampled metric distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistSummary {
@@ -152,22 +154,13 @@ fn tail(col: &[f64], floor: f64, keys: &mut Vec<i64>) -> (f64, Among) {
         keys.resize(n, 0);
     }
     let keys = &mut keys[..n];
-    // Every key is written; the count moves past those at or above.
-    let floor = key(floor);
-    let mut above = 0;
-    for &x in col {
-        let k = key(x);
-        keys[above] = k;
-        above += usize::from(k >= floor);
-    }
-    let (keys, rank, among) = if above >= n - lo {
-        (&mut keys[..above], lo - (n - above), Among::AtOrAbove)
-    } else {
-        for (k, &x) in keys.iter_mut().zip(col) {
-            *k = key(x);
-        }
-        (keys, lo, Among::All)
-    };
+    let (len, among) = wide::run(KeyPass {
+        col,
+        floor: key(floor),
+        need: n - lo,
+        keys,
+    });
+    let (keys, rank) = (&mut keys[..len], lo - (n - len));
     let (_, at_lo, rest) = keys.select_nth_unstable(rank);
     let at_lo = from_key(*at_lo);
     if pos.ceil() as usize == lo {
@@ -179,8 +172,50 @@ fn tail(col: &[f64], floor: f64, keys: &mut Vec<i64>) -> (f64, Among) {
     (at_lo * (1.0 - frac) + at_hi * frac, among)
 }
 
+/// [`tail`]'s key pass: writes to the front of `keys` the keys of `col`'s
+/// samples at or above `floor`, in sample order, when there are at least
+/// `need` of them, else every sample's key. `call` returns how many keys
+/// that is, and which.
+///
+/// The first loop stores at a moving index, which vectorises at no width;
+/// the second, rarely taken, does at every width.
+struct KeyPass<'a> {
+    col: &'a [f64],
+    floor: i64,
+    need: usize,
+    keys: &'a mut [i64],
+}
+
+impl wide::Kernel for KeyPass<'_> {
+    type Out = (usize, Among);
+
+    #[inline(always)]
+    fn call(self) -> (usize, Among) {
+        let KeyPass {
+            col,
+            floor,
+            need,
+            keys,
+        } = self;
+        // Every key is written; the count moves past those at or above.
+        let mut above = 0;
+        for &x in col {
+            let k = key(x);
+            keys[above] = k;
+            above += usize::from(k >= floor);
+        }
+        if above >= need {
+            return (above, Among::AtOrAbove);
+        }
+        for (k, &x) in keys.iter_mut().zip(col) {
+            *k = key(x);
+        }
+        (col.len(), Among::All)
+    }
+}
+
 /// `x`'s bits as an integer that orders as `f64::total_cmp` does.
-#[inline]
+#[inline(always)]
 fn key(x: f64) -> i64 {
     let bits = x.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
@@ -196,10 +231,16 @@ fn from_key(k: i64) -> f64 {
 mod tests {
     use super::*;
 
-    /// Every n to 300 and 2,000, over skewed, tied, signed-zero, NaN,
-    /// infinite, constant, negative and outlier columns, on one key buffer.
     #[test]
     fn tail_p95_is_bit_identical_to_sorting() {
+        for level in wide::levels() {
+            wide::at(level, || tail_matches_sorting(level));
+        }
+    }
+
+    /// Every n to 300 and 2,000, over skewed, tied, signed-zero, NaN,
+    /// infinite, constant, negative and outlier columns, on one key buffer.
+    fn tail_matches_sorting(level: wide::Level) {
         use caribou_model::rng::Pcg32;
         let mut rng = Pcg32::seed(5);
         let mut keys = Vec::new();
@@ -231,7 +272,7 @@ mod tests {
                 assert_eq!(
                     p95(col, &m, &mut keys).to_bits(),
                     want,
-                    "n = {n}, case {case}"
+                    "{level:?}: n = {n}, case {case}"
                 );
                 match tail(col, m.mean + m.var.sqrt(), &mut keys).1 {
                     Among::AtOrAbove => filtered += 1,
@@ -240,7 +281,7 @@ mod tests {
             }
             // A constant column lies at its mean + σ, all of it.
             let constant = tail(&cases[7], 2.5, &mut keys);
-            assert_eq!(constant, (2.5, Among::AtOrAbove), "n = {n}");
+            assert_eq!(constant, (2.5, Among::AtOrAbove), "{level:?}: n = {n}");
         }
         assert!(
             filtered > 0 && full > 0,

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The pre-PR gate: formatting, clippy with warnings denied, the test
 # suite (which replays goldens/ through the built CLI:
-# crates/core/tests/cli.rs), the release-only timing test, seeded CLI
+# crates/core/tests/cli.rs), the release-only timing test, the release
+# run of the estimator's vector-level agreement tests, seeded CLI
 # smoke runs diffed across worker counts, the benchmark package's lint,
 # the figure binaries (scripts/figures.sh), and the grep gates; a run must
 # leave the working tree as it found it. Run before sending a PR.
@@ -30,6 +31,12 @@ if [[ "${1:-}" != "--fast" ]]; then
     # healthy-path breaker + fallback check inside its 10 ns budget.
     echo "==> router happy-path budget (release, --ignored)"
     cargo test -q --release -p caribou-exec -- --ignored
+
+    # The estimator's sample loops give the same bits at every vector level
+    # the host runs; a debug build vectorises nothing, so the check that
+    # means something is the optimised one.
+    echo "==> estimator vector levels agree (release)"
+    cargo test -q --release -p caribou-metrics --lib -- every_vector_level tail_p95
 
     # Deterministic solver smoke: the 24-hour schedule printed by
     # `caribou plan --hourly` must be bit-identical whether the solver
@@ -231,6 +238,23 @@ fi
 if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
     crates/metrics/src/price.rs | grep -F '.push('; then
     echo "error: the pricing pass pushes (see above); write its columns by index" >&2
+    exit 1
+fi
+
+# The sample loops at the CPU's full vector width: one helper
+# (crates/metrics/src/wide.rs) holds the per-level wrappers, the feature
+# detection and the only `unsafe` under crates/; and no fused multiply-add
+# is written into the fold, the pricing pass or the summaries, whose bits
+# must not depend on the level (Rust never fuses `a * b + c` by itself).
+echo "==> vector-level dispatch grep gates"
+hits=$(grep -rlwE 'unsafe|target_feature|is_x86_feature_detected' crates | tr '\n' ' ')
+if [[ "$hits" != "crates/metrics/src/wide.rs " ]]; then
+    echo "error: unsafe, target_feature or is_x86_feature_detected in: $hits(want crates/metrics/src/wide.rs only)" >&2
+    exit 1
+fi
+if grep -nF 'mul_add' crates/metrics/src/fold.rs crates/metrics/src/price.rs \
+    crates/metrics/src/summary.rs; then
+    echo "error: a fused multiply-add in the estimator's sample loops (see matches above)" >&2
     exit 1
 fi
 
