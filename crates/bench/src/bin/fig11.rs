@@ -50,7 +50,7 @@ fn main() {
         config.hbss = hbss_params();
         config.seed = 11;
         let mut fw = Caribou::new(env.cloud, env.carbon, config);
-        let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
+        let manifest = DeploymentManifest::new(&*app.name, "1.0", HOME);
         let idx = fw.deploy(app, &manifest, cli_constraints(&bench)).unwrap();
         let trace = azure_trace(
             10.0,

@@ -52,9 +52,8 @@ fn main() {
                 dynamic_triggering: false,
                 fixed_interval_s: 7.0 * 86_400.0 / solves_per_week as f64,
             };
-            config.plan_expiry_s = 7.0 * 86_400.0 / solves_per_week as f64 + 3600.0;
             let mut fw = Caribou::new(env.cloud, env.carbon, config);
-            let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
+            let manifest = DeploymentManifest::new(&*app.name, "1.0", HOME);
             let idx = fw.deploy(app, &manifest, cli_constraints(&bench)).unwrap();
             let trace = azure_trace(
                 10.0,

@@ -26,28 +26,6 @@ use caribou_model::region::RegionId;
 
 use crate::source::CarbonDataSource;
 
-/// Which rung of the degradation ladder answered a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradationLevel {
-    /// Forecast feed healthy; inner source answered.
-    Fresh,
-    /// Feed dark but within TTL; frozen at the outage start.
-    LastKnownGood,
-    /// Feed dark past TTL; yearly-average intensity.
-    YearlyAverage,
-}
-
-impl DegradationLevel {
-    /// Stable lowercase label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            DegradationLevel::Fresh => "fresh",
-            DegradationLevel::LastKnownGood => "last-known-good",
-            DegradationLevel::YearlyAverage => "yearly-average",
-        }
-    }
-}
-
 /// A carbon source that degrades gracefully through forecast outages.
 pub struct StaleAwareSource<S> {
     inner: S,
@@ -91,15 +69,6 @@ impl<S: CarbonDataSource> StaleAwareSource<S> {
             .filter(|&&(s, e)| hour >= s && hour < e)
             .map(|&(s, _)| s)
             .fold(None, |acc, s| Some(acc.map_or(s, |a: f64| a.min(s))))
-    }
-
-    /// Which rung of the ladder answers a query at `hour`.
-    pub fn degradation_level(&self, hour: f64) -> DegradationLevel {
-        match self.outage_start(hour) {
-            None => DegradationLevel::Fresh,
-            Some(start) if hour - start <= self.ttl_hours => DegradationLevel::LastKnownGood,
-            Some(_) => DegradationLevel::YearlyAverage,
-        }
     }
 
     /// Query counts per rung: `(fresh, last_known_good, yearly_average)`.
@@ -167,8 +136,13 @@ mod tests {
     use crate::series::CarbonSeries;
     use crate::source::TableSource;
 
+    /// The deepest rung's answer on the ramp: the mean of hours 0..8759.
+    const YEARLY: f64 = 4379.5;
+
+    /// Intensity == hour index, so an answer names its rung: the hour
+    /// itself when fresh, the outage start when frozen, [`YEARLY`] past
+    /// the TTL.
     fn ramp_source() -> TableSource {
-        // Intensity == hour index, so rungs are easy to tell apart.
         let mut t = TableSource::new();
         let values: Vec<f64> = (0..8760).map(|h| h as f64).collect();
         t.insert(RegionId(0), CarbonSeries::new(0, values));
@@ -178,7 +152,6 @@ mod tests {
     #[test]
     fn fresh_passes_through() {
         let s = StaleAwareSource::new(ramp_source(), &[RegionId(0)], vec![], 2.0);
-        assert_eq!(s.degradation_level(5.5), DegradationLevel::Fresh);
         assert_eq!(s.intensity(RegionId(0), 5.5), 5.0);
         assert_eq!(s.query_counts(), (1, 0, 0));
     }
@@ -187,17 +160,13 @@ mod tests {
     fn ladder_degrades_fresh_to_lkg_to_yearly() {
         let s = StaleAwareSource::new(ramp_source(), &[RegionId(0)], vec![(10.0, 20.0)], 2.0);
         // Before the outage: fresh.
-        assert_eq!(s.degradation_level(9.9), DegradationLevel::Fresh);
         assert_eq!(s.intensity(RegionId(0), 9.9), 9.0);
         // Inside TTL: frozen at the outage start (hour 10).
-        assert_eq!(s.degradation_level(11.0), DegradationLevel::LastKnownGood);
         assert_eq!(s.intensity(RegionId(0), 11.0), 10.0);
         assert_eq!(s.intensity(RegionId(0), 12.0), 10.0);
-        // Past TTL: yearly average of 0..8759 == 4379.5.
-        assert_eq!(s.degradation_level(15.0), DegradationLevel::YearlyAverage);
-        assert_eq!(s.intensity(RegionId(0), 15.0), 4379.5);
+        // Past TTL: the yearly average.
+        assert_eq!(s.intensity(RegionId(0), 15.0), YEARLY);
         // Outage over (half-open): fresh again.
-        assert_eq!(s.degradation_level(20.0), DegradationLevel::Fresh);
         assert_eq!(s.intensity(RegionId(0), 20.0), 20.0);
         assert_eq!(s.query_counts(), (2, 2, 1));
     }
@@ -205,8 +174,8 @@ mod tests {
     #[test]
     fn ttl_boundary_is_inclusive_for_lkg() {
         let s = StaleAwareSource::new(ramp_source(), &[RegionId(0)], vec![(0.0, 100.0)], 2.0);
-        assert_eq!(s.degradation_level(2.0), DegradationLevel::LastKnownGood);
-        assert_eq!(s.degradation_level(2.0001), DegradationLevel::YearlyAverage);
+        assert_eq!(s.intensity(RegionId(0), 2.0), 0.0, "last known good");
+        assert_eq!(s.intensity(RegionId(0), 2.0001), YEARLY);
     }
 
     #[test]
@@ -235,10 +204,11 @@ mod tests {
             5.0,
         );
         // At hour 16 the earliest active start is 10 → age 6 > TTL 5.
-        assert_eq!(s.degradation_level(16.0), DegradationLevel::YearlyAverage);
+        assert_eq!(s.intensity(RegionId(0), 16.0), YEARLY);
         // At hour 32 only the second window is active → age 20 > TTL.
-        assert_eq!(s.degradation_level(32.0), DegradationLevel::YearlyAverage);
-        assert_eq!(s.degradation_level(14.0), DegradationLevel::LastKnownGood);
+        assert_eq!(s.intensity(RegionId(0), 32.0), YEARLY);
+        // At hour 14, age 4: frozen at the earliest start.
+        assert_eq!(s.intensity(RegionId(0), 14.0), 10.0);
     }
 
     #[test]
@@ -251,16 +221,16 @@ mod tests {
             vec![(10.0, 20.0), (18.0, 40.0)],
             5.0,
         );
-        assert_eq!(s.degradation_level(19.0), DegradationLevel::YearlyAverage);
-        assert_eq!(s.degradation_level(20.0), DegradationLevel::LastKnownGood);
+        assert_eq!(s.intensity(RegionId(0), 19.0), YEARLY);
+        assert_eq!(s.intensity(RegionId(0), 20.0), 18.0);
         assert_eq!(s.intensity(RegionId(0), 21.0), 18.0);
-        assert_eq!(s.degradation_level(40.0), DegradationLevel::Fresh);
+        assert_eq!(s.intensity(RegionId(0), 40.0), 40.0);
     }
 
     #[test]
     fn uncovered_region_still_answers_yearly() {
         let s = StaleAwareSource::new(ramp_source(), &[], vec![(0.0, 100.0)], 1.0);
-        assert_eq!(s.intensity(RegionId(0), 50.0), 4379.5);
+        assert_eq!(s.intensity(RegionId(0), 50.0), YEARLY);
     }
 
     #[test]

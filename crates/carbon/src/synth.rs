@@ -14,7 +14,6 @@ use std::collections::HashMap;
 use caribou_model::rng::Pcg32;
 
 use crate::error::CarbonError;
-use crate::series::CarbonSeries;
 
 /// Shape and level parameters for one electrical grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -308,28 +307,12 @@ impl SyntheticCarbonSource {
             + p.noise_sigma * self.noise(zone, hour);
         (p.mean * shape).max(1.0)
     }
-
-    /// Materializes an hourly series for a zone.
-    pub fn zone_series(
-        &self,
-        zone: &str,
-        start_hour: i64,
-        hours: usize,
-    ) -> Result<CarbonSeries, CarbonError> {
-        let p = self
-            .profiles
-            .get(zone)
-            .ok_or_else(|| CarbonError::UnknownZone { zone: zone.into() })?;
-        let values = (0..hours)
-            .map(|i| self.profile_intensity(p, zone, (start_hour + i as i64) as f64 + 0.5))
-            .collect();
-        Ok(CarbonSeries::new(start_hour, values))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::CarbonSeries;
 
     const WEEK_H: usize = 7 * 24;
 
@@ -337,8 +320,14 @@ mod tests {
         SyntheticCarbonSource::aws_calibrated(7)
     }
 
+    /// A zone's hourly series from hour 0, read at each hour's midpoint.
+    fn series(src: &SyntheticCarbonSource, zone: &str, hours: usize) -> CarbonSeries {
+        let values = (0..hours).map(|h| src.zone_intensity(zone, h as f64 + 0.5).unwrap());
+        CarbonSeries::new(0, values.collect())
+    }
+
     fn mean_over(src: &SyntheticCarbonSource, zone: &str, hours: usize) -> f64 {
-        src.zone_series(zone, 0, hours).unwrap().mean()
+        series(src, zone, hours).mean()
     }
 
     #[test]
@@ -389,7 +378,7 @@ mod tests {
     #[test]
     fn quebec_is_flat() {
         let s = source();
-        let series = s.zone_series("CA-QC", 0, WEEK_H).unwrap();
+        let series = series(&s, "CA-QC", WEEK_H);
         let rel_spread = (series.max() - series.min()) / series.mean();
         assert!(rel_spread < 0.6, "spread {rel_spread}");
     }
@@ -447,14 +436,13 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("XX-NOWHERE"));
-        assert!(source().zone_series("XX-NOWHERE", 0, 4).is_err());
     }
 
     #[test]
     fn diurnal_pattern_repeats_daily() {
         // Autocorrelation at lag 24 h should be clearly positive for PJM.
         let s = source();
-        let series = s.zone_series("US-MIDA-PJM", 0, 14 * 24).unwrap();
+        let series = series(&s, "US-MIDA-PJM", 14 * 24);
         let v = &series.values;
         let mean = series.mean();
         let mut num = 0.0;

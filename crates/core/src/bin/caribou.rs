@@ -66,8 +66,6 @@ mod table {
     pub const ARRIVAL: Flag = row("--arrival", Text("poisson|diurnal|bursty"), "poisson", "arrival process");
     pub const RATE: Flag = row("--rate", Real, "100", "mean arrivals per second");
     pub const SHARDS: Flag = row("--shards", Count, "8", "persistent shard clouds (part of the result contract)");
-    pub const NO_WARM_POOL: Flag = row("--no-warm-pool", Switch, "", "probabilistic cold starts instead of the warm pool");
-    pub const KEEP_ALIVE_S: Flag = row("--keep-alive-s", Positive, "600", "warm-container keep-alive, seconds");
     pub const CHAOS_SEED: Flag = row("--seed", Int, "42", "master seed of the cloud, the fault plan and every request");
     pub const REQUESTS: Flag = row("--requests", Int, "500", "requests replayed, evenly spaced over the campaign");
     pub const DURATION_S: Flag = row("--duration-s", Positive, "21600", "campaign length, simulated seconds");
@@ -101,8 +99,7 @@ mod table {
             flags: &[INPUT, DAYS, PER_DAY, WORST_CASE, TELEMETRY, SIM_WORKERS, JSON, PROVIDERS],
             notes: PROVIDERS_NOTE, run: cmd_simulate },
         Command { name: "loadgen", operands: &["<benchmark>"], about: "sustained open-loop load on the home plan",
-            flags: &[INVOCATIONS, LOAD_SEED, WORKERS, ARRIVAL, RATE, SHARDS, NO_WARM_POOL, KEEP_ALIVE_S, INPUT,
-                WORST_CASE, TELEMETRY],
+            flags: &[INVOCATIONS, LOAD_SEED, WORKERS, ARRIVAL, RATE, SHARDS, INPUT, WORST_CASE, TELEMETRY],
             notes: "", run: cmd_loadgen },
         Command { name: "chaos", operands: &[], about: "seeded fault campaign with invariant checking",
             flags: &[CHAOS_SEED, REQUESTS, DURATION_S, DROP, NO_BREAKER, CORRELATED, CHAOS_CONTINGENCY, SCENARIO,
@@ -390,6 +387,9 @@ fn cmd_carbon(p: &Parsed) -> Result<(), CliError> {
 }
 
 fn cmd_plan(p: &Parsed) -> Result<(), CliError> {
+    if p.count("--contingency") > 0 && !p.has("--hourly") {
+        return Err("--contingency: needs --hourly, the schedule it appends fallbacks to".into());
+    }
     let hour = p.real("--hour");
     let bench = benchmark(p)?;
     let input = input_size(p)?;
@@ -530,7 +530,7 @@ fn cmd_simulate(p: &Parsed) -> Result<(), CliError> {
     }
     let mut caribou = Caribou::new(cloud, carbon, config);
     let app = workflow_app(&bench, home);
-    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
+    let manifest = DeploymentManifest::new(&*app.name, "1.0", HOME);
     let idx = caribou
         .deploy(app, &manifest, cli_constraints(&bench))
         .map_err(|e| e.to_string())?;
@@ -601,8 +601,6 @@ fn cmd_loadgen(p: &Parsed) -> Result<(), CliError> {
         shards: p.count("--shards"),
         arrivals: ArrivalProcess::parse(arrival, p.real("--rate"))?,
         scenario: scenario(p),
-        warm_pool: !p.has("--no-warm-pool"),
-        keep_alive_s: p.real("--keep-alive-s"),
         capture_latencies: false,
     };
     eprintln!(
@@ -686,6 +684,12 @@ fn cmd_chaos(p: &Parsed) -> Result<(), CliError> {
     }
     if p.has("--correlated") {
         return cmd_chaos_correlated(p, config);
+    }
+    if p.has("--scenario") {
+        return Err("--scenario: needs --correlated, the campaign it pins".into());
+    }
+    if config.contingency > 0 {
+        return Err("--contingency: needs --correlated, the campaign that fails over to it".into());
     }
 
     eprintln!(
@@ -1005,7 +1009,6 @@ mod tests {
             (p.count("--shards"), p.count("--workers")),
             (d.shards, d.workers)
         );
-        assert_eq!(p.real("--keep-alive-s"), d.keep_alive_s);
     }
 
     #[test]

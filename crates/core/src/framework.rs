@@ -34,6 +34,10 @@ use crate::scenario::Case;
 use crate::utility::{DeployedWorkflow, DeploymentUtility};
 
 /// Framework configuration.
+///
+/// A generated plan set's lifetime is not a setting: it expires two hours
+/// past the next check the Deployment Manager schedules (§5.2), so traffic
+/// falls back home only when that check never comes.
 #[derive(Debug, Clone)]
 pub struct CaribouConfig {
     /// Regions the solver may consider (before per-workflow constraints).
@@ -46,9 +50,6 @@ pub struct CaribouConfig {
     pub hbss: HbssParams,
     /// Deployment Manager configuration.
     pub manager: ManagerConfig,
-    /// Lifetime of a generated plan set before it expires and traffic
-    /// falls back home (§5.2), seconds.
-    pub plan_expiry_s: f64,
     /// Master seed for all framework randomness.
     pub seed: u64,
     /// Worker threads the solver's evaluation engine fans candidates
@@ -70,7 +71,6 @@ impl CaribouConfig {
             },
             hbss: HbssParams::default(),
             manager: ManagerConfig::default(),
-            plan_expiry_s: 2.0 * 86_400.0,
             seed: 7,
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -476,7 +476,9 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
             let solver = HbssSolver {
                 params: self.config.hbss,
             };
-            let expires = now_s + self.config.plan_expiry_s;
+            // The plan set's expiry follows the check cadence, known only
+            // once this solve is compared with the active one (below).
+            let expires = f64::INFINITY;
             let mut srng = self.rng.fork(0x501e ^ now_s as u64);
             // One evaluation engine per solve: the forecast and learned
             // models are refreshed every tick, so cached estimates must not
@@ -534,9 +536,10 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
             })
             .unwrap_or(true);
         let interval = state.manager.note_solve_outcome(now_s, plans_changed);
+        // Expiry: two hours past the next scheduled check (see
+        // `CaribouConfig`).
         let mut plans = plans;
-        plans.expires_at = (now_s + interval + 7200.0)
-            .min(now_s + self.config.plan_expiry_s.max(interval + 7200.0));
+        plans.expires_at = now_s + interval + 7200.0;
 
         // Roll out: on failure the plan stays pending and traffic remains
         // home-routed.

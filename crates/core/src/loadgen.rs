@@ -3,12 +3,13 @@
 //! Drives a benchmark DAG with N open-loop invocations end-to-end through
 //! the simulated cloud and the execution engine, on a fixed set of
 //! [`LoadgenConfig::shards`] long-lived simulation shards — each a full
-//! [`SimCloud`] keeping its warm pools, KV/blob contents and meters for
-//! the whole run. Chunks of [`CHUNK_INVOCATIONS`] arrivals are dealt to
-//! shards round-robin; one round of chunks is a *tick*. At every tick
-//! boundary the shards exchange their journaled warm-pool touches in
-//! fixed shard order ([`caribou_simcloud::warm::WarmPool::drain_touches`]
-//! sorts by deployment key) and max-merge them, so container state
+//! [`SimCloud`] keeping its warm pool (switched on, with the provider's
+//! keep-alive per region) and KV/blob contents for the whole run. Chunks
+//! of [`CHUNK_INVOCATIONS`] arrivals are dealt to shards round-robin; one
+//! round of chunks is a *tick*. At every tick boundary the shards
+//! exchange their journaled warm-pool touches in fixed shard order
+//! ([`caribou_simcloud::warm::WarmPool::drain_touches`] sorts by
+//! deployment key) and max-merge them, so container state
 //! converges across shards with at most one tick of visibility lag.
 //! (A fresh cloud per chunk, the pre-shard behaviour, re-paid every cold
 //! start at every chunk boundary; EXPERIMENTS.md keeps the measurement.)
@@ -48,7 +49,7 @@ use caribou_model::plan::DeploymentPlan;
 use caribou_model::rng::SeedSplitter;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::orchestration::Orchestrator;
-use caribou_simcloud::warm::{WarmPool, WarmTouch, DEFAULT_KEEP_ALIVE_S};
+use caribou_simcloud::warm::WarmTouch;
 use caribou_solver::pool::{self, PoolStats};
 use caribou_telemetry::QuantileSketch;
 use caribou_workloads::arrivals::ArrivalProcess;
@@ -92,11 +93,6 @@ pub struct LoadgenConfig {
     pub arrivals: ArrivalProcess,
     /// Transmission scenario for carbon accounting.
     pub scenario: TransmissionScenario,
-    /// Drive cold starts from the stateful warm pool (`true`, default)
-    /// or the compute model's probabilistic rate (`false`).
-    pub warm_pool: bool,
-    /// Warm-container keep-alive window, seconds.
-    pub keep_alive_s: f64,
     /// Also collect the exact per-invocation latency vector (O(N)
     /// memory) — for tests validating the sketch, not for big runs.
     pub capture_latencies: bool,
@@ -111,8 +107,6 @@ impl Default for LoadgenConfig {
             shards: DEFAULT_SHARDS,
             arrivals: ArrivalProcess::Poisson { rate_per_s: 100.0 },
             scenario: TransmissionScenario::BEST,
-            warm_pool: true,
-            keep_alive_s: DEFAULT_KEEP_ALIVE_S,
             capture_latencies: false,
         }
     }
@@ -144,9 +138,6 @@ pub struct LoadReport {
     pub cost_usd: f64,
     /// Sim-time span of the arrival sequence, seconds.
     pub span_s: f64,
-    /// Pooled-buffer growth events summed over all shards (steady-state
-    /// allocation telemetry; one small constant per shard).
-    pub scratch_allocs: u64,
     /// Chunks executed.
     pub chunks: u64,
     /// Persistent shards used.
@@ -201,8 +192,8 @@ impl LoadReport {
     }
 
     /// Folds the invocations `other` observed after this report's own.
-    /// The run-level fields (span, allocations, chunk, shard and pool
-    /// counts) are the run's to set, not a fold's.
+    /// The run-level fields (span, chunk, shard and pool counts) are the
+    /// run's to set, not a fold's.
     fn merge(&mut self, other: &LoadReport) {
         self.latency.merge(&other.latency);
         if let (Some(exact), Some(more)) = (
@@ -272,10 +263,8 @@ pub fn run_loadgen(bench: &Benchmark, config: &LoadgenConfig) -> Result<LoadRepo
                 .seed();
             let mut cloud = SimCloud::aws(seed);
             engine.provision(&mut cloud, &app, &plan);
-            if config.warm_pool {
-                cloud.warm = WarmPool::enabled(config.keep_alive_s);
-                cloud.warm.set_journaling(true);
-            }
+            cloud.warm.enabled = true;
+            cloud.warm.set_journaling(true);
             Mutex::new(Shard {
                 cloud,
                 scratch: InvocationScratch::new(),
@@ -337,7 +326,7 @@ pub fn run_loadgen(bench: &Benchmark, config: &LoadgenConfig) -> Result<LoadRepo
         // re-absorbing a shard's own touches is a no-op and the fold
         // order only matters for determinism, which the fixed iteration
         // order provides.
-        if config.warm_pool && round + 1 < rounds {
+        if round + 1 < rounds {
             let all_touches: Vec<&WarmTouch> = outs.iter().flat_map(|(_, t)| t.iter()).collect();
             for shard in &shards {
                 let mut shard = shard.lock().expect("shard lock");
@@ -354,10 +343,6 @@ pub fn run_loadgen(bench: &Benchmark, config: &LoadgenConfig) -> Result<LoadRepo
         }
     }
 
-    for shard in shards {
-        let shard = shard.into_inner().expect("shard lock");
-        report.scratch_allocs += shard.scratch.allocs();
-    }
     if caribou_telemetry::is_enabled() {
         caribou_telemetry::count("loadgen.invocations", report.invocations());
         caribou_telemetry::count("loadgen.chunks", chunks as u64);

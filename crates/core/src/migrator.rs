@@ -113,9 +113,7 @@ impl Migrator {
                 .policy(&workflow.app.name, home)
                 .cloned()
                 .unwrap_or_else(IamPolicy::caribou_default);
-            cloud
-                .iam
-                .put_role(workflow.app.name.clone(), region, policy);
+            cloud.iam.put_role(&*workflow.app.name, region, policy);
             let copy = cloud
                 .registry
                 .crane_copy(&workflow.image, home, region, &cloud.latency, &mut rng)
@@ -124,7 +122,6 @@ impl Migrator {
                 })?;
             report.egress_bytes += copy.egress_bytes;
             report.duration_s += copy.duration_s;
-            cloud.meter.record_transfer(home, region, copy.egress_bytes);
             layout::deploy_region(cloud, &workflow.app, region);
             workflow.active_regions.insert(region);
             report.newly_deployed.push(region);

@@ -66,7 +66,7 @@ impl DeploymentUtility {
         // framework tables.
         cloud
             .iam
-            .put_role(app.name.clone(), home, manifest.iam_policy.clone());
+            .put_role(&*app.name, home, manifest.iam_policy.clone());
         let push = cloud
             .registry
             .push(image.clone(), DEFAULT_IMAGE_BYTES, home);
@@ -128,11 +128,12 @@ mod tests {
         assert!(cloud.iam.role_exists("wf", home));
         assert!(cloud.registry.has_replica("wf:0.1", home));
         for stage in ["A", "B"] {
-            assert!(cloud.pubsub.topic_exists(&TopicKey {
+            let topic = TopicKey {
                 workflow: "wf".into(),
                 stage: stage.into(),
                 region: home,
-            }));
+            };
+            assert!(cloud.pubsub.topic_id(&topic).is_some());
         }
         assert!(cloud.kv.peek(layout::META_TABLE, "plan:wf").is_some());
         assert!(dep.active_regions.contains(&home));

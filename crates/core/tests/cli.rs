@@ -126,6 +126,16 @@ fn every_subcommand_rejects_unknown_and_valueless_flags() {
     assert_rejected(&["plan", "dna", "--hourz", "--workrs", "3"], "--hourz:");
     assert_rejected(&["plan", "dna", "--hour", "noon"], "--hour: invalid float");
     assert_rejected(&["nonesuch"], "unknown command `nonesuch`");
+    // Deleted knobs: the provider table sets the keep-alive, and every
+    // loadgen shard runs its warm pool.
+    assert_rejected(
+        &["loadgen", "dna", "--no-warm-pool"],
+        "--no-warm-pool: unknown flag",
+    );
+    assert_rejected(
+        &["loadgen", "dna", "--keep-alive-s", "600"],
+        "--keep-alive-s: unknown flag",
+    );
 }
 
 #[test]
@@ -144,10 +154,6 @@ fn out_of_range_numbers_are_usage_errors_not_panics() {
         (&["simulate", "dna", "--days", "0"], "--days"),
         (&["simulate", "dna", "--days", "-1"], "--days"),
         (&["simulate", "dna", "--per-day", "-5"], "--per-day"),
-        (
-            &["loadgen", "dna", "--keep-alive-s", "-1"],
-            "--keep-alive-s",
-        ),
     ] {
         assert_rejected(args, &format!("{flag}: must be positive"));
     }
@@ -164,6 +170,22 @@ fn verify_without_a_perturbation_is_an_error_not_a_no_op() {
         "--verify:",
     );
     assert_rejected(&["fleet", "--perturb", "h7*1.5", "--verfy"], "--verfy:");
+}
+
+#[test]
+fn a_flag_its_companion_would_enable_is_an_error_not_a_no_op() {
+    assert_rejected(
+        &["chaos", "--scenario", "provider-outage"],
+        "--scenario: needs --correlated",
+    );
+    assert_rejected(
+        &["chaos", "--contingency", "3"],
+        "--contingency: needs --correlated",
+    );
+    assert_rejected(
+        &["plan", "dna", "--contingency", "2"],
+        "--contingency: needs --hourly",
+    );
 }
 
 #[test]

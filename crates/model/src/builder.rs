@@ -66,8 +66,6 @@ pub struct Workflow {
     functions: Vec<FunctionDecl>,
     calls: Vec<CallDecl>,
     input: DistSpec,
-    tolerances: Tolerances,
-    objective: Objective,
     workflow_filter: RegionFilter,
 }
 
@@ -80,8 +78,6 @@ impl Workflow {
             functions: Vec::new(),
             calls: Vec::new(),
             input: DistSpec::Constant { value: 0.0 },
-            tolerances: Tolerances::default(),
-            objective: Objective::Carbon,
             workflow_filter: RegionFilter::any(),
         }
     }
@@ -155,16 +151,6 @@ impl Workflow {
         self.input = input;
     }
 
-    /// Sets workflow-level QoS tolerances (the `config.yml` analogue).
-    pub fn set_tolerances(&mut self, tolerances: Tolerances) {
-        self.tolerances = tolerances;
-    }
-
-    /// Sets the optimization priority.
-    pub fn set_objective(&mut self, objective: Objective) {
-        self.objective = objective;
-    }
-
     /// Extracts and validates the workflow DAG ("static code analysis",
     /// §6.1).
     ///
@@ -224,14 +210,15 @@ impl Workflow {
         Ok(profile)
     }
 
-    /// Extracts the constraint set (per-node filters, tolerances,
-    /// objective).
+    /// Extracts the constraint set: the declared per-node filters, with
+    /// the default tolerances and objective (a deployment sets its own on
+    /// the returned [`Constraints`]).
     pub fn extract_constraints(&self) -> Constraints {
         Constraints {
             workflow: self.workflow_filter.clone(),
             per_node: self.functions.iter().map(|f| f.filter.clone()).collect(),
-            tolerances: self.tolerances,
-            objective: self.objective,
+            tolerances: Tolerances::default(),
+            objective: Objective::default(),
         }
     }
 
@@ -414,14 +401,8 @@ mod tests {
     fn objective_and_tolerances_recorded() {
         let mut wf = Workflow::new("o", "1.0");
         wf.serverless_function("A").register();
-        wf.set_objective(Objective::Cost);
-        wf.set_tolerances(Tolerances {
-            latency: 0.2,
-            cost: 0.0,
-            carbon: 1.0,
-        });
         let c = wf.extract_constraints();
-        assert_eq!(c.objective, Objective::Cost);
-        assert!((c.tolerances.latency - 0.2).abs() < 1e-12);
+        assert_eq!(c.objective, Objective::Carbon);
+        assert_eq!(c.tolerances, Tolerances::default());
     }
 }

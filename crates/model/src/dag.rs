@@ -286,25 +286,11 @@ impl WorkflowDag {
         &self.topo_order
     }
 
-    /// Successor node ids of `n`.
-    pub fn successors(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.out_edges[n.index()]
-            .iter()
-            .map(move |e| self.edges[e.index()].to)
-    }
-
     /// Predecessor node ids of `n`.
     pub fn predecessors(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.in_edges[n.index()]
             .iter()
             .map(move |e| self.edges[e.index()].from)
-    }
-
-    /// Terminal (sink) nodes of the DAG.
-    pub fn sinks(&self) -> Vec<NodeId> {
-        self.all_nodes()
-            .filter(|n| self.out_edges[n.index()].is_empty())
-            .collect()
     }
 
     /// A complexity score used by the Deployment Manager to estimate the
@@ -356,7 +342,7 @@ mod tests {
         assert!(!d.is_sync_node(NodeId(1)));
         assert!(d.has_sync_nodes());
         assert!(!d.has_conditional_edges());
-        assert_eq!(d.sinks(), vec![NodeId(3)]);
+        assert!(d.out_edges(NodeId(3)).is_empty());
     }
 
     #[test]
@@ -446,7 +432,7 @@ mod tests {
     fn single_node_workflow_valid() {
         let d = WorkflowDag::new("one", "0.1", vec![meta("only")], vec![]).unwrap();
         assert_eq!(d.start(), NodeId(0));
-        assert_eq!(d.sinks(), vec![NodeId(0)]);
+        assert!(d.out_edges(NodeId(0)).is_empty());
         assert!(!d.has_sync_nodes());
     }
 

@@ -11,7 +11,6 @@ use crate::faults::FaultPlan;
 use crate::iam::Iam;
 use crate::kv::KvStore;
 use crate::latency::LatencyModel;
-use crate::meter::UsageMeter;
 use crate::pricing::PricingCatalog;
 use crate::providers;
 use crate::pubsub::PubSub;
@@ -46,8 +45,6 @@ pub struct SimCloud {
     pub iam: Iam,
     /// Fault-injection plan.
     pub faults: FaultPlan,
-    /// Framework-level usage meter (workflow executions meter separately).
-    pub meter: UsageMeter,
     /// Virtual clock.
     pub clock: SimClock,
     /// Master RNG; fork sub-streams rather than drawing directly where a
@@ -105,7 +102,6 @@ impl SimCloud {
             warm: WarmPool::per_region(keep_alive_s),
             iam: Iam::new(),
             faults: FaultPlan::none(),
-            meter: UsageMeter::new(),
             clock: SimClock::new(),
             rng: Pcg32::seed_stream(seed, 0x5eed),
             regions,
@@ -246,7 +242,7 @@ mod tests {
             assert_eq!(cloud.compute.cold_start_for(id), &p.cold_start);
             assert_eq!(cloud.warm.keep_alive_for(id), p.keep_alive_s);
             assert_eq!(cloud.registry.overhead_for(id), p.registry_overhead_s);
-            assert_eq!(cloud.pubsub.profile_for(id), p.messaging);
+            assert_eq!(cloud.pubsub.profiles[id.index()], p.messaging);
             for (other, ospec) in cloud.regions.iter() {
                 let cross = spec.provider != ospec.provider;
                 assert_eq!(cloud.pricing.is_cross_provider(id, other), cross);

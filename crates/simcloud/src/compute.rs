@@ -30,22 +30,6 @@ pub struct ExecutionRecord {
     pub cold_start_s: f64,
 }
 
-impl ExecutionRecord {
-    /// The vCPU allocation for this execution.
-    pub fn vcpus(&self) -> f64 {
-        vcpus(self.memory_mb)
-    }
-
-    /// Average CPU utilization over the execution (Eq. 7.3 numerator over
-    /// `t × n_vcpu`).
-    pub fn avg_utilization(&self) -> f64 {
-        if self.duration_s <= 0.0 {
-            return 0.0;
-        }
-        (self.cpu_total_time_s / (self.duration_s * self.vcpus())).clamp(0.0, 1.0)
-    }
-}
-
 /// vCPU allocation for a memory size (`mem / 1769`, fractional below
 /// 1769 MB, as on AWS Lambda).
 pub fn vcpus(memory_mb: u32) -> f64 {
@@ -195,7 +179,9 @@ mod tests {
         let spec = DistSpec::Constant { value: 3.0 };
         let mut rng = Pcg32::seed(2);
         let rec = rt.execute(r, &spec, 1769, 0.6, &mut rng);
-        assert!((rec.avg_utilization() - 0.6).abs() < 1e-9);
+        // Eq. 7.3's utilization: CPU time over `t × n_vcpu`.
+        let utilization = rec.cpu_total_time_s / (rec.duration_s * vcpus(rec.memory_mb));
+        assert!((utilization - 0.6).abs() < 1e-9);
     }
 
     #[test]

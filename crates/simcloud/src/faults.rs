@@ -54,11 +54,6 @@ impl Window {
     pub fn duration(self) -> SimTime {
         self.end - self.start
     }
-
-    /// Whether two windows share at least one instant.
-    pub fn overlaps(self, other: Window) -> bool {
-        self.start < other.end && other.start < self.end
-    }
 }
 
 /// A scheduled region outage window.
@@ -609,12 +604,11 @@ mod tests {
 
     #[test]
     fn window_overlap_is_open_at_shared_edge() {
-        let a = Window::new(0.0, 10.0);
-        assert!(a.overlaps(Window::new(5.0, 15.0)));
-        assert!(a.overlaps(Window::new(0.0, 1.0)));
-        // Half-open: [0,10) and [10,20) share no instant.
-        assert!(!a.overlaps(Window::new(10.0, 20.0)));
-        assert!(!a.overlaps(Window::new(20.0, 30.0)));
+        let (a, b) = (Window::new(0.0, 10.0), Window::new(10.0, 20.0));
+        // Half-open: [0,10) and [10,20) share no instant; the shared edge
+        // is the later window's.
+        assert!(!a.contains(10.0) && b.contains(10.0));
+        assert!(a.contains(9.999) && !b.contains(9.999));
     }
 
     #[test]

@@ -57,21 +57,6 @@ impl Iam {
             region,
         })
     }
-
-    /// Checks that a role permits an action (prefix match on the action
-    /// pattern, e.g. `sns:Publish` matches `sns:*`).
-    pub fn allows(&self, workflow: &str, region: RegionId, action: &str) -> bool {
-        self.policy(workflow, region)
-            .map(|p| {
-                p.statements.iter().any(|s| {
-                    s.action == action
-                        || s.action
-                            .strip_suffix('*')
-                            .is_some_and(|prefix| action.starts_with(prefix))
-                })
-            })
-            .unwrap_or(false)
-    }
 }
 
 #[cfg(test)]
@@ -88,36 +73,10 @@ mod tests {
     }
 
     #[test]
-    fn allows_exact_action() {
-        let mut iam = Iam::new();
-        let r = RegionId(1);
-        iam.put_role("wf", r, IamPolicy::caribou_default());
-        assert!(iam.allows("wf", r, "sns:Publish"));
-        assert!(!iam.allows("wf", r, "s3:PutObject"));
-    }
-
-    #[test]
-    fn allows_wildcard_action() {
-        use caribou_model::manifest::{IamPolicy, IamStatement};
-        let mut iam = Iam::new();
-        let r = RegionId(2);
-        iam.put_role(
-            "wf",
-            r,
-            IamPolicy {
-                statements: vec![IamStatement {
-                    action: "dynamodb:*".into(),
-                    resource: "*".into(),
-                }],
-            },
-        );
-        assert!(iam.allows("wf", r, "dynamodb:GetItem"));
-        assert!(!iam.allows("wf", r, "sns:Publish"));
-    }
-
-    #[test]
     fn missing_role_denies() {
+        // A missing role grants nothing: there is no policy to read.
         let iam = Iam::new();
-        assert!(!iam.allows("wf", RegionId(0), "sns:Publish"));
+        assert!(!iam.role_exists("wf", RegionId(0)));
+        assert!(iam.policy("wf", RegionId(0)).is_none());
     }
 }

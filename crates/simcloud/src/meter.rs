@@ -1,10 +1,11 @@
 //! Usage metering and billing.
 //!
-//! Accumulates billable usage — Lambda GB-seconds and requests, SNS
-//! publishes, DynamoDB operations, inter-region egress — and prices it
-//! with a [`PricingCatalog`]. Used both for per-invocation cost records
-//! and for the framework's own overhead accounting (§5.2: the control
-//! logic's overhead must stay below the savings).
+//! Accumulates one invocation's billable usage — Lambda GB-seconds and
+//! requests, SNS publishes, DynamoDB operations, inter-region egress —
+//! and prices it with a [`PricingCatalog`] into the invocation's cost
+//! record. The framework's own overhead is accounted elsewhere: solve
+//! carbon against the token bucket and migration egress in the run
+//! report (§5.2).
 
 use caribou_model::region::RegionId;
 
@@ -85,34 +86,6 @@ impl UsageMeter {
         }
     }
 
-    /// Merges another meter into this one.
-    pub fn merge(&mut self, other: &UsageMeter) {
-        for (r, v) in other.lambda_gb_s.iter() {
-            *self.lambda_gb_s.entry_or(*r, 0.0) += v;
-        }
-        for (r, v) in other.lambda_requests.iter() {
-            *self.lambda_requests.entry_or(*r, 0) += v;
-        }
-        for (r, v) in other.sns_publishes.iter() {
-            *self.sns_publishes.entry_or(*r, 0) += v;
-        }
-        for (r, v) in other.kv_reads.iter() {
-            *self.kv_reads.entry_or(*r, 0) += v;
-        }
-        for (r, v) in other.kv_writes.iter() {
-            *self.kv_writes.entry_or(*r, 0) += v;
-        }
-        for (r, v) in other.blob_gets.iter() {
-            *self.blob_gets.entry_or(*r, 0) += v;
-        }
-        for (r, v) in other.blob_puts.iter() {
-            *self.blob_puts.entry_or(*r, 0) += v;
-        }
-        for (k, v) in other.egress_bytes.iter() {
-            *self.egress_bytes.entry_or(*k, 0.0) += v;
-        }
-    }
-
     /// Total inter-region bytes moved.
     pub fn total_egress_bytes(&self) -> f64 {
         self.egress_bytes.values().sum()
@@ -189,24 +162,6 @@ mod tests {
         let mut m = UsageMeter::new();
         m.record_transfer(a, b, 2e9);
         assert!((m.cost(&pc) - 0.04).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let (cat, pc) = setup();
-        let r = cat.id_of("us-east-1").unwrap();
-        let mut a = UsageMeter::new();
-        a.record_lambda(r, 1.0, 1024);
-        a.record_sns(r);
-        let mut b = UsageMeter::new();
-        b.record_lambda(r, 2.0, 1024);
-        b.record_kv(r, 3, 4);
-        a.merge(&b);
-        assert!((a.lambda_gb_s[&r] - 3.0).abs() < 1e-12);
-        assert_eq!(a.lambda_requests[&r], 2);
-        assert_eq!(a.kv_reads[&r], 3);
-        assert_eq!(a.kv_writes[&r], 4);
-        assert!(a.cost(&pc) > 0.0);
     }
 
     #[test]

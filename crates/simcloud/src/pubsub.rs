@@ -78,7 +78,7 @@ pub struct PubSub {
     topics: HashMap<TopicKey, TopicId>,
     names: Vec<TopicKey>,
     /// Published message counts per publishing region (indexed by
-    /// [`RegionId::index`]), for billing.
+    /// [`RegionId::index`]).
     publishes: Vec<u64>,
     /// Probability any single delivery attempt is lost (fault injection).
     pub drop_probability: f64,
@@ -90,7 +90,7 @@ pub struct PubSub {
     /// `SimCloud::set_fault_now`.
     pub now_s: f64,
     /// Per-region messaging profiles (indexed by the subscriber region).
-    profiles: Vec<MessagingProfile>,
+    pub(crate) profiles: Vec<MessagingProfile>,
     /// Per region, the log-space location of its publish overhead, taken
     /// once here rather than on every publish.
     publish_mu: Vec<f64>,
@@ -122,11 +122,6 @@ impl PubSub {
         self.namespace
     }
 
-    /// The messaging profile governing delivery to a subscriber region.
-    pub fn profile_for(&self, region: RegionId) -> MessagingProfile {
-        self.profiles[region.index()]
-    }
-
     /// Creates a topic and returns its handle; idempotent (a topic that
     /// exists keeps the handle it was first given).
     pub fn create_topic(&mut self, key: TopicKey) -> TopicId {
@@ -143,11 +138,6 @@ impl PubSub {
     /// The handle of a topic, if it exists.
     pub fn topic_id(&self, key: &TopicKey) -> Option<TopicId> {
         self.topics.get(key).copied()
-    }
-
-    /// Whether a topic exists.
-    pub fn topic_exists(&self, key: &TopicKey) -> bool {
-        self.topic_id(key).is_some()
     }
 
     /// [`PubSub::publish_to`] by name. Publishing to a topic that does
@@ -278,11 +268,6 @@ impl PubSub {
         }
     }
 
-    /// Messages published from a region so far.
-    pub fn published_from(&self, region: RegionId) -> u64 {
-        self.publishes[region.index()]
-    }
-
     /// Total messages published.
     pub fn total_published(&self) -> u64 {
         self.publishes.iter().sum()
@@ -379,7 +364,7 @@ mod tests {
         let DeliveryKind::PullFanOut {
             backoff_base_s,
             backoff_cap_s,
-        } = ps.profile_for(r).delivery
+        } = ps.profiles[r.index()].delivery
         else {
             panic!("aws retries by pull fan-out");
         };
@@ -456,7 +441,7 @@ mod tests {
         ps.now_s = 150.0;
         let d = ps.publish(&key(ca), east, 128.0, &lm, &mut rng);
         assert_eq!(d.status, DeliveryStatus::DeadLettered);
-        assert_eq!(d.attempts, ps.profile_for(ca).max_attempts);
+        assert_eq!(d.attempts, ps.profiles[ca.index()].max_attempts);
         ps.now_s = 250.0;
         let d = ps.publish(&key(ca), east, 128.0, &lm, &mut rng);
         assert!(d.delivered());
@@ -510,8 +495,8 @@ mod tests {
         ps.publish(&key(east), east, 1.0, &lm, &mut rng);
         ps.publish(&key(east), west, 1.0, &lm, &mut rng);
         ps.publish(&key(east), west, 1.0, &lm, &mut rng);
-        assert_eq!(ps.published_from(east), 1);
-        assert_eq!(ps.published_from(west), 2);
+        assert_eq!(ps.publishes[east.index()], 1);
+        assert_eq!(ps.publishes[west.index()], 2);
         assert_eq!(ps.total_published(), 3);
     }
 
@@ -533,7 +518,7 @@ mod tests {
             let by_handle = handled.publish_to(topic, east, 2048.0, &lm, &mut rng_h);
             assert_eq!(by_name, by_handle);
         }
-        assert_eq!(named.published_from(east), handled.published_from(east));
+        assert_eq!(named.publishes, handled.publishes);
         assert_ne!(named.namespace(), handled.namespace());
     }
 
@@ -541,8 +526,8 @@ mod tests {
     fn topic_lifecycle() {
         let (cat, _lm, mut ps, _rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
-        assert!(!ps.topic_exists(&key(r)));
-        ps.create_topic(key(r));
-        assert!(ps.topic_exists(&key(r)));
+        assert!(ps.topic_id(&key(r)).is_none());
+        let topic = ps.create_topic(key(r));
+        assert_eq!(ps.topic_id(&key(r)), Some(topic));
     }
 }

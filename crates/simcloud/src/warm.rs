@@ -246,18 +246,6 @@ impl WarmPool {
         cold
     }
 
-    /// Peeks without recording.
-    pub fn is_cold(&self, workflow: &IStr, node: u32, region: RegionId, now: SimTime) -> bool {
-        let last = self
-            .index
-            .get(&(workflow.clone(), node, region))
-            .and_then(|&i| self.slots[i as usize].last_seen);
-        match last {
-            Some(last) => now - last > self.keep_alive_for(region),
-            None => true,
-        }
-    }
-
     /// Drains the touch journal in sorted key order. Empty when
     /// journaling is off or nothing was touched since the last drain.
     pub fn drain_touches(&mut self) -> Vec<WarmTouch> {
@@ -328,21 +316,27 @@ mod tests {
     fn idle_past_keep_alive_goes_cold() {
         let mut p = WarmPool::enabled(600.0);
         p.check_and_touch(&wf(), 0, RegionId(0), 0.0);
-        assert!(p.is_cold(&wf(), 0, RegionId(0), 601.0));
-        assert!(!p.is_cold(&wf(), 0, RegionId(0), 599.0));
-        assert!(p.check_and_touch(&wf(), 0, RegionId(0), 1000.0));
+        assert!(!p.check_and_touch(&wf(), 0, RegionId(0), 599.0));
+        assert!(p.check_and_touch(&wf(), 0, RegionId(0), 1200.0));
     }
 
     #[test]
     fn deployments_are_independent() {
         let mut p = WarmPool::enabled(600.0);
         p.check_and_touch(&wf(), 0, RegionId(0), 0.0);
-        assert!(p.is_cold(&wf(), 1, RegionId(0), 1.0), "other node cold");
-        assert!(p.is_cold(&wf(), 0, RegionId(1), 1.0), "other region cold");
         assert!(
-            p.is_cold(&IStr::from("other"), 0, RegionId(0), 1.0),
+            p.check_and_touch(&wf(), 1, RegionId(0), 1.0),
+            "other node cold"
+        );
+        assert!(
+            p.check_and_touch(&wf(), 0, RegionId(1), 1.0),
+            "other region cold"
+        );
+        assert!(
+            p.check_and_touch(&IStr::from("other"), 0, RegionId(0), 1.0),
             "other workflow cold"
         );
+        assert!(!p.check_and_touch(&wf(), 0, RegionId(0), 2.0));
     }
 
     #[test]
@@ -353,8 +347,8 @@ mod tests {
         p.check_and_touch(&wf(), 0, RegionId(1), 0.0);
         // At t=300 the default region is still warm; the fast-decay
         // region has already been reclaimed.
-        assert!(!p.is_cold(&wf(), 0, RegionId(0), 300.0));
-        assert!(p.is_cold(&wf(), 0, RegionId(1), 300.0));
+        assert!(!p.check_and_touch(&wf(), 0, RegionId(0), 300.0));
+        assert!(p.check_and_touch(&wf(), 0, RegionId(1), 300.0));
         assert_eq!(p.keep_alive_for(RegionId(0)), 600.0);
         assert_eq!(p.keep_alive_for(RegionId(1)), 240.0);
     }
@@ -384,8 +378,9 @@ mod tests {
         // An overlapping invocation finishing "earlier" must not rewind
         // the container's idle clock.
         assert!(!p.check_and_touch(&wf(), 0, RegionId(0), 450.0));
-        assert!(!p.is_cold(&wf(), 0, RegionId(0), 590.0));
-        assert!(p.is_cold(&wf(), 0, RegionId(0), 601.0));
+        // Rewound to 450, the container would be 140 s idle at 590.
+        assert!(!p.check_and_touch(&wf(), 0, RegionId(0), 590.0));
+        assert!(p.check_and_touch(&wf(), 0, RegionId(0), 691.0));
     }
 
     #[test]
@@ -398,9 +393,9 @@ mod tests {
         p.check_and_touch(&IStr::from("a"), 0, RegionId(2), 30.0); // no rewind
         let touches = p.drain_touches();
         assert_eq!(touches.len(), 2);
-        assert_eq!(touches[0].workflow, "a");
+        assert_eq!(&*touches[0].workflow, "a");
         assert_eq!(touches[0].at, 35.0);
-        assert_eq!(touches[1].workflow, "b");
+        assert_eq!(&*touches[1].workflow, "b");
         assert_eq!(touches[1].at, 10.0);
         // Drained: a second drain is empty.
         assert!(p.drain_touches().is_empty());
@@ -417,13 +412,13 @@ mod tests {
             at: 50.0,
         };
         a.absorb_touch(&touch);
-        assert!(!a.is_cold(&wf(), 0, RegionId(0), 100.0));
         // Absorbed touches don't echo back out of the journal.
         assert!(a.drain_touches().is_empty());
+        assert!(!a.check_and_touch(&wf(), 0, RegionId(0), 100.0));
         // Max-merge: an older absorbed touch doesn't rewind.
         a.check_and_touch(&wf(), 0, RegionId(0), 400.0);
         a.absorb_touch(&WarmTouch { at: 60.0, ..touch });
-        assert!(!a.is_cold(&wf(), 0, RegionId(0), 900.0));
+        assert!(!a.check_and_touch(&wf(), 0, RegionId(0), 900.0));
     }
 
     #[test]
@@ -431,7 +426,7 @@ mod tests {
         let mut p = WarmPool::enabled(600.0);
         p.check_and_touch(&wf(), 0, RegionId(0), 0.0);
         p.clear();
-        assert!(p.is_cold(&wf(), 0, RegionId(0), 1.0));
+        assert!(p.check_and_touch(&wf(), 0, RegionId(0), 1.0));
     }
 
     #[test]
@@ -492,13 +487,6 @@ mod tests {
                 }
             }
             cold
-        }
-
-        fn is_cold(&self, key: &Key, now: SimTime) -> bool {
-            match self.last_seen.get(key) {
-                Some(last) => now - last > self.keep_alive_for(key.2),
-                None => true,
-            }
         }
 
         fn drain_touches(&mut self) -> Vec<WarmTouch> {
@@ -601,11 +589,6 @@ mod tests {
                         pool.clear();
                         oracle.clear();
                     }
-                    6 | 7 => assert_eq!(
-                        pool.is_cold(&key.0, key.1, key.2, now),
-                        oracle.is_cold(&key, now),
-                        "{at}: is_cold"
-                    ),
                     _ => {
                         let cold = if rng.chance(0.5) {
                             pool.check_and_touch(&key.0, key.1, key.2, now)

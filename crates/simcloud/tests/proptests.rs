@@ -3,7 +3,6 @@
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::clock::EventQueue;
 use caribou_simcloud::cloud::SimCloud;
-use caribou_simcloud::meter::UsageMeter;
 use proptest::prelude::*;
 
 proptest! {
@@ -84,32 +83,6 @@ proptest! {
             prop_assert!(now.reads >= prev_ops.reads && now.writes >= prev_ops.writes);
             prev_ops = now;
         }
-    }
-
-    /// Meter merging equals interleaved recording, and cost is additive.
-    #[test]
-    fn meter_merge_is_additive(
-        lambdas in proptest::collection::vec((0.001f64..100.0, 128u32..4000), 0..20),
-        transfers in proptest::collection::vec(0.0f64..1e9, 0..20),
-    ) {
-        let SimCloud { regions: cat, pricing, .. } = SimCloud::aws(0);
-        let a = cat.id_of("us-east-1").unwrap();
-        let b = cat.id_of("ca-central-1").unwrap();
-        let mut one = UsageMeter::new();
-        let mut left = UsageMeter::new();
-        let mut right = UsageMeter::new();
-        for (i, (dur, mem)) in lambdas.iter().enumerate() {
-            one.record_lambda(a, *dur, *mem);
-            if i % 2 == 0 { left.record_lambda(a, *dur, *mem) } else { right.record_lambda(a, *dur, *mem) }
-        }
-        for (i, bytes) in transfers.iter().enumerate() {
-            one.record_transfer(a, b, *bytes);
-            if i % 2 == 0 { left.record_transfer(a, b, *bytes) } else { right.record_transfer(a, b, *bytes) }
-        }
-        left.merge(&right);
-        let c1 = one.cost(&pricing);
-        let c2 = left.cost(&pricing);
-        prop_assert!((c1 - c2).abs() <= 1e-9 * c1.max(1.0), "{c1} vs {c2}");
     }
 
     /// Pricing: lambda cost is monotone in duration and memory, and the

@@ -24,8 +24,6 @@ pub fn solve_with<S: CarbonDataSource + Sync, M: StageModels + Sync>(
 ) -> SolveOutcome {
     let home_plan = ctx.home_plan();
     let home_estimate = engine.evaluate(ctx, &home_plan, hour);
-    let home_metric = ctx.metric_of(&home_estimate);
-
     let candidates: Vec<DeploymentPlan> = ctx.permitted[0]
         .iter()
         .copied()
@@ -33,32 +31,13 @@ pub fn solve_with<S: CarbonDataSource + Sync, M: StageModels + Sync>(
         .map(|r| DeploymentPlan::uniform(ctx.dag.node_count(), r))
         .collect();
     let estimates = engine.evaluate_many(ctx, &candidates, hour);
-
-    let mut best_plan = home_plan.clone();
-    let mut best_metric = home_metric;
-    let mut best_estimate = home_estimate;
-    let mut feasible = vec![(home_plan, home_metric)];
     let evaluated = 1 + candidates.len();
-    for (plan, estimate) in candidates.into_iter().zip(estimates) {
-        if ctx.violates_tolerance(&estimate, &home_estimate) {
-            continue;
-        }
-        let metric = ctx.metric_of(&estimate);
-        feasible.push((plan.clone(), metric));
-        if metric < best_metric {
-            best_metric = metric;
-            best_plan = plan;
-            best_estimate = estimate;
-        }
-    }
-    feasible.sort_by(|a, b| a.1.total_cmp(&b.1));
-    SolveOutcome {
-        best: best_plan,
-        best_estimate,
+    ctx.best_feasible(
+        home_plan,
         home_estimate,
+        candidates.into_iter().zip(estimates),
         evaluated,
-        feasible,
-    }
+    )
 }
 
 #[cfg(test)]

@@ -40,7 +40,8 @@ pub struct SolverContext<'a, S: CarbonDataSource, M: StageModels> {
     pub mc_config: MonteCarloConfig,
 }
 
-/// A solver's result.
+/// A solver's result: the one plan it hands the Migrator (Alg. 1 returns
+/// the best deployment plan, §5.1) and the two estimates it was chosen by.
 #[derive(Debug, Clone)]
 pub struct SolveOutcome {
     /// The best feasible plan found (the home plan when nothing beats it).
@@ -51,8 +52,6 @@ pub struct SolveOutcome {
     pub home_estimate: EstimateSummary,
     /// Distinct candidate plans evaluated.
     pub evaluated: usize,
-    /// All feasible `(plan, objective-mean)` pairs discovered, best first.
-    pub feasible: Vec<(DeploymentPlan, f64)>,
 }
 
 impl<S: CarbonDataSource, M: StageModels> SolverContext<'_, S, M> {
@@ -161,6 +160,38 @@ impl<S: CarbonDataSource, M: StageModels> SolverContext<'_, S, M> {
     /// 'average case' used for DP ordering", §7.1).
     pub fn metric_of(&self, estimate: &EstimateSummary) -> f64 {
         estimate.mean_of(self.objective)
+    }
+
+    /// The outcome of a solve that evaluated `candidates` beside the home
+    /// plan: the first candidate of least metric among those within
+    /// tolerance of home, or home when none beats it.
+    pub(crate) fn best_feasible(
+        &self,
+        home_plan: DeploymentPlan,
+        home_estimate: EstimateSummary,
+        candidates: impl IntoIterator<Item = (DeploymentPlan, EstimateSummary)>,
+        evaluated: usize,
+    ) -> SolveOutcome {
+        let mut best = home_plan;
+        let mut best_metric = self.metric_of(&home_estimate);
+        let mut best_estimate = home_estimate;
+        for (plan, estimate) in candidates {
+            if self.violates_tolerance(&estimate, &home_estimate) {
+                continue;
+            }
+            let metric = self.metric_of(&estimate);
+            if metric < best_metric {
+                best_metric = metric;
+                best = plan;
+                best_estimate = estimate;
+            }
+        }
+        SolveOutcome {
+            best,
+            best_estimate,
+            home_estimate,
+            evaluated,
+        }
     }
 
     /// Total size of the search space `|R|^|N|` (clamped to `usize::MAX`).

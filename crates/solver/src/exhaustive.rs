@@ -63,31 +63,12 @@ pub fn solve_with<S: CarbonDataSource + Sync, M: StageModels + Sync>(
     let home_estimate = engine.evaluate(ctx, &home_plan, hour);
     let plans = enumerate_plans(ctx, space);
     let estimates = engine.evaluate_many(ctx, &plans, hour);
-
-    let mut best_plan = home_plan;
-    let mut best_metric = ctx.metric_of(&home_estimate);
-    let mut best_estimate = home_estimate;
-    let mut feasible: Vec<(DeploymentPlan, f64)> = Vec::new();
-    for (plan, estimate) in plans.into_iter().zip(estimates) {
-        if ctx.violates_tolerance(&estimate, &home_estimate) {
-            continue;
-        }
-        let metric = ctx.metric_of(&estimate);
-        feasible.push((plan.clone(), metric));
-        if metric < best_metric {
-            best_metric = metric;
-            best_plan = plan;
-            best_estimate = estimate;
-        }
-    }
-    feasible.sort_by(|a, b| a.1.total_cmp(&b.1));
-    Some(SolveOutcome {
-        best: best_plan,
-        best_estimate,
+    Some(ctx.best_feasible(
+        home_plan,
         home_estimate,
-        evaluated: space,
-        feasible,
-    })
+        plans.into_iter().zip(estimates),
+        space,
+    ))
 }
 
 #[cfg(test)]

@@ -79,8 +79,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// For any random world and chain workflow: the HBSS best plan only
-    /// uses permitted regions, never scores worse than the home plan, and
-    /// the feasible list is sorted.
+    /// uses permitted regions and never scores worse than the home plan.
     #[test]
     fn hbss_respects_feasibility_and_never_regresses(seed in any::<u64>(), n in 1usize..4) {
         let fx = fixture(seed);
@@ -138,15 +137,12 @@ proptest! {
                 "node {node} placed outside its permitted set"
             );
         }
-        // The home plan is always in the feasible set, so the best metric
-        // never exceeds the home metric (same-seed evaluation noise aside,
-        // the best is selected as the minimum of a set containing home).
+        // The home plan is always feasible, so the best metric never
+        // exceeds the home metric (same-seed evaluation noise aside, the
+        // best is selected as the minimum of a set containing home).
         prop_assert!(
             ctx.metric_of(&outcome.best_estimate) <= ctx.metric_of(&outcome.home_estimate) + 1e-12
         );
-        for w in outcome.feasible.windows(2) {
-            prop_assert!(w[0].1 <= w[1].1);
-        }
     }
 
     /// Coarse solving with a single permitted region returns the home plan.

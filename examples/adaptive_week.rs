@@ -29,7 +29,7 @@ fn main() {
     constraints.tolerances.latency = 0.15;
     constraints.tolerances.cost = 1.0;
     let app = workflow_app(&bench, world.home);
-    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
+    let manifest = DeploymentManifest::new(&*app.name, "1.0", HOME);
     let idx = caribou.deploy(app, &manifest, constraints).unwrap();
 
     let trace = azure_trace(

@@ -84,7 +84,7 @@ fn main() {
     constraints.tolerances.latency = 0.15;
     constraints.tolerances.cost = 1.0;
     let app = workflow_app(&bench, caribou.cloud.region(HOME).unwrap());
-    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
+    let manifest = DeploymentManifest::new(&*app.name, "1.0", HOME);
     let idx = caribou.deploy(app, &manifest, constraints).unwrap();
     let report = caribou.run_trace(idx, &trace);
 

@@ -441,8 +441,32 @@ for pattern in 'deploy_initial\(' 'CarbonSeries::new\('; do
         exit 1
     fi
 done
-if grep -rnE 'fn (generate|execution_carbon|execution_energy_kwh|supports_cross_region|supports_sync_nodes|check_due|edge_between|reachable_sync_nodes|to_dot)\b' crates; then
+if grep -rnE 'fn (generate|execution_carbon|execution_energy_kwh|supports_cross_region|supports_sync_nodes|check_due|edge_between|reachable_sync_nodes|to_dot)\b' crates ||
+    grep -rnE 'fn (successors|sinks|set_objective|set_tolerances|avg_utilization|allows|overlaps|is_cold|published_from|profile_for|topic_exists|zone_series|degradation_level)\b' crates; then
     echo "error: a deleted test-only public function is back (see matches above)" >&2
+    exit 1
+fi
+
+# State nothing reads stays deleted: the solver's list of every feasible
+# plan (a solve returns its best), the cloud-wide usage meter and the merge
+# only it called (the framework's overhead is the run report's solve carbon
+# and migration egress), the plan-expiry setting (expiry follows the check
+# cadence), loadgen's warm-pool switch and keep-alive (each shard switches
+# on its cloud's own pool, the provider table's window per region) and the
+# load report's scratch-allocation count with the scratch's own counters
+# behind it (growth is the `engine.scratch_allocs` telemetry counter).
+# IStr is Arc<str>, no newtype.
+echo "==> unread-state grep gates"
+if grep -rnE '\.feasible\b|pub feasible\b' crates tests examples ||
+    grep -nE '\bmeter:' crates/simcloud/src/cloud.rs ||
+    grep -rnE '\bcloud\.meter\b' crates tests examples ||
+    grep -nE 'fn merge\(' crates/simcloud/src/meter.rs ||
+    grep -rnE '\bplan_expiry_s\b' crates tests examples ||
+    grep -rnE '\b(warm_pool|keep_alive_s)\b|--no-warm-pool|--keep-alive-s' crates/core/src tests examples ||
+    grep -nE '\bscratch_allocs\b' crates/core/src/loadgen.rs ||
+    grep -nE 'fn (allocs|invocations)\(' crates/exec/src/engine.rs ||
+    grep -rnE 'struct IStr\b' crates; then
+    echo "error: deleted state nothing read is back (see matches above)" >&2
     exit 1
 fi
 

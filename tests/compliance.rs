@@ -25,7 +25,7 @@ fn run_with_constraints(constraints: Constraints, seed: u64) -> (Caribou<Regiona
     let mut caribou = Caribou::new(world.cloud, world.carbon, config);
     let bench = text2speech_censoring(InputSize::Small);
     let app = workflow_app(&bench, world.home);
-    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
+    let manifest = DeploymentManifest::new(&*app.name, "1.0", HOME);
     let idx = caribou.deploy(app, &manifest, constraints).unwrap();
     let trace = uniform_trace(30.0, 2.5 * 86_400.0, 1500.0);
     let report = caribou.run_trace(idx, &trace);

@@ -49,7 +49,7 @@ fn deploy_with_latency_tolerance(
     constraints.tolerances.latency = latency_tolerance;
     constraints.tolerances.cost = 1.0;
     let app = workflow_app(bench, caribou.cloud.region(HOME).unwrap());
-    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
+    let manifest = DeploymentManifest::new(&*app.name, "1.0", HOME);
     caribou
         .deploy(app, &manifest, constraints)
         .expect("deploys")

@@ -187,20 +187,18 @@ fn report_sketch_matches_captured_latencies() {
     assert!((report.mean_latency_s() - mean).abs() < 1e-9);
 }
 
-/// Hand-computed cold-start schedule: with an effectively infinite
-/// keep-alive every container goes cold exactly once per simulation
-/// state that has to rebuild it: `shards × nodes` cold starts for the
-/// whole run, however many chunks it spans.
+/// Hand-computed cold-start schedule: at 200 arrivals/s no container
+/// idles past the 600 s keep-alive in a run of ~80 simulated seconds, so
+/// every container goes cold exactly once per simulation state that has
+/// to rebuild it: `shards × nodes` cold starts for the whole run,
+/// however many chunks it spans.
 #[test]
 fn persistent_shards_pay_cold_starts_once_not_per_chunk() {
     let bench = text2speech_censoring(InputSize::Small);
     let nodes = bench.dag.node_count() as u64;
     let n = CHUNK_INVOCATIONS * 2; // exactly 2 chunks
     let arrivals = ArrivalProcess::Poisson { rate_per_s: 200.0 };
-    let base = LoadgenConfig {
-        keep_alive_s: 1e9,
-        ..config(n, 11, 2, arrivals)
-    };
+    let base = config(n, 11, 2, arrivals);
 
     // One persistent shard: both chunks share one warm pool — each
     // container is cold exactly once in the whole run.
@@ -223,9 +221,10 @@ fn persistent_shards_pay_cold_starts_once_not_per_chunk() {
     assert_eq!(two.cold_starts + two.warm_starts, n as u64 * nodes);
 }
 
-/// With a huge keep-alive and more chunks than shards, the one shard's
-/// warm pool survives every chunk boundary: one cold-start bill for the
-/// whole run (a fresh cloud per chunk paid three — EXPERIMENTS.md).
+/// With more chunks than shards, the one shard's warm pool survives every
+/// chunk boundary (no container idles past the keep-alive at 200
+/// arrivals/s): one cold-start bill for the whole run (a fresh cloud per
+/// chunk paid three — EXPERIMENTS.md).
 #[test]
 fn one_shard_pays_cold_starts_once_across_three_chunks() {
     let bench = text2speech_censoring(InputSize::Small);
@@ -233,7 +232,6 @@ fn one_shard_pays_cold_starts_once_across_three_chunks() {
     let n = CHUNK_INVOCATIONS * 3;
     let cfg = LoadgenConfig {
         shards: 1,
-        keep_alive_s: 1e9,
         ..config(n, 13, 2, ArrivalProcess::Poisson { rate_per_s: 200.0 })
     };
     let report = run_loadgen(&bench, &cfg).unwrap();

@@ -57,7 +57,7 @@ fn quickstart_run_at(
     constraints.tolerances.latency = 0.15;
     constraints.tolerances.cost = 1.0;
     let app = workflow_app(&bench, world.home);
-    let manifest = DeploymentManifest::new(app.name.clone(), "1.0", HOME);
+    let manifest = DeploymentManifest::new(&*app.name, "1.0", HOME);
     let idx = caribou
         .deploy(app, &manifest, constraints)
         .expect("deploys");
