@@ -78,11 +78,13 @@ impl Kind {
     fn parse(self, raw: &str) -> Result<Value, String> {
         match self {
             Kind::Switch => Ok(Value::On),
-            Kind::Int => raw.parse().map(Value::Int).map_err(|e| format!("{e}")),
+            Kind::Int => raw
+                .parse()
+                .map(Value::Int)
+                .map_err(|_| "must be a non-negative integer".into()),
             Kind::Count => match raw.parse() {
-                Ok(0) => Err("must be at least 1".into()),
-                Ok(n) => Ok(Value::Int(n)),
-                Err(e) => Err(format!("{e}")),
+                Ok(n) if n >= 1 => Ok(Value::Int(n)),
+                _ => Err("must be an integer of at least 1".into()),
             },
             Kind::Real => match raw.parse::<f64>() {
                 Ok(x) if x.is_finite() => Ok(Value::Real(x)),

@@ -635,13 +635,10 @@ mod tests {
         }
         ExecutionOutcome {
             log: caribou_metrics::logs::InvocationLog {
-                workflow: "chaos".into(),
                 at_s: 0.0,
                 benchmark_traffic: false,
                 nodes: Vec::new(),
                 edges: Vec::new(),
-                e2e_latency_s: 1.0,
-                cost_usd: 0.0,
             },
             e2e_latency_s: 1.0,
             cost_usd: 0.0,
@@ -667,7 +664,6 @@ mod tests {
         let decision = RouteDecision {
             plan: DeploymentPlan::uniform(4, region),
             benchmark_traffic: false,
-            plan_expired: false,
             breaker_rerouted: false,
             fallback: false,
             probed,

@@ -64,11 +64,7 @@ impl CaribouConfig {
         CaribouConfig {
             candidate_regions,
             scenario,
-            mc: MonteCarloConfig {
-                batch: 200,
-                max_samples: 2000,
-                cv_threshold: 0.05,
-            },
+            mc: MonteCarloConfig::default(),
             hbss: HbssParams::default(),
             manager: ManagerConfig::default(),
             seed: 7,

@@ -161,6 +161,20 @@ fn out_of_range_numbers_are_usage_errors_not_panics() {
         &["simulate", "dna", "--days", "0.0001"],
         "--days: the window",
     );
+    // A run sized zero is no run: a count flag wants at least 1, and a bad
+    // integer says what the flag takes instead of the parser's words.
+    for (args, flag) in [
+        (&["chaos", "--requests", "0"][..], "--requests"),
+        (&["carbon", "us-east-1", "--hours", "0"], "--hours"),
+        (&["carbon", "us-east-1", "--hours", "-3"], "--hours"),
+        (&["fleet", "--apps", "x"], "--apps"),
+    ] {
+        assert_rejected(args, &format!("{flag}: must be an integer of at least 1"));
+    }
+    assert_rejected(
+        &["trace", "run.jsonl", "--limit", "abc"],
+        "--limit: must be a non-negative integer",
+    );
 }
 
 #[test]

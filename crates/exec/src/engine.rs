@@ -151,7 +151,6 @@ pub struct InvocationScratch {
     node_started: Vec<bool>,
     node_dead: Vec<bool>,
     queue: EventQueue<NodeId>,
-    batch: Vec<NodeId>,
     book: AddressBook,
     /// Per region, the grid's intensity at this invocation's hour; NaN
     /// until first asked for.
@@ -184,7 +183,6 @@ impl InvocationScratch {
         refill(&mut self.node_dead, nodes, false, &mut grew);
         refill(&mut self.intensity, regions, f64::NAN, &mut grew);
         self.queue.clear();
-        self.batch.clear();
         grew
     }
 }
@@ -327,13 +325,10 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
         }
         ExecutionOutcome {
             log: InvocationLog {
-                workflow: app.name.clone(),
                 at_s,
                 benchmark_traffic: false,
                 nodes: ctx.node_records,
                 edges: ctx.edge_records,
-                e2e_latency_s: e2e,
-                cost_usd: cost,
             },
             e2e_latency_s: e2e,
             cost_usd: cost,
@@ -479,17 +474,12 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         }
 
         self.scratch.queue.push(t0, start);
-        // Drain the queue a tick at a time: `pop_batch` hands back every
-        // node scheduled at the earliest simulation time (in insertion
-        // order, matching one-at-a-time pops), amortizing heap traffic
-        // for fan-out stages that land on the same tick.
-        let mut batch = std::mem::take(&mut self.scratch.batch);
-        while let Some(t) = self.scratch.queue.pop_batch(&mut batch) {
-            for &node in &batch {
-                self.execute_node(node, t);
-            }
+        // A node scheduled during the drain lands no earlier than the one
+        // that scheduled it, so nodes run in time order, ties in the order
+        // they were scheduled.
+        while let Some((t, node)) = self.scratch.queue.pop() {
+            self.execute_node(node, t);
         }
-        self.scratch.batch = batch;
     }
 
     fn execute_node(&mut self, node: NodeId, mut t: f64) {

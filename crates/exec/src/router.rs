@@ -69,8 +69,6 @@ pub struct RouteDecision {
     pub plan: DeploymentPlan,
     /// Whether this is benchmarking traffic pinned to the home region.
     pub benchmark_traffic: bool,
-    /// Whether the active plan set had expired (home fallback).
-    pub plan_expired: bool,
     /// Whether an open circuit breaker substituted home for one or more
     /// of the plan's regions.
     pub breaker_rerouted: bool,
@@ -218,10 +216,9 @@ impl InvocationRouter {
         // Benchmark traffic is pinned home by definition; no breaker can
         // reroute it further.
         let benchmark_traffic = self.counter.is_multiple_of(BENCHMARK_EVERY);
-        let plan_expired =
-            !benchmark_traffic && self.active.as_ref().is_some_and(|p| p.expired(now_s));
+        // An expired plan set routes home (§5.2).
         let plan = match &self.active {
-            Some(plans) if !benchmark_traffic && !plan_expired => plans
+            Some(plans) if !benchmark_traffic && !plans.expired(now_s) => plans
                 .plan_for_hour(((now_s / 3600.0) as usize) % 24)
                 .clone(),
             _ => self.home_plan(),
@@ -229,7 +226,6 @@ impl InvocationRouter {
         let mut decision = RouteDecision {
             plan,
             benchmark_traffic,
-            plan_expired,
             breaker_rerouted: false,
             fallback: false,
             probed: false,
@@ -526,7 +522,6 @@ mod tests {
         let d = r.route(0.0);
         assert_eq!(d.plan, r.home_plan());
         assert!(!d.benchmark_traffic);
-        assert!(!d.plan_expired);
     }
 
     #[test]
@@ -559,8 +554,9 @@ mod tests {
         r.activate(hourly(RegionId(3), 100.0));
         assert!(r.has_active_plan(50.0));
         assert!(!r.has_active_plan(100.0));
+        assert_eq!(r.route(50.0).plan, DeploymentPlan::uniform(2, RegionId(3)));
         let d = r.route(200.0);
-        assert!(d.plan_expired);
+        assert!(!d.benchmark_traffic);
         assert_eq!(d.plan, r.home_plan());
     }
 

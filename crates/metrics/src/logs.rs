@@ -15,7 +15,6 @@
 use std::collections::VecDeque;
 
 use caribou_model::hash::FixedMap;
-use caribou_model::intern::IStr;
 use caribou_model::region::RegionId;
 
 /// Per-stage execution record inside one invocation log.
@@ -52,11 +51,12 @@ pub struct EdgeRecord {
     pub latency_s: f64,
 }
 
-/// One complete workflow invocation record.
+/// One complete workflow invocation record: what the Metrics Manager
+/// learns from. A manager holds one workflow's logs, so a log does not
+/// name its workflow; the invocation's end-to-end latency and cost are on
+/// the execution outcome that carries the log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvocationLog {
-    /// Workflow name (interned: cloning a log does not copy the name).
-    pub workflow: IStr,
     /// Simulation time of the invocation, seconds since epoch.
     pub at_s: f64,
     /// Whether this invocation was part of the 10% home-region
@@ -66,10 +66,6 @@ pub struct InvocationLog {
     pub nodes: Vec<NodeRecord>,
     /// Per-edge records.
     pub edges: Vec<EdgeRecord>,
-    /// End-to-end service time, seconds.
-    pub e2e_latency_s: f64,
-    /// Cost of the invocation, USD.
-    pub cost_usd: f64,
 }
 
 impl InvocationLog {
@@ -107,13 +103,10 @@ pub const RETENTION_CAP: usize = 5_000;
 ///
 /// let mut store = LogStore::with_cap(100);
 /// store.record(InvocationLog {
-///     workflow: "wf".into(),
 ///     at_s: 0.0,
 ///     benchmark_traffic: false,
 ///     nodes: vec![],
 ///     edges: vec![],
-///     e2e_latency_s: 1.2,
-///     cost_usd: 1e-5,
 /// });
 /// assert_eq!(store.len(), 1);
 /// ```
@@ -378,7 +371,6 @@ mod tests {
 
     fn log(at_s: f64, node_region: RegionId) -> InvocationLog {
         InvocationLog {
-            workflow: "wf".into(),
             at_s,
             benchmark_traffic: false,
             nodes: vec![NodeRecord {
@@ -390,8 +382,6 @@ mod tests {
                 start_s: 0.0,
             }],
             edges: vec![],
-            e2e_latency_s: 1.0,
-            cost_usd: 0.0001,
         }
     }
 

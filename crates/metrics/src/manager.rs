@@ -229,7 +229,6 @@ mod tests {
 
     fn make_log(at: f64, node_dur: f64, region: RegionId, taken: bool) -> InvocationLog {
         InvocationLog {
-            workflow: "wf".into(),
             at_s: at,
             benchmark_traffic: false,
             nodes: vec![NodeRecord {
@@ -248,8 +247,6 @@ mod tests {
                 bytes: 100.0,
                 latency_s: if taken { 0.05 } else { 0.0 },
             }],
-            e2e_latency_s: node_dur,
-            cost_usd: 1e-5,
         }
     }
 

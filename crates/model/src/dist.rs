@@ -89,17 +89,10 @@ impl DistSpec {
         Ok(())
     }
 
-    /// Draws one sample.
+    /// Draws one sample, preparing the spec for this one draw (a caller
+    /// drawing many prepares once: [`DistSpec::prepare`]).
     pub fn sample(&self, rng: &mut Pcg32) -> f64 {
-        match self {
-            DistSpec::Constant { value } => *value,
-            DistSpec::Uniform { lo, hi } => rng.uniform(*lo, *hi),
-            DistSpec::Normal { mean, std_dev } => rng.normal(*mean, *std_dev).max(0.0),
-            DistSpec::LogNormal { median, sigma } => rng.lognormal(median.ln(), *sigma),
-            DistSpec::Empirical { samples } => *rng
-                .choose(samples)
-                .expect("validated empirical distribution is non-empty"),
-        }
+        self.prepare().sample(rng)
     }
 
     /// Analytical (or empirical) mean of the distribution.
@@ -120,10 +113,8 @@ impl DistSpec {
     }
 
     /// Compiles the spec into a [`PreparedDist`] with per-draw-invariant
-    /// work (currently the log-normal `median.ln()`) hoisted out. Sampling
-    /// the prepared form consumes the same rng draws and performs the same
-    /// floating-point operations as [`DistSpec::sample`], so the two are
-    /// bit-identical on a shared stream.
+    /// work (currently the log-normal `median.ln()`) hoisted out. Each
+    /// family's draw is written once, in [`PreparedDist::sample`].
     pub fn prepare(&self) -> PreparedDist<'_> {
         match self {
             DistSpec::Constant { value } => PreparedDist::Constant(*value),
@@ -170,8 +161,7 @@ impl DistSpec {
 ///
 /// Borrowing form of [`DistSpec`] produced by [`DistSpec::prepare`]; the
 /// log-normal log-space location is precomputed so the estimator does not
-/// pay an `ln` per draw. Draw-for-draw and bit-for-bit equivalent to
-/// sampling the originating spec.
+/// pay an `ln` per draw.
 #[derive(Debug, Clone, Copy)]
 pub enum PreparedDist<'a> {
     /// Degenerate distribution; draws nothing.
@@ -202,8 +192,7 @@ pub enum PreparedDist<'a> {
 }
 
 impl PreparedDist<'_> {
-    /// Draws one sample; bit-identical to [`DistSpec::sample`] of the
-    /// spec this was prepared from.
+    /// Draws one sample.
     #[inline]
     pub fn sample(&self, rng: &mut Pcg32) -> f64 {
         match self {

@@ -158,23 +158,6 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|e| (e.time, e.payload))
     }
 
-    /// Drains every event scheduled at exactly the earliest pending time
-    /// into `batch` (in insertion order), returning that time. Same-tick
-    /// fan-outs are delivered with one heap inspection per event instead
-    /// of interleaved peek/pop cycles, and the caller reuses `batch`
-    /// across ticks, so the consumer loop allocates nothing.
-    pub fn pop_batch(&mut self, batch: &mut Vec<T>) -> Option<SimTime> {
-        batch.clear();
-        let t = self.peek_time()?;
-        while let Some(head) = self.heap.peek() {
-            if head.time != t {
-                break;
-            }
-            batch.push(self.heap.pop().expect("peeked entry exists").payload);
-        }
-        Some(t)
-    }
-
     /// Empties the queue, retaining its allocation for reuse. The
     /// insertion-order counter restarts, so a cleared queue behaves
     /// exactly like a fresh one.
@@ -246,9 +229,16 @@ mod tests {
         q.push(1.0, "first");
         q.push(1.0, "second");
         q.push(1.0, "third");
+        q.push(2.0, "later");
         assert_eq!(q.pop().unwrap().1, "first");
+        // Pushed at the tick being drained: after everything already
+        // queued for it, before anything later.
+        q.push(1.0, "pushed while draining");
         assert_eq!(q.pop().unwrap().1, "second");
         assert_eq!(q.pop().unwrap().1, "third");
+        assert_eq!(q.pop(), Some((1.0, "pushed while draining")));
+        assert_eq!(q.pop(), Some((2.0, "later")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -259,22 +249,6 @@ mod tests {
         q.push(2.0, 2);
         assert_eq!(q.peek_time(), Some(2.0));
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn queue_pop_batch_groups_same_tick() {
-        let mut q = EventQueue::new();
-        q.push(2.0, "late");
-        q.push(1.0, "a");
-        q.push(1.0, "b");
-        q.push(1.0, "c");
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), Some(1.0));
-        assert_eq!(batch, vec!["a", "b", "c"], "insertion order preserved");
-        assert_eq!(q.pop_batch(&mut batch), Some(2.0));
-        assert_eq!(batch, vec!["late"]);
-        assert_eq!(q.pop_batch(&mut batch), None);
-        assert!(batch.is_empty());
     }
 
     #[test]

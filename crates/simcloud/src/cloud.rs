@@ -164,12 +164,11 @@ impl SimCloud {
             .collect()
     }
 
-    /// Installs a fault plan, propagating the message-drop probability and
-    /// the windowed faults (outages, partitions, gray failures, throttles)
-    /// to the pub/sub and KV services so each delivery attempt and each
-    /// table operation consults them.
+    /// Installs a fault plan in the pub/sub and KV services, so each
+    /// delivery attempt consults its message-drop probability and each
+    /// attempt and table operation its windowed faults (outages,
+    /// partitions, gray failures, throttles).
     pub fn set_faults(&mut self, plan: FaultPlan) {
-        self.pubsub.drop_probability = plan.message_drop_prob;
         self.pubsub.faults = plan.clone();
         self.kv.faults = plan.clone();
         self.faults = plan;
@@ -198,6 +197,7 @@ impl SimCloud {
 mod tests {
     use super::*;
     use crate::latency::distance_only;
+    use crate::pubsub::{DeliveryStatus, TopicKey};
     use caribou_model::region::{Provider, RegionSpec};
 
     #[test]
@@ -213,11 +213,24 @@ mod tests {
     #[test]
     fn fault_plan_propagates_drop_probability() {
         let mut cloud = SimCloud::aws(1);
+        let east = cloud.region("us-east-1").unwrap();
+        let topic = cloud.pubsub.create_topic(TopicKey {
+            workflow: "wf".into(),
+            stage: "s".into(),
+            region: east,
+        });
+        let mut rng = Pcg32::seed(1);
+        let mut publish = |cloud: &mut SimCloud| {
+            cloud
+                .pubsub
+                .publish_to(topic, east, 128.0, &cloud.latency, &mut rng)
+        };
+        assert!(publish(&mut cloud).delivered());
         cloud.set_faults(FaultPlan {
-            message_drop_prob: 0.25,
+            message_drop_prob: 1.0,
             ..FaultPlan::none()
         });
-        assert_eq!(cloud.pubsub.drop_probability, 0.25);
+        assert_eq!(publish(&mut cloud).status, DeliveryStatus::DeadLettered);
     }
 
     #[test]

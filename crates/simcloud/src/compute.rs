@@ -14,20 +14,17 @@ use caribou_model::rng::Pcg32;
 /// Memory (MB) granting one full vCPU on AWS Lambda.
 pub const MB_PER_VCPU: f64 = 1769.0;
 
-/// Outcome of one simulated function execution.
+/// Outcome of one simulated function execution: what the engine bills
+/// and logs. The memory size and the cold-start flag are the caller's
+/// inputs, so the record does not echo them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionRecord {
-    /// Wall-clock duration in seconds (billed duration).
+    /// Wall-clock duration in seconds (billed duration), a cold start's
+    /// penalty included.
     pub duration_s: f64,
     /// Total CPU time across all vCPUs, seconds (Lambda Insights
     /// `cpu_total_time`).
     pub cpu_total_time_s: f64,
-    /// Configured memory in MB.
-    pub memory_mb: u32,
-    /// Whether this execution paid a cold start.
-    pub cold_start: bool,
-    /// Cold-start penalty included in `duration_s`, seconds.
-    pub cold_start_s: f64,
 }
 
 /// vCPU allocation for a memory size (`mem / 1769`, fractional below
@@ -125,14 +122,9 @@ impl LambdaRuntime {
         } else {
             0.0
         };
-        let duration = compute_s + cold_s;
-        let cpu_total = compute_s * vcpus(memory_mb) * cpu_utilization.clamp(0.0, 1.0);
         ExecutionRecord {
-            duration_s: duration,
-            cpu_total_time_s: cpu_total,
-            memory_mb,
-            cold_start: cold,
-            cold_start_s: cold_s,
+            duration_s: compute_s + cold_s,
+            cpu_total_time_s: compute_s * vcpus(memory_mb) * cpu_utilization.clamp(0.0, 1.0),
         }
     }
 }
@@ -180,7 +172,7 @@ mod tests {
         let mut rng = Pcg32::seed(2);
         let rec = rt.execute(r, &spec, 1769, 0.6, &mut rng);
         // Eq. 7.3's utilization: CPU time over `t × n_vcpu`.
-        let utilization = rec.cpu_total_time_s / (rec.duration_s * vcpus(rec.memory_mb));
+        let utilization = rec.cpu_total_time_s / (rec.duration_s * vcpus(1769));
         assert!((utilization - 0.6).abs() < 1e-9);
     }
 
@@ -200,15 +192,15 @@ mod tests {
 
     #[test]
     fn cold_start_adds_latency() {
-        let (cat, mut rt) = runtime();
-        rt.cold_start_prob = 1.0;
+        let (cat, rt) = runtime();
         let r = cat.id_of("us-east-1").unwrap();
         let spec = DistSpec::Constant { value: 1.0 };
-        let mut rng = Pcg32::seed(4);
-        let rec = rt.execute(r, &spec, 1024, 0.7, &mut rng);
-        assert!(rec.cold_start);
-        assert!(rec.cold_start_s > 0.0);
-        assert!(rec.duration_s > 1.0);
+        // One seed for both: the cold run draws the warm run's execution
+        // time, then its cold-start penalty on top.
+        let run = |cold| rt.execute_forced(r, spec.prepare(), 1024, 0.7, cold, &mut Pcg32::seed(4));
+        let (warm, cold) = (run(false), run(true));
+        assert!(cold.duration_s > warm.duration_s);
+        assert_eq!(cold.cpu_total_time_s, warm.cpu_total_time_s);
     }
 
     #[test]
@@ -227,9 +219,10 @@ mod tests {
         let mut rng = Pcg32::seed(5);
         let a = rt.execute_forced(east, spec.prepare(), 1024, 0.7, true, &mut rng);
         let b = rt.execute_forced(west, spec.prepare(), 1024, 0.7, true, &mut rng);
-        // East pays its log-normal curve; west its own constant.
-        assert!(a.cold_start_s < 2.5);
-        assert!((b.cold_start_s - 2.5).abs() < 1e-12);
+        // East pays its log-normal curve; west its own constant, on top of
+        // the noiseless one-second run.
+        assert!(a.duration_s - 1.0 < 2.5);
+        assert!((b.duration_s - 1.0 - 2.5).abs() < 1e-12);
         assert!(matches!(
             rt.cold_start_for(east),
             DistSpec::LogNormal { .. }

@@ -80,10 +80,9 @@ pub struct PubSub {
     /// Published message counts per publishing region (indexed by
     /// [`RegionId::index`]).
     publishes: Vec<u64>,
-    /// Probability any single delivery attempt is lost (fault injection).
-    pub drop_probability: f64,
-    /// Windowed faults consulted on every attempt (outages, partitions,
-    /// gray failures) at the current fault clock [`PubSub::now_s`].
+    /// Faults consulted on every attempt: the plan's message-drop
+    /// probability and its windowed faults (outages, partitions, gray
+    /// failures) at the current fault clock [`PubSub::now_s`].
     pub faults: FaultPlan,
     /// Simulation time used to evaluate windowed faults. The engine
     /// positions this at the start of each invocation via
@@ -105,7 +104,6 @@ impl PubSub {
             topics: HashMap::new(),
             names: Vec::new(),
             publishes: vec![0; profiles.len()],
-            drop_probability: 0.0,
             faults: FaultPlan::none(),
             now_s: 0.0,
             publish_mu: profiles
@@ -214,7 +212,7 @@ impl PubSub {
             total += latency.sample_transfer_seconds(from, region, payload_bytes, rng) * gray;
             let target_down = self.faults.region_down(region, self.now_s);
             let partitioned = self.faults.partitioned(from, region, self.now_s);
-            let lost = target_down || partitioned || rng.chance(self.drop_probability);
+            let lost = target_down || partitioned || rng.chance(self.faults.message_drop_prob);
             if !lost {
                 if telemetry {
                     caribou_telemetry::count("pubsub.ack", 1);
@@ -331,7 +329,7 @@ mod tests {
         let (cat, lm, mut ps, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
         ps.create_topic(key(r));
-        ps.drop_probability = 0.5;
+        ps.faults.message_drop_prob = 0.5;
         let mut retried = 0;
         for _ in 0..200 {
             let d = ps.publish(&key(r), r, 128.0, &lm, &mut rng);
@@ -347,7 +345,7 @@ mod tests {
         let (cat, lm, mut ps, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
         ps.create_topic(key(r));
-        ps.drop_probability = 1.0;
+        ps.faults.message_drop_prob = 1.0;
         let d = ps.publish(&key(r), r, 128.0, &lm, &mut rng);
         assert!(!d.delivered());
         assert_eq!(d.status, DeliveryStatus::DeadLettered);
@@ -359,7 +357,7 @@ mod tests {
         let (cat, lm, mut ps, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
         ps.create_topic(key(r));
-        ps.drop_probability = 1.0;
+        ps.faults.message_drop_prob = 1.0;
         let mut latencies = Vec::new();
         let DeliveryKind::PullFanOut {
             backoff_base_s,
@@ -403,7 +401,7 @@ mod tests {
             cat.len()
         ]);
         ps.create_topic(key(r));
-        ps.drop_probability = 1.0;
+        ps.faults.message_drop_prob = 1.0;
         let d = ps.publish(&key(r), r, 128.0, &lm, &mut rng);
         assert_eq!(d.status, DeliveryStatus::DeadLettered);
         assert_eq!(d.attempts, 5);
@@ -511,8 +509,8 @@ mod tests {
         assert_eq!(handled.create_topic(key(west)), topic, "idempotent");
         assert_eq!(handled.topic_id(&key(west)), Some(topic));
         assert_ne!(handled.create_topic(key(east)), topic);
-        named.drop_probability = 0.3;
-        handled.drop_probability = 0.3;
+        named.faults.message_drop_prob = 0.3;
+        handled.faults.message_drop_prob = 0.3;
         for _ in 0..50 {
             let by_name = named.publish(&key(west), east, 2048.0, &lm, &mut rng_n);
             let by_handle = handled.publish_to(topic, east, 2048.0, &lm, &mut rng_h);

@@ -92,8 +92,7 @@ impl HbssSolver {
         let p = &self.params;
         let n_nodes = ctx.dag.node_count();
         // Every estimate of this solve reads the grid at this one hour:
-        // the source is asked once per region, by the ranking below or by
-        // the first estimate that gets there.
+        // the source is asked once per permitted region and home, here.
         let regions = ctx.permitted.iter().flatten().copied();
         let row = HourRow::new(ctx.carbon_source, hour, regions.chain([ctx.home]));
         let ctx = &ctx.with_source(&row);

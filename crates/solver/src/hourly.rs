@@ -5,11 +5,9 @@
 //! carbon budget only affords a daily granularity, a single plan is solved
 //! against the day's average intensity and replicated.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use caribou_carbon::source::CarbonDataSource;
 use caribou_metrics::montecarlo::StageModels;
-use caribou_model::plan::{HourlyPlans, PlanGranularity};
+use caribou_model::plan::HourlyPlans;
 use caribou_model::region::RegionId;
 use caribou_model::rng::Pcg32;
 
@@ -47,8 +45,8 @@ impl<S: CarbonDataSource> CarbonDataSource for DayAveragedSource<'_, S> {
 }
 
 /// A carbon source that keeps, for one solve, what the grid reads at the
-/// solve's hour: the underlying source is asked at most once per region
-/// there, and every other query passes through.
+/// solve's hour: the underlying source is asked once per region there,
+/// when the row is built, and every other query passes through.
 ///
 /// It lives for one [`HbssSolver::solve_with`] and no longer: an engine
 /// reused after a forecast revision then sees the revised forecast,
@@ -57,43 +55,35 @@ impl<S: CarbonDataSource> CarbonDataSource for DayAveragedSource<'_, S> {
 pub(crate) struct HourRow<'a, S: CarbonDataSource> {
     inner: &'a S,
     hour: f64,
-    /// By region index, the bits of the intensity read; [`UNREAD`] until
-    /// asked. A slot publishes nothing but its own value, and workers
-    /// racing on one store equal bits, so `Relaxed` is enough.
-    row: Vec<AtomicU64>,
+    /// By region index, the intensity at `hour`; `NaN` for a region the
+    /// row was not built over, which passes through.
+    row: Vec<f64>,
 }
 
-/// A `NaN` no source computes; one that did would only be asked again.
-const UNREAD: u64 = u64::MAX;
-
 impl<'a, S: CarbonDataSource> HourRow<'a, S> {
-    /// The row of `inner` at `hour` over `regions`.
+    /// The row of `inner` at `hour` over `regions`, each read once.
     pub(crate) fn new(inner: &'a S, hour: f64, regions: impl Iterator<Item = RegionId>) -> Self {
-        let slots = if inner.counts_queries() {
-            0
-        } else {
-            regions.map(|r| r.index() + 1).max().unwrap_or(0)
-        };
-        HourRow {
-            inner,
-            hour,
-            row: (0..slots).map(|_| AtomicU64::new(UNREAD)).collect(),
+        let mut row = Vec::new();
+        if !inner.counts_queries() {
+            for r in regions {
+                if row.len() <= r.index() {
+                    row.resize(r.index() + 1, f64::NAN);
+                }
+                if row[r.index()].is_nan() {
+                    row[r.index()] = inner.intensity(r, hour);
+                }
+            }
         }
+        HourRow { inner, hour, row }
     }
 }
 
 impl<S: CarbonDataSource> CarbonDataSource for HourRow<'_, S> {
     fn intensity(&self, region: RegionId, hour: f64) -> f64 {
-        let Some(slot) = self.row.get(region.index()).filter(|_| hour == self.hour) else {
-            return self.inner.intensity(region, hour);
-        };
-        let read = slot.load(Ordering::Relaxed);
-        if read != UNREAD {
-            return f64::from_bits(read);
+        match self.row.get(region.index()) {
+            Some(&value) if hour == self.hour && !value.is_nan() => value,
+            _ => self.inner.intensity(region, hour),
         }
-        let value = self.inner.intensity(region, hour);
-        slot.store(value.to_bits(), Ordering::Relaxed);
-        value
     }
 
     fn counts_queries(&self) -> bool {
@@ -147,9 +137,7 @@ pub fn solve_daily<S: CarbonDataSource, M: StageModels>(
     let best = solver
         .solve_with(engine, &day_ctx, day_start_hour + 12.0, rng)
         .best;
-    let mut plans = HourlyPlans::daily(best, generated_at_s, expires_at_s);
-    plans.granularity = PlanGranularity::Daily;
-    plans
+    HourlyPlans::daily(best, generated_at_s, expires_at_s)
 }
 
 #[cfg(test)]
@@ -165,7 +153,7 @@ mod tests {
     use caribou_model::constraints::{Objective, Tolerances};
     use caribou_model::dag::NodeId;
     use caribou_model::dist::DistSpec;
-    use caribou_model::plan::DeploymentPlan;
+    use caribou_model::plan::{DeploymentPlan, PlanGranularity};
     use caribou_simcloud::cloud::SimCloud;
     use caribou_simcloud::orchestration::Orchestrator;
     use std::sync::Mutex;

@@ -269,20 +269,7 @@ pub fn observe(key: &'static str, value: f64) {
 /// the sink. `label` is only materialized when a session is active.
 #[inline]
 pub fn event(kind: &'static str, label: impl AsRef<str>, value: f64) {
-    if !is_enabled() {
-        return;
-    }
-    with_session(|s| {
-        let e = Event {
-            t_s: s.sim_now_s,
-            kind,
-            label: label.as_ref().to_string(),
-            value,
-        };
-        s.sink.record_event(&e);
-        s.recorder.journal.push(e);
-        s.recorder.count(kind, 1);
-    });
+    event_at(sim_now(), kind, label, value);
 }
 
 /// Like [`event`] but with an explicit sim timestamp.

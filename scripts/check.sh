@@ -470,6 +470,25 @@ if grep -rnE '\.feasible\b|pub feasible\b' crates tests examples ||
     exit 1
 fi
 
+# One copy of each thing: the engine drains its queue one event at a time
+# (no same-tick batch: sampled latencies never share a tick), HBSS's hour
+# row is a plain Vec filled when built, pub/sub reads the fault plan's drop
+# probability, and an execution record, an invocation log and a route
+# decision carry no field that echoes what the caller already has.
+echo "==> second-copy grep gates"
+if grep -rnE '\bpop_batch\b|scratch\.batch\b|\bdrop_probability\b|\bcold_start_s\b' crates tests examples ||
+    grep -rnE '\bplan_expired\b' crates tests examples | grep -v '"migrator\.plan_expired"' ||
+    grep -nE 'AtomicU64|\bUNREAD\b|Ordering::Relaxed' crates/solver/src/hourly.rs ||
+    awk '/^pub struct (InvocationLog|ExecutionRecord) \{/ { inside = 1 }
+        inside && /^ +pub (workflow|e2e_latency_s|cost_usd|memory_mb|cold_start):/ {
+            print FILENAME ":" FNR ": " $0; bad = 1
+        }
+        inside && /^}/ { inside = 0 }
+        END { exit !bad }' crates/metrics/src/logs.rs crates/simcloud/src/compute.rs; then
+    echo "error: a deleted second copy is back (see matches above)" >&2
+    exit 1
+fi
+
 # The solver's cache and walk off trees and SipHash: a species' plans sit in
 # a fixed-hasher map (the ordered keys beside it are a set, for eviction),
 # the walk's seen set is a FixedSet, and a fleet call takes each app's solve

@@ -528,13 +528,10 @@ fn seeded_history(
             })
             .collect();
         history.record(InvocationLog {
-            workflow: "diff".into(),
             at_s: k as f64,
             benchmark_traffic: false,
             nodes,
             edges,
-            e2e_latency_s: 1.0,
-            cost_usd: 1e-5,
         });
     }
     (history, unlogged)

@@ -145,7 +145,6 @@ proptest! {
         for i in 0..count {
             let at = i as f64 * rng.uniform(10.0, 100_000.0);
             store.record(InvocationLog {
-                workflow: "wf".into(),
                 at_s: at,
                 benchmark_traffic: false,
                 nodes: vec![NodeRecord {
@@ -157,8 +156,6 @@ proptest! {
                     start_s: 0.0,
                 }],
                 edges: vec![],
-                e2e_latency_s: 1.0,
-                cost_usd: 0.0,
             });
             prop_assert!(store.len() <= cap.max(1));
         }
