@@ -172,9 +172,18 @@ impl Command {
         if !self.flags.is_empty() {
             out.push_str("\nFLAGS:\n");
         }
+        // The flag column is two wider than the table's longest flag, and
+        // never narrower than 30, so no text runs into its flag.
+        let shown = |f: &Flag| format!("{} {}", f.name, f.kind.placeholder());
+        let width = self
+            .flags
+            .iter()
+            .map(|f| shown(f).len() + 2)
+            .max()
+            .unwrap_or(0)
+            .max(30);
         for f in self.flags {
-            let shown = format!("{} {}", f.name, f.kind.placeholder());
-            let _ = write!(out, "    {shown:<30}{}", f.help);
+            let _ = write!(out, "    {:<width$}{}", shown(f), f.help);
             if !f.default.is_empty() {
                 let _ = write!(out, " (default {})", f.default);
             }

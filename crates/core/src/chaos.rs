@@ -323,7 +323,7 @@ impl Tally {
 
         // Invariant 3 (per invocation): SNS publishes billed to the meter
         // equal the messages pub/sub accepted during this invocation.
-        let billed: u64 = outcome.meter.sns_publishes.values().sum();
+        let billed = outcome.sns_publishes;
         if billed != sns_accepted {
             report.violations.push(format!(
                 "request {i}: meter billed {billed} SNS publishes, pub/sub accepted {sns_accepted}"
@@ -622,17 +622,13 @@ mod tests {
     const HOME: RegionId = RegionId(0);
     const OFFLOAD: RegionId = RegionId(1);
 
-    /// A hand-built outcome with `sns_billed` publishes on its meter.
+    /// A hand-built outcome with `sns_billed` publishes billed.
     fn outcome(
         completed: bool,
         failovers: u32,
         failed_region: Option<RegionId>,
         sns_billed: u64,
     ) -> ExecutionOutcome {
-        let mut meter = caribou_simcloud::meter::UsageMeter::new();
-        for _ in 0..sns_billed {
-            meter.record_sns(HOME);
-        }
         ExecutionOutcome {
             log: caribou_metrics::logs::InvocationLog {
                 at_s: 0.0,
@@ -644,7 +640,7 @@ mod tests {
             cost_usd: 0.0,
             exec_carbon_g: 0.0,
             trans_carbon_g: 0.0,
-            meter,
+            sns_publishes: sns_billed,
             completed,
             failovers,
             cold_starts: 0,

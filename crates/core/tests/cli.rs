@@ -49,12 +49,10 @@ fn declared() -> Vec<Declared> {
                 .filter(|t| !t.starts_with('['))
                 .map(|_| "x")
                 .collect();
-            let flags = help
-                .lines()
-                .filter(|l| l.starts_with("    --"))
+            let flags = flag_lines(&help)
                 .map(|l| {
-                    let shown: Vec<&str> = l[4..34].split_whitespace().collect();
-                    (shown[0].to_string(), shown.len() > 1)
+                    let (flag, placeholder, _) = flag_column(l);
+                    (flag.to_string(), placeholder.is_some())
                 })
                 .collect();
             Declared {
@@ -65,6 +63,32 @@ fn declared() -> Vec<Declared> {
             }
         })
         .collect()
+}
+
+/// The FLAGS lines of a help text.
+fn flag_lines(help: &str) -> impl Iterator<Item = &str> {
+    help.lines().filter(|l| l.starts_with("    --"))
+}
+
+/// One FLAGS line as `(flag, placeholder, column its text starts at)`.
+/// A placeholder follows its flag after one space; two or more spaces end
+/// the flag column, so text that runs into it reads as a placeholder.
+fn flag_column(line: &str) -> (&str, Option<&str>, usize) {
+    let token = |from: usize| {
+        let end = line[from..].find(' ').map_or(line.len(), |i| from + i);
+        let gap = line[end..].len() - line[end..].trim_start().len();
+        (&line[from..end], end, gap)
+    };
+    let (flag, end, gap) = token(4);
+    if gap != 1 {
+        return (flag, None, end + gap);
+    }
+    let (placeholder, end, gap) = token(end + 1);
+    (
+        flag,
+        Some(placeholder),
+        if gap >= 2 { end + gap } else { end },
+    )
 }
 
 fn with<'a>(command: &'a Declared, tail: &[&'a str]) -> Vec<&'a str> {
@@ -200,6 +224,32 @@ fn a_flag_its_companion_would_enable_is_an_error_not_a_no_op() {
         &["plan", "dna", "--contingency", "2"],
         "--contingency: needs --hourly",
     );
+}
+
+/// Every FLAGS line of every subcommand's help keeps whitespace between
+/// its flag column and its text, and the text starts at one column per
+/// command — `--arrival poisson|diurnal|bursty` once ran into "arrival
+/// process".
+#[test]
+fn help_text_never_runs_into_its_flag_column() {
+    for command in declared() {
+        let mut columns = Vec::new();
+        for line in flag_lines(&command.help) {
+            let (_, _, text) = flag_column(line);
+            assert!(
+                line[..text].ends_with("  "),
+                "{}: no gap before the text of {line:?}",
+                command.name
+            );
+            columns.push(text);
+        }
+        columns.dedup();
+        assert!(
+            columns.len() <= 1,
+            "{}: text columns {columns:?}",
+            command.name
+        );
+    }
 }
 
 #[test]

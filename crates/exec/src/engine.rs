@@ -24,6 +24,7 @@ use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::kv::ItemAddr;
 use caribou_simcloud::meter::UsageMeter;
 use caribou_simcloud::orchestration::Orchestrator;
+use caribou_simcloud::pricing::Usage;
 use caribou_simcloud::pubsub::{Delivery, DeliveryStatus};
 
 use crate::layout::{self, AddressBook, SyncLabel};
@@ -155,12 +156,19 @@ pub struct InvocationScratch {
     /// Per region, the grid's intensity at this invocation's hour; NaN
     /// until first asked for.
     intensity: Vec<f64>,
+    /// The invocation's bill, reset at every invocation.
+    meter: UsageMeter,
 }
 
 impl InvocationScratch {
     /// Creates empty scratch buffers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The usage the last invocation run on this scratch billed.
+    pub fn meter(&self) -> &UsageMeter {
+        &self.meter
     }
 
     /// Resets the buffers for a workflow of `nodes`/`edges` size on a
@@ -183,6 +191,7 @@ impl InvocationScratch {
         refill(&mut self.node_dead, nodes, false, &mut grew);
         refill(&mut self.intensity, regions, f64::NAN, &mut grew);
         self.queue.clear();
+        self.meter.reset();
         grew
     }
 }
@@ -196,7 +205,6 @@ struct InvocationCtx<'c, 'a, S: CarbonDataSource> {
     hour: f64,
     at_s: f64,
     rng: &'c mut Pcg32,
-    meter: UsageMeter,
     exec_carbon: f64,
     trans_carbon: f64,
     completed: bool,
@@ -287,7 +295,6 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
             hour,
             at_s,
             rng,
-            meter: UsageMeter::new(),
             exec_carbon: 0.0,
             trans_carbon: 0.0,
             completed: true,
@@ -304,7 +311,13 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
             .iter()
             .map(|r| r.start_s + r.duration_s)
             .fold(0.0f64, f64::max);
-        let cost = ctx.meter.cost(&ctx.cloud.pricing);
+        let meter = &ctx.scratch.meter;
+        let cost = meter.cost(&ctx.cloud.pricing);
+        let sns: f64 = meter
+            .usage
+            .iter()
+            .map(|row| row[Usage::SnsPublishes as usize])
+            .sum();
         if caribou_telemetry::is_enabled() {
             caribou_telemetry::event_at(at_s, "exec.invocation", &app.name, e2e);
             caribou_telemetry::span_at("invocation", &app.name, at_s, e2e, inv_id, "invocation");
@@ -334,7 +347,7 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
             cost_usd: cost,
             exec_carbon_g: ctx.exec_carbon,
             trans_carbon_g: ctx.trans_carbon,
-            meter: ctx.meter,
+            sns_publishes: sns as u64,
             completed: ctx.completed,
             failovers: ctx.failovers,
             cold_starts: ctx.cold_starts,
@@ -361,7 +374,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
             Err(name) => pubsub.publish(&name, from, payload_bytes, lm, self.rng),
         };
         if delivery.status != DeliveryStatus::TopicMissing {
-            self.meter.record_sns(from);
+            self.scratch.meter.record(from, Usage::SnsPublishes, 1.0);
         }
         delivery
     }
@@ -434,7 +447,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
     }
 
     fn account_transfer(&mut self, from: RegionId, to: RegionId, bytes: f64) {
-        self.meter.record_transfer(from, to, bytes);
+        self.scratch.meter.record_transfer(from, to, bytes);
         let intensity = endpoint_mean(self.intensity(from), self.intensity(to));
         self.trans_carbon +=
             self.engine
@@ -469,7 +482,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
                 .cloud
                 .kv
                 .get_at(plan, start_region, &self.cloud.latency, self.rng);
-            self.meter.record_kv(start_region, 1, 0);
+            self.scratch.meter.record(start_region, Usage::KvReads, 1.0);
             t0 += access.latency_s;
         }
 
@@ -554,7 +567,9 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
             self.account_transfer(self.app.home, region, half);
         }
 
-        self.meter.record_lambda(region, duration, p.memory_mb);
+        self.scratch
+            .meter
+            .record_lambda(region, duration, p.memory_mb);
         let intensity = self.intensity(region);
         self.exec_carbon += self.engine.carbon_model.execution_carbon_params(
             p.memory_mb,
@@ -729,15 +744,15 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         let (kv, lm) = (&mut self.cloud.kv, &self.cloud.latency);
         if size > caribou_simcloud::blob::BLOB_THRESHOLD_BYTES {
             let blob = self.cloud.blob.put(to, object, size, from, lm, self.rng);
-            self.meter.record_blob(to, 0, 1);
+            self.scratch.meter.record(to, Usage::BlobPuts, 1.0);
             let reference = bytes::Bytes::from_static(b"blobref");
             let reference = kv.put_at(item, reference, from, lm, self.rng);
-            self.meter.record_kv(to, 0, 1);
+            self.scratch.meter.record(to, Usage::KvWrites, 1.0);
             blob.latency_s.max(reference.latency_s)
         } else {
             let value = bytes::Bytes::from_static(&ZERO_PAYLOAD[..size.min(4096.0) as usize]);
             let write = kv.put_at(item, value, from, lm, self.rng);
-            self.meter.record_kv(to, 0, 1);
+            self.scratch.meter.record(to, Usage::KvWrites, 1.0);
             write.latency_s
         }
     }
@@ -778,7 +793,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         // sustained load.
         let latency_s = match self.cloud.blob.get(storage, object, reader, lm, self.rng) {
             Some(blob) => {
-                self.meter.record_blob(storage, 1, 0);
+                self.scratch.meter.record(storage, Usage::BlobGets, 1.0);
                 self.cloud.blob.delete(storage, object);
                 blob.latency_s
             }
@@ -786,7 +801,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         };
         // Either way the wrapper read the KV item: the payload itself or
         // the reference to the blob.
-        self.meter.record_kv(storage, 1, 0);
+        self.scratch.meter.record(storage, Usage::KvReads, 1.0);
         self.cloud.kv.reclaim_at(item);
         latency_s
     }
@@ -842,7 +857,8 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
                 }
             },
         );
-        self.meter.record_kv(succ_region, 1, 1);
+        self.scratch.meter.record(succ_region, Usage::KvReads, 1.0);
+        self.scratch.meter.record(succ_region, Usage::KvWrites, 1.0);
         t + update.latency_s
     }
 
@@ -1027,6 +1043,27 @@ mod tests {
         engine.invoke(cloud, app, plan, seed, 100.0, &mut Pcg32::seed(seed))
     }
 
+    /// [`run`] through a scratch, returned with the bill on its meter.
+    fn run_metered(
+        cloud: &mut SimCloud,
+        app: &WorkflowApp,
+        plan: &DeploymentPlan,
+        seed: u64,
+    ) -> (ExecutionOutcome, UsageMeter) {
+        let carbon = carbon_table(cloud);
+        let engine = engine_over(&carbon);
+        engine.provision(cloud, app, plan);
+        let mut scratch = InvocationScratch::new();
+        let mut rng = Pcg32::seed(seed);
+        let out = engine.invoke_with_scratch(cloud, app, plan, seed, 100.0, &mut rng, &mut scratch);
+        (out, scratch.meter().clone())
+    }
+
+    /// Total inter-region bytes a meter billed.
+    fn egress_bytes(meter: &UsageMeter) -> f64 {
+        meter.egress.iter().map(|(_, bytes)| bytes).sum()
+    }
+
     #[test]
     fn chain_executes_both_stages() {
         let mut cloud = SimCloud::aws(1);
@@ -1054,13 +1091,13 @@ mod tests {
         let ca = cloud.region("ca-central-1").unwrap();
         let mut plan = DeploymentPlan::uniform(2, app.home);
         plan.set(NodeId(1), ca);
-        let out = run(&mut cloud, &app, &plan, 2);
+        let (out, meter) = run_metered(&mut cloud, &app, &plan, 2);
         assert!(out.completed);
         let rec = out.log.nodes.iter().find(|r| r.node == 1).unwrap();
         assert_eq!(rec.region, ca);
         // Cross-region hop: latency exceeds the single-region case.
         assert!(out.e2e_latency_s > 3.0);
-        assert!(out.meter.total_egress_bytes() > 0.0);
+        assert!(egress_bytes(&meter) > 0.0);
     }
 
     #[test]
@@ -1326,12 +1363,14 @@ mod tests {
             home: cloud.region("us-east-1").unwrap(),
         };
         let plan = DeploymentPlan::uniform(2, app.home);
-        let out = run(&mut cloud, &app, &plan, 20);
+        let (out, meter) = run_metered(&mut cloud, &app, &plan, 20);
         assert!(out.completed);
         let home = app.home;
         assert_eq!(cloud.blob.ops(home).puts, 1, "payload stored as a blob");
         assert_eq!(cloud.blob.ops(home).gets, 1, "successor fetched it");
-        assert_eq!(out.meter.blob_puts.get(&home), Some(&1));
+        let billed = meter.usage[home.index()];
+        assert_eq!(billed[Usage::BlobPuts as usize], 1.0);
+        assert_eq!(billed[Usage::BlobGets as usize], 1.0);
     }
 
     #[test]
@@ -1339,10 +1378,14 @@ mod tests {
         let mut cloud = SimCloud::aws(21);
         let app = chain_app(&cloud); // 10 KB payload
         let plan = DeploymentPlan::uniform(2, app.home);
-        let out = run(&mut cloud, &app, &plan, 21);
+        let (out, meter) = run_metered(&mut cloud, &app, &plan, 21);
         assert!(out.completed);
         assert_eq!(cloud.blob.ops(app.home).puts, 0);
-        assert!(out.meter.blob_puts.is_empty());
+        let blob = [Usage::BlobGets, Usage::BlobPuts];
+        assert!(meter
+            .usage
+            .iter()
+            .all(|row| blob.iter().all(|u| row[*u as usize] == 0.0)));
     }
 
     #[test]
@@ -1386,12 +1429,11 @@ mod tests {
         let ca = cloud.region("ca-central-1").unwrap();
         let mut plan = DeploymentPlan::uniform(2, app.home);
         plan.set(NodeId(1), ca);
-        let out = run(&mut cloud, &app, &plan, 30);
+        let (out, meter) = run_metered(&mut cloud, &app, &plan, 30);
         assert!(out.completed);
-        assert!(out.meter.total_egress_bytes() > 0.0);
-        assert!(out
-            .meter
-            .egress_bytes
+        assert!(egress_bytes(&meter) > 0.0);
+        assert!(meter
+            .egress
             .iter()
             .all(|((from, to), _)| !cloud.pricing.is_cross_provider(*from, *to)));
     }
@@ -1405,13 +1447,17 @@ mod tests {
         let gcp_west = cloud.region("gcp:us-west1").unwrap();
         let mut plan = DeploymentPlan::uniform(2, app.home);
         plan.set(NodeId(1), gcp_west);
-        let out = run(&mut cloud, &app, &plan, 31);
+        let (out, meter) = run_metered(&mut cloud, &app, &plan, 31);
         assert!(out.completed);
         assert!(out.trans_carbon_g > 0.0);
         // The A→B payload crossed the provider boundary on its own route,
         // billed at the internet-tier rate, which is strictly pricier than
         // the intra-provider inter-region rate.
-        let crossed = out.meter.egress_bytes[&(app.home, gcp_west)];
+        let route = meter
+            .egress
+            .iter()
+            .find(|(route, _)| *route == (app.home, gcp_west));
+        let crossed = route.unwrap().1;
         assert!(crossed >= 10_000.0, "{crossed}");
         let cost = cloud.pricing.egress_cost(app.home, gcp_west, crossed);
         assert!(cost > 0.0 && cost < out.cost_usd);

@@ -2,7 +2,6 @@
 
 use caribou_metrics::logs::InvocationLog;
 use caribou_model::region::RegionId;
-use caribou_simcloud::meter::UsageMeter;
 
 /// Exactly-one-of classification of an invocation under faults: the
 /// chaos harness's "no invocation lost" invariant requires every request
@@ -33,8 +32,9 @@ pub struct ExecutionOutcome {
     pub exec_carbon_g: f64,
     /// Transmission carbon, gCO₂eq.
     pub trans_carbon_g: f64,
-    /// Billable usage of this invocation.
-    pub meter: UsageMeter,
+    /// SNS publishes billed to this invocation (its usage itself stays in
+    /// the scratch it ran on, `InvocationScratch::meter`).
+    pub sns_publishes: u64,
     /// Whether every required message was delivered (false when a pub/sub
     /// message was dead-lettered or a region was down).
     pub completed: bool,

@@ -51,7 +51,6 @@ pub mod pricing;
 pub mod providers;
 pub mod pubsub;
 pub mod registry;
-pub mod tinymap;
 pub mod warm;
 
 pub use cloud::SimCloud;

@@ -5,6 +5,27 @@
 
 use caribou_model::region::{Provider, RegionId};
 
+/// What one region bills per unit for, in the order a bill sums it
+/// ([`PricingCatalog::usage_cost`]); the index of a region's usage row in
+/// a [`UsageMeter`](crate::meter::UsageMeter).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Usage {
+    /// Lambda GB-seconds, billed by the started millisecond.
+    LambdaGbS,
+    /// Lambda invocations.
+    LambdaRequests,
+    /// SNS publishes originating in the region.
+    SnsPublishes,
+    /// DynamoDB reads.
+    KvReads,
+    /// DynamoDB writes.
+    KvWrites,
+    /// Object-storage GETs.
+    BlobGets,
+    /// Object-storage PUTs.
+    BlobPuts,
+}
+
 /// Prices for one region, in USD.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionPricing {
@@ -97,6 +118,30 @@ impl PricingCatalog {
     /// Panics if the region id is outside the catalog.
     pub fn set_region(&mut self, id: RegionId, pricing: RegionPricing) {
         self.per_region[id.index()] = pricing;
+    }
+
+    /// Prices per-region usage rows (indexed by region, then by [`Usage`]),
+    /// category by category in region order: the order one sorted map per
+    /// category summed in before the meter kept rows. A region with none
+    /// of a category adds `0 × price = +0.0`, which moves no bit — prices
+    /// and usage are non-negative, so the running total is never `−0.0`.
+    pub fn usage_cost(&self, usage: &[[f64; 7]]) -> f64 {
+        let mut total = 0.0;
+        for c in 0..7 {
+            for (p, row) in self.per_region.iter().zip(usage) {
+                let unit = [
+                    p.lambda_gb_second,
+                    p.lambda_per_request,
+                    p.sns_per_publish,
+                    p.dynamodb_per_read,
+                    p.dynamodb_per_write,
+                    p.blob_per_get,
+                    p.blob_per_put,
+                ];
+                total += row[c] * unit[c];
+            }
+        }
+        total
     }
 
     /// Lambda execution cost: billed duration × memory × GB-s rate plus the
