@@ -189,9 +189,9 @@ fn pooled_scratch_reduces_allocations_per_invocation() {
     // engine touches per invocation — ctx vectors, event queue, topic and
     // table addresses (resolved once into the scratch's book), payload
     // Bytes (static), KV/blob items (numeric keys), sync annotations
-    // (static table), the usage meter (inline TinyMap columns), the
-    // workflow name stamp (interned) — must come from reused or static
-    // storage.
+    // (static table), the usage meter (the scratch's rows, reset in
+    // place), the workflow name stamp (interned) — must come from reused
+    // or static storage.
     assert!(
         pooled_per_inv <= 2.0,
         "steady-state budget blown: {pooled_per_inv:.1} allocs/invocation (budget 2.0)"

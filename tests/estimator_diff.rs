@@ -47,6 +47,13 @@
 //! over a seeded sweep of paths (models, setup, rules, hours), captured
 //! before its sample loops were rewritten.
 //!
+//! The fifth part holds the estimator against the execution engine, the
+//! truth it models: on a quiet cloud, the five Table 1 benchmarks on the
+//! home plan and the plan `caribou plan` picks. Carbon agrees to
+//! rounding; cost agrees once the bills only the engine pays are added,
+//! each named; the latency gap is the wrapper's own work, bracketed term
+//! by term.
+//!
 //! Mutation-checked when written: a fold that takes the *last* in-edge's
 //! arrival instead of the latest, one that skips the `ceil` in Lambda
 //! billing, and a bank whose node sites collide on one column each fail
@@ -60,6 +67,7 @@
 use caribou_carbon::route::endpoint_average;
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::{CarbonDataSource, TableSource};
+use caribou_exec::engine::{ExecutionEngine, InvocationScratch, WorkflowApp};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_metrics::costmodel::CostModel;
 use caribou_metrics::fold::PlanRecord;
@@ -76,11 +84,16 @@ use caribou_model::plan::DeploymentPlan;
 use caribou_model::profile::WorkflowProfile;
 use caribou_model::region::RegionId;
 use caribou_model::rng::Pcg32;
+use caribou_simcloud::blob::{BlobStore, ObjectKey, BLOB_THRESHOLD_BYTES};
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::compute::LambdaRuntime;
+use caribou_simcloud::kv::{ItemAddr, KvStore};
 use caribou_simcloud::latency::LatencyModel;
 use caribou_simcloud::orchestration::Orchestrator;
 use caribou_simcloud::pricing::PricingCatalog;
+use caribou_simcloud::providers::{self, MessagingProfile};
+use caribou_simcloud::pubsub::PubSub;
+use caribou_workloads::benchmarks::{all_benchmarks, InputSize};
 use proptest::prelude::*;
 
 mod workflows;
@@ -1163,5 +1176,313 @@ fn every_estimator_path_is_pinned() {
             }
         }
         (kept, stops)
+    }
+}
+
+/// A cloud with every source of noise a test can reach turned off: no
+/// cold starts, no execution noise, no transfer jitter and a constant
+/// pub/sub publish overhead. The orchestration overhead keeps its spread:
+/// `OVERHEAD_SIGMA` is a constant, not a knob.
+fn quiet_cloud() -> SimCloud {
+    let mut cloud = SimCloud::aws(0);
+    cloud.compute.cold_start_prob = 0.0;
+    cloud.compute.exec_sigma = 0.0;
+    cloud.latency.jitter_sigma = 0.0;
+    let messaging = cloud
+        .regions
+        .iter()
+        .map(|(_, spec)| MessagingProfile {
+            publish_overhead_sigma: 0.0,
+            ..providers::profile(spec).unwrap().messaging
+        })
+        .collect();
+    cloud.pubsub = PubSub::new(messaging);
+    cloud
+}
+
+/// `profile` with every distribution replaced by the constant at its
+/// mean and every edge taken.
+fn quiet_profile(profile: &WorkflowProfile) -> WorkflowProfile {
+    let mut quiet = profile.clone();
+    let constant = |d: &mut DistSpec| *d = DistSpec::Constant { value: d.mean() };
+    for node in &mut quiet.nodes {
+        constant(&mut node.exec_time);
+    }
+    for edge in &mut quiet.edges {
+        constant(&mut edge.payload_bytes);
+        edge.probability = 1.0;
+    }
+    constant(&mut quiet.input_bytes);
+    quiet
+}
+
+/// The quiet latency of one KV operation on `bytes` from `from` against a
+/// table homed in `table`: a read of an absent item moves 128 bytes.
+fn kv_op_s(cloud: &SimCloud, from: RegionId, table: RegionId, bytes: f64) -> f64 {
+    let mut kv = KvStore::new(cloud.regions.len());
+    let item = ItemAddr::new(kv.create_table("probe", table), 0, 0);
+    let read = kv.get_at(item, from, &cloud.latency, &mut Pcg32::seed(0));
+    let lm = &cloud.latency;
+    read.latency_s + lm.expected_transfer_seconds(from, table, bytes)
+        - lm.expected_transfer_seconds(from, table, 128.0)
+}
+
+/// What a quiet engine invocation of `app` under `plan` bills that the
+/// estimator's mean does not, every edge taken, summed in USD:
+///
+/// * the client's publish to the entry function, billed at home;
+/// * an intermediate write is billed in the successor's table, not the
+///   writer's region, and so is a sync node's annotation;
+/// * a sync node is invoked by one message from the last writer, not one
+///   per in-edge;
+/// * a payload above the KV item limit adds a blob PUT and GET in the
+///   successor's region (its KV reference is the write the estimator
+///   already bills).
+///
+/// A sync node's in-edges must leave from one region here, so that the
+/// last writer's region is known without the timeline.
+fn engine_only_cost(app: &WorkflowApp, plan: &DeploymentPlan, pricing: &PricingCatalog) -> f64 {
+    let dag = &app.dag;
+    let kv = |r, reads, writes| pricing.dynamodb_cost(r, reads, writes);
+    let mut delta = pricing.sns_cost(app.home, 1);
+    for (i, e) in dag.all_edges().map(|e| dag.edge(e)).enumerate() {
+        let (from, to) = (plan.region_of(e.from), plan.region_of(e.to));
+        delta += kv(to, 0, 1) - kv(from, 0, 1);
+        if dag.is_sync_node(e.to) {
+            delta += kv(to, 1, 1) - kv(from, 1, 1) - pricing.sns_cost(from, 1);
+        }
+        if app.profile.edges[i].payload_bytes.mean() > BLOB_THRESHOLD_BYTES {
+            delta += pricing.blob_cost(to, 1, 1);
+        }
+    }
+    for node in dag.all_nodes().filter(|n| dag.is_sync_node(*n)) {
+        let mut writers = dag
+            .in_edges(node)
+            .iter()
+            .map(|e| plan.region_of(dag.edge(*e).from));
+        let writer = writers.next().unwrap();
+        assert!(
+            writers.all(|r| r == writer),
+            "sync in-edges leave from one region"
+        );
+        delta += pricing.sns_cost(writer, 1);
+    }
+    delta
+}
+
+/// The quiet latency of a blob PUT of `bytes` from `from` into `bucket`'s
+/// store, and of the GET back in `bucket`.
+fn blob_ops_s(cloud: &SimCloud, from: RegionId, bucket: RegionId, bytes: f64) -> (f64, f64) {
+    let (lm, rng) = (&cloud.latency, &mut Pcg32::seed(0));
+    let mut blob = BlobStore::new(cloud.regions.len());
+    let key = ObjectKey {
+        invocation: 0,
+        slot: 0,
+    };
+    let put = blob.put(bucket, key, bytes, from, lm, rng).latency_s;
+    (
+        put,
+        blob.get(bucket, key, bucket, lm, rng).unwrap().latency_s,
+    )
+}
+
+/// The wrapper's latency that the estimator does not model, bracketed.
+///
+/// Every path pays the entry's: the publish overhead at the entry region
+/// and the plan fetch from the home metadata table. Each edge then trades
+/// the estimator's payload transfer for the hop's own work: its 2 KB
+/// message and publish overhead, the intermediate's write and read (a blob
+/// PUT and GET above the KV item limit, beside a KV reference); into a
+/// sync node, the annotation instead of the message, and the node's one
+/// 1 KB message and slowest read. The end-to-end latency is the longest
+/// path on either side, so the gap lies between the entry plus the
+/// smallest and the largest sum of those gains along a path to a leaf; on
+/// a chain the two ends meet.
+fn wrapper_latency_bracket(
+    cloud: &SimCloud,
+    app: &WorkflowApp,
+    plan: &DeploymentPlan,
+) -> (f64, f64) {
+    let (dag, lm) = (&app.dag, &cloud.latency);
+    let publish_s = |r: RegionId| {
+        let profile = providers::profile(cloud.regions.spec(r)).unwrap();
+        profile.messaging.publish_overhead_median_s
+    };
+    let start = plan.region_of(dag.start());
+    let entry = publish_s(start) + kv_op_s(cloud, start, app.home, 128.0);
+    // Per edge: the intermediate's write and read.
+    let store = |e: EdgeId| {
+        let edge = dag.edge(e);
+        let (from, to) = (plan.region_of(edge.from), plan.region_of(edge.to));
+        let payload = app.profile.edges[e.index()].payload_bytes.mean();
+        if payload > BLOB_THRESHOLD_BYTES {
+            let (put, get) = blob_ops_s(cloud, from, to, payload);
+            (put.max(kv_op_s(cloud, from, to, 7.0)), get)
+        } else {
+            let item = payload.min(4096.0);
+            (kv_op_s(cloud, from, to, item), kv_op_s(cloud, to, to, item))
+        }
+    };
+    // The longest and shortest path sums of the edges' gains, to each node.
+    let (mut most, mut least) = (
+        vec![0.0f64; dag.node_count()],
+        vec![0.0f64; dag.node_count()],
+    );
+    for &node in dag.topo_order() {
+        let mut ins = dag.in_edges(node).iter().peekable();
+        if ins.peek().is_none() {
+            continue;
+        }
+        let (mut hi, mut lo) = (f64::NEG_INFINITY, f64::INFINITY);
+        for &e in ins {
+            let edge = dag.edge(e);
+            let (from, to) = (plan.region_of(edge.from), plan.region_of(edge.to));
+            let payload = app.profile.edges[e.index()].payload_bytes.mean();
+            let (write, read) = store(e);
+            let hop = if dag.is_sync_node(node) {
+                let reads = dag.in_edges(node).iter().map(|e| store(*e).1);
+                write
+                    + kv_op_s(cloud, from, to, 1.0)
+                    + publish_s(to)
+                    + lm.expected_transfer_seconds(from, to, 1024.0)
+                    + reads.fold(0.0, f64::max)
+            } else {
+                write + publish_s(to) + lm.expected_transfer_seconds(from, to, 2048.0) + read
+            };
+            let gain = hop - lm.expected_transfer_seconds(from, to, payload);
+            hi = hi.max(most[edge.from.index()] + gain);
+            lo = lo.min(least[edge.from.index()] + gain);
+        }
+        (most[node.index()], least[node.index()]) = (hi, lo);
+    }
+    // The last function to finish is one nothing follows.
+    let leaves = || dag.all_nodes().filter(|n| dag.out_edges(*n).is_empty());
+    let lo = leaves()
+        .map(|n| least[n.index()])
+        .fold(f64::INFINITY, f64::min);
+    let hi = leaves()
+        .map(|n| most[n.index()])
+        .fold(f64::NEG_INFINITY, f64::max);
+    (entry + lo, entry + hi)
+}
+
+/// ROADMAP item 1(a): the quiet twin against the engine. On a quiet
+/// cloud ([`quiet_cloud`]), with constant distributions, every edge taken
+/// and one `TableSource`, the five Table 1 benchmarks run through the
+/// `ExecutionEngine` on the home plan and on the plan `caribou plan
+/// <benchmark>` picks at hour 12.5, and each is compared with the
+/// estimator's mean on the same cloud and carbon data:
+///
+/// * **carbon** agrees to [`ROUNDING`]: execution and transmission
+///   carbon are the same law on both sides;
+/// * **cost** agrees to [`ROUNDING`] once [`engine_only_cost`] is added:
+///   the entry publish, where KV writes are billed, one message per sync
+///   node and the blob store are the terms that differ;
+/// * **latency** cannot agree to the bit — the orchestration overhead's
+///   spread is the constant `OVERHEAD_SIGMA`, so the engine is averaged
+///   over invocations — and the gap is the wrapper's own work, which the
+///   estimator does not model: it lies in [`wrapper_latency_bracket`], up
+///   to the averages' standard error.
+#[test]
+fn a_quiet_engine_invocation_meets_the_estimators_mean() {
+    const INVOCATIONS: u64 = 400;
+    const HOUR: f64 = 12.5;
+    let mut cloud = quiet_cloud();
+    let carbon = world(true).carbon;
+    let region = |name| cloud.region(name).unwrap();
+    let (home, ca) = (region("us-east-1"), region("ca-central-1"));
+    // What `caribou plan <benchmark>` prints at its default hour.
+    let picked: [&[RegionId]; 5] = [
+        &[ca],
+        &[ca, ca],
+        &[home, ca, home, home, ca],
+        &[ca; 5],
+        &[ca; 6],
+    ];
+    for (bench, picked) in all_benchmarks(InputSize::Small).iter().zip(picked) {
+        let profile = quiet_profile(&bench.profile);
+        let app = WorkflowApp {
+            name: bench.dag.name().into(),
+            dag: bench.dag.clone(),
+            profile: profile.clone(),
+            home,
+        };
+        let n = bench.dag.node_count();
+        for plan in [
+            DeploymentPlan::uniform(n, home),
+            DeploymentPlan::new(picked.to_vec()),
+        ] {
+            let what = format!("{} on {:?}", bench.name, plan.assignment());
+            let models = DefaultModels {
+                profile: &profile,
+                runtime: &cloud.compute,
+                latency: &cloud.latency,
+                orchestrator: Orchestrator::Caribou,
+            };
+            let est = MonteCarloEstimator {
+                dag: &bench.dag,
+                profile: &profile,
+                carbon_source: &carbon,
+                carbon_model: CarbonModel::new(TransmissionScenario::BEST),
+                cost_model: CostModel::new(&cloud.pricing),
+                models: &models,
+                home,
+                config: MonteCarloConfig {
+                    batch: FOLD_SAMPLES,
+                    max_samples: FOLD_SAMPLES,
+                    cv_threshold: 0.0,
+                },
+            };
+            let fold = est.estimate(&plan, HOUR, &mut Pcg32::seed(7));
+            let billed = fold.cost.mean + engine_only_cost(&app, &plan, &cloud.pricing);
+            let (least, most) = wrapper_latency_bracket(&cloud, &app, &plan);
+
+            let engine = ExecutionEngine {
+                carbon_source: &carbon,
+                carbon_model: CarbonModel::new(TransmissionScenario::BEST),
+                orchestrator: Orchestrator::Caribou,
+            };
+            engine.provision(&mut cloud, &app, &plan);
+            let mut scratch = InvocationScratch::new();
+            let mut latencies = Vec::new();
+            for i in 0..INVOCATIONS {
+                let mut rng = Pcg32::seed(i);
+                let at = HOUR * 3600.0;
+                let out = engine.invoke_with_scratch(
+                    &mut cloud,
+                    &app,
+                    &plan,
+                    i,
+                    at,
+                    &mut rng,
+                    &mut scratch,
+                );
+                assert!(out.completed, "{what}");
+                let close = |a: f64, b: f64| (a - b).abs() <= ROUNDING * b.abs();
+                assert!(
+                    close(out.carbon_g(), fold.carbon.mean),
+                    "{what}: carbon {:e} vs the estimator's {:e}",
+                    out.carbon_g(),
+                    fold.carbon.mean
+                );
+                assert!(
+                    close(out.cost_usd, billed),
+                    "{what}: cost {:e} vs the estimator's {:e} + the engine-only terms = {billed:e}",
+                    out.cost_usd,
+                    fold.cost.mean
+                );
+                latencies.push(out.e2e_latency_s);
+            }
+            let realised = DistSummary::from_samples(&latencies);
+            let se = (realised.std_dev.powi(2) / INVOCATIONS as f64
+                + fold.latency.std_dev.powi(2) / FOLD_SAMPLES as f64)
+                .sqrt();
+            let gap = realised.mean - fold.latency.mean;
+            assert!(
+                (least - Z_BOUND * se..=most + Z_BOUND * se).contains(&gap),
+                "{what}: the engine's mean latency is {gap:.5} s above the estimator's, \
+                 outside the wrapper's {least:.5}..{most:.5} s (se {se:.1e})"
+            );
+        }
     }
 }
