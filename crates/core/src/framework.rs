@@ -241,7 +241,9 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
     }
 
     /// Deploys a workflow (initial home deployment, §6.1) and registers it
-    /// with the Deployment Manager. Returns its index.
+    /// with the Deployment Manager. Returns its index. The manifest names
+    /// the workflow and its home region; `constraints` is everything the
+    /// solver reads of it (objective, tolerances, eligible regions).
     pub fn deploy(
         &mut self,
         app: WorkflowApp,

@@ -5,8 +5,8 @@
 //! the component architecture of Fig. 4 of the paper:
 //!
 //! * [`utility`] — the Deployment Utility: initial deployment of a
-//!   declared workflow to its home region (DAG extraction, IAM roles,
-//!   image push, topic creation, metadata upload — §6.1);
+//!   declared workflow to its home region (DAG extraction, image push,
+//!   topic creation, metadata upload — §6.1);
 //! * [`migrator`] — the Deployment Migrator: crane-style image copies to
 //!   new regions, all-or-nothing plan activation with home-region
 //!   fallback, and periodic retry of non-activated plans (§6.1);

@@ -1,15 +1,14 @@
 //! The Deployment Migrator: automated cross-regional re-deployment (§6.1).
 //!
 //! Given a freshly solved plan set, the Migrator determines which regions
-//! need a function deployment, replays the deployment steps there — IAM
-//! role, crane image copy from the home region (no rebuild), topic
-//! creation — and activates the plan by updating the KV metadata only once
+//! need a function deployment, replays the deployment steps there — crane
+//! image copy from the home region (no rebuild), topic creation — and
+//! activates the plan by updating the KV metadata only once
 //! *every* deployment succeeded. "If any function re-deployment fails,
 //! the framework defaults to the home region deployment"; the failed plan
 //! is retained and retried on later ticks until replaced.
 
 use caribou_exec::layout;
-use caribou_model::manifest::IamPolicy;
 use caribou_model::plan::HourlyPlans;
 use caribou_model::region::RegionId;
 use caribou_simcloud::cloud::SimCloud;
@@ -106,14 +105,8 @@ impl Migrator {
                     partial: Box::new(report),
                 });
             }
-            // Replay step 2 in the new region: IAM role, crane copy,
-            // topics, framework tables.
-            let policy = cloud
-                .iam
-                .policy(&workflow.app.name, home)
-                .cloned()
-                .unwrap_or_else(IamPolicy::caribou_default);
-            cloud.iam.put_role(&*workflow.app.name, region, policy);
+            // Replay step 2 in the new region: crane copy, topics,
+            // framework tables.
             let copy = cloud
                 .registry
                 .crane_copy(&workflow.image, home, region, &cloud.latency, &mut rng)
@@ -230,7 +223,6 @@ mod tests {
         assert!(report.activated);
         assert_eq!(report.newly_deployed, vec![ca]);
         assert!(report.egress_bytes > 0.0, "crane copy charges egress");
-        assert!(cloud.iam.role_exists("wf", ca));
         assert!(cloud.registry.has_replica("wf:0.1", ca));
         assert!(wf.router.has_active_plan(10.0));
         assert!(wf.active_regions.contains(&ca));

@@ -5,8 +5,8 @@
 //!
 //! 1. static analysis extracts the workflow DAG (done by the builder's
 //!    [`caribou_model::builder::Workflow::extract`]);
-//! 2. IAM roles are created, the image is pushed to the home-region
-//!    registry, and one pub/sub topic per function is created;
+//! 2. the image is pushed to the home-region registry, and one pub/sub
+//!    topic per function is created;
 //! 3. metadata (the active plan — initially the home plan) is uploaded to
 //!    the distributed key-value store.
 
@@ -15,6 +15,7 @@ use std::collections::HashSet;
 use caribou_exec::engine::WorkflowApp;
 use caribou_exec::layout;
 use caribou_exec::router::InvocationRouter;
+use caribou_model::error::ModelError;
 use caribou_model::manifest::DeploymentManifest;
 use caribou_model::plan::HourlyPlans;
 use caribou_model::region::RegionId;
@@ -33,7 +34,7 @@ pub struct DeployedWorkflow {
     pub app: WorkflowApp,
     /// Container image reference.
     pub image: String,
-    /// Regions with a complete deployment (roles + image + topics).
+    /// Regions with a complete deployment (image + topics).
     pub active_regions: HashSet<RegionId>,
     /// Traffic router (active plan set + benchmarking traffic).
     pub router: InvocationRouter,
@@ -56,17 +57,20 @@ impl DeploymentUtility {
     ) -> Result<DeployedWorkflow, CoreError> {
         manifest.validate(&cloud.regions)?;
         let home = manifest.resolve_home(&cloud.regions)?;
-        assert_eq!(
-            home, app.home,
-            "manifest home region must match the application's"
-        );
+        if home != app.home {
+            return Err(ModelError::InvalidConstraint {
+                reason: format!(
+                    "manifest home region {} is not the application's home region {}",
+                    manifest.home_region,
+                    cloud.regions.get(app.home).map_or("?", |s| s.name.as_str())
+                ),
+            }
+            .into());
+        }
         let image = format!("{}:{}", app.name, app.dag.version());
 
-        // Step 2: IAM role, image push, one topic per function, and the
-        // framework tables.
-        cloud
-            .iam
-            .put_role(&*app.name, home, manifest.iam_policy.clone());
+        // Step 2: image push, one topic per function, and the framework
+        // tables.
         let push = cloud
             .registry
             .push(image.clone(), DEFAULT_IMAGE_BYTES, home);
@@ -125,7 +129,6 @@ mod tests {
         let manifest = DeploymentManifest::new("wf", "0.1", "us-east-1");
         let dep = DeploymentUtility::deploy_initial(&mut cloud, app, &manifest).unwrap();
 
-        assert!(cloud.iam.role_exists("wf", home));
         assert!(cloud.registry.has_replica("wf:0.1", home));
         for stage in ["A", "B"] {
             let topic = TopicKey {
@@ -147,6 +150,22 @@ mod tests {
         let app = app(&cloud);
         let manifest = DeploymentManifest::new("wf", "0.1", "narnia-1");
         assert!(DeploymentUtility::deploy_initial(&mut cloud, app, &manifest).is_err());
+    }
+
+    #[test]
+    fn manifest_homed_elsewhere_is_an_error_not_a_panic() {
+        let mut cloud = SimCloud::aws(4);
+        let app = app(&cloud);
+        let manifest = DeploymentManifest::new("wf", "0.1", "ca-central-1");
+        let err = DeploymentUtility::deploy_initial(&mut cloud, app, &manifest).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Model(ModelError::InvalidConstraint { ref reason })
+                    if reason.contains("ca-central-1")
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -226,6 +226,38 @@ fn a_flag_its_companion_would_enable_is_an_error_not_a_no_op() {
     );
 }
 
+/// `manifest example` prints a manifest `manifest validate` accepts, and a
+/// key the manifest does not declare is an error naming it — a
+/// `tolerances` block once parsed, validated and was silently ignored.
+#[test]
+fn manifest_example_validates_and_an_undeclared_key_is_rejected() {
+    let example = caribou(&["manifest", "example"]);
+    assert!(example.status.success());
+    let text = String::from_utf8(example.stdout).unwrap();
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let good = dir.join("manifest_example.json");
+    std::fs::write(&good, &text).unwrap();
+    let out = caribou(&["manifest", "validate", good.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("ok: workflow `my_workflow`"));
+
+    let (head, _) = text.rsplit_once('}').expect("a JSON object");
+    let bad = dir.join("manifest_with_tolerances.json");
+    std::fs::write(
+        &bad,
+        format!(
+            "{},\n  \"tolerances\": {{\"latency\": 0.02}}\n}}\n",
+            head.trim_end()
+        ),
+    )
+    .unwrap();
+    let out = caribou(&["manifest", "validate", bad.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown key `tolerances`"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
 /// Every FLAGS line of every subcommand's help keeps whitespace between
 /// its flag column and its text, and the text starts at one column per
 /// command — `--arrival poisson|diurnal|bursty` once ran into "arrival

@@ -328,10 +328,7 @@ impl InvocationRouter {
         effective.sort_unstable();
 
         let table = self.contingency.as_ref().expect("checked by caller");
-        let chosen = table.entries.iter().position(|e| {
-            !e.plans.expired(now_s) && effective.iter().all(|r| e.excluded_regions.contains(r))
-        });
-        if let Some(idx) = chosen {
+        if let Some(idx) = table.best_for(&effective, now_s) {
             let entry = &table.entries[idx];
             let hour = ((now_s / 3600.0) as usize) % 24;
             decision.plan = entry.plans.plan_for_hour(hour).clone();

@@ -1,11 +1,12 @@
 //! Region constraints and QoS tolerances (§2.3 Compliance, §8).
 //!
 //! Developers can restrict where functions may run at two levels: per
-//! function (via the builder API) and per workflow (via the deployment
-//! manifest). Function-level configurations supersede workflow-level ones
-//! (§8). If no regions are explicitly allowed, all regions are considered.
-
-use serde::{Deserialize, Serialize};
+//! function (via the builder API) and per workflow ([`Constraints`]'s
+//! `workflow` filter). Function-level configurations supersede
+//! workflow-level ones (§8). If no regions are explicitly allowed, all
+//! regions are considered. [`Constraints`] is the one place a workflow's
+//! objective, tolerances and eligible regions live; the deployment manifest
+//! carries only its name, version and home region.
 
 use crate::dag::WorkflowDag;
 use crate::error::ModelError;
@@ -13,7 +14,7 @@ use crate::region::{Provider, RegionCatalog, RegionId};
 
 /// Which metric the solver should prioritize when ranking feasible
 /// deployments (§5.1, §8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Objective {
     /// Minimize operational carbon (the paper's default focus).
     #[default]
@@ -29,7 +30,7 @@ pub enum Objective {
 ///
 /// A tolerance of `0.05` permits the tail (95th-percentile) metric of a
 /// candidate deployment to exceed the home-region tail metric by 5%.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tolerances {
     /// Allowed relative increase of tail end-to-end latency.
     pub latency: f64,
@@ -38,26 +39,7 @@ pub struct Tolerances {
     /// Allowed relative increase of tail carbon per invocation. The default
     /// is unbounded because offloading exists to *reduce* carbon; set it to
     /// bound worst-case regressions.
-    #[serde(with = "serde_unbounded")]
     pub carbon: f64,
-}
-
-/// Serde adapter mapping `f64::INFINITY` to JSON `null` and back, since
-/// JSON has no literal for infinities.
-mod serde_unbounded {
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(v: &f64, s: S) -> Result<S::Ok, S::Error> {
-        if v.is_finite() {
-            s.serialize_some(v)
-        } else {
-            s.serialize_none()
-        }
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<f64, D::Error> {
-        Ok(Option::<f64>::deserialize(d)?.unwrap_or(f64::INFINITY))
-    }
 }
 
 impl Default for Tolerances {
@@ -148,7 +130,7 @@ impl RegionFilter {
 /// Full constraint set for one workflow.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Constraints {
-    /// Workflow-level region filter (from the deployment manifest).
+    /// Workflow-level region filter; a node without its own filter uses it.
     pub workflow: RegionFilter,
     /// Per-node region filters (from the builder API); indexed by node.
     /// Function-level filters supersede workflow-level ones (§8).

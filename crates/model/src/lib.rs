@@ -14,8 +14,8 @@
 //!   measured behaviour of real benchmark code;
 //! * [`builder`] — the developer-facing API mirroring the paper's Listing 1
 //!   and the "static analysis" that extracts a DAG from it;
-//! * [`manifest`] — the deployment manifest (the paper's `config.yml` and
-//!   `iam_policy.json`);
+//! * [`manifest`] — the deployment manifest (the paper's `config.yml`:
+//!   workflow name, version and home region);
 //! * [`dist`] — distribution specifications used throughout the models;
 //! * [`hash`] — a fixed, keyless hasher for the simulator's own maps;
 //! * [`intern`] — interned, cheaply cloneable strings ([`intern::IStr`])

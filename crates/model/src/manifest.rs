@@ -1,59 +1,21 @@
-//! The deployment manifest: the paper's `config.yml` + `iam_policy.json`.
+//! The deployment manifest: the paper's `config.yml` (§8), down to what a
+//! deployment reads from it — the workflow's name, its version and its
+//! home region.
 //!
-//! Developers configure workflow-level objectives, tolerances, the home
-//! region, and eligible regions/providers in the manifest (§8). The
-//! manifest is serialized as JSON (the workspace's single text format) and
-//! validated against the region catalog before the initial deployment.
+//! A workflow's objective, QoS tolerances and eligible regions live in one
+//! place, [`crate::constraints::Constraints`], which `Caribou::deploy`
+//! takes beside the manifest. The manifest is JSON (the workspace's single
+//! text format); a key it does not declare is an error, not a setting
+//! silently dropped.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
+use serde_json::Value;
 
-use crate::constraints::{Objective, RegionFilter, Tolerances};
 use crate::error::ModelError;
-use crate::region::{Provider, RegionCatalog, RegionId};
-
-/// One IAM policy statement (deliberately minimal: the simulated IAM only
-/// checks that a role exists per function deployment region, as in §6.1
-/// step 2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IamStatement {
-    /// Action pattern, e.g. `sns:Publish`.
-    pub action: String,
-    /// Resource pattern, e.g. `arn:aws:sns:*:*:caribou-*`.
-    pub resource: String,
-}
-
-/// The IAM policy attached to every per-region role of the workflow.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct IamPolicy {
-    /// Policy statements.
-    pub statements: Vec<IamStatement>,
-}
-
-impl IamPolicy {
-    /// The minimal policy Caribou functions need: pub/sub publish, KV
-    /// read/write, and log emission.
-    pub fn caribou_default() -> Self {
-        let stmt = |action: &str, resource: &str| IamStatement {
-            action: action.to_string(),
-            resource: resource.to_string(),
-        };
-        IamPolicy {
-            statements: vec![
-                stmt("sns:Publish", "arn:aws:sns:*:*:caribou-*"),
-                stmt("dynamodb:GetItem", "arn:aws:dynamodb:*:*:table/caribou-*"),
-                stmt("dynamodb:PutItem", "arn:aws:dynamodb:*:*:table/caribou-*"),
-                stmt(
-                    "dynamodb:UpdateItem",
-                    "arn:aws:dynamodb:*:*:table/caribou-*",
-                ),
-                stmt("logs:PutLogEvents", "*"),
-            ],
-        }
-    }
-}
+use crate::region::{RegionCatalog, RegionId};
 
 /// The deployment manifest configured by the developer (§8).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeploymentManifest {
     /// Workflow name; must match the declared workflow.
     pub workflow_name: String,
@@ -62,40 +24,19 @@ pub struct DeploymentManifest {
     /// Home-region name: the initial deployment region, fallback, and
     /// baseline (§6.1).
     pub home_region: String,
-    /// Workflow-level region/provider eligibility.
-    #[serde(default)]
-    pub regions_and_providers: ManifestRegions,
-    /// QoS tolerances versus the home-region deployment.
-    #[serde(default)]
-    pub tolerances: Tolerances,
-    /// Optimization priority.
-    #[serde(default)]
-    pub objective: Objective,
-    /// IAM policy attached to every per-region role.
-    #[serde(default)]
-    pub iam_policy: IamPolicy,
 }
 
-/// Workflow-level eligible/prohibited regions and providers, by name.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ManifestRegions {
-    /// Eligible region names; empty means "all regions considered" (§8).
-    #[serde(default)]
-    pub allowed_regions: Vec<String>,
-    /// Prohibited region names.
-    #[serde(default)]
-    pub disallowed_regions: Vec<String>,
-    /// Eligible providers; empty means all.
-    #[serde(default)]
-    pub allowed_providers: Vec<Provider>,
-    /// Eligible country codes; empty means all.
-    #[serde(default)]
-    pub allowed_countries: Vec<String>,
+/// The keys of a manifest file, each a JSON string.
+const KEYS: [&str; 3] = ["workflow_name", "version", "home_region"];
+
+fn invalid(reason: String) -> ModelError {
+    ModelError::InvalidConstraint {
+        reason: format!("manifest: {reason}"),
+    }
 }
 
 impl DeploymentManifest {
-    /// Creates a manifest with defaults for the given workflow and home
-    /// region.
+    /// Creates a manifest for the given workflow and home region.
     pub fn new(
         workflow_name: impl Into<String>,
         version: impl Into<String>,
@@ -105,17 +46,35 @@ impl DeploymentManifest {
             workflow_name: workflow_name.into(),
             version: version.into(),
             home_region: home_region.into(),
-            regions_and_providers: ManifestRegions::default(),
-            tolerances: Tolerances::default(),
-            objective: Objective::Carbon,
-            iam_policy: IamPolicy::caribou_default(),
         }
     }
 
-    /// Parses a manifest from JSON.
+    /// Parses a manifest from a JSON object holding exactly the three
+    /// string keys; an unknown key, a missing key or a value that is not a
+    /// string is an error naming the key.
     pub fn from_json(json: &str) -> Result<Self, ModelError> {
-        serde_json::from_str(json).map_err(|e| ModelError::InvalidConstraint {
-            reason: format!("manifest parse error: {e}"),
+        let value: Value =
+            serde_json::from_str(json).map_err(|e| invalid(format!("parse error: {e}")))?;
+        let map = value
+            .as_object()
+            .ok_or_else(|| invalid("expected a JSON object".into()))?;
+        if let Some(key) = map.keys().find(|k| !KEYS.contains(&k.as_str())) {
+            return Err(invalid(format!(
+                "unknown key `{key}` (a manifest sets {})",
+                KEYS.join(", ")
+            )));
+        }
+        let string = |key: &str| match map.get(key) {
+            None => Err(invalid(format!("missing key `{key}`"))),
+            Some(v) => v
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| invalid(format!("key `{key}` must be a string"))),
+        };
+        Ok(DeploymentManifest {
+            workflow_name: string("workflow_name")?,
+            version: string("version")?,
+            home_region: string("home_region")?,
         })
     }
 
@@ -129,21 +88,6 @@ impl DeploymentManifest {
         catalog.resolve(&self.home_region)
     }
 
-    /// Builds the workflow-level [`RegionFilter`] from the manifest,
-    /// resolving region names against the catalog.
-    pub fn region_filter(&self, catalog: &RegionCatalog) -> Result<RegionFilter, ModelError> {
-        let resolve_all = |names: &[String]| -> Result<Vec<RegionId>, ModelError> {
-            names.iter().map(|n| catalog.resolve(n)).collect()
-        };
-        Ok(RegionFilter {
-            allowed_regions: resolve_all(&self.regions_and_providers.allowed_regions)?,
-            disallowed_regions: resolve_all(&self.regions_and_providers.disallowed_regions)?,
-            allowed_providers: self.regions_and_providers.allowed_providers.clone(),
-            disallowed_providers: Vec::new(),
-            allowed_countries: self.regions_and_providers.allowed_countries.clone(),
-        })
-    }
-
     /// Validates the manifest against a catalog.
     pub fn validate(&self, catalog: &RegionCatalog) -> Result<(), ModelError> {
         if self.workflow_name.is_empty() {
@@ -152,8 +96,6 @@ impl DeploymentManifest {
             });
         }
         self.resolve_home(catalog)?;
-        self.region_filter(catalog)?;
-        self.tolerances.validate()?;
         Ok(())
     }
 }
@@ -161,6 +103,10 @@ impl DeploymentManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rejected(json: &str) -> String {
+        DeploymentManifest::from_json(json).unwrap_err().to_string()
+    }
 
     #[test]
     fn manifest_json_round_trip() {
@@ -180,24 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn manifest_region_filter_resolves_names() {
-        let cat = RegionCatalog::aws_default();
-        let mut m = DeploymentManifest::new("wf", "0.1", "us-east-1");
-        m.regions_and_providers.allowed_regions = vec!["us-east-1".into(), "ca-central-1".into()];
-        let f = m.region_filter(&cat).unwrap();
-        assert!(f.permits(cat.id_of("us-east-1").unwrap(), &cat));
-        assert!(!f.permits(cat.id_of("us-west-1").unwrap(), &cat));
-    }
-
-    #[test]
-    fn manifest_unknown_allowed_region_rejected() {
-        let cat = RegionCatalog::aws_default();
-        let mut m = DeploymentManifest::new("wf", "0.1", "us-east-1");
-        m.regions_and_providers.allowed_regions = vec!["moon-base-1".into()];
-        assert!(m.validate(&cat).is_err());
-    }
-
-    #[test]
     fn manifest_parses_minimal_json() {
         let json = r#"{
             "workflow_name": "dna",
@@ -205,16 +133,28 @@ mod tests {
             "home_region": "us-east-1"
         }"#;
         let m = DeploymentManifest::from_json(json).unwrap();
-        assert_eq!(m.workflow_name, "dna");
-        assert!(m.regions_and_providers.allowed_regions.is_empty());
-        assert!((m.tolerances.latency - 0.05).abs() < 1e-12);
+        assert_eq!(m, DeploymentManifest::new("dna", "0.1", "us-east-1"));
     }
 
     #[test]
-    fn default_iam_policy_covers_framework_services() {
-        let p = IamPolicy::caribou_default();
-        let actions: Vec<&str> = p.statements.iter().map(|s| s.action.as_str()).collect();
-        assert!(actions.contains(&"sns:Publish"));
-        assert!(actions.iter().any(|a| a.starts_with("dynamodb:")));
+    fn manifest_unknown_key_is_named() {
+        let err = rejected(
+            r#"{"workflow_name": "dna", "version": "0.1", "home_region": "us-east-1",
+                "tolerances": {"latency": 0.02}}"#,
+        );
+        assert!(err.contains("unknown key `tolerances`"), "{err}");
+    }
+
+    #[test]
+    fn manifest_missing_key_is_named() {
+        let err = rejected(r#"{"workflow_name": "dna", "home_region": "us-east-1"}"#);
+        assert!(err.contains("missing key `version`"), "{err}");
+    }
+
+    #[test]
+    fn manifest_non_string_value_is_named() {
+        let err = rejected(r#"{"workflow_name": "dna", "version": 1, "home_region": "us-east-1"}"#);
+        assert!(err.contains("key `version` must be a string"), "{err}");
+        assert!(rejected("[]").contains("expected a JSON object"));
     }
 }

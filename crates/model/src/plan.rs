@@ -1,6 +1,6 @@
 //! Deployment plans: the mapping `ψ : N → R` of §4 and hourly plan sets.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::dag::{NodeId, WorkflowDag};
 use crate::error::ModelError;
@@ -20,7 +20,7 @@ use crate::region::{Provider, RegionId};
 /// assert!(!plan.is_single_region());
 /// assert_eq!(plan.regions_used(), vec![RegionId(0), RegionId(4)]);
 /// ```
-#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Serialize)]
 pub struct DeploymentPlan {
     assignment: Vec<RegionId>,
 }
@@ -136,7 +136,7 @@ impl DeploymentPlan {
 
 /// Granularity of a generated plan set (§5.2): the carbon budget decides
 /// whether the solver produces one plan per day or one per hour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PlanGranularity {
     /// A single plan applied for the whole day.
     Daily,
@@ -147,7 +147,7 @@ pub enum PlanGranularity {
 /// A set of deployment plans covering a day, one per hour (§5.1: "24 plans
 /// are generated per solve — one for each hour, given sufficient carbon
 /// budget").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HourlyPlans {
     /// Plan for each hour-of-day `0..24`. With [`PlanGranularity::Daily`]
     /// all 24 entries are the same plan.
@@ -279,16 +279,17 @@ impl ContingencyTable {
         self.entries.is_empty()
     }
 
-    /// The best-ranked entry whose exclusion covers every region in
-    /// `down` — its plan set is guaranteed not to reference any of them.
-    /// `None` when no precomputed fallback avoids the whole down set.
-    pub fn best_for(&self, down: &[RegionId]) -> Option<&ContingencyEntry> {
+    /// Index of the best-ranked entry, unexpired at `now_s`, whose
+    /// exclusion covers every region in `down` — its plan set is
+    /// guaranteed not to reference any of them. `None` when `down` is
+    /// empty or no live precomputed fallback avoids the whole down set.
+    pub fn best_for(&self, down: &[RegionId], now_s: f64) -> Option<usize> {
         if down.is_empty() {
             return None;
         }
-        self.entries
-            .iter()
-            .find(|e| down.iter().all(|r| e.excluded_regions.contains(r)))
+        self.entries.iter().position(|e| {
+            !e.plans.expired(now_s) && down.iter().all(|r| e.excluded_regions.contains(r))
+        })
     }
 
     /// All distinct regions used across every fallback plan set; the
@@ -408,7 +409,7 @@ mod tests {
 
     #[test]
     fn contingency_best_for_respects_rank_and_coverage() {
-        let table = ContingencyTable {
+        let mut table = ContingencyTable {
             entries: vec![
                 entry(
                     Exclusion::Region(RegionId(5)),
@@ -423,14 +424,17 @@ mod tests {
             ],
         };
         // Single-region loss: the best-ranked (first) covering entry wins.
-        let e = table.best_for(&[RegionId(5)]).unwrap();
-        assert_eq!(e.exclusion, Exclusion::Region(RegionId(5)));
+        assert_eq!(table.best_for(&[RegionId(5)], 0.0), Some(0));
         // Provider-wide loss: only the provider exclusion covers both.
-        let e = table.best_for(&[RegionId(5), RegionId(6)]).unwrap();
-        assert_eq!(e.exclusion, Exclusion::Provider(Provider::Gcp));
+        assert_eq!(table.best_for(&[RegionId(5), RegionId(6)], 0.0), Some(1));
         // No fallback avoids an unexcluded region.
-        assert!(table.best_for(&[RegionId(9)]).is_none());
-        assert!(table.best_for(&[]).is_none());
+        assert!(table.best_for(&[RegionId(9)], 0.0).is_none());
+        assert!(table.best_for(&[], 0.0).is_none());
+        // An expired entry is skipped for the next covering one.
+        let expired = table.entries[0].plans.expires_at;
+        table.entries[0].plans.expires_at = 0.0;
+        assert_eq!(table.best_for(&[RegionId(5)], 1.0), Some(1));
+        assert!(table.best_for(&[RegionId(5)], expired).is_none());
         assert_eq!(table.regions_used(), vec![RegionId(0), RegionId(1)]);
     }
 

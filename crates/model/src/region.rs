@@ -6,13 +6,13 @@
 //! the public AWS North American regions studied in the paper plus a few
 //! global regions used by examples and tests.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use crate::error::ModelError;
 
 /// A cloud service provider.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Provider {
     /// Amazon Web Services (the provider the paper evaluates on).
     Aws,
@@ -165,9 +165,7 @@ impl fmt::Display for ProviderRegion {
 }
 
 /// A compact index identifying a region within a [`RegionCatalog`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Default)]
 pub struct RegionId(pub u16);
 
 impl RegionId {

@@ -8,7 +8,6 @@ use crate::blob::BlobStore;
 use crate::clock::SimClock;
 use crate::compute::LambdaRuntime;
 use crate::faults::FaultPlan;
-use crate::iam::Iam;
 use crate::kv::KvStore;
 use crate::latency::LatencyModel;
 use crate::pricing::PricingCatalog;
@@ -41,8 +40,6 @@ pub struct SimCloud {
     /// Warm-container pool (disabled by default: probabilistic cold
     /// starts apply).
     pub warm: WarmPool,
-    /// IAM role store.
-    pub iam: Iam,
     /// Fault-injection plan.
     pub faults: FaultPlan,
     /// Virtual clock.
@@ -100,7 +97,6 @@ impl SimCloud {
             registry: ContainerRegistry::new(registry_overhead_s),
             blob: BlobStore::new(n),
             warm: WarmPool::per_region(keep_alive_s),
-            iam: Iam::new(),
             faults: FaultPlan::none(),
             clock: SimClock::new(),
             rng: Pcg32::seed_stream(seed, 0x5eed),

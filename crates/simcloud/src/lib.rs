@@ -22,7 +22,6 @@
 //!   function of traffic (fresh offload regions start cold);
 //! * [`registry`] — an ECR-like container registry with crane-style
 //!   cross-region image copies;
-//! * [`iam`] — per-region role management;
 //! * [`faults`] — composable fault injection (region outages, pairwise
 //!   network partitions, gray failures, KV throttling, cold-start storms,
 //!   deployment failures, message drops), deterministic under a seed;
@@ -42,7 +41,6 @@ pub mod clock;
 pub mod cloud;
 pub mod compute;
 pub mod faults;
-pub mod iam;
 pub mod kv;
 pub mod latency;
 pub mod meter;

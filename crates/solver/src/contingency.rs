@@ -368,8 +368,11 @@ mod tests {
             .filter(|(_, s)| s.provider == Provider::Gcp)
             .map(|(id, _)| id)
             .collect();
-        let picked = table.best_for(&down).expect("fallback for gcp loss");
-        assert_eq!(picked.exclusion, Exclusion::Provider(Provider::Gcp));
+        let picked = table.best_for(&down, 0.0).expect("fallback for gcp loss");
+        assert_eq!(
+            table.entries[picked].exclusion,
+            Exclusion::Provider(Provider::Gcp)
+        );
         // Ranking is coverage-first: provider entries lead, and within a
         // class the metric ascends.
         let class = |e: &ContingencyEntry| match e.exclusion {

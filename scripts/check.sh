@@ -522,6 +522,19 @@ if [[ -z "$cell_cost" ]] || grep -F 'forecast_reads()' <<<"$cell_cost"; then
     exit 1
 fi
 
+# One configuration surface: a workflow's objective, tolerances and eligible
+# regions live in Constraints, the manifest holds its name, version and home
+# region only, so the manifest's ignored copies, the write-only IAM role
+# store and the serde attributes and Deserialize derive only they needed
+# stay deleted.
+echo "==> one-configuration-surface grep gates"
+if grep -rnE '\bmod iam\b|IamPolicy|put_role|ManifestRegions|region_filter|serde_unbounded' crates ||
+    grep -rnF '#[serde(' crates ||
+    grep -rnw 'Deserialize' crates; then
+    echo "error: a deleted configuration copy, serde attribute or Deserialize derive is back (see matches above)" >&2
+    exit 1
+fi
+
 # One histogram type: the recorder holds QuantileSketch.
 echo "==> single-histogram grep gate"
 if grep -rn 'Histogram' crates/telemetry; then

@@ -144,7 +144,6 @@ fn migrations_copy_images_and_create_topics() {
             .has_replica("text2speech_censoring:1.0", ca),
         "image replicated to the clean region"
     );
-    assert!(caribou.cloud.iam.role_exists("text2speech_censoring", ca));
 }
 
 #[test]
