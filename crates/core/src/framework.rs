@@ -7,6 +7,7 @@
 //! migration, and emission accounting on *actual* carbon data — the same
 //! separation the paper's evaluation relies on (§9.5).
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use caribou_carbon::source::{CarbonDataSource, ForecastingSource};
@@ -548,18 +549,15 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
 
 /// The region hosting the majority of a plan's nodes.
 pub fn majority_region(plan: &DeploymentPlan) -> RegionId {
-    let mut counts: Vec<(RegionId, usize)> = Vec::new();
-    for r in plan.assignment() {
-        match counts.iter_mut().find(|(id, _)| id == r) {
-            Some((_, c)) => *c += 1,
-            None => counts.push((*r, 1)),
-        }
-    }
-    counts
-        .into_iter()
-        .max_by_key(|(id, c)| (*c, usize::MAX - id.index()))
-        .map(|(id, _)| id)
-        .expect("non-empty plan")
+    // A plan has a handful of nodes: counting each node's region over the
+    // assignment is quadratic in that handful and allocates nothing.
+    let regions = plan.assignment();
+    let count = |r: RegionId| regions.iter().filter(|&&x| x == r).count();
+    let mode = regions
+        .iter()
+        .copied()
+        .max_by_key(|&r| (count(r), Reverse(r)));
+    mode.expect("non-empty plan")
 }
 
 #[cfg(test)]
@@ -811,5 +809,17 @@ mod tests {
         assert_eq!(majority_region(&plan), RegionId(2));
         let single = DeploymentPlan::uniform(4, RegionId(5));
         assert_eq!(majority_region(&single), RegionId(5));
+        // Equal counts go to the lowest region index, wherever it sits.
+        let tied = [4, 3, 7, 3, 4, 7].map(RegionId);
+        assert_eq!(
+            majority_region(&DeploymentPlan::new(tied.to_vec())),
+            RegionId(3)
+        );
+        let mut reversed = tied;
+        reversed.reverse();
+        assert_eq!(
+            majority_region(&DeploymentPlan::new(reversed.to_vec())),
+            RegionId(3)
+        );
     }
 }

@@ -20,17 +20,25 @@
 //!
 //! Beside the primitives the bank keeps the [`Derived`] columns the fold
 //! computes from them on its way: what each sample moved over the entry
-//! and every edge, and — for each region a plan has run a node in — the
-//! seconds the node took, what Lambda billed for them and the energy it
-//! drew. They are pure functions of (bank, site, region) too — no plan or
-//! hour enters them — so a second plan that agrees on a node's region
-//! reads its columns instead of computing them, and the pass that prices
-//! a folded plan at an hour reads the energy and bytes instead of folding
-//! again.
+//! and every edge, its bytes over each bandwidth the transfer was read at,
+//! and — for each region a plan has run a node in — the seconds the node
+//! took, what Lambda billed for them and the energy it drew. They are pure
+//! functions of (bank, site, region or bandwidth) too — no plan or hour
+//! enters them — so a second plan that agrees on a site reads its columns
+//! instead of computing them, and the pass that prices a folded plan at an
+//! hour reads the energy and bytes instead of folding again.
+//!
+//! A fold lists no columns up front. It reads the bank under the read
+//! lock, each column by index — a `(site, primitive)` slot, a node's
+//! columns by its region, a transfer's quotient by its bandwidth — and
+//! only if one is short does it [`SharedBank::fill`]: under the write lock
+//! `crate::prep` walks the sites its plan reads and hands each primitive
+//! it still needs to the bank, which draws it, preparing a profile
+//! distribution only then. Then the batch is folded again.
 
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
-use caribou_model::dist::{DistSpec, PreparedDist};
+use caribou_model::dist::DistSpec;
 use caribou_model::region::RegionId;
 use caribou_model::rng::{Pcg32, SeedSplitter};
 
@@ -83,20 +91,27 @@ pub(crate) enum Prim {
 
 const PRIMS: usize = 6;
 
-/// How a column's values are drawn.
+/// How a column's values are drawn. A profile distribution is prepared
+/// (its logarithm taken) when the column is extended, not before.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Draw<'a> {
     /// One sample of a profile distribution.
-    Dist(PreparedDist<'a>),
+    Dist(&'a DistSpec),
     /// `base.max(0) × lognormal(0, sigma)`: the region-free part of
     /// `LambdaRuntime::execute_forced`.
-    ExecFactor { base: PreparedDist<'a>, sigma: f64 },
+    ExecFactor { base: &'a DistSpec, sigma: f64 },
     /// `lognormal(mu, sigma)`.
     LogNormal { mu: f64, sigma: f64 },
     /// Uniform on `[0, 1)`.
     Uniform,
-    /// With probability `prob`, one `.max(0)` sample of `curve`.
-    Cold { prob: f64, curve: &'a DistSpec },
+    /// With probability `prob`, one `.max(0)` sample of `curve`, the
+    /// cold-start curve of `region`: the bank finds the column by (node,
+    /// region).
+    Cold {
+        prob: f64,
+        curve: &'a DistSpec,
+        region: RegionId,
+    },
 }
 
 /// One column an estimate reads, and how to fill it.
@@ -124,6 +139,11 @@ pub(crate) enum Derived {
     EntryGb,
     /// GB an edge carries.
     EdgeGb(usize),
+    /// `bytes.max(0) / bw` of a transfer site (the entry or an edge) at
+    /// the bandwidth whose bits are the second field: the term the latency
+    /// model adds to the one-way latency before the jitter multiplies the
+    /// sum. Held for every sample, taken or not.
+    Quotient(Site, u64),
     /// Seconds a node's execution in a region takes, external-data legs
     /// and cold start included; held for every sample, reached or not.
     Seconds(usize, RegionId),
@@ -145,10 +165,15 @@ impl Derived {
         ]
     }
 
+    /// The quotient column of transfer `site` at bandwidth `bw`.
+    pub(crate) fn quotient(site: Site, bw: f64) -> Derived {
+        Derived::Quotient(site, bw.to_bits())
+    }
+
     /// A node column's node, region and place in [`Self::site`].
     fn of_site(self) -> Option<(usize, RegionId, usize)> {
         match self {
-            Derived::EntryGb | Derived::EdgeGb(_) => None,
+            Derived::EntryGb | Derived::EdgeGb(_) | Derived::Quotient(..) => None,
             Derived::Seconds(node, region) => Some((node, region, 0)),
             Derived::Bill(node, region) => Some((node, region, 1)),
             Derived::Energy(node, region) => Some((node, region, 2)),
@@ -179,11 +204,35 @@ struct Column {
 /// they consume equally many draws per penalty.
 #[derive(Debug)]
 struct ColdColumn {
-    node: usize,
     curve: DistSpec,
     rng: Pcg32,
     drawn: usize,
     hits: Vec<(usize, f64)>,
+}
+
+/// Positions held per region, indexed by the region's index.
+#[derive(Debug, Default, Clone)]
+struct ByRegion(Vec<usize>);
+
+impl ByRegion {
+    const NONE: usize = usize::MAX;
+
+    fn get(&self, region: RegionId) -> Option<usize> {
+        let at = self.0.get(region.index()).copied();
+        at.filter(|&at| at != Self::NONE)
+    }
+
+    fn set(&mut self, region: RegionId, at: usize) {
+        let i = region.index();
+        if self.0.len() <= i {
+            self.0.resize(i + 1, Self::NONE);
+        }
+        self.0[i] = at;
+    }
+
+    fn positions(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().copied().filter(|&at| at != Self::NONE)
+    }
 }
 
 /// The draw bank of one frozen estimation context. See the module docs.
@@ -194,12 +243,18 @@ pub struct DrawBank {
     slots: Vec<usize>,
     columns: Vec<Column>,
     cold: Vec<ColdColumn>,
-    /// Derived columns: the entry's, one per edge, then the three of each
-    /// (node, region) in order of first publication.
+    /// Per node, where in `cold` the column of each region resolved so
+    /// far is.
+    colds: Vec<ByRegion>,
+    /// Derived columns: the entry's GB, one per edge, then each quotient
+    /// and the three of each (node, region) in order of first publication.
     derived: Vec<Vec<f64>>,
-    /// Per node, the regions it has columns for and where the first of
-    /// the three ([`Derived::site`]) is.
-    sites: Vec<Vec<(RegionId, usize)>>,
+    /// Per node, where the first of the three columns ([`Derived::site`])
+    /// of each region it has them for is.
+    sites: Vec<ByRegion>,
+    /// Per transfer site (the entry, then each edge), the bandwidths it
+    /// has a quotient column for, by their bits, and where it is.
+    quotients: Vec<Vec<(u64, usize)>>,
 }
 
 impl DrawBank {
@@ -218,10 +273,14 @@ impl DrawBank {
             .resize((1 + 3 * id.nodes + id.edges) * PRIMS, usize::MAX);
         self.columns.clear();
         self.cold.clear();
+        self.colds.clear();
+        self.colds.resize(id.nodes, ByRegion::default());
         self.derived.clear();
         self.derived.resize(1 + id.edges, Vec::new());
         self.sites.clear();
-        self.sites.resize(id.nodes, Vec::new());
+        self.sites.resize(id.nodes, ByRegion::default());
+        self.quotients.clear();
+        self.quotients.resize(1 + id.edges, Vec::new());
         self.id = Some(id.clone());
     }
 
@@ -243,17 +302,17 @@ impl DrawBank {
             .rng()
     }
 
-    fn cold_position(&self, node: usize, curve: &DistSpec) -> Option<usize> {
-        self.cold
-            .iter()
-            .position(|c| c.node == node && c.curve == *curve)
+    /// Where in `cold` the cold-start column of `node` in `region` is,
+    /// once resolved.
+    fn cold_of(&self, node: usize, region: RegionId) -> Option<usize> {
+        self.colds[node].get(region)
     }
 
     /// Whether `need`'s column already holds `n` samples.
     pub(crate) fn has(&self, need: &Need<'_>, n: usize) -> bool {
         match (need.site, need.draw) {
-            (Site::Node(node), Draw::Cold { curve, .. }) => self
-                .cold_position(node, curve)
+            (Site::Node(node), Draw::Cold { region, .. }) => self
+                .cold_of(node, region)
                 .is_some_and(|c| self.cold[c].drawn >= n),
             _ => self
                 .columns
@@ -269,20 +328,40 @@ impl DrawBank {
         }
         let before;
         match (need.site, need.draw) {
-            (Site::Node(node), Draw::Cold { prob, curve }) => {
-                let at = self.cold_position(node, curve).unwrap_or_else(|| {
-                    caribou_telemetry::count("montecarlo.bank.columns", 1);
-                    let rng = self.stream(need.site, need.prim);
-                    self.cold.push(ColdColumn {
-                        node,
-                        curve: curve.clone(),
-                        rng,
-                        drawn: 0,
-                        hits: Vec::new(),
+            (
+                Site::Node(node),
+                Draw::Cold {
+                    prob,
+                    curve,
+                    region,
+                },
+            ) => {
+                let at = self.cold_of(node, region).unwrap_or_else(|| {
+                    // Resolved once per (node, region): a region whose
+                    // curve another of the node's regions has shares its
+                    // column.
+                    let shared = self.colds[node]
+                        .positions()
+                        .find(|&at| self.cold[at].curve == *curve);
+                    let at = shared.unwrap_or_else(|| {
+                        caribou_telemetry::count("montecarlo.bank.columns", 1);
+                        let rng = self.stream(need.site, need.prim);
+                        self.cold.push(ColdColumn {
+                            curve: curve.clone(),
+                            rng,
+                            drawn: 0,
+                            hits: Vec::new(),
+                        });
+                        self.cold.len() - 1
                     });
-                    self.cold.len() - 1
+                    self.colds[node].set(region, at);
+                    at
                 });
                 let col = &mut self.cold[at];
+                if col.drawn >= n {
+                    // Another region with this curve drew it already.
+                    return;
+                }
                 before = col.drawn;
                 for i in col.drawn..n {
                     if col.rng.chance(prob) {
@@ -305,50 +384,70 @@ impl DrawBank {
                 let Column { rng, vals } = &mut self.columns[self.slots[slot]];
                 before = vals.len();
                 vals.reserve_exact(n - before);
-                vals.extend((before..n).map(|_| match draw {
-                    Draw::Dist(dist) => dist.sample(rng),
-                    Draw::ExecFactor { base, sigma } => {
-                        base.sample(rng).max(0.0) * rng.lognormal(0.0, sigma)
+                let draws = before..n;
+                match draw {
+                    Draw::Dist(spec) => {
+                        let dist = spec.prepare();
+                        vals.extend(draws.map(|_| dist.sample(rng)));
                     }
-                    Draw::LogNormal { mu, sigma } => rng.lognormal(mu, sigma),
-                    Draw::Uniform => rng.next_f64(),
+                    Draw::ExecFactor { base, sigma } => {
+                        let base = base.prepare();
+                        vals.extend(
+                            draws.map(|_| base.sample(rng).max(0.0) * rng.lognormal(0.0, sigma)),
+                        );
+                    }
+                    Draw::LogNormal { mu, sigma } => {
+                        vals.extend(draws.map(|_| rng.lognormal(mu, sigma)));
+                    }
+                    Draw::Uniform => vals.extend(draws.map(|_| rng.next_f64())),
                     Draw::Cold { .. } => unreachable!("cold starts are node draws"),
-                }));
+                }
             }
         }
         caribou_telemetry::count("montecarlo.bank.extensions", 1);
         caribou_telemetry::count("montecarlo.bank.draws", (n - before) as u64);
     }
 
-    /// The drawn values of a column. Panics if it was never ensured.
-    pub(crate) fn column(&self, site: Site, prim: Prim) -> &[f64] {
-        &self.columns[self.slots[self.slot(site, prim)]].vals
+    /// Samples `lo..hi` of a column, if it holds that many.
+    pub(crate) fn column(&self, site: Site, prim: Prim, lo: usize, hi: usize) -> Option<&[f64]> {
+        let column = self.columns.get(self.slots[self.slot(site, prim)])?;
+        column.vals.get(lo..hi)
     }
 
-    /// The `(sample, penalty)` cold starts of a node under `curve` among
-    /// samples `lo..hi`.
+    /// The `(sample, penalty)` cold starts of a node in `region` among
+    /// samples `lo..hi`, if its column is drawn that far.
     pub(crate) fn cold_starts(
         &self,
         node: usize,
-        curve: &DistSpec,
+        region: RegionId,
         lo: usize,
         hi: usize,
-    ) -> &[(usize, f64)] {
-        let at = self.cold_position(node, curve).expect("ensured column");
-        let hits = &self.cold[at].hits;
-        let from = hits.partition_point(|(i, _)| *i < lo);
-        let to = hits.partition_point(|(i, _)| *i < hi);
-        &hits[from..to]
+    ) -> Option<&[(usize, f64)]> {
+        let col = &self.cold[self.cold_of(node, region)?];
+        let hits = &col.hits[..col.hits.partition_point(|(i, _)| *i < hi)];
+        (col.drawn >= hi).then(|| &hits[hits.partition_point(|(i, _)| *i < lo)..])
+    }
+
+    /// A transfer site's place in `quotients`.
+    fn transfer(site: Site) -> usize {
+        match site {
+            Site::Entry => 0,
+            Site::Edge(e) => 1 + e,
+            _ => unreachable!("quotients are entry and edge columns"),
+        }
     }
 
     fn derived_position(&self, col: Derived) -> Option<usize> {
         match col {
             Derived::EntryGb => Some(0),
             Derived::EdgeGb(e) => Some(1 + e),
+            Derived::Quotient(site, bw) => {
+                let held = &self.quotients[Self::transfer(site)];
+                held.iter().find(|(b, _)| *b == bw).map(|&(_, at)| at)
+            }
             _ => {
                 let (node, region, nth) = col.of_site()?;
-                let site = self.sites[node].iter().find(|(r, _)| *r == region);
-                site.map(|(_, first)| first + nth)
+                self.sites[node].get(region).map(|first| first + nth)
             }
         }
     }
@@ -364,9 +463,14 @@ impl DrawBank {
     /// it mid-batch.
     pub(crate) fn publish(&mut self, col: Derived, lo: usize, vals: &[f64]) {
         let at = self.derived_position(col).unwrap_or_else(|| {
-            let (node, region, nth) = col.of_site().expect("transfer columns exist from binding");
             let first = self.derived.len();
-            self.sites[node].push((region, first));
+            if let Derived::Quotient(site, bw) = col {
+                self.quotients[Self::transfer(site)].push((bw, first));
+                self.derived.push(Vec::new());
+                return first;
+            }
+            let (node, region, nth) = col.of_site().expect("GB columns exist from binding");
+            self.sites[node].set(region, first);
             self.derived.resize(first + 3, Vec::new());
             first + nth
         });
@@ -386,32 +490,17 @@ impl DrawBank {
 pub struct SharedBank(Arc<RwLock<DrawBank>>);
 
 impl SharedBank {
-    /// A read guard on the bank, bound to `id`, with every column in
-    /// `needs` holding `n` samples: taken directly when that is already
-    /// so, after extending under the write lock otherwise.
-    pub(crate) fn covering(
-        &self,
-        id: &BankId,
-        needs: &[Need<'_>],
-        n: usize,
-    ) -> RwLockReadGuard<'_, DrawBank> {
-        loop {
-            let read = self.0.read().expect("bank lock");
-            if read.is(id) && needs.iter().all(|need| read.has(need, n)) {
-                return read;
-            }
-            drop(read);
-            let mut write = self.0.write().expect("bank lock");
-            write.bind(id);
-            for need in needs {
-                write.ensure(need, n);
-            }
-        }
-    }
-
-    /// A read guard on the bank if it is bound to `id`.
+    /// A read guard on the bank if it is bound to `id`. A fold reads its
+    /// columns under it and, should one be short, [`Self::fill`]s.
     pub(crate) fn bound(&self, id: &BankId) -> Option<RwLockReadGuard<'_, DrawBank>> {
         Some(self.0.read().expect("bank lock")).filter(|bank| bank.is(id))
+    }
+
+    /// Binds the bank to `id` and hands it to `fill` under the write lock.
+    pub(crate) fn fill(&self, id: &BankId, fill: impl FnOnce(&mut DrawBank)) {
+        let mut write = self.0.write().expect("bank lock");
+        write.bind(id);
+        fill(&mut write);
     }
 
     /// Publishes samples `lo..` of the derived columns a fold of `id`'s
@@ -463,12 +552,14 @@ mod tests {
             chunked.ensure(&at, n);
         }
         assert_eq!(
-            whole.column(Site::Edge(1), Prim::Jitter),
-            chunked.column(Site::Edge(1), Prim::Jitter)
+            whole.column(Site::Edge(1), Prim::Jitter, 0, 500),
+            chunked.column(Site::Edge(1), Prim::Jitter, 0, 500)
         );
         // Asking for fewer samples than are there draws nothing.
         chunked.ensure(&at, 10);
-        assert_eq!(chunked.column(Site::Edge(1), Prim::Jitter).len(), 500);
+        assert!(chunked
+            .column(Site::Edge(1), Prim::Jitter, 0, 501)
+            .is_none());
     }
 
     #[test]
@@ -488,7 +579,7 @@ mod tests {
         for site in sites {
             for prim in [Prim::Jitter, Prim::Pick] {
                 bank.ensure(&Need::new(site, prim, Draw::Uniform), 4);
-                firsts.push(bank.column(site, prim)[0].to_bits());
+                firsts.push(bank.column(site, prim, 0, 1).unwrap()[0].to_bits());
             }
         }
         firsts.sort_unstable();
@@ -502,13 +593,16 @@ mod tests {
         let mut bank = DrawBank::default();
         bank.bind(&id(1));
         bank.ensure(&at, 8);
-        let first = bank.column(Site::Entry, Prim::Value).to_vec();
+        let first = bank
+            .column(Site::Entry, Prim::Value, 0, 8)
+            .unwrap()
+            .to_vec();
         bank.bind(&id(1));
         assert!(bank.has(&at, 8), "same identity keeps the columns");
         bank.bind(&id(2));
         assert!(!bank.has(&at, 1));
         bank.ensure(&at, 8);
-        assert_ne!(first, bank.column(Site::Entry, Prim::Value));
+        assert_ne!(first, bank.column(Site::Entry, Prim::Value, 0, 8).unwrap());
         let wider = BankId { nodes: 4, ..id(2) };
         bank.bind(&wider);
         assert!(!bank.has(&at, 1));
@@ -524,24 +618,76 @@ mod tests {
             median: 0.9,
             sigma: 0.5,
         };
-        let cold = |curve| Draw::Cold { prob: 0.1, curve };
+        let cold = |curve, region| Draw::Cold {
+            prob: 0.1,
+            curve,
+            region: RegionId(region),
+        };
         let mut bank = DrawBank::default();
         bank.bind(&id(5));
-        bank.ensure(&Need::new(Site::Node(1), Prim::Cold, cold(&curve)), 400);
-        bank.ensure(&Need::new(Site::Node(1), Prim::Cold, cold(&steeper)), 1_000);
-        bank.ensure(&Need::new(Site::Node(1), Prim::Cold, cold(&curve)), 1_000);
-        let a = bank.cold_starts(1, &curve, 0, 1_000);
-        let b = bank.cold_starts(1, &steeper, 0, 1_000);
+        bank.ensure(&Need::new(Site::Node(1), Prim::Cold, cold(&curve, 0)), 400);
+        bank.ensure(
+            &Need::new(Site::Node(1), Prim::Cold, cold(&steeper, 1)),
+            1_000,
+        );
+        // Regions 2 and 3 have region 0's curve: they read region 0's
+        // column, which region 3 finds deeper than it asks for.
+        bank.ensure(
+            &Need::new(Site::Node(1), Prim::Cold, cold(&curve, 2)),
+            1_000,
+        );
+        bank.ensure(&Need::new(Site::Node(1), Prim::Cold, cold(&curve, 3)), 500);
+        assert_eq!(bank.cold.len(), 2);
+        let a = bank.cold_starts(1, RegionId(0), 0, 1_000).unwrap();
+        let b = bank.cold_starts(1, RegionId(1), 0, 1_000).unwrap();
+        for region in [2, 3] {
+            assert_eq!(Some(a), bank.cold_starts(1, RegionId(region), 0, 1_000));
+        }
         assert!((60..150).contains(&a.len()), "{} cold of 1000", a.len());
         // Same stream, same draws per penalty: the same samples are cold.
         let samples = |hits: &[(usize, f64)]| hits.iter().map(|h| h.0).collect::<Vec<_>>();
         assert_eq!(samples(a), samples(b));
         assert!(a.iter().zip(b).all(|(x, y)| x.1 < y.1));
-        let window = bank.cold_starts(1, &curve, 400, 600);
+        let window = bank.cold_starts(1, RegionId(0), 400, 600).unwrap();
         assert!(window.iter().all(|(i, _)| (400..600).contains(i)));
         assert_eq!(
             window.len(),
             a.iter().filter(|(i, _)| (400..600).contains(i)).count()
         );
+        // Region 3 left the column as deep: extending it draws on from
+        // sample 1,000.
+        let a = a.to_vec();
+        bank.ensure(
+            &Need::new(Site::Node(1), Prim::Cold, cold(&curve, 0)),
+            1_200,
+        );
+        assert_eq!(Some(&a[..]), bank.cold_starts(1, RegionId(0), 0, 1_000));
+        assert_eq!(bank.cold_starts(1, RegionId(0), 0, 1_201), None);
+        assert_eq!(bank.cold_starts(1, RegionId(4), 0, 1), None);
+    }
+
+    #[test]
+    fn quotients_are_kept_per_transfer_site_and_bandwidth() {
+        let mut bank = DrawBank::default();
+        bank.bind(&id(6));
+        let (intra, inter) = (100.0e6, 30.0e6);
+        let edge = Derived::quotient(Site::Edge(1), inter);
+        assert_eq!(bank.derived(edge, 0), None);
+        bank.publish(edge, 0, &[1.0, 2.0]);
+        bank.publish(Derived::quotient(Site::Edge(1), intra), 0, &[3.0]);
+        bank.publish(Derived::quotient(Site::Entry, inter), 0, &[4.0]);
+        // A second publication of samples already held appends nothing.
+        bank.publish(edge, 0, &[9.0, 9.0, 5.0]);
+        assert_eq!(bank.derived(edge, 3), Some(&[1.0, 2.0, 5.0][..]));
+        let intra_edge = Derived::quotient(Site::Edge(1), intra);
+        assert_eq!(bank.derived(intra_edge, 1), Some(&[3.0][..]));
+        assert_eq!(
+            bank.derived(Derived::quotient(Site::Edge(0), inter), 0),
+            None
+        );
+        let entry = Derived::quotient(Site::Entry, inter);
+        assert_eq!(bank.derived(entry, 1), Some(&[4.0][..]));
+        bank.bind(&id(7));
+        assert_eq!(bank.derived(edge, 0), None);
     }
 }

@@ -8,20 +8,23 @@
 //! through the DAG node by node (critical path by max/plus, billing,
 //! cost), keeps per-sample latency and cost, and writes down at every
 //! stopping-rule boundary what the rule tests and the summary reports —
-//! the plan's [`PlanRecord`]. On its way it computes, per sample, the GB
-//! each transfer moved and — where the bank does not hold them yet — the
-//! seconds each node took in its region, their bill and their energy, and
-//! publishes them as the bank's [`Derived`] columns. A neighbour of a
-//! folded plan differs from it in a node or two, so its fold reads every
-//! other node's columns back; `crate::price` multiplies the energy and the
+//! the plan's [`PlanRecord`]. On its way — where the bank does not hold
+//! them yet — it computes, per sample, the GB each transfer moved, each
+//! modelled transfer's bytes over its bandwidth, and the seconds each node
+//! took in its region, their bill and their energy, and publishes them as
+//! the bank's [`Derived`] columns. A neighbour of a folded plan differs
+//! from it in a node or two, so its fold reads every other site's columns
+//! back and is left with its arithmetic: no division, no table of
+//! constants, no allocation; `crate::price` multiplies the energy and the
 //! GB by the grid, which is all that is left to do for another time of
 //! day.
 
 use caribou_model::dag::WorkflowDag;
+use caribou_model::plan::DeploymentPlan;
 
 use crate::bank::{BankId, Derived, DrawBank, Prim, SharedBank, Site};
 use crate::energy;
-use crate::prep::{self, pick, EdgePrep, ExecPrep, NodePrep, PlanPrep, TransferPrep};
+use crate::prep::{self, pick, EdgePrep, ExecPrep, NodePrep, Prep, TransferPrep};
 use crate::summary::{p95, DistSummary, Moments};
 use crate::wide;
 
@@ -81,10 +84,14 @@ pub(crate) struct FoldState {
     finish: Vec<f64>,
     /// Per sample of the batch: start time of the node being folded.
     ready: Vec<f64>,
-    /// The batch's derived columns, `batch` samples each, in
-    /// [`derived_columns`] order; stale where the bank already held the
-    /// column and the fold read it there.
+    /// The batch's derived columns, `batch` samples each: the entry's GB,
+    /// each edge's, the entry's quotient, each edge's, then each node's
+    /// three; stale where the bank already held the column and the fold
+    /// read it there.
     derived: Vec<f64>,
+    /// The columns of `derived` the batch computed, and their stretch:
+    /// what the fold publishes.
+    computed: Vec<(Derived, usize)>,
     /// Node sites (a node in its region, per batch) whose columns the
     /// bank served, and those computed, since the last reset.
     pub(crate) sites_read: u64,
@@ -113,7 +120,7 @@ impl FoldState {
     /// the plan folded before.
     pub(crate) fn reset(&mut self, dag: &WorkflowDag, batch: usize) {
         let nodes = dag.node_count();
-        let columns = 1 + dag.edge_count() + 3 * nodes;
+        let columns = 2 * (1 + dag.edge_count()) + 3 * nodes;
         if self.finish.len() < nodes * batch
             || self.ready.len() < batch
             || self.derived.len() < columns * batch
@@ -130,22 +137,12 @@ impl FoldState {
     }
 }
 
-/// The derived column each `batch`-sample stretch of `FoldState::derived`
-/// holds after a fold of `prep`'s plan.
-fn derived_columns<'p>(prep: &'p PlanPrep<'_>) -> impl Iterator<Item = Derived> + 'p {
-    let transfers = (0..prep.edges.len()).map(Derived::EdgeGb);
-    let nodes = prep.nodes.iter().enumerate();
-    std::iter::once(Derived::EntryGb)
-        .chain(transfers)
-        .chain(nodes.flat_map(|(ni, np)| Derived::site(ni, np.region)))
-}
-
-/// Folds whole batches of `prep`'s plan, from where `s` stands, until `n`
-/// samples are folded: publishes each batch's derived columns to the bank
-/// and appends each boundary to `record`.
+/// Folds whole batches of `plan`, from where `s` stands, until `n` samples
+/// are folded: publishes what each batch computed of the bank's derived
+/// columns and appends each boundary to `record`.
 pub(crate) fn extend(
-    dag: &WorkflowDag,
-    prep: &PlanPrep<'_>,
+    prep: &Prep<'_>,
+    plan: &DeploymentPlan,
     (bank, id): (&SharedBank, &BankId),
     s: &mut FoldState,
     record: &mut PlanRecord,
@@ -155,19 +152,34 @@ pub(crate) fn extend(
     while s.lat.len() < n {
         let lo = s.lat.len();
         let hi = lo + batch;
-        let unpublished = wide::run(Batch {
-            dag,
-            prep,
-            bank: &bank.covering(id, &prep.needs, hi),
-            s,
-            lo,
-            hi,
+        let counts = (s.sites_read, s.sites_folded);
+        let folded = bank.bound(id).is_some_and(|bank| {
+            wide::run(Batch {
+                prep,
+                plan,
+                bank: &bank,
+                s,
+                lo,
+                hi,
+            })
         });
-        if unpublished {
-            // A stale stretch is a column the bank holds to `hi`:
-            // publishing appends nothing of it.
-            let batches = s.derived.chunks_exact(batch);
-            bank.publish(id, lo, derived_columns(prep).zip(batches));
+        if !folded {
+            // A column was short, or the bank another context's: draw
+            // what the plan reads, then fold the batch again.
+            s.lat.truncate(lo);
+            s.cost.truncate(lo);
+            (s.sites_read, s.sites_folded) = counts;
+            bank.fill(id, |bank| prep.walk(plan, bank, hi));
+            continue;
+        }
+        if !s.computed.is_empty() {
+            let derived = &s.derived;
+            let computed = s.computed.iter();
+            bank.publish(
+                id,
+                lo,
+                computed.map(|&(col, at)| (col, &derived[at * batch..][..batch])),
+            );
         }
         (s.lat_sum, s.cost_sum) = sums(&s.lat[lo..], &s.cost[lo..], (s.lat_sum, s.cost_sum));
         let (lat, cost) = Moments::of_pair((&s.lat, s.lat_sum), (&s.cost, s.cost_sum));
@@ -195,8 +207,8 @@ fn sums(xs: &[f64], ys: &[f64], (mut a, mut b): (f64, f64)) -> (f64, f64) {
 /// One batch of a fold's operands; [`fold`] is its body, inlined with
 /// every loop it calls into each vector level's wrapper (`crate::wide`).
 struct Batch<'a, 'p> {
-    dag: &'a WorkflowDag,
-    prep: &'a PlanPrep<'p>,
+    prep: &'a Prep<'p>,
+    plan: &'a DeploymentPlan,
     bank: &'a DrawBank,
     s: &'a mut FoldState,
     lo: usize,
@@ -208,7 +220,7 @@ impl wide::Kernel for Batch<'_, '_> {
 
     #[inline(always)]
     fn call(self) -> bool {
-        fold(self.dag, self.prep, self.bank, self.s, self.lo, self.hi)
+        fold(self.prep, self.plan, self.bank, self.s, self.lo, self.hi).is_some()
     }
 }
 
@@ -216,51 +228,81 @@ impl wide::Kernel for Batch<'_, '_> {
 /// node: a pass per in-edge accumulates each sample's start time and
 /// cost; a pass per node adds the node's seconds and bill. A derived
 /// column the bank holds to `hi` is read, any other computed first into
-/// `s.derived` — `true` if any was, for the caller to publish. The passes
-/// are straight lines over the batch: a sample that never gets somewhere
+/// `s.derived` and listed in `s.computed`, for the caller to publish;
+/// `None` as soon as a primitive column it reads is short. The passes are
+/// straight lines over the batch: a sample that never gets somewhere
 /// carries `NEG_INFINITY` there and selects its old cost. Each is a free
 /// function of its columns (see "Sample loops" in DESIGN.md), its arms
 /// matched here, outside the loop.
 #[inline(always)]
 fn fold(
-    dag: &WorkflowDag,
-    prep: &PlanPrep<'_>,
+    prep: &Prep<'_>,
+    plan: &DeploymentPlan,
     bank: &DrawBank,
     s: &mut FoldState,
     lo: usize,
     hi: usize,
-) -> bool {
-    let m = hi - lo;
-    let column = |site, prim| &bank.column(site, prim)[lo..hi];
+) -> Option<()> {
+    let dag = prep.dag;
+    let (m, edges) = (hi - lo, dag.edge_count());
+    let column = |site, prim| bank.column(site, prim, lo, hi);
     let banked = |col| bank.derived(col, hi).map(|vals| &vals[lo..hi]);
     s.lat.resize(hi, 0.0);
     s.cost.resize(hi, 0.0);
-    let (lat, cost) = (&mut s.lat[lo..], &mut s.cost[lo..]);
-    let ready = &mut s.ready[..m];
-    let (entry_gb, derived) = s.derived.split_at_mut(m);
-    let (edge_gb, node_sites) = derived.split_at_mut(prep.edges.len() * m);
-    let mut computed = false;
+    let FoldState {
+        finish,
+        ready,
+        derived,
+        computed,
+        sites_read,
+        sites_folded,
+        lat,
+        cost,
+        ..
+    } = s;
+    let (lat, cost) = (&mut lat[lo..], &mut cost[lo..]);
+    let ready = &mut ready[..m];
+    let (entry_gb, derived) = derived.split_at_mut(m);
+    let (edge_gb, derived) = derived.split_at_mut(edges * m);
+    let (entry_q, derived) = derived.split_at_mut(m);
+    let (edge_q, node_sites) = derived.split_at_mut(edges * m);
+    computed.clear();
 
     // The client delivers the input to the start node from home.
-    let e = &prep.entry;
-    let input = column(Site::Entry, Prim::Value);
-    let setup = e.setup.then(|| column(Site::Entry, Prim::Overhead));
-    let xfer = column(Site::Entry, e.transfer.prim());
+    let e = prep.entry(plan);
+    let setup = if e.setup {
+        Some(column(Site::Entry, Prim::Overhead)?)
+    } else {
+        None
+    };
+    let xfer = column(Site::Entry, e.transfer.prim())?;
     // A loop stays out of closures, which are not inlined into a level's
     // wrapper at every size (see `crate::wide`).
     let gb = match banked(Derived::EntryGb) {
         Some(gb) => gb,
         None => {
-            computed = true;
-            to_gb(entry_gb, input);
+            to_gb(entry_gb, column(Site::Entry, Prim::Value)?);
+            computed.push((Derived::EntryGb, 0));
             entry_gb
         }
     };
     match e.transfer {
-        TransferPrep::Model { ow, bw } => entry(ready, setup, input, xfer, |bytes, jitter| {
-            prep::model_seconds(ow, bw, bytes, jitter)
-        }),
-        TransferPrep::Learned(samples) => entry(ready, setup, input, xfer, |_, u| {
+        TransferPrep::Model { ow, bw } => {
+            let col = Derived::quotient(Site::Entry, bw);
+            let q = match banked(col) {
+                Some(q) => q,
+                None => {
+                    quotients(entry_q, column(Site::Entry, Prim::Value)?, bw);
+                    computed.push((col, 1 + edges));
+                    entry_q
+                }
+            };
+            entry(ready, setup, q, xfer, |q, jitter| {
+                prep::model_seconds(ow, q, jitter)
+            })
+        }
+        // The pick reads no quotient; the draws stand in for it.
+        TransferPrep::Learned(samples) => entry(ready, setup, xfer, xfer, |_, u| {
             prep::learned_seconds(samples, u)
         }),
     }
@@ -268,73 +310,85 @@ fn fold(
 
     for &node in dag.topo_order() {
         let ni = node.index();
-        let np = &prep.nodes[ni];
+        let region = plan.region_of(node);
         if node != dag.start() {
             // Whether and when each sample starts this node: when the
             // last taken in-edge delivers.
             ready.fill(f64::NEG_INFINITY);
             for &eid in dag.in_edges(node) {
-                let ep = &prep.edges[eid.index()];
-                let site = Site::Edge(eid.index());
-                let from = &s.finish[ep.from * m..][..m];
-                let payload = column(site, Prim::Value);
-                let gb = &mut edge_gb[eid.index() * m..][..m];
-                let gb = match banked(Derived::EdgeGb(eid.index())) {
+                let ei = eid.index();
+                let ep = prep.edge(plan, ei);
+                let site = Site::Edge(ei);
+                let from = &finish[ep.from * m..][..m];
+                let gb = &mut edge_gb[ei * m..][..m];
+                let gb = match banked(Derived::EdgeGb(ei)) {
                     Some(gb) => gb,
                     None => {
-                        computed = true;
+                        let payload = column(site, Prim::Value)?;
                         let prob = ep.prob;
-                        if ep.gated() {
-                            let uniform = column(site, Prim::Taken);
+                        if prep::gated(prob) {
+                            let uniform = column(site, Prim::Taken)?;
                             carried_if(gb, from, uniform, payload, |u| u < prob);
                         } else {
                             // Certain either way; any column stands in for
                             // the uniform.
                             carried_if(gb, from, from, payload, |_| prob >= 1.0);
                         }
+                        computed.push((Derived::EdgeGb(ei), 1 + ei));
                         gb
                     }
                 };
-                let overhead = column(site, Prim::Overhead);
-                let xfer = column(site, ep.transfer.prim());
+                let overhead = column(site, Prim::Overhead)?;
+                let xfer = column(site, ep.transfer.prim())?;
                 match ep.transfer {
                     TransferPrep::Model { ow, bw } => {
-                        arrive(ready, gb, from, overhead, payload, xfer, |bytes, jitter| {
-                            prep::model_seconds(ow, bw, bytes, jitter)
+                        let col = Derived::quotient(site, bw);
+                        let q = &mut edge_q[ei * m..][..m];
+                        let q = match banked(col) {
+                            Some(q) => q,
+                            None => {
+                                quotients(q, column(site, Prim::Value)?, bw);
+                                computed.push((col, 2 + edges + ei));
+                                q
+                            }
+                        };
+                        arrive(ready, gb, from, overhead, q, xfer, |q, jitter| {
+                            prep::model_seconds(ow, q, jitter)
                         })
                     }
                     TransferPrep::Learned(samples) => {
-                        arrive(ready, gb, from, overhead, payload, xfer, |_, u| {
+                        arrive(ready, gb, from, overhead, xfer, xfer, |_, u| {
                             prep::learned_seconds(samples, u)
                         })
                     }
                 }
-                fees(cost, gb, from, ep);
+                fees(cost, gb, from, &ep);
             }
         }
 
         let site = &mut node_sites[3 * ni * m..][..3 * m];
-        let [seconds, bill, _] = Derived::site(ni, np.region);
+        let [seconds, bill, energy] = Derived::site(ni, region);
         let (seconds, bill) = match banked(seconds).zip(banked(bill)) {
             Some(read) => {
-                s.sites_read += 1;
+                *sites_read += 1;
                 read
             }
             None => {
-                s.sites_folded += 1;
-                computed = true;
-                node_site(np, ni, bank, ready, site, lo, hi);
+                *sites_folded += 1;
+                node_site(&prep.node(ni, region), ni, bank, ready, site, lo, hi)?;
+                let first = 2 + 2 * edges + 3 * ni;
+                computed.extend([(seconds, first), (bill, first + 1), (energy, first + 2)]);
                 let (seconds, rest) = site.split_at(m);
                 (seconds, &rest[..m])
             }
         };
-        let finish = &mut s.finish[ni * m..][..m];
+        let finish = &mut finish[ni * m..][..m];
         // No fetch adds `0.0`, which moves no bit: `cost` is never `-0.0`
         // (the entry wrote `x + kv`).
-        let ext_cost = np.ext.as_ref().map_or(0.0, |ext| ext.cost);
+        let ext_cost = prep.ext_cost(ni, region);
         node_finish(finish, lat, cost, ready, seconds, bill, ext_cost);
     }
-    computed
+    Some(())
 }
 
 /// The GB each sample's `bytes` are.
@@ -346,30 +400,40 @@ fn to_gb(gb: &mut [f64], bytes: &[f64]) {
     }
 }
 
+/// Each sample's [`prep::quotient`] of `bytes` over `bw`.
+#[inline(always)]
+fn quotients(q: &mut [f64], bytes: &[f64], bw: f64) {
+    let bytes = &bytes[..q.len()];
+    for i in 0..q.len() {
+        q[i] = prep::quotient(bytes[i], bw);
+    }
+}
+
 /// When each sample starts the start node: the setup draw, where the
-/// orchestrator has one, plus the input's `seconds(bytes, draw)`. Without
-/// a setup the sum keeps its `0.0 +`, which turns a `-0.0` into `0.0` as
-/// a sampler adding the seconds to a zero setup does.
+/// orchestrator has one, plus the input's `seconds(q, draw)` (`q` its
+/// quotient, or any column a pick ignores). Without a setup the sum keeps
+/// its `0.0 +`, which turns a `-0.0` into `0.0` as a sampler adding the
+/// seconds to a zero setup does.
 #[inline(always)]
 fn entry(
     ready: &mut [f64],
     setup: Option<&[f64]>,
-    input: &[f64],
+    q: &[f64],
     xfer: &[f64],
     seconds: impl Fn(f64, f64) -> f64,
 ) {
     let m = ready.len();
-    let (input, xfer) = (&input[..m], &xfer[..m]);
+    let (q, xfer) = (&q[..m], &xfer[..m]);
     match setup {
         Some(setup) => {
             let setup = &setup[..m];
             for i in 0..m {
-                ready[i] = setup[i] + seconds(input[i], xfer[i]);
+                ready[i] = setup[i] + seconds(q[i], xfer[i]);
             }
         }
         None => {
             for i in 0..m {
-                ready[i] = 0.0 + seconds(input[i], xfer[i]);
+                ready[i] = 0.0 + seconds(q[i], xfer[i]);
             }
         }
     }
@@ -404,24 +468,25 @@ fn carried_if(
 }
 
 /// Moves each sample's start to the edge's arrival where that is later:
-/// `seconds(bytes, draw)` after the source finished and the transition
-/// overhead. A source that never ran keeps the sum at −∞ by itself; a
-/// skipped edge (`gb` NaN) is put there.
+/// `seconds(q, draw)` after the source finished and the transition
+/// overhead (`q` the payload's quotient, or any column a pick ignores). A
+/// source that never ran keeps the sum at −∞ by itself; a skipped edge
+/// (`gb` NaN) is put there.
 #[inline(always)]
 fn arrive(
     ready: &mut [f64],
     gb: &[f64],
     from: &[f64],
     overhead: &[f64],
-    payload: &[f64],
+    q: &[f64],
     xfer: &[f64],
     seconds: impl Fn(f64, f64) -> f64,
 ) {
     let m = ready.len();
     let (gb, from, overhead) = (&gb[..m], &from[..m], &overhead[..m]);
-    let (payload, xfer) = (&payload[..m], &xfer[..m]);
+    let (q, xfer) = (&q[..m], &xfer[..m]);
     for i in 0..m {
-        let arrive = from[i] + overhead[i] + seconds(payload[i], xfer[i]);
+        let arrive = from[i] + overhead[i] + seconds(q[i], xfer[i]);
         let arrive = if gb[i].is_nan() {
             f64::NEG_INFINITY
         } else {
@@ -483,7 +548,8 @@ fn node_finish(
 /// `np` has it — [`Derived::site`] order, `hi - lo` samples each, into
 /// `site`. Seconds and bill are held for every sample; the energy is `NaN`
 /// where the sample skipped the node (`ready` at −∞), which the bank's
-/// uniforms and the profile decide alone, not the plan.
+/// uniforms and the profile decide alone, not the plan. `None` if a
+/// column it reads is short.
 #[inline(always)]
 fn node_site(
     np: &NodePrep<'_>,
@@ -493,29 +559,32 @@ fn node_site(
     site: &mut [f64],
     lo: usize,
     hi: usize,
-) {
+) -> Option<()> {
     let m = hi - lo;
-    let column = |site, prim| &bank.column(site, prim)[lo..hi];
+    let column = |site, prim| bank.column(site, prim, lo, hi);
     let (seconds, rest) = site.split_at_mut(m);
     let (bill, kwh) = rest.split_at_mut(m);
     match np.exec {
         ExecPrep::Model { pf, cold } => {
-            scaled(seconds, column(Site::Node(ni), Prim::Value), pf);
-            if let Some(curve) = cold {
-                for &(i, penalty) in bank.cold_starts(ni, curve, lo, hi) {
+            scaled(seconds, column(Site::Node(ni), Prim::Value)?, pf);
+            if cold {
+                for &(i, penalty) in bank.cold_starts(ni, np.region, lo, hi)? {
                     seconds[i - lo] += penalty;
                 }
             }
         }
         ExecPrep::Learned { samples, scale } => {
-            picked(seconds, column(Site::Node(ni), Prim::Pick), samples, scale);
+            picked(seconds, column(Site::Node(ni), Prim::Pick)?, samples, scale);
         }
     }
     if let Some(ext) = &np.ext {
-        let out = column(Site::ExtOut(ni), ext.out.prim());
-        let back = column(Site::ExtBack(ni), ext.back.prim());
+        let out = column(Site::ExtOut(ni), ext.out.prim())?;
+        let back = column(Site::ExtBack(ni), ext.back.prim())?;
         let half = ext.half;
-        let model = |ow, bw| move |jitter| prep::model_seconds(ow, bw, half, jitter);
+        let model = |ow, bw| {
+            let q = prep::quotient(half, bw);
+            move |jitter| prep::model_seconds(ow, q, jitter)
+        };
         let learned = |samples| move |u| prep::learned_seconds(samples, u);
         use TransferPrep::{Learned, Model};
         match (&ext.out, &ext.back) {
@@ -532,6 +601,7 @@ fn node_site(
         }
     }
     bill_energy(bill, kwh, seconds, ready, np);
+    Some(())
 }
 
 /// Each sample's draw times a constant.

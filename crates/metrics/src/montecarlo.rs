@@ -14,8 +14,8 @@
 //! An estimate does not draw: the random primitives of a sample live in a
 //! [`DrawBank`](crate::bank::DrawBank) shared by every plan and hour of one
 //! frozen context. And it has two halves. The *fold* ([`crate::fold`])
-//! resolves a plan's constants once (`crate::prep`) and runs the bank's
-//! columns through the DAG node by node over the sample index — critical
+//! resolves a plan's constants site by site (`crate::prep`) and runs the
+//! bank's columns through the DAG node by node over the sample index — critical
 //! path by max/plus, billing, cost, the energy and bytes the carbon terms
 //! multiply — with no generator call and no transcendental on that path,
 //! and never sees an hour. The *pricing pass* (`crate::price`) multiplies
@@ -42,7 +42,7 @@ use crate::bank::{BankId, SharedBank};
 use crate::carbonmodel::CarbonModel;
 use crate::costmodel::CostModel;
 use crate::fold::{self, FoldState, PlanRecord};
-use crate::prep::PlanPrep;
+use crate::prep::Prep;
 use crate::price::PriceState;
 use crate::summary::DistSummary;
 
@@ -267,13 +267,13 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
             edges: self.dag.edge_count(),
         };
         rng.next_u64();
-        let m = self.models.base();
         let EstimateScratch { bank, fold, price } = scratch;
         let batch = self.config.batch;
         price.rates(self, plan, hour);
-        // Set once the plan has to be folded: its constants, and the
-        // record the fold writes.
-        let mut folded: Option<(PlanPrep<'_>, PlanRecord)> = None;
+        // Set once the plan has to be folded: the estimator's constants,
+        // resolved per site as the fold reaches it, and the record the
+        // fold writes.
+        let mut folded: Option<(Prep<'_>, PlanRecord)> = None;
         let priced = |price: &mut PriceState, n| {
             let bank = bank.bound(&id);
             bank.is_some_and(|bank| price.extend(self.dag, plan, &bank, n))
@@ -284,9 +284,9 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
             if !(covered && priced(price, n)) {
                 let (prep, grown) = folded.get_or_insert_with(|| {
                     fold.reset(self.dag, batch);
-                    (self.build_prep(&m, plan), PlanRecord::default())
+                    (self.prep(), PlanRecord::default())
                 });
-                fold::extend(self.dag, prep, (bank, &id), fold, grown, batch, n);
+                fold::extend(prep, plan, (bank, &id), fold, grown, batch, n);
                 assert!(
                     priced(price, n),
                     "a bank serves one frozen context at a time"
@@ -343,7 +343,7 @@ mod tests {
     use caribou_simcloud::cloud::SimCloud;
     use caribou_simcloud::pricing::PricingCatalog;
 
-    use crate::bank::Derived;
+    use crate::bank::{Derived, Prim, Site};
     use crate::wide::Level;
 
     type Flow = (WorkflowDag, WorkflowProfile);
@@ -695,7 +695,69 @@ mod tests {
         for col in std::iter::once(Derived::EntryGb).chain(edges).chain(nodes) {
             put(bank.derived(col, n).expect("a folded column"));
         }
+        // Each modelled transfer's quotient is its bytes, clamped at zero,
+        // over the bandwidth it is read at: checked here against the bytes
+        // the bank drew, not pinned, so the bits above stay those of a
+        // fold that divided per sample.
+        for (site, bw) in modelled(est, plan) {
+            let Some(bw) = bw else { continue };
+            let bytes = bank.column(site, Prim::Value, 0, n).expect("drawn bytes");
+            let q = bank.derived(Derived::quotient(site, bw), n);
+            let want: Vec<u64> = bytes.iter().map(|b| (b.max(0.0) / bw).to_bits()).collect();
+            let got: Vec<u64> = q.expect("a quotient").iter().map(|q| q.to_bits()).collect();
+            assert_eq!(got, want, "{site:?} at {bw} B/s");
+        }
         (bits, record)
+    }
+
+    /// Each transfer site of `plan` (the entry, then every edge) and the
+    /// bandwidth its transfer is modelled at; `None` where `est` picks
+    /// from logged history.
+    fn modelled<M: StageModels>(
+        est: &MonteCarloEstimator<'_, TableSource, M>,
+        plan: &DeploymentPlan,
+    ) -> Vec<(Site, Option<f64>)> {
+        let dag = est.dag;
+        let at = |from, to| {
+            let bw = est.models.base().latency.bandwidth_bps(from, to);
+            est.models
+                .learned_transfer(from, to)
+                .is_none()
+                .then_some(bw)
+        };
+        let entry = (Site::Entry, at(est.home, plan.region_of(dag.start())));
+        let edges = (0..dag.edge_count()).map(|ei| {
+            let e = dag.edge(caribou_model::dag::EdgeId(ei as u32));
+            (
+                Site::Edge(ei),
+                at(plan.region_of(e.from), plan.region_of(e.to)),
+            )
+        });
+        std::iter::once(entry).chain(edges).collect()
+    }
+
+    /// How many of `plan`'s modelled transfers the bank named by `seed`
+    /// holds the quotient of to `n` samples, and how many it does not.
+    fn quotients_held<M: StageModels>(
+        est: &MonteCarloEstimator<'_, TableSource, M>,
+        plan: &DeploymentPlan,
+        (seed, n): (u64, usize),
+        scratch: &EstimateScratch,
+    ) -> (usize, usize) {
+        let id = BankId {
+            stream: Pcg32::seed(seed),
+            nodes: est.dag.node_count(),
+            edges: est.dag.edge_count(),
+        };
+        let bank = scratch.bank.bound(&id).expect("a bank the seed names");
+        let sites = modelled(est, plan).into_iter();
+        let held = sites.filter_map(|(site, bw)| {
+            let q = Derived::quotient(site, bw?);
+            Some(bank.derived(q, n).is_some())
+        });
+        held.fold((0, 0), |(h, m), held| {
+            (h + held as usize, m + !held as usize)
+        })
     }
 
     /// The [`trace`]s of `plan` folded at one hour and re-priced from its
@@ -712,18 +774,45 @@ mod tests {
         bits
     }
 
+    /// `flow` with payloads and input that go negative a third of the
+    /// time, which the transfers' `.max(0)` clamps (a normal's draw is
+    /// clamped already; a uniform's is not).
+    fn signed((dag, mut profile): Flow) -> Flow {
+        for edge in &mut profile.edges {
+            edge.payload_bytes = DistSpec::Uniform {
+                lo: -3.0e6,
+                hi: 6.0e6,
+            };
+        }
+        profile.input_bytes = DistSpec::Uniform {
+            lo: -1.0e5,
+            hi: 2.0e5,
+        };
+        (dag, profile)
+    }
+
     /// A sweep through every kernel the estimator dispatches by vector
     /// level: certain and gated edges, a sync join, external data, learned
-    /// picks, skipped nodes, batches no lane width divides, a ragged tail
-    /// batch and a re-pricing from a record at another hour.
-    fn sweep(fx: &Fixture) -> Vec<u64> {
-        let flows = [diamond(None), diamond(Some(0.45)), chain(1.5, Some(0.3))];
+    /// picks, skipped nodes, negative bytes, batches no lane width divides,
+    /// a ragged tail batch, a re-pricing from a record at another hour, and
+    /// neighbours folded on one bank, modelled and learned transfers mixed,
+    /// of which the first computes its transfers' quotients and the next
+    /// read back those at the bandwidth they agree on. The second element
+    /// counts the quotients found held and missing before those folds.
+    fn sweep(fx: &Fixture) -> (Vec<u64>, (usize, usize)) {
+        let flows = [
+            diamond(None),
+            diamond(Some(0.45)),
+            chain(1.5, Some(0.3)),
+            signed(diamond(Some(0.6))),
+        ];
         let configs = [
             MonteCarloConfig::default(),
             capped(37, 111),
             capped(250, 250),
         ];
         let mut bits = Vec::new();
+        let mut held = (0, 0);
         for (f, flow) in flows.iter().enumerate() {
             let nodes = flow.0.node_count();
             let moved = [(1, "us-west-2"), (2, "us-west-2"), (3, "ca-central-1")];
@@ -761,21 +850,49 @@ mod tests {
             let est = fx.estimator(flow, &base, capped(50, 250));
             let empty = PlanRecord::default();
             bits.extend(trace(&est, &plans[1], (hour, seed), &mut scratch, &empty).0);
+            // Neighbours on one bank: the moved plan, it with its start node
+            // moved too, and the home plan.
+            let mut scratch = EstimateScratch::default();
+            let (hour, seed) = (5.5, 40 + f as u64);
+            let est = fx.estimator(flow, &logged, capped(200, 400));
+            let neighbour = fx.plan(nodes, &[moved, &[(0, "us-west-2")]].concat());
+            for (k, plan) in [&plans[1], &neighbour, &plans[0]].into_iter().enumerate() {
+                if k > 0 {
+                    let (h, m) = quotients_held(&est, plan, (seed, 400), &scratch);
+                    held = (held.0 + h, held.1 + m);
+                }
+                bits.extend(trace(&est, plan, (hour, seed), &mut scratch, &empty).0);
+            }
         }
-        bits
+        (bits, held)
+    }
+
+    /// A digest (FNV-1a over words) of the bits [`sweep`] collects,
+    /// captured on the fold that divided each transfer's bytes by its
+    /// bandwidth per sample and resolved the plan's constants into tables.
+    const SWEEP_DIGEST: u64 = 0x6e30_b418_dfc8_3765;
+
+    fn digest(bits: &[u64]) -> u64 {
+        let fnv = |h: u64, w: &u64| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        bits.iter().fold(0xcbf2_9ce4_8422_2325, fnv)
     }
 
     #[test]
     fn every_vector_level_folds_and_prices_the_same_bits() {
         let fx = fixture(true);
-        let base = crate::wide::at(Level::Base, || sweep(&fx));
+        let (base, (held, missing)) = crate::wide::at(Level::Base, || sweep(&fx));
         let skipped = base.iter().filter(|&&b| f64::from_bits(b).is_nan()).count();
         assert!(
             skipped > 0,
             "no sample of the sweep skipped a node or an edge"
         );
+        assert!(
+            held > 0 && missing > 0,
+            "neighbours found {held} quotients held and {missing} missing"
+        );
+        assert_eq!(digest(&base), SWEEP_DIGEST, "{:#x}", digest(&base));
         for level in crate::wide::levels() {
-            let wide = crate::wide::at(level, || sweep(&fx));
+            let (wide, _) = crate::wide::at(level, || sweep(&fx));
             assert_eq!(wide.len(), base.len(), "{level:?}");
             let first = wide.iter().zip(&base).position(|(a, b)| a != b);
             assert_eq!(

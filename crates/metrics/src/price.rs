@@ -18,6 +18,7 @@ use caribou_model::plan::DeploymentPlan;
 
 use crate::bank::{Derived, DrawBank};
 use crate::montecarlo::{MonteCarloEstimator, StageModels};
+use crate::prep;
 use crate::summary::{self, Moments};
 use crate::wide;
 
@@ -71,7 +72,7 @@ impl PriceState {
         self.ext_c.clear();
         self.ext_c.extend(dag.all_nodes().map(|node| {
             let region = plan.region_of(node);
-            est.external_bytes(node.index(), region).map(|bytes| {
+            prep::external_bytes(est.profile, est.home, node.index(), region).map(|bytes| {
                 let via = endpoint_average(source, region, est.home, hour);
                 est.carbon_model.transmission_carbon(bytes, via, false)
             })

@@ -211,6 +211,28 @@ for once in 'fn fold' 'energy::PUE' '1000.0).ceil()'; do
     fi
 done
 
+# A neighbour's fold pays for its arithmetic only: a modelled transfer's
+# `bytes.max(0) / bw` is a banked quotient column (computed once per site
+# and bandwidth, by prep::quotient), so the entry and arrival passes and
+# model_seconds never divide; the bank finds a node's cold-start column by
+# its region, not by comparing curves per column check; and a fold lists no
+# columns up front — prep resolves a plan's sites as the fold reaches them,
+# with no per-plan table or need list.
+echo "==> fold-arithmetic grep gates"
+if grep -nE '/ *bw\b|model_seconds\([^)]*\bbw\b' crates/metrics/src/fold.rs ||
+    grep -A 3 'fn model_seconds' crates/metrics/src/prep.rs | grep -F '/'; then
+    echo "error: the fold divides a transfer's bytes by its bandwidth per sample (see above)" >&2
+    exit 1
+fi
+if grep -nE 'cold_position|c\.node == node' crates/metrics/src/bank.rs; then
+    echo "error: the bank scans its cold-start columns comparing curves (see above)" >&2
+    exit 1
+fi
+if grep -nE 'Vec<Need|\[Need<|fn build_prep|struct PlanPrep' crates/metrics/src/*.rs; then
+    echo "error: a fold collects its plan's columns or constants per plan (see above)" >&2
+    exit 1
+fi
+
 # The estimator's sample loops are free functions over their columns: a
 # `&mut [f64]` parameter is `noalias` to LLVM and vectorises, a struct field
 # is not and stays scalar, so no struct of the fold or the pricing pass

@@ -4,8 +4,9 @@
 //! a sustained-load run's peak live heap must not grow with its length,
 //! a framework alternating between two workflows must allocate no more
 //! than one running them in turn, an HBSS walk over a warm cache must
-//! allocate per distinct plan, not per iteration, and a re-pricing must
-//! allocate nothing but the cache's new hour entry.
+//! allocate per distinct plan, not per iteration, a re-pricing must
+//! allocate nothing but the cache's new hour entry, and a fold of a plan
+//! whose every site the bank holds must allocate nothing but its record.
 //!
 //! Allocator calls are counted per thread — the libtest harness thread
 //! prints result lines and spawns the next test inside a sibling's
@@ -27,8 +28,9 @@ use caribou_core::loadgen::{run_loadgen, LoadgenConfig, CHUNK_INVOCATIONS};
 use caribou_core::scenario::{default_tolerances, workflow_app, World, HOME};
 use caribou_exec::engine::{ExecutionEngine, InvocationScratch};
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
-use caribou_metrics::montecarlo::MonteCarloConfig;
+use caribou_metrics::montecarlo::{EstimateScratch, MonteCarloConfig};
 use caribou_model::constraints::Constraints;
+use caribou_model::dag::NodeId;
 use caribou_model::manifest::DeploymentManifest;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::rng::Pcg32;
@@ -436,6 +438,69 @@ fn a_repricing_allocates_nothing_in_the_estimator() {
         on_repricings <= on_hits + growth,
         "{repriced} re-pricings allocated {on_repricings} times, the same walk on hits \
          {on_hits} (budget: that plus {growth} new hour entries)"
+    );
+}
+
+/// A neighbour of folded plans whose every site the bank holds — each
+/// node's columns in its region, each transfer's GB and its quotient at
+/// its bandwidth — is folded by arithmetic alone: it reads every column,
+/// computes none, resolves its constants site by site and lists nothing,
+/// so the estimate allocates its record and nothing else. (Before the
+/// per-site resolution the same fold built three per-plan tables and a
+/// list of ~35 columns to check: 7 allocations.)
+#[test]
+fn a_fold_on_resolved_sites_allocates_only_its_record() {
+    let _serial = serial();
+    let world = World::evaluation(5);
+    let bench = text2speech_censoring(InputSize::Small);
+    // Every estimate stops at one batch, so every fold reaches one depth.
+    let mc = MonteCarloConfig {
+        batch: 200,
+        max_samples: 200,
+        cv_threshold: 0.0,
+    };
+    let case = world.case(&bench, TransmissionScenario::BEST, mc);
+    let nodes = bench.dag.node_count();
+    let permitted = vec![world.regions.clone(); nodes];
+    let ctx = case.context(&permitted, default_tolerances(), &world.carbon);
+    let away = *world.regions.iter().find(|r| **r != world.home).unwrap();
+    let moved = |moved: &[u32]| {
+        let mut plan = DeploymentPlan::uniform(nodes, world.home);
+        moved.iter().for_each(|&n| plan.set(NodeId(n), away));
+        plan
+    };
+    // Home, then nodes 1 and 2 moved one at a time: every edge and the
+    // entry at both bandwidths, both nodes' columns away.
+    let mut scratch = EstimateScratch::default();
+    let fold = |plan: &DeploymentPlan, scratch: &mut EstimateScratch| {
+        ctx.evaluate_with_scratch(plan, 7.5, &mut Pcg32::seed(11), scratch)
+    };
+    for plan in [moved(&[]), moved(&[1]), moved(&[2])] {
+        fold(&plan, &mut scratch);
+    }
+    let both = moved(&[1, 2]);
+    let before = allocs();
+    let estimate = fold(&both, &mut scratch);
+    let allocated = allocs() - before;
+
+    caribou_telemetry::enable(Box::new(caribou_telemetry::NullSink));
+    assert_eq!(fold(&both, &mut scratch), estimate);
+    let recorder = caribou_telemetry::finish().unwrap().recorder;
+    assert_eq!(recorder.counter("montecarlo.folds"), 1);
+    assert_eq!(
+        recorder.counter("montecarlo.sites.folded"),
+        0,
+        "a node site was computed"
+    );
+    assert_eq!(
+        recorder.counter("montecarlo.bank.derived"),
+        0,
+        "a derived column was computed"
+    );
+    eprintln!("alloc_budget: a fold on resolved sites allocated {allocated} times");
+    assert!(
+        allocated <= 1,
+        "a fold on resolved sites allocated {allocated} times (budget: its record)"
     );
 }
 

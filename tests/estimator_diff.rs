@@ -1060,11 +1060,17 @@ fn fold_bits(h: &mut u64, e: &EstimateSummary) {
 /// pairs) × setup on (Caribou) and off (raw SNS) × the paper's 200/2000
 /// rule at its 5% threshold and at 1% (which stops between its bounds), a
 /// 40/80 rule and ragged 50-sample batches to 250 × four hours per plan,
-/// the later hours priced off the kept record. The digest folds every
-/// `EstimateSummary` in that order.
+/// the later hours priced off the kept record. A fourth plan, the first
+/// with one node moved, is folded last on the same bank: it reads back the
+/// transfer quotients the first plan's fold computed wherever an edge
+/// keeps its bandwidth, and computes those of the edges the move changed;
+/// every other seed's first edge carries payloads that go negative a third
+/// of the time, which the quotient clamps. The digest folds every
+/// `EstimateSummary` in that order; it was captured on the fold that
+/// divided each transfer's bytes per sample.
 #[test]
 fn every_estimator_path_is_pinned() {
-    const DIGEST: u64 = 0x181c_ff49_39c2_f585;
+    const DIGEST: u64 = 0x6559_9b82_5ffa_e94c;
     const HOURS: [f64; 4] = [0.5, 7.25, 13.0, 19.75];
     let rules = [
         (200, 2000, 0.05),
@@ -1077,14 +1083,27 @@ fn every_estimator_path_is_pinned() {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let (mut gated, mut certain, mut skips_into_sync, mut external_legs) = (0, 0, 0, 0);
     let (mut folded, mut repriced, mut capped, mut extended) = (0, 0, 0, 0);
+    let (mut kept_bandwidth, mut moved_bandwidth, mut learned_edges) = (0, 0, 0);
     for seed in 0..10u64 {
         let wf = random_workflow().generate(&mut TestRng::new(7_000 + seed));
         let mut profile = wf.profile.clone();
         vary_distributions(&mut profile, seed);
+        if seed % 2 == 0 {
+            profile.edges[0].payload_bytes = DistSpec::Uniform {
+                lo: -3.0e6,
+                hi: 6.0e6,
+            };
+        }
+        let first = random_plan(&wf.dag, &w.regions, seed);
+        let mut neighbour = first.clone();
+        let node = NodeId((seed % wf.dag.node_count() as u64) as u32);
+        let region = w.regions.iter().find(|r| **r != first.region_of(node));
+        neighbour.set(node, *region.expect("another region"));
         let plans = [
-            random_plan(&wf.dag, &w.regions, seed),
+            first,
             random_plan(&wf.dag, &w.regions, seed + 100),
             DeploymentPlan::uniform(wf.dag.node_count(), home),
+            neighbour,
         ];
         let probs = profile.edges.iter().map(|e| e.probability);
         gated += probs.clone().filter(|p| *p > 0.0 && *p < 1.0).count();
@@ -1092,6 +1111,25 @@ fn every_estimator_path_is_pinned() {
         skips_into_sync += usize::from(skips_into_sync_node(&wf.dag, &profile));
         external_legs += usize::from(fetches_from_afar(&wf.dag, &profile, &plans, home));
         let (history, _) = seeded_history(&w, &wf.dag, &plans[0], seed);
+        let logged = history.learned_models(
+            &profile,
+            &w.runtime,
+            &w.latency,
+            Orchestrator::Caribou,
+            home,
+        );
+        for ei in 0..wf.dag.edge_count() {
+            let e = wf.dag.edge(EdgeId(ei as u32));
+            let [(a0, b0), (a, b)] =
+                [&plans[0], &plans[3]].map(|p| (p.region_of(e.from), p.region_of(e.to)));
+            if logged.learned_transfer(a, b).is_some() {
+                learned_edges += 1;
+            } else if (a0 == b0) == (a == b) {
+                kept_bandwidth += 1;
+            } else {
+                moved_bandwidth += 1;
+            }
+        }
         for orchestrator in [Orchestrator::Caribou, Orchestrator::Sns] {
             let default = DefaultModels {
                 profile: &profile,
@@ -1143,6 +1181,11 @@ fn every_estimator_path_is_pinned() {
     assert!(
         capped > 0 && extended > 0,
         "{capped} capped, {extended} stopped between"
+    );
+    assert!(
+        kept_bandwidth >= 5 && moved_bandwidth >= 3 && learned_edges >= 3,
+        "the neighbour's edges: {kept_bandwidth} modelled at the first plan's bandwidth, \
+         {moved_bandwidth} at the other, {learned_edges} learned"
     );
     assert_eq!(h, DIGEST, "the estimator's bits moved: {h:#x}");
 
