@@ -199,7 +199,7 @@ fn chaos_app(home: RegionId) -> WorkflowApp {
 /// per-zone table ([`constant_carbon`]), so no calibrated source is built.
 fn world(config: &ChaosConfig) -> (SimCloud, RegionId, Vec<RegionId>) {
     let cloud = SimCloud::for_providers(config.providers, config.seed)
-        .expect("chaos providers must have backends");
+        .expect("a chaos campaign names at least one provider");
     let regions = cloud.evaluation_regions();
     let home = cloud
         .region(HOME)
@@ -479,7 +479,7 @@ pub fn run_correlated_campaign(config: &ChaosConfig) -> ChaosReport {
 /// between `contingency > 0` and the re-route-home baseline isolates the
 /// correlated-failure response.
 pub fn run_provider_outage_scenario(config: &ChaosConfig) -> ChaosReport {
-    use caribou_simcloud::faults::{CarbonOutage, GrayFailure, ProviderOutage, Window};
+    use caribou_simcloud::faults::{CarbonOutage, GrayFailure, Outage, Window};
 
     correlated_campaign_with(config, |topology, home| {
         let provider_of = |region| topology.iter().find(|(r, _)| *r == region).map(|(_, p)| *p);
@@ -495,8 +495,7 @@ pub fn run_provider_outage_scenario(config: &ChaosConfig) -> ChaosReport {
             .collect();
         let window = Window::new(0.15 * config.duration_s, 0.85 * config.duration_s);
         let mut faults = FaultPlan::none();
-        faults.provider_outages.push(ProviderOutage {
-            provider: victim,
+        faults.provider_outages.push(Outage {
             regions: victims,
             window,
         });

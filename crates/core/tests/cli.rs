@@ -160,6 +160,14 @@ fn every_subcommand_rejects_unknown_and_valueless_flags() {
         &["loadgen", "dna", "--keep-alive-s", "600"],
         "--keep-alive-s: unknown flag",
     );
+    // A provider without regions is not a provider: the list is refused
+    // before any cloud is assembled, naming the label.
+    for args in [
+        &["plan", "dna", "--providers", "azure"][..],
+        &["chaos", "--providers", "aws,azure"],
+    ] {
+        assert_rejected(args, "--providers: unknown provider `azure`");
+    }
 }
 
 #[test]

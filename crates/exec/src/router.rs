@@ -218,9 +218,9 @@ impl InvocationRouter {
         let benchmark_traffic = self.counter.is_multiple_of(BENCHMARK_EVERY);
         // An expired plan set routes home (§5.2).
         let plan = match &self.active {
-            Some(plans) if !benchmark_traffic && !plans.expired(now_s) => plans
-                .plan_for_hour(((now_s / 3600.0) as usize) % 24)
-                .clone(),
+            Some(plans) if !benchmark_traffic && !plans.expired(now_s) => {
+                plans.plan_at(now_s).clone()
+            }
             _ => self.home_plan(),
         };
         let mut decision = RouteDecision {
@@ -330,8 +330,7 @@ impl InvocationRouter {
         let table = self.contingency.as_ref().expect("checked by caller");
         if let Some(idx) = table.best_for(&effective, now_s) {
             let entry = &table.entries[idx];
-            let hour = ((now_s / 3600.0) as usize) % 24;
-            decision.plan = entry.plans.plan_for_hour(hour).clone();
+            decision.plan = entry.plans.plan_at(now_s).clone();
             decision.fallback = true;
             if self.active_fallback != Some(idx) {
                 if self.active_fallback.is_none() {

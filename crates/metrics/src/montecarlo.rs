@@ -203,6 +203,13 @@ pub struct MonteCarloEstimator<'a, S: CarbonDataSource, M: StageModels> {
 /// case pays for its draws once however many candidates, hours and threads
 /// read them. The contract is the engine's: one bank serves one frozen
 /// context — same DAG, profile, models and stopping rule.
+///
+/// Nothing checks that contract: the bank is named by the generator state
+/// and the DAG's node and edge counts only. An estimator over another
+/// profile (or other models) of a DAG of the same shape, entering a used
+/// scratch with the same generator state, is served the first one's draws
+/// and derived columns and returns the first one's estimate. Give each
+/// context a scratch of its own.
 #[derive(Debug, Default)]
 pub struct EstimateScratch {
     bank: SharedBank,
@@ -233,6 +240,9 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
     /// `rng`'s state on entry names the bank, so entering again with the
     /// same state on the same scratch reads the columns already drawn and
     /// allocates nothing. With no record of the plan to go by, it folds.
+    /// The scratch must have served only this estimator's context (see
+    /// [`EstimateScratch`]): another profile's columns are read as if they
+    /// were this one's.
     pub fn estimate_with(
         &self,
         plan: &DeploymentPlan,

@@ -79,15 +79,6 @@ pub enum ModelError {
         /// The unrecognized provider label.
         name: String,
     },
-    /// A cross-provider latency lookup found no entry in the
-    /// inter-provider penalty table. Cross-provider delivery must never
-    /// silently reuse the intra-provider matrix (or fall back to 0).
-    MissingInterProviderLatency {
-        /// Provider of the sending region.
-        from: Provider,
-        /// Provider of the receiving region.
-        to: Provider,
-    },
 }
 
 impl fmt::Display for ModelError {
@@ -129,9 +120,6 @@ impl fmt::Display for ModelError {
                 )
             }
             ModelError::UnknownProvider { name } => write!(f, "unknown provider `{name}`"),
-            ModelError::MissingInterProviderLatency { from, to } => {
-                write!(f, "no inter-provider latency entry for `{from}` -> `{to}`")
-            }
         }
     }
 }

@@ -197,6 +197,12 @@ impl HourlyPlans {
         &self.plans[hour]
     }
 
+    /// The plan in effect at simulation time `now_s`: hour-of-day
+    /// `⌊now_s / 3600⌋ mod 24`, the epoch falling on a midnight.
+    pub fn plan_at(&self, now_s: f64) -> &DeploymentPlan {
+        self.plan_for_hour(((now_s / 3600.0) as usize) % 24)
+    }
+
     /// Whether the plan set has expired at simulation time `now`.
     pub fn expired(&self, now: f64) -> bool {
         now >= self.expires_at
@@ -378,6 +384,11 @@ mod tests {
         let hp = HourlyPlans::hourly(plans, 100.0, 200.0);
         assert_eq!(hp.plan_for_hour(5).region_of(NodeId(0)), RegionId(1));
         assert_eq!(hp.plan_for_hour(6).region_of(NodeId(0)), RegionId(0));
+        // By time: the hour of day, wrapping each day.
+        for (t, region) in [(5.0 * 3600.0, 1), (5.99 * 3600.0, 1), (6.0 * 3600.0, 0)] {
+            assert_eq!(hp.plan_at(t).region_of(NodeId(0)), RegionId(region), "{t}");
+        }
+        assert_eq!(hp.plan_at(29.5 * 3600.0), hp.plan_for_hour(5));
         assert!(!hp.expired(150.0));
         assert!(hp.expired(200.0));
         assert_eq!(hp.regions_used(), vec![RegionId(0), RegionId(1)]);

@@ -2,36 +2,36 @@
 //!
 //! Regions are referred to by compact [`RegionId`] indices everywhere in the
 //! workspace; the [`RegionCatalog`] maps indices to rich [`RegionSpec`]
-//! metadata (provider, location, grid zone). The default catalog contains
-//! the public AWS North American regions studied in the paper plus a few
-//! global regions used by examples and tests.
+//! metadata (provider, location, grid zone, price premium, perf factor).
+//! The built-in catalog is one row per region and one evaluation list per
+//! provider: the public AWS North American regions studied in the paper
+//! plus a few global regions used by examples and tests, and the GCP
+//! regions of the multi-cloud catalog.
 
 use serde::Serialize;
 use std::fmt;
 
 use crate::error::ModelError;
 
-/// A cloud service provider.
+/// A cloud service provider: one with regions in the catalog below and a
+/// block of service constants in `caribou-simcloud`'s provider table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Provider {
     /// Amazon Web Services (the provider the paper evaluates on).
     Aws,
     /// Google Cloud Platform.
     Gcp,
-    /// Microsoft Azure.
-    Azure,
 }
 
 impl Provider {
     /// All providers, in catalog order.
-    pub const ALL: [Provider; 3] = [Provider::Aws, Provider::Gcp, Provider::Azure];
+    pub const ALL: [Provider; 2] = [Provider::Aws, Provider::Gcp];
 
-    /// Parses a lowercase provider label (`aws`, `gcp`, `azure`).
+    /// Parses a lowercase provider label (`aws`, `gcp`).
     pub fn parse(label: &str) -> Result<Provider, ModelError> {
         match label {
             "aws" => Ok(Provider::Aws),
             "gcp" => Ok(Provider::Gcp),
-            "azure" => Ok(Provider::Azure),
             other => Err(ModelError::UnknownProvider { name: other.into() }),
         }
     }
@@ -41,7 +41,23 @@ impl Provider {
         match self {
             Provider::Aws => 1 << 0,
             Provider::Gcp => 1 << 1,
-            Provider::Azure => 1 << 2,
+        }
+    }
+
+    /// This provider's rows of the built-in catalog.
+    fn rows(self) -> &'static [Row] {
+        match self {
+            Provider::Aws => &AWS_REGIONS,
+            Provider::Gcp => &GCP_REGIONS,
+        }
+    }
+
+    /// Region names this provider contributes to evaluation universes, in
+    /// order (§9.1's four for AWS).
+    pub fn evaluation_regions(self) -> &'static [&'static str] {
+        match self {
+            Provider::Aws => &AWS_EVALUATION_REGIONS,
+            Provider::Gcp => &GCP_EVALUATION_REGIONS,
         }
     }
 }
@@ -51,7 +67,6 @@ impl fmt::Display for Provider {
         match self {
             Provider::Aws => write!(f, "aws"),
             Provider::Gcp => write!(f, "gcp"),
-            Provider::Azure => write!(f, "azure"),
         }
     }
 }
@@ -198,11 +213,50 @@ pub struct RegionSpec {
     pub latitude: f64,
     /// Longitude in degrees.
     pub longitude: f64,
+    /// Price premium over the provider's price sheet (1.0 = the sheet).
+    pub price_premium: f64,
+    /// Multiplier on reference execution time; >1 is slower.
+    pub perf_factor: f64,
 }
+
+/// One row of the built-in catalog: name, country, grid zone, latitude,
+/// longitude, price premium, perf factor (the [`RegionSpec`] columns).
+type Row = (&'static str, &'static str, &'static str, f64, f64, f64, f64);
+
+/// The AWS regions: the six North American regions of Fig. 2 first, then
+/// global regions for examples. us-west-1 and ca-* carry a small premium
+/// over us-east-1: the cost-differential dimension of §2.3.
+const AWS_REGIONS: [Row; 10] = [
+    ("us-east-1", "US", "US-MIDA-PJM", 38.95, -77.45, 1.0, 1.00),
+    ("us-east-2", "US", "US-MIDA-PJM", 40.0, -83.0, 1.0, 0.99),
+    ("us-west-1", "US", "US-CAL-CISO", 37.35, -121.95, 1.08, 1.03),
+    ("us-west-2", "US", "US-NW-PACW", 45.85, -119.7, 1.0, 1.01),
+    ("ca-central-1", "CA", "CA-QC", 45.5, -73.6, 1.03, 1.02),
+    ("ca-west-1", "CA", "CA-AB", 51.05, -114.05, 1.07, 1.04),
+    ("eu-west-1", "IE", "IE", 53.35, -6.25, 1.02, 1.05),
+    ("eu-central-1", "DE", "DE", 50.1, 8.7, 1.10, 1.05),
+    ("ap-southeast-2", "AU", "AU-NSW", -33.85, 151.2, 1.15, 1.05),
+    ("sa-east-1", "BR", "BR-CS", -23.55, -46.65, 1.35, 1.05),
+];
 
 /// The four AWS regions used in the paper's evaluation (§9.1).
 pub const AWS_EVALUATION_REGIONS: [&str; 4] =
     ["us-east-1", "us-west-1", "us-west-2", "ca-central-1"];
+
+/// The GCP regions. Regions of different providers on the same grid (AWS
+/// `us-west-2` and GCP `us-west1` on the Pacific Northwest's) share
+/// carbon intensity — the multi-cloud flavour of §2.1's observation.
+#[rustfmt::skip]
+const GCP_REGIONS: [Row; 5] = [
+    ("us-central1", "US", "US-MIDW-MISO", 41.3, -95.9, 0.98, 1.04),
+    ("us-west1", "US", "US-NW-PACW", 45.6, -121.2, 0.98, 0.97),
+    ("northamerica-northeast1", "CA", "CA-QC", 45.5, -73.6, 1.02, 0.98),
+    ("europe-west1", "BE", "BE", 50.5, 3.8, 1.04, 1.01),
+    ("europe-north1", "FI", "FI", 60.6, 27.1, 1.04, 0.99),
+];
+
+/// The GCP regions `aws,gcp` evaluation universes add.
+const GCP_EVALUATION_REGIONS: [&str; 3] = ["us-west1", "northamerica-northeast1", "us-central1"];
 
 /// An ordered collection of regions addressable by [`RegionId`].
 #[derive(Debug, Clone, Default)]
@@ -216,66 +270,38 @@ impl RegionCatalog {
         Self::default()
     }
 
-    /// Builds the default catalog of AWS public regions used in the paper's
-    /// evaluation plus additional global regions for examples.
-    ///
-    /// The first six entries are the North American regions of Fig. 2; the
-    /// four regions used throughout §9 (`us-east-1`, `us-west-1`,
-    /// `us-west-2`, `ca-central-1`) can be selected via
-    /// [`RegionCatalog::evaluation_regions`].
-    pub fn aws_default() -> Self {
+    /// The built-in regions of every provider in `set`, in provider order
+    /// (AWS first).
+    pub fn of_providers(set: ProviderSet) -> Self {
         let mut cat = Self::new();
-        let rows: [(&str, &str, &str, f64, f64); 10] = [
-            ("us-east-1", "US", "US-MIDA-PJM", 38.95, -77.45),
-            ("us-east-2", "US", "US-MIDA-PJM", 40.0, -83.0),
-            ("us-west-1", "US", "US-CAL-CISO", 37.35, -121.95),
-            ("us-west-2", "US", "US-NW-PACW", 45.85, -119.7),
-            ("ca-central-1", "CA", "CA-QC", 45.5, -73.6),
-            ("ca-west-1", "CA", "CA-AB", 51.05, -114.05),
-            ("eu-west-1", "IE", "IE", 53.35, -6.25),
-            ("eu-central-1", "DE", "DE", 50.1, 8.7),
-            ("ap-southeast-2", "AU", "AU-NSW", -33.85, 151.2),
-            ("sa-east-1", "BR", "BR-CS", -23.55, -46.65),
-        ];
-        for (name, country, grid, lat, lon) in rows {
-            cat.push(RegionSpec {
-                name: name.to_string(),
-                provider: Provider::Aws,
-                country: country.to_string(),
-                grid_zone: grid.to_string(),
-                latitude: lat,
-                longitude: lon,
-            });
+        for provider in set.iter() {
+            for &(name, country, grid, lat, lon, premium, perf) in provider.rows() {
+                cat.push(RegionSpec {
+                    name: name.to_string(),
+                    provider,
+                    country: country.to_string(),
+                    grid_zone: grid.to_string(),
+                    latitude: lat,
+                    longitude: lon,
+                    price_premium: premium,
+                    perf_factor: perf,
+                });
+            }
         }
         cat
     }
 
-    /// Builds a multi-cloud catalog: the AWS regions of
-    /// [`RegionCatalog::aws_default`] plus a set of GCP regions. Regions of
-    /// different providers on the same electrical grid (e.g. AWS
-    /// `us-west-2` and GCP `us-west1`, both on the Pacific Northwest grid)
-    /// automatically share carbon intensity — the multi-cloud flavour of
-    /// §2.1's observation.
+    /// The AWS regions: the six North American regions of Fig. 2, then
+    /// global regions for examples. The four regions used throughout §9
+    /// (`us-east-1`, `us-west-1`, `us-west-2`, `ca-central-1`) can be
+    /// selected via [`RegionCatalog::evaluation_regions`].
+    pub fn aws_default() -> Self {
+        Self::of_providers(ProviderSet::aws_only())
+    }
+
+    /// The multi-cloud catalog: the AWS regions, then the GCP regions.
     pub fn multi_cloud() -> Self {
-        let mut cat = Self::aws_default();
-        let rows: [(&str, &str, &str, f64, f64); 5] = [
-            ("us-central1", "US", "US-MIDW-MISO", 41.3, -95.9),
-            ("us-west1", "US", "US-NW-PACW", 45.6, -121.2),
-            ("northamerica-northeast1", "CA", "CA-QC", 45.5, -73.6),
-            ("europe-west1", "BE", "BE", 50.5, 3.8),
-            ("europe-north1", "FI", "FI", 60.6, 27.1),
-        ];
-        for (name, country, grid, lat, lon) in rows {
-            cat.push(RegionSpec {
-                name: name.to_string(),
-                provider: Provider::Gcp,
-                country: country.to_string(),
-                grid_zone: grid.to_string(),
-                latitude: lat,
-                longitude: lon,
-            });
-        }
-        cat
+        Self::of_providers(ProviderSet::of(&Provider::ALL))
     }
 
     /// Returns the ids of the four regions used in the paper's evaluation
@@ -438,16 +464,6 @@ impl RegionCatalog {
     }
 }
 
-impl IntoIterator for RegionCatalog {
-    type Item = RegionSpec;
-    type IntoIter = std::vec::IntoIter<RegionSpec>;
-
-    /// The specs in id order, consuming the catalog.
-    fn into_iter(self) -> Self::IntoIter {
-        self.regions.into_iter()
-    }
-}
-
 /// Haversine great-circle distance in kilometres.
 pub fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
     const R_EARTH_KM: f64 = 6371.0;
@@ -525,6 +541,8 @@ mod tests {
                 grid_zone: "US-MIDA-PJM".to_string(),
                 latitude: 39.0,
                 longitude: -77.0,
+                price_premium: 1.0,
+                perf_factor: 1.0,
             });
         }
         cat
@@ -549,7 +567,7 @@ mod tests {
         assert_eq!(cat.qualified(aws).to_string(), "aws:dual-1");
         assert_eq!(cat.qualified(gcp).to_string(), "gcp:dual-1");
         assert!(matches!(
-            cat.resolve("azure:dual-1"),
+            cat.resolve("gcp:dual-2"),
             Err(ModelError::UnknownRegion { .. })
         ));
         assert!(matches!(

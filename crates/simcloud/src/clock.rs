@@ -11,20 +11,6 @@ use std::collections::BinaryHeap;
 /// Seconds since the simulation epoch.
 pub type SimTime = f64;
 
-/// Seconds in one hour.
-pub const HOUR: f64 = 3600.0;
-/// Seconds in one day.
-pub const DAY: f64 = 86_400.0;
-/// Seconds in one week.
-pub const WEEK: f64 = 7.0 * DAY;
-
-/// Derives the hour-of-day `0..24` for a simulation time, assuming the
-/// epoch falls on a midnight.
-pub fn hour_of_day(t: SimTime) -> usize {
-    let t = t.max(0.0);
-    ((t % DAY) / HOUR) as usize % 24
-}
-
 /// A monotone virtual clock.
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
@@ -282,12 +268,5 @@ mod tests {
             .collect();
         assert_eq!(last_two, vec!["nan", "inf"], "clamped ties keep seq order");
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn time_derivations() {
-        assert_eq!(hour_of_day(0.0), 0);
-        assert_eq!(hour_of_day(3600.0 * 5.5), 5);
-        assert_eq!(hour_of_day(DAY + 3600.0 * 23.0), 23);
     }
 }

@@ -56,13 +56,30 @@ impl Window {
     }
 }
 
-/// A scheduled region outage window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegionOutage {
-    /// Affected region.
-    pub region: RegionId,
+/// Regions down together over a window: the one shape of the three
+/// classes that take regions down (a region outage, a provider-wide
+/// outage, a shared failure domain), which differ only in which list of
+/// the [`FaultPlan`] holds them and how many regions they name.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Outage {
+    /// Regions taken down together.
+    pub regions: Vec<RegionId>,
     /// Active window.
     pub window: Window,
+}
+
+impl Outage {
+    fn new(regions: &[RegionId], start: SimTime, end: SimTime) -> Self {
+        Outage {
+            regions: regions.to_vec(),
+            window: Window::new(start, end),
+        }
+    }
+
+    /// Whether the outage takes `region` down at time `t`.
+    fn covers(&self, region: RegionId, t: SimTime) -> bool {
+        self.window.contains(t) && self.regions.contains(&region)
+    }
 }
 
 /// A pairwise network partition: traffic between the two regions is lost
@@ -114,30 +131,6 @@ pub struct ColdStartStorm {
     pub window: Window,
 }
 
-/// A provider-wide outage: every listed region of `provider` is down at
-/// once for the window. The region list is resolved at construction so
-/// the plan stays decoupled from any particular catalog.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProviderOutage {
-    /// Provider suffering the outage.
-    pub provider: Provider,
-    /// Regions of that provider taken down together.
-    pub regions: Vec<RegionId>,
-    /// Active window.
-    pub window: Window,
-}
-
-/// A shared failure domain: a correlated set of regions (same submarine
-/// cable, same control-plane cell, same grid interconnect) failing
-/// together for the window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FailureDomain {
-    /// Regions that fail together.
-    pub regions: Vec<RegionId>,
-    /// Active window.
-    pub window: Window,
-}
-
 /// A carbon-data outage: the hourly forecast source is dark for the
 /// window. Consumers (the staleness wrapper in `caribou-carbon`) degrade
 /// to last-known-good and then yearly-average intensity.
@@ -150,8 +143,8 @@ pub struct CarbonOutage {
 /// The fault-injection plan for a simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// Scheduled full-region outages.
-    pub outages: Vec<RegionOutage>,
+    /// Scheduled full-region outages, one region each.
+    pub outages: Vec<Outage>,
     /// Scheduled pairwise network partitions.
     pub partitions: Vec<NetworkPartition>,
     /// Scheduled gray failures (latency inflation windows).
@@ -160,10 +153,14 @@ pub struct FaultPlan {
     pub kv_throttles: Vec<KvThrottle>,
     /// Scheduled cold-start storms.
     pub cold_storms: Vec<ColdStartStorm>,
-    /// Scheduled provider-wide outages.
-    pub provider_outages: Vec<ProviderOutage>,
-    /// Scheduled shared failure domains.
-    pub failure_domains: Vec<FailureDomain>,
+    /// Scheduled provider-wide outages: every listed region of one
+    /// provider down at once, the list resolved at construction so the
+    /// plan stays decoupled from any particular catalog.
+    pub provider_outages: Vec<Outage>,
+    /// Scheduled shared failure domains: a correlated set of regions
+    /// (same submarine cable, same control-plane cell, same grid
+    /// interconnect) failing together.
+    pub failure_domains: Vec<Outage>,
     /// Scheduled carbon-data outages.
     pub carbon_outages: Vec<CarbonOutage>,
     /// Probability any single function re-deployment attempt fails.
@@ -180,10 +177,7 @@ impl FaultPlan {
 
     /// Adds an outage window.
     pub fn with_outage(mut self, region: RegionId, start: SimTime, end: SimTime) -> Self {
-        self.outages.push(RegionOutage {
-            region,
-            window: Window::new(start, end),
-        });
+        self.outages.push(Outage::new(&[region], start, end));
         self
     }
 
@@ -250,10 +244,10 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a provider-wide outage taking `regions` down together.
+    /// Adds a provider-wide outage taking `regions` (one provider's)
+    /// down together.
     pub fn with_provider_outage(
         mut self,
-        provider: Provider,
         regions: &[RegionId],
         start: SimTime,
         end: SimTime,
@@ -262,11 +256,7 @@ impl FaultPlan {
             !regions.is_empty(),
             "provider outage needs at least one region"
         );
-        self.provider_outages.push(ProviderOutage {
-            provider,
-            regions: regions.to_vec(),
-            window: Window::new(start, end),
-        });
+        self.provider_outages.push(Outage::new(regions, start, end));
         self
     }
 
@@ -281,10 +271,7 @@ impl FaultPlan {
             regions.len() >= 2,
             "a failure domain correlates at least two regions"
         );
-        self.failure_domains.push(FailureDomain {
-            regions: regions.to_vec(),
-            window: Window::new(start, end),
-        });
+        self.failure_domains.push(Outage::new(regions, start, end));
         self
     }
 
@@ -296,49 +283,29 @@ impl FaultPlan {
         self
     }
 
-    /// Whether `region` is down at time `t`, from any class that can take
-    /// a region down: independent outages, provider-wide outages, and
-    /// shared failure domains.
-    pub fn region_down(&self, region: RegionId, t: SimTime) -> bool {
+    /// Every scheduled outage of the three classes that take regions
+    /// down: independent outages, provider-wide outages, and shared
+    /// failure domains.
+    fn all_outages(&self) -> impl Iterator<Item = &Outage> {
         self.outages
             .iter()
-            .any(|o| o.region == region && o.window.contains(t))
-            || self
-                .provider_outages
-                .iter()
-                .any(|o| o.window.contains(t) && o.regions.contains(&region))
-            || self
-                .failure_domains
-                .iter()
-                .any(|d| d.window.contains(t) && d.regions.contains(&region))
+            .chain(&self.provider_outages)
+            .chain(&self.failure_domains)
     }
 
-    /// Latest end among the down-windows covering `region` at `t`, if the
+    /// Whether `region` is down at time `t`.
+    pub fn region_down(&self, region: RegionId, t: SimTime) -> bool {
+        self.all_outages().any(|o| o.covers(region, t))
+    }
+
+    /// Latest end among the outages covering `region` at `t`, if the
     /// region is down at all — when the Migrator can expect the region
     /// back.
     pub fn down_until(&self, region: RegionId, t: SimTime) -> Option<SimTime> {
-        let mut until: Option<SimTime> = None;
-        let mut push = |w: Window| {
-            if w.contains(t) {
-                until = Some(until.map_or(w.end, |u: SimTime| u.max(w.end)));
-            }
-        };
-        for o in &self.outages {
-            if o.region == region {
-                push(o.window);
-            }
-        }
-        for o in &self.provider_outages {
-            if o.regions.contains(&region) {
-                push(o.window);
-            }
-        }
-        for d in &self.failure_domains {
-            if d.regions.contains(&region) {
-                push(d.window);
-            }
-        }
-        until
+        self.all_outages()
+            .filter(|o| o.covers(region, t))
+            .map(|o| o.window.end)
+            .reduce(f64::max)
     }
 
     /// Whether traffic between `a` and `b` is partitioned at time `t`.
@@ -540,7 +507,7 @@ impl FaultPlan {
         if !victim_regions.is_empty() {
             let len = duration_s * rng.uniform(0.20, 0.40);
             let start = rng.uniform(0.05 * duration_s, duration_s - len);
-            plan = plan.with_provider_outage(victim, &victim_regions, start, start + len);
+            plan = plan.with_provider_outage(&victim_regions, start, start + len);
             outage_window = Some(Window::new(start, start + len));
         }
 
@@ -631,7 +598,7 @@ mod tests {
             .with_gray_failure(RegionId(1), 100.0, 200.0, 4.0)
             .with_kv_throttle(RegionId(1), 100.0, 200.0, 1.0)
             .with_cold_storm(RegionId(1), 100.0, 200.0)
-            .with_provider_outage(Provider::Gcp, &[RegionId(2)], 100.0, 200.0)
+            .with_provider_outage(&[RegionId(2)], 100.0, 200.0)
             .with_failure_domain(&[RegionId(3), RegionId(4)], 100.0, 200.0)
             .with_carbon_outage(100.0, 200.0);
         let mut rng = Pcg32::seed(9);
@@ -759,7 +726,6 @@ mod tests {
     #[test]
     fn provider_outage_takes_all_regions_down_together() {
         let plan = FaultPlan::none().with_provider_outage(
-            Provider::Gcp,
             &[RegionId(10), RegionId(11), RegionId(12)],
             50.0,
             150.0,
@@ -793,7 +759,7 @@ mod tests {
     fn down_until_spans_overlapping_windows() {
         let plan = FaultPlan::none()
             .with_outage(RegionId(1), 0.0, 100.0)
-            .with_provider_outage(Provider::Aws, &[RegionId(1)], 50.0, 250.0)
+            .with_provider_outage(&[RegionId(1)], 50.0, 250.0)
             .with_failure_domain(&[RegionId(1), RegionId(2)], 60.0, 80.0);
         assert_eq!(plan.down_until(RegionId(1), 70.0), Some(250.0));
         assert_eq!(plan.down_until(RegionId(1), 120.0), Some(250.0));
@@ -827,7 +793,9 @@ mod tests {
         for seed in 0..50 {
             let plan = FaultPlan::randomized(seed, &regions, RegionId(0), 7200.0);
             assert!(
-                plan.outages.iter().all(|o| o.region != RegionId(0)),
+                plan.outages
+                    .iter()
+                    .all(|o| !o.regions.contains(&RegionId(0))),
                 "seed {seed}: home must never be down"
             );
             assert!(!plan.partitions.is_empty(), "seed {seed}: partitions");
@@ -890,7 +858,12 @@ mod tests {
             }
             // The provider-wide outage always hits the non-home provider.
             for o in &a.provider_outages {
-                assert_eq!(o.provider, Provider::Gcp, "seed {seed}");
+                assert!(
+                    o.regions
+                        .iter()
+                        .all(|r| regions[r.index()].1 == Provider::Gcp),
+                    "seed {seed}"
+                );
             }
             assert!(!a.carbon_outages.is_empty(), "seed {seed}: carbon outage");
         }

@@ -9,7 +9,6 @@
 //! Manager prefers learned transmission distributions and falls back to
 //! this model when no history exists.
 
-use caribou_model::error::ModelError;
 use caribou_model::region::{RegionCatalog, RegionId};
 use caribou_model::rng::Pcg32;
 
@@ -31,7 +30,7 @@ const HOP_OVERHEAD_S: f64 = 0.0008;
 /// use caribou_simcloud::latency::LatencyModel;
 ///
 /// let catalog = RegionCatalog::aws_default();
-/// let model = LatencyModel::from_catalog(&catalog).unwrap();
+/// let model = LatencyModel::from_catalog(&catalog);
 /// let east = catalog.id_of("us-east-1").unwrap();
 /// let west = catalog.id_of("us-west-1").unwrap();
 /// // Coast-to-coast RTT lands in the CloudPing ballpark.
@@ -53,37 +52,29 @@ pub struct LatencyModel {
 impl LatencyModel {
     /// Builds the model from a region catalog: the distance-based
     /// calibration plus the [`inter_provider_penalty_s`] of every
-    /// cross-provider pair. Fails with the typed
-    /// [`ModelError::MissingInterProviderLatency`] when the provider table
-    /// lacks a pair present in the catalog — cross-provider delivery must
-    /// never silently reuse the intra-provider matrix.
-    pub fn from_catalog(catalog: &RegionCatalog) -> Result<Self, ModelError> {
+    /// cross-provider pair.
+    pub fn from_catalog(catalog: &RegionCatalog) -> Self {
         let n = catalog.len();
         let mut one_way = vec![0.0; n * n];
         for (a, sa) in catalog.iter() {
             for (b, sb) in catalog.iter() {
-                let mut base = if a == b {
+                let base = if a == b {
                     // Intra-region (cross-AZ) latency.
                     0.0005
                 } else {
                     catalog.distance_km(a, b) / FIBER_KM_PER_S * ROUTE_FACTOR + HOP_OVERHEAD_S
                 };
-                base += inter_provider_penalty_s(sa.provider, sb.provider).ok_or(
-                    ModelError::MissingInterProviderLatency {
-                        from: sa.provider,
-                        to: sb.provider,
-                    },
-                )?;
-                one_way[a.index() * n + b.index()] = base;
+                one_way[a.index() * n + b.index()] =
+                    base + inter_provider_penalty_s(sa.provider, sb.provider);
             }
         }
-        Ok(LatencyModel {
+        LatencyModel {
             one_way,
             n,
             intra_bandwidth_bps: 100.0e6,
             inter_bandwidth_bps: 30.0e6,
             jitter_sigma: 0.08,
-        })
+        }
     }
 
     /// Base one-way latency in seconds.
@@ -135,17 +126,16 @@ pub(crate) fn distance_only(catalog: &RegionCatalog) -> LatencyModel {
             ..spec.clone()
         });
     }
-    LatencyModel::from_catalog(&one_provider).expect("one provider needs no pair")
+    LatencyModel::from_catalog(&one_provider)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caribou_model::region::{Provider, RegionSpec};
 
     fn model() -> (RegionCatalog, LatencyModel) {
         let cat = RegionCatalog::aws_default();
-        let lm = LatencyModel::from_catalog(&cat).unwrap();
+        let lm = LatencyModel::from_catalog(&cat);
         (cat, lm)
     }
 
@@ -199,7 +189,7 @@ mod tests {
     fn cross_provider_pairs_pay_explicit_penalty() {
         let cat = RegionCatalog::multi_cloud();
         let plain = distance_only(&cat);
-        let lm = LatencyModel::from_catalog(&cat).unwrap();
+        let lm = LatencyModel::from_catalog(&cat);
         let aws_east = cat.resolve("aws:us-east-1").unwrap();
         let aws_west = cat.resolve("aws:us-west-2").unwrap();
         let gcp_west = cat.resolve("gcp:us-west1").unwrap();
@@ -214,35 +204,6 @@ mod tests {
                 < 1e-12
         );
         assert!((lm.rtt(aws_west, gcp_west) - plain.rtt(aws_west, gcp_west) - 0.008).abs() < 1e-12);
-    }
-
-    #[test]
-    fn missing_inter_provider_pair_is_a_typed_error() {
-        // No penalty is tabulated between AWS and Azure.
-        let mut cat = RegionCatalog::aws_default();
-        cat.push(RegionSpec {
-            name: "westeurope".into(),
-            provider: Provider::Azure,
-            country: "NL".into(),
-            grid_zone: "NL".into(),
-            latitude: 52.4,
-            longitude: 4.9,
-        });
-        let err = LatencyModel::from_catalog(&cat).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ModelError::MissingInterProviderLatency {
-                    from: Provider::Aws,
-                    to: Provider::Azure
-                }
-            ),
-            "{err}"
-        );
-        // One provider alone needs no pair, tabulated or not.
-        let mut azure_only = RegionCatalog::new();
-        azure_only.push(cat.spec(cat.id_of("westeurope").unwrap()).clone());
-        assert!(LatencyModel::from_catalog(&azure_only).is_ok());
     }
 
     #[test]

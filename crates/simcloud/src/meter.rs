@@ -186,8 +186,7 @@ mod tests {
                 }
             })
             .collect();
-        let cross = (0..n).map(|_| price(0.12)).collect();
-        PricingCatalog::new(per_region, providers, cross)
+        PricingCatalog::new(per_region, providers)
     }
 
     /// Random `record_*` sequences over 1–40 regions — some regions absent

@@ -1,7 +1,7 @@
 //! AWS-price-list-calibrated pricing catalog (§7.1 Cost).
 //!
-//! The numbers are rows of the [`crate::providers`] table: each provider's
-//! price sheet scaled by its per-region premium.
+//! Each region's prices are its provider's price sheet
+//! ([`crate::providers`]) scaled by the premium of its catalog row.
 
 use caribou_model::region::{Provider, RegionId};
 
@@ -72,26 +72,16 @@ pub struct PricingCatalog {
     per_region: Vec<RegionPricing>,
     /// Provider of each region.
     provider_of: Vec<Provider>,
-    /// Egress price per GB from each region toward another provider
-    /// (typically the internet tier).
-    cross_provider_egress_per_gb: Vec<f64>,
 }
 
 impl PricingCatalog {
-    /// Builds the catalog from explicit rows: per-region prices, the
-    /// provider of each region, and the per-region cross-provider egress
-    /// rate. All three must have one entry per catalog region.
-    pub fn new(
-        per_region: Vec<RegionPricing>,
-        provider_of: Vec<Provider>,
-        cross_provider_egress_per_gb: Vec<f64>,
-    ) -> Self {
+    /// Builds the catalog from explicit rows: per-region prices and the
+    /// provider of each region, one entry per catalog region.
+    pub fn new(per_region: Vec<RegionPricing>, provider_of: Vec<Provider>) -> Self {
         assert_eq!(per_region.len(), provider_of.len());
-        assert_eq!(per_region.len(), cross_provider_egress_per_gb.len());
         PricingCatalog {
             per_region,
             provider_of,
-            cross_provider_egress_per_gb,
         }
     }
 
@@ -157,7 +147,7 @@ impl PricingCatalog {
     ///
     /// Same-provider pairs bill at the source region's inter-region tier;
     /// cross-provider pairs leave the provider's backbone and bill at the
-    /// source's cross-provider (internet) rate instead.
+    /// source's internet tier instead.
     pub fn egress_cost(&self, from: RegionId, to: RegionId, bytes: f64) -> f64 {
         if from == to {
             0.0
@@ -168,15 +158,16 @@ impl PricingCatalog {
     }
 
     /// The per-GB egress rate applicable from `from` toward `to`: the
-    /// cross-provider (internet) rate when the pair crosses providers, the
-    /// source's inter-region tier otherwise. Intra-region transfers are
+    /// source's internet tier when the pair crosses providers, its
+    /// inter-region tier otherwise. Intra-region transfers are
     /// free regardless of this rate; callers must special-case `from == to`
     /// exactly as [`PricingCatalog::egress_cost`] does.
     pub fn egress_rate_per_gb(&self, from: RegionId, to: RegionId) -> f64 {
+        let p = self.region(from);
         if self.is_cross_provider(from, to) {
-            self.cross_provider_egress_per_gb[from.index()]
+            p.egress_internet_per_gb
         } else {
-            self.region(from).egress_inter_region_per_gb
+            p.egress_inter_region_per_gb
         }
     }
 
@@ -261,15 +252,19 @@ mod tests {
     fn cross_provider_egress_bills_cross_rate() {
         let (cat, priced) = catalogs();
         let base = priced.region(cat.id_of("us-east-1").unwrap()).clone();
+        let gcp = RegionPricing {
+            egress_internet_per_gb: 0.12,
+            ..base.clone()
+        };
         let pc = PricingCatalog::new(
-            vec![base.clone(), base.clone(), base.clone()],
+            vec![base.clone(), base.clone(), gcp],
             vec![Provider::Aws, Provider::Aws, Provider::Gcp],
-            vec![0.09, 0.09, 0.12],
         );
         let (a, b, g) = (RegionId(0), RegionId(1), RegionId(2));
         assert!(!pc.is_cross_provider(a, b));
         assert!(pc.is_cross_provider(a, g));
-        // Same provider: inter-region tier. Cross provider: cross rate.
+        // Same provider: inter-region tier. Cross provider: the source's
+        // internet tier.
         assert!((pc.egress_cost(a, b, 1e9) - 0.02).abs() < 1e-12);
         assert!((pc.egress_cost(a, g, 1e9) - 0.09).abs() < 1e-12);
         assert!((pc.egress_cost(g, a, 1e9) - 0.12).abs() < 1e-12);

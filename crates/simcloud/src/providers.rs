@@ -2,14 +2,16 @@
 //!
 //! Every provider fact reaches the simulator as data, the way the paper's
 //! Metrics Manager tabulates the AWS Price List and CloudPing (§7.1,
-//! §9.1): one block of service constants per provider (`AWS`, `GCP`),
-//! one `(name, price premium, perf factor)` row per region with the
-//! provider's default written once, and one one-way latency penalty per
-//! provider pair. [`crate::cloud::SimCloud::with_catalog`] reads the table
-//! through [`profile`]; nothing else in the crate writes a provider or
-//! per-region service constant (the warm pool's
+//! §9.1): one block of service constants per provider (`AWS`, `GCP`) and
+//! one one-way latency penalty per provider pair. A region's own columns
+//! (location, grid zone, price premium, perf factor) are its row of the
+//! catalog ([`RegionSpec`]). [`crate::cloud::SimCloud::with_catalog`]
+//! reads the table through [`profile`]; nothing else in the crate writes a
+//! provider or per-region service constant (the warm pool's
 //! [`DEFAULT_KEEP_ALIVE_S`] is Lambda's, and the AWS block names it).
-//! Adding a region is a row; adding a provider is a block and a penalty.
+//! Adding a region is a catalog row; adding a provider is its rows, a
+//! block and a penalty, and `block` and [`inter_provider_penalty_s`]
+//! do not compile without the last two.
 //!
 //! The `gcp` block is not AWS with new prices: push-based ordered pub/sub
 //! that redelivers on a fixed ack deadline (no jittered backoff), one flat
@@ -18,7 +20,7 @@
 //! minutes instead of ~10.
 
 use caribou_model::dist::DistSpec;
-use caribou_model::region::{Provider, RegionCatalog, RegionSpec, AWS_EVALUATION_REGIONS};
+use caribou_model::region::{Provider, RegionSpec};
 
 use crate::pricing::RegionPricing;
 use crate::warm::DEFAULT_KEEP_ALIVE_S;
@@ -70,15 +72,9 @@ struct ProviderBlock {
     /// Service-side overhead of a registry push or copy, seconds.
     registry_overhead_s: f64,
     /// The price sheet at premium 1.0, KV rates and egress tiers included;
-    /// a region's sheet is this scaled by its premium.
+    /// a region's sheet is this scaled by its premium. Traffic toward
+    /// another provider leaves the backbone at the internet tier.
     prices: RegionPricing,
-    /// Region names contributed to evaluation universes.
-    evaluation_regions: &'static [&'static str],
-    /// `(price premium, perf factor)` of a region without a row.
-    default_row: (f64, f64),
-    /// `(name, price premium over the block's sheet, perf factor)`; perf
-    /// multiplies reference execution time, >1 is slower.
-    rows: &'static [(&'static str, f64, f64)],
 }
 
 /// The published us-east-1 on-demand prices (Lambda, SNS, DynamoDB, S3
@@ -119,22 +115,6 @@ static AWS: ProviderBlock = ProviderBlock {
     keep_alive_s: DEFAULT_KEEP_ALIVE_S,
     registry_overhead_s: 1.5,
     prices: AWS_PRICES,
-    evaluation_regions: &AWS_EVALUATION_REGIONS,
-    default_row: (1.05, 1.05),
-    // us-west-1 and ca-* carry a small premium over us-east-1: the
-    // cost-differential dimension of §2.3.
-    rows: &[
-        ("us-east-1", 1.0, 1.00),
-        ("us-east-2", 1.0, 0.99),
-        ("us-west-1", 1.08, 1.03),
-        ("us-west-2", 1.0, 1.01),
-        ("ca-central-1", 1.03, 1.02),
-        ("ca-west-1", 1.07, 1.04),
-        ("eu-west-1", 1.02, 1.05),
-        ("eu-central-1", 1.10, 1.05),
-        ("ap-southeast-2", 1.15, 1.05),
-        ("sa-east-1", 1.35, 1.05),
-    ],
 };
 
 static GCP: ProviderBlock = ProviderBlock {
@@ -165,42 +145,21 @@ static GCP: ProviderBlock = ProviderBlock {
         egress_internet_per_gb: 0.12,
         ..AWS_PRICES
     },
-    evaluation_regions: &["us-west1", "northamerica-northeast1", "us-central1"],
-    default_row: (1.05, 1.05),
-    rows: &[
-        ("us-central1", 0.98, 1.04),
-        ("us-west1", 0.98, 0.97),
-        ("northamerica-northeast1", 1.02, 0.98),
-        ("europe-west1", 1.04, 1.01),
-        ("europe-north1", 1.04, 0.99),
-    ],
 };
 
-/// One-way latency penalty for traffic crossing a provider boundary,
-/// seconds, per unordered provider pair: cross-provider traffic exits one
-/// backbone and re-enters another through public peering, which costs
-/// extra hops no distance matrix captures. AWS ↔ GCP peer through public
-/// exchanges at roughly +4 ms one way.
-const INTER_PROVIDER_PENALTY_S: [(Provider, Provider, f64); 1] =
-    [(Provider::Aws, Provider::Gcp, 0.004)];
-
-fn block(provider: Provider) -> Option<&'static ProviderBlock> {
+fn block(provider: Provider) -> &'static ProviderBlock {
     match provider {
-        Provider::Aws => Some(&AWS),
-        Provider::Gcp => Some(&GCP),
-        Provider::Azure => None,
+        Provider::Aws => &AWS,
+        Provider::Gcp => &GCP,
     }
 }
 
 /// Everything the table says about one region.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionProfile {
-    /// The region's full price sheet, KV rates included.
+    /// The region's full price sheet, KV rates included: its provider's
+    /// sheet scaled by its premium.
     pub prices: RegionPricing,
-    /// Egress price per GB toward another provider's region.
-    pub cross_provider_egress_per_gb: f64,
-    /// Multiplier on reference execution time; >1 is slower.
-    pub perf_factor: f64,
     /// Cold-start duration distribution, seconds.
     pub cold_start: DistSpec,
     /// Warm-container keep-alive window, seconds.
@@ -211,78 +170,46 @@ pub struct RegionProfile {
     pub messaging: MessagingProfile,
 }
 
-/// The table's answer for `region`: its row (or its provider's default
-/// row, for a custom region) over its provider's block. `None` for a
-/// provider without a block.
-pub fn profile(region: &RegionSpec) -> Option<RegionProfile> {
-    let b = block(region.provider)?;
-    let (premium, perf_factor) = b
-        .rows
-        .iter()
-        .find(|(name, ..)| *name == region.name)
-        .map_or(b.default_row, |&(_, premium, perf)| (premium, perf));
-    let prices = b.prices.scaled(premium);
-    Some(RegionProfile {
-        // Traffic to another provider leaves the backbone at the internet
-        // tier, not the inter-region tier.
-        cross_provider_egress_per_gb: prices.egress_internet_per_gb,
-        prices,
-        perf_factor,
+/// The table's answer for `region`: its provider's block, the price
+/// sheet scaled by the region's premium.
+pub fn profile(region: &RegionSpec) -> RegionProfile {
+    let b = block(region.provider);
+    RegionProfile {
+        prices: b.prices.scaled(region.price_premium),
         cold_start: b.cold_start.clone(),
         keep_alive_s: b.keep_alive_s,
         registry_overhead_s: b.registry_overhead_s,
         messaging: b.messaging,
-    })
-}
-
-/// The regions `provider` operates, in catalog order: its rows of
-/// [`RegionCatalog::multi_cloud`] (none for a provider without a block).
-pub fn regions(provider: Provider) -> Vec<RegionSpec> {
-    RegionCatalog::multi_cloud()
-        .into_iter()
-        .filter(|spec| spec.provider == provider)
-        .collect()
-}
-
-/// Region names `provider` contributes to evaluation universes (§9.1 for
-/// AWS).
-pub fn evaluation_regions(provider: Provider) -> &'static [&'static str] {
-    block(provider).map_or(&[], |b| b.evaluation_regions)
-}
-
-/// The one-way penalty between two providers: 0 within one provider,
-/// `None` for a pair the table does not cover — never a silent 0.
-pub fn inter_provider_penalty_s(a: Provider, b: Provider) -> Option<f64> {
-    if a == b {
-        return Some(0.0);
     }
-    INTER_PROVIDER_PENALTY_S
-        .iter()
-        .find(|&&(x, y, _)| (x, y) == (a, b) || (x, y) == (b, a))
-        .map(|&(_, _, penalty_s)| penalty_s)
+}
+
+/// One-way latency penalty for traffic between two providers' regions,
+/// seconds: 0 within one provider. Cross-provider traffic exits one
+/// backbone and re-enters another through public peering, which costs
+/// extra hops no distance matrix captures; AWS ↔ GCP peer through public
+/// exchanges at roughly +4 ms one way.
+pub fn inter_provider_penalty_s(a: Provider, b: Provider) -> f64 {
+    match (a, b) {
+        (Provider::Aws, Provider::Aws) | (Provider::Gcp, Provider::Gcp) => 0.0,
+        (Provider::Aws, Provider::Gcp) | (Provider::Gcp, Provider::Aws) => 0.004,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cloud::SimCloud;
-    use caribou_model::region::ProviderSet;
+    use caribou_model::region::{ProviderSet, RegionCatalog};
 
     #[test]
     fn the_table_is_consistent() {
         for p in Provider::ALL {
-            let specs = regions(p);
-            assert_eq!(block(p).is_some(), !specs.is_empty(), "{p}");
-            for name in evaluation_regions(p) {
-                assert!(specs.iter().any(|s| s.name == *name), "{p}:{name}");
-            }
-            // Every catalog region of a provider has its own row, and
-            // every row names a catalog region.
-            let rows = block(p).map_or(&[][..], |b| b.rows);
-            assert_eq!(rows.len(), specs.len(), "{p}");
-            for spec in &specs {
-                assert!(rows.iter().any(|(name, ..)| *name == spec.name), "{spec:?}");
-                assert!(profile(spec).is_some());
+            // Every provider contributes regions, and its evaluation list
+            // names regions of its own.
+            let own = RegionCatalog::of_providers(ProviderSet::of(&[p]));
+            assert!(!own.is_empty(), "{p}");
+            for name in p.evaluation_regions() {
+                assert!(own.id_of_qualified(p, name).is_some(), "{p}:{name}");
             }
             // Penalties are symmetric and free inside one provider.
             for q in Provider::ALL {
@@ -291,18 +218,14 @@ mod tests {
                     inter_provider_penalty_s(q, p)
                 );
             }
-            assert_eq!(inter_provider_penalty_s(p, p), Some(0.0));
+            assert_eq!(inter_provider_penalty_s(p, p), 0.0);
         }
-        assert_eq!(
-            inter_provider_penalty_s(Provider::Aws, Provider::Azure),
-            None
-        );
 
         // The provider set that unions to the multi-cloud catalog
         // assembles the same cloud as the catalog handed in whole.
         let set = ProviderSet::parse("aws,gcp").unwrap();
         let both = SimCloud::for_providers(set, 42).unwrap();
-        let whole = SimCloud::with_catalog(RegionCatalog::multi_cloud(), 42).unwrap();
+        let whole = SimCloud::with_catalog(RegionCatalog::multi_cloud(), 42);
         assert_eq!(whole.regions.len(), both.regions.len());
         assert_eq!(whole.evaluation_regions(), both.evaluation_regions());
         for (a, spec) in both.regions.iter() {
@@ -314,27 +237,11 @@ mod tests {
         }
     }
 
-    /// The table has a block for `aws` and `gcp` and none for `azure`.
-    #[test]
-    fn registry_resolves_implemented_providers() {
-        let resolves = |provider| {
-            profile(&RegionSpec {
-                provider,
-                ..regions(Provider::Aws)[0].clone()
-            })
-            .is_some()
-        };
-        assert!(resolves(Provider::Aws));
-        assert!(resolves(Provider::Gcp));
-        assert!(!resolves(Provider::Azure));
-        assert!(regions(Provider::Azure).is_empty());
-        assert!(evaluation_regions(Provider::Azure).is_empty());
-    }
-
     #[test]
     fn gcp_backend_has_genuinely_different_semantics() {
-        let g = profile(&regions(Provider::Gcp)[0]).unwrap();
-        let a = profile(&regions(Provider::Aws)[0]).unwrap();
+        let cat = RegionCatalog::multi_cloud();
+        let first = |p| profile(cat.iter().find(|(_, s)| s.provider == p).unwrap().1);
+        let (g, a) = (first(Provider::Gcp), first(Provider::Aws));
         // Push-based ordered delivery, not pull fan-out.
         assert!(matches!(
             g.messaging.delivery,
@@ -357,6 +264,6 @@ mod tests {
         }
         // Different egress tier table.
         assert!(g.prices.egress_inter_region_per_gb > a.prices.egress_inter_region_per_gb);
-        assert!(g.cross_provider_egress_per_gb > a.cross_provider_egress_per_gb);
+        assert!(g.prices.egress_internet_per_gb > a.prices.egress_internet_per_gb);
     }
 }

@@ -94,7 +94,10 @@ impl<S: CarbonDataSource, M: StageModels> SolverContext<'_, S, M> {
     /// scratch was entered with, it folds the draws already banked.
     /// Bit-identical to [`SolverContext::evaluate`]; the
     /// [`EvalEngine`](crate::engine::EvalEngine) pools scratch per worker,
-    /// all on the engine's one bank.
+    /// all on the engine's one bank. A scratch another context (another
+    /// profile or models over a DAG of the same shape) used with the same
+    /// generator state answers with that context's draws: nothing checks
+    /// it (see `EstimateScratch`).
     pub fn evaluate_with_scratch(
         &self,
         plan: &DeploymentPlan,

@@ -241,7 +241,7 @@ mod tests {
     /// us-west-2 second, and home (us-east-1) dirtiest — so the primary
     /// piles into gcp and fallbacks are forced elsewhere.
     fn world() -> World {
-        let cloud = SimCloud::with_catalog(RegionCatalog::multi_cloud(), 0).unwrap();
+        let cloud = SimCloud::with_catalog(RegionCatalog::multi_cloud(), 0);
         let (cat, pricing, mut runtime, latency) =
             (cloud.regions, cloud.pricing, cloud.compute, cloud.latency);
         runtime.cold_start_prob = 0.0;

@@ -285,8 +285,7 @@ fi
 # so the table-built constructors, the per-service override maps, the
 # aws-only constructor forks, the constant-getter backend traits and the
 # inter-provider latency builder must not come back
-# (RegionCatalog::aws_default(), the region rows themselves, stays; so
-# does the typed error MissingInterProviderLatency, hence the \b).
+# (RegionCatalog::aws_default(), the region rows themselves, stays).
 echo "==> single-substrate grep gate"
 if grep -rnE 'PricingCatalog::aws_default|LambdaRuntime::aws_default|from_catalog_with_providers|\b(cold_start|keep_alive|overhead)_override\b' \
     crates ||
@@ -561,6 +560,35 @@ fi
 echo "==> single-histogram grep gate"
 if grep -rn 'Histogram' crates/telemetry; then
     echo "error: a second histogram type is back in crates/telemetry" >&2
+    exit 1
+fi
+
+# One row per region, one block per provider: a region's columns are its
+# RegionSpec row, providers.rs holds the blocks and the penalty (exhaustive
+# matches, so there is no provider without both and no error for one), the
+# cross-provider egress rate is the source's internet tier, the three
+# region-down fault classes are one Outage, and the hour's plan is
+# HourlyPlans::plan_at.
+echo "==> one-row-per-region grep gates"
+if grep -rnE 'Provider::Azure|MissingInterProviderLatency' crates tests examples; then
+    echo "error: a provider without regions, or the error only it could raise, is back (see matches above)" >&2
+    exit 1
+fi
+if grep -rnw 'default_row' crates ||
+    grep -nE '\("[a-z0-9-]+", [0-9.]+, [0-9.]+\)' crates/simcloud/src/providers.rs; then
+    echo "error: a per-region row or its default is back in the provider table (see matches above)" >&2
+    exit 1
+fi
+if grep -rnw 'cross_provider_egress_per_gb' crates tests examples; then
+    echo "error: the copied cross-provider egress rate is back (see matches above)" >&2
+    exit 1
+fi
+if grep -rnwE 'RegionOutage|ProviderOutage|FailureDomain' crates tests examples; then
+    echo "error: a second outage shape is back (see matches above)" >&2
+    exit 1
+fi
+if grep -rnE 'fn hour_of_day\(' crates tests examples; then
+    echo "error: a second hour-of-day rule is back (see matches above)" >&2
     exit 1
 fi
 

@@ -1236,7 +1236,7 @@ fn quiet_cloud() -> SimCloud {
         .iter()
         .map(|(_, spec)| MessagingProfile {
             publish_overhead_sigma: 0.0,
-            ..providers::profile(spec).unwrap().messaging
+            ..providers::profile(spec).messaging
         })
         .collect();
     cloud.pubsub = PubSub::new(messaging);
@@ -1348,7 +1348,7 @@ fn wrapper_latency_bracket(
 ) -> (f64, f64) {
     let (dag, lm) = (&app.dag, &cloud.latency);
     let publish_s = |r: RegionId| {
-        let profile = providers::profile(cloud.regions.spec(r)).unwrap();
+        let profile = providers::profile(cloud.regions.spec(r));
         profile.messaging.publish_overhead_median_s
     };
     let start = plan.region_of(dag.start());

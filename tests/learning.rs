@@ -147,6 +147,8 @@ fn custom_region_is_first_class() {
         grid_zone: "SE".into(),
         latitude: 59.3,
         longitude: 18.1,
+        price_premium: 1.05,
+        perf_factor: 1.05,
     });
     // Give the new grid a profile (Sweden: hydro/nuclear, very clean).
     let mut profiles = std::collections::HashMap::new();
@@ -165,7 +167,7 @@ fn custom_region_is_first_class() {
     let synth = SyntheticCarbonSource::new(profiles, 1);
     assert!(synth.zone_intensity("SE", 12.0).unwrap() > 0.0);
 
-    let cloud = SimCloud::with_catalog(catalog, 502).unwrap();
+    let cloud = SimCloud::with_catalog(catalog, 502);
     // Latency and pricing cover the new region out of the box.
     let east = cloud.region("us-east-1").unwrap();
     assert!(

@@ -48,7 +48,7 @@ fn multi_cloud_catalog_is_complete() {
         );
     }
     // Latency, pricing, and compute cover the new regions.
-    let cloud = SimCloud::with_catalog(cat, 1).unwrap();
+    let cloud = SimCloud::with_catalog(cat, 1);
     let gcp_qc = cloud.region("northamerica-northeast1").unwrap();
     let aws_east = cloud.region("us-east-1").unwrap();
     assert!(cloud.latency.rtt(aws_east, gcp_qc) > 0.005);
