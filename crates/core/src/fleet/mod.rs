@@ -571,6 +571,60 @@ mod tests {
         }
     }
 
+    /// The re-plan pattern of the `fleet_replan` benchmark: 24 successive
+    /// single-hour, single-region revisions, ×1.5 and ×0.67 in turn, each
+    /// through `replan_incremental` at 1 and at 4 workers. Every schedule
+    /// equals a from-scratch solve of the revised forecast, and every call
+    /// drops the cache entries pinned here, captured on the cache that
+    /// scanned every plan of every species per invalidation.
+    #[test]
+    fn hourly_revisions_replan_like_scratch_and_drop_the_pinned_entries() {
+        const DROPPED: [u64; 24] = [
+            57, 74, 81, 92, 47, 75, 77, 104, 60, 83, 72, 96, 64, 74, 84, 98, 47, 81, 83, 101, 48,
+            77, 75, 88,
+        ];
+        let cfg = FleetConfig {
+            apps: 16,
+            hours: 24,
+            seed: 42,
+            ..FleetConfig::default()
+        };
+        let apps = generate_fleet(7, cfg.apps, &FleetEnv::new(cfg.seed, cfg.hours).universe);
+        let revision = |env: &FleetEnv, h: usize| Perturbation {
+            hour: h,
+            region: Some(env.universe[h % env.universe.len()]),
+            op: PerturbOp::Scale(if h.is_multiple_of(2) { 1.5 } else { 0.67 }),
+        };
+        let mut env = FleetEnv::new(cfg.seed, cfg.hours);
+        let scratch: Vec<u64> = (0..cfg.hours)
+            .map(|h| {
+                env.apply_perturbations(&[revision(&env, h)]);
+                let cache = EstimateCache::shared(cfg.cache_capacity);
+                solve_fleet(&apps, &env, &cfg, &cache).schedule.digest()
+            })
+            .collect();
+        for workers in [1, 4] {
+            let cfg = FleetConfig { workers, ..cfg };
+            let mut env = FleetEnv::new(cfg.seed, cfg.hours);
+            let cache = EstimateCache::shared(cfg.cache_capacity);
+            let mut schedule = solve_fleet(&apps, &env, &cfg, &cache).schedule;
+            let mut dropped = Vec::new();
+            for (h, &digest) in scratch.iter().enumerate() {
+                let revisions = [revision(&env, h)];
+                env.apply_perturbations(&revisions);
+                let report = replan_incremental(&apps, &env, &cfg, &cache, &schedule, &revisions);
+                assert_eq!(
+                    report.schedule.digest(),
+                    digest,
+                    "revision {h}, {workers} workers"
+                );
+                dropped.push(report.cache_entries_invalidated);
+                schedule = report.schedule;
+            }
+            assert_eq!(dropped, DROPPED, "{workers} workers");
+        }
+    }
+
     #[test]
     fn multi_provider_env_widens_the_universe_and_separates_streams() {
         let aws = FleetEnv::new(42, 4);

@@ -198,10 +198,10 @@ pub struct MonteCarloEstimator<'a, S: CarbonDataSource, M: StageModels> {
 ///
 /// An estimate entered with the generator state of the one before it, on
 /// the same scratch, finds its draws already banked (another state, or
-/// another DAG shape, starts the bank over). The solver's `EvalEngine`
-/// keeps one scratch per worker, all on one bank ([`Self::on_bank`]), so a
-/// case pays for its draws once however many candidates, hours and threads
-/// read them. The contract is the engine's: one bank serves one frozen
+/// another DAG shape, starts the bank over). The solver keeps one scratch
+/// per worker thread and points it at the engine's bank for each estimate
+/// ([`Self::swap_bank`]), so a case pays for its draws once however many
+/// candidates, hours and threads read them. The contract is the engine's: one bank serves one frozen
 /// context — same DAG, profile, models and stopping rule.
 ///
 /// Nothing checks that contract: the bank is named by the generator state
@@ -218,13 +218,13 @@ pub struct EstimateScratch {
 }
 
 impl EstimateScratch {
-    /// An empty scratch on `bank`, which others may share; the default
-    /// scratch has a bank of its own.
-    pub fn on_bank(bank: SharedBank) -> Self {
-        EstimateScratch {
-            bank,
-            ..Default::default()
-        }
+    /// Points the scratch at `bank`, which others may share, and returns
+    /// the bank it was on (the default scratch has a bank of its own). The
+    /// fold and price columns carry nothing from one estimate to the next,
+    /// so one scratch may serve bank after bank: the solver's engines
+    /// point a worker thread's scratch at each miss's bank in turn.
+    pub fn swap_bank(&mut self, bank: SharedBank) -> SharedBank {
+        std::mem::replace(&mut self.bank, bank)
     }
 }
 

@@ -10,7 +10,7 @@
 //! [`crate::rng::mix64`], when the map asks for the hash. Being keyless it
 //! also makes a map's iteration order a function of its insertions alone.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::rng::mix64;
@@ -94,9 +94,6 @@ pub type FixedState = BuildHasherDefault<FixedHasher>;
 
 /// A `HashMap` under [`FixedHasher`]; build one with `FixedMap::default()`.
 pub type FixedMap<K, V> = HashMap<K, V, FixedState>;
-
-/// A `HashSet` under [`FixedHasher`]; build one with `FixedSet::default()`.
-pub type FixedSet<K> = HashSet<K, FixedState>;
 
 #[cfg(test)]
 mod tests {

@@ -35,56 +35,66 @@
 //!    an entry when their estimates are provably bit-equal.
 //!
 //! The cache is **per-species tables the engines hold**: one table per
-//! (fingerprint, provider bits) keeps that species' bank and its plans,
-//! `assignment → { regions touched, the plan's hour-free record,
-//! hour-bits → carbon }` in a fixed-hasher map
-//! ([`caribou_model::hash::FixedMap`]). An engine takes its table once, at
-//! construction; a probe or an insert locks that table alone and hashes
-//! the assignment once. An hour only ever moves an estimate's carbon, so a
-//! plan's latency and cost — at every stopping-rule boundary its fold reached,
-//! the [`PlanRecord`] — are kept once per plan, and what is kept per
-//! (plan, hour) is the carbon summary and the sample count it stopped at.
-//! A hit reassembles the two halves. A miss hands the estimator the
-//! plan's record: if it covers where this hour's rule stops, the estimate
-//! is a *re-pricing* of the bank's derived columns, and the fold runs
-//! only for a plan seen for the first time (or further than before). The
-//! hour key is the bit pattern of the solve hour — exact rather than
-//! floored because carbon sources may be continuous in the hour; two
-//! solves only share an entry when their estimates are provably
-//! identical.
+//! (fingerprint, provider bits) keeps that species' bank and its plans. A
+//! plan is a *slot*: its assignment is stored once, in the table's flat key
+//! buffer, and found through an open-addressed index of slots
+//! (`crate::keys`); beside the slot sit the plan's record, its home and how
+//! many hours it holds. An engine takes its table once, at construction; a
+//! probe or an insert locks that table alone and hashes the assignment
+//! once. An hour only ever moves an estimate's carbon, so a plan's latency
+//! and cost — at every stopping-rule boundary its fold reached, the
+//! [`PlanRecord`] — are kept once per plan, and what is kept per (plan,
+//! hour) is the carbon summary and the sample count it stopped at, in the
+//! table's *hour index*: ascending hour bits, each with a fixed-hasher map
+//! ([`caribou_model::hash::FixedMap`]) from slot to carbon. A hit
+//! reassembles the two halves. A miss hands the estimator the plan's
+//! record: if it covers where this hour's rule stops, the estimate is a
+//! *re-pricing* of the bank's derived columns, and the fold runs only for a
+//! plan seen for the first time (or further than before). The hour key is
+//! the bit pattern of the solve hour — exact rather than floored because
+//! carbon sources may be continuous in the hour; two solves only share an
+//! entry when their estimates are provably identical. A plan seen for the
+//! first time costs the cache one allocation, the shared handle its record
+//! is kept and lent out in; the flat buffers grow by doubling.
 //!
 //! The cache is **bounded**: past [`EstimateCache::capacity`] hour
 //! entries the largest `(fingerprint, bits, assignment, hour-bits)` keys
-//! are evicted (a plan leaves with its last hour). The hashed map has no
-//! order, so each table also keeps its assignments in key order — the
-//! *ordered keys*, touched only when a plan is first stored or dropped —
-//! and eviction reads the largest key off the last table's last
-//! assignment. Because eviction keeps the smallest `capacity` keys, the
-//! retained *set* depends only on which keys were ever inserted — never
-//! on insertion order — so a run's cache contents stay worker-count
-//! independent, and soundness (property 2) means eviction can only cost
-//! recomputation, never correctness.
+//! are evicted (a plan leaves with its last hour, and its slot is reused).
+//! The index has no order, so each table also keeps its slots in a
+//! max-heap by key — touched only when a plan is first stored or dropped —
+//! and eviction reads the largest key off the last table's heap top.
+//! Because eviction keeps the smallest `capacity` keys, the retained *set*
+//! depends only on which keys were ever inserted — never on insertion
+//! order — so a run's cache contents stay worker-count independent, and
+//! soundness (property 2) means eviction can only cost recomputation,
+//! never correctness.
 //!
 //! Two kinds of lock, never nested the other way round. A table's
-//! [`Mutex`] covers its bank handle, plans and ordered keys: probes and
-//! inserts take it and nothing else. The species map's [`Mutex`] covers
-//! which tables exist: engine construction takes it to find its table,
-//! and invalidation and eviction take it to walk the tables in species
-//! order, one table lock at a time. The hour-entry count is an atomic an
-//! insert bumps after releasing its table; the insert that takes it past
-//! the bound evicts, under the species map, until it is back within. An
-//! eviction walk that misses a key inserted behind it pops a key with at
-//! least `capacity` smaller keys still cached, and the missed key's own
-//! count bump brings the walk back for it, so concurrent inserts leave the
-//! retained set what one lock around everything left.
+//! [`Mutex`] covers its bank handle, keys, plans, heap and hour index:
+//! probes and inserts take it and nothing else. The species map's
+//! [`Mutex`] covers which tables exist: engine construction takes it to
+//! find its table, and invalidation and eviction take it to walk the
+//! tables in species order, one table lock at a time. The hour-entry count
+//! is an atomic an insert bumps after releasing its table; the insert that
+//! takes it past the bound evicts, under the species map, until it is back
+//! within. An eviction walk that misses a key inserted behind it pops a
+//! key with at least `capacity` smaller keys still cached, and the missed
+//! key's own count bump brings the walk back for it, so concurrent inserts
+//! leave the retained set what one lock around everything left. The
+//! estimator's scratch (fold and price columns) takes no lock at all: it
+//! belongs to the worker thread, which points it at the engine's bank for
+//! each miss, so one set of columns serves every engine a worker runs.
 //!
-//! Plans remember which regions their estimates read (the plan's regions
-//! plus home, the only regions the pricing pass queries the carbon source
-//! for). [`EstimateCache::invalidate_hour`] uses that to drop exactly the
-//! hour entries a forecast revision touches — the hook the fleet
-//! subsystem's incremental re-solve builds on. The plan's record stays:
-//! a forecast cannot move latency or cost, so the re-solve re-prices and
-//! does not re-fold.
+//! An estimate reads the carbon source only for its plan's regions and its
+//! home (the pricing pass's transmission endpoints and execution sites),
+//! so a plan's key and its home are the whole dependency record, and no
+//! list of touched regions is kept.
+//! [`EstimateCache::invalidate_hour`] uses it to drop exactly the hour
+//! entries a forecast revision touches, visiting only the plans the hour
+//! index files under that hour — the hook the fleet subsystem's
+//! incremental re-solve builds on. The plan's record stays: a forecast
+//! cannot move latency or cost, so the re-solve re-prices and does not
+//! re-fold.
 //!
 //! A probe tallies its hit or miss in its table, under the lock it already
 //! holds, so species share no counter either; [`EstimateCache::hit_count`]
@@ -100,7 +110,8 @@
 //!
 //! [`MonteCarloConfig::batch`]: caribou_metrics::montecarlo::MonteCarloConfig
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -114,6 +125,7 @@ use caribou_model::region::RegionId;
 use caribou_model::rng::{Pcg32, SeedSplitter};
 
 use crate::context::SolverContext;
+use crate::keys::{ByKey, KeyArena};
 use crate::pool;
 
 /// Domain-separation label for evaluation streams, so an engine seed
@@ -136,29 +148,17 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 /// be served to a single-provider solve or vice versa.
 type Species = (u64, u64);
 
-/// What the cache keeps of one plan.
+/// What a table keeps of one plan beside its key.
 #[derive(Debug)]
-struct PlanEntry {
-    /// The regions its estimates read from the carbon source (assignment
-    /// ∪ home) — the dependency record invalidation uses.
-    touched: Vec<RegionId>,
-    /// Latency and cost at every boundary a fold of the plan reached.
-    record: Arc<PlanRecord>,
-    /// Ascending solve-hour bits → that hour's carbon.
-    hours: Vec<(u64, CarbonSummary)>,
-}
-
-impl PlanEntry {
-    fn hour(&self, bits: u64) -> Result<usize, usize> {
-        self.hours.binary_search_by_key(&bits, |(hour, _)| *hour)
-    }
-
-    /// The estimate at an hour, reassembled from its two halves.
-    fn estimate_at(&self, hour_bits: u64) -> Option<EstimateSummary> {
-        let carbon = self.hours[self.hour(hour_bits).ok()?].1;
-        let hour_free = self.record.at(carbon.carbon.n)?;
-        Some(EstimateSummary::from_halves(hour_free, carbon))
-    }
+struct Plan {
+    /// Latency and cost at every boundary a fold of the plan reached;
+    /// `None` while the slot is free.
+    record: Option<Arc<PlanRecord>>,
+    /// The home region of the estimates stored: with the key, the regions
+    /// they read from the carbon source (what invalidation checks).
+    home: RegionId,
+    /// Hour entries the plan holds.
+    hours: u32,
 }
 
 /// One species' share of the cache: the draws its engines read and the
@@ -166,16 +166,37 @@ impl PlanEntry {
 #[derive(Debug, Default)]
 struct Table {
     bank: SharedBank,
-    plans: FixedMap<Box<[RegionId]>, PlanEntry>,
-    /// The assignments of `plans` in key order: where eviction finds the
-    /// largest key. Written only when a plan is first stored or dropped.
-    order: BTreeSet<Box<[RegionId]>>,
+    /// Each plan's assignment, stored once; a plan is its slot here.
+    keys: KeyArena,
+    /// By slot.
+    plans: Vec<Plan>,
+    /// The slots by key: where eviction finds the largest key. Written only
+    /// when a plan is first stored or dropped.
+    order: ByKey,
+    /// The hour index: ascending solve-hour bits → the plans holding that
+    /// hour and their carbon.
+    hours: Vec<(u64, FixedMap<u32, CarbonSummary>)>,
     /// Probes of this table that hit and that missed.
     hits: u64,
     misses: u64,
 }
 
 impl Table {
+    /// Where the hour index files `hour_bits`, or where it would.
+    fn hour(&self, hour_bits: u64) -> Result<usize, usize> {
+        self.hours
+            .binary_search_by_key(&hour_bits, |(hour, _)| *hour)
+    }
+
+    /// The carbon stored for `(slot, hour)`.
+    fn carbon(&self, slot: u32, hour_bits: u64) -> Option<CarbonSummary> {
+        if self.plans[slot as usize].hours == 0 {
+            return None;
+        }
+        let at = self.hour(hour_bits).ok()?;
+        self.hours[at].1.get(&slot).copied()
+    }
+
     /// The cached estimate of `(plan, hour)`, or else the plan's record for
     /// the estimator to go by (`None`: the plan was never folded); tallied
     /// as a hit or a miss.
@@ -184,11 +205,18 @@ impl Table {
         assignment: &[RegionId],
         hour_bits: u64,
     ) -> Result<EstimateSummary, Option<Arc<PlanRecord>>> {
-        let probed = match self.plans.get(assignment) {
+        let probed = match self.keys.find(assignment) {
             None => Err(None),
-            Some(plan) => plan
-                .estimate_at(hour_bits)
-                .ok_or_else(|| Some(Arc::clone(&plan.record))),
+            Some(slot) => {
+                let record = self.plans[slot as usize].record.as_ref();
+                let record = record.expect("a stored plan has its record");
+                self.carbon(slot, hour_bits)
+                    .and_then(|carbon| {
+                        let hour_free = record.at(carbon.carbon.n)?;
+                        Some(EstimateSummary::from_halves(hour_free, carbon))
+                    })
+                    .ok_or_else(|| Some(Arc::clone(record)))
+            }
         };
         if probed.is_ok() {
             self.hits += 1;
@@ -198,18 +226,88 @@ impl Table {
         probed
     }
 
+    /// Stores the carbon half of an estimate of `(plan, hour)` and the
+    /// `record` its other half came from, which replaces the plan's when it
+    /// reaches further. `true` when the hour entry is new.
+    fn insert(
+        &mut self,
+        assignment: &[RegionId],
+        hour_bits: u64,
+        home: RegionId,
+        record: Arc<PlanRecord>,
+        carbon: CarbonSummary,
+    ) -> bool {
+        let (slot, new) = self.keys.insert(assignment);
+        if new {
+            let plan = Plan {
+                record: Some(record),
+                home,
+                hours: 0,
+            };
+            match self.plans.get_mut(slot as usize) {
+                Some(free) => *free = plan,
+                None => self.plans.push(plan),
+            }
+            self.order.push(slot, &self.keys);
+        } else {
+            let kept = self.plans[slot as usize].record.as_mut();
+            let kept = kept.expect("a stored plan has its record");
+            if record.boundaries() > kept.boundaries() {
+                *kept = record;
+            }
+        }
+        let at = self.hour(hour_bits).unwrap_or_else(|at| {
+            self.hours.insert(at, (hour_bits, FixedMap::default()));
+            at
+        });
+        let added = self.hours[at].1.insert(slot, carbon).is_none();
+        if added {
+            self.plans[slot as usize].hours += 1;
+        }
+        added
+    }
+
     /// Pops the hour entry with the largest key, dropping its plan when no
     /// hour is left: `Some(true)` when an hour entry went, `Some(false)`
     /// when only an hour-less plan did, `None` when the table is empty.
     fn pop_last(&mut self) -> Option<bool> {
-        let last = self.order.last()?;
-        let plan = self.plans.get_mut(last).expect("ordered keys are plans");
-        let popped = plan.hours.pop().is_some();
-        if plan.hours.is_empty() {
-            let last = self.order.pop_last().expect("a last key");
-            self.plans.remove(&last);
+        let slot = self.order.last()?;
+        let plan = &mut self.plans[slot as usize];
+        let popped = plan.hours > 0;
+        if popped {
+            // The plan's largest hour is the last one filing it.
+            let mut filing = self.hours.iter_mut().rev().map(|(_, held)| held);
+            let held = filing.find(|held| held.contains_key(&slot));
+            held.expect("a plan's hours are indexed").remove(&slot);
+            plan.hours -= 1;
+        }
+        if plan.hours == 0 {
+            plan.record = None;
+            self.order.pop_last(&self.keys);
+            self.keys.remove(slot);
         }
         Some(popped)
+    }
+
+    /// Drops the entries at `hour_bits` whose plan or home is one of
+    /// `regions`; returns how many went.
+    fn invalidate(&mut self, hour_bits: u64, regions: &[RegionId]) -> usize {
+        let Ok(at) = self.hour(hour_bits) else {
+            return 0;
+        };
+        let (keys, plans) = (&self.keys, &mut self.plans);
+        let held = &mut self.hours[at].1;
+        let before = held.len();
+        held.retain(|&slot, _| {
+            let plan = &mut plans[slot as usize];
+            let touched =
+                regions.contains(&plan.home) || keys.key(slot).iter().any(|r| regions.contains(r));
+            if touched {
+                plan.hours -= 1;
+            }
+            !touched
+        });
+        before - held.len()
     }
 }
 
@@ -297,8 +395,8 @@ impl EstimateCache {
     }
 
     /// Stores in `table` the carbon half of an estimate of `(plan, hour)`
-    /// and the `record` its other half came from, which replaces the
-    /// plan's when it reaches further.
+    /// and the `record` its other half came from ([`Table::insert`]), and
+    /// evicts if the new entry took the cache past its bound.
     fn insert(
         &self,
         table: &Mutex<Table>,
@@ -308,46 +406,7 @@ impl EstimateCache {
         record: Arc<PlanRecord>,
         carbon: CarbonSummary,
     ) {
-        let added = {
-            let mut guard = lock(table);
-            let table = &mut *guard;
-            match table.plans.get_mut(assignment) {
-                Some(plan) => {
-                    if record.boundaries() > plan.record.boundaries() {
-                        plan.record = record;
-                    }
-                    match plan.hour(hour_bits) {
-                        Ok(at) => {
-                            plan.hours[at].1 = carbon;
-                            false
-                        }
-                        Err(at) => {
-                            plan.hours.insert(at, (hour_bits, carbon));
-                            true
-                        }
-                    }
-                }
-                None => {
-                    // The estimator queries the carbon source only for the
-                    // plan's regions and home (transmission endpoints and
-                    // execution sites) — record them so forecast revisions
-                    // can invalidate precisely.
-                    let mut touched = assignment.to_vec();
-                    touched.push(home);
-                    touched.sort_unstable();
-                    touched.dedup();
-                    let plan = PlanEntry {
-                        touched,
-                        record,
-                        hours: vec![(hour_bits, carbon)],
-                    };
-                    let key: Box<[RegionId]> = assignment.into();
-                    table.order.insert(key.clone());
-                    table.plans.insert(key, plan);
-                    true
-                }
-            }
-        };
+        let added = lock(table).insert(assignment, hour_bits, home, record, carbon);
         if added && self.len.fetch_add(1, Ordering::SeqCst) >= self.capacity {
             self.evict();
         }
@@ -383,18 +442,11 @@ impl EstimateCache {
     /// recomputation is a re-pricing.
     pub fn invalidate_hour(&self, hour: f64, regions: &[RegionId]) -> u64 {
         let bits = hour.to_bits();
-        let species = self.species();
-        let mut dropped = 0;
-        for table in species.values() {
-            for plan in lock(table).plans.values_mut() {
-                if let Ok(at) = plan.hour(bits) {
-                    if plan.touched.iter().any(|r| regions.contains(r)) {
-                        plan.hours.remove(at);
-                        dropped += 1;
-                    }
-                }
-            }
-        }
+        let dropped: usize = self
+            .species()
+            .values()
+            .map(|table| lock(table).invalidate(bits, regions))
+            .sum();
         self.len.fetch_sub(dropped, Ordering::SeqCst);
         dropped as u64
     }
@@ -423,12 +475,15 @@ pub struct EvalEngine {
     /// so engines that share estimates share the draws behind them. It
     /// grows to the samples the context actually needed.
     bank: SharedBank,
-    /// Pool of estimator scratch buffers (fold columns), all on `bank`. A
-    /// cache miss checks one out for the duration of the estimate and
-    /// returns it afterwards, so a solve's misses re-allocate fold state
-    /// only until the pool has one scratch per concurrently-evaluating
-    /// worker.
-    scratch: Mutex<Vec<EstimateScratch>>,
+}
+
+thread_local! {
+    /// The estimator scratch (fold and price columns) of this thread. A
+    /// miss points it at its engine's bank for the one estimate and back
+    /// at the scratch's own bank afterwards, so one set of columns serves
+    /// every engine a worker runs, and no engine's bank outlives its
+    /// estimates here.
+    static SCRATCH: RefCell<EstimateScratch> = RefCell::default();
 }
 
 impl EvalEngine {
@@ -479,7 +534,6 @@ impl EvalEngine {
             cache,
             table,
             bank,
-            scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -549,12 +603,14 @@ impl EvalEngine {
             }
         };
         let mut rng = self.eval_rng(plan, hour);
-        let pooled = self.scratch.lock().expect("scratch pool").pop();
-        let mut scratch = pooled.unwrap_or_else(|| EstimateScratch::on_bank(self.bank.clone()));
         let unfolded = PlanRecord::default();
         let record = known.as_deref().unwrap_or(&unfolded);
-        let (estimate, grown) = ctx.evaluate_on(plan, hour, &mut rng, &mut scratch, record);
-        self.scratch.lock().expect("scratch pool").push(scratch);
+        let (estimate, grown) = SCRATCH.with_borrow_mut(|scratch| {
+            let own = scratch.swap_bank(self.bank.clone());
+            let estimated = ctx.evaluate_on(plan, hour, &mut rng, scratch, record);
+            scratch.swap_bank(own);
+            estimated
+        });
         let record = grown
             .map(Arc::new)
             .or(known)
@@ -605,10 +661,9 @@ impl EvalEngine {
     /// lookup that, unlike [`evaluate`](Self::evaluate), counts no hit or
     /// miss and stores nothing.
     pub fn is_cached(&self, plan: &DeploymentPlan, hour: f64) -> bool {
-        lock(&self.table)
-            .plans
-            .get(plan.assignment())
-            .is_some_and(|entry| entry.hour(hour.to_bits()).is_ok())
+        let table = lock(&self.table);
+        let slot = table.keys.find(plan.assignment());
+        slot.is_some_and(|slot| table.carbon(slot, hour.to_bits()).is_some())
     }
 }
 
@@ -625,6 +680,7 @@ mod tests {
     use caribou_model::dist::DistSpec;
     use caribou_simcloud::cloud::SimCloud;
     use caribou_simcloud::orchestration::Orchestrator;
+    use std::collections::BTreeSet;
 
     type Ctx<'a> = SolverContext<'a, TableSource, DefaultModels<'a>>;
 
@@ -832,14 +888,22 @@ mod tests {
     /// A cached key: species, assignment, hour bits.
     type Key = (Species, Vec<RegionId>, u64);
 
+    /// The hour index as a tree: (species, hour bits) → the assignments
+    /// holding that hour.
+    type HourView = BTreeMap<(Species, u64), BTreeSet<Vec<RegionId>>>;
+
     /// The store as it was before the tables were split by species, reduced
     /// to its keys: two ordered maps behind one owner, so eviction simply
-    /// takes the largest key. The oracle the per-species tables answer to.
+    /// takes the largest key and invalidation scans every plan. The oracle
+    /// the per-species tables answer to.
     #[derive(Default)]
     struct Reference {
         species: BTreeMap<Species, BTreeMap<Vec<RegionId>, ReferencePlan>>,
         len: usize,
         evictions: u64,
+        /// Every hour entry evicted or invalidated, for the script to store
+        /// again.
+        dropped: Vec<Key>,
     }
 
     struct ReferencePlan {
@@ -888,11 +952,16 @@ mod tests {
                 }
             }
             while self.len > capacity {
-                let last = self.species.values_mut().rev().find_map(|s| s.last_entry());
-                let mut last = last.expect("hour entries belong to plans");
-                if last.get_mut().hours.pop().is_some() {
+                let last = self
+                    .species
+                    .iter_mut()
+                    .rev()
+                    .find_map(|(&species, s)| s.last_entry().map(|last| (species, last)));
+                let (species, mut last) = last.expect("hour entries belong to plans");
+                if let Some((hour, _)) = last.get_mut().hours.pop() {
                     self.len -= 1;
                     self.evictions += 1;
+                    self.dropped.push((species, last.key().clone(), hour));
                 }
                 if last.get().hours.is_empty() {
                     last.remove();
@@ -902,11 +971,14 @@ mod tests {
 
         fn invalidate_hour(&mut self, hour_bits: u64, regions: &[RegionId]) -> u64 {
             let mut dropped = 0;
-            for plan in self.species.values_mut().flat_map(|s| s.values_mut()) {
-                if let Ok(at) = plan.hours.binary_search_by_key(&hour_bits, |h| h.0) {
-                    if plan.touched.iter().any(|r| regions.contains(r)) {
-                        plan.hours.remove(at);
-                        dropped += 1;
+            for (&species, plans) in &mut self.species {
+                for (assignment, plan) in plans {
+                    if let Ok(at) = plan.hours.binary_search_by_key(&hour_bits, |h| h.0) {
+                        if plan.touched.iter().any(|r| regions.contains(r)) {
+                            plan.hours.remove(at);
+                            self.dropped.push((species, assignment.clone(), hour_bits));
+                            dropped += 1;
+                        }
                     }
                 }
             }
@@ -925,39 +997,81 @@ mod tests {
             }
             keys
         }
+
+        fn hour_view(&self) -> HourView {
+            let mut view = HourView::new();
+            for (species, assignment, hour) in self.keys() {
+                view.entry((species, hour)).or_default().insert(assignment);
+            }
+            view
+        }
     }
 
     /// Every key the per-species tables hold, sorted.
     fn keys(cache: &EstimateCache) -> Vec<Key> {
         let mut keys = Vec::new();
-        for (&species, table) in cache.species().iter() {
-            for (assignment, plan) in &lock(table).plans {
-                for &(hour, _) in &plan.hours {
-                    keys.push((species, assignment.to_vec(), hour));
-                }
-            }
+        for ((species, hour), held) in hour_view(cache) {
+            keys.extend(
+                held.into_iter()
+                    .map(|assignment| (species, assignment, hour)),
+            );
         }
         keys.sort_unstable();
         keys
     }
 
-    /// The cache oracle: seeded scripts of probes, inserts and
+    /// The tables' hour indexes as a tree, after checking that each stored
+    /// plan counts the hours the index files under it.
+    fn hour_view(cache: &EstimateCache) -> HourView {
+        let mut view = HourView::new();
+        for (&species, table) in cache.species().iter() {
+            let table = lock(table);
+            let mut counted = vec![0u32; table.plans.len()];
+            for (hour, held) in &table.hours {
+                for &slot in held.keys() {
+                    counted[slot as usize] += 1;
+                    let assignment = table.keys.key(slot).to_vec();
+                    view.entry((species, *hour)).or_default().insert(assignment);
+                }
+            }
+            for (slot, plan) in table.plans.iter().enumerate() {
+                assert_eq!(plan.hours, counted[slot], "slot {slot}: hours held");
+                assert!(
+                    plan.hours == 0 || plan.record.is_some(),
+                    "slot {slot}: a freed plan"
+                );
+            }
+        }
+        view
+    }
+
+    /// The cache oracle: seeded scripts of probes, inserts, re-inserts of
+    /// hour entries an eviction or an invalidation dropped, and
     /// invalidations over 1–3 species, 1–4-node assignments and three
     /// hours, at capacities 1–12, run against the per-species tables and
-    /// the reference store. Every probe answers alike, the entry and
-    /// eviction counts agree after every step, and the retained keys are
-    /// the same at the end.
+    /// the reference store. Every probe answers alike, and after every
+    /// step the entry and eviction counts agree and each table's hour index
+    /// files exactly the plans the reference holds at each hour; the
+    /// retained keys are the same at the end.
     #[test]
     fn per_species_tables_answer_like_the_reference_store() {
         // A real record and carbon half, so that a stored hour is a hit.
         let (record, carbon) = with_ctx(|ctx| {
             let engine = EvalEngine::new(7, 1);
             let estimate = engine.evaluate(ctx, &plan(1), 0.5);
-            let record = Arc::clone(&lock(&engine.table).plans[plan(1).assignment()].record);
-            (record, estimate.carbon_half())
+            let table = lock(&engine.table);
+            let slot = table
+                .keys
+                .find(plan(1).assignment())
+                .expect("a stored plan");
+            let record = table.plans[slot as usize].record.clone();
+            (record.expect("its record"), estimate.carbon_half())
         });
         const FINGERPRINTS: [u64; 3] = [0, 0xaaaa, 0xbbbb];
         const HOURS: [f64; 3] = [0.5, 1.5, 2.5];
+        // Hour entries invalidated, and dropped ones stored again, over all
+        // scripts.
+        let (mut invalidated, mut restored) = (0, 0);
         for script in 0..300u64 {
             let mut rng = Pcg32::seed(script);
             let capacity = 1 + rng.next_index(12);
@@ -972,12 +1086,18 @@ mod tests {
                 })
                 .collect();
             for step in 0..120u64 {
-                let (id, table, nodes, home) = &species[rng.next_index(species.len())];
-                let assignment: Vec<RegionId> = (0..*nodes)
+                let (mut id, mut table, nodes, mut home) = {
+                    let (id, table, nodes, home) = &species[rng.next_index(species.len())];
+                    (*id, table, *nodes, *home)
+                };
+                let mut assignment: Vec<RegionId> = (0..nodes)
                     .map(|_| RegionId(rng.next_index(3) as u16))
                     .collect();
-                let hour_bits = HOURS[rng.next_index(HOURS.len())].to_bits();
+                let mut hour_bits = HOURS[rng.next_index(HOURS.len())].to_bits();
                 let at = format!("script {script} step {step}");
+                let mut stored = carbon;
+                stored.carbon.mean = step as f64;
+                let value = stored.carbon.mean.to_bits();
                 match rng.next_index(10) {
                     0..=3 => {
                         let answer = match lock(table).probe(&assignment, hour_bits) {
@@ -985,16 +1105,22 @@ mod tests {
                             Err(Some(_)) => Answer::Record,
                             Err(None) => Answer::Absent,
                         };
-                        let expected = reference.probe(*id, &assignment, hour_bits);
+                        let expected = reference.probe(id, &assignment, hour_bits);
                         assert_eq!(answer, expected, "{at}: probe");
                     }
-                    4..=7 => {
-                        let mut stored = carbon;
-                        stored.carbon.mean = step as f64;
-                        let value = stored.carbon.mean.to_bits();
+                    op @ 4..=7 => {
+                        // One insert in four stores again an hour entry
+                        // that was dropped, when one was.
+                        if op == 7 && !reference.dropped.is_empty() {
+                            let pick = rng.next_index(reference.dropped.len());
+                            (id, assignment, hour_bits) = reference.dropped.swap_remove(pick);
+                            let (_, t, _, h) = species.iter().find(|s| s.0 == id).unwrap();
+                            (table, home) = (t, *h);
+                            restored += 1;
+                        }
                         let record = Arc::clone(&record);
-                        cache.insert(table, &assignment, hour_bits, *home, record, stored);
-                        reference.insert(capacity, *id, &assignment, hour_bits, *home, value);
+                        cache.insert(table, &assignment, hour_bits, home, record, stored);
+                        reference.insert(capacity, id, &assignment, hour_bits, home, value);
                     }
                     _ => {
                         let regions: Vec<RegionId> = (0..3u16)
@@ -1002,11 +1128,13 @@ mod tests {
                             .map(RegionId)
                             .collect();
                         let hour = f64::from_bits(hour_bits);
+                        let dropped = cache.invalidate_hour(hour, &regions);
                         assert_eq!(
-                            cache.invalidate_hour(hour, &regions),
+                            dropped,
                             reference.invalidate_hour(hour_bits, &regions),
                             "{at}: dropped"
                         );
+                        invalidated += dropped;
                     }
                 }
                 assert_eq!(cache.len(), reference.len, "{at}: len");
@@ -1015,12 +1143,20 @@ mod tests {
                     reference.evictions,
                     "{at}: evictions"
                 );
+                assert_eq!(hour_view(&cache), reference.hour_view(), "{at}: hour index");
             }
             assert_eq!(
                 keys(&cache),
                 reference.keys(),
                 "script {script}: retained keys"
             );
+            if capacity <= 4 {
+                assert!(reference.evictions > 0, "script {script}: nothing evicted");
+            }
         }
+        assert!(
+            invalidated > 1000 && restored > 1000,
+            "{invalidated} {restored}"
+        );
     }
 }

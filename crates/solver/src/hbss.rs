@@ -17,7 +17,6 @@
 use caribou_carbon::source::CarbonDataSource;
 use caribou_metrics::montecarlo::StageModels;
 use caribou_model::dag::NodeId;
-use caribou_model::hash::FixedSet;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::region::RegionId;
 use caribou_model::rng::Pcg32;
@@ -25,6 +24,7 @@ use caribou_model::rng::Pcg32;
 use crate::context::{SolveOutcome, SolverContext};
 use crate::engine::EvalEngine;
 use crate::hourly::HourRow;
+use crate::keys::KeyArena;
 
 /// Rank-bias β of the region-selection heuristic (Alg. 1): rank `r` is
 /// drawn with weight `β(1-β)^r`. §5.1 fixes β, γ and its decay
@@ -98,8 +98,9 @@ impl HbssSolver {
         let ctx = &ctx.with_source(&row);
         // The forecast carbon intensity at this hour of every permitted
         // region.
-        let mut intensity: Vec<(RegionId, f64)> =
-            ctx.permitted.iter().flatten().map(|r| (*r, 0.0)).collect();
+        let choices = ctx.permitted.iter().map(Vec::len).sum();
+        let mut intensity: Vec<(RegionId, f64)> = Vec::with_capacity(choices);
+        intensity.extend(ctx.permitted.iter().flatten().map(|r| (*r, 0.0)));
         intensity.sort_unstable_by_key(|(r, _)| *r);
         intensity.dedup_by_key(|(r, _)| *r);
         for (region, value) in &mut intensity {
@@ -113,20 +114,11 @@ impl HbssSolver {
         // intensity; HBSS samples ranks with geometric weights w_r =
         // β(1-β)^r (the "heuristic bias", Bresina's bias-rank sampling).
         // A node with fewer choices reads a prefix of the one table.
-        let ranked: Vec<Vec<RegionId>> = ctx
-            .permitted
-            .iter()
-            .map(|set| {
-                let at = |r: &RegionId| {
-                    let found = intensity.binary_search_by_key(r, |(region, _)| *region);
-                    intensity[found.expect("a permitted region")].1
-                };
-                let mut v = set.clone();
-                v.sort_by(|a, b| at(a).total_cmp(&at(b)));
-                v
-            })
-            .collect();
-        let most_choices = ranked.iter().map(Vec::len).max().unwrap_or(0);
+        let ranked = Rankings::new(ctx.permitted, |r| {
+            let found = intensity.binary_search_by_key(r, |(region, _)| *region);
+            intensity[found.expect("a permitted region")].1
+        });
+        let most_choices = ctx.permitted.iter().map(Vec::len).max().unwrap_or(0);
         let weights: Vec<f64> = (0..most_choices)
             .map(|r| BETA * (1.0 - BETA).powi(r as i32))
             .collect();
@@ -140,11 +132,12 @@ impl HbssSolver {
         // it from the current plan, and an acceptance swaps the two.
         let mut nd = home_plan.clone();
 
-        // Allocates only on a first visit: a revisit is found by `contains`
-        // before any key is boxed.
-        let mut seen: FixedSet<Box<[RegionId]>> = FixedSet::default();
-        seen.insert(home_plan.assignment().into());
+        // The walk visits at most the home plan and one plan per iteration,
+        // so the first-visit set is sized once and never grows.
+        let mut seen = KeyArena::with_capacity(n_nodes, (alpha + 1).min(space));
+        seen.insert(home_plan.assignment());
         let mut evaluated = 1usize;
+        // Overwritten in place by each improvement.
         let mut best_plan = home_plan;
         let mut best_metric = current_metric;
         let mut best_estimate = home_estimate;
@@ -155,9 +148,8 @@ impl HbssSolver {
         while i < alpha {
             self.gen_new_deployment(&current_plan, &mut nd, &ranked, &weights, rng);
             i += 1;
-            let first_visit = !seen.contains(nd.assignment());
+            let first_visit = seen.insert(nd.assignment()).1;
             if first_visit {
-                seen.insert(nd.assignment().into());
                 evaluated += 1;
             }
             let estimate = engine.evaluate(ctx, &nd, hour);
@@ -170,7 +162,7 @@ impl HbssSolver {
             let metric = ctx.metric_of(&estimate);
             if first_visit && metric < best_metric {
                 best_metric = metric;
-                best_plan = nd.clone();
+                best_plan.clone_from(&nd);
                 best_estimate = estimate;
             }
             let accept = metric < current_metric
@@ -214,7 +206,7 @@ impl HbssSolver {
         &self,
         current: &DeploymentPlan,
         nd: &mut DeploymentPlan,
-        ranked: &[Vec<RegionId>],
+        ranked: &Rankings,
         weights: &[f64],
         rng: &mut Pcg32,
     ) {
@@ -223,7 +215,7 @@ impl HbssSolver {
         let mutations = if n > 1 && rng.chance(0.3) { 2 } else { 1 };
         for _ in 0..mutations {
             let node = rng.next_index(n);
-            let choices = &ranked[node];
+            let choices = ranked.of(node);
             if choices.len() <= 1 {
                 continue;
             }
@@ -246,6 +238,33 @@ impl HbssSolver {
         let denom = current.abs().max(1e-30);
         let delta = gamma * ((current - candidate).abs() / denom) * MUTATION_SCALE;
         rng.next_f64() < (-delta).exp()
+    }
+}
+
+/// Each node's permitted regions ascending by intensity, in one buffer.
+struct Rankings {
+    regions: Vec<RegionId>,
+    /// Node `i`'s regions end at `ends[i]`.
+    ends: Vec<usize>,
+}
+
+impl Rankings {
+    /// Sorts each node's set by `intensity`, ties in permitted order.
+    fn new(permitted: &[Vec<RegionId>], intensity: impl Fn(&RegionId) -> f64) -> Self {
+        let mut regions = Vec::with_capacity(permitted.iter().map(Vec::len).sum());
+        let mut ends = Vec::with_capacity(permitted.len());
+        for set in permitted {
+            let start = regions.len();
+            regions.extend_from_slice(set);
+            regions[start..].sort_by(|a, b| intensity(a).total_cmp(&intensity(b)));
+            ends.push(regions.len());
+        }
+        Rankings { regions, ends }
+    }
+
+    fn of(&self, node: usize) -> &[RegionId] {
+        let start = node.checked_sub(1).map_or(0, |prior| self.ends[prior]);
+        &self.regions[start..self.ends[node]]
     }
 }
 

@@ -62,13 +62,16 @@ pub(crate) struct HourRow<'a, S: CarbonDataSource> {
 
 impl<'a, S: CarbonDataSource> HourRow<'a, S> {
     /// The row of `inner` at `hour` over `regions`, each read once.
-    pub(crate) fn new(inner: &'a S, hour: f64, regions: impl Iterator<Item = RegionId>) -> Self {
+    pub(crate) fn new(
+        inner: &'a S,
+        hour: f64,
+        regions: impl Iterator<Item = RegionId> + Clone,
+    ) -> Self {
         let mut row = Vec::new();
         if !inner.counts_queries() {
+            let len = regions.clone().map(|r| r.index() + 1).max();
+            row.resize(len.unwrap_or(0), f64::NAN);
             for r in regions {
-                if row.len() <= r.index() {
-                    row.resize(r.index() + 1, f64::NAN);
-                }
                 if row[r.index()].is_nan() {
                     row[r.index()] = inner.intensity(r, hour);
                 }

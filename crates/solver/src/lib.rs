@@ -30,6 +30,7 @@ pub mod engine;
 pub mod exhaustive;
 pub mod hbss;
 pub mod hourly;
+mod keys;
 pub mod pool;
 
 pub use context::{SolveOutcome, SolverContext};

@@ -525,11 +525,13 @@ if ((meter_lines > 60)); then
     exit 1
 fi
 
-# The solver's cache and walk off trees and SipHash: a species' plans sit in
-# a fixed-hasher map (the ordered keys beside it are a set, for eviction),
-# the walk's seen set is a FixedSet, and a fleet call takes each app's solve
-# complexity once, not inside the per-cell cost closure. Test modules are
-# exempt (engine.rs keeps the two-tree store there as the cache's oracle).
+# The solver's cache and walk off trees and SipHash: a species' plans are
+# keyed once, in a flat key buffer behind an open-addressed index (keys.rs;
+# a heap of slots orders them for eviction, an hour index files their
+# carbon), the walk's first-visit set is the same buffer sized once per
+# solve, and a fleet call takes each app's solve complexity once, not
+# inside the per-cell cost closure. Test modules are exempt (engine.rs
+# keeps the two-tree store there as the cache's oracle).
 echo "==> solver plan-key and fleet per-app grep gates"
 for f in crates/solver/src/*.rs; do
     if before_tests "$f" | grep -E 'BTreeMap<Vec<RegionId>|\bHash(Map|Set)\b'; then
@@ -537,6 +539,16 @@ for f in crates/solver/src/*.rs; do
         exit 1
     fi
 done
+# The solver's bookkeeping off the allocator: an estimator scratch per
+# worker thread instead of a locked pool per engine, no boxed key per
+# first visit, no per-plan list of touched regions (the key and the home
+# are what an estimate read).
+if grep -rnF 'Mutex<Vec<EstimateScratch>>' crates/solver/src ||
+    before_tests crates/solver/src/hbss.rs | grep -F 'FixedSet<Box<[RegionId]>>' ||
+    before_tests crates/solver/src/engine.rs | grep -F 'touched: Vec<RegionId>'; then
+    echo "error: a per-engine scratch pool, a boxed first-visit key or a per-plan touched list is back (see matches above)" >&2
+    exit 1
+fi
 cell_cost=$(awk '/let cell_cost = /,/^    };/' crates/core/src/fleet/mod.rs)
 if [[ -z "$cell_cost" ]] || grep -F 'forecast_reads()' <<<"$cell_cost"; then
     echo "error: run_cells' per-cell cost closure is gone or calls forecast_reads() (take it per app)" >&2

@@ -4,9 +4,11 @@
 //! a sustained-load run's peak live heap must not grow with its length,
 //! a framework alternating between two workflows must allocate no more
 //! than one running them in turn, an HBSS walk over a warm cache must
-//! allocate per distinct plan, not per iteration, a re-pricing must
-//! allocate nothing but the cache's new hour entry, and a fold of a plan
-//! whose every site the bank holds must allocate nothing but its record.
+//! allocate a fixed handful of buffers per solve, whatever it visits, a
+//! cold miss must allocate its record and one block on the cache side, a
+//! re-pricing must allocate nothing but the cache's new hour entry, and a
+//! fold of a plan whose every site the bank holds must allocate nothing
+//! but its record.
 //!
 //! Allocator calls are counted per thread — the libtest harness thread
 //! prints result lines and spawns the next test inside a sibling's
@@ -311,17 +313,20 @@ fn loadgen_peak_heap_is_flat_in_run_length() {
     );
 }
 
-/// The HBSS walk allocates per plan it visits for the first time, not per
-/// iteration. Re-solving an hour on a warm engine serves every candidate
-/// from the cache, so what is left is the walk's own bookkeeping: a first
-/// visit boxes its key for the `seen` set (and clones the plan into `best`
-/// when it improves on it), and a solve builds its ranking tables once.
-/// The candidate is rewritten in one buffer and an acceptance swaps it
-/// with the current plan. The walk is five times the default length, so
-/// it revisits most of what it draws: a clone of the current plan per
-/// iteration would not fit the budget.
+/// The HBSS walk allocates per solve, not per plan it visits. Re-solving an
+/// hour on a warm engine serves every candidate from the cache, so what is
+/// left is the walk's own bookkeeping, sized when the solve starts: the
+/// grid row, the intensity table, the per-node rankings and their ends, the
+/// rank weights, the home, current and candidate plans, and the
+/// first-visit set's key buffer and index, sized for every plan the walk
+/// can visit. A first visit stores its key in that buffer, an improvement
+/// overwrites the best plan in place (it starts as the home plan), the
+/// candidate is rewritten in one buffer and an acceptance swaps it with
+/// the current plan. The walk is five times the default length, so it
+/// revisits most of what it draws, and visits enough distinct plans that
+/// one allocation per plan would overrun the budget many times over.
 #[test]
-fn warm_resolve_allocates_per_distinct_plan_not_per_iteration() {
+fn warm_resolve_allocates_per_solve_not_per_plan() {
     let _serial = serial();
     let world = World::evaluation(5);
     let bench = text2speech_censoring(InputSize::Small);
@@ -353,25 +358,114 @@ fn warm_resolve_allocates_per_distinct_plan_not_per_iteration() {
     // The home plan's estimate, then one per iteration.
     let iterations = engine.hit_count() - hits - 1;
     let distinct = warm.evaluated as u64;
-    // Per solve: the grid row, the intensity and weight tables, a ranking
-    // per node, the home, current and candidate plans, and the seen set
-    // as it grows.
-    let per_solve = 32 + nodes as u64;
-    let budget = 2 * distinct + per_solve;
+    // The ten buffers above, whatever the walk visits.
+    const PER_SOLVE: u64 = 10;
     eprintln!(
         "alloc_budget: warm re-solve of {iterations} iterations over {distinct} distinct plans \
-         allocated {allocated} times (budget {budget})"
+         allocated {allocated} times (budget {PER_SOLVE})"
     );
-    // Even the keys alone plus one allocation per iteration overrun it.
     assert!(
-        distinct + iterations > budget,
-        "{iterations} iterations over {distinct} plans cannot tell a per-iteration allocation \
-         from the budget's slack"
+        distinct > 10 * PER_SOLVE,
+        "{distinct} distinct plans cannot tell a per-plan allocation from the budget"
+    );
+    assert!(
+        allocated <= PER_SOLVE,
+        "a warm re-solve allocated {allocated} times over {distinct} distinct plans and \
+         {iterations} iterations (budget {PER_SOLVE} per solve)"
+    );
+}
+
+/// A miss on a plan the cache has never seen, whose every site the bank
+/// holds, allocates the plan's record (the fold's one allocation, see
+/// below) and one block on the cache side, the shared handle the record
+/// is kept and lent out in. The key is stored once in the species table's
+/// key buffer, the hour entry in the table's hour index, and the home and
+/// hour count beside the record's handle: flat buffers that double as
+/// they fill, at most once per power of two each. The engine's estimator
+/// scratch is its thread's, already sized by the warm-up.
+#[test]
+fn a_cold_miss_allocates_its_record_and_one_cache_block() {
+    let _serial = serial();
+    let world = World::evaluation(5);
+    let bench = text2speech_censoring(InputSize::Small);
+    // Every estimate stops at one batch, so every fold reaches one depth.
+    let mc = MonteCarloConfig {
+        batch: 200,
+        max_samples: 200,
+        cv_threshold: 0.0,
+    };
+    let case = world.case(&bench, TransmissionScenario::BEST, mc);
+    let nodes = bench.dag.node_count();
+    let permitted = vec![world.regions.clone(); nodes];
+    let ctx = case.context(&permitted, default_tolerances(), &world.carbon);
+    let away = *world.regions.iter().find(|r| **r != world.home).unwrap();
+    // Plan `bits`: node `n` away where bit `n` is set, home elsewhere.
+    let plan = |bits: u32| {
+        let mut plan = DeploymentPlan::uniform(nodes, world.home);
+        (0..nodes as u32)
+            .filter(|n| bits >> n & 1 == 1)
+            .for_each(|n| plan.set(NodeId(n), away));
+        plan
+    };
+    let engine = EvalEngine::new(42, 1);
+    // Home and each node moved alone: every node's columns in both
+    // regions and every transfer at both bandwidths.
+    let warm: Vec<u32> = [0].into_iter().chain((0..nodes).map(|n| 1 << n)).collect();
+    for &bits in &warm {
+        engine.evaluate(&ctx, &plan(bits), 7.5);
+    }
+    let cold: Vec<DeploymentPlan> = (0..1u32 << nodes)
+        .filter(|bits| !warm.contains(bits))
+        .map(plan)
+        .collect();
+    let misses = engine.miss_count();
+    let before = allocs();
+    for plan in &cold {
+        engine.evaluate(&ctx, plan, 7.5);
+    }
+    let allocated = allocs() - before;
+    let plans = cold.len() as u64;
+    assert_eq!(engine.miss_count() - misses, plans, "a cold plan hit");
+    // Keys, their index, the plans, their key order and the hour's
+    // entries, each doubling up to the table's final size.
+    let doublings = 5 * (u64::BITS - (plans + warm.len() as u64).leading_zeros()) as u64;
+    let budget = 2 * plans + doublings;
+    eprintln!(
+        "alloc_budget: {plans} misses on never-seen plans allocated {allocated} times \
+         (budget {budget}: a record and a block each + {doublings})"
     );
     assert!(
         allocated <= budget,
-        "a warm re-solve allocated {allocated} times over {distinct} distinct plans and \
-         {iterations} iterations (budget {budget}: 2 per distinct plan + {per_solve})"
+        "{plans} cold misses allocated {allocated} times (budget {budget}: 2 per plan + \
+         {doublings} buffer doublings)"
+    );
+    // The resolved sites: the same misses on a cold engine fold nothing the
+    // bank lacked once it held the warm plans' sites.
+    caribou_telemetry::enable(Box::new(caribou_telemetry::NullSink));
+    let fresh = EvalEngine::new(42, 1);
+    for &bits in &warm {
+        fresh.evaluate(&ctx, &plan(bits), 7.5);
+    }
+    let recorder = caribou_telemetry::finish().unwrap().recorder;
+    let computed = recorder.counter("montecarlo.bank.derived");
+    caribou_telemetry::enable(Box::new(caribou_telemetry::NullSink));
+    for plan in &cold {
+        assert_eq!(
+            fresh.evaluate(&ctx, plan, 7.5),
+            engine.evaluate(&ctx, plan, 7.5)
+        );
+    }
+    let recorder = caribou_telemetry::finish().unwrap().recorder;
+    assert!(computed > 0);
+    assert_eq!(
+        recorder.counter("montecarlo.bank.derived"),
+        0,
+        "a cold plan computed a derived column"
+    );
+    assert_eq!(
+        recorder.counter("montecarlo.sites.folded"),
+        0,
+        "a node site was computed"
     );
 }
 

@@ -310,9 +310,10 @@ fn neighbour_differences_have_less_variance_on_one_bank() {
     });
 }
 
-/// Cache misses check estimator scratch out of the engine's pool instead
+/// Cache misses fold in their worker thread's estimator scratch instead
 /// of allocating node-state columns per `estimate()` call: across many
-/// misses on one worker, exactly one column set is ever allocated.
+/// misses on one worker (a fresh test thread), exactly one column set is
+/// ever allocated.
 #[test]
 fn engine_scratch_pool_reuses_node_state_across_misses() {
     with_ctx(|ctx| {
