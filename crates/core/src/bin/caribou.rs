@@ -601,7 +601,6 @@ fn cmd_loadgen(p: &Parsed) -> Result<(), CliError> {
         shards: p.count("--shards"),
         arrivals: ArrivalProcess::parse(arrival, p.real("--rate"))?,
         scenario: scenario(p),
-        capture_latencies: false,
     };
     eprintln!(
         "loadgen: {} x {invocations} invocations, seed {seed}, {} worker(s)...",

@@ -725,7 +725,10 @@ mod tests {
         let report = fw.run_trace(idx, &trace);
 
         let json = report.summary_json();
-        assert_eq!(json["invocations"], report.samples.len());
+        assert_eq!(
+            json["invocations"].as_u64(),
+            Some(report.samples.len() as u64)
+        );
         assert!(json["workflow_carbon_g"].as_f64().unwrap() > 0.0);
         assert!(json["completion_rate"].as_f64().unwrap() > 0.99);
     }

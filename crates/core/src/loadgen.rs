@@ -29,9 +29,7 @@
 //!
 //! Latencies are folded into a mergeable [`QuantileSketch`] — memory is
 //! O(buckets), independent of N — instead of an exact per-invocation
-//! vector; [`LoadgenConfig::capture_latencies`] re-enables the exact
-//! vector for tests that validate the sketch against sorted-vector
-//! quantiles.
+//! vector.
 //!
 //! Each shard reuses one [`InvocationScratch`] across its invocations
 //! and drives them under the one home plan, so the steady-state data
@@ -93,9 +91,6 @@ pub struct LoadgenConfig {
     pub arrivals: ArrivalProcess,
     /// Transmission scenario for carbon accounting.
     pub scenario: TransmissionScenario,
-    /// Also collect the exact per-invocation latency vector (O(N)
-    /// memory) — for tests validating the sketch, not for big runs.
-    pub capture_latencies: bool,
 }
 
 impl Default for LoadgenConfig {
@@ -107,7 +102,6 @@ impl Default for LoadgenConfig {
             shards: DEFAULT_SHARDS,
             arrivals: ArrivalProcess::Poisson { rate_per_s: 100.0 },
             scenario: TransmissionScenario::BEST,
-            capture_latencies: false,
         }
     }
 }
@@ -119,9 +113,6 @@ pub struct LoadReport {
     /// Mergeable latency sketch: quantiles to one bucket's relative
     /// error (~6%), exact count/mean/variance via running moments.
     pub latency: QuantileSketch,
-    /// Exact per-invocation latencies in arrival order, only when
-    /// [`LoadgenConfig::capture_latencies`] was set.
-    pub exact_latencies_s: Option<Vec<f64>>,
     /// Invocations that completed every live node.
     pub completed: u64,
     /// Total mid-flight failovers.
@@ -179,9 +170,6 @@ impl LoadReport {
     /// Folds one invocation's outcome.
     fn observe(&mut self, o: &ExecutionOutcome) {
         self.latency.observe(o.e2e_latency_s);
-        if let Some(exact) = self.exact_latencies_s.as_mut() {
-            exact.push(o.e2e_latency_s);
-        }
         self.completed += u64::from(o.completed);
         self.failovers += u64::from(o.failovers);
         self.cold_starts += u64::from(o.cold_starts);
@@ -196,12 +184,6 @@ impl LoadReport {
     /// run's to set, not a fold's.
     fn merge(&mut self, other: &LoadReport) {
         self.latency.merge(&other.latency);
-        if let (Some(exact), Some(more)) = (
-            self.exact_latencies_s.as_mut(),
-            other.exact_latencies_s.as_ref(),
-        ) {
-            exact.extend_from_slice(more);
-        }
         self.completed += other.completed;
         self.failovers += other.failovers;
         self.cold_starts += other.cold_starts;
@@ -250,7 +232,6 @@ pub fn run_loadgen(bench: &Benchmark, config: &LoadgenConfig) -> Result<LoadRepo
     let chunks = n.div_ceil(CHUNK_INVOCATIONS);
     let shard_count = config.shards.max(1).min(chunks.max(1));
     let mut report = LoadReport {
-        exact_latencies_s: config.capture_latencies.then(|| Vec::with_capacity(n)),
         chunks: chunks as u64,
         shards: shard_count as u64,
         ..LoadReport::default()
@@ -298,12 +279,7 @@ pub fn run_loadgen(bench: &Benchmark, config: &LoadgenConfig) -> Result<LoadRepo
             // shared-reference closure bound.
             let mut shard = shards[i].lock().expect("shard lock");
             let Shard { cloud, scratch } = &mut *shard;
-            let mut chunk = LoadReport {
-                exact_latencies_s: config
-                    .capture_latencies
-                    .then(|| Vec::with_capacity(hi - lo)),
-                ..LoadReport::default()
-            };
+            let mut chunk = LoadReport::default();
             for (k, &arrival) in round_arrivals[lo..hi].iter().enumerate() {
                 // The invocation stream is keyed by the *global* invocation
                 // index, independent of chunking and sharding.

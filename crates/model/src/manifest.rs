@@ -8,14 +8,13 @@
 //! text format); a key it does not declare is an error, not a setting
 //! silently dropped.
 
-use serde::Serialize;
-use serde_json::Value;
+use serde_json::{json, ToValue, Value};
 
 use crate::error::ModelError;
 use crate::region::{RegionCatalog, RegionId};
 
 /// The deployment manifest configured by the developer (§8).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentManifest {
     /// Workflow name; must match the declared workflow.
     pub workflow_name: String,
@@ -32,6 +31,17 @@ const KEYS: [&str; 3] = ["workflow_name", "version", "home_region"];
 fn invalid(reason: String) -> ModelError {
     ModelError::InvalidConstraint {
         reason: format!("manifest: {reason}"),
+    }
+}
+
+/// JSON as the object [`DeploymentManifest::from_json`] reads.
+impl ToValue for DeploymentManifest {
+    fn to_value(&self) -> Value {
+        json!({
+            "workflow_name": self.workflow_name,
+            "version": self.version,
+            "home_region": self.home_region,
+        })
     }
 }
 
@@ -53,8 +63,7 @@ impl DeploymentManifest {
     /// string keys; an unknown key, a missing key or a value that is not a
     /// string is an error naming the key.
     pub fn from_json(json: &str) -> Result<Self, ModelError> {
-        let value: Value =
-            serde_json::from_str(json).map_err(|e| invalid(format!("parse error: {e}")))?;
+        let value = serde_json::from_str(json).map_err(|e| invalid(format!("parse error: {e}")))?;
         let map = value
             .as_object()
             .ok_or_else(|| invalid("expected a JSON object".into()))?;

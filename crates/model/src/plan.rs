@@ -1,6 +1,6 @@
 //! Deployment plans: the mapping `ψ : N → R` of §4 and hourly plan sets.
 
-use serde::Serialize;
+use serde_json::{json, ToValue, Value};
 
 use crate::dag::{NodeId, WorkflowDag};
 use crate::error::ModelError;
@@ -20,7 +20,7 @@ use crate::region::{Provider, RegionId};
 /// assert!(!plan.is_single_region());
 /// assert_eq!(plan.regions_used(), vec![RegionId(0), RegionId(4)]);
 /// ```
-#[derive(Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct DeploymentPlan {
     assignment: Vec<RegionId>,
 }
@@ -134,9 +134,16 @@ impl DeploymentPlan {
     }
 }
 
+/// JSON as `{"assignment": [region index, ...]}`.
+impl ToValue for DeploymentPlan {
+    fn to_value(&self) -> Value {
+        json!({ "assignment": self.assignment })
+    }
+}
+
 /// Granularity of a generated plan set (§5.2): the carbon budget decides
 /// whether the solver produces one plan per day or one per hour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanGranularity {
     /// A single plan applied for the whole day.
     Daily,
@@ -144,10 +151,20 @@ pub enum PlanGranularity {
     Hourly,
 }
 
+/// JSON as the variant's name.
+impl ToValue for PlanGranularity {
+    fn to_value(&self) -> Value {
+        json!(match self {
+            PlanGranularity::Daily => "Daily",
+            PlanGranularity::Hourly => "Hourly",
+        })
+    }
+}
+
 /// A set of deployment plans covering a day, one per hour (§5.1: "24 plans
 /// are generated per solve — one for each hour, given sufficient carbon
 /// budget").
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HourlyPlans {
     /// Plan for each hour-of-day `0..24`. With [`PlanGranularity::Daily`]
     /// all 24 entries are the same plan.
@@ -159,6 +176,19 @@ pub struct HourlyPlans {
     /// Simulation time (seconds) after which the plan set expires and all
     /// traffic must be routed to the home region (§5.2).
     pub expires_at: f64,
+}
+
+/// JSON as the object the Migrator writes to the metadata table; its
+/// length sizes the entry wrapper's plan fetch.
+impl ToValue for HourlyPlans {
+    fn to_value(&self) -> Value {
+        json!({
+            "plans": self.plans,
+            "granularity": self.granularity,
+            "generated_at": self.generated_at,
+            "expires_at": self.expires_at,
+        })
+    }
 }
 
 impl HourlyPlans {

@@ -8,7 +8,6 @@
 //! plus a few global regions used by examples and tests, and the GCP
 //! regions of the multi-cloud catalog.
 
-use serde::Serialize;
 use std::fmt;
 
 use crate::error::ModelError;
@@ -180,13 +179,20 @@ impl fmt::Display for ProviderRegion {
 }
 
 /// A compact index identifying a region within a [`RegionCatalog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct RegionId(pub u16);
 
 impl RegionId {
     /// Returns the catalog index as `usize`.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+/// JSON as the bare index.
+impl serde_json::ToValue for RegionId {
+    fn to_value(&self) -> serde_json::Value {
+        serde_json::Value::Number(f64::from(self.0))
     }
 }
 

@@ -33,7 +33,7 @@ pub fn parse_journal(text: &str) -> Vec<JournalLine> {
         if line.is_empty() {
             continue;
         }
-        let Ok(v) = serde_json::from_str::<Value>(line) else {
+        let Ok(v) = serde_json::from_str(line) else {
             continue;
         };
         match v["type"].as_str() {

@@ -102,9 +102,7 @@ impl<W: Write> JsonlSink<W> {
     }
 
     fn write_line(&mut self, value: &Value) {
-        if let Ok(line) = serde_json::to_string(value) {
-            let _ = writeln!(self.writer, "{line}");
-        }
+        let _ = writeln!(self.writer, "{value}");
     }
 }
 

@@ -557,9 +557,10 @@ fi
 
 # One configuration surface: a workflow's objective, tolerances and eligible
 # regions live in Constraints, the manifest holds its name, version and home
-# region only, so the manifest's ignored copies, the write-only IAM role
-# store and the serde attributes and Deserialize derive only they needed
-# stay deleted.
+# region only and is read by hand, so the manifest's ignored copies and the
+# write-only IAM role store stay deleted, and no type is parsed by a
+# Deserialize impl or steered by serde attributes (serde itself is gone:
+# see the one-JSON-tree gates).
 echo "==> one-configuration-surface grep gates"
 if grep -rnE '\bmod iam\b|IamPolicy|put_role|ManifestRegions|region_filter|serde_unbounded' crates ||
     grep -rnF '#[serde(' crates ||
@@ -601,6 +602,25 @@ if grep -rnwE 'RegionOutage|ProviderOutage|FailureDomain' crates tests examples;
 fi
 if grep -rnE 'fn hour_of_day\(' crates tests examples; then
     echo "error: a second hour-of-day rule is back (see matches above)" >&2
+    exit 1
+fi
+
+# One JSON value tree: serde_json depends on nothing, Value is its only
+# tree and the model types that reach it convert by hand, so the vendored
+# serde (a second tree, Content, with one-implementor traits) and its
+# derive macro (the workspace's only proc-macro crate) stay deleted.
+echo "==> one-JSON-tree grep gates"
+manifests=$(find . -name Cargo.toml -not -path '*/target/*')
+if [[ -e vendor/serde || -e vendor/serde_derive ]] ||
+    grep -nE '(^|[^_[:alnum:]])serde *[=.]|serde_derive' $manifests ||
+    grep -rnE 'derive\([^)]*\bSerialize\b|serde::|Content::' crates vendor; then
+    echo "error: the vendored serde, its derive or a use of either is back (see matches above)" >&2
+    exit 1
+fi
+# One worker loop in the pool: one worker runs the loop the threads run,
+# on the caller's thread, so no inline branch rewinds the session's clock.
+if before_tests crates/solver/src/pool.rs | grep -F 'set_sim_now'; then
+    echo "error: the pool's inline branch is back in crates/solver/src/pool.rs" >&2
     exit 1
 fi
 

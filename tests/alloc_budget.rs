@@ -270,25 +270,27 @@ fn sharded_loadgen_allocates_the_log_records_and_nothing_per_touch() {
 /// Streaming aggregates and per-round arrival buffers: a sustained-load
 /// run holds O(shards x chunk) bytes however long it is. Quadrupling the
 /// run must not raise the peak live heap (measured: by 0 B); the same
-/// long run with the exact latency vector switched on is the control that
-/// this allocator does see an O(N) buffer when there is one.
+/// long run beside a vector of one `f64` per invocation, held across it,
+/// is the control that this allocator does see an O(N) buffer when there
+/// is one.
 #[test]
 fn loadgen_peak_heap_is_flat_in_run_length() {
     let _serial = serial();
     let bench = text2speech_censoring(InputSize::Small);
-    let peak = |chunks: usize, capture_latencies: bool| {
+    let peak = |chunks: usize, hold_per_invocation: bool| {
         let config = LoadgenConfig {
             invocations: chunks * CHUNK_INVOCATIONS,
             seed: 42,
             workers: 1,
             shards: 1,
             arrivals: ArrivalProcess::Diurnal { rate_per_s: 200.0 },
-            capture_latencies,
             ..LoadgenConfig::default()
         };
         peak_live_bytes(|| {
+            let held = hold_per_invocation.then(|| Vec::<f64>::with_capacity(config.invocations));
             let report = run_loadgen(&bench, &config).expect("calibrated catalog");
             assert_eq!(report.invocations(), config.invocations as u64);
+            drop(std::hint::black_box(held));
         })
     };
     let short = peak(2, false);
@@ -296,7 +298,7 @@ fn loadgen_peak_heap_is_flat_in_run_length() {
     let captured = peak(8, true);
     eprintln!(
         "alloc_budget: peak live heap {short} B at 2 chunks, {long} B at 8, \
-         {captured} B at 8 with captured latencies"
+         {captured} B at 8 beside a held latency-sized vector"
     );
     // The harness's own threads may allocate a message while a run is at
     // its peak; one byte per invocation would add six chunks, 49,152 B.
