@@ -10,6 +10,7 @@
 //! output. Argument parsing is hand-rolled to keep the dependency surface
 //! at the workspace's approved set.
 
+use std::fs::File;
 use std::process::ExitCode;
 
 use caribou_carbon::error::CarbonError;
@@ -29,6 +30,7 @@ use caribou_solver::contingency::solve_hourly_with_contingency;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use caribou_solver::hourly::solve_hourly_with;
+use caribou_telemetry::JsonlSink;
 use caribou_workloads::arrivals::ArrivalProcess;
 use caribou_workloads::benchmarks::{all_benchmarks, Benchmark, InputSize};
 use caribou_workloads::traces::uniform_trace;
@@ -266,11 +268,14 @@ fn traced<T>(p: &Parsed, run: impl FnOnce() -> T) -> Result<T, String> {
     let Some(path) = p.text("--telemetry") else {
         return Ok(run());
     };
-    let sink = caribou_telemetry::JsonlSink::create(path)
-        .map_err(|e| format!("--telemetry {path}: {e}"))?;
+    let sink = JsonlSink::create(path).map_err(|e| format!("--telemetry {path}: {e}"))?;
     caribou_telemetry::enable(Box::new(sink));
     let out = run();
     if let Some(finished) = caribou_telemetry::finish() {
+        let sink = finished.sink.as_any().downcast_ref::<JsonlSink<File>>();
+        if let Some(e) = sink.and_then(JsonlSink::error) {
+            return Err(format!("--telemetry {path}: {e}"));
+        }
         let r = &finished.recorder;
         eprintln!(
             "telemetry: {} event kinds, {} journal entries ({} dropped) -> {path}",

@@ -233,11 +233,6 @@ impl FleetSchedule {
         &self.cells[app * self.hours + hour]
     }
 
-    /// All cells, app-major.
-    pub fn cells(&self) -> &[FleetCell] {
-        &self.cells
-    }
-
     /// Order-sensitive digest over every plan and estimate — two
     /// schedules are bit-identical iff their digests match (up to hash
     /// collision), which the determinism smokes diff across worker

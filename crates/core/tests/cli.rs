@@ -237,6 +237,20 @@ fn a_flag_its_companion_would_enable_is_an_error_not_a_no_op() {
 /// `manifest example` prints a manifest `manifest validate` accepts, and a
 /// key the manifest does not declare is an error naming it — a
 /// `tolerances` block once parsed, validated and was silently ignored.
+/// A journal the disk refused is an error, not a run that reports "0
+/// dropped" over a file that holds nothing.
+#[test]
+fn a_telemetry_write_error_is_exit_1_naming_the_path() {
+    let line = "loadgen text2speech --invocations 200 --telemetry /dev/full";
+    let out = caribou(&line.split_whitespace().collect::<Vec<_>>());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "caribou {line}: {stderr}");
+    assert!(
+        stderr.contains("error: --telemetry /dev/full: "),
+        "caribou {line}: {stderr}"
+    );
+}
+
 #[test]
 fn manifest_example_validates_and_an_undeclared_key_is_rejected() {
     let example = caribou(&["manifest", "example"]);

@@ -182,8 +182,8 @@ impl Derived {
 }
 
 /// What a bank's columns were drawn for: the generator state the estimate
-/// was entered with and the DAG's shape. A bank asked for another identity
-/// starts over.
+/// was entered with and the DAG's shape. A bank is bound to one identity
+/// for its life: asking it for another is a bug, and panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BankId {
     pub stream: Pcg32,
@@ -258,29 +258,25 @@ pub struct DrawBank {
 }
 
 impl DrawBank {
-    pub(crate) fn is(&self, id: &BankId) -> bool {
-        self.id.as_ref() == Some(id)
+    /// Whether the bank is bound, which it can only be to `id`.
+    fn is_bound(&self, id: &BankId) -> bool {
+        let Some(bound) = &self.id else {
+            return false;
+        };
+        assert_eq!(bound, id, "a draw bank is bound once");
+        true
     }
 
-    /// Makes this the bank of `id`, dropping every column drawn for
-    /// another identity.
+    /// Makes an unbound bank the bank of `id` (a bound one must be its).
     pub(crate) fn bind(&mut self, id: &BankId) {
-        if self.is(id) {
+        if self.is_bound(id) {
             return;
         }
-        self.slots.clear();
-        self.slots
-            .resize((1 + 3 * id.nodes + id.edges) * PRIMS, usize::MAX);
-        self.columns.clear();
-        self.cold.clear();
-        self.colds.clear();
-        self.colds.resize(id.nodes, ByRegion::default());
-        self.derived.clear();
-        self.derived.resize(1 + id.edges, Vec::new());
-        self.sites.clear();
-        self.sites.resize(id.nodes, ByRegion::default());
-        self.quotients.clear();
-        self.quotients.resize(1 + id.edges, Vec::new());
+        self.slots = vec![usize::MAX; (1 + 3 * id.nodes + id.edges) * PRIMS];
+        self.colds = vec![ByRegion::default(); id.nodes];
+        self.derived = vec![Vec::new(); 1 + id.edges];
+        self.sites = vec![ByRegion::default(); id.nodes];
+        self.quotients = vec![Vec::new(); 1 + id.edges];
         self.id = Some(id.clone());
     }
 
@@ -484,16 +480,16 @@ impl DrawBank {
     }
 }
 
-/// A bank several estimator scratches (one per worker thread) fold at
-/// once: reads share the lock, extension takes it exclusively.
+/// A bank several worker threads fold at once: reads share the lock,
+/// extension takes it exclusively.
 #[derive(Debug, Clone, Default)]
 pub struct SharedBank(Arc<RwLock<DrawBank>>);
 
 impl SharedBank {
-    /// A read guard on the bank if it is bound to `id`. A fold reads its
-    /// columns under it and, should one be short, [`Self::fill`]s.
+    /// A read guard on the bank once it is bound (to `id`). A fold reads
+    /// its columns under it and, should one be short, [`Self::fill`]s.
     pub(crate) fn bound(&self, id: &BankId) -> Option<RwLockReadGuard<'_, DrawBank>> {
-        Some(self.0.read().expect("bank lock")).filter(|bank| bank.is(id))
+        Some(self.0.read().expect("bank lock")).filter(|bank| bank.is_bound(id))
     }
 
     /// Binds the bank to `id` and hands it to `fill` under the write lock.
@@ -503,20 +499,16 @@ impl SharedBank {
         fill(&mut write);
     }
 
-    /// Publishes samples `lo..` of the derived columns a fold of `id`'s
-    /// bank produced. A bank rebound since is another context's: nothing
-    /// is published, and the caller finds the columns missing.
+    /// Publishes samples `lo..` of the derived columns a fold of this bank
+    /// produced.
     pub(crate) fn publish<'c>(
         &self,
-        id: &BankId,
         lo: usize,
         columns: impl Iterator<Item = (Derived, &'c [f64])>,
     ) {
         let mut write = self.0.write().expect("bank lock");
-        if write.is(id) {
-            for (col, vals) in columns {
-                write.publish(col, lo, vals);
-            }
+        for (col, vals) in columns {
+            write.publish(col, lo, vals);
         }
     }
 }
@@ -587,25 +579,26 @@ mod tests {
         assert_eq!(firsts.len(), sites.len() * 2);
     }
 
-    #[test]
-    fn rebinding_to_another_stream_or_shape_starts_over() {
+    /// Binding again to the same identity keeps the columns; another
+    /// stream or another shape panics, naming both identities.
+    fn bound_with_columns(also: BankId) {
         let at = Need::new(Site::Entry, Prim::Value, Draw::Uniform);
-        let mut bank = DrawBank::default();
-        bank.bind(&id(1));
-        bank.ensure(&at, 8);
-        let first = bank
-            .column(Site::Entry, Prim::Value, 0, 8)
-            .unwrap()
-            .to_vec();
-        bank.bind(&id(1));
-        assert!(bank.has(&at, 8), "same identity keeps the columns");
-        bank.bind(&id(2));
-        assert!(!bank.has(&at, 1));
-        bank.ensure(&at, 8);
-        assert_ne!(first, bank.column(Site::Entry, Prim::Value, 0, 8).unwrap());
-        let wider = BankId { nodes: 4, ..id(2) };
-        bank.bind(&wider);
-        assert!(!bank.has(&at, 1));
+        let bank = SharedBank::default();
+        bank.fill(&id(1), |bank| bank.ensure(&at, 8));
+        bank.fill(&id(1), |bank| assert!(bank.has(&at, 8), "same identity"));
+        bank.fill(&also, |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "a draw bank is bound once")]
+    fn a_bound_bank_asked_for_another_stream_panics() {
+        bound_with_columns(id(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "nodes: 4")]
+    fn a_bound_bank_asked_for_another_shape_panics() {
+        bound_with_columns(BankId { nodes: 4, ..id(1) });
     }
 
     #[test]
@@ -687,7 +680,5 @@ mod tests {
         );
         let entry = Derived::quotient(Site::Entry, inter);
         assert_eq!(bank.derived(entry, 1), Some(&[4.0][..]));
-        bank.bind(&id(7));
-        assert_eq!(bank.derived(edge, 0), None);
     }
 }

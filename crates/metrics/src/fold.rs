@@ -21,6 +21,7 @@
 
 use caribou_model::dag::WorkflowDag;
 use caribou_model::plan::DeploymentPlan;
+use caribou_simcloud::pricing::billed_seconds;
 
 use crate::bank::{BankId, Derived, DrawBank, Prim, SharedBank, Site};
 use crate::energy;
@@ -164,8 +165,8 @@ pub(crate) fn extend(
             })
         });
         if !folded {
-            // A column was short, or the bank another context's: draw
-            // what the plan reads, then fold the batch again.
+            // A column was short, or the bank not yet bound: draw what
+            // the plan reads, then fold the batch again.
             s.lat.truncate(lo);
             s.cost.truncate(lo);
             (s.sites_read, s.sites_folded) = counts;
@@ -176,7 +177,6 @@ pub(crate) fn extend(
             let derived = &s.derived;
             let computed = s.computed.iter();
             bank.publish(
-                id,
                 lo,
                 computed.map(|&(col, at)| (col, &derived[at * batch..][..batch])),
             );
@@ -648,8 +648,7 @@ fn bill_energy(bill: &mut [f64], kwh: &mut [f64], seconds: &[f64], ready: &[f64]
     let (kwh, seconds, ready) = (&mut kwh[..m], &seconds[..m], &ready[..m]);
     for i in 0..m {
         let d = seconds[i];
-        // Lambda bills whole milliseconds (`lambda_cost`).
-        bill[i] = (d * 1000.0).ceil() / 1000.0 * per_second + per_request;
+        bill[i] = billed_seconds(d) * per_second + per_request;
         // The energy of Eq. 7.1 (kWh × PUE); the grid multiplies it.
         let drawn = kw * d / 3600.0 * energy::PUE;
         kwh[i] = if ready[i] == f64::NEG_INFINITY {

@@ -193,39 +193,14 @@ pub struct MonteCarloEstimator<'a, S: CarbonDataSource, M: StageModels> {
     pub config: MonteCarloConfig,
 }
 
-/// Reusable estimator state: the draw bank an estimate reads and the
-/// columns its two halves work in.
-///
-/// An estimate entered with the generator state of the one before it, on
-/// the same scratch, finds its draws already banked (another state, or
-/// another DAG shape, starts the bank over). The solver keeps one scratch
-/// per worker thread and points it at the engine's bank for each estimate
-/// ([`Self::swap_bank`]), so a case pays for its draws once however many
-/// candidates, hours and threads read them. The contract is the engine's: one bank serves one frozen
-/// context — same DAG, profile, models and stopping rule.
-///
-/// Nothing checks that contract: the bank is named by the generator state
-/// and the DAG's node and edge counts only. An estimator over another
-/// profile (or other models) of a DAG of the same shape, entering a used
-/// scratch with the same generator state, is served the first one's draws
-/// and derived columns and returns the first one's estimate. Give each
-/// context a scratch of its own.
+/// The columns an estimate works in: the fold's per-sample state and the
+/// pricing pass's. They carry nothing from one estimate to the next, so a
+/// scratch may serve any estimator on any bank; the solver keeps one per
+/// worker thread.
 #[derive(Debug, Default)]
 pub struct EstimateScratch {
-    bank: SharedBank,
     fold: FoldState,
     price: PriceState,
-}
-
-impl EstimateScratch {
-    /// Points the scratch at `bank`, which others may share, and returns
-    /// the bank it was on (the default scratch has a bank of its own). The
-    /// fold and price columns carry nothing from one estimate to the next,
-    /// so one scratch may serve bank after bank: the solver's engines
-    /// point a worker thread's scratch at each miss's bank in turn.
-    pub fn swap_bank(&mut self, bank: SharedBank) -> SharedBank {
-        std::mem::replace(&mut self.bank, bank)
-    }
 }
 
 impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
@@ -233,29 +208,18 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
     /// of its own named by `rng` (which advances, so a second call draws a
     /// second bank).
     pub fn estimate(&self, plan: &DeploymentPlan, hour: f64, rng: &mut Pcg32) -> EstimateSummary {
-        self.estimate_with(plan, hour, rng, &mut EstimateScratch::default())
-    }
-
-    /// Like [`MonteCarloEstimator::estimate`] on caller-owned scratch:
-    /// `rng`'s state on entry names the bank, so entering again with the
-    /// same state on the same scratch reads the columns already drawn and
-    /// allocates nothing. With no record of the plan to go by, it folds.
-    /// The scratch must have served only this estimator's context (see
-    /// [`EstimateScratch`]): another profile's columns are read as if they
-    /// were this one's.
-    pub fn estimate_with(
-        &self,
-        plan: &DeploymentPlan,
-        hour: f64,
-        rng: &mut Pcg32,
-        scratch: &mut EstimateScratch,
-    ) -> EstimateSummary {
-        self.estimate_on(plan, hour, rng, scratch, &PlanRecord::default())
+        let (bank, unfolded) = (SharedBank::default(), PlanRecord::default());
+        let scratch = &mut EstimateScratch::default();
+        self.estimate_on(plan, hour, rng, &bank, scratch, &unfolded)
             .0
     }
 
-    /// The estimate of `plan` at `hour`, given the `record` an earlier
-    /// estimate of this plan on this bank returned (empty: none did).
+    /// The estimate of `plan` at `hour` on `bank`, given the `record` an
+    /// earlier estimate of this plan on this bank returned (empty: none
+    /// did). `rng`'s state on entry names the bank's draws: a bank drawn
+    /// for one context serves that context only, so whoever keeps a bank
+    /// across estimates keeps it beside the context it was drawn for, and
+    /// entering it with another state panics.
     ///
     /// At each stopping-rule boundary the latency and cost come from the
     /// record and the carbon from pricing the bank's derived columns at
@@ -268,6 +232,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
         plan: &DeploymentPlan,
         hour: f64,
         rng: &mut Pcg32,
+        bank: &SharedBank,
         scratch: &mut EstimateScratch,
         record: &PlanRecord,
     ) -> (EstimateSummary, Option<PlanRecord>) {
@@ -277,7 +242,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
             edges: self.dag.edge_count(),
         };
         rng.next_u64();
-        let EstimateScratch { bank, fold, price } = scratch;
+        let EstimateScratch { fold, price } = scratch;
         let batch = self.config.batch;
         price.rates(self, plan, hour);
         // Set once the plan has to be folded: the estimator's constants,
@@ -297,10 +262,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                     (self.prep(), PlanRecord::default())
                 });
                 fold::extend(prep, plan, (bank, &id), fold, grown, batch, n);
-                assert!(
-                    priced(price, n),
-                    "a bank serves one frozen context at a time"
-                );
+                assert!(priced(price, n), "a fold publishes what pricing reads");
             }
             let grown = folded.as_ref().map(|(_, grown)| grown);
             let at = grown.unwrap_or(record).boundary(n).expect("covered");
@@ -450,6 +412,22 @@ mod tests {
         }
     }
 
+    /// A bank kept across estimates and the scratch they work in.
+    type Kept = (SharedBank, EstimateScratch);
+
+    /// The estimate of `plan` entered with `seed` on `kept`'s bank, with no
+    /// record to go by.
+    fn estimate_on<M: StageModels>(
+        est: &MonteCarloEstimator<'_, TableSource, M>,
+        plan: &DeploymentPlan,
+        (hour, seed): (f64, u64),
+        (bank, scratch): &mut Kept,
+    ) -> EstimateSummary {
+        let unfolded = PlanRecord::default();
+        let rng = &mut Pcg32::seed(seed);
+        est.estimate_on(plan, hour, rng, bank, scratch, &unfolded).0
+    }
+
     /// `A → B`, each stage `exec_s` seconds, `B` invoked with `prob`.
     fn chain(exec_s: f64, prob: Option<f64>) -> Flow {
         let mut wf = Workflow::new("chain", "0.1");
@@ -588,9 +566,9 @@ mod tests {
         // bit for bit with one on a fresh scratch.
         let fresh = fx.estimate(&flow, &moved, 21);
         fx.with_estimator(&flow, MonteCarloConfig::default(), |est| {
-            let mut scratch = EstimateScratch::default();
-            est.estimate_with(&fx.plan(4, &[]), 0.5, &mut Pcg32::seed(21), &mut scratch);
-            let reused = est.estimate_with(&moved, 0.5, &mut Pcg32::seed(21), &mut scratch);
+            let mut kept = Kept::default();
+            estimate_on(est, &fx.plan(4, &[]), (0.5, 21), &mut kept);
+            let reused = estimate_on(est, &moved, (0.5, 21), &mut kept);
             assert_eq!(fresh, reused);
         });
     }
@@ -606,13 +584,13 @@ mod tests {
             est.estimate(&plan, 3.25, &mut Pcg32::seed(9))
         });
         assert_eq!(whole.samples, 250);
-        let mut scratch = EstimateScratch::default();
+        let mut kept = Kept::default();
         fx.with_estimator(&flow, capped(200, 200), |est| {
-            est.estimate_with(&plan, 3.25, &mut Pcg32::seed(9), &mut scratch)
+            estimate_on(est, &plan, (3.25, 9), &mut kept)
         });
         fx.with_estimator(&flow, capped(50, 250), |est| {
             assert_eq!(whole, est.estimate(&plan, 3.25, &mut Pcg32::seed(9)));
-            let ragged = est.estimate_with(&plan, 3.25, &mut Pcg32::seed(9), &mut scratch);
+            let ragged = estimate_on(est, &plan, (3.25, 9), &mut kept);
             assert_eq!(whole, ragged);
         });
     }
@@ -624,16 +602,16 @@ mod tests {
         let plan = fx.plan(4, &[(2, "us-west-2")]);
         fx.with_estimator(&flow, MonteCarloConfig::default(), |est| {
             caribou_telemetry::enable(Box::new(caribou_telemetry::NullSink));
-            let mut scratch = EstimateScratch::default();
+            let mut kept = Kept::default();
             let fresh = est.estimate(&plan, 0.5, &mut Pcg32::seed(11));
             for _ in 0..5 {
-                let reused = est.estimate_with(&plan, 0.5, &mut Pcg32::seed(11), &mut scratch);
+                let reused = estimate_on(est, &plan, (0.5, 11), &mut kept);
                 assert_eq!(fresh, reused);
             }
             let recorder = caribou_telemetry::finish().unwrap().recorder;
-            // One set for the fresh call, one for the reused scratch's
-            // first use; the five reuses add nothing — and draw nothing:
-            // two banks were filled, not six.
+            // One set for the fresh call, one for the kept scratch's first
+            // use; the five reuses add nothing — and draw nothing: two
+            // banks were filled, the fresh call's and the kept one.
             assert_eq!(recorder.counter("montecarlo.node_state_allocs"), 6);
             assert_eq!(recorder.counter("montecarlo.estimates"), 6);
             let draws = recorder.counter("montecarlo.bank.draws");
@@ -662,18 +640,18 @@ mod tests {
         }
     }
 
-    /// Every bit an estimate leaves behind on `scratch`: its summary, its
+    /// Every bit an estimate leaves behind on `kept`: its summary, its
     /// record at each boundary, the fold's latency and cost columns, the
     /// carbon column and every derived column of `plan` the bank holds.
     fn trace<M: StageModels>(
         est: &MonteCarloEstimator<'_, TableSource, M>,
         plan: &DeploymentPlan,
         (hour, seed): (f64, u64),
-        scratch: &mut EstimateScratch,
+        (bank, scratch): &mut Kept,
         record: &PlanRecord,
     ) -> (Vec<u64>, PlanRecord) {
         let rng = Pcg32::seed(seed);
-        let (summary, grown) = est.estimate_on(plan, hour, &mut rng.clone(), scratch, record);
+        let (summary, grown) = est.estimate_on(plan, hour, &mut rng.clone(), bank, scratch, record);
         let record = grown.unwrap_or_else(|| record.clone());
         let mut bits = Vec::new();
         let mut put = |xs: &[f64]| bits.extend(xs.iter().map(|x| x.to_bits()));
@@ -697,7 +675,7 @@ mod tests {
             nodes: est.dag.node_count(),
             edges: est.dag.edge_count(),
         };
-        let bank = scratch.bank.bound(&id).expect("the estimate's bank");
+        let bank = bank.bound(&id).expect("the estimate's bank");
         let n = summary.samples;
         let nodes = (0..est.dag.node_count())
             .flat_map(|ni| Derived::site(ni, plan.region_of(NodeId(ni as u32))));
@@ -752,14 +730,14 @@ mod tests {
         est: &MonteCarloEstimator<'_, TableSource, M>,
         plan: &DeploymentPlan,
         (seed, n): (u64, usize),
-        scratch: &EstimateScratch,
+        bank: &SharedBank,
     ) -> (usize, usize) {
         let id = BankId {
             stream: Pcg32::seed(seed),
             nodes: est.dag.node_count(),
             edges: est.dag.edge_count(),
         };
-        let bank = scratch.bank.bound(&id).expect("a bank the seed names");
+        let bank = bank.bound(&id).expect("a bank the seed names");
         let sites = modelled(est, plan).into_iter();
         let held = sites.filter_map(|(site, bw)| {
             let q = Derived::quotient(site, bw?);
@@ -771,16 +749,15 @@ mod tests {
     }
 
     /// The [`trace`]s of `plan` folded at one hour and re-priced from its
-    /// record at another, on one scratch.
+    /// record at another, on one bank.
     fn estimated_twice<M: StageModels>(
         est: &MonteCarloEstimator<'_, TableSource, M>,
         plan: &DeploymentPlan,
         seed: u64,
     ) -> Vec<u64> {
-        let mut scratch = EstimateScratch::default();
-        let (mut bits, record) =
-            trace(est, plan, (0.5, seed), &mut scratch, &PlanRecord::default());
-        bits.extend(trace(est, plan, (13.25, seed), &mut scratch, &record).0);
+        let mut kept = Kept::default();
+        let (mut bits, record) = trace(est, plan, (0.5, seed), &mut kept, &PlanRecord::default());
+        bits.extend(trace(est, plan, (13.25, seed), &mut kept, &record).0);
         bits
     }
 
@@ -853,25 +830,25 @@ mod tests {
             }
             // A bank another rule left at 200 samples, extended 50 at a
             // time: the fold publishes a ragged tail of each column.
-            let mut scratch = EstimateScratch::default();
+            let mut kept = Kept::default();
             let (hour, seed) = (3.25, 9 + f as u64);
             let est = fx.estimator(flow, &base, capped(200, 200));
-            est.estimate_with(&plans[1], hour, &mut Pcg32::seed(seed), &mut scratch);
+            estimate_on(&est, &plans[1], (hour, seed), &mut kept);
             let est = fx.estimator(flow, &base, capped(50, 250));
             let empty = PlanRecord::default();
-            bits.extend(trace(&est, &plans[1], (hour, seed), &mut scratch, &empty).0);
+            bits.extend(trace(&est, &plans[1], (hour, seed), &mut kept, &empty).0);
             // Neighbours on one bank: the moved plan, it with its start node
             // moved too, and the home plan.
-            let mut scratch = EstimateScratch::default();
+            let mut kept = Kept::default();
             let (hour, seed) = (5.5, 40 + f as u64);
             let est = fx.estimator(flow, &logged, capped(200, 400));
             let neighbour = fx.plan(nodes, &[moved, &[(0, "us-west-2")]].concat());
             for (k, plan) in [&plans[1], &neighbour, &plans[0]].into_iter().enumerate() {
                 if k > 0 {
-                    let (h, m) = quotients_held(&est, plan, (seed, 400), &scratch);
+                    let (h, m) = quotients_held(&est, plan, (seed, 400), &kept.0);
                     held = (held.0 + h, held.1 + m);
                 }
-                bits.extend(trace(&est, plan, (hour, seed), &mut scratch, &empty).0);
+                bits.extend(trace(&est, plan, (hour, seed), &mut kept, &empty).0);
             }
         }
         (bits, held)

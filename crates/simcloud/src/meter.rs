@@ -1,6 +1,6 @@
 //! Usage metering and billing (§7), priced with a [`PricingCatalog`].
 
-use crate::pricing::{PricingCatalog, Usage};
+use crate::pricing::{billed_seconds, PricingCatalog, Usage};
 use caribou_model::region::RegionId;
 
 /// One invocation's usage. Reused, a meter allocates nothing once warm.
@@ -33,7 +33,7 @@ impl UsageMeter {
 
     /// Records one Lambda execution, billed by the started millisecond.
     pub fn record_lambda(&mut self, region: RegionId, duration_s: f64, memory_mb: u32) {
-        let billed = (duration_s * 1000.0).ceil() / 1000.0;
+        let billed = billed_seconds(duration_s);
         self.record(region, Usage::LambdaGbS, billed * memory_mb as f64 / 1024.0);
         self.record(region, Usage::LambdaRequests, 1.0);
     }

@@ -138,8 +138,7 @@ impl PricingCatalog {
     /// per-request fee (§7.1 Cost).
     pub fn lambda_cost(&self, region: RegionId, duration_s: f64, memory_mb: u32) -> f64 {
         let p = self.region(region);
-        // Lambda bills in 1 ms increments.
-        let billed = (duration_s * 1000.0).ceil() / 1000.0;
+        let billed = billed_seconds(duration_s);
         billed * (memory_mb as f64 / 1024.0) * p.lambda_gb_second + p.lambda_per_request
     }
 
@@ -187,6 +186,13 @@ impl PricingCatalog {
         let p = self.region(region);
         gets as f64 * p.blob_per_get + puts as f64 * p.blob_per_put
     }
+}
+
+/// The seconds Lambda bills for a `duration_s` run: every started
+/// millisecond. The meter, `lambda_cost` and the fold bill through it.
+#[inline(always)]
+pub fn billed_seconds(duration_s: f64) -> f64 {
+    (duration_s * 1000.0).ceil() / 1000.0
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Shared solver context: evaluation, feasibility, and result types.
 
 use caribou_carbon::source::CarbonDataSource;
+use caribou_metrics::bank::SharedBank;
 use caribou_metrics::carbonmodel::CarbonModel;
 use caribou_metrics::costmodel::CostModel;
 use caribou_metrics::fold::PlanRecord;
@@ -89,15 +90,9 @@ impl<S: CarbonDataSource, M: StageModels> SolverContext<'_, S, M> {
         self.evaluate_with_scratch(plan, hour, rng, &mut EstimateScratch::default())
     }
 
-    /// Evaluates a plan at an hour, reusing caller-owned estimator
-    /// scratch: entered with the generator state a previous call on this
-    /// scratch was entered with, it folds the draws already banked.
-    /// Bit-identical to [`SolverContext::evaluate`]; the
-    /// [`EvalEngine`](crate::engine::EvalEngine) pools scratch per worker,
-    /// all on the engine's one bank. A scratch another context (another
-    /// profile or models over a DAG of the same shape) used with the same
-    /// generator state answers with that context's draws: nothing checks
-    /// it (see `EstimateScratch`).
+    /// [`SolverContext::evaluate`] in caller-owned estimator scratch, whose
+    /// columns keep their capacity and nothing else: the result is
+    /// `evaluate`'s, bit for bit, whatever the scratch served before.
     pub fn evaluate_with_scratch(
         &self,
         plan: &DeploymentPlan,
@@ -105,19 +100,21 @@ impl<S: CarbonDataSource, M: StageModels> SolverContext<'_, S, M> {
         rng: &mut Pcg32,
         scratch: &mut EstimateScratch,
     ) -> EstimateSummary {
-        self.evaluate_on(plan, hour, rng, scratch, &PlanRecord::default())
+        let (bank, unfolded) = (SharedBank::default(), PlanRecord::default());
+        self.evaluate_on(plan, hour, rng, &bank, scratch, &unfolded)
             .0
     }
 
-    /// Evaluates a plan at an hour given the `record` an earlier
-    /// evaluation of this plan on this scratch's bank returned: only what
-    /// the record does not hold is folded, and the longer record comes
-    /// back beside the estimate (see `MonteCarloEstimator::estimate_on`).
+    /// Evaluates a plan at an hour on `bank`, drawn for this context,
+    /// given the `record` an earlier evaluation of this plan on it returned
+    /// (see `MonteCarloEstimator::estimate_on`); the engine passes its
+    /// species' bank.
     pub fn evaluate_on(
         &self,
         plan: &DeploymentPlan,
         hour: f64,
         rng: &mut Pcg32,
+        bank: &SharedBank,
         scratch: &mut EstimateScratch,
         record: &PlanRecord,
     ) -> (EstimateSummary, Option<PlanRecord>) {
@@ -131,7 +128,7 @@ impl<S: CarbonDataSource, M: StageModels> SolverContext<'_, S, M> {
             home: self.home,
             config: self.mc_config,
         };
-        est.estimate_on(plan, hour, rng, scratch, record)
+        est.estimate_on(plan, hour, rng, bank, scratch, record)
     }
 
     /// The home-region uniform plan.

@@ -82,8 +82,9 @@
 //! key's own count bump brings the walk back for it, so concurrent inserts
 //! leave the retained set what one lock around everything left. The
 //! estimator's scratch (fold and price columns) takes no lock at all: it
-//! belongs to the worker thread, which points it at the engine's bank for
-//! each miss, so one set of columns serves every engine a worker runs.
+//! belongs to the worker thread and holds no bank — a miss hands the
+//! estimator its engine's — so one set of columns serves every engine a
+//! worker runs.
 //!
 //! An estimate reads the carbon source only for its plan's regions and its
 //! home (the pricing pass's transmission endpoints and execution sites),
@@ -478,11 +479,9 @@ pub struct EvalEngine {
 }
 
 thread_local! {
-    /// The estimator scratch (fold and price columns) of this thread. A
-    /// miss points it at its engine's bank for the one estimate and back
-    /// at the scratch's own bank afterwards, so one set of columns serves
-    /// every engine a worker runs, and no engine's bank outlives its
-    /// estimates here.
+    /// The estimator scratch (fold and price columns) of this thread. It
+    /// holds no bank — a miss folds on its engine's — so one set of
+    /// columns serves every engine a worker runs.
     static SCRATCH: RefCell<EstimateScratch> = RefCell::default();
 }
 
@@ -511,8 +510,13 @@ impl EvalEngine {
     /// when their contexts produce bit-identical estimates for every
     /// `(plan, hour)` — i.e. the fingerprint must commit to the DAG
     /// structure, profile, home region, models, and Monte Carlo config.
-    /// Such engines read one draw bank, the cache's for that fingerprint.
-    /// Single-app engines ([`Self::new`]) use fingerprint 0.
+    /// Such engines read one draw bank, the cache's for that fingerprint,
+    /// bound to the stream of the first estimate drawn on it: an engine of
+    /// another solve seed panics at its first miss
+    /// (`engines_of_two_solve_seeds_on_one_species_panic_at_a_miss`), and
+    /// `tests/fleet.rs::apps_of_one_fingerprint_are_one_app` holds the
+    /// fleet's fingerprints to the content they commit to. Single-app
+    /// engines ([`Self::new`]) use fingerprint 0.
     ///
     /// `provider_bits` is the non-AWS provider mask of the evaluation
     /// universe (see `RegionCatalog::provider_bits`, 0 for AWS-only): it
@@ -606,10 +610,7 @@ impl EvalEngine {
         let unfolded = PlanRecord::default();
         let record = known.as_deref().unwrap_or(&unfolded);
         let (estimate, grown) = SCRATCH.with_borrow_mut(|scratch| {
-            let own = scratch.swap_bank(self.bank.clone());
-            let estimated = ctx.evaluate_on(plan, hour, &mut rng, scratch, record);
-            scratch.swap_bank(own);
-            estimated
+            ctx.evaluate_on(plan, hour, &mut rng, &self.bank, scratch, record)
         });
         let record = grown
             .map(Arc::new)
@@ -873,6 +874,18 @@ mod tests {
                 EvalEngine::new(7, 1).evaluate(ctx, &plan(0), 1.5);
             });
             assert_eq!(private, (2, 0));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a draw bank is bound once")]
+    fn engines_of_two_solve_seeds_on_one_species_panic_at_a_miss() {
+        with_ctx(|ctx| {
+            let cache = EstimateCache::shared(100);
+            let a = EvalEngine::with_cache_providers(7, 0xaaaa, 0, 1, Arc::clone(&cache));
+            let b = EvalEngine::with_cache_providers(8, 0xaaaa, 0, 1, Arc::clone(&cache));
+            a.evaluate(ctx, &plan(0), 0.5);
+            b.evaluate(ctx, &plan(2), 0.5);
         });
     }
 

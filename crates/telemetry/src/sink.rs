@@ -25,7 +25,7 @@
 //! subsystem (`pubsub.retry`, `kv.rmw_conflict`, `solver.accept`). No sink
 //! or schema change is needed; sinks treat kinds as opaque strings.
 
-use std::io::Write;
+use std::io::{self, BufWriter, Write};
 
 use serde_json::{Map, Value};
 
@@ -80,29 +80,38 @@ impl TelemetrySink for MemorySink {
     }
 }
 
-/// Appends one JSON object per line to a writer (typically a file).
+/// Appends one JSON object per line to a writer (typically a file). The
+/// first write or flush error ends the journal: it is kept
+/// ([`Self::error`]) and nothing is written after it.
 pub struct JsonlSink<W: Write> {
-    writer: std::io::BufWriter<W>,
+    writer: BufWriter<W>,
+    error: Option<io::Error>,
 }
 
 impl JsonlSink<std::fs::File> {
     /// Create (truncate) a journal file at `path`.
-    pub fn create(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        Ok(JsonlSink {
-            writer: std::io::BufWriter::new(std::fs::File::create(path)?),
-        })
+    pub fn create(path: impl AsRef<std::path::Path>) -> io::Result<Self> {
+        Ok(Self::new(std::fs::File::create(path)?))
     }
 }
 
 impl<W: Write> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         JsonlSink {
-            writer: std::io::BufWriter::new(writer),
+            writer: BufWriter::new(writer),
+            error: None,
         }
     }
 
+    /// The error that ended the journal, if one did.
+    pub fn error(&self) -> Option<&io::Error> {
+        self.error.as_ref()
+    }
+
     fn write_line(&mut self, value: &Value) {
-        let _ = writeln!(self.writer, "{value}");
+        if self.error.is_none() {
+            self.error = writeln!(self.writer, "{value}").err();
+        }
     }
 }
 
@@ -173,7 +182,9 @@ impl<W: Write + 'static> TelemetrySink for JsonlSink<W> {
     fn finish(&mut self, recorder: &Recorder) {
         let summary = summary_to_json(recorder);
         self.write_line(&summary);
-        let _ = self.writer.flush();
+        if self.error.is_none() {
+            self.error = self.writer.flush().err();
+        }
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -190,19 +190,24 @@ if grep -rnE 'pub fn solve(_hourly)?[<(]' crates/solver/src; then
     exit 1
 fi
 
+# A source file's lines up to its test module, each prefixed with its place.
+before_tests() { awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$1"; }
+
 # One estimate path in two halves: the fold (and the constants it reads)
 # never sees an hour or a carbon source, so a plan's record is valid at
-# every hour; and the fold, the energy term of Eq. 7.1 and Lambda's
-# millisecond billing are each written once, so the pricing pass cannot
-# grow a fold of its own and a node's banked columns have one author
-# (summary.rs keeps its two percentile-position ceils).
+# every hour; and the fold and the energy term of Eq. 7.1 are each written
+# once, so the pricing pass cannot grow a fold of its own and a node's
+# banked columns have one author. Lambda's millisecond billing is one law
+# in all non-test code: `billed_seconds` beside `lambda_cost`, which the
+# meter, the catalog and the fold call (the meter's test oracle keeps its
+# own copy).
 echo "==> hour-free fold grep gate"
 if grep -nE 'hour|carbon_source|intensity' \
     crates/metrics/src/fold.rs crates/metrics/src/prep.rs; then
     echo "error: the hour-free fold names the hour or the grid (see matches above)" >&2
     exit 1
 fi
-for once in 'fn fold' 'energy::PUE' '1000.0).ceil()'; do
+for once in 'fn fold' 'energy::PUE'; do
     hits=$(grep -rnF "$once" crates/metrics/src | wc -l)
     if [[ "$hits" -ne 1 ]]; then
         echo "error: '$once' occurs $hits times under crates/metrics/src, want 1:" >&2
@@ -210,6 +215,13 @@ for once in 'fn fold' 'energy::PUE' '1000.0).ceil()'; do
         exit 1
     fi
 done
+ceils=$(find crates -path '*/src/*' -name '*.rs' | sort |
+    while read -r f; do before_tests "$f"; done | grep -F '1000.0).ceil()' || true)
+if [[ $(grep -c . <<<"$ceils" || true) -ne 1 ]]; then
+    echo "error: the millisecond ceil occurs other than once in non-test code under crates/:" >&2
+    echo "$ceils" >&2
+    exit 1
+fi
 
 # A neighbour's fold pays for its arithmetic only: a modelled transfer's
 # `bytes.max(0) / bw` is a banked quotient column (computed once per site
@@ -391,7 +403,6 @@ fi
 # orchestrator's), the engine drawing the profile's distributions through
 # the address book's prepared sites. Test modules are exempt (oracles).
 echo "==> fixed-hasher and logarithm-once grep gates"
-before_tests() { awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$1"; }
 for f in crates/simcloud/src/kv.rs crates/simcloud/src/blob.rs crates/simcloud/src/warm.rs \
     crates/metrics/src/logs.rs; do
     if before_tests "$f" | grep -E '\bHash(Map|Set)\b'; then
@@ -621,6 +632,22 @@ fi
 # on the caller's thread, so no inline branch rewinds the session's clock.
 if before_tests crates/solver/src/pool.rs | grep -F 'set_sim_now'; then
     echo "error: the pool's inline branch is back in crates/solver/src/pool.rs" >&2
+    exit 1
+fi
+
+# A draw bank belongs to its context: the estimator scratch holds working
+# columns only (no bank to swap in and out), an estimate that keeps draws
+# across calls is handed its bank, and a bank is bound once, so there is no
+# state left to warn about and nothing to reset.
+echo "==> one-owner-per-bank grep gates"
+if grep -rnE 'swap_bank|fn estimate_with\b' crates tests examples ||
+    grep -rnE 'Nothing checks that contract|nothing checks it' crates tests examples; then
+    echo "error: a scratch-held bank, its swap or its warning is back (see matches above)" >&2
+    exit 1
+fi
+bind=$(awk '/fn bind\(/,/^    }/' crates/metrics/src/bank.rs)
+if [[ -z "$bind" ]] || grep -F '.clear()' <<<"$bind"; then
+    echo "error: DrawBank::bind is gone or resets a bound bank (bind it once)" >&2
     exit 1
 fi
 

@@ -29,7 +29,9 @@ use caribou_core::framework::{Caribou, CaribouConfig};
 use caribou_core::loadgen::{run_loadgen, LoadgenConfig, CHUNK_INVOCATIONS};
 use caribou_core::scenario::{default_tolerances, workflow_app, World, HOME};
 use caribou_exec::engine::{ExecutionEngine, InvocationScratch};
+use caribou_metrics::bank::SharedBank;
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
+use caribou_metrics::fold::PlanRecord;
 use caribou_metrics::montecarlo::{EstimateScratch, MonteCarloConfig};
 use caribou_model::constraints::Constraints;
 use caribou_model::dag::NodeId;
@@ -567,9 +569,11 @@ fn a_fold_on_resolved_sites_allocates_only_its_record() {
     };
     // Home, then nodes 1 and 2 moved one at a time: every edge and the
     // entry at both bandwidths, both nodes' columns away.
-    let mut scratch = EstimateScratch::default();
+    let (bank, mut scratch) = (SharedBank::default(), EstimateScratch::default());
     let fold = |plan: &DeploymentPlan, scratch: &mut EstimateScratch| {
-        ctx.evaluate_with_scratch(plan, 7.5, &mut Pcg32::seed(11), scratch)
+        let unfolded = PlanRecord::default();
+        let rng = &mut Pcg32::seed(11);
+        ctx.evaluate_on(plan, 7.5, rng, &bank, scratch, &unfolded).0
     };
     for plan in [moved(&[]), moved(&[1]), moved(&[2])] {
         fold(&plan, &mut scratch);

@@ -30,7 +30,7 @@
 //! a plan's `PlanRecord` keeps, and the pricing pass that turns the bank's
 //! derived energy and byte columns into carbon at one hour. The second
 //! part of this file pins that an estimate served from a record plus
-//! pricing is **bit for bit** the estimate a fresh scratch folds in full:
+//! pricing is **bit for bit** the estimate a fresh bank folds in full:
 //! over the same random DAGs, several plans on one bank, six hours, both
 //! kinds of stage models; with conditional skips into sync nodes and
 //! external-data legs; where one hour's carbon needs more batches than
@@ -68,6 +68,7 @@ use caribou_carbon::route::endpoint_average;
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::{CarbonDataSource, TableSource};
 use caribou_exec::engine::{ExecutionEngine, InvocationScratch, WorkflowApp};
+use caribou_metrics::bank::SharedBank;
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_metrics::costmodel::CostModel;
 use caribou_metrics::fold::PlanRecord;
@@ -608,7 +609,7 @@ fn ragged_tail_batches_stay_bit_identical() {
         Orchestrator::Caribou,
         w.regions[0],
     );
-    let estimate = |batch: usize, scratch: Option<&mut _>| -> EstimateSummary {
+    let estimate = |batch: usize, kept: Option<&mut (SharedBank, EstimateScratch)>| {
         let est = MonteCarloEstimator {
             dag: &wf.dag,
             profile: &profile,
@@ -624,8 +625,12 @@ fn ragged_tail_batches_stay_bit_identical() {
             },
         };
         let mut rng = Pcg32::seed(4242);
-        match scratch {
-            Some(scratch) => est.estimate_with(&plan, 17.25, &mut rng, scratch),
+        match kept {
+            Some((bank, scratch)) => {
+                let unfolded = PlanRecord::default();
+                est.estimate_on(&plan, 17.25, &mut rng, bank, scratch, &unfolded)
+                    .0
+            }
             None => est.estimate(&plan, 17.25, &mut rng),
         }
     };
@@ -633,9 +638,9 @@ fn ragged_tail_batches_stay_bit_identical() {
     let ragged = estimate(53, None);
     assert_eq!(ragged.samples, 212);
     assert_eq!(ragged, estimate(212, None));
-    let mut scratch = Default::default();
-    assert_eq!(estimate(100, Some(&mut scratch)).samples, 200);
-    assert_eq!(ragged, estimate(53, Some(&mut scratch)));
+    let mut kept = Default::default();
+    assert_eq!(estimate(100, Some(&mut kept)).samples, 200);
+    assert_eq!(ragged, estimate(53, Some(&mut kept)));
 }
 
 /// Every field of an estimate as its bit pattern: `==` on floats would
@@ -656,6 +661,7 @@ fn bits(e: &EstimateSummary) -> [u64; 12] {
 /// solver's engine and cache keep between estimates.
 #[derive(Default)]
 struct Kept {
+    bank: SharedBank,
     scratch: EstimateScratch,
     records: Vec<(DeploymentPlan, PlanRecord)>,
     folded: usize,
@@ -664,7 +670,7 @@ struct Kept {
 
 impl Kept {
     /// Estimates through the plan's kept record, keeps the longer one if
-    /// the estimate folded, and checks the result against a fresh scratch
+    /// the estimate folded, and checks the result against a fresh bank
     /// folding in full.
     fn estimate<M: StageModels>(
         &mut self,
@@ -681,7 +687,8 @@ impl Kept {
         });
         let record = &mut self.records[at].1;
         let mut rng = Pcg32::seed(seed);
-        let (served, grown) = est.estimate_on(plan, hour, &mut rng, &mut self.scratch, record);
+        let scratch = &mut self.scratch;
+        let (served, grown) = est.estimate_on(plan, hour, &mut rng, &self.bank, scratch, record);
         match grown {
             Some(grown) => {
                 *record = grown;
@@ -967,21 +974,21 @@ fn walk_both_ways<M: StageModels>(
             cv_threshold: 0.03,
         },
     };
-    let on = |scratch: &mut EstimateScratch, plan| {
+    let on = |(bank, scratch): &mut (SharedBank, EstimateScratch), plan| {
         let unfolded = PlanRecord::default();
         let (estimate, record) =
-            est.estimate_on(plan, hour, &mut Pcg32::seed(seed), scratch, &unfolded);
+            est.estimate_on(plan, hour, &mut Pcg32::seed(seed), bank, scratch, &unfolded);
         let record = record.expect("no record to go by: folded");
         (bits(&estimate), record_bits(&record, WALK_BATCH))
     };
     let fresh: Vec<_> = plans
         .iter()
-        .map(|plan| on(&mut EstimateScratch::default(), plan))
+        .map(|plan| on(&mut Default::default(), plan))
         .collect();
     let forwards: Vec<usize> = (0..plans.len()).collect();
     let backwards: Vec<usize> = forwards.iter().rev().copied().collect();
     for order in [forwards, backwards] {
-        let mut shared = EstimateScratch::default();
+        let mut shared = Default::default();
         for &k in &order {
             let banked = on(&mut shared, &plans[k]);
             assert_eq!(banked, fresh[k], "seed {seed}, plan {k} of {order:?}");

@@ -9,12 +9,14 @@
 //! worker count. This is what makes the dependency index and the cache's
 //! `invalidate_hour` hook *sound*, not just fast.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use caribou_core::fleet::{
     replan_incremental, solve_fleet, DependencyIndex, FleetConfig, FleetEnv, FleetSchedule,
     PerturbOp, Perturbation,
 };
+use caribou_model::region::ProviderSet;
 use caribou_solver::engine::{EstimateCache, EvalEngine};
 use caribou_workloads::fleet::{generate_fleet, FleetApp};
 use proptest::prelude::*;
@@ -126,6 +128,34 @@ proptest! {
 /// Full fleet solves are bit-identical at every worker count, and the
 /// shared cache sees cross-app hits (structurally identical species
 /// share estimates).
+/// A fingerprint names one app: over the AWS and the AWS+GCP universes,
+/// 400 apps each, every two apps that share a fingerprint — and with it
+/// one cache table and one draw bank — have equal DAGs, profiles and homes.
+#[test]
+fn apps_of_one_fingerprint_are_one_app() {
+    let aws_gcp = ProviderSet::parse("aws,gcp").unwrap();
+    let envs = [
+        FleetEnv::new(42, 1),
+        FleetEnv::for_providers(42, 1, aws_gcp).unwrap(),
+    ];
+    for env in envs {
+        let apps = generate_fleet(42, 400, &env.universe);
+        let mut by_fp: BTreeMap<u64, &FleetApp> = BTreeMap::new();
+        let mut shared = 0;
+        for app in &apps {
+            let Some(first) = by_fp.insert(app.fingerprint, app) else {
+                continue;
+            };
+            let at = format!("{} and {}", first.name, app.name);
+            assert!(first.dag == app.dag, "{at}: one fingerprint, two DAGs");
+            assert!(first.profile == app.profile, "{at}: two profiles");
+            assert_eq!(first.home, app.home, "{at}: two homes");
+            shared += 1;
+        }
+        assert!(shared > 100, "{shared} of 400 apps share a fingerprint");
+    }
+}
+
 #[test]
 fn full_solve_worker_invariance_and_cross_app_sharing() {
     let mut digests = Vec::new();

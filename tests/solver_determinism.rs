@@ -5,9 +5,11 @@
 
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::TableSource;
-use caribou_core::scenario::Case;
+use caribou_core::scenario::{default_tolerances, Case, World};
 use caribou_metrics::carbonmodel::TransmissionScenario;
-use caribou_metrics::montecarlo::{DefaultModels, EstimateSummary, MonteCarloConfig};
+use caribou_metrics::montecarlo::{
+    DefaultModels, EstimateScratch, EstimateSummary, MonteCarloConfig,
+};
 use caribou_model::builder::Workflow;
 use caribou_model::constraints::Tolerances;
 use caribou_model::dist::DistSpec;
@@ -19,6 +21,7 @@ use caribou_solver::context::SolverContext;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use caribou_solver::hourly::solve_hourly_with;
+use caribou_workloads::benchmarks::{dna_visualization, InputSize};
 use proptest::prelude::*;
 
 /// Worker counts every invariant is checked across.
@@ -338,6 +341,48 @@ fn engine_scratch_pool_reuses_node_state_across_misses() {
         let draws = session.recorder.counter("montecarlo.bank.draws");
         assert!(columns > 0 && draws <= columns * 120, "{draws} draws");
     });
+}
+
+/// A scratch carries nothing from one estimate to the next: DNA
+/// Visualization with every execution median ×5, entered with the same
+/// generator state on a scratch the original profile used first, returns
+/// its own estimate, bit for bit the fresh one (30.82 s mean latency), not
+/// the original's (6.25 s), which a scratch that kept its bank would serve
+/// back with the original's draws and derived columns.
+#[test]
+fn a_scratch_another_profile_used_serves_this_profile_its_own_estimate() {
+    let world = World::evaluation(9);
+    let bench = dna_visualization(InputSize::Small);
+    let mut slow = bench.clone();
+    for node in &mut slow.profile.nodes {
+        node.exec_time = node.exec_time.scaled(5.0);
+    }
+    let permitted = vec![world.regions.clone(); bench.dag.node_count()];
+    let plan = DeploymentPlan::uniform(bench.dag.node_count(), world.region("ca-central-1"));
+    let mc = MonteCarloConfig::default();
+    let cases = [&bench, &slow].map(|b| world.case(b, TransmissionScenario::BEST, mc));
+    let [original, scaled] = cases
+        .each_ref()
+        .map(|case| case.context(&permitted, default_tolerances(), &world.carbon));
+    let fresh = scaled.evaluate(&plan, 0.5, &mut Pcg32::seed(9));
+    let mut scratch = EstimateScratch::default();
+    let first = original.evaluate_with_scratch(&plan, 0.5, &mut Pcg32::seed(9), &mut scratch);
+    let reused = scaled.evaluate_with_scratch(&plan, 0.5, &mut Pcg32::seed(9), &mut scratch);
+    assert!(
+        (6.2..6.3).contains(&first.latency.mean),
+        "{}",
+        first.latency.mean
+    );
+    assert!(
+        (30.8..30.85).contains(&fresh.latency.mean),
+        "{}",
+        fresh.latency.mean
+    );
+    assert_eq!(
+        reused, fresh,
+        "the scaled profile read {:.2} s on the used scratch, {:.2} s fresh",
+        reused.latency.mean, fresh.latency.mean
+    );
 }
 
 /// A 24-hour solve with plan records in play — each plan folded at the
