@@ -9,7 +9,8 @@
 //! learned history — does not depend on the plan. The bank keeps one
 //! lazily extended column per (site, primitive), each on its own stream
 //! split off the bank's root seed, and an estimate *folds* the columns
-//! over the sample index with its plan's constants.
+//! over the sample index with its plan's constants. The root is the
+//! bank's name, given once, when it is made ([`SharedBank::new`]).
 //!
 //! Element `i` of a column is a pure function of (root, site, primitive,
 //! `i`): a column owns its generator and only ever appends, so neither the
@@ -181,16 +182,6 @@ impl Derived {
     }
 }
 
-/// What a bank's columns were drawn for: the generator state the estimate
-/// was entered with and the DAG's shape. A bank is bound to one identity
-/// for its life: asking it for another is a bug, and panics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct BankId {
-    pub stream: Pcg32,
-    pub nodes: usize,
-    pub edges: usize,
-}
-
 #[derive(Debug)]
 struct Column {
     rng: Pcg32,
@@ -238,7 +229,10 @@ impl ByRegion {
 /// The draw bank of one frozen estimation context. See the module docs.
 #[derive(Debug, Default)]
 pub struct DrawBank {
-    id: Option<BankId>,
+    /// The seed every column's stream is split off: the bank's name.
+    root: u64,
+    /// The DAG's (nodes, edges), taken at the first fill.
+    shape: Option<(usize, usize)>,
     /// `(site, prim)` → position in `columns`; `usize::MAX` until drawn.
     slots: Vec<usize>,
     columns: Vec<Column>,
@@ -258,42 +252,35 @@ pub struct DrawBank {
 }
 
 impl DrawBank {
-    /// Whether the bank is bound, which it can only be to `id`.
-    fn is_bound(&self, id: &BankId) -> bool {
-        let Some(bound) = &self.id else {
-            return false;
-        };
-        assert_eq!(bound, id, "a draw bank is bound once");
-        true
-    }
-
-    /// Makes an unbound bank the bank of `id` (a bound one must be its).
-    pub(crate) fn bind(&mut self, id: &BankId) {
-        if self.is_bound(id) {
+    /// Shapes an unshaped bank for a DAG of `(nodes, edges)`; a shaped one
+    /// must have that shape.
+    pub(crate) fn bind(&mut self, shape: (usize, usize)) {
+        if let Some(bound) = self.shape {
+            assert_eq!(bound, shape, "a draw bank holds one DAG shape");
             return;
         }
-        self.slots = vec![usize::MAX; (1 + 3 * id.nodes + id.edges) * PRIMS];
-        self.colds = vec![ByRegion::default(); id.nodes];
-        self.derived = vec![Vec::new(); 1 + id.edges];
-        self.sites = vec![ByRegion::default(); id.nodes];
-        self.quotients = vec![Vec::new(); 1 + id.edges];
-        self.id = Some(id.clone());
+        let (nodes, edges) = shape;
+        self.slots = vec![usize::MAX; (1 + 3 * nodes + edges) * PRIMS];
+        self.colds = vec![ByRegion::default(); nodes];
+        self.derived = vec![Vec::new(); 1 + edges];
+        self.sites = vec![ByRegion::default(); nodes];
+        self.quotients = vec![Vec::new(); 1 + edges];
+        self.shape = Some(shape);
     }
 
     fn nodes(&self) -> usize {
-        self.id.as_ref().map_or(0, |id| id.nodes)
+        self.shape.map_or(0, |(nodes, _)| nodes)
     }
 
     fn slot(&self, site: Site, prim: Prim) -> usize {
         site.index(self.nodes()) * PRIMS + prim as usize
     }
 
-    /// The generator of a new column: split off the first draw of the
-    /// bank's stream by site and primitive.
+    /// The generator of a new column: split off the bank's root by site
+    /// and primitive.
     fn stream(&self, site: Site, prim: Prim) -> Pcg32 {
-        let id = self.id.as_ref().expect("bound before drawing");
-        SeedSplitter::new(id.stream.clone().next_u64())
-            .absorb(site.index(id.nodes) as u64)
+        SeedSplitter::new(self.root)
+            .absorb(site.index(self.nodes()) as u64)
             .absorb(prim as u64)
             .rng()
     }
@@ -482,20 +469,31 @@ impl DrawBank {
 
 /// A bank several worker threads fold at once: reads share the lock,
 /// extension takes it exclusively.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SharedBank(Arc<RwLock<DrawBank>>);
 
 impl SharedBank {
-    /// A read guard on the bank once it is bound (to `id`). A fold reads
-    /// its columns under it and, should one be short, [`Self::fill`]s.
-    pub(crate) fn bound(&self, id: &BankId) -> Option<RwLockReadGuard<'_, DrawBank>> {
-        Some(self.0.read().expect("bank lock")).filter(|bank| bank.is_bound(id))
+    /// An empty bank whose columns are split off `root`: the bank of one
+    /// frozen context, named for its life.
+    pub fn new(root: u64) -> Self {
+        let bank = DrawBank {
+            root,
+            ..DrawBank::default()
+        };
+        SharedBank(Arc::new(RwLock::new(bank)))
     }
 
-    /// Binds the bank to `id` and hands it to `fill` under the write lock.
-    pub(crate) fn fill(&self, id: &BankId, fill: impl FnOnce(&mut DrawBank)) {
+    /// A read guard on the bank once a fill shaped it. A fold reads its
+    /// columns under it and, should one be short, [`Self::fill`]s.
+    pub(crate) fn bound(&self) -> Option<RwLockReadGuard<'_, DrawBank>> {
+        Some(self.0.read().expect("bank lock")).filter(|bank| bank.shape.is_some())
+    }
+
+    /// Shapes the bank for a DAG of `shape` (see [`DrawBank::bind`]) and
+    /// hands it to `fill` under the write lock.
+    pub(crate) fn fill(&self, shape: (usize, usize), fill: impl FnOnce(&mut DrawBank)) {
         let mut write = self.0.write().expect("bank lock");
-        write.bind(id);
+        write.bind(shape);
         fill(&mut write);
     }
 
@@ -517,12 +515,17 @@ impl SharedBank {
 mod tests {
     use super::*;
 
-    fn id(seed: u64) -> BankId {
-        BankId {
-            stream: Pcg32::seed(seed),
-            nodes: 3,
-            edges: 2,
-        }
+    const SHAPE: (usize, usize) = (3, 2);
+
+    /// A bank of a three-node, two-edge DAG, named by a generator seeded
+    /// with `seed`.
+    fn shaped(seed: u64) -> DrawBank {
+        let mut bank = DrawBank {
+            root: Pcg32::seed(seed).next_u64(),
+            ..DrawBank::default()
+        };
+        bank.bind(SHAPE);
+        bank
     }
 
     const JITTER: Draw<'static> = Draw::LogNormal {
@@ -533,11 +536,9 @@ mod tests {
     #[test]
     fn values_do_not_depend_on_how_a_column_was_extended() {
         let at = Need::new(Site::Edge(1), Prim::Jitter, JITTER);
-        let mut whole = DrawBank::default();
-        whole.bind(&id(9));
+        let mut whole = shaped(9);
         whole.ensure(&at, 500);
-        let mut chunked = DrawBank::default();
-        chunked.bind(&id(9));
+        let mut chunked = shaped(9);
         for n in [1, 7, 200, 201, 500] {
             // A neighbouring column growing in between changes nothing.
             chunked.ensure(&Need::new(Site::Edge(0), Prim::Jitter, JITTER), n * 2);
@@ -556,8 +557,7 @@ mod tests {
 
     #[test]
     fn every_site_and_primitive_has_its_own_stream() {
-        let mut bank = DrawBank::default();
-        bank.bind(&id(4));
+        let mut bank = shaped(4);
         let sites = [
             Site::Entry,
             Site::Node(0),
@@ -579,26 +579,16 @@ mod tests {
         assert_eq!(firsts.len(), sites.len() * 2);
     }
 
-    /// Binding again to the same identity keeps the columns; another
-    /// stream or another shape panics, naming both identities.
-    fn bound_with_columns(also: BankId) {
-        let at = Need::new(Site::Entry, Prim::Value, Draw::Uniform);
-        let bank = SharedBank::default();
-        bank.fill(&id(1), |bank| bank.ensure(&at, 8));
-        bank.fill(&id(1), |bank| assert!(bank.has(&at, 8), "same identity"));
-        bank.fill(&also, |_| {});
-    }
-
+    /// Filling again with the same shape keeps the columns; another shape
+    /// panics, naming both.
     #[test]
-    #[should_panic(expected = "a draw bank is bound once")]
-    fn a_bound_bank_asked_for_another_stream_panics() {
-        bound_with_columns(id(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "nodes: 4")]
+    #[should_panic(expected = "a draw bank holds one DAG shape")]
     fn a_bound_bank_asked_for_another_shape_panics() {
-        bound_with_columns(BankId { nodes: 4, ..id(1) });
+        let at = Need::new(Site::Entry, Prim::Value, Draw::Uniform);
+        let bank = SharedBank::new(1);
+        bank.fill(SHAPE, |bank| bank.ensure(&at, 8));
+        bank.fill(SHAPE, |bank| assert!(bank.has(&at, 8), "same shape"));
+        bank.fill((4, 2), |_| {});
     }
 
     #[test]
@@ -616,8 +606,7 @@ mod tests {
             curve,
             region: RegionId(region),
         };
-        let mut bank = DrawBank::default();
-        bank.bind(&id(5));
+        let mut bank = shaped(5);
         bank.ensure(&Need::new(Site::Node(1), Prim::Cold, cold(&curve, 0)), 400);
         bank.ensure(
             &Need::new(Site::Node(1), Prim::Cold, cold(&steeper, 1)),
@@ -661,8 +650,7 @@ mod tests {
 
     #[test]
     fn quotients_are_kept_per_transfer_site_and_bandwidth() {
-        let mut bank = DrawBank::default();
-        bank.bind(&id(6));
+        let mut bank = shaped(6);
         let (intra, inter) = (100.0e6, 30.0e6);
         let edge = Derived::quotient(Site::Edge(1), inter);
         assert_eq!(bank.derived(edge, 0), None);

@@ -23,7 +23,7 @@ use caribou_model::dag::WorkflowDag;
 use caribou_model::plan::DeploymentPlan;
 use caribou_simcloud::pricing::billed_seconds;
 
-use crate::bank::{BankId, Derived, DrawBank, Prim, SharedBank, Site};
+use crate::bank::{Derived, DrawBank, Prim, SharedBank, Site};
 use crate::energy;
 use crate::prep::{self, pick, EdgePrep, ExecPrep, NodePrep, Prep, TransferPrep};
 use crate::summary::{p95, DistSummary, Moments};
@@ -144,7 +144,7 @@ impl FoldState {
 pub(crate) fn extend(
     prep: &Prep<'_>,
     plan: &DeploymentPlan,
-    (bank, id): (&SharedBank, &BankId),
+    bank: &SharedBank,
     s: &mut FoldState,
     record: &mut PlanRecord,
     batch: usize,
@@ -154,7 +154,7 @@ pub(crate) fn extend(
         let lo = s.lat.len();
         let hi = lo + batch;
         let counts = (s.sites_read, s.sites_folded);
-        let folded = bank.bound(id).is_some_and(|bank| {
+        let folded = bank.bound().is_some_and(|bank| {
             wide::run(Batch {
                 prep,
                 plan,
@@ -165,12 +165,13 @@ pub(crate) fn extend(
             })
         });
         if !folded {
-            // A column was short, or the bank not yet bound: draw what
+            // A column was short, or the bank not yet shaped: draw what
             // the plan reads, then fold the batch again.
             s.lat.truncate(lo);
             s.cost.truncate(lo);
             (s.sites_read, s.sites_folded) = counts;
-            bank.fill(id, |bank| prep.walk(plan, bank, hi));
+            let shape = (prep.dag.node_count(), prep.dag.edge_count());
+            bank.fill(shape, |bank| prep.walk(plan, bank, hi));
             continue;
         }
         if !s.computed.is_empty() {

@@ -38,7 +38,7 @@ use caribou_simcloud::orchestration::Orchestrator;
 
 use caribou_carbon::source::CarbonDataSource;
 
-use crate::bank::{BankId, SharedBank};
+use crate::bank::SharedBank;
 use crate::carbonmodel::CarbonModel;
 use crate::costmodel::CostModel;
 use crate::fold::{self, FoldState, PlanRecord};
@@ -205,21 +205,19 @@ pub struct EstimateScratch {
 
 impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
     /// Runs the estimator for a deployment plan at a given hour, on a bank
-    /// of its own named by `rng` (which advances, so a second call draws a
+    /// of its own named by `rng`'s next draw (so a second call draws a
     /// second bank).
     pub fn estimate(&self, plan: &DeploymentPlan, hour: f64, rng: &mut Pcg32) -> EstimateSummary {
-        let (bank, unfolded) = (SharedBank::default(), PlanRecord::default());
+        let (bank, unfolded) = (SharedBank::new(rng.next_u64()), PlanRecord::default());
         let scratch = &mut EstimateScratch::default();
-        self.estimate_on(plan, hour, rng, &bank, scratch, &unfolded)
-            .0
+        self.estimate_on(plan, hour, &bank, scratch, &unfolded).0
     }
 
     /// The estimate of `plan` at `hour` on `bank`, given the `record` an
     /// earlier estimate of this plan on this bank returned (empty: none
-    /// did). `rng`'s state on entry names the bank's draws: a bank drawn
-    /// for one context serves that context only, so whoever keeps a bank
-    /// across estimates keeps it beside the context it was drawn for, and
-    /// entering it with another state panics.
+    /// did). The bank was named when it was made ([`SharedBank::new`]), so
+    /// whoever keeps one across estimates keeps it beside the context it
+    /// was drawn for: its columns are this context's draws.
     ///
     /// At each stopping-rule boundary the latency and cost come from the
     /// record and the carbon from pricing the bank's derived columns at
@@ -231,17 +229,10 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
         &self,
         plan: &DeploymentPlan,
         hour: f64,
-        rng: &mut Pcg32,
         bank: &SharedBank,
         scratch: &mut EstimateScratch,
         record: &PlanRecord,
     ) -> (EstimateSummary, Option<PlanRecord>) {
-        let id = BankId {
-            stream: rng.clone(),
-            nodes: self.dag.node_count(),
-            edges: self.dag.edge_count(),
-        };
-        rng.next_u64();
         let EstimateScratch { fold, price } = scratch;
         let batch = self.config.batch;
         price.rates(self, plan, hour);
@@ -250,7 +241,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
         // fold writes.
         let mut folded: Option<(Prep<'_>, PlanRecord)> = None;
         let priced = |price: &mut PriceState, n| {
-            let bank = bank.bound(&id);
+            let bank = bank.bound();
             bank.is_some_and(|bank| price.extend(self.dag, plan, &bank, n))
         };
         loop {
@@ -261,7 +252,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                     fold.reset(self.dag, batch);
                     (self.prep(), PlanRecord::default())
                 });
-                fold::extend(prep, plan, (bank, &id), fold, grown, batch, n);
+                fold::extend(prep, plan, bank, fold, grown, batch, n);
                 assert!(priced(price, n), "a fold publishes what pricing reads");
             }
             let grown = folded.as_ref().map(|(_, grown)| grown);
@@ -415,17 +406,22 @@ mod tests {
     /// A bank kept across estimates and the scratch they work in.
     type Kept = (SharedBank, EstimateScratch);
 
-    /// The estimate of `plan` entered with `seed` on `kept`'s bank, with no
-    /// record to go by.
+    /// The bank [`MonteCarloEstimator::estimate`] draws when handed a
+    /// generator seeded with `seed`, and a fresh scratch.
+    fn keep(seed: u64) -> Kept {
+        let bank = SharedBank::new(Pcg32::seed(seed).next_u64());
+        (bank, EstimateScratch::default())
+    }
+
+    /// The estimate of `plan` on `kept`'s bank, with no record to go by.
     fn estimate_on<M: StageModels>(
         est: &MonteCarloEstimator<'_, TableSource, M>,
         plan: &DeploymentPlan,
-        (hour, seed): (f64, u64),
+        hour: f64,
         (bank, scratch): &mut Kept,
     ) -> EstimateSummary {
         let unfolded = PlanRecord::default();
-        let rng = &mut Pcg32::seed(seed);
-        est.estimate_on(plan, hour, rng, bank, scratch, &unfolded).0
+        est.estimate_on(plan, hour, bank, scratch, &unfolded).0
     }
 
     /// `A → B`, each stage `exec_s` seconds, `B` invoked with `prob`.
@@ -566,10 +562,29 @@ mod tests {
         // bit for bit with one on a fresh scratch.
         let fresh = fx.estimate(&flow, &moved, 21);
         fx.with_estimator(&flow, MonteCarloConfig::default(), |est| {
-            let mut kept = Kept::default();
-            estimate_on(est, &fx.plan(4, &[]), (0.5, 21), &mut kept);
-            let reused = estimate_on(est, &moved, (0.5, 21), &mut kept);
+            let mut kept = keep(21);
+            estimate_on(est, &fx.plan(4, &[]), 0.5, &mut kept);
+            let reused = estimate_on(est, &moved, 0.5, &mut kept);
             assert_eq!(fresh, reused);
+        });
+    }
+
+    /// `estimate` names its bank by one draw of the caller's generator: the
+    /// generator advances by exactly one `next_u64`, so a second call draws
+    /// a second bank and estimates the plan afresh.
+    #[test]
+    fn an_estimate_takes_one_draw_of_its_generator() {
+        let fx = fixture(true);
+        let plan = fx.plan(4, &[(2, "us-west-2")]);
+        fx.with_estimator(&diamond(Some(0.6)), MonteCarloConfig::default(), |est| {
+            let (mut rng, mut once) = (Pcg32::seed(5), Pcg32::seed(5));
+            let first = est.estimate(&plan, 0.5, &mut rng);
+            once.next_u64();
+            assert_eq!(rng, once);
+            let second = est.estimate(&plan, 0.5, &mut rng);
+            once.next_u64();
+            assert_eq!(rng, once);
+            assert_ne!(first, second);
         });
     }
 
@@ -584,13 +599,13 @@ mod tests {
             est.estimate(&plan, 3.25, &mut Pcg32::seed(9))
         });
         assert_eq!(whole.samples, 250);
-        let mut kept = Kept::default();
+        let mut kept = keep(9);
         fx.with_estimator(&flow, capped(200, 200), |est| {
-            estimate_on(est, &plan, (3.25, 9), &mut kept)
+            estimate_on(est, &plan, 3.25, &mut kept)
         });
         fx.with_estimator(&flow, capped(50, 250), |est| {
             assert_eq!(whole, est.estimate(&plan, 3.25, &mut Pcg32::seed(9)));
-            let ragged = estimate_on(est, &plan, (3.25, 9), &mut kept);
+            let ragged = estimate_on(est, &plan, 3.25, &mut kept);
             assert_eq!(whole, ragged);
         });
     }
@@ -602,10 +617,10 @@ mod tests {
         let plan = fx.plan(4, &[(2, "us-west-2")]);
         fx.with_estimator(&flow, MonteCarloConfig::default(), |est| {
             caribou_telemetry::enable(Box::new(caribou_telemetry::NullSink));
-            let mut kept = Kept::default();
+            let mut kept = keep(11);
             let fresh = est.estimate(&plan, 0.5, &mut Pcg32::seed(11));
             for _ in 0..5 {
-                let reused = estimate_on(est, &plan, (0.5, 11), &mut kept);
+                let reused = estimate_on(est, &plan, 0.5, &mut kept);
                 assert_eq!(fresh, reused);
             }
             let recorder = caribou_telemetry::finish().unwrap().recorder;
@@ -646,12 +661,11 @@ mod tests {
     fn trace<M: StageModels>(
         est: &MonteCarloEstimator<'_, TableSource, M>,
         plan: &DeploymentPlan,
-        (hour, seed): (f64, u64),
+        hour: f64,
         (bank, scratch): &mut Kept,
         record: &PlanRecord,
     ) -> (Vec<u64>, PlanRecord) {
-        let rng = Pcg32::seed(seed);
-        let (summary, grown) = est.estimate_on(plan, hour, &mut rng.clone(), bank, scratch, record);
+        let (summary, grown) = est.estimate_on(plan, hour, bank, scratch, record);
         let record = grown.unwrap_or_else(|| record.clone());
         let mut bits = Vec::new();
         let mut put = |xs: &[f64]| bits.extend(xs.iter().map(|x| x.to_bits()));
@@ -670,12 +684,7 @@ mod tests {
         put(lat);
         put(cost);
         put(&scratch.price.carb);
-        let id = BankId {
-            stream: rng,
-            nodes: est.dag.node_count(),
-            edges: est.dag.edge_count(),
-        };
-        let bank = bank.bound(&id).expect("the estimate's bank");
+        let bank = bank.bound().expect("the estimate's bank");
         let n = summary.samples;
         let nodes = (0..est.dag.node_count())
             .flat_map(|ni| Derived::site(ni, plan.region_of(NodeId(ni as u32))));
@@ -724,20 +733,15 @@ mod tests {
         std::iter::once(entry).chain(edges).collect()
     }
 
-    /// How many of `plan`'s modelled transfers the bank named by `seed`
-    /// holds the quotient of to `n` samples, and how many it does not.
+    /// How many of `plan`'s modelled transfers `bank` holds the quotient
+    /// of to `n` samples, and how many it does not.
     fn quotients_held<M: StageModels>(
         est: &MonteCarloEstimator<'_, TableSource, M>,
         plan: &DeploymentPlan,
-        (seed, n): (u64, usize),
+        n: usize,
         bank: &SharedBank,
     ) -> (usize, usize) {
-        let id = BankId {
-            stream: Pcg32::seed(seed),
-            nodes: est.dag.node_count(),
-            edges: est.dag.edge_count(),
-        };
-        let bank = bank.bound(&id).expect("a bank the seed names");
+        let bank = bank.bound().expect("a folded bank");
         let sites = modelled(est, plan).into_iter();
         let held = sites.filter_map(|(site, bw)| {
             let q = Derived::quotient(site, bw?);
@@ -755,9 +759,9 @@ mod tests {
         plan: &DeploymentPlan,
         seed: u64,
     ) -> Vec<u64> {
-        let mut kept = Kept::default();
-        let (mut bits, record) = trace(est, plan, (0.5, seed), &mut kept, &PlanRecord::default());
-        bits.extend(trace(est, plan, (13.25, seed), &mut kept, &record).0);
+        let mut kept = keep(seed);
+        let (mut bits, record) = trace(est, plan, 0.5, &mut kept, &PlanRecord::default());
+        bits.extend(trace(est, plan, 13.25, &mut kept, &record).0);
         bits
     }
 
@@ -830,25 +834,23 @@ mod tests {
             }
             // A bank another rule left at 200 samples, extended 50 at a
             // time: the fold publishes a ragged tail of each column.
-            let mut kept = Kept::default();
-            let (hour, seed) = (3.25, 9 + f as u64);
+            let (hour, mut kept) = (3.25, keep(9 + f as u64));
             let est = fx.estimator(flow, &base, capped(200, 200));
-            estimate_on(&est, &plans[1], (hour, seed), &mut kept);
+            estimate_on(&est, &plans[1], hour, &mut kept);
             let est = fx.estimator(flow, &base, capped(50, 250));
             let empty = PlanRecord::default();
-            bits.extend(trace(&est, &plans[1], (hour, seed), &mut kept, &empty).0);
+            bits.extend(trace(&est, &plans[1], hour, &mut kept, &empty).0);
             // Neighbours on one bank: the moved plan, it with its start node
             // moved too, and the home plan.
-            let mut kept = Kept::default();
-            let (hour, seed) = (5.5, 40 + f as u64);
+            let (hour, mut kept) = (5.5, keep(40 + f as u64));
             let est = fx.estimator(flow, &logged, capped(200, 400));
             let neighbour = fx.plan(nodes, &[moved, &[(0, "us-west-2")]].concat());
             for (k, plan) in [&plans[1], &neighbour, &plans[0]].into_iter().enumerate() {
                 if k > 0 {
-                    let (h, m) = quotients_held(&est, plan, (seed, 400), &kept.0);
+                    let (h, m) = quotients_held(&est, plan, 400, &kept.0);
                     held = (held.0 + h, held.1 + m);
                 }
-                bits.extend(trace(&est, plan, (hour, seed), &mut kept, &empty).0);
+                bits.extend(trace(&est, plan, hour, &mut kept, &empty).0);
             }
         }
         (bits, held)

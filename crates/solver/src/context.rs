@@ -85,7 +85,7 @@ impl<S: CarbonDataSource, M: StageModels> SolverContext<'_, S, M> {
     }
 
     /// Evaluates a plan at an hour on a draw bank of its own, named by
-    /// `rng`.
+    /// `rng`'s next draw.
     pub fn evaluate(&self, plan: &DeploymentPlan, hour: f64, rng: &mut Pcg32) -> EstimateSummary {
         self.evaluate_with_scratch(plan, hour, rng, &mut EstimateScratch::default())
     }
@@ -100,20 +100,18 @@ impl<S: CarbonDataSource, M: StageModels> SolverContext<'_, S, M> {
         rng: &mut Pcg32,
         scratch: &mut EstimateScratch,
     ) -> EstimateSummary {
-        let (bank, unfolded) = (SharedBank::default(), PlanRecord::default());
-        self.evaluate_on(plan, hour, rng, &bank, scratch, &unfolded)
-            .0
+        let (bank, unfolded) = (SharedBank::new(rng.next_u64()), PlanRecord::default());
+        self.evaluate_on(plan, hour, &bank, scratch, &unfolded).0
     }
 
-    /// Evaluates a plan at an hour on `bank`, drawn for this context,
-    /// given the `record` an earlier evaluation of this plan on it returned
-    /// (see `MonteCarloEstimator::estimate_on`); the engine passes its
-    /// species' bank.
+    /// Evaluates a plan at an hour on `bank`, made for this context, given
+    /// the `record` an earlier evaluation of this plan on it returned (see
+    /// `MonteCarloEstimator::estimate_on`). The engine passes its species'
+    /// bank, whose root its table took when it was made.
     pub fn evaluate_on(
         &self,
         plan: &DeploymentPlan,
         hour: f64,
-        rng: &mut Pcg32,
         bank: &SharedBank,
         scratch: &mut EstimateScratch,
         record: &PlanRecord,
@@ -128,7 +126,7 @@ impl<S: CarbonDataSource, M: StageModels> SolverContext<'_, S, M> {
             home: self.home,
             config: self.mc_config,
         };
-        est.estimate_on(plan, hour, rng, bank, scratch, record)
+        est.estimate_on(plan, hour, bank, scratch, record)
     }
 
     /// The home-region uniform plan.

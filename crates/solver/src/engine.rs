@@ -3,17 +3,18 @@
 //!
 //! Every candidate evaluation is a *pure function* of the engine's solve
 //! seed, the app fingerprint, the provider bits, the plan assignment, and
-//! the solve hour. The randomness is the species' *draw bank*: one stream
-//! split off (solve seed, fingerprint, provider bits) through a
-//! [`SeedSplitter`] names it, every DAG site draws its own columns from
-//! it once, and an estimate folds those columns with its plan's
+//! the solve hour. The randomness is the species' *draw bank*: a species
+//! is (solve seed, fingerprint, provider bits), and the first draw of one
+//! stream split off those three through a [`SeedSplitter`] names its bank
+//! when the species' table is made; every DAG site draws its own columns
+//! from it once, and an estimate folds those columns with its plan's
 //! constants and prices them at its hour — so two candidates of one solve
 //! differ only where their plans differ (common random numbers), and no
-//! walk generator is ever threaded through an estimate. One cache = one
-//! frozen context per (fingerprint, provider bits) = one bank per
-//! (fingerprint, provider bits): engines on one [`EstimateCache`] that
-//! agree on both take the same bank from it. Purity buys four properties
-//! at once:
+//! generator is ever threaded through an estimate. One cache = one frozen
+//! context per species = one bank per species: engines on one
+//! [`EstimateCache`] that agree on all three take the same bank from it,
+//! and engines that differ in any one read banks and entries of their own.
+//! Purity buys four properties at once:
 //!
 //! 1. **Worker-count independence** — no evaluation consumes state
 //!    another evaluation produced, so fanning candidates across a
@@ -34,8 +35,9 @@
 //!    part of both the key and the bank stream, so two apps only share
 //!    an entry when their estimates are provably bit-equal.
 //!
-//! The cache is **per-species tables the engines hold**: one table per
-//! (fingerprint, provider bits) keeps that species' bank and its plans. A
+//! The cache is **per-species tables the engines hold**: each species has
+//! a bank, made with its entry in the species map, and a table of its
+//! plans. A
 //! plan is a *slot*: its assignment is stored once, in the table's flat key
 //! buffer, and found through an open-addressed index of slots
 //! (`crate::keys`); beside the slot sit the plan's record, its home and how
@@ -58,8 +60,9 @@
 //! is kept and lent out in; the flat buffers grow by doubling.
 //!
 //! The cache is **bounded**: past [`EstimateCache::capacity`] hour
-//! entries the largest `(fingerprint, bits, assignment, hour-bits)` keys
-//! are evicted (a plan leaves with its last hour, and its slot is reused).
+//! entries the largest `(seed, fingerprint, bits, assignment, hour-bits)`
+//! keys are evicted (a plan leaves with its last hour, and its slot is
+//! reused).
 //! The index has no order, so each table also keeps its slots in a
 //! max-heap by key — touched only when a plan is first stored or dropped —
 //! and eviction reads the largest key off the last table's heap top.
@@ -70,10 +73,10 @@
 //! never correctness.
 //!
 //! Two kinds of lock, never nested the other way round. A table's
-//! [`Mutex`] covers its bank handle, keys, plans, heap and hour index:
-//! probes and inserts take it and nothing else. The species map's
-//! [`Mutex`] covers which tables exist: engine construction takes it to
-//! find its table, and invalidation and eviction take it to walk the
+//! [`Mutex`] covers its keys, plans, heap and hour index: probes and
+//! inserts take it and nothing else. The species map's [`Mutex`] covers
+//! which banks and tables exist: engine construction takes it to find its
+//! species', and invalidation and eviction take it to walk the
 //! tables in species order, one table lock at a time. The hour-entry count
 //! is an atomic an insert bumps after releasing its table; the insert that
 //! takes it past the bound evicts, under the species map, until it is back
@@ -107,7 +110,9 @@
 //! parallel misses of the same key the tallies — and with them the
 //! estimator's `montecarlo.folds` / `montecarlo.repriced` split of the
 //! misses — may differ by a few counts between runs; the cached *values*
-//! never do.
+//! never do. A fold whose record the table did not keep, because another
+//! worker's fold of the plan reached as far first, also counts
+//! `montecarlo.folds_raced`: zero at one worker.
 //!
 //! [`MonteCarloConfig::batch`]: caribou_metrics::montecarlo::MonteCarloConfig
 
@@ -143,11 +148,21 @@ const PROVIDER_DOMAIN: u64 = 0xca1b_0e5e_e7a1_0002;
 /// evict, small enough to bound a week-long fleet run.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 
-/// Whose estimates share draws and entries: `(app fingerprint, provider
-/// bits)`. Provider bits are 0 for AWS-only plan spaces, non-zero when
-/// the universe spans providers — so cross-provider estimates can never
-/// be served to a single-provider solve or vice versa.
-type Species = (u64, u64);
+/// Whose estimates share draws and entries: `(solve seed, app
+/// fingerprint, provider bits)`, everything that names a bank. Provider
+/// bits are 0 for AWS-only plan spaces, non-zero when the universe spans
+/// providers — so cross-provider estimates can never be served to a
+/// single-provider solve or vice versa.
+type Species = (u64, u64, u64);
+
+/// The generator whose first draw names `species`' bank.
+fn stream((seed, fingerprint, provider_bits): Species) -> Pcg32 {
+    SeedSplitter::new(seed)
+        .absorb(EVAL_DOMAIN)
+        .absorb(fingerprint)
+        .absorb(PROVIDER_DOMAIN ^ provider_bits)
+        .rng()
+}
 
 /// What a table keeps of one plan beside its key.
 #[derive(Debug)]
@@ -162,11 +177,9 @@ struct Plan {
     hours: u32,
 }
 
-/// One species' share of the cache: the draws its engines read and the
-/// plans they estimated.
+/// One species' share of the cache: the plans its engines estimated.
 #[derive(Debug, Default)]
 struct Table {
-    bank: SharedBank,
     /// Each plan's assignment, stored once; a plan is its slot here.
     keys: KeyArena,
     /// By slot.
@@ -228,8 +241,9 @@ impl Table {
     }
 
     /// Stores the carbon half of an estimate of `(plan, hour)` and the
-    /// `record` its other half came from, which replaces the plan's when it
-    /// reaches further. `true` when the hour entry is new.
+    /// `record` its other half came from, which is kept for a new plan and
+    /// replaces the plan's when it reaches further. Whether the hour entry
+    /// is new, and whether `record` was kept.
     fn insert(
         &mut self,
         assignment: &[RegionId],
@@ -237,8 +251,9 @@ impl Table {
         home: RegionId,
         record: Arc<PlanRecord>,
         carbon: CarbonSummary,
-    ) -> bool {
+    ) -> (bool, bool) {
         let (slot, new) = self.keys.insert(assignment);
+        let mut kept_record = new;
         if new {
             let plan = Plan {
                 record: Some(record),
@@ -255,6 +270,7 @@ impl Table {
             let kept = kept.expect("a stored plan has its record");
             if record.boundaries() > kept.boundaries() {
                 *kept = record;
+                kept_record = true;
             }
         }
         let at = self.hour(hour_bits).unwrap_or_else(|at| {
@@ -265,7 +281,7 @@ impl Table {
         if added {
             self.plans[slot as usize].hours += 1;
         }
-        added
+        (added, kept_record)
     }
 
     /// Pops the hour entry with the largest key, dropping its plan when no
@@ -331,7 +347,8 @@ fn lock(table: &Mutex<Table>) -> MutexGuard<'_, Table> {
 #[derive(Debug)]
 pub struct EstimateCache {
     capacity: usize,
-    species: Mutex<BTreeMap<Species, SharedTable>>,
+    /// Each species' bank, made with its entry, and its table.
+    species: Mutex<BTreeMap<Species, (SharedBank, SharedTable)>>,
     /// Hour entries over all tables: what the capacity bounds.
     len: AtomicUsize,
     evictions: AtomicU64,
@@ -353,7 +370,7 @@ impl EstimateCache {
         Arc::new(Self::new(capacity))
     }
 
-    fn species(&self) -> MutexGuard<'_, BTreeMap<Species, SharedTable>> {
+    fn species(&self) -> MutexGuard<'_, BTreeMap<Species, (SharedBank, SharedTable)>> {
         self.species.lock().expect("cache species lock")
     }
 
@@ -374,15 +391,12 @@ impl EstimateCache {
 
     /// Cache hits so far (across every engine sharing this cache).
     pub fn hit_count(&self) -> u64 {
-        self.species().values().map(|table| lock(table).hits).sum()
+        self.species().values().map(|(_, t)| lock(t).hits).sum()
     }
 
     /// Cache misses (= distinct evaluations computed, absent races).
     pub fn miss_count(&self) -> u64 {
-        self.species()
-            .values()
-            .map(|table| lock(table).misses)
-            .sum()
+        self.species().values().map(|(_, t)| lock(t).misses).sum()
     }
 
     /// Entries evicted by the capacity bound so far.
@@ -390,14 +404,22 @@ impl EstimateCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// The table every engine of `species` on this cache reads and writes.
-    fn table(&self, species: Species) -> SharedTable {
-        Arc::clone(self.species().entry(species).or_default())
+    /// The bank and the table every engine of `species` on this cache
+    /// reads; the bank is made with them, rooted at the first draw of the
+    /// species' stream.
+    fn table(&self, species: Species) -> (SharedBank, SharedTable) {
+        let mut tables = self.species();
+        let (bank, table) = tables.entry(species).or_insert_with(|| {
+            let bank = SharedBank::new(stream(species).next_u64());
+            (bank, SharedTable::default())
+        });
+        (bank.clone(), Arc::clone(table))
     }
 
     /// Stores in `table` the carbon half of an estimate of `(plan, hour)`
     /// and the `record` its other half came from ([`Table::insert`]), and
-    /// evicts if the new entry took the cache past its bound.
+    /// evicts if the new entry took the cache past its bound. `true` when
+    /// `record` was kept.
     fn insert(
         &self,
         table: &Mutex<Table>,
@@ -406,11 +428,12 @@ impl EstimateCache {
         home: RegionId,
         record: Arc<PlanRecord>,
         carbon: CarbonSummary,
-    ) {
-        let added = lock(table).insert(assignment, hour_bits, home, record, carbon);
+    ) -> bool {
+        let (added, kept) = lock(table).insert(assignment, hour_bits, home, record, carbon);
         if added && self.len.fetch_add(1, Ordering::SeqCst) >= self.capacity {
             self.evict();
         }
+        kept
     }
 
     /// Deterministic eviction: drops the largest keys until the bound
@@ -422,7 +445,7 @@ impl EstimateCache {
             let popped = species
                 .values()
                 .rev()
-                .find_map(|table| lock(table).pop_last());
+                .find_map(|(_, table)| lock(table).pop_last());
             if popped.expect("hour entries belong to plans") {
                 self.len.fetch_sub(1, Ordering::SeqCst);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -446,7 +469,7 @@ impl EstimateCache {
         let dropped: usize = self
             .species()
             .values()
-            .map(|table| lock(table).invalidate(bits, regions))
+            .map(|(_, table)| lock(table).invalidate(bits, regions))
             .sum();
         self.len.fetch_sub(dropped, Ordering::SeqCst);
         dropped as u64
@@ -464,15 +487,13 @@ impl EstimateCache {
 /// [`EstimateCache::invalidate_hour`] — carbon enters an estimate as a
 /// constant, not as a draw.
 pub struct EvalEngine {
-    solve_seed: u64,
-    fingerprint: u64,
-    provider_bits: u64,
+    species: Species,
     workers: usize,
     cache: Arc<EstimateCache>,
-    /// The cache's table for this engine's (fingerprint, provider bits),
-    /// taken once: every probe and insert goes straight to it.
+    /// The cache's table for this engine's species, taken once: every
+    /// probe and insert goes straight to it.
     table: SharedTable,
-    /// The draws every estimate of this engine reads: the table's bank,
+    /// The draws every estimate of this engine reads: its species' bank,
     /// so engines that share estimates share the draws behind them. It
     /// grows to the samples the context actually needed.
     bank: SharedBank,
@@ -505,22 +526,21 @@ impl EvalEngine {
     /// Creates an engine whose evaluations are keyed and seeded by an app
     /// `fingerprint` and a provider set, and stored in a shared `cache`.
     ///
-    /// Sharing contract: every engine on one cache must use the same
-    /// `solve_seed`, and two engines may use the same `fingerprint` only
-    /// when their contexts produce bit-identical estimates for every
-    /// `(plan, hour)` — i.e. the fingerprint must commit to the DAG
-    /// structure, profile, home region, models, and Monte Carlo config.
-    /// Such engines read one draw bank, the cache's for that fingerprint,
-    /// bound to the stream of the first estimate drawn on it: an engine of
-    /// another solve seed panics at its first miss
-    /// (`engines_of_two_solve_seeds_on_one_species_panic_at_a_miss`), and
+    /// The solve seed, the fingerprint and the provider bits are the
+    /// engine's species: engines on one cache that agree on all three read
+    /// one table and one draw bank, made with the table, and engines that
+    /// differ in any one never read each other's estimates
+    /// (`engines_of_two_solve_seeds_on_one_cache_read_their_own_estimates`).
+    /// Two engines may use the same `fingerprint` only when their contexts
+    /// produce bit-identical estimates for every `(plan, hour)` — i.e. the
+    /// fingerprint must commit to the DAG structure, profile, home region,
+    /// models, and Monte Carlo config;
     /// `tests/fleet.rs::apps_of_one_fingerprint_are_one_app` holds the
     /// fleet's fingerprints to the content they commit to. Single-app
     /// engines ([`Self::new`]) use fingerprint 0.
     ///
     /// `provider_bits` is the non-AWS provider mask of the evaluation
-    /// universe (see `RegionCatalog::provider_bits`, 0 for AWS-only): it
-    /// is part of both the cache key and the bank stream.
+    /// universe (see `RegionCatalog::provider_bits`, 0 for AWS-only).
     pub fn with_cache_providers(
         solve_seed: u64,
         fingerprint: u64,
@@ -528,12 +548,10 @@ impl EvalEngine {
         workers: usize,
         cache: Arc<EstimateCache>,
     ) -> Self {
-        let table = cache.table((fingerprint, provider_bits));
-        let bank = lock(&table).bank.clone();
+        let species = (solve_seed, fingerprint, provider_bits);
+        let (bank, table) = cache.table(species);
         EvalEngine {
-            solve_seed,
-            fingerprint,
-            provider_bits,
+            species,
             workers: workers.max(1),
             cache,
             table,
@@ -546,19 +564,9 @@ impl EvalEngine {
         self.workers
     }
 
-    /// The solve seed all evaluation streams derive from.
-    pub fn solve_seed(&self) -> u64 {
-        self.solve_seed
-    }
-
-    /// The app fingerprint (0 for single-app engines).
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// The non-AWS provider bits of the plan space (0 for AWS-only).
     pub fn provider_bits(&self) -> u64 {
-        self.provider_bits
+        self.species.2
     }
 
     /// The backing estimate cache.
@@ -566,19 +574,16 @@ impl EvalEngine {
         &self.cache
     }
 
-    /// The generator that names this engine's draw bank — a pure function
-    /// of the solve seed, the fingerprint and the provider bits. Every
-    /// `(plan, hour)` gets the same one: an estimate entered with it reads
-    /// the bank's columns instead of drawing, which is what lets
-    /// candidates share their draws. The arguments remain because callers
-    /// name the evaluation they want a fresh run of. Public so tests can
-    /// verify cached results against fresh uncached runs.
+    /// The generator whose first draw is the root of this engine's draw
+    /// bank, taken when the species' table was made — a pure function of
+    /// the solve seed, the fingerprint and the provider bits, the same for
+    /// every `(plan, hour)`. So [`SolverContext::evaluate`] handed it draws
+    /// the bank a cold engine would, and returns what the engine does. The
+    /// arguments remain because callers name the evaluation they want a
+    /// fresh run of. Public so tests can verify cached results against
+    /// fresh uncached runs.
     pub fn eval_rng(&self, _plan: &DeploymentPlan, _hour: f64) -> Pcg32 {
-        SeedSplitter::new(self.solve_seed)
-            .absorb(EVAL_DOMAIN)
-            .absorb(self.fingerprint)
-            .absorb(PROVIDER_DOMAIN ^ self.provider_bits)
-            .rng()
+        stream(self.species)
     }
 
     /// Evaluates a plan at an hour through the cache.
@@ -587,8 +592,9 @@ impl EvalEngine {
     /// miss prices the plan at the hour — folding the bank with the plan's
     /// constants first if its cached record does not reach — and stores
     /// the estimate. Computation happens outside the lock so concurrent
-    /// misses don't serialize; racing workers recompute the same value
-    /// and the last insert wins harmlessly.
+    /// misses don't serialize; racing workers recompute the same value,
+    /// the table keeps the longest record, and a fold whose record it did
+    /// not keep counts `montecarlo.folds_raced`.
     pub fn evaluate<S: CarbonDataSource, M: StageModels>(
         &self,
         ctx: &SolverContext<'_, S, M>,
@@ -606,17 +612,16 @@ impl EvalEngine {
                 record
             }
         };
-        let mut rng = self.eval_rng(plan, hour);
         let unfolded = PlanRecord::default();
         let record = known.as_deref().unwrap_or(&unfolded);
-        let (estimate, grown) = SCRATCH.with_borrow_mut(|scratch| {
-            ctx.evaluate_on(plan, hour, &mut rng, &self.bank, scratch, record)
-        });
+        let (estimate, grown) = SCRATCH
+            .with_borrow_mut(|scratch| ctx.evaluate_on(plan, hour, &self.bank, scratch, record));
+        let folded = grown.is_some();
         let record = grown
             .map(Arc::new)
             .or(known)
             .expect("an estimate with no record to go by folds one");
-        self.cache.insert(
+        let kept = self.cache.insert(
             &self.table,
             plan.assignment(),
             hour.to_bits(),
@@ -624,6 +629,9 @@ impl EvalEngine {
             record,
             estimate.carbon_half(),
         );
+        if folded && !kept {
+            caribou_telemetry::count("montecarlo.folds_raced", 1);
+        }
         estimate
     }
 
@@ -847,8 +855,9 @@ mod tests {
         // under different provider bits occupies different entries.
         with_ctx(|ctx| {
             let plan = self::plan(0);
-            let cached =
-                |bits| lock(&cache.table((0, bits))).probe(plan.assignment(), 0.5f64.to_bits());
+            let cached = |bits| {
+                lock(&cache.table((7, 0, bits)).1).probe(plan.assignment(), 0.5f64.to_bits())
+            };
             aws_only.evaluate(ctx, &plan, 0.5);
             assert!(cached(2).is_err_and(|record| record.is_none()));
             assert!(cached(0).is_ok());
@@ -877,16 +886,107 @@ mod tests {
         });
     }
 
+    /// Engines of two solve seeds on one cache and one fingerprint are two
+    /// species: each folds on a bank of its own and reads its own
+    /// estimates, bit for bit what a fresh engine of its seed reads.
     #[test]
-    #[should_panic(expected = "a draw bank is bound once")]
-    fn engines_of_two_solve_seeds_on_one_species_panic_at_a_miss() {
+    fn engines_of_two_solve_seeds_on_one_cache_read_their_own_estimates() {
         with_ctx(|ctx| {
+            let fresh = |seed| {
+                let engine = EvalEngine::with_cache_providers(
+                    seed,
+                    0xaaaa,
+                    0,
+                    1,
+                    EstimateCache::shared(100),
+                );
+                engine.evaluate(ctx, &plan(0), 0.5)
+            };
             let cache = EstimateCache::shared(100);
             let a = EvalEngine::with_cache_providers(7, 0xaaaa, 0, 1, Arc::clone(&cache));
             let b = EvalEngine::with_cache_providers(8, 0xaaaa, 0, 1, Arc::clone(&cache));
-            a.evaluate(ctx, &plan(0), 0.5);
-            b.evaluate(ctx, &plan(2), 0.5);
+            let (mut seven, mut eight) = (None, None);
+            let folds = served(|| {
+                seven = Some(a.evaluate(ctx, &plan(0), 0.5));
+                eight = Some(b.evaluate(ctx, &plan(0), 0.5));
+            });
+            let (seven, eight) = (seven.unwrap(), eight.unwrap());
+            assert_ne!(seven.latency.mean, eight.latency.mean, "two banks");
+            assert_eq!(eight, fresh(8), "the seed-8 engine read seed 7's estimate");
+            assert_eq!(seven, fresh(7));
+            assert_eq!(folds, (2, 0));
+            assert_eq!(cache.len(), 2);
         });
+    }
+
+    /// `evaluate_with_scratch` names its bank by one draw of the caller's
+    /// generator: the generator advances by exactly one `next_u64`, so a
+    /// second call draws a second bank and evaluates the plan afresh.
+    #[test]
+    fn a_scratch_evaluation_takes_one_draw_of_its_generator() {
+        with_ctx(|ctx| {
+            let (mut rng, mut once) = (Pcg32::seed(5), Pcg32::seed(5));
+            let mut scratch = EstimateScratch::default();
+            let first = ctx.evaluate_with_scratch(&plan(0), 0.5, &mut rng, &mut scratch);
+            once.next_u64();
+            assert_eq!(rng, once);
+            let second = ctx.evaluate_with_scratch(&plan(0), 0.5, &mut rng, &mut scratch);
+            once.next_u64();
+            assert_eq!(rng, once);
+            assert_ne!(first, second);
+        });
+    }
+
+    /// A plan's stored record and the carbon half of its estimate, from a
+    /// cold engine's miss of `plan(1)` at hour 0.5.
+    fn stored(ctx: &Ctx<'_>) -> (Arc<PlanRecord>, CarbonSummary) {
+        let engine = EvalEngine::new(7, 1);
+        let estimate = engine.evaluate(ctx, &plan(1), 0.5);
+        let table = lock(&engine.table);
+        let slot = table
+            .keys
+            .find(plan(1).assignment())
+            .expect("a stored plan");
+        let record = table.plans[slot as usize].record.clone();
+        (record.expect("its record"), estimate.carbon_half())
+    }
+
+    /// A table keeps a new plan's record and then only a longer one: a
+    /// second record with equal boundaries is not kept.
+    #[test]
+    fn a_stored_plan_keeps_only_a_longer_record() {
+        let ((one, carbon), (two, _)) = with_ctx(|ctx| {
+            let config = MonteCarloConfig {
+                max_samples: 16,
+                cv_threshold: 0.0,
+                ..ctx.mc_config
+            };
+            let longer = SolverContext {
+                mc_config: config,
+                ..ctx.with_source(ctx.carbon_source)
+            };
+            (stored(ctx), stored(&longer))
+        });
+        assert_eq!((one.boundaries(), two.boundaries()), (1, 2));
+        let mut table = Table::default();
+        let key = plan(1);
+        let mut insert = |hour: f64, record| {
+            table.insert(
+                key.assignment(),
+                hour.to_bits(),
+                RegionId(1),
+                record,
+                carbon,
+            )
+        };
+        assert_eq!(insert(0.5, Arc::clone(&one)), (true, true), "new");
+        let equal = Arc::new(PlanRecord::clone(&one));
+        assert_eq!(insert(1.5, equal), (true, false), "as long");
+        assert_eq!(insert(1.5, Arc::clone(&two)), (false, true), "longer");
+        assert_eq!(insert(2.5, one), (true, false), "shorter");
+        let slot = table.keys.find(key.assignment()).expect("stored");
+        let kept = table.plans[slot as usize].record.as_ref();
+        assert!(Arc::ptr_eq(kept.expect("a record"), &two));
     }
 
     /// What a probe answered: the stored carbon mean's bits, the plan's
@@ -1037,7 +1137,7 @@ mod tests {
     /// plan counts the hours the index files under it.
     fn hour_view(cache: &EstimateCache) -> HourView {
         let mut view = HourView::new();
-        for (&species, table) in cache.species().iter() {
+        for (&species, (_, table)) in cache.species().iter() {
             let table = lock(table);
             let mut counted = vec![0u32; table.plans.len()];
             for (hour, held) in &table.hours {
@@ -1069,17 +1169,7 @@ mod tests {
     #[test]
     fn per_species_tables_answer_like_the_reference_store() {
         // A real record and carbon half, so that a stored hour is a hit.
-        let (record, carbon) = with_ctx(|ctx| {
-            let engine = EvalEngine::new(7, 1);
-            let estimate = engine.evaluate(ctx, &plan(1), 0.5);
-            let table = lock(&engine.table);
-            let slot = table
-                .keys
-                .find(plan(1).assignment())
-                .expect("a stored plan");
-            let record = table.plans[slot as usize].record.clone();
-            (record.expect("its record"), estimate.carbon_half())
-        });
+        let (record, carbon) = with_ctx(stored);
         const FINGERPRINTS: [u64; 3] = [0, 0xaaaa, 0xbbbb];
         const HOURS: [f64; 3] = [0.5, 1.5, 2.5];
         // Hour entries invalidated, and dropped ones stored again, over all
@@ -1093,9 +1183,9 @@ mod tests {
             // (species, its table, its node count, its home)
             let species: Vec<(Species, SharedTable, usize, RegionId)> = (0..1 + rng.next_index(3))
                 .map(|i| {
-                    let species = (FINGERPRINTS[i], 2 * rng.next_index(2) as u64);
+                    let species = (7, FINGERPRINTS[i], 2 * rng.next_index(2) as u64);
                     let nodes = 1 + rng.next_index(4);
-                    (species, cache.table(species), nodes, RegionId(i as u16))
+                    (species, cache.table(species).1, nodes, RegionId(i as u16))
                 })
                 .collect();
             for step in 0..120u64 {

@@ -651,6 +651,17 @@ if [[ -z "$bind" ]] || grep -F '.clear()' <<<"$bind"; then
     exit 1
 fi
 
+# A bank is named when it is made: `SharedBank::new(root)` makes every
+# bank, a species is (solve seed, fingerprint, provider bits), and no caller
+# passes a generator or an identity to name a bank, so there is nothing to
+# compare on a read and no sharing contract to write down.
+echo "==> bank-named-when-made grep gate"
+if grep -rnE 'BankId|fn is_bound|SharedBank::default|must use the same|panic_at_a_miss' \
+    crates tests examples; then
+    echo "error: a bank named by its caller, or the one-seed sharing contract, is back (see matches above)" >&2
+    exit 1
+fi
+
 # A check that rewrites what it checks hides the next regression: a run
 # leaves `git status` exactly as it found it (empty on a clean checkout).
 echo "==> clean-tree gate"

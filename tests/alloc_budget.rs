@@ -569,11 +569,11 @@ fn a_fold_on_resolved_sites_allocates_only_its_record() {
     };
     // Home, then nodes 1 and 2 moved one at a time: every edge and the
     // entry at both bandwidths, both nodes' columns away.
-    let (bank, mut scratch) = (SharedBank::default(), EstimateScratch::default());
+    let bank = SharedBank::new(Pcg32::seed(11).next_u64());
+    let mut scratch = EstimateScratch::default();
     let fold = |plan: &DeploymentPlan, scratch: &mut EstimateScratch| {
         let unfolded = PlanRecord::default();
-        let rng = &mut Pcg32::seed(11);
-        ctx.evaluate_on(plan, 7.5, rng, &bank, scratch, &unfolded).0
+        ctx.evaluate_on(plan, 7.5, &bank, scratch, &unfolded).0
     };
     for plan in [moved(&[]), moved(&[1]), moved(&[2])] {
         fold(&plan, &mut scratch);

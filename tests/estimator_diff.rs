@@ -624,21 +624,20 @@ fn ragged_tail_batches_stay_bit_identical() {
                 cv_threshold: 0.0,
             },
         };
-        let mut rng = Pcg32::seed(4242);
         match kept {
             Some((bank, scratch)) => {
                 let unfolded = PlanRecord::default();
-                est.estimate_on(&plan, 17.25, &mut rng, bank, scratch, &unfolded)
-                    .0
+                est.estimate_on(&plan, 17.25, bank, scratch, &unfolded).0
             }
-            None => est.estimate(&plan, 17.25, &mut rng),
+            None => est.estimate(&plan, 17.25, &mut Pcg32::seed(4242)),
         }
     };
     // Whole batches are drawn until the cap is met: 4 × 53 = 212.
     let ragged = estimate(53, None);
     assert_eq!(ragged.samples, 212);
     assert_eq!(ragged, estimate(212, None));
-    let mut kept = Default::default();
+    let bank = SharedBank::new(Pcg32::seed(4242).next_u64());
+    let mut kept = (bank, EstimateScratch::default());
     assert_eq!(estimate(100, Some(&mut kept)).samples, 200);
     assert_eq!(ragged, estimate(53, Some(&mut kept)));
 }
@@ -659,8 +658,9 @@ fn bits(e: &EstimateSummary) -> [u64; 12] {
 
 /// One bank and the records of the plans estimated on it — what the
 /// solver's engine and cache keep between estimates.
-#[derive(Default)]
 struct Kept {
+    /// The seed of the generator whose next draw named the bank.
+    seed: u64,
     bank: SharedBank,
     scratch: EstimateScratch,
     records: Vec<(DeploymentPlan, PlanRecord)>,
@@ -669,6 +669,19 @@ struct Kept {
 }
 
 impl Kept {
+    /// The bank [`MonteCarloEstimator::estimate`] draws when handed a
+    /// generator seeded with `seed`, and no record yet.
+    fn new(seed: u64) -> Kept {
+        Kept {
+            seed,
+            bank: SharedBank::new(Pcg32::seed(seed).next_u64()),
+            scratch: EstimateScratch::default(),
+            records: Vec::new(),
+            folded: 0,
+            repriced: 0,
+        }
+    }
+
     /// Estimates through the plan's kept record, keeps the longer one if
     /// the estimate folded, and checks the result against a fresh bank
     /// folding in full.
@@ -677,7 +690,6 @@ impl Kept {
         est: &MonteCarloEstimator<'_, TableSource, M>,
         plan: &DeploymentPlan,
         hour: f64,
-        seed: u64,
         what: &str,
     ) -> EstimateSummary {
         let at = self.records.iter().position(|(p, _)| p == plan);
@@ -686,9 +698,8 @@ impl Kept {
             self.records.len() - 1
         });
         let record = &mut self.records[at].1;
-        let mut rng = Pcg32::seed(seed);
         let scratch = &mut self.scratch;
-        let (served, grown) = est.estimate_on(plan, hour, &mut rng, &self.bank, scratch, record);
+        let (served, grown) = est.estimate_on(plan, hour, &self.bank, scratch, record);
         match grown {
             Some(grown) => {
                 *record = grown;
@@ -696,7 +707,7 @@ impl Kept {
             }
             None => self.repriced += 1,
         }
-        let fresh = est.estimate(plan, hour, &mut Pcg32::seed(seed));
+        let fresh = est.estimate(plan, hour, &mut Pcg32::seed(self.seed));
         assert_eq!(bits(&served), bits(&fresh), "{what}, hour {hour}");
         served
     }
@@ -729,11 +740,11 @@ impl Case<'_> {
             },
         };
         let what = format!("{what}, seed {}", self.seed);
-        let mut kept = Kept::default();
+        let mut kept = Kept::new(self.seed);
         let est = rule(40, 160, 0.03);
         for hour in HOURS {
             for plan in plans {
-                stops.push(kept.estimate(&est, plan, hour, self.seed, &what).samples);
+                stops.push(kept.estimate(&est, plan, hour, &what).samples);
             }
         }
         // A ragged batch: the same bank and records under a rule whose
@@ -741,7 +752,7 @@ impl Case<'_> {
         let ragged = rule(53, 106, 0.0);
         for plan in plans {
             for hour in [3.25, 17.75] {
-                let e = kept.estimate(&ragged, plan, hour, self.seed, &what);
+                let e = kept.estimate(&ragged, plan, hour, &what);
                 assert_eq!(e.samples, 106);
             }
         }
@@ -889,10 +900,10 @@ fn an_hour_that_needs_more_batches_extends_the_record() {
             cv_threshold: 0.04,
         },
     };
-    let mut kept = Kept::default();
-    let steady = kept.estimate(&est, &plan, 0.5, 7, "steady hour");
+    let mut kept = Kept::new(7);
+    let steady = kept.estimate(&est, &plan, 0.5, "steady hour");
     assert_eq!((kept.folded, kept.repriced), (1, 0));
-    let noisy = kept.estimate(&est, &plan, 1.5, 7, "noisy hour");
+    let noisy = kept.estimate(&est, &plan, 1.5, "noisy hour");
     assert!(
         noisy.samples > steady.samples,
         "{} then {}",
@@ -905,7 +916,7 @@ fn an_hour_that_needs_more_batches_extends_the_record() {
         "the record fell short"
     );
     for (hour, first) in [(0.5, steady), (1.5, noisy)] {
-        let again = kept.estimate(&est, &plan, hour, 7, "on the longer record");
+        let again = kept.estimate(&est, &plan, hour, "on the longer record");
         assert_eq!(bits(&again), bits(&first));
     }
     assert_eq!((kept.folded, kept.repriced), (2, 2));
@@ -976,19 +987,19 @@ fn walk_both_ways<M: StageModels>(
     };
     let on = |(bank, scratch): &mut (SharedBank, EstimateScratch), plan| {
         let unfolded = PlanRecord::default();
-        let (estimate, record) =
-            est.estimate_on(plan, hour, &mut Pcg32::seed(seed), bank, scratch, &unfolded);
+        let (estimate, record) = est.estimate_on(plan, hour, bank, scratch, &unfolded);
         let record = record.expect("no record to go by: folded");
         (bits(&estimate), record_bits(&record, WALK_BATCH))
     };
-    let fresh: Vec<_> = plans
-        .iter()
-        .map(|plan| on(&mut Default::default(), plan))
-        .collect();
+    let kept = || {
+        let bank = SharedBank::new(Pcg32::seed(seed).next_u64());
+        (bank, EstimateScratch::default())
+    };
+    let fresh: Vec<_> = plans.iter().map(|plan| on(&mut kept(), plan)).collect();
     let forwards: Vec<usize> = (0..plans.len()).collect();
     let backwards: Vec<usize> = forwards.iter().rev().copied().collect();
     for order in [forwards, backwards] {
-        let mut shared = Default::default();
+        let mut shared = kept();
         for &k in &order {
             let banked = on(&mut shared, &plans[k]);
             assert_eq!(banked, fresh[k], "seed {seed}, plan {k} of {order:?}");
@@ -1217,10 +1228,10 @@ fn every_estimator_path_is_pinned() {
             home: w.regions[0],
             config,
         };
-        let (mut kept, mut stops) = (Kept::default(), Vec::new());
+        let (mut kept, mut stops) = (Kept::new(31), Vec::new());
         for plan in plans {
             for hour in HOURS {
-                let e = kept.estimate(&est, plan, hour, 31, "pin");
+                let e = kept.estimate(&est, plan, hour, "pin");
                 fold_bits(h, &e);
                 stops.push(e.samples);
             }

@@ -203,6 +203,33 @@ fn cold_solve_shares_estimates_and_warm_resolve_adds_no_misses() {
     assert_eq!(warm_misses, 0, "warm re-solve recomputed cached estimates");
 }
 
+/// Every fold's record is kept at one worker: a miss folds there only
+/// where the record its table keeps falls short, so a traced solve counts
+/// folds and not one `montecarlo.folds_raced` (a fold whose record lost to
+/// another worker's).
+#[test]
+fn a_one_worker_solve_keeps_every_fold() {
+    let cfg = FleetConfig {
+        apps: 32,
+        hours: 6,
+        workers: 1,
+        seed: 42,
+        ..FleetConfig::default()
+    };
+    let env = FleetEnv::new(cfg.seed, cfg.hours);
+    let apps = generate_fleet(cfg.seed, cfg.apps, &env.universe);
+    caribou_telemetry::enable(Box::new(caribou_telemetry::NullSink));
+    solve_fleet(
+        &apps,
+        &env,
+        &cfg,
+        &EstimateCache::shared(cfg.cache_capacity),
+    );
+    let recorder = caribou_telemetry::finish().unwrap().recorder;
+    assert!(recorder.counter("montecarlo.folds") > 0);
+    assert_eq!(recorder.counter("montecarlo.folds_raced"), 0);
+}
+
 /// The dependency index is conservative and precise: a region-targeted
 /// revision dirties exactly the apps whose permitted sets read that
 /// region, and those apps re-solve only at the revised hour.
