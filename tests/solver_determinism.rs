@@ -5,6 +5,9 @@
 
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::TableSource;
+use caribou_core::fleet::{
+    replan_incremental, solve_fleet, FleetConfig, FleetEnv, PerturbOp, Perturbation,
+};
 use caribou_core::scenario::{default_tolerances, Case, World};
 use caribou_metrics::carbonmodel::TransmissionScenario;
 use caribou_metrics::montecarlo::{
@@ -15,13 +18,14 @@ use caribou_model::constraints::Tolerances;
 use caribou_model::dist::DistSpec;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::region::RegionId;
-use caribou_model::rng::Pcg32;
+use caribou_model::rng::{mix64, Pcg32};
 use caribou_simcloud::cloud::SimCloud;
 use caribou_solver::context::SolverContext;
-use caribou_solver::engine::EvalEngine;
+use caribou_solver::engine::{EstimateCache, EvalEngine};
 use caribou_solver::hbss::HbssSolver;
 use caribou_solver::hourly::solve_hourly_with;
-use caribou_workloads::benchmarks::{dna_visualization, InputSize};
+use caribou_workloads::benchmarks::{all_benchmarks, dna_visualization, InputSize};
+use caribou_workloads::fleet::generate_fleet;
 use proptest::prelude::*;
 
 /// Worker counts every invariant is checked across.
@@ -452,4 +456,89 @@ fn hourly_solve_with_records_in_play_is_worker_count_invariant() {
             }
         }
     });
+}
+
+/// Folds `value` into a running digest.
+fn fold(digest: &mut u64, value: u64) {
+    *digest = mix64(*digest ^ value.wrapping_add(0x9e37_79b9_7f4a_7c15));
+}
+
+/// Folds every bit of an estimate into a running digest.
+fn fold_estimate(digest: &mut u64, estimate: &EstimateSummary) {
+    for dist in [&estimate.latency, &estimate.cost, &estimate.carbon] {
+        for value in [dist.mean, dist.p95, dist.std_dev] {
+            fold(digest, value.to_bits());
+        }
+        fold(digest, dist.n as u64);
+    }
+    fold(digest, estimate.exec_carbon_mean.to_bits());
+    fold(digest, estimate.trans_carbon_mean.to_bits());
+    fold(digest, estimate.samples as u64);
+}
+
+/// What every walk returns and leaves behind, pinned to the bit: for the
+/// five paper benchmarks at three hours and three walk seeds, on one
+/// engine per benchmark at one worker, each outcome's best assignment, the
+/// bits of its best and home estimates, its distinct-plan count, the walk
+/// generator's next draw and the engine's hit and miss tallies; then each
+/// schedule digest of a 16-app, 24-hour fleet solve and its 24 single-hour,
+/// single-region re-plans. A change to how the walk reads its candidates
+/// or how a re-plan assembles its schedule must leave both digests alone.
+#[test]
+fn every_walk_is_pinned() {
+    let world = World::evaluation(5);
+    let mc = MonteCarloConfig {
+        batch: 40,
+        max_samples: 80,
+        cv_threshold: 0.2,
+    };
+    let mut walks = 0u64;
+    for bench in all_benchmarks(InputSize::Small) {
+        let case = world.case(&bench, TransmissionScenario::BEST, mc);
+        let permitted = vec![world.regions.clone(); bench.dag.node_count()];
+        let ctx = case.context(&permitted, default_tolerances(), &world.carbon);
+        let engine = EvalEngine::new(17, 1);
+        for hour in [0.5, 7.5, 18.5] {
+            for seed in 0..3 {
+                let mut rng = Pcg32::seed(seed);
+                let outcome = HbssSolver::new().solve_with(&engine, &ctx, hour, &mut rng);
+                for region in outcome.best.assignment() {
+                    fold(&mut walks, region.index() as u64);
+                }
+                fold_estimate(&mut walks, &outcome.best_estimate);
+                fold_estimate(&mut walks, &outcome.home_estimate);
+                fold(&mut walks, outcome.evaluated as u64);
+                fold(&mut walks, rng.next_u64());
+                fold(&mut walks, engine.hit_count());
+                fold(&mut walks, engine.miss_count());
+            }
+        }
+    }
+
+    let cfg = FleetConfig {
+        apps: 16,
+        hours: 24,
+        seed: 42,
+        ..FleetConfig::default()
+    };
+    let mut env = FleetEnv::new(cfg.seed, cfg.hours);
+    let apps = generate_fleet(7, cfg.apps, &env.universe);
+    let cache = EstimateCache::shared(cfg.cache_capacity);
+    let mut schedule = solve_fleet(&apps, &env, &cfg, &cache).schedule;
+    let mut fleet = schedule.digest();
+    for h in 0..cfg.hours {
+        let revisions = [Perturbation {
+            hour: h,
+            region: Some(env.universe[h % env.universe.len()]),
+            op: PerturbOp::Scale(if h.is_multiple_of(2) { 1.5 } else { 0.67 }),
+        }];
+        env.apply_perturbations(&revisions);
+        schedule = replan_incremental(&apps, &env, &cfg, &cache, &schedule, &revisions).schedule;
+        fold(&mut fleet, schedule.digest());
+    }
+    assert_eq!(
+        (walks, fleet),
+        (0xa4ca_9e3c_5ca2_ac76, 0xe0ab_40e8_b7b8_1aad),
+        "walks {walks:#018x}, fleet {fleet:#018x}"
+    );
 }
