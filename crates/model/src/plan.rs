@@ -20,7 +20,7 @@ use crate::region::{Provider, RegionId};
 /// assert!(!plan.is_single_region());
 /// assert_eq!(plan.regions_used(), vec![RegionId(0), RegionId(4)]);
 /// ```
-#[derive(Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
 pub struct DeploymentPlan {
     assignment: Vec<RegionId>,
 }

@@ -48,26 +48,29 @@ impl<S: CarbonDataSource> CarbonDataSource for DayAveragedSource<'_, S> {
 /// solve's hour: the underlying source is asked once per region there,
 /// when the row is built, and every other query passes through.
 ///
-/// It lives for one [`HbssSolver::solve_with`] and no longer: an engine
-/// reused after a forecast revision then sees the revised forecast,
-/// which a memo kept beside the engine's scratch would not. A source that
-/// counts its queries is never answered for.
+/// Its values live for one [`HbssSolver::solve_with`] and no longer: an
+/// engine reused after a forecast revision then sees the revised
+/// forecast, which a memo kept beside the engine's scratch would not. Only
+/// the buffer outlives the solve, in the walk's scratch, and every row is
+/// filled afresh. A source that counts its queries is never answered for.
 pub(crate) struct HourRow<'a, S: CarbonDataSource> {
     inner: &'a S,
     hour: f64,
     /// By region index, the intensity at `hour`; `NaN` for a region the
     /// row was not built over, which passes through.
-    row: Vec<f64>,
+    row: &'a [f64],
 }
 
 impl<'a, S: CarbonDataSource> HourRow<'a, S> {
-    /// The row of `inner` at `hour` over `regions`, each read once.
-    pub(crate) fn new(
+    /// The row of `inner` at `hour` over `regions`, each read once, in
+    /// `row`, whatever it held before.
+    pub(crate) fn fill(
         inner: &'a S,
         hour: f64,
         regions: impl Iterator<Item = RegionId> + Clone,
+        row: &'a mut Vec<f64>,
     ) -> Self {
-        let mut row = Vec::new();
+        row.clear();
         if !inner.counts_queries() {
             let len = regions.clone().map(|r| r.index() + 1).max();
             row.resize(len.unwrap_or(0), f64::NAN);

@@ -5,8 +5,9 @@
 //! one buffer, a key per *slot*, and finds them through an open-addressed
 //! index of slot numbers (linear probing, at most half full). Nothing is
 //! allocated per key: the buffers grow by doubling, or not at all when
-//! sized up front. [`ByKey`] orders slots by their keys as a max-heap, so
-//! the cache finds its largest key without a second copy of every key.
+//! sized up front, and a reset empties them in place for the next walk.
+//! [`ByKey`] orders slots by their keys as a max-heap, so the cache finds
+//! its largest key without a second copy of every key.
 
 use std::hash::{Hash, Hasher};
 
@@ -38,15 +39,20 @@ fn hash(key: &[RegionId]) -> usize {
 }
 
 impl KeyArena {
-    /// An arena with room for `capacity` keys of `width` regions: until it
-    /// holds more, inserting allocates nothing.
-    pub(crate) fn with_capacity(width: usize, capacity: usize) -> Self {
-        KeyArena {
-            width,
-            keys: Vec::with_capacity(width * capacity),
-            index: vec![0; (2 * capacity).next_power_of_two().max(8)],
-            ..Default::default()
-        }
+    /// Empties the arena and makes room for `capacity` keys of `width`
+    /// regions in the buffers it already has: until it holds more,
+    /// inserting allocates nothing, and a reset to no more than an earlier
+    /// one allocates nothing either.
+    pub(crate) fn reset(&mut self, width: usize, capacity: usize) {
+        self.width = width;
+        self.keys.clear();
+        self.keys.reserve(width * capacity);
+        self.slots = 0;
+        self.index.clear();
+        self.index
+            .resize((2 * capacity).next_power_of_two().max(8), 0);
+        self.free.clear();
+        self.len = 0;
     }
 
     /// Keys stored.
@@ -245,7 +251,8 @@ mod tests {
 
     #[test]
     fn a_sized_arena_allocates_nothing_until_full() {
-        let mut arena = KeyArena::with_capacity(2, 10);
+        let mut arena = KeyArena::default();
+        arena.reset(2, 10);
         let (keys, index) = (arena.keys.capacity(), arena.index.len());
         for r in 0..10u16 {
             assert!(arena.insert(&[RegionId(r), RegionId(r + 1)]).1);
@@ -253,5 +260,17 @@ mod tests {
         assert_eq!((arena.keys.capacity(), arena.index.len()), (keys, index));
         assert_eq!(arena.find(&[RegionId(3), RegionId(4)]), Some(3));
         assert_eq!(arena.find(&[RegionId(3)]), None, "another width is absent");
+        // A reset empties the arena in its own buffers: the next keys,
+        // of another width, take slots from 0 again.
+        let buffers = (arena.keys.as_ptr(), arena.index.as_ptr());
+        arena.reset(3, 6);
+        assert_eq!(
+            (arena.len(), arena.find(&[RegionId(3), RegionId(4)])),
+            (0, None)
+        );
+        assert_eq!(arena.insert(&[RegionId(1); 3]), (0, true));
+        assert_eq!(arena.insert(&[RegionId(2); 3]), (1, true));
+        assert_eq!((arena.keys.as_ptr(), arena.index.as_ptr()), buffers);
+        assert_eq!(arena.index.len(), 16);
     }
 }

@@ -539,8 +539,8 @@ fi
 # The solver's cache and walk off trees and SipHash: a species' plans are
 # keyed once, in a flat key buffer behind an open-addressed index (keys.rs;
 # a heap of slots orders them for eviction, an hour index files their
-# carbon), the walk's first-visit set is the same buffer sized once per
-# solve, and a fleet call takes each app's solve complexity once, not
+# carbon), the walk's first-visit set is the same buffer, reset in place
+# for each solve, and a fleet call takes each app's solve complexity once, not
 # inside the per-cell cost closure. Test modules are exempt (engine.rs
 # keeps the two-tree store there as the cache's oracle).
 echo "==> solver plan-key and fleet per-app grep gates"
@@ -558,6 +558,15 @@ if grep -rnF 'Mutex<Vec<EstimateScratch>>' crates/solver/src ||
     before_tests crates/solver/src/hbss.rs | grep -F 'FixedSet<Box<[RegionId]>>' ||
     before_tests crates/solver/src/engine.rs | grep -F 'touched: Vec<RegionId>'; then
     echo "error: a per-engine scratch pool, a boxed first-visit key or a per-plan touched list is back (see matches above)" >&2
+    exit 1
+fi
+# A walk keeps its buffers and a re-plan shares its cells: HBSS refills
+# its thread's walk buffers (the hour row, the rankings, the first-visit
+# set) instead of building them per solve, and a re-plan copies the prior
+# schedule's cell handles, never the cells.
+if before_tests crates/solver/src/hbss.rs | grep -E 'KeyArena::with_capacity|Rankings::new|HourRow::new\(' ||
+    grep -nF 'prior.cells.clone()' crates/core/src/fleet/mod.rs; then
+    echo "error: a per-solve walk buffer or a copy of the prior schedule's cells is back (see matches above)" >&2
     exit 1
 fi
 cell_cost=$(awk '/let cell_cost = /,/^    };/' crates/core/src/fleet/mod.rs)

@@ -4,7 +4,8 @@
 //! a sustained-load run's peak live heap must not grow with its length,
 //! a framework alternating between two workflows must allocate no more
 //! than one running them in turn, an HBSS walk over a warm cache must
-//! allocate a fixed handful of buffers per solve, whatever it visits, a
+//! allocate only the plan it returns, whatever it visits, a fleet re-plan
+//! must allocate for the cells it re-solves and not for the grid, a
 //! cold miss must allocate its record and one block on the cache side, a
 //! re-pricing must allocate nothing but the cache's new hour entry, and a
 //! fold of a plan whose every site the bank holds must allocate nothing
@@ -25,6 +26,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use caribou_carbon::series::CarbonSeries;
 use caribou_carbon::source::TableSource;
+use caribou_core::fleet::{
+    replan_incremental, solve_fleet, FleetConfig, FleetEnv, PerturbOp, Perturbation,
+};
 use caribou_core::framework::{Caribou, CaribouConfig};
 use caribou_core::loadgen::{run_loadgen, LoadgenConfig, CHUNK_INVOCATIONS};
 use caribou_core::scenario::{default_tolerances, workflow_app, World, HOME};
@@ -40,10 +44,11 @@ use caribou_model::plan::DeploymentPlan;
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::orchestration::Orchestrator;
-use caribou_solver::engine::EvalEngine;
+use caribou_solver::engine::{EstimateCache, EvalEngine};
 use caribou_solver::hbss::{HbssParams, HbssSolver};
 use caribou_workloads::arrivals::ArrivalProcess;
 use caribou_workloads::benchmarks::{text2speech_censoring, InputSize};
+use caribou_workloads::fleet::generate_fleet;
 
 struct CountingAllocator;
 
@@ -318,15 +323,16 @@ fn loadgen_peak_heap_is_flat_in_run_length() {
 }
 
 /// The HBSS walk allocates per solve, not per plan it visits. Re-solving an
-/// hour on a warm engine serves every candidate from the cache, so what is
-/// left is the walk's own bookkeeping, sized when the solve starts: the
-/// grid row, the intensity table, the per-node rankings and their ends, the
-/// rank weights, the home, current and candidate plans, and the
-/// first-visit set's key buffer and index, sized for every plan the walk
-/// can visit. A first visit stores its key in that buffer, an improvement
-/// overwrites the best plan in place (it starts as the home plan), the
-/// candidate is rewritten in one buffer and an acceptance swaps it with
-/// the current plan. The walk is five times the default length, so it
+/// hour on a warm engine serves every candidate from the cache, and the
+/// walk's own bookkeeping — the grid row, the intensity table, the per-node
+/// rankings and their ends, the rank weights, the current and candidate
+/// plans, the first-visit set's key buffer and index and the verdicts
+/// beside it — lives in its thread's buffers, sized by the cold solve and
+/// refilled in place. What is left is the plan the solve returns: it
+/// starts as the home plan and each improvement overwrites it in place. A
+/// first visit stores its key in the first-visit set, a revisit reads the
+/// verdict kept there, and an acceptance swaps the candidate with the
+/// current plan. The walk is five times the default length, so it
 /// revisits most of what it draws, and visits enough distinct plans that
 /// one allocation per plan would overrun the budget many times over.
 #[test]
@@ -362,20 +368,74 @@ fn warm_resolve_allocates_per_solve_not_per_plan() {
     // The home plan's estimate, then one per iteration.
     let iterations = engine.hit_count() - hits - 1;
     let distinct = warm.evaluated as u64;
-    // The ten buffers above, whatever the walk visits.
-    const PER_SOLVE: u64 = 10;
+    // The returned plan, whatever the walk visits.
+    const PER_SOLVE: u64 = 1;
     eprintln!(
         "alloc_budget: warm re-solve of {iterations} iterations over {distinct} distinct plans \
          allocated {allocated} times (budget {PER_SOLVE})"
     );
     assert!(
-        distinct > 10 * PER_SOLVE,
+        distinct > 100,
         "{distinct} distinct plans cannot tell a per-plan allocation from the budget"
     );
     assert!(
         allocated <= PER_SOLVE,
         "a warm re-solve allocated {allocated} times over {distinct} distinct plans and \
          {iterations} iterations (budget {PER_SOLVE} per solve)"
+    );
+}
+
+/// A re-plan allocates for the cells it solves, not for the grid: the cells
+/// it did not re-solve are the prior schedule's own, shared by handle. On a
+/// warmed 64-app, 24-hour fleet, one single-region, single-hour revision
+/// re-solves a few dozen of the 1,536 cells. A solved cell allocates the
+/// plan its walk returns and the cell's handle; a plan that walk visits
+/// for the first time since the revision, a record and its cache block
+/// (on this fleet about one plan in every other cell), with the cache's
+/// flat buffers doubling now and then. The call itself builds each app's
+/// forecast read set, context and engine, and a handful of vectors.
+/// Copying the prior schedule's cells, as a re-plan once did, is at least
+/// one allocation per cell of the grid, far over the budget.
+#[test]
+fn a_replan_allocates_for_its_dirty_cells_only() {
+    let _serial = serial();
+    const PER_CELL: u64 = 6;
+    const PER_APP: u64 = 3;
+    const PER_CALL: u64 = 64;
+    let cfg = FleetConfig {
+        apps: 64,
+        hours: 24,
+        seed: 42,
+        ..FleetConfig::default()
+    };
+    let mut env = FleetEnv::new(cfg.seed, cfg.hours);
+    let apps = generate_fleet(cfg.seed, cfg.apps, &env.universe);
+    let cache = EstimateCache::shared(cfg.cache_capacity);
+    // The full solve warms the cache and this thread's walk buffers.
+    let prior = solve_fleet(&apps, &env, &cfg, &cache).schedule;
+    let revisions = [Perturbation {
+        hour: 5,
+        region: Some(env.universe[1]),
+        op: PerturbOp::Scale(1.5),
+    }];
+    env.apply_perturbations(&revisions);
+    let before = allocs();
+    let report = replan_incremental(&apps, &env, &cfg, &cache, &prior, &revisions);
+    let allocated = allocs() - before;
+    let (solved, grid) = (report.solved_cells as u64, (cfg.apps * cfg.hours) as u64);
+    let budget = PER_CELL * solved + PER_APP * cfg.apps as u64 + PER_CALL;
+    eprintln!(
+        "alloc_budget: a re-plan of {solved} cells of {grid} allocated {allocated} times \
+         (budget {budget})"
+    );
+    assert!(
+        solved > 0 && budget < grid,
+        "{solved} solved cells cannot tell a per-grid allocation from the budget"
+    );
+    assert!(
+        allocated <= budget,
+        "a re-plan of {solved} of {grid} cells allocated {allocated} times (budget {budget}: \
+         {PER_CELL} per solved cell, {PER_APP} per app, {PER_CALL} per call)"
     );
 }
 
