@@ -166,8 +166,10 @@ impl SimCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::ItemAddr;
     use crate::latency::distance_only;
-    use crate::pubsub::{DeliveryStatus, TopicKey};
+    use crate::pubsub::{Delivery, DeliveryStatus, TopicId, TopicKey};
+    use bytes::Bytes;
     use caribou_model::region::{Provider, RegionSpec};
 
     #[test]
@@ -404,6 +406,129 @@ mod tests {
                 fold(&mut h, [u64::from(id.0)]);
             }
             fold(&mut h, ids.map(|v| v.len() as u64));
+        }
+        assert_eq!(h, DIGEST, "digest {h:#018x}");
+    }
+
+    // The handle-path reads at fault time `t`: the only lines of
+    // `every_fault_read_is_pinned` that say how the plan and the time
+    // reach pub/sub and KV.
+    fn publish_at(
+        cloud: &mut SimCloud,
+        topic: TopicId,
+        from: RegionId,
+        t: f64,
+        rng: &mut Pcg32,
+    ) -> Delivery {
+        cloud.set_fault_now(t);
+        cloud
+            .pubsub
+            .publish_to(topic, from, 512.0, &cloud.latency, rng)
+    }
+
+    fn get_at(
+        cloud: &mut SimCloud,
+        item: ItemAddr,
+        from: RegionId,
+        t: f64,
+        rng: &mut Pcg32,
+    ) -> f64 {
+        cloud.set_fault_now(t);
+        cloud.kv.get_at(item, from, &cloud.latency, rng).latency_s
+    }
+
+    fn put_at(
+        cloud: &mut SimCloud,
+        item: ItemAddr,
+        from: RegionId,
+        t: f64,
+        rng: &mut Pcg32,
+    ) -> f64 {
+        cloud.set_fault_now(t);
+        let value = Bytes::from_static(b"payload");
+        cloud
+            .kv
+            .put_at(item, value, from, &cloud.latency, rng)
+            .latency_s
+    }
+
+    fn atomic_update_at(
+        cloud: &mut SimCloud,
+        item: ItemAddr,
+        from: RegionId,
+        t: f64,
+        rng: &mut Pcg32,
+    ) -> f64 {
+        cloud.set_fault_now(t);
+        let append =
+            |prev: Option<&Bytes>| Bytes::from(vec![b'1'; prev.map_or(1, |b| b.len() + 1)]);
+        let (kv, lm) = (&mut cloud.kv, &cloud.latency);
+        kv.atomic_update_at(item, &"ann", from, lm, rng, append)
+            .latency_s
+    }
+
+    /// Every read pub/sub and KV make of the fault plan, pinned to the
+    /// bit: for each windowed class a handle path reads (a region outage,
+    /// a partition, a gray failure, a KV throttle) and for message drops,
+    /// a publish to a topic in the faulted region and a put, a get and an
+    /// atomic update of an item homed there, from three regions (one of
+    /// them across the partition), at times before, at the start of,
+    /// inside, just before the end of, at the end of and after the window;
+    /// each publish's status, attempts and latency bits, each KV latency's
+    /// bits and the generator's next draw. Captured while pub/sub and KV
+    /// each kept a copy of the plan and of the fault clock.
+    #[test]
+    fn every_fault_read_is_pinned() {
+        const DIGEST: u64 = 0x6184_b47c_2bce_199c;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let probe = SimCloud::aws(0);
+        let east = probe.region("us-east-1").unwrap();
+        let west = probe.region("us-west-1").unwrap();
+        let ca = probe.region("ca-central-1").unwrap();
+        let (start, end) = (100.0, 200.0);
+        let plans = [
+            FaultPlan::none().with_outage(ca, start, end),
+            FaultPlan::none().with_partition(east, ca, start, end),
+            FaultPlan::none().with_gray_failure(ca, start, end, 4.0),
+            FaultPlan::none().with_kv_throttle(ca, start, end, 0.6),
+            FaultPlan {
+                message_drop_prob: 0.4,
+                ..FaultPlan::none()
+            },
+        ];
+        for (class, plan) in plans.into_iter().enumerate() {
+            let mut cloud = SimCloud::aws(class as u64);
+            let topic = cloud.pubsub.create_topic(TopicKey {
+                workflow: "wf".into(),
+                stage: "s".into(),
+                region: ca,
+            });
+            let table = cloud.kv.create_table("t", ca);
+            cloud.set_faults(plan);
+            let mut rng = Pcg32::seed(40 + class as u64);
+            for (i, t) in [50.0, start, 150.0, end - 1e-9, end, 250.0]
+                .into_iter()
+                .enumerate()
+            {
+                for from in [east, west, ca] {
+                    let d = publish_at(&mut cloud, topic, from, t, &mut rng);
+                    let status = match d.status {
+                        DeliveryStatus::Delivered => 1,
+                        DeliveryStatus::DeadLettered => 2,
+                        DeliveryStatus::TopicMissing => 3,
+                    };
+                    fold(
+                        &mut h,
+                        [status, u64::from(d.attempts), d.latency_s.to_bits()],
+                    );
+                    let item = ItemAddr::new(table, i as u64, u32::from(from.0));
+                    let put = put_at(&mut cloud, item, from, t, &mut rng);
+                    let get = get_at(&mut cloud, item, from, t, &mut rng);
+                    let rmw = atomic_update_at(&mut cloud, item, from, t, &mut rng);
+                    fold(&mut h, [put, get, rmw].map(f64::to_bits));
+                    fold(&mut h, [rng.next_u64()]);
+                }
+            }
         }
         assert_eq!(h, DIGEST, "digest {h:#018x}");
     }
