@@ -203,6 +203,8 @@ struct InvocationCtx<'c, 'a, S: CarbonDataSource> {
     plan: &'c DeploymentPlan,
     inv_id: u64,
     hour: f64,
+    /// Invocation start: pub/sub and KV read faults at it, a node's
+    /// pick-up and failover at `at_s + t` (DESIGN.md "Deviations").
     at_s: f64,
     rng: &'c mut Pcg32,
     exec_carbon: f64,
@@ -283,9 +285,6 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
         let n = app.dag.node_count();
         let grew = scratch.prepare(n, app.dag.edge_count(), cloud.regions.len());
         scratch.book.bind(cloud, app);
-        // Windowed faults (partitions, gray failures, throttles) are
-        // evaluated at the invocation's start time.
-        cloud.set_fault_now(at_s);
         let mut ctx = InvocationCtx {
             engine: self,
             cloud,
@@ -365,13 +364,14 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
 
     /// Publishes the invocation message for `node` from `from`, metering
     /// the publish (rejected topic-missing calls are not billed).
-    fn publish_to(&mut self, node: NodeId, from: RegionId, payload_bytes: f64) -> Delivery {
+    fn publish_to(&mut self, node: NodeId, from: RegionId, bytes: f64) -> Delivery {
         let region = self.region_of(node);
-        let (pubsub, lm) = (&mut self.cloud.pubsub, &self.cloud.latency);
+        let cloud = &mut *self.cloud;
+        let (pubsub, lm, faults) = (&mut cloud.pubsub, &cloud.latency, &cloud.faults);
         let delivery = match self.scratch.book.topic(pubsub, self.app, node, region) {
-            Ok(topic) => pubsub.publish_to(topic, from, payload_bytes, lm, self.rng),
+            Ok(topic) => pubsub.publish_to(topic, from, bytes, lm, faults, self.at_s, self.rng),
             // Never deployed there: the by-name call rejects it.
-            Err(name) => pubsub.publish(&name, from, payload_bytes, lm, self.rng),
+            Err(name) => pubsub.publish(&name, from, bytes, lm, self.rng),
         };
         if delivery.status != DeliveryStatus::TopicMissing {
             self.scratch.meter.record(from, Usage::SnsPublishes, 1.0);
@@ -478,10 +478,8 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
             // fetches the current DP from the distributed key-value
             // store"); downstream nodes receive it piggybacked.
             let plan = self.scratch.book.plan_item(&mut self.cloud.kv, self.app);
-            let access = self
-                .cloud
-                .kv
-                .get_at(plan, start_region, &self.cloud.latency, self.rng);
+            let (kv, lm, faults) = (&mut self.cloud.kv, &self.cloud.latency, &self.cloud.faults);
+            let access = kv.get_at(plan, start_region, lm, faults, self.at_s, self.rng);
             self.scratch.meter.record(start_region, Usage::KvReads, 1.0);
             t0 += access.latency_s;
         }
@@ -741,17 +739,17 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
     fn store_intermediate(&mut self, eid: EdgeId, size: f64, from: RegionId, to: RegionId) -> f64 {
         let item = self.edge_item(eid, to);
         let object = self.edge_object(eid);
-        let (kv, lm) = (&mut self.cloud.kv, &self.cloud.latency);
+        let (kv, lm, faults) = (&mut self.cloud.kv, &self.cloud.latency, &self.cloud.faults);
         if size > caribou_simcloud::blob::BLOB_THRESHOLD_BYTES {
             let blob = self.cloud.blob.put(to, object, size, from, lm, self.rng);
             self.scratch.meter.record(to, Usage::BlobPuts, 1.0);
             let reference = bytes::Bytes::from_static(b"blobref");
-            let reference = kv.put_at(item, reference, from, lm, self.rng);
+            let reference = kv.put_at(item, reference, from, lm, faults, self.at_s, self.rng);
             self.scratch.meter.record(to, Usage::KvWrites, 1.0);
             blob.latency_s.max(reference.latency_s)
         } else {
             let value = bytes::Bytes::from_static(&ZERO_PAYLOAD[..size.min(4096.0) as usize]);
-            let write = kv.put_at(item, value, from, lm, self.rng);
+            let write = kv.put_at(item, value, from, lm, faults, self.at_s, self.rng);
             self.scratch.meter.record(to, Usage::KvWrites, 1.0);
             write.latency_s
         }
@@ -787,7 +785,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
     fn load_intermediate(&mut self, eid: EdgeId, storage: RegionId, reader: RegionId) -> f64 {
         let item = self.edge_item(eid, storage);
         let object = self.edge_object(eid);
-        let lm = &self.cloud.latency;
+        let (kv, lm, faults) = (&mut self.cloud.kv, &self.cloud.latency, &self.cloud.faults);
         // Each intermediate is read exactly once; garbage-collect it
         // (TTL-style, unbilled) so the stores stay bounded under
         // sustained load.
@@ -797,7 +795,10 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
                 self.cloud.blob.delete(storage, object);
                 blob.latency_s
             }
-            None => self.cloud.kv.get_at(item, reader, lm, self.rng).latency_s,
+            None => {
+                kv.get_at(item, reader, lm, faults, self.at_s, self.rng)
+                    .latency_s
+            }
         };
         // Either way the wrapper read the KV item: the payload itself or
         // the reference to the blob.
@@ -830,6 +831,8 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
             &label,
             writer_region,
             &self.cloud.latency,
+            &self.cloud.faults,
+            self.at_s,
             self.rng,
             |prev| {
                 // Append this edge's '0'/'1' to the annotation string.
@@ -1227,6 +1230,41 @@ mod tests {
         assert!(out.failovers >= 1);
         let d = out.log.nodes.iter().find(|r| r.node == 3).unwrap();
         assert_eq!(d.region, app.home, "sync node fell back home");
+    }
+
+    /// The two fault time bases: a publish reads the plan at the
+    /// invocation's start, a pick-up at the node's time. An outage of the
+    /// offload region starting between the two lets the publish through
+    /// and fails the pick-up over home; one ending between them
+    /// dead-letters the publish and fails over, though the region is up by
+    /// the pick-up.
+    #[test]
+    fn a_publish_reads_faults_at_the_invocation_start_and_a_pick_up_at_its_own_time() {
+        let at_s = 100.0; // `run`'s invocation start
+        let boundary = at_s + 0.5; // stage A alone runs 1 s
+        for (start, end, delivered) in [(boundary, 1e9, true), (0.0, boundary, false)] {
+            let mut cloud = SimCloud::aws(28);
+            let app = chain_app(&cloud);
+            let ca = cloud.region("ca-central-1").unwrap();
+            cloud.set_faults(
+                caribou_simcloud::faults::FaultPlan::none().with_outage(ca, start, end),
+            );
+            let mut plan = DeploymentPlan::uniform(2, app.home);
+            plan.set(NodeId(1), ca);
+            let out = run(&mut cloud, &app, &plan, 28);
+            let b = out.log.nodes.iter().find(|r| r.node == 1).unwrap();
+            assert_eq!(cloud.faults.region_down(ca, at_s), !delivered);
+            assert_eq!(cloud.faults.region_down(ca, at_s + b.start_s), delivered);
+            assert_eq!(
+                out.log.edges[0].to_region == ca,
+                delivered,
+                "hop delivered to ca"
+            );
+            assert!(out.completed);
+            assert_eq!(out.failovers, 1);
+            assert_eq!(out.failed_region, Some(ca));
+            assert_eq!(b.region, app.home, "stage B fell back home");
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct SimCloud {
     /// Warm-container pool (disabled by default: probabilistic cold
     /// starts apply).
     pub warm: WarmPool,
-    /// Fault-injection plan.
+    /// Fault-injection plan, the one every fault read consults.
     pub faults: FaultPlan,
     /// Virtual clock.
     pub clock: SimClock,
@@ -134,23 +134,9 @@ impl SimCloud {
             .collect()
     }
 
-    /// Installs a fault plan in the pub/sub and KV services, so each
-    /// delivery attempt consults its message-drop probability and each
-    /// attempt and table operation its windowed faults (outages,
-    /// partitions, gray failures, throttles).
+    /// Installs a fault plan.
     pub fn set_faults(&mut self, plan: FaultPlan) {
-        self.pubsub.faults = plan.clone();
-        self.kv.faults = plan.clone();
         self.faults = plan;
-    }
-
-    /// Positions the fault clock: windowed faults in pub/sub and KV are
-    /// evaluated at this simulation time. The execution engine calls this
-    /// with the invocation start time; per-invocation resolution is
-    /// sufficient because fault windows span minutes, not milliseconds.
-    pub fn set_fault_now(&mut self, now_s: f64) {
-        self.pubsub.now_s = now_s;
-        self.kv.now_s = now_s;
     }
 
     /// Resolves a region name against the catalog, returning the typed
@@ -193,9 +179,8 @@ mod tests {
         });
         let mut rng = Pcg32::seed(1);
         let mut publish = |cloud: &mut SimCloud| {
-            cloud
-                .pubsub
-                .publish_to(topic, east, 128.0, &cloud.latency, &mut rng)
+            let (pubsub, lm, faults) = (&mut cloud.pubsub, &cloud.latency, &cloud.faults);
+            pubsub.publish_to(topic, east, 128.0, lm, faults, 0.0, &mut rng)
         };
         assert!(publish(&mut cloud).delivered());
         cloud.set_faults(FaultPlan {
@@ -203,18 +188,6 @@ mod tests {
             ..FaultPlan::none()
         });
         assert_eq!(publish(&mut cloud).status, DeliveryStatus::DeadLettered);
-    }
-
-    #[test]
-    fn fault_plan_and_clock_propagate_to_services() {
-        let mut cloud = SimCloud::aws(1);
-        let ca = cloud.region("ca-central-1").unwrap();
-        cloud.set_faults(FaultPlan::none().with_outage(ca, 10.0, 20.0));
-        cloud.set_fault_now(15.0);
-        assert!(cloud.pubsub.faults.region_down(ca, cloud.pubsub.now_s));
-        assert_eq!(cloud.kv.now_s, 15.0);
-        cloud.set_fault_now(25.0);
-        assert!(!cloud.pubsub.faults.region_down(ca, cloud.pubsub.now_s));
     }
 
     /// Every per-region constant of an assembled cloud is the provider
@@ -420,10 +393,8 @@ mod tests {
         t: f64,
         rng: &mut Pcg32,
     ) -> Delivery {
-        cloud.set_fault_now(t);
-        cloud
-            .pubsub
-            .publish_to(topic, from, 512.0, &cloud.latency, rng)
+        let (pubsub, lm, faults) = (&mut cloud.pubsub, &cloud.latency, &cloud.faults);
+        pubsub.publish_to(topic, from, 512.0, lm, faults, t, rng)
     }
 
     fn get_at(
@@ -433,8 +404,8 @@ mod tests {
         t: f64,
         rng: &mut Pcg32,
     ) -> f64 {
-        cloud.set_fault_now(t);
-        cloud.kv.get_at(item, from, &cloud.latency, rng).latency_s
+        let (kv, lm, faults) = (&mut cloud.kv, &cloud.latency, &cloud.faults);
+        kv.get_at(item, from, lm, faults, t, rng).latency_s
     }
 
     fn put_at(
@@ -444,12 +415,9 @@ mod tests {
         t: f64,
         rng: &mut Pcg32,
     ) -> f64 {
-        cloud.set_fault_now(t);
+        let (kv, lm, faults) = (&mut cloud.kv, &cloud.latency, &cloud.faults);
         let value = Bytes::from_static(b"payload");
-        cloud
-            .kv
-            .put_at(item, value, from, &cloud.latency, rng)
-            .latency_s
+        kv.put_at(item, value, from, lm, faults, t, rng).latency_s
     }
 
     fn atomic_update_at(
@@ -459,11 +427,10 @@ mod tests {
         t: f64,
         rng: &mut Pcg32,
     ) -> f64 {
-        cloud.set_fault_now(t);
         let append =
             |prev: Option<&Bytes>| Bytes::from(vec![b'1'; prev.map_or(1, |b| b.len() + 1)]);
-        let (kv, lm) = (&mut cloud.kv, &cloud.latency);
-        kv.atomic_update_at(item, &"ann", from, lm, rng, append)
+        let (kv, lm, faults) = (&mut cloud.kv, &cloud.latency, &cloud.faults);
+        kv.atomic_update_at(item, &"ann", from, lm, faults, t, rng, append)
             .latency_s
     }
 

@@ -10,7 +10,9 @@
 //! Each table is homed in a region; accesses from other regions pay the
 //! inter-region round trip. Operation counts are tracked per region for
 //! billing (the paper explicitly accounts for "additional DynamoDB
-//! accesses introduced by Caribou", §7.1).
+//! accesses introduced by Caribou", §7.1). A handle-path operation reads
+//! the fault plan its caller passes at the time it names (gray failures;
+//! throttles, which slow but never lose data); the store keeps no faults.
 
 use std::collections::hash_map::Entry;
 use std::fmt::Display;
@@ -111,13 +113,6 @@ pub struct KvStore {
     /// Operation counts per table-home region (indexed by
     /// [`RegionId::index`]).
     ops: Vec<KvOpCounts>,
-    /// Windowed faults (gray latency, throttling) evaluated at the current
-    /// fault clock [`KvStore::now_s`]. Throttling slows operations via SDK
-    /// retries but never loses data, matching DynamoDB semantics.
-    pub faults: FaultPlan,
-    /// Simulation time used to evaluate windowed faults; positioned via
-    /// `SimCloud::set_fault_now`.
-    pub now_s: f64,
 }
 
 impl KvStore {
@@ -129,8 +124,6 @@ impl KvStore {
             tables: Vec::new(),
             data: FixedMap::default(),
             ops: vec![KvOpCounts::default(); regions],
-            faults: FaultPlan::none(),
-            now_s: 0.0,
         }
     }
 
@@ -201,11 +194,14 @@ impl KvStore {
         self.tables[table.0 as usize].home.unwrap_or(fallback)
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn op_latency(
         &self,
         table: TableId,
         from: RegionId,
         latency: &LatencyModel,
+        faults: &FaultPlan,
+        now_s: f64,
         bytes: f64,
         rng: &mut Pcg32,
     ) -> f64 {
@@ -217,9 +213,9 @@ impl KvStore {
             latency.sample_transfer_seconds(from, home, bytes, rng)
                 + latency.sample_transfer_seconds(home, from, 256.0, rng)
         };
-        let gray = self.faults.pair_latency_factor(from, home, self.now_s);
+        let gray = faults.pair_latency_factor(from, home, now_s);
         let mut total = KV_OP_BASE_S + net * gray;
-        if self.faults.kv_throttled(home, self.now_s, rng) {
+        if faults.kv_throttled(home, now_s, rng) {
             // Throttled: the SDK transparently retries, so the operation
             // still succeeds but pays an extra round trip plus backoff.
             // This also covers conditional-write conflicts under load —
@@ -245,31 +241,37 @@ impl KvStore {
         }
     }
 
-    /// Reads an item.
+    /// Reads an item under `faults` at `now_s`.
     pub fn get_at(
         &mut self,
         item: ItemAddr,
         from: RegionId,
         latency: &LatencyModel,
+        faults: &FaultPlan,
+        now_s: f64,
         rng: &mut Pcg32,
     ) -> KvAccess {
         let value = self.data.get(&item).cloned();
         let size = value.as_ref().map(|v| v.len() as f64).unwrap_or(128.0);
-        let latency_s = self.op_latency(item.table, from, latency, size, rng);
+        let latency_s = self.op_latency(item.table, from, latency, faults, now_s, size, rng);
         self.count(item.table, from, 1, 0);
         KvAccess { value, latency_s }
     }
 
-    /// Writes an item.
+    /// Writes an item under `faults` at `now_s`.
+    #[allow(clippy::too_many_arguments)]
     pub fn put_at(
         &mut self,
         item: ItemAddr,
         value: Bytes,
         from: RegionId,
         latency: &LatencyModel,
+        faults: &FaultPlan,
+        now_s: f64,
         rng: &mut Pcg32,
     ) -> KvAccess {
-        let latency_s = self.op_latency(item.table, from, latency, value.len() as f64, rng);
+        let size = value.len() as f64;
+        let latency_s = self.op_latency(item.table, from, latency, faults, now_s, size, rng);
         self.data.insert(item, value);
         self.count(item.table, from, 0, 1);
         KvAccess {
@@ -300,13 +302,16 @@ impl KvStore {
     /// applied under the store's (simulated) single-writer serialization,
     /// so concurrent predecessors observe a linearizable history. `label`
     /// names the item in the telemetry journal and is rendered only when
-    /// a session is recording.
+    /// a session is recording. The latency reads `faults` at `now_s`.
+    #[allow(clippy::too_many_arguments)]
     pub fn atomic_update_at(
         &mut self,
         item: ItemAddr,
         label: &dyn Display,
         from: RegionId,
         latency: &LatencyModel,
+        faults: &FaultPlan,
+        now_s: f64,
         rng: &mut Pcg32,
         f: impl FnOnce(Option<&Bytes>) -> Bytes,
     ) -> KvAccess {
@@ -328,7 +333,8 @@ impl KvStore {
         if telemetry {
             caribou_telemetry::count("kv.rmw", 1);
         }
-        let latency_s = self.op_latency(item.table, from, latency, new.len() as f64, rng);
+        let size = new.len() as f64;
+        let latency_s = self.op_latency(item.table, from, latency, faults, now_s, size, rng);
         self.count(item.table, from, 1, 1);
         KvAccess {
             value: Some(new),
@@ -336,7 +342,8 @@ impl KvStore {
         }
     }
 
-    /// [`KvStore::atomic_update_at`] by name, labelled with the key.
+    /// [`KvStore::atomic_update_at`] by name, labelled with the key, on a
+    /// plan with no faults: it reads no fault.
     pub fn atomic_update(
         &mut self,
         table: &str,
@@ -347,7 +354,8 @@ impl KvStore {
         f: impl FnOnce(Option<&Bytes>) -> Bytes,
     ) -> KvAccess {
         let item = self.resolve(table, key);
-        self.atomic_update_at(item, &key, from, latency, rng, f)
+        let none = &FaultPlan::none();
+        self.atomic_update_at(item, &key, from, latency, none, 0.0, rng, f)
     }
 
     /// Conditional put: writes only when the key is absent, returning
@@ -412,8 +420,16 @@ mod tests {
         let r = cat.id_of("us-east-1").unwrap();
         let meta = kv.create_table("meta", r);
         let k = kv.named_item(meta, "k");
-        kv.put_at(k, Bytes::from_static(b"v"), r, &lm, &mut rng);
-        let got = kv.get_at(k, r, &lm, &mut rng);
+        kv.put_at(
+            k,
+            Bytes::from_static(b"v"),
+            r,
+            &lm,
+            &FaultPlan::none(),
+            0.0,
+            &mut rng,
+        );
+        let got = kv.get_at(k, r, &lm, &FaultPlan::none(), 0.0, &mut rng);
         assert_eq!(got.value.as_deref(), Some(b"v".as_slice()));
         assert!(got.latency_s > 0.0);
     }
@@ -425,12 +441,24 @@ mod tests {
         let west = cat.id_of("us-west-1").unwrap();
         let meta = kv.create_table("meta", east);
         let k = kv.named_item(meta, "k");
-        kv.put_at(k, Bytes::from_static(b"v"), east, &lm, &mut rng);
+        kv.put_at(
+            k,
+            Bytes::from_static(b"v"),
+            east,
+            &lm,
+            &FaultPlan::none(),
+            0.0,
+            &mut rng,
+        );
         let mut local = 0.0;
         let mut remote = 0.0;
         for _ in 0..200 {
-            local += kv.get_at(k, east, &lm, &mut rng).latency_s;
-            remote += kv.get_at(k, west, &lm, &mut rng).latency_s;
+            local += kv
+                .get_at(k, east, &lm, &FaultPlan::none(), 0.0, &mut rng)
+                .latency_s;
+            remote += kv
+                .get_at(k, west, &lm, &FaultPlan::none(), 0.0, &mut rng)
+                .latency_s;
         }
         assert!(remote > local * 2.0, "local {local} remote {remote}");
     }
@@ -468,8 +496,16 @@ mod tests {
         let west = cat.id_of("us-west-1").unwrap();
         let meta = kv.create_table("meta", east);
         let k = kv.named_item(meta, "k");
-        kv.put_at(k, Bytes::from_static(b"v"), west, &lm, &mut rng);
-        kv.get_at(k, west, &lm, &mut rng);
+        kv.put_at(
+            k,
+            Bytes::from_static(b"v"),
+            west,
+            &lm,
+            &FaultPlan::none(),
+            0.0,
+            &mut rng,
+        );
+        kv.get_at(k, west, &lm, &FaultPlan::none(), 0.0, &mut rng);
         let ops = kv.ops(east);
         assert_eq!(ops.reads, 1);
         assert_eq!(ops.writes, 1);
@@ -482,7 +518,15 @@ mod tests {
         let r = cat.id_of("us-east-1").unwrap();
         let t = kv.table("t");
         let k1 = kv.named_item(t, "k1");
-        kv.put_at(k1, Bytes::from_static(b"v"), r, &lm, &mut rng);
+        kv.put_at(
+            k1,
+            Bytes::from_static(b"v"),
+            r,
+            &lm,
+            &FaultPlan::none(),
+            0.0,
+            &mut rng,
+        );
         let writes_before = kv.ops(r).writes;
         assert!(kv.reclaim("t", "k1"));
         assert!(!kv.reclaim("t", "k1"));
@@ -491,9 +535,20 @@ mod tests {
         assert!(kv.is_empty());
         // The name keeps its address: a held one reaches the next value.
         assert_eq!(kv.named_item(t, "k1"), k1);
-        kv.put_at(k1, Bytes::from_static(b"w"), r, &lm, &mut rng);
+        kv.put_at(
+            k1,
+            Bytes::from_static(b"w"),
+            r,
+            &lm,
+            &FaultPlan::none(),
+            0.0,
+            &mut rng,
+        );
         assert_eq!(
-            kv.get_at(k1, r, &lm, &mut rng).value.unwrap().as_ref(),
+            kv.get_at(k1, r, &lm, &FaultPlan::none(), 0.0, &mut rng)
+                .value
+                .unwrap()
+                .as_ref(),
             b"w"
         );
         assert_eq!(kv.len(), 1);
@@ -502,25 +557,36 @@ mod tests {
     #[test]
     fn a_by_name_call_is_its_address_call() {
         // Same seed, same operations, one store by name and one by
-        // address: same values, same latency bits, same counts.
-        let (cat, lm, mut named, mut rng_n) = setup();
-        let (_, _, mut addressed, mut rng_a) = setup();
+        // address: on a plan with no faults, same values, same latency
+        // bits, same counts. The by-name call reads no fault, so a plan
+        // that throttles the table parts the latencies.
+        let (cat, ..) = setup();
         let east = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-1").unwrap();
-        let t = named.create_table("t", east);
-        assert_eq!(addressed.create_table("t", east), t);
-        let k = addressed.named_item(t, "k");
+        let throttled = FaultPlan::none().with_kv_throttle(east, 0.0, 1e9, 1.0);
         let bump = |prev: Option<&Bytes>| Bytes::from(vec![0u8; prev.map_or(1, |b| b.len() + 1)]);
-        for from in [west, east, west] {
-            let by_name = named.atomic_update("t", "k", from, &lm, &mut rng_n, bump);
-            let by_address = addressed.atomic_update_at(k, &"k", from, &lm, &mut rng_a, bump);
-            assert_eq!(by_name.value, by_address.value);
-            assert_eq!(by_name.latency_s.to_bits(), by_address.latency_s.to_bits());
+        for (faults, same) in [(FaultPlan::none(), true), (throttled, false)] {
+            let (_, lm, mut named, mut rng_n) = setup();
+            let (_, _, mut addressed, mut rng_a) = setup();
+            let t = named.create_table("t", east);
+            assert_eq!(addressed.create_table("t", east), t);
+            let k = addressed.named_item(t, "k");
+            for (i, from) in [west, east, west].into_iter().enumerate() {
+                let now_s = 60.0 * i as f64;
+                let by_name = named.atomic_update("t", "k", from, &lm, &mut rng_n, bump);
+                let by_address = addressed
+                    .atomic_update_at(k, &"k", from, &lm, &faults, now_s, &mut rng_a, bump);
+                assert_eq!(by_name.value, by_address.value);
+                assert_eq!(
+                    by_name.latency_s.to_bits() == by_address.latency_s.to_bits(),
+                    same
+                );
+            }
+            assert_eq!(named.peek("t", "k"), addressed.data.get(&k));
+            assert_eq!(named.ops(east), addressed.ops(east));
+            assert!(named.reclaim("t", "k") && addressed.reclaim_at(k));
+            assert!(named.is_empty() && addressed.is_empty());
         }
-        assert_eq!(named.peek("t", "k"), addressed.data.get(&k));
-        assert_eq!(named.ops(east), addressed.ops(east));
-        assert!(named.reclaim("t", "k") && addressed.reclaim_at(k));
-        assert!(named.is_empty() && addressed.is_empty());
     }
 
     #[test]
@@ -538,11 +604,22 @@ mod tests {
             ItemAddr::new(other, 0, 0),
         ];
         for (i, &item) in items.iter().enumerate() {
-            kv.put_at(item, Bytes::from(vec![i as u8]), r, &lm, &mut rng);
+            kv.put_at(
+                item,
+                Bytes::from(vec![i as u8]),
+                r,
+                &lm,
+                &FaultPlan::none(),
+                0.0,
+                &mut rng,
+            );
         }
         assert_eq!(kv.len(), items.len());
         for (i, &item) in items.iter().enumerate() {
-            let got = kv.get_at(item, r, &lm, &mut rng).value.unwrap();
+            let got = kv
+                .get_at(item, r, &lm, &FaultPlan::none(), 0.0, &mut rng)
+                .value
+                .unwrap();
             assert_eq!(got.as_ref(), [i as u8]);
         }
         assert_eq!(kv.peek("t", "k").unwrap().as_ref(), [0]);
@@ -559,12 +636,20 @@ mod tests {
         let west = cat.id_of("us-west-1").unwrap();
         let t = kv.table("late");
         let item = ItemAddr::new(t, 9, 0);
-        kv.put_at(item, Bytes::from_static(b"v"), west, &lm, &mut rng);
+        kv.put_at(
+            item,
+            Bytes::from_static(b"v"),
+            west,
+            &lm,
+            &FaultPlan::none(),
+            0.0,
+            &mut rng,
+        );
         assert_eq!(kv.ops(west).writes, 1, "unhomed: served where it is asked");
         assert_eq!(kv.create_table("late", east), t);
         assert_eq!(kv.table("late"), t);
         // The held address now reaches the homed table, and its item.
-        let got = kv.get_at(item, west, &lm, &mut rng);
+        let got = kv.get_at(item, west, &lm, &FaultPlan::none(), 0.0, &mut rng);
         assert_eq!(got.value.as_deref(), Some(b"v".as_slice()));
         assert_eq!(kv.ops(east).reads, 1);
         assert_ne!(kv.namespace(), KvStore::new(cat.len()).namespace());
@@ -578,7 +663,15 @@ mod tests {
         assert_eq!(kv.home_of(ghost, west), west);
         // Accesses bill at the accessor's region when no home was set.
         let k = kv.named_item(ghost, "k");
-        kv.put_at(k, Bytes::from_static(b"v"), west, &lm, &mut rng);
+        kv.put_at(
+            k,
+            Bytes::from_static(b"v"),
+            west,
+            &lm,
+            &FaultPlan::none(),
+            0.0,
+            &mut rng,
+        );
         assert_eq!(kv.ops(west).writes, 1);
     }
 
@@ -592,14 +685,30 @@ mod tests {
         let mut clean = 0.0;
         for &item in &items {
             clean += kv
-                .put_at(item, Bytes::from_static(b"v"), r, &lm, &mut rng)
+                .put_at(
+                    item,
+                    Bytes::from_static(b"v"),
+                    r,
+                    &lm,
+                    &FaultPlan::none(),
+                    0.0,
+                    &mut rng,
+                )
                 .latency_s;
         }
-        kv.faults = FaultPlan::none().with_kv_throttle(r, 0.0, 1e9, 1.0);
+        let faults = FaultPlan::none().with_kv_throttle(r, 0.0, 1e9, 1.0);
         let mut throttled = 0.0;
         for &item in &items {
             throttled += kv
-                .put_at(item, Bytes::from_static(b"w"), r, &lm, &mut rng)
+                .put_at(
+                    item,
+                    Bytes::from_static(b"w"),
+                    r,
+                    &lm,
+                    &faults,
+                    0.0,
+                    &mut rng,
+                )
                 .latency_s;
         }
         assert!(
@@ -619,16 +728,26 @@ mod tests {
         let west = cat.id_of("us-west-1").unwrap();
         let t = kv.create_table("t", east);
         let k = kv.named_item(t, "k");
-        kv.put_at(k, Bytes::from_static(b"v"), east, &lm, &mut rng);
+        kv.put_at(
+            k,
+            Bytes::from_static(b"v"),
+            east,
+            &lm,
+            &FaultPlan::none(),
+            0.0,
+            &mut rng,
+        );
         let n = 200;
         let mut clean = 0.0;
         for _ in 0..n {
-            clean += kv.get_at(k, west, &lm, &mut rng).latency_s;
+            clean += kv
+                .get_at(k, west, &lm, &FaultPlan::none(), 0.0, &mut rng)
+                .latency_s;
         }
-        kv.faults = FaultPlan::none().with_gray_failure(east, 0.0, 1e9, 6.0);
+        let faults = FaultPlan::none().with_gray_failure(east, 0.0, 1e9, 6.0);
         let mut gray = 0.0;
         for _ in 0..n {
-            gray += kv.get_at(k, west, &lm, &mut rng).latency_s;
+            gray += kv.get_at(k, west, &lm, &faults, 0.0, &mut rng).latency_s;
         }
         assert!(gray > clean * 2.0, "clean {clean} gray {gray}");
     }
@@ -638,7 +757,7 @@ mod tests {
         let (cat, lm, mut kv, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
         let nope = kv.resolve("t", "nope");
-        let got = kv.get_at(nope, r, &lm, &mut rng);
+        let got = kv.get_at(nope, r, &lm, &FaultPlan::none(), 0.0, &mut rng);
         assert!(got.value.is_none());
         assert!(got.latency_s > 0.0);
     }

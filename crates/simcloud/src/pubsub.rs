@@ -7,9 +7,10 @@
 //! and the at-least-once delivery with subscriber acknowledgment and
 //! automatic retry the paper relies on for reliability. Retries back off
 //! with exponential growth and decorrelated jitter (AWS guidance) rather
-//! than a constant delay, and each attempt consults the active
-//! [`FaultPlan`]: a down target region or an active pairwise partition
-//! loses the attempt, and gray failures inflate the transfer latency.
+//! than a constant delay, and each attempt reads the fault plan its caller
+//! passes at the time it names (the service keeps none): a down target
+//! region, an active pairwise partition or a message drop loses the
+//! attempt, and gray failures inflate the transfer latency.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -80,14 +81,6 @@ pub struct PubSub {
     /// Published message counts per publishing region (indexed by
     /// [`RegionId::index`]).
     publishes: Vec<u64>,
-    /// Faults consulted on every attempt: the plan's message-drop
-    /// probability and its windowed faults (outages, partitions, gray
-    /// failures) at the current fault clock [`PubSub::now_s`].
-    pub faults: FaultPlan,
-    /// Simulation time used to evaluate windowed faults. The engine
-    /// positions this at the start of each invocation via
-    /// `SimCloud::set_fault_now`.
-    pub now_s: f64,
     /// Per-region messaging profiles (indexed by the subscriber region).
     pub(crate) profiles: Vec<MessagingProfile>,
     /// Per region, the log-space location of its publish overhead, taken
@@ -104,8 +97,6 @@ impl PubSub {
             topics: HashMap::new(),
             names: Vec::new(),
             publishes: vec![0; profiles.len()],
-            faults: FaultPlan::none(),
-            now_s: 0.0,
             publish_mu: profiles
                 .iter()
                 .map(|p| p.publish_overhead_median_s.ln())
@@ -138,10 +129,10 @@ impl PubSub {
         self.topics.get(key).copied()
     }
 
-    /// [`PubSub::publish_to`] by name. Publishing to a topic that does
-    /// not exist returns a [`DeliveryStatus::TopicMissing`] outcome (the
-    /// API call is rejected; nothing is billed) instead of aborting the
-    /// process.
+    /// [`PubSub::publish_to`] by name, on a plan with no faults: it reads
+    /// no fault. Publishing to a topic that does not exist returns a
+    /// [`DeliveryStatus::TopicMissing`] outcome (the API call is rejected;
+    /// nothing is billed) instead of aborting the process.
     pub fn publish(
         &mut self,
         key: &TopicKey,
@@ -150,8 +141,9 @@ impl PubSub {
         latency: &LatencyModel,
         rng: &mut Pcg32,
     ) -> Delivery {
+        let none = FaultPlan::none();
         match self.topic_id(key) {
-            Some(topic) => self.publish_to(topic, from, payload_bytes, latency, rng),
+            Some(topic) => self.publish_to(topic, from, payload_bytes, latency, &none, 0.0, rng),
             None => {
                 if caribou_telemetry::is_enabled() {
                     caribou_telemetry::event(
@@ -170,16 +162,20 @@ impl PubSub {
     }
 
     /// Publishes a message of `payload_bytes` from `from` to `topic`,
-    /// simulating delivery to the topic's regional subscriber.
+    /// simulating delivery to the topic's regional subscriber under
+    /// `faults` read at `now_s` (every attempt reads the same time).
     ///
     /// Returns the delivery outcome; latency includes publish overhead,
     /// cross-region payload transfer, and any retry backoffs.
+    #[allow(clippy::too_many_arguments)]
     pub fn publish_to(
         &mut self,
         topic: TopicId,
         from: RegionId,
         payload_bytes: f64,
         latency: &LatencyModel,
+        faults: &FaultPlan,
+        now_s: f64,
         rng: &mut Pcg32,
     ) -> Delivery {
         let telemetry = caribou_telemetry::is_enabled();
@@ -190,7 +186,7 @@ impl PubSub {
             caribou_telemetry::event("pubsub.publish", stage, payload_bytes);
         }
         let profile = self.profiles[region.index()];
-        let gray = self.faults.pair_latency_factor(from, region, self.now_s);
+        let gray = faults.pair_latency_factor(from, region, now_s);
         let mut total = rng.lognormal(
             self.publish_mu[region.index()],
             profile.publish_overhead_sigma,
@@ -210,9 +206,9 @@ impl PubSub {
         while attempts < profile.max_attempts {
             attempts += 1;
             total += latency.sample_transfer_seconds(from, region, payload_bytes, rng) * gray;
-            let target_down = self.faults.region_down(region, self.now_s);
-            let partitioned = self.faults.partitioned(from, region, self.now_s);
-            let lost = target_down || partitioned || rng.chance(self.faults.message_drop_prob);
+            let target_down = faults.region_down(region, now_s);
+            let partitioned = faults.partitioned(from, region, now_s);
+            let lost = target_down || partitioned || rng.chance(faults.message_drop_prob);
             if !lost {
                 if telemetry {
                     caribou_telemetry::count("pubsub.ack", 1);
@@ -291,6 +287,14 @@ mod tests {
         }
     }
 
+    /// A plan whose only fault is a message-drop probability.
+    fn drops(message_drop_prob: f64) -> FaultPlan {
+        FaultPlan {
+            message_drop_prob,
+            ..FaultPlan::none()
+        }
+    }
+
     #[test]
     fn publish_delivers_with_latency() {
         let (cat, lm, mut ps, mut rng) = setup();
@@ -328,11 +332,11 @@ mod tests {
     fn drops_trigger_retries() {
         let (cat, lm, mut ps, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
-        ps.create_topic(key(r));
-        ps.faults.message_drop_prob = 0.5;
+        let topic = ps.create_topic(key(r));
+        let faults = drops(0.5);
         let mut retried = 0;
         for _ in 0..200 {
-            let d = ps.publish(&key(r), r, 128.0, &lm, &mut rng);
+            let d = ps.publish_to(topic, r, 128.0, &lm, &faults, 0.0, &mut rng);
             if d.attempts > 1 && d.delivered() {
                 retried += 1;
             }
@@ -344,9 +348,8 @@ mod tests {
     fn total_drop_dead_letters() {
         let (cat, lm, mut ps, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
-        ps.create_topic(key(r));
-        ps.faults.message_drop_prob = 1.0;
-        let d = ps.publish(&key(r), r, 128.0, &lm, &mut rng);
+        let topic = ps.create_topic(key(r));
+        let d = ps.publish_to(topic, r, 128.0, &lm, &drops(1.0), 0.0, &mut rng);
         assert!(!d.delivered());
         assert_eq!(d.status, DeliveryStatus::DeadLettered);
         assert_eq!(d.attempts, 5);
@@ -356,8 +359,8 @@ mod tests {
     fn retry_backoff_has_jitter_and_respects_base() {
         let (cat, lm, mut ps, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
-        ps.create_topic(key(r));
-        ps.faults.message_drop_prob = 1.0;
+        let topic = ps.create_topic(key(r));
+        let faults = drops(1.0);
         let mut latencies = Vec::new();
         let DeliveryKind::PullFanOut {
             backoff_base_s,
@@ -367,7 +370,7 @@ mod tests {
             panic!("aws retries by pull fan-out");
         };
         for _ in 0..50 {
-            let d = ps.publish(&key(r), r, 128.0, &lm, &mut rng);
+            let d = ps.publish_to(topic, r, 128.0, &lm, &faults, 0.0, &mut rng);
             // Four backoffs of at least the base delay each.
             assert!(
                 d.latency_s >= 4.0 * backoff_base_s,
@@ -400,9 +403,9 @@ mod tests {
             };
             cat.len()
         ]);
-        ps.create_topic(key(r));
-        ps.faults.message_drop_prob = 1.0;
-        let d = ps.publish(&key(r), r, 128.0, &lm, &mut rng);
+        let topic = ps.create_topic(key(r));
+        let faults = drops(1.0);
+        let d = ps.publish_to(topic, r, 128.0, &lm, &faults, 0.0, &mut rng);
         assert_eq!(d.status, DeliveryStatus::DeadLettered);
         assert_eq!(d.attempts, 5);
         // Four fixed ack-deadline waits dominate the latency; unlike the
@@ -410,7 +413,8 @@ mod tests {
         assert!(d.latency_s >= 4.0, "latency {}", d.latency_s);
         let mut latencies = Vec::new();
         for _ in 0..50 {
-            latencies.push(ps.publish(&key(r), r, 128.0, &lm, &mut rng).latency_s);
+            let d = ps.publish_to(topic, r, 128.0, &lm, &faults, 0.0, &mut rng);
+            latencies.push(d.latency_s);
         }
         let min = latencies.iter().cloned().fold(f64::MAX, f64::min);
         let max = latencies.iter().cloned().fold(f64::MIN, f64::max);
@@ -434,14 +438,12 @@ mod tests {
         let (cat, lm, mut ps, mut rng) = setup();
         let east = cat.id_of("us-east-1").unwrap();
         let ca = cat.id_of("ca-central-1").unwrap();
-        ps.create_topic(key(ca));
-        ps.faults = FaultPlan::none().with_outage(ca, 100.0, 200.0);
-        ps.now_s = 150.0;
-        let d = ps.publish(&key(ca), east, 128.0, &lm, &mut rng);
+        let topic = ps.create_topic(key(ca));
+        let faults = FaultPlan::none().with_outage(ca, 100.0, 200.0);
+        let d = ps.publish_to(topic, east, 128.0, &lm, &faults, 150.0, &mut rng);
         assert_eq!(d.status, DeliveryStatus::DeadLettered);
         assert_eq!(d.attempts, ps.profiles[ca.index()].max_attempts);
-        ps.now_s = 250.0;
-        let d = ps.publish(&key(ca), east, 128.0, &lm, &mut rng);
+        let d = ps.publish_to(topic, east, 128.0, &lm, &faults, 250.0, &mut rng);
         assert!(d.delivered());
     }
 
@@ -451,13 +453,12 @@ mod tests {
         let east = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-1").unwrap();
         let ca = cat.id_of("ca-central-1").unwrap();
-        ps.create_topic(key(west));
-        ps.faults = FaultPlan::none().with_partition(east, west, 0.0, 1000.0);
-        ps.now_s = 500.0;
-        let d = ps.publish(&key(west), east, 128.0, &lm, &mut rng);
+        let topic = ps.create_topic(key(west));
+        let faults = FaultPlan::none().with_partition(east, west, 0.0, 1000.0);
+        let d = ps.publish_to(topic, east, 128.0, &lm, &faults, 500.0, &mut rng);
         assert_eq!(d.status, DeliveryStatus::DeadLettered);
         // The partitioned region still accepts traffic from other peers.
-        let d = ps.publish(&key(west), ca, 128.0, &lm, &mut rng);
+        let d = ps.publish_to(topic, ca, 128.0, &lm, &faults, 500.0, &mut rng);
         assert!(d.delivered());
     }
 
@@ -466,7 +467,7 @@ mod tests {
         let (cat, lm, mut ps, mut rng) = setup();
         let east = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-1").unwrap();
-        ps.create_topic(key(west));
+        let topic = ps.create_topic(key(west));
         let n = 200;
         let mut clean = 0.0;
         for _ in 0..n {
@@ -474,11 +475,11 @@ mod tests {
                 .publish(&key(west), east, 4096.0, &lm, &mut rng)
                 .latency_s;
         }
-        ps.faults = FaultPlan::none().with_gray_failure(west, 0.0, 1e9, 5.0);
+        let faults = FaultPlan::none().with_gray_failure(west, 0.0, 1e9, 5.0);
         let mut gray = 0.0;
         for _ in 0..n {
             gray += ps
-                .publish(&key(west), east, 4096.0, &lm, &mut rng)
+                .publish_to(topic, east, 4096.0, &lm, &faults, 0.0, &mut rng)
                 .latency_s;
         }
         assert!(gray > clean * 1.5, "clean {clean} gray {gray}");
@@ -500,24 +501,30 @@ mod tests {
 
     #[test]
     fn publish_by_name_is_publish_to_its_handle() {
-        let (cat, lm, mut named, mut rng_n) = setup();
-        let (_, _, mut handled, mut rng_h) = setup();
-        let east = cat.id_of("us-east-1").unwrap();
-        let west = cat.id_of("us-west-1").unwrap();
-        named.create_topic(key(west));
-        let topic = handled.create_topic(key(west));
-        assert_eq!(handled.create_topic(key(west)), topic, "idempotent");
-        assert_eq!(handled.topic_id(&key(west)), Some(topic));
-        assert_ne!(handled.create_topic(key(east)), topic);
-        named.faults.message_drop_prob = 0.3;
-        handled.faults.message_drop_prob = 0.3;
-        for _ in 0..50 {
-            let by_name = named.publish(&key(west), east, 2048.0, &lm, &mut rng_n);
-            let by_handle = handled.publish_to(topic, east, 2048.0, &lm, &mut rng_h);
-            assert_eq!(by_name, by_handle);
+        // Same seed, one service by name and one by handle: on a plan
+        // with no faults, the same deliveries to the bit. The by-name
+        // call reads no fault, so a plan that drops messages parts them.
+        for (faults, same) in [(FaultPlan::none(), true), (drops(0.3), false)] {
+            let (cat, lm, mut named, mut rng_n) = setup();
+            let (_, _, mut handled, mut rng_h) = setup();
+            let east = cat.id_of("us-east-1").unwrap();
+            let west = cat.id_of("us-west-1").unwrap();
+            named.create_topic(key(west));
+            let topic = handled.create_topic(key(west));
+            assert_eq!(handled.create_topic(key(west)), topic, "idempotent");
+            assert_eq!(handled.topic_id(&key(west)), Some(topic));
+            assert_ne!(handled.create_topic(key(east)), topic);
+            let (mut by_name, mut by_handle) = (Vec::new(), Vec::new());
+            for i in 0..50 {
+                let t = 10.0 * i as f64;
+                by_name.push(named.publish(&key(west), east, 2048.0, &lm, &mut rng_n));
+                by_handle
+                    .push(handled.publish_to(topic, east, 2048.0, &lm, &faults, t, &mut rng_h));
+            }
+            assert_eq!(by_name == by_handle, same);
+            assert_eq!(named.publishes, handled.publishes);
+            assert_ne!(named.namespace(), handled.namespace());
         }
-        assert_eq!(named.publishes, handled.publishes);
-        assert_ne!(named.namespace(), handled.namespace());
     }
 
     #[test]

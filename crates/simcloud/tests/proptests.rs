@@ -48,7 +48,7 @@ proptest! {
     /// observe the latest value, op counters never decrease.
     #[test]
     fn kv_map_semantics(ops in proptest::collection::vec((0u8..3, 0u8..8, 0u32..1000), 1..100)) {
-        let SimCloud { regions: cat, latency: lm, mut kv, .. } = SimCloud::aws(0);
+        let SimCloud { regions: cat, latency: lm, mut kv, faults, .. } = SimCloud::aws(0);
         let region = cat.id_of("us-east-1").unwrap();
         let t = kv.create_table("t", region);
         let mut rng = Pcg32::seed(1);
@@ -60,11 +60,11 @@ proptest! {
             match op {
                 0 => {
                     let v = value.to_le_bytes().to_vec();
-                    kv.put_at(item, bytes::Bytes::from(v.clone()), region, &lm, &mut rng);
+                    kv.put_at(item, bytes::Bytes::from(v.clone()), region, &lm, &faults, 0.0, &mut rng);
                     shadow.insert(key, v);
                 }
                 1 => {
-                    let got = kv.get_at(item, region, &lm, &mut rng);
+                    let got = kv.get_at(item, region, &lm, &faults, 0.0, &mut rng);
                     prop_assert_eq!(
                         got.value.as_ref().map(|b| b.to_vec()),
                         shadow.get(&key).cloned()

@@ -521,6 +521,26 @@ if grep -rnE '\bpop_batch\b|scratch\.batch\b|\bdrop_probability\b|\bcold_start_s
     exit 1
 fi
 
+# One fault plan and one fault clock: `SimCloud.faults` is the only plan,
+# and the engine hands it to pub/sub and KV with the time to read it at,
+# so neither service keeps a copy of the plan or a clock of its own.
+echo "==> one-fault-plan grep gates"
+plans=$(find crates/simcloud/src -name '*.rs' | sort |
+    while read -r f; do before_tests "$f"; done | grep -E '\bfaults: FaultPlan,' || true)
+if [[ $(grep -c . <<<"$plans" || true) -ne 1 ]]; then
+    echo "error: want exactly one 'faults: FaultPlan' field in non-test crates/simcloud/src:" >&2
+    echo "$plans" >&2
+    exit 1
+fi
+if awk '/^pub struct (PubSub|KvStore) \{/ { inside = 1 }
+    inside && / now_s:/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    inside && /^}/ { inside = 0 }
+    END { exit !bad }' crates/simcloud/src/pubsub.rs crates/simcloud/src/kv.rs ||
+    grep -rn 'set_fault_now' crates tests examples; then
+    echo "error: a service's fault clock or SimCloud::set_fault_now is back (see matches above)" >&2
+    exit 1
+fi
+
 # One invocation's bill lives in its scratch as dense per-region rows: the
 # inline sorted map the meter was built on is gone, an outcome carries the
 # SNS count its readers read instead of a meter, and meter.rs stays within

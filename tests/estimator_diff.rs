@@ -88,6 +88,7 @@ use caribou_model::rng::Pcg32;
 use caribou_simcloud::blob::{BlobStore, ObjectKey, BLOB_THRESHOLD_BYTES};
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::compute::LambdaRuntime;
+use caribou_simcloud::faults::FaultPlan;
 use caribou_simcloud::kv::{ItemAddr, KvStore};
 use caribou_simcloud::latency::LatencyModel;
 use caribou_simcloud::orchestration::Orchestrator;
@@ -1282,7 +1283,14 @@ fn quiet_profile(profile: &WorkflowProfile) -> WorkflowProfile {
 fn kv_op_s(cloud: &SimCloud, from: RegionId, table: RegionId, bytes: f64) -> f64 {
     let mut kv = KvStore::new(cloud.regions.len());
     let item = ItemAddr::new(kv.create_table("probe", table), 0, 0);
-    let read = kv.get_at(item, from, &cloud.latency, &mut Pcg32::seed(0));
+    let read = kv.get_at(
+        item,
+        from,
+        &cloud.latency,
+        &FaultPlan::none(),
+        0.0,
+        &mut Pcg32::seed(0),
+    );
     let lm = &cloud.latency;
     read.latency_s + lm.expected_transfer_seconds(from, table, bytes)
         - lm.expected_transfer_seconds(from, table, 128.0)
