@@ -409,63 +409,43 @@ mod tests {
     use crate::cloud::SimCloud;
     use caribou_model::region::RegionCatalog;
 
-    fn setup() -> (RegionCatalog, LatencyModel, KvStore, Pcg32) {
-        let cloud = SimCloud::aws(0);
-        (cloud.regions, cloud.latency, cloud.kv, Pcg32::seed(1))
+    fn setup() -> (RegionCatalog, LatencyModel, KvStore, FaultPlan, Pcg32) {
+        let c = SimCloud::aws(0);
+        (c.regions, c.latency, c.kv, c.faults, Pcg32::seed(1))
     }
 
     #[test]
     fn put_then_get_round_trips() {
-        let (cat, lm, mut kv, mut rng) = setup();
+        let (cat, lm, mut kv, none, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
         let meta = kv.create_table("meta", r);
         let k = kv.named_item(meta, "k");
-        kv.put_at(
-            k,
-            Bytes::from_static(b"v"),
-            r,
-            &lm,
-            &FaultPlan::none(),
-            0.0,
-            &mut rng,
-        );
-        let got = kv.get_at(k, r, &lm, &FaultPlan::none(), 0.0, &mut rng);
+        kv.put_at(k, Bytes::from_static(b"v"), r, &lm, &none, 0.0, &mut rng);
+        let got = kv.get_at(k, r, &lm, &none, 0.0, &mut rng);
         assert_eq!(got.value.as_deref(), Some(b"v".as_slice()));
         assert!(got.latency_s > 0.0);
     }
 
     #[test]
     fn remote_access_slower_than_local() {
-        let (cat, lm, mut kv, mut rng) = setup();
+        let (cat, lm, mut kv, none, mut rng) = setup();
         let east = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-1").unwrap();
         let meta = kv.create_table("meta", east);
         let k = kv.named_item(meta, "k");
-        kv.put_at(
-            k,
-            Bytes::from_static(b"v"),
-            east,
-            &lm,
-            &FaultPlan::none(),
-            0.0,
-            &mut rng,
-        );
+        kv.put_at(k, Bytes::from_static(b"v"), east, &lm, &none, 0.0, &mut rng);
         let mut local = 0.0;
         let mut remote = 0.0;
         for _ in 0..200 {
-            local += kv
-                .get_at(k, east, &lm, &FaultPlan::none(), 0.0, &mut rng)
-                .latency_s;
-            remote += kv
-                .get_at(k, west, &lm, &FaultPlan::none(), 0.0, &mut rng)
-                .latency_s;
+            local += kv.get_at(k, east, &lm, &none, 0.0, &mut rng).latency_s;
+            remote += kv.get_at(k, west, &lm, &none, 0.0, &mut rng).latency_s;
         }
         assert!(remote > local * 2.0, "local {local} remote {remote}");
     }
 
     #[test]
     fn atomic_update_applies_serially() {
-        let (cat, lm, mut kv, mut rng) = setup();
+        let (cat, lm, mut kv, _, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
         kv.create_table("ann", r);
         for _ in 0..10 {
@@ -482,7 +462,7 @@ mod tests {
 
     #[test]
     fn put_if_absent_only_first_wins() {
-        let (cat, _lm, mut kv, _rng) = setup();
+        let (cat, _lm, mut kv, _, _rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
         assert!(kv.put_if_absent("t", "k", Bytes::from_static(b"a"), r));
         assert!(!kv.put_if_absent("t", "k", Bytes::from_static(b"b"), r));
@@ -491,21 +471,13 @@ mod tests {
 
     #[test]
     fn op_counts_accumulate_at_table_home() {
-        let (cat, lm, mut kv, mut rng) = setup();
+        let (cat, lm, mut kv, none, mut rng) = setup();
         let east = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-1").unwrap();
         let meta = kv.create_table("meta", east);
         let k = kv.named_item(meta, "k");
-        kv.put_at(
-            k,
-            Bytes::from_static(b"v"),
-            west,
-            &lm,
-            &FaultPlan::none(),
-            0.0,
-            &mut rng,
-        );
-        kv.get_at(k, west, &lm, &FaultPlan::none(), 0.0, &mut rng);
+        kv.put_at(k, Bytes::from_static(b"v"), west, &lm, &none, 0.0, &mut rng);
+        kv.get_at(k, west, &lm, &none, 0.0, &mut rng);
         let ops = kv.ops(east);
         assert_eq!(ops.reads, 1);
         assert_eq!(ops.writes, 1);
@@ -514,19 +486,11 @@ mod tests {
 
     #[test]
     fn reclaim_is_unbilled_and_recycles_keys() {
-        let (cat, lm, mut kv, mut rng) = setup();
+        let (cat, lm, mut kv, none, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
         let t = kv.table("t");
         let k1 = kv.named_item(t, "k1");
-        kv.put_at(
-            k1,
-            Bytes::from_static(b"v"),
-            r,
-            &lm,
-            &FaultPlan::none(),
-            0.0,
-            &mut rng,
-        );
+        kv.put_at(k1, Bytes::from_static(b"v"), r, &lm, &none, 0.0, &mut rng);
         let writes_before = kv.ops(r).writes;
         assert!(kv.reclaim("t", "k1"));
         assert!(!kv.reclaim("t", "k1"));
@@ -535,17 +499,9 @@ mod tests {
         assert!(kv.is_empty());
         // The name keeps its address: a held one reaches the next value.
         assert_eq!(kv.named_item(t, "k1"), k1);
-        kv.put_at(
-            k1,
-            Bytes::from_static(b"w"),
-            r,
-            &lm,
-            &FaultPlan::none(),
-            0.0,
-            &mut rng,
-        );
+        kv.put_at(k1, Bytes::from_static(b"w"), r, &lm, &none, 0.0, &mut rng);
         assert_eq!(
-            kv.get_at(k1, r, &lm, &FaultPlan::none(), 0.0, &mut rng)
+            kv.get_at(k1, r, &lm, &none, 0.0, &mut rng)
                 .value
                 .unwrap()
                 .as_ref(),
@@ -566,8 +522,8 @@ mod tests {
         let throttled = FaultPlan::none().with_kv_throttle(east, 0.0, 1e9, 1.0);
         let bump = |prev: Option<&Bytes>| Bytes::from(vec![0u8; prev.map_or(1, |b| b.len() + 1)]);
         for (faults, same) in [(FaultPlan::none(), true), (throttled, false)] {
-            let (_, lm, mut named, mut rng_n) = setup();
-            let (_, _, mut addressed, mut rng_a) = setup();
+            let (_, lm, mut named, _, mut rng_n) = setup();
+            let (_, _, mut addressed, _, mut rng_a) = setup();
             let t = named.create_table("t", east);
             assert_eq!(addressed.create_table("t", east), t);
             let k = addressed.named_item(t, "k");
@@ -591,7 +547,7 @@ mod tests {
 
     #[test]
     fn len_counts_every_item_and_the_two_kinds_of_address_never_alias() {
-        let (cat, lm, mut kv, mut rng) = setup();
+        let (cat, lm, mut kv, none, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
         let t = kv.create_table("t", r);
         let other = kv.create_table("other", r);
@@ -609,17 +565,14 @@ mod tests {
                 Bytes::from(vec![i as u8]),
                 r,
                 &lm,
-                &FaultPlan::none(),
+                &none,
                 0.0,
                 &mut rng,
             );
         }
         assert_eq!(kv.len(), items.len());
         for (i, &item) in items.iter().enumerate() {
-            let got = kv
-                .get_at(item, r, &lm, &FaultPlan::none(), 0.0, &mut rng)
-                .value
-                .unwrap();
+            let got = kv.get_at(item, r, &lm, &none, 0.0, &mut rng).value.unwrap();
             assert_eq!(got.as_ref(), [i as u8]);
         }
         assert_eq!(kv.peek("t", "k").unwrap().as_ref(), [0]);
@@ -631,7 +584,7 @@ mod tests {
 
     #[test]
     fn a_table_named_before_it_is_created_keeps_its_handle() {
-        let (cat, lm, mut kv, mut rng) = setup();
+        let (cat, lm, mut kv, none, mut rng) = setup();
         let east = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-1").unwrap();
         let t = kv.table("late");
@@ -641,7 +594,7 @@ mod tests {
             Bytes::from_static(b"v"),
             west,
             &lm,
-            &FaultPlan::none(),
+            &none,
             0.0,
             &mut rng,
         );
@@ -649,7 +602,7 @@ mod tests {
         assert_eq!(kv.create_table("late", east), t);
         assert_eq!(kv.table("late"), t);
         // The held address now reaches the homed table, and its item.
-        let got = kv.get_at(item, west, &lm, &FaultPlan::none(), 0.0, &mut rng);
+        let got = kv.get_at(item, west, &lm, &none, 0.0, &mut rng);
         assert_eq!(got.value.as_deref(), Some(b"v".as_slice()));
         assert_eq!(kv.ops(east).reads, 1);
         assert_ne!(kv.namespace(), KvStore::new(cat.len()).namespace());
@@ -657,27 +610,19 @@ mod tests {
 
     #[test]
     fn uncreated_table_homes_at_accessor() {
-        let (cat, lm, mut kv, mut rng) = setup();
+        let (cat, lm, mut kv, none, mut rng) = setup();
         let west = cat.id_of("us-west-1").unwrap();
         let ghost = kv.table("ghost");
         assert_eq!(kv.home_of(ghost, west), west);
         // Accesses bill at the accessor's region when no home was set.
         let k = kv.named_item(ghost, "k");
-        kv.put_at(
-            k,
-            Bytes::from_static(b"v"),
-            west,
-            &lm,
-            &FaultPlan::none(),
-            0.0,
-            &mut rng,
-        );
+        kv.put_at(k, Bytes::from_static(b"v"), west, &lm, &none, 0.0, &mut rng);
         assert_eq!(kv.ops(west).writes, 1);
     }
 
     #[test]
     fn throttle_window_slows_ops_but_loses_nothing() {
-        let (cat, lm, mut kv, mut rng) = setup();
+        let (cat, lm, mut kv, none, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
         let t = kv.create_table("t", r);
         let n = 200;
@@ -685,15 +630,7 @@ mod tests {
         let mut clean = 0.0;
         for &item in &items {
             clean += kv
-                .put_at(
-                    item,
-                    Bytes::from_static(b"v"),
-                    r,
-                    &lm,
-                    &FaultPlan::none(),
-                    0.0,
-                    &mut rng,
-                )
+                .put_at(item, Bytes::from_static(b"v"), r, &lm, &none, 0.0, &mut rng)
                 .latency_s;
         }
         let faults = FaultPlan::none().with_kv_throttle(r, 0.0, 1e9, 1.0);
@@ -723,26 +660,16 @@ mod tests {
 
     #[test]
     fn gray_failure_inflates_kv_latency() {
-        let (cat, lm, mut kv, mut rng) = setup();
+        let (cat, lm, mut kv, none, mut rng) = setup();
         let east = cat.id_of("us-east-1").unwrap();
         let west = cat.id_of("us-west-1").unwrap();
         let t = kv.create_table("t", east);
         let k = kv.named_item(t, "k");
-        kv.put_at(
-            k,
-            Bytes::from_static(b"v"),
-            east,
-            &lm,
-            &FaultPlan::none(),
-            0.0,
-            &mut rng,
-        );
+        kv.put_at(k, Bytes::from_static(b"v"), east, &lm, &none, 0.0, &mut rng);
         let n = 200;
         let mut clean = 0.0;
         for _ in 0..n {
-            clean += kv
-                .get_at(k, west, &lm, &FaultPlan::none(), 0.0, &mut rng)
-                .latency_s;
+            clean += kv.get_at(k, west, &lm, &none, 0.0, &mut rng).latency_s;
         }
         let faults = FaultPlan::none().with_gray_failure(east, 0.0, 1e9, 6.0);
         let mut gray = 0.0;
@@ -754,10 +681,10 @@ mod tests {
 
     #[test]
     fn missing_key_read_returns_none_with_latency() {
-        let (cat, lm, mut kv, mut rng) = setup();
+        let (cat, lm, mut kv, none, mut rng) = setup();
         let r = cat.id_of("us-east-1").unwrap();
         let nope = kv.resolve("t", "nope");
-        let got = kv.get_at(nope, r, &lm, &FaultPlan::none(), 0.0, &mut rng);
+        let got = kv.get_at(nope, r, &lm, &none, 0.0, &mut rng);
         assert!(got.value.is_none());
         assert!(got.latency_s > 0.0);
     }
