@@ -54,15 +54,22 @@ impl Boundary {
 ///
 /// A record belongs to one (frozen context, bank, plan); whoever keeps it
 /// — the solver's estimate cache — hands it back with that plan only. An
-/// estimate that stops inside the record folds nothing.
+/// estimate that stops inside the record folds nothing. A fold writes its
+/// boundaries in the fold's scratch ([`FoldState`]) and the record is
+/// copied out of it once the estimate stops, at exactly its length.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlanRecord {
-    bounds: Vec<Boundary>,
+    bounds: Box<[Boundary]>,
+}
+
+/// The boundary of `n` samples among `bounds`.
+fn boundary(bounds: &[Boundary], n: usize) -> Option<&Boundary> {
+    bounds.iter().find(|b| b.n == n)
 }
 
 impl PlanRecord {
     pub(crate) fn boundary(&self, n: usize) -> Option<&Boundary> {
-        self.bounds.iter().find(|b| b.n == n)
+        boundary(&self.bounds, n)
     }
 
     /// The (latency, cost) summaries of the first `n` samples, when `n` is
@@ -106,6 +113,8 @@ pub(crate) struct FoldState {
     /// Where a boundary's percentile is selected (`summary::p95`); `lat`
     /// and `cost` keep their order for the next boundary's variance.
     keys: Vec<i64>,
+    /// The boundaries folded since the last reset: the plan's record.
+    bounds: Vec<Boundary>,
 }
 
 impl FoldState {
@@ -135,18 +144,32 @@ impl FoldState {
         self.cost.clear();
         (self.lat_sum, self.cost_sum) = (0.0, 0.0);
         (self.sites_read, self.sites_folded) = (0, 0);
+        self.bounds.clear();
+    }
+
+    /// The boundary of `n` samples, when the fold since the last reset
+    /// reached it.
+    pub(crate) fn boundary(&self, n: usize) -> Option<&Boundary> {
+        boundary(&self.bounds, n)
+    }
+
+    /// The record of the plan folded since the last reset, in one
+    /// allocation of its length.
+    pub(crate) fn record(&self) -> PlanRecord {
+        PlanRecord {
+            bounds: self.bounds.as_slice().into(),
+        }
     }
 }
 
 /// Folds whole batches of `plan`, from where `s` stands, until `n` samples
 /// are folded: publishes what each batch computed of the bank's derived
-/// columns and appends each boundary to `record`.
+/// columns and appends each boundary to `s`'s record.
 pub(crate) fn extend(
     prep: &Prep<'_>,
     plan: &DeploymentPlan,
     bank: &SharedBank,
     s: &mut FoldState,
-    record: &mut PlanRecord,
     batch: usize,
     n: usize,
 ) {
@@ -184,7 +207,7 @@ pub(crate) fn extend(
         }
         (s.lat_sum, s.cost_sum) = sums(&s.lat[lo..], &s.cost[lo..], (s.lat_sum, s.cost_sum));
         let (lat, cost) = Moments::of_pair((&s.lat, s.lat_sum), (&s.cost, s.cost_sum));
-        record.bounds.push(Boundary {
+        s.bounds.push(Boundary {
             n: hi,
             lat,
             cost,

@@ -237,9 +237,9 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
         let batch = self.config.batch;
         price.rates(self, plan, hour);
         // Set once the plan has to be folded: the estimator's constants,
-        // resolved per site as the fold reaches it, and the record the
-        // fold writes.
-        let mut folded: Option<(Prep<'_>, PlanRecord)> = None;
+        // resolved per site as the fold reaches it. The record the fold
+        // writes is in its scratch.
+        let mut folded: Option<Prep<'_>> = None;
         let priced = |price: &mut PriceState, n| {
             let bank = bank.bound();
             bank.is_some_and(|bank| price.extend(self.dag, plan, &bank, n))
@@ -248,15 +248,18 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
             let n = price.carb.len() + batch;
             let covered = folded.is_none() && record.boundary(n).is_some();
             if !(covered && priced(price, n)) {
-                let (prep, grown) = folded.get_or_insert_with(|| {
+                let prep = folded.get_or_insert_with(|| {
                     fold.reset(self.dag, batch);
-                    (self.prep(), PlanRecord::default())
+                    self.prep()
                 });
-                fold::extend(prep, plan, bank, fold, grown, batch, n);
+                fold::extend(prep, plan, bank, fold, batch, n);
                 assert!(priced(price, n), "a fold publishes what pricing reads");
             }
-            let grown = folded.as_ref().map(|(_, grown)| grown);
-            let at = grown.unwrap_or(record).boundary(n).expect("covered");
+            let at = match folded {
+                Some(_) => fold.boundary(n),
+                None => record.boundary(n),
+            };
+            let at = at.expect("covered");
             let carb = price.moments();
             let cv = at.lat.rse.max(at.cost.rse).max(carb.rse);
             let converged = cv < self.config.cv_threshold;
@@ -288,7 +291,7 @@ impl<S: CarbonDataSource, M: StageModels> MonteCarloEstimator<'_, S, M> {
                 trans_mean,
             };
             let summary = EstimateSummary::from_halves(at.summaries(), carbon);
-            return (summary, folded.map(|(_, grown)| grown));
+            return (summary, folded.map(|_| fold.record()));
         }
     }
 }

@@ -280,6 +280,14 @@ impl Pcg32 {
     /// Returns `None` if the weights are empty or sum to zero.
     pub fn choose_weighted(&mut self, weights: &[f64]) -> Option<usize> {
         let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
+        self.choose_weighted_summed(weights, total)
+    }
+
+    /// [`Self::choose_weighted`] for a caller that draws from the same
+    /// weights many times: `total` is their sum, taken once. The draw is
+    /// the same when `total` is the same left-fold sum of the positive
+    /// finite weights, in order, that `choose_weighted` takes.
+    pub fn choose_weighted_summed(&mut self, weights: &[f64], total: f64) -> Option<usize> {
         if total <= 0.0 {
             return None;
         }

@@ -510,6 +510,43 @@ mod tests {
         assert_eq!(kv.len(), 1);
     }
 
+    /// Pins today's behaviour, a known deviation (DESIGN.md "Deviations",
+    /// "A down region's table still serves"): a KV operation reads gray
+    /// failures and throttles but no outage, so a table homed in a region
+    /// that is down serves every operation at quiet latency, returns what
+    /// was written and bills the down region for it.
+    #[test]
+    fn a_table_in_a_down_region_serves_at_quiet_latency() {
+        let (cat, ..) = setup();
+        let east = cat.id_of("us-east-1").unwrap();
+        let west = cat.id_of("us-west-1").unwrap();
+        let down = FaultPlan::none().with_outage(east, 0.0, f64::INFINITY);
+        let mut latencies = Vec::new();
+        for faults in [FaultPlan::none(), down] {
+            let (_, lm, mut kv, _, mut rng) = setup();
+            let t = kv.create_table("t", east);
+            let mut bits = Vec::new();
+            for i in 0..5u8 {
+                let now_s = 60.0 * i as f64;
+                let k = kv.named_item(t, &format!("k{i}"));
+                let value = Bytes::from(vec![i; 8]);
+                let put = kv.put_at(k, value.clone(), west, &lm, &faults, now_s, &mut rng);
+                let got = kv.get_at(k, west, &lm, &faults, now_s + 1.0, &mut rng);
+                assert_eq!(got.value, Some(value));
+                bits.extend([put.latency_s.to_bits(), got.latency_s.to_bits()]);
+            }
+            assert_eq!(
+                kv.ops(east),
+                KvOpCounts {
+                    reads: 5,
+                    writes: 5
+                }
+            );
+            latencies.push(bits);
+        }
+        assert_eq!(latencies[0], latencies[1], "the outage moved a latency");
+    }
+
     #[test]
     fn a_by_name_call_is_its_address_call() {
         // Same seed, same operations, one store by name and one by

@@ -541,6 +541,15 @@ if awk '/^pub struct (PubSub|KvStore) \{/ { inside = 1 }
     exit 1
 fi
 
+# The Holt-Winters grid is fitted in lockstep, a lane per smoothing point,
+# so the smoothing recurrence is written once, in `HoltWinters::fit`: no
+# per-point fit for the grid search to call again.
+echo "==> lockstep-forecast grep gate"
+if grep -nE 'Self::fit_params\(|fn fit_params\b' crates/carbon/src/forecast.rs; then
+    echo "error: a per-point Holt-Winters fit is back in forecast.rs (see matches above)" >&2
+    exit 1
+fi
+
 # One invocation's bill lives in its scratch as dense per-region rows: the
 # inline sorted map the meter was built on is gone, an outcome carries the
 # SNS count its readers read instead of a meter, and meter.rs stays within

@@ -37,6 +37,7 @@ use caribou_metrics::bank::SharedBank;
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_metrics::fold::PlanRecord;
 use caribou_metrics::montecarlo::{EstimateScratch, MonteCarloConfig};
+use caribou_metrics::summary::Moments;
 use caribou_model::constraints::Constraints;
 use caribou_model::dag::NodeId;
 use caribou_model::manifest::DeploymentManifest;
@@ -661,6 +662,21 @@ fn a_fold_on_resolved_sites_allocates_only_its_record() {
     assert!(
         allocated <= 1,
         "a fold on resolved sites allocated {allocated} times (budget: its record)"
+    );
+    // The record is kept as long as the cache keeps the plan, so it holds
+    // its boundaries and no spare room: one boundary here (a sample count,
+    // two moments and two percentiles), where a growing buffer would hold
+    // four. The least of three readings, so that a byte another thread
+    // allocates inside one window does not count.
+    let boundary = size_of::<usize>() + 2 * size_of::<Moments>() + 2 * size_of::<f64>();
+    let held = (0..3)
+        .map(|_| peak_live_bytes(|| _ = fold(&both, &mut scratch)))
+        .min()
+        .expect("three readings");
+    eprintln!("alloc_budget: a fold of one boundary held {held} B at its peak");
+    assert!(
+        held <= boundary,
+        "a fold of one boundary held {held} B at its peak (budget: one boundary, {boundary} B)"
     );
 }
 
