@@ -2041,6 +2041,170 @@ mod tests {
         assert!(moved.is_empty(), "moved: {moved:#?}");
     }
 
+    /// [`pin_app`] drawing every distribution it can: a log-normal input,
+    /// execution times and C–D payload, and external data at B (its two
+    /// transfer legs run whenever B is offloaded).
+    fn draw_app(cloud: &SimCloud) -> WorkflowApp {
+        let lognormal = |median: f64| DistSpec::LogNormal { median, sigma: 0.4 };
+        let mut app = pin_app(cloud);
+        app.profile.input_bytes = lognormal(4e3);
+        for (i, node) in app.profile.nodes.iter_mut().enumerate() {
+            node.exec_time = lognormal(0.3 + 0.1 * i as f64);
+        }
+        app.profile.nodes[1].external_data_bytes = 3e6;
+        app.profile.edges[3].payload_bytes = lognormal(6e3);
+        app
+    }
+
+    /// The engine's bits on the draw and verdict sites the dispatch pin
+    /// does not reach, captured before the draws and verdicts moved behind
+    /// one seam: the warm pool on (loadgen's configuration) under a cold
+    /// storm over part of the run, the compute model's cold-start chance
+    /// with the pool off, an offloaded node's two external-data legs, a
+    /// GCP push-ordered topic redelivering under drops, and a KV throttle
+    /// beside a gray failure. Each invocation draws from its own stream;
+    /// the digest folds every outcome, its cold starts and publishes, and
+    /// the stream's next `u64` after it, which pins how many draws it took.
+    /// Each row: scenario, completed and failed-over invocations of 120,
+    /// cold starts, digest.
+    #[test]
+    fn every_draw_site_is_pinned() {
+        use caribou_model::region::{Provider, ProviderSet};
+        use caribou_simcloud::faults::FaultPlan;
+        const SPACING_S: f64 = 60.0;
+        const RUN_S: f64 = 120.0 * SPACING_S;
+        let aws = || SimCloud::aws(60);
+        let aws_gcp = || {
+            SimCloud::for_providers(ProviderSet::of(&[Provider::Aws, Provider::Gcp]), 60).unwrap()
+        };
+        // B, D and E run in `away`; A and C at home.
+        let offloaded = |cloud: &SimCloud, away: &str| {
+            let mut plan = DeploymentPlan::uniform(5, cloud.region("us-east-1").unwrap());
+            for n in [1, 3, 4] {
+                plan.set(NodeId(n), cloud.region(away).unwrap());
+            }
+            plan
+        };
+        type Setup = fn(&mut SimCloud);
+        let warm_storm: Setup = |cloud| {
+            cloud.warm.enabled = true;
+            let home = cloud.region("us-east-1").unwrap();
+            cloud.set_faults(FaultPlan::none().with_cold_storm(home, RUN_S / 4.0, RUN_S / 2.0));
+        };
+        let cold_chance: Setup = |cloud| cloud.compute.cold_start_prob = 0.3;
+        let quiet: Setup = |_| {};
+        let drops: Setup = |cloud| {
+            cloud.set_faults(FaultPlan {
+                message_drop_prob: 0.6,
+                ..FaultPlan::none()
+            })
+        };
+        let kv_gray: Setup = |cloud| {
+            let ca = cloud.region("ca-central-1").unwrap();
+            let faults = FaultPlan::none()
+                .with_kv_throttle(ca, 0.0, RUN_S / 2.0, 0.5)
+                .with_gray_failure(ca, RUN_S / 4.0, 3.0 * RUN_S / 4.0, 3.0);
+            cloud.set_faults(faults);
+        };
+        type Cloud = fn() -> SimCloud;
+        type Row = (&'static str, Cloud, &'static str, Setup, u32, u32, u32, u64);
+        let rows: [Row; 5] = [
+            (
+                "warm pool, cold storm",
+                aws,
+                "ca-central-1",
+                warm_storm,
+                120,
+                0,
+                52,
+                0x7e50607a7c3137b9,
+            ),
+            (
+                "cold-start chance",
+                aws,
+                "ca-central-1",
+                cold_chance,
+                120,
+                0,
+                178,
+                0x25848efc457c6d6d,
+            ),
+            (
+                "external data",
+                aws,
+                "ca-central-1",
+                quiet,
+                120,
+                0,
+                15,
+                0xba0d49215c6a2d22,
+            ),
+            (
+                "gcp push under drops",
+                aws_gcp,
+                "gcp:us-west1",
+                drops,
+                114,
+                20,
+                10,
+                0x592dad4bd4633c03,
+            ),
+            (
+                "kv throttle, gray failure",
+                aws,
+                "ca-central-1",
+                kv_gray,
+                120,
+                0,
+                11,
+                0x321688a77b839d92,
+            ),
+        ];
+        let mut moved = Vec::new();
+        for (seed, (label, make, away, setup, completed, failed_over, colds, digest)) in
+            rows.into_iter().enumerate()
+        {
+            let mut cloud = make();
+            let app = draw_app(&cloud);
+            let plan = offloaded(&cloud, away);
+            let carbon = carbon_table(&cloud);
+            let engine = engine_over(&carbon);
+            engine.provision(&mut cloud, &app, &plan);
+            setup(&mut cloud);
+            let mut scratch = InvocationScratch::new();
+            let (mut ok, mut fell_back, mut cold) = (0, 0, 0);
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for inv in 0..120u64 {
+                let mut rng = Pcg32::seed_stream(seed as u64, inv);
+                let at = inv as f64 * SPACING_S;
+                let out = engine.invoke_with_scratch(
+                    &mut cloud,
+                    &app,
+                    &plan,
+                    inv,
+                    at,
+                    &mut rng,
+                    &mut scratch,
+                );
+                ok += u32::from(out.completed);
+                fell_back += u32::from(out.failovers > 0);
+                cold += out.cold_starts;
+                fold_outcome(&mut h, &out);
+                for w in [
+                    u64::from(out.cold_starts),
+                    out.sns_publishes,
+                    rng.next_u64(),
+                ] {
+                    h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            if (ok, fell_back, cold, h) != (completed, failed_over, colds, digest) {
+                moved.push(format!("{label}: ({ok}, {fell_back}, {cold}, {h:#x})"));
+            }
+        }
+        assert!(moved.is_empty(), "moved: {moved:#?}");
+    }
+
     /// A flat grid that counts how often it is asked.
     struct AskedSource {
         asked: std::sync::atomic::AtomicU64,
