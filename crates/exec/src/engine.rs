@@ -7,6 +7,11 @@
 //! usage metering. The engine is also used for the orchestration baselines
 //! of §9.6 (Step Functions and raw SNS), which differ only in transition
 //! mechanics.
+//!
+//! What the invocation does not choose, its random draws and the fault
+//! verdicts it meets, the engine asks of a [`Nature`]: it never reads the
+//! generator or the fault plan itself. A `&mut Pcg32` is the default
+//! nature (today's draws, the cloud's plan); see [`crate::nature`].
 
 use caribou_carbon::route::endpoint_mean;
 use caribou_carbon::source::CarbonDataSource;
@@ -17,7 +22,6 @@ use caribou_model::intern::IStr;
 use caribou_model::plan::DeploymentPlan;
 use caribou_model::profile::WorkflowProfile;
 use caribou_model::region::RegionId;
-use caribou_model::rng::Pcg32;
 use caribou_simcloud::blob::ObjectKey;
 use caribou_simcloud::clock::EventQueue;
 use caribou_simcloud::cloud::SimCloud;
@@ -28,6 +32,7 @@ use caribou_simcloud::pricing::Usage;
 use caribou_simcloud::pubsub::{Delivery, DeliveryStatus};
 
 use crate::layout::{self, AddressBook, SyncLabel};
+use crate::nature::Nature;
 use crate::outcome::ExecutionOutcome;
 
 /// A deployable workflow application: DAG, profile, and home region.
@@ -196,17 +201,20 @@ impl InvocationScratch {
     }
 }
 
-struct InvocationCtx<'c, 'a, S: CarbonDataSource> {
+struct InvocationCtx<'c, 'a, S: CarbonDataSource, N: Nature> {
     engine: &'c ExecutionEngine<'a, S>,
     cloud: &'c mut SimCloud,
     app: &'c WorkflowApp,
     plan: &'c DeploymentPlan,
     inv_id: u64,
     hour: f64,
-    /// Invocation start: pub/sub and KV read faults at it, a node's
-    /// pick-up and failover at `at_s + t` (DESIGN.md "Deviations").
+    /// Invocation start: the time a publish's delivery verdict and every
+    /// table operation read the fault plan at; a pick-up and a failover
+    /// read it at `at_s + t` (DESIGN.md "Two fault time bases").
     at_s: f64,
-    rng: &'c mut Pcg32,
+    /// Every draw and fault verdict of the invocation, and the generator
+    /// the services' own latency draws take ([`Nature::legs`]).
+    nature: &'c mut N,
     exec_carbon: f64,
     trans_carbon: f64,
     completed: bool,
@@ -247,17 +255,17 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
     /// Builds throwaway scratch buffers; callers running many invocations
     /// should hold an [`InvocationScratch`] and use
     /// [`ExecutionEngine::invoke_with_scratch`] instead.
-    pub fn invoke(
+    pub fn invoke<N: Nature>(
         &self,
         cloud: &mut SimCloud,
         app: &WorkflowApp,
         plan: &DeploymentPlan,
         inv_id: u64,
         at_s: f64,
-        rng: &mut Pcg32,
+        nature: &mut N,
     ) -> ExecutionOutcome {
         let mut scratch = InvocationScratch::new();
-        self.invoke_with_scratch(cloud, app, plan, inv_id, at_s, rng, &mut scratch)
+        self.invoke_with_scratch(cloud, app, plan, inv_id, at_s, nature, &mut scratch)
     }
 
     /// [`ExecutionEngine::invoke`] with caller-pooled buffers: identical
@@ -266,14 +274,14 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
     /// are resolved once instead of named per operation, and the app's
     /// distributions are prepared once instead of per draw.
     #[allow(clippy::too_many_arguments)]
-    pub fn invoke_with_scratch(
+    pub fn invoke_with_scratch<N: Nature>(
         &self,
         cloud: &mut SimCloud,
         app: &WorkflowApp,
         plan: &DeploymentPlan,
         inv_id: u64,
         at_s: f64,
-        rng: &mut Pcg32,
+        nature: &mut N,
         scratch: &mut InvocationScratch,
     ) -> ExecutionOutcome {
         assert_eq!(
@@ -293,7 +301,7 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
             inv_id,
             hour,
             at_s,
-            rng,
+            nature,
             exec_carbon: 0.0,
             trans_carbon: 0.0,
             completed: true,
@@ -355,7 +363,7 @@ impl<S: CarbonDataSource> ExecutionEngine<'_, S> {
     }
 }
 
-impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
+impl<S: CarbonDataSource, N: Nature> InvocationCtx<'_, '_, S, N> {
     /// Effective region of a node: the failover override when one was
     /// installed, otherwise the plan's assignment.
     fn region_of(&self, node: NodeId) -> RegionId {
@@ -368,10 +376,13 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         let region = self.region_of(node);
         let cloud = &mut *self.cloud;
         let (pubsub, lm, faults) = (&mut cloud.pubsub, &cloud.latency, &cloud.faults);
+        let nature = &mut *self.nature;
         let delivery = match self.scratch.book.topic(pubsub, self.app, node, region) {
-            Ok(topic) => pubsub.publish_to(topic, from, bytes, lm, faults, self.at_s, self.rng),
+            Ok(topic) => nature.delivery(node, faults, self.at_s, |faults, at_s, rng| {
+                pubsub.publish_to(topic, from, bytes, lm, faults, at_s, rng)
+            }),
             // Never deployed there: the by-name call rejects it.
-            Err(name) => pubsub.publish(&name, from, bytes, lm, self.rng),
+            Err(name) => pubsub.publish(&name, from, bytes, lm, nature.legs()),
         };
         if delivery.status != DeliveryStatus::TopicMissing {
             self.scratch.meter.record(from, Usage::SnsPublishes, 1.0);
@@ -390,7 +401,8 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         let failed = self.region_of(node);
         self.failed_region.get_or_insert(failed);
         let home = self.app.home;
-        if failed != home && !self.cloud.faults.region_down(home, self.at_s + t) {
+        let (faults, at_s) = (&self.cloud.faults, self.at_s + t);
+        if failed != home && !self.nature.down_at_failover(node, home, faults, at_s) {
             self.scratch.overrides[node.index()] = Some(home);
             let delivery = self.publish_to(node, from, bytes);
             if delivery.delivered() {
@@ -460,8 +472,8 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         // (Caribou only), and the input payload's journey from the client
         // (anchored at the home region, §9.1).
         let start = self.app.dag.start();
-        let input_bytes = self.scratch.book.input().sample(self.rng);
-        let mut t0 = self.engine.orchestrator.sample_setup_s(self.rng);
+        let input_bytes = self.nature.input_size(self.scratch.book.input());
+        let mut t0 = self.nature.setup_s(self.engine.orchestrator);
 
         // An unreachable entry region re-routes the entry to the home
         // deployment — the client's payload is already at home.
@@ -479,7 +491,8 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
             // store"); downstream nodes receive it piggybacked.
             let plan = self.scratch.book.plan_item(&mut self.cloud.kv, self.app);
             let (kv, lm, faults) = (&mut self.cloud.kv, &self.cloud.latency, &self.cloud.faults);
-            let access = kv.get_at(plan, start_region, lm, faults, self.at_s, self.rng);
+            let rng = self.nature.legs();
+            let access = kv.get_at(plan, start_region, lm, faults, self.at_s, rng);
             self.scratch.meter.record(start_region, Usage::KvReads, 1.0);
             t0 += access.latency_s;
         }
@@ -498,7 +511,8 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
             return;
         }
         let mut region = self.region_of(node);
-        if self.cloud.faults.region_down(region, self.at_s + t) {
+        let (faults, at_s) = (&self.cloud.faults, self.at_s + t);
+        if self.nature.down_at_pick_up(node, region, faults, at_s) {
             // Region outage mid-flight: the function never picks the
             // message up. The dead-letter redrive re-routes the node to
             // the home deployment (§6.1) — published from home, where the
@@ -519,13 +533,15 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         // when the warm pool is enabled (a freshly offloaded region starts
         // cold until traffic warms it), or the compute model's
         // probabilistic rate applies.
-        let storm = self.cloud.faults.cold_storm(region, self.at_s + t);
+        let (faults, at_s) = (&self.cloud.faults, self.at_s + t);
+        let storm = self.nature.storm_at_pick_up(node, region, faults, at_s);
         let cold = if self.cloud.warm.enabled {
             let warm = &mut self.cloud.warm;
             let slot = self.scratch.book.warm_slot(warm, self.app, node, region);
-            warm.check_and_touch_at(slot, self.at_s + t) || storm
+            warm.check_and_touch_at(slot, at_s) || storm
         } else {
-            let cold = storm || self.rng.chance(self.cloud.compute.cold_start_prob);
+            let prob = self.cloud.compute.cold_start_prob;
+            let cold = storm || self.nature.cold_start(node, region, prob);
             if caribou_telemetry::is_enabled() {
                 caribou_telemetry::count(
                     if cold {
@@ -544,14 +560,8 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         if storm && caribou_telemetry::is_enabled() {
             caribou_telemetry::count("fault.cold_storm", 1);
         }
-        let record = self.cloud.compute.execute_forced(
-            region,
-            self.scratch.book.exec(node),
-            p.memory_mb,
-            p.cpu_utilization,
-            cold,
-            self.rng,
-        );
+        let (compute, exec) = (&self.cloud.compute, self.scratch.book.exec(node));
+        let record = self.nature.execution(node, compute, region, exec, p, cold);
         let mut duration = record.duration_s;
 
         // External data stays at (or close to) the home region; offloaded
@@ -559,8 +569,8 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         if region != self.app.home && p.external_data_bytes > 0.0 {
             let half = p.external_data_bytes / 2.0;
             let lm = &self.cloud.latency;
-            duration += lm.sample_transfer_seconds(region, self.app.home, half, self.rng)
-                + lm.sample_transfer_seconds(self.app.home, region, half, self.rng);
+            duration += lm.sample_transfer_seconds(region, self.app.home, half, self.nature.legs())
+                + lm.sample_transfer_seconds(self.app.home, region, half, self.nature.legs());
             self.account_transfer(region, self.app.home, half);
             self.account_transfer(self.app.home, region, half);
         }
@@ -598,8 +608,8 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         // Decide and dispatch every outgoing edge.
         let app = self.app;
         for &eid in app.dag.out_edges(node) {
-            let taken = !app.dag.edge(eid).conditional
-                || self.rng.chance(app.profile.edges[eid.index()].probability);
+            let prob = app.profile.edges[eid.index()].probability;
+            let taken = !app.dag.edge(eid).conditional || self.nature.taken(eid, prob);
             self.decide_edge(eid, taken, t + duration);
         }
     }
@@ -632,13 +642,14 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
             return;
         }
 
-        let payload = self.scratch.book.payload(eid).sample(self.rng);
+        let dist = self.scratch.book.payload(eid);
+        let payload = self.nature.payload_size(eid, dist);
         // Intermediate data goes to the successor region's storage: the
         // KV table for small payloads, the blob store (with a KV
         // reference) above the DynamoDB item limit (§4, Fig. 5).
         let write_latency = self.store_intermediate(eid, payload, from_region, succ_region);
         self.account_transfer(from_region, succ_region, payload);
-        let transition = self.engine.orchestrator.sample_transition_s(self.rng);
+        let transition = self.nature.transition_s(self.engine.orchestrator);
         let after_write = t + transition + write_latency;
 
         if is_sync {
@@ -669,7 +680,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
                     from_region,
                     succ_region,
                     payload,
-                    self.rng,
+                    self.nature.legs(),
                 )
         } else {
             // The invocation message itself is small: the data went
@@ -740,16 +751,17 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         let item = self.edge_item(eid, to);
         let object = self.edge_object(eid);
         let (kv, lm, faults) = (&mut self.cloud.kv, &self.cloud.latency, &self.cloud.faults);
+        let rng = self.nature.legs();
         if size > caribou_simcloud::blob::BLOB_THRESHOLD_BYTES {
-            let blob = self.cloud.blob.put(to, object, size, from, lm, self.rng);
+            let blob = self.cloud.blob.put(to, object, size, from, lm, rng);
             self.scratch.meter.record(to, Usage::BlobPuts, 1.0);
             let reference = bytes::Bytes::from_static(b"blobref");
-            let reference = kv.put_at(item, reference, from, lm, faults, self.at_s, self.rng);
+            let reference = kv.put_at(item, reference, from, lm, faults, self.at_s, rng);
             self.scratch.meter.record(to, Usage::KvWrites, 1.0);
             blob.latency_s.max(reference.latency_s)
         } else {
             let value = bytes::Bytes::from_static(&ZERO_PAYLOAD[..size.min(4096.0) as usize]);
-            let write = kv.put_at(item, value, from, lm, faults, self.at_s, self.rng);
+            let write = kv.put_at(item, value, from, lm, faults, self.at_s, rng);
             self.scratch.meter.record(to, Usage::KvWrites, 1.0);
             write.latency_s
         }
@@ -786,17 +798,18 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         let item = self.edge_item(eid, storage);
         let object = self.edge_object(eid);
         let (kv, lm, faults) = (&mut self.cloud.kv, &self.cloud.latency, &self.cloud.faults);
+        let rng = self.nature.legs();
         // Each intermediate is read exactly once; garbage-collect it
         // (TTL-style, unbilled) so the stores stay bounded under
         // sustained load.
-        let latency_s = match self.cloud.blob.get(storage, object, reader, lm, self.rng) {
+        let latency_s = match self.cloud.blob.get(storage, object, reader, lm, rng) {
             Some(blob) => {
                 self.scratch.meter.record(storage, Usage::BlobGets, 1.0);
                 self.cloud.blob.delete(storage, object);
                 blob.latency_s
             }
             None => {
-                kv.get_at(item, reader, lm, faults, self.at_s, self.rng)
+                kv.get_at(item, reader, lm, faults, self.at_s, rng)
                     .latency_s
             }
         };
@@ -833,7 +846,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
             &self.cloud.latency,
             &self.cloud.faults,
             self.at_s,
-            self.rng,
+            self.nature.legs(),
             |prev| {
                 // Append this edge's '0'/'1' to the annotation string.
                 // Small fan-ins return a slice of the static table —
@@ -917,7 +930,7 @@ impl<S: CarbonDataSource> InvocationCtx<'_, '_, S> {
         // small message; the node then loads the intermediate data of
         // every taken predecessor from the KV store (§4, Fig. 5).
         let start_t = if self.engine.orchestrator == Orchestrator::StepFunctions {
-            last_at + self.engine.orchestrator.sample_transition_s(self.rng)
+            last_at + self.nature.transition_s(self.engine.orchestrator)
         } else {
             match self.dispatch(succ, last_writer, 1024.0, last_at) {
                 Some((first, failover)) => last_at + first + failover,
@@ -965,6 +978,8 @@ mod tests {
     use caribou_metrics::carbonmodel::TransmissionScenario;
     use caribou_model::builder::Workflow;
     use caribou_model::dist::DistSpec;
+    use caribou_model::rng::Pcg32;
+    use caribou_simcloud::faults::FaultPlan;
 
     fn carbon_table(cloud: &SimCloud) -> TableSource {
         let mut t = TableSource::new();
@@ -2203,6 +2218,232 @@ mod tests {
             }
         }
         assert!(moved.is_empty(), "moved: {moved:#?}");
+    }
+
+    /// A nature that answers "down" at every pick-up in one region and
+    /// as the default everywhere else.
+    struct DownAtPickUp {
+        rng: Pcg32,
+        region: RegionId,
+    }
+
+    impl Nature for DownAtPickUp {
+        fn legs(&mut self) -> &mut Pcg32 {
+            &mut self.rng
+        }
+
+        fn down_at_pick_up(&mut self, _: NodeId, region: RegionId, _: &FaultPlan, _: f64) -> bool {
+            region == self.region
+        }
+    }
+
+    /// [`region_outage_fails_over_to_home`] on a cloud with no fault plan:
+    /// the outage is a verdict the nature gives at `ca-central-1`'s
+    /// pick-up, and the stage falls back home all the same.
+    #[test]
+    fn a_scripted_pick_up_outage_fails_over_to_home() {
+        let mut cloud = SimCloud::aws(6);
+        let app = chain_app(&cloud);
+        let ca = cloud.region("ca-central-1").unwrap();
+        let mut plan = DeploymentPlan::uniform(2, app.home);
+        plan.set(NodeId(1), ca);
+        let carbon = carbon_table(&cloud);
+        let engine = engine_over(&carbon);
+        engine.provision(&mut cloud, &app, &plan);
+        let mut nature = DownAtPickUp {
+            rng: Pcg32::seed(6),
+            region: ca,
+        };
+        let out = engine.invoke(&mut cloud, &app, &plan, 6, 100.0, &mut nature);
+        assert!(out.completed);
+        assert!(out.failovers >= 1);
+        assert_eq!(out.failed_region, Some(ca));
+        assert_eq!(out.log.nodes.len(), 2, "both stages ran");
+        let rec = out.log.nodes.iter().find(|r| r.node == 1).unwrap();
+        assert_eq!(rec.region, app.home, "stage 1 fell back home");
+    }
+
+    /// A nature that answers "cold storm" at one node's pick-up.
+    struct StormAt {
+        rng: Pcg32,
+        node: NodeId,
+    }
+
+    impl Nature for StormAt {
+        fn legs(&mut self) -> &mut Pcg32 {
+            &mut self.rng
+        }
+
+        fn storm_at_pick_up(&mut self, node: NodeId, _: RegionId, _: &FaultPlan, _: f64) -> bool {
+            node == self.node
+        }
+    }
+
+    /// [`cold_storm_forces_cold_starts`] on one node, the storm a verdict
+    /// the nature gives at its pick-up: that node, and only it, starts
+    /// cold, and pays the same latency gap.
+    #[test]
+    fn a_scripted_cold_storm_forces_one_cold_start() {
+        let quiet = || {
+            let mut cloud = SimCloud::aws(27);
+            cloud.compute.cold_start_prob = 0.0;
+            cloud.compute.exec_sigma = 0.0;
+            cloud
+        };
+        let (mut calm_cloud, mut stormy_cloud) = (quiet(), quiet());
+        let app = chain_app(&calm_cloud);
+        let plan = DeploymentPlan::uniform(2, app.home);
+        let carbon = carbon_table(&calm_cloud);
+        let engine = engine_over(&carbon);
+        for cloud in [&mut calm_cloud, &mut stormy_cloud] {
+            engine.provision(cloud, &app, &plan);
+        }
+        let calm = engine.invoke(
+            &mut calm_cloud,
+            &app,
+            &plan,
+            27,
+            100.0,
+            &mut Pcg32::seed(27),
+        );
+        let mut nature = StormAt {
+            rng: Pcg32::seed(27),
+            node: NodeId(1),
+        };
+        let stormy = engine.invoke(&mut stormy_cloud, &app, &plan, 27, 100.0, &mut nature);
+        assert_eq!((calm.cold_starts, stormy.cold_starts), (0, 1));
+        // The chain's log holds A then B.
+        let duration = |out: &ExecutionOutcome, node: usize| out.log.nodes[node].duration_s;
+        assert_eq!(duration(&calm, 0), duration(&stormy, 0));
+        assert!(duration(&stormy, 1) > duration(&calm, 1) + 0.3);
+        assert!(
+            stormy.e2e_latency_s > calm.e2e_latency_s + 0.3,
+            "calm {} stormy {}",
+            calm.e2e_latency_s,
+            stormy.e2e_latency_s
+        );
+    }
+
+    /// A nature that answers as the default and counts what it is asked.
+    struct Recorder {
+        rng: Pcg32,
+        deliveries: u64,
+        pick_ups: Vec<NodeId>,
+        storms: usize,
+    }
+
+    impl Nature for Recorder {
+        fn legs(&mut self) -> &mut Pcg32 {
+            &mut self.rng
+        }
+
+        fn delivery(
+            &mut self,
+            _: NodeId,
+            faults: &FaultPlan,
+            at_s: f64,
+            publish: impl FnOnce(&FaultPlan, f64, &mut Pcg32) -> Delivery,
+        ) -> Delivery {
+            self.deliveries += 1;
+            publish(faults, at_s, &mut self.rng)
+        }
+
+        fn down_at_pick_up(
+            &mut self,
+            node: NodeId,
+            region: RegionId,
+            faults: &FaultPlan,
+            at_s: f64,
+        ) -> bool {
+            self.pick_ups.push(node);
+            faults.region_down(region, at_s)
+        }
+
+        fn storm_at_pick_up(
+            &mut self,
+            _: NodeId,
+            region: RegionId,
+            faults: &FaultPlan,
+            at_s: f64,
+        ) -> bool {
+            self.storms += 1;
+            faults.cold_storm(region, at_s)
+        }
+    }
+
+    /// Every verdict goes through the nature: on [`pin_app`] under drops
+    /// and pick-up outages, a nature answering as the default is asked one
+    /// delivery per billed publish (every topic exists), one pick-up per
+    /// node that reached its pick-up and one storm per node that ran, and
+    /// the invocation keeps the default's bits.
+    #[test]
+    fn every_verdict_is_asked_of_the_nature() {
+        const SPACING_S: f64 = 60.0;
+        let mut cloud = SimCloud::aws(51);
+        let app = pin_app(&cloud);
+        let ca = cloud.region("ca-central-1").unwrap();
+        let mut plan = DeploymentPlan::uniform(5, app.home);
+        for n in [1, 3, 4] {
+            plan.set(NodeId(n), ca);
+        }
+        let mut faults = FaultPlan {
+            message_drop_prob: 0.3,
+            ..FaultPlan::none()
+        };
+        for i in 0..100 {
+            let at = i as f64 * SPACING_S;
+            faults = faults.with_outage(ca, at + 0.2, at + SPACING_S / 2.0);
+        }
+        let mut twin = SimCloud::aws(51);
+        let carbon = carbon_table(&cloud);
+        let engine = engine_over(&carbon);
+        for cloud in [&mut cloud, &mut twin] {
+            engine.provision(cloud, &app, &plan);
+            cloud.set_faults(faults.clone());
+        }
+        let (mut scratch, mut twin_scratch) = (InvocationScratch::new(), InvocationScratch::new());
+        let (mut failed, mut refused) = (0, 0);
+        for inv in 0..100u64 {
+            let at = inv as f64 * SPACING_S;
+            let mut nature = Recorder {
+                rng: Pcg32::seed_stream(51, inv),
+                deliveries: 0,
+                pick_ups: Vec::new(),
+                storms: 0,
+            };
+            let out = engine.invoke_with_scratch(
+                &mut cloud,
+                &app,
+                &plan,
+                inv,
+                at,
+                &mut nature,
+                &mut scratch,
+            );
+            let mut rng = Pcg32::seed_stream(51, inv);
+            let default = engine.invoke_with_scratch(
+                &mut twin,
+                &app,
+                &plan,
+                inv,
+                at,
+                &mut rng,
+                &mut twin_scratch,
+            );
+            assert_bit_equal(&default, &out);
+            assert_eq!(nature.deliveries, out.sns_publishes, "inv {inv}");
+            let started: Vec<NodeId> = (0..5)
+                .map(NodeId)
+                .filter(|n| scratch.node_started[n.index()])
+                .collect();
+            nature.pick_ups.sort_by_key(|n| n.0);
+            assert_eq!(nature.pick_ups, started, "inv {inv}");
+            assert_eq!(nature.storms, out.log.nodes.len(), "inv {inv}");
+            failed += u32::from(!out.completed);
+            refused += u32::from(started.len() > out.log.nodes.len());
+        }
+        // The run reaches lost dispatches and pick-ups that never ran.
+        assert!(failed > 0 && refused > 0, "{failed} {refused}");
     }
 
     /// A flat grid that counts how often it is asked.

@@ -20,9 +20,11 @@
 
 pub mod engine;
 pub mod layout;
+pub mod nature;
 pub mod outcome;
 pub mod router;
 
 pub use engine::{ExecutionEngine, WorkflowApp};
+pub use nature::Nature;
 pub use outcome::ExecutionOutcome;
 pub use router::InvocationRouter;

@@ -541,6 +541,21 @@ if awk '/^pub struct (PubSub|KvStore) \{/ { inside = 1 }
     exit 1
 fi
 
+# One nature per invocation: what an invocation does not choose, its
+# draws and its fault verdicts, the engine asks of its `Nature`
+# (crates/exec/src/nature.rs), whose default reads the cloud's fault plan
+# and the invocation's generator. The engine's non-test code reads neither
+# itself, and the invocation context holds no generator of its own.
+echo "==> one-nature grep gate"
+if before_tests crates/exec/src/engine.rs | grep -E '\bself\.rng\b|\.region_down\(|\.cold_storm\(' ||
+    awk '/^struct InvocationCtx</ { inside = 1 }
+        inside && /^ +rng:/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        inside && /^}/ { inside = 0 }
+        END { exit !bad }' crates/exec/src/engine.rs; then
+    echo "error: the engine draws or reads a fault verdict outside its Nature (see matches above)" >&2
+    exit 1
+fi
+
 # The Holt-Winters grid is fitted in lockstep, a lane per smoothing point,
 # so the smoothing recurrence is written once, in `HoltWinters::fit`: no
 # per-point fit for the grid search to call again.
