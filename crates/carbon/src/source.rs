@@ -462,6 +462,69 @@ mod tests {
         assert!(err.to_string().contains("not covered"));
     }
 
+    /// Every value a grid's hourly series reaches a caller through, pinned
+    /// to the bit: for every region of both provider sets at two carbon
+    /// seeds, the 168-hour history windows before four fit hours (one
+    /// negative, one fractional), day averages from fractional starts and
+    /// the year average `StaleAwareSource::new` takes, and a
+    /// `ForecastingSource`'s answers on both sides of its fit hour. A
+    /// change to how a series is read must leave the digest alone.
+    #[test]
+    fn every_grid_series_is_pinned() {
+        use caribou_model::region::ProviderSet;
+
+        fn fold(digest: &mut u64, value: f64) {
+            *digest = caribou_model::rng::mix64(
+                *digest ^ value.to_bits().wrapping_add(0x9e37_79b9_7f4a_7c15),
+            );
+        }
+        let fit_hours = [-30.0, 0.0, 12.5, 167.25];
+        let day_starts = [-30.25, 0.0, 12.5, 167.25, 4000.75];
+        let (mut values, mut digest) = (0u64, 0u64);
+        for seed in [20231015, 97] {
+            for set in [
+                ProviderSet::aws_only(),
+                ProviderSet::parse("aws,gcp").unwrap(),
+            ] {
+                let catalog = RegionCatalog::of_providers(set);
+                let source =
+                    RegionalSource::new(&catalog, SyntheticCarbonSource::aws_calibrated(seed))
+                        .expect("calibrated");
+                let regions: Vec<_> = catalog.iter().map(|(id, _)| id).collect();
+                for &r in &regions {
+                    for at in fit_hours {
+                        let from = at - 168.0;
+                        for i in 0..168 {
+                            fold(&mut digest, source.intensity(r, from + i as f64 + 0.5));
+                            values += 1;
+                        }
+                    }
+                    for start in day_starts {
+                        fold(&mut digest, source.average(r, start, start + 24.0));
+                        values += 1;
+                    }
+                    fold(&mut digest, source.average(r, 0.0, 8760.0));
+                    values += 1;
+                }
+                for at in fit_hours {
+                    let forecast = ForecastingSource::fit(&source, &regions, at, 48);
+                    for &r in &regions {
+                        for d in [-100.5, -24.0, -0.25, 0.0, 0.5, 23.75, 47.0, 47.99, 60.0] {
+                            let v = forecast.try_intensity(r, at + d).expect("fitted");
+                            fold(&mut digest, v);
+                            values += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            (values, digest),
+            (35_700, 0xa74b_b612_4926_8329),
+            "{values} values, digest {digest:#018x}"
+        );
+    }
+
     #[test]
     fn forecast_horizon_clamps() {
         let (cat, src) = regional();

@@ -500,6 +500,29 @@ mod tests {
         }
     }
 
+    /// Every value of a fleet's materialized forecast, pinned to the bit at
+    /// three seeds: a change to how the grid's series is read must leave
+    /// the digest alone.
+    #[test]
+    fn every_fleet_forecast_value_is_pinned() {
+        let (mut values, mut digest) = (0u64, 0u64);
+        for seed in [7, 42, 20231015] {
+            let env = FleetEnv::new(seed, 24);
+            for (r, series) in &env.forecast {
+                digest = mix64(digest ^ (r.index() as u64).wrapping_add(0x9e37_79b9_7f4a_7c15));
+                for v in series {
+                    digest = mix64(digest ^ v.to_bits());
+                    values += 1;
+                }
+            }
+        }
+        assert_eq!(
+            (values, digest),
+            (288, 0x389c_7e1f_37d6_b258),
+            "{values} values, digest {digest:#018x}"
+        );
+    }
+
     #[test]
     fn full_solve_is_worker_count_invariant_and_shares_estimates() {
         let cfg = small_cfg();
