@@ -14,7 +14,14 @@
 //! one point would, in the same order, so the result is bit for bit that
 //! of fitting the points one at a time, in about a quarter of the time
 //! (one region's week: 11–20 µs, against 54–60 µs point by point, on a
-//! 2-vCPU x86-64 host).
+//! 2-vCPU x86-64 host, at the baseline vector width).
+//!
+//! The step loop is a [`wide::Kernel`], so it runs at the widest vector
+//! level the CPU has. Its lane operations are adds, subtracts, multiplies
+//! and `abs`, which give the same bits at every width, and no fused
+//! multiply-add is written, so the fit is the same at every level.
+
+use caribou_model::wide;
 
 /// A fitted additive Holt-Winters model.
 ///
@@ -89,37 +96,27 @@ impl HoltWinters {
             data.len(),
             2 * season
         );
-        // Each lane's weights, and the `1 - weight` of each, taken once.
-        let points: [(f64, f64, f64); LANES] = std::array::from_fn(point);
-        let (alpha, beta, gamma) = (
-            points.map(|p| p.0),
-            points.map(|p| p.1),
-            points.map(|p| p.2),
-        );
-        let keep = |weight: Lanes| weight.map(|w| 1.0 - w);
-        let (keep_alpha, keep_beta, keep_gamma) = (keep(alpha), keep(beta), keep(gamma));
-
         // Initialization: level = mean of the first season; trend from the
         // difference of the first two season means; seasonal indices from
         // deviations of the first season.
         let s0: f64 = data[..season].iter().sum::<f64>() / season as f64;
         let s1: f64 = data[season..2 * season].iter().sum::<f64>() / season as f64;
-        let mut level: Lanes = [s0; LANES];
-        let mut trend: Lanes = [(s1 - s0) / season as f64; LANES];
-        let mut seasonal: Vec<Lanes> = data[..season].iter().map(|x| [x - s0; LANES]).collect();
-
-        let mut abs_err: Lanes = [0.0; LANES];
-        for (t, &x) in data.iter().enumerate().skip(season) {
-            let s = &mut seasonal[t % season];
-            for l in 0..LANES {
-                let predicted = level[l] + trend[l] + s[l];
-                abs_err[l] += (x - predicted).abs();
-                let prev_level = level[l];
-                level[l] = alpha[l] * (x - s[l]) + keep_alpha[l] * (level[l] + trend[l]);
-                trend[l] = beta[l] * (level[l] - prev_level) + keep_beta[l] * trend[l];
-                s[l] = gamma[l] * (x - level[l]) + keep_gamma[l] * s[l];
-            }
-        }
+        let mut steps = Steps {
+            data,
+            season,
+            level: [s0; LANES],
+            trend: [(s1 - s0) / season as f64; LANES],
+            seasonal: data[..season].iter().map(|x| [x - s0; LANES]).collect(),
+            abs_err: [0.0; LANES],
+        };
+        steps = wide::run(steps);
+        let Steps {
+            level,
+            trend,
+            seasonal,
+            abs_err,
+            ..
+        } = steps;
         let count = data.len() - season;
         let mae = abs_err.map(|e| e / count as f64);
         // The first strict minimum in grid order.
@@ -146,6 +143,49 @@ impl HoltWinters {
                 (self.level + h as f64 * self.trend + self.seasonal[si]).max(0.0)
             })
             .collect()
+    }
+}
+
+/// The grid's state through its step loop: every lane's level, trend,
+/// seasonal indices and error sum, which [`Steps::call`] advances over
+/// the history after its first season.
+struct Steps<'a> {
+    data: &'a [f64],
+    season: usize,
+    level: Lanes,
+    trend: Lanes,
+    /// A row of lanes per phase of the season.
+    seasonal: Vec<Lanes>,
+    abs_err: Lanes,
+}
+
+impl wide::Kernel for Steps<'_> {
+    type Out = Self;
+
+    #[inline(always)]
+    fn call(mut self) -> Self {
+        // Each lane's weights, and the `1 - weight` of each, taken once.
+        let points: [(f64, f64, f64); LANES] = std::array::from_fn(point);
+        let (alpha, beta, gamma) = (
+            points.map(|p| p.0),
+            points.map(|p| p.1),
+            points.map(|p| p.2),
+        );
+        let keep = |weight: Lanes| weight.map(|w| 1.0 - w);
+        let (keep_alpha, keep_beta, keep_gamma) = (keep(alpha), keep(beta), keep(gamma));
+        let (level, trend, abs_err) = (&mut self.level, &mut self.trend, &mut self.abs_err);
+        for (t, &x) in self.data.iter().enumerate().skip(self.season) {
+            let s = &mut self.seasonal[t % self.season];
+            for l in 0..LANES {
+                let predicted = level[l] + trend[l] + s[l];
+                abs_err[l] += (x - predicted).abs();
+                let prev_level = level[l];
+                level[l] = alpha[l] * (x - s[l]) + keep_alpha[l] * (level[l] + trend[l]);
+                trend[l] = beta[l] * (level[l] - prev_level) + keep_beta[l] * trend[l];
+                s[l] = gamma[l] * (x - level[l]) + keep_gamma[l] * s[l];
+            }
+        }
+        self
     }
 }
 
@@ -255,9 +295,24 @@ mod tests {
     /// NaN, a 1e6 spike and subnormals whose ties only the grid's order
     /// breaks; then `ForecastingSource::fit`'s 48-hour
     /// forecast of every region of both provider sets. A change to how the
-    /// grid is searched must leave both digests alone.
+    /// grid is searched must leave both digests alone, at every vector
+    /// level the CPU runs (the bits mean something in an optimised build,
+    /// where the step loop is vectorised).
     #[test]
     fn every_forecast_fit_is_pinned() {
+        for level in wide::levels() {
+            let (series, fits, sources) = wide::at(level, fit_pins);
+            assert_eq!(
+                (series, fits, sources),
+                (43, 0xa9f6_bc84_04b1_7aed, 0x82e5_2af9_d5e2_a6dc),
+                "{level:?}: {series} series, fits {fits:#018x}, sources {sources:#018x}"
+            );
+        }
+    }
+
+    /// [`every_forecast_fit_is_pinned`]'s digests at the current level:
+    /// how many series it fits, the fits' digest and the sources'.
+    fn fit_pins() -> (usize, u64, u64) {
         use crate::source::{ForecastingSource, RegionalSource};
         use crate::synth::SyntheticCarbonSource;
         use caribou_model::region::{ProviderSet, RegionCatalog};
@@ -330,11 +385,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(
-            (series.len(), fits, sources),
-            (43, 0xa9f6_bc84_04b1_7aed, 0x82e5_2af9_d5e2_a6dc),
-            "{} series, fits {fits:#018x}, sources {sources:#018x}",
-            series.len()
-        );
+        (series.len(), fits, sources)
     }
 }

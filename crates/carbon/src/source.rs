@@ -8,14 +8,12 @@
 //! underlying source — separating the two is what lets the harness measure
 //! forecast-induced suboptimality (Fig. 11, Fig. 13b).
 
-use std::collections::HashMap;
-
 use caribou_model::region::{RegionCatalog, RegionId};
 
 use crate::error::CarbonError;
 use crate::forecast::HoltWinters;
 use crate::series::CarbonSeries;
-use crate::synth::{GridProfile, SyntheticCarbonSource};
+use crate::synth::{self, GridProfile, SyntheticCarbonSource};
 
 /// Provides grid average carbon intensity (ACI, §7.1) per region and hour.
 pub trait CarbonDataSource {
@@ -23,13 +21,34 @@ pub trait CarbonDataSource {
     /// since the epoch.
     fn intensity(&self, region: RegionId, hour: f64) -> f64;
 
-    /// Average intensity over `[from_hour, to_hour)` sampled hourly.
+    /// The hourly series from `from_hour`: `out[i]` is the intensity at
+    /// `from_hour + i + 0.5`, bit for bit what [`intensity`] answers
+    /// there. A forecast fit, an average and a materialized forecast read
+    /// through this. A source that reads a run of hours cheaper than hour
+    /// by hour overrides it; the default asks [`intensity`] once an hour,
+    /// which a wrapper whose answer or query count is per query keeps.
+    ///
+    /// [`intensity`]: CarbonDataSource::intensity
+    fn hourly(&self, region: RegionId, from_hour: f64, out: &mut [f64]) {
+        for (i, v) in out.iter_mut().enumerate() {
+            *v = self.intensity(region, from_hour + i as f64 + 0.5);
+        }
+    }
+
+    /// Average intensity over `[from_hour, to_hour)` sampled hourly: the
+    /// left-to-right sum of [`CarbonDataSource::hourly`] over at least one
+    /// hour. A week or less is read into the stack.
     fn average(&self, region: RegionId, from_hour: f64, to_hour: f64) -> f64 {
         let n = ((to_hour - from_hour).max(1.0)) as usize;
-        let sum: f64 = (0..n)
-            .map(|i| self.intensity(region, from_hour + i as f64 + 0.5))
-            .sum();
-        sum / n as f64
+        let (mut week, mut longer) = ([0.0; 168], Vec::new());
+        let values = if n <= week.len() {
+            &mut week[..n]
+        } else {
+            longer.resize(n, 0.0);
+            &mut longer[..]
+        };
+        self.hourly(region, from_hour, values);
+        values.iter().sum::<f64>() / n as f64
     }
 
     /// Whether how often this source is asked is itself an output (it
@@ -46,6 +65,10 @@ impl<S: CarbonDataSource + ?Sized> CarbonDataSource for &S {
         (**self).intensity(region, hour)
     }
 
+    fn hourly(&self, region: RegionId, from_hour: f64, out: &mut [f64]) {
+        (**self).hourly(region, from_hour, out)
+    }
+
     fn counts_queries(&self) -> bool {
         (**self).counts_queries()
     }
@@ -58,14 +81,15 @@ impl<S: CarbonDataSource + ?Sized> CarbonDataSource for &S {
 pub struct RegionalSource {
     zones: Vec<String>,
     profiles: Vec<GridProfile>,
-    synth: SyntheticCarbonSource,
+    /// By region index, the seed of its zone's noise knots.
+    seeds: Vec<u64>,
 }
 
 impl RegionalSource {
     /// Builds the adapter for a catalog, validating that every catalog
     /// region's grid zone is covered by the synthetic source. Resolving
-    /// all zone profiles here makes the hot [`CarbonDataSource`] path
-    /// infallible and lookup-free.
+    /// all zone profiles and noise seeds here makes the hot
+    /// [`CarbonDataSource`] path infallible and lookup-free.
     pub fn new(catalog: &RegionCatalog, synth: SyntheticCarbonSource) -> Result<Self, CarbonError> {
         let zones: Vec<String> = catalog.iter().map(|(_, s)| s.grid_zone.clone()).collect();
         let profiles = zones
@@ -77,10 +101,11 @@ impl RegionalSource {
                     .ok_or_else(|| CarbonError::UnknownZone { zone: z.clone() })
             })
             .collect::<Result<Vec<_>, _>>()?;
+        let seeds = zones.iter().map(|z| synth.zone_seed(z)).collect();
         Ok(RegionalSource {
             zones,
             profiles,
-            synth,
+            seeds,
         })
     }
 
@@ -93,8 +118,14 @@ impl RegionalSource {
 impl CarbonDataSource for RegionalSource {
     fn intensity(&self, region: RegionId, hour: f64) -> f64 {
         let i = region.index();
-        self.synth
-            .profile_intensity(&self.profiles[i], &self.zones[i], hour)
+        synth::seeded_intensity(&self.profiles[i], self.seeds[i], hour)
+    }
+
+    /// Each noise knot drawn once and the daily shape taken once per hour
+    /// of the day (`synth::seeded_series`).
+    fn hourly(&self, region: RegionId, from_hour: f64, out: &mut [f64]) {
+        let i = region.index();
+        synth::seeded_series(&self.profiles[i], self.seeds[i], from_hour, out)
     }
 }
 
@@ -102,7 +133,8 @@ impl CarbonDataSource for RegionalSource {
 /// Maps CSV extracts). Out-of-range hours fall back to the series mean.
 #[derive(Debug, Clone, Default)]
 pub struct TableSource {
-    series: HashMap<RegionId, CarbonSeries>,
+    /// By region index; `None` for a region without a series.
+    series: Vec<Option<CarbonSeries>>,
 }
 
 impl TableSource {
@@ -113,12 +145,16 @@ impl TableSource {
 
     /// Installs the series for a region.
     pub fn insert(&mut self, region: RegionId, series: CarbonSeries) {
-        self.series.insert(region, series);
+        let i = region.index();
+        if i >= self.series.len() {
+            self.series.resize(i + 1, None);
+        }
+        self.series[i] = Some(series);
     }
 
     /// The series for a region, if present.
     pub fn series(&self, region: RegionId) -> Option<&CarbonSeries> {
-        self.series.get(&region)
+        self.series.get(region.index())?.as_ref()
     }
 
     /// Loads one `<region-name>.csv` file per region from a directory —
@@ -176,17 +212,24 @@ impl TableSource {
     /// prefer this over the trait method.
     pub fn try_intensity(&self, region: RegionId, hour: f64) -> Result<f64, CarbonError> {
         let s = self
-            .series
-            .get(&region)
+            .series(region)
             .ok_or(CarbonError::UncoveredRegion { region })?;
         Ok(s.at(hour).unwrap_or_else(|| s.mean()))
     }
 
-    /// Regions covered by this source.
+    /// Regions covered by this source, ascending.
     pub fn regions(&self) -> Vec<RegionId> {
-        let mut v: Vec<RegionId> = self.series.keys().copied().collect();
-        v.sort_unstable();
-        v
+        (0..self.series.len())
+            .map(|i| RegionId(i as u16))
+            .filter(|&r| self.series(r).is_some())
+            .collect()
+    }
+
+    /// What an uncovered region reads in a release build: the mean of
+    /// the series means, summed in region order.
+    fn fallback(&self) -> f64 {
+        let covered = || self.series.iter().flatten();
+        covered().map(|s| s.mean()).sum::<f64>() / covered().count().max(1) as f64
     }
 }
 
@@ -200,9 +243,23 @@ impl CarbonDataSource for TableSource {
             Ok(v) => v,
             Err(e) => {
                 debug_assert!(false, "{e}");
-                let n = self.series.len().max(1) as f64;
-                self.series.values().map(|s| s.mean()).sum::<f64>() / n
+                self.fallback()
             }
+        }
+    }
+
+    /// A covered region's hours copied from its series, the series mean
+    /// taken once for the hours it does not cover.
+    fn hourly(&self, region: RegionId, from_hour: f64, out: &mut [f64]) {
+        let Some(s) = self.series(region) else {
+            debug_assert!(false, "{}", CarbonError::UncoveredRegion { region });
+            return out.fill(self.fallback());
+        };
+        let mut mean = None;
+        for (i, v) in out.iter_mut().enumerate() {
+            *v = s
+                .at(from_hour + i as f64 + 0.5)
+                .unwrap_or_else(|| *mean.get_or_insert_with(|| s.mean()));
         }
     }
 }
@@ -215,9 +272,12 @@ pub struct ForecastingSource<'a, S: CarbonDataSource> {
     actual: &'a S,
     regions: Vec<RegionId>,
     trained_at_hour: f64,
-    forecasts: HashMap<RegionId, Vec<f64>>,
-    history_hours: usize,
+    /// By region index; `None` for a region outside the fitted set.
+    forecasts: Vec<Option<Vec<f64>>>,
 }
+
+/// The trailing history a forecast is fitted on: one week of hours.
+const HISTORY_HOURS: usize = 7 * 24;
 
 impl<'a, S: CarbonDataSource> ForecastingSource<'a, S> {
     /// Fits forecasts at `trained_at_hour` using the trailing week of
@@ -228,22 +288,18 @@ impl<'a, S: CarbonDataSource> ForecastingSource<'a, S> {
         trained_at_hour: f64,
         horizon_hours: usize,
     ) -> Self {
-        let history_hours = 7 * 24;
-        let mut forecasts = HashMap::new();
+        let mut forecasts = vec![None; regions.iter().map(|r| r.index() + 1).max().unwrap_or(0)];
+        let mut history = [0.0; HISTORY_HOURS];
         for &r in regions {
-            let from = trained_at_hour - history_hours as f64;
-            let history: Vec<f64> = (0..history_hours)
-                .map(|i| actual.intensity(r, from + i as f64 + 0.5))
-                .collect();
+            actual.hourly(r, trained_at_hour - HISTORY_HOURS as f64, &mut history);
             let hw = HoltWinters::fit(&history, 24);
-            forecasts.insert(r, hw.forecast(horizon_hours));
+            forecasts[r.index()] = Some(hw.forecast(horizon_hours));
         }
         ForecastingSource {
             actual,
             regions: regions.to_vec(),
             trained_at_hour,
             forecasts,
-            history_hours,
         }
     }
 
@@ -254,7 +310,7 @@ impl<'a, S: CarbonDataSource> ForecastingSource<'a, S> {
 
     /// Length of the history window used for fitting, hours.
     pub fn history_hours(&self) -> usize {
-        self.history_hours
+        HISTORY_HOURS
     }
 
     /// Intensity for a region, or a typed error for a future query on a
@@ -267,7 +323,8 @@ impl<'a, S: CarbonDataSource> ForecastingSource<'a, S> {
         let steps = (hour - self.trained_at_hour).floor() as usize;
         let f = self
             .forecasts
-            .get(&region)
+            .get(region.index())
+            .and_then(Option::as_ref)
             .ok_or(CarbonError::ForecastNotCovered { region })?;
         let idx = steps.min(f.len().saturating_sub(1));
         Ok(f.get(idx).copied().unwrap_or_else(|| {
@@ -293,15 +350,162 @@ impl<S: CarbonDataSource> CarbonDataSource for ForecastingSource<'_, S> {
         }
     }
 
+    /// The hours before the fit hour read as the actual source's series,
+    /// the rest from the forecast.
+    fn hourly(&self, region: RegionId, from_hour: f64, out: &mut [f64]) {
+        let past = (0..out.len())
+            .take_while(|&i| from_hour + i as f64 + 0.5 < self.trained_at_hour)
+            .count();
+        let (known, forecast) = out.split_at_mut(past);
+        self.actual.hourly(region, from_hour, known);
+        for (i, v) in forecast.iter_mut().enumerate() {
+            *v = self.intensity(region, from_hour + (past + i) as f64 + 0.5);
+        }
+    }
+
     fn counts_queries(&self) -> bool {
         self.actual.counts_queries()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use caribou_model::region::RegionCatalog;
+    use caribou_model::region::{ProviderSet, RegionCatalog};
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    /// Where `source`'s series of `len` hours from `from` differs from
+    /// asking it hour by hour, if anywhere: the first index, both values.
+    pub(crate) fn series_mismatch<S: CarbonDataSource>(
+        source: &S,
+        region: RegionId,
+        from: f64,
+        len: usize,
+    ) -> Option<(usize, f64, f64)> {
+        let mut series = vec![f64::NAN; len];
+        source.hourly(region, from, &mut series);
+        series.iter().enumerate().find_map(|(i, &v)| {
+            let each = source.intensity(region, from + i as f64 + 0.5);
+            (v.to_bits() != each.to_bits()).then_some((i, v, each))
+        })
+    }
+
+    /// A series' first hour: anywhere in [−400, 9000] with any fraction,
+    /// at a quarter hour, on a noise knot (`NOISE_KNOT_H` = 4 h), or up to
+    /// 200 h below a power of two, where the hours after it round to a
+    /// coarser step and a day's hours no longer repeat bit for bit.
+    pub(crate) fn from_hour() -> impl Strategy<Value = f64> {
+        let kinds = (0u32..4, -400.0..9000.0f64, -1600i64..36_000, -100i64..2250);
+        (kinds, 9i32..14, 0.0..200.0f64).prop_map(|((kind, any, quarter, knot), power, below)| {
+            match kind {
+                0 => any,
+                1 => quarter as f64 / 4.0,
+                2 => 4.0 * knot as f64 - 0.5,
+                _ => 2f64.powi(power) - below,
+            }
+        })
+    }
+
+    /// Every region of the aws and gcp catalogs, by index, on `seed`'s grid.
+    pub(crate) fn grid(seed: u64) -> (Vec<RegionId>, RegionalSource) {
+        let catalog = RegionCatalog::of_providers(ProviderSet::parse("aws,gcp").unwrap());
+        let source =
+            RegionalSource::new(&catalog, SyntheticCarbonSource::aws_calibrated(seed)).unwrap();
+        (catalog.iter().map(|(id, _)| id).collect(), source)
+    }
+
+    /// A source that counts the queries it answers.
+    struct Counting<S> {
+        inner: S,
+        queries: Cell<usize>,
+    }
+
+    impl<S: CarbonDataSource> CarbonDataSource for Counting<S> {
+        fn intensity(&self, region: RegionId, hour: f64) -> f64 {
+            self.queries.set(self.queries.get() + 1);
+            self.inner.intensity(region, hour)
+        }
+
+        fn counts_queries(&self) -> bool {
+            true
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Each source's series is, bit for bit, what it answers hour by
+        /// hour: the grid, a reference to it, a forecast fitted inside the
+        /// span (its past and its forecast halves; half the time on one of
+        /// the span's hours, which is the forecast's first) and a table
+        /// covering part of the span (its mean outside).
+        #[test]
+        fn every_series_matches_its_hours(
+            zone in 0usize..64,
+            seed in any::<u64>(),
+            from in from_hour(),
+            len in 0usize..201,
+            at in 0usize..202,
+            on_hour in 0u32..2,
+        ) {
+            let (regions, source) = grid(seed);
+            let region = regions[zone % regions.len()];
+            let case = (seed, region, from, len, at, on_hour);
+            prop_assert_eq!(series_mismatch(&source, region, from, len), None, "{:?}", case);
+            prop_assert_eq!(series_mismatch(&&source, region, from, len), None, "{:?}", case);
+            let fit_at = from + at as f64 + if on_hour == 1 { 0.5 } else { 0.25 };
+            let forecast = ForecastingSource::fit(&source, &[region], fit_at, 48);
+            prop_assert_eq!(series_mismatch(&forecast, region, from, len), None, "{:?}", case);
+            let mut table = TableSource::new();
+            let values = (0..len as u64 / 2).map(|i| (i * 7 % 13) as f64).collect();
+            table.insert(region, CarbonSeries::new(from.floor() as i64 + at as i64 - 40, values));
+            prop_assert_eq!(series_mismatch(&table, region, from, len), None, "{:?}", case);
+        }
+    }
+
+    /// A source that counts its queries is asked once an hour by a series,
+    /// directly and through the wrappers that forward to it.
+    #[test]
+    fn a_counting_source_counts_one_query_an_hour() {
+        let (regions, source) = grid(3);
+        let counting = Counting {
+            inner: source,
+            queries: Cell::new(0),
+        };
+        let r = regions[0];
+        let mut out = [0.0; 37];
+        counting.hourly(r, 10.25, &mut out);
+        assert_eq!(counting.queries.get(), 37);
+        <&_ as CarbonDataSource>::hourly(&&counting, r, 10.25, &mut out);
+        assert_eq!(counting.queries.get(), 74);
+        assert!(counting.average(r, 0.0, 200.0) > 0.0);
+        assert_eq!(counting.queries.get(), 274);
+        let forecast = ForecastingSource::fit(&counting, &[r], 300.0, 48);
+        assert_eq!(counting.queries.get(), 274 + 168);
+        // 20 hours before the fit hour from the source, 17 forecast.
+        forecast.hourly(r, 280.0, &mut out);
+        assert_eq!(counting.queries.get(), 274 + 168 + 20);
+    }
+
+    /// An uncovered region reads the mean of the series means, summed in
+    /// region order whatever order they were inserted in: 1e16 + 1 rounds
+    /// to 1e16 first, so the sum is 0, where 1e16 − 1e16 first keeps the 1.
+    #[test]
+    fn table_source_fallback_sums_means_in_region_order() {
+        let mut t = TableSource::new();
+        for (r, mean) in [(2, -1e16), (1, 1.0), (0, 1e16)] {
+            t.insert(RegionId(r), CarbonSeries::new(0, vec![mean]));
+        }
+        assert_eq!(t.regions(), [RegionId(0), RegionId(1), RegionId(2)]);
+        assert_eq!(
+            t.fallback().to_bits(),
+            ((1e16 + 1.0 - 1e16) / 3.0f64).to_bits()
+        );
+        assert_eq!(t.fallback(), 0.0);
+        #[cfg(not(debug_assertions))]
+        assert_eq!(t.intensity(RegionId(9), 0.0), 0.0);
+    }
 
     fn regional() -> (RegionCatalog, RegionalSource) {
         let cat = RegionCatalog::aws_default();

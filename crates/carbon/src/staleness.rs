@@ -19,7 +19,6 @@
 //! count. Query counts per rung are kept in atomics and flushed as
 //! `carbon.stale.*` telemetry by the coordinator.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use caribou_model::region::RegionId;
@@ -32,7 +31,8 @@ pub struct StaleAwareSource<S> {
     /// Half-open `[start, end)` outage windows in *hours*.
     outages: Vec<(f64, f64)>,
     ttl_hours: f64,
-    yearly: HashMap<RegionId, f64>,
+    /// By region index; `None` for a region outside the precomputed set.
+    yearly: Vec<Option<f64>>,
     fresh_queries: AtomicU64,
     lkg_queries: AtomicU64,
     yearly_queries: AtomicU64,
@@ -47,10 +47,10 @@ impl<S: CarbonDataSource> StaleAwareSource<S> {
         for &(s, e) in &outages {
             assert!(e > s, "outage window must be non-empty (half-open)");
         }
-        let yearly = regions
-            .iter()
-            .map(|&r| (r, inner.average(r, 0.0, 8760.0)))
-            .collect();
+        let mut yearly = vec![None; regions.iter().map(|r| r.index() + 1).max().unwrap_or(0)];
+        for &r in regions {
+            yearly[r.index()] = Some(inner.average(r, 0.0, 8760.0));
+        }
         StaleAwareSource {
             inner,
             outages,
@@ -113,8 +113,8 @@ impl<S: CarbonDataSource> CarbonDataSource for StaleAwareSource<S> {
             }
             Some(_) => {
                 self.yearly_queries.fetch_add(1, Ordering::Relaxed);
-                match self.yearly.get(&region) {
-                    Some(&v) => v,
+                match self.yearly.get(region.index()).copied().flatten() {
+                    Some(v) => v,
                     // Region outside the precomputed set: compute the
                     // same average directly (slow but correct).
                     None => self.inner.average(region, 0.0, 8760.0),
@@ -231,6 +231,31 @@ mod tests {
     fn uncovered_region_still_answers_yearly() {
         let s = StaleAwareSource::new(ramp_source(), &[], vec![(0.0, 100.0)], 1.0);
         assert_eq!(s.intensity(RegionId(0), 50.0), YEARLY);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The wrapper keeps the per-hour default: its series over a grid
+        /// is, bit for bit, what it answers hour by hour on every rung,
+        /// and it counts one query an hour.
+        #[test]
+        fn a_stale_series_matches_its_hours(
+            zone in 0usize..64,
+            seed in proptest::prelude::any::<u64>(),
+            from in crate::source::tests::from_hour(),
+            len in 0usize..201,
+            outage in 0.0..1.0f64,
+        ) {
+            let (regions, grid) = crate::source::tests::grid(seed);
+            let region = regions[zone % regions.len()];
+            let start = from + outage * len as f64;
+            let s = StaleAwareSource::new(&grid, &[region], vec![(start, start + 30.0)], 6.0);
+            let mismatch = crate::source::tests::series_mismatch(&s, region, from, len);
+            assert_eq!(mismatch, None, "{:?}", (seed, region, from, len, outage));
+            let (fresh, lkg, yearly) = s.query_counts();
+            assert_eq!(fresh + lkg + yearly, 2 * len as u64);
+        }
     }
 
     #[test]

@@ -234,30 +234,15 @@ impl SyntheticCarbonSource {
         self.profiles.get(zone)
     }
 
-    fn zone_seed(&self, zone: &str) -> u64 {
-        // FNV-1a over the zone name, mixed with the source seed.
+    /// The seed of a zone's noise knots: FNV-1a over the zone name, mixed
+    /// with the source seed.
+    pub(crate) fn zone_seed(&self, zone: &str) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
         for b in zone.as_bytes() {
             h ^= *b as u64;
             h = h.wrapping_mul(0x100000001b3);
         }
         h ^ self.seed.wrapping_mul(0x9e3779b97f4a7c15)
-    }
-
-    /// Smooth stochastic component: standard-normal knots every
-    /// [`NOISE_KNOT_H`] hours, linearly interpolated, deterministic in
-    /// `(seed, zone, knot index)`.
-    fn noise(&self, zone: &str, hour: f64) -> f64 {
-        let zs = self.zone_seed(zone);
-        let knot = |k: i64| -> f64 {
-            let mut rng = Pcg32::seed_stream(zs ^ (k as u64).wrapping_mul(0xd1342543de82ef95), zs);
-            rng.standard_normal()
-        };
-        let pos = hour / NOISE_KNOT_H;
-        let k0 = pos.floor();
-        let frac = pos - k0;
-        let k0 = k0 as i64;
-        knot(k0) * (1.0 - frac) + knot(k0 + 1) * frac
     }
 
     /// Carbon intensity of a zone at fractional `hour` since the epoch,
@@ -278,35 +263,104 @@ impl SyntheticCarbonSource {
     /// only seeds the deterministic noise stream, so profile and name must
     /// come from the same resolution.
     pub fn profile_intensity(&self, p: &GridProfile, zone: &str, hour: f64) -> f64 {
-        let local = hour + p.utc_offset;
-        let local_hod = local.rem_euclid(24.0);
-
-        // Zero-mean diurnal cosine peaking at `diurnal_peak_hour`.
-        let diurnal = (std::f64::consts::TAU * (local_hod - p.diurnal_peak_hour) / 24.0).cos();
-
-        // Solar dip: Gaussian bump around midday, mean-removed so the shape
-        // is zero-mean over the day.
-        let bump = |h: f64| -> f64 {
-            let d = h - SOLAR_PEAK_H;
-            (-d * d / (2.0 * SOLAR_WIDTH_H * SOLAR_WIDTH_H)).exp()
-        };
-        // Mean of the bump over a 24 h period (numerically; constant).
-        let bump_mean = SOLAR_WIDTH_H * (std::f64::consts::TAU).sqrt() / 24.0;
-        let solar = bump(local_hod) - bump_mean;
-
-        // Weekly modulation: weekend (epoch hour 0 is a Sunday) runs
-        // cleaner. Zero-mean over the week: weekend (2 days) gets
-        // -5/7 · amp... simplified to a centered two-level square wave.
-        let day = (local / 24.0).rem_euclid(7.0);
-        // Epoch is Sunday: days 0 (Sun) and 6 (Sat) are the weekend.
-        let weekend = !(1.0..6.0).contains(&day);
-        let weekly = if weekend { -5.0 / 7.0 } else { 2.0 / 7.0 };
-
-        let shape = 1.0 + p.diurnal_amp * diurnal - p.solar_depth * solar
-            + p.weekly_amp * weekly
-            + p.noise_sigma * self.noise(zone, hour);
-        (p.mean * shape).max(1.0)
+        seeded_intensity(p, self.zone_seed(zone), hour)
     }
+}
+
+/// [`SyntheticCarbonSource::profile_intensity`] of the zone whose knots
+/// are seeded `zs` ([`SyntheticCarbonSource::zone_seed`]).
+pub(crate) fn seeded_intensity(p: &GridProfile, zs: u64, hour: f64) -> f64 {
+    let local = hour + p.utc_offset;
+    let (k0, frac) = knot_at(hour);
+    let noise = interpolate(knot(zs, k0), knot(zs, k0.wrapping_add(1)), frac);
+    sample(p, daily(p, local.rem_euclid(24.0)), local, noise)
+}
+
+/// [`seeded_intensity`] at `from_hour + i + 0.5` into each `out[i]`, bit
+/// for bit, drawing each noise knot once and taking the daily shape once
+/// per hour of the day. Consecutive hours share a knot pair, or the
+/// later one's first knot is the earlier one's second; an hour whose
+/// local hour of the day has the same bits as the one a day before it
+/// has the same daily shape.
+pub(crate) fn seeded_series(p: &GridProfile, zs: u64, from_hour: f64, out: &mut [f64]) {
+    // The last hour's knot index and its two knots.
+    let mut knots: Option<(i64, f64, f64)> = None;
+    // By `i % 24`: the bits of the local hour of the day and its daily
+    // shape.
+    let mut days: [Option<(u64, f64)>; 24] = [None; 24];
+    for (i, v) in out.iter_mut().enumerate() {
+        let hour = from_hour + i as f64 + 0.5;
+        let (k0, frac) = knot_at(hour);
+        let (n0, n1) = match knots {
+            Some((k, n0, n1)) if k == k0 => (n0, n1),
+            Some((k, _, n1)) if k.wrapping_add(1) == k0 => (n1, knot(zs, k0.wrapping_add(1))),
+            _ => (knot(zs, k0), knot(zs, k0.wrapping_add(1))),
+        };
+        knots = Some((k0, n0, n1));
+        let local = hour + p.utc_offset;
+        let hod = local.rem_euclid(24.0);
+        let day = match days[i % 24] {
+            Some((bits, day)) if bits == hod.to_bits() => day,
+            _ => daily(p, hod),
+        };
+        days[i % 24] = Some((hod.to_bits(), day));
+        *v = sample(p, day, local, interpolate(n0, n1, frac));
+    }
+}
+
+/// Noise knot `k` of the zone seeded `zs`: a standard normal,
+/// deterministic in `(seed, zone, k)`. The smooth stochastic component
+/// interpolates knots [`NOISE_KNOT_H`] hours apart.
+fn knot(zs: u64, k: i64) -> f64 {
+    let mut rng = Pcg32::seed_stream(zs ^ (k as u64).wrapping_mul(0xd1342543de82ef95), zs);
+    rng.standard_normal()
+}
+
+/// The knot at or before `hour` and how far `hour` is from it towards the
+/// next, as a fraction of [`NOISE_KNOT_H`].
+fn knot_at(hour: f64) -> (i64, f64) {
+    let pos = hour / NOISE_KNOT_H;
+    let k0 = pos.floor();
+    (k0 as i64, pos - k0)
+}
+
+/// The noise `frac` of the way from knot `n0` to knot `n1`.
+fn interpolate(n0: f64, n1: f64, frac: f64) -> f64 {
+    n0 * (1.0 - frac) + n1 * frac
+}
+
+/// The part of a profile's relative shape that depends on the local hour
+/// of the day `hod` alone: one plus its diurnal and solar terms.
+fn daily(p: &GridProfile, hod: f64) -> f64 {
+    // Zero-mean diurnal cosine peaking at `diurnal_peak_hour`.
+    let diurnal = (std::f64::consts::TAU * (hod - p.diurnal_peak_hour) / 24.0).cos();
+
+    // Solar dip: Gaussian bump around midday, mean-removed so the shape
+    // is zero-mean over the day.
+    let bump = |h: f64| -> f64 {
+        let d = h - SOLAR_PEAK_H;
+        (-d * d / (2.0 * SOLAR_WIDTH_H * SOLAR_WIDTH_H)).exp()
+    };
+    // Mean of the bump over a 24 h period (numerically; constant).
+    let bump_mean = SOLAR_WIDTH_H * (std::f64::consts::TAU).sqrt() / 24.0;
+    let solar = bump(hod) - bump_mean;
+
+    1.0 + p.diurnal_amp * diurnal - p.solar_depth * solar
+}
+
+/// A profile's intensity given its daily shape, the `local` hour since
+/// the epoch and the noise: the weekly term joins the shape here.
+fn sample(p: &GridProfile, daily: f64, local: f64, noise: f64) -> f64 {
+    // Weekly modulation: weekend (epoch hour 0 is a Sunday) runs
+    // cleaner. Zero-mean over the week: weekend (2 days) gets
+    // -5/7 · amp... simplified to a centered two-level square wave.
+    let day = (local / 24.0).rem_euclid(7.0);
+    // Epoch is Sunday: days 0 (Sun) and 6 (Sat) are the weekend.
+    let weekend = !(1.0..6.0).contains(&day);
+    let weekly = if weekend { -5.0 / 7.0 } else { 2.0 / 7.0 };
+
+    let shape = daily + p.weekly_amp * weekly + p.noise_sigma * noise;
+    (p.mean * shape).max(1.0)
 }
 
 #[cfg(test)]

@@ -147,9 +147,8 @@ impl FleetEnv {
         let forecast = universe
             .iter()
             .map(|&r| {
-                let values: Vec<f64> = (0..hours)
-                    .map(|h| carbon.intensity(r, h as f64 + 0.5))
-                    .collect();
+                let mut values = vec![0.0; hours];
+                carbon.hourly(r, 0.0, &mut values);
                 (r, values)
             })
             .collect();

@@ -27,7 +27,7 @@ use crate::bank::{Derived, DrawBank, Prim, SharedBank, Site};
 use crate::energy;
 use crate::prep::{self, pick, EdgePrep, ExecPrep, NodePrep, Prep, TransferPrep};
 use crate::summary::{p95, DistSummary, Moments};
-use crate::wide;
+use caribou_model::wide;
 
 /// Latency and cost of a plan's first `n` samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -229,7 +229,7 @@ fn sums(xs: &[f64], ys: &[f64], (mut a, mut b): (f64, f64)) -> (f64, f64) {
 }
 
 /// One batch of a fold's operands; [`fold`] is its body, inlined with
-/// every loop it calls into each vector level's wrapper (`crate::wide`).
+/// every loop it calls into each vector level's wrapper (`caribou_model::wide`).
 struct Batch<'a, 'p> {
     prep: &'a Prep<'p>,
     plan: &'a DeploymentPlan,
@@ -301,7 +301,7 @@ fn fold(
     };
     let xfer = column(Site::Entry, e.transfer.prim())?;
     // A loop stays out of closures, which are not inlined into a level's
-    // wrapper at every size (see `crate::wide`).
+    // wrapper at every size (see `caribou_model::wide`).
     let gb = match banked(Derived::EntryGb) {
         Some(gb) => gb,
         None => {

@@ -37,7 +37,6 @@ pub mod montecarlo;
 mod prep;
 mod price;
 pub mod summary;
-mod wide;
 
 pub use carbonmodel::{CarbonModel, TransmissionScenario};
 pub use costmodel::CostModel;

@@ -310,7 +310,7 @@ mod tests {
     use caribou_simcloud::pricing::PricingCatalog;
 
     use crate::bank::{Derived, Prim, Site};
-    use crate::wide::Level;
+    use caribou_model::wide::Level;
 
     type Flow = (WorkflowDag, WorkflowProfile);
 
@@ -872,7 +872,7 @@ mod tests {
     #[test]
     fn every_vector_level_folds_and_prices_the_same_bits() {
         let fx = fixture(true);
-        let (base, (held, missing)) = crate::wide::at(Level::Base, || sweep(&fx));
+        let (base, (held, missing)) = caribou_model::wide::at(Level::Base, || sweep(&fx));
         let skipped = base.iter().filter(|&&b| f64::from_bits(b).is_nan()).count();
         assert!(
             skipped > 0,
@@ -883,8 +883,8 @@ mod tests {
             "neighbours found {held} quotients held and {missing} missing"
         );
         assert_eq!(digest(&base), SWEEP_DIGEST, "{:#x}", digest(&base));
-        for level in crate::wide::levels() {
-            let (wide, _) = crate::wide::at(level, || sweep(&fx));
+        for level in caribou_model::wide::levels() {
+            let (wide, _) = caribou_model::wide::at(level, || sweep(&fx));
             assert_eq!(wide.len(), base.len(), "{level:?}");
             let first = wide.iter().zip(&base).position(|(a, b)| a != b);
             assert_eq!(

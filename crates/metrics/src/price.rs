@@ -20,7 +20,7 @@ use crate::bank::{Derived, DrawBank};
 use crate::montecarlo::{MonteCarloEstimator, StageModels};
 use crate::prep;
 use crate::summary::{self, Moments};
-use crate::wide;
+use caribou_model::wide;
 
 /// The grid constants of one (plan, hour) and the carbon columns priced
 /// with them, reused from one estimate to the next.
@@ -121,7 +121,7 @@ impl PriceState {
 
 /// [`PriceState::extend`]'s operands; [`Pricing::call`] is its body,
 /// inlined with every loop it calls into each vector level's wrapper
-/// (`crate::wide`).
+/// (`caribou_model::wide`).
 struct Pricing<'a> {
     s: &'a mut PriceState,
     dag: &'a WorkflowDag,

@@ -4,7 +4,7 @@
 //! mean is the "average case" used for ordering deployment plans and whose
 //! 95th percentile is the "tail case" used for tolerance checks (§7.1).
 
-use crate::wide;
+use caribou_model::wide;
 
 /// Summary statistics of a sampled metric distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -22,7 +22,9 @@
 //!   for the data-plane hot paths;
 //! * [`rng`] — a small, in-repo, seed-deterministic PCG32 generator so that
 //!   every experiment is reproducible independent of external crate
-//!   versions.
+//!   versions;
+//! * [`wide`] — numeric loops run at the widest vector level the CPU has,
+//!   with the same bits at every level.
 //!
 //! # Examples
 //!
@@ -49,6 +51,7 @@ pub mod plan;
 pub mod profile;
 pub mod region;
 pub mod rng;
+pub mod wide;
 
 pub use builder::Workflow;
 pub use constraints::{Constraints, Tolerances};

@@ -32,11 +32,13 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "==> router happy-path budget (release, --ignored)"
     cargo test -q --release -p caribou-exec -- --ignored
 
-    # The estimator's sample loops give the same bits at every vector level
-    # the host runs; a debug build vectorises nothing, so the check that
-    # means something is the optimised one.
-    echo "==> estimator vector levels agree (release)"
+    # The estimator's sample loops and the Holt-Winters step loop give the
+    # same bits at every vector level the host runs; a debug build
+    # vectorises nothing, so the check that means something is the
+    # optimised one.
+    echo "==> estimator and forecast vector levels agree (release)"
     cargo test -q --release -p caribou-metrics --lib -- every_vector_level tail_p95
+    cargo test -q --release -p caribou-carbon --lib -- every_forecast_fit_is_pinned
 
     # Deterministic solver smoke: the 24-hour schedule printed by
     # `caribou plan --hourly` must be bit-identical whether the solver
@@ -275,20 +277,21 @@ if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
     exit 1
 fi
 
-# The sample loops at the CPU's full vector width: one helper
-# (crates/metrics/src/wide.rs) holds the per-level wrappers, the feature
+# The kernels at the CPU's full vector width: one helper
+# (crates/model/src/wide.rs) holds the per-level wrappers, the feature
 # detection and the only `unsafe` under crates/; and no fused multiply-add
-# is written into the fold, the pricing pass or the summaries, whose bits
-# must not depend on the level (Rust never fuses `a * b + c` by itself).
+# is written into the fold, the pricing pass, the summaries or the
+# Holt-Winters step loop, whose bits must not depend on the level (Rust
+# never fuses `a * b + c` by itself).
 echo "==> vector-level dispatch grep gates"
 hits=$(grep -rlwE 'unsafe|target_feature|is_x86_feature_detected' crates | tr '\n' ' ')
-if [[ "$hits" != "crates/metrics/src/wide.rs " ]]; then
-    echo "error: unsafe, target_feature or is_x86_feature_detected in: $hits(want crates/metrics/src/wide.rs only)" >&2
+if [[ "$hits" != "crates/model/src/wide.rs " ]]; then
+    echo "error: unsafe, target_feature or is_x86_feature_detected in: $hits(want crates/model/src/wide.rs only)" >&2
     exit 1
 fi
 if grep -nF 'mul_add' crates/metrics/src/fold.rs crates/metrics/src/price.rs \
-    crates/metrics/src/summary.rs; then
-    echo "error: a fused multiply-add in the estimator's sample loops (see matches above)" >&2
+    crates/metrics/src/summary.rs crates/carbon/src/forecast.rs; then
+    echo "error: a fused multiply-add in a vector-level kernel (see matches above)" >&2
     exit 1
 fi
 
@@ -564,6 +567,34 @@ if grep -nE 'Self::fit_params\(|fn fit_params\b' crates/carbon/src/forecast.rs; 
     echo "error: a per-point Holt-Winters fit is back in forecast.rs (see matches above)" >&2
     exit 1
 fi
+
+# A grid's hourly series is read as a series: the noise-knot recipe is
+# written once in synth.rs (`knot`, which the single hour and the series
+# both call), and the forecast fit, the default average and the fleet's
+# materialized forecast read through `CarbonDataSource::hourly`, not a
+# per-hour `.intensity(` loop.
+echo "==> grid-series grep gates"
+knots=$(grep -cF 'Pcg32::seed_stream(' crates/carbon/src/synth.rs || true)
+if [[ "$knots" -ne 1 ]]; then
+    echo "error: the noise-knot recipe (Pcg32::seed_stream() appears $knots times in crates/carbon/src/synth.rs, want 1" >&2
+    exit 1
+fi
+# The lines of the function whose signature line holds $2 in $1, up to the
+# first closing brace at its indentation.
+fn_body() {
+    awk -v sig="$2" 'index($0, sig) { inside = 1 }
+        inside { print FILENAME ":" FNR ": " $0 }
+        inside && /^    }$/ { exit }' "$1"
+}
+for site in 'crates/carbon/src/source.rs|    pub fn fit(' \
+    'crates/carbon/src/source.rs|    fn average(' \
+    'crates/core/src/fleet/mod.rs|    pub fn for_providers('; do
+    body=$(fn_body "${site%%|*}" "${site#*|}")
+    if [[ -z "$body" ]] || grep -F '.intensity(' <<<"$body"; then
+        echo "error: '${site#*|}' in ${site%%|*} is gone or reads hour by hour (see above); read its series with hourly()" >&2
+        exit 1
+    fi
+done
 
 # One invocation's bill lives in its scratch as dense per-region rows: the
 # inline sorted map the meter was built on is gone, an outcome carries the
