@@ -248,27 +248,20 @@ impl SyntheticCarbonSource {
     /// Carbon intensity of a zone at fractional `hour` since the epoch,
     /// gCO₂eq/kWh. Unknown zones return the typed
     /// [`CarbonError::UnknownZone`] — callers resolving zones from user
-    /// input surface it; adapters that validated coverage up front use
-    /// [`SyntheticCarbonSource::profile_intensity`] on the hot path.
+    /// input surface it; adapters that validated coverage up front
+    /// (`RegionalSource`) keep each zone's profile and noise seed and call
+    /// `seeded_intensity` on the hot path.
     pub fn zone_intensity(&self, zone: &str, hour: f64) -> Result<f64, CarbonError> {
         let p = self
             .profiles
             .get(zone)
             .ok_or_else(|| CarbonError::UnknownZone { zone: zone.into() })?;
-        Ok(self.profile_intensity(p, zone, hour))
-    }
-
-    /// Intensity for an already-resolved profile: the infallible hot path
-    /// behind [`SyntheticCarbonSource::zone_intensity`]. The `zone` name
-    /// only seeds the deterministic noise stream, so profile and name must
-    /// come from the same resolution.
-    pub fn profile_intensity(&self, p: &GridProfile, zone: &str, hour: f64) -> f64 {
-        seeded_intensity(p, self.zone_seed(zone), hour)
+        Ok(seeded_intensity(p, self.zone_seed(zone), hour))
     }
 }
 
-/// [`SyntheticCarbonSource::profile_intensity`] of the zone whose knots
-/// are seeded `zs` ([`SyntheticCarbonSource::zone_seed`]).
+/// The intensity of the zone with profile `p` whose knots are seeded `zs`
+/// ([`SyntheticCarbonSource::zone_seed`]) at fractional `hour`.
 pub(crate) fn seeded_intensity(p: &GridProfile, zs: u64, hour: f64) -> f64 {
     let local = hour + p.utc_offset;
     let (k0, frac) = knot_at(hour);
