@@ -247,21 +247,6 @@ impl CarbonDataSource for TableSource {
             }
         }
     }
-
-    /// A covered region's hours copied from its series, the series mean
-    /// taken once for the hours it does not cover.
-    fn hourly(&self, region: RegionId, from_hour: f64, out: &mut [f64]) {
-        let Some(s) = self.series(region) else {
-            debug_assert!(false, "{}", CarbonError::UncoveredRegion { region });
-            return out.fill(self.fallback());
-        };
-        let mut mean = None;
-        for (i, v) in out.iter_mut().enumerate() {
-            *v = s
-                .at(from_hour + i as f64 + 0.5)
-                .unwrap_or_else(|| *mean.get_or_insert_with(|| s.mean()));
-        }
-    }
 }
 
 /// A forecasting wrapper: knows the real source's history up to
@@ -350,26 +335,13 @@ impl<S: CarbonDataSource> CarbonDataSource for ForecastingSource<'_, S> {
         }
     }
 
-    /// The hours before the fit hour read as the actual source's series,
-    /// the rest from the forecast.
-    fn hourly(&self, region: RegionId, from_hour: f64, out: &mut [f64]) {
-        let past = (0..out.len())
-            .take_while(|&i| from_hour + i as f64 + 0.5 < self.trained_at_hour)
-            .count();
-        let (known, forecast) = out.split_at_mut(past);
-        self.actual.hourly(region, from_hour, known);
-        for (i, v) in forecast.iter_mut().enumerate() {
-            *v = self.intensity(region, from_hour + (past + i) as f64 + 0.5);
-        }
-    }
-
     fn counts_queries(&self) -> bool {
         self.actual.counts_queries()
     }
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use caribou_model::region::{ProviderSet, RegionCatalog};
     use proptest::prelude::*;
@@ -377,7 +349,7 @@ pub(crate) mod tests {
 
     /// Where `source`'s series of `len` hours from `from` differs from
     /// asking it hour by hour, if anywhere: the first index, both values.
-    pub(crate) fn series_mismatch<S: CarbonDataSource>(
+    fn series_mismatch<S: CarbonDataSource>(
         source: &S,
         region: RegionId,
         from: f64,
@@ -395,7 +367,7 @@ pub(crate) mod tests {
     /// at a quarter hour, on a noise knot (`NOISE_KNOT_H` = 4 h), or up to
     /// 200 h below a power of two, where the hours after it round to a
     /// coarser step and a day's hours no longer repeat bit for bit.
-    pub(crate) fn from_hour() -> impl Strategy<Value = f64> {
+    fn from_hour() -> impl Strategy<Value = f64> {
         let kinds = (0u32..4, -400.0..9000.0f64, -1600i64..36_000, -100i64..2250);
         (kinds, 9i32..14, 0.0..200.0f64).prop_map(|((kind, any, quarter, knot), power, below)| {
             match kind {
@@ -408,7 +380,7 @@ pub(crate) mod tests {
     }
 
     /// Every region of the aws and gcp catalogs, by index, on `seed`'s grid.
-    pub(crate) fn grid(seed: u64) -> (Vec<RegionId>, RegionalSource) {
+    fn grid(seed: u64) -> (Vec<RegionId>, RegionalSource) {
         let catalog = RegionCatalog::of_providers(ProviderSet::parse("aws,gcp").unwrap());
         let source =
             RegionalSource::new(&catalog, SyntheticCarbonSource::aws_calibrated(seed)).unwrap();
@@ -435,32 +407,21 @@ pub(crate) mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Each source's series is, bit for bit, what it answers hour by
-        /// hour: the grid, a reference to it, a forecast fitted inside the
-        /// span (its past and its forecast halves; half the time on one of
-        /// the span's hours, which is the forecast's first) and a table
-        /// covering part of the span (its mean outside).
+        /// The grid's series, directly and through a reference, is bit for
+        /// bit what it answers hour by hour. The other sources keep the
+        /// per-hour default.
         #[test]
         fn every_series_matches_its_hours(
             zone in 0usize..64,
             seed in any::<u64>(),
             from in from_hour(),
             len in 0usize..201,
-            at in 0usize..202,
-            on_hour in 0u32..2,
         ) {
             let (regions, source) = grid(seed);
             let region = regions[zone % regions.len()];
-            let case = (seed, region, from, len, at, on_hour);
+            let case = (seed, region, from, len);
             prop_assert_eq!(series_mismatch(&source, region, from, len), None, "{:?}", case);
             prop_assert_eq!(series_mismatch(&&source, region, from, len), None, "{:?}", case);
-            let fit_at = from + at as f64 + if on_hour == 1 { 0.5 } else { 0.25 };
-            let forecast = ForecastingSource::fit(&source, &[region], fit_at, 48);
-            prop_assert_eq!(series_mismatch(&forecast, region, from, len), None, "{:?}", case);
-            let mut table = TableSource::new();
-            let values = (0..len as u64 / 2).map(|i| (i * 7 % 13) as f64).collect();
-            table.insert(region, CarbonSeries::new(from.floor() as i64 + at as i64 - 40, values));
-            prop_assert_eq!(series_mismatch(&table, region, from, len), None, "{:?}", case);
         }
     }
 

@@ -233,29 +233,19 @@ mod tests {
         assert_eq!(s.intensity(RegionId(0), 50.0), YEARLY);
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
-
-        /// The wrapper keeps the per-hour default: its series over a grid
-        /// is, bit for bit, what it answers hour by hour on every rung,
-        /// and it counts one query an hour.
-        #[test]
-        fn a_stale_series_matches_its_hours(
-            zone in 0usize..64,
-            seed in proptest::prelude::any::<u64>(),
-            from in crate::source::tests::from_hour(),
-            len in 0usize..201,
-            outage in 0.0..1.0f64,
-        ) {
-            let (regions, grid) = crate::source::tests::grid(seed);
-            let region = regions[zone % regions.len()];
-            let start = from + outage * len as f64;
-            let s = StaleAwareSource::new(&grid, &[region], vec![(start, start + 30.0)], 6.0);
-            let mismatch = crate::source::tests::series_mismatch(&s, region, from, len);
-            assert_eq!(mismatch, None, "{:?}", (seed, region, from, len, outage));
-            let (fresh, lkg, yearly) = s.query_counts();
-            assert_eq!(fresh + lkg + yearly, 2 * len as u64);
-        }
+    /// A series keeps the per-hour default: each hour is one query,
+    /// counted on its rung and answered as that rung answers it.
+    #[test]
+    fn a_series_asks_each_hour_on_its_rung() {
+        let s = StaleAwareSource::new(ramp_source(), &[RegionId(0)], vec![(10.0, 20.0)], 2.0);
+        let mut out = [0.0; 16];
+        s.hourly(RegionId(0), 8.0, &mut out);
+        let y = YEARLY;
+        let want = [
+            8.0, 9.0, 10.0, 10.0, y, y, y, y, y, y, y, y, 20.0, 21.0, 22.0, 23.0,
+        ];
+        assert_eq!(out, want);
+        assert_eq!(s.query_counts(), (6, 2, 8));
     }
 
     #[test]

@@ -66,7 +66,9 @@ thread_local! {
     static FORCED: std::cell::Cell<Option<Level>> = const { std::cell::Cell::new(None) };
 }
 
-/// The levels this CPU runs, narrowest first.
+/// The levels this CPU runs, narrowest first. A test hook, with [`at`]:
+/// public so that the tests of the crates whose kernels run here reach it.
+#[doc(hidden)]
 pub fn levels() -> impl Iterator<Item = Level> {
     [Level::Base, Level::Avx2, Level::Avx512f]
         .into_iter()
@@ -74,7 +76,9 @@ pub fn levels() -> impl Iterator<Item = Level> {
 }
 
 /// Runs `f` with every [`run`] on this thread at `level`, which the CPU
-/// must have: how a test compares a kernel's bits across [`levels`].
+/// must have: how a test compares a kernel's bits across [`levels`]. A
+/// test hook; nothing outside tests calls it.
+#[doc(hidden)]
 pub fn at<R>(level: Level, f: impl FnOnce() -> R) -> R {
     assert!(level <= widest(), "{level:?} is wider than this CPU");
     FORCED.set(Some(level));
